@@ -31,14 +31,10 @@ func main() {
 func run() error {
 	measure := func(label string, model network.LatencyModel) (float64, float64, error) {
 		newDriver := func(clk clock.Clock) systems.Driver {
-			var tr *network.Transport
-			if model != nil {
-				tr = network.NewTransport(clk, model)
-			}
 			return fabric.New(fabric.Config{
 				MaxMessageCount: 50,
 				BatchTimeout:    20 * time.Millisecond,
-				Transport:       tr,
+				Latency:         model,
 				Clock:           clk,
 			})
 		}

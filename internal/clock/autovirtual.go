@@ -1,10 +1,8 @@
 package clock
 
 import (
-	"container/heap"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -31,11 +29,32 @@ func Walltime() time.Time { return time.Now() }
 // sleeps. If every actor is parked and no deadline remains, the run cannot
 // ever make progress and the clock fails loudly with the parked-actor list.
 //
-// The contract actors must keep: every potentially blocking operation goes
-// through the clock-aware primitives. An actor that blocks on a bare
-// channel while holding the token freezes the whole clock (undetectably),
-// which is exactly the bug the wall-clock lint and the deadlock detector
-// exist to keep out of the tree.
+// The contract actors must keep:
+//
+//   - Only a registered actor may call a parking primitive, and only from
+//     the goroutine that registered: between Register (or RegisterForked)
+//     returning and Handle.Close. Every goroutine an actor starts that
+//     touches the clock is announced with Fork and registers itself; the
+//     actorspawn analyzer rejects anything else in actor packages.
+//   - Every potentially blocking operation goes through the clock-aware
+//     primitives. An actor that blocks on a bare channel while holding the
+//     token freezes the whole clock (undetectably), which is exactly the bug
+//     the wall-clock lint and the deadlock detector exist to keep out of the
+//     tree.
+//
+// The caller of a parking primitive is the token holder. Actors are
+// token-serialized, so while a token is out the one registered goroutine
+// that can be executing is its holder; the primitives read the holder under
+// the clock mutex and never ask the runtime who is calling. With no token
+// out the caller cannot be an actor, and that much stays decidable: Sleep
+// registers a transient "sleeper" actor for its duration, Await degrades to
+// a channel select over gates, timers and tickers, anything on a Mailbox
+// (Send, or Await with one among the sources) and Group.Wait panic, and
+// Handle.Close checks its handle against the holder. What cannot be seen at
+// run time is an unregistered goroutine entering a parking primitive while
+// some other actor holds the token: it would park that actor's identity.
+// That was always a violation of the first rule; it is kept out statically
+// (actorspawn), not detected dynamically.
 type AutoVirtual struct {
 	*Virtual
 }
@@ -49,22 +68,34 @@ func NewAutoVirtual() *AutoVirtual {
 	v.auto = &autoCore{
 		v:      v,
 		actors: make(map[*Actor]struct{}),
-		goids:  make(map[int64]*Actor),
 	}
 	return &AutoVirtual{Virtual: v}
 }
 
 // Sleep implements Clock: the calling actor parks until the clock reaches
-// the deadline. A non-actor caller is registered as a transient actor for
-// the duration of the sleep, so tests can sleep on the simulated clock
-// without joining a run explicitly.
+// the deadline. With no token out the caller is registered as a transient
+// actor for the duration of the sleep, so tests can sleep on the simulated
+// clock without joining a run explicitly. The deadline rides on the actor's
+// own waiter, which wakes it directly: a sleep allocates nothing.
 func (av *AutoVirtual) Sleep(d time.Duration) {
-	if av.callerActor() == nil {
+	v := av.Virtual
+	v.mu.Lock()
+	a := v.auto.current
+	if a == nil {
+		v.mu.Unlock()
 		h := Register(av, "sleeper")
 		defer h.Close()
+		a = h.a
+		v.mu.Lock()
 	}
-	t := av.NewTimer(d)
-	Await(av, t)
+	if d > 0 {
+		a.sleep.at = v.now.Add(d)
+		v.addWaiterLocked(&a.sleep)
+		for a.sleep.index >= 0 {
+			v.parkLocked(a)
+		}
+	}
+	v.mu.Unlock()
 }
 
 // After is unsupported on AutoVirtual: a bare channel receive blocks the
@@ -80,16 +111,6 @@ func (av *AutoVirtual) SetDeadlockHandler(fn func(msg string)) {
 	av.mu.Lock()
 	av.auto.onDeadlock = fn
 	av.mu.Unlock()
-}
-
-// callerActor resolves the calling goroutine's registered actor, nil if
-// unregistered.
-func (av *AutoVirtual) callerActor() *Actor {
-	id := goid()
-	av.mu.Lock()
-	a := av.auto.goids[id]
-	av.mu.Unlock()
-	return a
 }
 
 // autoOf extracts the auto-advancing core from a clock; ok is false for
@@ -114,23 +135,31 @@ const (
 type Actor struct {
 	v         *Virtual
 	name      string
-	gid       int64
 	state     actorState
 	grant     chan struct{}
-	waiterSeq int64 // per-actor timer creation counter (tie-break identity)
+	waiterSeq int64       // per-actor timer creation counter (tie-break identity)
+	sleep     waiter      // armed while the actor is parked in Sleep
+	awaiting  []Waitable  // sources of the Await the actor is parked in
+	got       awaitResult // what the scheduler consumed for that Await
+}
+
+// awaitResult is one Await's return triple.
+type awaitResult struct {
+	idx int
+	val any
+	ok  bool
 }
 
 // autoCore is the cooperative scheduler behind AutoVirtual. All fields are
 // guarded by the owning Virtual's mutex.
 type autoCore struct {
-	v       *Virtual
-	actors  map[*Actor]struct{}
-	goids   map[int64]*Actor
-	current  *Actor   // token holder, nil while idle or advancing
-	runq     []*Actor // FIFO of actors ready for the token
-	forking  int      // children announced by Fork but not yet registered
-	arrivals []*Actor // registered fork-wave children awaiting release
-	dead    bool
+	v          *Virtual
+	actors     map[*Actor]struct{}
+	current    *Actor       // token holder, nil while idle or advancing
+	runq       ring[*Actor] // FIFO of actors ready for the token
+	forking    int          // children announced by Fork but not yet registered
+	arrivals   []*Actor     // registered fork-wave children awaiting release
+	dead       bool
 	onDeadlock func(msg string)
 }
 
@@ -139,7 +168,8 @@ type autoCore struct {
 type Handle struct{ a *Actor }
 
 // Close detaches the actor from the clock and releases the execution token.
-// It must be the goroutine's final interaction with the clock.
+// It must be the goroutine's final interaction with the clock, made while it
+// still holds the token.
 func (h Handle) Close() {
 	if h.a != nil {
 		h.a.close()
@@ -186,11 +216,11 @@ func RegisterForked(c Clock, name string) Handle {
 
 func (av *AutoVirtual) register(name string, forked bool) *Actor {
 	v := av.Virtual
-	a := &Actor{v: v, name: name, gid: goid(), grant: make(chan struct{}, 1)}
+	a := &Actor{v: v, name: name, grant: make(chan struct{}, 1)}
+	a.sleep = waiter{sleeper: a, index: -1}
 	v.mu.Lock()
 	core := v.auto
 	core.actors[a] = struct{}{}
-	core.goids[a.gid] = a
 	if forked && core.forking > 0 {
 		core.forking--
 		a.state = actorReady
@@ -203,7 +233,7 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 		<-a.grant
 		return a
 	}
-	if core.current == nil && len(core.runq) == 0 {
+	if core.current == nil && core.runq.len() == 0 {
 		// Sole runnable actor: take the token immediately.
 		core.current = a
 		a.state = actorRunning
@@ -211,7 +241,7 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 		return a
 	}
 	a.state = actorReady
-	core.runq = append(core.runq, a)
+	core.runq.push(a)
 	core.kickLocked()
 	v.mu.Unlock()
 	<-a.grant
@@ -223,7 +253,9 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 // release order to be fully deterministic.
 func (c *autoCore) flushArrivalsLocked() {
 	sort.Slice(c.arrivals, func(i, j int) bool { return c.arrivals[i].name < c.arrivals[j].name })
-	c.runq = append(c.runq, c.arrivals...)
+	for _, a := range c.arrivals {
+		c.runq.push(a)
+	}
 	c.arrivals = nil
 }
 
@@ -231,19 +263,13 @@ func (a *Actor) close() {
 	v := a.v
 	v.mu.Lock()
 	core := v.auto
-	delete(core.actors, a)
-	delete(core.goids, a.gid)
-	if core.current == a {
-		core.current = nil
-		core.scheduleLocked()
-	} else {
-		for i, q := range core.runq {
-			if q == a {
-				core.runq = append(core.runq[:i], core.runq[i+1:]...)
-				break
-			}
-		}
+	if core.current != a {
+		v.mu.Unlock()
+		panic("clock: actor " + a.name + " closed without holding the execution token")
 	}
+	delete(core.actors, a)
+	core.current = nil
+	core.scheduleLocked()
 	v.mu.Unlock()
 }
 
@@ -264,11 +290,23 @@ func (c *autoCore) scheduleLocked() {
 		return
 	}
 	for {
-		if len(c.runq) > 0 {
-			a := c.runq[0]
-			copy(c.runq, c.runq[1:])
-			c.runq[len(c.runq)-1] = nil
-			c.runq = c.runq[:len(c.runq)-1]
+		if c.runq.len() > 0 {
+			a := c.runq.pop()
+			if len(a.awaiting) > 0 {
+				// Do the woken Await's first step here, under the same
+				// lock: take its first ready source. An actor woken for a
+				// source another actor drained first would find nothing
+				// and park again, so it stays parked without the switch to
+				// its goroutine and back.
+				r, ready := a.consumeLocked(a.awaiting)
+				if !ready {
+					a.state = actorParked
+					continue
+				}
+				a.got = r
+				clear(a.awaiting)
+				a.awaiting = a.awaiting[:0]
+			}
 			c.current = a
 			a.state = actorRunning
 			a.grant <- struct{}{}
@@ -284,47 +322,34 @@ func (c *autoCore) scheduleLocked() {
 	}
 }
 
-// advanceLocked jumps the clock to the earliest live deadline and fires it,
-// waking that waiter's parked watchers. Returns false when no live waiter
+// advanceLocked jumps the clock to the earliest deadline and fires it,
+// waking that waiter's parked watchers. Returns false when no waiter
 // remains.
 func (c *autoCore) advanceLocked() bool {
-	v := c.v
-	for len(v.waiters) > 0 {
-		w := heap.Pop(&v.waiters).(*waiter)
-		if w.stopped {
-			continue
-		}
-		v.now = w.at
-		select {
-		case w.ch <- w.at:
-		default: // slow receiver: drop the tick, as time.Ticker does
-		}
-		if w.repeat > 0 {
-			w.at = w.at.Add(w.repeat)
-			v.addWaiterLocked(w)
-		}
-		if w.wake != nil {
-			w.wake.wakeLocked(c)
-		}
-		return true
+	if len(c.v.waiters) == 0 {
+		return false
 	}
-	return false
+	w := c.v.fireNextLocked()
+	if w.wake != nil {
+		w.wake.wakeLocked(c)
+	}
+	if w.sleeper != nil {
+		c.wakeLocked(w.sleeper)
+	}
+	return true
 }
 
 func (c *autoCore) wakeLocked(a *Actor) {
 	if a.state == actorParked {
 		a.state = actorReady
-		c.runq = append(c.runq, a)
+		c.runq.push(a)
 	}
 }
 
-// parkLocked releases the token and blocks the actor until a wake re-grants
-// it. Callers hold v.mu; it is held again on return.
+// parkLocked releases the token held by a and blocks it until a wake
+// re-grants it. Callers hold v.mu; it is held again on return.
 func (v *Virtual) parkLocked(a *Actor) {
 	core := v.auto
-	if core.current != a {
-		panic("clock: actor " + a.name + " parked without holding the execution token")
-	}
 	a.state = actorParked
 	core.current = nil
 	core.scheduleLocked()
@@ -399,17 +424,19 @@ type Waitable interface {
 
 // Await blocks until one of the sources is ready and consumes it, returning
 // the ready source's index, its value, and the receive's ok flag (false for
-// a closed Gate or a closed, drained Mailbox). On an AutoVirtual clock with
-// a registered calling actor, readiness is checked in argument order —
-// lowest index wins — making multi-ready races deterministic; put the stop
-// gate first so shutdown beats pending work. On every other clock (or from
-// an unregistered goroutine) Await degrades to a pseudo-randomly-tie-broken
-// channel select, matching Go select semantics.
+// a closed Gate or a closed, drained Mailbox). The value is a Mailbox's
+// received element; gates, timers and tickers carry none worth boxing (the
+// fire instant is Now). On an AutoVirtual clock the caller is the token
+// holder and readiness is checked in argument order — lowest index wins —
+// making multi-ready races deterministic; put the stop gate first so
+// shutdown beats pending work. On every other clock (or with no token out,
+// i.e. from outside the run) Await degrades to a pseudo-randomly-tie-broken
+// channel select, matching Go select semantics; an AutoVirtual Mailbox has
+// no channel to offer there and panics.
 func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
 	if v, auto := autoOf(c); auto {
-		id := goid()
 		v.mu.Lock()
-		if a := v.auto.goids[id]; a != nil {
+		if a := v.auto.current; a != nil {
 			return v.await(a, srcs)
 		}
 		v.mu.Unlock()
@@ -426,32 +453,44 @@ func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
 }
 
 // await is the auto-virtual path of Await; v.mu is held on entry and
-// released before returning.
+// released before returning. With nothing ready the actor parks attached to
+// every source; the scheduler re-grants it only once it has consumed one of
+// them into a.got.
 func (v *Virtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
-	for {
-		for i, s := range srcs {
-			if val, ok, ready := s.tryConsumeLocked(); ready {
-				for _, s2 := range srcs {
-					s2.detach(a)
-				}
-				v.mu.Unlock()
-				return i, val, ok
-			}
-		}
+	r, ready := a.consumeLocked(srcs)
+	if !ready {
+		a.awaiting = append(a.awaiting[:0], srcs...)
 		for _, s := range srcs {
 			s.attach(a)
 		}
 		v.parkLocked(a)
+		r, a.got = a.got, awaitResult{}
 	}
+	v.mu.Unlock()
+	return r.idx, r.val, r.ok
+}
+
+// consumeLocked consumes the first ready source in argument order on a's
+// behalf and detaches a from all of them.
+func (a *Actor) consumeLocked(srcs []Waitable) (r awaitResult, ready bool) {
+	for i, s := range srcs {
+		if val, ok, ready := s.tryConsumeLocked(); ready {
+			for _, s2 := range srcs {
+				s2.detach(a)
+			}
+			return awaitResult{i, val, ok}, true
+		}
+	}
+	return awaitResult{}, false
 }
 
 // Gate is a broadcast close signal (the stop/done channel idiom) that
 // parks auto-virtual actors instead of blocking them. The zero value is not
 // usable; construct with NewGate.
 type Gate struct {
-	v  *Virtual // non-nil only under AutoVirtual
-	mu sync.Mutex
-	ch chan struct{}
+	v      *Virtual // non-nil only under AutoVirtual
+	mu     sync.Mutex
+	ch     chan struct{}
 	closed bool
 	w      watchers
 }
@@ -515,14 +554,19 @@ func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 
 // Mailbox is a bounded FIFO channel whose blocking operations park
 // auto-virtual actors. Capacity must be at least 1. On real and
-// plain-virtual clocks it behaves exactly like a buffered channel.
+// plain-virtual clocks it is a buffered channel. Under AutoVirtual every
+// operation already runs under the clock mutex, so the buffer is a ring
+// that grows on demand up to the capacity: an inbox sized for the worst
+// case costs only what it actually held.
 type Mailbox[T any] struct {
-	v  *Virtual // non-nil only under AutoVirtual
-	mu sync.Mutex
-	ch chan T
-	closed bool
-	recvW  watchers // actors parked in Await
-	sendW  watchers // actors parked in Send
+	v        *Virtual // non-nil only under AutoVirtual
+	mu       sync.Mutex
+	ch       chan T  // nil under AutoVirtual
+	q        ring[T] // AutoVirtual only, guarded by v.mu
+	capacity int
+	closed   bool
+	recvW    watchers // actors parked in Await
+	sendW    watchers // actors parked in Send
 }
 
 // NewMailbox builds a mailbox with the given capacity (floored at 1).
@@ -530,9 +574,11 @@ func NewMailbox[T any](c Clock, capacity int) *Mailbox[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	m := &Mailbox[T]{ch: make(chan T, capacity)}
+	m := &Mailbox[T]{capacity: capacity}
 	if v, ok := autoOf(c); ok {
 		m.v = v
+	} else {
+		m.ch = make(chan T, capacity)
 	}
 	return m
 }
@@ -558,7 +604,7 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 	}
 	v := m.v
 	v.mu.Lock()
-	a := v.auto.goids[goid()]
+	a := v.auto.current
 	if a == nil {
 		v.mu.Unlock()
 		panic("clock: Mailbox.Send from a goroutine not registered with the AutoVirtual clock")
@@ -572,8 +618,8 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 			v.mu.Unlock()
 			return false
 		}
-		if len(m.ch) < cap(m.ch) {
-			m.ch <- val
+		if m.q.len() < m.capacity {
+			m.q.push(val)
 			m.recvW.wakeLocked(v.auto)
 			m.sendW.remove(a)
 			if abort != nil {
@@ -606,10 +652,10 @@ func (m *Mailbox[T]) TrySend(val T) bool {
 	v := m.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if m.closed || len(m.ch) >= cap(m.ch) {
+	if m.closed || m.q.len() >= m.capacity {
 		return false
 	}
-	m.ch <- val
+	m.q.push(val)
 	m.recvW.wakeLocked(v.auto)
 	v.auto.kickLocked()
 	return true
@@ -640,7 +686,14 @@ func (m *Mailbox[T]) Close() {
 }
 
 // Len reports the number of buffered values.
-func (m *Mailbox[T]) Len() int { return len(m.ch) }
+func (m *Mailbox[T]) Len() int {
+	if m.v == nil {
+		return len(m.ch)
+	}
+	m.v.mu.Lock()
+	defer m.v.mu.Unlock()
+	return m.q.len()
+}
 
 func (m *Mailbox[T]) isClosed() bool {
 	m.mu.Lock()
@@ -648,12 +701,17 @@ func (m *Mailbox[T]) isClosed() bool {
 	return m.closed
 }
 
-func (m *Mailbox[T]) waitChan() reflect.Value { return reflect.ValueOf(m.ch) }
-func (m *Mailbox[T]) attach(a *Actor)         { m.recvW.add(a) }
-func (m *Mailbox[T]) detach(a *Actor)         { m.recvW.remove(a) }
+func (m *Mailbox[T]) waitChan() reflect.Value {
+	if m.v != nil {
+		panic("clock: Await on a Mailbox from a goroutine not registered with the AutoVirtual clock")
+	}
+	return reflect.ValueOf(m.ch)
+}
+func (m *Mailbox[T]) attach(a *Actor) { m.recvW.add(a) }
+func (m *Mailbox[T]) detach(a *Actor) { m.recvW.remove(a) }
 func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
-	if len(m.ch) > 0 {
-		val := <-m.ch
+	if m.q.len() > 0 {
+		val := m.q.pop()
 		m.sendW.wakeLocked(m.v.auto)
 		return val, true, true
 	}
@@ -720,7 +778,7 @@ func (g *Group) Wait() {
 	}
 	v := g.v
 	v.mu.Lock()
-	a := v.auto.goids[goid()]
+	a := v.auto.current
 	if a == nil {
 		v.mu.Unlock()
 		panic("clock: Group.Wait from a goroutine not registered with the AutoVirtual clock")
@@ -733,21 +791,33 @@ func (g *Group) Wait() {
 	v.mu.Unlock()
 }
 
-// goid parses the calling goroutine's ID from its stack header — the only
-// portable identity Go exposes. The cost (one runtime.Stack of one frame)
-// is paid per blocking primitive call, which the simulated workloads
-// amortize over far more expensive virtual-time work.
-func goid() int64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	// The header is "goroutine 123 [...".
-	s := buf[len("goroutine "):n]
-	var id int64
-	for _, ch := range s {
-		if ch < '0' || ch > '9' {
-			break
+// ring is a FIFO that grows by doubling and never shrinks; the scheduler's
+// run queue and the auto-virtual Mailbox buffer are both one.
+type ring[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) push(x T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
-		id = id*10 + int64(ch-'0')
+		r.buf, r.head = grown, 0
 	}
-	return id
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	var zero T
+	x := r.buf[r.head]
+	r.buf[r.head] = zero // drop the reference for the collector
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return x
 }

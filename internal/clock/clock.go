@@ -92,9 +92,9 @@ func (r *realTicker) Stop()                 { r.t.Stop() }
 func (r *realTicker) Reset(d time.Duration) { r.t.Reset(d) }
 
 // Real-clock tickers are only ever awaited through the reflect.Select path.
-func (r *realTicker) waitChan() reflect.Value            { return reflect.ValueOf(r.t.C) }
-func (r *realTicker) attach(*Actor)                      {}
-func (r *realTicker) detach(*Actor)                      {}
+func (r *realTicker) waitChan() reflect.Value             { return reflect.ValueOf(r.t.C) }
+func (r *realTicker) attach(*Actor)                       {}
+func (r *realTicker) detach(*Actor)                       {}
 func (r *realTicker) tryConsumeLocked() (any, bool, bool) { return nil, false, false }
 
 type realTimer struct{ t *time.Timer }
@@ -104,7 +104,7 @@ func (r *realTimer) Stop() bool                 { return r.t.Stop() }
 func (r *realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
 
 // Real-clock timers are only ever awaited through the reflect.Select path.
-func (r *realTimer) waitChan() reflect.Value            { return reflect.ValueOf(r.t.C) }
-func (r *realTimer) attach(*Actor)                      {}
-func (r *realTimer) detach(*Actor)                      {}
+func (r *realTimer) waitChan() reflect.Value             { return reflect.ValueOf(r.t.C) }
+func (r *realTimer) attach(*Actor)                       {}
+func (r *realTimer) detach(*Actor)                       {}
 func (r *realTimer) tryConsumeLocked() (any, bool, bool) { return nil, false, false }

@@ -1,0 +1,472 @@
+package clock
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// runActors forks one actor per name, in map order (deliberately unstable),
+// and returns when all have closed.
+func runActors(av *AutoVirtual, bodies map[string]func()) {
+	var wg sync.WaitGroup
+	Fork(av, len(bodies))
+	for name, body := range bodies {
+		wg.Add(1)
+		go func(name string, body func()) {
+			defer wg.Done()
+			h := RegisterForked(av, name)
+			defer h.Close()
+			body()
+		}(name, body)
+	}
+	wg.Wait()
+}
+
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one mentioning %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestCallerIsTokenHolder: inside a run the parking primitives act for the
+// token holder — a registered actor's Sleep parks that actor and registers
+// nobody else.
+func TestCallerIsTokenHolder(t *testing.T) {
+	av := NewAutoVirtual()
+	var during []string
+	runActors(av, map[string]func(){
+		"napper": func() { av.Sleep(2 * time.Second) },
+		"census": func() {
+			av.Sleep(time.Second) // napper is parked in its own Sleep now
+			av.mu.Lock()
+			for a := range av.auto.actors {
+				during = append(during, a.name)
+			}
+			av.mu.Unlock()
+		},
+	})
+	if len(during) != 2 {
+		t.Fatalf("actors registered while napper slept = %v, want only napper and census", during)
+	}
+	if got := av.Now().Sub(SimEpoch); got != 2*time.Second {
+		t.Fatalf("run ended at +%v, want +2s", got)
+	}
+}
+
+// TestNoTokenOut pins what each primitive does when called from outside the
+// run: nobody holds the token, so the caller cannot be an actor.
+func TestNoTokenOut(t *testing.T) {
+	t.Run("Sleep registers a transient actor", func(t *testing.T) {
+		av := NewAutoVirtual()
+		av.Sleep(time.Hour)
+		if got := av.Now().Sub(SimEpoch); got != time.Hour {
+			t.Fatalf("slept %v, want 1h", got)
+		}
+		av.mu.Lock()
+		left := len(av.auto.actors)
+		av.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d actors still registered after the sleep", left)
+		}
+	})
+	t.Run("Await falls back to the channel select", func(t *testing.T) {
+		av := NewAutoVirtual()
+		never := NewGate(av)
+		timer := av.NewTimer(time.Second)
+		av.Advance(time.Second) // plain-Virtual stepping still works from outside
+		if idx, _, ok := Await(av, never, timer); idx != 1 || !ok {
+			t.Fatalf("Await = (%d, ok=%v), want the fired timer at index 1", idx, ok)
+		}
+		never.Close()
+		if idx, _, ok := Await(av, never); idx != 0 || ok {
+			t.Fatalf("Await = (%d, ok=%v), want the closed gate", idx, ok)
+		}
+	})
+	t.Run("Await on a Mailbox panics", func(t *testing.T) {
+		av := NewAutoVirtual()
+		m := NewMailbox[int](av, 1)
+		mustPanic(t, "not registered", func() { Await(av, m) })
+	})
+	t.Run("Send panics", func(t *testing.T) {
+		av := NewAutoVirtual()
+		m := NewMailbox[int](av, 1)
+		mustPanic(t, "Mailbox.Send from a goroutine not registered", func() { m.Send(1, nil) })
+	})
+	t.Run("Wait panics", func(t *testing.T) {
+		av := NewAutoVirtual()
+		g := NewGroup(av)
+		g.Add(1)
+		mustPanic(t, "Group.Wait from a goroutine not registered", func() { g.Wait() })
+	})
+	t.Run("Close checks the handle against the holder", func(t *testing.T) {
+		av := NewAutoVirtual()
+		av.SetDeadlockHandler(func(string) {})
+		parked := make(chan Handle, 1)
+		never := NewGate(av)
+		go func() {
+			h := Register(av, "parked")
+			parked <- h
+			Await(av, never) // releases the token for good
+		}()
+		h := <-parked
+		for { // wait until the actor has parked and the clock went idle
+			av.mu.Lock()
+			idle := av.auto.current == nil
+			av.mu.Unlock()
+			if idle {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		mustPanic(t, "closed without holding the execution token", h.Close)
+	})
+}
+
+// TestKernelAllocationCeilings pins the allocation cost of the parking
+// primitives: the scheduler itself allocates nothing per park; the one
+// allocation of a mailbox hand-off is the element's box into Await's any.
+func TestKernelAllocationCeilings(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "meter")
+	defer h.Close()
+
+	if n := testing.AllocsPerRun(200, func() { av.Sleep(time.Millisecond) }); n != 0 {
+		t.Errorf("Sleep allocates %v times per call, want 0", n)
+	}
+
+	timer := av.NewTimer(time.Millisecond)
+	Await(av, timer)
+	if n := testing.AllocsPerRun(200, func() {
+		timer.Reset(time.Millisecond)
+		Await(av, timer)
+	}); n != 0 {
+		t.Errorf("Timer.Reset + Await allocates %v times per round, want 0", n)
+	}
+
+	ticker := av.NewTicker(time.Millisecond)
+	Await(av, ticker)
+	if n := testing.AllocsPerRun(200, func() { Await(av, ticker) }); n != 0 {
+		t.Errorf("Await on a ticker allocates %v times per tick, want 0", n)
+	}
+	ticker.Stop()
+
+	// Two hand-offs per round: meter → echo → meter. The payload is large
+	// enough that boxing it cannot use the runtime's small-integer table.
+	ping, pong := NewMailbox[int](av, 1), NewMailbox[int](av, 1)
+	stop := NewGate(av)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	Fork(av, 1)
+	go func() {
+		defer wg.Done()
+		h := RegisterForked(av, "echo")
+		defer h.Close()
+		for {
+			idx, v, _ := Await(av, stop, ping)
+			if idx == 0 {
+				return
+			}
+			pong.Send(v.(int)+1, stop)
+		}
+	}()
+	round := func() {
+		ping.Send(1000, nil)
+		if _, v, _ := Await(av, pong); v.(int) != 1001 {
+			t.Fatalf("echo returned %v", v)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n > 2 {
+		t.Errorf("mailbox round trip allocates %v times, want at most 2 (one box per hand-off)", n)
+	}
+	stop.Close()
+	av.Sleep(time.Millisecond) // park so echo can observe the stop and leave
+	wg.Wait()
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
+// TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep,
+// NewTimer and a re-armed (reused) timer all enter the heap keyed by
+// (deadline, actor name, per-actor sequence). Three actors whose waits
+// collide at every instant, each mixing the three kinds, must therefore wake
+// in name order at each instant — the order the one-waiter-per-arm kernel
+// produced.
+func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
+	const rounds = 6
+	run := func() []string {
+		av := NewAutoVirtual()
+		var log []string // appended under the execution token
+		body := func(name string, phase int) func() {
+			return func() {
+				var timer Timer
+				for r := 0; r < rounds; r++ {
+					switch (r + phase) % 3 {
+					case 0:
+						av.Sleep(10 * time.Millisecond)
+					case 1:
+						Await(av, av.NewTimer(10*time.Millisecond))
+					case 2:
+						if timer == nil {
+							timer = av.NewTimer(10 * time.Millisecond)
+						} else {
+							timer.Reset(10 * time.Millisecond)
+						}
+						Await(av, timer)
+					}
+					log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
+				}
+			}
+		}
+		runActors(av, map[string]func(){
+			"node-c": body("node-c", 0),
+			"node-a": body("node-a", 1),
+			"node-b": body("node-b", 2),
+		})
+		if got := av.PendingWaiters(); got != 0 {
+			t.Fatalf("PendingWaiters = %d, want 0", got)
+		}
+		return log
+	}
+	var want []string
+	for r := 1; r <= rounds; r++ {
+		for _, name := range []string{"node-a", "node-b", "node-c"} {
+			want = append(want, fmt.Sprintf("%s@%dms", name, 10*r))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if got := run(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d woke in the wrong order:\n got %v\nwant %v", i, got, want)
+		}
+	}
+}
+
+// TestResetRekeysTheReusedWaiter: re-arming takes a fresh per-actor sequence
+// number, exactly as arming a new waiter did, so between two of one actor's
+// timers due at the same instant the one armed last fires last — also when
+// it was created first.
+func TestResetRekeysTheReusedWaiter(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "solo")
+	defer h.Close()
+	first := av.NewTimer(time.Second)
+	second := av.NewTimer(time.Second)
+	if !first.Reset(time.Second) { // same deadline, armed after second
+		t.Fatal("Reset of a pending timer reported it inactive")
+	}
+	if idx, _, _ := Await(av, first, second); idx != 1 {
+		t.Fatalf("the re-armed timer fired before the one armed earlier (index %d)", idx)
+	}
+	if idx, _, _ := Await(av, first, second); idx != 0 {
+		t.Fatalf("the re-armed timer did not fire second (index %d)", idx)
+	}
+	if first.Stop() || second.Stop() {
+		t.Fatal("a fired timer reported itself active")
+	}
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
+// TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, and a
+// stopped timer or ticker re-arms the waiter it already owns.
+func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "solo")
+	defer h.Close()
+	timer := av.NewTimer(time.Hour)
+	ticker := av.NewTicker(time.Hour)
+	if got := av.PendingWaiters(); got != 2 {
+		t.Fatalf("PendingWaiters = %d, want 2", got)
+	}
+	if !timer.Stop() {
+		t.Fatal("Stop of a pending timer reported it inactive")
+	}
+	ticker.Stop()
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
+	}
+	if timer.Reset(time.Minute) {
+		t.Fatal("Reset of a stopped timer reported it active")
+	}
+	ticker.Reset(time.Second)
+	if idx, _, _ := Await(av, timer, ticker); idx != 1 {
+		t.Fatalf("index %d fired first, want the 1s ticker", idx)
+	}
+	ticker.Stop()
+	Await(av, timer)
+	if got := av.Now().Sub(SimEpoch); got != time.Minute {
+		t.Fatalf("re-armed timer fired at +%v, want +1m", got)
+	}
+}
+
+// TestMailboxRing covers the auto-virtual buffer: FIFO across growth and
+// wrap-around, TrySend refusing at capacity, Send parking at capacity until
+// a receive makes room, and abort and Close releasing a parked sender.
+func TestMailboxRing(t *testing.T) {
+	t.Run("FIFO across growth and wrap", func(t *testing.T) {
+		av := NewAutoVirtual()
+		h := Register(av, "solo")
+		defer h.Close()
+		m := NewMailbox[int](av, 64)
+		next, want := 0, 0
+		for _, burst := range []int{3, 1, 7, 20, 63, 2} { // grows 4 → 64 slots, head mid-buffer
+			for i := 0; i < burst; i++ {
+				if !m.TrySend(next) {
+					t.Fatalf("TrySend(%d) refused below capacity (len %d)", next, m.Len())
+				}
+				next++
+			}
+			drain := burst
+			if burst == 3 {
+				drain = 2 // leave one behind so head and tail stay apart
+			}
+			for i := 0; i < drain; i++ {
+				_, v, ok := Await(av, m)
+				if !ok || v.(int) != want {
+					t.Fatalf("received %v (ok=%v), want %d", v, ok, want)
+				}
+				want++
+			}
+		}
+		if m.Len() != 1 {
+			t.Fatalf("Len = %d, want the one value left behind", m.Len())
+		}
+	})
+	t.Run("the ring never outgrows the capacity", func(t *testing.T) {
+		av := NewAutoVirtual()
+		m := NewMailbox[int](av, 5)
+		for i := 0; i < 5; i++ {
+			if !m.TrySend(i) {
+				t.Fatalf("TrySend(%d) refused below capacity", i)
+			}
+		}
+		if m.TrySend(5) {
+			t.Fatal("TrySend accepted a sixth value into a mailbox of five")
+		}
+		if m.Len() != 5 {
+			t.Fatalf("Len = %d, want 5", m.Len())
+		}
+	})
+	t.Run("Send parks at capacity", func(t *testing.T) {
+		av := NewAutoVirtual()
+		m := NewMailbox[int](av, 2)
+		var log []string // appended under the execution token
+		runActors(av, map[string]func(){
+			"producer": func() {
+				for i := 0; i < 4; i++ {
+					m.Send(i, nil)
+					log = append(log, fmt.Sprintf("sent %d@%v", i, av.Now().Sub(SimEpoch)))
+				}
+				m.Close()
+			},
+			"consumer": func() {
+				for {
+					av.Sleep(time.Second)
+					_, v, ok := Await(av, m)
+					if !ok {
+						return
+					}
+					log = append(log, fmt.Sprintf("got %d", v))
+				}
+			},
+		})
+		want := "[sent 0@0s sent 1@0s got 0 sent 2@1s got 1 sent 3@2s got 2 got 3]"
+		if fmt.Sprint(log) != want {
+			t.Fatalf("hand-off order:\n got %v\nwant %s", log, want)
+		}
+	})
+	for _, release := range []string{"abort", "Close"} {
+		t.Run(release+" releases a parked Send", func(t *testing.T) {
+			av := NewAutoVirtual()
+			m := NewMailbox[int](av, 1)
+			abort := NewGate(av)
+			var sent []bool
+			runActors(av, map[string]func(){
+				"producer": func() {
+					sent = append(sent, m.Send(1, abort), m.Send(2, abort), m.Send(3, abort))
+				},
+				"releaser": func() {
+					av.Sleep(time.Second)
+					if release == "abort" {
+						abort.Close()
+					} else {
+						m.Close()
+					}
+				},
+			})
+			if fmt.Sprint(sent) != "[true false false]" {
+				t.Fatalf("Send results = %v, want [true false false]", sent)
+			}
+			h := Register(av, "drain")
+			defer h.Close()
+			if _, v, ok := Await(av, m); !ok || v.(int) != 1 {
+				t.Fatalf("buffered value = %v (ok=%v), want 1", v, ok)
+			}
+			if release == "Close" {
+				if _, _, ok := Await(av, m); ok {
+					t.Fatal("a closed, drained mailbox still reports ok")
+				}
+			}
+		})
+	}
+}
+
+// TestSharedMailboxWakesInAttachOrder: several actors parked on one mailbox
+// are all woken by a send and the first in attach order takes the value;
+// the rest find nothing and stay parked (the scheduler settles that without
+// running them). The hand-out order must be the plain wake-all order.
+func TestSharedMailboxWakesInAttachOrder(t *testing.T) {
+	av := NewAutoVirtual()
+	m := NewMailbox[int](av, 1)
+	stop := NewGate(av)
+	var log []string // appended under the execution token
+	worker := func(name string, work time.Duration) func() {
+		return func() {
+			for {
+				idx, v, _ := Await(av, stop, m)
+				if idx == 0 {
+					log = append(log, name+" stopped")
+					return
+				}
+				log = append(log, fmt.Sprintf("%s got %d", name, v))
+				av.Sleep(work)
+			}
+		}
+	}
+	runActors(av, map[string]func(){
+		"w1": worker("w1", 5*time.Millisecond), // busy across two sends
+		"w2": worker("w2", time.Millisecond),
+		"w3": worker("w3", time.Millisecond),
+		"producer": func() {
+			for i := 0; i < 6; i++ {
+				av.Sleep(2 * time.Millisecond)
+				m.Send(i, nil)
+			}
+			av.Sleep(10 * time.Millisecond)
+			m.TrySend(99) // still buffered when stop closes: stop has priority
+			stop.Close()
+		},
+	})
+	// The order the wake-everyone-and-run kernel of the parent commit gives.
+	want := "[w1 got 0 w2 got 1 w3 got 2 w2 got 3 w1 got 4 w3 got 5 w2 stopped w3 stopped w1 stopped]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("hand-out order:\n got %v\nwant %s", log, want)
+	}
+	if m.Len() != 1 {
+		t.Fatalf("Len = %d, want the value no stopped worker took", m.Len())
+	}
+}

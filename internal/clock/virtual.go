@@ -52,9 +52,9 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &virtualTicker{clk: v, period: d, ch: make(chan time.Time, 1)}
-	t.w = &waiter{at: v.now.Add(d), ch: t.ch, repeat: d, wake: &t.watch}
-	v.addWaiterLocked(t.w)
+	t := &virtualTicker{virtualDeadline{clk: v, ch: make(chan time.Time, 1)}}
+	t.w = waiter{at: v.now.Add(d), ch: t.ch, repeat: d, wake: &t.watch}
+	v.addWaiterLocked(&t.w)
 	return t
 }
 
@@ -76,14 +76,13 @@ func (v *Virtual) NewTimerAt(at time.Time) Timer {
 }
 
 func (v *Virtual) newTimerAtLocked(at time.Time) Timer {
-	t := &virtualTimer{clk: v, ch: make(chan time.Time, 1)}
-	t.w = &waiter{at: at, ch: t.ch, wake: &t.watch}
+	t := &virtualTimer{virtualDeadline{clk: v, ch: make(chan time.Time, 1)}}
+	t.w = waiter{at: at, ch: t.ch, wake: &t.watch, index: -1}
 	if !at.After(v.now) {
-		t.w.stopped = true // never enters the heap
-		t.ch <- v.now
+		t.ch <- v.now // never enters the heap
 		return t
 	}
-	v.addWaiterLocked(t.w)
+	v.addWaiterLocked(&t.w)
 	return t
 }
 
@@ -93,19 +92,7 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.now.Add(d)
 	for len(v.waiters) > 0 && !v.waiters[0].at.After(target) {
-		w := heap.Pop(&v.waiters).(*waiter)
-		if w.stopped {
-			continue
-		}
-		v.now = w.at
-		select {
-		case w.ch <- w.at:
-		default: // slow receiver: drop the tick, as time.Ticker does
-		}
-		if w.repeat > 0 {
-			w.at = w.at.Add(w.repeat)
-			v.addWaiterLocked(w)
-		}
+		v.fireNextLocked()
 	}
 	v.now = target
 	v.mu.Unlock()
@@ -116,13 +103,7 @@ func (v *Virtual) Advance(d time.Duration) {
 func (v *Virtual) PendingWaiters() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, w := range v.waiters {
-		if !w.stopped {
-			n++
-		}
-	}
-	return n
+	return len(v.waiters)
 }
 
 // addWaiterLocked enqueues the waiter with a deterministic tie-break
@@ -145,15 +126,48 @@ func (v *Virtual) addWaiterLocked(w *waiter) {
 	heap.Push(&v.waiters, w)
 }
 
+// fireNextLocked pops the earliest waiter, moves the clock to its deadline,
+// delivers the tick and re-arms a ticker.
+func (v *Virtual) fireNextLocked() *waiter {
+	w := heap.Pop(&v.waiters).(*waiter)
+	v.now = w.at
+	if w.ch != nil {
+		select {
+		case w.ch <- w.at:
+		default: // slow receiver: drop the tick, as time.Ticker does
+		}
+	}
+	if w.repeat > 0 {
+		w.at = w.at.Add(w.repeat)
+		v.addWaiterLocked(w)
+	}
+	return w
+}
+
+// cancelLocked takes the waiter out of the heap, reporting whether it was
+// still due. Stopped waiters leave at once, so the heap holds live deadlines
+// only and the owning timer can re-arm the same waiter.
+func (v *Virtual) cancelLocked(w *waiter) (active bool) {
+	if w.index < 0 {
+		return false
+	}
+	active = v.now.Before(w.at)
+	heap.Remove(&v.waiters, w.index)
+	return active
+}
+
+// waiter is one pending deadline. It lives inside its owner — a timer, a
+// ticker, or the Actor sleeping on it — and is in the heap exactly while
+// armed.
 type waiter struct {
 	at      time.Time
-	ch      chan time.Time
+	ch      chan time.Time // nil for an actor's sleep waiter
 	repeat  time.Duration
-	stopped bool
 	tieName string
 	tieSeq  int64
 	wake    *watchers // actors parked on this waiter via Await (auto mode)
-	index   int
+	sleeper *Actor    // the actor parked on this waiter in Sleep (auto mode)
+	index   int       // heap position, -1 while out of the heap
 }
 
 type waiterHeap []*waiter
@@ -184,77 +198,67 @@ func (h *waiterHeap) Pop() any {
 	w := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	w.index = -1
 	return w
 }
 
-type virtualTicker struct {
-	clk    *Virtual
-	period time.Duration
-	ch     chan time.Time
-	w      *waiter
-	watch  watchers // survives Reset: replacement waiters reuse the pointer
+// virtualDeadline is what a virtual timer and ticker share: the waiter they
+// arm and re-arm, the channel it ticks on, and the actors awaiting it.
+type virtualDeadline struct {
+	clk   *Virtual
+	ch    chan time.Time
+	w     waiter
+	watch watchers
 }
 
-func (t *virtualTicker) C() <-chan time.Time { return t.ch }
+func (t *virtualDeadline) C() <-chan time.Time { return t.ch }
+
+func (t *virtualDeadline) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
+func (t *virtualDeadline) attach(a *Actor)         { t.watch.add(a) }
+func (t *virtualDeadline) detach(a *Actor)         { t.watch.remove(a) }
+
+// tryConsumeLocked takes a delivered tick off the channel. Await reports the
+// fire by index alone: boxing the instant into the any would cost one
+// allocation per fire for a value Now already answers.
+func (t *virtualDeadline) tryConsumeLocked() (any, bool, bool) {
+	select {
+	case <-t.ch:
+		return nil, true, true
+	default:
+		return nil, false, false
+	}
+}
+
+type virtualTicker struct{ virtualDeadline }
 
 func (t *virtualTicker) Stop() {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
-	t.w.stopped = true
+	t.clk.cancelLocked(&t.w)
 }
 
 func (t *virtualTicker) Reset(d time.Duration) {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
-	t.w.stopped = true
-	t.period = d
-	t.w = &waiter{at: t.clk.now.Add(d), ch: t.ch, repeat: d, wake: &t.watch}
-	t.clk.addWaiterLocked(t.w)
+	t.clk.cancelLocked(&t.w)
+	t.w.at = t.clk.now.Add(d)
+	t.w.repeat = d
+	t.clk.addWaiterLocked(&t.w)
 }
 
-func (t *virtualTicker) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
-func (t *virtualTicker) attach(a *Actor)         { t.watch.add(a) }
-func (t *virtualTicker) detach(a *Actor)         { t.watch.remove(a) }
-func (t *virtualTicker) tryConsumeLocked() (any, bool, bool) {
-	if len(t.ch) > 0 {
-		return <-t.ch, true, true
-	}
-	return nil, false, false
-}
-
-type virtualTimer struct {
-	clk   *Virtual
-	ch    chan time.Time
-	w     *waiter
-	watch watchers // survives Reset: replacement waiters reuse the pointer
-}
-
-func (t *virtualTimer) C() <-chan time.Time { return t.ch }
+type virtualTimer struct{ virtualDeadline }
 
 func (t *virtualTimer) Stop() bool {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
-	active := !t.w.stopped && t.clk.now.Before(t.w.at)
-	t.w.stopped = true
-	return active
+	return t.clk.cancelLocked(&t.w)
 }
 
 func (t *virtualTimer) Reset(d time.Duration) bool {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
-	active := !t.w.stopped && t.clk.now.Before(t.w.at)
-	t.w.stopped = true
-	t.w = &waiter{at: t.clk.now.Add(d), ch: t.ch, wake: &t.watch}
-	t.clk.addWaiterLocked(t.w)
+	active := t.clk.cancelLocked(&t.w)
+	t.w.at = t.clk.now.Add(d)
+	t.clk.addWaiterLocked(&t.w)
 	return active
-}
-
-func (t *virtualTimer) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
-func (t *virtualTimer) attach(a *Actor)         { t.watch.add(a) }
-func (t *virtualTimer) detach(a *Actor)         { t.watch.remove(a) }
-func (t *virtualTimer) tryConsumeLocked() (any, bool, bool) {
-	if len(t.ch) > 0 {
-		return <-t.ch, true, true
-	}
-	return nil, false, false
 }

@@ -286,9 +286,15 @@ func (c *Client) Run() []TxRecord {
 		h := clock.RegisterForked(clk, c.cfg.ID+"/pacer")
 		defer h.Close()
 		defer wg.Done()
+		// One timer paces every gap: re-arming it allocates nothing.
+		var t clock.Timer
 		for {
 			if g := gaps(); g > 0 {
-				t := clk.NewTimer(g)
+				if t == nil {
+					t = clk.NewTimer(g)
+				} else {
+					t.Reset(g)
+				}
 				if i, _, _ := clock.Await(clk, stopSend, t); i == 0 {
 					t.Stop()
 					return

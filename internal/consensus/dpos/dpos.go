@@ -94,6 +94,9 @@ type Engine struct {
 	running  bool
 	produced uint64 // blocks produced by this witness
 
+	order      []int // shuffled witness indices of orderRound; empty until first use
+	orderRound uint64
+
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
 	done   *clock.Gate
@@ -184,17 +187,21 @@ func (e *Engine) PendingCount() int {
 
 // witnessForSlot returns the scheduled witness. The order is shuffled every
 // round (a round = one pass over all witnesses) per Graphene's
-// shuffled-witness schedule.
+// shuffled-witness schedule. It is a pure function of ShuffleSeed + round,
+// so it is computed once per round and kept; callers hold e.mu.
 func (e *Engine) witnessForSlot(slot uint64) string {
 	n := uint64(len(e.cfg.Witnesses))
 	round := slot / n
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if len(e.order) == 0 || round != e.orderRound {
+		e.order = e.order[:0]
+		for i := 0; i < int(n); i++ {
+			e.order = append(e.order, i)
+		}
+		rng := rand.New(rand.NewSource(e.cfg.ShuffleSeed + int64(round)))
+		rng.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+		e.orderRound = round
 	}
-	rng := rand.New(rand.NewSource(e.cfg.ShuffleSeed + int64(round)))
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	return e.cfg.Witnesses[idx[slot%n]]
+	return e.cfg.Witnesses[e.order[slot%n]]
 }
 
 func (e *Engine) run() {

@@ -170,6 +170,14 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 			t.Fatal("schedule must be deterministic")
 		}
 	}
+	// The order kept for a round must equal a fresh computation, also when
+	// slots are visited out of order.
+	for _, slot := range []uint64{0, 7, 3, 29, 4, 8, 2, 28} {
+		fresh := New(Config{ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
+			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
+		}
+	}
 	// Every round must schedule each witness exactly once.
 	seen := map[string]int{}
 	for slot := uint64(0); slot < 3; slot++ {

@@ -237,20 +237,6 @@ func (p Params) Labels() map[string]string {
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
-// netemTransport builds a cell's private emulated-WAN transport (nil when
-// Netem is off), attaching the run's tracer so hop spans carry the system's
-// process name.
-func (o Options) netemTransport(clk clock.Clock, proc string) *network.Transport {
-	if !o.Netem {
-		return nil
-	}
-	tr := network.NewTransport(clk, o.latency())
-	if o.Trace != nil {
-		tr.SetTracer(o.Trace, proc)
-	}
-	return tr
-}
-
 // NewDriverFunc builds a fresh driver for one system under the given
 // parameters and options. The returned constructor takes the time source
 // the driver should live on — the runner hands it each repetition's clock,
@@ -265,14 +251,13 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 			mm = 500
 		}
 		return func(clk clock.Clock) systems.Driver {
-			tr := o.netemTransport(clk, systems.NameFabric)
 			return fabric.New(fabric.Config{
 				Peers:            o.Nodes,
 				Orderers:         3,
 				MaxMessageCount:  o.scaleCount(mm),
 				BatchTimeout:     o.paperDur(2),
 				EventLossAtPeers: 16, // paper §5.8.2: clients get no confirmations at >= 16 peers
-				Transport:        tr,
+				Latency:          o.latency(),
 				Clock:            clk,
 				WAL:              o.WAL,
 				Trace:            o.Trace,
@@ -301,14 +286,13 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 			maxBlockTxs = 1
 		}
 		return func(clk clock.Clock) systems.Driver {
-			tr := o.netemTransport(clk, systems.NameQuorum)
 			return quorum.New(quorum.Config{
 				Validators:       o.Nodes,
 				BlockPeriod:      o.paperDur(float64(bp)),
 				MaxBlockTxs:      maxBlockTxs,
 				StallBlockPeriod: o.paperDur(2), // the paper's "blockperiod <= 2" trigger
 				StallQueueLimit:  stallLimit,
-				Transport:        tr,
+				Latency:          o.latency(),
 				Clock:            clk,
 				WAL:              o.WAL,
 				Trace:            o.Trace,
@@ -331,14 +315,13 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 			pd = scaled
 		}
 		return func(clk clock.Clock) systems.Driver {
-			tr := o.netemTransport(clk, systems.NameSawtooth)
 			return sawtooth.New(sawtooth.Config{
 				Validators:               o.Nodes,
 				BlockPublishingDelay:     pd,
 				QueueDepth:               8, // the paper's rejection-heavy admission queue
 				MaxBlockBatches:          1,
 				PendingStallAtValidators: 16, // paper §5.8.2: txs stay pending at >= 16 validators
-				Transport:                tr,
+				Latency:                  o.latency(),
 				Clock:                    clk,
 				WAL:                      o.WAL,
 				Trace:                    o.Trace,
@@ -358,7 +341,6 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 			maxBlock = 6
 		}
 		return func(clk clock.Clock) systems.Driver {
-			tr := o.netemTransport(clk, systems.NameDiem)
 			return diem.New(diem.Config{
 				Validators:    o.Nodes,
 				MaxBlockSize:  maxBlock,
@@ -366,7 +348,7 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 				MempoolDepth:  48,
 				SpikePeriod:   time.Second,
 				SpikeDuration: 650 * time.Millisecond,
-				Transport:     tr,
+				Latency:       o.latency(),
 				Clock:         clk,
 				WAL:           o.WAL,
 				Trace:         o.Trace,
@@ -390,12 +372,11 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 			window = 2
 		}
 		return func(clk clock.Clock) systems.Driver {
-			tr := o.netemTransport(clk, systems.NameBitShares)
 			return bitshares.New(bitshares.Config{
 				Nodes:             o.Nodes,
 				BlockInterval:     o.paperDur(float64(bi)),
 				ConflictWindowTxs: window,
-				Transport:         tr,
+				Latency:           o.latency(),
 				Clock:             clk,
 				Seed:              o.Seed,
 				WAL:               o.WAL,

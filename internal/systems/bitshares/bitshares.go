@@ -52,8 +52,9 @@ type Config struct {
 	// the paper's conflict-collision ratio. 0 restricts exclusion to the
 	// current block only.
 	ConflictWindowTxs int
-	// Transport carries all messages; nil creates a private fabric.
-	Transport *network.Transport
+	// Latency models the per-hop delay of the network's private transport;
+	// nil means zero latency.
+	Latency network.LatencyModel
 	// Clock drives timers.
 	Clock clock.Clock
 	// Seed randomizes the witness schedule deterministically.
@@ -95,10 +96,9 @@ type node struct {
 type Network struct {
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	nodes        []*node
+	transport *network.Transport
+	hub       *systems.Hub
+	nodes     []*node
 
 	mu            sync.Mutex
 	running       bool
@@ -106,9 +106,15 @@ type Network struct {
 	excludedOps   uint64 // payload operations those transactions carried
 	execFailedOps uint64 // payload operations discarded by atomic execution failure
 
-	// Sliding conflict window: the touched-key sets of the most recent
-	// included transactions, oldest first.
-	windowKeys []map[string]bool
+	// Sliding conflict window over the most recent ConflictWindowTxs
+	// included transactions: windowKeys[windowHead:] holds each one's
+	// written keys, oldest first, and windowRefs counts per key how many of
+	// them wrote it, so membership is one lookup.
+	windowKeys   [][]string
+	windowHead   int
+	windowRefs   map[string]int
+	blockTouched map[string]bool // scratch of one conflictFilter call
+	spareKeys    []string        // backing array recycled from the window
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -117,17 +123,14 @@ var _ systems.Driver = (*Network)(nil)
 func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
-		cfg: cfg,
-		hub: systems.NewHub(cfg.Nodes),
+		cfg:          cfg,
+		hub:          systems.NewHub(cfg.Nodes),
+		windowRefs:   make(map[string]int),
+		blockTouched: make(map[string]bool),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameBitShares)
-		}
-	} else {
-		n.transport = cfg.Transport
+	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
+	if cfg.Trace != nil {
+		n.transport.SetTracer(cfg.Trace, systems.NameBitShares)
 	}
 
 	witnessCount := cfg.Nodes - 1
@@ -212,9 +215,7 @@ func (n *Network) Stop() {
 	for _, nd := range n.nodes {
 		nd.engine.Stop()
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.transport.Stop()
 }
 
 // Submit implements systems.Driver: the transaction is gossiped to all
@@ -245,44 +246,33 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
-	inWindow := func(key string) bool {
-		for _, set := range n.windowKeys {
-			if set[key] {
-				return true
-			}
-		}
-		return false
-	}
-
 	packedAt := n.cfg.Clock.Now()
-	blockTouched := make(map[string]bool)
+	clear(n.blockTouched)
 	for _, it := range items {
 		tx, ok := it.(*chain.Transaction)
 		if !ok {
 			continue
 		}
 		conflict := false
-		keys := make(map[string]bool, len(tx.Ops))
+		keys := n.spareKeys[:0]
 		for _, op := range tx.Ops {
 			for _, k := range iel.WrittenKeys(op) {
-				keys[k] = true
-				if blockTouched[k] || inWindow(k) {
+				keys = append(keys, k)
+				if n.blockTouched[k] || n.windowRefs[k] > 0 {
 					conflict = true
 				}
 			}
 		}
+		n.spareKeys = keys
 		if conflict {
 			excluded = append(excluded, it)
 			continue
 		}
-		for k := range keys {
-			blockTouched[k] = true
+		for _, k := range keys {
+			n.blockTouched[k] = true
 		}
 		if n.cfg.ConflictWindowTxs > 0 {
-			n.windowKeys = append(n.windowKeys, keys)
-			if len(n.windowKeys) > n.cfg.ConflictWindowTxs {
-				n.windowKeys = n.windowKeys[1:]
-			}
+			n.spareKeys = n.slideWindow(keys)
 		}
 		// Packed into the forming block: the queue wait ends here.
 		tx.Stages.Mark(chain.StageQueue, packedAt)
@@ -295,6 +285,33 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 		}
 	}
 	return included, excluded
+}
+
+// slideWindow admits an included transaction's written keys to the window
+// and expires the oldest entry once more than ConflictWindowTxs are held. It
+// returns a key slice the caller may overwrite: the expired entry's, or nil.
+func (n *Network) slideWindow(keys []string) (spare []string) {
+	for _, k := range keys {
+		n.windowRefs[k]++
+	}
+	n.windowKeys = append(n.windowKeys, keys)
+	if len(n.windowKeys)-n.windowHead <= n.cfg.ConflictWindowTxs {
+		return nil
+	}
+	spare = n.windowKeys[n.windowHead]
+	n.windowKeys[n.windowHead] = nil
+	n.windowHead++
+	for _, k := range spare {
+		if n.windowRefs[k]--; n.windowRefs[k] == 0 {
+			delete(n.windowRefs, k)
+		}
+	}
+	if 2*n.windowHead >= len(n.windowKeys) {
+		// Half the slice is expired entries: move the live ones down.
+		n.windowKeys = append(n.windowKeys[:0], n.windowKeys[n.windowHead:]...)
+		n.windowHead = 0
+	}
+	return spare
 }
 
 // makeDecideFunc builds the per-node commit pipeline: apply each

@@ -2,6 +2,8 @@ package bitshares
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -263,5 +265,111 @@ func TestReadsNeverConflict(t *testing.T) {
 	col.wait(t, 6, 10*time.Second)
 	if n.ExcludedCount() != 0 {
 		t.Fatalf("reads were excluded (%d); only writes interact", n.ExcludedCount())
+	}
+}
+
+// referenceConflictFilter is the exclusion rule stated directly — one key
+// set per windowed transaction, membership by probing each — kept as the
+// oracle for the refcounted window.
+type referenceConflictFilter struct {
+	window     int
+	windowKeys []map[string]bool
+}
+
+func (r *referenceConflictFilter) filter(items []any) (included, excluded []any) {
+	inWindow := func(key string) bool {
+		for _, set := range r.windowKeys {
+			if set[key] {
+				return true
+			}
+		}
+		return false
+	}
+	blockTouched := make(map[string]bool)
+	for _, it := range items {
+		tx := it.(*chain.Transaction)
+		conflict := false
+		keys := make(map[string]bool)
+		for _, op := range tx.Ops {
+			for _, k := range iel.WrittenKeys(op) {
+				keys[k] = true
+				if blockTouched[k] || inWindow(k) {
+					conflict = true
+				}
+			}
+		}
+		if conflict {
+			excluded = append(excluded, it)
+			continue
+		}
+		for k := range keys {
+			blockTouched[k] = true
+		}
+		if r.window > 0 {
+			r.windowKeys = append(r.windowKeys, keys)
+			if len(r.windowKeys) > r.window {
+				r.windowKeys = r.windowKeys[1:]
+			}
+		}
+		included = append(included, it)
+	}
+	return included, excluded
+}
+
+// TestConflictFilterMatchesReference drives the refcounted window and the
+// reference with the same random blocks — multi-op transactions, repeated
+// keys inside one transaction, windows smaller and larger than a block —
+// and requires identical included/excluded sequences, counters and queue
+// marks.
+func TestConflictFilterMatchesReference(t *testing.T) {
+	for _, window := range []int{0, 1, 3, 16, 200} {
+		rng := rand.New(rand.NewSource(int64(42 + window)))
+		n := New(Config{ConflictWindowTxs: window})
+		ref := &referenceConflictFilter{window: window}
+		var wantExcluded, wantExcludedOps uint64
+		var seq uint64
+		for block := 0; block < 120; block++ {
+			items := make([]any, rng.Intn(12))
+			for i := range items {
+				ops := make([]chain.Operation, 1+rng.Intn(3))
+				for j := range ops {
+					from := fmt.Sprintf("acct-%d", rng.Intn(40))
+					to := fmt.Sprintf("acct-%d", rng.Intn(40))
+					ops[j] = chain.Operation{IEL: iel.BankingAppName, Function: iel.FnSendPayment, Args: []string{from, to, "1"}}
+				}
+				items[i] = chain.NewTransaction("client", seq, ops...)
+				seq++
+			}
+			gotIn, gotEx := n.conflictFilter(items)
+			wantIn, wantEx := ref.filter(items)
+			if !slices.Equal(gotIn, wantIn) || !slices.Equal(gotEx, wantEx) {
+				t.Fatalf("window %d block %d: included %d/%d excluded %d/%d differ from reference",
+					window, block, len(gotIn), len(wantIn), len(gotEx), len(wantEx))
+			}
+			wantExcluded += uint64(len(wantEx))
+			for _, it := range wantEx {
+				wantExcludedOps += uint64(it.(*chain.Transaction).OpCount())
+			}
+			for _, it := range gotIn {
+				if it.(*chain.Transaction).Stages.At(chain.StageQueue) == 0 {
+					t.Fatalf("window %d block %d: included transaction lacks its queue mark", window, block)
+				}
+			}
+			for _, it := range gotEx {
+				if it.(*chain.Transaction).Stages.At(chain.StageQueue) != 0 {
+					t.Fatalf("window %d block %d: excluded transaction carries a queue mark", window, block)
+				}
+			}
+		}
+		if n.excluded != wantExcluded || n.excludedOps != wantExcludedOps {
+			t.Fatalf("window %d: counters excluded=%d ops=%d, reference %d/%d",
+				window, n.excluded, n.excludedOps, wantExcluded, wantExcludedOps)
+		}
+		if wantExcluded == 0 {
+			t.Fatalf("window %d: the blocks provoked no exclusion; the comparison proves nothing", window)
+		}
+		if live := len(n.windowKeys) - n.windowHead; live > window {
+			t.Fatalf("window %d holds %d transactions", window, live)
+		}
 	}
 }

@@ -49,8 +49,9 @@ type Config struct {
 	SpikePeriod time.Duration
 	// SpikeDuration is how long each stall lasts.
 	SpikeDuration time.Duration
-	// Transport carries all messages; nil creates a private fabric.
-	Transport *network.Transport
+	// Latency models the per-hop delay of the network's private transport;
+	// nil means zero latency.
+	Latency network.LatencyModel
 	// Clock drives timers.
 	Clock clock.Clock
 	// WAL, when set, mounts a write-ahead log on every validator's commit
@@ -108,10 +109,9 @@ type validator struct {
 type Network struct {
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	validators   []*validator
+	transport  *network.Transport
+	hub        *systems.Hub
+	validators []*validator
 
 	mu      sync.Mutex
 	running bool
@@ -126,14 +126,9 @@ func New(cfg Config) *Network {
 		cfg: cfg,
 		hub: systems.NewHub(cfg.Validators),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameDiem)
-		}
-	} else {
-		n.transport = cfg.Transport
+	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
+	if cfg.Trace != nil {
+		n.transport.SetTracer(cfg.Trace, systems.NameDiem)
 	}
 
 	names := make([]string, cfg.Validators)
@@ -205,9 +200,7 @@ func (n *Network) Stop() {
 	for _, v := range n.validators {
 		v.engine.Stop()
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.transport.Stop()
 }
 
 // Submit implements systems.Driver: admission control checks the bounded

@@ -61,9 +61,9 @@ type Config struct {
 	// count, blocks still commit on every peer but no client events fire.
 	// The upstream root cause is unknown; this models the observation.
 	EventLossAtPeers int
-	// Transport carries all messages; nil creates a private zero-latency
-	// fabric.
-	Transport *network.Transport
+	// Latency models the per-hop delay of the network's private transport;
+	// nil means zero latency.
+	Latency network.LatencyModel
 	// Clock drives timers.
 	Clock clock.Clock
 	// WAL, when set, mounts a write-ahead log on every peer's commit gate
@@ -133,12 +133,11 @@ type orderer struct {
 type Network struct {
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	peers        []*peer
-	orderers     []*orderer
-	broker       *kafkaBroker
+	transport *network.Transport
+	hub       *systems.Hub
+	peers     []*peer
+	orderers  []*orderer
+	broker    *kafkaBroker
 
 	mu      sync.Mutex
 	running bool
@@ -157,14 +156,9 @@ func New(cfg Config) *Network {
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameFabric)
-		}
-	} else {
-		n.transport = cfg.Transport
+	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
+	if cfg.Trace != nil {
+		n.transport.SetTracer(cfg.Trace, systems.NameFabric)
 	}
 
 	for i := 0; i < cfg.Peers; i++ {
@@ -270,9 +264,7 @@ func (n *Network) Stop() {
 			o.node.Stop()
 		}
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.transport.Stop()
 }
 
 // Submit implements systems.Driver: the entry peer endorses (executes) the

@@ -101,6 +101,7 @@ func (k *kafkaBroker) run() {
 	h := clock.RegisterForked(k.clk, "fabric/kafka-broker")
 	defer h.Close()
 	defer k.done.Close()
+	var roundTrip clock.Timer
 	for {
 		if i, _, _ := clock.Await(k.clk, k.stop, k.kick); i == 0 {
 			return
@@ -118,11 +119,16 @@ func (k *kafkaBroker) run() {
 			k.mu.Unlock()
 
 			if k.overhead > 0 {
-				// The broker round trip per sequenced batch. A stopped timer
-				// is explicitly drained so no waiter leaks past teardown.
-				t := k.clk.NewTimer(k.overhead)
-				if i, _, _ := clock.Await(k.clk, k.stop, t); i == 0 {
-					t.Stop()
+				// The broker round trip per sequenced batch, paced by one
+				// re-armed timer. A stopped timer is explicitly drained so
+				// no waiter leaks past teardown.
+				if roundTrip == nil {
+					roundTrip = k.clk.NewTimer(k.overhead)
+				} else {
+					roundTrip.Reset(k.overhead)
+				}
+				if i, _, _ := clock.Await(k.clk, k.stop, roundTrip); i == 0 {
+					roundTrip.Stop()
 					return
 				}
 			}

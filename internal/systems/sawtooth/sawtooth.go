@@ -55,8 +55,9 @@ type Config struct {
 	// blocks. The upstream root cause is unknown; this models the
 	// observation.
 	PendingStallAtValidators int
-	// Transport carries all messages; nil creates a private fabric.
-	Transport *network.Transport
+	// Latency models the per-hop delay of the network's private transport;
+	// nil means zero latency.
+	Latency network.LatencyModel
 	// Clock drives timers.
 	Clock clock.Clock
 	// WAL, when set, mounts a write-ahead log on every validator's commit
@@ -110,10 +111,9 @@ type validator struct {
 type Network struct {
 	cfg Config
 
-	transport    *network.Transport
-	ownTransport bool
-	hub          *systems.Hub
-	validators   []*validator
+	transport  *network.Transport
+	hub        *systems.Hub
+	validators []*validator
 
 	mu      sync.Mutex
 	running bool
@@ -136,14 +136,9 @@ func New(cfg Config) *Network {
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	if cfg.Transport == nil {
-		n.transport = network.NewTransport(cfg.Clock, nil)
-		n.ownTransport = true
-		if cfg.Trace != nil {
-			n.transport.SetTracer(cfg.Trace, systems.NameSawtooth)
-		}
-	} else {
-		n.transport = cfg.Transport
+	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
+	if cfg.Trace != nil {
+		n.transport.SetTracer(cfg.Trace, systems.NameSawtooth)
 	}
 
 	names := make([]string, cfg.Validators)
@@ -245,9 +240,7 @@ func (n *Network) Stop() {
 		v.engine.Stop()
 		n.transport.Unregister(gossipEndpoint(v.id))
 	}
-	if n.ownTransport {
-		n.transport.Stop()
-	}
+	n.transport.Stop()
 }
 
 func gossipEndpoint(id string) string { return id + "-gossip" }
