@@ -191,9 +191,18 @@ func run() error {
 			return err
 		}
 		outcomes = append(outcomes, oc)
-		for _, t := range oc.Timings {
-			fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx\n",
-				t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup)
+		for i, t := range oc.Timings {
+			// Rows and timings are both one per cell, in expansion order.
+			sent := 0
+			for _, rep := range oc.Rows[i].Result.Repetitions {
+				sent += rep.ExpectedNoT
+			}
+			perTx := 0.0
+			if sent > 0 {
+				perTx = float64(t.Handoffs) / float64(sent)
+			}
+			fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx  %5.2f hand-offs/tx\n",
+				t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup, perTx)
 		}
 		if sc.PaperRef == "figure3" {
 			for _, line := range experiments.ShapeChecks(oc.Rows) {

@@ -55,6 +55,31 @@ func Walltime() time.Time { return time.Now() }
 // some other actor holds the token: it would park that actor's identity.
 // That was always a violation of the first rule; it is kept out statically
 // (actorspawn), not detected dynamically.
+//
+// Work that never parks need not be an actor. An Event (NewEvent) is a named
+// function the scheduler runs itself:
+//
+//   - It runs on whichever goroutine is scheduling — the actor that just
+//     parked, or closed its handle, or the outsider whose TrySend found the
+//     clock idle — in its turn in the run queue, with the clock mutex
+//     released. No goroutine is woken for it and none is switched to.
+//   - It holds the execution token while it runs, as a pseudo-actor carrying
+//     its name: Now, Mailbox.Send with room, TrySend, Gate.Close, Await with
+//     a source ready, arming timers (keyed under the event's name) and other
+//     events' After/At/Trigger all work, and nothing else runs meanwhile.
+//   - It may not park. Sleep, Await with nothing ready, Send to a full
+//     Mailbox and Group.Wait panic naming the event: it has no goroutine to
+//     block, and blocking the scheduler's would freeze the clock.
+//   - Its armed deadline ties with same-instant waiters by (name, per-event
+//     sequence), as the timers of an actor of that name do. A reached
+//     deadline and a Trigger both queue it at the tail of the run queue, once,
+//     however many arrive before its turn.
+//   - Stop removes the deadline and the queued turn; it is called by the
+//     token holder or with no token out, so the function is not running when
+//     it returns, and does not run again.
+//
+// Events are not registered actors: a clock with armed events and no actors
+// stays idle, and the deadlock report lists actors only.
 type AutoVirtual struct {
 	*Virtual
 }
@@ -139,6 +164,7 @@ type Actor struct {
 	grant     chan struct{}
 	waiterSeq int64       // per-actor timer creation counter (tie-break identity)
 	sleep     waiter      // armed while the actor is parked in Sleep
+	ev        *Event      // set on an Event's pseudo-actor: no goroutine, may not park
 	awaiting  []Waitable  // sources of the Await the actor is parked in
 	got       awaitResult // what the scheduler consumed for that Await
 }
@@ -161,6 +187,23 @@ type autoCore struct {
 	arrivals   []*Actor     // registered fork-wave children awaiting release
 	dead       bool
 	onDeadlock func(msg string)
+	stats      KernelStats
+}
+
+// KernelStats counts what the scheduler did, the currency a run's wall time
+// is paid in: every hand-off costs a goroutine switch, an event run and a
+// timer fire cost a function call. The counts repeat exactly at a fixed seed.
+type KernelStats struct {
+	Handoffs   int64 // execution-token grants to a parked goroutine
+	Events     int64 // Event functions run inline by the scheduler
+	TimerFires int64 // deadlines the clock jumped to and fired
+}
+
+// KernelStats returns the scheduler's counters so far.
+func (av *AutoVirtual) KernelStats() KernelStats {
+	av.mu.Lock()
+	defer av.mu.Unlock()
+	return av.auto.stats
 }
 
 // Handle identifies one registered actor. The zero Handle (returned for
@@ -280,11 +323,14 @@ func (c *autoCore) kickLocked() {
 	}
 }
 
-// scheduleLocked hands the token to the next ready actor. With no ready
-// actor and no pending fork, every registered actor is parked, so the clock
-// advances to the earliest deadline and fires it; deadlines fire one at a
-// time so execution stays a single serial order even for timers sharing an
-// instant. An empty heap with parked actors is a deadlock.
+// scheduleLocked hands the token to the next ready actor, running the events
+// queued ahead of it right here, on the calling goroutine, each holding the
+// token for the length of its function (the clock mutex is released around
+// it; nobody else can schedule meanwhile, because the token is out). With no
+// ready actor and no pending fork, every registered actor is parked, so the
+// clock advances to the earliest deadline and fires it; deadlines fire one
+// at a time so execution stays a single serial order even for timers sharing
+// an instant. An empty heap with parked actors is a deadlock.
 func (c *autoCore) scheduleLocked() {
 	if c.current != nil || c.dead {
 		return
@@ -292,6 +338,19 @@ func (c *autoCore) scheduleLocked() {
 	for {
 		if c.runq.len() > 0 {
 			a := c.runq.pop()
+			if ev := a.ev; ev != nil {
+				ev.queued = false
+				if ev.stopped.Load() {
+					continue
+				}
+				c.current = a
+				c.stats.Events++
+				c.v.mu.Unlock()
+				ev.fn()
+				c.v.mu.Lock()
+				c.current = nil
+				continue
+			}
 			if len(a.awaiting) > 0 {
 				// Do the woken Await's first step here, under the same
 				// lock: take its first ready source. An actor woken for a
@@ -309,6 +368,7 @@ func (c *autoCore) scheduleLocked() {
 			}
 			c.current = a
 			a.state = actorRunning
+			c.stats.Handoffs++
 			a.grant <- struct{}{}
 			return
 		}
@@ -330,6 +390,10 @@ func (c *autoCore) advanceLocked() bool {
 		return false
 	}
 	w := c.v.fireNextLocked()
+	c.stats.TimerFires++
+	if w.event != nil {
+		c.queueEventLocked(w.event)
+	}
 	if w.wake != nil {
 		w.wake.wakeLocked(c)
 	}
@@ -346,9 +410,22 @@ func (c *autoCore) wakeLocked(a *Actor) {
 	}
 }
 
+// queueEventLocked gives a fired or triggered event its turn: one place at
+// the tail of the run queue, however often it is asked for before it runs.
+func (c *autoCore) queueEventLocked(e *Event) {
+	if !e.queued && !e.stopped.Load() {
+		e.queued = true
+		c.runq.push(e.actor)
+	}
+}
+
 // parkLocked releases the token held by a and blocks it until a wake
 // re-grants it. Callers hold v.mu; it is held again on return.
 func (v *Virtual) parkLocked(a *Actor) {
+	if a.ev != nil {
+		v.mu.Unlock()
+		panic("clock: event " + a.name + " would park: an event runs to completion on the scheduler and has no goroutine to block")
+	}
 	core := v.auto
 	a.state = actorParked
 	core.current = nil

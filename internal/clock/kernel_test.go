@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -468,5 +469,326 @@ func TestSharedMailboxWakesInAttachOrder(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want the value no stopped worker took", m.Len())
+	}
+}
+
+// TestEventFiresWhereItsActorsTimerWould: an event's deadline is keyed like
+// a timer of an actor with the event's name. "node-b" keeps one deadline 10ms
+// ahead, once as an actor re-arming a timer and once as an event re-arming
+// itself, between two actors whose Sleep and NewTimer deadlines collide with
+// it at every instant; both runs must log the same order, a, b, c.
+func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
+	const rounds = 5
+	run := func(asEvent bool) []string {
+		av := NewAutoVirtual()
+		var log []string // appended under the execution token
+		note := func(name string) {
+			log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
+		}
+		bodies := map[string]func(){
+			"node-a": func() {
+				for r := 0; r < rounds; r++ {
+					av.Sleep(10 * time.Millisecond)
+					note("node-a")
+				}
+			},
+			"node-c": func() {
+				for r := 0; r < rounds; r++ {
+					Await(av, av.NewTimer(10*time.Millisecond))
+					note("node-c")
+				}
+			},
+		}
+		var ev *Event
+		if asEvent {
+			fired := 0
+			ev = NewEvent(av, "node-b", func() {
+				note("node-b")
+				if fired++; fired < rounds {
+					ev.After(10 * time.Millisecond)
+				}
+			})
+			ev.After(10 * time.Millisecond)
+		} else {
+			bodies["node-b"] = func() {
+				timer := av.NewTimer(10 * time.Millisecond)
+				for r := 0; r < rounds; r++ {
+					Await(av, timer)
+					note("node-b")
+					timer.Reset(10 * time.Millisecond)
+				}
+				timer.Stop()
+			}
+		}
+		runActors(av, bodies)
+		if got := av.PendingWaiters(); got != 0 {
+			t.Fatalf("PendingWaiters = %d, want 0", got)
+		}
+		return log
+	}
+	var want []string
+	for r := 1; r <= rounds; r++ {
+		for _, name := range []string{"node-a", "node-b", "node-c"} {
+			want = append(want, fmt.Sprintf("%s@%dms", name, 10*r))
+		}
+	}
+	for _, asEvent := range []bool{false, true} {
+		if got := run(asEvent); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("asEvent=%v fired in the wrong order:\n got %v\nwant %v", asEvent, got, want)
+		}
+	}
+}
+
+// TestEventTriggerQueuesOnceBehindReadyActors: Trigger takes one place at
+// the tail of the run queue however often it is called before the run, so
+// actors that were ready first run first; a Trigger from inside fn queues
+// the next run behind whatever fn woke.
+func TestEventTriggerQueuesOnceBehindReadyActors(t *testing.T) {
+	av := NewAutoVirtual()
+	var log []string // appended under the execution token
+	gate, late := NewGate(av), NewGate(av)
+	runs := 0
+	var ev *Event
+	ev = NewEvent(av, "ev", func() {
+		runs++
+		log = append(log, fmt.Sprintf("ev run %d", runs))
+		if runs == 1 {
+			late.Close() // wakes "late" before the re-trigger queues
+			ev.Trigger()
+		}
+	})
+	waiter := func(name string, g *Gate) func() {
+		return func() {
+			Await(av, g)
+			log = append(log, name)
+		}
+	}
+	runActors(av, map[string]func(){
+		"a":    waiter("a", gate),
+		"b":    waiter("b", gate),
+		"late": waiter("late", late),
+		"z-main": func() {
+			av.Sleep(time.Millisecond) // a, b and late are parked on their gates now
+			gate.Close()
+			ev.Trigger()
+			ev.Trigger()
+			ev.Trigger()
+			log = append(log, "main parks")
+		},
+	})
+	want := "[main parks a b ev run 1 late ev run 2]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("order:\n got %v\nwant %s", log, want)
+	}
+	if ks := av.KernelStats(); ks.Events != 2 {
+		t.Fatalf("KernelStats.Events = %d, want 2", ks.Events)
+	}
+}
+
+// TestEventMayNotPark: fn holds the token but has no goroutine to block, so
+// every primitive that would park it panics naming the event; the same
+// primitives work when they need not park.
+func TestEventMayNotPark(t *testing.T) {
+	for name, park := range map[string]func(av *AutoVirtual){
+		"Sleep":       func(av *AutoVirtual) { av.Sleep(time.Millisecond) },
+		"Await empty": func(av *AutoVirtual) { Await(av, NewMailbox[int](av, 1)) },
+		"Send full": func(av *AutoVirtual) {
+			m := NewMailbox[int](av, 1)
+			m.Send(1, nil) // has room: fine
+			if _, v, _ := Await(av, m); v.(int) != 1 {
+				panic("ready Await did not consume")
+			}
+			m.Send(2, nil)
+			m.Send(3, nil) // full: would park
+		},
+		"Group.Wait": func(av *AutoVirtual) {
+			g := NewGroup(av)
+			g.Add(1)
+			g.Wait()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			av := NewAutoVirtual()
+			h := Register(av, "main")
+			ev := NewEvent(av, "net/shard-7", func() { park(av) })
+			ev.Trigger()
+			// main parks, schedules the event on its own goroutine, and so
+			// receives the panic.
+			mustPanic(t, "event net/shard-7 would park", func() { av.Sleep(time.Second) })
+			_ = h // the clock is unusable after the panic; nothing to close
+		})
+	}
+}
+
+// TestEventStop: Stop of an armed event removes its deadline at once, Stop
+// of a queued one drops the run, and both leave the event inert.
+func TestEventStop(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "main")
+	defer h.Close()
+	runs := 0
+	armed := NewEvent(av, "armed", func() { runs++ })
+	armed.After(time.Hour)
+	if got := av.PendingWaiters(); got != 1 {
+		t.Fatalf("PendingWaiters = %d with one armed event, want 1", got)
+	}
+	armed.Stop()
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
+	}
+	queued := NewEvent(av, "queued", func() { runs++ })
+	queued.Trigger()
+	queued.Stop()
+	for _, ev := range []*Event{armed, queued} {
+		ev.After(time.Millisecond)
+		ev.At(av.Now().Add(time.Millisecond))
+		ev.Trigger()
+	}
+	av.Sleep(time.Second) // everything that could run has its turn
+	if runs != 0 {
+		t.Fatalf("stopped events ran %d times", runs)
+	}
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
+// TestEventAllocations: arming, firing, triggering and running an event
+// allocate nothing.
+func TestEventAllocations(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "meter")
+	defer h.Close()
+	runs := 0
+	ev := NewEvent(av, "ev", func() { runs++ })
+	if n := testing.AllocsPerRun(200, func() {
+		ev.After(time.Millisecond)
+		av.Sleep(time.Millisecond)
+	}); n != 0 {
+		t.Errorf("After + fire allocates %v times per round, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		ev.Trigger()
+		av.Sleep(time.Microsecond)
+	}); n != 0 {
+		t.Errorf("Trigger + run allocates %v times per round, want 0", n)
+	}
+	if runs != 2*201 {
+		t.Fatalf("event ran %d times, want %d", runs, 2*201)
+	}
+	ev.Stop()
+}
+
+// TestEventOnPlainVirtual: Advance runs events at their deadlines, in
+// deadline order, before it returns; Trigger runs before it returns, and one
+// made from inside fn repeats the run instead of recursing.
+func TestEventOnPlainVirtual(t *testing.T) {
+	v := NewVirtual(time.Unix(0, 0))
+	var log []string
+	note := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(time.Unix(0, 0)))) }
+	}
+	late, early := NewEvent(v, "late", note("late")), NewEvent(v, "early", note("early"))
+	late.After(3 * time.Second)
+	early.After(time.Second)
+	moved := NewEvent(v, "moved", note("moved"))
+	moved.After(time.Second)
+	moved.At(time.Unix(2, 0)) // replaces the 1s deadline
+	left := 3
+	var again *Event
+	again = NewEvent(v, "again", func() {
+		note("again")()
+		if left--; left > 0 {
+			again.Trigger()
+		}
+	})
+	again.Trigger()
+	v.Advance(5 * time.Second)
+	want := "[again@0s again@0s again@0s early@1s moved@2s late@3s]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("order:\n got %v\nwant %s", log, want)
+	}
+	late.After(time.Second)
+	late.Stop()
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
+	}
+	v.Advance(time.Minute)
+	if fmt.Sprint(log) != want {
+		t.Fatalf("a stopped event ran: %v", log)
+	}
+}
+
+// TestEventOnRealClock drives the goroutine path from several goroutines at
+// once (run it under -race): runs never overlap, a deadline and triggers
+// both get through, a re-arm from inside fn paces the next run, and Stop
+// waits out a run in progress.
+func TestEventOnRealClock(t *testing.T) {
+	clk := New()
+	var running, overlaps, runs atomic.Int32
+	inFn := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var ev *Event
+	ev = NewEvent(clk, "real", func() {
+		if running.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		if n := runs.Add(1); n < 5 {
+			ev.After(time.Millisecond) // paced re-arm
+		}
+		select {
+		case inFn <- struct{}{}:
+			<-release // hold the first run open
+		default:
+		}
+		running.Add(-1)
+	})
+	ev.After(time.Millisecond)
+	<-inFn
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				ev.Trigger()
+			}
+		}()
+	}
+	wg.Wait()
+	close(release)
+	for runs.Load() < 5 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Stop during a run returns only once the run is over.
+	blocker := make(chan struct{})
+	entered := make(chan struct{})
+	var finished atomic.Bool
+	slow := NewEvent(clk, "slow", func() {
+		close(entered)
+		<-blocker
+		finished.Store(true)
+	})
+	slow.Trigger()
+	<-entered
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		close(blocker)
+	}()
+	slow.Stop()
+	if !finished.Load() {
+		t.Fatal("Stop returned while fn was still running")
+	}
+	ev.Stop()
+	after := runs.Load()
+	ev.Trigger()
+	ev.After(0)
+	time.Sleep(5 * time.Millisecond)
+	if runs.Load() != after {
+		t.Fatal("a stopped event ran")
+	}
+	if overlaps.Load() != 0 {
+		t.Fatalf("%d overlapping runs", overlaps.Load())
 	}
 }

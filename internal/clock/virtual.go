@@ -86,13 +86,18 @@ func (v *Virtual) newTimerAtLocked(at time.Time) Timer {
 	return t
 }
 
-// Advance moves the clock forward by d, firing every timer and ticker whose
-// deadline falls within the window, in order.
+// Advance moves the clock forward by d, firing every timer, ticker and event
+// whose deadline falls within the window, in order; an event's function runs
+// here, at its deadline, before the next waiter fires.
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.now.Add(d)
 	for len(v.waiters) > 0 && !v.waiters[0].at.After(target) {
-		v.fireNextLocked()
+		if w := v.fireNextLocked(); w.event != nil {
+			v.mu.Unlock()
+			w.event.Trigger()
+			v.mu.Lock()
+		}
 	}
 	v.now = target
 	v.mu.Unlock()
@@ -113,8 +118,18 @@ func (v *Virtual) PendingWaiters() int {
 // back to the clock-global creation sequence (the empty tieName sorts first,
 // preserving plain-Virtual ordering exactly).
 func (v *Virtual) addWaiterLocked(w *waiter) {
-	if v.auto != nil && v.auto.current != nil {
-		a := v.auto.current
+	var holder *Actor
+	if v.auto != nil {
+		holder = v.auto.current
+	}
+	v.addWaiterAsLocked(w, holder)
+}
+
+// addWaiterAsLocked enqueues the waiter keyed as one of a's (nil: the
+// clock-global sequence). An Event arms its deadline under its own name
+// whoever the caller is.
+func (v *Virtual) addWaiterAsLocked(w *waiter, a *Actor) {
+	if a != nil {
 		a.waiterSeq++
 		w.tieName = a.name
 		w.tieSeq = a.waiterSeq
@@ -157,8 +172,8 @@ func (v *Virtual) cancelLocked(w *waiter) (active bool) {
 }
 
 // waiter is one pending deadline. It lives inside its owner — a timer, a
-// ticker, or the Actor sleeping on it — and is in the heap exactly while
-// armed.
+// ticker, an Event, or the Actor sleeping on it — and is in the heap exactly
+// while armed.
 type waiter struct {
 	at      time.Time
 	ch      chan time.Time // nil for an actor's sleep waiter
@@ -167,6 +182,7 @@ type waiter struct {
 	tieSeq  int64
 	wake    *watchers // actors parked on this waiter via Await (auto mode)
 	sleeper *Actor    // the actor parked on this waiter in Sleep (auto mode)
+	event   *Event    // the event whose deadline this is
 	index   int       // heap position, -1 while out of the heap
 }
 

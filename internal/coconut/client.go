@@ -3,6 +3,7 @@ package coconut
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -120,19 +121,25 @@ type inflightShard struct {
 	_  [48]byte // pad to one 64-byte cache line
 }
 
-// clientThread is the per-workload-thread state. The records buffer is
-// owned by its sending goroutine (appends are lock-free) and only read
-// after every sender has exited; the counters are updated atomically from
-// event goroutines.
+// clientThread is one workload thread: a lane of the pacer with its own
+// generator and key-space cursor. The records buffer is appended by whoever
+// sends (the pacer event; the main actor at t=0) and only read after the
+// pacer has stopped; the counters are updated atomically from event
+// goroutines.
 type clientThread struct {
 	records  []*TxRecord
 	sent     atomic.Uint64
 	received atomic.Uint64
+
+	gen     OpGen
+	idx     uint64 // next generator index
+	readMax uint64 // non-zero: indices wrap into the key space the write phase confirmed
 }
 
-// Client is one COCONUT client application: it drives the workload threads,
-// paces sends according to the arrival schedule, and streams finalization
-// notifications into per-thread buffers and an online latency histogram.
+// Client is one COCONUT client application: it paces sends according to the
+// arrival schedule, deals them to the workload threads in turn, and streams
+// finalization notifications into per-thread buffers and an online latency
+// histogram.
 type Client struct {
 	cfg ClientConfig
 
@@ -261,67 +268,39 @@ func (c *Client) onEvent(ev systems.Event) {
 
 // Run executes the send and listen phases, blocking until both complete,
 // and returns every transaction record (nil when DiscardRecords is set).
+//
+// One clock event paces every send: each run of it sends one transaction or
+// batch, which accounts for OpsPerTx*BatchSize payloads against the rate
+// limit, on the next workload thread in turn, and re-arms itself with the
+// arrival schedule's next gap (uniform gaps reproduce the paper's rate
+// limiter; a zero gap sends again as soon as what this send woke has run).
+// Sends never wait for finalization confirmations (§4.3).
 func (c *Client) Run() []TxRecord {
 	clk := c.cfg.Clock
-	stopSend := clock.NewGate(clk)
-	wg := clock.NewGroup(clk)
-
-	// Shared pacer: each token permits sending one transaction or batch,
-	// which accounts for OpsPerTx*BatchSize payloads against the rate
-	// limit. The arrival schedule shapes the gap sequence; uniform gaps
-	// reproduce the paper's rate limiter.
 	payloadsPerSend := c.cfg.OpsPerTx * c.cfg.BatchSize
 	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.cfg.RateLimit))
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
 	gaps := c.cfg.Arrival.Gaps(interval, c.cfg.ArrivalSeed)
-	tokens := clock.NewMailbox[struct{}](clk, 1)
-	// Warm start: the first send happens immediately (the paper's threads
-	// start sending at t=0), then the pacer enforces the schedule.
-	tokens.TrySend(struct{}{})
-	clock.Fork(clk, 1+c.cfg.WorkloadThreads)
-	wg.Add(1)
-	go func() {
-		h := clock.RegisterForked(clk, c.cfg.ID+"/pacer")
-		defer h.Close()
-		defer wg.Done()
-		// One timer paces every gap: re-arming it allocates nothing.
-		var t clock.Timer
-		for {
-			if g := gaps(); g > 0 {
-				if t == nil {
-					t = clk.NewTimer(g)
-				} else {
-					t.Reset(g)
-				}
-				if i, _, _ := clock.Await(clk, stopSend, t); i == 0 {
-					t.Stop()
-					return
-				}
-			} else if stopSend.Closed() {
-				return
-			}
-			if !tokens.Send(struct{}{}, stopSend) {
-				return
-			}
-		}
-	}()
 
-	for t := 0; t < c.cfg.WorkloadThreads; t++ {
-		t := t
-		wg.Add(1)
-		go func() {
-			h := clock.RegisterForked(clk, c.cfg.ID+"/w"+strconv.Itoa(t))
-			defer h.Close()
-			defer wg.Done()
-			c.workloadThread(t, tokens, stopSend)
-		}()
+	lanes := c.lanes()
+	next := 0
+	var pacer *clock.Event
+	pacer = clock.NewEvent(clk, c.cfg.ID+"/pacer", func() {
+		c.send(lanes[next])
+		next = (next + 1) % len(lanes)
+		pacer.After(gaps())
+	})
+	if len(lanes) > 0 {
+		// Warm start: the first send happens immediately (the paper's threads
+		// start sending at t=0), then the pacer enforces the schedule. The
+		// first lane also takes the first paced slot.
+		c.send(lanes[0])
+		pacer.After(gaps())
 	}
-
 	clk.Sleep(c.cfg.SendDuration)
-	stopSend.Close()
-	wg.Wait()
+	pacer.Stop()
 	clk.Sleep(c.cfg.ListenGrace)
 	c.detach()
 
@@ -339,6 +318,45 @@ func (c *Client) Run() []TxRecord {
 		}
 	}
 	return out
+}
+
+// lanes prepares every workload thread's generator and returns the threads
+// that send, in the order they take turns: by thread name ("w0", "w1",
+// "w10", …, "w2", …), the order the clock's name tie-break gave them when
+// each was an actor, which per-thread sent counts, and through them the key
+// space of a dependent read phase, were calibrated against.
+func (c *Client) lanes() []int {
+	readPhase := ReadBenchmarkDependsOnWrite(c.cfg.Benchmark) != "" && len(c.cfg.ReadMax) > 0
+	var lanes []int
+	for t := range c.threads {
+		th := &c.threads[t]
+		if c.cfg.Gen != nil {
+			th.gen = c.cfg.Gen(t)
+		} else {
+			th.gen = NewOpGen(c.cfg.Benchmark, c.cfg.ID+"/"+strconv.Itoa(t))
+		}
+		if t < len(c.cfg.ReadMax) {
+			th.readMax = c.cfg.ReadMax[t]
+		}
+		// A read thread whose write-phase counterpart got nothing accepted has
+		// no key space to read; it stays idle rather than querying keys that
+		// were never written.
+		if readPhase && th.readMax == 0 {
+			continue
+		}
+		lanes = append(lanes, t)
+	}
+	sort.Slice(lanes, func(i, j int) bool { return strconv.Itoa(lanes[i]) < strconv.Itoa(lanes[j]) })
+	return lanes
+}
+
+// send submits one transaction, or one batch, on a workload thread.
+func (c *Client) send(thread int) {
+	if c.cfg.BatchSize > 1 {
+		c.sendBatch(thread)
+	} else {
+		c.sendTx(thread)
+	}
 }
 
 // detach ends the listening phase: it closes the event path and clears the
@@ -383,59 +401,22 @@ func (c *Client) Summary() ClientSummary {
 	return s
 }
 
-// workloadThread sends transactions sequentially without waiting for
-// finalization confirmations (§4.3).
-func (c *Client) workloadThread(thread int, tokens *clock.Mailbox[struct{}], stop *clock.Gate) {
-	threadKey := c.cfg.ID + "/" + strconv.Itoa(thread)
-	var gen OpGen
-	if c.cfg.Gen != nil {
-		gen = c.cfg.Gen(thread)
-	} else {
-		gen = NewOpGen(c.cfg.Benchmark, threadKey)
+// nextOp generates the thread's next operation, wrapping its index into the
+// written key space for read benchmarks.
+func (th *clientThread) nextOp() chain.Operation {
+	i := th.idx
+	th.idx++
+	if th.readMax > 0 {
+		i %= th.readMax
 	}
-	var readMax uint64
-	if thread < len(c.cfg.ReadMax) {
-		readMax = c.cfg.ReadMax[thread]
-	}
-	// A read thread whose write-phase counterpart got nothing accepted has
-	// no key space to read; it stays idle rather than querying keys that
-	// were never written.
-	if ReadBenchmarkDependsOnWrite(c.cfg.Benchmark) != "" && len(c.cfg.ReadMax) > 0 && readMax == 0 {
-		return
-	}
-	var idx uint64
-
-	for {
-		// The stop gate sits at index 0, so when a token and the shutdown
-		// signal are both ready the cutoff wins — every thread stops at the
-		// same deterministic point under virtual time.
-		if i, _, _ := clock.Await(c.cfg.Clock, stop, tokens); i == 0 {
-			return
-		}
-
-		if c.cfg.BatchSize > 1 {
-			c.sendBatch(thread, gen, &idx, readMax)
-		} else {
-			c.sendTx(thread, gen, &idx, readMax)
-		}
-	}
+	return th.gen(i)
 }
 
-// nextIndex produces the generator index, wrapping into the written key
-// space for read benchmarks.
-func nextIndex(idx *uint64, readMax uint64) uint64 {
-	i := *idx
-	*idx++
-	if readMax > 0 {
-		return i % readMax
-	}
-	return i
-}
-
-func (c *Client) sendTx(thread int, gen OpGen, idx *uint64, readMax uint64) {
+func (c *Client) sendTx(thread int) {
+	th := &c.threads[thread]
 	ops := make([]chain.Operation, c.cfg.OpsPerTx)
 	for i := range ops {
-		ops[i] = gen(nextIndex(idx, readMax))
+		ops[i] = th.nextOp()
 	}
 	tx := chain.NewTransaction(c.cfg.ID, c.seq.Add(1), ops...)
 
@@ -448,18 +429,19 @@ func (c *Client) sendTx(thread int, gen OpGen, idx *uint64, readMax uint64) {
 	// contiguous — rejected writes never reached the chain, and the
 	// paper's clients re-send into the same space.
 	if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err != nil {
-		*idx -= uint64(len(ops))
+		th.idx -= uint64(len(ops))
 		return
 	}
-	c.threads[thread].sent.Add(uint64(len(ops)))
+	th.sent.Add(uint64(len(ops)))
 }
 
-func (c *Client) sendBatch(thread int, gen OpGen, idx *uint64, readMax uint64) {
+func (c *Client) sendBatch(thread int) {
+	th := &c.threads[thread]
 	bs, ok := c.cfg.Driver.(BatchSubmitter)
 	txs := make([]*chain.Transaction, c.cfg.BatchSize)
 	start := c.cfg.Clock.Now()
 	for i := range txs {
-		op := gen(nextIndex(idx, readMax))
+		op := th.nextOp()
 		txs[i] = chain.NewSingleOp(c.cfg.ID, c.seq.Add(1), op.IEL, op.Function, op.Args...)
 		txs[i].SubmittedAt = start
 		c.track(txs[i].ID, start, 1, thread)
@@ -468,16 +450,16 @@ func (c *Client) sendBatch(thread int, gen OpGen, idx *uint64, readMax uint64) {
 		// On rejection (Sawtooth's full queue) the whole batch is lost and
 		// its key range rolls back for reuse by the next batch.
 		if err := bs.SubmitBatch(c.cfg.EntryNode, chain.NewBatch(txs...)); err != nil {
-			*idx -= uint64(len(txs))
+			th.idx -= uint64(len(txs))
 			return
 		}
-		c.threads[thread].sent.Add(uint64(len(txs)))
+		th.sent.Add(uint64(len(txs)))
 		return
 	}
 	// Driver without batch support: degrade to individual sends.
 	for _, tx := range txs {
 		if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err == nil {
-			c.threads[thread].sent.Add(1)
+			th.sent.Add(1)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -94,6 +95,14 @@ type CellTiming struct {
 	// Speedup is SimSeconds/WallSeconds: how much faster than real time
 	// the cell ran.
 	Speedup float64 `json:"speedup"`
+	// Handoffs, Events and TimerFires are the clock kernel's counters
+	// (clock.KernelStats) summed over the cell's clocks: execution-token
+	// grants to a parked goroutine, event functions run inline, deadlines
+	// fired. Unlike the wall-clock fields they repeat exactly at a fixed
+	// seed.
+	Handoffs   int64 `json:"handoffs"`
+	Events     int64 `json:"events"`
+	TimerFires int64 `json:"timerFires"`
 }
 
 // cellSpec is one fully resolved unit of work.
@@ -176,9 +185,17 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q cell %s: %w", sc.Name, cell.label(), err)
 		}
+		// Every cell collects its own garbage before the next one starts (and
+		// inside its own wall time). Left to the pacer, a cell's few dozen MB
+		// of dead ledgers sit under the next cell's allocations until the heap
+		// reaches a goal the previous collection set, and whether that goal was
+		// set just before or just after a cell's largest burst moved a sweep's
+		// peak RSS between 61 and 104 MB from run to run.
+		runtime.GC()
 		if o.virtualTime() {
 			wall := clock.Walltime().Sub(w0).Seconds()
-			t := CellTiming{Cell: cell.label(), SimSeconds: o.meter.simSeconds(), WallSeconds: wall}
+			t := CellTiming{Cell: cell.label(), WallSeconds: wall}
+			o.meter.fill(&t)
 			if wall > 0 {
 				t.Speedup = t.SimSeconds / wall
 			}

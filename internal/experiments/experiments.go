@@ -96,15 +96,12 @@ func (o Options) virtualTime() bool { return o.Time == "virtual" }
 // matters even on the wall clock — a repetition must never inherit another
 // repetition's timer state.
 func (o Options) newClockFn() func() clock.Clock {
-	virtual := o.virtualTime()
+	if !o.virtualTime() {
+		return clock.New
+	}
 	m := o.meter
 	return func() clock.Clock {
-		var c clock.Clock
-		if virtual {
-			c = clock.NewAutoVirtual()
-		} else {
-			c = clock.New()
-		}
+		c := clock.NewAutoVirtual()
 		if m != nil {
 			m.add(c)
 		}
@@ -112,28 +109,31 @@ func (o Options) newClockFn() func() clock.Clock {
 	}
 }
 
-// clockMeter accumulates the clocks a cell constructs; summing each clock's
-// advance past the simulation epoch yields the cell's total simulated time.
+// clockMeter accumulates the virtual clocks a cell constructs; summing over
+// them yields the cell's simulated time and what its scheduler did.
 type clockMeter struct {
 	mu   sync.Mutex
-	clks []clock.Clock
+	clks []*clock.AutoVirtual
 }
 
-func (m *clockMeter) add(c clock.Clock) {
+func (m *clockMeter) add(c *clock.AutoVirtual) {
 	m.mu.Lock()
 	m.clks = append(m.clks, c)
 	m.mu.Unlock()
 }
 
-// simSeconds sums the simulated seconds every recorded clock has advanced.
-func (m *clockMeter) simSeconds() float64 {
+// fill sums into t the simulated seconds every recorded clock has advanced
+// past the simulation epoch and its kernel counters.
+func (m *clockMeter) fill(t *CellTiming) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var total float64
 	for _, c := range m.clks {
-		total += c.Now().Sub(clock.SimEpoch).Seconds()
+		t.SimSeconds += c.Now().Sub(clock.SimEpoch).Seconds()
+		ks := c.KernelStats()
+		t.Handoffs += ks.Handoffs
+		t.Events += ks.Events
+		t.TimerFires += ks.TimerFires
 	}
-	return total
 }
 
 // arrivalSchedule resolves the named schedule; an unknown name is an error

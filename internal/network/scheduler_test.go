@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,5 +332,95 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 			t.Fatalf("iteration %d: message due exactly at the advanced instant never delivered", i)
 		}
 		tr.Stop()
+	}
+}
+
+// TestDeliveryIntoFullInbox pins the one behaviour that differs between the
+// clocks: what a handler that would block does. Handlers forward into an
+// engine's inbox (clock.Mailbox.Send). On the auto-advancing clock delivery
+// runs to completion on the scheduler and cannot park, so a full inbox is a
+// loud failure naming the shard's event; on the real clock the shard's
+// goroutine blocks, holding up its shard, until the inbox has room. No
+// inbox in the tree fills (8192 slots against batches of tens); this is the
+// contract for the day one does.
+func TestDeliveryIntoFullInbox(t *testing.T) {
+	forward := func(tr *Transport, clk clock.Clock) *clock.Mailbox[Message] {
+		inbox := clock.NewMailbox[Message](clk, 1)
+		tr.Register("dst", func(m Message) { inbox.Send(m, nil) })
+		for i := 0; i < 2; i++ {
+			if err := tr.Send("src", "dst", "k", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return inbox
+	}
+	t.Run("auto-virtual panics", func(t *testing.T) {
+		av := clock.NewAutoVirtual()
+		clock.Register(av, "main") // never closed: the panic leaves the clock unusable
+		tr := NewTransport(av, nil)
+		forward(tr, av)
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "event net/shard-") || !strings.Contains(msg, "would park") {
+				t.Fatalf("panic = %q, want one naming the net/shard-N event", msg)
+			}
+		}()
+		av.Sleep(time.Millisecond) // main parks and schedules the delivery on its own goroutine
+		t.Fatal("delivery into a full inbox did not panic")
+	})
+	t.Run("real blocks", func(t *testing.T) {
+		clk := clock.New()
+		tr := NewTransport(clk, nil)
+		defer tr.Stop()
+		inbox := forward(tr, clk)
+		waitDelivered(t, tr, 1, 2*time.Second)
+		time.Sleep(20 * time.Millisecond) // the second delivery is now stuck in Send
+		if _, delivered, _ := tr.Stats(); delivered != 1 {
+			t.Fatalf("delivered = %d with the inbox full, want 1", delivered)
+		}
+		if _, v, _ := clock.Await(clk, inbox); v.(Message).Payload.(int) != 0 {
+			t.Fatalf("first message = %v, want payload 0", v)
+		}
+		waitDelivered(t, tr, 2, 2*time.Second)
+		if _, v, _ := clock.Await(clk, inbox); v.(Message).Payload.(int) != 1 {
+			t.Fatalf("second message = %v, want payload 1", v)
+		}
+	})
+}
+
+// TestWheelAllocatedByFirstDelayedMessage: a zero-latency fabric delivers
+// everything through the ready list and never builds its 4096-bucket wheels;
+// the first message that has to wait builds its shard's.
+func TestWheelAllocatedByFirstDelayedMessage(t *testing.T) {
+	lat := NewAsymmetricLatency(ZeroLatency{})
+	lat.SetLink("slow", "dst", ConstantLatency{D: time.Millisecond})
+	tr := NewTransport(clock.New(), lat)
+	defer tr.Stop()
+	tr.Register("dst", func(Message) {})
+	wheels := func() (n int) {
+		for _, sh := range tr.shards {
+			sh.mu.Lock()
+			if sh.slots != nil {
+				n++
+			}
+			sh.mu.Unlock()
+		}
+		return n
+	}
+	for i := 0; i < 100; i++ {
+		if err := tr.Send("fast", "dst", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDelivered(t, tr, 100, 2*time.Second)
+	if n := wheels(); n != 0 {
+		t.Fatalf("%d wheels allocated by zero-latency traffic, want 0", n)
+	}
+	if err := tr.Send("slow", "dst", "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitDelivered(t, tr, 101, 2*time.Second)
+	if n := wheels(); n != 1 {
+		t.Fatalf("%d wheels after one delayed message, want 1", n)
 	}
 }

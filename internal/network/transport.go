@@ -24,8 +24,9 @@ type Message struct {
 	SentAt  time.Time
 }
 
-// Handler receives delivered messages. Handlers run on the transport's
-// delivery workers and must not block indefinitely.
+// Handler receives delivered messages. Handlers run inside the transport's
+// delivery events (clock.Event): on the virtual clocks they must not park at
+// all, on the real clock not indefinitely.
 type Handler func(Message)
 
 // Errors returned by Transport operations.
@@ -40,8 +41,8 @@ var (
 // from the latency model plus any link degradation, clamps it so messages
 // on the same directed link never reorder (TCP's per-connection FIFO
 // property the real deployments rely on), and enqueues into the destination
-// endpoint's shard. A small pool of workers — one per shard — drains due
-// messages in timestamp order.
+// endpoint's shard. One clock event per shard drains due messages in
+// timestamp order.
 //
 // The hot path is engineered for zero contention between unrelated senders:
 // topology and fault state (endpoints, cut links, degradations) live in an
@@ -49,7 +50,7 @@ var (
 // and delivery counters are per-shard padded atomics, loss randomness is
 // drawn from per-link seeded RNGs, and handlers are resolved through an
 // atomic pointer set at registration. No global lock is taken by Send,
-// Broadcast, or the delivery workers.
+// Broadcast, or the delivery events.
 type Transport struct {
 	clk     clock.Clock
 	latency LatencyModel
@@ -65,8 +66,6 @@ type Transport struct {
 	tracer atomic.Pointer[tracerInfo]
 
 	shards []*shard
-	wg     *clock.Group
-	stop   *clock.Gate
 }
 
 // fabricState is the immutable topology/fault snapshot. Mutators clone it
@@ -145,8 +144,6 @@ func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
 		latency: latency,
 		t0:      clk.Now(),
 		seed:    0x10551, // deterministic loss draws
-		stop:    clock.NewGate(clk),
-		wg:      clock.NewGroup(clk),
 	}
 	t.state.Store(&fabricState{
 		endpoints: make(map[string]*endpoint),
@@ -165,11 +162,8 @@ func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
 		shards <<= 1
 	}
 	t.shards = make([]*shard, shards)
-	clock.Fork(clk, shards)
 	for i := range t.shards {
-		t.shards[i] = newShard(clk)
-		t.wg.Add(1)
-		go t.worker(i, t.shards[i])
+		t.shards[i] = t.newShard(i)
 	}
 	return t
 }
@@ -479,8 +473,9 @@ func (t *Transport) Stats() (sent, delivered, dropped uint64) {
 	return sent, delivered, dropped
 }
 
-// Stop shuts down the delivery workers and waits for them to exit. Queued
-// messages are dropped (uncounted), matching a fabric torn down mid-flight.
+// Stop shuts down the delivery events, returning once no handler is running.
+// Queued messages are dropped (uncounted), matching a fabric torn down
+// mid-flight.
 func (t *Transport) Stop() {
 	t.mu.Lock()
 	st := t.state.Load()
@@ -498,6 +493,7 @@ func (t *Transport) Stop() {
 		degraded:  make(map[linkKey]Degradation),
 	})
 	t.mu.Unlock()
-	t.stop.Close()
-	t.wg.Wait()
+	for _, sh := range t.shards {
+		sh.drain.Stop()
+	}
 }

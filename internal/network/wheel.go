@@ -17,21 +17,22 @@ import (
 // Every endpoint is pinned to one shard by a hash of its name; a shard owns
 // a wheel of wheelSlots buckets of wheelGranularity each, an overflow heap
 // for messages scheduled beyond the wheel horizon, a "ready" list for
-// messages due at enqueue time, and exactly one delivery worker goroutine.
+// messages due at enqueue time, and exactly one delivery event (clock.Event
+// "net/shard-N"), whose runs the clock serialises.
 //
 // Invariants the scheduler maintains:
 //
 //   - Wheel-resident items always have ticks in [cursor, cursor+wheelSlots),
 //     so each bucket holds items of exactly one tick and buckets scanned in
 //     tick order yield items in non-decreasing due time.
-//   - A shard's worker delivers each wake-up's due batch sorted by
+//   - A shard's event delivers each collected due batch sorted by
 //     (readyNanos, seq), where seq is assigned under the shard lock at
 //     enqueue. Together with the per-link ready-time clamp in sendTo this
 //     preserves the per-directed-link FIFO contract.
-//   - wakeAt (guarded by the shard lock) is the worker's next wake time:
-//     math.MinInt64 while it is actively draining (no notify needed),
-//     math.MaxInt64 while it is idle (any enqueue must notify), otherwise
-//     the armed timer's deadline (earlier enqueues must notify).
+//   - wakeAt (guarded by the shard lock) is the event's next run time:
+//     math.MinInt64 while a run is draining or on its way (no trigger
+//     needed), math.MaxInt64 while it is idle (any enqueue must trigger),
+//     otherwise the armed deadline (earlier enqueues must trigger).
 const (
 	// wheelGranularity is one wheel tick. Messages are never delivered
 	// early: an armed timer targets the exact earliest readyNanos, the tick
@@ -44,7 +45,7 @@ const (
 	wheelMask  = wheelSlots - 1
 )
 
-// item is one scheduled delivery. Items are pooled: the worker clears and
+// item is one scheduled delivery. Items are pooled: deliverBatch clears and
 // recycles them after invoking the handler, so steady-state sends do not
 // allocate.
 type item struct {
@@ -74,24 +75,24 @@ type shard struct {
 	mu     sync.Mutex
 	seq    uint64
 	ready  []*item   // due at enqueue time, drained ahead of the wheel
-	slots  [][]*item // the hashed wheel
+	slots  [][]*item // the hashed wheel, allocated by the first item that is not due at once
 	cursor int64     // next tick to inspect
 	far    farHeap   // beyond-horizon overflow
 	wheelN int       // items resident in slots
 	wakeAt int64     // see invariant above
-	notify *clock.Mailbox[struct{}]
+
+	drain *clock.Event
+	batch []*item // drain's scratch, reused across runs
 }
 
-func newShard(clk clock.Clock) *shard {
-	return &shard{
-		slots:  make([][]*item, wheelSlots),
-		wakeAt: math.MinInt64,
-		notify: clock.NewMailbox[struct{}](clk, 1),
-	}
+func (t *Transport) newShard(i int) *shard {
+	sh := &shard{wakeAt: math.MaxInt64}
+	sh.drain = clock.NewEvent(t.clk, "net/shard-"+strconv.Itoa(i), func() { t.drain(sh) })
+	return sh
 }
 
-// enqueue schedules one item and wakes the worker if it would otherwise
-// sleep past the item's due time.
+// enqueue schedules one item and triggers the delivery event if it would
+// otherwise run only after the item's due time.
 func (sh *shard) enqueue(it *item, nowN int64) {
 	sh.mu.Lock()
 	sh.seq++
@@ -111,22 +112,28 @@ func (sh *shard) enqueue(it *item, nowN int64) {
 		if tick >= sh.cursor+wheelSlots {
 			heap.Push(&sh.far, it)
 		} else {
+			if sh.slots == nil {
+				sh.slots = make([][]*item, wheelSlots)
+			}
 			idx := int(tick & wheelMask)
 			sh.slots[idx] = append(sh.slots[idx], it)
 			sh.wheelN++
 		}
 	}
 	needWake := it.readyNanos < sh.wakeAt
+	if needWake {
+		sh.wakeAt = math.MinInt64 // the run now on its way collects whatever follows
+	}
 	sh.mu.Unlock()
 	if needWake {
-		sh.notify.TrySend(struct{}{})
+		sh.drain.Trigger()
 	}
 }
 
 // collect appends every item due at nowN to batch and returns it together
 // with the earliest pending due time (math.MaxInt64 when the shard is
-// drained). It updates wakeAt under the shard lock so enqueue's wake
-// decision can never race the worker's sleep decision.
+// drained). It updates wakeAt under the shard lock so enqueue's trigger
+// decision can never race the event's decision to go idle.
 func (sh *shard) collect(nowN int64, batch []*item) ([]*item, int64) {
 	sh.mu.Lock()
 	nowTick := nowN / granNanos
@@ -139,7 +146,7 @@ func (sh *shard) collect(nowN int64, batch []*item) ([]*item, int64) {
 	if sh.wheelN > 0 {
 		from := sh.cursor
 		if nowTick-from >= wheelSlots {
-			// The worker slept longer than a full rotation: one pass over
+			// The event last ran more than a full rotation ago: one pass over
 			// [nowTick-wheelSlots+1, nowTick] visits every bucket once.
 			from = nowTick - wheelSlots + 1
 		}
@@ -199,39 +206,22 @@ func (sh *shard) collect(nowN int64, batch []*item) ([]*item, int64) {
 	return batch, next
 }
 
-// worker is a shard's delivery loop: collect due items, deliver them in
-// timestamp order, sleep until the next due time or an earlier enqueue.
-func (t *Transport) worker(i int, sh *shard) {
-	h := clock.RegisterForked(t.clk, "net/shard-"+strconv.Itoa(i))
-	defer h.Close()
-	defer t.wg.Done()
-	var batch []*item
+// drain is a shard's delivery event: collect due items and deliver them in
+// timestamp order until none is due, then arm the next due time (an earlier
+// enqueue triggers a run before it). The deadline is absolute, so it cannot
+// drift when the clock moves between collecting and arming, and one already
+// passed runs the event again at once.
+func (t *Transport) drain(sh *shard) {
 	for {
-		nowN := t.nowNanos()
 		var next int64
-		batch, next = sh.collect(nowN, batch[:0])
-		if len(batch) > 0 {
-			t.deliverBatch(sh, batch)
-			continue
-		}
-		if next == math.MaxInt64 {
-			if idx, _, _ := clock.Await(t.clk, t.stop, sh.notify); idx == 0 {
-				return
+		sh.batch, next = sh.collect(t.nowNanos(), sh.batch[:0])
+		if len(sh.batch) == 0 {
+			if next != math.MaxInt64 {
+				sh.drain.At(t.t0.Add(time.Duration(next)))
 			}
-			continue
-		}
-		// Arm an absolute deadline: a relative NewTimer could oversleep if
-		// a virtual-clock Advance landed between reading nowN and arming
-		// (the duration would be re-based on the advanced clock).
-		// NewTimerAt fires immediately when the deadline already passed.
-		timer := t.clk.NewTimerAt(t.t0.Add(time.Duration(next)))
-		idx, _, _ := clock.Await(t.clk, t.stop, sh.notify, timer)
-		if idx != 2 {
-			timer.Stop()
-		}
-		if idx == 0 {
 			return
 		}
+		t.deliverBatch(sh, sh.batch)
 	}
 }
 

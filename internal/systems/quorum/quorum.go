@@ -331,10 +331,6 @@ func (n *Network) produce(v *validator) {
 				_ = v.pool.Add(tx)
 			}
 		}
-		return
-	}
-	for _, tx := range txs {
-		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 	}
 }
 
@@ -372,6 +368,11 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
 	}
 	for txNum, tx := range blk.Txs {
+		// The queue stage ended when the block formed. It is stamped here, by
+		// whoever applies the block first, not by the producer after Submit:
+		// on a real clock the decision can outrun the producer's return, and a
+		// confirmation would reach the client with the mark still unset.
+		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 		tx.Stages.Mark(chain.StageConsensus, now)
 		execErr := executeTx(tx, v.state, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
