@@ -107,16 +107,17 @@ func (b *Block) VerifyLink(prev *Block) error {
 // integrity on every append and supports lookup by height and by
 // transaction ID.
 type Ledger struct {
-	mu      sync.RWMutex
-	blocks  []*Block
-	txIndex map[crypto.Hash]uint64 // tx ID -> block number
+	mu     sync.RWMutex
+	blocks []*Block
+	// txIndex maps tx ID -> block number. The first FindTx builds it from
+	// the blocks and Append maintains it from then on: a replica nobody
+	// queries by transaction — every replica of a sweep — keeps none.
+	txIndex map[crypto.Hash]uint64
 }
 
 // NewLedger creates a ledger seeded with the genesis block for networkID.
 func NewLedger(networkID string) *Ledger {
-	l := &Ledger{txIndex: make(map[crypto.Hash]uint64)}
-	l.blocks = append(l.blocks, Genesis(networkID))
-	return l
+	return &Ledger{blocks: []*Block{Genesis(networkID)}}
 }
 
 // Append validates and appends a block.
@@ -128,10 +129,16 @@ func (l *Ledger) Append(b *Block) error {
 		return err
 	}
 	l.blocks = append(l.blocks, b)
+	if l.txIndex != nil {
+		l.indexLocked(b)
+	}
+	return nil
+}
+
+func (l *Ledger) indexLocked(b *Block) {
 	for _, tx := range b.Txs {
 		l.txIndex[tx.ID] = b.Number
 	}
-	return nil
 }
 
 // Head returns the latest block.
@@ -156,8 +163,14 @@ func (l *Ledger) BlockAt(n uint64) (*Block, bool) {
 
 // FindTx reports the block height containing a transaction.
 func (l *Ledger) FindTx(id crypto.Hash) (uint64, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.txIndex == nil {
+		l.txIndex = make(map[crypto.Hash]uint64)
+		for _, b := range l.blocks {
+			l.indexLocked(b)
+		}
+	}
 	n, ok := l.txIndex[id]
 	return n, ok
 }

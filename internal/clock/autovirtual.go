@@ -56,6 +56,15 @@ func Walltime() time.Time { return time.Now() }
 // That was always a violation of the first rule; it is kept out statically
 // (actorspawn), not detected dynamically.
 //
+// A loop that receives from a Mailbox per message binds a Receiver to a
+// variable of its own before the loop and awaits that instead of the
+// Mailbox. The element is stored there typed — by the awaiting actor when it
+// finds one buffered, by the scheduler when it consumes one for the parked
+// actor it is about to grant — so a message crosses an inbox without the heap
+// object that boxing it into Await's value costs. Only that actor reads the
+// variable, between the Await that filled it and its next park; consumers
+// sharing a mailbox bind one Receiver each.
+//
 // Work that never parks need not be an actor. An Event (NewEvent) is a named
 // function the scheduler runs itself:
 //
@@ -486,8 +495,8 @@ func (w *watchers) wakeLocked(c *autoCore) {
 }
 
 // Waitable is a blocking source Await can select over: the clock's timers
-// and tickers, Gate, and Mailbox. Implementations are provided by this
-// package only.
+// and tickers, Gate, Mailbox, and a Mailbox's Receiver. Implementations are
+// provided by this package only.
 type Waitable interface {
 	// waitChan is the receive channel used outside auto-virtual scheduling.
 	waitChan() reflect.Value
@@ -501,15 +510,17 @@ type Waitable interface {
 
 // Await blocks until one of the sources is ready and consumes it, returning
 // the ready source's index, its value, and the receive's ok flag (false for
-// a closed Gate or a closed, drained Mailbox). The value is a Mailbox's
-// received element; gates, timers and tickers carry none worth boxing (the
-// fire instant is Now). On an AutoVirtual clock the caller is the token
-// holder and readiness is checked in argument order — lowest index wins —
-// making multi-ready races deterministic; put the stop gate first so
-// shutdown beats pending work. On every other clock (or with no token out,
-// i.e. from outside the run) Await degrades to a pseudo-randomly-tie-broken
-// channel select, matching Go select semantics; an AutoVirtual Mailbox has
-// no channel to offer there and panics.
+// a closed Gate or a closed, drained Mailbox). The value is the element
+// received from a Mailbox awaited directly, boxed; a loop that receives per
+// message awaits the mailbox's Receiver instead, which stores the element
+// typed and leaves the value nil. Gates, timers and tickers carry no value
+// worth boxing (the fire instant is Now). On an AutoVirtual clock the caller
+// is the token holder and readiness is checked in argument order — lowest
+// index wins — making multi-ready races deterministic; put the stop gate
+// first so shutdown beats pending work. On every other clock (or with no
+// token out, i.e. from outside the run) Await degrades to a
+// pseudo-randomly-tie-broken channel select, matching Go select semantics;
+// an AutoVirtual Mailbox has no channel to offer there and panics.
 func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
 	if v, auto := autoOf(c); auto {
 		v.mu.Lock()
@@ -523,7 +534,9 @@ func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
 		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: s.waitChan()}
 	}
 	i, rv, rok := reflect.Select(cases)
-	if rv.IsValid() {
+	if t, typed := srcs[i].(interface{ store(reflect.Value) }); typed {
+		t.store(rv)
+	} else if rv.IsValid() {
 		val = rv.Interface()
 	}
 	return i, val, rok
@@ -787,16 +800,54 @@ func (m *Mailbox[T]) waitChan() reflect.Value {
 func (m *Mailbox[T]) attach(a *Actor) { m.recvW.add(a) }
 func (m *Mailbox[T]) detach(a *Actor) { m.recvW.remove(a) }
 func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
+	val, ok, ready := m.popLocked()
+	if !ready {
+		return nil, false, false
+	}
+	return val, ok, true
+}
+
+// popLocked takes the oldest buffered element; a closed, drained mailbox is
+// ready with the zero element and ok false.
+func (m *Mailbox[T]) popLocked() (val T, ok, ready bool) {
 	if m.q.len() > 0 {
-		val := m.q.pop()
+		val = m.q.pop()
 		m.sendW.wakeLocked(m.v.auto)
 		return val, true, true
 	}
-	if m.closed {
-		var zero T
-		return zero, false, true
+	return val, false, m.closed
+}
+
+// Receiver is one consumer's typed end of a Mailbox: an Await source that
+// stores the received element in the consumer's own variable where the
+// Mailbox itself would return it boxed in Await's value, an allocation per
+// message. Bind it once, before the receive loop; Await's value is nil for
+// it, and a closed, drained mailbox stores the zero element with ok false.
+// The variable is written by whoever consumes on the consumer's behalf — the
+// scheduler, under AutoVirtual, before it grants the token — so it belongs
+// to that one consumer: several consumers of one mailbox each bind their own.
+type Receiver[T any] struct {
+	*Mailbox[T]
+	dst *T
+}
+
+// Receiver returns an Await source that receives from m into *dst.
+func (m *Mailbox[T]) Receiver(dst *T) *Receiver[T] {
+	return &Receiver[T]{Mailbox: m, dst: dst}
+}
+
+func (r *Receiver[T]) tryConsumeLocked() (any, bool, bool) {
+	val, ok, ready := r.popLocked()
+	if ready {
+		*r.dst = val
 	}
-	return nil, false, false
+	return nil, ok, ready
+}
+
+// store is tryConsumeLocked's counterpart on the channel-select path of
+// Await: rv is what reflect.Select received, the zero element once closed.
+func (r *Receiver[T]) store(rv reflect.Value) {
+	reflect.ValueOf(r.dst).Elem().Set(rv)
 }
 
 // Group is a join counter (the sync.WaitGroup idiom) whose Wait parks

@@ -429,46 +429,63 @@ func TestMailboxRing(t *testing.T) {
 // TestSharedMailboxWakesInAttachOrder: several actors parked on one mailbox
 // are all woken by a send and the first in attach order takes the value;
 // the rest find nothing and stay parked (the scheduler settles that without
-// running them). The hand-out order must be the plain wake-all order.
+// running them). The hand-out order must be the plain wake-all order, for
+// workers that await the mailbox and take the boxed value and for workers
+// that each bind a Receiver: there the scheduler stores the element in the
+// variable of the parked worker it consumed for, and in no sibling's.
 func TestSharedMailboxWakesInAttachOrder(t *testing.T) {
-	av := NewAutoVirtual()
-	m := NewMailbox[int](av, 1)
-	stop := NewGate(av)
-	var log []string // appended under the execution token
-	worker := func(name string, work time.Duration) func() {
-		return func() {
-			for {
-				idx, v, _ := Await(av, stop, m)
-				if idx == 0 {
-					log = append(log, name+" stopped")
-					return
+	for _, typed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("typed=%v", typed), func(t *testing.T) {
+			av := NewAutoVirtual()
+			m := NewMailbox[int](av, 1)
+			stop := NewGate(av)
+			var log []string // appended under the execution token
+			worker := func(name string, work time.Duration) func() {
+				return func() {
+					got := -1
+					var src Waitable = m
+					if typed {
+						src = m.Receiver(&got)
+					}
+					for {
+						idx, v, _ := Await(av, stop, src)
+						if idx == 0 {
+							log = append(log, name+" stopped")
+							return
+						}
+						if !typed {
+							got = v.(int)
+						} else if v != nil {
+							t.Errorf("%s: Await returned %v beside the typed element", name, v)
+						}
+						log = append(log, fmt.Sprintf("%s got %d", name, got))
+						av.Sleep(work)
+					}
 				}
-				log = append(log, fmt.Sprintf("%s got %d", name, v))
-				av.Sleep(work)
 			}
-		}
-	}
-	runActors(av, map[string]func(){
-		"w1": worker("w1", 5*time.Millisecond), // busy across two sends
-		"w2": worker("w2", time.Millisecond),
-		"w3": worker("w3", time.Millisecond),
-		"producer": func() {
-			for i := 0; i < 6; i++ {
-				av.Sleep(2 * time.Millisecond)
-				m.Send(i, nil)
+			runActors(av, map[string]func(){
+				"w1": worker("w1", 5*time.Millisecond), // busy across two sends
+				"w2": worker("w2", time.Millisecond),
+				"w3": worker("w3", time.Millisecond),
+				"producer": func() {
+					for i := 0; i < 6; i++ {
+						av.Sleep(2 * time.Millisecond)
+						m.Send(i, nil)
+					}
+					av.Sleep(10 * time.Millisecond)
+					m.TrySend(99) // still buffered when stop closes: stop has priority
+					stop.Close()
+				},
+			})
+			// The order the wake-everyone-and-run kernel of PR 12 gives.
+			want := "[w1 got 0 w2 got 1 w3 got 2 w2 got 3 w1 got 4 w3 got 5 w2 stopped w3 stopped w1 stopped]"
+			if fmt.Sprint(log) != want {
+				t.Fatalf("hand-out order:\n got %v\nwant %s", log, want)
 			}
-			av.Sleep(10 * time.Millisecond)
-			m.TrySend(99) // still buffered when stop closes: stop has priority
-			stop.Close()
-		},
-	})
-	// The order the wake-everyone-and-run kernel of the parent commit gives.
-	want := "[w1 got 0 w2 got 1 w3 got 2 w2 got 3 w1 got 4 w3 got 5 w2 stopped w3 stopped w1 stopped]"
-	if fmt.Sprint(log) != want {
-		t.Fatalf("hand-out order:\n got %v\nwant %s", log, want)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want the value no stopped worker took", m.Len())
+			if m.Len() != 1 {
+				t.Fatalf("Len = %d, want the value no stopped worker took", m.Len())
+			}
+		})
 	}
 }
 

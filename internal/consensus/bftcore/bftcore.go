@@ -118,32 +118,49 @@ type pendingItem struct {
 	digest  crypto.Hash
 }
 
-// instance tracks agreement progress at one height.
+// instance tracks agreement progress at one height and round. The core owns
+// one and resets it in place; the vote sets are addressed by peer index.
 type instance struct {
 	round       uint64
 	proposal    any
 	digest      crypto.Hash
-	prepares    map[string]bool
-	commits     map[string]bool
-	roundChange map[string]uint64
+	prepares    consensus.VoteSet
+	commits     consensus.VoteSet
+	roundChange consensus.VoteSet
 	prepared    bool
 	committed   bool
 	startedAt   time.Time
 }
 
+// reset starts the instance over at the given round with empty vote sets.
+func (in *instance) reset(round uint64, now time.Time) {
+	in.prepares.Clear()
+	in.commits.Clear()
+	in.roundChange.Clear()
+	*in = instance{round: round, prepares: in.prepares, commits: in.commits, roundChange: in.roundChange, startedAt: now}
+}
+
+// kinds are the wire message kinds under the configured prefix.
+type kinds struct {
+	forward, prePrepare, prepare, commit, roundChange string
+}
+
 // Core is one validator's three-phase agreement engine.
 type Core struct {
-	cfg Config
+	cfg   Config
+	peers consensus.PeerIndex
+	self  int // this node's index in cfg.Peers
+	kind  kinds
 
 	mu          sync.Mutex
 	height      uint64 // next height to decide
-	inst        *instance
+	inst        instance
 	pending     []pendingItem
-	future      map[uint64][]network.Message // messages for heights not yet reached
-	futureRound map[uint64][]network.Message // same-height messages from rounds ahead of ours
-	roundAhead  map[uint64]map[string]bool   // round -> senders seen ahead of us
-	decideQ     []consensus.Decision         // decided but not yet delivered
-	applyMu     sync.Mutex                   // serializes OnDecide delivery
+	future      map[uint64][]network.Message  // messages for heights not yet reached
+	futureRound map[uint64][]network.Message  // same-height messages from rounds ahead of ours
+	roundAhead  map[uint64]*consensus.VoteSet // round -> peers seen ahead of us
+	decideQ     []consensus.Decision          // decided but not yet delivered
+	applyMu     sync.Mutex                    // serializes OnDecide delivery
 	running     bool
 
 	events *clock.Mailbox[network.Message]
@@ -156,12 +173,28 @@ var _ consensus.Engine = (*Core)(nil)
 // New constructs a core; call Start to join the validator set.
 func New(cfg Config) *Core {
 	cfg.fill()
+	n := len(cfg.Peers)
+	peers := consensus.NewPeerIndex(cfg.Peers)
 	return &Core{
-		cfg:         cfg,
-		height:      1,
+		cfg:   cfg,
+		peers: peers,
+		self:  peers.Of(cfg.ID),
+		kind: kinds{
+			forward:     cfg.MsgPrefix + ".forward",
+			prePrepare:  cfg.MsgPrefix + ".preprepare",
+			prepare:     cfg.MsgPrefix + ".prepare",
+			commit:      cfg.MsgPrefix + ".commit",
+			roundChange: cfg.MsgPrefix + ".roundchange",
+		},
+		height: 1,
+		inst: instance{
+			prepares:    consensus.NewVoteSet(n),
+			commits:     consensus.NewVoteSet(n),
+			roundChange: consensus.NewVoteSet(n),
+		},
 		future:      make(map[uint64][]network.Message),
 		futureRound: make(map[uint64][]network.Message),
-		roundAhead:  make(map[uint64]map[string]bool),
+		roundAhead:  make(map[uint64]*consensus.VoteSet),
 		events:      clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:        clock.NewGate(cfg.Clock),
 		done:        clock.NewGate(cfg.Clock),
@@ -224,7 +257,7 @@ func (c *Core) Submit(payload any) error {
 		return nil
 	}
 	// Best effort: a failed forward is recovered by the round change.
-	_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind("forward"), forwardMsg{Payload: payload})
+	_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, forwardMsg{Payload: payload})
 	return nil
 }
 
@@ -250,25 +283,41 @@ func (c *Core) IsProposer() bool {
 	return c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID
 }
 
-func (c *Core) kind(suffix string) string { return c.cfg.MsgPrefix + "." + suffix }
-
+// newInstanceLocked starts the next height's instance: at round 0 after a
+// decision, at the current round otherwise.
 func (c *Core) newInstanceLocked() {
-	round := uint64(0)
-	if c.inst != nil && c.inst.committed {
+	round := c.inst.round
+	if c.inst.committed {
 		round = 0
-	} else if c.inst != nil {
-		round = c.inst.round
 	}
-	c.inst = &instance{
-		round:       round,
-		prepares:    make(map[string]bool),
-		commits:     make(map[string]bool),
-		roundChange: make(map[string]uint64),
-		startedAt:   c.cfg.Clock.Now(),
-	}
+	c.inst.reset(round, c.cfg.Clock.Now())
 	// Round tracking is per height; a fresh instance invalidates it.
-	c.futureRound = make(map[uint64][]network.Message)
-	c.roundAhead = make(map[uint64]map[string]bool)
+	clear(c.futureRound)
+	clear(c.roundAhead)
+}
+
+// enterRoundLocked abandons the current round for round r: this node's
+// stranded proposal goes back to the head of the backlog, and the buffered
+// messages of round r are returned for replay. Callers hold c.mu.
+func (c *Core) enterRoundLocked(r uint64) []network.Message {
+	if c.inst.proposal != nil &&
+		c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID {
+		item := pendingItem{payload: c.inst.proposal, digest: c.inst.digest}
+		c.pending = append([]pendingItem{item}, c.pending...)
+	}
+	c.inst.reset(r, c.cfg.Clock.Now())
+	replay := c.futureRound[r]
+	for rr := range c.futureRound {
+		if rr <= r {
+			delete(c.futureRound, rr)
+		}
+	}
+	for rr := range c.roundAhead {
+		if rr <= r {
+			delete(c.roundAhead, rr)
+		}
+	}
+	return replay
 }
 
 func (c *Core) run() {
@@ -277,12 +326,14 @@ func (c *Core) run() {
 	defer c.done.Close()
 	tick := c.cfg.Clock.NewTicker(c.cfg.RoundTimeout / 4)
 	defer tick.Stop()
+	var m network.Message
+	events := c.events.Receiver(&m)
 	for {
-		switch i, val, _ := clock.Await(c.cfg.Clock, c.stop, c.events, tick); i {
+		switch i, _, _ := clock.Await(c.cfg.Clock, c.stop, events, tick); i {
 		case 0:
 			return
 		case 1:
-			c.handle(val.(network.Message))
+			c.handle(m)
 		case 2:
 			c.tryPropose()
 			c.checkRoundTimeout()
@@ -307,14 +358,10 @@ func (c *Core) handle(m network.Message) {
 		// jump once f+1 distinct peers are provably ahead.
 		if r, rok := msgRound(m.Payload); rok && h == c.height && r > c.inst.round {
 			c.futureRound[r] = append(c.futureRound[r], m)
-			set := c.roundAhead[r]
-			if set == nil {
-				set = make(map[string]bool)
-				c.roundAhead[r] = set
-			}
-			set[m.From] = true
-			if len(set) >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
-				replay := c.jumpToRoundLocked(r)
+			set := consensus.VoteSetAt(c.roundAhead, r, len(c.cfg.Peers))
+			set.Add(c.peers.Of(m.From))
+			if set.Count() >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
+				replay := c.enterRoundLocked(r)
 				c.mu.Unlock()
 				for _, bm := range replay {
 					c.handle(bm)
@@ -357,36 +404,6 @@ func msgRound(payload any) (uint64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// jumpToRoundLocked abandons the current round in favour of round r,
-// requeueing this node's stranded proposal, and returns the buffered
-// messages of round r for replay. Callers hold c.mu.
-func (c *Core) jumpToRoundLocked(r uint64) []network.Message {
-	if c.inst.proposal != nil &&
-		c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID {
-		item := pendingItem{payload: c.inst.proposal, digest: c.inst.digest}
-		c.pending = append([]pendingItem{item}, c.pending...)
-	}
-	c.inst = &instance{
-		round:       r,
-		prepares:    make(map[string]bool),
-		commits:     make(map[string]bool),
-		roundChange: make(map[string]uint64),
-		startedAt:   c.cfg.Clock.Now(),
-	}
-	replay := c.futureRound[r]
-	for rr := range c.futureRound {
-		if rr <= r {
-			delete(c.futureRound, rr)
-		}
-	}
-	for rr := range c.roundAhead {
-		if rr <= r {
-			delete(c.roundAhead, rr)
-		}
-	}
-	return replay
 }
 
 func msgHeight(payload any) (uint64, bool) {
@@ -438,13 +455,13 @@ func (c *Core) tryPropose() {
 	payload, digest := item.payload, item.digest
 	c.inst.proposal = payload
 	c.inst.digest = digest
-	c.inst.prepares[c.cfg.ID] = true
+	c.inst.prepares.Add(c.self)
 	msg := prePrepareMsg{Height: c.height, Round: c.inst.round, Digest: digest, Payload: payload}
 	prep := prepareMsg{Height: c.height, Round: c.inst.round, Digest: digest}
 	c.mu.Unlock()
 
-	c.broadcast("preprepare", msg)
-	c.broadcast("prepare", prep)
+	c.broadcast(c.kind.prePrepare, msg)
+	c.broadcast(c.kind.prepare, prep)
 	c.advance()
 }
 
@@ -456,11 +473,11 @@ func (c *Core) onPrePrepare(p prePrepareMsg) {
 	}
 	c.inst.proposal = p.Payload
 	c.inst.digest = p.Digest
-	c.inst.prepares[c.cfg.ID] = true
+	c.inst.prepares.Add(c.self)
 	prep := prepareMsg{Height: c.height, Round: c.inst.round, Digest: p.Digest}
 	c.mu.Unlock()
 
-	c.broadcast("prepare", prep)
+	c.broadcast(c.kind.prepare, prep)
 	c.advance()
 }
 
@@ -470,7 +487,7 @@ func (c *Core) onPrepare(from string, p prepareMsg) {
 		c.mu.Unlock()
 		return
 	}
-	c.inst.prepares[from] = true
+	c.inst.prepares.Add(c.peers.Of(from))
 	c.mu.Unlock()
 	c.advance()
 }
@@ -481,7 +498,7 @@ func (c *Core) onCommit(from string, p commitMsg) {
 		c.mu.Unlock()
 		return
 	}
-	c.inst.commits[from] = true
+	c.inst.commits.Add(c.peers.Of(from))
 	c.mu.Unlock()
 	c.advance()
 }
@@ -491,15 +508,15 @@ func (c *Core) advance() {
 	quorum := consensus.QuorumSize(len(c.cfg.Peers))
 
 	c.mu.Lock()
-	if c.inst.proposal != nil && !c.inst.prepared && len(c.inst.prepares) >= quorum {
+	if c.inst.proposal != nil && !c.inst.prepared && c.inst.prepares.Count() >= quorum {
 		c.inst.prepared = true
-		c.inst.commits[c.cfg.ID] = true
+		c.inst.commits.Add(c.self)
 		msg := commitMsg{Height: c.height, Round: c.inst.round, Digest: c.inst.digest}
 		c.mu.Unlock()
-		c.broadcast("commit", msg)
+		c.broadcast(c.kind.commit, msg)
 		c.mu.Lock()
 	}
-	if c.inst.proposal != nil && c.inst.prepared && !c.inst.committed && len(c.inst.commits) >= quorum {
+	if c.inst.proposal != nil && c.inst.prepared && !c.inst.committed && c.inst.commits.Count() >= quorum {
 		c.inst.committed = true
 		// Drop local copies of the decided payload from the backlog.
 		kept := c.pending[:0]
@@ -572,13 +589,13 @@ func (c *Core) checkRoundTimeout() {
 		refwd = &forwardMsg{Payload: c.pending[0].payload}
 	}
 	newRound := c.inst.round + 1
-	c.inst.roundChange[c.cfg.ID] = newRound
+	c.inst.roundChange.Add(c.self)
 	msg := roundChangeMsg{Height: c.height, NewRound: newRound}
 	c.mu.Unlock()
 	if refwd != nil {
-		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind("forward"), *refwd)
+		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, *refwd)
 	}
-	c.broadcast("roundchange", msg)
+	c.broadcast(c.kind.roundChange, msg)
 	c.maybeChangeRound()
 }
 
@@ -588,19 +605,19 @@ func (c *Core) onRoundChange(from string, p roundChangeMsg) {
 		c.mu.Unlock()
 		return
 	}
-	c.inst.roundChange[from] = p.NewRound
+	c.inst.roundChange.Add(c.peers.Of(from))
 	// Join rule: once f+1 peers ask for a round change, a correct node
 	// joins even if it saw no local stall — otherwise a single stalled
 	// node can never assemble a quorum.
 	var join *roundChangeMsg
-	if _, self := c.inst.roundChange[c.cfg.ID]; !self &&
-		len(c.inst.roundChange) >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
-		c.inst.roundChange[c.cfg.ID] = p.NewRound
+	if !c.inst.roundChange.Has(c.self) &&
+		c.inst.roundChange.Count() >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
+		c.inst.roundChange.Add(c.self)
 		join = &roundChangeMsg{Height: c.height, NewRound: p.NewRound}
 	}
 	c.mu.Unlock()
 	if join != nil {
-		c.broadcast("roundchange", *join)
+		c.broadcast(c.kind.roundChange, *join)
 	}
 	c.maybeChangeRound()
 }
@@ -608,36 +625,12 @@ func (c *Core) onRoundChange(from string, p roundChangeMsg) {
 func (c *Core) maybeChangeRound() {
 	quorum := consensus.QuorumSize(len(c.cfg.Peers))
 	c.mu.Lock()
-	if len(c.inst.roundChange) < quorum {
+	if c.inst.roundChange.Count() < quorum {
 		c.mu.Unlock()
 		return
 	}
 	// Move to the smallest round a quorum agrees to reach.
-	newRound := c.inst.round + 1
-	// Requeue the stalled proposal so it is not lost across the round change.
-	if c.inst.proposal != nil &&
-		c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID {
-		item := pendingItem{payload: c.inst.proposal, digest: c.inst.digest}
-		c.pending = append([]pendingItem{item}, c.pending...)
-	}
-	c.inst = &instance{
-		round:       newRound,
-		prepares:    make(map[string]bool),
-		commits:     make(map[string]bool),
-		roundChange: make(map[string]uint64),
-		startedAt:   c.cfg.Clock.Now(),
-	}
-	replay := c.futureRound[newRound]
-	for rr := range c.futureRound {
-		if rr <= newRound {
-			delete(c.futureRound, rr)
-		}
-	}
-	for rr := range c.roundAhead {
-		if rr <= newRound {
-			delete(c.roundAhead, rr)
-		}
-	}
+	replay := c.enterRoundLocked(c.inst.round + 1)
 	c.mu.Unlock()
 	for _, bm := range replay {
 		c.handle(bm)
@@ -645,8 +638,7 @@ func (c *Core) maybeChangeRound() {
 	c.tryPropose()
 }
 
-func (c *Core) broadcast(suffix string, payload any) {
-	kind := c.kind(suffix)
+func (c *Core) broadcast(kind string, payload any) {
 	for _, p := range c.cfg.Peers {
 		if p == c.cfg.ID {
 			continue

@@ -287,3 +287,92 @@ func TestHeightAdvances(t *testing.T) {
 	}
 	t.Fatalf("height = %d, want 2", c.cores[0].Height())
 }
+
+// TestNonMemberVotesNeverCompleteAQuorum drives one core's handlers by hand:
+// the proposer of four validators, holding its own prepare, hears prepares
+// and commits from endpoints that share its transport but not its validator
+// set (Quorum's "-gossip" endpoints do). Counted by name they would reach the
+// quorum of three twice over and decide; only members' votes may.
+func TestNonMemberVotesNeverCompleteAQuorum(t *testing.T) {
+	clk := clock.NewVirtual(clock.SimEpoch)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	var decided []consensus.Decision
+	peers := []string{"v0", "v1", "v2", "v3"}
+	core := New(Config{
+		ID: "v1", Peers: peers, Transport: tr, Clock: clk, // v1 proposes height 1
+		OnDecide: func(d consensus.Decision) { decided = append(decided, d) },
+	})
+	core.running = true // the handlers are called from here; no run loop
+	if err := core.Submit("payload"); err != nil {
+		t.Fatal(err)
+	}
+	digest := core.inst.digest
+	vote := func(from string) {
+		core.handle(network.Message{From: from, To: "v1", Payload: prepareMsg{Height: 1, Digest: digest}})
+		core.handle(network.Message{From: from, To: "v1", Payload: commitMsg{Height: 1, Digest: digest}})
+	}
+	for _, outsider := range []string{"v0-gossip", "v2-gossip", "v3-gossip", "intruder"} {
+		vote(outsider)
+	}
+	if core.inst.prepared || len(decided) != 0 {
+		t.Fatalf("four non-members' votes prepared=%v the instance and decided %d payloads", core.inst.prepared, len(decided))
+	}
+	for _, outsider := range []string{"v0-gossip", "intruder"} {
+		core.handle(network.Message{From: outsider, To: "v1", Payload: roundChangeMsg{Height: 1, NewRound: 1}})
+	}
+	if core.inst.round != 0 || core.inst.roundChange.Count() != 0 {
+		t.Fatalf("non-members moved the core to round %d with %d round-change votes", core.inst.round, core.inst.roundChange.Count())
+	}
+	vote("v0")
+	if len(decided) != 0 {
+		t.Fatal("decided on two members' votes, one short of the quorum")
+	}
+	vote("v0") // a repeated vote is one vote
+	vote("v2")
+	if len(decided) != 1 || decided[0].Payload != "payload" {
+		t.Fatalf("three members' votes decided %v, want the payload once", decided)
+	}
+}
+
+// BenchmarkBFTCoreDecideN32 decides payloads one after another on a
+// 32-validator cluster under virtual time: ~2 000 vote deliveries a decision,
+// the n² plane's unit of work.
+func BenchmarkBFTCoreDecideN32(b *testing.B) {
+	const n = 32
+	av := clock.NewAutoVirtual()
+	h := clock.Register(av, "bench-driver")
+	defer h.Close()
+	tr := network.NewTransport(av, nil)
+	peers := make([]string, n)
+	for i := range peers {
+		peers[i] = fmt.Sprintf("validator-%02d", i)
+	}
+	decided := 0 // the last validator's; written under the execution token
+	cores := make([]*Core, n)
+	for i, id := range peers {
+		cfg := Config{ID: id, Peers: peers, Transport: tr, Clock: av, Proposer: StickyPrimary}
+		if i == n-1 {
+			cfg.OnDecide = func(consensus.Decision) { decided++ }
+		}
+		cores[i] = New(cfg)
+		if err := cores[i].Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cores[0].Submit(i); err != nil {
+			b.Fatal(err)
+		}
+		for decided <= i {
+			av.Sleep(time.Microsecond)
+		}
+	}
+	b.StopTimer()
+	for _, c := range cores {
+		c.Stop()
+	}
+	tr.Stop()
+}

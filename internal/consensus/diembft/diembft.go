@@ -94,14 +94,15 @@ type (
 
 // Engine is one DiemBFT validator.
 type Engine struct {
-	cfg Config
+	cfg        Config
+	validators consensus.PeerIndex
 
 	mu        sync.Mutex
 	round     uint64
 	highQC    qc
 	blocks    map[crypto.Hash]*blockNode
-	votes     map[crypto.Hash]map[string]bool
-	timeouts  map[uint64]map[string]bool
+	votes     map[crypto.Hash]*consensus.VoteSet // by validator index
+	timeouts  map[uint64]*consensus.VoteSet      // by validator index
 	committed map[crypto.Hash]bool
 	pending   []any
 	seq       uint64
@@ -120,17 +121,18 @@ func New(cfg Config) *Engine {
 	cfg.fill()
 	genesis := &blockNode{ID: crypto.SumString("diem-genesis"), Round: 0}
 	e := &Engine{
-		cfg:       cfg,
-		round:     1,
-		highQC:    qc{BlockID: genesis.ID, Round: 0},
-		blocks:    map[crypto.Hash]*blockNode{genesis.ID: genesis},
-		votes:     make(map[crypto.Hash]map[string]bool),
-		timeouts:  make(map[uint64]map[string]bool),
-		committed: make(map[crypto.Hash]bool),
-		voted:     make(map[uint64]bool),
-		events:    clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:      clock.NewGate(cfg.Clock),
-		done:      clock.NewGate(cfg.Clock),
+		cfg:        cfg,
+		validators: consensus.NewPeerIndex(cfg.Validators),
+		round:      1,
+		highQC:     qc{BlockID: genesis.ID, Round: 0},
+		blocks:     map[crypto.Hash]*blockNode{genesis.ID: genesis},
+		votes:      make(map[crypto.Hash]*consensus.VoteSet),
+		timeouts:   make(map[uint64]*consensus.VoteSet),
+		committed:  make(map[crypto.Hash]bool),
+		voted:      make(map[uint64]bool),
+		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
+		stop:       clock.NewGate(cfg.Clock),
+		done:       clock.NewGate(cfg.Clock),
 	}
 	return e
 }
@@ -223,13 +225,15 @@ func (e *Engine) run() {
 	propose := e.cfg.Clock.NewTicker(e.cfg.RoundInterval)
 	defer propose.Stop()
 	lastProgress := e.cfg.Clock.Now()
+	var m network.Message
+	events := e.events.Receiver(&m)
 
 	for {
-		switch i, val, _ := clock.Await(e.cfg.Clock, e.stop, e.events, propose); i {
+		switch i, _, _ := clock.Await(e.cfg.Clock, e.stop, events, propose); i {
 		case 0:
 			return
 		case 1:
-			if e.handle(val.(network.Message)) {
+			if e.handle(m) {
 				lastProgress = e.cfg.Clock.Now()
 			}
 		case 2:
@@ -283,7 +287,7 @@ func (e *Engine) tryPropose() {
 		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.proposal", msg)
 	}
 	// Vote for our own proposal.
-	e.onVote(voteMsg{BlockID: blk.ID, Round: blk.Round, Voter: e.cfg.ID})
+	e.onVote(e.cfg.ID, voteMsg{BlockID: blk.ID, Round: blk.Round, Voter: e.cfg.ID})
 }
 
 // handle processes one message; it reports whether the message indicates
@@ -293,7 +297,7 @@ func (e *Engine) handle(m network.Message) bool {
 	case proposalMsg:
 		return e.onProposal(p)
 	case voteMsg:
-		return e.onVote(p)
+		return e.onVote(m.From, p)
 	case qcMsg:
 		return e.onQC(p.QC)
 	case timeoutMsg:
@@ -330,7 +334,7 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	e.mu.Unlock()
 
 	if nextLeader == e.cfg.ID {
-		e.onVote(vote)
+		e.onVote(e.cfg.ID, vote)
 	} else {
 		_ = e.cfg.Transport.Send(e.cfg.ID, nextLeader, "diembft.vote", vote)
 	}
@@ -341,19 +345,21 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	return true
 }
 
-func (e *Engine) onVote(v voteMsg) bool {
+// onVote counts a vote its voter sent itself; one relayed under another
+// name, or cast by a non-validator, is ignored.
+func (e *Engine) onVote(from string, v voteMsg) bool {
+	voter := e.validators.Of(v.Voter)
+	if v.Voter != from || voter < 0 {
+		return false
+	}
 	e.mu.Lock()
 	if !e.running {
 		e.mu.Unlock()
 		return false
 	}
-	set, ok := e.votes[v.BlockID]
-	if !ok {
-		set = make(map[string]bool)
-		e.votes[v.BlockID] = set
-	}
-	set[v.Voter] = true
-	if len(set) < consensus.QuorumSize(len(e.cfg.Validators)) {
+	set := consensus.VoteSetAt(e.votes, v.BlockID, len(e.cfg.Validators))
+	set.Add(voter)
+	if set.Count() < consensus.QuorumSize(len(e.cfg.Validators)) {
 		e.mu.Unlock()
 		return true
 	}
@@ -448,12 +454,7 @@ func (e *Engine) commitChainLocked(b *blockNode) {
 func (e *Engine) fireTimeout() {
 	e.mu.Lock()
 	round := e.round
-	set, ok := e.timeouts[round]
-	if !ok {
-		set = make(map[string]bool)
-		e.timeouts[round] = set
-	}
-	set[e.cfg.ID] = true
+	consensus.VoteSetAt(e.timeouts, round, len(e.cfg.Validators)).Add(e.validators.Of(e.cfg.ID))
 	e.mu.Unlock()
 	for _, v := range e.cfg.Validators {
 		if v == e.cfg.ID {
@@ -466,12 +467,7 @@ func (e *Engine) fireTimeout() {
 
 func (e *Engine) onTimeout(from string, t timeoutMsg) {
 	e.mu.Lock()
-	set, ok := e.timeouts[t.Round]
-	if !ok {
-		set = make(map[string]bool)
-		e.timeouts[t.Round] = set
-	}
-	set[from] = true
+	consensus.VoteSetAt(e.timeouts, t.Round, len(e.cfg.Validators)).Add(e.validators.Of(from))
 	e.mu.Unlock()
 	e.maybeAdvanceOnTimeout(t.Round)
 }
@@ -482,7 +478,7 @@ func (e *Engine) maybeAdvanceOnTimeout(round uint64) {
 	if round != e.round {
 		return
 	}
-	if len(e.timeouts[round]) >= consensus.QuorumSize(len(e.cfg.Validators)) {
+	if set := e.timeouts[round]; set != nil && set.Count() >= consensus.QuorumSize(len(e.cfg.Validators)) {
 		e.round++
 		delete(e.timeouts, round)
 	}

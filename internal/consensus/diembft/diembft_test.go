@@ -8,6 +8,7 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
+	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 )
 
@@ -185,5 +186,52 @@ func TestPendingCount(t *testing.T) {
 	_ = e.Submit(2)
 	if n := e.PendingCount(); n < 1 {
 		t.Fatalf("pending = %d, want >= 1", n)
+	}
+}
+
+// TestOnlyAValidatorsOwnVoteCounts drives the round-1 leader's handlers by
+// hand. A vote counts when its sender is a validator and names itself as the
+// voter; votes from an outsider, votes an outsider casts in a validator's
+// name, and votes one validator relays for another must not form the QC that
+// three validators' own votes then do.
+func TestOnlyAValidatorsOwnVoteCounts(t *testing.T) {
+	clk := clock.NewVirtual(clock.SimEpoch)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	e := New(Config{ID: "v1", Validators: []string{"v0", "v1", "v2", "v3"}, Transport: tr, Clock: clk})
+	e.running = true // the handlers are called from here; no run loop
+	e.tryPropose()   // v1 leads round 1 and votes for its own block
+	var blockID crypto.Hash
+	for id, b := range e.blocks {
+		if b.Round == 1 {
+			blockID = id
+		}
+	}
+	vote := func(from, voter string) {
+		e.handle(network.Message{From: from, To: "v1", Payload: voteMsg{BlockID: blockID, Round: 1, Voter: voter}})
+	}
+	vote("intruder", "intruder")
+	vote("v0-gossip", "v0-gossip")
+	vote("intruder", "v0") // forged
+	vote("intruder", "v2")
+	vote("v0", "v2") // relayed
+	vote("v0", "v3")
+	if e.highQC.Round != 0 {
+		t.Fatalf("a QC formed for round %d on the leader's own vote and six that must not count", e.highQC.Round)
+	}
+	for _, outsider := range []string{"intruder", "v0-gossip", "v2-gossip"} {
+		e.handle(network.Message{From: outsider, To: "v1", Payload: timeoutMsg{Round: 1}})
+	}
+	if e.round != 1 {
+		t.Fatalf("non-members' timeouts advanced the round to %d", e.round)
+	}
+	vote("v0", "v0")
+	vote("v0", "v0") // a repeated vote is one vote
+	if e.highQC.Round != 0 {
+		t.Fatal("a QC formed on two validators' votes, one short of the quorum")
+	}
+	vote("v2", "v2")
+	if e.highQC.Round != 1 || e.highQC.BlockID != blockID {
+		t.Fatalf("highQC = %+v, want the round-1 block certified by v1, v0 and v2", e.highQC)
 	}
 }

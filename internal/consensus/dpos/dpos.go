@@ -96,6 +96,7 @@ type Engine struct {
 
 	order      []int // shuffled witness indices of orderRound; empty until first use
 	orderRound uint64
+	shuffle    *rand.Rand // reseeded per round: a fresh source is 5 KB
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
@@ -108,11 +109,12 @@ var _ consensus.Engine = (*Engine)(nil)
 func New(cfg Config) *Engine {
 	cfg.fill()
 	return &Engine{
-		cfg:    cfg,
-		seen:   make(map[crypto.Hash]bool),
-		events: clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:   clock.NewGate(cfg.Clock),
-		done:   clock.NewGate(cfg.Clock),
+		cfg:     cfg,
+		seen:    make(map[crypto.Hash]bool),
+		shuffle: rand.New(rand.NewSource(cfg.ShuffleSeed)),
+		events:  clock.NewMailbox[network.Message](cfg.Clock, 8192),
+		stop:    clock.NewGate(cfg.Clock),
+		done:    clock.NewGate(cfg.Clock),
 	}
 }
 
@@ -197,8 +199,8 @@ func (e *Engine) witnessForSlot(slot uint64) string {
 		for i := 0; i < int(n); i++ {
 			e.order = append(e.order, i)
 		}
-		rng := rand.New(rand.NewSource(e.cfg.ShuffleSeed + int64(round)))
-		rng.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+		e.shuffle.Seed(e.cfg.ShuffleSeed + int64(round))
+		e.shuffle.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
 		e.orderRound = round
 	}
 	return e.cfg.Witnesses[e.order[slot%n]]
@@ -210,12 +212,14 @@ func (e *Engine) run() {
 	defer e.done.Close()
 	tick := e.cfg.Clock.NewTicker(e.cfg.BlockInterval)
 	defer tick.Stop()
+	var m network.Message
+	events := e.events.Receiver(&m)
 	for {
-		switch i, val, _ := clock.Await(e.cfg.Clock, e.stop, e.events, tick); i {
+		switch i, _, _ := clock.Await(e.cfg.Clock, e.stop, events, tick); i {
 		case 0:
 			return
 		case 1:
-			e.handle(val.(network.Message))
+			e.handle(m)
 		case 2:
 			e.maybeProduce()
 		}

@@ -2,6 +2,7 @@ package dpos
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -176,6 +177,16 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 		fresh := New(Config{ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
 			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
+		}
+	}
+	// The engine reseeds one generator per round; the schedule is the one a
+	// generator made for that round alone draws.
+	for _, slot := range []uint64{29, 0, 13, 5} {
+		order := []string{"a", "b", "c"}
+		rng := rand.New(rand.NewSource(3 + int64(slot/3)))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got, want := e.witnessForSlot(slot), order[slot%3]; got != want {
+			t.Fatalf("slot %d: reseeded generator schedules %s, a fresh one %s", slot, got, want)
 		}
 	}
 	// Every round must schedule each witness exactly once.

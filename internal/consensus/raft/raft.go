@@ -116,8 +116,10 @@ type (
 
 // Node is one Raft participant.
 type Node struct {
-	cfg Config
-	rng *rand.Rand
+	cfg   Config
+	rng   *rand.Rand
+	peers consensus.PeerIndex
+	self  int // this node's index in cfg.Peers
 
 	mu          sync.Mutex
 	role        Role
@@ -127,9 +129,9 @@ type Node struct {
 	log         []entry // log[0] is a sentinel
 	commitIndex int
 	lastApplied int
-	votes       map[string]bool
-	nextIndex   map[string]int
-	matchIndex  map[string]int
+	votes       consensus.VoteSet // by peer index, like the two below
+	nextIndex   []int
+	matchIndex  []int
 	lastHeard   time.Time
 	running     bool
 
@@ -145,14 +147,17 @@ var _ consensus.Engine = (*Node)(nil)
 // New creates a Raft node; call Start to join the cluster.
 func New(cfg Config) *Node {
 	cfg.fill()
+	peers := consensus.NewPeerIndex(cfg.Peers)
 	return &Node{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(len(cfg.ID))*7919)),
+		peers:      peers,
+		self:       peers.Of(cfg.ID),
 		role:       Follower,
 		log:        make([]entry, 1), // index 0 sentinel
-		votes:      make(map[string]bool),
-		nextIndex:  make(map[string]int),
-		matchIndex: make(map[string]int),
+		votes:      consensus.NewVoteSet(len(cfg.Peers)),
+		nextIndex:  make([]int, len(cfg.Peers)),
+		matchIndex: make([]int, len(cfg.Peers)),
 		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:       clock.NewGate(cfg.Clock),
 		done:       clock.NewGate(cfg.Clock),
@@ -202,7 +207,7 @@ func (n *Node) Submit(payload any) error {
 	}
 	if n.role == Leader {
 		n.log = append(n.log, entry{Term: n.term, Payload: payload})
-		n.matchIndex[n.cfg.ID] = len(n.log) - 1
+		n.matchIndex[n.self] = len(n.log) - 1
 		n.advanceCommitLocked()
 		n.mu.Unlock()
 		n.applyCommitted()
@@ -251,13 +256,15 @@ func (n *Node) run() {
 	tick := n.cfg.Clock.NewTicker(n.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	electionDeadline := n.randomElectionTimeout()
+	var m network.Message
+	events := n.events.Receiver(&m)
 
 	for {
-		switch i, val, _ := clock.Await(n.cfg.Clock, n.stop, n.events, tick); i {
+		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, events, tick); i {
 		case 0:
 			return
 		case 1:
-			n.handle(val.(network.Message))
+			n.handle(m)
 		case 2:
 			n.mu.Lock()
 			role := n.role
@@ -288,12 +295,12 @@ func (n *Node) handle(m network.Message) {
 	case appendEntries:
 		n.onAppendEntries(m.From, p)
 	case appendResponse:
-		n.onAppendResponse(p)
+		n.onAppendResponse(m.From, p)
 	case forwardSubmit:
 		n.mu.Lock()
 		if n.role == Leader {
 			n.log = append(n.log, entry{Term: n.term, Payload: p.Payload})
-			n.matchIndex[n.cfg.ID] = len(n.log) - 1
+			n.matchIndex[n.self] = len(n.log) - 1
 			n.advanceCommitLocked()
 		}
 		n.mu.Unlock()
@@ -306,7 +313,8 @@ func (n *Node) startElection() {
 	n.role = Candidate
 	n.term++
 	n.votedFor = n.cfg.ID
-	n.votes = map[string]bool{n.cfg.ID: true}
+	n.votes.Clear()
+	n.votes.Add(n.self)
 	n.lastHeard = n.cfg.Clock.Now()
 	req := requestVote{
 		Term:         n.term,
@@ -358,7 +366,7 @@ func (n *Node) onVoteResponse(from string, resp voteResponse) {
 		n.mu.Unlock()
 		return
 	}
-	n.votes[from] = true
+	n.votes.Add(n.peers.Of(from)) // a non-member's grant is not counted
 	n.mu.Unlock()
 	n.maybeWinLocked()
 }
@@ -367,18 +375,18 @@ func (n *Node) onVoteResponse(from string, resp voteResponse) {
 // the node became leader.
 func (n *Node) maybeWinLocked() bool {
 	n.mu.Lock()
-	if n.role != Candidate || len(n.votes) < consensus.MajoritySize(len(n.cfg.Peers)) {
+	if n.role != Candidate || n.votes.Count() < consensus.MajoritySize(len(n.cfg.Peers)) {
 		n.mu.Unlock()
 		return false
 	}
 	n.role = Leader
 	n.leaderID = n.cfg.ID
 	last := len(n.log) - 1
-	for _, p := range n.cfg.Peers {
-		n.nextIndex[p] = last + 1
-		n.matchIndex[p] = 0
+	for i := range n.cfg.Peers {
+		n.nextIndex[i] = last + 1
+		n.matchIndex[i] = 0
 	}
-	n.matchIndex[n.cfg.ID] = last
+	n.matchIndex[n.self] = last
 	n.mu.Unlock()
 	n.broadcastAppend()
 	return true
@@ -388,7 +396,7 @@ func (n *Node) becomeFollowerLocked(term uint64) {
 	n.term = term
 	n.role = Follower
 	n.votedFor = ""
-	n.votes = map[string]bool{}
+	n.votes.Clear()
 }
 
 func (n *Node) broadcastAppend() {
@@ -402,11 +410,11 @@ func (n *Node) broadcastAppend() {
 		req appendEntries
 	}
 	outs := make([]outMsg, 0, len(n.cfg.Peers)-1)
-	for _, p := range n.cfg.Peers {
-		if p == n.cfg.ID {
+	for i, p := range n.cfg.Peers {
+		if i == n.self {
 			continue
 		}
-		next := n.nextIndex[p]
+		next := n.nextIndex[i]
 		if next < 1 {
 			next = 1
 		}
@@ -478,7 +486,13 @@ func (n *Node) onAppendEntries(from string, req appendEntries) {
 	_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.appendResponse", resp)
 }
 
-func (n *Node) onAppendResponse(resp appendResponse) {
+// onAppendResponse moves the sender's replication cursors; a response that
+// names another node than its sender, or a non-member, is ignored.
+func (n *Node) onAppendResponse(from string, resp appendResponse) {
+	peer := n.peers.Of(from)
+	if resp.From != from || peer < 0 {
+		return
+	}
 	n.mu.Lock()
 	if resp.Term > n.term {
 		n.becomeFollowerLocked(resp.Term)
@@ -490,14 +504,14 @@ func (n *Node) onAppendResponse(resp appendResponse) {
 		return
 	}
 	if resp.Success {
-		if resp.MatchIndex > n.matchIndex[resp.From] {
-			n.matchIndex[resp.From] = resp.MatchIndex
+		if resp.MatchIndex > n.matchIndex[peer] {
+			n.matchIndex[peer] = resp.MatchIndex
 		}
-		n.nextIndex[resp.From] = n.matchIndex[resp.From] + 1
+		n.nextIndex[peer] = n.matchIndex[peer] + 1
 		n.advanceCommitLocked()
 	} else {
-		if n.nextIndex[resp.From] > 1 {
-			n.nextIndex[resp.From]--
+		if n.nextIndex[peer] > 1 {
+			n.nextIndex[peer]--
 		}
 	}
 	n.mu.Unlock()
@@ -512,8 +526,8 @@ func (n *Node) advanceCommitLocked() {
 			break
 		}
 		count := 0
-		for _, p := range n.cfg.Peers {
-			if n.matchIndex[p] >= idx {
+		for _, m := range n.matchIndex {
+			if m >= idx {
 				count++
 			}
 		}

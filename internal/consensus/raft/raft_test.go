@@ -339,3 +339,49 @@ func TestDecisionsAreGapFree(t *testing.T) {
 		}
 	}
 }
+
+// TestNonMemberVotesAndAcksAreIgnored drives one node's handlers by hand: a
+// candidate of three needs one more vote, and a leader one more
+// acknowledgement. Neither may come from an endpoint outside the cluster, and
+// an acknowledgement may not be delivered under another sender's name.
+func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
+	clk := clock.NewVirtual(clock.SimEpoch)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	var decided []consensus.Decision
+	n := New(Config{
+		ID: "n0", Peers: []string{"n0", "n1", "n2"}, Transport: tr, Clock: clk,
+		OnDecide: func(d consensus.Decision) { decided = append(decided, d) },
+	})
+	n.running = true // the handlers are called from here; no run loop
+	n.startElection()
+	grant := voteResponse{Term: n.Term(), Granted: true}
+	for _, outsider := range []string{"n1-gossip", "n2-gossip", "intruder"} {
+		n.handle(network.Message{From: outsider, To: "n0", Payload: grant})
+	}
+	if n.Role() != Candidate {
+		t.Fatalf("three non-members' grants made the candidate a %v", n.Role())
+	}
+	n.handle(network.Message{From: "n1", To: "n0", Payload: grant})
+	if n.Role() != Leader {
+		t.Fatalf("role = %v after a member's grant, want leader", n.Role())
+	}
+
+	if err := n.Submit("payload"); err != nil {
+		t.Fatal(err)
+	}
+	ack := func(from, named string) {
+		n.handle(network.Message{From: from, To: "n0",
+			Payload: appendResponse{Term: n.Term(), From: named, Success: true, MatchIndex: 1}})
+	}
+	ack("intruder", "intruder")
+	ack("intruder", "n1") // forged
+	ack("n2-gossip", "n2")
+	if n.CommitIndex() != 0 || len(decided) != 0 {
+		t.Fatalf("commitIndex = %d with %d decisions on acknowledgements that must not count", n.CommitIndex(), len(decided))
+	}
+	ack("n2", "n2")
+	if n.CommitIndex() != 1 || len(decided) != 1 || decided[0].Payload != "payload" {
+		t.Fatalf("commitIndex = %d, decided %v after a member's acknowledgement, want the payload at 1", n.CommitIndex(), decided)
+	}
+}

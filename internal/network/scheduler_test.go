@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,6 +208,38 @@ func TestDegradedLossDeterministicPerLink(t *testing.T) {
 	}
 	if quiet == 0 || quiet == 2000 {
 		t.Fatalf("implausible loss outcome: %d of 2000 delivered", quiet)
+	}
+}
+
+// TestLinkStateOutlivesTheEndpoint: a link's loss stream belongs to the pair
+// of names, not to the registration — a node that crashes and re-registers
+// mid-run loses exactly the messages it would have lost anyway. (The stepped
+// clock delivers inside Send, so nothing is in flight across the gap.)
+func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
+	run := func(reregister bool) []int {
+		tr := NewTransport(clock.NewVirtual(clock.SimEpoch), nil)
+		defer tr.Stop()
+		var got []int
+		h := func(m Message) { got = append(got, m.Payload.(int)) }
+		tr.Register("b", h)
+		tr.DegradeLink("a", "b", 0, 0.4)
+		for i := 0; i < 400; i++ {
+			if reregister && i == 200 {
+				tr.Unregister("b")
+				tr.Register("b", h)
+			}
+			if err := tr.Send("a", "b", "k", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	steady, restarted := run(false), run(true)
+	if !slices.Equal(steady, restarted) {
+		t.Fatalf("re-registering b changed which a→b messages survive:\n steady    %v\n restarted %v", steady, restarted)
+	}
+	if len(steady) < 150 || len(steady) > 330 {
+		t.Fatalf("implausible loss outcome: %d of 400 delivered at 40%% loss", len(steady))
 	}
 }
 

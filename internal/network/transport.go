@@ -47,10 +47,11 @@ var (
 // The hot path is engineered for zero contention between unrelated senders:
 // topology and fault state (endpoints, cut links, degradations) live in an
 // immutable snapshot swapped atomically by the mutating operations, send
-// and delivery counters are per-shard padded atomics, loss randomness is
-// drawn from per-link seeded RNGs, and handlers are resolved through an
-// atomic pointer set at registration. No global lock is taken by Send,
-// Broadcast, or the delivery events.
+// and delivery counters are per-shard padded atomics, per-link state (the
+// FIFO clamp, a seeded loss RNG) lives with the destination's shard under the
+// lock its enqueue takes anyway, and handlers are resolved through an atomic
+// pointer set at registration. No global lock is taken by Send, Broadcast, or
+// the delivery events.
 type Transport struct {
 	clk     clock.Clock
 	latency LatencyModel
@@ -59,7 +60,6 @@ type Transport struct {
 
 	state atomic.Pointer[fabricState]
 	mu    sync.Mutex // serializes snapshot mutations only
-	links sync.Map   // linkKey -> *linkState
 
 	// tracer, when set, records sampled network-hop spans (one per
 	// scheduled delivery, per-link ordinal sampling).
@@ -206,14 +206,6 @@ func (t *Transport) shardFor(name string) *shard {
 	return t.shards[fnvAdd(fnvOffset64, name)&uint64(len(t.shards)-1)]
 }
 
-func (t *Transport) link(k linkKey) *linkState {
-	if v, ok := t.links.Load(k); ok {
-		return v.(*linkState)
-	}
-	v, _ := t.links.LoadOrStore(k, &linkState{})
-	return v.(*linkState)
-}
-
 // Register attaches a named endpoint with a message handler. Registering
 // the same name twice atomically replaces the handler.
 func (t *Transport) Register(name string, h Handler) {
@@ -296,13 +288,17 @@ func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind stri
 		readyN += int64(delay)
 	}
 
-	// Per-link FIFO clamp and loss draw. Only senders of this exact
-	// directed link share this mutex.
+	// Per-link FIFO clamp and loss draw, under the destination shard's lock.
 	ti := t.tracer.Load()
-	ls := t.link(lk)
+	sh := ep.sh
 	lost := false
 	var hopN uint64
-	ls.mu.Lock()
+	sh.mu.Lock()
+	ls := sh.links[lk]
+	if ls == nil {
+		ls = &linkState{}
+		sh.links[lk] = ls
+	}
 	if readyN < ls.lastReady {
 		readyN = ls.lastReady
 	}
@@ -317,7 +313,7 @@ func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind stri
 		hopN = ls.hops
 		ls.hops++
 	}
-	ls.mu.Unlock()
+	sh.mu.Unlock()
 	if ti != nil && !lost {
 		// The ordinal decides membership; the link hash decorrelates the
 		// sampled ordinals across links.
@@ -334,7 +330,6 @@ func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind stri
 		}
 	}
 
-	sh := ep.sh
 	sh.stats.sent.Add(1)
 	if lost {
 		// Lossy link: the message vanishes in flight. The sender sees a

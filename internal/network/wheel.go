@@ -73,6 +73,7 @@ type shard struct {
 	stats shardStats
 
 	mu     sync.Mutex
+	links  map[linkKey]*linkState // directed links into this shard's endpoints
 	seq    uint64
 	ready  []*item   // due at enqueue time, drained ahead of the wheel
 	slots  [][]*item // the hashed wheel, allocated by the first item that is not due at once
@@ -86,7 +87,7 @@ type shard struct {
 }
 
 func (t *Transport) newShard(i int) *shard {
-	sh := &shard{wakeAt: math.MaxInt64}
+	sh := &shard{wakeAt: math.MaxInt64, links: make(map[linkKey]*linkState)}
 	sh.drain = clock.NewEvent(t.clk, "net/shard-"+strconv.Itoa(i), func() { t.drain(sh) })
 	return sh
 }
@@ -276,11 +277,11 @@ func (h *farHeap) Pop() any {
 }
 
 // linkState is the per-directed-link scheduling state: the FIFO ready-time
-// clamp and the link's own deterministic loss RNG. Links are created lazily
-// and keyed in the transport's sync.Map, so senders on different links
-// never contend.
+// clamp and the link's own deterministic loss RNG. A link is created by its
+// first message, in the table of the destination's shard and guarded by the
+// shard lock, and outlives the endpoint: a node that re-registers after a
+// crash resumes its links' clamp and loss stream.
 type linkState struct {
-	mu        sync.Mutex
 	lastReady int64
 	rng       *rand.Rand
 	// hops numbers the link's messages for deterministic trace sampling;

@@ -91,6 +91,7 @@ type producedBlock struct {
 // validator is one Quorum node.
 type validator struct {
 	id      string
+	gossip  string // the tx-gossip endpoint beside the engine's: id + "-gossip"
 	hubNode *systems.HubNode
 	engine  *ibft.Engine
 	ledger  *chain.Ledger
@@ -140,6 +141,7 @@ func New(cfg Config) *Network {
 	for i := 0; i < cfg.Validators; i++ {
 		v := &validator{
 			id:      names[i],
+			gossip:  names[i] + "-gossip",
 			hubNode: n.hub.Node(names[i]),
 			ledger:  chain.NewLedger("quorum"),
 			state:   statestore.NewKVStore(),
@@ -202,9 +204,8 @@ func (n *Network) Start() error {
 	for i, v := range n.validators {
 		// Gossip endpoints piggyback on the IBFT transport registration;
 		// use a dedicated endpoint per validator for tx gossip.
-		gossipID := gossipEndpoint(v.id)
 		v := v
-		n.transport.Register(gossipID, func(m network.Message) {
+		n.transport.Register(v.gossip, func(m network.Message) {
 			tx, ok := m.Payload.(*chain.Transaction)
 			if !ok {
 				return
@@ -233,12 +234,10 @@ func (n *Network) Stop() {
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(gossipEndpoint(v.id))
+		n.transport.Unregister(v.gossip)
 	}
 	n.transport.Stop()
 }
-
-func gossipEndpoint(id string) string { return id + "-gossip" }
 
 // Submit implements systems.Driver: the transaction enters the entry
 // validator's pool and is gossiped to the others. Quorum's pool is
@@ -261,7 +260,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(gossipEndpoint(v.id), gossipEndpoint(other.id), "quorum.tx", tx)
+		_ = n.transport.Send(v.gossip, other.gossip, "quorum.tx", tx)
 	}
 	return nil
 }
@@ -539,8 +538,8 @@ func (n *Network) NodeEndpoints(node int) []string {
 	if node < 0 || node >= len(n.validators) {
 		return nil
 	}
-	id := n.validators[node].id
-	return []string{id, gossipEndpoint(id)}
+	v := n.validators[node]
+	return []string{v.id, v.gossip}
 }
 
 // LedgerHead returns validator i's chain head hash (for convergence

@@ -96,6 +96,7 @@ type publishedBlock struct {
 // validator is one Sawtooth node.
 type validator struct {
 	id      string
+	gossip  string // the tx-gossip endpoint beside the engine's: id + "-gossip"
 	hubNode *systems.HubNode
 	engine  *pbft.Engine
 	ledger  *chain.Ledger
@@ -148,6 +149,7 @@ func New(cfg Config) *Network {
 	for i := 0; i < cfg.Validators; i++ {
 		v := &validator{
 			id:      names[i],
+			gossip:  names[i] + "-gossip",
 			hubNode: n.hub.Node(names[i]),
 			ledger:  chain.NewLedger("sawtooth"),
 			state:   statestore.NewKVStore(),
@@ -209,7 +211,7 @@ func (n *Network) Start() error {
 
 	for i, v := range n.validators {
 		v := v
-		n.transport.Register(gossipEndpoint(v.id), func(m network.Message) {
+		n.transport.Register(v.gossip, func(m network.Message) {
 			b, ok := m.Payload.(*chain.Batch)
 			if !ok {
 				return
@@ -238,12 +240,10 @@ func (n *Network) Stop() {
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(gossipEndpoint(v.id))
+		n.transport.Unregister(v.gossip)
 	}
 	n.transport.Stop()
 }
-
-func gossipEndpoint(id string) string { return id + "-gossip" }
 
 // Submit implements systems.Driver for single transactions: it wraps the
 // transaction in a one-element batch. Use SubmitBatch for multi-transaction
@@ -288,7 +288,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(gossipEndpoint(v.id), gossipEndpoint(other.id), "sawtooth.batch", b)
+		_ = n.transport.Send(v.gossip, other.gossip, "sawtooth.batch", b)
 	}
 	return nil
 }
@@ -542,8 +542,8 @@ func (n *Network) NodeEndpoints(node int) []string {
 	if node < 0 || node >= len(n.validators) {
 		return nil
 	}
-	id := n.validators[node].id
-	return []string{id, gossipEndpoint(id)}
+	v := n.validators[node]
+	return []string{v.id, v.gossip}
 }
 
 // LedgerHead returns validator i's chain head hash (for convergence
