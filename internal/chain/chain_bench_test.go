@@ -48,6 +48,30 @@ func BenchmarkBlockSeal(b *testing.B) {
 	}
 }
 
+// BenchmarkSealerSharedN4/N32 measure what one decided 100-transaction block
+// costs a whole network to seal and append: n replicas through one Sealer,
+// against n times BenchmarkBlockSeal/txs=100 without it.
+func BenchmarkSealerSharedN4(b *testing.B)  { benchSealerShared(b, 4) }
+func BenchmarkSealerSharedN32(b *testing.B) { benchSealerShared(b, 32) }
+
+func benchSealerShared(b *testing.B, n int) {
+	txs := benchTxs(100)
+	var s Sealer
+	ledgers := make([]*Ledger, n)
+	for i := range ledgers {
+		ledgers[i] = NewLedger("bench")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range ledgers {
+			if err := l.Append(s.Seal(l.Head(), "p", time.Unix(0, 0), txs)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkLedgerAppend(b *testing.B) {
 	txs := benchTxs(100)
 	b.ReportAllocs()

@@ -274,3 +274,79 @@ func TestRealNewTimerAt(t *testing.T) {
 		t.Fatal("past-deadline timer did not fire")
 	}
 }
+
+// lockedNow reads the clock's instant under its mutex, as every method but
+// Now does.
+func lockedNow(v *Virtual) time.Time {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.now
+}
+
+// TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
+// == to the instant the timer heap runs on — same wall encoding, same
+// location, no monotonic reading — after Advance, after timer and ticker
+// fires, after an absolute deadline handed in from another location, and
+// after an AutoVirtual's jumps.
+func TestVirtualNowIsTheLockedInstant(t *testing.T) {
+	check := func(t *testing.T, v *Virtual, when string) {
+		t.Helper()
+		if got, want := v.Now(), lockedNow(v); got != want {
+			t.Errorf("%s: Now() = %#v, the clock is at %#v", when, got, want)
+		}
+	}
+	t.Run("stepped", func(t *testing.T) {
+		v := NewVirtual(time.Now()) // a start with a monotonic reading
+		check(t, v, "at start")
+		if v.Now() != v.Now().Round(0) {
+			t.Fatal("Now carries a monotonic reading")
+		}
+		tick := v.NewTicker(30 * time.Millisecond)
+		defer tick.Stop()
+		timer := v.NewTimer(45 * time.Millisecond)
+		abroad := v.NewTimerAt(v.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
+		var fired time.Time
+		ev := NewEvent(v, "probe", func() { fired = v.Now(); check(t, v, "inside an event") })
+		defer ev.Stop()
+		ev.After(50 * time.Millisecond)
+		for i := 0; i < 10; i++ {
+			v.Advance(11 * time.Millisecond)
+			check(t, v, "after Advance")
+		}
+		if at := <-timer.C(); !at.Equal(v.Now().Add(-65 * time.Millisecond)) {
+			t.Fatalf("timer fired at %v", at)
+		}
+		<-abroad.C()
+		if want := lockedNow(v).Add(-60 * time.Millisecond); fired != want {
+			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
+		}
+		if v.Now().Location() != time.Local {
+			t.Fatalf("Now() moved to location %v", v.Now().Location())
+		}
+	})
+	t.Run("auto", func(t *testing.T) {
+		av := NewAutoVirtual()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h := Register(av, "jumper")
+			defer h.Close()
+			tick := av.NewTicker(7 * time.Second)
+			defer tick.Stop()
+			for i := 0; i < 5; i++ {
+				av.Sleep(time.Duration(i+1) * time.Hour)
+				check(t, av.Virtual, "after a sleep jump")
+				Await(av, tick)
+				check(t, av.Virtual, "after a ticker jump")
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("auto-virtual actor did not finish")
+		}
+		if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
+			t.Fatalf("clock advanced %v, want at least the 15h slept", got)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,8 +12,12 @@ import (
 // called; timers and tickers fire synchronously during Advance in timestamp
 // order, which makes timing-sensitive consensus tests reproducible.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
+	mu  sync.Mutex
+	now time.Time
+	// start and elapsed are now for readers that take no lock: now is always
+	// start.Add(elapsed), written only by setNowLocked.
+	start   time.Time
+	elapsed atomic.Int64
 	waiters waiterHeap
 	seq     int64
 	auto    *autoCore // non-nil only when wrapped by AutoVirtual
@@ -22,14 +27,22 @@ var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock starting at the given instant.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	start = start.Round(0) // no monotonic reading: virtual instants compare with ==
+	return &Virtual{now: start, start: start}
 }
 
-// Now implements Clock.
+// Now implements Clock. It is the most-called method of a simulation and
+// takes no lock.
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+	return v.start.Add(time.Duration(v.elapsed.Load()))
+}
+
+// setNowLocked moves the clock to the instant t, expressed as an offset from
+// start so that Now returns a value == to now.
+func (v *Virtual) setNowLocked(t time.Time) {
+	d := t.Sub(v.start)
+	v.elapsed.Store(int64(d))
+	v.now = v.start.Add(d)
 }
 
 // Since implements Clock.
@@ -99,7 +112,7 @@ func (v *Virtual) Advance(d time.Duration) {
 			v.mu.Lock()
 		}
 	}
-	v.now = target
+	v.setNowLocked(target)
 	v.mu.Unlock()
 }
 
@@ -145,7 +158,7 @@ func (v *Virtual) addWaiterAsLocked(w *waiter, a *Actor) {
 // delivers the tick and re-arms a ticker.
 func (v *Virtual) fireNextLocked() *waiter {
 	w := heap.Pop(&v.waiters).(*waiter)
-	v.now = w.at
+	v.setNowLocked(w.at)
 	if w.ch != nil {
 		select {
 		case w.ch <- w.at:

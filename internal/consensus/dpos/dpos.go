@@ -94,9 +94,8 @@ type Engine struct {
 	running  bool
 	produced uint64 // blocks produced by this witness
 
-	order      []int // shuffled witness indices of orderRound; empty until first use
-	orderRound uint64
-	shuffle    *rand.Rand // reseeded per round: a fresh source is 5 KB
+	sched    *schedule
+	included map[any]struct{} // scratch of dropIncluded, empty between calls
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
@@ -107,15 +106,75 @@ var _ consensus.Engine = (*Engine)(nil)
 
 // New constructs a witness; call Start to begin the schedule.
 func New(cfg Config) *Engine {
+	return newEngine(cfg, newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed))
+}
+
+// NewNetwork constructs the engines of one network, one per config. Their
+// schedule is a pure function of the witness count and ShuffleSeed, which
+// the nodes of a network agree on, so they share one: a round's order is
+// shuffled once, not once per engine. A config that disagrees with the
+// first keeps a schedule of its own.
+func NewNetwork(cfgs []Config) []*Engine {
+	engines := make([]*Engine, len(cfgs))
+	var shared *schedule
+	for i, cfg := range cfgs {
+		if shared == nil {
+			shared = newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed)
+		}
+		if len(cfg.Witnesses) == shared.n && cfg.ShuffleSeed == shared.seed {
+			engines[i] = newEngine(cfg, shared)
+		} else {
+			engines[i] = New(cfg)
+		}
+	}
+	return engines
+}
+
+func newEngine(cfg Config, sched *schedule) *Engine {
 	cfg.fill()
 	return &Engine{
-		cfg:     cfg,
-		seen:    make(map[crypto.Hash]bool),
-		shuffle: rand.New(rand.NewSource(cfg.ShuffleSeed)),
-		events:  clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:    clock.NewGate(cfg.Clock),
-		done:    clock.NewGate(cfg.Clock),
+		cfg:      cfg,
+		seen:     make(map[crypto.Hash]bool),
+		sched:    sched,
+		included: make(map[any]struct{}),
+		events:   clock.NewMailbox[network.Message](cfg.Clock, 8192),
+		stop:     clock.NewGate(cfg.Clock),
+		done:     clock.NewGate(cfg.Clock),
 	}
+}
+
+// schedule is the shuffled witness order of a network, one round at a time:
+// a pure function of seed + round, kept until another round is asked for.
+type schedule struct {
+	n    int
+	seed int64
+
+	mu      sync.Mutex
+	order   []int // shuffled witness indices of round; empty until first use
+	round   uint64
+	shuffle *rand.Rand // reseeded per round: a fresh source is 5 KB
+}
+
+func newSchedule(witnesses int, seed int64) *schedule {
+	return &schedule{n: witnesses, seed: seed, shuffle: rand.New(rand.NewSource(seed))}
+}
+
+// witness returns the index of the witness scheduled for slot.
+func (s *schedule) witness(slot uint64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := uint64(s.n)
+	round := slot / n
+	if len(s.order) == 0 || round != s.round {
+		s.order = s.order[:0]
+		for i := 0; i < s.n; i++ {
+			s.order = append(s.order, i)
+		}
+		s.shuffle.Seed(s.seed + int64(round))
+		s.shuffle.Shuffle(len(s.order), func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
+		s.round = round
+	}
+	return s.order[slot%n]
 }
 
 // Start implements consensus.Engine.
@@ -189,21 +248,9 @@ func (e *Engine) PendingCount() int {
 
 // witnessForSlot returns the scheduled witness. The order is shuffled every
 // round (a round = one pass over all witnesses) per Graphene's
-// shuffled-witness schedule. It is a pure function of ShuffleSeed + round,
-// so it is computed once per round and kept; callers hold e.mu.
+// shuffled-witness schedule.
 func (e *Engine) witnessForSlot(slot uint64) string {
-	n := uint64(len(e.cfg.Witnesses))
-	round := slot / n
-	if len(e.order) == 0 || round != e.orderRound {
-		e.order = e.order[:0]
-		for i := 0; i < int(n); i++ {
-			e.order = append(e.order, i)
-		}
-		e.shuffle.Seed(e.cfg.ShuffleSeed + int64(round))
-		e.shuffle.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
-		e.orderRound = round
-	}
-	return e.cfg.Witnesses[e.order[slot%n]]
+	return e.cfg.Witnesses[e.sched.witness(slot)]
 }
 
 func (e *Engine) run() {
@@ -294,6 +341,27 @@ func (e *Engine) maybeProduce() {
 	}
 }
 
+// dropIncluded removes a block's items from the local backlog. Items travel
+// as the gossiped payload values, so equality of the payload identifies
+// them. Callers hold e.mu.
+func (e *Engine) dropIncluded(items []any) {
+	if len(items) == 0 {
+		return
+	}
+	for _, it := range items {
+		e.included[it] = struct{}{}
+	}
+	kept := e.pending[:0]
+	for _, g := range e.pending {
+		if _, drop := e.included[g.Payload]; !drop {
+			kept = append(kept, g)
+		}
+	}
+	clear(e.pending[len(kept):]) // let the dropped payloads go
+	e.pending = kept
+	clear(e.included)
+}
+
 // acceptBlock applies a block produced by another witness.
 func (e *Engine) acceptBlock(blk ProducedBlock) {
 	e.mu.Lock()
@@ -301,24 +369,7 @@ func (e *Engine) acceptBlock(blk ProducedBlock) {
 		e.mu.Unlock()
 		return
 	}
-	// Remove included items from the local backlog. Items travel as the
-	// gossiped payload values, so equality of the payload identifies them.
-	if len(blk.Items) > 0 {
-		kept := e.pending[:0]
-		for _, g := range e.pending {
-			drop := false
-			for _, it := range blk.Items {
-				if g.Payload == it {
-					drop = true
-					break
-				}
-			}
-			if !drop {
-				kept = append(kept, g)
-			}
-		}
-		e.pending = kept
-	}
+	e.dropIncluded(blk.Items)
 	if blk.Slot >= e.slot {
 		e.slot = blk.Slot + 1
 	}

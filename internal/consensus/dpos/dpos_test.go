@@ -9,6 +9,7 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
+	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 )
 
@@ -235,4 +236,101 @@ func TestFinalizationLatencyTracksInterval(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("item never finalized")
+}
+
+// dropIncludedOracle is the backlog removal acceptBlock used to do: every
+// pending payload compared against every item of the block.
+func dropIncludedOracle(pending []gossipMsg, items []any) []gossipMsg {
+	var kept []gossipMsg
+	for _, g := range pending {
+		drop := false
+		for _, it := range items {
+			if g.Payload == it {
+				drop = true
+				break
+			}
+		}
+		if !drop {
+			kept = append(kept, g)
+		}
+	}
+	return kept
+}
+
+// TestDropIncludedMatchesNestedLoop checks the set-based backlog removal
+// against the nested loop it replaced, over random backlogs and blocks:
+// prefixes, scattered and repeated payloads, items the backlog never saw,
+// mixed payload types.
+func TestDropIncludedMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	payloads := make([]any, 40)
+	for i := range payloads {
+		switch i % 3 {
+		case 0:
+			payloads[i] = &struct{ n int }{i} // pointer identity, as transactions have
+		case 1:
+			payloads[i] = i
+		default:
+			payloads[i] = fmt.Sprintf("item-%d", i)
+		}
+	}
+	e := New(Config{ID: "w", Witnesses: []string{"w"}})
+	for trial := 0; trial < 500; trial++ {
+		pending := make([]gossipMsg, rng.Intn(30))
+		for i := range pending {
+			pending[i] = gossipMsg{Digest: crypto.TxID("w", uint64(i), nil), Payload: payloads[rng.Intn(len(payloads))]}
+		}
+		var items []any
+		switch trial % 3 {
+		case 0: // the common case: a prefix of the backlog
+			for _, g := range pending[:rng.Intn(len(pending)+1)] {
+				items = append(items, g.Payload)
+			}
+		case 1: // anything, known to the backlog or not
+			for i := rng.Intn(20); i > 0; i-- {
+				items = append(items, payloads[rng.Intn(len(payloads))])
+			}
+		} // case 2: an empty block
+		want := dropIncludedOracle(pending, items)
+		e.pending = append([]gossipMsg(nil), pending...)
+		e.dropIncluded(items)
+		if len(e.pending) != len(want) {
+			t.Fatalf("trial %d: kept %d of %d, the nested loop keeps %d", trial, len(e.pending), len(pending), len(want))
+		}
+		for i := range want {
+			if e.pending[i] != want[i] {
+				t.Fatalf("trial %d: kept[%d] differs from the nested loop's", trial, i)
+			}
+		}
+		if len(e.included) != 0 {
+			t.Fatalf("trial %d: the scratch set still pins %d payloads", trial, len(e.included))
+		}
+	}
+}
+
+// TestNetworkSharesOneSchedule: the engines NewNetwork builds from agreeing
+// configs consult one schedule, which answers as each engine's own would; a
+// config that disagrees keeps its own.
+func TestNetworkSharesOneSchedule(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
+	cfgs := make([]Config, 4)
+	for i := range cfgs {
+		cfgs[i] = Config{ID: names[i], Witnesses: names, ShuffleSeed: 9}
+	}
+	cfgs[3].ShuffleSeed = 10
+	engines := NewNetwork(cfgs)
+	if engines[1].sched != engines[0].sched || engines[2].sched != engines[0].sched {
+		t.Fatal("engines of one network do not share a schedule")
+	}
+	if engines[3].sched == engines[0].sched {
+		t.Fatal("an engine with another seed was handed the network's schedule")
+	}
+	for _, slot := range []uint64{0, 4, 5, 23, 7, 6, 100, 3} { // rounds out of order
+		for i, e := range engines {
+			private := New(cfgs[i])
+			if got, want := e.witnessForSlot(slot), private.witnessForSlot(slot); got != want {
+				t.Fatalf("slot %d engine %d: shared schedule gives %s, a private one %s", slot, i, got, want)
+			}
+		}
+	}
 }

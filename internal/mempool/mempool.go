@@ -84,6 +84,22 @@ func (p *Pool[T]) Take(max int) []T {
 	return out
 }
 
+// Remove drops every queued item drop reports true for, in one pass: the
+// rest keep their FIFO order and the admission counters do not move. drop
+// runs under the pool's lock and must not call back into the pool.
+func (p *Pool[T]) Remove(drop func(T) bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	kept := p.items[:0]
+	for _, it := range p.items {
+		if !drop(it) {
+			kept = append(kept, it)
+		}
+	}
+	clear(p.items[len(kept):])
+	p.items = kept
+}
+
 // Peek returns up to max items without removing them.
 func (p *Pool[T]) Peek(max int) []T {
 	p.mu.Lock()

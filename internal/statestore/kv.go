@@ -72,39 +72,77 @@ func (s *KVStore) Len() int {
 	return len(s.data)
 }
 
-// ReadSet records the versions a simulated chaincode execution observed.
-type ReadSet map[string]Version
+// rwInline is how many reads and how many writes an RWSet holds before it
+// allocates: the paper's operations touch one to four keys.
+const rwInline = 4
 
-// WriteSet records the values an execution intends to write.
-type WriteSet map[string]string
+type readEntry struct {
+	key string
+	ver Version
+}
+
+type writeEntry struct {
+	key, value string
+}
 
 // RWSet is the endorsement result of Fabric's execute phase: the read
 // versions and proposed writes produced by simulating a transaction against
-// the current world state.
+// the current world state. Both sets keep their keys in first-touch order, so
+// Validate names the same stale key and Commit writes in the same order on
+// every peer and in every run.
 type RWSet struct {
-	Reads  ReadSet
-	Writes WriteSet
+	reads    []readEntry
+	writes   []writeEntry
+	readBuf  [rwInline]readEntry
+	writeBuf [rwInline]writeEntry
 }
 
 // NewRWSet returns an empty read-write set.
 func NewRWSet() *RWSet {
-	return &RWSet{Reads: make(ReadSet), Writes: make(WriteSet)}
+	rw := &RWSet{}
+	rw.reads, rw.writes = rw.readBuf[:0], rw.writeBuf[:0]
+	return rw
 }
 
 // RecordRead captures the observed version of key. Missing keys record the
 // zero Version, matching Fabric's nil-version convention.
 func (rw *RWSet) RecordRead(key string, s *KVStore) (string, bool) {
-	v, ok := s.Get(key)
-	if ok {
-		rw.Reads[key] = v.Version
-		return v.Value, true
+	v, ok := s.Get(key) // the zero VersionedValue when missing
+	for i := range rw.reads {
+		if rw.reads[i].key == key {
+			rw.reads[i].ver = v.Version
+			return v.Value, ok
+		}
 	}
-	rw.Reads[key] = Version{}
+	rw.reads = append(rw.reads, readEntry{key, v.Version})
+	return v.Value, ok
+}
+
+// RecordWrite stages a write; a later write to the same key replaces it.
+func (rw *RWSet) RecordWrite(key, value string) {
+	if w := rw.staged(key); w != nil {
+		w.value = value
+		return
+	}
+	rw.writes = append(rw.writes, writeEntry{key, value})
+}
+
+// Written returns the value staged for key, if any.
+func (rw *RWSet) Written(key string) (string, bool) {
+	if w := rw.staged(key); w != nil {
+		return w.value, true
+	}
 	return "", false
 }
 
-// RecordWrite stages a write.
-func (rw *RWSet) RecordWrite(key, value string) { rw.Writes[key] = value }
+func (rw *RWSet) staged(key string) *writeEntry {
+	for i := range rw.writes {
+		if rw.writes[i].key == key {
+			return &rw.writes[i]
+		}
+	}
+	return nil
+}
 
 // ErrMVCCConflict is returned by Validate when a read version is stale —
 // Fabric's MVCC_READ_CONFLICT. The paper's BankingApp-SendPayment
@@ -115,15 +153,15 @@ var ErrMVCCConflict = errors.New("statestore: mvcc read conflict")
 
 // Validate checks the read set against the current world state.
 func (rw *RWSet) Validate(s *KVStore) error {
-	for key, readVer := range rw.Reads {
-		cur, ok := s.Get(key)
+	for _, r := range rw.reads {
+		cur, ok := s.Get(r.key)
 		switch {
-		case !ok && readVer == Version{}:
+		case !ok && r.ver == Version{}:
 			// Key still absent: read remains valid.
 		case !ok:
-			return fmt.Errorf("%w: key %q deleted since read", ErrMVCCConflict, key)
-		case cur.Version != readVer:
-			return fmt.Errorf("%w: key %q read at %+v, now %+v", ErrMVCCConflict, key, readVer, cur.Version)
+			return fmt.Errorf("%w: key %q deleted since read", ErrMVCCConflict, r.key)
+		case cur.Version != r.ver:
+			return fmt.Errorf("%w: key %q read at %+v, now %+v", ErrMVCCConflict, r.key, r.ver, cur.Version)
 		}
 	}
 	return nil
@@ -132,7 +170,7 @@ func (rw *RWSet) Validate(s *KVStore) error {
 // Commit applies the write set at the given version. Callers must have
 // validated first.
 func (rw *RWSet) Commit(s *KVStore, ver Version) {
-	for key, val := range rw.Writes {
-		s.Set(key, val, ver)
+	for _, w := range rw.writes {
+		s.Set(w.key, w.value, ver)
 	}
 }

@@ -3,6 +3,7 @@ package statestore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,58 @@ func TestRWSetValidCommit(t *testing.T) {
 	got, _ := s.Get("k")
 	if got.Value != "v1" || got.Version.BlockNum != 2 {
 		t.Fatalf("after commit: %+v", got)
+	}
+}
+
+// TestRWSetFirstTouchOrder: with several stale reads, Validate names the key
+// the endorsement touched first — every time, where ranging over a map named
+// whichever came up — and a key read or written again keeps its place and
+// takes the later value, as the maps did. Twelve keys spill both inline
+// arrays.
+func TestRWSetFirstTouchOrder(t *testing.T) {
+	s := NewKVStore()
+	keys := make([]string, 12)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", len(keys)-i) // first touch runs against key order
+		s.Set(keys[i], "v0", Version{BlockNum: 1})
+	}
+	for run := 0; run < 20; run++ {
+		rw := NewRWSet()
+		for _, k := range keys {
+			rw.RecordRead(k, s)
+			rw.RecordWrite(k, "first")
+		}
+		rw.RecordRead(keys[0], s) // touched again: same place
+		rw.RecordWrite(keys[3], "second")
+		if v, ok := rw.Written(keys[3]); !ok || v != "second" {
+			t.Fatalf("Written(%s) = (%q, %v), want the later write", keys[3], v, ok)
+		}
+		if _, ok := rw.Written("never"); ok {
+			t.Fatal("Written reports a key nobody wrote")
+		}
+		if len(rw.reads) != len(keys) || len(rw.writes) != len(keys) {
+			t.Fatalf("%d reads, %d writes for %d keys", len(rw.reads), len(rw.writes), len(keys))
+		}
+
+		stale := NewKVStore()
+		for _, k := range keys {
+			stale.Set(k, "v1", Version{BlockNum: 1000}) // every read is stale
+		}
+		err := rw.Validate(stale)
+		if !errors.Is(err, ErrMVCCConflict) || !strings.Contains(err.Error(), `"`+keys[0]+`"`) {
+			t.Fatalf("run %d: Validate = %v, want a conflict naming the first-read key %s", run, err, keys[0])
+		}
+
+		rw.Commit(s, Version{BlockNum: uint64(run + 2)})
+		for i, k := range keys {
+			want := "first"
+			if i == 3 {
+				want = "second"
+			}
+			if got, _ := s.Get(k); got.Value != want || got.Version.BlockNum != uint64(run+2) {
+				t.Fatalf("after commit %s = %+v, want %q", k, got, want)
+			}
+		}
 	}
 }
 

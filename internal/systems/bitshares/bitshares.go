@@ -99,6 +99,7 @@ type Network struct {
 	transport *network.Transport
 	hub       *systems.Hub
 	nodes     []*node
+	sealer    chain.Sealer // one sealed block per decision, shared by the replicas
 
 	mu            sync.Mutex
 	running       bool
@@ -149,6 +150,7 @@ func New(cfg Config) *Network {
 		}
 	}
 
+	cfgs := make([]dpos.Config, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		nd := &node{
 			id:      names[i],
@@ -160,7 +162,7 @@ func New(cfg Config) *Network {
 			nd.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
 			nd.gate.Trace(cfg.Trace, systems.NameBitShares, names[i])
 		}
-		nd.engine = dpos.New(dpos.Config{
+		cfgs[i] = dpos.Config{
 			ID:            nd.id,
 			Witnesses:     witnesses,
 			Observers:     observers,
@@ -171,8 +173,11 @@ func New(cfg Config) *Network {
 			ShuffleSeed:   cfg.Seed,
 			PackFilter:    n.conflictFilter,
 			OnDecide:      n.makeDecideFunc(nd),
-		})
+		}
 		n.nodes = append(n.nodes, nd)
+	}
+	for i, e := range dpos.NewNetwork(cfgs) {
+		n.nodes[i].engine = e
 	}
 	return n
 }
@@ -354,7 +359,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 		}
 	}
 	ts := time.Unix(0, int64(blk.Slot)) // deterministic per-slot stamp
-	cb := chain.NewBlock(nd.ledger.Head(), blk.Witness, ts, surviving)
+	cb := n.sealer.Seal(nd.ledger.Head(), blk.Witness, ts, surviving)
 	if err := nd.ledger.Append(cb); err != nil {
 		return
 	}

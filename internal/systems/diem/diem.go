@@ -112,6 +112,7 @@ type Network struct {
 	transport  *network.Transport
 	hub        *systems.Hub
 	validators []*validator
+	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
 
 	mu      sync.Mutex
 	running bool
@@ -283,7 +284,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	if !ok {
 		return
 	}
-	cb := chain.NewBlock(v.ledger.Head(), blk.Proposer, blk.FormedAt, blk.Txs)
+	cb := n.sealer.Seal(v.ledger.Head(), blk.Proposer, blk.FormedAt, blk.Txs)
 	if err := v.ledger.Append(cb); err != nil {
 		return
 	}

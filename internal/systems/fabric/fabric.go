@@ -138,6 +138,7 @@ type Network struct {
 	peers     []*peer
 	orderers  []*orderer
 	broker    *kafkaBroker
+	sealer    chain.Sealer // one sealed block per decision, shared by the peers
 
 	mu      sync.Mutex
 	running bool
@@ -319,7 +320,7 @@ type rwRecorder struct {
 var _ iel.StateOps = (*rwRecorder)(nil)
 
 func (r *rwRecorder) Get(key string) (string, bool) {
-	if v, ok := r.rw.Writes[key]; ok {
+	if v, ok := r.rw.Written(key); ok {
 		return v, true
 	}
 	return r.rw.RecordRead(key, r.state)
@@ -427,22 +428,21 @@ func (n *Network) commitBlock(seq uint64, batch cutBatch) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
 			Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: seq})
 	}
-	for _, env := range batch.Envelopes {
+	txs := make([]*chain.Transaction, len(batch.Envelopes))
+	for i, env := range batch.Envelopes {
 		env.Tx.Stages.Mark(chain.StageConsensus, decided)
+		txs[i] = env.Tx
 	}
 	for _, p := range n.peers {
 		p := p
-		p.gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch) })
+		p.gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch, txs) })
 	}
 }
 
-// commitOnPeer applies one decided batch on a single peer.
-func (n *Network) commitOnPeer(p *peer, batch cutBatch) {
-	txs := make([]*chain.Transaction, len(batch.Envelopes))
-	for i, env := range batch.Envelopes {
-		txs[i] = env.Tx
-	}
-	blk := chain.NewBlock(p.ledger.Head(), batch.Cutter, batch.CutAt, txs)
+// commitOnPeer applies one decided batch on a single peer; txs are the
+// batch's transactions, shared read-only by every peer's block.
+func (n *Network) commitOnPeer(p *peer, batch cutBatch, txs []*chain.Transaction) {
+	blk := n.sealer.Seal(p.ledger.Head(), batch.Cutter, batch.CutAt, txs)
 	if err := p.ledger.Append(blk); err != nil {
 		return // stale duplicate
 	}

@@ -30,10 +30,11 @@ const (
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
 // Internally the hub is sharded by transaction-hash prefix: each shard has
-// its own lock, pending set, and bounded emitted-tombstone ring, and node
-// identities are interned once into dense indices so per-transaction
-// tracking is a bitset rather than a map of node-ID strings. Aggregate
-// counters are atomics, not map scans.
+// its own lock and one transaction map whose finalized entries stay behind
+// as tombstones for a bounded retention window, and node identities are
+// interned once into dense indices so per-transaction tracking is a bitset
+// rather than a map of node-ID strings. Aggregate counters are atomics, not
+// map scans.
 type Hub struct {
 	nodes     int
 	shardMask uint64
@@ -53,33 +54,45 @@ type Hub struct {
 // hubShard is one lock domain of the hub. The pad keeps neighbouring shards
 // off the same cache line under heavy cross-core commit traffic.
 type hubShard struct {
-	mu      sync.Mutex
-	pending map[crypto.Hash]*pendingTx
-	// emitted holds tombstones for recently finalized transactions so late
-	// duplicate node reports do not re-open them; emitQ prunes it FIFO.
-	emitted  map[crypto.Hash]struct{}
-	emitQ    []crypto.Hash
-	emitHead int
-	_        [8]byte // pad the 56-byte struct to one 64-byte cache line
+	mu sync.Mutex
+	// txs holds every transaction the shard knows: the ones still collecting
+	// node reports and, marked done, the recently finalized ones, whose entry
+	// stays behind as its own tombstone so late duplicate reports do not
+	// re-open them. A report is one probe of this map.
+	txs map[crypto.Hash]*pendingTx
+	// doneQ is the retention ring of done entries, oldest at doneHead; a
+	// full ring retires its oldest entry from txs for each new one.
+	doneQ    []*pendingTx
+	doneHead int
+	_        [16]byte // pad the 48-byte struct to one 64-byte cache line
 }
 
 // pendingTx tracks which nodes persisted one transaction, as a bitset over
-// interned node indices.
+// interned node indices: the first 64 inline, larger networks spill into
+// more.
 type pendingTx struct {
 	event Event
-	seen  []uint64
+	seen  uint64
+	more  []uint64
 	count int
+	// done marks an emitted transaction; all that is kept of its event is
+	// the TxID the ring retires it by.
+	done bool
 }
 
 func (p *pendingTx) mark(idx int) bool {
-	word, bit := idx/64, uint(idx%64)
-	for word >= len(p.seen) {
-		p.seen = append(p.seen, 0)
+	word := &p.seen
+	if idx >= 64 {
+		for idx/64 > len(p.more) {
+			p.more = append(p.more, 0)
+		}
+		word = &p.more[idx/64-1]
 	}
-	if p.seen[word]&(1<<bit) != 0 {
+	bit := uint64(1) << (idx % 64)
+	if *word&bit != 0 {
 		return false
 	}
-	p.seen[word] |= 1 << bit
+	*word |= bit
 	p.count++
 	return true
 }
@@ -127,8 +140,7 @@ func NewHub(nodes int, opts ...HubOption) *Hub {
 		opt(h)
 	}
 	for i := range h.shards {
-		h.shards[i].pending = make(map[crypto.Hash]*pendingTx)
-		h.shards[i].emitted = make(map[crypto.Hash]struct{})
+		h.shards[i].txs = make(map[crypto.Hash]*pendingTx)
 	}
 	return h
 }
@@ -193,45 +205,42 @@ func (n *HubNode) Committed(ev Event, at time.Time) {
 	s := h.shardFor(ev.TxID)
 
 	s.mu.Lock()
-	if _, done := s.emitted[ev.TxID]; done {
-		s.mu.Unlock()
-		return
-	}
-	p, ok := s.pending[ev.TxID]
+	p, ok := s.txs[ev.TxID]
 	if !ok {
-		p = &pendingTx{event: ev, seen: make([]uint64, (h.nodes+63)/64)}
-		s.pending[ev.TxID] = p
+		p = &pendingTx{event: ev}
+		s.txs[ev.TxID] = p
 		h.pendingN.Add(1)
 	}
-	if !p.mark(n.idx) || p.count < h.nodes {
+	if p.done || !p.mark(n.idx) || p.count < h.nodes {
 		s.mu.Unlock()
 		return
 	}
 	// Final node: emit exactly once. The transition happens under the shard
 	// lock, the callback runs outside every lock.
-	delete(s.pending, ev.TxID)
-	s.tombstone(ev.TxID, h.retention)
+	out := p.event
+	p.done = true
+	p.event = Event{TxID: ev.TxID} // the entry is a tombstone now: pin nothing
+	p.more = nil
+	s.retain(p, h.retention)
 	s.mu.Unlock()
 	h.pendingN.Add(-1)
 	h.emittedN.Add(1)
 
-	out := p.event
 	out.FinalizedAt = at
 	h.deliver(out)
 }
 
-// tombstone records an emitted transaction for duplicate suppression,
-// pruning the oldest entry once the shard's retention window is full.
-// Caller holds the shard lock.
-func (s *hubShard) tombstone(id crypto.Hash, retention int) {
-	s.emitted[id] = struct{}{}
-	if len(s.emitQ) < retention {
-		s.emitQ = append(s.emitQ, id)
+// retain enters a done transaction into the shard's retention ring,
+// retiring the oldest tombstone once the ring is full. Caller holds the
+// shard lock.
+func (s *hubShard) retain(p *pendingTx, retention int) {
+	if len(s.doneQ) < retention {
+		s.doneQ = append(s.doneQ, p)
 		return
 	}
-	delete(s.emitted, s.emitQ[s.emitHead])
-	s.emitQ[s.emitHead] = id
-	s.emitHead = (s.emitHead + 1) % retention
+	delete(s.txs, s.doneQ[s.doneHead].event.TxID)
+	s.doneQ[s.doneHead] = p
+	s.doneHead = (s.doneHead + 1) % retention
 }
 
 func (h *Hub) deliver(ev Event) {
@@ -269,7 +278,7 @@ func (h *Hub) TombstoneCount() int {
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		total += len(s.emitted)
+		total += len(s.doneQ)
 		s.mu.Unlock()
 	}
 	return total

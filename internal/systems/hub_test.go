@@ -175,6 +175,91 @@ func TestHubTombstoneRetentionBounded(t *testing.T) {
 	}
 }
 
+// TestHubEntryIsItsOwnTombstone runs ten retention windows of transactions
+// through a sharded multi-node hub whose finalized entries stay in the one
+// transaction map as tombstones: a duplicate report inside the window stays
+// suppressed, the map holds no more than shards x retention entries once
+// nothing is pending, and a transaction the window has retired is unknown
+// again.
+func TestHubEntryIsItsOwnTombstone(t *testing.T) {
+	const (
+		nodes     = 3
+		shards    = 4
+		retention = 16
+		txs       = 10 * shards * retention
+	)
+	h := NewHub(nodes, WithShards(shards), WithEmittedRetention(retention))
+	fired := make(map[crypto.Hash]int, txs)
+	h.Subscribe("c", func(e Event) { fired[e.TxID]++ })
+	handles := []*HubNode{h.Node("a"), h.Node("b"), h.Node("c")}
+	event := func(i int) Event {
+		return Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c", Reason: "kept until emission"}
+	}
+	for i := 0; i < txs; i++ {
+		ev := event(i)
+		for _, n := range handles {
+			n.Committed(ev, time.Unix(int64(i), 0))
+		}
+		// Every node reports again right after emission: inside the window.
+		for _, n := range handles {
+			n.Committed(ev, time.Unix(int64(i), 1))
+		}
+		if got := h.TombstoneCount(); got > shards*retention {
+			t.Fatalf("after %d transactions: TombstoneCount = %d, above shards x retention = %d", i+1, got, shards*retention)
+		}
+		if h.PendingCount() != 0 {
+			t.Fatalf("after %d transactions: PendingCount = %d, a duplicate re-opened one", i+1, h.PendingCount())
+		}
+	}
+	if len(fired) != txs || h.EmittedCount() != txs {
+		t.Fatalf("fired %d, EmittedCount %d, want %d", len(fired), h.EmittedCount(), txs)
+	}
+	for id, n := range fired {
+		if n != 1 {
+			t.Fatalf("tx %s fired %d times", id.Short(), n)
+		}
+	}
+	entries := 0
+	for i := range h.shards {
+		entries += len(h.shards[i].txs)
+		for _, p := range h.shards[i].doneQ {
+			if !p.done || p.event.Reason != "" {
+				t.Fatal("a retained entry still holds its event")
+			}
+		}
+	}
+	if entries != h.TombstoneCount() {
+		t.Fatalf("transaction maps hold %d entries, retention rings %d: an entry leaked", entries, h.TombstoneCount())
+	}
+	// The oldest transaction left every window long ago: one node's late
+	// report opens it afresh and cannot complete it.
+	handles[0].Committed(event(0), time.Unix(txs, 0))
+	if h.PendingCount() != 1 || fired[event(0).TxID] != 1 {
+		t.Fatalf("retired transaction: pending %d, fired %d; want 1 and 1", h.PendingCount(), fired[event(0).TxID])
+	}
+}
+
+// TestHubBitsetBeyondOneWord: networks above 64 nodes spill the report
+// bitset past its inline word.
+func TestHubBitsetBeyondOneWord(t *testing.T) {
+	const nodes = 130
+	h := NewHub(nodes)
+	fired := 0
+	h.Subscribe("c", func(Event) { fired++ })
+	ev := Event{TxID: crypto.SumString("tx"), Client: "c"}
+	for round := 0; round < 2; round++ { // the second round is all duplicates
+		for i := nodes - 1; i >= 0; i-- {
+			if fired != 0 && round == 0 {
+				t.Fatalf("fired after %d of %d nodes", nodes-1-i, nodes)
+			}
+			h.NodeCommitted(fmt.Sprintf("n%d", i), ev, time.Unix(int64(i), 0))
+		}
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1", fired)
+	}
+}
+
 // TestHubNodeHandleInterning checks handles are stable per identity and
 // usable interchangeably with the string API.
 func TestHubNodeHandleInterning(t *testing.T) {

@@ -111,6 +111,7 @@ type Network struct {
 	transport  *network.Transport
 	hub        *systems.Hub
 	validators []*validator
+	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
 
 	mu      sync.Mutex
 	running bool
@@ -355,7 +356,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	// Execute after ordering against this validator's own state; all
 	// validators execute identically in block order.
-	cb := chain.NewBlock(v.ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
+	cb := n.sealer.Seal(v.ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
 	if err := v.ledger.Append(cb); err != nil {
 		return
 	}
@@ -404,12 +405,7 @@ func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
 	for _, tx := range included {
 		ids[tx.ID] = true
 	}
-	remaining := v.pool.Take(0)
-	for _, tx := range remaining {
-		if !ids[tx.ID] {
-			_ = v.pool.Add(tx)
-		}
-	}
+	v.pool.Remove(func(tx *chain.Transaction) bool { return ids[tx.ID] })
 }
 
 // executeTx runs all operations of a transaction against the world state.

@@ -240,3 +240,38 @@ func TestDrainedAndStallInteraction(t *testing.T) {
 		t.Fatal("stalled network must report drained")
 	}
 }
+
+// TestScrubIsNoAdmission pins the pool's admission counter to what was
+// actually admitted: every validator admits each transaction once (from the
+// client or from gossip), and scrubbing a backlog across several blocks
+// neither re-admits what stays queued nor leaves anything included behind.
+func TestScrubIsNoAdmission(t *testing.T) {
+	const txs = 12
+	n, col := newNetwork(t, Config{MaxBlockTxs: 2}) // six blocks, five scrubs over a backlog
+	for i := 0; i < txs; i++ {
+		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
+		if err := n.Submit(i, tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col.wait(t, txs, 10*time.Second)
+	if h := n.ChainHeight(); h < txs/2 {
+		t.Fatalf("chain height %d: the backlog was not spread over several blocks", h)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, v := range n.validators {
+		for {
+			admitted, _ := v.pool.Stats()
+			if admitted == txs && v.pool.Len() == 0 {
+				break
+			}
+			if admitted > txs {
+				t.Fatalf("%s: %d admissions of %d transactions: a scrub re-admitted the backlog", v.id, admitted, txs)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: admitted %d, %d still queued", v.id, admitted, v.pool.Len())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+}

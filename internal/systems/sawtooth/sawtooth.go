@@ -115,6 +115,7 @@ type Network struct {
 	transport  *network.Transport
 	hub        *systems.Hub
 	validators []*validator
+	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
 
 	mu      sync.Mutex
 	running bool
@@ -397,7 +398,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			}
 		}
 	}
-	cb := chain.NewBlock(v.ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
+	cb := n.sealer.Seal(v.ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
 	if err := v.ledger.Append(cb); err != nil {
 		return
 	}
@@ -454,11 +455,7 @@ func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
 	for _, b := range published {
 		ids[b.ID] = true
 	}
-	for _, b := range v.queue.Take(0) {
-		if !ids[b.ID] {
-			_ = v.queue.Add(b)
-		}
-	}
+	v.queue.Remove(func(b *chain.Batch) bool { return ids[b.ID] })
 }
 
 // overlayState reads through to the base store but keeps writes local.
