@@ -16,9 +16,9 @@
 //	coconut-sweep -scenario figure3,table15+16 -md EXPERIMENTS.md  # combined report
 //	coconut-sweep -list                             # every scenario and flag value
 //
-// The pre-scenario flags keep working and map onto registry scenarios:
-// -figure 3/4/5, -table ID, -tables, -faults PRESET, and
-// -workload/-mix/-skew/-keys produce exactly the scenarios named above.
+// A single cell is a one-system, one-benchmark spec file, e.g.
+// {"systems":["Fabric"],"benchmarks":["DoNothing"],"params":{"rl":1600,"mm":1000}},
+// and -json is the result store.
 package main
 
 import (
@@ -50,10 +50,7 @@ func run() error {
 	var (
 		scenarioArg = flag.String("scenario", "", "comma-separated scenarios to run: registry names (see -list) or JSON spec files")
 		jsonPath    = flag.String("json", "", "write the outcomes as JSON to this file (benchjson -outcome ingests it)")
-		figure      = flag.Int("figure", 0, "legacy: figure to regenerate (3, 4, or 5); same as -scenario figureN")
 		mdPath      = flag.String("md", "", "also write the combined markdown report to this file")
-		table       = flag.String("table", "", "legacy: table to regenerate (7+8, ..., 19+20); same as -scenario tableID")
-		allTables   = flag.Bool("tables", false, "legacy: regenerate every table")
 		system      = flag.String("system", "", "restrict every scenario to one system")
 		scale       = flag.Float64("scale", 0.01, "time scale")
 		sendSec     = flag.Float64("send", 300, "sending window in paper seconds")
@@ -61,20 +58,12 @@ func run() error {
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		arrival     = flag.String("arrival", "uniform", "client arrival schedule: uniform, poisson, or burst[:N]")
 		timeMode    = flag.String("time", "real", "clock driving every run: real (wall clock) or virtual (auto-advancing simulated clock; CPU-bound, prints per-cell speedups)")
-		faultsArg   = flag.String("faults", "", "legacy: chaos preset to run all systems under; same as -scenario faults-PRESET: "+
-			strings.Join(faults.PresetNames(), ", "))
-		workloadArg = flag.String("workload", "", "legacy: contention workload family to sweep: kv, smallbank, or all")
-		mixArg      = flag.String("mix", "", "operation mix for -workload kv (default ycsb-a): "+
-			strings.Join(workload.MixNames(), ", ")+", or all")
-		skewArg = flag.String("skew", "zipfian", "key distribution for -workload: "+
-			strings.Join(workload.DistNames(), ", ")+", or all")
-		keysArg    = flag.Int("keys", 0, "shared key-space / account-pool size for -workload (0 = default)")
-		tracePath  = flag.String("trace", "", "record sampled per-transaction spans across every cell and write Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to this file")
-		ndjsonPath = flag.String("ndjson", "", "stream each cell's windowed gauge series to this file as NDJSON, one record per timeline window")
-		stagesFlag = flag.Bool("stages", false, "print the per-stage pipeline latency breakdown (submit/queue/consensus/execute/validate/commit) and bottleneck per cell")
-		list       = flag.Bool("list", false, "enumerate scenarios, benchmarks, arrivals, fault presets, workloads, mixes, and skews")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
+		tracePath   = flag.String("trace", "", "record sampled per-transaction spans across every cell and write Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to this file")
+		ndjsonPath  = flag.String("ndjson", "", "stream each cell's windowed gauge series to this file as NDJSON, one record per timeline window")
+		stagesFlag  = flag.Bool("stages", false, "print the per-stage pipeline latency breakdown (submit/queue/consensus/execute/validate/commit) and bottleneck per cell")
+		list        = flag.Bool("list", false, "enumerate scenarios, benchmarks, arrivals, fault presets, mixes, and skews")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
 	)
 	flag.Parse()
 
@@ -145,13 +134,13 @@ func run() error {
 		}
 	}
 
-	scenarios, err := resolveScenarios(*scenarioArg, *figure, *table, *allTables, *faultsArg, *workloadArg, *mixArg, *skewArg, *keysArg)
+	scenarios, err := resolveScenarios(*scenarioArg)
 	if err != nil {
 		return err
 	}
 	if len(scenarios) == 0 {
 		flag.Usage()
-		return fmt.Errorf("nothing to do: pass -scenario (or the legacy -figure/-table/-tables/-faults/-workload flags), or -list")
+		return fmt.Errorf("nothing to do: pass -scenario or -list")
 	}
 	if *system != "" {
 		// Restrict, never replace: a scenario pinned to other systems (a
@@ -352,132 +341,37 @@ func printStages(oc *experiments.Outcome) {
 	}
 }
 
-// resolveScenarios maps the -scenario flag plus every legacy flag onto
-// scenario specs, preserving the legacy execution order (figures, tables,
-// faults, contention).
-func resolveScenarios(scenarioArg string, figure int, table string, allTables bool, faultsArg, workloadArg, mixArg, skewArg string, keys int) ([]experiments.Scenario, error) {
+// resolveScenarios maps the -scenario flag onto scenario specs: each
+// comma-separated entry is a registry name or a JSON spec file.
+func resolveScenarios(scenarioArg string) ([]experiments.Scenario, error) {
 	var out []experiments.Scenario
-
-	if scenarioArg != "" {
-		for _, name := range strings.Split(scenarioArg, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if strings.HasSuffix(name, ".json") {
-				data, err := os.ReadFile(name)
-				if err != nil {
-					return nil, err
-				}
-				sc, err := experiments.ParseScenario(data)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				if sc.Name == "" {
-					sc.Name = strings.TrimSuffix(name, ".json")
-				}
-				out = append(out, sc)
-				continue
-			}
-			sc, err := experiments.ScenarioByName(name)
+	for _, name := range strings.Split(scenarioArg, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if strings.HasSuffix(name, ".json") {
+			data, err := os.ReadFile(name)
 			if err != nil {
 				return nil, err
 			}
+			sc, err := experiments.ParseScenario(data)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			if sc.Name == "" {
+				sc.Name = strings.TrimSuffix(name, ".json")
+			}
 			out = append(out, sc)
+			continue
 		}
-	}
-
-	switch figure {
-	case 0:
-	case 3, 4, 5:
-		sc, err := experiments.ScenarioByName(fmt.Sprintf("figure%d", figure))
+		sc, err := experiments.ScenarioByName(name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, sc)
-	default:
-		return nil, fmt.Errorf("unknown figure %d (want 3, 4, or 5)", figure)
 	}
-
-	if table != "" {
-		sc, err := experiments.ScenarioByName("table" + table)
-		if err != nil {
-			return nil, fmt.Errorf("unknown table %q", table)
-		}
-		out = append(out, sc)
-	}
-	if allTables {
-		for _, tbl := range experiments.Tables {
-			sc, err := experiments.ScenarioByName("table" + tbl.ID)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sc)
-		}
-	}
-
-	if faultsArg != "" {
-		sc, err := experiments.ScenarioByName("faults-" + faultsArg)
-		if err != nil {
-			return nil, fmt.Errorf("unknown fault preset %q (want one of %s)", faultsArg, strings.Join(faults.PresetNames(), ", "))
-		}
-		out = append(out, sc)
-	}
-
-	if workloadArg != "" {
-		mixes, err := contentionMixes(workloadArg, mixArg)
-		if err != nil {
-			return nil, err
-		}
-		skews := []string{skewArg}
-		if skewArg == "all" {
-			skews = []string{"partitioned", "sequential", "zipfian", "hotspot"}
-		}
-		out = append(out, experiments.NewContentionScenario(mixes, skews, keys))
-	} else if mixArg != "" {
-		return nil, fmt.Errorf("-mix %q needs -workload", mixArg)
-	}
-
 	return out, nil
-}
-
-// contentionMixes resolves the -workload/-mix flag pair into mix names. An
-// explicit -mix only applies to the kv family; combining it with any other
-// family is an error rather than a silently ignored flag.
-func contentionMixes(family, mix string) ([]string, error) {
-	switch family {
-	case "kv":
-		switch mix {
-		case "":
-			return []string{"ycsb-a"}, nil
-		case "all":
-			return []string{"write", "ycsb-a", "ycsb-b", "ycsb-c"}, nil
-		default:
-			if _, err := workload.MixByName(mix); err != nil {
-				return nil, err
-			}
-			return []string{mix}, nil
-		}
-	case "smallbank":
-		if mix != "" {
-			return nil, fmt.Errorf("-mix %q conflicts with -workload smallbank (the family fixes its own mix)", mix)
-		}
-		return []string{"smallbank"}, nil
-	case "all":
-		if mix != "" {
-			return nil, fmt.Errorf("-mix %q conflicts with -workload all (pass -workload kv -mix %s instead)", mix, mix)
-		}
-		return []string{"write", "ycsb-a", "smallbank"}, nil
-	default:
-		// Accept a mix name directly (e.g. -workload ycsb-b) for brevity.
-		if mix != "" {
-			return nil, fmt.Errorf("-mix %q conflicts with -workload %q", mix, family)
-		}
-		if _, err := workload.MixByName(family); err != nil {
-			return nil, fmt.Errorf("unknown workload family %q (want kv, smallbank, all, or a mix name)", family)
-		}
-		return []string{family}, nil
-	}
 }
 
 // printList enumerates every scenario and flag value that is otherwise
@@ -497,16 +391,15 @@ func printList() {
 	}
 	fmt.Println("arrival schedules (-arrival):")
 	fmt.Println("  uniform, poisson, burst[:N]")
-	fmt.Println("fault presets (scenario Faults.Preset / legacy -faults):")
+	fmt.Println("fault presets (scenario Faults.Preset):")
 	for _, p := range faults.PresetNames() {
 		fmt.Printf("  %s\n", p)
 	}
-	fmt.Println("workload families (legacy -workload): kv, smallbank, all")
-	fmt.Println("operation mixes (scenario Workload.Mixes / legacy -mix):")
+	fmt.Println("operation mixes (scenario Workload.Mixes):")
 	for _, m := range workload.MixNames() {
 		fmt.Printf("  %s\n", m)
 	}
-	fmt.Println("key distributions (scenario Workload.Skews / legacy -skew):")
+	fmt.Println("key distributions (scenario Workload.Skews):")
 	for _, d := range workload.DistNames() {
 		fmt.Printf("  %s\n", d)
 	}

@@ -85,7 +85,7 @@ func StageByName(name string) (Stage, bool) {
 // pipeline. Marks are first-write-wins (atomic CAS), which makes them
 // race-safe when several validators process the same *Transaction
 // concurrently (Quorum gossip shares the pointer) and idempotent under
-// NodeGate backlog replay — the earliest completion is the one that counts.
+// gate backlog replay — the earliest completion is the one that counts.
 type StageTrace struct {
 	marks [NumStages]atomic.Int64
 }

@@ -15,9 +15,9 @@ import (
 var SimEpoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Walltime returns the host wall-clock time. It is the single sanctioned
-// wall-clock read outside resultdb's report timestamp: simulated-time
-// speedup is sim-seconds divided by a wall measurement, which is
-// definitionally not part of the deterministic surface.
+// wall-clock read: simulated-time speedup is sim-seconds divided by a wall
+// measurement, which is definitionally not part of the deterministic
+// surface.
 func Walltime() time.Time { return time.Now() }
 
 // AutoVirtual is a Virtual clock that advances itself. Goroutines

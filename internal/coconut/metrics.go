@@ -469,11 +469,11 @@ func finishRepetition(first, last time.Time, received, expected, valid int, conf
 // Stats summarises a metric across repetitions: mean, standard deviation,
 // standard error of the mean, and the 95% confidence interval half-width.
 type Stats struct {
-	Mean float64
-	SD   float64
-	SEM  float64
-	CI95 float64
-	N    int
+	Mean float64 `json:"mean"`
+	SD   float64 `json:"sd"`
+	SEM  float64 `json:"sem"`
+	CI95 float64 `json:"ci95"`
+	N    int     `json:"n"`
 }
 
 // tCritical95 holds two-sided t-distribution critical values at 95%

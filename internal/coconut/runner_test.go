@@ -1,8 +1,6 @@
 package coconut
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -150,54 +148,6 @@ func TestRunRequiresDriver(t *testing.T) {
 	if _, err := Run(RunConfig{}); err == nil {
 		t.Fatal("Run without NewDriver must fail")
 	}
-}
-
-func TestResultDBRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.json")
-	db, err := OpenResultDB(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Aggregate("Fabric", "DoNothing", map[string]string{"RL": "1600"},
-		[]RepetitionResult{{TPS: 1300, FLS: 2.7, DurationSec: 311, ReceivedNoT: 400000, ExpectedNoT: 480000}})
-	if err := db.Store(r); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := OpenResultDB(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Len() != 1 {
-		t.Fatalf("len = %d, want 1", reopened.Len())
-	}
-	got := reopened.Query("Fabric", "DoNothing")
-	if len(got) != 1 {
-		t.Fatalf("query = %d results", len(got))
-	}
-	if got[0].Result.MTPS.Mean != 1300 {
-		t.Fatalf("MTPS = %v", got[0].Result.MTPS.Mean)
-	}
-	if len(reopened.Query("Diem", "")) != 0 {
-		t.Fatal("query matched wrong system")
-	}
-	if len(reopened.Query("", "DoNothing")) != 1 {
-		t.Fatal("wildcard system query failed")
-	}
-}
-
-func TestResultDBCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(path, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenResultDB(path); err == nil {
-		t.Fatal("corrupt db must fail to open")
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }
 
 // drainingDriver is a fake Quiescer that reports drained after N polls.

@@ -1,9 +1,11 @@
 // Package bftcore implements the three-phase byzantine agreement state
 // machine (pre-prepare, prepare, commit) shared by the Istanbul BFT engine
-// used in Quorum and the PBFT engine used in Sawtooth. The two protocols
-// differ in proposer selection policy and terminology, which the ibft and
-// pbft packages configure; the quorum logic, round-change mechanism, and
-// decision pipeline live here.
+// used in Quorum (Moniz 2020) and the PBFT engine used in Sawtooth (Castro &
+// Liskov 1999, as sawtooth-pbft deploys it). The two protocols differ in
+// proposer selection policy — Istanbul rotates the proposer every height,
+// PBFT's primary moves only on a view change — and in the prefix of their
+// wire message kinds, which the two drivers set in Config; the quorum logic,
+// round-change mechanism, and decision pipeline live here.
 package bftcore
 
 import (

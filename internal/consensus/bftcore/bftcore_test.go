@@ -138,6 +138,13 @@ func TestDecidesSingleValue(t *testing.T) {
 			t.Fatalf("%s seq = %d", core.cfg.ID, ds[0].Seq)
 		}
 	}
+	// Istanbul's policy through a running core: the next height has the next
+	// proposer, and the decision names who proposed it.
+	c.submitToProposer("block-2")
+	ds := c.waitDecisions("validator-0", 2, 3*time.Second)
+	if ds[0].Proposer != "validator-1" || ds[1].Proposer != "validator-2" {
+		t.Fatalf("proposers = %s then %s, want validator-1 then validator-2", ds[0].Proposer, ds[1].Proposer)
+	}
 }
 
 func TestDecidesManyInOrder(t *testing.T) {
@@ -173,6 +180,11 @@ func TestDecidesManyInOrder(t *testing.T) {
 
 func TestStickyPrimaryDecides(t *testing.T) {
 	c := newCluster(t, 4, StickyPrimary)
+	for i, core := range c.cores {
+		if core.IsProposer() != (i == 0) {
+			t.Fatalf("%s IsProposer = %v: validator-0 alone is the initial primary", core.cfg.ID, core.IsProposer())
+		}
+	}
 	for i := 0; i < 5; i++ {
 		c.submitToProposer(i)
 	}
@@ -181,6 +193,10 @@ func TestStickyPrimaryDecides(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			if ds[j].Payload != j {
 				t.Fatalf("%s slot %d = %v", core.cfg.ID, j, ds[j].Payload)
+			}
+			// No view change happened, so the primary never moved.
+			if ds[j].Proposer != "validator-0" {
+				t.Fatalf("%s slot %d proposer = %s, want validator-0", core.cfg.ID, j, ds[j].Proposer)
 			}
 		}
 	}
@@ -276,6 +292,9 @@ func TestQuorumRequiresEnoughValidators(t *testing.T) {
 
 func TestHeightAdvances(t *testing.T) {
 	c := newCluster(t, 4, RoundRobinByHeight)
+	if h, p := c.cores[0].Height(), c.cores[0].PendingCount(); h != 1 || p != 0 {
+		t.Fatalf("a fresh core is at height %d with %d pending, want 1 and 0", h, p)
+	}
 	c.submitToProposer("a")
 	c.waitDecisions("validator-0", 1, 3*time.Second)
 	deadline := time.Now().Add(time.Second)

@@ -39,9 +39,9 @@ func allBenchmarkNames() []string {
 	return out
 }
 
-// NewContentionScenario builds the contention-sweep scenario the legacy
-// -workload/-mix/-skew/-keys flags map onto: every mix x skew combination
-// against the seven systems at the fault plane's 200 payloads/s load.
+// NewContentionScenario builds a contention-sweep scenario: every mix x
+// skew combination against the seven systems at the fault plane's 200
+// payloads/s load.
 func NewContentionScenario(mixes, skews []string, keys int) Scenario {
 	return Scenario{
 		Name:        "contention-sweep",

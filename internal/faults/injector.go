@@ -104,8 +104,10 @@ func (in *Injector) run(start time.Time) {
 	defer h.Close()
 	defer in.done.Close()
 	for _, ev := range in.sched {
-		if wait := ev.At - in.clk.Since(start); wait > 0 {
-			t := in.clk.NewTimer(wait)
+		// An absolute deadline: a stepped clock advancing between reading
+		// the time and arming the timer must not push the event later.
+		if due := start.Add(ev.At); in.clk.Now().Before(due) {
+			t := in.clk.NewTimerAt(due)
 			if i, _, _ := clock.Await(in.clk, in.stop, t); i == 0 {
 				t.Stop()
 				return

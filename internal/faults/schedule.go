@@ -203,7 +203,7 @@ func (s Schedule) Bounds() (firstFault, lastRecover time.Duration, ok bool) {
 	return firstFault, lastRecover, true
 }
 
-// Preset names understood by NewPreset and the coconut-sweep -faults flag.
+// Preset names understood by NewPreset and a scenario's Faults.Preset.
 const (
 	PresetCrashMinority = "crash-minority"
 	PresetPartitionHeal = "partition-heal"

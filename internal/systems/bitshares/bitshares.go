@@ -27,10 +27,8 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/dpos"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/network"
-	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -84,25 +82,18 @@ func (c *Config) fill() {
 
 // node is one BitShares node (witness or observer).
 type node struct {
-	id      string
-	hubNode *systems.HubNode
-	engine  *dpos.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	gate    systems.DurableGate
+	systems.Replica
+	engine *dpos.Engine
 }
 
 // Network is a full BitShares deployment.
 type Network struct {
+	*systems.LedgerCluster
 	cfg Config
 
-	transport *network.Transport
-	hub       *systems.Hub
-	nodes     []*node
-	sealer    chain.Sealer // one sealed block per decision, shared by the replicas
+	nodes []*node
 
 	mu            sync.Mutex
-	running       bool
 	excluded      uint64 // transactions dropped by conflict exclusion
 	excludedOps   uint64 // payload operations those transactions carried
 	execFailedOps uint64 // payload operations discarded by atomic execution failure
@@ -125,48 +116,25 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:          cfg,
-		hub:          systems.NewHub(cfg.Nodes),
 		windowRefs:   make(map[string]int),
 		blockTouched: make(map[string]bool),
 	}
-	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
-	if cfg.Trace != nil {
-		n.transport.SetTracer(cfg.Trace, systems.NameBitShares)
-	}
+	names := systems.NodeIDs("bitshares", cfg.Nodes)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameBitShares, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.pendingBacklog)
 
-	witnessCount := cfg.Nodes - 1
-	if witnessCount < 1 {
-		witnessCount = 1
-	}
-	witnesses := make([]string, witnessCount)
-	var observers []string
-	names := make([]string, cfg.Nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("bitshares-%d", i)
-		if i < witnessCount {
-			witnesses[i] = names[i]
-		} else {
-			observers = append(observers, names[i])
-		}
-	}
+	// Topology: all but the last node are witnesses (Table 4), at least one.
+	witnessCount := max(cfg.Nodes-1, 1)
+	witnesses, observers := names[:witnessCount], names[witnessCount:]
 
 	cfgs := make([]dpos.Config, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		nd := &node{
-			id:      names[i],
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("bitshares"),
-			state:   statestore.NewKVStore(),
-		}
-		if cfg.WAL != nil {
-			nd.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			nd.gate.Trace(cfg.Trace, systems.NameBitShares, names[i])
-		}
+	for i, r := range n.Replicas() {
+		nd := &node{Replica: r}
+		nd.Endpoints = []string{nd.ID}
 		cfgs[i] = dpos.Config{
-			ID:            nd.id,
+			ID:            nd.ID,
 			Witnesses:     witnesses,
 			Observers:     observers,
-			Transport:     n.transport,
+			Transport:     n.Transport,
 			Clock:         cfg.Clock,
 			BlockInterval: cfg.BlockInterval,
 			MaxBlockItems: cfg.MaxBlockTxs,
@@ -182,24 +150,11 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return systems.NameBitShares }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Nodes }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
 	for i, nd := range n.nodes {
 		if err := nd.engine.Start(); err != nil {
 			return fmt.Errorf("start node %d: %w", i, err)
@@ -210,32 +165,23 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	for _, nd := range n.nodes {
 		nd.engine.Stop()
 	}
-	n.transport.Stop()
+	n.Transport.Stop()
 }
 
 // Submit implements systems.Driver: the transaction is gossiped to all
 // witnesses; whichever owns the next slot packs it.
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err
 	}
-	n.mu.Unlock()
-	nd := n.nodes[entryNode%len(n.nodes)]
-	if nd.gate.Down() {
-		return systems.ErrNodeDown // the client's API node is unreachable
-	}
+	nd := n.nodes[i]
 	if err := nd.engine.Submit(tx); err != nil {
 		return err
 	}
@@ -330,7 +276,7 @@ func (n *Network) makeDecideFunc(nd *node) consensus.DecideFunc {
 		if blk, ok := d.Payload.(dpos.ProducedBlock); ok {
 			txs = len(blk.Items)
 		}
-		nd.gate.Commit(txs, func() { n.applyDecision(nd, d) })
+		nd.Gate.Commit(txs, func() { n.applyDecision(nd, d) })
 	}
 }
 
@@ -347,7 +293,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 			continue
 		}
 		tx.Stages.Mark(chain.StageConsensus, decided)
-		if txExecutes(tx, nd.state) {
+		if systems.DryRun(nd.State, tx) {
 			surviving = append(surviving, tx)
 		} else if nd == n.nodes[0] {
 			// Atomic discard ("if an operation fails, the whole transaction
@@ -359,8 +305,8 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 		}
 	}
 	ts := time.Unix(0, int64(blk.Slot)) // deterministic per-slot stamp
-	cb := n.sealer.Seal(nd.ledger.Head(), blk.Witness, ts, surviving)
-	if err := nd.ledger.Append(cb); err != nil {
+	cb := n.Sealer.Seal(nd.Ledger.Head(), blk.Witness, ts, surviving)
+	if err := nd.Ledger.Append(cb); err != nil {
 		return
 	}
 	// One consensus-round span per sampled block, emitted at node 0's apply
@@ -371,9 +317,9 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 	}
 	now := n.cfg.Clock.Now()
 	for txNum, tx := range surviving {
-		applyTx(tx, nd.state, cb.Number, txNum)
+		systems.ApplyTx(tx, nd.State, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
-		nd.hubNode.Committed(systems.Event{
+		nd.Hub.Committed(systems.Event{
 			TxID:      tx.ID,
 			Client:    tx.Client,
 			Committed: true,
@@ -385,127 +331,14 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 	}
 }
 
-// CrashNode implements systems.Driver: the node's commit plane stops and
-// its API endpoint rejects transactions; produced blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the node replays the blocks it
-// missed in slot order (Graphene's resync) and resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: node i's write-ahead log, or nil
-// when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.nodes) {
-		return nil
-	}
-	return n.nodes[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across nodes.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.nodes {
-		rs = rs.Add(n.nodes[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps node i to its transport endpoint.
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.nodes) {
-		return nil
-	}
-	return []string{n.nodes[node].id}
-}
-
-// LedgerHead returns node i's chain head hash (for convergence checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.nodes[i%len(n.nodes)].ledger.Head().Hash
-}
-
-// txExecutes dry-runs every operation of an atomic transaction.
-func txExecutes(tx *chain.Transaction, st *statestore.KVStore) bool {
-	overlay := &overlayState{base: st, writes: make(map[string]string)}
-	for _, op := range tx.Ops {
-		if err := iel.Execute(op, overlay); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// applyTx commits a transaction's operations to the world state.
-func applyTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) {
-	a := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
-	for _, op := range tx.Ops {
-		_ = iel.Execute(op, a)
-	}
-}
-
-type overlayState struct {
-	base   *statestore.KVStore
-	writes map[string]string
-}
-
-var _ iel.StateOps = (*overlayState)(nil)
-
-func (o *overlayState) Get(key string) (string, bool) {
-	if v, ok := o.writes[key]; ok {
-		return v, true
-	}
-	v, ok := o.base.Get(key)
-	return v.Value, ok
-}
-
-func (o *overlayState) Put(key, value string) { o.writes[key] = value }
-
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
-
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, the DPoS
-// engines' pending-transaction backlog, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// pendingBacklog is the chassis' admission-depth hook: the DPoS engines'
+// pending-transaction backlog summed across nodes.
+func (n *Network) pendingBacklog() int {
+	depth := 0
 	for _, nd := range n.nodes {
-		qs.MempoolDepth += nd.engine.PendingCount()
-		qs.GateBacklog += nd.gate.Backlog()
-		if log := nd.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += nd.engine.PendingCount()
 	}
-	return qs
+	return depth
 }
 
 // ExcludedCount reports transactions dropped by conflict exclusion.
@@ -532,27 +365,4 @@ func (n *Network) ConflictCounts() map[string]uint64 {
 		return nil
 	}
 	return out
-}
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every node's world state at version 0, materializing shared key spaces
-// and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, nd := range n.nodes {
-		for i, op := range ops {
-			a := &kvAdapter{state: nd.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("bitshares preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ChainHeight reports node 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.nodes[0].ledger.Height() }
-
-// WorldState exposes node i's state.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.nodes[i%len(n.nodes)].state
 }

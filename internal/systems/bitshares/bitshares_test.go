@@ -199,7 +199,7 @@ func TestLedgersConverge(t *testing.T) {
 	}
 	col.wait(t, 9, 10*time.Second)
 	for _, nd := range n.nodes {
-		if err := nd.ledger.Verify(); err != nil {
+		if err := nd.Ledger.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,0 +1,343 @@
+package systems
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+
+	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/consensus"
+	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/network"
+	"github.com/coconut-bench/coconut/internal/statestore"
+	"github.com/coconut-bench/coconut/internal/trace"
+	"github.com/coconut-bench/coconut/internal/wal"
+)
+
+// Node is what every node of every system has: its identity, its handle on
+// the commit hub, its commit gate, and the transport endpoints it owns. A
+// driver's own node type embeds it and adds the pipeline's parts (engine,
+// pool, vault).
+type Node struct {
+	ID   string
+	Hub  *HubNode
+	Gate DurableGate
+	// Endpoints are the transport endpoints this node (server) owns, set by
+	// the driver: what a link fault aimed at the node degrades.
+	Endpoints []string
+}
+
+// NodeIDs names n nodes "prefix-0" … "prefix-(n-1)".
+func NodeIDs(prefix string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s-%d", prefix, i)
+	}
+	return ids
+}
+
+// Cluster is the node chassis: the part of the Driver contract, and of the
+// optional crash/WAL/recovery/queue hooks beside it, that does not depend
+// on how a system orders transactions. A driver embeds it, keeps Start,
+// Stop and Submit (its pipeline) and gets the rest. Corda embeds Cluster
+// itself; the five systems that replicate a ledger over a shared transport
+// embed LedgerCluster.
+type Cluster struct {
+	// Hub is the network's commit hub; each Node holds its handle on it.
+	Hub *Hub
+
+	name    string
+	nodes   []Node
+	durable bool
+	depth   func() int
+	net     *network.Transport // nil for a system without a message fabric
+	running atomic.Bool
+}
+
+// NewCluster assembles the chassis of a network called name whose nodes are
+// ids, in that order: the hub, each node's hub handle and, when w is set,
+// its write-ahead log and trace lane. depth reports the driver's admission
+// backlog summed over its nodes (pools, ingress queues, flow mailboxes) for
+// QueueSnapshot.
+func NewCluster(name string, ids []string, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) *Cluster {
+	c := &Cluster{}
+	c.init(name, ids, clk, w, tr, depth)
+	return c
+}
+
+func (c *Cluster) init(name string, ids []string, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) {
+	c.Hub = NewHub(len(ids))
+	c.name = name
+	c.nodes = make([]Node, len(ids))
+	c.durable = w != nil
+	c.depth = depth
+	for i, id := range ids {
+		nd := &c.nodes[i]
+		nd.ID = id
+		nd.Hub = c.Hub.Node(id)
+		if w != nil {
+			nd.Gate.Enable(clk, wal.New(id, *w, clk))
+			nd.Gate.Trace(tr, name, id)
+		}
+	}
+}
+
+// Node returns node i's chassis.
+func (c *Cluster) Node(i int) *Node { return &c.nodes[i] }
+
+// Name implements Driver.
+func (c *Cluster) Name() string { return c.name }
+
+// NodeCount implements Driver.
+func (c *Cluster) NodeCount() int { return len(c.nodes) }
+
+// Subscribe implements Driver.
+func (c *Cluster) Subscribe(client string, fn EventFunc) { c.Hub.Subscribe(client, fn) }
+
+// MarkStarted opens the network for submissions and reports whether it was
+// stopped: a driver's Start returns at once when it was not.
+func (c *Cluster) MarkStarted() bool { return c.running.CompareAndSwap(false, true) }
+
+// MarkStopped closes the network to submissions and reports whether it was
+// running: a driver's Stop returns at once when it was not.
+func (c *Cluster) MarkStopped() bool { return c.running.CompareAndSwap(true, false) }
+
+// Entry resolves the node a submission enters through. Clients spread over
+// the servers (§4.3), so entryNode wraps around the network size. It fails
+// with consensus.ErrNotRunning outside Start…Stop and with ErrNodeDown when
+// the entry node is crashed (the client's RPC endpoint is unreachable).
+func (c *Cluster) Entry(entryNode int) (int, error) {
+	if !c.running.Load() {
+		return 0, consensus.ErrNotRunning
+	}
+	i := entryNode % len(c.nodes)
+	if c.nodes[i].Gate.Down() {
+		return 0, ErrNodeDown
+	}
+	return i, nil
+}
+
+func (c *Cluster) checkIndex(node int) error {
+	if node < 0 || node >= len(c.nodes) {
+		return fmt.Errorf("%w: node %d of %d", ErrNodeDown, node, len(c.nodes))
+	}
+	return nil
+}
+
+// CrashNode implements Driver: the node's commit plane stops and its entry
+// endpoint rejects submissions; the commit work decided while it is down
+// buffers behind its gate.
+func (c *Cluster) CrashNode(node int) error {
+	if err := c.checkIndex(node); err != nil {
+		return err
+	}
+	c.nodes[node].Gate.Crash()
+	return nil
+}
+
+// RestartNode implements Driver: the node replays its log, catches up on
+// the commits it missed in the order the others applied them, and resumes.
+func (c *Cluster) RestartNode(node int) error {
+	if err := c.checkIndex(node); err != nil {
+		return err
+	}
+	c.nodes[node].Gate.Restart()
+	return nil
+}
+
+// NodeWAL implements faults.WALAccessor: node i's write-ahead log, or nil
+// when durability is disabled or i is out of range.
+func (c *Cluster) NodeWAL(node int) *wal.Log {
+	if c.checkIndex(node) != nil {
+		return nil
+	}
+	return c.nodes[node].Gate.WAL()
+}
+
+// RecoveryStats implements RecoveryReporter: the durability plane's
+// counters summed over the nodes' gates.
+func (c *Cluster) RecoveryStats() (RecoveryStats, bool) {
+	var rs RecoveryStats
+	for i := range c.nodes {
+		rs = rs.Add(c.nodes[i].Gate.Stats())
+	}
+	return rs, c.durable
+}
+
+// QueueSnapshot implements QueueReporter: hub in-flight, the driver's
+// admission backlog, the transport's undelivered messages, and gate/WAL
+// occupancy summed over the nodes.
+func (c *Cluster) QueueSnapshot() QueueStats {
+	qs := QueueStats{HubInflight: c.Hub.PendingCount(), MempoolDepth: c.depth()}
+	if c.net != nil {
+		qs.NetPending = c.net.PendingCount()
+	}
+	for i := range c.nodes {
+		g := &c.nodes[i].Gate
+		qs.GateBacklog += g.Backlog()
+		if log := g.WAL(); log != nil {
+			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
+			qs.WALUnsynced += log.UnsyncedRecords()
+		}
+	}
+	return qs
+}
+
+// Replica is one node of a LedgerCluster: the node chassis plus its copy of
+// the chain and of the world state.
+type Replica struct {
+	*Node
+	Ledger *chain.Ledger
+	State  *statestore.KVStore
+}
+
+// LedgerCluster is the chassis of a system whose nodes each replicate one
+// ledger and one key-value world state and talk over a shared transport
+// (Fabric, Quorum, Sawtooth, Diem, BitShares). Corda has neither a message
+// fabric nor a KV world state, so it embeds Cluster alone and stays outside
+// faults.TransportAccessor.
+type LedgerCluster struct {
+	Cluster
+	// Transport carries the system's consensus and gossip messages.
+	Transport *network.Transport
+	// Sealer builds one block per decision, shared by the replicas.
+	Sealer chain.Sealer
+
+	replicas []Replica
+}
+
+// NewLedgerCluster assembles a Cluster plus the private transport (traced
+// under the system's name) and every replica's ledger and world state. The
+// ledgers' genesis network ID is the lower-cased system name.
+func NewLedgerCluster(name string, ids []string, latency network.LatencyModel, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) *LedgerCluster {
+	c := &LedgerCluster{}
+	c.init(name, ids, clk, w, tr, depth)
+	c.Transport = network.NewTransport(clk, latency)
+	if tr != nil {
+		c.Transport.SetTracer(tr, name)
+	}
+	c.net = c.Transport
+	c.replicas = make([]Replica, len(ids))
+	for i := range c.replicas {
+		c.replicas[i] = Replica{
+			Node:   c.Node(i),
+			Ledger: chain.NewLedger(strings.ToLower(name)),
+			State:  statestore.NewKVStore(),
+		}
+	}
+	return c
+}
+
+// Replicas returns the replicas in node order; the slice is the cluster's own.
+func (c *LedgerCluster) Replicas() []Replica { return c.replicas }
+
+// Ledger returns node i's chain (i wraps), for tests and examples.
+func (c *LedgerCluster) Ledger(i int) *chain.Ledger { return c.replicas[i%len(c.replicas)].Ledger }
+
+// WorldState returns node i's world state (i wraps), for verification.
+func (c *LedgerCluster) WorldState(i int) *statestore.KVStore {
+	return c.replicas[i%len(c.replicas)].State
+}
+
+// FaultTransport implements faults.TransportAccessor: the shared fabric,
+// for link-level fault injection.
+func (c *LedgerCluster) FaultTransport() *network.Transport { return c.Transport }
+
+// NodeEndpoints implements faults.TransportAccessor: the endpoints node
+// (server) i owns, nil when it owns none or i is out of range.
+func (c *LedgerCluster) NodeEndpoints(node int) []string {
+	if c.checkIndex(node) != nil {
+		return nil
+	}
+	return c.nodes[node].Endpoints
+}
+
+// Preload implements Preloader: the operations are applied directly to every
+// replica's world state at version {0, i} (the YCSB load-phase analogue), so
+// contention workloads start from a materialized shared key space. The
+// identical version on every replica keeps later MVCC validation consistent.
+func (c *LedgerCluster) Preload(ops []chain.Operation) error {
+	for _, r := range c.replicas {
+		a := &kvState{state: r.State}
+		for i, op := range ops {
+			a.ver.TxNum = i
+			if err := iel.Execute(op, a); err != nil {
+				return fmt.Errorf("%s preload op %d: %w", c.name, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// kvState adapts a KVStore to iel.StateOps, writing at one version.
+type kvState struct {
+	state *statestore.KVStore
+	ver   statestore.Version
+}
+
+var _ iel.StateOps = (*kvState)(nil)
+
+func (a *kvState) Get(key string) (string, bool) {
+	v, ok := a.state.Get(key)
+	return v.Value, ok
+}
+
+func (a *kvState) Put(key, value string) { a.state.Set(key, value, a.ver) }
+
+// ExecuteTx runs tx's operations in order against st at version
+// {blockNum, txNum} and stops at the first that fails; what ran before it
+// stays written (order-execute systems include the failed transaction).
+func ExecuteTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) error {
+	a := &kvState{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+	for _, op := range tx.Ops {
+		if err := iel.Execute(op, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ApplyTx commits a transaction that passed its DryRun: every operation
+// runs at version {blockNum, txNum}, and one that fails after all (another
+// transaction of the same block got there first) is skipped.
+func ApplyTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) {
+	a := &kvState{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+	for _, op := range tx.Ops {
+		_ = iel.Execute(op, a)
+	}
+}
+
+// DryRun reports whether every operation of txs, run in order against a
+// read-through overlay of st that keeps the writes to itself, succeeds —
+// the all-or-nothing check of an atomic transaction (BitShares) or batch
+// (Sawtooth).
+func DryRun(st *statestore.KVStore, txs ...*chain.Transaction) bool {
+	o := &overlay{base: st, writes: make(map[string]string)}
+	for _, tx := range txs {
+		for _, op := range tx.Ops {
+			if err := iel.Execute(op, o); err != nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// overlay reads through to the base store but keeps writes local.
+type overlay struct {
+	base   *statestore.KVStore
+	writes map[string]string
+}
+
+var _ iel.StateOps = (*overlay)(nil)
+
+func (o *overlay) Get(key string) (string, bool) {
+	if v, ok := o.writes[key]; ok {
+		return v, true
+	}
+	v, ok := o.base.Get(key)
+	return v.Value, ok
+}
+
+func (o *overlay) Put(key, value string) { o.writes[key] = value }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/faults"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -115,6 +116,37 @@ func TestContractNameAndNodeCount(t *testing.T) {
 			}
 			if d.NodeCount() != 4 {
 				t.Fatalf("NodeCount() = %d, want the paper's 4", d.NodeCount())
+			}
+		})
+	}
+}
+
+// TestContractSurface pins which optional interfaces each system offers —
+// the shape the runner, the fault injector and this suite type-switch on.
+// Corda has no message fabric and no key-value world state: it must stay
+// outside faults.TransportAccessor (link faults are reported as not applied
+// for it) and expose no WorldState (the suites fall back to VaultSize).
+func TestContractSurface(t *testing.T) {
+	for _, c := range candidates() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			d := c.make()
+			_, preloader := d.(systems.Preloader)
+			_, queues := d.(systems.QueueReporter)
+			_, recovery := d.(systems.RecoveryReporter)
+			_, wals := d.(faults.WALAccessor)
+			if !preloader || !queues || !recovery || !wals {
+				t.Errorf("Preloader=%v QueueReporter=%v RecoveryReporter=%v WALAccessor=%v, want all four",
+					preloader, queues, recovery, wals)
+			}
+			corda := c.name == systems.NameCordaOS || c.name == systems.NameCordaEnt
+			if _, ok := d.(faults.TransportAccessor); ok == corda {
+				t.Errorf("TransportAccessor = %v, want %v", ok, !corda)
+			}
+			if _, ok := d.(interface {
+				WorldState(i int) *statestore.KVStore
+			}); ok == corda {
+				t.Errorf("WorldState = %v, want %v", ok, !corda)
 			}
 		})
 	}

@@ -29,7 +29,6 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
-	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/notary"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
@@ -156,23 +155,23 @@ type flowJob struct {
 
 // node is one Corda node.
 type node struct {
-	id      string
-	hubNode *systems.HubNode
-	vault   *chain.Vault
-	queue   *clock.Mailbox[flowJob]
-	gate    systems.DurableGate
+	*systems.Node
+	vault *chain.Vault
+	queue *clock.Mailbox[flowJob]
 }
 
 // Network is a full Corda deployment (either edition).
 type Network struct {
+	// Cluster, not LedgerCluster: Corda has no message fabric (latency is
+	// modeled point to point) and no key-value world state, so link faults
+	// do not apply to it and it exposes no WorldState.
+	*systems.Cluster
 	cfg Config
 
-	hub    *systems.Hub
 	nodes  []*node
 	notary *notary.Service
 
 	mu        sync.Mutex
-	running   bool
 	dropped   uint64            // flows lost to queue overflow
 	timeout   uint64            // flows lost to deadline
 	failed    uint64            // flows lost to execution/notary failure
@@ -189,25 +188,19 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:       cfg,
-		hub:       systems.NewHub(cfg.Nodes),
 		notary:    notary.NewService("corda-notary"),
 		conflicts: make(map[string]uint64),
 		wg:        clock.NewGroup(cfg.Clock),
 		stop:      clock.NewGate(cfg.Clock),
 	}
+	n.Cluster = systems.NewCluster(cfg.Edition.String(), systems.NodeIDs("corda-node", cfg.Nodes),
+		cfg.Clock, cfg.WAL, cfg.Trace, n.flowBacklog)
 	for i := 0; i < cfg.Nodes; i++ {
-		id := fmt.Sprintf("corda-node-%d", i)
-		nd := &node{
-			id:      id,
-			hubNode: n.hub.Node(id),
-			vault:   chain.NewVault(),
-			queue:   clock.NewMailbox[flowJob](cfg.Clock, cfg.QueueDepth),
-		}
-		if cfg.WAL != nil {
-			nd.gate.Enable(cfg.Clock, wal.New(id, *cfg.WAL, cfg.Clock))
-			nd.gate.Trace(cfg.Trace, cfg.Edition.String(), id)
-		}
-		n.nodes = append(n.nodes, nd)
+		n.nodes = append(n.nodes, &node{
+			Node:  n.Node(i),
+			vault: chain.NewVault(),
+			queue: clock.NewMailbox[flowJob](cfg.Clock, cfg.QueueDepth),
+		})
 	}
 	return n
 }
@@ -224,32 +217,18 @@ func NewEnterprise(cfg Config) *Network {
 	return New(cfg)
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return n.cfg.Edition.String() }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Nodes }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
-
 	clock.Fork(n.cfg.Clock, len(n.nodes)*n.cfg.FlowWorkers)
 	for _, nd := range n.nodes {
 		for w := 0; w < n.cfg.FlowWorkers; w++ {
 			nd, w := nd, w
 			n.wg.Add(1)
 			go func() {
-				h := clock.RegisterForked(n.cfg.Clock, "corda/"+nd.id+"/w"+strconv.Itoa(w))
+				h := clock.RegisterForked(n.cfg.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
 				defer h.Close()
 				defer n.wg.Done()
 				var job flowJob // this worker's own: its siblings share the queue
@@ -270,13 +249,9 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	n.stop.Close()
 	n.wg.Wait()
 }
@@ -284,17 +259,11 @@ func (n *Network) Stop() {
 // Submit implements systems.Driver: the flow enqueues on the entry node's
 // flow workers. Overflow drops the flow silently (lost end to end).
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err // ErrNodeDown: the RPC connection is refused
 	}
-	n.mu.Unlock()
-
-	nd := n.nodes[entryNode%len(n.nodes)]
-	if nd.gate.Down() {
-		return systems.ErrNodeDown // the RPC connection is refused
-	}
+	nd := n.nodes[i]
 	if nd.queue.TrySend(flowJob{tx: tx}) {
 		tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
 		return nil
@@ -334,7 +303,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	parties := make([]string, 0, len(n.nodes)-1)
 	for _, other := range n.nodes {
 		if other != entry {
-			parties = append(parties, other.id)
+			parties = append(parties, other.ID)
 		}
 	}
 	if k := n.cfg.RequiredSigners; k > 0 && k < len(parties) {
@@ -350,13 +319,13 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		// fails the whole flow, so one node outage halts all write flows —
 		// the flip side of the paper's §6 observation that requiring fewer
 		// signers is where Corda's scalability lies.
-		if p := n.nodeByID(party); p != nil && p.gate.Down() {
+		if p := n.nodeByID(party); p != nil && p.Gate.Down() {
 			return crypto.Signature{}, fmt.Errorf("corda: counterparty %s unreachable", party)
 		}
 		// One round trip to the counterparty plus its flow processing: the
 		// sleep is the modeled cost of a signature. Nothing verifies one, so
 		// none is computed.
-		rtt := n.cfg.Latency.Delay(entry.id, party) + n.cfg.Latency.Delay(party, entry.id)
+		rtt := n.cfg.Latency.Delay(entry.ID, party) + n.cfg.Latency.Delay(party, entry.ID)
 		n.cfg.Clock.Sleep(rtt + n.cfg.SignProcessing)
 		return crypto.Signature{Signer: party}, nil
 	})
@@ -372,7 +341,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// Phase 3: notarise when the flow consumes states (§5.8.1: only
 	// state-consuming flows need the notary).
 	if utx != nil && len(utx.Inputs) > 0 {
-		rtt := n.cfg.Latency.Delay(entry.id, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.id)
+		rtt := n.cfg.Latency.Delay(entry.ID, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.ID)
 		n.cfg.Clock.Sleep(rtt)
 		if err := n.notary.Notarise(utx.ID, utx.Inputs); err != nil {
 			n.recordFailure(err) // double spend: flow fails, tx lost
@@ -406,7 +375,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		Stages:    &tx.Stages,
 	}
 	if readOnly || utx == nil {
-		n.hub.EmitDirect(ev, now)
+		n.Hub.EmitDirect(ev, now)
 		return
 	}
 	// One flow counts as one failure no matter how many vaults reject its
@@ -417,13 +386,13 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		nd := nd
 		if nd != entry {
 			// State distribution crosses the network once per node.
-			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.id, nd.id))
+			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.ID, nd.ID))
 		}
 		// A node that crashed between signing and finality receives the
 		// states when it restarts (Corda's message-queue redelivery). Each
 		// flow is one WAL record: Corda persists per transaction, not per
 		// block.
-		nd.gate.Commit(1, func() {
+		nd.Gate.Commit(1, func() {
 			if err := nd.vault.Apply(utx); err != nil {
 				if !failed.Swap(true) {
 					n.recordFailure(err)
@@ -433,7 +402,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 			// Vault apply is Corda's commit-time validation (the vault
 			// rejects already-consumed inputs); first node wins the mark.
 			tx.Stages.Mark(chain.StageValidate, n.cfg.Clock.Now())
-			nd.hubNode.Committed(ev, n.cfg.Clock.Now())
+			nd.Hub.Committed(ev, n.cfg.Clock.Now())
 		})
 	}
 }
@@ -441,32 +410,10 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 // nodeByID resolves a node by its identity.
 func (n *Network) nodeByID(id string) *node {
 	for _, nd := range n.nodes {
-		if nd.id == id {
+		if nd.ID == id {
 			return nd
 		}
 	}
-	return nil
-}
-
-// CrashNode implements systems.Driver: the node refuses flow submissions
-// and signature requests; pending state distributions buffer until restart.
-// Because every flow needs every node's signature, one crashed node halts
-// all write flows network-wide.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the node applies the state
-// distributions it missed (message-queue redelivery) and resumes signing.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.nodes) {
-		return fmt.Errorf("%w: node %d of %d", systems.ErrNodeDown, node, len(n.nodes))
-	}
-	n.nodes[node].gate.Restart()
 	return nil
 }
 
@@ -817,40 +764,15 @@ func (n *Network) LossStats() (dropped, timedOut, failed uint64) {
 	return n.dropped, n.timeout, n.failed
 }
 
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, the flow
-// mailboxes' backlog, and gate/WAL occupancy. Corda has no shared transport
-// (latency is modeled point-to-point), so NetPending stays zero.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{HubInflight: n.hub.PendingCount()}
+// flowBacklog is the chassis' admission-depth hook: the flow mailboxes'
+// backlog summed across nodes.
+func (n *Network) flowBacklog() int {
+	depth := 0
 	for _, nd := range n.nodes {
-		qs.MempoolDepth += nd.queue.Len()
-		qs.GateBacklog += nd.gate.Backlog()
-		if log := nd.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += nd.queue.Len()
 	}
-	return qs
+	return depth
 }
 
 // VaultSize reports node i's unspent state count.
 func (n *Network) VaultSize(i int) int { return n.nodes[i%len(n.nodes)].vault.UnspentCount() }
-
-// NodeWAL implements faults.WALAccessor: node i's write-ahead log, or nil
-// when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.nodes) {
-		return nil
-	}
-	return n.nodes[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across nodes.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.nodes {
-		rs = rs.Add(n.nodes[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}

@@ -23,11 +23,8 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/diembft"
-	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
-	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -92,13 +89,9 @@ type proposedBlock struct {
 
 // validator is one Diem node.
 type validator struct {
-	id      string
-	hubNode *systems.HubNode
-	engine  *diembft.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	pool    *mempool.Pool[*chain.Transaction]
-	gate    systems.DurableGate
+	systems.Replica
+	engine *diembft.Engine
+	pool   *mempool.Pool[*chain.Transaction]
 
 	mu         sync.Mutex
 	spikeUntil time.Time
@@ -107,15 +100,10 @@ type validator struct {
 
 // Network is a full Diem deployment.
 type Network struct {
+	*systems.LedgerCluster
 	cfg Config
 
-	transport  *network.Transport
-	hub        *systems.Hub
 	validators []*validator
-	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
-
-	mu      sync.Mutex
-	running bool
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -123,36 +111,20 @@ var _ systems.Driver = (*Network)(nil)
 // New assembles a Diem network.
 func New(cfg Config) *Network {
 	cfg.fill()
-	n := &Network{
-		cfg: cfg,
-		hub: systems.NewHub(cfg.Validators),
-	}
-	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
-	if cfg.Trace != nil {
-		n.transport.SetTracer(cfg.Trace, systems.NameDiem)
-	}
-
-	names := make([]string, cfg.Validators)
-	for i := range names {
-		names[i] = fmt.Sprintf("diem-%d", i)
-	}
-	for i := 0; i < cfg.Validators; i++ {
+	n := &Network{cfg: cfg}
+	names := systems.NodeIDs("diem", cfg.Validators)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameDiem, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.poolBacklog)
+	for _, r := range n.Replicas() {
 		v := &validator{
-			id:      names[i],
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("diem"),
-			state:   statestore.NewKVStore(),
-			pool:    mempool.NewBounded[*chain.Transaction](cfg.MempoolDepth),
+			Replica:   r,
+			pool:      mempool.NewBounded[*chain.Transaction](cfg.MempoolDepth),
+			lastSpike: cfg.Clock.Now(),
 		}
-		v.lastSpike = cfg.Clock.Now()
-		if cfg.WAL != nil {
-			v.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			v.gate.Trace(cfg.Trace, systems.NameDiem, names[i])
-		}
+		v.Endpoints = []string{v.ID}
 		v.engine = diembft.New(diembft.Config{
-			ID:            v.id,
+			ID:            v.ID,
 			Validators:    names,
-			Transport:     n.transport,
+			Transport:     n.Transport,
 			Clock:         cfg.Clock,
 			RoundInterval: cfg.RoundInterval,
 			OnDecide:      n.makeDecideFunc(v),
@@ -163,24 +135,11 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return systems.NameDiem }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Validators }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
 	for i, v := range n.validators {
 		if err := v.engine.Start(); err != nil {
 			return fmt.Errorf("start validator %d: %w", i, err)
@@ -191,34 +150,24 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	for _, v := range n.validators {
 		v.engine.Stop()
 	}
-	n.transport.Stop()
+	n.Transport.Stop()
 }
 
 // Submit implements systems.Driver: admission control checks the bounded
 // mempool. Rejections surface to the client, which counts the transaction
 // as failed (the paper's dominant Diem loss mode).
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err
 	}
-	n.mu.Unlock()
-
-	v := n.validators[entryNode%len(n.validators)]
-	if v.gate.Down() {
-		return systems.ErrNodeDown // the admission endpoint is unreachable
-	}
+	v := n.validators[i]
 	if err := v.pool.Add(tx); err != nil {
 		return err
 	}
@@ -242,7 +191,7 @@ func (n *Network) makePayloadSource(v *validator) func() any {
 		for _, tx := range txs {
 			tx.Stages.Mark(chain.StageQueue, formed)
 		}
-		return proposedBlock{Txs: txs, FormedAt: formed, Proposer: v.id}
+		return proposedBlock{Txs: txs, FormedAt: formed, Proposer: v.ID}
 	}
 }
 
@@ -275,7 +224,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 		if blk, ok := d.Payload.(proposedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
 	}
 }
 
@@ -284,8 +233,8 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	if !ok {
 		return
 	}
-	cb := n.sealer.Seal(v.ledger.Head(), blk.Proposer, blk.FormedAt, blk.Txs)
-	if err := v.ledger.Append(cb); err != nil {
+	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Proposer, blk.FormedAt, blk.Txs)
+	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
 	now := n.cfg.Clock.Now()
@@ -297,7 +246,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	for txNum, tx := range blk.Txs {
 		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := executeTx(tx, v.state, cb.Number, txNum)
+		execErr := systems.ExecuteTx(tx, v.State, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
@@ -312,131 +261,21 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			ev.Reason = execErr.Error()
 			ev.Code = systems.ClassifyAbort(execErr)
 		}
-		v.hubNode.Committed(ev, now)
+		v.Hub.Committed(ev, now)
 	}
 }
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every validator's world state at version 0, materializing shared key
-// spaces and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, v := range n.validators {
-		for i, op := range ops {
-			a := &kvAdapter{state: v.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("diem preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// CrashNode implements systems.Driver: the validator's commit plane stops
-// and its admission endpoint rejects transactions; decided blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the validator replays the blocks
-// it missed in decision order (Diem's state sync) and resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: validator i's write-ahead log, or
-// nil when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return n.validators[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across validators.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.validators {
-		rs = rs.Add(n.validators[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps validator i to its transport endpoint.
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return []string{n.validators[node].id}
-}
-
-// LedgerHead returns validator i's chain head hash (for convergence
-// checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.validators[i%len(n.validators)].ledger.Head().Hash
-}
-
-func executeTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) error {
-	a := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
-	for _, op := range tx.Ops {
-		if err := iel.Execute(op, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
 
 // Drained implements systems.Quiescer: every validator mempool is empty.
-func (n *Network) Drained() bool {
-	for _, v := range n.validators {
-		if v.pool.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *Network) Drained() bool { return n.poolBacklog() == 0 }
 
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, mempool
-// backlog summed across validators, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// poolBacklog is the chassis' admission-depth hook: the mempool backlog
+// summed across validators.
+func (n *Network) poolBacklog() int {
+	depth := 0
 	for _, v := range n.validators {
-		qs.MempoolDepth += v.pool.Len()
-		qs.GateBacklog += v.gate.Backlog()
-		if log := v.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += v.pool.Len()
 	}
-	return qs
+	return depth
 }
 
 // PoolStats aggregates admission counters across validators.
@@ -447,12 +286,4 @@ func (n *Network) PoolStats() (admitted, rejected uint64) {
 		rejected += r
 	}
 	return admitted, rejected
-}
-
-// ChainHeight reports validator 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.validators[0].ledger.Height() }
-
-// WorldState exposes validator i's state.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.validators[i%len(n.validators)].state
 }

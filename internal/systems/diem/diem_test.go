@@ -105,7 +105,7 @@ func TestMaxBlockSizeBoundsBlocks(t *testing.T) {
 		}
 	}
 	col.wait(t, 12, 15*time.Second)
-	for _, b := range n.validators[0].ledger.Blocks()[1:] {
+	for _, b := range n.Ledger(0).Blocks()[1:] {
 		if b.TxCount() > 3 {
 			t.Fatalf("block %d has %d txs, exceeds max_block_size=3", b.Number, b.TxCount())
 		}
@@ -186,7 +186,7 @@ func TestLedgersConverge(t *testing.T) {
 	}
 	col.wait(t, 8, 15*time.Second)
 	for _, v := range n.validators {
-		if err := v.ledger.Verify(); err != nil {
+		if err := v.Ledger.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}

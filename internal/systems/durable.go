@@ -8,10 +8,21 @@ import (
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// DurableGate is NodeGate's WAL-backed successor: the same commit-plane
-// switch every driver mounts behind its CrashNode/RestartNode hooks, with
-// an optional write-ahead log making recovery cost real. Without Enable it
-// behaves exactly like NodeGate — the no-fault hot path pays nothing.
+// DurableGate is one node's commit-plane switch, mounted by the chassis
+// (Node.Gate) behind the Driver contract's CrashNode/RestartNode hooks, with
+// an optional write-ahead log making recovery cost real.
+//
+// The simulation models crashes at the commit plane: the consensus engines
+// keep running (they stand in for the rest of the network, which in a real
+// deployment would elect around the failed replica and later state-transfer
+// it back), while the gate suspends the node's local ledger and world-state
+// application. While down, the node's commit work is buffered in arrival
+// order; Restart replays the backlog in that order before reopening, which
+// models the catch-up real systems perform on rejoin (Raft log repair,
+// Fabric's deliver service, Sawtooth catch-up, Diem state sync) and
+// guarantees the restarted node converges to the same committed prefix as
+// the nodes that stayed up. Without Enable that is all the gate does: work
+// runs at once while it is open, and the no-fault hot path pays nothing.
 //
 // With a log enabled, Commit appends a WAL record *before* applying the
 // node's commit work and charges the modeled append/fsync latency on the
@@ -31,10 +42,13 @@ type DurableGate struct {
 	mu      sync.Mutex
 	down    bool
 	backlog []gateTask
-	// replaying marks an in-progress Restart drain (see NodeGate); recrash
-	// records a Crash that landed mid-replay: the drain stops before
-	// applying the next item, pushes the unapplied suffix back, and the
-	// node stays down until the next Restart.
+	// replaying marks an in-progress Restart drain. The gate stays down
+	// while the backlog is replayed outside the lock, so concurrent Commit
+	// calls keep appending (preserving arrival order behind the replayed
+	// prefix) and a concurrent Restart is a no-op instead of a double
+	// replay. recrash records a Crash that landed mid-replay: the drain
+	// stops before applying the next item, pushes the unapplied suffix
+	// back, and the node stays down until the next Restart.
 	replaying bool
 	recrash   bool
 	// inflight counts the not-yet-applied remainder of a swapped-out drain
@@ -70,7 +84,7 @@ type gateTask struct {
 }
 
 // Enable mounts a write-ahead log on the gate. Call before traffic starts;
-// a gate never Enabled is a plain NodeGate.
+// a gate never Enabled only buffers and replays, at no modeled cost.
 func (g *DurableGate) Enable(clk clock.Clock, log *wal.Log) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -113,7 +127,8 @@ func (g *DurableGate) Do(f func()) { g.Commit(1, f) }
 // header-only record). When the gate is open and a log is mounted, the
 // record is appended before f runs and the modeled append+fsync latency is
 // charged on the node's clock; when the node is down, the work is buffered
-// for replay, exactly like NodeGate.
+// for replay in arrival order. Without a log f runs holding the gate lock,
+// so one node's commit work is serialized against Crash/Restart.
 func (g *DurableGate) Commit(entries int, f func()) {
 	g.mu.Lock()
 	if g.down {
@@ -189,6 +204,13 @@ func (g *DurableGate) Crash() bool {
 // then drain the buffered commit work in arrival order and reopen. Returns
 // the number of applied backlog items. Restarting a node that is up or
 // already mid-replay is a no-op.
+//
+// Each drain round swaps the backlog out under the lock and replays it
+// outside: a buffered callback may itself call Commit on the same gate
+// (drivers nest commit work), and replaying under the mutex would
+// self-deadlock. The gate stays down meanwhile, so work arriving
+// concurrently is buffered behind the replayed prefix and drained by the
+// next round — replay order still exactly matches arrival order.
 func (g *DurableGate) Restart() int {
 	g.mu.Lock()
 	if !g.down || g.replaying {

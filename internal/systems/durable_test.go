@@ -12,7 +12,7 @@ import (
 // undercounting while a Restart drain is in flight: the swapped-out batch
 // used to be invisible, so Backlog reported 0 with work still pending.
 func TestGateBacklogVisibleDuringReplay(t *testing.T) {
-	var g NodeGate
+	var g DurableGate
 	g.Crash()
 	release := make(chan struct{})
 	entered := make(chan struct{})
@@ -37,38 +37,6 @@ func TestGateBacklogVisibleDuringReplay(t *testing.T) {
 	}
 	if got := g.Backlog(); got != 0 {
 		t.Fatalf("Backlog after replay = %d, want 0", got)
-	}
-}
-
-// TestGateDurablePlainPathMatchesNodeGate pins that a never-Enabled
-// DurableGate behaves exactly like NodeGate: immediate apply, buffered
-// replay in order, idempotent hooks, zero stats.
-func TestGateDurablePlainPathMatchesNodeGate(t *testing.T) {
-	var g DurableGate
-	var got []int
-	add := func(v int) func() { return func() { got = append(got, v) } }
-	g.Do(add(1))
-	g.Commit(5, add(2))
-	if !g.Crash() || g.Crash() {
-		t.Fatal("Crash must report true once, then no-op")
-	}
-	g.Do(add(3))
-	if g.Backlog() != 1 {
-		t.Fatalf("backlog = %d, want 1", g.Backlog())
-	}
-	if n := g.Restart(); n != 1 {
-		t.Fatalf("Restart replayed %d, want 1", n)
-	}
-	if g.Restart() != 0 {
-		t.Fatal("Restart on an up node must be a no-op")
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("order = %v, want 1..3", got)
-		}
-	}
-	if st := g.Stats(); st != (RecoveryStats{}) {
-		t.Fatalf("stats without a log = %+v, want zero", st)
 	}
 }
 

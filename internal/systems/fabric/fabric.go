@@ -16,14 +16,12 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
@@ -111,15 +109,6 @@ type cutBatch struct {
 	Cutter    string
 }
 
-// peer is one endorsing/committing peer.
-type peer struct {
-	id      string
-	hubNode *systems.HubNode
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	gate    systems.DurableGate
-}
-
 // orderer couples an ordering-backend handle with a block cutter. With the
 // Raft backend each orderer owns a Raft node; with Kafka they share the
 // broker and the ingress pools are unbounded (Kafka never sheds load).
@@ -131,19 +120,14 @@ type orderer struct {
 
 // Network is a full Fabric deployment.
 type Network struct {
+	*systems.LedgerCluster
 	cfg Config
 
-	transport *network.Transport
-	hub       *systems.Hub
-	peers     []*peer
-	orderers  []*orderer
-	broker    *kafkaBroker
-	sealer    chain.Sealer // one sealed block per decision, shared by the peers
+	orderers []*orderer
+	broker   *kafkaBroker
 
-	mu      sync.Mutex
-	running bool
-	stop    *clock.Gate
-	done    *clock.Gate
+	stop *clock.Gate
+	done *clock.Gate
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -153,33 +137,20 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Peers),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
-	if cfg.Trace != nil {
-		n.transport.SetTracer(cfg.Trace, systems.NameFabric)
-	}
-
-	for i := 0; i < cfg.Peers; i++ {
-		id := fmt.Sprintf("fabric-peer-%d", i)
-		p := &peer{
-			id:      id,
-			hubNode: n.hub.Node(id),
-			ledger:  chain.NewLedger("fabric"),
-			state:   statestore.NewKVStore(),
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameFabric, systems.NodeIDs("fabric-peer", cfg.Peers),
+		cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.ingressBacklog)
+	ordererIDs := systems.NodeIDs("fabric-orderer", cfg.Orderers)
+	// The paper co-locates orderer i on server i (Table 4: orderers on
+	// servers 1-3); peers themselves commit via the ordering stream rather
+	// than peer-to-peer links, so a server past the last orderer owns no
+	// endpoint.
+	for i, p := range n.Replicas() {
+		if i < cfg.Orderers {
+			p.Endpoints = ordererIDs[i : i+1]
 		}
-		if cfg.WAL != nil {
-			p.gate.Enable(cfg.Clock, wal.New(id, *cfg.WAL, cfg.Clock))
-			p.gate.Trace(cfg.Trace, systems.NameFabric, id)
-		}
-		n.peers = append(n.peers, p)
-	}
-
-	ordererIDs := make([]string, cfg.Orderers)
-	for i := range ordererIDs {
-		ordererIDs[i] = fmt.Sprintf("fabric-orderer-%d", i)
 	}
 	if cfg.Ordering == OrderingKafka {
 		n.broker = newKafkaBroker(cfg.Clock, cfg.KafkaOverhead, n.makeDecideFunc(0))
@@ -199,7 +170,7 @@ func New(cfg Config) *Network {
 		o.node = raft.New(raft.Config{
 			ID:        o.id,
 			Peers:     ordererIDs,
-			Transport: n.transport,
+			Transport: n.Transport,
 			Clock:     cfg.Clock,
 			OnDecide:  n.makeDecideFunc(i),
 			Seed:      int64(i + 1),
@@ -209,25 +180,11 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return systems.NameFabric }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Peers }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
-
 	if n.broker != nil {
 		if err := n.broker.Start(); err != nil {
 			return fmt.Errorf("start kafka broker: %w", err)
@@ -248,13 +205,9 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	n.stop.Close()
 	clock.Await(n.cfg.Clock, n.done)
 	if n.broker != nil {
@@ -265,7 +218,7 @@ func (n *Network) Stop() {
 			o.node.Stop()
 		}
 	}
-	n.transport.Stop()
+	n.Transport.Stop()
 }
 
 // Submit implements systems.Driver: the entry peer endorses (executes) the
@@ -273,18 +226,11 @@ func (n *Network) Stop() {
 // silently drops the envelope — the client never hears back, matching the
 // paper's lost transactions under RL=1600.
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err // ErrNodeDown: the client's endorsement RPC fails
 	}
-	n.mu.Unlock()
-
-	p := n.peers[entryNode%len(n.peers)]
-	if p.gate.Down() {
-		return systems.ErrNodeDown // the client's endorsement RPC fails
-	}
-	env := n.endorse(p, tx)
+	env := n.endorse(n.Replicas()[i].State, tx)
 	// Execute-order-validate: endorsement is the execution phase, and it
 	// happens before the transaction ever reaches the ordering queue.
 	tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
@@ -299,9 +245,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // endorse simulates the chaincode execution phase on the entry peer,
 // producing a read-write set against its current world state.
-func (n *Network) endorse(p *peer, tx *chain.Transaction) envelope {
+func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) envelope {
 	rw := statestore.NewRWSet()
-	recorder := &rwRecorder{rw: rw, state: p.state}
+	recorder := &rwRecorder{rw: rw, state: state}
 	for _, op := range tx.Ops {
 		// Endorsement failures still produce an envelope: Fabric orders
 		// whatever was endorsed and settles validity at commit.
@@ -433,25 +379,26 @@ func (n *Network) commitBlock(seq uint64, batch cutBatch) {
 		env.Tx.Stages.Mark(chain.StageConsensus, decided)
 		txs[i] = env.Tx
 	}
-	for _, p := range n.peers {
-		p := p
-		p.gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch, txs) })
+	peers := n.Replicas()
+	for i := range peers {
+		p := &peers[i]
+		p.Gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch, txs) })
 	}
 }
 
 // commitOnPeer applies one decided batch on a single peer; txs are the
 // batch's transactions, shared read-only by every peer's block.
-func (n *Network) commitOnPeer(p *peer, batch cutBatch, txs []*chain.Transaction) {
-	blk := n.sealer.Seal(p.ledger.Head(), batch.Cutter, batch.CutAt, txs)
-	if err := p.ledger.Append(blk); err != nil {
+func (n *Network) commitOnPeer(p *systems.Replica, batch cutBatch, txs []*chain.Transaction) {
+	blk := n.Sealer.Seal(p.Ledger.Head(), batch.Cutter, batch.CutAt, txs)
+	if err := p.Ledger.Append(blk); err != nil {
 		return // stale duplicate
 	}
 	eventsLost := n.cfg.EventLossAtPeers > 0 && n.cfg.Peers >= n.cfg.EventLossAtPeers
 	now := n.cfg.Clock.Now()
 	for txNum, env := range batch.Envelopes {
-		validErr := env.RWSet.Validate(p.state)
+		validErr := env.RWSet.Validate(p.State)
 		if validErr == nil {
-			env.RWSet.Commit(p.state, statestore.Version{BlockNum: blk.Number, TxNum: txNum})
+			env.RWSet.Commit(p.State, statestore.Version{BlockNum: blk.Number, TxNum: txNum})
 		}
 		// First-write-wins: the fastest peer's validation instant counts,
 		// and a crashed peer's gate-buffered replay cannot overwrite it.
@@ -472,125 +419,18 @@ func (n *Network) commitOnPeer(p *peer, batch cutBatch, txs []*chain.Transaction
 			ev.Reason = validErr.Error()
 			ev.Code = systems.ClassifyAbort(validErr)
 		}
-		p.hubNode.Committed(ev, now)
+		p.Hub.Committed(ev, now)
 	}
 }
 
-// Preload implements systems.Preloader: the operations are applied directly
-// to every peer's world state at version 0 (the YCSB load-phase analogue),
-// so contention workloads start from a materialized shared key space. The
-// identical version on every peer keeps later MVCC validation consistent.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, p := range n.peers {
-		a := &preloadState{state: p.state}
-		for i, op := range ops {
-			a.txNum = i
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("fabric preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// preloadState adapts direct KVStore writes to iel.StateOps at version
-// {0, txNum}.
-type preloadState struct {
-	state *statestore.KVStore
-	txNum int
-}
-
-var _ iel.StateOps = (*preloadState)(nil)
-
-func (a *preloadState) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *preloadState) Put(key, value string) {
-	a.state.Set(key, value, statestore.Version{TxNum: a.txNum})
-}
-
-// CrashNode implements systems.Driver: the peer stops committing blocks and
-// rejects endorsement requests; decided blocks buffer for catch-up.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.peers) {
-		return fmt.Errorf("%w: peer %d of %d", systems.ErrNodeDown, node, len(n.peers))
-	}
-	n.peers[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the peer replays the blocks it
-// missed (Fabric's deliver-service catch-up) and resumes committing.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.peers) {
-		return fmt.Errorf("%w: peer %d of %d", systems.ErrNodeDown, node, len(n.peers))
-	}
-	n.peers[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: peer i's write-ahead log, or nil
-// when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.peers) {
-		return nil
-	}
-	return n.peers[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across peers.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.peers {
-		rs = rs.Add(n.peers[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps node (server) index i to its transport endpoints. The
-// paper co-locates orderer i on server i (Table 4: orderers on servers
-// 1-3); peers themselves commit via the ordering stream rather than
-// peer-to-peer links.
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.orderers) {
-		return nil
-	}
-	return []string{n.orderers[node].id}
-}
-
-// LedgerHead returns peer i's chain head hash (for convergence checks).
-func (n *Network) LedgerHead(i int) crypto.Hash { return n.peers[i%len(n.peers)].ledger.Head().Hash }
-
-// PeerHeight reports peer 0's chain height (for tests and examples).
-func (n *Network) PeerHeight() uint64 { return n.peers[0].ledger.Height() }
-
-// WorldState exposes peer i's world state for verification in tests.
-func (n *Network) WorldState(i int) *statestore.KVStore { return n.peers[i%len(n.peers)].state }
-
-// QueueSnapshot implements systems.QueueReporter: the hub's in-flight
-// count, orderer ingress depth, and the peers' gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// ingressBacklog is the chassis' admission-depth hook: the orderers'
+// ingress depth.
+func (n *Network) ingressBacklog() int {
+	depth := 0
 	for _, o := range n.orderers {
-		qs.MempoolDepth += o.ingress.Len()
+		depth += o.ingress.Len()
 	}
-	for _, p := range n.peers {
-		qs.GateBacklog += p.gate.Backlog()
-		if log := p.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
-	}
-	return qs
+	return depth
 }
 
 // OrdererStats reports admitted/rejected envelope counts across orderers.

@@ -181,7 +181,7 @@ func TestMaxMessageCountBoundsBlockSize(t *testing.T) {
 	}
 	col.wait(t, 20, 5*time.Second)
 	// Inspect peer 0's chain: all non-genesis blocks must be <= 5 txs.
-	blocks := n.peers[0].ledger.Blocks()
+	blocks := n.Ledger(0).Blocks()
 	for _, b := range blocks[1:] {
 		if b.TxCount() > 5 {
 			t.Fatalf("block %d has %d txs, exceeds MaxMessageCount=5", b.Number, b.TxCount())
@@ -233,12 +233,12 @@ func TestLedgersConsistentAcrossPeers(t *testing.T) {
 		}
 	}
 	col.wait(t, 21, 5*time.Second)
-	h0 := n.peers[0].ledger.Head().Hash
-	for _, p := range n.peers[1:] {
-		if p.ledger.Head().Hash != h0 {
+	h0 := n.Ledger(0).Head().Hash
+	for _, p := range n.Replicas()[1:] {
+		if p.Ledger.Head().Hash != h0 {
 			t.Fatal("peer ledgers diverged")
 		}
-		if err := p.ledger.Verify(); err != nil {
+		if err := p.Ledger.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,10 +318,10 @@ func TestEventLossAtPeersSuppressesClientEvents(t *testing.T) {
 	}
 	// Blocks must still commit on-chain...
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && n.PeerHeight() == 0 {
+	for time.Now().Before(deadline) && n.Ledger(0).Height() == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n.PeerHeight() == 0 {
+	if n.Ledger(0).Height() == 0 {
 		t.Fatal("no blocks committed")
 	}
 	// ...while clients hear nothing (the paper's §5.8.2 Fabric finding).

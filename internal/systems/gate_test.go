@@ -6,7 +6,7 @@ import (
 )
 
 func TestGateBuffersWhileDownAndReplaysInOrder(t *testing.T) {
-	var g NodeGate
+	var g DurableGate
 	var got []int
 	add := func(v int) func() { return func() { got = append(got, v) } }
 
@@ -25,14 +25,24 @@ func TestGateBuffersWhileDownAndReplaysInOrder(t *testing.T) {
 	if n := g.Restart(); n != 2 {
 		t.Fatalf("Restart replayed %d, want 2", n)
 	}
+	if g.Restart() != 0 {
+		t.Fatal("Restart on an up node must be a no-op")
+	}
 	g.Do(add(4))
+	g.Commit(5, add(5)) // without a log the entry count changes nothing
+	if len(got) != 5 {
+		t.Fatalf("applied %v, want 1..5", got)
+	}
 	for i, v := range got {
 		if v != i+1 {
-			t.Fatalf("order = %v, want 1..4", got)
+			t.Fatalf("order = %v, want 1..5", got)
 		}
 	}
 	if g.Down() {
 		t.Fatal("gate must be open after Restart")
+	}
+	if st := g.Stats(); st != (RecoveryStats{}) {
+		t.Fatalf("stats without a log = %+v, want zero", st)
 	}
 }
 
@@ -41,7 +51,7 @@ func TestGateBuffersWhileDownAndReplaysInOrder(t *testing.T) {
 // work) must not self-deadlock. Under the old implementation Restart ran
 // the backlog holding g.mu, so the nested Do blocked forever.
 func TestGateReplayReentrantDo(t *testing.T) {
-	var g NodeGate
+	var g DurableGate
 	var got []int
 	g.Crash()
 	g.Do(func() {
@@ -67,7 +77,7 @@ func TestGateReplayReentrantDo(t *testing.T) {
 // TestGateConcurrentRestartIsNoOp pins that a Restart racing an in-progress
 // replay neither double-replays nor reopens the gate early.
 func TestGateConcurrentRestartIsNoOp(t *testing.T) {
-	var g NodeGate
+	var g DurableGate
 	var mu sync.Mutex
 	count := 0
 	g.Crash()

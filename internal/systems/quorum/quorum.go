@@ -23,12 +23,10 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
-	"github.com/coconut-bench/coconut/internal/consensus/ibft"
+	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
-	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -90,14 +88,10 @@ type producedBlock struct {
 
 // validator is one Quorum node.
 type validator struct {
-	id      string
-	gossip  string // the tx-gossip endpoint beside the engine's: id + "-gossip"
-	hubNode *systems.HubNode
-	engine  *ibft.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	pool    *mempool.Pool[*chain.Transaction]
-	gate    systems.DurableGate
+	systems.Replica
+	gossip string // the tx-gossip endpoint beside the engine's: ID + "-gossip"
+	engine *bftcore.Core
+	pool   *mempool.Pool[*chain.Transaction]
 
 	mu      sync.Mutex
 	seen    map[crypto.Hash]bool
@@ -106,17 +100,13 @@ type validator struct {
 
 // Network is a full Quorum deployment.
 type Network struct {
+	*systems.LedgerCluster
 	cfg Config
 
-	transport  *network.Transport
-	hub        *systems.Hub
 	validators []*validator
-	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
 
-	mu      sync.Mutex
-	running bool
-	stop    *clock.Gate
-	done    *clock.Gate
+	stop *clock.Gate
+	done *clock.Gate
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -126,39 +116,27 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Validators),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
-	if cfg.Trace != nil {
-		n.transport.SetTracer(cfg.Trace, systems.NameQuorum)
-	}
-
-	names := make([]string, cfg.Validators)
-	for i := range names {
-		names[i] = fmt.Sprintf("quorum-%d", i)
-	}
-	for i := 0; i < cfg.Validators; i++ {
+	names := systems.NodeIDs("quorum", cfg.Validators)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.poolBacklog)
+	for i, r := range n.Replicas() {
 		v := &validator{
-			id:      names[i],
+			Replica: r,
 			gossip:  names[i] + "-gossip",
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("quorum"),
-			state:   statestore.NewKVStore(),
 			pool:    mempool.NewUnbounded[*chain.Transaction](),
 			seen:    make(map[crypto.Hash]bool),
 		}
-		if cfg.WAL != nil {
-			v.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			v.gate.Trace(cfg.Trace, systems.NameQuorum, names[i])
-		}
-		v.engine = ibft.New(ibft.Config{
-			ID:         v.id,
-			Validators: names,
-			Transport:  n.transport,
-			Clock:      cfg.Clock,
-			OnDecide:   n.makeDecideFunc(v),
+		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
+		v.engine = bftcore.New(bftcore.Config{
+			ID:        v.ID,
+			Peers:     names,
+			Transport: n.Transport,
+			Clock:     cfg.Clock,
+			OnDecide:  n.makeDecideFunc(v),
+			Proposer:  bftcore.RoundRobinByHeight, // Istanbul rotates per height
+			MsgPrefix: "ibft",
 			Digest: func(p any) crypto.Hash {
 				blk, ok := p.(producedBlock)
 				if !ok {
@@ -183,30 +161,16 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return systems.NameQuorum }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Validators }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
-
 	for i, v := range n.validators {
 		// Gossip endpoints piggyback on the IBFT transport registration;
 		// use a dedicated endpoint per validator for tx gossip.
 		v := v
-		n.transport.Register(v.gossip, func(m network.Message) {
+		n.Transport.Register(v.gossip, func(m network.Message) {
 			tx, ok := m.Payload.(*chain.Transaction)
 			if !ok {
 				return
@@ -224,20 +188,16 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	n.stop.Close()
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(v.gossip)
+		n.Transport.Unregister(v.gossip)
 	}
-	n.transport.Stop()
+	n.Transport.Stop()
 }
 
 // Submit implements systems.Driver: the transaction enters the entry
@@ -245,23 +205,17 @@ func (n *Network) Stop() {
 // unbounded, so Submit never rejects — overload shows up later as the
 // livelock.
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err
 	}
-	n.mu.Unlock()
-
-	v := n.validators[entryNode%len(n.validators)]
-	if v.gate.Down() {
-		return systems.ErrNodeDown // the client's RPC node is unreachable
-	}
+	v := n.validators[i]
 	n.admit(v, tx)
 	for _, other := range n.validators {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(v.gossip, other.gossip, "quorum.tx", tx)
+		_ = n.Transport.Send(v.gossip, other.gossip, "quorum.tx", tx)
 	}
 	return nil
 }
@@ -323,7 +277,7 @@ func (n *Network) produce(v *validator) {
 	if !stalled {
 		txs = v.pool.Take(n.cfg.MaxBlockTxs)
 	}
-	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.id}
+	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.ID}
 	if err := v.engine.Submit(blk); err != nil {
 		if !stalled {
 			// Requeue so the next period retries.
@@ -345,7 +299,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 		if blk, ok := d.Payload.(producedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
 	}
 }
 
@@ -356,8 +310,8 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	// Execute after ordering against this validator's own state; all
 	// validators execute identically in block order.
-	cb := n.sealer.Seal(v.ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
-	if err := v.ledger.Append(cb); err != nil {
+	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
+	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
 	now := n.cfg.Clock.Now()
@@ -374,7 +328,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 		// confirmation would reach the client with the mark still unset.
 		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := executeTx(tx, v.state, cb.Number, txNum)
+		execErr := systems.ExecuteTx(tx, v.State, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
@@ -389,7 +343,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			ev.Reason = execErr.Error()
 			ev.Code = systems.ClassifyAbort(execErr)
 		}
-		v.hubNode.Committed(ev, now)
+		v.Hub.Committed(ev, now)
 	}
 	// Remove included txs from the local pool (they may still be queued
 	// on validators that did not produce the block).
@@ -408,47 +362,6 @@ func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
 	v.pool.Remove(func(tx *chain.Transaction) bool { return ids[tx.ID] })
 }
 
-// executeTx runs all operations of a transaction against the world state.
-func executeTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) error {
-	ops := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
-	for _, op := range tx.Ops {
-		if err := iel.Execute(op, ops); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// kvAdapter adapts KVStore to iel.StateOps at a fixed version.
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every validator's world state at version 0, materializing shared key
-// spaces and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, v := range n.validators {
-		for i, op := range ops {
-			a := &kvAdapter{state: v.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("quorum preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Stalled reports whether any validator has latched the livelock.
 func (n *Network) Stalled() bool {
 	for _, v := range n.validators {
@@ -465,101 +378,16 @@ func (n *Network) Stalled() bool {
 // Drained implements systems.Quiescer: every pool is empty, or the
 // livelock has latched (in which case the backlog will never drain and
 // waiting longer is pointless).
-func (n *Network) Drained() bool {
-	if n.Stalled() {
-		return true
-	}
+func (n *Network) Drained() bool { return n.Stalled() || n.poolBacklog() == 0 }
+
+// poolBacklog is the chassis' admission-depth hook: the pool backlog summed
+// across validators.
+func (n *Network) poolBacklog() int {
+	depth := 0
 	for _, v := range n.validators {
-		if v.pool.Len() > 0 {
-			return false
-		}
+		depth += v.pool.Len()
 	}
-	return true
-}
-
-// ChainHeight reports validator 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.validators[0].ledger.Height() }
-
-// WorldState exposes validator i's state for test verification.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.validators[i%len(n.validators)].state
-}
-
-// CrashNode implements systems.Driver: the validator's commit plane stops
-// and its RPC endpoint rejects submissions; decided blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the validator replays the blocks
-// it missed in decision order (geth's chain download on rejoin) and
-// resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: validator i's write-ahead log, or
-// nil when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return n.validators[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across validators.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.validators {
-		rs = rs.Add(n.validators[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps validator i to its transport endpoints (IBFT plus tx
-// gossip).
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	v := n.validators[node]
-	return []string{v.id, v.gossip}
-}
-
-// LedgerHead returns validator i's chain head hash (for convergence
-// checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.validators[i%len(n.validators)].ledger.Head().Hash
-}
-
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, pool
-// backlog summed across validators, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
-	for _, v := range n.validators {
-		qs.MempoolDepth += v.pool.Len()
-		qs.GateBacklog += v.gate.Backlog()
-		if log := v.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
-	}
-	return qs
+	return depth
 }
 
 // PoolDepth reports the deepest validator pool backlog.

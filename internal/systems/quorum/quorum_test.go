@@ -137,9 +137,9 @@ func TestLivelockLatchesUnderLowBlockPeriodAndLoad(t *testing.T) {
 	// Once stalled, the backlog stops draining: block height keeps growing
 	// (empty blocks) while events stop.
 	before := col.len()
-	h1 := n.ChainHeight()
+	h1 := n.Ledger(0).Height()
 	time.Sleep(100 * time.Millisecond)
-	if n.ChainHeight() <= h1 {
+	if n.Ledger(0).Height() <= h1 {
 		t.Fatal("stalled node stopped producing empty blocks (must keep consensus alive)")
 	}
 	if got := col.len(); got > before+50 {
@@ -181,10 +181,10 @@ func TestLedgersConverge(t *testing.T) {
 	// All validators eventually hold identical chains.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		h := n.validators[0].ledger.Height()
+		h := n.Ledger(0).Height()
 		same := true
 		for _, v := range n.validators[1:] {
-			if v.ledger.Height() < h {
+			if v.Ledger.Height() < h {
 				same = false
 			}
 		}
@@ -194,7 +194,7 @@ func TestLedgersConverge(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, v := range n.validators {
-		if err := v.ledger.Verify(); err != nil {
+		if err := v.Ledger.Verify(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestScrubIsNoAdmission(t *testing.T) {
 		}
 	}
 	col.wait(t, txs, 10*time.Second)
-	if h := n.ChainHeight(); h < txs/2 {
+	if h := n.Ledger(0).Height(); h < txs/2 {
 		t.Fatalf("chain height %d: the backlog was not spread over several blocks", h)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -266,10 +266,10 @@ func TestScrubIsNoAdmission(t *testing.T) {
 				break
 			}
 			if admitted > txs {
-				t.Fatalf("%s: %d admissions of %d transactions: a scrub re-admitted the backlog", v.id, admitted, txs)
+				t.Fatalf("%s: %d admissions of %d transactions: a scrub re-admitted the backlog", v.ID, admitted, txs)
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: admitted %d, %d still queued", v.id, admitted, v.pool.Len())
+				t.Fatalf("%s: admitted %d, %d still queued", v.ID, admitted, v.pool.Len())
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -26,12 +26,10 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
-	"github.com/coconut-bench/coconut/internal/consensus/pbft"
+	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
-	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -95,14 +93,10 @@ type publishedBlock struct {
 
 // validator is one Sawtooth node.
 type validator struct {
-	id      string
-	gossip  string // the tx-gossip endpoint beside the engine's: id + "-gossip"
-	hubNode *systems.HubNode
-	engine  *pbft.Engine
-	ledger  *chain.Ledger
-	state   *statestore.KVStore
-	queue   *mempool.Pool[*chain.Batch]
-	gate    systems.DurableGate
+	systems.Replica
+	gossip string // the batch-gossip endpoint beside the engine's: ID + "-gossip"
+	engine *bftcore.Core
+	queue  *mempool.Pool[*chain.Batch]
 
 	mu   sync.Mutex
 	seen map[crypto.Hash]bool
@@ -110,17 +104,13 @@ type validator struct {
 
 // Network is a full Sawtooth deployment.
 type Network struct {
+	*systems.LedgerCluster
 	cfg Config
 
-	transport  *network.Transport
-	hub        *systems.Hub
 	validators []*validator
-	sealer     chain.Sealer // one sealed block per decision, shared by the replicas
 
-	mu      sync.Mutex
-	running bool
-	stop    *clock.Gate
-	done    *clock.Gate
+	stop *clock.Gate
+	done *clock.Gate
 
 	// discardedOps counts payload operations lost to atomic batch discard
 	// (counted once per decision, on validator 0's identical replay).
@@ -134,39 +124,27 @@ func New(cfg Config) *Network {
 	cfg.fill()
 	n := &Network{
 		cfg:  cfg,
-		hub:  systems.NewHub(cfg.Validators),
 		stop: clock.NewGate(cfg.Clock),
 		done: clock.NewGate(cfg.Clock),
 	}
-	n.transport = network.NewTransport(cfg.Clock, cfg.Latency)
-	if cfg.Trace != nil {
-		n.transport.SetTracer(cfg.Trace, systems.NameSawtooth)
-	}
-
-	names := make([]string, cfg.Validators)
-	for i := range names {
-		names[i] = fmt.Sprintf("sawtooth-%d", i)
-	}
-	for i := 0; i < cfg.Validators; i++ {
+	names := systems.NodeIDs("sawtooth", cfg.Validators)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameSawtooth, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.queueBacklog)
+	for i, r := range n.Replicas() {
 		v := &validator{
-			id:      names[i],
+			Replica: r,
 			gossip:  names[i] + "-gossip",
-			hubNode: n.hub.Node(names[i]),
-			ledger:  chain.NewLedger("sawtooth"),
-			state:   statestore.NewKVStore(),
 			queue:   mempool.NewBounded[*chain.Batch](cfg.QueueDepth),
 			seen:    make(map[crypto.Hash]bool),
 		}
-		if cfg.WAL != nil {
-			v.gate.Enable(cfg.Clock, wal.New(names[i], *cfg.WAL, cfg.Clock))
-			v.gate.Trace(cfg.Trace, systems.NameSawtooth, names[i])
-		}
-		v.engine = pbft.New(pbft.Config{
-			ID:        v.id,
-			Replicas:  names,
-			Transport: n.transport,
+		v.Endpoints = []string{v.ID, v.gossip} // PBFT plus batch gossip
+		v.engine = bftcore.New(bftcore.Config{
+			ID:        v.ID,
+			Peers:     names,
+			Transport: n.Transport,
 			Clock:     cfg.Clock,
 			OnDecide:  n.makeDecideFunc(v),
+			Proposer:  bftcore.StickyPrimary, // the primary rotates on view change only
+			MsgPrefix: "pbft",
 			Digest: func(p any) crypto.Hash {
 				blk, ok := p.(publishedBlock)
 				if !ok {
@@ -191,28 +169,14 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Name implements systems.Driver.
-func (n *Network) Name() string { return systems.NameSawtooth }
-
-// NodeCount implements systems.Driver.
-func (n *Network) NodeCount() int { return n.cfg.Validators }
-
-// Subscribe implements systems.Driver.
-func (n *Network) Subscribe(client string, fn systems.EventFunc) { n.hub.Subscribe(client, fn) }
-
 // Start implements systems.Driver.
 func (n *Network) Start() error {
-	n.mu.Lock()
-	if n.running {
-		n.mu.Unlock()
+	if !n.MarkStarted() {
 		return nil
 	}
-	n.running = true
-	n.mu.Unlock()
-
 	for i, v := range n.validators {
 		v := v
-		n.transport.Register(v.gossip, func(m network.Message) {
+		n.Transport.Register(v.gossip, func(m network.Message) {
 			b, ok := m.Payload.(*chain.Batch)
 			if !ok {
 				return
@@ -230,20 +194,16 @@ func (n *Network) Start() error {
 
 // Stop implements systems.Driver.
 func (n *Network) Stop() {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
+	if !n.MarkStopped() {
 		return
 	}
-	n.running = false
-	n.mu.Unlock()
 	n.stop.Close()
 	clock.Await(n.cfg.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
-		n.transport.Unregister(v.gossip)
+		n.Transport.Unregister(v.gossip)
 	}
-	n.transport.Stop()
+	n.Transport.Stop()
 }
 
 // Submit implements systems.Driver for single transactions: it wraps the
@@ -257,17 +217,11 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 // rejects with mempool.ErrQueueFull; the caller must re-send (or, as the
 // paper's clients do, count the batch as lost).
 func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
-	n.mu.Lock()
-	if !n.running {
-		n.mu.Unlock()
-		return consensus.ErrNotRunning
+	i, err := n.Entry(entryNode)
+	if err != nil {
+		return err
 	}
-	n.mu.Unlock()
-
-	v := n.validators[entryNode%len(n.validators)]
-	if v.gate.Down() {
-		return systems.ErrNodeDown // the client's REST endpoint is unreachable
-	}
+	v := n.validators[i]
 	v.mu.Lock()
 	if v.seen[b.ID] {
 		v.mu.Unlock()
@@ -289,7 +243,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 		if other == v {
 			continue
 		}
-		_ = n.transport.Send(v.gossip, other.gossip, "sawtooth.batch", b)
+		_ = n.Transport.Send(v.gossip, other.gossip, "sawtooth.batch", b)
 	}
 	return nil
 }
@@ -325,7 +279,7 @@ func (n *Network) publishLoop() {
 				continue // transactions stay pending, never finalized
 			}
 			for _, v := range n.validators {
-				if !v.engine.IsPrimary() {
+				if !v.engine.IsProposer() {
 					continue
 				}
 				batches := v.queue.Take(n.cfg.MaxBlockBatches)
@@ -335,7 +289,7 @@ func (n *Network) publishLoop() {
 				blk := publishedBlock{
 					Batches:     batches,
 					PublishedAt: n.cfg.Clock.Now(),
-					Publisher:   v.id,
+					Publisher:   v.ID,
 				}
 				if err := v.engine.Submit(blk); err != nil {
 					for _, b := range batches {
@@ -367,7 +321,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 				txs += len(b.Txs)
 			}
 		}
-		v.gate.Commit(txs, func() { n.applyDecision(v, d) })
+		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
 	}
 }
 
@@ -387,7 +341,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	var surviving []*chain.Transaction
 	var survivingBatches []*chain.Batch
 	for _, b := range blk.Batches {
-		if batchExecutes(b, v.state) {
+		if systems.DryRun(v.State, b.Txs...) {
 			surviving = append(surviving, b.Txs...)
 			survivingBatches = append(survivingBatches, b)
 		} else if v == n.validators[0] {
@@ -398,8 +352,8 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			}
 		}
 	}
-	cb := n.sealer.Seal(v.ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
-	if err := v.ledger.Append(cb); err != nil {
+	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
+	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
 	// One consensus-round span per sampled block, emitted at validator 0's
@@ -411,9 +365,9 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	now := n.cfg.Clock.Now()
 	for txNum, batch := range survivingBatches {
 		for _, tx := range batch.Txs {
-			applyTx(tx, v.state, cb.Number, txNum)
+			systems.ApplyTx(tx, v.State, cb.Number, txNum)
 			tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
-			v.hubNode.Committed(systems.Event{
+			v.Hub.Committed(systems.Event{
 				TxID:      tx.ID,
 				Client:    tx.Client,
 				Committed: true,
@@ -427,28 +381,6 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	n.scrubQueue(v, blk.Batches)
 }
 
-// batchExecutes dry-runs a batch against a copy-on-read overlay of the
-// state and reports whether every member transaction succeeds.
-func batchExecutes(b *chain.Batch, st *statestore.KVStore) bool {
-	overlay := &overlayState{base: st, writes: make(map[string]string)}
-	for _, tx := range b.Txs {
-		for _, op := range tx.Ops {
-			if err := iel.Execute(op, overlay); err != nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// applyTx commits a transaction's writes to the world state.
-func applyTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) {
-	a := &kvAdapter{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
-	for _, op := range tx.Ops {
-		_ = iel.Execute(op, a)
-	}
-}
-
 // scrubQueue removes published batches from a validator's queue.
 func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
 	ids := make(map[crypto.Hash]bool, len(published))
@@ -458,123 +390,17 @@ func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
 	v.queue.Remove(func(b *chain.Batch) bool { return ids[b.ID] })
 }
 
-// overlayState reads through to the base store but keeps writes local.
-type overlayState struct {
-	base   *statestore.KVStore
-	writes map[string]string
-}
-
-var _ iel.StateOps = (*overlayState)(nil)
-
-func (o *overlayState) Get(key string) (string, bool) {
-	if v, ok := o.writes[key]; ok {
-		return v, true
-	}
-	v, ok := o.base.Get(key)
-	return v.Value, ok
-}
-
-func (o *overlayState) Put(key, value string) { o.writes[key] = value }
-
-// kvAdapter adapts KVStore to iel.StateOps at a fixed version.
-type kvAdapter struct {
-	state *statestore.KVStore
-	ver   statestore.Version
-}
-
-var _ iel.StateOps = (*kvAdapter)(nil)
-
-func (a *kvAdapter) Get(key string) (string, bool) {
-	v, ok := a.state.Get(key)
-	return v.Value, ok
-}
-
-func (a *kvAdapter) Put(key, value string) { a.state.Set(key, value, a.ver) }
-
-// CrashNode implements systems.Driver: the validator's commit plane stops
-// and its REST endpoint rejects batches; decided blocks buffer.
-func (n *Network) CrashNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Crash()
-	return nil
-}
-
-// RestartNode implements systems.Driver: the validator replays the blocks
-// it missed in decision order (Sawtooth's catch-up) and resumes.
-func (n *Network) RestartNode(node int) error {
-	if node < 0 || node >= len(n.validators) {
-		return fmt.Errorf("%w: validator %d of %d", systems.ErrNodeDown, node, len(n.validators))
-	}
-	n.validators[node].gate.Restart()
-	return nil
-}
-
-// FaultTransport exposes the shared fabric for link-level fault injection.
-func (n *Network) FaultTransport() *network.Transport { return n.transport }
-
-// NodeWAL implements faults.WALAccessor: validator i's write-ahead log, or
-// nil when durability is disabled.
-func (n *Network) NodeWAL(node int) *wal.Log {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	return n.validators[node].gate.WAL()
-}
-
-// RecoveryStats implements systems.RecoveryReporter: the durability plane's
-// counters summed across validators.
-func (n *Network) RecoveryStats() (systems.RecoveryStats, bool) {
-	var rs systems.RecoveryStats
-	for i := range n.validators {
-		rs = rs.Add(n.validators[i].gate.Stats())
-	}
-	return rs, n.cfg.WAL != nil
-}
-
-// NodeEndpoints maps validator i to its transport endpoints (PBFT plus
-// batch gossip).
-func (n *Network) NodeEndpoints(node int) []string {
-	if node < 0 || node >= len(n.validators) {
-		return nil
-	}
-	v := n.validators[node]
-	return []string{v.id, v.gossip}
-}
-
-// LedgerHead returns validator i's chain head hash (for convergence
-// checks).
-func (n *Network) LedgerHead(i int) crypto.Hash {
-	return n.validators[i%len(n.validators)].ledger.Head().Hash
-}
-
 // Drained implements systems.Quiescer: all validator queues are empty.
-func (n *Network) Drained() bool {
-	for _, v := range n.validators {
-		if v.queue.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *Network) Drained() bool { return n.queueBacklog() == 0 }
 
-// QueueSnapshot implements systems.QueueReporter: hub in-flight, batch
-// queue backlog summed across validators, and gate/WAL occupancy.
-func (n *Network) QueueSnapshot() systems.QueueStats {
-	qs := systems.QueueStats{
-		HubInflight: n.hub.PendingCount(),
-		NetPending:  n.transport.PendingCount(),
-	}
+// queueBacklog is the chassis' admission-depth hook: the batch queue
+// backlog summed across validators.
+func (n *Network) queueBacklog() int {
+	depth := 0
 	for _, v := range n.validators {
-		qs.MempoolDepth += v.queue.Len()
-		qs.GateBacklog += v.gate.Backlog()
-		if log := v.gate.WAL(); log != nil {
-			qs.WALLiveBytes += int64(log.Stats().LiveBytes)
-			qs.WALUnsynced += log.UnsyncedRecords()
-		}
+		depth += v.queue.Len()
 	}
-	return qs
+	return depth
 }
 
 // QueueStats aggregates admission counters across validators.
@@ -585,29 +411,6 @@ func (n *Network) QueueStats() (admitted, rejected uint64) {
 		rejected += r
 	}
 	return admitted, rejected
-}
-
-// ChainHeight reports validator 0's block height.
-func (n *Network) ChainHeight() uint64 { return n.validators[0].ledger.Height() }
-
-// WorldState exposes validator i's state.
-func (n *Network) WorldState(i int) *statestore.KVStore {
-	return n.validators[i%len(n.validators)].state
-}
-
-// Preload implements systems.Preloader: operations are applied directly to
-// every validator's world state at version 0, materializing shared key
-// spaces and account pools before contention load starts.
-func (n *Network) Preload(ops []chain.Operation) error {
-	for _, v := range n.validators {
-		for i, op := range ops {
-			a := &kvAdapter{state: v.state, ver: statestore.Version{TxNum: i}}
-			if err := iel.Execute(op, a); err != nil {
-				return fmt.Errorf("sawtooth preload op %d: %w", i, err)
-			}
-		}
-	}
-	return nil
 }
 
 // ConflictCounts implements systems.ConflictReporter: payload operations

@@ -190,7 +190,7 @@ func TestBatchSizeBoundsPerBlock(t *testing.T) {
 		}
 	}
 	col.wait(t, 8, 10*time.Second)
-	blocks := n.validators[0].ledger.Blocks()
+	blocks := n.Ledger(0).Blocks()
 	for _, b := range blocks[1:] {
 		if b.TxCount() > 2 {
 			t.Fatalf("block %d has %d txs, exceeds MaxBlockBatches=2 (1 tx per batch)", b.Number, b.TxCount())

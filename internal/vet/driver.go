@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Policy is the driver-side exemption table: the same exemption lists
 // the retired shell lints hard-coded, expressed as per-analyzer
-// include/exclude package prefixes and file basenames so `-include` /
-// `-exclude` flags can override them.
+// include/exclude package prefixes so `-include` / `-exclude` flags can
+// override them.
 type Policy struct {
 	// Include limits an analyzer to packages under the listed
 	// module-relative path prefixes; empty means the whole module.
 	Include map[string][]string
 	// Exclude removes packages under the listed prefixes.
 	Exclude map[string][]string
-	// ExcludeFiles drops findings in files with the listed basenames.
-	ExcludeFiles map[string][]string
 }
 
 // DefaultPolicy mirrors the retired shell lints' exemption lists, plus
@@ -52,13 +49,6 @@ func DefaultPolicy() *Policy {
 			// construction.
 			GlobalRand.Name: {"internal/workload"},
 		},
-		ExcludeFiles: map[string][]string{
-			// resultdb stamps reports with the actual date (not sim
-			// time) and persists benchmark reports (not simulated
-			// state).
-			Walltime.Name: {"resultdb.go"},
-			DirectIO.Name: {"resultdb.go"},
-		},
 	}
 }
 
@@ -81,19 +71,6 @@ func (pol *Policy) applies(analyzer, rel string) bool {
 		return false
 	}
 	return !matchPrefix(rel, pol.Exclude[analyzer])
-}
-
-func (pol *Policy) fileExcluded(analyzer, file string) bool {
-	if pol == nil {
-		return false
-	}
-	base := filepath.Base(file)
-	for _, f := range pol.ExcludeFiles[analyzer] {
-		if base == f {
-			return true
-		}
-	}
-	return false
 }
 
 // Finding is one diagnostic, resolved to a position and suppression
@@ -210,13 +187,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, pol *Policy) *Result {
 				TypesInfo: pkg.Info,
 			}
 			pass.Report = func(d Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if pol.fileExcluded(a.Name, pos.Filename) {
-					return
-				}
 				res.Findings = append(res.Findings, Finding{
 					Analyzer: a.Name,
-					Pos:      pos,
+					Pos:      pkg.Fset.Position(d.Pos),
 					Message:  d.Message,
 				})
 			}

@@ -11,7 +11,7 @@ import (
 // clock.Await, and receives from Timer/Ticker channels — while a
 // sync.Mutex or RWMutex acquired in the same function is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
-// twice already (NodeGate replay in PR 7, DurableGate latency charging
+// twice already (gate backlog replay in PR 7, DurableGate latency charging
 // in PR 8): the parked actor holds the mutex, the actor that would wake
 // it blocks on Lock, and under AutoVirtual the whole run either
 // deadlocks or — worse — advances time around the stall.

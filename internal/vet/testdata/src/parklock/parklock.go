@@ -1,6 +1,6 @@
 // Fixture for the parklock analyzer: parking on a clock primitive while
 // a sync mutex acquired in the same function is held — the re-entrant
-// deadlock shape fixed twice already (NodeGate replay in PR 7,
+// deadlock shape fixed twice already (gate backlog replay in PR 7,
 // DurableGate latency charging in PR 8).
 package fixture
 

@@ -172,7 +172,7 @@ func DistByName(name string) (Dist, error) {
 	}
 }
 
-// DistNames lists the accepted -skew flag values for help output.
+// DistNames lists the accepted key-distribution specs for help output.
 func DistNames() []string {
 	return []string{"partitioned", "sequential", "zipfian[:S]", "hotspot[:KEYFRAC[:OPFRAC]]"}
 }

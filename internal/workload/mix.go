@@ -235,7 +235,7 @@ func MixByName(name string) (Mix, error) {
 	}
 }
 
-// MixNames lists the accepted -mix flag values for help output.
+// MixNames lists the accepted operation-mix specs for help output.
 func MixNames() []string {
 	return []string{"write", "ycsb-a", "ycsb-b", "ycsb-c", "kv:READPCT", "smallbank"}
 }
