@@ -21,6 +21,29 @@ func TestNewTransactionID(t *testing.T) {
 	}
 }
 
+// TestSingleOpTxIsNewTransaction: the one-allocation constructor derives
+// NewTransaction's ID, which the operation's resolved keys are no part of,
+// and hands the operation on with them.
+func TestSingleOpTxIsNewTransaction(t *testing.T) {
+	op := Operation{IEL: "bankingapp", Function: "Balance", Args: []string{"a"}, Keys: []string{"acct/a/checking"}}
+	tx := NewSingleOpTx("client-1", 9, op)
+	if want := NewSingleOp("client-1", 9, op.IEL, op.Function, op.Args...); tx.ID != want.ID {
+		t.Fatal("NewSingleOpTx and NewSingleOp derive different IDs for the same content")
+	}
+	if want := NewTransaction("client-1", 9, op); tx.ID != want.ID {
+		t.Fatal("NewSingleOpTx and NewTransaction derive different IDs for the same content")
+	}
+	if err := tx.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tx.Ops) != 1 || len(tx.Ops[0].Keys) != 1 || tx.Ops[0].Keys[0] != op.Keys[0] {
+		t.Fatalf("Ops = %+v, want the operation with its keys", tx.Ops)
+	}
+	if n := testing.AllocsPerRun(100, func() { tx = NewSingleOpTx("client-1", 9, op) }); n != 1 {
+		t.Errorf("NewSingleOpTx allocates %v times, want 1", n)
+	}
+}
+
 func TestTransactionVerify(t *testing.T) {
 	tx := NewSingleOp("c", 1, "donothing", "DoNothing")
 	if err := tx.Verify(); err != nil {

@@ -22,6 +22,11 @@ type Operation struct {
 	Function string
 	// Args are the function arguments.
 	Args []string
+	// Keys are the state keys the operation touches, written keys first, as
+	// resolved by iel.Bind where the operation is created. They are derived
+	// from Args and are not part of the digest: an operation hashes, and
+	// executes, the same with or without them.
+	Keys []string
 }
 
 // String renders the operation for tracing.
@@ -107,7 +112,20 @@ func NewTransaction(client string, seq uint64, ops ...Operation) *Transaction {
 
 // NewSingleOp is shorthand for the common one-operation transaction.
 func NewSingleOp(client string, seq uint64, iel, fn string, args ...string) *Transaction {
-	return NewTransaction(client, seq, Operation{IEL: iel, Function: fn, Args: args})
+	return NewSingleOpTx(client, seq, Operation{IEL: iel, Function: fn, Args: args})
+}
+
+// NewSingleOpTx builds the one-operation transaction around op, keeping the
+// transaction and its operation in one allocation. The ID is NewTransaction's.
+func NewSingleOpTx(client string, seq uint64, op Operation) *Transaction {
+	one := &struct {
+		tx Transaction
+		op [1]Operation
+	}{op: [1]Operation{op}}
+	tx := &one.tx
+	tx.Client, tx.Seq, tx.Ops = client, seq, one.op[:]
+	tx.ID = tx.computeID()
+	return tx
 }
 
 func (tx *Transaction) computeID() crypto.Hash {

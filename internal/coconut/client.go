@@ -12,6 +12,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/crypto"
+	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 )
@@ -402,37 +403,44 @@ func (c *Client) Summary() ClientSummary {
 }
 
 // nextOp generates the thread's next operation, wrapping its index into the
-// written key space for read benchmarks.
+// written key space for read benchmarks. This is where an operation's state
+// keys are resolved, once, for every replica that will execute it.
 func (th *clientThread) nextOp() chain.Operation {
 	i := th.idx
 	th.idx++
 	if th.readMax > 0 {
 		i %= th.readMax
 	}
-	return th.gen(i)
+	return iel.Bind(th.gen(i))
 }
 
 func (c *Client) sendTx(thread int) {
 	th := &c.threads[thread]
-	ops := make([]chain.Operation, c.cfg.OpsPerTx)
-	for i := range ops {
-		ops[i] = th.nextOp()
+	var tx *chain.Transaction
+	if c.cfg.OpsPerTx == 1 {
+		tx = chain.NewSingleOpTx(c.cfg.ID, c.seq.Add(1), th.nextOp())
+	} else {
+		ops := make([]chain.Operation, c.cfg.OpsPerTx)
+		for i := range ops {
+			ops[i] = th.nextOp()
+		}
+		tx = chain.NewTransaction(c.cfg.ID, c.seq.Add(1), ops...)
 	}
-	tx := chain.NewTransaction(c.cfg.ID, c.seq.Add(1), ops...)
+	ops := tx.OpCount()
 
 	start := c.cfg.Clock.Now()
 	tx.SubmittedAt = start
-	c.track(tx.ID, start, len(ops), thread)
+	c.track(tx.ID, start, ops, thread)
 	// A submission error is an admission rejection: the record stays
 	// unreceived and counts as lost, matching the paper's accounting. The
 	// consumed indices roll back so the written key space stays
 	// contiguous — rejected writes never reached the chain, and the
 	// paper's clients re-send into the same space.
 	if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err != nil {
-		th.idx -= uint64(len(ops))
+		th.idx -= uint64(ops)
 		return
 	}
-	th.sent.Add(uint64(len(ops)))
+	th.sent.Add(uint64(ops))
 }
 
 func (c *Client) sendBatch(thread int) {
@@ -441,8 +449,7 @@ func (c *Client) sendBatch(thread int) {
 	txs := make([]*chain.Transaction, c.cfg.BatchSize)
 	start := c.cfg.Clock.Now()
 	for i := range txs {
-		op := th.nextOp()
-		txs[i] = chain.NewSingleOp(c.cfg.ID, c.seq.Add(1), op.IEL, op.Function, op.Args...)
+		txs[i] = chain.NewSingleOpTx(c.cfg.ID, c.seq.Add(1), th.nextOp())
 		txs[i].SubmittedAt = start
 		c.track(txs[i].ID, start, 1, thread)
 	}

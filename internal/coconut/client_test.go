@@ -1,12 +1,14 @@
 package coconut
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
@@ -253,6 +255,42 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 	}
 	if len(records) != batches*10 {
 		t.Fatalf("records = %d, want %d (10 per batch)", len(records), batches*10)
+	}
+}
+
+// TestClientBindsKeysAndKeepsIDs: whichever way the client packs operations
+// (one per transaction, several, or a batch of single-operation
+// transactions), each reaches the driver with its state keys resolved, and
+// every transaction's ID is the one NewTransaction derives from the bare
+// operations.
+func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
+	for name, cfg := range map[string]ClientConfig{
+		"single":   {},
+		"multi-op": {OpsPerTx: 3},
+		"batch":    {BatchSize: 5},
+	} {
+		d := newFakeDriver()
+		cfg.ID, cfg.Driver, cfg.Benchmark = "c0", d, BenchSendPayment
+		cfg.RateLimit, cfg.WorkloadThreads = 1000, 2
+		cfg.SendDuration, cfg.ListenGrace = 50*time.Millisecond, 10*time.Millisecond
+		NewClient(cfg).Run()
+		d.mu.Lock()
+		if len(d.submitted) == 0 {
+			t.Fatalf("%s: nothing sent", name)
+		}
+		for _, tx := range d.submitted {
+			bare := make([]chain.Operation, len(tx.Ops))
+			for i, op := range tx.Ops {
+				bare[i] = chain.Operation{IEL: op.IEL, Function: op.Function, Args: op.Args}
+				if want := iel.TouchedKeys(bare[i]); len(want) != 2 || !slices.Equal(op.Keys, want) {
+					t.Fatalf("%s: %s reached the driver with keys %v, want %v", name, op, op.Keys, want)
+				}
+			}
+			if want := chain.NewTransaction(tx.Client, tx.Seq, bare...); tx.ID != want.ID {
+				t.Fatalf("%s: tx %d has ID %s, want %s", name, tx.Seq, tx.ID.Short(), want.ID.Short())
+			}
+		}
+		d.mu.Unlock()
 	}
 }
 

@@ -1,8 +1,6 @@
 package coconut
 
 import (
-	"fmt"
-
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/workload"
@@ -60,7 +58,7 @@ func NewOpGen(b BenchmarkName, threadKey string) OpGen {
 			return chain.Operation{
 				IEL:      iel.KeyValueName,
 				Function: iel.FnSet,
-				Args:     []string{kvKey(threadKey, i), fmt.Sprintf("value-%d", i)},
+				Args:     []string{kvKey(threadKey, i), workload.KVValue(i)},
 			}
 		}
 	case BenchKeyValueGet:

@@ -16,6 +16,7 @@ package iel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -69,6 +70,69 @@ var (
 func checkingKey(id string) string { return "acct/" + id + "/checking" }
 func savingsKey(id string) string  { return "acct/" + id + "/savings" }
 
+// keysOf is the one table of the state keys each function touches, written
+// keys first. Every BankingApp function draws its keys, in this order, from
+// the first account's checking and savings balances and the second account's
+// checking balance. DoNothing, unknown shapes and an operation too short to
+// name its accounts touch nothing. A bound operation's keys are returned as
+// they are, not built again.
+func keysOf(op chain.Operation) (keys []string, written int) {
+	const checking0, savings0, checking1 = 1, 2, 4
+	a, touched := op.Args, 0
+	switch {
+	case len(a) == 0:
+	case op.IEL == KeyValueName:
+		if op.Function == FnSet {
+			written = 1
+		}
+		return a[:1:1], written
+	case op.IEL == BankingAppName:
+		switch op.Function {
+		case FnCreateAccount:
+			touched, written = checking0|savings0, 2
+		case FnSendPayment:
+			touched, written = checking0|checking1, 2
+		case FnBalance:
+			touched, written = checking0, 0
+		case FnTransactSavings:
+			touched, written = savings0, 1
+		case FnDepositChecking:
+			touched, written = checking0, 1
+		case FnWriteCheck: // reads savings, writes only checking
+			touched, written = checking0|savings0, 1
+		case FnAmalgamate:
+			touched, written = checking0|savings0|checking1, 3
+		}
+	}
+	if touched == 0 || touched&checking1 != 0 && len(a) < 2 {
+		return nil, 0
+	}
+	if op.Keys != nil {
+		return op.Keys, written
+	}
+	keys = make([]string, 0, bits.OnesCount(uint(touched)))
+	if touched&checking0 != 0 {
+		keys = append(keys, checkingKey(a[0]))
+	}
+	if touched&savings0 != 0 {
+		keys = append(keys, savingsKey(a[0]))
+	}
+	if touched&checking1 != 0 {
+		keys = append(keys, checkingKey(a[1]))
+	}
+	return keys, written
+}
+
+// Bind returns op with its state keys resolved, so that every replica,
+// dry-run and conflict filter it later reaches reads them instead of
+// building them again. Bind where the operation is created and leave Args
+// alone afterwards; an unbound operation executes the same, resolving its
+// keys on each call.
+func Bind(op chain.Operation) chain.Operation {
+	op.Keys, _ = keysOf(op)
+	return op
+}
+
 // Execute runs one operation against the state. A non-nil error marks the
 // operation (and, per each system's atomicity rules, its enclosing
 // transaction or batch) as failed.
@@ -114,6 +178,9 @@ func executeKeyValue(op chain.Operation, st StateOps) error {
 }
 
 func executeBankingApp(op chain.Operation, st StateOps) error {
+	// Each function checks its argument count before it indexes keys: with
+	// the right count, every key keysOf lists for it is there.
+	keys, _ := keysOf(op) // op.Keys when bound
 	switch op.Function {
 	case FnCreateAccount:
 		// CreateAccount(id, checking, savings) creates checking and saving
@@ -122,7 +189,7 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 			return fmt.Errorf("%w: CreateAccount wants (id, checking, savings)", ErrBadArgs)
 		}
 		id := op.Args[0]
-		if _, ok := st.Get(checkingKey(id)); ok {
+		if _, ok := st.Get(keys[0]); ok {
 			return fmt.Errorf("%w: %q", ErrAccountExists, id)
 		}
 		if _, err := strconv.ParseInt(op.Args[1], 10, 64); err != nil {
@@ -131,8 +198,8 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if _, err := strconv.ParseInt(op.Args[2], 10, 64); err != nil {
 			return fmt.Errorf("%w: savings amount %q", ErrBadArgs, op.Args[2])
 		}
-		st.Put(checkingKey(id), op.Args[1])
-		st.Put(savingsKey(id), op.Args[2])
+		st.Put(keys[0], op.Args[1])
+		st.Put(keys[1], op.Args[2])
 		return nil
 
 	case FnSendPayment:
@@ -146,11 +213,11 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if err != nil || amount < 0 {
 			return fmt.Errorf("%w: amount %q", ErrBadArgs, op.Args[2])
 		}
-		fromBal, ok := st.Get(checkingKey(from))
+		fromBal, ok := st.Get(keys[0])
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrAccountNotFound, from)
 		}
-		toBal, ok := st.Get(checkingKey(to))
+		toBal, ok := st.Get(keys[1])
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrAccountNotFound, to)
 		}
@@ -170,8 +237,8 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 			// debit then the credit from stale reads would mint money.
 			return nil
 		}
-		st.Put(checkingKey(from), strconv.FormatInt(fromAmt-amount, 10))
-		st.Put(checkingKey(to), strconv.FormatInt(toAmt+amount, 10))
+		st.Put(keys[0], strconv.FormatInt(fromAmt-amount, 10))
+		st.Put(keys[1], strconv.FormatInt(toAmt+amount, 10))
 		return nil
 
 	case FnBalance:
@@ -179,7 +246,7 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if len(op.Args) != 1 {
 			return fmt.Errorf("%w: Balance wants (id)", ErrBadArgs)
 		}
-		if _, ok := st.Get(checkingKey(op.Args[0])); !ok {
+		if _, ok := st.Get(keys[0]); !ok {
 			return fmt.Errorf("%w: %q", ErrAccountNotFound, op.Args[0])
 		}
 		return nil
@@ -195,14 +262,14 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if err != nil {
 			return fmt.Errorf("%w: amount %q", ErrBadArgs, op.Args[1])
 		}
-		bal, err := readBalance(st, savingsKey(id), id)
+		bal, err := readBalance(st, keys[0], id)
 		if err != nil {
 			return err
 		}
 		if bal+amount < 0 {
 			return fmt.Errorf("%w: %q savings %d, delta %d", ErrInsufficientFunds, id, bal, amount)
 		}
-		st.Put(savingsKey(id), strconv.FormatInt(bal+amount, 10))
+		st.Put(keys[0], strconv.FormatInt(bal+amount, 10))
 		return nil
 
 	case FnDepositChecking:
@@ -216,11 +283,11 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if err != nil || amount < 0 {
 			return fmt.Errorf("%w: amount %q", ErrBadArgs, op.Args[1])
 		}
-		bal, err := readBalance(st, checkingKey(id), id)
+		bal, err := readBalance(st, keys[0], id)
 		if err != nil {
 			return err
 		}
-		st.Put(checkingKey(id), strconv.FormatInt(bal+amount, 10))
+		st.Put(keys[0], strconv.FormatInt(bal+amount, 10))
 		return nil
 
 	case FnWriteCheck:
@@ -234,18 +301,18 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 		if err != nil || amount < 0 {
 			return fmt.Errorf("%w: amount %q", ErrBadArgs, op.Args[1])
 		}
-		checking, err := readBalance(st, checkingKey(id), id)
+		checking, err := readBalance(st, keys[0], id)
 		if err != nil {
 			return err
 		}
-		savings, err := readBalance(st, savingsKey(id), id)
+		savings, err := readBalance(st, keys[1], id)
 		if err != nil {
 			return err
 		}
 		if checking+savings < amount {
 			return fmt.Errorf("%w: %q has %d, check for %d", ErrInsufficientFunds, id, checking+savings, amount)
 		}
-		st.Put(checkingKey(id), strconv.FormatInt(checking-amount, 10))
+		st.Put(keys[0], strconv.FormatInt(checking-amount, 10))
 		return nil
 
 	case FnAmalgamate:
@@ -256,28 +323,28 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 			return fmt.Errorf("%w: Amalgamate wants (src, dst)", ErrBadArgs)
 		}
 		src, dst := op.Args[0], op.Args[1]
-		srcChecking, err := readBalance(st, checkingKey(src), src)
+		srcChecking, err := readBalance(st, keys[0], src)
 		if err != nil {
 			return err
 		}
-		srcSavings, err := readBalance(st, savingsKey(src), src)
+		srcSavings, err := readBalance(st, keys[1], src)
 		if err != nil {
 			return err
 		}
 		if src == dst {
 			// Self-amalgamation folds savings into checking; crediting the
 			// pre-zeroing checking read would mint money.
-			st.Put(checkingKey(src), strconv.FormatInt(srcChecking+srcSavings, 10))
-			st.Put(savingsKey(src), "0")
+			st.Put(keys[0], strconv.FormatInt(srcChecking+srcSavings, 10))
+			st.Put(keys[1], "0")
 			return nil
 		}
-		dstChecking, err := readBalance(st, checkingKey(dst), dst)
+		dstChecking, err := readBalance(st, keys[2], dst)
 		if err != nil {
 			return err
 		}
-		st.Put(checkingKey(src), "0")
-		st.Put(savingsKey(src), "0")
-		st.Put(checkingKey(dst), strconv.FormatInt(dstChecking+srcChecking+srcSavings, 10))
+		st.Put(keys[0], "0")
+		st.Put(keys[1], "0")
+		st.Put(keys[2], strconv.FormatInt(dstChecking+srcChecking+srcSavings, 10))
 		return nil
 
 	default:
@@ -313,95 +380,23 @@ func ReadOnly(op chain.Operation) bool {
 	}
 }
 
-// TouchedKeys returns the state keys an operation reads or writes, used by
-// BitShares-style conflict exclusion and by ablation benches. DoNothing
-// touches nothing; unknown shapes return nil.
+// TouchedKeys returns the state keys an operation reads or writes, written
+// keys first, used by BitShares-style conflict exclusion and by ablation
+// benches. DoNothing touches nothing; unknown shapes return nil.
 func TouchedKeys(op chain.Operation) []string {
-	switch op.IEL {
-	case KeyValueName:
-		if len(op.Args) >= 1 {
-			return []string{op.Args[0]}
-		}
-	case BankingAppName:
-		switch op.Function {
-		case FnCreateAccount:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0]), savingsKey(op.Args[0])}
-			}
-		case FnSendPayment:
-			if len(op.Args) >= 2 {
-				return []string{checkingKey(op.Args[0]), checkingKey(op.Args[1])}
-			}
-		case FnBalance:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0])}
-			}
-		case FnTransactSavings:
-			if len(op.Args) >= 1 {
-				return []string{savingsKey(op.Args[0])}
-			}
-		case FnDepositChecking:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0])}
-			}
-		case FnWriteCheck:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0]), savingsKey(op.Args[0])}
-			}
-		case FnAmalgamate:
-			if len(op.Args) >= 2 {
-				return []string{
-					checkingKey(op.Args[0]), savingsKey(op.Args[0]),
-					checkingKey(op.Args[1]),
-				}
-			}
-		}
-	}
-	return nil
+	keys, _ := keysOf(op)
+	return keys
 }
 
 // WrittenKeys returns only the state keys an operation writes. BitShares'
 // interacting-operation exclusion uses write sets: two reads never
 // interact, a read never invalidates a block member.
 func WrittenKeys(op chain.Operation) []string {
-	switch op.IEL {
-	case KeyValueName:
-		if op.Function == FnSet && len(op.Args) >= 1 {
-			return []string{op.Args[0]}
-		}
-	case BankingAppName:
-		switch op.Function {
-		case FnCreateAccount:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0]), savingsKey(op.Args[0])}
-			}
-		case FnSendPayment:
-			if len(op.Args) >= 2 {
-				return []string{checkingKey(op.Args[0]), checkingKey(op.Args[1])}
-			}
-		case FnTransactSavings:
-			if len(op.Args) >= 1 {
-				return []string{savingsKey(op.Args[0])}
-			}
-		case FnDepositChecking:
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0])}
-			}
-		case FnWriteCheck:
-			// WriteCheck reads savings but writes only checking.
-			if len(op.Args) >= 1 {
-				return []string{checkingKey(op.Args[0])}
-			}
-		case FnAmalgamate:
-			if len(op.Args) >= 2 {
-				return []string{
-					checkingKey(op.Args[0]), savingsKey(op.Args[0]),
-					checkingKey(op.Args[1]),
-				}
-			}
-		}
+	keys, written := keysOf(op)
+	if written == 0 {
+		return nil
 	}
-	return nil
+	return keys[:written]
 }
 
 // KVState adapts a plain map to StateOps for tests and simple systems.

@@ -89,7 +89,8 @@ type writeEntry struct {
 // versions and proposed writes produced by simulating a transaction against
 // the current world state. Both sets keep their keys in first-touch order, so
 // Validate names the same stale key and Commit writes in the same order on
-// every peer and in every run.
+// every peer and in every run. The zero value is an empty set; a set in use
+// must not be copied (its slices point into its own buffers).
 type RWSet struct {
 	reads    []readEntry
 	writes   []writeEntry
@@ -98,11 +99,7 @@ type RWSet struct {
 }
 
 // NewRWSet returns an empty read-write set.
-func NewRWSet() *RWSet {
-	rw := &RWSet{}
-	rw.reads, rw.writes = rw.readBuf[:0], rw.writeBuf[:0]
-	return rw
-}
+func NewRWSet() *RWSet { return &RWSet{} }
 
 // RecordRead captures the observed version of key. Missing keys record the
 // zero Version, matching Fabric's nil-version convention.
@@ -114,6 +111,9 @@ func (rw *RWSet) RecordRead(key string, s *KVStore) (string, bool) {
 			return v.Value, ok
 		}
 	}
+	if rw.reads == nil {
+		rw.reads = rw.readBuf[:0]
+	}
 	rw.reads = append(rw.reads, readEntry{key, v.Version})
 	return v.Value, ok
 }
@@ -123,6 +123,9 @@ func (rw *RWSet) RecordWrite(key, value string) {
 	if w := rw.staged(key); w != nil {
 		w.value = value
 		return
+	}
+	if rw.writes == nil {
+		rw.writes = rw.writeBuf[:0]
 	}
 	rw.writes = append(rw.writes, writeEntry{key, value})
 }

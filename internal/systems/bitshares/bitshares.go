@@ -293,7 +293,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 			continue
 		}
 		tx.Stages.Mark(chain.StageConsensus, decided)
-		if systems.DryRun(nd.State, tx) {
+		if nd.DryRun(tx) {
 			surviving = append(surviving, tx)
 		} else if nd == n.nodes[0] {
 			// Atomic discard ("if an operation fails, the whole transaction
@@ -317,7 +317,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 	}
 	now := n.cfg.Clock.Now()
 	for txNum, tx := range surviving {
-		systems.ApplyTx(tx, nd.State, cb.Number, txNum)
+		nd.ApplyTx(tx, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		nd.Hub.Committed(systems.Event{
 			TxID:      tx.ID,

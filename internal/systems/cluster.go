@@ -185,11 +185,19 @@ func (c *Cluster) QueueSnapshot() QueueStats {
 }
 
 // Replica is one node of a LedgerCluster: the node chassis plus its copy of
-// the chain and of the world state.
+// the chain and of the world state, and the execution adapters ExecuteTx,
+// ApplyTx and DryRun reuse from call to call. Those three are the replica's
+// commit work and belong inside its gate (Node.Gate.Commit), which runs one
+// unit of a node's commit work at a time — under the gate lock while the
+// node is up, on the one draining goroutine while it restarts — so the
+// adapters need no lock of their own.
 type Replica struct {
 	*Node
 	Ledger *chain.Ledger
 	State  *statestore.KVStore
+
+	exec kvState
+	dry  overlay
 }
 
 // LedgerCluster is the chassis of a system whose nodes each replicate one
@@ -258,11 +266,13 @@ func (c *LedgerCluster) NodeEndpoints(node int) []string {
 // contention workloads start from a materialized shared key space. The
 // identical version on every replica keeps later MVCC validation consistent.
 func (c *LedgerCluster) Preload(ops []chain.Operation) error {
-	for _, r := range c.replicas {
-		a := &kvState{state: r.State}
-		for i, op := range ops {
-			a.ver.TxNum = i
-			if err := iel.Execute(op, a); err != nil {
+	bound := make([]chain.Operation, len(ops))
+	for i, op := range ops {
+		bound[i] = iel.Bind(op)
+	}
+	for r := range c.replicas {
+		for i, op := range bound {
+			if err := iel.Execute(op, c.replicas[r].at(0, i)); err != nil {
 				return fmt.Errorf("%s preload op %d: %w", c.name, i, err)
 			}
 		}
@@ -285,11 +295,18 @@ func (a *kvState) Get(key string) (string, bool) {
 
 func (a *kvState) Put(key, value string) { a.state.Set(key, value, a.ver) }
 
-// ExecuteTx runs tx's operations in order against st at version
-// {blockNum, txNum} and stops at the first that fails; what ran before it
-// stays written (order-execute systems include the failed transaction).
-func ExecuteTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) error {
-	a := &kvState{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+// at points the replica's adapter at its state and the given version.
+func (r *Replica) at(blockNum uint64, txNum int) *kvState {
+	r.exec = kvState{state: r.State, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+	return &r.exec
+}
+
+// ExecuteTx runs tx's operations in order against the replica's state at
+// version {blockNum, txNum} and stops at the first that fails; what ran
+// before it stays written (order-execute systems include the failed
+// transaction).
+func (r *Replica) ExecuteTx(tx *chain.Transaction, blockNum uint64, txNum int) error {
+	a := r.at(blockNum, txNum)
 	for _, op := range tx.Ops {
 		if err := iel.Execute(op, a); err != nil {
 			return err
@@ -301,19 +318,20 @@ func ExecuteTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, t
 // ApplyTx commits a transaction that passed its DryRun: every operation
 // runs at version {blockNum, txNum}, and one that fails after all (another
 // transaction of the same block got there first) is skipped.
-func ApplyTx(tx *chain.Transaction, st *statestore.KVStore, blockNum uint64, txNum int) {
-	a := &kvState{state: st, ver: statestore.Version{BlockNum: blockNum, TxNum: txNum}}
+func (r *Replica) ApplyTx(tx *chain.Transaction, blockNum uint64, txNum int) {
+	a := r.at(blockNum, txNum)
 	for _, op := range tx.Ops {
 		_ = iel.Execute(op, a)
 	}
 }
 
 // DryRun reports whether every operation of txs, run in order against a
-// read-through overlay of st that keeps the writes to itself, succeeds —
-// the all-or-nothing check of an atomic transaction (BitShares) or batch
-// (Sawtooth).
-func DryRun(st *statestore.KVStore, txs ...*chain.Transaction) bool {
-	o := &overlay{base: st, writes: make(map[string]string)}
+// read-through overlay of the replica's state that keeps the writes to
+// itself, succeeds — the all-or-nothing check of an atomic transaction
+// (BitShares) or batch (Sawtooth).
+func (r *Replica) DryRun(txs ...*chain.Transaction) bool {
+	o := &r.dry
+	o.reset(r.State)
 	for _, tx := range txs {
 		for _, op := range tx.Ops {
 			if err := iel.Execute(op, o); err != nil {
@@ -324,20 +342,60 @@ func DryRun(st *statestore.KVStore, txs ...*chain.Transaction) bool {
 	return true
 }
 
-// overlay reads through to the base store but keeps writes local.
+// overlayInline is how many written keys an overlay finds by linear search
+// before it indexes the rest: a transaction of the paper's operations writes
+// one to three, a Sawtooth batch of a hundred some two hundred.
+const overlayInline = 8
+
+// overlay reads through to the base store but keeps writes local: the first
+// overlayInline written keys in an array, later ones in a map that reset
+// clears and the next dry-run reuses.
 type overlay struct {
-	base   *statestore.KVStore
-	writes map[string]string
+	base  *statestore.KVStore
+	n     int
+	first [overlayInline]struct{ key, value string }
+	spill map[string]string
 }
 
 var _ iel.StateOps = (*overlay)(nil)
 
+func (o *overlay) reset(base *statestore.KVStore) {
+	o.base, o.n = base, 0
+	clear(o.spill)
+}
+
+// inline returns where the array holds key's value, nil when it does not.
+func (o *overlay) inline(key string) *string {
+	for i := range o.first[:o.n] {
+		if o.first[i].key == key {
+			return &o.first[i].value
+		}
+	}
+	return nil
+}
+
 func (o *overlay) Get(key string) (string, bool) {
-	if v, ok := o.writes[key]; ok {
+	if v := o.inline(key); v != nil {
+		return *v, true
+	}
+	if v, ok := o.spill[key]; ok {
 		return v, true
 	}
 	v, ok := o.base.Get(key)
 	return v.Value, ok
 }
 
-func (o *overlay) Put(key, value string) { o.writes[key] = value }
+func (o *overlay) Put(key, value string) {
+	switch v := o.inline(key); {
+	case v != nil:
+		*v = value
+	case o.n < overlayInline:
+		o.first[o.n].key, o.first[o.n].value = key, value
+		o.n++
+	default:
+		if o.spill == nil {
+			o.spill = map[string]string{}
+		}
+		o.spill[key] = value
+	}
+}

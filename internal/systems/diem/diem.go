@@ -246,7 +246,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 	for txNum, tx := range blk.Txs {
 		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := systems.ExecuteTx(tx, v.State, cb.Number, txNum)
+		execErr := v.ExecuteTx(tx, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,

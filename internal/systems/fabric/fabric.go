@@ -102,11 +102,16 @@ type envelope struct {
 	RWSet *statestore.RWSet
 }
 
-// cutBatch is the Raft payload: a deterministic block precursor.
+// cutBatch is the Raft payload: a deterministic block precursor. It travels
+// by pointer and is not written after the cut, so the ordering service and
+// every peer's commit work share the one value.
 type cutBatch struct {
 	Envelopes []envelope
-	CutAt     time.Time
-	Cutter    string
+	// Txs are the envelopes' transactions in order: the block body every
+	// peer seals.
+	Txs    []*chain.Transaction
+	CutAt  time.Time
+	Cutter string
 }
 
 // orderer couples an ordering-backend handle with a block cutter. With the
@@ -246,20 +251,20 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 // endorse simulates the chaincode execution phase on the entry peer,
 // producing a read-write set against its current world state.
 func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) envelope {
-	rw := statestore.NewRWSet()
-	recorder := &rwRecorder{rw: rw, state: state}
+	recorder := &rwRecorder{state: state}
 	for _, op := range tx.Ops {
 		// Endorsement failures still produce an envelope: Fabric orders
 		// whatever was endorsed and settles validity at commit.
 		_ = iel.Execute(op, recorder)
 	}
-	return envelope{Tx: tx, RWSet: rw}
+	return envelope{Tx: tx, RWSet: &recorder.rw}
 }
 
 // rwRecorder adapts RWSet recording to iel.StateOps with
-// read-your-own-writes semantics within one endorsement.
+// read-your-own-writes semantics within one endorsement. It holds the set it
+// records into, which the envelope then points at: one allocation for both.
 type rwRecorder struct {
-	rw    *statestore.RWSet
+	rw    statestore.RWSet
 	state *statestore.KVStore
 }
 
@@ -325,7 +330,10 @@ func (n *Network) cutLoop() {
 // cut submits one batch to the ordering service, reporting whether it was
 // accepted.
 func (n *Network) cut(o *orderer, envs []envelope) bool {
-	batch := cutBatch{Envelopes: envs, CutAt: n.cfg.Clock.Now(), Cutter: o.id}
+	batch := &cutBatch{Envelopes: envs, Txs: make([]*chain.Transaction, len(envs)), CutAt: n.cfg.Clock.Now(), Cutter: o.id}
+	for i, env := range envs {
+		batch.Txs[i] = env.Tx
+	}
 	var err error
 	if n.broker != nil {
 		err = n.broker.Submit(batch)
@@ -355,7 +363,7 @@ func (n *Network) makeDecideFunc(i int) consensus.DecideFunc {
 		return nil
 	}
 	return func(d consensus.Decision) {
-		batch, ok := d.Payload.(cutBatch)
+		batch, ok := d.Payload.(*cutBatch)
 		if !ok {
 			return
 		}
@@ -366,7 +374,7 @@ func (n *Network) makeDecideFunc(i int) consensus.DecideFunc {
 // commitBlock validates and applies one decided batch on every peer,
 // reporting per-transaction commits to the hub. A crashed peer's gate
 // buffers its share of the work until RestartNode replays it.
-func (n *Network) commitBlock(seq uint64, batch cutBatch) {
+func (n *Network) commitBlock(seq uint64, batch *cutBatch) {
 	decided := n.cfg.Clock.Now()
 	// Consensus rounds are sampled on the block number: one span per
 	// sampled round, emitted at the single global commit site.
@@ -374,22 +382,20 @@ func (n *Network) commitBlock(seq uint64, batch cutBatch) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
 			Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: seq})
 	}
-	txs := make([]*chain.Transaction, len(batch.Envelopes))
-	for i, env := range batch.Envelopes {
-		env.Tx.Stages.Mark(chain.StageConsensus, decided)
-		txs[i] = env.Tx
+	for _, tx := range batch.Txs {
+		tx.Stages.Mark(chain.StageConsensus, decided)
 	}
 	peers := n.Replicas()
 	for i := range peers {
 		p := &peers[i]
-		p.Gate.Commit(len(batch.Envelopes), func() { n.commitOnPeer(p, batch, txs) })
+		p.Gate.Commit(len(batch.Txs), func() { n.commitOnPeer(p, batch) })
 	}
 }
 
-// commitOnPeer applies one decided batch on a single peer; txs are the
-// batch's transactions, shared read-only by every peer's block.
-func (n *Network) commitOnPeer(p *systems.Replica, batch cutBatch, txs []*chain.Transaction) {
-	blk := n.Sealer.Seal(p.Ledger.Head(), batch.Cutter, batch.CutAt, txs)
+// commitOnPeer applies one decided batch on a single peer; the batch's
+// transactions are shared read-only by every peer's block.
+func (n *Network) commitOnPeer(p *systems.Replica, batch *cutBatch) {
+	blk := n.Sealer.Seal(p.Ledger.Head(), batch.Cutter, batch.CutAt, batch.Txs)
 	if err := p.Ledger.Append(blk); err != nil {
 		return // stale duplicate
 	}

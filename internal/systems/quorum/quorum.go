@@ -328,7 +328,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 		// confirmation would reach the client with the mark still unset.
 		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := systems.ExecuteTx(tx, v.State, cb.Number, txNum)
+		execErr := v.ExecuteTx(tx, cb.Number, txNum)
 		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,

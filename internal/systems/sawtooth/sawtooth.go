@@ -341,7 +341,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	var surviving []*chain.Transaction
 	var survivingBatches []*chain.Batch
 	for _, b := range blk.Batches {
-		if systems.DryRun(v.State, b.Txs...) {
+		if v.DryRun(b.Txs...) {
 			surviving = append(surviving, b.Txs...)
 			survivingBatches = append(survivingBatches, b)
 		} else if v == n.validators[0] {
@@ -365,7 +365,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	now := n.cfg.Clock.Now()
 	for txNum, batch := range survivingBatches {
 		for _, tx := range batch.Txs {
-			systems.ApplyTx(tx, v.State, cb.Number, txNum)
+			v.ApplyTx(tx, cb.Number, txNum)
 			tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
 			v.Hub.Committed(systems.Event{
 				TxID:      tx.ID,

@@ -57,7 +57,7 @@ func (m KVMix) gen(s Spec, p Placement, idx func(uint64) uint64, rng *rand.Rand)
 				return chain.Operation{IEL: iel.KeyValueName, Function: iel.FnGet, Args: []string{k}}
 			}
 			return chain.Operation{IEL: iel.KeyValueName, Function: iel.FnSet,
-				Args: []string{k, "value-" + strconv.FormatUint(i, 10)}}
+				Args: []string{k, KVValue(i)}}
 		}
 	}
 	// Partitioned: writes walk the thread's own range sequentially (the
@@ -78,7 +78,7 @@ func (m KVMix) gen(s Spec, p Placement, idx func(uint64) uint64, rng *rand.Rand)
 		k := PartitionedKVKey(threadKey, written)
 		written++
 		return chain.Operation{IEL: iel.KeyValueName, Function: iel.FnSet,
-			Args: []string{k, "value-" + strconv.FormatUint(i, 10)}}
+			Args: []string{k, KVValue(i)}}
 	}
 }
 

@@ -30,6 +30,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 )
@@ -154,16 +155,31 @@ func splitmix64(x uint64) uint64 {
 // PartitionedKVKey is the paper's per-thread KeyValue key: unique per
 // (thread, index), so concurrent writers never collide (§4.1).
 func PartitionedKVKey(threadKey string, i uint64) string {
-	return fmt.Sprintf("kv/%s/%d", threadKey, i)
+	return indexed(i, "kv/", threadKey, "/")
 }
 
 // PartitionedAccountKey is the paper's per-thread BankingApp account ID.
 func PartitionedAccountKey(threadKey string, i uint64) string {
-	return fmt.Sprintf("acc/%s/%d", threadKey, i)
+	return indexed(i, "acc/", threadKey, "/")
 }
 
 // SharedKVKey addresses the contention plane's shared KeyValue space.
-func SharedKVKey(idx uint64) string { return fmt.Sprintf("wlk-%d", idx) }
+func SharedKVKey(idx uint64) string { return indexed(idx, "wlk-") }
 
 // SharedAccountID addresses the contention plane's shared account pool.
-func SharedAccountID(idx uint64) string { return fmt.Sprintf("wla-%d", idx) }
+func SharedAccountID(idx uint64) string { return indexed(idx, "wla-") }
+
+// KVValue is the value the i-th generated KeyValue Set stores.
+func KVValue(i uint64) string { return indexed(i, "value-") }
+
+// indexed returns the parts joined and then i in decimal. Every generated
+// operation names its keys through it, so the string is assembled in a stack
+// buffer and allocated once.
+func indexed(i uint64, parts ...string) string {
+	var buf [64]byte
+	b := buf[:0]
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return string(strconv.AppendUint(b, i, 10))
+}

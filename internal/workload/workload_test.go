@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -257,5 +259,34 @@ func TestSmallBankNeverSelfTargets(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The generated strings are keys of the model: each must stay the string its
+// fmt.Sprintf form produced, for every index width and any thread key,
+// including one with slashes and one longer than the assembly buffer.
+func TestKeyShapesMatchSprintf(t *testing.T) {
+	long := strings.Repeat("client/", 20) + "7"
+	for _, i := range []uint64{0, 9, 10, 1 << 32, math.MaxUint64} {
+		for _, threadKey := range []string{"c0/t3", "coconut-client-2/15", "", long} {
+			if got, want := PartitionedKVKey(threadKey, i), fmt.Sprintf("kv/%s/%d", threadKey, i); got != want {
+				t.Errorf("PartitionedKVKey(%q, %d) = %q, want %q", threadKey, i, got, want)
+			}
+			if got, want := PartitionedAccountKey(threadKey, i), fmt.Sprintf("acc/%s/%d", threadKey, i); got != want {
+				t.Errorf("PartitionedAccountKey(%q, %d) = %q, want %q", threadKey, i, got, want)
+			}
+		}
+		if got, want := SharedKVKey(i), fmt.Sprintf("wlk-%d", i); got != want {
+			t.Errorf("SharedKVKey(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := SharedAccountID(i), fmt.Sprintf("wla-%d", i); got != want {
+			t.Errorf("SharedAccountID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := KVValue(i), fmt.Sprintf("value-%d", i); got != want {
+			t.Errorf("KVValue(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = PartitionedAccountKey("coconut-client-2/15", 1<<32) }); n != 1 {
+		t.Errorf("PartitionedAccountKey allocates %v times, want 1", n)
 	}
 }
