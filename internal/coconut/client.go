@@ -111,26 +111,14 @@ func (c *ClientConfig) fill() {
 	}
 }
 
-// inflightShards is the number of lock domains of the client's in-flight
-// transaction index; event deliveries for distinct transactions contend
-// only within a tx-hash-prefix shard.
-const inflightShards = 16
-
-type inflightShard struct {
-	mu sync.Mutex
-	m  map[crypto.Hash]*TxRecord
-	_  [48]byte // pad to one 64-byte cache line
-}
-
 // clientThread is one workload thread: a lane of the pacer with its own
-// generator and key-space cursor. The records buffer is appended by whoever
-// sends (the pacer event; the main actor at t=0) and only read after the
-// pacer has stopped; the counters are updated atomically from event
-// goroutines.
+// generator and key-space cursor. Everything but received belongs to whoever
+// sends (the pacer event; the main actor at t=0) and is only read by others
+// after the pacer has stopped; received is guarded by Client.mu.
 type clientThread struct {
 	records  []*TxRecord
-	sent     atomic.Uint64
-	received atomic.Uint64
+	sent     uint64
+	received uint64
 
 	gen     OpGen
 	idx     uint64 // next generator index
@@ -145,26 +133,24 @@ type Client struct {
 	cfg ClientConfig
 
 	seq     atomic.Uint64
-	closed  atomic.Bool
-	shards  [inflightShards]inflightShard
 	threads []clientThread
 	hist    *LatencyHist
 	stages  StageMetrics
 
-	// Online repetition summary, streamed as sends and events happen so
-	// phase-end aggregation never walks the full record set.
-	expectedOps  atomic.Int64
-	receivedOps  atomic.Int64
-	validOps     atomic.Int64
-	latencySumNs atomic.Int64
-	latencyN     atomic.Int64
-	firstSendNs  atomic.Int64 // math.MaxInt64 until the first send
-	lastRecvNs   atomic.Int64 // math.MinInt64 until the first receipt
-
-	// Per-reason abort payload counts. Aborts are the exceptional path, so
-	// a small mutex-guarded map beats widening the hot-path atomics.
-	abortMu sync.Mutex
-	aborts  map[string]int
+	// mu guards the in-flight index and the online repetition summary, which
+	// is streamed as sends and events happen so phase-end aggregation never
+	// walks the full record set. Sends take it on the sending goroutine,
+	// confirmations on whichever goroutine the driver commits on.
+	mu          sync.Mutex
+	inflight    map[crypto.Hash]*TxRecord
+	expectedOps int
+	receivedOps int
+	validOps    int
+	latencySum  time.Duration
+	latencyN    int
+	firstSendNs int64          // math.MaxInt64 until the first send
+	lastRecvNs  int64          // math.MinInt64 until the first receipt
+	aborts      map[string]int // per-reason abort payload counts
 }
 
 // NewClient builds a client; Subscribe must happen before the system starts
@@ -172,21 +158,15 @@ type Client struct {
 func NewClient(cfg ClientConfig) *Client {
 	cfg.fill()
 	c := &Client{
-		cfg:     cfg,
-		threads: make([]clientThread, cfg.WorkloadThreads),
-		hist:    NewLatencyHist(),
+		cfg:         cfg,
+		threads:     make([]clientThread, cfg.WorkloadThreads),
+		hist:        NewLatencyHist(),
+		inflight:    make(map[crypto.Hash]*TxRecord),
+		firstSendNs: math.MaxInt64,
+		lastRecvNs:  math.MinInt64,
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[crypto.Hash]*TxRecord)
-	}
-	c.firstSendNs.Store(math.MaxInt64)
-	c.lastRecvNs.Store(math.MinInt64)
 	cfg.Driver.Subscribe(cfg.ID, c.onEvent)
 	return c
-}
-
-func (c *Client) shardFor(id crypto.Hash) *inflightShard {
-	return &c.shards[id[0]&(inflightShards-1)]
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
@@ -194,54 +174,48 @@ func (c *Client) shardFor(id crypto.Hash) *inflightShard {
 // folded in immediately and the index entry is dropped, so the index size
 // tracks outstanding transactions, not run length.
 func (c *Client) onEvent(ev systems.Event) {
-	if c.closed.Load() {
-		return
-	}
 	now := c.cfg.Clock.Now()
-	s := c.shardFor(ev.TxID)
-	s.mu.Lock()
-	rec, ok := s.m[ev.TxID]
+	c.mu.Lock()
+	rec, ok := c.inflight[ev.TxID]
 	if !ok {
-		// Unknown or already-finalized transaction: drop.
-		s.mu.Unlock()
+		// Unknown or already-finalized transaction, or the phase is over: drop.
+		c.mu.Unlock()
 		return
 	}
-	delete(s.m, ev.TxID)
+	delete(c.inflight, ev.TxID)
 	rec.Received = true
 	rec.ValidOK = ev.ValidOK
 	rec.Code = ev.Code
 	rec.End = now
 	fls := rec.FLS()
-	// The summary contribution is folded in before the shard lock is
-	// released: detach serializes on these locks, so once it completes no
-	// received event can be missing from the online counters.
-	c.receivedOps.Add(int64(rec.Ops))
+	// The summary contribution is folded in before the lock is released:
+	// detach serializes on it, so once it completes no received event can be
+	// missing from the online counters.
+	c.receivedOps += rec.Ops
 	if ev.ValidOK {
-		c.validOps.Add(int64(rec.Ops))
+		c.validOps += rec.Ops
 	} else {
-		c.abortMu.Lock()
 		if c.aborts == nil {
 			c.aborts = make(map[string]int)
 		}
 		c.aborts[abortCode(ev.Code)] += rec.Ops
-		c.abortMu.Unlock()
 	}
 	// Ops-weighted: §4.5 counts every payload as one transaction, so a
 	// multi-op transaction's latency weighs once per operation — matching
 	// ReceivedNoT and the timeline's accounting.
-	c.latencySumNs.Add(int64(fls) * int64(rec.Ops))
-	c.latencyN.Add(int64(rec.Ops))
-	atomicMax(&c.lastRecvNs, now.UnixNano())
+	c.latencySum += fls * time.Duration(rec.Ops)
+	c.latencyN += rec.Ops
+	c.lastRecvNs = max(c.lastRecvNs, now.UnixNano())
 	c.hist.ObserveN(fls, uint64(rec.Ops))
 	if rec.Thread >= 0 && rec.Thread < len(c.threads) {
-		c.threads[rec.Thread].received.Add(uint64(rec.Ops))
+		c.threads[rec.Thread].received += uint64(rec.Ops)
 	}
 	ops := rec.Ops
 	start := rec.Start
-	s.mu.Unlock()
-	// Stage folding and the timeline update happen outside the shard lock:
-	// both are atomic-only and must not extend the per-shard critical
-	// section. The confirmation instant closes the commit segment.
+	c.mu.Unlock()
+	// Stage folding and the timeline update happen outside the lock: both
+	// are atomic-only, shared by every client of the run, and need nothing
+	// it guards. The confirmation instant closes the commit segment.
 	if ev.Stages != nil {
 		var buf [chain.NumStages]chain.StageSpan
 		spans := ev.Stages.Durations(start, now, buf[:0])
@@ -360,44 +334,40 @@ func (c *Client) send(thread int) {
 	}
 }
 
-// detach ends the listening phase: it closes the event path and clears the
-// in-flight index under every shard lock, so no event goroutine can touch a
-// record after this returns and the per-thread buffers can be read without
-// synchronization.
+// detach ends the listening phase: it clears the in-flight index under the
+// lock, so an event that arrives later finds nothing, no event goroutine can
+// touch a record after this returns, and the per-thread buffers can be read
+// without synchronization.
 func (c *Client) detach() {
-	c.closed.Store(true)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[crypto.Hash]*TxRecord)
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.inflight = make(map[crypto.Hash]*TxRecord)
+	c.mu.Unlock()
 }
 
 // Summary returns the client's online phase aggregation; call after Run.
 func (c *Client) Summary() ClientSummary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := ClientSummary{
-		ExpectedNoT: int(c.expectedOps.Load()),
-		ReceivedNoT: int(c.receivedOps.Load()),
-		ValidNoT:    int(c.validOps.Load()),
-		LatencySum:  time.Duration(c.latencySumNs.Load()),
-		LatencyN:    int(c.latencyN.Load()),
+		ExpectedNoT: c.expectedOps,
+		ReceivedNoT: c.receivedOps,
+		ValidNoT:    c.validOps,
+		LatencySum:  c.latencySum,
+		LatencyN:    c.latencyN,
 		Hist:        c.hist,
 		Stages:      &c.stages,
 	}
-	c.abortMu.Lock()
 	if len(c.aborts) > 0 {
 		s.Aborts = make(map[string]int, len(c.aborts))
 		for code, n := range c.aborts {
 			s.Aborts[code] = n
 		}
 	}
-	c.abortMu.Unlock()
-	if first := c.firstSendNs.Load(); first != math.MaxInt64 {
-		s.FirstSend = time.Unix(0, first)
+	if c.firstSendNs != math.MaxInt64 {
+		s.FirstSend = time.Unix(0, c.firstSendNs)
 	}
-	if last := c.lastRecvNs.Load(); last != math.MinInt64 {
-		s.LastRecv = time.Unix(0, last)
+	if c.lastRecvNs != math.MinInt64 {
+		s.LastRecv = time.Unix(0, c.lastRecvNs)
 	}
 	return s
 }
@@ -440,7 +410,7 @@ func (c *Client) sendTx(thread int) {
 		th.idx -= uint64(ops)
 		return
 	}
-	th.sent.Add(uint64(ops))
+	th.sent += uint64(ops)
 }
 
 func (c *Client) sendBatch(thread int) {
@@ -460,13 +430,13 @@ func (c *Client) sendBatch(thread int) {
 			th.idx -= uint64(len(txs))
 			return
 		}
-		th.sent.Add(uint64(len(txs)))
+		th.sent += uint64(len(txs))
 		return
 	}
 	// Driver without batch support: degrade to individual sends.
 	for _, tx := range txs {
 		if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err == nil {
-			th.sent.Add(1)
+			th.sent++
 		}
 	}
 }
@@ -476,25 +446,25 @@ func (c *Client) sendBatch(thread int) {
 // finalization event can never outrun its record.
 func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
 	rec := &TxRecord{Start: start, Ops: ops, Thread: thread}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	s.m[id] = rec
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.inflight[id] = rec
+	c.expectedOps += ops
+	c.firstSendNs = min(c.firstSendNs, start.UnixNano())
+	c.mu.Unlock()
 	if !c.cfg.DiscardRecords {
 		c.threads[thread].records = append(c.threads[thread].records, rec)
 	}
-	c.expectedOps.Add(int64(ops))
-	atomicMin(&c.firstSendNs, start.UnixNano())
 	if c.cfg.Timeline != nil {
 		c.cfg.Timeline.RecordSend(start, ops)
 	}
 }
 
-// SentCounts returns the per-thread payload counts accepted so far.
+// SentCounts returns the per-thread payload counts the driver accepted;
+// call after Run.
 func (c *Client) SentCounts() []uint64 {
 	out := make([]uint64, len(c.threads))
 	for i := range c.threads {
-		out[i] = c.threads[i].sent.Load()
+		out[i] = c.threads[i].sent
 	}
 	return out
 }
@@ -504,27 +474,11 @@ func (c *Client) SentCounts() []uint64 {
 // thread's key space is contiguous — the runner feeds these counts into
 // dependent read phases as ReadMax.
 func (c *Client) ReceivedCounts() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]uint64, len(c.threads))
 	for i := range c.threads {
-		out[i] = c.threads[i].received.Load()
+		out[i] = c.threads[i].received
 	}
 	return out
-}
-
-func atomicMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if cur <= v || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

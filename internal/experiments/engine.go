@@ -160,6 +160,14 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 	if sc.Time != "" {
 		o.Time = sc.Time
 	}
+	if o.virtualTime() {
+		// One P for the whole run: the auto-advancing clock runs one goroutine
+		// at a time, so a second P only adds cross-thread hand-offs — and lets
+		// whatever runs outside the execution token (ROADMAP's defect list
+		// names one such path) reach the model, which made two identical runs
+		// differ at GOMAXPROCS=8.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -429,6 +430,9 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 // is a healthy-grid convenience over the scenario engine's cell executor;
 // use Run with a Scenario to compose faults, workloads, and sweeps.
 func RunCell(system string, bench coconut.BenchmarkName, p Params, o Options) (coconut.Result, error) {
+	if o.virtualTime() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as in Run
+	}
 	return runUnitCell(system, bench, p, o, benchGridThreads, nil, "")
 }
 

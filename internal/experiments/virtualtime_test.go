@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -57,6 +59,48 @@ func TestVirtualTimeBitDeterminism(t *testing.T) {
 			}
 		}
 		t.Fatalf("outcome JSON diverged in length: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+// TestVirtualRunRepeatsAtAnyGOMAXPROCS: a virtual-time Run is the same run
+// on a host with eight Ps as on one. Corda Enterprise's Figure 5 cell at 16
+// nodes is the one that was not: its validate and commit stage means moved
+// between two runs of one binary at GOMAXPROCS=8 (something in its flow
+// path runs outside the execution token when there is a second P to run it
+// on), and its hand-off count moved at the default 2. Run holds the process
+// at one P for its duration and puts the setting back.
+func TestVirtualRunRepeatsAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	sc, err := ScenarioByName("figure5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Systems, sc.Nodes = []string{systems.NameCordaEnt}, []int{16}
+	opts := Options{Scale: 0.01, SendSeconds: 300, GraceSeconds: 30,
+		Repetitions: 1, Seed: 42, Time: "virtual"}
+	run := func() *Outcome {
+		t.Helper()
+		oc, err := Run(context.Background(), sc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.GOMAXPROCS(0); got != 8 {
+			t.Fatalf("GOMAXPROCS = %d after Run, want the caller's 8 back", got)
+		}
+		if len(oc.Rows) != 1 || oc.Rows[0].Result.Received.Mean <= 0 {
+			t.Fatalf("want one cell that confirmed something, got %+v", oc.Rows)
+		}
+		for i := range oc.Timings { // the host's, not the run's
+			oc.Timings[i].WallSeconds, oc.Timings[i].Speedup = 0, 0
+		}
+		return oc
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("rows differ between two runs:\n%+v\n%+v", a.Rows[0].Result, b.Rows[0].Result)
+	}
+	if !reflect.DeepEqual(a.Timings, b.Timings) {
+		t.Fatalf("kernel counters differ between two runs:\n%+v\n%+v", a.Timings, b.Timings)
 	}
 }
 

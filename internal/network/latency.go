@@ -5,17 +5,14 @@
 // delay drawn from a configurable LatencyModel, and links can be cut or
 // degraded to emulate partitions and WAN loss.
 //
-// Delivery is scheduled by a sharded hashed timing wheel (wheel.go): each
-// endpoint is pinned to a shard, each shard has one delivery worker, and a
-// send only touches immutable topology snapshots, per-shard atomic
-// counters, and per-link state — there is no globally serialized lock on
-// the hot path. Messages on the same directed link are delivered in send
-// order after their latency delay (the per-connection FIFO property of the
-// TCP links the real deployments rely on); messages on different links
-// order by ready timestamp. Under clock.Virtual the whole fabric is
-// deterministic: latency and loss draws come from seeded per-link sources
-// and each endpoint's delivery order is exactly (ready time, enqueue
-// order).
+// Delivery is scheduled by a hashed timing wheel with one delivery event
+// (wheel.go), all of it under the Transport's one lock. Messages on the same
+// directed link are delivered in send order after their latency delay (the
+// per-connection FIFO property of the TCP links the real deployments rely
+// on); messages on different links order by ready timestamp. Under
+// clock.Virtual the whole fabric is deterministic: latency and loss draws
+// come from seeded per-link sources and delivery order is exactly (ready
+// time, send order).
 package network
 
 import (

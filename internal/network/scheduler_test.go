@@ -244,16 +244,25 @@ func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 }
 
 // TestSchedulerStressRace mixes Send/Broadcast with concurrent link faults,
-// endpoint churn, and a final Stop. Run under -race it checks the
-// lock-free snapshot plumbing; the counter inequality holds because
-// every accepted send is eventually delivered, dropped, or torn down.
+// churn of idle and of busy endpoints, handlers that send, readers of every
+// counter, and a Stop while all of them are still running. They share one
+// lock, which handlers run outside of: run under -race it checks that
+// nothing is touched without it and that nothing deadlocks on it; the
+// counter inequality holds because every accepted send is eventually
+// delivered, dropped, or torn down.
 func TestSchedulerStressRace(t *testing.T) {
 	tr := NewTransport(clock.New(), NewNormalLatency(200*time.Microsecond, 100*time.Microsecond, 3))
 	names := make([]string, 8)
 	var received atomic.Int64
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
-		tr.Register(names[i], func(Message) { received.Add(1) })
+		next := fmt.Sprintf("n%d", (i+1)%len(names))
+		tr.Register(names[i], func(m Message) {
+			received.Add(1)
+			if m.Kind == "msg" { // forward once: delivery re-enters Send
+				_ = tr.Send(m.To, next, "fwd", m.Payload)
+			}
+		})
 	}
 
 	stop := make(chan struct{})
@@ -310,7 +319,8 @@ func TestSchedulerStressRace(t *testing.T) {
 		}
 	}()
 
-	// Endpoint churn.
+	// Endpoint churn: one endpoint nobody addresses, and one of the busy
+	// ones, whose queued messages are dropped each time it goes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -321,15 +331,48 @@ func TestSchedulerStressRace(t *testing.T) {
 			default:
 			}
 			tr.Register("flappy", func(Message) {})
+			tr.Unregister(names[7])
 			time.Sleep(200 * time.Microsecond)
 			tr.Unregister("flappy")
+			tr.Register(names[7], func(Message) { received.Add(1) })
+			if i%8 == 0 {
+				tr.Isolate(names[6])
+			}
+		}
+	}()
+
+	// Readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sent, delivered, dropped := tr.Stats()
+			if delivered+dropped > sent {
+				t.Errorf("impossible counters mid-run: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
+				return
+			}
+			_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.CutCount()+tr.DegradedCount()+len(tr.Endpoints()))
+			time.Sleep(50 * time.Microsecond)
 		}
 	}()
 
 	time.Sleep(300 * time.Millisecond)
+	tr.Stop() // against running senders, chaos and churn: all of them become no-ops
+	before := received.Load()
+	if n := len(tr.Endpoints()) + tr.CutCount() + tr.DegradedCount(); n != 0 {
+		t.Errorf("%d endpoints, cuts and degradations survive Stop", n)
+	}
+	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	tr.Stop()
+	if before == 0 || received.Load() != before {
+		t.Fatalf("handlers ran %d times before Stop returned and %d more after it", before, received.Load()-before)
+	}
 
 	sent, delivered, dropped := tr.Stats()
 	if delivered+dropped > sent {
@@ -372,8 +415,8 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 // clocks: what a handler that would block does. Handlers forward into an
 // engine's inbox (clock.Mailbox.Send). On the auto-advancing clock delivery
 // runs to completion on the scheduler and cannot park, so a full inbox is a
-// loud failure naming the shard's event; on the real clock the shard's
-// goroutine blocks, holding up its shard, until the inbox has room. No
+// loud failure naming the delivery event; on the real clock the event's
+// goroutine blocks, holding up delivery, until the inbox has room. No
 // inbox in the tree fills (8192 slots against batches of tens); this is the
 // contract for the day one does.
 func TestDeliveryIntoFullInbox(t *testing.T) {
@@ -394,8 +437,8 @@ func TestDeliveryIntoFullInbox(t *testing.T) {
 		forward(tr, av)
 		defer func() {
 			msg := fmt.Sprint(recover())
-			if !strings.Contains(msg, "event net/shard-") || !strings.Contains(msg, "would park") {
-				t.Fatalf("panic = %q, want one naming the net/shard-N event", msg)
+			if !strings.Contains(msg, "event net/shard-0") || !strings.Contains(msg, "would park") {
+				t.Fatalf("panic = %q, want one naming the net/shard-0 event", msg)
 			}
 		}()
 		av.Sleep(time.Millisecond) // main parks and schedules the delivery on its own goroutine
@@ -422,8 +465,8 @@ func TestDeliveryIntoFullInbox(t *testing.T) {
 }
 
 // TestWheelAllocatedByFirstDelayedMessage: a zero-latency fabric delivers
-// everything through the ready list and never builds its 4096-bucket wheels;
-// the first message that has to wait builds its shard's.
+// everything through the ready list and never builds its 4096-bucket wheel;
+// the first message that has to wait does.
 func TestWheelAllocatedByFirstDelayedMessage(t *testing.T) {
 	lat := NewAsymmetricLatency(ZeroLatency{})
 	lat.SetLink("slow", "dst", ConstantLatency{D: time.Millisecond})
@@ -431,12 +474,10 @@ func TestWheelAllocatedByFirstDelayedMessage(t *testing.T) {
 	defer tr.Stop()
 	tr.Register("dst", func(Message) {})
 	wheels := func() (n int) {
-		for _, sh := range tr.shards {
-			sh.mu.Lock()
-			if sh.slots != nil {
-				n++
-			}
-			sh.mu.Unlock()
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		if tr.wheel.slots != nil {
+			n++
 		}
 		return n
 	}

@@ -3,11 +3,11 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -37,73 +37,45 @@ var (
 )
 
 // Transport is the in-process message fabric. Delivery is driven by a
-// sharded timing-wheel scheduler (see wheel.go): Send computes a ready time
-// from the latency model plus any link degradation, clamps it so messages
-// on the same directed link never reorder (TCP's per-connection FIFO
-// property the real deployments rely on), and enqueues into the destination
-// endpoint's shard. One clock event per shard drains due messages in
-// timestamp order.
+// timing-wheel scheduler (see wheel.go): Send computes a ready time from the
+// latency model plus any link degradation, clamps it so messages on the same
+// directed link never reorder (TCP's per-connection FIFO property the real
+// deployments rely on), and enqueues the message. One clock event drains due
+// messages in timestamp order.
 //
-// The hot path is engineered for zero contention between unrelated senders:
-// topology and fault state (endpoints, cut links, degradations) live in an
-// immutable snapshot swapped atomically by the mutating operations, send
-// and delivery counters are per-shard padded atomics, per-link state (the
-// FIFO clamp, a seeded loss RNG) lives with the destination's shard under the
-// lock its enqueue takes anyway, and handlers are resolved through an atomic
-// pointer set at registration. No global lock is taken by Send, Broadcast, or
-// the delivery events.
+// One mutex guards everything that changes: topology and fault state, the
+// per-link state (the FIFO clamp, a seeded loss RNG), the wheel and the
+// counters. A send is one lock section, a broadcast one for the whole
+// fan-out; handlers run with the lock released, because they send. What
+// orders messages is therefore the same on every host.
 type Transport struct {
 	clk     clock.Clock
 	latency LatencyModel
 	t0      time.Time // wheel epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
 
-	state atomic.Pointer[fabricState]
-	mu    sync.Mutex // serializes snapshot mutations only
-
-	// tracer, when set, records sampled network-hop spans (one per
-	// scheduled delivery, per-link ordinal sampling).
-	tracer atomic.Pointer[tracerInfo]
-
-	shards []*shard
-}
-
-// fabricState is the immutable topology/fault snapshot. Mutators clone it
-// under Transport.mu and swap the pointer; Send and Broadcast read one
-// coherent snapshot with a single atomic load.
-type fabricState struct {
+	mu        sync.Mutex
 	stopped   bool
 	endpoints map[string]*endpoint
 	list      []*endpoint // sorted by name: deterministic broadcast fan-out
 	cut       map[linkKey]bool
 	degraded  map[linkKey]Degradation
-}
+	links     map[linkKey]*linkState
+	wheel     wheel
+	// tracer, when set, records sampled network-hop spans (one per scheduled
+	// delivery, per-link ordinal sampling) under the Perfetto process row
+	// traceProc (the owning system's name).
+	tracer    *trace.Tracer
+	traceProc string
 
-func (st *fabricState) clone() *fabricState {
-	ns := &fabricState{
-		stopped:   st.stopped,
-		endpoints: make(map[string]*endpoint, len(st.endpoints)+1),
-		cut:       make(map[linkKey]bool, len(st.cut)),
-		degraded:  make(map[linkKey]Degradation, len(st.degraded)),
-	}
-	for k, v := range st.endpoints {
-		ns.endpoints[k] = v
-	}
-	for k, v := range st.cut {
-		ns.cut[k] = v
-	}
-	for k, v := range st.degraded {
-		ns.degraded[k] = v
-	}
-	return ns
-}
+	sent, delivered, dropped, lost uint64
 
-func (st *fabricState) rebuildList() {
-	st.list = make([]*endpoint, 0, len(st.endpoints))
-	for _, ep := range st.endpoints {
-		st.list = append(st.list, ep)
-	}
-	sort.Slice(st.list, func(i, j int) bool { return st.list[i].name < st.list[j].name })
+	// deliver runs drain. It keeps the name the first of the former per-shard
+	// events had, "net/shard-0": the clock breaks same-instant ties by
+	// (deadline, name, sequence), so a rename would reorder deliveries against
+	// pacers and timers and move every seeded result.
+	deliver *clock.Event
+	batch   []*item // drain's scratch, reused across runs
 }
 
 // Degradation models a lossy, slow link: every message gains Extra one-way
@@ -114,15 +86,13 @@ type Degradation struct {
 	Loss  float64
 }
 
-// endpoint is one registered delivery target. The handler is resolved once
-// per delivery through an atomic pointer (re-registration swaps it), and
-// pending tracks queue occupancy for overflow accounting.
+// endpoint is one registered delivery target, guarded by Transport.mu.
+// Unregistering clears the handler, which is how messages still queued for
+// the endpoint come to be dropped; pending is its queue occupancy.
 type endpoint struct {
 	name    string
-	sh      *shard
-	handler atomic.Pointer[Handler]
-	pending atomic.Int64
-	closed  atomic.Bool
+	handler Handler
+	pending int
 }
 
 // endpointQueueDepth bounds the per-endpoint in-flight queue. It is sized to
@@ -140,42 +110,21 @@ func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
 		clk = clock.New()
 	}
 	t := &Transport{
-		clk:     clk,
-		latency: latency,
-		t0:      clk.Now(),
-		seed:    0x10551, // deterministic loss draws
-	}
-	t.state.Store(&fabricState{
+		clk:       clk,
+		latency:   latency,
+		t0:        clk.Now(),
+		seed:      0x10551, // deterministic loss draws
 		endpoints: make(map[string]*endpoint),
 		cut:       make(map[linkKey]bool),
 		degraded:  make(map[linkKey]Degradation),
-	})
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
+		links:     make(map[linkKey]*linkState),
+		wheel:     wheel{wakeAt: math.MaxInt64},
 	}
-	if n < 2 {
-		n = 2
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	t.shards = make([]*shard, shards)
-	for i := range t.shards {
-		t.shards[i] = t.newShard(i)
-	}
+	t.deliver = clock.NewEvent(clk, "net/shard-0", t.drain)
 	return t
 }
 
 func (t *Transport) nowNanos() int64 { return int64(t.clk.Now().Sub(t.t0)) }
-
-// tracerInfo pairs the span sink with the Perfetto process row the hops
-// render under (the owning system's name).
-type tracerInfo struct {
-	tr   *trace.Tracer
-	proc string
-}
 
 // SetTracer attaches a span sink: sampled hops record one "net" span whose
 // extent is the message's exact scheduled flight time (latency model plus
@@ -183,73 +132,70 @@ type tracerInfo struct {
 // ordinal mixed with the link hash, so it is deterministic under the
 // virtual clock. A nil tracer detaches.
 func (t *Transport) SetTracer(tr *trace.Tracer, proc string) {
-	if tr == nil {
-		t.tracer.Store(nil)
-		return
-	}
-	t.tracer.Store(&tracerInfo{tr: tr, proc: proc})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tracer, t.traceProc = tr, proc
 }
 
 // PendingCount reports messages scheduled but not yet delivered, summed
 // over every endpoint's queue — the timing wheel's in-flight backlog, and
 // the telemetry plane's netPending gauge.
 func (t *Transport) PendingCount() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var n int64
-	for _, ep := range t.state.Load().list {
-		n += ep.pending.Load()
+	for _, ep := range t.list {
+		n += int64(ep.pending)
 	}
 	return n
 }
 
-// shardFor pins an endpoint name to a shard (FNV-1a hash).
-func (t *Transport) shardFor(name string) *shard {
-	return t.shards[fnvAdd(fnvOffset64, name)&uint64(len(t.shards)-1)]
+// find returns the position of name in the sorted endpoint list, or where it
+// would be inserted.
+func (t *Transport) find(name string) int {
+	i, _ := slices.BinarySearchFunc(t.list, name, func(ep *endpoint, name string) int {
+		return strings.Compare(ep.name, name)
+	})
+	return i
 }
 
 // Register attaches a named endpoint with a message handler. Registering
-// the same name twice atomically replaces the handler.
+// the same name twice replaces the handler.
 func (t *Transport) Register(name string, h Handler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state.Load()
-	if st.stopped {
+	if t.stopped {
 		return
 	}
-	if ep, ok := st.endpoints[name]; ok {
-		hp := h
-		ep.handler.Store(&hp)
+	if ep, ok := t.endpoints[name]; ok {
+		ep.handler = h
 		return
 	}
-	ep := &endpoint{name: name, sh: t.shardFor(name)}
-	hp := h
-	ep.handler.Store(&hp)
-	ns := st.clone()
-	ns.endpoints[name] = ep
-	ns.rebuildList()
-	t.state.Store(ns)
+	ep := &endpoint{name: name, handler: h}
+	t.endpoints[name] = ep
+	t.list = slices.Insert(t.list, t.find(name), ep)
 }
 
 // Unregister detaches an endpoint; queued messages for it are dropped.
 func (t *Transport) Unregister(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.state.Load()
-	ep, ok := st.endpoints[name]
+	ep, ok := t.endpoints[name]
 	if !ok {
 		return
 	}
-	ep.closed.Store(true)
-	ns := st.clone()
-	delete(ns.endpoints, name)
-	ns.rebuildList()
-	t.state.Store(ns)
+	ep.handler = nil
+	delete(t.endpoints, name)
+	i := t.find(name)
+	t.list = slices.Delete(t.list, i, i+1)
 }
 
 // Endpoints returns the names of all registered endpoints, sorted.
 func (t *Transport) Endpoints() []string {
-	st := t.state.Load()
-	names := make([]string, 0, len(st.list))
-	for _, ep := range st.list {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	names := make([]string, 0, len(t.list))
+	for _, ep := range t.list {
 		names = append(names, ep.name)
 	}
 	return names
@@ -258,27 +204,37 @@ func (t *Transport) Endpoints() []string {
 // Send schedules delivery of a message. It returns an error when the
 // destination is unknown, the link is cut, or the transport is stopped.
 func (t *Transport) Send(from, to, kind string, payload any) error {
-	st := t.state.Load()
-	if st.stopped {
-		return ErrStopped
+	now := t.clk.Now()
+	t.mu.Lock()
+	var (
+		wake bool
+		err  error
+	)
+	switch ep, ok := t.endpoints[to]; {
+	case t.stopped:
+		err = ErrStopped
+	case t.cut[linkKey{from, to}]:
+		err = ErrLinkDown
+	case !ok:
+		err = fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
+	default:
+		wake, err = t.sendLocked(from, ep, kind, payload, now)
 	}
-	if st.cut[linkKey{from, to}] {
-		return ErrLinkDown
+	t.mu.Unlock()
+	if wake {
+		t.deliver.Trigger()
 	}
-	ep, ok := st.endpoints[to]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
-	}
-	return t.sendTo(st, from, ep, kind, payload, t.clk.Now())
+	return err
 }
 
-// sendTo schedules one message to a resolved endpoint. Callers have
-// already checked the stopped and cut-link states on the same snapshot.
-func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind string, payload any, now time.Time) error {
-	lk := linkKey{from, ep.name}
-	deg, isDegraded := st.degraded[lk]
+// sendLocked schedules one message on a link that is not cut and reports
+// whether the delivery event must be triggered once t.mu is released.
+func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
+	to := ep.name
+	lk := linkKey{from, to}
+	deg, isDegraded := t.degraded[lk]
 
-	delay := t.latency.Delay(from, ep.name)
+	delay := t.latency.Delay(from, to)
 	if isDegraded {
 		delay += deg.Extra
 	}
@@ -288,127 +244,111 @@ func (t *Transport) sendTo(st *fabricState, from string, ep *endpoint, kind stri
 		readyN += int64(delay)
 	}
 
-	// Per-link FIFO clamp and loss draw, under the destination shard's lock.
-	ti := t.tracer.Load()
-	sh := ep.sh
-	lost := false
-	var hopN uint64
-	sh.mu.Lock()
-	ls := sh.links[lk]
+	// Per-link FIFO clamp and loss draw.
+	ls := t.links[lk]
 	if ls == nil {
 		ls = &linkState{}
-		sh.links[lk] = ls
+		t.links[lk] = ls
 	}
 	if readyN < ls.lastReady {
 		readyN = ls.lastReady
 	}
 	ls.lastReady = readyN
+	lost := false
 	if isDegraded && deg.Loss > 0 {
 		if ls.rng == nil {
-			ls.rng = rand.New(rand.NewSource(linkSeed(t.seed, from, ep.name)))
+			ls.rng = rand.New(rand.NewSource(linkSeed(t.seed, from, to)))
 		}
 		lost = ls.rng.Float64() < deg.Loss
 	}
-	if ti != nil {
-		hopN = ls.hops
+	if t.tracer != nil {
+		hopN := ls.hops
 		ls.hops++
-	}
-	sh.mu.Unlock()
-	if ti != nil && !lost {
 		// The ordinal decides membership; the link hash decorrelates the
 		// sampled ordinals across links.
-		if ti.tr.Sampled(hopN ^ fnvAdd(fnvAdd(fnvOffset64, from), ep.name)) {
+		if !lost && t.tracer.Sampled(hopN^fnvAdd(fnvAdd(fnvOffset64, from), to)) {
 			startN := now.UnixNano()
-			ti.tr.Add(trace.Span{
+			t.tracer.Add(trace.Span{
 				Name:  kind,
 				Cat:   "net",
-				Proc:  ti.proc,
-				Lane:  from + "→" + ep.name,
+				Proc:  t.traceProc,
+				Lane:  from + "→" + to,
 				Start: startN,
 				End:   startN + (readyN - nowN),
 			})
 		}
 	}
 
-	sh.stats.sent.Add(1)
+	t.sent++
 	if lost {
 		// Lossy link: the message vanishes in flight. The sender sees a
 		// successful send, as it would on a real network.
-		sh.stats.dropped.Add(1)
-		sh.stats.lost.Add(1)
-		return nil
+		t.dropped++
+		t.lost++
+		return false, nil
 	}
-	if ep.pending.Add(1) > endpointQueueDepth {
-		ep.pending.Add(-1)
-		sh.stats.dropped.Add(1)
-		return fmt.Errorf("network: endpoint %q queue full", ep.name)
+	if ep.pending >= endpointQueueDepth {
+		t.dropped++
+		return false, fmt.Errorf("network: endpoint %q queue full", to)
 	}
+	ep.pending++
 	it := itemPool.Get().(*item)
-	it.msg = Message{From: from, To: ep.name, Kind: kind, Payload: payload, SentAt: now}
+	it.msg = Message{From: from, To: to, Kind: kind, Payload: payload, SentAt: now}
 	it.ep = ep
 	it.readyNanos = readyN
-	sh.enqueue(it, nowN)
-	return nil
+	return t.wheel.enqueue(it, nowN), nil
 }
 
-// Broadcast sends to every registered endpoint except the sender, returning
-// the number of successful sends. The topology, cut-link, and degradation
-// state are snapshotted once; the fan-out re-acquires no locks per target
-// and walks endpoints in sorted-name order.
+// Broadcast sends to every registered endpoint except the sender, in
+// sorted-name order and in one lock section, returning the number of
+// successful sends.
 func (t *Transport) Broadcast(from, kind string, payload any) int {
-	st := t.state.Load()
-	if st.stopped {
-		return 0
-	}
 	now := t.clk.Now()
-	n := 0
-	for _, ep := range st.list {
-		if ep.name == from || st.cut[linkKey{from, ep.name}] {
+	n, wake := 0, false
+	t.mu.Lock()
+	for _, ep := range t.list {
+		if ep.name == from || t.cut[linkKey{from, ep.name}] {
 			continue
 		}
-		if t.sendTo(st, from, ep, kind, payload, now) == nil {
+		w, err := t.sendLocked(from, ep, kind, payload, now)
+		wake = wake || w
+		if err == nil {
 			n++
 		}
+	}
+	t.mu.Unlock()
+	if wake {
+		t.deliver.Trigger()
 	}
 	return n
 }
 
-// mutate clones the current snapshot, applies fn, and publishes the result.
-// It is a no-op on a stopped transport.
-func (t *Transport) mutate(fn func(ns *fabricState)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	if st.stopped {
-		return
-	}
-	ns := st.clone()
-	ns.list = st.list // endpoint set unchanged by fault mutations
-	fn(ns)
-	t.state.Store(ns)
-}
-
 // CutLink partitions the directed link src→dst. Subsequent sends fail.
 func (t *Transport) CutLink(src, dst string) {
-	t.mutate(func(ns *fabricState) { ns.cut[linkKey{src, dst}] = true })
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.stopped {
+		t.cut[linkKey{src, dst}] = true
+	}
 }
 
 // HealLink restores a previously cut link.
 func (t *Transport) HealLink(src, dst string) {
-	t.mutate(func(ns *fabricState) { delete(ns.cut, linkKey{src, dst}) })
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.cut, linkKey{src, dst})
 }
 
 // Isolate cuts every link to and from the named endpoint.
 func (t *Transport) Isolate(name string) {
-	t.mutate(func(ns *fabricState) {
-		for other := range ns.endpoints {
-			if other == name {
-				continue
-			}
-			ns.cut[linkKey{name, other}] = true
-			ns.cut[linkKey{other, name}] = true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ep := range t.list { // empty once stopped
+		if ep.name != name {
+			t.cut[linkKey{name, ep.name}] = true
+			t.cut[linkKey{ep.name, name}] = true
 		}
-	})
+	}
 }
 
 // HealAll undoes every CutLink and Isolate in one step and clears all link
@@ -416,10 +356,10 @@ func (t *Transport) Isolate(name string) {
 // counterpart of HealLink: Isolate cuts 2(n-1) directed links at once and
 // previously had no inverse.
 func (t *Transport) HealAll() {
-	t.mutate(func(ns *fabricState) {
-		ns.cut = make(map[linkKey]bool)
-		ns.degraded = make(map[linkKey]Degradation)
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.cut)
+	clear(t.degraded)
 }
 
 // DegradeLink makes the directed link src→dst slow and lossy: subsequent
@@ -427,68 +367,62 @@ func (t *Transport) HealAll() {
 // (clamped to [0, 1]). A zero Degradation restores the link; HealAll clears
 // every degradation.
 func (t *Transport) DegradeLink(src, dst string, extra time.Duration, loss float64) {
-	if loss < 0 {
-		loss = 0
+	loss = min(max(loss, 0), 1)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if extra <= 0 && loss == 0 {
+		delete(t.degraded, linkKey{src, dst})
+	} else if !t.stopped {
+		t.degraded[linkKey{src, dst}] = Degradation{Extra: extra, Loss: loss}
 	}
-	if loss > 1 {
-		loss = 1
-	}
-	t.mutate(func(ns *fabricState) {
-		if extra <= 0 && loss == 0 {
-			delete(ns.degraded, linkKey{src, dst})
-			return
-		}
-		ns.degraded[linkKey{src, dst}] = Degradation{Extra: extra, Loss: loss}
-	})
 }
 
 // CutCount reports how many directed links are currently cut.
-func (t *Transport) CutCount() int { return len(t.state.Load().cut) }
+func (t *Transport) CutCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.cut)
+}
 
 // DegradedCount reports how many directed links carry a degradation.
-func (t *Transport) DegradedCount() int { return len(t.state.Load().degraded) }
+func (t *Transport) DegradedCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.degraded)
+}
 
 // LostCount reports messages lost to link degradation (a subset of the
 // dropped counter in Stats).
 func (t *Transport) LostCount() uint64 {
-	var lost uint64
-	for _, sh := range t.shards {
-		lost += sh.stats.lost.Load()
-	}
-	return lost
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.lost
 }
 
-// Stats reports send/delivery counters summed across the shards.
+// Stats reports the send/delivery counters.
 func (t *Transport) Stats() (sent, delivered, dropped uint64) {
-	for _, sh := range t.shards {
-		sent += sh.stats.sent.Load()
-		delivered += sh.stats.delivered.Load()
-		dropped += sh.stats.dropped.Load()
-	}
-	return sent, delivered, dropped
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sent, t.delivered, t.dropped
 }
 
-// Stop shuts down the delivery events, returning once no handler is running.
+// Stop shuts down the delivery event, returning once no handler is running.
 // Queued messages are dropped (uncounted), matching a fabric torn down
-// mid-flight.
+// mid-flight; topology and fault state are cleared and stay empty.
 func (t *Transport) Stop() {
 	t.mu.Lock()
-	st := t.state.Load()
-	if st.stopped {
+	if t.stopped {
 		t.mu.Unlock()
 		return
 	}
-	for _, ep := range st.endpoints {
-		ep.closed.Store(true)
+	t.stopped = true
+	for _, ep := range t.list {
+		ep.handler = nil
 	}
-	t.state.Store(&fabricState{
-		stopped:   true,
-		endpoints: make(map[string]*endpoint),
-		cut:       make(map[linkKey]bool),
-		degraded:  make(map[linkKey]Degradation),
-	})
+	clear(t.endpoints)
+	t.list = nil
+	clear(t.cut)
+	clear(t.degraded)
 	t.mu.Unlock()
-	for _, sh := range t.shards {
-		sh.drain.Stop()
-	}
+	t.deliver.Stop() // not under mu: it waits for a handler, which may be in Send
 }

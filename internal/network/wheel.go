@@ -1,38 +1,34 @@
 package network
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"github.com/coconut-bench/coconut/internal/clock"
 )
 
-// The delivery scheduler is a sharded hashed timing wheel (calendar queue).
-// Every endpoint is pinned to one shard by a hash of its name; a shard owns
-// a wheel of wheelSlots buckets of wheelGranularity each, an overflow heap
-// for messages scheduled beyond the wheel horizon, a "ready" list for
-// messages due at enqueue time, and exactly one delivery event (clock.Event
-// "net/shard-N"), whose runs the clock serialises.
+// The delivery scheduler is a hashed timing wheel (calendar queue): a wheel
+// of wheelSlots buckets of wheelGranularity each, an overflow heap for
+// messages scheduled beyond the wheel horizon, a "ready" list for messages
+// due at enqueue time, and exactly one delivery event (Transport.drain),
+// whose runs the clock serialises. All of it is guarded by Transport.mu.
 //
 // Invariants the scheduler maintains:
 //
 //   - Wheel-resident items always have ticks in [cursor, cursor+wheelSlots),
 //     so each bucket holds items of exactly one tick and buckets scanned in
 //     tick order yield items in non-decreasing due time.
-//   - A shard's event delivers each collected due batch sorted by
-//     (readyNanos, seq), where seq is assigned under the shard lock at
-//     enqueue. Together with the per-link ready-time clamp in sendTo this
-//     preserves the per-directed-link FIFO contract.
-//   - wakeAt (guarded by the shard lock) is the event's next run time:
-//     math.MinInt64 while a run is draining or on its way (no trigger
-//     needed), math.MaxInt64 while it is idle (any enqueue must trigger),
-//     otherwise the armed deadline (earlier enqueues must trigger).
+//   - The event delivers each collected due batch sorted by (readyNanos,
+//     seq), where seq is the order of the sends. Together with the per-link
+//     ready-time clamp in sendLocked this preserves the per-directed-link
+//     FIFO contract.
+//   - wakeAt is the event's next run time: math.MinInt64 while a run is
+//     draining or on its way (no trigger needed), math.MaxInt64 while it is
+//     idle (any enqueue must trigger), otherwise the armed deadline (earlier
+//     enqueues must trigger).
 const (
 	// wheelGranularity is one wheel tick. Messages are never delivered
 	// early: an armed timer targets the exact earliest readyNanos, the tick
@@ -40,12 +36,12 @@ const (
 	wheelGranularity = 100 * time.Microsecond
 	granNanos        = int64(wheelGranularity)
 	// wheelSlots is the bucket count; granularity*slots ≈ 410ms of horizon.
-	// Delays beyond the horizon go to the shard's overflow heap.
+	// Delays beyond the horizon go to the overflow heap.
 	wheelSlots = 4096
 	wheelMask  = wheelSlots - 1
 )
 
-// item is one scheduled delivery. Items are pooled: deliverBatch clears and
+// item is one scheduled delivery. Items are pooled: drain clears and
 // recycles them after invoking the handler, so steady-state sends do not
 // allocate.
 type item struct {
@@ -53,27 +49,11 @@ type item struct {
 	ep         *endpoint
 	readyNanos int64
 	seq        uint64
-	tick       int64
 }
 
 var itemPool = sync.Pool{New: func() any { return new(item) }}
 
-// shardStats are the per-shard counters; padding keeps each shard's hot
-// counters on their own cache line so senders of different shards never
-// false-share.
-type shardStats struct {
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	lost      atomic.Uint64
-	_         [4]uint64
-}
-
-type shard struct {
-	stats shardStats
-
-	mu     sync.Mutex
-	links  map[linkKey]*linkState // directed links into this shard's endpoints
+type wheel struct {
 	seq    uint64
 	ready  []*item   // due at enqueue time, drained ahead of the wheel
 	slots  [][]*item // the hashed wheel, allocated by the first item that is not due at once
@@ -81,177 +61,149 @@ type shard struct {
 	far    farHeap   // beyond-horizon overflow
 	wheelN int       // items resident in slots
 	wakeAt int64     // see invariant above
-
-	drain *clock.Event
-	batch []*item // drain's scratch, reused across runs
 }
 
-func (t *Transport) newShard(i int) *shard {
-	sh := &shard{wakeAt: math.MaxInt64, links: make(map[linkKey]*linkState)}
-	sh.drain = clock.NewEvent(t.clk, "net/shard-"+strconv.Itoa(i), func() { t.drain(sh) })
-	return sh
-}
-
-// enqueue schedules one item and triggers the delivery event if it would
-// otherwise run only after the item's due time.
-func (sh *shard) enqueue(it *item, nowN int64) {
-	sh.mu.Lock()
-	sh.seq++
-	it.seq = sh.seq
+// enqueue schedules one item and reports whether the delivery event must be
+// triggered (after unlocking), because it would otherwise run only after the
+// item's due time.
+func (w *wheel) enqueue(it *item, nowN int64) (needWake bool) {
+	w.seq++
+	it.seq = w.seq
 	if it.readyNanos <= nowN {
-		sh.ready = append(sh.ready, it)
+		w.ready = append(w.ready, it)
 	} else {
 		tick := it.readyNanos / granNanos
-		if tick < sh.cursor {
-			// The sender's now-read went stale and the worker's cursor
-			// already passed this tick; park the item in the cursor bucket
-			// (the next one scanned) instead of a bucket that would not be
-			// visited again for a full rotation.
-			tick = sh.cursor
+		if tick < w.cursor {
+			// The sender read the clock before the drain that moved the
+			// cursor past this tick; park the item in the cursor bucket (the
+			// next one scanned) instead of a bucket that would not be visited
+			// again for a full rotation.
+			tick = w.cursor
 		}
-		it.tick = tick
-		if tick >= sh.cursor+wheelSlots {
-			heap.Push(&sh.far, it)
+		if tick >= w.cursor+wheelSlots {
+			heap.Push(&w.far, it)
 		} else {
-			if sh.slots == nil {
-				sh.slots = make([][]*item, wheelSlots)
+			if w.slots == nil {
+				w.slots = make([][]*item, wheelSlots)
 			}
+			// Buckets stay sorted by (readyNanos, seq) — seq only grows, so the
+			// item goes after its equals — and collect takes a due prefix
+			// instead of filtering a dense bucket once per item in it.
 			idx := int(tick & wheelMask)
-			sh.slots[idx] = append(sh.slots[idx], it)
-			sh.wheelN++
+			at, _ := slices.BinarySearchFunc(w.slots[idx], it.readyNanos+1, func(o *item, ready int64) int {
+				return cmp.Compare(o.readyNanos, ready)
+			})
+			w.slots[idx] = slices.Insert(w.slots[idx], at, it)
+			w.wheelN++
 		}
 	}
-	needWake := it.readyNanos < sh.wakeAt
+	needWake = it.readyNanos < w.wakeAt
 	if needWake {
-		sh.wakeAt = math.MinInt64 // the run now on its way collects whatever follows
+		w.wakeAt = math.MinInt64 // the run now on its way collects whatever follows
 	}
-	sh.mu.Unlock()
-	if needWake {
-		sh.drain.Trigger()
-	}
+	return needWake
 }
 
 // collect appends every item due at nowN to batch and returns it together
-// with the earliest pending due time (math.MaxInt64 when the shard is
-// drained). It updates wakeAt under the shard lock so enqueue's trigger
-// decision can never race the event's decision to go idle.
-func (sh *shard) collect(nowN int64, batch []*item) ([]*item, int64) {
-	sh.mu.Lock()
+// with the earliest pending due time (math.MaxInt64 when nothing is
+// scheduled). It updates wakeAt in the same lock section, so enqueue's
+// trigger decision can never race the event's decision to go idle.
+func (w *wheel) collect(nowN int64, batch []*item) ([]*item, int64) {
 	nowTick := nowN / granNanos
-	batch = append(batch, sh.ready...)
-	for i := range sh.ready {
-		sh.ready[i] = nil
-	}
-	sh.ready = sh.ready[:0]
+	batch = append(batch, w.ready...)
+	clear(w.ready)
+	w.ready = w.ready[:0]
 
-	if sh.wheelN > 0 {
-		from := sh.cursor
+	if w.wheelN > 0 {
+		from := w.cursor
 		if nowTick-from >= wheelSlots {
 			// The event last ran more than a full rotation ago: one pass over
 			// [nowTick-wheelSlots+1, nowTick] visits every bucket once.
 			from = nowTick - wheelSlots + 1
 		}
-		for tk := from; tk <= nowTick && sh.wheelN > 0; tk++ {
+		for tk := from; tk <= nowTick && w.wheelN > 0; tk++ {
 			idx := int(tk & wheelMask)
-			slot := sh.slots[idx]
-			if len(slot) == 0 {
+			slot := w.slots[idx]
+			due := 0
+			for due < len(slot) && slot[due].readyNanos <= nowN {
+				due++
+			}
+			if due == 0 {
 				continue
 			}
-			kept := slot[:0]
-			for _, it := range slot {
-				if it.readyNanos <= nowN {
-					batch = append(batch, it)
-					sh.wheelN--
-				} else {
-					kept = append(kept, it)
-				}
-			}
-			for i := len(kept); i < len(slot); i++ {
-				slot[i] = nil
-			}
-			sh.slots[idx] = kept
+			batch = append(batch, slot[:due]...)
+			w.wheelN -= due
+			kept := copy(slot, slot[due:]) // keep the bucket's backing array
+			clear(slot[kept:])
+			w.slots[idx] = slot[:kept]
 		}
 	}
-	sh.cursor = nowTick
+	w.cursor = nowTick
 
-	for len(sh.far) > 0 && sh.far[0].readyNanos <= nowN {
-		batch = append(batch, heap.Pop(&sh.far).(*item))
+	for len(w.far) > 0 && w.far[0].readyNanos <= nowN {
+		batch = append(batch, heap.Pop(&w.far).(*item))
 	}
 
 	next := int64(math.MaxInt64)
 	if len(batch) > 0 {
-		sh.wakeAt = math.MinInt64
-	} else {
-		if len(sh.far) > 0 {
-			next = sh.far[0].readyNanos
-		}
-		if sh.wheelN > 0 {
-			// The first occupied bucket from the cursor holds the earliest
-			// wheel items (buckets are single-tick; see invariant).
-			for off := int64(0); off < wheelSlots; off++ {
-				slot := sh.slots[int((nowTick+off)&wheelMask)]
-				if len(slot) == 0 {
-					continue
-				}
-				for _, it := range slot {
-					if it.readyNanos < next {
-						next = it.readyNanos
-					}
-				}
+		w.wakeAt = math.MinInt64
+		return batch, next
+	}
+	if len(w.far) > 0 {
+		next = w.far[0].readyNanos
+	}
+	if w.wheelN > 0 {
+		// The first occupied bucket from the cursor holds the earliest
+		// wheel items (buckets are single-tick; see invariant), its first
+		// item the earliest of them.
+		for off := int64(0); off < wheelSlots; off++ {
+			if slot := w.slots[int((nowTick+off)&wheelMask)]; len(slot) > 0 {
+				next = min(next, slot[0].readyNanos)
 				break
 			}
 		}
-		sh.wakeAt = next
 	}
-	sh.mu.Unlock()
+	w.wakeAt = next
 	return batch, next
 }
 
-// drain is a shard's delivery event: collect due items and deliver them in
-// timestamp order until none is due, then arm the next due time (an earlier
-// enqueue triggers a run before it). The deadline is absolute, so it cannot
-// drift when the clock moves between collecting and arming, and one already
-// passed runs the event again at once.
-func (t *Transport) drain(sh *shard) {
+// drain is the delivery event: collect due items and deliver them in
+// (readyNanos, seq) order until none is due, then arm the next due time (an
+// earlier enqueue triggers a run before it). The deadline is absolute, so it
+// cannot drift when the clock moves between collecting and arming, and one
+// already passed runs the event again at once. The lock is held throughout
+// except while a handler runs: handlers re-enter Send.
+func (t *Transport) drain() {
+	t.mu.Lock()
 	for {
 		var next int64
-		sh.batch, next = sh.collect(t.nowNanos(), sh.batch[:0])
-		if len(sh.batch) == 0 {
+		t.batch, next = t.wheel.collect(t.nowNanos(), t.batch[:0])
+		if len(t.batch) == 0 {
+			t.mu.Unlock()
 			if next != math.MaxInt64 {
-				sh.drain.At(t.t0.Add(time.Duration(next)))
+				t.deliver.At(t.t0.Add(time.Duration(next)))
 			}
 			return
 		}
-		t.deliverBatch(sh, sh.batch)
-	}
-}
-
-// deliverBatch hands a due batch to the endpoint handlers in (readyNanos,
-// seq) order and recycles the items.
-func (t *Transport) deliverBatch(sh *shard, batch []*item) {
-	slices.SortFunc(batch, func(a, b *item) int {
-		if a.readyNanos != b.readyNanos {
-			if a.readyNanos < b.readyNanos {
-				return -1
+		slices.SortFunc(t.batch, func(a, b *item) int {
+			if c := cmp.Compare(a.readyNanos, b.readyNanos); c != 0 {
+				return c
 			}
-			return 1
-		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	for _, it := range batch {
-		ep := it.ep
-		ep.pending.Add(-1)
-		if !ep.closed.Load() {
-			if h := ep.handler.Load(); h != nil {
-				(*h)(it.msg)
+			return cmp.Compare(a.seq, b.seq)
+		})
+		for _, it := range t.batch {
+			it.ep.pending--
+			// An endpoint unregistered since the send, even by a handler
+			// earlier in this batch, has no handler: its messages are dropped.
+			if h := it.ep.handler; h != nil {
+				t.mu.Unlock()
+				h(it.msg)
+				t.mu.Lock()
+				t.delivered++
 			}
-			sh.stats.delivered.Add(1)
+			*it = item{}
+			itemPool.Put(it)
 		}
-		*it = item{}
-		itemPool.Put(it)
 	}
 }
 
@@ -278,8 +230,7 @@ func (h *farHeap) Pop() any {
 
 // linkState is the per-directed-link scheduling state: the FIFO ready-time
 // clamp and the link's own deterministic loss RNG. A link is created by its
-// first message, in the table of the destination's shard and guarded by the
-// shard lock, and outlives the endpoint: a node that re-registers after a
+// first message and outlives the endpoint: a node that re-registers after a
 // crash resumes its links' clamp and loss stream.
 type linkState struct {
 	lastReady int64
@@ -289,8 +240,7 @@ type linkState struct {
 	hops uint64
 }
 
-// FNV-1a, shared by shard pinning and link seeding so the two hash paths
-// cannot drift apart.
+// FNV-1a, shared by trace sampling and link seeding.
 const (
 	fnvOffset64 = uint64(14695981039346656037)
 	fnvPrime64  = uint64(1099511628211)

@@ -1,70 +1,46 @@
 package systems
 
 import (
-	"encoding/binary"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
-// Shard-plane defaults. Shard count must be a power of two so the tx-hash
-// prefix maps to a shard with a mask instead of a modulo.
-const (
-	// DefaultShards is the number of independent lock domains. Commit
-	// notifications for different transactions contend only when their
-	// hashes share a prefix, so the hot path scales with cores.
-	DefaultShards = 32
-	// DefaultEmittedRetention bounds the per-shard tombstone set that
-	// suppresses late duplicate reports after a transaction has emitted.
-	// Older tombstones are pruned FIFO, so hub memory stays constant over
-	// arbitrarily long runs instead of growing with every transaction.
-	DefaultEmittedRetention = 1 << 14
-)
+// DefaultEmittedRetention bounds the tombstone set that suppresses late
+// duplicate reports after a transaction has emitted. Older tombstones are
+// retired FIFO, so hub memory stays constant over arbitrarily long runs
+// instead of growing with every transaction.
+const DefaultEmittedRetention = 1 << 19
 
 // Hub aggregates per-node commit notifications and fires the end-to-end
 // finalization event once every node in the network has persisted a
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// Internally the hub is sharded by transaction-hash prefix: each shard has
-// its own lock and one transaction map whose finalized entries stay behind
-// as tombstones for a bounded retention window, and node identities are
-// interned once into dense indices so per-transaction tracking is a bitset
-// rather than a map of node-ID strings. Aggregate counters are atomics, not
-// map scans.
+// One lock guards all of it: virtual time runs one goroutine at a time and
+// real-time runs use a few percent of a core, so there is nothing for more
+// lock domains to separate. Node identities are interned once into dense
+// indices so per-transaction tracking is a bitset rather than a map of
+// node-ID strings.
 type Hub struct {
 	nodes     int
-	shardMask uint64
-	shards    []hubShard
 	retention int
 
-	subsMu sync.RWMutex
-	subs   map[string]EventFunc
-
-	nodeMu  sync.RWMutex
+	mu      sync.Mutex
+	subs    map[string]EventFunc
 	nodeIdx map[string]*HubNode
-
-	pendingN atomic.Int64
-	emittedN atomic.Int64
-}
-
-// hubShard is one lock domain of the hub. The pad keeps neighbouring shards
-// off the same cache line under heavy cross-core commit traffic.
-type hubShard struct {
-	mu sync.Mutex
-	// txs holds every transaction the shard knows: the ones still collecting
+	// txs holds every transaction the hub knows: the ones still collecting
 	// node reports and, marked done, the recently finalized ones, whose entry
 	// stays behind as its own tombstone so late duplicate reports do not
 	// re-open them. A report is one probe of this map.
 	txs map[crypto.Hash]*pendingTx
-	// doneQ is the retention ring of done entries, oldest at doneHead; a
-	// full ring retires its oldest entry from txs for each new one.
-	doneQ    []*pendingTx
-	doneHead int
-	_        [16]byte // pad the 48-byte struct to one 64-byte cache line
+	// The retention queue threads the done entries oldest-first through
+	// pendingTx.next; at the retention bound each new tombstone retires the
+	// oldest from txs.
+	doneHead, doneTail *pendingTx
+	doneN              int
+	emitted            int
 }
 
 // pendingTx tracks which nodes persisted one transaction, as a bitset over
@@ -76,8 +52,10 @@ type pendingTx struct {
 	more  []uint64
 	count int
 	// done marks an emitted transaction; all that is kept of its event is
-	// the TxID the ring retires it by.
+	// the TxID the queue retires it by, and next links it to the tombstone
+	// finalized after it.
 	done bool
+	next *pendingTx
 }
 
 func (p *pendingTx) mark(idx int) bool {
@@ -100,24 +78,8 @@ func (p *pendingTx) mark(idx int) bool {
 // HubOption customizes hub construction.
 type HubOption func(*Hub)
 
-// WithShards sets the shard count; values are rounded up to a power of two.
-// One shard reproduces the pre-sharding global-lock behaviour (useful for
-// benchmarking the measurement-plane overhead).
-func WithShards(n int) HubOption {
-	return func(h *Hub) {
-		if n < 1 {
-			n = 1
-		}
-		if n&(n-1) != 0 {
-			n = 1 << bits.Len(uint(n))
-		}
-		h.shards = make([]hubShard, n)
-		h.shardMask = uint64(n - 1)
-	}
-}
-
-// WithEmittedRetention sets how many finalized-transaction tombstones each
-// shard retains for duplicate suppression before pruning the oldest.
+// WithEmittedRetention sets how many finalized-transaction tombstones the
+// hub retains for duplicate suppression before retiring the oldest.
 func WithEmittedRetention(n int) HubOption {
 	return func(h *Hub) {
 		if n < 1 {
@@ -131,29 +93,21 @@ func WithEmittedRetention(n int) HubOption {
 func NewHub(nodes int, opts ...HubOption) *Hub {
 	h := &Hub{
 		nodes:     nodes,
+		retention: DefaultEmittedRetention,
+		txs:       make(map[crypto.Hash]*pendingTx),
 		subs:      make(map[string]EventFunc),
 		nodeIdx:   make(map[string]*HubNode),
-		retention: DefaultEmittedRetention,
 	}
-	WithShards(DefaultShards)(h)
 	for _, opt := range opts {
 		opt(h)
-	}
-	for i := range h.shards {
-		h.shards[i].txs = make(map[crypto.Hash]*pendingTx)
 	}
 	return h
 }
 
-// shardFor selects the lock domain from the transaction-hash prefix.
-func (h *Hub) shardFor(id crypto.Hash) *hubShard {
-	return &h.shards[binary.BigEndian.Uint64(id[:8])&h.shardMask]
-}
-
 // Subscribe registers fn as the listener for events whose Client matches.
 func (h *Hub) Subscribe(client string, fn EventFunc) {
-	h.subsMu.Lock()
-	defer h.subsMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.subs[client] = fn
 }
 
@@ -161,31 +115,14 @@ func (h *Hub) Subscribe(client string, fn EventFunc) {
 // resolve the handle once at provisioning time so the per-commit hot path
 // never touches the node-ID string map.
 func (h *Hub) Node(id string) *HubNode {
-	h.nodeMu.RLock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	n, ok := h.nodeIdx[id]
-	h.nodeMu.RUnlock()
-	if ok {
-		return n
+	if !ok {
+		n = &HubNode{hub: h, idx: len(h.nodeIdx), id: id}
+		h.nodeIdx[id] = n
 	}
-	h.nodeMu.Lock()
-	defer h.nodeMu.Unlock()
-	if n, ok := h.nodeIdx[id]; ok {
-		return n
-	}
-	n = &HubNode{hub: h, idx: len(h.nodeIdx), id: id}
-	h.nodeIdx[id] = n
 	return n
-}
-
-// NodeCommitted records that one node persisted the transaction described
-// by ev. When all nodes have reported, the event fires to the client's
-// subscription with FinalizedAt set to the last node's commit time.
-// Duplicate reports from the same node are ignored.
-//
-// Drivers on the hot path should prefer a pre-resolved Node(...).Committed
-// handle; this wrapper interns the node ID on every call.
-func (h *Hub) NodeCommitted(nodeID string, ev Event, at time.Time) {
-	h.Node(nodeID).Committed(ev, at)
 }
 
 // HubNode is one node's commit handle, bound to a dense node index.
@@ -198,88 +135,89 @@ type HubNode struct {
 // ID returns the node identity the handle was interned for.
 func (n *HubNode) ID() string { return n.id }
 
-// Committed reports that this node persisted the transaction described by
-// ev; semantics match Hub.NodeCommitted.
+// Committed records that this node persisted the transaction described by
+// ev. When all nodes have reported, the event fires to the client's
+// subscription with FinalizedAt set to the last node's commit time.
+// Duplicate reports from the same node are ignored.
 func (n *HubNode) Committed(ev Event, at time.Time) {
 	h := n.hub
-	s := h.shardFor(ev.TxID)
-
-	s.mu.Lock()
-	p, ok := s.txs[ev.TxID]
+	h.mu.Lock()
+	p, ok := h.txs[ev.TxID]
 	if !ok {
 		p = &pendingTx{event: ev}
-		s.txs[ev.TxID] = p
-		h.pendingN.Add(1)
+		h.txs[ev.TxID] = p
 	}
 	if p.done || !p.mark(n.idx) || p.count < h.nodes {
-		s.mu.Unlock()
+		h.mu.Unlock()
 		return
 	}
-	// Final node: emit exactly once. The transition happens under the shard
-	// lock, the callback runs outside every lock.
+	// Final node: emit exactly once. The transition happens under the lock,
+	// the callback runs outside every lock.
 	out := p.event
 	p.done = true
 	p.event = Event{TxID: ev.TxID} // the entry is a tombstone now: pin nothing
 	p.more = nil
-	s.retain(p, h.retention)
-	s.mu.Unlock()
-	h.pendingN.Add(-1)
-	h.emittedN.Add(1)
+	h.retain(p)
+	h.emitted++
+	fn := h.subs[out.Client]
+	h.mu.Unlock()
 
-	out.FinalizedAt = at
-	h.deliver(out)
+	if fn != nil {
+		out.FinalizedAt = at
+		fn(out)
+	}
 }
 
-// retain enters a done transaction into the shard's retention ring,
-// retiring the oldest tombstone once the ring is full. Caller holds the
-// shard lock.
-func (s *hubShard) retain(p *pendingTx, retention int) {
-	if len(s.doneQ) < retention {
-		s.doneQ = append(s.doneQ, p)
+// retain appends a done transaction to the retention queue, retiring the
+// oldest tombstone once the queue is at its bound. Caller holds h.mu.
+func (h *Hub) retain(p *pendingTx) {
+	if h.doneTail == nil {
+		h.doneHead = p
+	} else {
+		h.doneTail.next = p
+	}
+	h.doneTail = p
+	if h.doneN < h.retention {
+		h.doneN++
 		return
 	}
-	delete(s.txs, s.doneQ[s.doneHead].event.TxID)
-	s.doneQ[s.doneHead] = p
-	s.doneHead = (s.doneHead + 1) % retention
-}
-
-func (h *Hub) deliver(ev Event) {
-	h.subsMu.RLock()
-	fn := h.subs[ev.Client]
-	h.subsMu.RUnlock()
-	if fn != nil {
-		fn(ev)
-	}
+	old := h.doneHead
+	h.doneHead, old.next = old.next, nil
+	delete(h.txs, old.event.TxID)
 }
 
 // EmitDirect fires an event immediately, bypassing per-node tracking. Used
 // for client-visible rejections that never reach the chain.
 func (h *Hub) EmitDirect(ev Event, at time.Time) {
-	ev.FinalizedAt = at
-	h.deliver(ev)
+	h.mu.Lock()
+	fn := h.subs[ev.Client]
+	h.mu.Unlock()
+	if fn != nil {
+		ev.FinalizedAt = at
+		fn(ev)
+	}
 }
 
 // PendingCount reports transactions persisted on some but not all nodes.
 func (h *Hub) PendingCount() int {
-	return int(h.pendingN.Load())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.txs) - h.doneN
 }
 
 // EmittedCount reports fully finalized transactions over the hub's
 // lifetime. Unlike the tombstone set, the counter is never pruned.
 func (h *Hub) EmittedCount() int {
-	return int(h.emittedN.Load())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.emitted
 }
 
 // TombstoneCount reports how many duplicate-suppression tombstones are
-// currently retained across all shards; it is bounded by
-// shards × retention regardless of run length.
+// currently retained; it is bounded by the retention regardless of run
+// length.
 func (h *Hub) TombstoneCount() int {
-	total := 0
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		total += len(s.doneQ)
-		s.mu.Unlock()
-	}
-	return total
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.doneN
 }

@@ -20,8 +20,8 @@ func TestHubFiresOnlyWhenAllNodesCommit(t *testing.T) {
 	})
 	ev := Event{TxID: crypto.SumString("tx"), Client: "client-1", Committed: true, ValidOK: true}
 
-	h.NodeCommitted("n0", ev, time.Unix(1, 0))
-	h.NodeCommitted("n1", ev, time.Unix(2, 0))
+	h.Node("n0").Committed(ev, time.Unix(1, 0))
+	h.Node("n1").Committed(ev, time.Unix(2, 0))
 	mu.Lock()
 	if len(got) != 0 {
 		t.Fatal("event fired before all nodes committed")
@@ -31,7 +31,7 @@ func TestHubFiresOnlyWhenAllNodesCommit(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", h.PendingCount())
 	}
 
-	h.NodeCommitted("n2", ev, time.Unix(3, 0))
+	h.Node("n2").Committed(ev, time.Unix(3, 0))
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 1 {
@@ -50,17 +50,17 @@ func TestHubIgnoresDuplicateNodeReports(t *testing.T) {
 	fired := 0
 	h.Subscribe("c", func(Event) { fired++ })
 	ev := Event{TxID: crypto.SumString("tx"), Client: "c"}
-	h.NodeCommitted("n0", ev, time.Now())
-	h.NodeCommitted("n0", ev, time.Now()) // duplicate
+	h.Node("n0").Committed(ev, time.Now())
+	h.Node("n0").Committed(ev, time.Now()) // duplicate
 	if fired != 0 {
 		t.Fatal("duplicate node report completed the transaction")
 	}
-	h.NodeCommitted("n1", ev, time.Now())
+	h.Node("n1").Committed(ev, time.Now())
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 	// Late replays after emission must not re-fire.
-	h.NodeCommitted("n0", ev, time.Now())
+	h.Node("n0").Committed(ev, time.Now())
 	if fired != 1 {
 		t.Fatal("event re-fired after emission")
 	}
@@ -71,9 +71,9 @@ func TestHubRoutesByClient(t *testing.T) {
 	var aEvents, bEvents int
 	h.Subscribe("a", func(Event) { aEvents++ })
 	h.Subscribe("b", func(Event) { bEvents++ })
-	h.NodeCommitted("n0", Event{TxID: crypto.SumString("t1"), Client: "a"}, time.Now())
-	h.NodeCommitted("n0", Event{TxID: crypto.SumString("t2"), Client: "b"}, time.Now())
-	h.NodeCommitted("n0", Event{TxID: crypto.SumString("t3"), Client: "b"}, time.Now())
+	h.Node("n0").Committed(Event{TxID: crypto.SumString("t1"), Client: "a"}, time.Now())
+	h.Node("n0").Committed(Event{TxID: crypto.SumString("t2"), Client: "b"}, time.Now())
+	h.Node("n0").Committed(Event{TxID: crypto.SumString("t3"), Client: "b"}, time.Now())
 	if aEvents != 1 || bEvents != 2 {
 		t.Fatalf("routing wrong: a=%d b=%d", aEvents, bEvents)
 	}
@@ -82,7 +82,7 @@ func TestHubRoutesByClient(t *testing.T) {
 func TestHubUnsubscribedClientDropsSilently(t *testing.T) {
 	h := NewHub(1)
 	// Must not panic.
-	h.NodeCommitted("n0", Event{TxID: crypto.SumString("t"), Client: "nobody"}, time.Now())
+	h.Node("n0").Committed(Event{TxID: crypto.SumString("t"), Client: "nobody"}, time.Now())
 	if h.EmittedCount() != 1 {
 		t.Fatal("event not recorded as emitted")
 	}
@@ -101,8 +101,7 @@ func TestHubEmitDirect(t *testing.T) {
 	}
 }
 
-// TestHubManyTransactionsConcurrentExactlyOnce hammers the sharded hub
-// with interleaved commits for many transactions from many goroutines and
+// TestHubManyTransactionsConcurrentExactlyOnce hammers the hub with interleaved commits for many transactions from many goroutines and
 // checks every transaction emits exactly once (run under -race).
 func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 	const (
@@ -150,14 +149,13 @@ func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 }
 
 // TestHubTombstoneRetentionBounded checks the fix for the seed's unbounded
-// emitted-map growth: tombstones are pruned FIFO per shard, so memory stays
-// constant while the lifetime emitted counter keeps increasing.
+// emitted-map growth: tombstones are retired FIFO, so memory stays constant while the lifetime emitted counter keeps increasing.
 func TestHubTombstoneRetentionBounded(t *testing.T) {
 	const retention = 8
-	h := NewHub(1, WithShards(1), WithEmittedRetention(retention))
+	h := NewHub(1, WithEmittedRetention(retention))
 	for i := 0; i < 100; i++ {
 		ev := Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c"}
-		h.NodeCommitted("n0", ev, time.Unix(int64(i), 0))
+		h.Node("n0").Committed(ev, time.Unix(int64(i), 0))
 	}
 	if got := h.EmittedCount(); got != 100 {
 		t.Fatalf("EmittedCount = %d, want 100", got)
@@ -169,26 +167,26 @@ func TestHubTombstoneRetentionBounded(t *testing.T) {
 	// suppressed.
 	last := Event{TxID: crypto.SumString("tx-99"), Client: "c"}
 	before := h.EmittedCount()
-	h.NodeCommitted("n0", last, time.Unix(1000, 0))
+	h.Node("n0").Committed(last, time.Unix(1000, 0))
 	if h.EmittedCount() != before {
 		t.Fatal("tombstoned transaction re-emitted")
 	}
 }
 
-// TestHubEntryIsItsOwnTombstone runs ten retention windows of transactions
-// through a sharded multi-node hub whose finalized entries stay in the one
+// TestHubEntryIsItsOwnTombstone runs forty retention windows of transactions
+// through a multi-node hub whose finalized entries stay in the one
 // transaction map as tombstones: a duplicate report inside the window stays
-// suppressed, the map holds no more than shards x retention entries once
-// nothing is pending, and a transaction the window has retired is unknown
-// again.
+// suppressed — right after emission and again when the window (the hub's
+// total, not a per-partition share) is about to retire it — the map holds no
+// more than retention entries once nothing is pending, and a transaction the
+// window has retired is unknown again.
 func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	const (
 		nodes     = 3
-		shards    = 4
 		retention = 16
-		txs       = 10 * shards * retention
+		txs       = 40 * retention
 	)
-	h := NewHub(nodes, WithShards(shards), WithEmittedRetention(retention))
+	h := NewHub(nodes, WithEmittedRetention(retention))
 	fired := make(map[crypto.Hash]int, txs)
 	h.Subscribe("c", func(e Event) { fired[e.TxID]++ })
 	handles := []*HubNode{h.Node("a"), h.Node("b"), h.Node("c")}
@@ -204,8 +202,13 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 		for _, n := range handles {
 			n.Committed(ev, time.Unix(int64(i), 1))
 		}
-		if got := h.TombstoneCount(); got > shards*retention {
-			t.Fatalf("after %d transactions: TombstoneCount = %d, above shards x retention = %d", i+1, got, shards*retention)
+		// The oldest transaction still inside the window is its last entry:
+		// a late duplicate of it is suppressed whatever its hash.
+		if oldest := i - (retention - 1); oldest >= 0 {
+			handles[0].Committed(event(oldest), time.Unix(int64(i), 2))
+		}
+		if got := h.TombstoneCount(); got > retention {
+			t.Fatalf("after %d transactions: TombstoneCount = %d, above retention = %d", i+1, got, retention)
 		}
 		if h.PendingCount() != 0 {
 			t.Fatalf("after %d transactions: PendingCount = %d, a duplicate re-opened one", i+1, h.PendingCount())
@@ -219,19 +222,23 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 			t.Fatalf("tx %s fired %d times", id.Short(), n)
 		}
 	}
-	entries := 0
-	for i := range h.shards {
-		entries += len(h.shards[i].txs)
-		for _, p := range h.shards[i].doneQ {
-			if !p.done || p.event.Reason != "" {
-				t.Fatal("a retained entry still holds its event")
-			}
+	queued := 0
+	for p := h.doneHead; p != nil; p = p.next {
+		if !p.done || p.event.Reason != "" {
+			t.Fatal("a retained entry still holds its event")
 		}
+		if h.txs[p.event.TxID] != p {
+			t.Fatal("a queued tombstone is not the map's entry for its transaction")
+		}
+		if p.next == nil && p != h.doneTail {
+			t.Fatal("the retention queue does not end at its tail")
+		}
+		queued++
 	}
-	if entries != h.TombstoneCount() {
-		t.Fatalf("transaction maps hold %d entries, retention rings %d: an entry leaked", entries, h.TombstoneCount())
+	if queued != h.TombstoneCount() || len(h.txs) != queued {
+		t.Fatalf("transaction map holds %d entries, retention queue %d, TombstoneCount %d: an entry leaked", len(h.txs), queued, h.TombstoneCount())
 	}
-	// The oldest transaction left every window long ago: one node's late
+	// The oldest transaction left the window long ago: one node's late
 	// report opens it afresh and cannot complete it.
 	handles[0].Committed(event(0), time.Unix(txs, 0))
 	if h.PendingCount() != 1 || fired[event(0).TxID] != 1 {
@@ -252,7 +259,7 @@ func TestHubBitsetBeyondOneWord(t *testing.T) {
 			if fired != 0 && round == 0 {
 				t.Fatalf("fired after %d of %d nodes", nodes-1-i, nodes)
 			}
-			h.NodeCommitted(fmt.Sprintf("n%d", i), ev, time.Unix(int64(i), 0))
+			h.Node(fmt.Sprintf("n%d", i)).Committed(ev, time.Unix(int64(i), 0))
 		}
 	}
 	if fired != 1 {
@@ -260,8 +267,7 @@ func TestHubBitsetBeyondOneWord(t *testing.T) {
 	}
 }
 
-// TestHubNodeHandleInterning checks handles are stable per identity and
-// usable interchangeably with the string API.
+// TestHubNodeHandleInterning checks handles are stable per identity.
 func TestHubNodeHandleInterning(t *testing.T) {
 	h := NewHub(2)
 	a1, a2 := h.Node("a"), h.Node("a")
@@ -275,24 +281,13 @@ func TestHubNodeHandleInterning(t *testing.T) {
 	h.Subscribe("c", func(Event) { fired++ })
 	ev := Event{TxID: crypto.SumString("tx"), Client: "c"}
 	a1.Committed(ev, time.Unix(1, 0))
-	h.NodeCommitted("a", ev, time.Unix(2, 0)) // duplicate via string API
+	h.Node("a").Committed(ev, time.Unix(2, 0)) // duplicate via a second lookup
 	if fired != 0 {
-		t.Fatal("duplicate node report (handle + string) fired the event")
+		t.Fatal("duplicate node report fired the event")
 	}
 	h.Node("b").Committed(ev, time.Unix(3, 0))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
-// TestHubWithShardsRoundsToPowerOfTwo documents the shard-mask invariant.
-func TestHubWithShardsRoundsToPowerOfTwo(t *testing.T) {
-	h := NewHub(1, WithShards(5))
-	if len(h.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(h.shards))
-	}
-	if h.shardMask != 7 {
-		t.Fatalf("mask = %d, want 7", h.shardMask)
 	}
 }
 
@@ -312,7 +307,7 @@ func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h.NodeCommitted(node, ev, time.Now())
+			h.Node(node).Committed(ev, time.Now())
 		}()
 	}
 	wg.Wait()

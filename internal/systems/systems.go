@@ -225,5 +225,3 @@ const (
 	NameSawtooth  = "Sawtooth"
 	NameDiem      = "Diem"
 )
-
-var _ = chain.TxPending // keep chain linkage explicit for documentation
