@@ -10,7 +10,9 @@ import (
 // never read back on the hot path — so a Dir implementation only needs
 // write/remove.
 type Dir interface {
-	// WriteSegment persists one segment's current bytes under name.
+	// WriteSegment persists one segment's current bytes under name. data
+	// is the log's own segment buffer, which it reuses: it is valid only
+	// during the call, and an implementation that keeps it must copy it.
 	WriteSegment(name string, data []byte) error
 	// RemoveSegment deletes a compacted segment.
 	RemoveSegment(name string) error

@@ -148,7 +148,9 @@ const headerBytes = 8
 // count, reserved), before the per-entry filler bytes.
 const payloadHeader = 24
 
-// segment is one contiguous run of frames.
+// segment is one contiguous run of frames. buf is owned by the log: frames
+// are written straight into it, and truncation (crash, replay repair) and
+// snapshots reuse its capacity rather than allocating afresh.
 type segment struct {
 	base uint64 // seq of the segment's first record
 	buf  []byte
@@ -246,16 +248,23 @@ func (l *Log) appendLocked(entries int, policySync bool) AppendResult {
 	if entries < 0 {
 		entries = 0
 	}
-	frame := l.frame(l.seq, entries)
+	n := headerBytes + payloadHeader + entries*l.opts.BytesPerEntry
 	active := l.segs[len(l.segs)-1]
-	if len(active.buf) > 0 && len(active.buf)+len(frame) > l.opts.SegmentBytes {
+	if len(active.buf) > 0 && len(active.buf)+n > l.opts.SegmentBytes {
 		active = &segment{base: l.seq}
 		l.segs = append(l.segs, active)
 	}
-	active.buf = append(active.buf, frame...)
+	if len(active.buf)+n > cap(active.buf) {
+		// A segment's buffer is sized once, at its first append, to hold a
+		// whole segment; only a frame larger than SegmentBytes grows it.
+		buf := make([]byte, len(active.buf), max(len(active.buf)+n, l.opts.SegmentBytes))
+		copy(buf, active.buf)
+		active.buf = buf
+	}
+	active.buf = l.frameInto(active.buf, l.seq, entries)
 	l.seq++
 	l.appended++
-	l.appendedBytes += uint64(len(frame))
+	l.appendedBytes += uint64(n)
 	if l.pendingRecords == 0 {
 		l.pendingSince = l.clk.Now()
 	}
@@ -263,8 +272,8 @@ func (l *Log) appendLocked(entries int, policySync bool) AppendResult {
 
 	m := l.opts.Latency
 	res := AppendResult{
-		Bytes:   len(frame),
-		Latency: m.AppendPerRecord + perKB(m.AppendPerKB, len(frame)),
+		Bytes:   n,
+		Latency: m.AppendPerRecord + perKB(m.AppendPerKB, n),
 	}
 	if policySync && l.shouldSyncLocked() {
 		l.syncLocked()
@@ -340,7 +349,12 @@ func (l *Log) snapshotLocked() {
 	}
 	l.snapSeq = l.seq
 	l.durableSeq = l.seq
-	l.segs = []*segment{{base: l.seq}}
+	// The first segment and its buffer carry on from the checkpoint; the
+	// rest are released.
+	clear(l.segs[1:])
+	l.segs = l.segs[:1]
+	l.segs[0].base = l.seq
+	l.segs[0].buf = l.segs[0].buf[:0]
 	l.durSeg, l.durOff = 0, 0
 	l.pendingRecords = 0
 	l.snapshots++
@@ -506,8 +520,9 @@ func (l *Log) InjectCorruptRecord() bool {
 		for off < len(s.buf) {
 			plen := int(binary.LittleEndian.Uint32(s.buf[off : off+4]))
 			if idx == target {
-				// Flip a filler byte past the payload header so the frame
-				// still parses but its CRC no longer matches.
+				// Flip the last reserved byte of the payload header (payload
+				// byte 23) so the frame still parses — length, seq and
+				// entry count intact — but its CRC no longer matches.
 				s.buf[off+headerBytes+payloadHeader-1] ^= 0xFF
 				return true
 			}
@@ -562,21 +577,45 @@ func (l *Log) UnsyncedRecords() int {
 	return int(l.seq - l.durableSeq)
 }
 
-// frame builds one framed record for seq covering n entries.
-func (l *Log) frame(seq uint64, entries int) []byte {
+// fillerWords is byte(i*31) for payload positions i = 0..255 as 32
+// little-endian words. The filler repeats every 256 bytes and starts at the
+// word-aligned payloadHeader, so a word never straddles the period.
+var fillerWords = func() (w [32]uint64) {
+	var b [256]byte
+	for i := range b {
+		b[i] = byte(i * 31)
+	}
+	for k := range w {
+		w[k] = binary.LittleEndian.Uint64(b[8*k:])
+	}
+	return w
+}()
+
+// frameInto appends one framed record for seq covering entries to dst and
+// returns the extended slice; dst must have the capacity. Every frame byte
+// is written, so dst's spare capacity may hold stale frames.
+func (l *Log) frameInto(dst []byte, seq uint64, entries int) []byte {
 	plen := payloadHeader + entries*l.opts.BytesPerEntry
-	buf := make([]byte, headerBytes+plen)
-	payload := buf[headerBytes:]
+	off := len(dst)
+	dst = dst[:off+headerBytes+plen]
+	payload := dst[off+headerBytes:]
 	binary.LittleEndian.PutUint64(payload[0:8], seq)
 	binary.LittleEndian.PutUint64(payload[8:16], uint64(entries))
-	for i := payloadHeader; i < plen; i++ {
-		// Deterministic filler derived from seq and position, so every
-		// record's CRC is distinct and replay verification is honest.
+	binary.LittleEndian.PutUint64(payload[16:24], 0) // reserved
+	// Deterministic filler byte(seq) ^ byte(i*31), derived from seq and
+	// position so every record's CRC is distinct and replay verification
+	// is honest; written a word at a time with a bytewise tail.
+	s := uint64(byte(seq)) * 0x0101010101010101
+	i := payloadHeader
+	for ; i+8 <= plen; i += 8 {
+		binary.LittleEndian.PutUint64(payload[i:], fillerWords[(i>>3)&31]^s)
+	}
+	for ; i < plen; i++ {
 		payload[i] = byte(seq) ^ byte(i*31)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(plen))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	return buf
+	binary.LittleEndian.PutUint32(dst[off:], uint32(plen))
+	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 func (l *Log) segmentName(s *segment) string {
