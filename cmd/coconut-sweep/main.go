@@ -49,7 +49,7 @@ func main() {
 func run() error {
 	var (
 		scenarioArg = flag.String("scenario", "", "comma-separated scenarios to run: registry names (see -list) or JSON spec files")
-		jsonPath    = flag.String("json", "", "write the outcomes as JSON to this file (benchjson -outcome ingests it)")
+		jsonPath    = flag.String("json", "", "write the outcomes as JSON to this file")
 		mdPath      = flag.String("md", "", "also write the combined markdown report to this file")
 		system      = flag.String("system", "", "restrict every scenario to one system")
 		scale       = flag.Float64("scale", 0.01, "time scale")
@@ -407,7 +407,7 @@ func printList() {
 	for _, s := range experiments.AllSystems {
 		fmt.Printf("  %s\n", s)
 	}
-	fmt.Println("telemetry gauges (sampled per timeline window; -ndjson records, benchjson P95/Max metrics):")
+	fmt.Println("telemetry gauges (sampled per timeline window; -ndjson records, report p95/max):")
 	for _, g := range coconut.GaugeNames {
 		fmt.Printf("  %s\n", g)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Gauge indices into a GaugeSample, in registry order. Every windowed
 // queue/resource gauge the framework samples is listed here; report
-// renderers and the benchjson exporter iterate GaugeNames rather than
+// renderers and the bench ledger iterate GaugeNames rather than
 // hard-coding columns, so adding a gauge means adding an index, a name,
 // and a field mapping in sampleGauges — nothing else.
 const (
@@ -23,7 +23,8 @@ const (
 )
 
 // GaugeNames holds the canonical gauge names in index order. These are the
-// names benchjson emits (suffixed P95/Max) and coconut-sweep -list prints.
+// names the bench ledger records (coconut.gauge_p95.<name>) and
+// coconut-sweep -list prints.
 var GaugeNames = [NumGauges]string{
 	GaugeHubInflight:  "hubInflight",
 	GaugeMempoolDepth: "mempoolDepth",

@@ -242,6 +242,9 @@ func TestTransportStats(t *testing.T) {
 	_ = tr.Send("a", "b", "x", nil)
 	_ = tr.Send("a", "b", "x", nil)
 	waitDone(t, &wg)
+	// drain counts a delivery after its handler returns; Stop waits for
+	// drain, so the counts are final once it returns.
+	tr.Stop()
 	sent, delivered, dropped := tr.Stats()
 	if sent != 2 || delivered != 2 || dropped != 0 {
 		t.Fatalf("stats = %d/%d/%d, want 2/2/0", sent, delivered, dropped)

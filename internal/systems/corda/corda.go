@@ -65,9 +65,6 @@ type Config struct {
 	Edition Edition
 	// Nodes is the network size (paper: 4; every node signs every flow).
 	Nodes int
-	// FlowWorkers is the per-node flow concurrency (OS default 1,
-	// Enterprise default 8).
-	FlowWorkers int
 	// SignProcessing is the per-party flow-processing time during signature
 	// collection (OS default 25ms, Enterprise 8ms).
 	SignProcessing time.Duration
@@ -80,13 +77,6 @@ type Config struct {
 	// QueueDepth bounds each node's flow backlog; overflow is dropped
 	// silently (lost). Default 4096.
 	QueueDepth int
-	// RequiredSigners, when positive, bounds how many counterparties must
-	// sign each flow instead of the whole network. The paper's lessons
-	// learned (§6) suggest exactly this: "In a network that consists of
-	// many peers, where only a small subset of nodes need to sign a
-	// transaction at a time, Corda could achieve higher performance than
-	// Fabric." 0 = every other node signs (the paper's benchmarked setup).
-	RequiredSigners int
 	// ReadScanBudget, when positive, bounds how many vault states a read
 	// flow may visit before it is abandoned as timed out. It models the
 	// paper's Corda OS finding that full-vault iteration makes reads
@@ -112,13 +102,6 @@ func (c *Config) fill() {
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 4
-	}
-	if c.FlowWorkers <= 0 {
-		if c.Edition == Enterprise {
-			c.FlowWorkers = 8
-		} else {
-			c.FlowWorkers = 1
-		}
 	}
 	if c.SignProcessing <= 0 {
 		if c.Edition == Enterprise {
@@ -167,6 +150,9 @@ type Network struct {
 	// do not apply to it and it exposes no WorldState.
 	*systems.Cluster
 	cfg Config
+	// flowWorkers is the per-node flow concurrency: 1 for OS, whose flows
+	// run single-threaded, and 8 for Enterprise.
+	flowWorkers int
 
 	nodes  []*node
 	notary *notary.Service
@@ -186,12 +172,17 @@ var _ systems.Driver = (*Network)(nil)
 // New assembles a Corda network of the configured edition.
 func New(cfg Config) *Network {
 	cfg.fill()
+	workers := 1
+	if cfg.Edition == Enterprise {
+		workers = 8
+	}
 	n := &Network{
-		cfg:       cfg,
-		notary:    notary.NewService("corda-notary"),
-		conflicts: make(map[string]uint64),
-		wg:        clock.NewGroup(cfg.Clock),
-		stop:      clock.NewGate(cfg.Clock),
+		cfg:         cfg,
+		flowWorkers: workers,
+		notary:      notary.NewService("corda-notary"),
+		conflicts:   make(map[string]uint64),
+		wg:          clock.NewGroup(cfg.Clock),
+		stop:        clock.NewGate(cfg.Clock),
 	}
 	n.Cluster = systems.NewCluster(cfg.Edition.String(), systems.NodeIDs("corda-node", cfg.Nodes),
 		cfg.Clock, cfg.WAL, cfg.Trace, n.flowBacklog)
@@ -222,9 +213,9 @@ func (n *Network) Start() error {
 	if !n.MarkStarted() {
 		return nil
 	}
-	clock.Fork(n.cfg.Clock, len(n.nodes)*n.cfg.FlowWorkers)
+	clock.Fork(n.cfg.Clock, len(n.nodes)*n.flowWorkers)
 	for _, nd := range n.nodes {
-		for w := 0; w < n.cfg.FlowWorkers; w++ {
+		for w := 0; w < n.flowWorkers; w++ {
 			nd, w := nd, w
 			n.wg.Add(1)
 			go func() {
@@ -296,18 +287,13 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		return
 	}
 
-	// Phase 2: collect signatures. The benchmarked deployments require
-	// every other node to sign; RequiredSigners > 0 enables the paper's
-	// §6 subset-signing improvement. Serial for OS, parallel for
-	// Enterprise.
+	// Phase 2: collect signatures from every other node, as the benchmarked
+	// deployments require. Serial for OS, parallel for Enterprise.
 	parties := make([]string, 0, len(n.nodes)-1)
 	for _, other := range n.nodes {
 		if other != entry {
 			parties = append(parties, other.ID)
 		}
-	}
-	if k := n.cfg.RequiredSigners; k > 0 && k < len(parties) {
-		parties = parties[:k]
 	}
 	mode := notary.Serial
 	if n.cfg.Edition == Enterprise {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
@@ -82,11 +83,11 @@ func TestEditionNames(t *testing.T) {
 func TestEditionDefaults(t *testing.T) {
 	osNet := NewOS(Config{})
 	entNet := NewEnterprise(Config{})
-	if osNet.cfg.FlowWorkers != 1 {
-		t.Fatalf("OS workers = %d, want 1 (single-threaded flows)", osNet.cfg.FlowWorkers)
+	if osNet.flowWorkers != 1 {
+		t.Fatalf("OS workers = %d, want 1 (single-threaded flows)", osNet.flowWorkers)
 	}
-	if entNet.cfg.FlowWorkers <= 1 {
-		t.Fatalf("Enterprise workers = %d, want > 1", entNet.cfg.FlowWorkers)
+	if entNet.flowWorkers != 8 {
+		t.Fatalf("Enterprise workers = %d, want 8", entNet.flowWorkers)
 	}
 	if osNet.cfg.SignProcessing <= entNet.cfg.SignProcessing {
 		t.Fatal("OS signing must be slower than Enterprise")
@@ -185,33 +186,69 @@ func TestDoubleSpendRejectedByNotary(t *testing.T) {
 	}
 }
 
+// virtualFlowLatency runs one do-nothing flow on an AutoVirtual clock and
+// returns the virtual time from Submit to its client event, so host load
+// cannot move the number.
+func virtualFlowLatency(t *testing.T, cfg Config) time.Duration {
+	t.Helper()
+	av := clock.NewAutoVirtual()
+	h := clock.Register(av, "client-1")
+	defer h.Close()
+	cfg.Clock = av
+	n := New(cfg)
+	var confirmed time.Time // written under the execution token
+	n.Subscribe("client-1", func(systems.Event) { confirmed = av.Now() })
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	start := av.Now()
+	tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
+	if err := n.Submit(0, tx); err != nil {
+		t.Fatal(err)
+	}
+	for confirmed.IsZero() && av.Since(start) < cfg.FlowTimeout {
+		av.Sleep(time.Millisecond)
+	}
+	if confirmed.IsZero() {
+		t.Fatalf("%v flow not confirmed within %v", cfg.Edition, cfg.FlowTimeout)
+	}
+	return confirmed.Sub(start)
+}
+
+// TestSerialSigningSlowerThanParallel: OS collects its 3 counterparties'
+// signatures one after another, Enterprise all at once.
 func TestSerialSigningSlowerThanParallel(t *testing.T) {
+	const sign = 10 * time.Millisecond
 	measure := func(edition Edition) time.Duration {
 		cfg := fastConfig(edition)
-		cfg.SignProcessing = 10 * time.Millisecond
-		n := New(cfg)
-		col := &collector{}
-		n.Subscribe("client-1", col.add)
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer n.Stop()
-		start := time.Now()
-		tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
-		if err := n.Submit(0, tx); err != nil {
-			t.Fatal(err)
-		}
-		col.wait(t, 1, 10*time.Second)
-		return time.Since(start)
+		cfg.SignProcessing = sign
+		return virtualFlowLatency(t, cfg)
 	}
-	serial := measure(OpenSource)
-	parallel := measure(Enterprise)
-	// OS signs 3 parties serially (>=30ms); Enterprise in parallel (~10ms).
-	if serial < 28*time.Millisecond {
-		t.Fatalf("serial flow took %v, expected >= ~30ms", serial)
+	if serial := measure(OpenSource); serial < 3*sign {
+		t.Fatalf("serial flow took %v, want >= %v (3 signers one after another)", serial, 3*sign)
 	}
-	if parallel >= serial {
-		t.Fatalf("parallel (%v) not faster than serial (%v)", parallel, serial)
+	if parallel := measure(Enterprise); parallel >= 2*sign {
+		t.Fatalf("parallel flow took %v, want < %v (3 signers at once)", parallel, 2*sign)
+	}
+}
+
+// TestEveryOtherNodeSignsEachFlow: an OS flow signs serially, so on a
+// network of N nodes it waits for exactly N-1 signatures.
+func TestEveryOtherNodeSignsEachFlow(t *testing.T) {
+	const sign = 10 * time.Millisecond
+	for _, nodes := range []int{2, 4, 7} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			cfg := fastConfig(OpenSource)
+			cfg.Nodes = nodes
+			cfg.SignProcessing = sign
+			got := virtualFlowLatency(t, cfg)
+			signers := time.Duration(nodes - 1)
+			if got < signers*sign || got >= (signers+1)*sign {
+				t.Fatalf("flow took %v, want [%v, %v) for %d signers",
+					got, signers*sign, (signers+1)*sign, nodes-1)
+			}
+		})
 	}
 }
 
@@ -296,33 +333,5 @@ func TestSubmitAfterStop(t *testing.T) {
 	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")
-	}
-}
-
-func TestRequiredSignersSubsetSpeedsUpFlows(t *testing.T) {
-	measure := func(required int) time.Duration {
-		cfg := fastConfig(OpenSource)
-		cfg.SignProcessing = 15 * time.Millisecond
-		cfg.RequiredSigners = required
-		n := New(cfg)
-		col := &collector{}
-		n.Subscribe("client-1", col.add)
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer n.Stop()
-		start := time.Now()
-		tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
-		if err := n.Submit(0, tx); err != nil {
-			t.Fatal(err)
-		}
-		col.wait(t, 1, 10*time.Second)
-		return time.Since(start)
-	}
-	// All 3 counterparties serially (~45ms) vs a single signer (~15ms).
-	full := measure(0)
-	subset := measure(1)
-	if subset >= full {
-		t.Fatalf("subset signing (%v) not faster than full signing (%v)", subset, full)
 	}
 }

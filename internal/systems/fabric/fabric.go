@@ -46,12 +46,6 @@ type Config struct {
 	// OrdererQueueDepth bounds each orderer's ingress queue; overflow drops
 	// envelopes, reproducing the paper's lost transactions at RL=1600.
 	OrdererQueueDepth int
-	// Ordering selects the ordering backend (Raft default, or Kafka for
-	// the paper's §5.4 comparison: slower per batch, but lossless).
-	Ordering OrderingService
-	// KafkaOverhead is the per-batch broker round-trip charged by the
-	// Kafka backend. Default 5ms.
-	KafkaOverhead time.Duration
 	// EventLossAtPeers, when positive, reproduces the paper's §5.8.2
 	// finding for large networks: with 16 and 32 peers "the nodes and the
 	// orderers successfully process and finalise the transactions, but the
@@ -88,9 +82,6 @@ func (c *Config) fill() {
 	if c.OrdererQueueDepth <= 0 {
 		c.OrdererQueueDepth = 20000
 	}
-	if c.KafkaOverhead <= 0 {
-		c.KafkaOverhead = 5 * time.Millisecond
-	}
 	if c.Clock == nil {
 		c.Clock = clock.New()
 	}
@@ -114,9 +105,7 @@ type cutBatch struct {
 	Cutter string
 }
 
-// orderer couples an ordering-backend handle with a block cutter. With the
-// Raft backend each orderer owns a Raft node; with Kafka they share the
-// broker and the ingress pools are unbounded (Kafka never sheds load).
+// orderer couples a Raft node with a block cutter's bounded ingress queue.
 type orderer struct {
 	id      string
 	node    *raft.Node
@@ -129,7 +118,6 @@ type Network struct {
 	cfg Config
 
 	orderers []*orderer
-	broker   *kafkaBroker
 
 	stop *clock.Gate
 	done *clock.Gate
@@ -157,16 +145,6 @@ func New(cfg Config) *Network {
 			p.Endpoints = ordererIDs[i : i+1]
 		}
 	}
-	if cfg.Ordering == OrderingKafka {
-		n.broker = newKafkaBroker(cfg.Clock, cfg.KafkaOverhead, n.makeDecideFunc(0))
-		for i := 0; i < cfg.Orderers; i++ {
-			n.orderers = append(n.orderers, &orderer{
-				id:      ordererIDs[i],
-				ingress: mempool.NewUnbounded[envelope](),
-			})
-		}
-		return n
-	}
 	for i := 0; i < cfg.Orderers; i++ {
 		o := &orderer{
 			id:      ordererIDs[i],
@@ -190,15 +168,7 @@ func (n *Network) Start() error {
 	if !n.MarkStarted() {
 		return nil
 	}
-	if n.broker != nil {
-		if err := n.broker.Start(); err != nil {
-			return fmt.Errorf("start kafka broker: %w", err)
-		}
-	}
 	for _, o := range n.orderers {
-		if o.node == nil {
-			continue
-		}
 		if err := o.node.Start(); err != nil {
 			return fmt.Errorf("start orderer %s: %w", o.id, err)
 		}
@@ -215,13 +185,8 @@ func (n *Network) Stop() {
 	}
 	n.stop.Close()
 	clock.Await(n.cfg.Clock, n.done)
-	if n.broker != nil {
-		n.broker.Stop()
-	}
 	for _, o := range n.orderers {
-		if o.node != nil {
-			o.node.Stop()
-		}
+		o.node.Stop()
 	}
 	n.Transport.Stop()
 }
@@ -334,16 +299,10 @@ func (n *Network) cut(o *orderer, envs []envelope) bool {
 	for i, env := range envs {
 		batch.Txs[i] = env.Tx
 	}
-	var err error
-	if n.broker != nil {
-		err = n.broker.Submit(batch)
-	} else {
-		// raft.Submit forwards to the leader when this orderer is a
-		// follower. Before an election completes there is no leader to
-		// forward to; put the envelopes back so the next tick retries.
-		err = o.node.Submit(batch)
-	}
-	if err != nil {
+	// raft.Submit forwards to the leader when this orderer is a follower.
+	// Before an election completes there is no leader to forward to; put
+	// the envelopes back so the next tick retries.
+	if err := o.node.Submit(batch); err != nil {
 		for _, env := range envs {
 			_ = o.ingress.Add(env)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/consensus/raft"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
@@ -244,62 +245,41 @@ func TestLedgersConsistentAcrossPeers(t *testing.T) {
 	}
 }
 
-func TestKafkaOrderingCommitsWithoutLoss(t *testing.T) {
-	n := New(Config{
-		Ordering:        OrderingKafka,
-		KafkaOverhead:   time.Millisecond,
-		MaxMessageCount: 5,
-		BatchTimeout:    15 * time.Millisecond,
-	})
-	col := &collector{}
-	n.Subscribe("client-1", col.add)
-	if err := n.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	const txs = 40
+// TestEveryOrdererReplicatesTheBatchLog checks that each orderer is a Raft
+// member: once the batches commit, all orderers name the same leader and
+// each has committed as far as that leader.
+func TestEveryOrdererReplicatesTheBatchLog(t *testing.T) {
+	n, col := newNetwork(t, Config{MaxMessageCount: 5})
+	const txs = 10
 	for i := 0; i < txs; i++ {
 		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
 		if err := n.Submit(i, tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	events := col.wait(t, txs, 10*time.Second)
-	if len(events) != txs {
-		t.Fatalf("events = %d, want %d (Kafka must be lossless)", len(events), txs)
-	}
-	_, rejected := n.OrdererStats()
-	if rejected != 0 {
-		t.Fatalf("kafka backend rejected %d envelopes", rejected)
-	}
-}
-
-func TestKafkaOrderingSlowerPerBatchThanRaft(t *testing.T) {
-	measure := func(ordering OrderingService) time.Duration {
-		n := New(Config{
-			Ordering:        ordering,
-			KafkaOverhead:   20 * time.Millisecond,
-			MaxMessageCount: 1000,
-			BatchTimeout:    10 * time.Millisecond,
-		})
-		col := &collector{}
-		n.Subscribe("client-1", col.add)
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
+	col.wait(t, txs, 5*time.Second)
+	var leader *orderer
+	for _, o := range n.orderers {
+		if o.node.Role() == raft.Leader {
+			leader = o
 		}
-		defer n.Stop()
-		start := time.Now()
-		tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
-		if err := n.Submit(0, tx); err != nil {
-			t.Fatal(err)
-		}
-		col.wait(t, 1, 10*time.Second)
-		return time.Since(start)
 	}
-	raftLat := measure(OrderingRaft)
-	kafkaLat := measure(OrderingKafka)
-	if kafkaLat <= raftLat {
-		t.Skipf("kafka %v vs raft %v: raft election dominated this run", kafkaLat, raftLat)
+	if leader == nil {
+		t.Fatal("batches committed but no orderer is the Raft leader")
+	}
+	want := leader.node.CommitIndex()
+	if want < 1 {
+		t.Fatalf("leader commit index = %d, want >= 1", want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, o := range n.orderers {
+		for o.node.Leader() != leader.id || o.node.CommitIndex() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("orderer %s: leader %q commit %d, want leader %q commit >= %d",
+					o.id, o.node.Leader(), o.node.CommitIndex(), leader.id, want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 }
 

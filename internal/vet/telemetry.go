@@ -10,11 +10,11 @@ import (
 // Gauges live in the internal/coconut registry and are sampled by the
 // runner's gauge actor; traces come from the single trace.Tracer wired
 // through each driver's Config. A second tracer or a hand-built gauge
-// series would be unsampled by the runner, invisible to benchjson, and
-// a determinism hazard (double-advancing the counter-sampled span
-// sequences). Unlike the retired lint-telemetry.sh grep, it matches the
-// resolved internal/trace and internal/coconut objects, so aliased
-// imports are caught.
+// series would be unsampled by the runner, invisible to the reports and
+// the bench ledger, and a determinism hazard (double-advancing the
+// counter-sampled span sequences). Unlike the retired lint-telemetry.sh
+// grep, it matches the resolved internal/trace and internal/coconut
+// objects, so aliased imports are caught.
 var Telemetry = &Analyzer{
 	Name: "telemetry",
 	Doc: "flags trace.New calls, hand-built coconut.GaugeSeries/GaugeSample literals, and expvar use " +
