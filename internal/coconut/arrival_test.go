@@ -123,12 +123,12 @@ func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
-	if len(records) > 90 {
-		t.Fatalf("sent %d transactions in 300ms at RL=100 (Poisson pacer unbounded)", len(records))
+	sent := runSummary(c).ExpectedNoT
+	if sent > 90 {
+		t.Fatalf("sent %d transactions in 300ms at RL=100 (Poisson pacer unbounded)", sent)
 	}
-	if len(records) < 5 {
-		t.Fatalf("sent only %d transactions (Poisson pacer stalled)", len(records))
+	if sent < 5 {
+		t.Fatalf("sent only %d transactions (Poisson pacer stalled)", sent)
 	}
 }
 
@@ -146,18 +146,16 @@ func TestClientBurstArrivalDelivers(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
-	if len(records) == 0 {
+	s := runSummary(c)
+	if s.ExpectedNoT == 0 {
 		t.Fatal("burst schedule sent nothing")
 	}
 	// 200/s over 300ms ≈ 60 mean sends; allow burst-quantized headroom (one
 	// extra full burst plus warm start).
-	if len(records) > 95 {
-		t.Fatalf("sent %d transactions (burst schedule ignores mean rate)", len(records))
+	if s.ExpectedNoT > 95 {
+		t.Fatalf("sent %d transactions (burst schedule ignores mean rate)", s.ExpectedNoT)
 	}
-	for _, r := range records {
-		if !r.Received {
-			t.Fatal("burst send not confirmed by fake driver")
-		}
+	if s.ReceivedNoT != s.ExpectedNoT {
+		t.Fatalf("%d of %d burst sends confirmed by the fake driver, want all", s.ReceivedNoT, s.ExpectedNoT)
 	}
 }

@@ -67,11 +67,6 @@ type ClientConfig struct {
 	// ReadMax, when non-zero, wraps generated indices so read benchmarks
 	// target keys the preceding write phase actually sent (per thread).
 	ReadMax []uint64
-	// DiscardRecords drops each TxRecord as soon as it is finalized (or at
-	// phase end if it never is), keeping client memory bounded by the
-	// in-flight window instead of the whole run; metrics then come from
-	// Summary's online counters and histogram, and Run returns nil.
-	DiscardRecords bool
 	// Timeline, when set, receives every send and confirmation into the
 	// shared windowed measurement plane (fault runs derive availability
 	// and recovery statistics from it).
@@ -116,7 +111,6 @@ func (c *ClientConfig) fill() {
 // sends (the pacer event; the main actor at t=0) and is only read by others
 // after the pacer has stopped; received is guarded by Client.mu.
 type clientThread struct {
-	records  []*TxRecord
 	sent     uint64
 	received uint64
 
@@ -127,8 +121,8 @@ type clientThread struct {
 
 // Client is one COCONUT client application: it paces sends according to the
 // arrival schedule, deals them to the workload threads in turn, and streams
-// finalization notifications into per-thread buffers and an online latency
-// histogram.
+// finalization notifications into online counters and a latency histogram,
+// so its memory is bounded by the in-flight window, not the run length.
 type Client struct {
 	cfg ClientConfig
 
@@ -142,7 +136,7 @@ type Client struct {
 	// walks the full record set. Sends take it on the sending goroutine,
 	// confirmations on whichever goroutine the driver commits on.
 	mu          sync.Mutex
-	inflight    map[crypto.Hash]*TxRecord
+	inflight    map[crypto.Hash]inflightTx
 	expectedOps int
 	receivedOps int
 	validOps    int
@@ -153,6 +147,15 @@ type Client struct {
 	aborts      map[string]int // per-reason abort payload counts
 }
 
+// inflightTx is what the client keeps of a sent transaction until its
+// finalization event: the send instant (the paper's T0), the payloads it
+// carried, and the workload thread that sent it.
+type inflightTx struct {
+	start  time.Time
+	ops    int
+	thread int
+}
+
 // NewClient builds a client; Subscribe must happen before the system starts
 // delivering events, so construction registers the event listener.
 func NewClient(cfg ClientConfig) *Client {
@@ -161,7 +164,7 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg:         cfg,
 		threads:     make([]clientThread, cfg.WorkloadThreads),
 		hist:        NewLatencyHist(),
-		inflight:    make(map[crypto.Hash]*TxRecord),
+		inflight:    make(map[crypto.Hash]inflightTx),
 		firstSendNs: math.MaxInt64,
 		lastRecvNs:  math.MinInt64,
 	}
@@ -170,48 +173,43 @@ func NewClient(cfg ClientConfig) *Client {
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
-// it out of the in-flight index: the record's summary contribution is
+// it out of the in-flight index: the transaction's summary contribution is
 // folded in immediately and the index entry is dropped, so the index size
 // tracks outstanding transactions, not run length.
 func (c *Client) onEvent(ev systems.Event) {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	rec, ok := c.inflight[ev.TxID]
+	tx, ok := c.inflight[ev.TxID]
 	if !ok {
 		// Unknown or already-finalized transaction, or the phase is over: drop.
 		c.mu.Unlock()
 		return
 	}
 	delete(c.inflight, ev.TxID)
-	rec.Received = true
-	rec.ValidOK = ev.ValidOK
-	rec.Code = ev.Code
-	rec.End = now
-	fls := rec.FLS()
+	ops, start := tx.ops, tx.start
+	fls := now.Sub(start)
 	// The summary contribution is folded in before the lock is released:
 	// detach serializes on it, so once it completes no received event can be
 	// missing from the online counters.
-	c.receivedOps += rec.Ops
+	c.receivedOps += ops
 	if ev.ValidOK {
-		c.validOps += rec.Ops
+		c.validOps += ops
 	} else {
 		if c.aborts == nil {
 			c.aborts = make(map[string]int)
 		}
-		c.aborts[abortCode(ev.Code)] += rec.Ops
+		c.aborts[abortCode(ev.Code)] += ops
 	}
 	// Ops-weighted: §4.5 counts every payload as one transaction, so a
 	// multi-op transaction's latency weighs once per operation — matching
 	// ReceivedNoT and the timeline's accounting.
-	c.latencySum += fls * time.Duration(rec.Ops)
-	c.latencyN += rec.Ops
+	c.latencySum += fls * time.Duration(ops)
+	c.latencyN += ops
 	c.lastRecvNs = max(c.lastRecvNs, now.UnixNano())
-	c.hist.ObserveN(fls, uint64(rec.Ops))
-	if rec.Thread >= 0 && rec.Thread < len(c.threads) {
-		c.threads[rec.Thread].received += uint64(rec.Ops)
+	c.hist.ObserveN(fls, uint64(ops))
+	if tx.thread >= 0 && tx.thread < len(c.threads) {
+		c.threads[tx.thread].received += uint64(ops)
 	}
-	ops := rec.Ops
-	start := rec.Start
 	c.mu.Unlock()
 	// Stage folding and the timeline update happen outside the lock: both
 	// are atomic-only, shared by every client of the run, and need nothing
@@ -241,8 +239,8 @@ func (c *Client) onEvent(ev systems.Event) {
 	}
 }
 
-// Run executes the send and listen phases, blocking until both complete,
-// and returns every transaction record (nil when DiscardRecords is set).
+// Run executes the send and listen phases, blocking until both complete;
+// read the phase's metrics from Summary, SentCounts and ReceivedCounts.
 //
 // One clock event paces every send: each run of it sends one transaction or
 // batch, which accounts for OpsPerTx*BatchSize payloads against the rate
@@ -250,7 +248,7 @@ func (c *Client) onEvent(ev systems.Event) {
 // arrival schedule's next gap (uniform gaps reproduce the paper's rate
 // limiter; a zero gap sends again as soon as what this send woke has run).
 // Sends never wait for finalization confirmations (§4.3).
-func (c *Client) Run() []TxRecord {
+func (c *Client) Run() {
 	clk := c.cfg.Clock
 	payloadsPerSend := c.cfg.OpsPerTx * c.cfg.BatchSize
 	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.cfg.RateLimit))
@@ -278,21 +276,6 @@ func (c *Client) Run() []TxRecord {
 	pacer.Stop()
 	clk.Sleep(c.cfg.ListenGrace)
 	c.detach()
-
-	if c.cfg.DiscardRecords {
-		return nil
-	}
-	total := 0
-	for i := range c.threads {
-		total += len(c.threads[i].records)
-	}
-	out := make([]TxRecord, 0, total)
-	for i := range c.threads {
-		for _, rec := range c.threads[i].records {
-			out = append(out, *rec)
-		}
-	}
-	return out
 }
 
 // lanes prepares every workload thread's generator and returns the threads
@@ -335,12 +318,11 @@ func (c *Client) send(thread int) {
 }
 
 // detach ends the listening phase: it clears the in-flight index under the
-// lock, so an event that arrives later finds nothing, no event goroutine can
-// touch a record after this returns, and the per-thread buffers can be read
-// without synchronization.
+// lock, so an event that arrives later finds nothing and no event goroutine
+// can touch the counters after this returns.
 func (c *Client) detach() {
 	c.mu.Lock()
-	c.inflight = make(map[crypto.Hash]*TxRecord)
+	c.inflight = make(map[crypto.Hash]inflightTx)
 	c.mu.Unlock()
 }
 
@@ -401,7 +383,7 @@ func (c *Client) sendTx(thread int) {
 	start := c.cfg.Clock.Now()
 	tx.SubmittedAt = start
 	c.track(tx.ID, start, ops, thread)
-	// A submission error is an admission rejection: the record stays
+	// A submission error is an admission rejection: the transaction stays
 	// unreceived and counts as lost, matching the paper's accounting. The
 	// consumed indices roll back so the written key space stays
 	// contiguous — rejected writes never reached the chain, and the
@@ -441,19 +423,14 @@ func (c *Client) sendBatch(thread int) {
 	}
 }
 
-// track registers a record in the in-flight index (and, unless records are
-// discarded, the owning thread's buffer) before submission, so the
-// finalization event can never outrun its record.
+// track registers a transaction in the in-flight index before submission,
+// so its finalization event can never outrun it.
 func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
-	rec := &TxRecord{Start: start, Ops: ops, Thread: thread}
 	c.mu.Lock()
-	c.inflight[id] = rec
+	c.inflight[id] = inflightTx{start: start, ops: ops, thread: thread}
 	c.expectedOps += ops
 	c.firstSendNs = min(c.firstSendNs, start.UnixNano())
 	c.mu.Unlock()
-	if !c.cfg.DiscardRecords {
-		c.threads[thread].records = append(c.threads[thread].records, rec)
-	}
 	if c.cfg.Timeline != nil {
 		c.cfg.Timeline.RecordSend(start, ops)
 	}

@@ -12,11 +12,13 @@ import (
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
-// fakeDriver is a scriptable systems.Driver for client unit tests. It
-// mimics the hub's fault semantics: while any node is crashed, confirmed
-// submissions buffer and flush when the node restarts ("persisted on all
-// nodes" stalls during an outage and catches up after recovery).
+// fakeDriver is a scriptable systems.Driver for client unit tests; the
+// chassis answers the hooks it does not script. It mimics the hub's fault
+// semantics: while any node is crashed, confirmed submissions buffer and
+// flush when the node restarts ("persisted on all nodes" stalls during an
+// outage and catches up after recovery).
 type fakeDriver struct {
+	*systems.Cluster
 	mu        sync.Mutex
 	subs      map[string]systems.EventFunc
 	submitted []*chain.Transaction
@@ -34,15 +36,15 @@ var (
 
 func newFakeDriver() *fakeDriver {
 	return &fakeDriver{
+		Cluster: systems.NewCluster("fake", systems.NodeIDs("fake", 4), nil, nil, nil, func() int { return 0 }),
 		subs:    make(map[string]systems.EventFunc),
 		confirm: func(*chain.Transaction) bool { return true },
 	}
 }
 
-func (f *fakeDriver) Name() string   { return "fake" }
-func (f *fakeDriver) Start() error   { return nil }
-func (f *fakeDriver) Stop()          {}
-func (f *fakeDriver) NodeCount() int { return 4 }
+func (f *fakeDriver) Start() error                    { return nil }
+func (f *fakeDriver) Stop()                           {}
+func (f *fakeDriver) Preload([]chain.Operation) error { return nil }
 
 func (f *fakeDriver) Subscribe(client string, fn systems.EventFunc) {
 	f.mu.Lock()
@@ -126,6 +128,13 @@ func (f *fakeDriver) submittedCount() int {
 	return len(f.submitted)
 }
 
+// runSummary runs the client and returns its summary: with one operation per
+// transaction, ExpectedNoT is the number of transactions it sent.
+func runSummary(c *Client) ClientSummary {
+	c.Run()
+	return c.Summary()
+}
+
 func TestClientSendsAndCollects(t *testing.T) {
 	d := newFakeDriver()
 	c := NewClient(ClientConfig{
@@ -137,17 +146,17 @@ func TestClientSendsAndCollects(t *testing.T) {
 		SendDuration:    200 * time.Millisecond,
 		ListenGrace:     50 * time.Millisecond,
 	})
-	records := c.Run()
-	if len(records) == 0 {
+	s := runSummary(c)
+	if s.ExpectedNoT == 0 {
 		t.Fatal("no transactions sent")
 	}
-	for _, r := range records {
-		if !r.Received {
-			t.Fatal("immediately-confirmed tx not recorded as received")
-		}
-		if r.End.Before(r.Start) {
-			t.Fatal("endtime before starttime")
-		}
+	if s.ReceivedNoT != s.ExpectedNoT || s.LatencyN != s.ReceivedNoT {
+		t.Fatalf("received %d of %d (%d latencies), want every immediately-confirmed tx",
+			s.ReceivedNoT, s.ExpectedNoT, s.LatencyN)
+	}
+	if s.LatencySum < 0 || s.LastRecv.Before(s.FirstSend) {
+		t.Fatalf("endtime before starttime: latency sum %v, first send %v, last receipt %v",
+			s.LatencySum, s.FirstSend, s.LastRecv)
 	}
 }
 
@@ -162,14 +171,14 @@ func TestClientRateLimit(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	sent := runSummary(c).ExpectedNoT
 	// Warm-start token plus pacing: allow generous headroom but catch a
 	// broken limiter (which would send thousands).
-	if len(records) > 60 {
-		t.Fatalf("sent %d transactions in 300ms at RL=100 (limiter broken)", len(records))
+	if sent > 60 {
+		t.Fatalf("sent %d transactions in 300ms at RL=100 (limiter broken)", sent)
 	}
-	if len(records) < 10 {
-		t.Fatalf("sent only %d transactions (pacer stalled)", len(records))
+	if sent < 10 {
+		t.Fatalf("sent only %d transactions (pacer stalled)", sent)
 	}
 }
 
@@ -188,19 +197,13 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
-	lost := 0
-	for _, r := range records {
-		if !r.Received {
-			lost++
-		}
+	res := CombineSummaries([]ClientSummary{runSummary(c)})
+	if res.ReceivedNoT == 0 || res.ReceivedNoT >= res.ExpectedNoT {
+		t.Fatalf("NoT = %d/%d: lost transactions not reflected in the accounting",
+			res.ReceivedNoT, res.ExpectedNoT)
 	}
-	if lost == 0 {
-		t.Fatal("expected unconfirmed transactions to stay unreceived")
-	}
-	res := ComputeRepetition(records)
-	if res.ReceivedNoT >= res.ExpectedNoT {
-		t.Fatal("lost transactions not reflected in NoT accounting")
+	if got, want := res.ReceivedNoT, d.submittedCount()/2; got < want-1 || got > want+1 {
+		t.Fatalf("received %d of %d sent, want every other one", got, d.submittedCount())
 	}
 }
 
@@ -216,17 +219,17 @@ func TestClientOpsPerTx(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
-	if len(records) == 0 {
-		t.Fatal("nothing sent")
-	}
-	for _, r := range records {
-		if r.Ops != 50 {
-			t.Fatalf("record ops = %d, want 50", r.Ops)
-		}
-	}
+	s := runSummary(c)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if len(d.submitted) == 0 {
+		t.Fatal("nothing sent")
+	}
+	// §4.5: each operation counts as one transaction.
+	if s.ExpectedNoT != 50*len(d.submitted) || s.ReceivedNoT != s.ExpectedNoT {
+		t.Fatalf("NoT = %d/%d for %d transactions, want 50 per transaction",
+			s.ReceivedNoT, s.ExpectedNoT, len(d.submitted))
+	}
 	for _, tx := range d.submitted {
 		if tx.OpCount() != 50 {
 			t.Fatalf("submitted tx has %d ops, want 50", tx.OpCount())
@@ -246,15 +249,15 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	sent := runSummary(c).ExpectedNoT
 	d.mu.Lock()
 	batches := len(d.batches)
 	d.mu.Unlock()
 	if batches == 0 {
 		t.Fatal("no batches submitted despite BatchSize=10")
 	}
-	if len(records) != batches*10 {
-		t.Fatalf("records = %d, want %d (10 per batch)", len(records), batches*10)
+	if sent != batches*10 {
+		t.Fatalf("sent %d transactions, want %d (10 per batch)", sent, batches*10)
 	}
 }
 
@@ -321,7 +324,7 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 	}
 }
 
-func TestClientSentCountsMatchRecords(t *testing.T) {
+func TestClientSentCountsMatchSubmitted(t *testing.T) {
 	d := newFakeDriver()
 	c := NewClient(ClientConfig{
 		ID:              "c0",
@@ -332,7 +335,7 @@ func TestClientSentCountsMatchRecords(t *testing.T) {
 		SendDuration:    150 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	records := c.Run()
+	s := runSummary(c)
 	counts := c.SentCounts()
 	if len(counts) != 3 {
 		t.Fatalf("SentCounts len = %d, want 3", len(counts))
@@ -341,44 +344,15 @@ func TestClientSentCountsMatchRecords(t *testing.T) {
 	for _, n := range counts {
 		total += n
 	}
-	if int(total) != len(records) {
-		t.Fatalf("SentCounts total = %d, records = %d", total, len(records))
+	if int(total) != d.submittedCount() || int(total) != s.ExpectedNoT {
+		t.Fatalf("SentCounts total = %d, submitted = %d, summary = %d", total, d.submittedCount(), s.ExpectedNoT)
 	}
 }
 
-// TestClientSummaryMatchesRecords checks the online streamed summary agrees
-// with the record-slice metrics path.
-func TestClientSummaryMatchesRecords(t *testing.T) {
-	d := newFakeDriver()
-	d.confirm = func(tx *chain.Transaction) bool { return tx.Seq%3 != 0 }
-	c := NewClient(ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchKeyValueSet,
-		RateLimit:       500,
-		WorkloadThreads: 3,
-		SendDuration:    200 * time.Millisecond,
-		ListenGrace:     30 * time.Millisecond,
-	})
-	records := c.Run()
-	want := ComputeRepetition(records)
-	got := CombineSummaries([]ClientSummary{c.Summary()})
-	if got.ExpectedNoT != want.ExpectedNoT || got.ReceivedNoT != want.ReceivedNoT {
-		t.Fatalf("NoT: summary %d/%d, records %d/%d",
-			got.ReceivedNoT, got.ExpectedNoT, want.ReceivedNoT, want.ExpectedNoT)
-	}
-	if want.FLS > 0 && (got.FLS <= 0 || got.FLS/want.FLS > 1.01 || want.FLS/got.FLS > 1.01) {
-		t.Fatalf("FLS: summary %v, records %v", got.FLS, want.FLS)
-	}
-	if want.DurationSec > 0 && got.DurationSec <= 0 {
-		t.Fatal("summary lost the duration window")
-	}
-}
-
-// TestClientDiscardRecordsKeepsOnlineMetrics checks the bounded-memory mode:
-// no records are returned, yet the streamed summary and per-thread counters
-// still carry the full accounting.
-func TestClientDiscardRecordsKeepsOnlineMetrics(t *testing.T) {
+// TestClientStreamsOnlineMetrics checks the bounded-memory accounting: the
+// streamed summary and per-thread counters carry the full phase, and the
+// in-flight index is empty once it ends.
+func TestClientStreamsOnlineMetrics(t *testing.T) {
 	d := newFakeDriver()
 	c := NewClient(ClientConfig{
 		ID:              "c0",
@@ -388,13 +362,8 @@ func TestClientDiscardRecordsKeepsOnlineMetrics(t *testing.T) {
 		WorkloadThreads: 2,
 		SendDuration:    150 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
-		DiscardRecords:  true,
 	})
-	records := c.Run()
-	if records != nil {
-		t.Fatalf("DiscardRecords returned %d records, want nil", len(records))
-	}
-	sum := c.Summary()
+	sum := runSummary(c)
 	if sum.ExpectedNoT == 0 || sum.ReceivedNoT == 0 {
 		t.Fatalf("summary empty: %+v", sum)
 	}
@@ -415,7 +384,7 @@ func TestClientDiscardRecordsKeepsOnlineMetrics(t *testing.T) {
 	// The in-flight index must be empty after the phase: memory is bounded
 	// by outstanding transactions, not run length.
 	if n := len(c.inflight); n != 0 {
-		t.Fatalf("in-flight index still holds %d records after detach", n)
+		t.Fatalf("in-flight index still holds %d transactions after detach", n)
 	}
 }
 
@@ -436,10 +405,8 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 	fn := d.subs["c0"]
 	d.mu.Unlock()
 	fn(systems.Event{TxID: ghost.ID, Client: "c0", Committed: true})
-	records := c.Run()
-	for _, r := range records {
-		if r.Received && r.End.IsZero() {
-			t.Fatal("corrupted record from stray event")
-		}
+	s := runSummary(c)
+	if s.ReceivedNoT != s.ExpectedNoT || s.ExpectedNoT != d.submittedCount() {
+		t.Fatalf("NoT = %d/%d for %d sent: the stray event was counted", s.ReceivedNoT, s.ExpectedNoT, d.submittedCount())
 	}
 }

@@ -1,9 +1,12 @@
 package coconut
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/fabric"
@@ -116,13 +119,13 @@ func TestContentionPartitionedIsConflictFree(t *testing.T) {
 	}
 }
 
-// A workload whose mix needs setup must refuse drivers without Preload
-// support rather than silently measuring key-not-found noise.
-func TestContentionPreloadRequired(t *testing.T) {
+// A workload whose setup the driver fails to preload must fail the run,
+// naming the workload, rather than silently measuring key-not-found noise.
+func TestContentionPreloadFailureFailsRun(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Zipfian{}, Mix: workload.SmallBank{}, Keys: 8, Seed: 1}
 	_, err := Run(RunConfig{
-		SystemName:      "no-preload",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return noPreloadDriver{} },
+		SystemName:      "failing-preload",
+		NewDriver:       func(clk clock.Clock) systems.Driver { return failingPreloadDriver{newFakeDriver()} },
 		Workload:        &spec,
 		Clients:         1,
 		RateLimit:       10,
@@ -131,17 +134,14 @@ func TestContentionPreloadRequired(t *testing.T) {
 		ListenGrace:     10 * time.Millisecond,
 		Repetitions:     1,
 	})
-	if err == nil {
-		t.Fatal("want preload error, got nil")
+	if err == nil || !strings.Contains(err.Error(), spec.Name()) || !errors.Is(err, errPreloadRefused) {
+		t.Fatalf("err = %v, want the preload failure naming workload %q", err, spec.Name())
 	}
 }
 
-type noPreloadDriver struct{ systems.Driver }
+var errPreloadRefused = errors.New("preload refused")
 
-func (noPreloadDriver) Name() string                        { return "no-preload" }
-func (noPreloadDriver) Start() error                        { return nil }
-func (noPreloadDriver) Stop()                               {}
-func (noPreloadDriver) NodeCount() int                      { return 1 }
-func (noPreloadDriver) Subscribe(string, systems.EventFunc) {}
-func (noPreloadDriver) CrashNode(int) error                 { return nil }
-func (noPreloadDriver) RestartNode(int) error               { return nil }
+// failingPreloadDriver is a fake whose Preload always fails.
+type failingPreloadDriver struct{ *fakeDriver }
+
+func (failingPreloadDriver) Preload([]chain.Operation) error { return errPreloadRefused }

@@ -53,17 +53,20 @@ func ExampleSummarize() {
 	// CI95/SEM = 4.303 (t-critical for dof=2)
 }
 
-// ExampleComputeRepetition demonstrates the paper's metric formulas on raw
-// client records: MTPS (formula 2) uses the first send and last receipt
-// across all clients, MFLS (formula 1) averages per-transaction latency.
-func ExampleComputeRepetition() {
+// ExampleCombineSummaries demonstrates the paper's metric formulas on two
+// clients' streamed summaries: MTPS (formula 2) uses the first send and last
+// receipt across all clients, MFLS (formula 1) averages per-transaction
+// latency.
+func ExampleCombineSummaries() {
 	base := time.Unix(1000, 0)
-	records := []coconut.TxRecord{
-		{Start: base, End: base.Add(2 * time.Second), Ops: 1, Received: true},
-		{Start: base.Add(1 * time.Second), End: base.Add(5 * time.Second), Ops: 1, Received: true},
-		{Start: base.Add(2 * time.Second), Ops: 1, Received: false}, // lost
-	}
-	res := coconut.ComputeRepetition(records)
+	res := coconut.CombineSummaries([]coconut.ClientSummary{
+		// Sent at +0s (confirmed at +2s) and at +2s (lost).
+		{FirstSend: base, LastRecv: base.Add(2 * time.Second), ExpectedNoT: 2, ReceivedNoT: 1,
+			ValidNoT: 1, LatencySum: 2 * time.Second, LatencyN: 1},
+		// Sent at +1s, confirmed at +5s.
+		{FirstSend: base.Add(time.Second), LastRecv: base.Add(5 * time.Second), ExpectedNoT: 1, ReceivedNoT: 1,
+			ValidNoT: 1, LatencySum: 4 * time.Second, LatencyN: 1},
+	})
 	fmt.Printf("TPS = %.2f\n", res.TPS)
 	fmt.Printf("FLS = %.1fs\n", res.FLS)
 	fmt.Printf("NoT = %d/%d\n", res.ReceivedNoT, res.ExpectedNoT)

@@ -53,8 +53,8 @@ func sampleGauges(qs systems.QueueStats) GaugeSample {
 // GaugeSeries is the windowed queue/resource telemetry of one run: one
 // GaugeSample per Timeline window, sampled at each window boundary. It is
 // the only sanctioned carrier for live gauge readings — instrumented
-// packages report through systems.QueueReporter instead of keeping ad-hoc
-// counters (enforced by scripts/lint-telemetry.sh).
+// packages report through Driver.QueueSnapshot instead of keeping ad-hoc
+// counters (enforced by coconut-vet's telemetry analyzer).
 type GaugeSeries []GaugeSample
 
 // Max returns the largest value gauge g reached across the series.

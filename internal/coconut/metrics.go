@@ -17,37 +17,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 )
 
-// TxRecord is one transaction's client-side lifecycle (T0 and T3 in the
-// paper's Figure 2).
-type TxRecord struct {
-	// Start is stamped just before the request is sent (starttime).
-	Start time.Time
-	// End is stamped when the finalization confirmation arrives (endtime);
-	// zero if never received.
-	End time.Time
-	// Ops is the payload count the transaction carried (BitShares
-	// operations each count as one transaction, §4.5).
-	Ops int
-	// Received reports whether the confirmation arrived.
-	Received bool
-	// ValidOK mirrors the system's validation verdict, when received.
-	ValidOK bool
-	// Code is the canonical abort-reason code when ValidOK is false (e.g.
-	// "mvcc-conflict"); see the systems package's abort registry.
-	Code string
-	// Thread is the workload thread that sent the transaction, used to
-	// carry per-thread written ranges into dependent read phases.
-	Thread int
-}
-
-// FLS returns the finalization latency (endtime - starttime).
-func (r TxRecord) FLS() time.Duration {
-	if !r.Received {
-		return 0
-	}
-	return r.End.Sub(r.Start)
-}
-
 // LatencyHist is an online finalization-latency histogram with logarithmic
 // buckets: histSubCount linear sub-buckets per power-of-two octave, giving
 // a bounded relative error of 1/histSubCount (~3%) over the full duration
@@ -290,7 +259,7 @@ type RepetitionResult struct {
 	// not report queue depths).
 	Series GaugeSeries
 	// Stages is the per-stage pipeline latency breakdown in pipeline order
-	// (nil when the driver did not instrument or records carried no marks).
+	// (nil when the driver did not instrument or transactions carried no marks).
 	Stages []StageStat
 	// WALEnabled reports whether the system ran with a write-ahead log; the
 	// durability counters below are meaningful only when it is true.
@@ -313,9 +282,8 @@ type RepetitionResult struct {
 }
 
 // ClientSummary is one client's online aggregation of a benchmark phase:
-// counters and a latency histogram streamed while events arrive, so a
-// repetition's metrics no longer require concatenating every client's raw
-// record slice.
+// counters and a latency histogram streamed while events arrive. A
+// repetition's metrics come from its clients' summaries alone.
 type ClientSummary struct {
 	// FirstSend is the client's t_fstx candidate (zero if nothing sent).
 	FirstSend time.Time
@@ -377,70 +345,12 @@ func CombineSummaries(sums []ClientSummary) RepetitionResult {
 		latencyN += s.LatencyN
 		hist.Merge(s.Hist)
 	}
-	res := finishRepetition(first, last, received, expected, valid, conflicts, latencySum, latencyN, hist)
-	res.Stages = stages.Summarize()
-	return res
-}
-
-// ComputeRepetition derives one repetition's metrics from the raw records
-// of every client; it is the record-slice counterpart of CombineSummaries
-// for callers that hold materialized records.
-func ComputeRepetition(records []TxRecord) RepetitionResult {
-	var (
-		first      time.Time
-		last       time.Time
-		received   int
-		expected   int
-		valid      int
-		latencySum time.Duration
-		latencyN   int
-		conflicts  map[string]int
-	)
-	hist := NewLatencyHist()
-	for _, r := range records {
-		expected += r.Ops
-		if first.IsZero() || r.Start.Before(first) {
-			first = r.Start
-		}
-		if !r.Received {
-			continue
-		}
-		received += r.Ops
-		if r.ValidOK {
-			valid += r.Ops
-		} else {
-			if conflicts == nil {
-				conflicts = make(map[string]int)
-			}
-			conflicts[abortCode(r.Code)] += r.Ops
-		}
-		if r.End.After(last) {
-			last = r.End
-		}
-		// Ops-weighted, matching the online path and the timeline: a
-		// multi-op transaction's latency counts once per payload (§4.5).
-		latencySum += r.FLS() * time.Duration(r.Ops)
-		latencyN += r.Ops
-		hist.ObserveN(r.FLS(), uint64(r.Ops))
-	}
-	return finishRepetition(first, last, received, expected, valid, conflicts, latencySum, latencyN, hist)
-}
-
-// abortCode normalizes an event's abort code, labelling systems that report
-// invalid commits without classifying them.
-func abortCode(code string) string {
-	if code == "" {
-		return "unclassified"
-	}
-	return code
-}
-
-func finishRepetition(first, last time.Time, received, expected, valid int, conflicts map[string]int, latencySum time.Duration, latencyN int, hist *LatencyHist) RepetitionResult {
 	res := RepetitionResult{
 		ReceivedNoT: received,
 		ExpectedNoT: expected,
 		ValidNoT:    valid,
 		Conflicts:   conflicts,
+		Stages:      stages.Summarize(),
 	}
 	if received > 0 {
 		// AbortRate is a pure count ratio: it must not vanish when the run
@@ -458,12 +368,21 @@ func finishRepetition(first, last time.Time, received, expected, valid int, conf
 	if latencyN > 0 {
 		res.FLS = (latencySum / time.Duration(latencyN)).Seconds()
 	}
-	if hist != nil && hist.Count() > 0 {
+	if hist.Count() > 0 {
 		res.P50 = hist.Quantile(0.50).Seconds()
 		res.P95 = hist.Quantile(0.95).Seconds()
 		res.P99 = hist.Quantile(0.99).Seconds()
 	}
 	return res
+}
+
+// abortCode normalizes an event's abort code, labelling systems that report
+// invalid commits without classifying them.
+func abortCode(code string) string {
+	if code == "" {
+		return "unclassified"
+	}
+	return code
 }
 
 // Stats summarises a metric across repetitions: mean, standard deviation,

@@ -7,27 +7,35 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/crypto"
+	"github.com/coconut-bench/coconut/internal/systems"
 )
 
-func rec(start, end int64, ops int, received bool) TxRecord {
-	r := TxRecord{
-		Start: time.Unix(start, 0),
-		Ops:   ops,
+func at(sec int64) time.Time { return time.Unix(sec, 0) }
+
+// hist streams the given latencies, one payload each, into a histogram.
+func hist(ds ...time.Duration) *LatencyHist {
+	h := NewLatencyHist()
+	for _, d := range ds {
+		h.Observe(d)
 	}
-	if received {
-		r.Received = true
-		r.End = time.Unix(end, 0)
-	}
-	return r
+	return h
 }
 
-func TestComputeRepetitionBasic(t *testing.T) {
-	records := []TxRecord{
-		rec(0, 2, 1, true),  // FLS 2s
-		rec(1, 5, 1, true),  // FLS 4s
-		rec(2, 0, 1, false), // lost
-	}
-	res := ComputeRepetition(records)
+// TestCombineSummariesBasic: two clients, three sends, one lost. t_fstx and
+// t_lrtx span the clients (formula 3), MTPS divides the received payloads
+// by that window (formula 2), MFLS averages the received latencies
+// (formula 1).
+func TestCombineSummariesBasic(t *testing.T) {
+	res := CombineSummaries([]ClientSummary{
+		// Sent at 0 (confirmed at 2, FLS 2s) and at 2 (lost).
+		{FirstSend: at(0), LastRecv: at(2), ExpectedNoT: 2, ReceivedNoT: 1, ValidNoT: 1,
+			LatencySum: 2 * time.Second, LatencyN: 1, Hist: hist(2 * time.Second)},
+		// Sent at 1, confirmed at 5: FLS 4s.
+		{FirstSend: at(1), LastRecv: at(5), ExpectedNoT: 1, ReceivedNoT: 1, ValidNoT: 1,
+			LatencySum: 4 * time.Second, LatencyN: 1, Hist: hist(4 * time.Second)},
+	})
 	if res.ExpectedNoT != 3 || res.ReceivedNoT != 2 {
 		t.Fatalf("NoT = %d/%d, want 2/3", res.ReceivedNoT, res.ExpectedNoT)
 	}
@@ -44,9 +52,8 @@ func TestComputeRepetitionBasic(t *testing.T) {
 	}
 }
 
-func TestComputeRepetitionAllLost(t *testing.T) {
-	records := []TxRecord{rec(0, 0, 1, false), rec(1, 0, 1, false)}
-	res := ComputeRepetition(records)
+func TestCombineSummariesAllLost(t *testing.T) {
+	res := CombineSummaries([]ClientSummary{{FirstSend: at(0), ExpectedNoT: 2, Hist: hist()}})
 	if res.TPS != 0 || res.FLS != 0 || res.ReceivedNoT != 0 {
 		t.Fatalf("res = %+v, want zeros (paper's failed cells)", res)
 	}
@@ -55,18 +62,22 @@ func TestComputeRepetitionAllLost(t *testing.T) {
 	}
 }
 
-func TestComputeRepetitionEmpty(t *testing.T) {
-	res := ComputeRepetition(nil)
+func TestCombineSummariesEmpty(t *testing.T) {
+	res := CombineSummaries(nil)
 	if res.TPS != 0 || res.ExpectedNoT != 0 {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
-func TestComputeRepetitionOpsCounting(t *testing.T) {
+func TestClientOpsCounting(t *testing.T) {
 	// BitShares-style: one transaction carrying 100 operations counts as
 	// 100 transactions (§4.5).
-	records := []TxRecord{rec(0, 1, 100, true)}
-	res := ComputeRepetition(records)
+	clk := clock.NewVirtual(clock.SimEpoch)
+	c := NewClient(ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+	c.track(crypto.Hash{1}, clk.Now(), 100, 0)
+	clk.Advance(time.Second)
+	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
+	res := CombineSummaries([]ClientSummary{c.Summary()})
 	if res.ReceivedNoT != 100 {
 		t.Fatalf("received = %d, want 100", res.ReceivedNoT)
 	}
@@ -204,63 +215,20 @@ func TestPropertyHistBucketRelativeError(t *testing.T) {
 	}
 }
 
-func TestComputeRepetitionPercentiles(t *testing.T) {
-	records := []TxRecord{
-		rec(0, 1, 1, true),  // FLS 1s
-		rec(0, 2, 1, true),  // FLS 2s
-		rec(0, 10, 1, true), // FLS 10s
-		rec(0, 0, 1, false), // lost: excluded from percentiles
-	}
-	res := ComputeRepetition(records)
+func TestCombineSummariesPercentiles(t *testing.T) {
+	// Three confirmations at 1s, 2s and 10s; the lost fourth send is
+	// excluded from the percentiles.
+	res := CombineSummaries([]ClientSummary{
+		{FirstSend: at(0), LastRecv: at(2), ExpectedNoT: 2, ReceivedNoT: 2,
+			LatencySum: 3 * time.Second, LatencyN: 2, Hist: hist(time.Second, 2*time.Second)},
+		{FirstSend: at(0), LastRecv: at(10), ExpectedNoT: 2, ReceivedNoT: 1,
+			LatencySum: 10 * time.Second, LatencyN: 1, Hist: hist(10 * time.Second)},
+	})
 	if math.Abs(res.P50-2) > 0.1 {
 		t.Fatalf("P50 = %v, want ~2s", res.P50)
 	}
 	if math.Abs(res.P99-10) > 0.5 {
 		t.Fatalf("P99 = %v, want ~10s", res.P99)
-	}
-}
-
-// TestCombineSummariesMatchesComputeRepetition pins the streaming path to
-// the record-slice path on the same underlying data.
-func TestCombineSummariesMatchesComputeRepetition(t *testing.T) {
-	mkSummary := func(records []TxRecord) ClientSummary {
-		s := ClientSummary{Hist: NewLatencyHist()}
-		for _, r := range records {
-			s.ExpectedNoT += r.Ops
-			if s.FirstSend.IsZero() || r.Start.Before(s.FirstSend) {
-				s.FirstSend = r.Start
-			}
-			if !r.Received {
-				continue
-			}
-			s.ReceivedNoT += r.Ops
-			if r.End.After(s.LastRecv) {
-				s.LastRecv = r.End
-			}
-			// Ops-weighted, as the client's onEvent accumulates (§4.5
-			// per-payload accounting).
-			s.LatencySum += r.FLS() * time.Duration(r.Ops)
-			s.LatencyN += r.Ops
-			s.Hist.ObserveN(r.FLS(), uint64(r.Ops))
-		}
-		return s
-	}
-	c1 := []TxRecord{rec(0, 2, 1, true), rec(1, 5, 2, true), rec(2, 0, 1, false)}
-	c2 := []TxRecord{rec(3, 4, 1, true), rec(1, 9, 1, true)}
-	got := CombineSummaries([]ClientSummary{mkSummary(c1), mkSummary(c2)})
-	want := ComputeRepetition(append(append([]TxRecord{}, c1...), c2...))
-	if got.ExpectedNoT != want.ExpectedNoT || got.ReceivedNoT != want.ReceivedNoT {
-		t.Fatalf("NoT: got %d/%d want %d/%d", got.ReceivedNoT, got.ExpectedNoT, want.ReceivedNoT, want.ExpectedNoT)
-	}
-	if math.Abs(got.TPS-want.TPS) > 1e-9 || math.Abs(got.FLS-want.FLS) > 1e-9 {
-		t.Fatalf("TPS/FLS: got %v/%v want %v/%v", got.TPS, got.FLS, want.TPS, want.FLS)
-	}
-	if math.Abs(got.DurationSec-want.DurationSec) > 1e-9 {
-		t.Fatalf("duration: got %v want %v", got.DurationSec, want.DurationSec)
-	}
-	if got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
-		t.Fatalf("percentiles diverge: got %v/%v/%v want %v/%v/%v",
-			got.P50, got.P95, got.P99, want.P50, want.P95, want.P99)
 	}
 }
 
@@ -271,10 +239,15 @@ func TestCombineSummariesMatchesComputeRepetition(t *testing.T) {
 func TestMFLSIsOpsWeighted(t *testing.T) {
 	// A 2-op transaction at 1s and a 1-op transaction at 4s: the
 	// per-payload mean is (2*1 + 1*4) / 3 = 2s, not (1+4)/2 = 2.5s.
-	res := ComputeRepetition([]TxRecord{
-		rec(0, 1, 2, true),
-		rec(0, 4, 1, true),
-	})
+	clk := clock.NewVirtual(clock.SimEpoch)
+	c := NewClient(ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+	c.track(crypto.Hash{1}, clk.Now(), 2, 0)
+	c.track(crypto.Hash{2}, clk.Now(), 1, 0)
+	clk.Advance(time.Second)
+	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
+	clk.Advance(3 * time.Second)
+	c.onEvent(systems.Event{TxID: crypto.Hash{2}, ValidOK: true})
+	res := CombineSummaries([]ClientSummary{c.Summary()})
 	if got, want := res.FLS, 2.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("MFLS = %v, want %v (ops-weighted)", got, want)
 	}
@@ -290,10 +263,10 @@ func TestMFLSIsOpsWeighted(t *testing.T) {
 // (routine under AutoVirtual), the repetition must still report its counts
 // and AbortRate; only the duration-derived rates stay 0.
 func TestZeroDurationRepetitionKeepsCounts(t *testing.T) {
-	recs := []TxRecord{rec(5, 5, 1, true), rec(5, 5, 1, true)}
-	recs[1].ValidOK = false
-	recs[0].ValidOK = true
-	res := ComputeRepetition(recs)
+	// Two sends at 5s, both confirmed at 5s, one of them invalid.
+	res := CombineSummaries([]ClientSummary{{FirstSend: at(5), LastRecv: at(5),
+		ExpectedNoT: 2, ReceivedNoT: 2, ValidNoT: 1, Aborts: map[string]int{systems.AbortExecFailed: 1},
+		LatencyN: 2, Hist: hist(0, 0)}})
 	if res.ReceivedNoT != 2 || res.ValidNoT != 1 {
 		t.Fatalf("counts = %d received / %d valid, want 2/1", res.ReceivedNoT, res.ValidNoT)
 	}
@@ -327,15 +300,26 @@ func TestPropertySummarizeMeanBounded(t *testing.T) {
 	}
 }
 
-// Property: received NoT never exceeds expected NoT.
+// Property: received NoT never exceeds expected NoT, however often a
+// transaction's finalization is reported, and counts each confirmed payload
+// once.
 func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 	f := func(flags []bool) bool {
-		records := make([]TxRecord, len(flags))
+		clk := clock.NewVirtual(clock.SimEpoch)
+		c := NewClient(ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+		confirmed := 0
 		for i, ok := range flags {
-			records[i] = rec(int64(i), int64(i+1), 1, ok)
+			id := crypto.Hash{byte(i), byte(i >> 8), 1}
+			c.track(id, clk.Now(), 1, 0)
+			clk.Advance(time.Second)
+			if ok {
+				confirmed++
+				c.onEvent(systems.Event{TxID: id, ValidOK: true})
+				c.onEvent(systems.Event{TxID: id, ValidOK: true}) // duplicate: dropped
+			}
 		}
-		res := ComputeRepetition(records)
-		return res.ReceivedNoT <= res.ExpectedNoT
+		res := CombineSummaries([]ClientSummary{c.Summary()})
+		return res.ReceivedNoT <= res.ExpectedNoT && res.ReceivedNoT == confirmed && res.ExpectedNoT == len(flags)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -26,9 +26,8 @@ type RunConfig struct {
 	// Workload, when set, replaces the paper benchmark generators with the
 	// contention workload plane: every client thread draws operations from
 	// the spec's key distribution and mix, the spec's setup operations are
-	// preloaded into the system's world state (the driver must implement
-	// systems.Preloader when setup is non-empty), and the single measured
-	// phase is labelled with the spec name. Unit is ignored.
+	// preloaded into the system's world state (Driver.Preload), and the
+	// single measured phase is labelled with the spec name. Unit is ignored.
 	Workload *workload.Spec
 	// Clients is the number of COCONUT client applications (paper: 4, one
 	// per server).
@@ -75,11 +74,9 @@ type RunConfig struct {
 	// consensus rounds, and WAL appends). Nil disables tracing with zero
 	// overhead on the hot path.
 	Trace *trace.Tracer
-	// Clock is the time source.
-	Clock clock.Clock
-	// NewClock, when set, constructs a fresh time source per repetition
-	// (overriding Clock). Auto-advancing virtual runs need this: a clock's
-	// scheduler state must not span re-provisioned systems.
+	// NewClock constructs each repetition's time source (default: the wall
+	// clock). Auto-advancing virtual runs need a fresh clock per repetition:
+	// a clock's scheduler state must not span re-provisioned systems.
 	NewClock func() clock.Clock
 }
 
@@ -93,8 +90,8 @@ func (c *RunConfig) fill() {
 	if c.Repetitions <= 0 {
 		c.Repetitions = 3
 	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
+	if c.NewClock == nil {
+		c.NewClock = clock.New
 	}
 	if c.Workload != nil {
 		// The contention plane runs one phase, labelled by the spec.
@@ -134,17 +131,15 @@ func Run(cfg RunConfig) ([]Result, error) {
 	return results, nil
 }
 
-// runRepetition provisions one fresh system and runs every unit member.
-// cfg is received by value, so the per-repetition clock override stays local.
+// runRepetition provisions one fresh system on a fresh clock and runs every
+// unit member.
 func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
-	if cfg.NewClock != nil {
-		cfg.Clock = cfg.NewClock()
-	}
+	clk := cfg.NewClock()
 	// Under auto-advancing virtual time the runner itself is an actor: its
 	// stabilize/send/grace sleeps park it so the clock can jump.
-	h := clock.Register(cfg.Clock, "coconut-runner")
+	h := clock.Register(clk, "coconut-runner")
 	defer h.Close()
-	driver := cfg.NewDriver(cfg.Clock)
+	driver := cfg.NewDriver(clk)
 	if cfg.Faults != nil {
 		runLen := cfg.SendDuration + cfg.ListenGrace
 		if err := cfg.Faults.Validate(runLen, driver.NodeCount()); err != nil {
@@ -164,18 +159,13 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	defer stopDriver()
 	if cfg.Workload != nil {
 		if setup := cfg.Workload.SetupOps(); len(setup) > 0 {
-			pl, ok := driver.(systems.Preloader)
-			if !ok {
-				return nil, fmt.Errorf("coconut: workload %q needs setup but driver %s does not implement systems.Preloader",
-					cfg.Workload.Name(), driver.Name())
-			}
-			if err := pl.Preload(setup); err != nil {
+			if err := driver.Preload(setup); err != nil {
 				return nil, fmt.Errorf("preload workload %q: %w", cfg.Workload.Name(), err)
 			}
 		}
 	}
 	if cfg.StabilizeDelay > 0 {
-		cfg.Clock.Sleep(cfg.StabilizeDelay)
+		clk.Sleep(cfg.StabilizeDelay)
 	}
 
 	out := make(map[BenchmarkName]RepetitionResult, len(cfg.Unit))
@@ -193,16 +183,16 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 			}
 		}
 
-		rr, sent := runBenchmark(cfg, driver, bench, rep, readMax)
+		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax)
 		writtenCounts[bench] = sent
 		out[bench] = rr
-		quiesce(cfg, driver)
+		quiesce(clk, cfg.QuiesceTimeout, driver)
 	}
 	// Teardown leak check: after the driver stops, every timer and ticker
 	// armed during the repetition must have fired or been stopped —
 	// otherwise long soaks accumulate dead waiters in the virtual heap.
 	stopDriver()
-	if pw, ok := cfg.Clock.(interface{ PendingWaiters() int }); ok {
+	if pw, ok := clk.(interface{ PendingWaiters() int }); ok {
 		if n := pw.PendingWaiters(); n != 0 {
 			return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
 		}
@@ -211,26 +201,22 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 }
 
 // quiesce waits for slow admission queues to empty between unit members,
-// bounded by QuiesceTimeout. Systems without backlogs return immediately.
-func quiesce(cfg RunConfig, driver systems.Driver) {
-	q, ok := driver.(systems.Quiescer)
-	if !ok {
-		return
-	}
-	deadline := cfg.Clock.Now().Add(cfg.QuiesceTimeout)
-	for cfg.Clock.Now().Before(deadline) {
-		if q.Drained() {
+// bounded by timeout. Systems without backlogs return immediately.
+func quiesce(clk clock.Clock, timeout time.Duration, driver systems.Driver) {
+	deadline := clk.Now().Add(timeout)
+	for clk.Now().Before(deadline) {
+		if driver.Drained() {
 			return
 		}
-		cfg.Clock.Sleep(20 * time.Millisecond)
+		clk.Sleep(20 * time.Millisecond)
 	}
 }
 
 // runBenchmark provisions fresh clients and executes one benchmark. Each
-// client streams its own online summary (records are discarded as they
-// finalize, keeping memory bounded by the in-flight window); the summaries
-// merge lock-free at phase end into the repetition's metrics.
-func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
+// client streams its own online summary (its memory is bounded by the
+// in-flight window); the summaries merge lock-free at phase end into the
+// repetition's metrics.
+func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected when fault measurement is requested — a schedule or an
@@ -241,7 +227,7 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		window = cfg.SendDuration / 20
 	}
 	if cfg.Faults != nil || cfg.FaultWindow > 0 {
-		loadStart := cfg.Clock.Now()
+		loadStart := clk.Now()
 		timeline = NewTimeline(loadStart, window, cfg.SendDuration+cfg.ListenGrace+window)
 	}
 
@@ -280,28 +266,27 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 			SendDuration:    cfg.SendDuration,
 			ListenGrace:     cfg.ListenGrace,
 			ReadMax:         rm,
-			DiscardRecords:  true,
 			Timeline:        timeline,
 			Trace:           cfg.Trace,
-			Clock:           cfg.Clock,
+			Clock:           clk,
 		})
 	}
 
 	// All clients wait on a shared barrier so load starts uniformly (§4.3).
 	// Each goroutine writes only its own summary slot; wg.Wait orders the
 	// writes before the merge, so no lock is needed.
-	wg := clock.NewGroup(cfg.Clock)
+	wg := clock.NewGroup(clk)
 	sums := make([]ClientSummary, len(clients))
-	start := clock.NewGate(cfg.Clock)
-	clock.Fork(cfg.Clock, len(clients))
+	start := clock.NewGate(clk)
+	clock.Fork(clk, len(clients))
 	for i, cl := range clients {
 		i, cl := i, cl
 		wg.Add(1)
 		go func() {
-			h := clock.RegisterForked(cfg.Clock, cl.cfg.ID)
+			h := clock.RegisterForked(clk, cl.cfg.ID)
 			defer h.Close()
 			defer wg.Done()
-			clock.Await(cfg.Clock, start)
+			clock.Await(clk, start)
 			cl.Run()
 			sums[i] = cl.Summary()
 		}()
@@ -310,26 +295,17 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 	// Driver-side conflict counters are cumulative over the driver's
 	// lifetime; snapshot around the phase so each unit member reports only
 	// its own sheds.
-	var conflictsBefore map[string]uint64
-	reporter, _ := driver.(systems.ConflictReporter)
-	if reporter != nil {
-		conflictsBefore = reporter.ConflictCounts()
-	}
+	conflictsBefore := driver.ConflictCounts()
 
 	// WAL counters are likewise cumulative; snapshot them so the repetition
 	// reports only its own replay/refetch work.
-	var walBefore systems.RecoveryStats
-	walReporter, _ := driver.(systems.RecoveryReporter)
-	walEnabled := false
-	if walReporter != nil {
-		walBefore, walEnabled = walReporter.RecoveryStats()
-	}
+	walBefore, walEnabled := driver.RecoveryStats()
 
 	// The fault timeline starts with the load; Stop restores full health
 	// before quiescence so the next unit member sees a pristine system.
 	var injector *faults.Injector
 	if cfg.Faults != nil {
-		injector = faults.NewInjector(driver, *cfg.Faults, cfg.Clock)
+		injector = faults.NewInjector(driver, *cfg.Faults, clk)
 		injector.Start()
 	}
 
@@ -340,21 +316,21 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 	// untouched.
 	var gaugeSamples GaugeSeries
 	var gaugeStop, gaugeDone *clock.Gate
-	if qr, ok := driver.(systems.QueueReporter); ok && timeline != nil && window > 0 {
-		gaugeStop = clock.NewGate(cfg.Clock)
-		gaugeDone = clock.NewGate(cfg.Clock)
-		clock.Fork(cfg.Clock, 1)
+	if timeline != nil && window > 0 {
+		gaugeStop = clock.NewGate(clk)
+		gaugeDone = clock.NewGate(clk)
+		clock.Fork(clk, 1)
 		go func() {
-			h := clock.RegisterForked(cfg.Clock, "gauge-sampler")
+			h := clock.RegisterForked(clk, "gauge-sampler")
 			defer h.Close()
 			defer gaugeDone.Close()
-			t := cfg.Clock.NewTicker(window)
+			t := clk.NewTicker(window)
 			defer t.Stop()
 			for {
-				if i, _, _ := clock.Await(cfg.Clock, gaugeStop, t); i == 0 {
+				if i, _, _ := clock.Await(clk, gaugeStop, t); i == 0 {
 					return
 				}
-				gaugeSamples = append(gaugeSamples, sampleGauges(qr.QueueSnapshot()))
+				gaugeSamples = append(gaugeSamples, sampleGauges(driver.QueueSnapshot()))
 			}
 		}()
 	}
@@ -366,7 +342,7 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 	}
 	if gaugeStop != nil {
 		gaugeStop.Close()
-		clock.Await(cfg.Clock, gaugeDone)
+		clock.Await(clk, gaugeDone)
 	}
 
 	written := make([][]uint64, len(clients))
@@ -374,14 +350,12 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		written[i] = cl.ReceivedCounts()
 	}
 	rr := CombineSummaries(sums)
-	if reporter != nil {
-		for code, after := range reporter.ConflictCounts() {
-			if delta := after - conflictsBefore[code]; delta > 0 {
-				if rr.Conflicts == nil {
-					rr.Conflicts = make(map[string]int)
-				}
-				rr.Conflicts[code] += int(delta)
+	for code, after := range driver.ConflictCounts() {
+		if delta := after - conflictsBefore[code]; delta > 0 {
+			if rr.Conflicts == nil {
+				rr.Conflicts = make(map[string]int)
 			}
+			rr.Conflicts[code] += int(delta)
 		}
 	}
 	if timeline != nil {
@@ -413,7 +387,7 @@ func runBenchmark(cfg RunConfig, driver systems.Driver, bench BenchmarkName, rep
 		}
 	}
 	if walEnabled {
-		after, _ := walReporter.RecoveryStats()
+		after, _ := driver.RecoveryStats()
 		delta := after.Sub(walBefore)
 		rr.WALEnabled = true
 		rr.ReplayedRecords = int(delta.ReplayedRecords)

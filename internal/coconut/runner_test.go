@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -150,9 +149,10 @@ func TestRunRequiresDriver(t *testing.T) {
 	}
 }
 
-// drainingDriver is a fake Quiescer that reports drained after N polls.
+// drainingDriver overrides the chassis' Drained: it reports drained after
+// need polls.
 type drainingDriver struct {
-	fakeDriver
+	*fakeDriver
 	mu    sync.Mutex
 	polls int
 	need  int
@@ -166,9 +166,7 @@ func (d *drainingDriver) Drained() bool {
 }
 
 func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
-	d := &drainingDriver{need: 3}
-	d.subs = make(map[string]systems.EventFunc)
-	d.confirm = func(*chain.Transaction) bool { return true }
+	d := &drainingDriver{fakeDriver: newFakeDriver(), need: 3}
 
 	_, err := Run(RunConfig{
 		SystemName:      "fake",
@@ -193,9 +191,7 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 }
 
 func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
-	d := &drainingDriver{need: 1 << 30} // never drains
-	d.subs = make(map[string]systems.EventFunc)
-	d.confirm = func(*chain.Transaction) bool { return true }
+	d := &drainingDriver{fakeDriver: newFakeDriver(), need: 1 << 30} // never drains
 
 	start := time.Now()
 	_, err := Run(RunConfig{
@@ -274,5 +270,40 @@ func TestRunStageBreakdownRealAndVirtual(t *testing.T) {
 				t.Fatalf("stage means sum to %v, MFLS %v (diff %v)", sum, r.MFLS.Mean, diff)
 			}
 		})
+	}
+}
+
+// sheddingDriver reports every submission it accepted as shed, through a
+// ConflictCounts that is cumulative over the driver's life.
+type sheddingDriver struct{ *fakeDriver }
+
+func (d sheddingDriver) ConflictCounts() map[string]uint64 {
+	return map[string]uint64{systems.AbortConflictExcluded: uint64(d.submittedCount())}
+}
+
+// TestRunnerFoldsConflictDeltasPerPhase: the runner snapshots the driver's
+// cumulative counts around each unit member, so each one reports only its
+// own sheds.
+func TestRunnerFoldsConflictDeltasPerPhase(t *testing.T) {
+	d := sheddingDriver{newFakeDriver()}
+	results, err := Run(RunConfig{
+		SystemName:      "fake",
+		NewDriver:       func(clk clock.Clock) systems.Driver { return d },
+		Unit:            []BenchmarkName{BenchKeyValueSet, BenchKeyValueGet},
+		Clients:         1,
+		RateLimit:       100,
+		WorkloadThreads: 1,
+		SendDuration:    50 * time.Millisecond,
+		ListenGrace:     20 * time.Millisecond,
+		Repetitions:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		shed := r.Conflicts[systems.AbortConflictExcluded].Mean
+		if shed == 0 || shed != r.Expected.Mean {
+			t.Errorf("%s: %v shed, want the phase's own %v sends", r.Benchmark, shed, r.Expected.Mean)
+		}
 	}
 }

@@ -12,10 +12,11 @@ import (
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
-// stubDriver records crash/restart calls for injector tests.
+// stubDriver records crash/restart calls for injector tests; the chassis
+// answers the hooks it does not script (no transport, no WAL).
 type stubDriver struct {
+	*systems.Cluster
 	mu       sync.Mutex
-	nodes    int
 	calls    []string
 	crashes  int
 	restarts int
@@ -24,19 +25,22 @@ type stubDriver struct {
 
 var _ systems.Driver = (*stubDriver)(nil)
 
-func newStubDriver(nodes int) *stubDriver { return &stubDriver{nodes: nodes} }
+func newStubDriver(nodes int) *stubDriver {
+	return &stubDriver{
+		Cluster: systems.NewCluster("stub", systems.NodeIDs("stub", nodes), nil, nil, nil, func() int { return 0 }),
+	}
+}
 
-func (s *stubDriver) Name() string                             { return "stub" }
 func (s *stubDriver) Start() error                             { return nil }
 func (s *stubDriver) Stop()                                    {}
 func (s *stubDriver) Submit(_ int, _ *chain.Transaction) error { return nil }
+func (s *stubDriver) Preload([]chain.Operation) error          { return nil }
 func (s *stubDriver) Subscribe(_ string, _ systems.EventFunc)  {}
-func (s *stubDriver) NodeCount() int                           { return s.nodes }
 
 func (s *stubDriver) CrashNode(node int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if node < 0 || node >= s.nodes {
+	if node < 0 || node >= s.NodeCount() {
 		return systems.ErrNodeDown
 	}
 	s.crashes++
@@ -47,7 +51,7 @@ func (s *stubDriver) CrashNode(node int) error {
 func (s *stubDriver) RestartNode(node int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if node < 0 || node >= s.nodes {
+	if node < 0 || node >= s.NodeCount() {
 		return systems.ErrNodeDown
 	}
 	s.restarts++
@@ -66,7 +70,7 @@ func (s *stubDriver) callLog() []string {
 // transportStub extends stubDriver with a real transport for link-event
 // tests.
 type transportStub struct {
-	stubDriver
+	*stubDriver
 }
 
 func (s *transportStub) FaultTransport() *network.Transport { return s.tr }
@@ -305,7 +309,7 @@ func TestInjectorHealLeavesExplicitCrashesDown(t *testing.T) {
 // driver with no message fabric are pure no-ops and must not be reported
 // as applied.
 func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
-	d := newStubDriver(4) // no TransportAccessor
+	d := newStubDriver(4) // the chassis' FaultTransport: nil
 	in := NewInjector(d, Schedule{}, clock.New())
 	if err := in.Apply(Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
@@ -321,8 +325,7 @@ func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
 // TestInjectorStopRestoresHealth: Stop restarts everything the schedule
 // left broken, including transport degradations.
 func TestInjectorStopRestoresHealth(t *testing.T) {
-	d := &transportStub{}
-	d.nodes = 4
+	d := &transportStub{newStubDriver(4)}
 	d.tr = network.NewTransport(clock.New(), nil)
 	defer d.tr.Stop()
 	for i := 0; i < 4; i++ {
@@ -354,8 +357,7 @@ func TestInjectorStopRestoresHealth(t *testing.T) {
 // TestInjectorDegradeAllLinks: a group-less DegradeLink touches every
 // directed link.
 func TestInjectorDegradeAllLinks(t *testing.T) {
-	d := &transportStub{}
-	d.nodes = 3
+	d := &transportStub{newStubDriver(3)}
 	d.tr = network.NewTransport(clock.New(), nil)
 	defer d.tr.Stop()
 	for i := 0; i < 3; i++ {

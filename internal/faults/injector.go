@@ -5,34 +5,8 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
-	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
-
-// TransportAccessor is implemented by drivers whose nodes communicate over
-// a shared in-process network.Transport, giving the injector link-level
-// access for DegradeLink and SlowNode events. Drivers without a message
-// fabric (Corda's flows are synchronous calls) simply do not implement it,
-// and link events become no-ops for them.
-type TransportAccessor interface {
-	// FaultTransport returns the transport the system's nodes talk over.
-	FaultTransport() *network.Transport
-	// NodeEndpoints returns the transport endpoints owned by node i (nil
-	// when the node has none).
-	NodeEndpoints(node int) []string
-}
-
-// WALAccessor is implemented by drivers whose nodes persist through an
-// internal/wal log, giving the injector record-level access for TornWrite
-// and CorruptRecord events. Drivers running without a WAL (or not
-// implementing the accessor) turn log-corruption events into no-ops —
-// graceful degradation, never a panic.
-type WALAccessor interface {
-	// NodeWAL returns node i's write-ahead log, or nil when the node has
-	// none (WAL disabled or node out of range).
-	NodeWAL(node int) *wal.Log
-}
 
 // Applied records one event the injector actually applied, with the clock
 // time at which it fired.
@@ -171,9 +145,7 @@ func (in *Injector) Apply(ev Event) error {
 		}
 		in.partitioned = nil
 		if in.degraded {
-			if ta, ok := in.drv.(TransportAccessor); ok {
-				ta.FaultTransport().HealAll()
-			}
+			in.drv.FaultTransport().HealAll()
 			in.degraded = false
 		}
 	case DegradeLink:
@@ -200,17 +172,16 @@ func (in *Injector) Apply(ev Event) error {
 // endpoints. It reports whether the driver had a fabric to degrade.
 // Callers hold in.mu.
 func (in *Injector) degrade(ev Event) bool {
-	ta, ok := in.drv.(TransportAccessor)
-	if !ok {
+	tr := in.drv.FaultTransport()
+	if tr == nil {
 		return false // no message fabric to degrade
 	}
-	tr := ta.FaultTransport()
 	all := tr.Endpoints()
 	targets := all
 	if len(ev.Group) > 0 {
 		targets = targets[:0:0]
 		for _, node := range ev.Group {
-			targets = append(targets, ta.NodeEndpoints(node)...)
+			targets = append(targets, in.drv.NodeEndpoints(node)...)
 		}
 	}
 	for _, t := range targets {
@@ -227,17 +198,12 @@ func (in *Injector) degrade(ev Event) bool {
 }
 
 // corruptLog applies a TornWrite or CorruptRecord to the target node's WAL.
-// It reports whether anything was damaged: drivers without a WALAccessor, a
-// nil log, or a log too short to corrupt all decay to no-ops. Callers hold
-// in.mu.
+// It reports whether anything was damaged: a node without a log or a log
+// too short to corrupt decays to a no-op. Callers hold in.mu.
 func (in *Injector) corruptLog(ev Event) bool {
-	wa, ok := in.drv.(WALAccessor)
-	if !ok {
-		return false // no durable plane to corrupt
-	}
-	log := wa.NodeWAL(ev.Node)
+	log := in.drv.NodeWAL(ev.Node)
 	if log == nil {
-		return false
+		return false // no durable plane to corrupt
 	}
 	if ev.Kind == TornWrite {
 		return log.InjectTornWrite()
@@ -258,9 +224,7 @@ func (in *Injector) restoreAll() {
 		delete(in.crashed, node)
 	}
 	if in.degraded {
-		if ta, ok := in.drv.(TransportAccessor); ok {
-			ta.FaultTransport().HealAll()
-		}
+		in.drv.FaultTransport().HealAll()
 		in.degraded = false
 	}
 }

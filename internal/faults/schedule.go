@@ -13,8 +13,8 @@
 // persisting, stop acknowledging, and reject submissions. Restart and Heal
 // replay the missed commits in the order the survivors applied them, so
 // recovered nodes always converge to the same committed prefix. Link
-// degradation (DegradeLink, SlowNode) acts on the real message fabric via
-// Transport.DegradeLink: messages genuinely slow down and vanish, and the
+// degradation (DegradeLink, SlowNode) acts on the real message fabric
+// (Driver.FaultTransport) via Transport.DegradeLink: messages genuinely slow down and vanish, and the
 // consensus protocols ride it out with their own timeout machinery.
 package faults
 

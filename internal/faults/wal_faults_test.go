@@ -85,7 +85,7 @@ func TestValidateRequiresCrashBeforeLogCorruption(t *testing.T) {
 
 // walStub extends stubDriver with a real WAL for crash-point event tests.
 type walStub struct {
-	stubDriver
+	*stubDriver
 	logs []*wal.Log
 }
 
@@ -97,7 +97,7 @@ func (s *walStub) NodeWAL(node int) *wal.Log {
 }
 
 func TestInjectorAppliesLogCorruption(t *testing.T) {
-	drv := &walStub{stubDriver: stubDriver{nodes: 2}, logs: make([]*wal.Log, 2)}
+	drv := &walStub{stubDriver: newStubDriver(2), logs: make([]*wal.Log, 2)}
 	drv.logs[1] = wal.New("n1", wal.Options{Fsync: wal.FsyncAlways}, nil)
 	for i := 0; i < 6; i++ {
 		drv.logs[1].Append(1)
@@ -120,8 +120,8 @@ func TestInjectorAppliesLogCorruption(t *testing.T) {
 		t.Fatalf("applied %d events, want 2", got)
 	}
 
-	// Node 0 has no log, and a plain stubDriver has no WALAccessor at all:
-	// both decay to unrecorded no-ops.
+	// Node 0 has no log, and a plain stubDriver's chassis mounts none at
+	// all: both decay to unrecorded no-ops.
 	if err := in.Apply(Event{Kind: TornWrite, Node: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -348,7 +348,7 @@ func (n *Network) ExcludedCount() uint64 {
 	return n.excluded
 }
 
-// ConflictCounts implements systems.ConflictReporter: payload operations
+// ConflictCounts overrides the chassis default: payload operations
 // shed by the interacting-operation exclusion and by atomic execution
 // discard, neither of which produces a client event.
 func (n *Network) ConflictCounts() map[string]uint64 {

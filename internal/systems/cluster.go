@@ -37,12 +37,13 @@ func NodeIDs(prefix string, n int) []string {
 	return ids
 }
 
-// Cluster is the node chassis: the part of the Driver contract, and of the
-// optional crash/WAL/recovery/queue hooks beside it, that does not depend
-// on how a system orders transactions. A driver embeds it, keeps Start,
-// Stop and Submit (its pipeline) and gets the rest. Corda embeds Cluster
-// itself; the five systems that replicate a ledger over a shared transport
-// embed LedgerCluster.
+// Cluster is the node chassis: the part of the Driver contract that does
+// not depend on how a system orders transactions. A driver embeds it, keeps
+// Start, Stop, Submit (its pipeline) and Preload, and gets the rest;
+// ConflictCounts and Drained answer for a system that sheds nothing and
+// holds nothing across phases, and a driver that does overrides them. Corda
+// embeds Cluster itself; the five systems that replicate a ledger over a
+// shared transport embed LedgerCluster.
 type Cluster struct {
 	// Hub is the network's commit hub; each Node holds its handle on it.
 	Hub *Hub
@@ -146,8 +147,8 @@ func (c *Cluster) RestartNode(node int) error {
 	return nil
 }
 
-// NodeWAL implements faults.WALAccessor: node i's write-ahead log, or nil
-// when durability is disabled or i is out of range.
+// NodeWAL implements Driver: node i's write-ahead log, or nil when
+// durability is disabled or i is out of range.
 func (c *Cluster) NodeWAL(node int) *wal.Log {
 	if c.checkIndex(node) != nil {
 		return nil
@@ -155,8 +156,29 @@ func (c *Cluster) NodeWAL(node int) *wal.Log {
 	return c.nodes[node].Gate.WAL()
 }
 
-// RecoveryStats implements RecoveryReporter: the durability plane's
-// counters summed over the nodes' gates.
+// FaultTransport implements Driver: the shared fabric, nil for a system
+// without one.
+func (c *Cluster) FaultTransport() *network.Transport { return c.net }
+
+// NodeEndpoints implements Driver: the endpoints node (server) i owns, nil
+// when it owns none or i is out of range.
+func (c *Cluster) NodeEndpoints(node int) []string {
+	if c.checkIndex(node) != nil {
+		return nil
+	}
+	return c.nodes[node].Endpoints
+}
+
+// ConflictCounts implements Driver for a system that sheds no work without
+// a client event.
+func (c *Cluster) ConflictCounts() map[string]uint64 { return nil }
+
+// Drained implements Driver for a system whose queues hold no work across
+// phases.
+func (c *Cluster) Drained() bool { return true }
+
+// RecoveryStats implements Driver: the durability plane's counters summed
+// over the nodes' gates.
 func (c *Cluster) RecoveryStats() (RecoveryStats, bool) {
 	var rs RecoveryStats
 	for i := range c.nodes {
@@ -165,7 +187,7 @@ func (c *Cluster) RecoveryStats() (RecoveryStats, bool) {
 	return rs, c.durable
 }
 
-// QueueSnapshot implements QueueReporter: hub in-flight, the driver's
+// QueueSnapshot implements Driver: hub in-flight, the driver's
 // admission backlog, the transport's undelivered messages, and gate/WAL
 // occupancy summed over the nodes.
 func (c *Cluster) QueueSnapshot() QueueStats {
@@ -203,8 +225,8 @@ type Replica struct {
 // LedgerCluster is the chassis of a system whose nodes each replicate one
 // ledger and one key-value world state and talk over a shared transport
 // (Fabric, Quorum, Sawtooth, Diem, BitShares). Corda has neither a message
-// fabric nor a KV world state, so it embeds Cluster alone and stays outside
-// faults.TransportAccessor.
+// fabric nor a KV world state, so it embeds Cluster alone and its
+// FaultTransport is nil.
 type LedgerCluster struct {
 	Cluster
 	// Transport carries the system's consensus and gossip messages.
@@ -248,20 +270,7 @@ func (c *LedgerCluster) WorldState(i int) *statestore.KVStore {
 	return c.replicas[i%len(c.replicas)].State
 }
 
-// FaultTransport implements faults.TransportAccessor: the shared fabric,
-// for link-level fault injection.
-func (c *LedgerCluster) FaultTransport() *network.Transport { return c.Transport }
-
-// NodeEndpoints implements faults.TransportAccessor: the endpoints node
-// (server) i owns, nil when it owns none or i is out of range.
-func (c *LedgerCluster) NodeEndpoints(node int) []string {
-	if c.checkIndex(node) != nil {
-		return nil
-	}
-	return c.nodes[node].Endpoints
-}
-
-// Preload implements Preloader: the operations are applied directly to every
+// Preload implements Driver: the operations are applied directly to every
 // replica's world state at version {0, i} (the YCSB load-phase analogue), so
 // contention workloads start from a materialized shared key space. The
 // identical version on every replica keeps later MVCC validation consistent.

@@ -165,3 +165,44 @@ func TestClusterQueueSnapshot(t *testing.T) {
 		t.Errorf("WALLiveBytes, WALUnsynced = %d, %d; want the logs' sums %d, %d", qs.WALLiveBytes, qs.WALUnsynced, live, unsynced)
 	}
 }
+
+// TestClusterChassisDefaults pins what a bare chassis answers for the hooks
+// a driver leaves to it: no sheds, nothing held across phases, no fabric to
+// degrade, no endpoints, no log.
+func TestClusterChassisDefaults(t *testing.T) {
+	c := NewCluster("Bare", NodeIDs("bare", 2), nil, nil, nil, func() int { return 0 })
+	if cc := c.ConflictCounts(); cc != nil {
+		t.Errorf("ConflictCounts = %v, want nil", cc)
+	}
+	if !c.Drained() {
+		t.Error("Drained = false, want true")
+	}
+	if tr := c.FaultTransport(); tr != nil {
+		t.Errorf("FaultTransport = %v, want nil", tr)
+	}
+	for i := 0; i < c.NodeCount(); i++ {
+		if eps := c.NodeEndpoints(i); eps != nil {
+			t.Errorf("NodeEndpoints(%d) = %v, want nil", i, eps)
+		}
+		if log := c.NodeWAL(i); log != nil {
+			t.Errorf("NodeWAL(%d) = %v, want nil", i, log)
+		}
+	}
+	if _, durable := c.RecoveryStats(); durable {
+		t.Error("RecoveryStats reports durability on without a WAL")
+	}
+}
+
+// TestClusterLedgerServesTransport: a LedgerCluster's fault hooks reach its
+// shared transport and the endpoints each node owns.
+func TestClusterLedgerServesTransport(t *testing.T) {
+	p := newFakePipeline(3, nil)
+	if p.Transport == nil || p.FaultTransport() != p.Transport {
+		t.Fatalf("FaultTransport = %p, want the cluster's Transport %p", p.FaultTransport(), p.Transport)
+	}
+	for i, r := range p.Replicas() {
+		if eps := p.NodeEndpoints(i); len(eps) != 1 || eps[0] != r.ID {
+			t.Errorf("NodeEndpoints(%d) = %v, want [%s]", i, eps, r.ID)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/faults"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -88,8 +88,15 @@ func (c *collector) count() int {
 
 func (c *collector) wait(t *testing.T, want int, timeout time.Duration) []systems.Event {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	return c.waitOn(t, clock.New(), want, timeout)
+}
+
+// waitOn polls on clk until want events have arrived, failing the test once
+// timeout has passed on clk.
+func (c *collector) waitOn(t *testing.T, clk clock.Clock, want int, timeout time.Duration) []systems.Event {
+	t.Helper()
+	deadline := clk.Now().Add(timeout)
+	for clk.Now().Before(deadline) {
 		c.mu.Lock()
 		n := len(c.events)
 		c.mu.Unlock()
@@ -100,7 +107,7 @@ func (c *collector) wait(t *testing.T, want int, timeout time.Duration) []system
 			copy(out, c.events)
 			return out
 		}
-		time.Sleep(2 * time.Millisecond)
+		clk.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("received %d events, want %d", c.count(), want)
 	return nil
@@ -121,27 +128,18 @@ func TestContractNameAndNodeCount(t *testing.T) {
 	}
 }
 
-// TestContractSurface pins which optional interfaces each system offers —
-// the shape the runner, the fault injector and this suite type-switch on.
-// Corda has no message fabric and no key-value world state: it must stay
-// outside faults.TransportAccessor (link faults are reported as not applied
-// for it) and expose no WorldState (the suites fall back to VaultSize).
+// TestContractSurface pins what the one contract leaves to run time. Corda
+// has no message fabric and no key-value world state: its FaultTransport is
+// nil (link faults are reported as not applied for it) and it exposes no
+// WorldState (the suites fall back to VaultSize).
 func TestContractSurface(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			d := c.make()
-			_, preloader := d.(systems.Preloader)
-			_, queues := d.(systems.QueueReporter)
-			_, recovery := d.(systems.RecoveryReporter)
-			_, wals := d.(faults.WALAccessor)
-			if !preloader || !queues || !recovery || !wals {
-				t.Errorf("Preloader=%v QueueReporter=%v RecoveryReporter=%v WALAccessor=%v, want all four",
-					preloader, queues, recovery, wals)
-			}
 			corda := c.name == systems.NameCordaOS || c.name == systems.NameCordaEnt
-			if _, ok := d.(faults.TransportAccessor); ok == corda {
-				t.Errorf("TransportAccessor = %v, want %v", ok, !corda)
+			if noFabric := d.FaultTransport() == nil; noFabric != corda {
+				t.Errorf("FaultTransport() == nil is %v, want %v", noFabric, corda)
 			}
 			if _, ok := d.(interface {
 				WorldState(i int) *statestore.KVStore

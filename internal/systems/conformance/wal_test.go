@@ -6,11 +6,11 @@ package conformance_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/faults"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
@@ -23,10 +23,10 @@ import (
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// walCandidates provisions all seven systems with a write-ahead log using
-// the given options (fast test parameters otherwise, mirroring
-// candidates()).
-func walCandidates(opts *wal.Options) []candidate {
+// walCandidates provisions all seven systems on clk (nil: the wall clock)
+// with a write-ahead log using the given options (fast test parameters
+// otherwise, mirroring candidates()).
+func walCandidates(opts *wal.Options, clk clock.Clock) []candidate {
 	return []candidate{
 		{systems.NameCordaOS, func() systems.Driver {
 			return corda.NewOS(corda.Config{
@@ -34,6 +34,7 @@ func walCandidates(opts *wal.Options) []candidate {
 				ScanCost:       time.Microsecond,
 				FlowTimeout:    10 * time.Second,
 				WAL:            opts,
+				Clock:          clk,
 			})
 		}},
 		{systems.NameCordaEnt, func() systems.Driver {
@@ -42,26 +43,28 @@ func walCandidates(opts *wal.Options) []candidate {
 				ScanCost:       time.Microsecond,
 				FlowTimeout:    10 * time.Second,
 				WAL:            opts,
+				Clock:          clk,
 			})
 		}},
 		{systems.NameBitShares, func() systems.Driver {
-			return bitshares.New(bitshares.Config{BlockInterval: 10 * time.Millisecond, WAL: opts})
+			return bitshares.New(bitshares.Config{BlockInterval: 10 * time.Millisecond, WAL: opts, Clock: clk})
 		}},
 		{systems.NameFabric, func() systems.Driver {
-			return fabric.New(fabric.Config{MaxMessageCount: 10, BatchTimeout: 15 * time.Millisecond, WAL: opts})
+			return fabric.New(fabric.Config{MaxMessageCount: 10, BatchTimeout: 15 * time.Millisecond, WAL: opts, Clock: clk})
 		}},
 		{systems.NameQuorum, func() systems.Driver {
-			return quorum.New(quorum.Config{BlockPeriod: 10 * time.Millisecond, WAL: opts})
+			return quorum.New(quorum.Config{BlockPeriod: 10 * time.Millisecond, WAL: opts, Clock: clk})
 		}},
 		{systems.NameSawtooth, func() systems.Driver {
 			return sawtooth.New(sawtooth.Config{
 				BlockPublishingDelay: 10 * time.Millisecond,
 				QueueDepth:           1000,
 				WAL:                  opts,
+				Clock:                clk,
 			})
 		}},
 		{systems.NameDiem, func() systems.Driver {
-			return diem.New(diem.Config{RoundInterval: 5 * time.Millisecond, MempoolDepth: 1000, WAL: opts})
+			return diem.New(diem.Config{RoundInterval: 5 * time.Millisecond, MempoolDepth: 1000, WAL: opts, Clock: clk})
 		}},
 	}
 }
@@ -84,7 +87,7 @@ func fastWAL() *wal.Options {
 // with every node on a WAL: liveness, no phantoms, and identical committed
 // prefixes must survive the durable gate's replay-and-refetch restart.
 func TestFaultMatrixCrashWithWAL(t *testing.T) {
-	for _, c := range walCandidates(fastWAL()) {
+	for _, c := range walCandidates(fastWAL(), nil) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -101,19 +104,15 @@ func TestFaultMatrixCrashWithWAL(t *testing.T) {
 					}
 				},
 			)
-			if rr, ok := d.(systems.RecoveryReporter); ok {
-				stats, enabled := rr.RecoveryStats()
-				if !enabled {
-					t.Fatal("RecoveryStats reports the WAL disabled")
-				}
-				if stats.LogRecords == 0 {
-					t.Fatal("no WAL records appended across the fault column")
-				}
-				if stats.ReplayedRecords == 0 || stats.ReplaySec <= 0 {
-					t.Fatalf("restart replayed nothing: %+v", stats)
-				}
-			} else {
-				t.Fatalf("%s does not report recovery stats", d.Name())
+			stats, enabled := d.RecoveryStats()
+			if !enabled {
+				t.Fatal("RecoveryStats reports the WAL disabled")
+			}
+			if stats.LogRecords == 0 {
+				t.Fatal("no WAL records appended across the fault column")
+			}
+			if stats.ReplayedRecords == 0 || stats.ReplaySec <= 0 {
+				t.Fatalf("restart replayed nothing: %+v", stats)
 			}
 		})
 	}
@@ -129,7 +128,7 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.TornWrite, faults.CorruptRecord} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			for _, c := range walCandidates(fastWAL()) {
+			for _, c := range walCandidates(fastWAL(), nil) {
 				c := c
 				t.Run(c.name, func(t *testing.T) {
 					t.Parallel()
@@ -150,11 +149,7 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 							}
 						},
 					)
-					rr, ok := d.(systems.RecoveryReporter)
-					if !ok {
-						t.Fatalf("%s does not report recovery stats", d.Name())
-					}
-					stats, _ := rr.RecoveryStats()
+					stats, _ := d.RecoveryStats()
 					if stats.LostRecords == 0 {
 						t.Fatalf("%s after %s: log reports no lost records — the injector damaged nothing", c.name, kind)
 					}
@@ -170,19 +165,23 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 // TestWALCrashDuringReplay lands a second crash in the middle of the first
 // restart's replay. The node must stay down (no half-replayed zombie
 // serving traffic), and a second restart must finish the job: liveness and
-// converged prefixes as usual.
+// converged prefixes as usual. Each system runs on its own auto-advancing
+// virtual clock with the test body as an actor, so the crash lands at the
+// same virtual instant inside the replay on every run.
 func TestWALCrashDuringReplay(t *testing.T) {
-	// A moderately stretched replay latency opens a wall-clock window for
-	// the mid-replay crash. Refetch must stay cheaper than the fastest block
-	// period (10ms) or the restart drain could never catch up with ongoing
-	// block production.
+	// A stretched replay latency makes the replay long. Refetch must stay
+	// cheaper than the fastest block period (10ms) or the restart drain
+	// could never catch up with ongoing block production.
 	opts := fastWAL()
 	opts.Latency.ReplayPerRecord = 5 * time.Millisecond
-	for _, c := range walCandidates(opts) {
-		c := c
+	for i, c := range walCandidates(opts, nil) {
+		i, c := i, c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
+			clk := clock.NewAutoVirtual()
+			h := clock.Register(clk, "client-1")
+			defer h.Close()
+			d := walCandidates(opts, clk)[i].make()
 			const batch = 4
 			col := &collector{}
 			d.Subscribe("client-1", col.add)
@@ -196,18 +195,14 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			for i := 0; i < batch; i++ {
 				keys = append(keys, submitSet(t, d, &seq, "pre", i))
 			}
-			col.wait(t, batch, 15*time.Second)
+			col.waitOn(t, clk, batch, 15*time.Second)
 
-			// Seed the fault node's log so its replay window is wide on every
+			// Seed the fault node's log so its replay is long on every
 			// system: block producers accumulate records on their own, but
 			// request-driven systems (Corda) would replay only a handful.
-			// 120 records x 5ms guarantees >= 600ms of replay to crash into.
-			wa, ok := d.(faults.WALAccessor)
-			if !ok {
-				t.Fatalf("%s does not expose its node WALs", d.Name())
-			}
+			// 120 records x 5ms make the replay last at least 600ms.
 			for i := 0; i < 120; i++ {
-				wa.NodeWAL(faultNode).Append(1)
+				d.NodeWAL(faultNode).Append(1)
 			}
 
 			if err := d.CrashNode(faultNode); err != nil {
@@ -218,21 +213,32 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			for i := 0; i < batch; i++ {
 				keys = append(keys, submitSet(t, d, &seq, "mid", i))
 			}
-			time.Sleep(300 * time.Millisecond)
+			clk.Sleep(300 * time.Millisecond)
 
-			var wg sync.WaitGroup
-			wg.Add(1)
+			// The restart runs as a second actor; the crash lands 150ms into
+			// its replay.
+			restarted := clock.NewGate(clk)
+			var restartedAt time.Time // written before restarted closes
+			clock.Fork(clk, 1)
 			go func() {
-				defer wg.Done()
+				h := clock.RegisterForked(clk, "restarter")
+				defer h.Close()
+				defer restarted.Close()
 				if err := d.RestartNode(faultNode); err != nil {
 					t.Error(err)
 				}
+				restartedAt = clk.Now()
 			}()
-			time.Sleep(150 * time.Millisecond) // inside replay/refetch
+			clk.Sleep(150 * time.Millisecond)
+			crashedAt := clk.Now()
 			if err := d.CrashNode(faultNode); err != nil {
 				t.Fatal(err)
 			}
-			wg.Wait()
+			clock.Await(clk, restarted)
+			if !restartedAt.After(crashedAt) {
+				t.Fatalf("the restart returned at %v, before the crash at %v: the crash missed the replay",
+					restartedAt, crashedAt)
+			}
 
 			// The interrupted restart must leave the node down.
 			seq++
@@ -255,17 +261,9 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			}
 			keys = append(keys, "wal-post-via-3")
 
-			deadline := time.Now().Add(15 * time.Second)
-			for time.Now().Before(deadline) {
-				if col.count() >= 2*batch+1 {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			if n := col.count(); n < 2*batch+1 {
-				t.Fatalf("liveness not recovered after the double crash: %d events, want >= %d", n, 2*batch+1)
-			}
-			time.Sleep(300 * time.Millisecond)
+			// Liveness after the double crash.
+			col.waitOn(t, clk, 2*batch+1, 15*time.Second)
+			clk.Sleep(300 * time.Millisecond)
 			assertStateConverged(t, d, keys)
 		})
 	}

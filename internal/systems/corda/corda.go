@@ -635,7 +635,7 @@ func parseBalanceDelta(balance, delta string) (int64, int64, error) {
 
 func formatBalance(v int64) string { return strconv.FormatInt(v, 10) }
 
-// Preload implements systems.Preloader: setup operations are issued as
+// Preload implements systems.Driver: setup operations are issued as
 // genesis UTXO transactions applied identically to every vault, so the
 // resulting state references agree network-wide and later flows can
 // consume them. KeyValue Sets become kv states; CreateAccounts become an
@@ -721,7 +721,7 @@ func (n *Network) recordFailure(err error) {
 	n.mu.Unlock()
 }
 
-// ConflictCounts implements systems.ConflictReporter: failed flows by abort
+// ConflictCounts overrides the chassis default: failed flows by abort
 // code. Corda flows are single-operation, so flow counts equal payload
 // counts.
 func (n *Network) ConflictCounts() map[string]uint64 {

@@ -265,7 +265,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	}
 }
 
-// Drained implements systems.Quiescer: every validator mempool is empty.
+// Drained overrides the chassis default: every validator mempool is empty.
 func (n *Network) Drained() bool { return n.poolBacklog() == 0 }
 
 // poolBacklog is the chassis' admission-depth hook: the mempool backlog

@@ -393,10 +393,3 @@ func (s RecoveryStats) Sub(o RecoveryStats) RecoveryStats {
 	s.RefetchSec -= o.RefetchSec
 	return s
 }
-
-// RecoveryReporter is implemented by drivers whose nodes mount a WAL. The
-// bool reports whether durability is enabled for this run (false means the
-// stats are structurally zero and should not be folded into results).
-type RecoveryReporter interface {
-	RecoveryStats() (RecoveryStats, bool)
-}

@@ -375,7 +375,7 @@ func (n *Network) Stalled() bool {
 	return false
 }
 
-// Drained implements systems.Quiescer: every pool is empty, or the
+// Drained overrides the chassis default: every pool is empty, or the
 // livelock has latched (in which case the backlog will never drain and
 // waiting longer is pointless).
 func (n *Network) Drained() bool { return n.Stalled() || n.poolBacklog() == 0 }

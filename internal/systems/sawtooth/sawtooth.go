@@ -390,7 +390,7 @@ func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
 	v.queue.Remove(func(b *chain.Batch) bool { return ids[b.ID] })
 }
 
-// Drained implements systems.Quiescer: all validator queues are empty.
+// Drained overrides the chassis default: all validator queues are empty.
 func (n *Network) Drained() bool { return n.queueBacklog() == 0 }
 
 // queueBacklog is the chassis' admission-depth hook: the batch queue
@@ -413,7 +413,7 @@ func (n *Network) QueueStats() (admitted, rejected uint64) {
 	return admitted, rejected
 }
 
-// ConflictCounts implements systems.ConflictReporter: payload operations
+// ConflictCounts overrides the chassis default: payload operations
 // lost to the atomic batch discard ("if a transaction fails within a batch,
 // the entire batch ... is completely discarded", §5.6). These never produce
 // client events, so the runner folds them in system-side.

@@ -12,7 +12,9 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/statestore"
+	"github.com/coconut-bench/coconut/internal/wal"
 )
 
 // ErrNodeDown is returned by Submit when the entry node is crashed and by
@@ -21,7 +23,7 @@ var ErrNodeDown = errors.New("systems: node is down")
 
 // Canonical abort-reason codes carried in Event.Code when a transaction
 // commits invalid (or, for systems that shed conflicting work without a
-// client event, in ConflictReporter counts). The contention workload plane
+// client event, in Driver.ConflictCounts). The contention workload plane
 // aggregates goodput and a per-reason conflict breakdown from them.
 const (
 	// AbortMVCCConflict is Fabric's MVCC_READ_CONFLICT: a read version went
@@ -121,7 +123,10 @@ type EventFunc func(Event)
 
 // Driver is the Blockchain Access Layer's view of a system under test. One
 // Driver instance represents a freshly provisioned network, matching the
-// paper's re-provisioning between benchmark units (§4.1).
+// paper's re-provisioning between benchmark units (§4.1). The runner and
+// the fault injector reach a system through these methods alone. A driver
+// embeds the Cluster chassis, which answers all of them but Start, Stop,
+// Submit and Preload.
 type Driver interface {
 	// Name returns the system's display name (e.g. "Fabric", "Corda OS").
 	Name() string
@@ -148,36 +153,46 @@ type Driver interface {
 	// state-transfer real systems perform on rejoin), and resumes normal
 	// participation. Restarting a node that is not crashed is a no-op.
 	RestartNode(node int) error
-}
 
-// Preloader is optionally implemented by drivers that can seed every node's
-// world state directly, bypassing consensus — the YCSB "load phase"
-// analogue. The contention workload plane uses it to materialize shared key
-// spaces and SmallBank account pools before load starts, so measured abort
-// rates reflect genuine runtime conflicts rather than setup races. Preload
-// must run after Start and before any Submit.
-type Preloader interface {
+	// Preload seeds every node's world state directly, bypassing consensus
+	// — the YCSB "load phase" analogue. The contention workload plane uses
+	// it to materialize shared key spaces and SmallBank account pools before
+	// load starts, so measured abort rates reflect genuine runtime conflicts
+	// rather than setup races. It runs after Start and before any Submit.
 	Preload(ops []chain.Operation) error
-}
-
-// ConflictReporter is optionally implemented by drivers that shed
-// conflicting or failing work without a client event (BitShares'
-// interacting-operation exclusion, Sawtooth's atomic batch discard, Corda's
-// notary rejections). Counts are cumulative per abort code; the runner
-// snapshots them around each phase and folds the deltas into the conflict
-// breakdown alongside client-observed aborts.
-type ConflictReporter interface {
+	// ConflictCounts reports, per abort code, the work the system shed
+	// without a client event (BitShares' interacting-operation exclusion,
+	// Sawtooth's atomic batch discard, Corda's notary rejections); nil when
+	// it sheds nothing. Counts are cumulative: the runner snapshots them
+	// around each phase and folds the deltas into the conflict breakdown
+	// alongside client-observed aborts.
 	ConflictCounts() map[string]uint64
-}
-
-// Quiescer is optionally implemented by drivers whose admission queues can
-// hold work across benchmark phases (Sawtooth batches, Quorum pools). The
-// runner waits for quiescence between unit members, mirroring the paper's
-// inter-benchmark gap (clients terminate at 420s, 90s after listening
-// stops, §4.3).
-type Quiescer interface {
-	// Drained reports whether no submitted work remains unprocessed.
+	// Drained reports whether no submitted work remains unprocessed. The
+	// runner polls it between unit members, mirroring the paper's
+	// inter-benchmark gap (clients terminate at 420s, 90s after listening
+	// stops, §4.3); systems whose queues cannot hold work across phases
+	// report true.
 	Drained() bool
+	// QueueSnapshot is one instantaneous reading of the queueing and
+	// durability planes, sampled once per timeline window.
+	QueueSnapshot() QueueStats
+	// RecoveryStats returns the durability plane's cumulative counters and
+	// whether a write-ahead log is mounted (false means the stats are
+	// structurally zero and are not folded into results).
+	RecoveryStats() (RecoveryStats, bool)
+	// NodeWAL returns node i's write-ahead log, the fault injector's target
+	// for TornWrite and CorruptRecord; nil when durability is disabled or i
+	// is out of range, which turns those events into no-ops.
+	NodeWAL(node int) *wal.Log
+	// FaultTransport returns the transport the nodes talk over, the fault
+	// injector's target for DegradeLink and SlowNode; nil for a system
+	// without a message fabric (Corda's flows are synchronous calls), which
+	// turns those events into no-ops.
+	FaultTransport() *network.Transport
+	// NodeEndpoints returns the transport endpoints node i owns (nil when it
+	// owns none or i is out of range): what a link fault aimed at it
+	// degrades.
+	NodeEndpoints(node int) []string
 }
 
 // QueueStats is one instantaneous occupancy snapshot of a driver's
@@ -205,14 +220,6 @@ type QueueStats struct {
 	// NetPending is the transport's scheduled-but-undelivered message
 	// count (the timing wheel's backlog).
 	NetPending int64
-}
-
-// QueueReporter is optionally implemented by drivers that can snapshot
-// their queue/resource occupancy. All seven built-in drivers implement it.
-// (The method is named QueueSnapshot because several drivers already
-// expose admission counters under QueueStats-like names.)
-type QueueReporter interface {
-	QueueSnapshot() QueueStats
 }
 
 // Registry of canonical system names used in reports.
