@@ -1,6 +1,12 @@
-// Quickstart: provision a simulated Hyperledger Fabric network, drive it
-// with the COCONUT DoNothing workload, and print the end-to-end metrics —
-// the smallest possible use of the library's public surface.
+// Quickstart: run one cell of the paper's Figure 3 — Hyperledger Fabric
+// under the DoNothing benchmark at its best configuration — through the
+// scenario engine, and print the end-to-end metrics. It is the smallest
+// use of the library: a Scenario in, an Outcome out. Every other study is
+// the same call with a bigger Scenario; cmd/coconut-sweep runs registered
+// scenarios and JSON spec files such as examples/banking.json.
+//
+// The cell runs on the auto-advancing virtual clock, so it finishes in
+// under a second and prints the same numbers on every machine.
 //
 // Run with:
 //
@@ -8,14 +14,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/coconut"
+	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/systems/fabric"
 )
 
 func main() {
@@ -25,40 +30,30 @@ func main() {
 }
 
 func run() error {
-	// A fresh 4-peer / 3-orderer Fabric network per repetition, with blocks
-	// cut at 50 transactions or 20ms (a scaled-down MaxMessageCount=500 /
-	// BatchTimeout=2s from the paper's Table 5).
-	newDriver := func(clk clock.Clock) systems.Driver {
-		return fabric.New(fabric.Config{
-			MaxMessageCount: 50,
-			BatchTimeout:    20 * time.Millisecond,
-			Clock:           clk,
-		})
+	// Four COCONUT clients (the paper's §4.3 layout) send for 300
+	// paper-seconds against a 4-peer / 3-orderer Fabric network configured
+	// with the Figure 3 winning parameters.
+	sc := experiments.Scenario{
+		Name:       "quickstart",
+		Systems:    []string{systems.NameFabric},
+		Benchmarks: []string{string(coconut.BenchDoNothing)},
+		BestParams: true,
+		PaperRef:   "figure3",
+		Time:       "virtual",
 	}
-
-	// Four COCONUT clients, each sending 100 payloads/second for one
-	// second, then listening for late confirmations — the paper's §4.3
-	// layout, scaled down.
-	results, err := coconut.Run(coconut.RunConfig{
-		SystemName:   "Fabric",
-		NewDriver:    newDriver,
-		Unit:         []coconut.BenchmarkName{coconut.BenchDoNothing},
-		Clients:      4,
-		RateLimit:    100,
-		SendDuration: time.Second,
-		ListenGrace:  300 * time.Millisecond,
-		Repetitions:  3,
-	})
+	// Scale 1/100 runs one paper-second as 10 simulated milliseconds.
+	opts := experiments.Options{Scale: 0.01, Seed: 42}
+	outcome, err := experiments.Run(context.Background(), sc, opts)
 	if err != nil {
 		return err
 	}
 
-	for _, r := range results {
+	for _, row := range outcome.Rows {
+		r := row.Result
 		fmt.Println(r)
-		fmt.Printf("  MTPS %.2f ±%.2f (95%% CI over %d repetitions)\n",
-			r.MTPS.Mean, r.MTPS.CI95, r.MTPS.N)
-		fmt.Printf("  MFLS %.1fms, received %d%% of submitted payloads\n",
-			r.MFLS.Mean*1000, int(100*r.Received.Mean/r.Expected.Mean))
+		fmt.Printf("  MTPS %.2f (paper %.2f)\n", r.MTPS.Mean, row.Paper.MTPS)
+		fmt.Printf("  MFLS %.2fs (paper %.2fs), received %d%% of submitted payloads\n",
+			opts.PaperSeconds(r.MFLS.Mean), row.Paper.MFLS, int(100*r.Received.Mean/r.Expected.Mean))
 	}
 	return nil
 }

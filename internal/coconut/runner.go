@@ -50,23 +50,14 @@ type RunConfig struct {
 	// regenerate the paper's shapes quickly.
 	SendDuration time.Duration
 	ListenGrace  time.Duration
-	// StabilizeDelay waits after provisioning before the workload starts
-	// (paper: 180s for BitShares/Quorum, 60s for Sawtooth, §4.4).
-	StabilizeDelay time.Duration
-	// QuiesceTimeout caps the inter-benchmark wait for systems whose
-	// queues drain slowly (the paper's clients terminate 90s after
-	// listening stops, leaving queues time to empty). Default 8s.
-	QuiesceTimeout time.Duration
 	// Repetitions is r in the paper's formulas (paper: 3).
 	Repetitions int
 	// Faults, when set, is the chaos schedule injected during every
 	// benchmark phase; event offsets are relative to load start. The
 	// injector restores full health at phase end, so unit members stay
-	// independent.
+	// independent. A set schedule, even an empty one, also turns on the
+	// windowed throughput/latency timeline (SendDuration/20 per window).
 	Faults *faults.Schedule
-	// FaultWindow is the timeline bucket width for the windowed
-	// throughput/latency measurement plane. Default SendDuration/20.
-	FaultWindow time.Duration
 	// Params echoes configuration knobs into the result rows.
 	Params map[string]string
 	// Trace, when set, records sampled per-transaction spans (client-side
@@ -99,9 +90,6 @@ func (c *RunConfig) fill() {
 	}
 	if len(c.Unit) == 0 {
 		c.Unit = []BenchmarkName{BenchDoNothing}
-	}
-	if c.QuiesceTimeout <= 0 {
-		c.QuiesceTimeout = 8 * time.Second
 	}
 }
 
@@ -136,7 +124,7 @@ func Run(cfg RunConfig) ([]Result, error) {
 func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
 	// Under auto-advancing virtual time the runner itself is an actor: its
-	// stabilize/send/grace sleeps park it so the clock can jump.
+	// waits and quiesce sleeps park it so the clock can jump.
 	h := clock.Register(clk, "coconut-runner")
 	defer h.Close()
 	driver := cfg.NewDriver(clk)
@@ -164,9 +152,6 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 			}
 		}
 	}
-	if cfg.StabilizeDelay > 0 {
-		clk.Sleep(cfg.StabilizeDelay)
-	}
 
 	out := make(map[BenchmarkName]RepetitionResult, len(cfg.Unit))
 	// writtenCounts carries the write phase's per-client per-thread send
@@ -186,7 +171,7 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax)
 		writtenCounts[bench] = sent
 		out[bench] = rr
-		quiesce(clk, cfg.QuiesceTimeout, driver)
+		quiesce(clk, driver)
 	}
 	// Teardown leak check: after the driver stops, every timer and ticker
 	// armed during the repetition must have fired or been stopped —
@@ -200,10 +185,15 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	return out, nil
 }
 
+// quiesceTimeout caps the inter-benchmark wait for systems whose queues
+// drain slowly (the paper's clients terminate 90s after listening stops,
+// leaving queues time to empty).
+const quiesceTimeout = 8 * time.Second
+
 // quiesce waits for slow admission queues to empty between unit members,
-// bounded by timeout. Systems without backlogs return immediately.
-func quiesce(clk clock.Clock, timeout time.Duration, driver systems.Driver) {
-	deadline := clk.Now().Add(timeout)
+// bounded by quiesceTimeout. Systems without backlogs return immediately.
+func quiesce(clk clock.Clock, driver systems.Driver) {
+	deadline := clk.Now().Add(quiesceTimeout)
 	for clk.Now().Before(deadline) {
 		if driver.Drained() {
 			return
@@ -219,16 +209,12 @@ func quiesce(clk clock.Clock, timeout time.Duration, driver systems.Driver) {
 func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
-	// collected when fault measurement is requested — a schedule or an
-	// explicit window — so the paper-grid hot path carries zero overhead.
+	// collected only under a fault schedule, so the paper-grid hot path
+	// carries zero overhead.
 	var timeline *Timeline
-	window := cfg.FaultWindow
-	if window <= 0 {
-		window = cfg.SendDuration / 20
-	}
-	if cfg.Faults != nil || cfg.FaultWindow > 0 {
-		loadStart := clk.Now()
-		timeline = NewTimeline(loadStart, window, cfg.SendDuration+cfg.ListenGrace+window)
+	window := cfg.SendDuration / 20
+	if cfg.Faults != nil {
+		timeline = NewTimeline(clk.Now(), window, cfg.SendDuration+cfg.ListenGrace+window)
 	}
 
 	clients := make([]*Client, cfg.Clients)

@@ -10,7 +10,8 @@ import (
 )
 
 // TestRunnerNoFaultFullAvailability: a healthy run must report 100%
-// availability, zero recovery time, and a populated timeline.
+// availability, zero recovery time, and a populated timeline. The empty
+// schedule turns the timeline on and injects nothing.
 func TestRunnerNoFaultFullAvailability(t *testing.T) {
 	results, err := Run(RunConfig{
 		SystemName:      "fake",
@@ -21,8 +22,9 @@ func TestRunnerNoFaultFullAvailability(t *testing.T) {
 		WorkloadThreads: 2,
 		SendDuration:    400 * time.Millisecond,
 		ListenGrace:     100 * time.Millisecond,
-		FaultWindow:     25 * time.Millisecond,
+		Faults:          &faults.Schedule{},
 		Repetitions:     1,
+		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +60,11 @@ func TestRunnerPartitionDipAndRecovery(t *testing.T) {
 		Clients:         1,
 		RateLimit:       400,
 		WorkloadThreads: 2,
-		SendDuration:    500 * time.Millisecond,
+		SendDuration:    500 * time.Millisecond, // 25 ms timeline windows
 		ListenGrace:     150 * time.Millisecond,
-		FaultWindow:     25 * time.Millisecond,
 		Faults:          sched,
 		Repetitions:     1,
+		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)

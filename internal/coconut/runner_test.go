@@ -177,8 +177,8 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 		WorkloadThreads: 1,
 		SendDuration:    50 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
-		QuiesceTimeout:  2 * time.Second,
 		Repetitions:     1,
+		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,27 +190,39 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 	}
 }
 
+// TestRunnerQuiesceTimeoutBounds: a driver that does not drain costs the
+// runner the quiesce bound — 8 s of virtual time, within one 20 ms poll —
+// and next to no wall time.
 func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
-	d := &drainingDriver{fakeDriver: newFakeDriver(), need: 1 << 30} // never drains
+	// The driver drains only after 20 s of polls, so a quiesce that ignores
+	// its deadline overshoots the bound by seconds instead of hanging.
+	d := &drainingDriver{fakeDriver: newFakeDriver(), need: 1000}
+	const send, grace = 50 * time.Millisecond, 20 * time.Millisecond
 
+	var clk *clock.AutoVirtual
 	start := time.Now()
 	_, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return d },
+		NewDriver:       func(clock.Clock) systems.Driver { return d },
 		Unit:            []BenchmarkName{BenchDoNothing},
 		Clients:         1,
 		RateLimit:       100,
 		WorkloadThreads: 1,
-		SendDuration:    50 * time.Millisecond,
-		ListenGrace:     20 * time.Millisecond,
-		QuiesceTimeout:  200 * time.Millisecond,
+		SendDuration:    send,
+		ListenGrace:     grace,
 		Repetitions:     1,
+		NewClock:        func() clock.Clock { clk = clock.NewAutoVirtual(); return clk },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("run took %v; quiesce timeout not bounding the wait", elapsed)
+	wall := time.Since(start)
+	quiesced := clk.Now().Sub(clock.SimEpoch) - send - grace
+	if quiesced < quiesceTimeout || quiesced > quiesceTimeout+20*time.Millisecond {
+		t.Fatalf("quiesce took %v of virtual time, want %v to %v", quiesced, quiesceTimeout, quiesceTimeout+20*time.Millisecond)
+	}
+	if wall > time.Second {
+		t.Fatalf("run took %v of wall time; the quiesce wait must be virtual", wall)
 	}
 }
 

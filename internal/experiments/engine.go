@@ -391,6 +391,9 @@ func paramRows(sc Scenario, system string, bench coconut.BenchmarkName) ([]Param
 // with: the paper's four clients, one per server (§4.3).
 const scenarioClients = 4
 
+// benchGridThreads is the paper grid's workload-thread count per client.
+const benchGridThreads = 8
+
 // runCell executes one resolved cell.
 func runCell(cell cellSpec, sc Scenario, o Options) (coconut.Result, error) {
 	o.fill()
@@ -423,10 +426,7 @@ func runCell(cell cellSpec, sc Scenario, o Options) (coconut.Result, error) {
 		}
 	}
 
-	if cell.wl != nil {
-		return runWorkloadCell(cell.system, cell.wl, o, sc.threads(), cell.params.RL, sched, label)
-	}
-	return runUnitCell(cell.system, cell.bench, cell.params, o, sc.threads(), sched, label)
+	return execCell(cell, o, sc.threads(), sched, label)
 }
 
 // resolveFaults turns the scenario's fault axis into a concrete sim-time
@@ -497,128 +497,89 @@ func resolveWAL(wc *walCell, o *Options) (*faults.Schedule, error) {
 	return &faults.Schedule{Events: evs}, nil
 }
 
-// runUnitCell runs one paper-benchmark cell: the whole §4.1 unit executes
-// so read benchmarks see their write phase, and the requested member's
-// aggregated result is returned. It is the engine's benchmark-cell
-// executor and the body behind the public RunCell.
-func runUnitCell(system string, bench coconut.BenchmarkName, p Params, o Options, threads int, sched *faults.Schedule, faultLabel string) (coconut.Result, error) {
+// execCell runs one cell through the COCONUT runner on the resolved
+// Options o. A paper-benchmark cell runs its whole §4.1 unit so read
+// benchmarks see their write phase, and returns the requested member's
+// aggregated result; a contention cell runs the workload spec's preload
+// plus one measured phase.
+func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, faultLabel string) (coconut.Result, error) {
 	o.fill()
-	newDriver, err := NewDriverFunc(system, p, o)
+	p := cell.params
+	newDriver, err := NewDriverFunc(cell.system, p, o)
 	if err != nil {
 		return coconut.Result{}, err
 	}
-
-	var unit []coconut.BenchmarkName
-	for _, u := range coconut.BenchmarkUnits {
-		for _, b := range u {
-			if b == bench {
-				unit = u
-			}
-		}
+	arrival, err := o.arrivalSchedule()
+	if err != nil {
+		return coconut.Result{}, err
 	}
-	if unit == nil {
-		return coconut.Result{}, fmt.Errorf("experiments: unknown benchmark %q", bench)
-	}
-	if sched != nil {
-		// Chaos cells run only the member under test: the fault window is
-		// anchored to one load phase, and the §4.1 unit coupling (reads
-		// after writes) is a healthy-grid concern.
-		unit = []coconut.BenchmarkName{bench}
-	}
-
 	perClientRL := p.RL / scenarioClients
 	if perClientRL < 1 {
 		perClientRL = 1
 	}
-	opsPerTx, batchSize := 1, 1
-	switch system {
-	case systems.NameBitShares:
-		if p.Actions > 1 {
-			opsPerTx = p.Actions
-		}
-	case systems.NameSawtooth:
-		if p.Actions > 1 {
-			batchSize = p.Actions
-		}
-	}
-
-	arrival, err := o.arrivalSchedule()
-	if err != nil {
-		return coconut.Result{}, err
-	}
-	labels := p.Labels()
-	if faultLabel != "" {
-		labels["faults"] = faultLabel
-	}
-	results, err := coconut.Run(coconut.RunConfig{
-		SystemName:      system,
+	cfg := coconut.RunConfig{
+		SystemName:      cell.system,
 		NewDriver:       newDriver,
 		NewClock:        o.newClockFn(),
-		Unit:            unit,
 		Clients:         scenarioClients,
 		RateLimit:       perClientRL,
 		Arrival:         arrival,
 		ArrivalSeed:     o.Seed,
 		WorkloadThreads: threads,
-		OpsPerTx:        opsPerTx,
-		BatchSize:       batchSize,
 		SendDuration:    o.paperDur(o.SendSeconds),
 		ListenGrace:     o.paperDur(o.GraceSeconds),
 		Repetitions:     o.Repetitions,
 		Faults:          sched,
-		Params:          labels,
 		Trace:           o.Trace,
-	})
+	}
+
+	want := string(cell.bench)
+	if cell.wl != nil {
+		want = cell.wl.Name()
+		cfg.Workload = cell.wl
+		cfg.Params = map[string]string{"RL": itoa(p.RL), "workload": want}
+	} else {
+		for _, u := range coconut.BenchmarkUnits {
+			for _, b := range u {
+				if b == cell.bench {
+					cfg.Unit = u
+				}
+			}
+		}
+		if cfg.Unit == nil {
+			return coconut.Result{}, fmt.Errorf("experiments: unknown benchmark %q", cell.bench)
+		}
+		if sched != nil {
+			// Chaos cells run only the member under test: the fault window is
+			// anchored to one load phase, and the §4.1 unit coupling (reads
+			// after writes) is a healthy-grid concern — which is why Validate
+			// rejects read benchmarks under a fault axis.
+			cfg.Unit = []coconut.BenchmarkName{cell.bench}
+		}
+		switch cell.system {
+		case systems.NameBitShares:
+			if p.Actions > 1 {
+				cfg.OpsPerTx = p.Actions
+			}
+		case systems.NameSawtooth:
+			if p.Actions > 1 {
+				cfg.BatchSize = p.Actions
+			}
+		}
+		cfg.Params = p.Labels()
+	}
+	if faultLabel != "" {
+		cfg.Params["faults"] = faultLabel
+	}
+
+	results, err := coconut.Run(cfg)
 	if err != nil {
 		return coconut.Result{}, err
 	}
 	for _, r := range results {
-		if r.Benchmark == string(bench) {
+		if r.Benchmark == want {
 			return r, nil
 		}
 	}
-	return coconut.Result{}, fmt.Errorf("experiments: benchmark %q missing from unit results", bench)
-}
-
-// runWorkloadCell runs one contention cell: the spec's preload plus one
-// measured phase, optionally under a fault schedule.
-func runWorkloadCell(system string, spec *workload.Spec, o Options, threads, rate int, sched *faults.Schedule, faultLabel string) (coconut.Result, error) {
-	o.fill()
-	newDriver, err := NewDriverFunc(system, Params{RL: rate}, o)
-	if err != nil {
-		return coconut.Result{}, err
-	}
-	arrival, err := o.arrivalSchedule()
-	if err != nil {
-		return coconut.Result{}, err
-	}
-	perClientRL := rate / scenarioClients
-	if perClientRL < 1 {
-		perClientRL = 1
-	}
-	labels := map[string]string{"RL": itoa(rate), "workload": spec.Name()}
-	if faultLabel != "" {
-		labels["faults"] = faultLabel
-	}
-	results, err := coconut.Run(coconut.RunConfig{
-		SystemName:      system,
-		NewDriver:       newDriver,
-		NewClock:        o.newClockFn(),
-		Workload:        spec,
-		Clients:         scenarioClients,
-		RateLimit:       perClientRL,
-		Arrival:         arrival,
-		ArrivalSeed:     o.Seed,
-		WorkloadThreads: threads,
-		SendDuration:    o.paperDur(o.SendSeconds),
-		ListenGrace:     o.paperDur(o.GraceSeconds),
-		Repetitions:     o.Repetitions,
-		Faults:          sched,
-		Params:          labels,
-		Trace:           o.Trace,
-	})
-	if err != nil {
-		return coconut.Result{}, err
-	}
-	return results[0], nil
+	return coconut.Result{}, fmt.Errorf("experiments: benchmark %q missing from unit results", want)
 }

@@ -13,16 +13,17 @@
 // (transactions per second is scale-free) and latencies/durations convert
 // back through 1/Scale.
 //
-// Beyond the paper's grid, RunFaultScenario subjects every system to
-// scripted fault schedules (node crashes, partitions, degraded links) and
-// reports windowed availability and post-heal recovery time. The paper
-// benchmarks healthy 4-node networks only, so these scenarios have no
-// paper-vs-measured reference rows.
+// Every run is a Scenario executed by Run, and NewDriverFunc is the one
+// place a driver is configured. Beyond the paper's grid, a scenario's
+// Faults axis subjects every system to scripted fault schedules (node
+// crashes, partitions, degraded links) and reports windowed availability
+// and post-heal recovery time. The paper benchmarks healthy 4-node
+// networks only, so these scenarios have no paper-vs-measured reference
+// rows.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -424,17 +425,3 @@ func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) sy
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
 }
-
-// RunCell executes one benchmark cell (one system, one benchmark unit
-// member) and returns the aggregated result for the requested member. It
-// is a healthy-grid convenience over the scenario engine's cell executor;
-// use Run with a Scenario to compose faults, workloads, and sweeps.
-func RunCell(system string, bench coconut.BenchmarkName, p Params, o Options) (coconut.Result, error) {
-	if o.virtualTime() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as in Run
-	}
-	return runUnitCell(system, bench, p, o, benchGridThreads, nil, "")
-}
-
-// benchGridThreads is the paper grid's workload-thread count per client.
-const benchGridThreads = 8

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,7 +13,8 @@ import (
 )
 
 // fastOptions shrinks the run further for CI-speed tests: paper 300s send
-// becomes 0.6s of wall time at Scale = 1/500.
+// becomes 0.6s of simulated time at Scale = 1/500, on the auto-advancing
+// clock.
 func fastOptions() Options {
 	return Options{
 		Scale:        0.002,
@@ -19,7 +22,19 @@ func fastOptions() Options {
 		GraceSeconds: 60,
 		Repetitions:  1,
 		Seed:         1,
+		Time:         "virtual",
 	}
+}
+
+// runOneCell runs one system x benchmark cell at parameter point p as a
+// one-cell scenario and returns its row's result.
+func runOneCell(system string, bench coconut.BenchmarkName, p Params, o Options) (coconut.Result, error) {
+	sc := Scenario{Systems: []string{system}, Benchmarks: []string{string(bench)}, Params: &p}
+	out, err := Run(context.Background(), sc, o)
+	if err != nil {
+		return coconut.Result{}, err
+	}
+	return out.Rows[0].Result, nil
 }
 
 func TestFigure3TableCoversGrid(t *testing.T) {
@@ -58,7 +73,7 @@ func TestFigure4ReferenceCoversGrid(t *testing.T) {
 }
 
 func TestRunCellFabricDoNothing(t *testing.T) {
-	res, err := RunCell(systems.NameFabric, coconut.BenchDoNothing,
+	res, err := runOneCell(systems.NameFabric, coconut.BenchDoNothing,
 		Params{RL: 1600, MM: 1000}, fastOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -69,14 +84,14 @@ func TestRunCellFabricDoNothing(t *testing.T) {
 }
 
 func TestRunCellUnknownSystem(t *testing.T) {
-	if _, err := RunCell("NotAChain", coconut.BenchDoNothing, Params{RL: 100}, fastOptions()); err == nil {
+	if _, err := runOneCell("NotAChain", coconut.BenchDoNothing, Params{RL: 100}, fastOptions()); err == nil {
 		t.Fatal("unknown system must error")
 	}
 }
 
 func TestRunCellCordaOSReadsFail(t *testing.T) {
 	// The paper's sharpest Corda OS finding: KeyValue-Get receives nothing.
-	res, err := RunCell(systems.NameCordaOS, coconut.BenchKeyValueGet,
+	res, err := runOneCell(systems.NameCordaOS, coconut.BenchKeyValueGet,
 		Params{RL: 20}, fastOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +107,7 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 	// double digits, Corda OS single digits.
 	measure := func(system string, opts Options) float64 {
 		cell, _ := BestCell(system, coconut.BenchDoNothing)
-		res, err := RunCell(system, coconut.BenchDoNothing, cell.Params, opts)
+		res, err := runOneCell(system, coconut.BenchDoNothing, cell.Params, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", system, err)
 		}
@@ -103,7 +118,7 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 	quorumTPS := measure(systems.NameQuorum, fastOptions())
 	// Sawtooth's drain is real-time-limited (~1s per 100-tx batch), so its
 	// window must cover several batch validations.
-	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1})
+	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1, Time: "virtual"})
 	cordaOSTPS := measure(systems.NameCordaOS, fastOptions())
 
 	if fabricTPS <= quorumTPS {
@@ -222,5 +237,42 @@ func TestNetemOptionAppliesLatency(t *testing.T) {
 	o.Netem = false
 	if d := o.latency().Delay("a", "b"); d != 0 {
 		t.Fatalf("latency without netem = %v, want 0", d)
+	}
+}
+
+// TestExampleScenariosRun keeps the spec files under examples/ runnable:
+// each one parses, validates and runs on the virtual clock, and every row
+// confirms something.
+func TestExampleScenariosRun(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no example scenario specs found")
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := ParseScenario(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Run(context.Background(), sc, fastOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Rows) == 0 {
+				t.Fatal("scenario produced no rows")
+			}
+			for _, row := range out.Rows {
+				if row.Result.Received.Mean <= 0 {
+					t.Errorf("%s/%s received nothing", row.System, row.Benchmark)
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func TestNetemCellsCompleteUnderVirtualTime(t *testing.T) {
 			meter := &clockMeter{}
 			opts := Options{Scale: 0.01, SendSeconds: 30, GraceSeconds: 30,
 				Seed: 42, Time: "virtual", Netem: true, meter: meter}
-			res, err := runUnitCell(system, coconut.BenchDoNothing, Params{RL: 200}, opts, 0, nil, "")
+			res, err := execCell(cellSpec{system: system, bench: coconut.BenchDoNothing, params: Params{RL: 200}}, opts, 0, nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestNetemCellsCompleteUnderVirtualTime(t *testing.T) {
 // itself from the host. The transport once built min(8, GOMAXPROCS) delivery
 // shards, and which endpoints shared one decided the order of same-instant
 // deliveries — invisible on four nodes, two rows of Figure 5 on thirty-two.
-// The cells run through runUnitCell, below the engine's one-P pin, so the
+// The cells run through execCell, below the engine's one-P pin, so the
 // model itself is what must not move: a zero-latency and an emulated-WAN
 // 4-node cell and Figure 5's 32-node Quorum cell give equal results at
 // GOMAXPROCS 1 and 8.
@@ -76,7 +76,7 @@ func TestCoreCountNeverReachesTheModel(t *testing.T) {
 			var results []coconut.Result
 			for _, procs := range []int{1, 8} {
 				runtime.GOMAXPROCS(procs)
-				res, err := runUnitCell(systems.NameQuorum, tc.bench, tc.params, tc.opts, tc.threads, nil, "")
+				res, err := execCell(cellSpec{system: systems.NameQuorum, bench: tc.bench, params: tc.params}, tc.opts, tc.threads, nil, "")
 				if err != nil {
 					t.Fatal(err)
 				}

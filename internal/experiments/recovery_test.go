@@ -125,6 +125,7 @@ func TestWALScenarioValidation(t *testing.T) {
 	}
 
 	good := base()
+	good.Benchmarks = []string{"DoNothing"} // crash points reject read benchmarks
 	good.WAL.SnapshotEvery = []int{0, 64}
 	good.WAL.CrashPoints = []float64{0.45, 0.6}
 	good.WAL.RestartPoint = 0.9

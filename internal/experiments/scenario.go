@@ -68,7 +68,9 @@ type Scenario struct {
 	// defaults (8 for pure benchmark grids, 4 once faults or a contention
 	// workload are in play).
 	Threads int `json:"threads,omitempty"`
-	// Faults injects a chaos schedule into every benchmark phase.
+	// Faults injects a chaos schedule into every benchmark phase. A chaos
+	// cell runs only the benchmark under test, so Validate rejects read
+	// benchmarks here (and under WAL.CrashPoints).
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// WAL runs every node on a write-ahead log and optionally sweeps the
 	// durability axis: fsync policy x snapshot interval x crash schedule.
@@ -426,6 +428,24 @@ func (s Scenario) Validate() error {
 		}
 		if s.Workload != nil {
 			return fail("PaperRef %q and Workload conflict: the paper has no contention reference values", s.PaperRef)
+		}
+	}
+
+	// A chaos cell runs only the member under test (see execCell), so a
+	// read benchmark there would read keys no write phase ever wrote and
+	// report every operation as an abort.
+	chaos := ""
+	switch {
+	case s.Faults != nil:
+		chaos = "Faults"
+	case s.WAL != nil && len(s.WAL.CrashPoints) > 0:
+		chaos = "WAL.CrashPoints"
+	}
+	if chaos != "" {
+		for _, b := range s.benchmarks() {
+			if dep := coconut.ReadBenchmarkDependsOnWrite(b); dep != "" {
+				return fail("%s and Benchmarks conflict: a chaos cell runs only the benchmark under test, so %s would read keys %s never wrote — drop %s (an empty Benchmarks means all six) or the %s axis", chaos, b, dep, b, chaos)
+			}
 		}
 	}
 	return nil

@@ -75,11 +75,12 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 }
 
 func TestScenarioValidationRejectsConflicts(t *testing.T) {
-	cases := []struct {
+	type conflict struct {
 		name    string
 		sc      Scenario
 		wantErr string
-	}{
+	}
+	cases := []conflict{
 		{
 			name:    "unknown system",
 			sc:      Scenario{Systems: []string{"NotAChain"}},
@@ -193,6 +194,21 @@ func TestScenarioValidationRejectsConflicts(t *testing.T) {
 			wantErr: "no contention reference values",
 		},
 	}
+	// A chaos cell runs only the benchmark under test, so a read benchmark
+	// there would read keys its write phase never wrote.
+	for _, b := range []string{"KeyValue-Get", "BankingApp-SendPayment", "BankingApp-Balance"} {
+		cases = append(cases,
+			conflict{
+				name:    b + " under a fault preset",
+				sc:      Scenario{Benchmarks: []string{"DoNothing", b}, Faults: &FaultSpec{Preset: faults.PresetPartitionHeal}},
+				wantErr: "Faults and Benchmarks conflict",
+			},
+			conflict{
+				name:    b + " under WAL crash points",
+				sc:      Scenario{Benchmarks: []string{b}, WAL: &WALSpec{CrashPoints: []float64{0.5}}},
+				wantErr: "WAL.CrashPoints and Benchmarks conflict",
+			})
+	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
 		if err == nil {
@@ -201,6 +217,21 @@ func TestScenarioValidationRejectsConflicts(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestScenarioValidationAcceptsWritesUnderChaos: benchmarks that read
+// nothing they did not write themselves run under either chaos axis.
+func TestScenarioValidationAcceptsWritesUnderChaos(t *testing.T) {
+	for _, b := range []string{"DoNothing", "KeyValue-Set", "BankingApp-CreateAccount"} {
+		for _, sc := range []Scenario{
+			{Benchmarks: []string{b}, Faults: &FaultSpec{Preset: faults.PresetPartitionHeal}},
+			{Benchmarks: []string{b}, WAL: &WALSpec{CrashPoints: []float64{0.5}}},
+		} {
+			if err := sc.Validate(); err != nil {
+				t.Errorf("%s: %v", b, err)
+			}
 		}
 	}
 }

@@ -41,8 +41,6 @@ type Config struct {
 	// BlockInterval is the paper's block_interval (default 5s upstream,
 	// swept over {1, 2, 5, 10}s).
 	BlockInterval time.Duration
-	// MaxBlockTxs caps transactions per block.
-	MaxBlockTxs int
 	// ConflictWindowTxs sizes the interacting-operation exclusion window in
 	// recently included transactions. The paper's exclusion is per forming
 	// block (§5.3); under time scaling a block holds proportionally fewer
@@ -72,13 +70,13 @@ func (c *Config) fill() {
 	if c.BlockInterval <= 0 {
 		c.BlockInterval = 5 * time.Second
 	}
-	if c.MaxBlockTxs <= 0 {
-		c.MaxBlockTxs = 8192
-	}
 	if c.Clock == nil {
 		c.Clock = clock.New()
 	}
 }
+
+// maxBlockTxs caps transactions per block.
+const maxBlockTxs = 8192
 
 // node is one BitShares node (witness or observer).
 type node struct {
@@ -137,7 +135,7 @@ func New(cfg Config) *Network {
 			Transport:     n.Transport,
 			Clock:         cfg.Clock,
 			BlockInterval: cfg.BlockInterval,
-			MaxBlockItems: cfg.MaxBlockTxs,
+			MaxBlockItems: maxBlockTxs,
 			ShuffleSeed:   cfg.Seed,
 			PackFilter:    n.conflictFilter,
 			OnDecide:      n.makeDecideFunc(nd),
