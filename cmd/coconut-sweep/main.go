@@ -19,6 +19,12 @@
 // A single cell is a one-system, one-benchmark spec file, e.g.
 // {"systems":["Fabric"],"benchmarks":["DoNothing"],"params":{"rl":1600,"mm":1000}},
 // and -json is the result store.
+//
+// Figure 3 and 4 runs print a fidelity summary (experiments.Fidelity): mean
+// |log2(model/paper)|, the cells that disagree with the paper, and the
+// paper's shape checks. The exit status reports only whether every run
+// completed; the fidelity bounds are enforced by the TestPaperFidelity test
+// in internal/experiments, not by this command.
 package main
 
 import (
@@ -193,10 +199,8 @@ func run() error {
 			fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx  %5.2f hand-offs/tx\n",
 				t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup, perTx)
 		}
-		if sc.PaperRef == "figure3" {
-			for _, line := range experiments.ShapeChecks(oc.Rows) {
-				fmt.Println("  " + line)
-			}
+		if err := experiments.WriteFidelity(os.Stdout, oc); err != nil {
+			return err
 		}
 		if *stagesFlag {
 			printStages(oc)
@@ -294,28 +298,22 @@ func streamGauges(enc *json.Encoder, p experiments.Progress) error {
 
 // writeExemplarSection appends the sampled-trace exemplars to the markdown
 // report: the p50/p99/max end-to-end transactions with the txid to search
-// for in Perfetto, linked to the trace file the sweep wrote.
+// for in Perfetto, linked to the trace file the sweep wrote. Like the
+// report, the section is built in memory and written once.
 func writeExemplarSection(w io.Writer, tr *trace.Tracer, tracePath string) error {
 	exemplars := tr.Exemplars()
 	if len(exemplars) == 0 {
 		return nil
 	}
-	if _, err := fmt.Fprintf(w, "### Trace exemplars\n\nSampled per-transaction spans were recorded to [`%s`](%s) (load in [Perfetto](https://ui.perfetto.dev) or chrome://tracing; search a txid under span args). %d spans retained, %d dropped at the cap.\n\n",
-		tracePath, tracePath, tr.Len(), tr.Dropped()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| Exemplar | TxID | End-to-end |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---:|"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "### Trace exemplars\n\nSampled per-transaction spans were recorded to [`%s`](%s) (load in [Perfetto](https://ui.perfetto.dev) or chrome://tracing; search a txid under span args). %d spans retained, %d dropped at the cap.\n\n",
+		tracePath, tracePath, tr.Len(), tr.Dropped())
+	b.WriteString("| Exemplar | TxID | End-to-end |\n|---|---|---:|\n")
 	for _, ex := range exemplars {
-		if _, err := fmt.Fprintf(w, "| %s | `%s` | %.4fs |\n", ex.Label, ex.TxID, ex.Seconds); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "| %s | `%s` | %.4fs |\n", ex.Label, ex.TxID, ex.Seconds)
 	}
-	_, err := fmt.Fprintln(w)
+	b.WriteString("\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -328,11 +326,7 @@ func printStages(oc *experiments.Outcome) {
 		if len(r.Stages) == 0 {
 			continue
 		}
-		cell := row.System + "/" + row.Benchmark
-		if row.Workload != "" {
-			cell = row.System + "/" + row.Workload
-		}
-		line := fmt.Sprintf("  [stages] %-40s", cell)
+		line := fmt.Sprintf("  [stages] %-40s", row.System+"/"+row.Benchmark)
 		for _, sr := range r.Stages {
 			line += fmt.Sprintf(" %s=%.3fs", sr.Stage, sr.Mean.Mean)
 		}

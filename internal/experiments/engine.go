@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -35,8 +34,8 @@ type Progress struct {
 // PaperRefValues carries the paper's reference numbers for one result row.
 type PaperRefValues struct {
 	// MTPS/MFLS are the paper-reported throughput and mean latency (MFLS
-	// in paper seconds). A zero MTPS on a figure reference marks a cell
-	// the paper reports as failed.
+	// in paper seconds). A zero MTPS marks a cell the paper reports as
+	// failed, except on a failuresOnly reference.
 	MTPS float64 `json:"mtps"`
 	MFLS float64 `json:"mfls,omitempty"`
 	// Received/Expected are the paper's NoT accounting (table references).
@@ -44,6 +43,13 @@ type PaperRefValues struct {
 	Expected float64 `json:"expected,omitempty"`
 	// Failed marks scalability cells the paper reports as failed (§5.8.2).
 	Failed bool `json:"failed,omitempty"`
+
+	// failuresOnly marks a reference that records only whether the paper's
+	// cell failed (Figure 5), so its zero MTPS is no value.
+	failuresOnly bool
+	// transcribed marks a paper failure the model reproduces only through a
+	// threshold copied from the result (see figure5Failures).
+	transcribed bool
 }
 
 // OutcomeRow is one cell's measured result with its axis labels and
@@ -289,30 +295,32 @@ func expandCells(sc Scenario, o Options) ([]cellSpec, error) {
 		return expandWALAxis(sc, cells), nil
 	}
 
+	ref, _ := parsePaperRef(sc.PaperRef) // validated
 	for _, system := range sc.systems() {
 		for _, bench := range sc.benchmarks() {
-			rows, refs, err := paramRows(sc, system, bench)
-			if err != nil {
-				return nil, err
+			// The parameter points: the Figure 3 winner, a grid, one point,
+			// or the scenario rate.
+			rows := []Params{{RL: sc.rate()}}
+			switch {
+			case sc.BestParams:
+				best, ok := BestCell(system, bench)
+				if !ok {
+					return nil, fmt.Errorf("no Figure 3 configuration for %s/%s", system, bench)
+				}
+				rows = []Params{best.Params}
+			case len(sc.ParamGrid) > 0:
+				rows = sc.ParamGrid
+			case sc.Params != nil:
+				rows = []Params{*sc.Params}
 			}
-			for ri, p := range rows {
+			for _, p := range rows {
 				for _, n := range nodes {
-					ref := refs[ri]
-					if sc.PaperRef == "figure5" {
-						failed := false
-						for _, fn := range Figure5Failed[system] {
-							if fn == n {
-								failed = true
-							}
-						}
-						ref = &PaperRefValues{Failed: failed}
-					}
 					cells = append(cells, cellSpec{
 						system: system,
 						bench:  bench,
 						params: p,
 						nodes:  n,
-						paper:  ref,
+						paper:  ref.values(system, bench, p, n),
 					})
 				}
 			}
@@ -344,47 +352,6 @@ func expandWALAxis(sc Scenario, cells []cellSpec) []cellSpec {
 		}
 	}
 	return out
-}
-
-// paramRows resolves the parameter points (and paired paper references)
-// for one (system, benchmark) cell.
-func paramRows(sc Scenario, system string, bench coconut.BenchmarkName) ([]Params, []*PaperRefValues, error) {
-	switch {
-	case sc.BestParams:
-		cell, ok := BestCell(system, bench)
-		if !ok {
-			return nil, nil, fmt.Errorf("no Figure 3 configuration for %s/%s", system, bench)
-		}
-		var ref *PaperRefValues
-		switch sc.PaperRef {
-		case "figure3":
-			ref = &PaperRefValues{MTPS: cell.MTPS, MFLS: cell.MFLS}
-		case "figure4":
-			ref = &PaperRefValues{MTPS: Figure4MTPS[system][bench]}
-		}
-		return []Params{cell.Params}, []*PaperRefValues{ref}, nil
-
-	case len(sc.ParamGrid) > 0:
-		refs := make([]*PaperRefValues, len(sc.ParamGrid))
-		if id, ok := strings.CutPrefix(sc.PaperRef, "table:"); ok {
-			tbl, _ := TableByID(id)
-			for i, p := range sc.ParamGrid {
-				for _, row := range tbl.Rows {
-					if row.Params == p && tbl.System == system && tbl.Benchmark == bench {
-						refs[i] = &PaperRefValues{MTPS: row.PaperMTPS, MFLS: row.PaperMFLS,
-							Received: row.PaperReceived, Expected: row.PaperExpected}
-					}
-				}
-			}
-		}
-		return sc.ParamGrid, refs, nil
-
-	case sc.Params != nil:
-		return []Params{*sc.Params}, []*PaperRefValues{nil}, nil
-
-	default:
-		return []Params{{RL: sc.rate()}}, []*PaperRefValues{nil}, nil
-	}
 }
 
 // scenarioClients is the client-application count every scenario cell runs

@@ -59,15 +59,25 @@ func TestFigure3TableCoversGrid(t *testing.T) {
 }
 
 func TestFigure4ReferenceCoversGrid(t *testing.T) {
-	for _, s := range AllSystems {
-		row, ok := Figure4MTPS[s]
-		if !ok {
-			t.Fatalf("Figure4 missing system %s", s)
-		}
-		for _, b := range coconut.AllBenchmarks {
-			if _, ok := row[b]; !ok {
-				t.Fatalf("Figure4 missing %s/%s", s, b)
-			}
+	// Figure 4 re-runs every Figure 3 configuration, so its reference is the
+	// Figure 3 row's NetemMTPS column, attached to all 42 cells.
+	sc, err := ScenarioByName("figure4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{}
+	o.fill()
+	cells, err := expandCells(sc, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 42 {
+		t.Fatalf("figure4 cells = %d, want 42", len(cells))
+	}
+	for _, c := range cells {
+		best, _ := BestCell(c.system, c.bench)
+		if c.paper == nil || *c.paper != (PaperRefValues{MTPS: best.NetemMTPS}) {
+			t.Fatalf("%s/%s paper ref %+v, want MTPS %v", c.system, c.bench, c.paper, best.NetemMTPS)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,56 +17,46 @@ import (
 // columns when the fault axis is active, and goodput/abort columns when
 // the contention axis is. It replaces the four per-runner markdown
 // writers: any outcome the engine can produce, this one function can
-// render.
+// render. The document is built in memory and written once, so w's one
+// write is the only call that can fail.
 func WriteReport(w io.Writer, outcomes ...*Outcome) error {
-	if _, err := fmt.Fprintf(w, "# Experiments\n\nGenerated by the scenario engine (`experiments.Run`); see README \"Scenario API\".\n\n"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	b.WriteString("# Experiments\n\nGenerated by the scenario engine (`experiments.Run`); see README \"Scenario API\".\n\n")
 	for _, oc := range outcomes {
-		if err := writeSection(w, oc); err != nil {
-			return err
-		}
+		writeSection(&b, oc)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-func writeSection(w io.Writer, oc *Outcome) error {
+func writeSection(w *strings.Builder, oc *Outcome) {
 	sc := oc.Scenario
 	title := sc.Name
 	if title == "" {
 		title = "scenario"
 	}
-	if _, err := fmt.Fprintf(w, "## %s\n\n", title); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "## %s\n\n", title)
 	if sc.Description != "" {
-		if _, err := fmt.Fprintf(w, "%s\n\n", sc.Description); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%s\n\n", sc.Description)
 	}
 
-	var err error
+	ref, _ := parsePaperRef(sc.PaperRef)
 	switch {
-	case sc.PaperRef == "figure5":
-		err = writeScaleSection(w, oc)
-	case sc.PaperRef == "figure3" || sc.PaperRef == "figure4":
-		err = writeFigureSection(w, oc)
-	case strings.HasPrefix(sc.PaperRef, "table:"):
-		err = writeTableSection(w, oc)
+	case ref.kind == refFigure5:
+		writeScaleSection(w, oc)
+	case ref.heatMap():
+		writeFigureSection(w, oc)
+	case ref.kind == refTable:
+		writeTableSection(w, oc)
 	case sc.Workload != nil:
-		err = writeContentionSection(w, oc)
+		writeContentionSection(w, oc)
 	case sc.Faults != nil || sc.WAL != nil:
-		err = writeFaultSection(w, oc)
+		writeFaultSection(w, oc)
 	default:
-		err = writePlainSection(w, oc)
+		writePlainSection(w, oc)
 	}
-	if err != nil {
-		return err
-	}
-	if err := writeStageSection(w, oc); err != nil {
-		return err
-	}
-	return writeQueueSection(w, oc)
+	writeStageSection(w, oc)
+	writeQueueSection(w, oc)
 }
 
 // stageOrder is the pipeline order the stage-breakdown columns render in;
@@ -79,23 +69,12 @@ var stageOrder = []string{"submit", "queue", "consensus", "execute", "validate",
 // ("bottleneck"). Rendered for any outcome whose rows carry stage data;
 // silent otherwise (stage instrumentation is driver-side and always on, so
 // only synthetic results lack it).
-func writeStageSection(w io.Writer, oc *Outcome) error {
-	any := false
-	for _, row := range oc.Rows {
-		if len(row.Result.Stages) > 0 {
-			any = true
-			break
-		}
+func writeStageSection(w *strings.Builder, oc *Outcome) {
+	if !slices.ContainsFunc(oc.Rows, func(row OutcomeRow) bool { return len(row.Result.Stages) > 0 }) {
+		return
 	}
-	if !any {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "### Stage breakdown (mean s/payload)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, "### Stage breakdown (mean s/payload)")
+	fmt.Fprintln(w)
 	header, sep := "| System | Cell |", "|---|---|"
 	for _, s := range stageOrder {
 		header += " " + s + " |"
@@ -103,12 +82,8 @@ func writeStageSection(w io.Writer, oc *Outcome) error {
 	}
 	header += " Bottleneck |"
 	sep += "---|"
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, sep)
 	for _, row := range oc.Rows {
 		r := row.Result
 		if len(r.Stages) == 0 {
@@ -119,9 +94,6 @@ func writeStageSection(w io.Writer, oc *Outcome) error {
 			byName[sr.Stage] = sr
 		}
 		cell := row.Benchmark
-		if row.Workload != "" {
-			cell = row.Workload
-		}
 		if row.Nodes > 0 {
 			cell += fmt.Sprintf(" @%dn", row.Nodes)
 		}
@@ -134,12 +106,9 @@ func writeStageSection(w io.Writer, oc *Outcome) error {
 			}
 		}
 		line += " " + r.Bottleneck + " |"
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
+		fmt.Fprintln(w, line)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // writeQueueSection renders the windowed queue/resource telemetry — where
@@ -149,54 +118,32 @@ func writeStageSection(w io.Writer, oc *Outcome) error {
 // cell's timeline windows. Rendered only for outcomes whose rows carry a
 // gauge series (a timeline was collected and the driver reports queue
 // depths); silent otherwise.
-func writeQueueSection(w io.Writer, oc *Outcome) error {
-	any := false
-	for _, row := range oc.Rows {
-		if !row.Result.Series.Empty() {
-			any = true
-			break
-		}
+func writeQueueSection(w *strings.Builder, oc *Outcome) {
+	if !slices.ContainsFunc(oc.Rows, func(row OutcomeRow) bool { return !row.Result.Series.Empty() }) {
+		return
 	}
-	if !any {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "### Queue growth (per-window gauge peaks)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, "### Queue growth (per-window gauge peaks)")
+	fmt.Fprintln(w)
 	header := "| System | Cell | Windows |"
 	sep := "|---|---|---:|"
 	for _, g := range coconut.GaugeNames {
 		header += " " + g + " p95/max |"
 		sep += "---:|"
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, sep)
 	for _, row := range oc.Rows {
 		s := row.Result.Series
 		if s.Empty() {
 			continue
 		}
-		cell := row.Benchmark
-		if row.Workload != "" {
-			cell = row.Workload
-		}
-		line := fmt.Sprintf("| %s | %s | %d |", row.System, cell, len(s))
+		line := fmt.Sprintf("| %s | %s | %d |", row.System, row.Benchmark, len(s))
 		for g := 0; g < coconut.NumGauges; g++ {
 			line += fmt.Sprintf(" %.0f/%.0f |", s.Quantile(g, 0.95), s.Max(g))
 		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
+		fmt.Fprintln(w, line)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // overflowRecv averages the past-horizon confirmation count across the
@@ -217,132 +164,85 @@ func overflowRecv(r coconut.Result) float64 {
 	return sum / float64(n)
 }
 
-// writeFigureSection renders paper-vs-measured MTPS rows with the ratio
-// delta (the Figure 3/4 shape).
-func writeFigureSection(w io.Writer, oc *Outcome) error {
-	if _, err := fmt.Fprintln(w, "| System | Benchmark | Paper MTPS | Measured MTPS | Ratio | Received/Expected |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---:|---:|---:|---:|"); err != nil {
-		return err
-	}
+// writeFigureSection renders paper-vs-measured MTPS rows with the ratio and
+// verdict (the Figure 3/4 shape), then the fidelity summary.
+func writeFigureSection(w *strings.Builder, oc *Outcome) {
+	fmt.Fprintln(w, "| System | Benchmark | Paper MTPS | Measured MTPS | Ratio | Verdict | Received/Expected |")
+	fmt.Fprintln(w, "|---|---|---:|---:|---:|---|---:|")
 	for _, row := range oc.Rows {
 		paper := 0.0
 		if row.Paper != nil {
 			paper = row.Paper.MTPS
 		}
-		measured := row.Result.MTPS.Mean
-		ratio := "—"
-		switch {
-		case paper == 0 && measured < 1:
-			ratio = "both fail"
-		case paper > 0:
-			ratio = fmt.Sprintf("%.2fx", measured/paper)
-		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %s | %.0f/%.0f |\n",
-			row.System, row.Benchmark, paper, measured, ratio,
-			row.Result.Received.Mean, row.Result.Expected.Mean); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %s | %s | %.0f/%.0f |\n",
+			row.System, row.Benchmark, paper, row.Result.MTPS.Mean, ratioLabel(row), Compare(row),
+			row.Result.Received.Mean, row.Result.Expected.Mean)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, Fidelity(oc.Rows))
 }
 
-// writeScaleSection renders the Figure 5 shape: one row per system (and
-// per benchmark, when the scenario sweeps more than one), one column per
-// node count, with the paper's failure markers.
-func writeScaleSection(w io.Writer, oc *Outcome) error {
-	benches := make(map[string]bool)
-	for _, row := range oc.Rows {
-		benches[row.Benchmark] = true
-	}
-	rowLabel := func(row OutcomeRow) string {
-		if len(benches) > 1 {
-			return row.System + " — " + row.Benchmark
-		}
-		return row.System
-	}
-
-	var nodes []int
-	seenNodes := make(map[int]bool)
-	byLabel := make(map[string]map[int]OutcomeRow)
+// writeScaleSection renders the Figure 5 shape: one row per system, one
+// column per swept node count, with each cell's verdict against the
+// paper's failures. Validate holds a figure5 scenario to DoNothing, so a
+// system names its row.
+func writeScaleSection(w *strings.Builder, oc *Outcome) {
+	nodes := oc.Scenario.Nodes
+	cells := make(map[string]map[int]OutcomeRow)
 	var order []string
 	for _, row := range oc.Rows {
-		if !seenNodes[row.Nodes] {
-			seenNodes[row.Nodes] = true
-			nodes = append(nodes, row.Nodes)
+		if cells[row.System] == nil {
+			cells[row.System] = make(map[int]OutcomeRow)
+			order = append(order, row.System)
 		}
-		label := rowLabel(row)
-		if _, ok := byLabel[label]; !ok {
-			byLabel[label] = make(map[int]OutcomeRow)
-			order = append(order, label)
-		}
-		byLabel[label][row.Nodes] = row
+		cells[row.System][row.Nodes] = row
 	}
-	sort.Ints(nodes)
-
-	header, sep := "| System |", "|---|"
+	fmt.Fprint(w, "| System |")
 	for _, n := range nodes {
-		header += fmt.Sprintf(" %d nodes |", n)
-		sep += "---:|"
+		fmt.Fprintf(w, " %d nodes |", n)
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
-	for _, label := range order {
-		line := fmt.Sprintf("| %s |", label)
+	fmt.Fprintf(w, "\n|---|%s\n", strings.Repeat("---:|", len(nodes)))
+	for _, system := range order {
+		fmt.Fprintf(w, "| %s |", system)
 		for _, n := range nodes {
-			row, ok := byLabel[label][n]
+			row, ok := cells[system][n]
 			mtps := row.Result.MTPS.Mean
-			paperFailed := row.Paper != nil && row.Paper.Failed
-			switch {
+			switch v := Compare(row); {
 			case !ok:
-				line += " — |"
-			case mtps < 0.01 && paperFailed:
-				line += " failed ✓ |"
-			case mtps < 0.01:
-				line += " failed |"
-			case paperFailed:
-				line += fmt.Sprintf(" %.1f (paper failed) |", mtps)
+				fmt.Fprint(w, " — |")
+			case v == BothFailed:
+				fmt.Fprint(w, " failed ✓ |")
+			case v == Transcribed:
+				fmt.Fprint(w, " failed (transcribed) |")
+			case v == ModelFailed:
+				fmt.Fprint(w, " failed |")
+			case v == PaperFailed:
+				fmt.Fprintf(w, " %.1f (paper failed) |", mtps)
 			default:
-				line += fmt.Sprintf(" %.1f |", mtps)
+				fmt.Fprintf(w, " %.1f |", mtps)
 			}
 		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
+		fmt.Fprintln(w)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // writeTableSection renders the paper-table shape: parameter rows with
-// MTPS and NoT accounting against the paper's numbers.
-func writeTableSection(w io.Writer, oc *Outcome) error {
-	if _, err := fmt.Fprintln(w, "| Params | Paper MTPS | Measured MTPS | Paper NoT | Measured NoT |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---:|---:|---:|---:|"); err != nil {
-		return err
-	}
+// MTPS, verdict and NoT accounting against the paper's numbers.
+func writeTableSection(w *strings.Builder, oc *Outcome) {
+	fmt.Fprintln(w, "| Params | Paper MTPS | Measured MTPS | Ratio | Verdict | Paper NoT | Measured NoT |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---|---:|---:|")
 	for _, row := range oc.Rows {
 		var paper PaperRefValues
 		if row.Paper != nil {
 			paper = *row.Paper
 		}
-		if _, err := fmt.Fprintf(w, "| %v | %.2f | %.2f | %.0f/%.0f | %.0f/%.0f |\n",
-			row.Params.Labels(), paper.MTPS, row.Result.MTPS.Mean,
+		fmt.Fprintf(w, "| %v | %.2f | %.2f | %s | %s | %.0f/%.0f | %.0f/%.0f |\n",
+			row.Params.Labels(), paper.MTPS, row.Result.MTPS.Mean, ratioLabel(row), Compare(row),
 			paper.Received, paper.Expected,
-			row.Result.Received.Mean, row.Result.Expected.Mean); err != nil {
-			return err
-		}
+			row.Result.Received.Mean, row.Result.Expected.Mean)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // writeFaultSection renders the chaos shape: availability and both
@@ -352,7 +252,7 @@ func writeTableSection(w io.Writer, oc *Outcome) error {
 // axis is active, the durability columns (replay time, replayed records,
 // live log size) join the recovery ones; plain fault scenarios keep the
 // pre-WAL column set.
-func writeFaultSection(w io.Writer, oc *Outcome) error {
+func writeFaultSection(w *strings.Builder, oc *Outcome) {
 	walActive := oc.Scenario.WAL != nil
 	header := "| System | MTPS | MFLS | Availability | Recovery | Goodput recovery | Late | Received/Expected |"
 	sep := "|---|---:|---:|---:|---:|---:|---:|---:|"
@@ -360,38 +260,29 @@ func writeFaultSection(w io.Writer, oc *Outcome) error {
 		header = "| System | WAL | MTPS | Availability | Recovery | Replay | Replayed | Log bytes | Late | Received/Expected |"
 		sep = "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|"
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, sep)
 	for _, row := range oc.Rows {
 		r := row.Result
-		var err error
 		if walActive {
-			_, err = fmt.Fprintf(w, "| %s | %s | %.2f | %.0f%% | %s | %.4fs | %.0f | %.0f | %.0f | %.0f/%.0f |\n",
+			fmt.Fprintf(w, "| %s | %s | %.2f | %.0f%% | %s | %.4fs | %.0f | %.0f | %.0f | %.0f/%.0f |\n",
 				row.System, row.WAL, r.MTPS.Mean, 100*r.Availability.Mean,
 				recoveryLabel(r.RecoverySec), r.ReplaySec.Mean, r.ReplayedRecords.Mean,
 				r.LogBytes.Mean, overflowRecv(r), r.Received.Mean, r.Expected.Mean)
 		} else {
-			_, err = fmt.Fprintf(w, "| %s | %.2f | %.2fs | %.0f%% | %s | %s | %.0f | %.0f/%.0f |\n",
+			fmt.Fprintf(w, "| %s | %.2f | %.2fs | %.0f%% | %s | %s | %.0f | %.0f/%.0f |\n",
 				row.System, r.MTPS.Mean, r.MFLS.Mean, 100*r.Availability.Mean,
 				recoveryLabel(r.RecoverySec), recoveryLabel(r.GoodputRecoverySec),
 				overflowRecv(r), r.Received.Mean, r.Expected.Mean)
 		}
-		if err != nil {
-			return err
-		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // writeContentionSection renders the contention shape; when the fault axis
 // is also active (contention-under-chaos) the availability and recovery
 // columns join the goodput ones.
-func writeContentionSection(w io.Writer, oc *Outcome) error {
+func writeContentionSection(w *strings.Builder, oc *Outcome) {
 	chaos := oc.Scenario.Faults != nil
 	header := "| System | Workload | MTPS | Goodput | Abort rate | MFLS | Conflicts |"
 	sep := "|---|---|---:|---:|---:|---:|---|"
@@ -399,52 +290,36 @@ func writeContentionSection(w io.Writer, oc *Outcome) error {
 		header = "| System | Workload | MTPS | Goodput | Abort rate | Availability | Recovery | Goodput recovery | Conflicts |"
 		sep = "|---|---|---:|---:|---:|---:|---:|---:|---|"
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, sep); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, sep)
 	for _, row := range oc.Rows {
 		r := row.Result
-		var err error
 		if chaos {
-			_, err = fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %.1f%% | %.0f%% | %s | %s | %s |\n",
+			fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %.1f%% | %.0f%% | %s | %s | %s |\n",
 				row.System, row.Workload, r.MTPS.Mean, r.Goodput.Mean, 100*r.AbortRate.Mean,
 				100*r.Availability.Mean, recoveryLabel(r.RecoverySec),
 				recoveryLabel(r.GoodputRecoverySec), ConflictSummary(r, 3))
 		} else {
-			_, err = fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %.1f%% | %.2fs | %s |\n",
+			fmt.Fprintf(w, "| %s | %s | %.2f | %.2f | %.1f%% | %.2fs | %s |\n",
 				row.System, row.Workload, r.MTPS.Mean, r.Goodput.Mean,
 				100*r.AbortRate.Mean, r.MFLS.Mean, ConflictSummary(r, 3))
 		}
-		if err != nil {
-			return err
-		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // writePlainSection renders scenarios with no paper reference and no
 // special axis.
-func writePlainSection(w io.Writer, oc *Outcome) error {
-	if _, err := fmt.Fprintln(w, "| System | Benchmark | MTPS | MFLS | Received/Expected |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---:|---:|---:|"); err != nil {
-		return err
-	}
+func writePlainSection(w *strings.Builder, oc *Outcome) {
+	fmt.Fprintln(w, "| System | Benchmark | MTPS | MFLS | Received/Expected |")
+	fmt.Fprintln(w, "|---|---|---:|---:|---:|")
 	for _, row := range oc.Rows {
 		r := row.Result
-		if _, err := fmt.Fprintf(w, "| %s | %s | %.2f | %.2fs | %.0f/%.0f |\n",
+		fmt.Fprintf(w, "| %s | %s | %.2f | %.2fs | %.0f/%.0f |\n",
 			row.System, row.Benchmark, r.MTPS.Mean, r.MFLS.Mean,
-			r.Received.Mean, r.Expected.Mean); err != nil {
-			return err
-		}
+			r.Received.Mean, r.Expected.Mean)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }
 
 // recoveryLabel renders a mean recovery-time statistic, or "∞" when no
@@ -489,89 +364,4 @@ func ConflictSummary(r coconut.Result, n int) string {
 		parts[i] = fmt.Sprintf("%s:%.0f", p.code, p.mean)
 	}
 	return strings.Join(parts, " ")
-}
-
-// ShapeChecks evaluates the qualitative claims of the paper's Figure 3
-// against measured outcome rows and returns human-readable pass/fail
-// lines. It is both a report feature and the basis of the reproduction's
-// self-verification test.
-func ShapeChecks(rows []OutcomeRow) []string {
-	mtps := make(map[string]map[string]float64)
-	for _, row := range rows {
-		if mtps[row.System] == nil {
-			mtps[row.System] = make(map[string]float64)
-		}
-		mtps[row.System][row.Benchmark] = row.Result.MTPS.Mean
-	}
-	get := func(system, bench string) (float64, bool) {
-		r, ok := mtps[system]
-		if !ok {
-			return 0, false
-		}
-		v, ok := r[bench]
-		return v, ok
-	}
-
-	var out []string
-	check := func(name string, ok, applicable bool) {
-		switch {
-		case !applicable:
-			out = append(out, fmt.Sprintf("SKIP %s (cells not measured)", name))
-		case ok:
-			out = append(out, "PASS "+name)
-		default:
-			out = append(out, "FAIL "+name)
-		}
-	}
-
-	// 1. DoNothing column ordering.
-	bits, okB := get("BitShares", "DoNothing")
-	fab, okF := get("Fabric", "DoNothing")
-	quo, okQ := get("Quorum", "DoNothing")
-	saw, okS := get("Sawtooth", "DoNothing")
-	cos, okC := get("Corda OS", "DoNothing")
-	check("BitShares and Fabric lead DoNothing throughput",
-		okB && okF && okQ && bits > quo && fab > quo, okB && okF && okQ)
-	check("Quorum beats Sawtooth", okQ && okS && quo > saw, okQ && okS)
-	check("Sawtooth beats Corda OS", okS && okC && saw > cos, okS && okC)
-
-	// 2. Corda OS reads fail; Enterprise is ~10x Corda OS on writes.
-	cosGet, okCG := get("Corda OS", "KeyValue-Get")
-	check("Corda OS KeyValue-Get fails", okCG && cosGet < 1, okCG)
-	ent, okE := get("Corda Enterprise", "DoNothing")
-	check("Corda Enterprise ~10x Corda OS", okE && okC && cos > 0 && ent/cos > 4, okE && okC)
-
-	// 3. BitShares SendPayment collapses relative to its own DoNothing.
-	bsPay, okBP := get("BitShares", "BankingApp-SendPayment")
-	check("BitShares SendPayment collapses",
-		okB && okBP && bits > 0 && bsPay/bits < 0.35, okB && okBP)
-
-	// 4. Diem stays double-digit, far below Fabric.
-	diem, okD := get("Diem", "DoNothing")
-	check("Diem an order of magnitude below Fabric",
-		okD && okF && diem > 0 && fab/diem > 5, okD && okF)
-
-	return out
-}
-
-// ShapesHold reports whether every applicable shape check passed.
-func ShapesHold(rows []OutcomeRow) bool {
-	for _, line := range ShapeChecks(rows) {
-		if strings.HasPrefix(line, "FAIL") {
-			return false
-		}
-	}
-	return true
-}
-
-// RelativeError returns |measured-paper|/paper, or +Inf when paper is 0
-// but measured is not (and 0 when both are ~0).
-func RelativeError(paper, measured float64) float64 {
-	if paper == 0 {
-		if measured < 1 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(measured-paper) / paper
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -85,7 +86,9 @@ type Scenario struct {
 	// Empty inherits Options.Time.
 	Time string `json:"time,omitempty"`
 	// PaperRef attaches the paper's reference values to the result rows:
-	// "figure3", "figure4", "figure5", or "table:<id>" (e.g. "table:13+14").
+	// "figure3" (BestParams, no Netem), "figure4" (BestParams, Netem),
+	// "figure5" (Nodes, Netem, DoNothing only), or "table:<id>" (e.g.
+	// "table:13+14": the table's system, benchmark and ParamGrid rows).
 	PaperRef string `json:"paperRef,omitempty"`
 }
 
@@ -236,12 +239,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("experiments: scenario %s: %s", name, fmt.Sprintf(format, args...))
 	}
 
-	known := make(map[string]bool, len(AllSystems))
-	for _, sys := range AllSystems {
-		known[sys] = true
-	}
 	for _, sys := range s.Systems {
-		if !known[sys] {
+		if !slices.Contains(AllSystems, sys) {
 			return fail("unknown system %q (want one of %s)", sys, strings.Join(AllSystems, ", "))
 		}
 	}
@@ -250,18 +249,8 @@ func (s Scenario) Validate() error {
 		return fail("Benchmarks and Workload are mutually exclusive: a cell runs either a paper benchmark unit or a contention workload — drop one of the two fields")
 	}
 	for _, b := range s.Benchmarks {
-		ok := false
-		for _, kb := range coconut.AllBenchmarks {
-			if string(kb) == b {
-				ok = true
-			}
-		}
-		if !ok {
-			names := make([]string, len(coconut.AllBenchmarks))
-			for i, kb := range coconut.AllBenchmarks {
-				names[i] = string(kb)
-			}
-			return fail("unknown benchmark %q (want one of %s)", b, strings.Join(names, ", "))
+		if !slices.Contains(allBenchmarkNames(), b) {
+			return fail("unknown benchmark %q (want one of %s)", b, strings.Join(allBenchmarkNames(), ", "))
 		}
 	}
 
@@ -337,13 +326,7 @@ func (s Scenario) Validate() error {
 		case f.Preset == "" && f.Schedule == nil:
 			return fail("Faults is set but names no preset and inlines no schedule (presets: %s)", strings.Join(faults.PresetNames(), ", "))
 		case f.Preset != "":
-			ok := false
-			for _, p := range faults.PresetNames() {
-				if p == f.Preset {
-					ok = true
-				}
-			}
-			if !ok {
+			if !slices.Contains(faults.PresetNames(), f.Preset) {
 				return fail("unknown fault preset %q (want one of %s)", f.Preset, strings.Join(faults.PresetNames(), ", "))
 			}
 		default:
@@ -411,23 +394,16 @@ func (s Scenario) Validate() error {
 		}
 	}
 
-	if s.PaperRef != "" {
-		switch {
-		case s.PaperRef == "figure3" || s.PaperRef == "figure4" || s.PaperRef == "figure5":
-		case strings.HasPrefix(s.PaperRef, "table:"):
-			id := strings.TrimPrefix(s.PaperRef, "table:")
-			if _, ok := TableByID(id); !ok {
-				ids := make([]string, len(Tables))
-				for i, t := range Tables {
-					ids[i] = t.ID
-				}
-				return fail("unknown paper table %q in PaperRef (want one of %s)", id, strings.Join(ids, ", "))
-			}
-		default:
-			return fail("unknown PaperRef %q (want figure3, figure4, figure5, or table:<id>)", s.PaperRef)
-		}
+	ref, err := parsePaperRef(s.PaperRef)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if ref.kind != refNone {
 		if s.Workload != nil {
 			return fail("PaperRef %q and Workload conflict: the paper has no contention reference values", s.PaperRef)
+		}
+		if why := ref.check(s); why != "" {
+			return fail("PaperRef %q %s", s.PaperRef, why)
 		}
 	}
 

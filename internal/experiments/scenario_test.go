@@ -193,6 +193,54 @@ func TestScenarioValidationRejectsConflicts(t *testing.T) {
 			sc:      Scenario{PaperRef: "figure5", Workload: &WorkloadSpec{}},
 			wantErr: "no contention reference values",
 		},
+		{
+			name: "figure ref without best params",
+			sc: Scenario{Systems: []string{systems.NameFabric}, Benchmarks: []string{"DoNothing"},
+				Params: &Params{RL: 1600, MM: 1000}, PaperRef: "figure3"},
+			wantErr: "requires BestParams",
+		},
+		{
+			name:    "figure4 without netem",
+			sc:      Scenario{BestParams: true, PaperRef: "figure4"},
+			wantErr: "requires Netem",
+		},
+		{
+			name:    "figure3 under netem",
+			sc:      Scenario{BestParams: true, Netem: true, PaperRef: "figure3"},
+			wantErr: "forbids Netem",
+		},
+		{
+			name:    "figure5 without nodes",
+			sc:      Scenario{Benchmarks: []string{"DoNothing"}, BestParams: true, Netem: true, PaperRef: "figure5"},
+			wantErr: "requires Nodes, Netem and Benchmarks [DoNothing]",
+		},
+		{
+			name:    "figure5 without netem",
+			sc:      Scenario{Benchmarks: []string{"DoNothing"}, BestParams: true, Nodes: []int{4, 8}, PaperRef: "figure5"},
+			wantErr: "requires Nodes, Netem and Benchmarks [DoNothing]",
+		},
+		{
+			name:    "figure5 beyond DoNothing",
+			sc:      Scenario{BestParams: true, Netem: true, Nodes: []int{4, 8}, PaperRef: "figure5"},
+			wantErr: "requires Nodes, Netem and Benchmarks [DoNothing]",
+		},
+		{
+			name:    "table ref on every system",
+			sc:      Scenario{BestParams: true, PaperRef: "table:13+14"},
+			wantErr: "requires Systems [Fabric], Benchmarks [BankingApp-SendPayment] and ParamGrid rows",
+		},
+		{
+			name: "table ref without a grid",
+			sc: Scenario{Systems: []string{systems.NameFabric}, Benchmarks: []string{"BankingApp-SendPayment"},
+				BestParams: true, PaperRef: "table:13+14"},
+			wantErr: "and ParamGrid rows taken from the table",
+		},
+		{
+			name: "table ref with a row the table lacks",
+			sc: Scenario{Systems: []string{systems.NameFabric}, Benchmarks: []string{"BankingApp-SendPayment"},
+				ParamGrid: []Params{{RL: 800, MM: 100}, {RL: 400, MM: 100}}, PaperRef: "table:13+14"},
+			wantErr: "not a row of table 13+14",
+		},
 	}
 	// A chaos cell runs only the benchmark under test, so a read benchmark
 	// there would read keys its write phase never wrote.
@@ -367,7 +415,7 @@ func TestScenarioExpansionAttachesPaperRefs(t *testing.T) {
 		t.Fatalf("table cells = %d, want %d", len(cells), len(tbl.Rows))
 	}
 	for i, c := range cells {
-		if c.paper == nil || c.paper.MTPS != tbl.Rows[i].PaperMTPS || c.paper.Expected != tbl.Rows[i].PaperExpected {
+		if c.paper == nil || *c.paper != tbl.Rows[i].Paper {
 			t.Fatalf("row %d paper ref %+v, want %+v", i, c.paper, tbl.Rows[i])
 		}
 	}

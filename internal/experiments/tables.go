@@ -6,15 +6,11 @@ import (
 )
 
 // TableRow is one row of a paper table: a parameter point with the paper's
-// reported MTPS/MFLS and transaction counts.
+// reported values — MTPS/MFLS from the odd-numbered table, Received/Expected
+// NoT from the even-numbered companion.
 type TableRow struct {
 	Params Params
-	// Paper-reported values. MTPS/MFLS from the odd-numbered table,
-	// Received/Expected NoT from the even-numbered companion.
-	PaperMTPS     float64
-	PaperMFLS     float64
-	PaperReceived float64
-	PaperExpected float64
+	Paper  PaperRefValues
 }
 
 // Table is one paper table pair (metrics table + NoT table).
@@ -32,31 +28,31 @@ var Tables = []Table{
 		ID: "7+8", Title: "Corda OS — KeyValue-Set",
 		System: systems.NameCordaOS, Benchmark: coconut.BenchKeyValueSet,
 		Rows: []TableRow{
-			{Params: Params{RL: 20}, PaperMTPS: 4.08, PaperMFLS: 151.93, PaperReceived: 1439, PaperExpected: 6000},
-			{Params: Params{RL: 160}, PaperMTPS: 1.04, PaperMFLS: 227.39, PaperReceived: 374.33, PaperExpected: 48000},
+			{Params: Params{RL: 20}, Paper: PaperRefValues{MTPS: 4.08, MFLS: 151.93, Received: 1439, Expected: 6000}},
+			{Params: Params{RL: 160}, Paper: PaperRefValues{MTPS: 1.04, MFLS: 227.39, Received: 374.33, Expected: 48000}},
 		},
 	},
 	{
 		ID: "9+10", Title: "Corda Enterprise — KeyValue-Set",
 		System: systems.NameCordaEnt, Benchmark: coconut.BenchKeyValueSet,
 		Rows: []TableRow{
-			{Params: Params{RL: 20}, PaperMTPS: 12.84, PaperMFLS: 22.81, PaperReceived: 4249.67, PaperExpected: 6000},
-			{Params: Params{RL: 160}, PaperMTPS: 13.51, PaperMFLS: 31.59, PaperReceived: 4571, PaperExpected: 48000},
+			{Params: Params{RL: 20}, Paper: PaperRefValues{MTPS: 12.84, MFLS: 22.81, Received: 4249.67, Expected: 6000}},
+			{Params: Params{RL: 160}, Paper: PaperRefValues{MTPS: 13.51, MFLS: 31.59, Received: 4571, Expected: 48000}},
 		},
 	},
 	{
 		ID: "11+12", Title: "BitShares — DoNothing",
 		System: systems.NameBitShares, Benchmark: coconut.BenchDoNothing,
 		Rows: []TableRow{
-			{Params: Params{RL: 1600, BI: 1, Actions: 100}, PaperMTPS: 1599.89, PaperMFLS: 1.09, PaperReceived: 487966.67, PaperExpected: 480000},
+			{Params: Params{RL: 1600, BI: 1, Actions: 100}, Paper: PaperRefValues{MTPS: 1599.89, MFLS: 1.09, Received: 487966.67, Expected: 480000}},
 		},
 	},
 	{
 		ID: "13+14", Title: "Fabric — BankingApp-SendPayment",
 		System: systems.NameFabric, Benchmark: coconut.BenchSendPayment,
 		Rows: []TableRow{
-			{Params: Params{RL: 800, MM: 100}, PaperMTPS: 801.36, PaperMFLS: 0.22, PaperReceived: 240140.67, PaperExpected: 240000},
-			{Params: Params{RL: 1600, MM: 100}, PaperMTPS: 1285.29, PaperMFLS: 6.66, PaperReceived: 408749, PaperExpected: 480000},
+			{Params: Params{RL: 800, MM: 100}, Paper: PaperRefValues{MTPS: 801.36, MFLS: 0.22, Received: 240140.67, Expected: 240000}},
+			{Params: Params{RL: 1600, MM: 100}, Paper: PaperRefValues{MTPS: 1285.29, MFLS: 6.66, Received: 408749, Expected: 480000}},
 		},
 	},
 	{
@@ -65,28 +61,28 @@ var Tables = []Table{
 		Rows: []TableRow{
 			// The paper's liveness violation: blockperiod <= 2s + load ->
 			// the queue is never processed again, zero transactions.
-			{Params: Params{RL: 1600, BP: 2}, PaperMTPS: 0, PaperMFLS: 0, PaperReceived: 0, PaperExpected: 120000},
-			{Params: Params{RL: 400, BP: 5}, PaperMTPS: 365.85, PaperMFLS: 12.34, PaperReceived: 69476.33, PaperExpected: 120000},
+			{Params: Params{RL: 1600, BP: 2}, Paper: PaperRefValues{MTPS: 0, MFLS: 0, Received: 0, Expected: 120000}},
+			{Params: Params{RL: 400, BP: 5}, Paper: PaperRefValues{MTPS: 365.85, MFLS: 12.34, Received: 69476.33, Expected: 120000}},
 		},
 	},
 	{
 		ID: "17+18", Title: "Sawtooth — BankingApp-CreateAccount",
 		System: systems.NameSawtooth, Benchmark: coconut.BenchCreateAccount,
 		Rows: []TableRow{
-			{Params: Params{RL: 200, PD: 1, Actions: 100}, PaperMTPS: 66.70, PaperMFLS: 26.40, PaperReceived: 23033.33, PaperExpected: 60000},
-			{Params: Params{RL: 1600, PD: 1, Actions: 100}, PaperMTPS: 14.27, PaperMFLS: 238.45, PaperReceived: 4666.67, PaperExpected: 480000},
-			{Params: Params{RL: 200, PD: 10, Actions: 100}, PaperMTPS: 67.57, PaperMFLS: 25.84, PaperReceived: 23266.67, PaperExpected: 60000},
-			{Params: Params{RL: 1600, PD: 10, Actions: 100}, PaperMTPS: 15.65, PaperMFLS: 225.73, PaperReceived: 5133.33, PaperExpected: 480000},
+			{Params: Params{RL: 200, PD: 1, Actions: 100}, Paper: PaperRefValues{MTPS: 66.70, MFLS: 26.40, Received: 23033.33, Expected: 60000}},
+			{Params: Params{RL: 1600, PD: 1, Actions: 100}, Paper: PaperRefValues{MTPS: 14.27, MFLS: 238.45, Received: 4666.67, Expected: 480000}},
+			{Params: Params{RL: 200, PD: 10, Actions: 100}, Paper: PaperRefValues{MTPS: 67.57, MFLS: 25.84, Received: 23266.67, Expected: 60000}},
+			{Params: Params{RL: 1600, PD: 10, Actions: 100}, Paper: PaperRefValues{MTPS: 15.65, MFLS: 225.73, Received: 5133.33, Expected: 480000}},
 		},
 	},
 	{
 		ID: "19+20", Title: "Diem — KeyValue-Get",
 		System: systems.NameDiem, Benchmark: coconut.BenchKeyValueGet,
 		Rows: []TableRow{
-			{Params: Params{RL: 200, BS: 100}, PaperMTPS: 38.32, PaperMFLS: 67.97, PaperReceived: 7365.33, PaperExpected: 60000},
-			{Params: Params{RL: 1600, BS: 100}, PaperMTPS: 11.83, PaperMFLS: 81.30, PaperReceived: 3887.67, PaperExpected: 480000},
-			{Params: Params{RL: 200, BS: 2000}, PaperMTPS: 64.22, PaperMFLS: 107.78, PaperReceived: 16752.67, PaperExpected: 60000},
-			{Params: Params{RL: 1600, BS: 2000}, PaperMTPS: 36.65, PaperMFLS: 150.35, PaperReceived: 11172.67, PaperExpected: 480000},
+			{Params: Params{RL: 200, BS: 100}, Paper: PaperRefValues{MTPS: 38.32, MFLS: 67.97, Received: 7365.33, Expected: 60000}},
+			{Params: Params{RL: 1600, BS: 100}, Paper: PaperRefValues{MTPS: 11.83, MFLS: 81.30, Received: 3887.67, Expected: 480000}},
+			{Params: Params{RL: 200, BS: 2000}, Paper: PaperRefValues{MTPS: 64.22, MFLS: 107.78, Received: 16752.67, Expected: 60000}},
+			{Params: Params{RL: 1600, BS: 2000}, Paper: PaperRefValues{MTPS: 36.65, MFLS: 150.35, Received: 11172.67, Expected: 480000}},
 		},
 	},
 }
