@@ -112,7 +112,7 @@ func TestArrivalByName(t *testing.T) {
 // still respects the configured long-run rate through the client pacer.
 func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -136,7 +136,7 @@ func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 // through the client at the configured mean rate.
 func TestClientBurstArrivalDelivers(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,

@@ -75,7 +75,7 @@ type ClientConfig struct {
 	// transactions at confirmation time; unsampled transactions pay only
 	// the hash-and-compare guard (zero allocations).
 	Trace *trace.Tracer
-	// Clock is the time source.
+	// Clock is the time source; it is required.
 	Clock clock.Clock
 }
 
@@ -100,9 +100,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.ListenGrace <= 0 {
 		c.ListenGrace = 30 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 }
 
@@ -157,8 +154,12 @@ type inflightTx struct {
 }
 
 // NewClient builds a client; Subscribe must happen before the system starts
-// delivering events, so construction registers the event listener.
-func NewClient(cfg ClientConfig) *Client {
+// delivering events, so construction registers the event listener. A
+// config without a Clock is an error.
+func NewClient(cfg ClientConfig) (*Client, error) {
+	if cfg.Clock == nil {
+		return nil, fmt.Errorf("coconut: ClientConfig.Clock is required")
+	}
 	cfg.fill()
 	c := &Client{
 		cfg:         cfg,
@@ -169,7 +170,7 @@ func NewClient(cfg ClientConfig) *Client {
 		lastRecvNs:  math.MinInt64,
 	}
 	cfg.Driver.Subscribe(cfg.ID, c.onEvent)
-	return c
+	return c, nil
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams

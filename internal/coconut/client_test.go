@@ -10,6 +10,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
+	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
 
 // fakeDriver is a scriptable systems.Driver for client unit tests; the
@@ -36,7 +37,7 @@ var (
 
 func newFakeDriver() *fakeDriver {
 	return &fakeDriver{
-		Cluster: systems.NewCluster("fake", systems.NodeIDs("fake", 4), nil, nil, nil, func() int { return 0 }),
+		Cluster: systems.NewCluster("fake", systems.NodeIDs("fake", 4), systems.Env{}, func() int { return 0 }),
 		subs:    make(map[string]systems.EventFunc),
 		confirm: func(*chain.Transaction) bool { return true },
 	}
@@ -128,6 +129,26 @@ func (f *fakeDriver) submittedCount() int {
 	return len(f.submitted)
 }
 
+// testClient builds a client from cfg; one that names no clock runs on a
+// fresh auto-advancing clock with the test registered as its actor.
+func testClient(t *testing.T, cfg ClientConfig) *Client {
+	t.Helper()
+	if cfg.Clock == nil {
+		cfg.Clock = systemstest.Env(t).Clock
+	}
+	c, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestNewClientRequiresClock(t *testing.T) {
+	if _, err := NewClient(ClientConfig{ID: "c0", Driver: newFakeDriver()}); err == nil {
+		t.Fatal("NewClient without a Clock must fail")
+	}
+}
+
 // runSummary runs the client and returns its summary: with one operation per
 // transaction, ExpectedNoT is the number of transactions it sent.
 func runSummary(c *Client) ClientSummary {
@@ -137,7 +158,7 @@ func runSummary(c *Client) ClientSummary {
 
 func TestClientSendsAndCollects(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -162,7 +183,7 @@ func TestClientSendsAndCollects(t *testing.T) {
 
 func TestClientRateLimit(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -188,7 +209,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 		// Confirm every other transaction.
 		return tx.Seq%2 == 0
 	}
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -209,7 +230,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 
 func TestClientOpsPerTx(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -239,7 +260,7 @@ func TestClientOpsPerTx(t *testing.T) {
 
 func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -276,7 +297,7 @@ func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
 		cfg.ID, cfg.Driver, cfg.Benchmark = "c0", d, BenchSendPayment
 		cfg.RateLimit, cfg.WorkloadThreads = 1000, 2
 		cfg.SendDuration, cfg.ListenGrace = 50*time.Millisecond, 10*time.Millisecond
-		NewClient(cfg).Run()
+		testClient(t, cfg).Run()
 		d.mu.Lock()
 		if len(d.submitted) == 0 {
 			t.Fatalf("%s: nothing sent", name)
@@ -299,7 +320,7 @@ func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
 
 func TestClientReadMaxWrapsIndices(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchKeyValueGet,
@@ -326,7 +347,7 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 
 func TestClientSentCountsMatchSubmitted(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchKeyValueSet,
@@ -354,7 +375,7 @@ func TestClientSentCountsMatchSubmitted(t *testing.T) {
 // in-flight index is empty once it ends.
 func TestClientStreamsOnlineMetrics(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,
@@ -390,7 +411,7 @@ func TestClientStreamsOnlineMetrics(t *testing.T) {
 
 func TestClientIgnoresUnknownEvents(t *testing.T) {
 	d := newFakeDriver()
-	c := NewClient(ClientConfig{
+	c := testClient(t, ClientConfig{
 		ID:              "c0",
 		Driver:          d,
 		Benchmark:       BenchDoNothing,

@@ -6,22 +6,25 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/coconut"
+	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/systems/fabric"
 )
 
 // ExampleRun drives the DoNothing benchmark against a simulated Fabric
-// network and prints whether every submitted payload was confirmed end to
-// end.
+// network, built through the constructor table at its Figure 3 cell and run
+// on the auto-advancing virtual clock, and prints whether every submitted
+// payload was confirmed end to end.
 func ExampleRun() {
+	cell, _ := experiments.BestCell(systems.NameFabric, coconut.BenchDoNothing)
+	newDriver, err := experiments.NewDriverFunc(systems.NameFabric, cell.Params, experiments.Options{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	results, err := coconut.Run(coconut.RunConfig{
-		SystemName: systems.NameFabric,
-		NewDriver: func(clk clock.Clock) systems.Driver {
-			return fabric.New(fabric.Config{
-				MaxMessageCount: 20,
-				BatchTimeout:    10 * time.Millisecond,
-			})
-		},
+		SystemName:      systems.NameFabric,
+		NewDriver:       newDriver,
+		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
 		Unit:            []coconut.BenchmarkName{coconut.BenchDoNothing},
 		Clients:         2,
 		RateLimit:       100,

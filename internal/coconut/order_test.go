@@ -44,7 +44,7 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			av := clock.NewAutoVirtual()
 			drv := newFakeDriver()
-			cl := NewClient(ClientConfig{
+			cl := testClient(t, ClientConfig{
 				ID: "coconut-client-0", Driver: drv, Benchmark: tc.bench, ReadMax: tc.readMax,
 				Gen: func(thread int) OpGen {
 					return func(i uint64) chain.Operation {

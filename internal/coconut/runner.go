@@ -65,9 +65,10 @@ type RunConfig struct {
 	// consensus rounds, and WAL appends). Nil disables tracing with zero
 	// overhead on the hot path.
 	Trace *trace.Tracer
-	// NewClock constructs each repetition's time source (default: the wall
-	// clock). Auto-advancing virtual runs need a fresh clock per repetition:
-	// a clock's scheduler state must not span re-provisioned systems.
+	// NewClock constructs each repetition's time source; it is required, so
+	// no run falls back to the wall clock unasked. Auto-advancing virtual
+	// runs need a fresh clock per repetition: a clock's scheduler state must
+	// not span re-provisioned systems.
 	NewClock func() clock.Clock
 }
 
@@ -80,9 +81,6 @@ func (c *RunConfig) fill() {
 	}
 	if c.Repetitions <= 0 {
 		c.Repetitions = 3
-	}
-	if c.NewClock == nil {
-		c.NewClock = clock.New
 	}
 	if c.Workload != nil {
 		// The contention plane runs one phase, labelled by the spec.
@@ -99,6 +97,9 @@ func Run(cfg RunConfig) ([]Result, error) {
 	cfg.fill()
 	if cfg.NewDriver == nil {
 		return nil, fmt.Errorf("coconut: RunConfig.NewDriver is required")
+	}
+	if cfg.NewClock == nil {
+		return nil, fmt.Errorf("coconut: RunConfig.NewClock is required")
 	}
 
 	perBench := make(map[BenchmarkName][]RepetitionResult, len(cfg.Unit))
@@ -168,7 +169,10 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 			}
 		}
 
-		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax)
+		rr, sent, err := runBenchmark(cfg, clk, driver, bench, rep, readMax)
+		if err != nil {
+			return nil, err
+		}
 		writtenCounts[bench] = sent
 		out[bench] = rr
 		quiesce(clk, driver)
@@ -206,7 +210,7 @@ func quiesce(clk clock.Clock, driver systems.Driver) {
 // client streams its own online summary (its memory is bounded by the
 // in-flight window); the summaries merge lock-free at phase end into the
 // repetition's metrics.
-func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
+func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64, error) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected only under a fault schedule, so the paper-grid hot path
@@ -233,7 +237,7 @@ func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench B
 				}))
 			}
 		}
-		clients[i] = NewClient(ClientConfig{
+		cl, err := NewClient(ClientConfig{
 			// The client identity is stable across unit members and
 			// repetitions so read phases regenerate the write phase's keys.
 			ID:        fmt.Sprintf("coconut-client-%d", i),
@@ -256,6 +260,10 @@ func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench B
 			Trace:           cfg.Trace,
 			Clock:           clk,
 		})
+		if err != nil {
+			return RepetitionResult{}, nil, err
+		}
+		clients[i] = cl
 	}
 
 	// All clients wait on a shared barrier so load starts uniformly (§4.3).
@@ -385,7 +393,7 @@ func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench B
 		rr.LogRecords = int(after.LogRecords)
 		rr.LogBytes = int(after.LogBytes)
 	}
-	return rr, written
+	return rr, written, nil
 }
 
 func decrementCounts(in [][]uint64) [][]uint64 {

@@ -127,6 +127,7 @@ func TestRunnerRejectsInvalidSchedule(t *testing.T) {
 		ListenGrace:  50 * time.Millisecond,
 		Faults:       sched,
 		Repetitions:  1,
+		NewClock:     func() clock.Clock { return clock.NewAutoVirtual() },
 	})
 	if err == nil {
 		t.Fatal("runner accepted a schedule reaching past the run end")

@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"strconv"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -138,6 +140,21 @@ func (c *walCell) label() string {
 	return c.spec.Label(c.snapshotEvery, c.crashPoint)
 }
 
+// checkFinite rejects a NaN or infinite run length or scale, which would
+// otherwise size every cell as zero or unbounded; a value <= 0 still means
+// the default.
+func (o Options) checkFinite() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Scale", o.Scale}, {"SendSeconds", o.SendSeconds}, {"GraceSeconds", o.GraceSeconds}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("experiments: %s is %v, want a finite number (<= 0 for the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // label renders the cell for progress events.
 func (c cellSpec) label() string {
 	var l string
@@ -162,6 +179,9 @@ func (c cellSpec) label() string {
 // can override (Arrival, Repetitions, Seed, Nodes, Netem); Options.Progress
 // streams per-cell events. ctx cancels between cells.
 func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
+	if err := o.checkFinite(); err != nil {
+		return nil, err
+	}
 	o.fill()
 	if sc.Time != "" {
 		o.Time = sc.Time
@@ -421,7 +441,7 @@ func resolveFaults(f *FaultSpec, o Options) (*faults.Schedule, string, error) {
 }
 
 // resolveWAL turns one durability-axis point into concrete wal.Options on
-// the engine Options (threaded into every driver Config by NewDriverFunc)
+// the engine Options (threaded into every driver's Env by NewDriverFunc)
 // plus, when the point carries a crash offset, a synthesized fault
 // schedule: crash the last node at the offset, damage its log when the
 // spec asks for corruption, restart at the spec's restart point. Durations
@@ -504,7 +524,7 @@ func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, fau
 	if cell.wl != nil {
 		want = cell.wl.Name()
 		cfg.Workload = cell.wl
-		cfg.Params = map[string]string{"RL": itoa(p.RL), "workload": want}
+		cfg.Params = map[string]string{"RL": strconv.Itoa(p.RL), "workload": want}
 	} else {
 		for _, u := range coconut.BenchmarkUnits {
 			for _, b := range u {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -57,16 +58,31 @@ func TestRunContentionQuorumSmallBank(t *testing.T) {
 }
 
 func TestRunRejectsInvalidScenario(t *testing.T) {
-	if _, err := Run(context.Background(), Scenario{Systems: []string{"NotAChain"}}, fastOptions()); err == nil {
-		t.Fatal("unknown system accepted")
+	fast := Scenario{Systems: []string{systems.NameQuorum}, Benchmarks: []string{"DoNothing"}}
+	withOpts := func(f func(*Options)) Options {
+		o := fastOptions()
+		f(&o)
+		return o
 	}
-	sc := NewContentionScenario([]string{"nope"}, []string{"zipfian"}, 0)
-	if _, err := Run(context.Background(), sc, fastOptions()); err == nil {
-		t.Fatal("unknown mix accepted")
-	}
-	sc = NewContentionScenario([]string{"write"}, []string{"nope"}, 0)
-	if _, err := Run(context.Background(), sc, fastOptions()); err == nil {
-		t.Fatal("unknown skew accepted")
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		o    Options
+	}{
+		{"unknown system", Scenario{Systems: []string{"NotAChain"}}, fastOptions()},
+		{"unknown mix", NewContentionScenario([]string{"nope"}, []string{"zipfian"}, 0), fastOptions()},
+		{"unknown skew", NewContentionScenario([]string{"write"}, []string{"nope"}, 0), fastOptions()},
+		{"NaN scale", fast, withOpts(func(o *Options) { o.Scale = math.NaN() })},
+		{"+Inf scale", fast, withOpts(func(o *Options) { o.Scale = math.Inf(1) })},
+		{"-Inf scale", fast, withOpts(func(o *Options) { o.Scale = math.Inf(-1) })},
+		{"NaN send", fast, withOpts(func(o *Options) { o.SendSeconds = math.NaN() })},
+		{"+Inf send", fast, withOpts(func(o *Options) { o.SendSeconds = math.Inf(1) })},
+		{"-Inf grace", fast, withOpts(func(o *Options) { o.GraceSeconds = math.Inf(-1) })},
+		{"NaN grace", fast, withOpts(func(o *Options) { o.GraceSeconds = math.NaN() })},
+	} {
+		if _, err := Run(context.Background(), tc.sc, tc.o); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -5,19 +5,18 @@
 // minutes, and carries the paper's reported numbers as reference values for
 // paper-vs-measured reporting in EXPERIMENTS.md.
 //
-// Scaling model: all durations shrink by Scale (default 1/100), block-size
-// parameters shrink by the same factor, and rate limiters stay unscaled.
-// This preserves the three ratios the paper's shapes depend on — offered
-// load vs. capacity, block capacity vs. load per interval, and finalization
-// latency vs. block interval — while MTPS remains directly comparable
-// (transactions per second is scale-free) and latencies/durations convert
-// back through 1/Scale.
+// Scaling model: Options.Scale (default 1/100, the scale the model is
+// calibrated at) is systems.Env's Scale, whose helpers carry the scaling
+// contract; measured latencies and durations convert back through 1/Scale.
+// MTPS is not scale-free: systems.Env lists the unscaled service times that
+// move it when Scale does.
 //
-// Every run is a Scenario executed by Run, and NewDriverFunc is the one
-// place a driver is configured. Beyond the paper's grid, a scenario's
-// Faults axis subjects every system to scripted fault schedules (node
-// crashes, partitions, degraded links) and reports windowed availability
-// and post-heal recovery time. The paper benchmarks healthy 4-node
+// Every run is a Scenario executed by Run, and every driver is built by its
+// system's one constructor, from a systems.Env and the cell's Params,
+// through the table behind NewDriver and NewDriverFunc. Beyond the paper's
+// grid, a scenario's Faults axis subjects every system to scripted fault
+// schedules (node crashes, partitions, degraded links) and reports windowed
+// availability and post-heal recovery time. The paper benchmarks healthy 4-node
 // networks only, so these scenarios have no paper-vs-measured reference
 // rows.
 package experiments
@@ -165,16 +164,7 @@ func (o *Options) fill() {
 
 // paperDur converts paper-time seconds into scaled simulation time.
 func (o Options) paperDur(seconds float64) time.Duration {
-	return time.Duration(seconds * o.Scale * float64(time.Second))
-}
-
-// scaleCount shrinks block-size-like parameters, flooring at 1.
-func (o Options) scaleCount(v int) int {
-	s := int(float64(v) * o.Scale)
-	if s < 1 {
-		return 1
-	}
-	return s
+	return systems.Env{Scale: o.Scale}.Paper(seconds)
 }
 
 // PaperSeconds converts a measured simulation duration back to paper time.
@@ -197,231 +187,42 @@ func (o Options) latency() network.LatencyModel {
 	)
 }
 
-// Params is the per-cell parameter set, mirroring the paper's labels:
-// RL (total rate limiter across the four clients), MM (Fabric
-// MaxMessageCount), BS (Diem max_block_size), BI (BitShares block_interval
-// seconds), BP (Quorum istanbul.blockperiod seconds), PD (Sawtooth
-// block_publishing_delay seconds), Actions (operations per transaction or
-// transactions per batch).
-type Params struct {
-	RL      int `json:"rl,omitempty"`
-	MM      int `json:"mm,omitempty"`
-	BS      int `json:"bs,omitempty"`
-	BI      int `json:"bi,omitempty"`
-	BP      int `json:"bp,omitempty"`
-	PD      int `json:"pd,omitempty"`
-	Actions int `json:"actions,omitempty"`
+// Params is the paper's parameter point for one cell (see systems.Params).
+type Params = systems.Params
+
+// drivers is the constructor table: the one way each system is built.
+var drivers = map[string]func(systems.Env, Params) systems.Driver{
+	systems.NameCordaOS:   func(e systems.Env, p Params) systems.Driver { return corda.NewOS(e, p) },
+	systems.NameCordaEnt:  func(e systems.Env, p Params) systems.Driver { return corda.NewEnterprise(e, p) },
+	systems.NameBitShares: func(e systems.Env, p Params) systems.Driver { return bitshares.New(e, p) },
+	systems.NameFabric:    func(e systems.Env, p Params) systems.Driver { return fabric.New(e, p) },
+	systems.NameQuorum:    func(e systems.Env, p Params) systems.Driver { return quorum.New(e, p) },
+	systems.NameSawtooth:  func(e systems.Env, p Params) systems.Driver { return sawtooth.New(e, p) },
+	systems.NameDiem:      func(e systems.Env, p Params) systems.Driver { return diem.New(e, p) },
 }
 
-// Labels renders the parameter set for result rows.
-func (p Params) Labels() map[string]string {
-	out := map[string]string{"RL": itoa(p.RL)}
-	if p.MM > 0 {
-		out["MM"] = itoa(p.MM)
+// NewDriver builds system on env at the paper's parameters p.
+func NewDriver(system string, env systems.Env, p Params) (systems.Driver, error) {
+	newDriver, ok := drivers[system]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
-	if p.BS > 0 {
-		out["BS"] = itoa(p.BS)
-	}
-	if p.BI > 0 {
-		out["BI"] = itoa(p.BI) + "s"
-	}
-	if p.BP > 0 {
-		out["BP"] = itoa(p.BP) + "s"
-	}
-	if p.PD > 0 {
-		out["PD"] = itoa(p.PD) + "s"
-	}
-	if p.Actions > 0 {
-		out["Actions"] = itoa(p.Actions)
-	}
-	return out
+	return newDriver(env, p), nil
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
 // NewDriverFunc builds a fresh driver for one system under the given
 // parameters and options. The returned constructor takes the time source
 // the driver should live on — the runner hands it each repetition's clock,
 // so no two repetitions (and no two concurrently running cells) share timer
-// state.
+// state — and a fresh latency model, so none shares its draws either.
 func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) systems.Driver, error) {
 	o.fill()
-	switch system {
-	case systems.NameFabric:
-		mm := p.MM
-		if mm == 0 {
-			mm = 500
-		}
-		return func(clk clock.Clock) systems.Driver {
-			return fabric.New(fabric.Config{
-				Peers:            o.Nodes,
-				Orderers:         3,
-				MaxMessageCount:  o.scaleCount(mm),
-				BatchTimeout:     o.paperDur(2),
-				EventLossAtPeers: 16, // paper §5.8.2: clients get no confirmations at >= 16 peers
-				Latency:          o.latency(),
-				Clock:            clk,
-				WAL:              o.WAL,
-				Trace:            o.Trace,
-			})
-		}, nil
-
-	case systems.NameQuorum:
-		bp := p.BP
-		if bp == 0 {
-			bp = 1
-		}
-		// The livelock latches when the per-period backlog crosses the
-		// boundary the paper observed (blockperiod <= 2s with a high rate
-		// limiter, calibrated at RL x BP ~ 3200 payload-seconds). The
-		// backlog at production time is RL x BP x Scale, so the threshold
-		// scales identically to stay a fixed fraction of that boundary.
-		stallLimit := int(2560 * o.Scale)
-		if stallLimit < 2 {
-			stallLimit = 2
-		}
-		// Per-block capacity models Quorum's measured execution ceiling of
-		// ~820 tx/s (the paper's DoNothing best is 773.60): the gas-limit
-		// equivalent is capacity x block period, scaled with the clock.
-		maxBlockTxs := int(820 * float64(bp) * o.Scale)
-		if maxBlockTxs < 1 {
-			maxBlockTxs = 1
-		}
-		return func(clk clock.Clock) systems.Driver {
-			return quorum.New(quorum.Config{
-				Validators:       o.Nodes,
-				BlockPeriod:      o.paperDur(float64(bp)),
-				MaxBlockTxs:      maxBlockTxs,
-				StallBlockPeriod: o.paperDur(2), // the paper's "blockperiod <= 2" trigger
-				StallQueueLimit:  stallLimit,
-				Latency:          o.latency(),
-				Clock:            clk,
-				WAL:              o.WAL,
-				Trace:            o.Trace,
-			})
-		}, nil
-
-	case systems.NameSawtooth:
-		// Sawtooth's measured capacity is dominated by batch validation,
-		// not by block_publishing_delay — the paper finds PD "does not
-		// reveal any significant difference" (§5.6). Model the drain as one
-		// batch per block with a real-time per-batch cost of 25ms fixed +
-		// 10ms per member transaction, which reproduces both the ~80-100
-		// payloads/s ceiling at batch=100 and the ~26-35 at batch=1.
-		batch := p.Actions
-		if batch <= 0 {
-			batch = 1
-		}
-		pd := 25*time.Millisecond + time.Duration(batch)*10*time.Millisecond
-		if scaled := o.paperDur(float64(p.PD)); scaled > pd {
-			pd = scaled
-		}
-		return func(clk clock.Clock) systems.Driver {
-			return sawtooth.New(sawtooth.Config{
-				Validators:               o.Nodes,
-				BlockPublishingDelay:     pd,
-				QueueDepth:               8, // the paper's rejection-heavy admission queue
-				MaxBlockBatches:          1,
-				PendingStallAtValidators: 16, // paper §5.8.2: txs stay pending at >= 16 validators
-				Latency:                  o.latency(),
-				Clock:                    clk,
-				WAL:                      o.WAL,
-				Trace:                    o.Trace,
-			})
-		}, nil
-
-	case systems.NameDiem:
-		// Diem is likewise validation-limited: rounds run at a real-time
-		// cadence and the validators spend most of the benchmark in the
-		// "spiking" stalls the paper cites from Balster (§5.7).
-		bs := p.BS
-		if bs == 0 {
-			bs = 3000
-		}
-		maxBlock := o.scaleCount(bs)
-		if maxBlock < 6 {
-			maxBlock = 6
-		}
-		return func(clk clock.Clock) systems.Driver {
-			return diem.New(diem.Config{
-				Validators:    o.Nodes,
-				MaxBlockSize:  maxBlock,
-				RoundInterval: 150 * time.Millisecond,
-				MempoolDepth:  48,
-				SpikePeriod:   time.Second,
-				SpikeDuration: 650 * time.Millisecond,
-				Latency:       o.latency(),
-				Clock:         clk,
-				WAL:           o.WAL,
-				Trace:         o.Trace,
-			})
-		}, nil
-
-	case systems.NameBitShares:
-		bi := p.BI
-		if bi == 0 {
-			bi = 5
-		}
-		// The exclusion window holds one paper block interval's worth of
-		// transactions (RL payloads/s x BI seconds / ops-per-tx), so the
-		// conflict-collision ratio survives the time scaling.
-		actions := p.Actions
-		if actions <= 0 {
-			actions = 1
-		}
-		window := p.RL * bi / actions
-		if window < 2 {
-			window = 2
-		}
-		return func(clk clock.Clock) systems.Driver {
-			return bitshares.New(bitshares.Config{
-				Nodes:             o.Nodes,
-				BlockInterval:     o.paperDur(float64(bi)),
-				ConflictWindowTxs: window,
-				Latency:           o.latency(),
-				Clock:             clk,
-				Seed:              o.Seed,
-				WAL:               o.WAL,
-				Trace:             o.Trace,
-			})
-		}, nil
-
-	case systems.NameCordaOS:
-		// Corda's throughput is flow-time-limited, not block-limited, so
-		// its processing costs stay in real time rather than scaling with
-		// the clock: serial signing of 3 counterparties at 180ms each
-		// yields the paper's ~7 MTPS DoNothing capacity on 4 nodes.
-		return func(clk clock.Clock) systems.Driver {
-			return corda.NewOS(corda.Config{
-				Nodes:          o.Nodes,
-				SignProcessing: 180 * time.Millisecond,
-				ScanCost:       20 * time.Millisecond,
-				ReadScanBudget: 8, // full-vault reads are hopeless (§5.1)
-				FlowTimeout:    10 * time.Second,
-				Latency:        o.latency(),
-				Clock:          clk,
-				WAL:            o.WAL,
-				Trace:          o.Trace,
-			})
-		}, nil
-
-	case systems.NameCordaEnt:
-		// Parallel signing (one 500ms hop) with 8 flow workers per node
-		// yields the paper's ~64 MTPS DoNothing capacity on 4 nodes.
-		return func(clk clock.Clock) systems.Driver {
-			return corda.NewEnterprise(corda.Config{
-				Nodes:          o.Nodes,
-				SignProcessing: 500 * time.Millisecond,
-				ScanCost:       30 * time.Millisecond,
-				FlowTimeout:    10 * time.Second,
-				Latency:        o.latency(),
-				Clock:          clk,
-				WAL:            o.WAL,
-				Trace:          o.Trace,
-			})
-		}, nil
-
-	default:
+	newDriver, ok := drivers[system]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
+	return func(clk clock.Clock) systems.Driver {
+		return newDriver(systems.Env{Nodes: o.Nodes, Scale: o.Scale, Latency: o.latency(), Clock: clk,
+			WAL: o.WAL, Trace: o.Trace, Seed: o.Seed}, p)
+	}, nil
 }

@@ -161,9 +161,8 @@ func TestParamsLabels(t *testing.T) {
 }
 
 func TestScaleCountFloorsAtOne(t *testing.T) {
-	o := Options{Scale: 0.0001}
-	if got := o.scaleCount(100); got != 1 {
-		t.Fatalf("scaleCount = %d, want 1", got)
+	if got := (systems.Env{Scale: 0.0001}).Count(100); got != 1 {
+		t.Fatalf("Count = %d, want 1", got)
 	}
 }
 

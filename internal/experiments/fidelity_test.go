@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -184,9 +189,26 @@ var latencyDriftAllowed = []string{
 	"Diem BankingApp-CreateAccount",
 }
 
+// modelDigestFile holds the SHA-256 of the canonical JSON of Figures 3 and
+// 4's rows at scale 0.01, seed 42 on the virtual clock: the model's
+// fingerprint.
+const modelDigestFile = "testdata/model.sha256"
+
+// modelDigest hashes the two figures' rows as canonical JSON (struct fields
+// in declaration order, map keys sorted).
+func modelDigest(figure3, figure4 []OutcomeRow) (string, error) {
+	b, err := json.Marshal(map[string][]OutcomeRow{"figure3": figure3, "figure4": figure4})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
 // TestPaperFidelity is the model's fidelity gate: it runs Figures 3 and 4
 // on the virtual clock and holds every fidelity number at or better than
-// its committed bound.
+// its committed bound. It also pins the model bit for bit, so a refactor
+// that moves any measured number fails here even inside the bounds.
 func TestPaperFidelity(t *testing.T) {
 	o := Options{Scale: 0.01, Seed: 42, Time: "virtual"}
 	run := func(name string) []OutcomeRow {
@@ -216,6 +238,28 @@ func TestPaperFidelity(t *testing.T) {
 	t.Logf("latency sensitivity: %d of %d comparable cells drift", len(drifted), comparable)
 	for _, v := range allowListViolations("latency-drifting cell", drifted, latencyDriftAllowed) {
 		t.Errorf("%s", v)
+	}
+
+	// The fingerprint is checked on amd64 only: arm64 fuses multiply-adds,
+	// which rounds differently and moves the last bits of the results. Nor
+	// is it checked under the race detector: Corda Enterprise's flow path
+	// runs work outside the execution token, so the race runtime's
+	// scheduling moves its Figure 4 rows.
+	if runtime.GOARCH != "amd64" || raceDetector {
+		t.Logf("model fingerprint not checked on %s (race detector: %v)", runtime.GOARCH, raceDetector)
+		return
+	}
+	got, err := modelDigest(lan, wan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(modelDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Errorf("model fingerprint %s, want %s: the model moved. If that is intended, re-bless it on purpose: "+
+			"write the new digest to %s and record the change and its reason in CHANGES.md", got, w, modelDigestFile)
 	}
 }
 

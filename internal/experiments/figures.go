@@ -100,8 +100,8 @@ var Figure3 = []PaperCell{
 // figure5Failures holds the DoNothing cells the paper reports as failed in
 // the scalability experiment (§5.8.2), by system and node count. Fabric's
 // and Sawtooth's are transcribed: the model reproduces them only through
-// thresholds copied from this result (fabric.Config.EventLossAtPeers,
-// sawtooth.Config.PendingStallAtValidators), so matching them is not
+// thresholds copied from this result (Fabric's eventLossAtPeers, Sawtooth's
+// pendingStallAtValidators), so matching them is not
 // agreement.
 var figure5Failures = map[string]map[int]PaperRefValues{
 	systems.NameCordaOS:  {32: {Failed: true}},

@@ -27,7 +27,7 @@ var _ systems.Driver = (*stubDriver)(nil)
 
 func newStubDriver(nodes int) *stubDriver {
 	return &stubDriver{
-		Cluster: systems.NewCluster("stub", systems.NodeIDs("stub", nodes), nil, nil, nil, func() int { return 0 }),
+		Cluster: systems.NewCluster("stub", systems.NodeIDs("stub", nodes), systems.Env{}, func() int { return 0 }),
 	}
 }
 

@@ -24,59 +24,46 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/dpos"
 	"github.com/coconut-bench/coconut/internal/iel"
-	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// Config parameterizes a BitShares network.
-type Config struct {
-	// Nodes is the network size (paper: 4, with Nodes-1 witnesses).
-	Nodes int
-	// BlockInterval is the paper's block_interval (default 5s upstream,
-	// swept over {1, 2, 5, 10}s).
-	BlockInterval time.Duration
-	// ConflictWindowTxs sizes the interacting-operation exclusion window in
+// BitShares' calibration.
+const (
+	defaultBI = 5 // upstream block_interval, paper seconds
+	// minConflictWindow keeps the exclusion window at two transactions or
+	// more at low rate limiters.
+	minConflictWindow = 2
+	maxBlockTxs       = 8192 // transactions per block
+)
+
+// config is one BitShares network's calibration: the paper's parameters at
+// an Env. Unit tests override a field to isolate one mechanism.
+type config struct {
+	blockInterval time.Duration // block_interval, ×Scale
+	// conflictWindow sizes the interacting-operation exclusion window in
 	// recently included transactions. The paper's exclusion is per forming
 	// block (§5.3); under time scaling a block holds proportionally fewer
-	// transactions, so the window is expressed in transactions to preserve
-	// the paper's conflict-collision ratio. 0 restricts exclusion to the
-	// current block only.
-	ConflictWindowTxs int
-	// Latency models the per-hop delay of the network's private transport;
-	// nil means zero latency.
-	Latency network.LatencyModel
-	// Clock drives timers.
-	Clock clock.Clock
-	// Seed randomizes the witness schedule deterministically.
-	Seed int64
-	// WAL, when set, mounts a write-ahead log on every node's commit gate
-	// (see systems.DurableGate).
-	WAL *wal.Options
-	// Trace, when set, receives sampled spans: consensus rounds, WAL
-	// appends/fsyncs, and (on a private transport) network hops.
-	Trace *trace.Tracer
+	// transactions, so the window holds one paper block interval's worth
+	// of transactions (RL payloads/s × BI seconds / ops per transaction) to
+	// keep the paper's conflict-collision ratio. 0 restricts exclusion to
+	// the current block only.
+	conflictWindow int
 }
 
-func (c *Config) fill() {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
+func calibrate(env systems.Env, p systems.Params) config {
+	bi := p.BI
+	if bi == 0 {
+		bi = defaultBI
 	}
-	if c.BlockInterval <= 0 {
-		c.BlockInterval = 5 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
+	return config{
+		blockInterval:  env.Paper(float64(bi)),
+		conflictWindow: max(p.RL*bi/max(p.Actions, 1), minConflictWindow),
 	}
 }
-
-// maxBlockTxs caps transactions per block.
-const maxBlockTxs = 8192
 
 // node is one BitShares node (witness or observer).
 type node struct {
@@ -87,7 +74,8 @@ type node struct {
 // Network is a full BitShares deployment.
 type Network struct {
 	*systems.LedgerCluster
-	cfg Config
+	env systems.Env
+	cfg config
 
 	nodes []*node
 
@@ -96,7 +84,7 @@ type Network struct {
 	excludedOps   uint64 // payload operations those transactions carried
 	execFailedOps uint64 // payload operations discarded by atomic execution failure
 
-	// Sliding conflict window over the most recent ConflictWindowTxs
+	// Sliding conflict window over the most recent conflictWindow
 	// included transactions: windowKeys[windowHead:] holds each one's
 	// written keys, oldest first, and windowRefs counts per key how many of
 	// them wrote it, so membership is one lookup.
@@ -109,22 +97,24 @@ type Network struct {
 
 var _ systems.Driver = (*Network)(nil)
 
-// New assembles a BitShares network.
-func New(cfg Config) *Network {
-	cfg.fill()
+// New assembles a BitShares network on env at the paper's parameters p.
+func New(env systems.Env, p systems.Params) *Network { return build(env, calibrate(env, p)) }
+
+func build(env systems.Env, cfg config) *Network {
 	n := &Network{
+		env:          env,
 		cfg:          cfg,
 		windowRefs:   make(map[string]int),
 		blockTouched: make(map[string]bool),
 	}
-	names := systems.NodeIDs("bitshares", cfg.Nodes)
-	n.LedgerCluster = systems.NewLedgerCluster(systems.NameBitShares, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.pendingBacklog)
+	names := systems.NodeIDs("bitshares", env.Nodes)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameBitShares, names, env, n.pendingBacklog)
 
 	// Topology: all but the last node are witnesses (Table 4), at least one.
-	witnessCount := max(cfg.Nodes-1, 1)
+	witnessCount := max(env.Nodes-1, 1)
 	witnesses, observers := names[:witnessCount], names[witnessCount:]
 
-	cfgs := make([]dpos.Config, cfg.Nodes)
+	cfgs := make([]dpos.Config, env.Nodes)
 	for i, r := range n.Replicas() {
 		nd := &node{Replica: r}
 		nd.Endpoints = []string{nd.ID}
@@ -133,10 +123,10 @@ func New(cfg Config) *Network {
 			Witnesses:     witnesses,
 			Observers:     observers,
 			Transport:     n.Transport,
-			Clock:         cfg.Clock,
-			BlockInterval: cfg.BlockInterval,
+			Clock:         env.Clock,
+			BlockInterval: cfg.blockInterval,
 			MaxBlockItems: maxBlockTxs,
-			ShuffleSeed:   cfg.Seed,
+			ShuffleSeed:   env.Seed,
 			PackFilter:    n.conflictFilter,
 			OnDecide:      n.makeDecideFunc(nd),
 		}
@@ -183,19 +173,19 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	if err := nd.engine.Submit(tx); err != nil {
 		return err
 	}
-	tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
+	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 	return nil
 }
 
 // conflictFilter implements the paper's interacting-operation exclusion: a
 // transaction whose operations touch a state key already touched by a
 // recently included transaction (same forming block, or within the sliding
-// ConflictWindowTxs window) is dropped.
+// conflictWindow window) is dropped.
 func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
-	packedAt := n.cfg.Clock.Now()
+	packedAt := n.env.Clock.Now()
 	clear(n.blockTouched)
 	for _, it := range items {
 		tx, ok := it.(*chain.Transaction)
@@ -220,7 +210,7 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 		for _, k := range keys {
 			n.blockTouched[k] = true
 		}
-		if n.cfg.ConflictWindowTxs > 0 {
+		if n.cfg.conflictWindow > 0 {
 			n.spareKeys = n.slideWindow(keys)
 		}
 		// Packed into the forming block: the queue wait ends here.
@@ -237,14 +227,14 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 }
 
 // slideWindow admits an included transaction's written keys to the window
-// and expires the oldest entry once more than ConflictWindowTxs are held. It
+// and expires the oldest entry once more than conflictWindow are held. It
 // returns a key slice the caller may overwrite: the expired entry's, or nil.
 func (n *Network) slideWindow(keys []string) (spare []string) {
 	for _, k := range keys {
 		n.windowRefs[k]++
 	}
 	n.windowKeys = append(n.windowKeys, keys)
-	if len(n.windowKeys)-n.windowHead <= n.cfg.ConflictWindowTxs {
+	if len(n.windowKeys)-n.windowHead <= n.cfg.conflictWindow {
 		return nil
 	}
 	spare = n.windowKeys[n.windowHead]
@@ -283,7 +273,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 	if !ok {
 		return
 	}
-	decided := n.cfg.Clock.Now()
+	decided := n.env.Clock.Now()
 	var surviving []*chain.Transaction
 	for _, it := range blk.Items {
 		tx, ok := it.(*chain.Transaction)
@@ -309,14 +299,14 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 	}
 	// One consensus-round span per sampled block, emitted at node 0's apply
 	// site only (every node applies the identical produced block).
-	if tr := n.cfg.Trace; nd == n.nodes[0] && tr.Sampled(cb.Number) {
+	if tr := n.env.Trace; nd == n.nodes[0] && tr.Sampled(cb.Number) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameBitShares,
 			Lane: "consensus", Start: ts.UnixNano(), End: decided.UnixNano(), Block: cb.Number})
 	}
-	now := n.cfg.Clock.Now()
+	now := n.env.Clock.Now()
 	for txNum, tx := range surviving {
 		nd.ApplyTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
+		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 		nd.Hub.Committed(systems.Event{
 			TxID:      tx.ID,
 			Client:    tx.Client,

@@ -6,12 +6,10 @@ import (
 	"sync/atomic"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/statestore"
-	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
@@ -57,29 +55,29 @@ type Cluster struct {
 }
 
 // NewCluster assembles the chassis of a network called name whose nodes are
-// ids, in that order: the hub, each node's hub handle and, when w is set,
-// its write-ahead log and trace lane. depth reports the driver's admission
-// backlog summed over its nodes (pools, ingress queues, flow mailboxes) for
-// QueueSnapshot.
-func NewCluster(name string, ids []string, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) *Cluster {
+// ids, in that order: the hub, each node's hub handle and, when env.WAL is
+// set, its write-ahead log and trace lane on env's clock. depth reports the
+// driver's admission backlog summed over its nodes (pools, ingress queues,
+// flow mailboxes) for QueueSnapshot.
+func NewCluster(name string, ids []string, env Env, depth func() int) *Cluster {
 	c := &Cluster{}
-	c.init(name, ids, clk, w, tr, depth)
+	c.init(name, ids, env, depth)
 	return c
 }
 
-func (c *Cluster) init(name string, ids []string, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) {
+func (c *Cluster) init(name string, ids []string, env Env, depth func() int) {
 	c.Hub = NewHub(len(ids))
 	c.name = name
 	c.nodes = make([]Node, len(ids))
-	c.durable = w != nil
+	c.durable = env.WAL != nil
 	c.depth = depth
 	for i, id := range ids {
 		nd := &c.nodes[i]
 		nd.ID = id
 		nd.Hub = c.Hub.Node(id)
-		if w != nil {
-			nd.Gate.Enable(clk, wal.New(id, *w, clk))
-			nd.Gate.Trace(tr, name, id)
+		if env.WAL != nil {
+			nd.Gate.Enable(env.Clock, wal.New(id, *env.WAL, env.Clock))
+			nd.Gate.Trace(env.Trace, name, id)
 		}
 	}
 }
@@ -238,14 +236,15 @@ type LedgerCluster struct {
 }
 
 // NewLedgerCluster assembles a Cluster plus the private transport (traced
-// under the system's name) and every replica's ledger and world state. The
-// ledgers' genesis network ID is the lower-cased system name.
-func NewLedgerCluster(name string, ids []string, latency network.LatencyModel, clk clock.Clock, w *wal.Options, tr *trace.Tracer, depth func() int) *LedgerCluster {
+// under the system's name, with env's link latency) and every replica's
+// ledger and world state. The ledgers' genesis network ID is the lower-cased
+// system name.
+func NewLedgerCluster(name string, ids []string, env Env, depth func() int) *LedgerCluster {
 	c := &LedgerCluster{}
-	c.init(name, ids, clk, w, tr, depth)
-	c.Transport = network.NewTransport(clk, latency)
-	if tr != nil {
-		c.Transport.SetTracer(tr, name)
+	c.init(name, ids, env, depth)
+	c.Transport = network.NewTransport(env.Clock, env.Latency)
+	if env.Trace != nil {
+		c.Transport.SetTracer(env.Trace, name)
 	}
 	c.net = c.Transport
 	c.replicas = make([]Replica, len(ids))

@@ -20,7 +20,7 @@ type fakePipeline struct {
 
 func newFakePipeline(nodes int, w *wal.Options) *fakePipeline {
 	p := &fakePipeline{}
-	p.LedgerCluster = NewLedgerCluster("Fake", NodeIDs("fake", nodes), nil, clock.NewAutoVirtual(), w, nil,
+	p.LedgerCluster = NewLedgerCluster("Fake", NodeIDs("fake", nodes), Env{Clock: clock.NewAutoVirtual(), WAL: w},
 		func() int { p.depthCalls++; return 7 })
 	for _, r := range p.Replicas() {
 		r.Endpoints = []string{r.ID}
@@ -170,7 +170,7 @@ func TestClusterQueueSnapshot(t *testing.T) {
 // a driver leaves to it: no sheds, nothing held across phases, no fabric to
 // degrade, no endpoints, no log.
 func TestClusterChassisDefaults(t *testing.T) {
-	c := NewCluster("Bare", NodeIDs("bare", 2), nil, nil, nil, func() int { return 0 })
+	c := NewCluster("Bare", NodeIDs("bare", 2), Env{}, func() int { return 0 })
 	if cc := c.ConflictCounts(); cc != nil {
 		t.Errorf("ConflictCounts = %v, want nil", cc)
 	}

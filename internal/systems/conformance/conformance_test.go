@@ -9,115 +9,49 @@ package conformance_test
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/coconut"
+	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/systems/bitshares"
-	"github.com/coconut-bench/coconut/internal/systems/corda"
-	"github.com/coconut-bench/coconut/internal/systems/diem"
-	"github.com/coconut-bench/coconut/internal/systems/fabric"
-	"github.com/coconut-bench/coconut/internal/systems/quorum"
-	"github.com/coconut-bench/coconut/internal/systems/sawtooth"
+	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
 
-// candidate provisions one system with fast test parameters.
+// candidate is one system as a run builds it: through the constructor
+// table, at its Figure 3 KeyValue-Set cell.
 type candidate struct {
 	name string
-	make func() systems.Driver
+	p    experiments.Params
+}
+
+// make builds the candidate on env.
+func (c candidate) make(t *testing.T, env systems.Env) systems.Driver {
+	t.Helper()
+	d, err := experiments.NewDriver(c.name, env, c.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func candidates() []candidate {
-	return []candidate{
-		{systems.NameCordaOS, func() systems.Driver {
-			return corda.NewOS(corda.Config{
-				SignProcessing: time.Millisecond,
-				ScanCost:       time.Microsecond,
-				FlowTimeout:    10 * time.Second,
-			})
-		}},
-		{systems.NameCordaEnt, func() systems.Driver {
-			return corda.NewEnterprise(corda.Config{
-				SignProcessing: time.Millisecond,
-				ScanCost:       time.Microsecond,
-				FlowTimeout:    10 * time.Second,
-			})
-		}},
-		{systems.NameBitShares, func() systems.Driver {
-			return bitshares.New(bitshares.Config{BlockInterval: 10 * time.Millisecond})
-		}},
-		{systems.NameFabric, func() systems.Driver {
-			return fabric.New(fabric.Config{MaxMessageCount: 10, BatchTimeout: 15 * time.Millisecond})
-		}},
-		{systems.NameQuorum, func() systems.Driver {
-			return quorum.New(quorum.Config{BlockPeriod: 10 * time.Millisecond})
-		}},
-		{systems.NameSawtooth, func() systems.Driver {
-			return sawtooth.New(sawtooth.Config{
-				BlockPublishingDelay: 10 * time.Millisecond,
-				QueueDepth:           1000,
-			})
-		}},
-		{systems.NameDiem, func() systems.Driver {
-			return diem.New(diem.Config{RoundInterval: 5 * time.Millisecond, MempoolDepth: 1000})
-		}},
+	var cs []candidate
+	for _, name := range experiments.AllSystems {
+		cell, _ := experiments.BestCell(name, coconut.BenchKeyValueSet)
+		cs = append(cs, candidate{name, cell.Params})
 	}
-}
-
-type collector struct {
-	mu     sync.Mutex
-	events []systems.Event
-}
-
-func (c *collector) add(e systems.Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
-func (c *collector) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-func (c *collector) wait(t *testing.T, want int, timeout time.Duration) []systems.Event {
-	t.Helper()
-	return c.waitOn(t, clock.New(), want, timeout)
-}
-
-// waitOn polls on clk until want events have arrived, failing the test once
-// timeout has passed on clk.
-func (c *collector) waitOn(t *testing.T, clk clock.Clock, want int, timeout time.Duration) []systems.Event {
-	t.Helper()
-	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.events)
-		c.mu.Unlock()
-		if n >= want {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			out := make([]systems.Event, len(c.events))
-			copy(out, c.events)
-			return out
-		}
-		clk.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("received %d events, want %d", c.count(), want)
-	return nil
+	return cs
 }
 
 func TestContractNameAndNodeCount(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			d := c.make(t, systemstest.Env(t))
 			if d.Name() != c.name {
 				t.Fatalf("Name() = %q, want %q", d.Name(), c.name)
 			}
@@ -136,7 +70,7 @@ func TestContractSurface(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			d := c.make(t, systemstest.Env(t))
 			corda := c.name == systems.NameCordaOS || c.name == systems.NameCordaEnt
 			if noFabric := d.FaultTransport() == nil; noFabric != corda {
 				t.Errorf("FaultTransport() == nil is %v, want %v", noFabric, corda)
@@ -155,13 +89,10 @@ func TestContractCommitsEndToEnd(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			col := &collector{}
-			d.Subscribe("client-1", col.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			col := systemstest.Collect(env, d, "client-1")
+			systemstest.Start(t, d)
 
 			const txs = 5
 			for i := 0; i < txs; i++ {
@@ -171,7 +102,7 @@ func TestContractCommitsEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			events := col.wait(t, txs, 15*time.Second)
+			events := col.Wait(t, txs, 15*time.Second)
 			seen := make(map[string]bool)
 			for _, e := range events {
 				if !e.Committed || !e.ValidOK {
@@ -194,14 +125,11 @@ func TestContractEventsRoutePerClient(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			colA, colB := &collector{}, &collector{}
-			d.Subscribe("client-a", colA.add)
-			d.Subscribe("client-b", colB.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			colA := systemstest.Collect(env, d, "client-a")
+			colB := systemstest.Collect(env, d, "client-b")
+			systemstest.Start(t, d)
 
 			txA := chain.NewSingleOp("client-a", 1, iel.DoNothingName, iel.FnDoNothing)
 			txB := chain.NewSingleOp("client-b", 1, iel.DoNothingName, iel.FnDoNothing)
@@ -211,15 +139,15 @@ func TestContractEventsRoutePerClient(t *testing.T) {
 			if err := d.Submit(1, txB); err != nil {
 				t.Fatal(err)
 			}
-			evA := colA.wait(t, 1, 15*time.Second)
-			evB := colB.wait(t, 1, 15*time.Second)
+			evA := colA.Wait(t, 1, 15*time.Second)
+			evB := colB.Wait(t, 1, 15*time.Second)
 			if evA[0].TxID != txA.ID {
 				t.Fatal("client-a received the wrong transaction")
 			}
 			if evB[0].TxID != txB.ID {
 				t.Fatal("client-b received the wrong transaction")
 			}
-			if colA.count() > 1 || colB.count() > 1 {
+			if colA.Len() > 1 || colB.Len() > 1 {
 				t.Fatal("cross-client event leakage")
 			}
 		})
@@ -231,22 +159,19 @@ func TestContractNoDuplicateEvents(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			col := &collector{}
-			d.Subscribe("client-1", col.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			col := systemstest.Collect(env, d, "client-1")
+			systemstest.Start(t, d)
 
 			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
 			if err := d.Submit(0, tx); err != nil {
 				t.Fatal(err)
 			}
-			col.wait(t, 1, 15*time.Second)
+			col.Wait(t, 1, 15*time.Second)
 			// Allow stragglers to surface, then verify exactly one event.
-			time.Sleep(100 * time.Millisecond)
-			if n := col.count(); n != 1 {
+			env.Clock.Sleep(systemstest.Settle)
+			if n := col.Len(); n != 1 {
 				t.Fatalf("events = %d, want exactly 1 (at-most-once per tx)", n)
 			}
 		})
@@ -257,7 +182,7 @@ func TestContractSubmitAfterStopFails(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			d := c.make(t, systemstest.Env(t))
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +199,7 @@ func TestContractStopIsIdempotent(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			d := c.make(t, systemstest.Env(t))
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +213,7 @@ func TestContractStartIsIdempotent(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			d := c.make(t, systemstest.Env(t))
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -305,19 +230,16 @@ func TestContractEntryNodeWrapsAround(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			col := &collector{}
-			d.Subscribe("client-1", col.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			col := systemstest.Collect(env, d, "client-1")
+			systemstest.Start(t, d)
 			// Entry node beyond NodeCount must not panic: it wraps.
 			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
 			if err := d.Submit(99, tx); err != nil {
 				t.Fatal(err)
 			}
-			col.wait(t, 1, 15*time.Second)
+			col.Wait(t, 1, 15*time.Second)
 		})
 	}
 }
@@ -334,17 +256,14 @@ func TestContractFundsConservation(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
+			env := systemstest.Env(t)
+			d := c.make(t, env)
 			sr, ok := d.(stateReader)
 			if !ok {
 				t.Skipf("%s exposes no world state", c.name)
 			}
-			col := &collector{}
-			d.Subscribe("client-1", col.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			col := systemstest.Collect(env, d, "client-1")
+			systemstest.Start(t, d)
 
 			const accounts = 6
 			const initial = 1000
@@ -357,7 +276,7 @@ func TestContractFundsConservation(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			col.wait(t, accounts, 15*time.Second)
+			col.Wait(t, accounts, 15*time.Second)
 
 			// Chained overlapping payments: some will conflict/fail by design.
 			payments := 0
@@ -370,7 +289,7 @@ func TestContractFundsConservation(t *testing.T) {
 				}
 			}
 			// Give payments time to settle; some systems drop them entirely.
-			time.Sleep(500 * time.Millisecond)
+			env.Clock.Sleep(systemstest.Settle)
 
 			for node := 0; node < d.NodeCount(); node++ {
 				total := int64(0)

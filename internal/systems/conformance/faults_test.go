@@ -11,6 +11,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
+	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
 
 // The fault conformance matrix: every one of the seven systems ×
@@ -47,13 +48,13 @@ func submitSet(t *testing.T, d systems.Driver, seq *uint64, phase string, i int)
 	return key
 }
 
-// assertNoEvents asserts that no confirmation arrives within the settle
-// window (used while a node is down: the end-to-end criterion cannot be
-// met, so any event would be a phantom).
-func assertNoEvents(t *testing.T, col *collector, base int, settle time.Duration) {
+// assertNoEvents asserts that no confirmation arrives within
+// systemstest.Settle (used while a node is down: the end-to-end criterion
+// cannot be met, so any event would be a phantom).
+func assertNoEvents(t *testing.T, env systems.Env, col *systemstest.Collector, base int) {
 	t.Helper()
-	time.Sleep(settle)
-	if n := col.count(); n != base {
+	env.Clock.Sleep(systemstest.Settle)
+	if n := col.Len(); n != base {
 		t.Fatalf("received %d events while a node was down, want 0 (phantom confirmations)", n-base)
 	}
 }
@@ -96,17 +97,14 @@ func assertStateConverged(t *testing.T, d systems.Driver, keys []string) {
 	}
 }
 
-// runFaultColumn drives one matrix column: settle a healthy batch, take
-// faultNode down via down(), offer a batch during the outage, recover via
-// up(), and require liveness, no phantoms, and converged state.
-func runFaultColumn(t *testing.T, d systems.Driver, down, up func()) {
+// runFaultColumn drives one matrix column on d, built on env: settle a
+// healthy batch, take faultNode down via down(), offer a batch during the
+// outage, recover via up(), and require liveness, no phantoms, and
+// converged state.
+func runFaultColumn(t *testing.T, env systems.Env, d systems.Driver, down, up func()) {
 	const batch = 4
-	col := &collector{}
-	d.Subscribe("client-1", col.add)
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
+	col := systemstest.Collect(env, d, "client-1")
+	systemstest.Start(t, d)
 
 	var seq uint64
 	var keys []string
@@ -115,7 +113,7 @@ func runFaultColumn(t *testing.T, d systems.Driver, down, up func()) {
 	for i := 0; i < batch; i++ {
 		keys = append(keys, submitSet(t, d, &seq, "pre", i))
 	}
-	col.wait(t, batch, 15*time.Second)
+	col.Wait(t, batch, 15*time.Second)
 
 	down()
 
@@ -131,7 +129,7 @@ func runFaultColumn(t *testing.T, d systems.Driver, down, up func()) {
 	for i := 0; i < batch; i++ {
 		keys = append(keys, submitSet(t, d, &seq, "mid", i))
 	}
-	assertNoEvents(t, col, batch, 300*time.Millisecond)
+	assertNoEvents(t, env, col, batch)
 
 	up()
 
@@ -150,20 +148,11 @@ func runFaultColumn(t *testing.T, d systems.Driver, down, up func()) {
 	// The post-recovery batch is batch+1 events; hub-based systems also
 	// deliver the outage batch after catch-up, so wait for >= the floor
 	// every conforming system must reach.
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if col.count() >= 2*batch+1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := col.count(); n < 2*batch+1 {
-		t.Fatalf("liveness not recovered: %d events, want >= %d", n, 2*batch+1)
-	}
+	col.Wait(t, 2*batch+1, 15*time.Second)
 
 	// Let stragglers (catch-up deliveries) settle, then require identical
 	// committed prefixes across every node.
-	time.Sleep(300 * time.Millisecond)
+	env.Clock.Sleep(systemstest.Settle)
 	assertStateConverged(t, d, keys)
 }
 
@@ -174,8 +163,9 @@ func TestFaultMatrixCrashOneNode(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			runFaultColumn(t, d,
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			runFaultColumn(t, env, d,
 				func() {
 					if err := d.CrashNode(faultNode); err != nil {
 						t.Fatal(err)
@@ -199,9 +189,10 @@ func TestFaultMatrixPartitionThenHeal(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			in := faults.NewInjector(d, faults.Schedule{}, nil)
-			runFaultColumn(t, d,
+			env := systemstest.Env(t)
+			d := c.make(t, env)
+			in := faults.NewInjector(d, faults.Schedule{}, env.Clock)
+			runFaultColumn(t, env, d,
 				func() {
 					if err := in.Apply(faults.Event{Kind: faults.Partition, Group: []int{faultNode}}); err != nil {
 						t.Fatal(err)
@@ -224,11 +215,8 @@ func TestFaultHooksContract(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make()
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			d := c.make(t, systemstest.Env(t))
+			systemstest.Start(t, d)
 			if err := d.CrashNode(99); err == nil {
 				t.Fatal("CrashNode(99) did not error")
 			}

@@ -14,59 +14,16 @@ import (
 	"github.com/coconut-bench/coconut/internal/faults"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/systems/bitshares"
-	"github.com/coconut-bench/coconut/internal/systems/corda"
-	"github.com/coconut-bench/coconut/internal/systems/diem"
-	"github.com/coconut-bench/coconut/internal/systems/fabric"
-	"github.com/coconut-bench/coconut/internal/systems/quorum"
-	"github.com/coconut-bench/coconut/internal/systems/sawtooth"
+	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// walCandidates provisions all seven systems on clk (nil: the wall clock)
-// with a write-ahead log using the given options (fast test parameters
-// otherwise, mirroring candidates()).
-func walCandidates(opts *wal.Options, clk clock.Clock) []candidate {
-	return []candidate{
-		{systems.NameCordaOS, func() systems.Driver {
-			return corda.NewOS(corda.Config{
-				SignProcessing: time.Millisecond,
-				ScanCost:       time.Microsecond,
-				FlowTimeout:    10 * time.Second,
-				WAL:            opts,
-				Clock:          clk,
-			})
-		}},
-		{systems.NameCordaEnt, func() systems.Driver {
-			return corda.NewEnterprise(corda.Config{
-				SignProcessing: time.Millisecond,
-				ScanCost:       time.Microsecond,
-				FlowTimeout:    10 * time.Second,
-				WAL:            opts,
-				Clock:          clk,
-			})
-		}},
-		{systems.NameBitShares, func() systems.Driver {
-			return bitshares.New(bitshares.Config{BlockInterval: 10 * time.Millisecond, WAL: opts, Clock: clk})
-		}},
-		{systems.NameFabric, func() systems.Driver {
-			return fabric.New(fabric.Config{MaxMessageCount: 10, BatchTimeout: 15 * time.Millisecond, WAL: opts, Clock: clk})
-		}},
-		{systems.NameQuorum, func() systems.Driver {
-			return quorum.New(quorum.Config{BlockPeriod: 10 * time.Millisecond, WAL: opts, Clock: clk})
-		}},
-		{systems.NameSawtooth, func() systems.Driver {
-			return sawtooth.New(sawtooth.Config{
-				BlockPublishingDelay: 10 * time.Millisecond,
-				QueueDepth:           1000,
-				WAL:                  opts,
-				Clock:                clk,
-			})
-		}},
-		{systems.NameDiem, func() systems.Driver {
-			return diem.New(diem.Config{RoundInterval: 5 * time.Millisecond, MempoolDepth: 1000, WAL: opts, Clock: clk})
-		}},
-	}
+// walEnv is a test env whose nodes each run their commit plane through a
+// write-ahead log with opts.
+func walEnv(t *testing.T, opts *wal.Options) systems.Env {
+	env := systemstest.Env(t)
+	env.WAL = opts
+	return env
 }
 
 // fastWAL keeps the hot path cheap (sub-millisecond appends) so the
@@ -87,12 +44,13 @@ func fastWAL() *wal.Options {
 // with every node on a WAL: liveness, no phantoms, and identical committed
 // prefixes must survive the durable gate's replay-and-refetch restart.
 func TestFaultMatrixCrashWithWAL(t *testing.T) {
-	for _, c := range walCandidates(fastWAL(), nil) {
+	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			d := c.make()
-			runFaultColumn(t, d,
+			env := walEnv(t, fastWAL())
+			d := c.make(t, env)
+			runFaultColumn(t, env, d,
 				func() {
 					if err := d.CrashNode(faultNode); err != nil {
 						t.Fatal(err)
@@ -128,13 +86,14 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.TornWrite, faults.CorruptRecord} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			for _, c := range walCandidates(fastWAL(), nil) {
+			for _, c := range candidates() {
 				c := c
 				t.Run(c.name, func(t *testing.T) {
 					t.Parallel()
-					d := c.make()
-					in := faults.NewInjector(d, faults.Schedule{}, nil)
-					runFaultColumn(t, d,
+					env := walEnv(t, fastWAL())
+					d := c.make(t, env)
+					in := faults.NewInjector(d, faults.Schedule{}, env.Clock)
+					runFaultColumn(t, env, d,
 						func() {
 							if err := in.Apply(faults.Event{Kind: faults.CrashNode, Node: faultNode}); err != nil {
 								t.Fatal(err)
@@ -174,28 +133,23 @@ func TestWALCrashDuringReplay(t *testing.T) {
 	// could never catch up with ongoing block production.
 	opts := fastWAL()
 	opts.Latency.ReplayPerRecord = 5 * time.Millisecond
-	for i, c := range walCandidates(opts, nil) {
-		i, c := i, c
+	for _, c := range candidates() {
+		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			clk := clock.NewAutoVirtual()
-			h := clock.Register(clk, "client-1")
-			defer h.Close()
-			d := walCandidates(opts, clk)[i].make()
+			env := walEnv(t, opts)
+			clk := env.Clock
+			d := c.make(t, env)
 			const batch = 4
-			col := &collector{}
-			d.Subscribe("client-1", col.add)
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Stop()
+			col := systemstest.Collect(env, d, "client-1")
+			systemstest.Start(t, d)
 
 			var seq uint64
 			var keys []string
 			for i := 0; i < batch; i++ {
 				keys = append(keys, submitSet(t, d, &seq, "pre", i))
 			}
-			col.waitOn(t, clk, batch, 15*time.Second)
+			col.Wait(t, batch, 15*time.Second)
 
 			// Seed the fault node's log so its replay is long on every
 			// system: block producers accumulate records on their own, but
@@ -262,8 +216,8 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			keys = append(keys, "wal-post-via-3")
 
 			// Liveness after the double crash.
-			col.waitOn(t, clk, 2*batch+1, 15*time.Second)
-			clk.Sleep(300 * time.Millisecond)
+			col.Wait(t, 2*batch+1, 15*time.Second)
+			clk.Sleep(systemstest.Settle)
 			assertStateConverged(t, d, keys)
 		})
 	}

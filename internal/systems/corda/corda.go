@@ -35,7 +35,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
 
 // Edition selects the Corda variant.
@@ -59,76 +58,50 @@ func (e Edition) String() string {
 	}
 }
 
-// Config parameterizes a Corda network.
-type Config struct {
-	// Edition selects OS or Enterprise defaults.
-	Edition Edition
-	// Nodes is the network size (paper: 4; every node signs every flow).
-	Nodes int
-	// SignProcessing is the per-party flow-processing time during signature
-	// collection (OS default 25ms, Enterprise 8ms).
-	SignProcessing time.Duration
-	// ScanCost is the per-state cost of vault queries (OS default 80µs,
-	// Enterprise 10µs).
-	ScanCost time.Duration
-	// FlowTimeout abandons flows that run too long; abandoned flows are
-	// lost without a client event. Default 2s.
-	FlowTimeout time.Duration
-	// QueueDepth bounds each node's flow backlog; overflow is dropped
-	// silently (lost). Default 4096.
-	QueueDepth int
-	// ReadScanBudget, when positive, bounds how many vault states a read
+// Corda's calibration. Its throughput is flow-time-limited, not
+// block-limited, so its processing costs stay in real time rather than
+// scaling with the clock: on 4 nodes, Open Source's serial signing of 3
+// counterparties at 180 ms each yields the paper's ~7 MTPS DoNothing
+// capacity, and Enterprise's parallel signing (one 500 ms hop) with 8 flow
+// workers per node its ~64 MTPS.
+const (
+	osSignProcessing  = 180 * time.Millisecond
+	osScanCost        = 20 * time.Millisecond
+	osReadScanBudget  = 8 // full-vault reads are hopeless (§5.1)
+	entSignProcessing = 500 * time.Millisecond
+	entScanCost       = 30 * time.Millisecond
+	// flowTimeout abandons flows that run too long; abandoned flows are
+	// lost without a client event.
+	flowTimeout    = 10 * time.Second
+	flowQueueDepth = 4096
+)
+
+// config is one Corda network's calibration. Unit tests override a field to
+// isolate one mechanism.
+type config struct {
+	edition Edition
+	// signProcessing is the per-party flow-processing time during
+	// signature collection.
+	signProcessing time.Duration
+	scanCost       time.Duration // per vault state visited by a query
+	queueDepth     int           // per-node flow backlog; overflow is dropped silently
+	// readScanBudget, when positive, bounds how many vault states a read
 	// flow may visit before it is abandoned as timed out. It models the
 	// paper's Corda OS finding that full-vault iteration makes reads
 	// hopeless once the vault is non-trivial (§5.1). 0 = unlimited.
-	ReadScanBudget int
-	// Latency models per-hop network delay for signing and notarisation
-	// round trips (nil = zero latency).
-	Latency network.LatencyModel
-	// Clock drives timers and simulated processing.
-	Clock clock.Clock
-	// WAL, when set, mounts a write-ahead log on every node's commit gate:
-	// each finalised flow's vault application is durably recorded before it
-	// applies (see systems.DurableGate).
-	WAL *wal.Options
-	// Trace, when set, receives sampled spans: per-flow consensus-analogue
-	// spans (signature collection + notarisation) and WAL appends/fsyncs.
-	Trace *trace.Tracer
+	readScanBudget int
 }
 
-func (c *Config) fill() {
-	if c.Edition == 0 {
-		c.Edition = OpenSource
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.SignProcessing <= 0 {
-		if c.Edition == Enterprise {
-			c.SignProcessing = 8 * time.Millisecond
-		} else {
-			c.SignProcessing = 25 * time.Millisecond
-		}
-	}
-	if c.ScanCost <= 0 {
-		if c.Edition == Enterprise {
-			c.ScanCost = 10 * time.Microsecond
-		} else {
-			c.ScanCost = 80 * time.Microsecond
-		}
-	}
-	if c.FlowTimeout <= 0 {
-		c.FlowTimeout = 2 * time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
-	if c.Latency == nil {
-		c.Latency = network.ZeroLatency{}
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
-	}
+// osConfig and entConfig are the two editions' calibrations. Corda takes
+// none of the paper's parameters but RL, which only the clients use.
+func osConfig() config {
+	return config{edition: OpenSource, signProcessing: osSignProcessing, scanCost: osScanCost,
+		queueDepth: flowQueueDepth, readScanBudget: osReadScanBudget}
+}
+
+func entConfig() config {
+	return config{edition: Enterprise, signProcessing: entSignProcessing, scanCost: entScanCost,
+		queueDepth: flowQueueDepth}
 }
 
 // flowJob is one queued flow invocation.
@@ -149,7 +122,8 @@ type Network struct {
 	// modeled point to point) and no key-value world state, so link faults
 	// do not apply to it and it exposes no WorldState.
 	*systems.Cluster
-	cfg Config
+	env systems.Env
+	cfg config
 	// flowWorkers is the per-node flow concurrency: 1 for OS, whose flows
 	// run single-threaded, and 8 for Enterprise.
 	flowWorkers int
@@ -169,43 +143,39 @@ type Network struct {
 
 var _ systems.Driver = (*Network)(nil)
 
-// New assembles a Corda network of the configured edition.
-func New(cfg Config) *Network {
-	cfg.fill()
+// NewOS assembles a Corda Open Source network on env. It takes the paper's
+// parameters like every driver, but none of them is Corda's.
+func NewOS(env systems.Env, _ systems.Params) *Network { return build(env, osConfig()) }
+
+// NewEnterprise assembles a Corda Enterprise network on env.
+func NewEnterprise(env systems.Env, _ systems.Params) *Network { return build(env, entConfig()) }
+
+func build(env systems.Env, cfg config) *Network {
+	if env.Latency == nil {
+		env.Latency = network.ZeroLatency{}
+	}
 	workers := 1
-	if cfg.Edition == Enterprise {
+	if cfg.edition == Enterprise {
 		workers = 8
 	}
 	n := &Network{
+		env:         env,
 		cfg:         cfg,
 		flowWorkers: workers,
 		notary:      notary.NewService("corda-notary"),
 		conflicts:   make(map[string]uint64),
-		wg:          clock.NewGroup(cfg.Clock),
-		stop:        clock.NewGate(cfg.Clock),
+		wg:          clock.NewGroup(env.Clock),
+		stop:        clock.NewGate(env.Clock),
 	}
-	n.Cluster = systems.NewCluster(cfg.Edition.String(), systems.NodeIDs("corda-node", cfg.Nodes),
-		cfg.Clock, cfg.WAL, cfg.Trace, n.flowBacklog)
-	for i := 0; i < cfg.Nodes; i++ {
+	n.Cluster = systems.NewCluster(cfg.edition.String(), systems.NodeIDs("corda-node", env.Nodes), env, n.flowBacklog)
+	for i := 0; i < env.Nodes; i++ {
 		n.nodes = append(n.nodes, &node{
 			Node:  n.Node(i),
 			vault: chain.NewVault(),
-			queue: clock.NewMailbox[flowJob](cfg.Clock, cfg.QueueDepth),
+			queue: clock.NewMailbox[flowJob](env.Clock, cfg.queueDepth),
 		})
 	}
 	return n
-}
-
-// NewOS assembles a Corda Open Source network.
-func NewOS(cfg Config) *Network {
-	cfg.Edition = OpenSource
-	return New(cfg)
-}
-
-// NewEnterprise assembles a Corda Enterprise network.
-func NewEnterprise(cfg Config) *Network {
-	cfg.Edition = Enterprise
-	return New(cfg)
 }
 
 // Start implements systems.Driver.
@@ -213,19 +183,19 @@ func (n *Network) Start() error {
 	if !n.MarkStarted() {
 		return nil
 	}
-	clock.Fork(n.cfg.Clock, len(n.nodes)*n.flowWorkers)
+	clock.Fork(n.env.Clock, len(n.nodes)*n.flowWorkers)
 	for _, nd := range n.nodes {
 		for w := 0; w < n.flowWorkers; w++ {
 			nd, w := nd, w
 			n.wg.Add(1)
 			go func() {
-				h := clock.RegisterForked(n.cfg.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
+				h := clock.RegisterForked(n.env.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
 				defer h.Close()
 				defer n.wg.Done()
 				var job flowJob // this worker's own: its siblings share the queue
 				queue := nd.queue.Receiver(&job)
 				for {
-					switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, queue); i {
+					switch i, _, _ := clock.Await(n.env.Clock, n.stop, queue); i {
 					case 0:
 						return
 					case 1:
@@ -256,7 +226,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	}
 	nd := n.nodes[i]
 	if nd.queue.TrySend(flowJob{tx: tx}) {
-		tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
+		tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 		return nil
 	}
 	n.mu.Lock()
@@ -267,7 +237,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // runFlow executes one flow end to end on the entry node.
 func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
-	started := n.cfg.Clock.Now()
+	started := n.env.Clock.Now()
 	// A flow worker picked the job up: the queue wait ends here.
 	tx.Stages.Mark(chain.StageQueue, started)
 	op := tx.Ops[0]
@@ -280,7 +250,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		return
 	}
 	// Flow build is Corda's execution phase (vault scans, contract logic).
-	built := n.cfg.Clock.Now()
+	built := n.env.Clock.Now()
 	tx.Stages.Mark(chain.StageExecute, built)
 	if n.deadlineExceeded(started) {
 		n.recordTimeout()
@@ -296,11 +266,11 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		}
 	}
 	mode := notary.Serial
-	if n.cfg.Edition == Enterprise {
+	if n.cfg.edition == Enterprise {
 		mode = notary.Parallel
 	}
 	txID := flowTxID(tx, utx)
-	_, err = notary.CollectSignatures(n.cfg.Clock, mode, parties, txID, func(party string, id crypto.Hash) (crypto.Signature, error) {
+	_, err = notary.CollectSignatures(n.env.Clock, mode, parties, txID, func(party string, id crypto.Hash) (crypto.Signature, error) {
 		// Corda requires every counterparty's signature: a crashed signer
 		// fails the whole flow, so one node outage halts all write flows —
 		// the flip side of the paper's §6 observation that requiring fewer
@@ -311,8 +281,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		// One round trip to the counterparty plus its flow processing: the
 		// sleep is the modeled cost of a signature. Nothing verifies one, so
 		// none is computed.
-		rtt := n.cfg.Latency.Delay(entry.ID, party) + n.cfg.Latency.Delay(party, entry.ID)
-		n.cfg.Clock.Sleep(rtt + n.cfg.SignProcessing)
+		rtt := n.env.Latency.Delay(entry.ID, party) + n.env.Latency.Delay(party, entry.ID)
+		n.env.Clock.Sleep(rtt + n.cfg.signProcessing)
 		return crypto.Signature{Signer: party}, nil
 	})
 	if err != nil {
@@ -327,8 +297,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// Phase 3: notarise when the flow consumes states (§5.8.1: only
 	// state-consuming flows need the notary).
 	if utx != nil && len(utx.Inputs) > 0 {
-		rtt := n.cfg.Latency.Delay(entry.ID, n.notary.Name) + n.cfg.Latency.Delay(n.notary.Name, entry.ID)
-		n.cfg.Clock.Sleep(rtt)
+		rtt := n.env.Latency.Delay(entry.ID, n.notary.Name) + n.env.Latency.Delay(n.notary.Name, entry.ID)
+		n.env.Clock.Sleep(rtt)
 		if err := n.notary.Notarise(utx.ID, utx.Inputs); err != nil {
 			n.recordFailure(err) // double spend: flow fails, tx lost
 			return
@@ -340,18 +310,18 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	}
 	// Signature collection plus notarisation is Corda's ordering/consensus
 	// analogue: after this instant the flow's outcome is decided.
-	decided := n.cfg.Clock.Now()
+	decided := n.env.Clock.Now()
 	tx.Stages.Mark(chain.StageConsensus, decided)
 	// Blockless Corda has no rounds; the consensus-analogue span covers one
 	// sampled flow's signing plus notarisation, keyed to its transaction.
-	if tr := n.cfg.Trace; tr.Sampled(trace.Key(tx.ID)) {
+	if tr := n.env.Trace; tr.Sampled(trace.Key(tx.ID)) {
 		tr.Add(trace.Span{Key: trace.Key(tx.ID), Name: "flow:sign+notarise", Cat: "consensus",
 			Proc: n.Name(), Lane: "consensus", Start: built.UnixNano(), End: decided.UnixNano()})
 	}
 
 	// Phase 4: finality — distribute to every vault; reads complete on the
 	// entry node alone.
-	now := n.cfg.Clock.Now()
+	now := n.env.Clock.Now()
 	ev := systems.Event{
 		TxID:      tx.ID,
 		Client:    tx.Client,
@@ -372,7 +342,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		nd := nd
 		if nd != entry {
 			// State distribution crosses the network once per node.
-			n.cfg.Clock.Sleep(n.cfg.Latency.Delay(entry.ID, nd.ID))
+			n.env.Clock.Sleep(n.env.Latency.Delay(entry.ID, nd.ID))
 		}
 		// A node that crashed between signing and finality receives the
 		// states when it restarts (Corda's message-queue redelivery). Each
@@ -387,8 +357,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 			}
 			// Vault apply is Corda's commit-time validation (the vault
 			// rejects already-consumed inputs); first node wins the mark.
-			tx.Stages.Mark(chain.StageValidate, n.cfg.Clock.Now())
-			nd.Hub.Committed(ev, n.cfg.Clock.Now())
+			tx.Stages.Mark(chain.StageValidate, n.env.Clock.Now())
+			nd.Hub.Committed(ev, n.env.Clock.Now())
 		})
 	}
 }
@@ -605,8 +575,8 @@ func (n *Network) findStateOpt(entry *node, kind, key string) (chain.StateRef, c
 		}
 		return false
 	})
-	if cost := time.Duration(visited) * n.cfg.ScanCost; cost > 0 {
-		n.cfg.Clock.Sleep(cost)
+	if cost := time.Duration(visited) * n.cfg.scanCost; cost > 0 {
+		n.env.Clock.Sleep(cost)
 	}
 	return outRef, outSt, found
 }
@@ -664,17 +634,17 @@ func (n *Network) Preload(ops []chain.Operation) error {
 	return nil
 }
 
-// errScanBudget marks a vault scan abandoned for exceeding ReadScanBudget.
+// errScanBudget marks a vault scan abandoned for exceeding the read budget.
 var errScanBudget = fmt.Errorf("corda: vault scan exceeds read budget")
 
-// scanVault linear-scans the entry node's vault and charges ScanCost per
-// visited state — the paper's Corda read pathology. When ReadScanBudget is
+// scanVault linear-scans the entry node's vault and charges scanCost per
+// visited state — the paper's Corda read pathology. When a read budget is
 // set and the vault holds more states than the flow can visit within its
 // deadline, the scan is abandoned.
 func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool, error) {
-	if b := n.cfg.ReadScanBudget; b > 0 && entry.vault.UnspentCount() > b {
+	if b := n.cfg.readScanBudget; b > 0 && entry.vault.UnspentCount() > b {
 		// The flow burns its whole budget before giving up.
-		n.cfg.Clock.Sleep(time.Duration(b) * n.cfg.ScanCost)
+		n.env.Clock.Sleep(time.Duration(b) * n.cfg.scanCost)
 		return chain.StateRef{}, chain.ContractState{}, false, errScanBudget
 	}
 	visited := 0
@@ -690,8 +660,8 @@ func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chai
 		}
 		return false
 	})
-	if cost := time.Duration(visited) * n.cfg.ScanCost; cost > 0 {
-		n.cfg.Clock.Sleep(cost)
+	if cost := time.Duration(visited) * n.cfg.scanCost; cost > 0 {
+		n.env.Clock.Sleep(cost)
 	}
 	return outRef, outSt, found, nil
 }
@@ -704,7 +674,7 @@ func flowTxID(tx *chain.Transaction, utx *chain.UTXOTransaction) crypto.Hash {
 }
 
 func (n *Network) deadlineExceeded(started time.Time) bool {
-	return n.cfg.Clock.Since(started) > n.cfg.FlowTimeout
+	return n.env.Clock.Since(started) > flowTimeout
 }
 
 // recordFailure counts one lost flow, classified by abort code for the

@@ -20,63 +20,48 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/diembft"
 	"github.com/coconut-bench/coconut/internal/mempool"
-	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// Config parameterizes a Diem network.
-type Config struct {
-	// Validators is the network size (paper: 4).
-	Validators int
-	// MaxBlockSize is the paper's max_block_size (default 3000 upstream;
-	// the paper sweeps {100, 500, 1000, 2000}).
-	MaxBlockSize int
-	// RoundInterval paces DiemBFT rounds.
-	RoundInterval time.Duration
-	// MempoolDepth bounds each validator's admission queue.
-	MempoolDepth int
-	// SpikePeriod is how often a validator enters a validation stall; 0
-	// disables spiking.
-	SpikePeriod time.Duration
-	// SpikeDuration is how long each stall lasts.
-	SpikeDuration time.Duration
-	// Latency models the per-hop delay of the network's private transport;
-	// nil means zero latency.
-	Latency network.LatencyModel
-	// Clock drives timers.
-	Clock clock.Clock
-	// WAL, when set, mounts a write-ahead log on every validator's commit
-	// gate (see systems.DurableGate).
-	WAL *wal.Options
-	// Trace, when set, receives sampled spans: consensus rounds, WAL
-	// appends/fsyncs, and (on a private transport) network hops.
-	Trace *trace.Tracer
+// Diem's calibration. Diem is validation-limited: rounds run at a
+// real-time cadence and the validators spend most of the benchmark in the
+// "spiking" stalls the paper cites from Balster (§5.7).
+const (
+	defaultBS     = 3000 // upstream max_block_size
+	minBlockSize  = 6    // floor under the scaled max_block_size
+	roundInterval = 150 * time.Millisecond
+	mempoolDepth  = 48
+	spikePeriod   = time.Second
+	spikeDuration = 650 * time.Millisecond
+)
+
+// config is one Diem network's calibration: the paper's parameters at an
+// Env. Unit tests override a field to isolate one mechanism.
+type config struct {
+	maxBlockSize  int           // max_block_size, ×Scale
+	roundInterval time.Duration // DiemBFT round pacing
+	mempoolDepth  int           // per-validator admission bound
+	// A validator stalls for spikeDuration every spikePeriod; a zero
+	// spikePeriod disables spiking.
+	spikePeriod   time.Duration
+	spikeDuration time.Duration
 }
 
-func (c *Config) fill() {
-	if c.Validators <= 0 {
-		c.Validators = 4
+func calibrate(env systems.Env, p systems.Params) config {
+	bs := p.BS
+	if bs == 0 {
+		bs = defaultBS
 	}
-	if c.MaxBlockSize <= 0 {
-		c.MaxBlockSize = 3000
-	}
-	if c.RoundInterval <= 0 {
-		c.RoundInterval = 20 * time.Millisecond
-	}
-	if c.MempoolDepth <= 0 {
-		c.MempoolDepth = 2048
-	}
-	if c.SpikeDuration <= 0 {
-		c.SpikeDuration = c.RoundInterval * 4
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
+	return config{
+		maxBlockSize:  max(env.Count(bs), minBlockSize),
+		roundInterval: roundInterval,
+		mempoolDepth:  mempoolDepth,
+		spikePeriod:   spikePeriod,
+		spikeDuration: spikeDuration,
 	}
 }
 
@@ -101,32 +86,34 @@ type validator struct {
 // Network is a full Diem deployment.
 type Network struct {
 	*systems.LedgerCluster
-	cfg Config
+	env systems.Env
+	cfg config
 
 	validators []*validator
 }
 
 var _ systems.Driver = (*Network)(nil)
 
-// New assembles a Diem network.
-func New(cfg Config) *Network {
-	cfg.fill()
-	n := &Network{cfg: cfg}
-	names := systems.NodeIDs("diem", cfg.Validators)
-	n.LedgerCluster = systems.NewLedgerCluster(systems.NameDiem, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.poolBacklog)
+// New assembles a Diem network on env at the paper's parameters p.
+func New(env systems.Env, p systems.Params) *Network { return build(env, calibrate(env, p)) }
+
+func build(env systems.Env, cfg config) *Network {
+	n := &Network{env: env, cfg: cfg}
+	names := systems.NodeIDs("diem", env.Nodes)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameDiem, names, env, n.poolBacklog)
 	for _, r := range n.Replicas() {
 		v := &validator{
 			Replica:   r,
-			pool:      mempool.NewBounded[*chain.Transaction](cfg.MempoolDepth),
-			lastSpike: cfg.Clock.Now(),
+			pool:      mempool.NewBounded[*chain.Transaction](cfg.mempoolDepth),
+			lastSpike: env.Clock.Now(),
 		}
 		v.Endpoints = []string{v.ID}
 		v.engine = diembft.New(diembft.Config{
 			ID:            v.ID,
 			Validators:    names,
 			Transport:     n.Transport,
-			Clock:         cfg.Clock,
-			RoundInterval: cfg.RoundInterval,
+			Clock:         env.Clock,
+			RoundInterval: cfg.roundInterval,
 			OnDecide:      n.makeDecideFunc(v),
 			PayloadSource: n.makePayloadSource(v),
 		})
@@ -171,11 +158,11 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	if err := v.pool.Add(tx); err != nil {
 		return err
 	}
-	tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
+	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 	return nil
 }
 
-// makePayloadSource pulls up to MaxBlockSize transactions from the leader's
+// makePayloadSource pulls up to max_block_size transactions from the leader's
 // pool at proposal time — unless the validator is spiking, in which case it
 // proposes nothing and the engine emits an empty block.
 func (n *Network) makePayloadSource(v *validator) func() any {
@@ -183,11 +170,11 @@ func (n *Network) makePayloadSource(v *validator) func() any {
 		if n.spiking(v) {
 			return nil
 		}
-		txs := v.pool.Take(n.cfg.MaxBlockSize)
+		txs := v.pool.Take(n.cfg.maxBlockSize)
 		if len(txs) == 0 {
 			return nil
 		}
-		formed := n.cfg.Clock.Now()
+		formed := n.env.Clock.Now()
 		for _, tx := range txs {
 			tx.Stages.Mark(chain.StageQueue, formed)
 		}
@@ -197,18 +184,18 @@ func (n *Network) makePayloadSource(v *validator) func() any {
 
 // spiking evaluates and advances the validator's spike schedule.
 func (n *Network) spiking(v *validator) bool {
-	if n.cfg.SpikePeriod <= 0 {
+	if n.cfg.spikePeriod <= 0 {
 		return false
 	}
-	now := n.cfg.Clock.Now()
+	now := n.env.Clock.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if now.Before(v.spikeUntil) {
 		return true
 	}
-	if now.Sub(v.lastSpike) >= n.cfg.SpikePeriod {
+	if now.Sub(v.lastSpike) >= n.cfg.spikePeriod {
 		v.lastSpike = now
-		v.spikeUntil = now.Add(n.cfg.SpikeDuration)
+		v.spikeUntil = now.Add(n.cfg.spikeDuration)
 		return true
 	}
 	return false
@@ -237,17 +224,17 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
-	now := n.cfg.Clock.Now()
+	now := n.env.Clock.Now()
 	// One consensus-round span per sampled block, emitted at validator 0's
 	// apply site only (every validator applies the identical decision).
-	if tr := n.cfg.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
+	if tr := n.env.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameDiem,
 			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
 	}
 	for txNum, tx := range blk.Txs {
 		tx.Stages.Mark(chain.StageConsensus, now)
 		execErr := v.ExecuteTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
+		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
 			Client:    tx.Client,

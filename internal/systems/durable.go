@@ -88,9 +88,6 @@ type gateTask struct {
 func (g *DurableGate) Enable(clk clock.Clock, log *wal.Log) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if clk == nil {
-		clk = clock.New()
-	}
 	g.clk = clk
 	g.log = log
 }

@@ -24,66 +24,46 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
-	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// Config parameterizes a Fabric network.
-type Config struct {
-	// Peers is the number of endorsing/committing peers (paper: 4).
-	Peers int
-	// Orderers is the ordering-service size (paper: 3, Raft).
-	Orderers int
-	// MaxMessageCount cuts a block after this many envelopes (the paper's
-	// MM parameter; default 500 per Fabric's configtx).
-	MaxMessageCount int
-	// BatchTimeout cuts a partial block after this delay (Fabric default
-	// 2s; scaled down in benchmarks).
-	BatchTimeout time.Duration
-	// OrdererQueueDepth bounds each orderer's ingress queue; overflow drops
-	// envelopes, reproducing the paper's lost transactions at RL=1600.
-	OrdererQueueDepth int
-	// EventLossAtPeers, when positive, reproduces the paper's §5.8.2
-	// finding for large networks: with 16 and 32 peers "the nodes and the
-	// orderers successfully process and finalise the transactions, but the
-	// clients do not receive any confirmation". At or above this peer
-	// count, blocks still commit on every peer but no client events fire.
-	// The upstream root cause is unknown; this models the observation.
-	EventLossAtPeers int
-	// Latency models the per-hop delay of the network's private transport;
-	// nil means zero latency.
-	Latency network.LatencyModel
-	// Clock drives timers.
-	Clock clock.Clock
-	// WAL, when set, mounts a write-ahead log on every peer's commit gate
-	// (see systems.DurableGate).
-	WAL *wal.Options
-	// Trace, when set, receives sampled spans: consensus rounds, WAL
-	// appends/fsyncs, and (on a private transport) network hops.
-	Trace *trace.Tracer
+// Fabric's calibration. The orderer queue bound is high enough that only
+// the paper's extreme load (RL=1600) overflows it.
+const (
+	orderers          = 3   // Raft orderers on servers 1-3 (Table 4)
+	defaultMM         = 500 // Fabric's configtx MaxMessageCount
+	batchTimeoutSec   = 2   // Fabric's BatchTimeout, paper seconds
+	ordererQueueDepth = 20000
+	// eventLossAtPeers reproduces the paper's §5.8.2 finding for large
+	// networks: with 16 and 32 peers "the nodes and the orderers
+	// successfully process and finalise the transactions, but the clients
+	// do not receive any confirmation". At or above this peer count, blocks
+	// still commit on every peer but no client events fire. The upstream
+	// root cause is unknown; this models the observation.
+	eventLossAtPeers = 16
+)
+
+// config is one Fabric network's calibration: the paper's parameters at an
+// Env. Unit tests override a field to isolate one mechanism.
+type config struct {
+	maxMessageCount  int           // block cut size: MM, ×Scale
+	batchTimeout     time.Duration // partial-block cut delay
+	ordererQueue     int           // per-orderer ingress bound; overflow drops
+	eventLossAtPeers int
 }
 
-func (c *Config) fill() {
-	if c.Peers <= 0 {
-		c.Peers = 4
+func calibrate(env systems.Env, p systems.Params) config {
+	mm := p.MM
+	if mm == 0 {
+		mm = defaultMM
 	}
-	if c.Orderers <= 0 {
-		c.Orderers = 3
-	}
-	if c.MaxMessageCount <= 0 {
-		c.MaxMessageCount = 500
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = 2 * time.Second
-	}
-	if c.OrdererQueueDepth <= 0 {
-		c.OrdererQueueDepth = 20000
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
+	return config{
+		maxMessageCount:  env.Count(mm),
+		batchTimeout:     env.Paper(batchTimeoutSec),
+		ordererQueue:     ordererQueueDepth,
+		eventLossAtPeers: eventLossAtPeers,
 	}
 }
 
@@ -115,7 +95,8 @@ type orderer struct {
 // Network is a full Fabric deployment.
 type Network struct {
 	*systems.LedgerCluster
-	cfg Config
+	env systems.Env
+	cfg config
 
 	orderers []*orderer
 
@@ -125,36 +106,38 @@ type Network struct {
 
 var _ systems.Driver = (*Network)(nil)
 
-// New assembles a Fabric network.
-func New(cfg Config) *Network {
-	cfg.fill()
+// New assembles a Fabric network on env at the paper's parameters p.
+func New(env systems.Env, p systems.Params) *Network { return build(env, calibrate(env, p)) }
+
+func build(env systems.Env, cfg config) *Network {
 	n := &Network{
+		env:  env,
 		cfg:  cfg,
-		stop: clock.NewGate(cfg.Clock),
-		done: clock.NewGate(cfg.Clock),
+		stop: clock.NewGate(env.Clock),
+		done: clock.NewGate(env.Clock),
 	}
-	n.LedgerCluster = systems.NewLedgerCluster(systems.NameFabric, systems.NodeIDs("fabric-peer", cfg.Peers),
-		cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.ingressBacklog)
-	ordererIDs := systems.NodeIDs("fabric-orderer", cfg.Orderers)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameFabric, systems.NodeIDs("fabric-peer", env.Nodes),
+		env, n.ingressBacklog)
+	ordererIDs := systems.NodeIDs("fabric-orderer", orderers)
 	// The paper co-locates orderer i on server i (Table 4: orderers on
 	// servers 1-3); peers themselves commit via the ordering stream rather
 	// than peer-to-peer links, so a server past the last orderer owns no
 	// endpoint.
 	for i, p := range n.Replicas() {
-		if i < cfg.Orderers {
+		if i < orderers {
 			p.Endpoints = ordererIDs[i : i+1]
 		}
 	}
-	for i := 0; i < cfg.Orderers; i++ {
+	for i := 0; i < orderers; i++ {
 		o := &orderer{
 			id:      ordererIDs[i],
-			ingress: mempool.NewBounded[envelope](cfg.OrdererQueueDepth),
+			ingress: mempool.NewBounded[envelope](cfg.ordererQueue),
 		}
 		o.node = raft.New(raft.Config{
 			ID:        o.id,
 			Peers:     ordererIDs,
 			Transport: n.Transport,
-			Clock:     cfg.Clock,
+			Clock:     env.Clock,
 			OnDecide:  n.makeDecideFunc(i),
 			Seed:      int64(i + 1),
 		})
@@ -173,7 +156,7 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start orderer %s: %w", o.id, err)
 		}
 	}
-	clock.Fork(n.cfg.Clock, 1)
+	clock.Fork(n.env.Clock, 1)
 	go n.cutLoop()
 	return nil
 }
@@ -184,7 +167,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	clock.Await(n.env.Clock, n.done)
 	for _, o := range n.orderers {
 		o.node.Stop()
 	}
@@ -203,12 +186,12 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	env := n.endorse(n.Replicas()[i].State, tx)
 	// Execute-order-validate: endorsement is the execution phase, and it
 	// happens before the transaction ever reaches the ordering queue.
-	tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
+	tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 	o := n.orderers[entryNode%len(n.orderers)]
 	// Silent drop on overflow: Fabric's client SDK gets a broadcast ACK
 	// before ordering completes, so the loss is invisible end to end.
 	if o.ingress.Add(env) == nil {
-		tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
+		tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 	}
 	return nil
 }
@@ -247,46 +230,46 @@ func (r *rwRecorder) Put(key, value string) { r.rw.RecordWrite(key, value) }
 // cutLoop drains orderer ingress queues into blocks, honouring
 // MaxMessageCount and BatchTimeout, and submits each cut batch to Raft.
 func (n *Network) cutLoop() {
-	h := clock.RegisterForked(n.cfg.Clock, "fabric/cutter")
+	h := clock.RegisterForked(n.env.Clock, "fabric/cutter")
 	defer h.Close()
 	defer n.done.Close()
 	// Poll at a fraction of the batch timeout for responsive cutting, but
 	// never slower than 10ms so MaxMessageCount cuts stay prompt even with
 	// a long batch timeout.
-	interval := n.cfg.BatchTimeout / 8
+	interval := n.cfg.batchTimeout / 8
 	if interval <= 0 || interval > 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	tick := n.cfg.Clock.NewTicker(interval)
+	tick := n.env.Clock.NewTicker(interval)
 	defer tick.Stop()
-	lastCut := n.cfg.Clock.Now()
+	lastCut := n.env.Clock.Now()
 
 	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, tick); i {
+		switch i, _, _ := clock.Await(n.env.Clock, n.stop, tick); i {
 		case 0:
 			return
 		case 1:
-			timedOut := n.cfg.Clock.Since(lastCut) >= n.cfg.BatchTimeout
+			timedOut := n.env.Clock.Since(lastCut) >= n.cfg.batchTimeout
 			for _, o := range n.orderers {
-				for o.ingress.Len() >= n.cfg.MaxMessageCount {
+				for o.ingress.Len() >= n.cfg.maxMessageCount {
 					// A failed cut (no Raft leader yet) puts the envelopes
 					// back; retrying before the next tick would spin without
 					// ever yielding, which under the virtual clock starves
 					// the very election the retry is waiting on.
-					if !n.cut(o, o.ingress.Take(n.cfg.MaxMessageCount)) {
+					if !n.cut(o, o.ingress.Take(n.cfg.maxMessageCount)) {
 						break
 					}
-					lastCut = n.cfg.Clock.Now()
+					lastCut = n.env.Clock.Now()
 				}
 				if timedOut {
-					if envs := o.ingress.Take(n.cfg.MaxMessageCount); len(envs) > 0 {
+					if envs := o.ingress.Take(n.cfg.maxMessageCount); len(envs) > 0 {
 						n.cut(o, envs)
-						lastCut = n.cfg.Clock.Now()
+						lastCut = n.env.Clock.Now()
 					}
 				}
 			}
 			if timedOut {
-				lastCut = n.cfg.Clock.Now()
+				lastCut = n.env.Clock.Now()
 			}
 		}
 	}
@@ -295,7 +278,7 @@ func (n *Network) cutLoop() {
 // cut submits one batch to the ordering service, reporting whether it was
 // accepted.
 func (n *Network) cut(o *orderer, envs []envelope) bool {
-	batch := &cutBatch{Envelopes: envs, Txs: make([]*chain.Transaction, len(envs)), CutAt: n.cfg.Clock.Now(), Cutter: o.id}
+	batch := &cutBatch{Envelopes: envs, Txs: make([]*chain.Transaction, len(envs)), CutAt: n.env.Clock.Now(), Cutter: o.id}
 	for i, env := range envs {
 		batch.Txs[i] = env.Tx
 	}
@@ -334,10 +317,10 @@ func (n *Network) makeDecideFunc(i int) consensus.DecideFunc {
 // reporting per-transaction commits to the hub. A crashed peer's gate
 // buffers its share of the work until RestartNode replays it.
 func (n *Network) commitBlock(seq uint64, batch *cutBatch) {
-	decided := n.cfg.Clock.Now()
+	decided := n.env.Clock.Now()
 	// Consensus rounds are sampled on the block number: one span per
 	// sampled round, emitted at the single global commit site.
-	if tr := n.cfg.Trace; tr.Sampled(seq) {
+	if tr := n.env.Trace; tr.Sampled(seq) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
 			Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: seq})
 	}
@@ -358,8 +341,8 @@ func (n *Network) commitOnPeer(p *systems.Replica, batch *cutBatch) {
 	if err := p.Ledger.Append(blk); err != nil {
 		return // stale duplicate
 	}
-	eventsLost := n.cfg.EventLossAtPeers > 0 && n.cfg.Peers >= n.cfg.EventLossAtPeers
-	now := n.cfg.Clock.Now()
+	eventsLost := n.env.Nodes >= n.cfg.eventLossAtPeers
+	now := n.env.Clock.Now()
 	for txNum, env := range batch.Envelopes {
 		validErr := env.RWSet.Validate(p.State)
 		if validErr == nil {

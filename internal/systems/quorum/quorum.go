@@ -11,8 +11,8 @@
 //     with a high rate limiter value, Quorum adds transactions to a queue,
 //     but the queue is no longer processed" — nodes keep producing empty
 //     blocks and every transaction is lost (§5.5). Modeled by a stall that
-//     latches when the pool backlog crosses StallQueueLimit while the block
-//     period is at or below StallBlockPeriod.
+//     latches when the pool backlog crosses a limit while the block period
+//     is at or below 2 paper seconds.
 package quorum
 
 import (
@@ -29,53 +29,47 @@ import (
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
-	"github.com/coconut-bench/coconut/internal/wal"
 )
 
-// Config parameterizes a Quorum network.
-type Config struct {
-	// Validators is the network size (paper: 4).
-	Validators int
-	// BlockPeriod is istanbul.blockperiod (paper default 1s; Table 6 uses
-	// {1, 2, 5, 10}s; benchmarks scale it down).
-	BlockPeriod time.Duration
-	// MaxBlockTxs caps transactions per block (the gas-limit equivalent).
-	MaxBlockTxs int
-	// StallBlockPeriod is the block period at or below which the livelock
-	// can latch (the paper observes it for blockperiod <= 2s).
-	StallBlockPeriod time.Duration
-	// StallQueueLimit is the pool backlog that triggers the livelock when
-	// the block period is at or below StallBlockPeriod.
-	StallQueueLimit int
-	// Latency models the per-hop delay of the network's private transport;
-	// nil means zero latency.
-	Latency network.LatencyModel
-	// Clock drives timers.
-	Clock clock.Clock
-	// WAL, when set, mounts a write-ahead log on every validator's commit
-	// gate: decided blocks are durably recorded before applying, and
-	// restart replays the log instead of recovery being free.
-	WAL *wal.Options
-	// Trace, when set, receives sampled spans: consensus rounds, WAL
-	// appends/fsyncs, and (on a private transport) network hops.
-	Trace *trace.Tracer
+// Quorum's calibration.
+const (
+	defaultBP = 1 // istanbul.blockperiod, paper seconds
+	// blockCapacity models Quorum's measured execution ceiling of ~820 tx/s
+	// (the paper's DoNothing best is 773.60): the gas-limit equivalent is
+	// capacity × block period, a count scaled with the clock.
+	blockCapacity = 820
+	// stallPeriodSec is the paper's "blockperiod <= 2" livelock trigger.
+	stallPeriodSec = 2
+	// stallBacklog is the pool backlog that latches the livelock. The paper
+	// observed it at blockperiod <= 2 s with a high rate limiter, which
+	// calibrates the boundary at RL × BP ~ 3200 payload-seconds; the backlog
+	// at production time is RL × BP × Scale, so the threshold is a count
+	// scaled identically to stay a fixed fraction of that boundary.
+	stallBacklog = 2560
+	// minStallBacklog keeps the livelock from latching on a backlog of one
+	// at tiny scales.
+	minStallBacklog = 2
+)
+
+// config is one Quorum network's calibration: the paper's parameters at an
+// Env. Unit tests override a field to isolate one mechanism.
+type config struct {
+	blockPeriod time.Duration // istanbul.blockperiod, ×Scale
+	maxBlockTxs int           // transactions per block
+	// The livelock latches when the pool backlog exceeds stallQueueLimit
+	// while the block period is at or below stallPeriodSec.
+	stallQueueLimit int
 }
 
-func (c *Config) fill() {
-	if c.Validators <= 0 {
-		c.Validators = 4
+func calibrate(env systems.Env, p systems.Params) config {
+	bp := p.BP
+	if bp == 0 {
+		bp = defaultBP
 	}
-	if c.BlockPeriod <= 0 {
-		c.BlockPeriod = time.Second
-	}
-	if c.MaxBlockTxs <= 0 {
-		c.MaxBlockTxs = 4096
-	}
-	if c.StallQueueLimit <= 0 {
-		c.StallQueueLimit = 8192
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
+	return config{
+		blockPeriod:     env.Paper(float64(bp)),
+		maxBlockTxs:     env.Count(blockCapacity * bp),
+		stallQueueLimit: max(env.Count(stallBacklog), minStallBacklog),
 	}
 }
 
@@ -101,7 +95,8 @@ type validator struct {
 // Network is a full Quorum deployment.
 type Network struct {
 	*systems.LedgerCluster
-	cfg Config
+	env systems.Env
+	cfg config
 
 	validators []*validator
 
@@ -111,16 +106,18 @@ type Network struct {
 
 var _ systems.Driver = (*Network)(nil)
 
-// New assembles a Quorum network.
-func New(cfg Config) *Network {
-	cfg.fill()
+// New assembles a Quorum network on env at the paper's parameters p.
+func New(env systems.Env, p systems.Params) *Network { return build(env, calibrate(env, p)) }
+
+func build(env systems.Env, cfg config) *Network {
 	n := &Network{
+		env:  env,
 		cfg:  cfg,
-		stop: clock.NewGate(cfg.Clock),
-		done: clock.NewGate(cfg.Clock),
+		stop: clock.NewGate(env.Clock),
+		done: clock.NewGate(env.Clock),
 	}
-	names := systems.NodeIDs("quorum", cfg.Validators)
-	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, cfg.Latency, cfg.Clock, cfg.WAL, cfg.Trace, n.poolBacklog)
+	names := systems.NodeIDs("quorum", env.Nodes)
+	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
 	for i, r := range n.Replicas() {
 		v := &validator{
 			Replica: r,
@@ -133,7 +130,7 @@ func New(cfg Config) *Network {
 			ID:        v.ID,
 			Peers:     names,
 			Transport: n.Transport,
-			Clock:     cfg.Clock,
+			Clock:     env.Clock,
 			OnDecide:  n.makeDecideFunc(v),
 			Proposer:  bftcore.RoundRobinByHeight, // Istanbul rotates per height
 			MsgPrefix: "ibft",
@@ -181,7 +178,7 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start validator %d: %w", i, err)
 		}
 	}
-	clock.Fork(n.cfg.Clock, 1)
+	clock.Fork(n.env.Clock, 1)
 	go n.produceLoop()
 	return nil
 }
@@ -192,7 +189,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	clock.Await(n.env.Clock, n.done)
 	for _, v := range n.validators {
 		v.engine.Stop()
 		n.Transport.Unregister(v.gossip)
@@ -232,19 +229,19 @@ func (n *Network) admit(v *validator, tx *chain.Transaction) {
 	_ = v.pool.Add(tx)
 	// First admission into any pool ends the submit stage (gossip copies
 	// share the pointer; the CAS keeps the earliest).
-	tx.Stages.Mark(chain.StageSubmit, n.cfg.Clock.Now())
+	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 }
 
 // produceLoop forms a block every BlockPeriod on whichever validator is the
 // IBFT proposer, and evaluates the livelock condition.
 func (n *Network) produceLoop() {
-	h := clock.RegisterForked(n.cfg.Clock, "quorum/producer")
+	h := clock.RegisterForked(n.env.Clock, "quorum/producer")
 	defer h.Close()
 	defer n.done.Close()
-	tick := n.cfg.Clock.NewTicker(n.cfg.BlockPeriod)
+	tick := n.env.Clock.NewTicker(n.cfg.blockPeriod)
 	defer tick.Stop()
 	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, tick); i {
+		switch i, _, _ := clock.Await(n.env.Clock, n.stop, tick); i {
 		case 0:
 			return
 		case 1:
@@ -265,9 +262,8 @@ func (n *Network) produce(v *validator) {
 	// participates in consensus and produces empty blocks.
 	v.mu.Lock()
 	if !v.stalled &&
-		n.cfg.StallBlockPeriod > 0 &&
-		n.cfg.BlockPeriod <= n.cfg.StallBlockPeriod &&
-		v.pool.Len() > n.cfg.StallQueueLimit {
+		n.cfg.blockPeriod <= n.env.Paper(stallPeriodSec) &&
+		v.pool.Len() > n.cfg.stallQueueLimit {
 		v.stalled = true
 	}
 	stalled := v.stalled
@@ -275,9 +271,9 @@ func (n *Network) produce(v *validator) {
 
 	var txs []*chain.Transaction
 	if !stalled {
-		txs = v.pool.Take(n.cfg.MaxBlockTxs)
+		txs = v.pool.Take(n.cfg.maxBlockTxs)
 	}
-	blk := producedBlock{Txs: txs, FormedAt: n.cfg.Clock.Now(), Producer: v.ID}
+	blk := producedBlock{Txs: txs, FormedAt: n.env.Clock.Now(), Producer: v.ID}
 	if err := v.engine.Submit(blk); err != nil {
 		if !stalled {
 			// Requeue so the next period retries.
@@ -314,10 +310,10 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 	if err := v.Ledger.Append(cb); err != nil {
 		return
 	}
-	now := n.cfg.Clock.Now()
+	now := n.env.Clock.Now()
 	// One consensus-round span per sampled block, emitted at validator 0's
 	// apply site only (every validator applies the identical decision).
-	if tr := n.cfg.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
+	if tr := n.env.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
 		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameQuorum,
 			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
 	}
@@ -329,7 +325,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
 		tx.Stages.Mark(chain.StageConsensus, now)
 		execErr := v.ExecuteTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.cfg.Clock.Now())
+		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
 			Client:    tx.Client,
