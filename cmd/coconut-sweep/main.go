@@ -63,7 +63,7 @@ func run() error {
 		reps        = flag.Int("reps", 1, "repetitions (the paper uses 3)")
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		arrival     = flag.String("arrival", "uniform", "client arrival schedule: uniform, poisson, or burst[:N]")
-		timeMode    = flag.String("time", "real", "clock driving every run: real (wall clock) or virtual (auto-advancing simulated clock; CPU-bound, prints per-cell speedups)")
+		timeMode    = flag.String("time", "virtual", "clock driving every run: virtual (auto-advancing simulated clock; CPU-bound, bit-deterministic, prints per-cell speedups) or real (wall clock)")
 		tracePath   = flag.String("trace", "", "record sampled per-transaction spans across every cell and write Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to this file")
 		ndjsonPath  = flag.String("ndjson", "", "stream each cell's windowed gauge series to this file as NDJSON, one record per timeline window")
 		stagesFlag  = flag.Bool("stages", false, "print the per-stage pipeline latency breakdown (submit/queue/consensus/execute/validate/commit) and bottleneck per cell")

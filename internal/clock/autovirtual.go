@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,18 +25,18 @@ func Walltime() time.Time { return time.Now() }
 // participating in a run register as actors; the clock hands an execution
 // token to exactly one actor at a time, so the whole simulation executes as
 // one deterministic serial order. When every actor is parked in a blocking
-// primitive (Await, Sleep, Mailbox.Send, Group.Wait) the clock jumps
-// atomically to the earliest pending deadline — no polling, no wall-clock
-// sleeps. If every actor is parked and no deadline remains, the run cannot
-// ever make progress and the clock fails loudly with the parked-actor list.
+// primitive (Await, Sleep, Mailbox.Send) the clock jumps atomically to the
+// earliest pending deadline — no polling, no wall-clock sleeps. If every
+// actor is parked and no deadline remains, the run cannot ever make
+// progress and the clock fails loudly with the parked-actor list.
 //
 // The contract actors must keep:
 //
 //   - Only a registered actor may call a parking primitive, and only from
-//     the goroutine that registered: between Register (or RegisterForked)
-//     returning and Handle.Close. Every goroutine an actor starts that
-//     touches the clock is announced with Fork and registers itself; the
-//     actorspawn analyzer rejects anything else in actor packages.
+//     the goroutine that registered. Outside this package actors are
+//     started by Go, which announces, registers and closes them, and the
+//     long-lived ones loop in Serve (stop, inbox, tick); the actorspawn
+//     analyzer rejects any other go statement in actor packages.
 //   - Every potentially blocking operation goes through the clock-aware
 //     primitives. An actor that blocks on a bare channel while holding the
 //     token freezes the whole clock (undetectably), which is exactly the bug
@@ -49,12 +50,12 @@ func Walltime() time.Time { return time.Now() }
 // out the caller cannot be an actor, and that much stays decidable: Sleep
 // registers a transient "sleeper" actor for its duration, Await degrades to
 // a channel select over gates, timers and tickers, anything on a Mailbox
-// (Send, or Await with one among the sources) and Group.Wait panic, and
-// Handle.Close checks its handle against the holder. What cannot be seen at
-// run time is an unregistered goroutine entering a parking primitive while
-// some other actor holds the token: it would park that actor's identity.
+// (Send, or Await with one among the sources) panics, and Handle.Close
+// checks its handle against the holder. What cannot be seen at run time is
+// an unregistered goroutine entering a parking primitive while some other
+// actor holds the token: it would park that actor's identity.
 // That was always a violation of the first rule; it is kept out statically
-// (actorspawn), not detected dynamically.
+// (actorspawn: no go statement but Go's), not detected dynamically.
 //
 // A loop that receives from a Mailbox per message binds a Receiver to a
 // variable of its own before the loop and awaits that instead of the
@@ -76,9 +77,9 @@ func Walltime() time.Time { return time.Now() }
 //     its name: Now, Mailbox.Send with room, TrySend, Gate.Close, Await with
 //     a source ready, arming timers (keyed under the event's name) and other
 //     events' After/At/Trigger all work, and nothing else runs meanwhile.
-//   - It may not park. Sleep, Await with nothing ready, Send to a full
-//     Mailbox and Group.Wait panic naming the event: it has no goroutine to
-//     block, and blocking the scheduler's would freeze the clock.
+//   - It may not park. Sleep, Await with nothing ready and Send to a full
+//     Mailbox panic naming the event: it has no goroutine to block, and
+//     blocking the scheduler's would freeze the clock.
 //   - Its armed deadline ties with same-instant waiters by (name, per-event
 //     sequence), as the timers of an actor of that name do. A reached
 //     deadline and a Trigger both queue it at the tail of the run queue, once,
@@ -241,9 +242,83 @@ func Register(c Clock, name string) Handle {
 	return Handle{a: av.register(name, false)}
 }
 
+// Go starts one actor per name, the way every actor outside this package
+// is started. The whole wave is announced at once, so the clock cannot
+// advance past the spawn gap however the OS schedules the goroutines, and
+// its members are released in name order: names must be unique within a
+// wave and derived from stable identities. Actor i runs fn(i), registered
+// under names[i], and closes its handle when fn returns. The returned join
+// blocks until every fn of the wave has returned. It parks like Await, so
+// it may also be called from outside the run; an actor that calls it
+// resumes only after the last of them has closed its handle.
+func Go(c Clock, names []string, fn func(i int)) (join func()) {
+	w := &wave{c: c}
+	w.done.init(c)
+	w.left.Store(int64(len(names)))
+	if len(names) == 0 {
+		w.done.Close()
+	}
+	Fork(c, len(names))
+	for i, name := range names {
+		go func() {
+			h := RegisterForked(c, name)
+			defer h.Close()
+			defer w.finish()
+			fn(i)
+		}()
+	}
+	return w.join
+}
+
+// wave is one Go call's join state, a single allocation: done closes when
+// the last of left actors finishes, while it still holds the token.
+type wave struct {
+	c    Clock
+	done Gate
+	left atomic.Int64
+}
+
+func (w *wave) finish() {
+	if w.left.Add(-1) == 0 {
+		w.done.Close()
+	}
+}
+
+func (w *wave) join() { Await(w.c, &w.done) }
+
+// Serve is an actor's receive loop, called from inside the actor: until
+// stop closes it hands each inbox message to onMsg and each tick of a
+// period ticker to onTick, preferring stop, then the inbox, then the tick
+// when several are ready. The ticker is armed here, by the actor, so its
+// ties key under the actor's name. A nil inbox or a zero period drops that
+// source.
+func Serve[T any](c Clock, stop *Gate, inbox *Mailbox[T], period time.Duration, onMsg func(T), onTick func()) {
+	srcs := append(make([]Waitable, 0, 3), stop)
+	var m T
+	if inbox != nil {
+		srcs = append(srcs, inbox.Receiver(&m))
+	}
+	if period > 0 {
+		tick := c.NewTicker(period)
+		defer tick.Stop()
+		srcs = append(srcs, tick)
+	}
+	for {
+		switch i, _, _ := Await(c, srcs...); {
+		case i == 0:
+			return
+		case inbox != nil && i == 1:
+			onMsg(m)
+		default:
+			onTick()
+		}
+	}
+}
+
 // Fork announces that the current actor is about to spawn n goroutines that
-// will each call RegisterForked. The clock will not advance past the
-// spawn gap, however the children's goroutines are scheduled by the OS.
+// will each call RegisterForked. Go is the one way to do so; Fork and
+// RegisterForked stay exported for the scheduler probes that time a bare
+// hand-off.
 func Fork(c Clock, n int) {
 	av, ok := c.(*AutoVirtual)
 	if !ok {
@@ -587,11 +662,16 @@ type Gate struct {
 
 // NewGate builds a gate bound to the clock's scheduling mode.
 func NewGate(c Clock) *Gate {
-	g := &Gate{ch: make(chan struct{})}
+	g := &Gate{}
+	g.init(c)
+	return g
+}
+
+func (g *Gate) init(c Clock) {
+	g.ch = make(chan struct{})
 	if v, ok := autoOf(c); ok {
 		g.v = v
 	}
-	return g
 }
 
 // Close opens the gate exactly once, waking every waiter; further Closes
@@ -848,75 +928,6 @@ func (r *Receiver[T]) tryConsumeLocked() (any, bool, bool) {
 // Await: rv is what reflect.Select received, the zero element once closed.
 func (r *Receiver[T]) store(rv reflect.Value) {
 	reflect.ValueOf(r.dst).Elem().Set(rv)
-}
-
-// Group is a join counter (the sync.WaitGroup idiom) whose Wait parks
-// auto-virtual actors. On other clocks it delegates to sync.WaitGroup.
-type Group struct {
-	v  *Virtual // non-nil only under AutoVirtual
-	wg sync.WaitGroup
-	n  int
-	w  watchers
-}
-
-// NewGroup builds a join group bound to the clock's scheduling mode.
-func NewGroup(c Clock) *Group {
-	g := &Group{}
-	if v, ok := autoOf(c); ok {
-		g.v = v
-	}
-	return g
-}
-
-// Add increments the join counter.
-func (g *Group) Add(n int) {
-	if g.v == nil {
-		g.wg.Add(n)
-		return
-	}
-	g.v.mu.Lock()
-	g.n += n
-	g.v.mu.Unlock()
-}
-
-// Done decrements the join counter, waking waiters at zero.
-func (g *Group) Done() {
-	if g.v == nil {
-		g.wg.Done()
-		return
-	}
-	g.v.mu.Lock()
-	g.n--
-	if g.n < 0 {
-		g.v.mu.Unlock()
-		panic("clock: Group counter went negative")
-	}
-	if g.n == 0 {
-		g.w.wakeLocked(g.v.auto)
-		g.v.auto.kickLocked()
-	}
-	g.v.mu.Unlock()
-}
-
-// Wait blocks until the counter reaches zero.
-func (g *Group) Wait() {
-	if g.v == nil {
-		g.wg.Wait()
-		return
-	}
-	v := g.v
-	v.mu.Lock()
-	a := v.auto.current
-	if a == nil {
-		v.mu.Unlock()
-		panic("clock: Group.Wait from a goroutine not registered with the AutoVirtual clock")
-	}
-	for g.n > 0 {
-		g.w.add(a)
-		v.parkLocked(a)
-	}
-	g.w.remove(a)
-	v.mu.Unlock()
 }
 
 // ring is a FIFO that grows by doubling and never shrinks; the scheduler's

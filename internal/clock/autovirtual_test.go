@@ -167,35 +167,3 @@ func TestAutoVirtualAfterPanics(t *testing.T) {
 	}()
 	av.After(time.Second)
 }
-
-// TestAutoVirtualGroupJoin checks Group.Wait parks instead of spinning and
-// observes all Done calls.
-func TestAutoVirtualGroupJoin(t *testing.T) {
-	av := NewAutoVirtual()
-	g := NewGroup(av)
-	g.Add(3)
-	res := make(chan time.Time, 1)
-	Fork(av, 4)
-	go func() {
-		h := RegisterForked(av, "joiner")
-		defer h.Close()
-		g.Wait()
-		res <- av.Now()
-	}()
-	for i := 0; i < 3; i++ {
-		go func(i int) {
-			h := RegisterForked(av, fmt.Sprintf("member-%d", i))
-			defer h.Close()
-			defer g.Done()
-			av.Sleep(time.Duration(i+1) * time.Second)
-		}(i)
-	}
-	select {
-	case at := <-res:
-		if want := SimEpoch.Add(3 * time.Second); !at.Equal(want) {
-			t.Fatalf("join finished at %v, want %v", at, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Group.Wait did not return within 5s of wall time")
-	}
-}

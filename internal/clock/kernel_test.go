@@ -105,12 +105,6 @@ func TestNoTokenOut(t *testing.T) {
 		m := NewMailbox[int](av, 1)
 		mustPanic(t, "Mailbox.Send from a goroutine not registered", func() { m.Send(1, nil) })
 	})
-	t.Run("Wait panics", func(t *testing.T) {
-		av := NewAutoVirtual()
-		g := NewGroup(av)
-		g.Add(1)
-		mustPanic(t, "Group.Wait from a goroutine not registered", func() { g.Wait() })
-	})
 	t.Run("Close checks the handle against the holder", func(t *testing.T) {
 		av := NewAutoVirtual()
 		av.SetDeadlockHandler(func(string) {})
@@ -617,11 +611,6 @@ func TestEventMayNotPark(t *testing.T) {
 			}
 			m.Send(2, nil)
 			m.Send(3, nil) // full: would park
-		},
-		"Group.Wait": func(av *AutoVirtual) {
-			g := NewGroup(av)
-			g.Add(1)
-			g.Wait()
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 )
 
 // BatchSubmitter is implemented by drivers that accept atomic batches
-// (Sawtooth). The client uses it when BatchSize > 1.
+// (Sawtooth). A client with BatchSize > 1 requires it.
 type BatchSubmitter interface {
 	SubmitBatch(entryNode int, b *chain.Batch) error
 }
@@ -56,8 +56,7 @@ type ClientConfig struct {
 	// 1, 50, 100). Default 1.
 	OpsPerTx int
 	// BatchSize groups transactions into an atomic batch (Sawtooth: 1, 50,
-	// 100). Default 1. Requires the driver to implement BatchSubmitter
-	// when > 1.
+	// 100). Default 1. Above 1 the driver must implement BatchSubmitter.
 	BatchSize int
 	// SendDuration is the transaction sending window (paper: 300s).
 	SendDuration time.Duration
@@ -155,12 +154,16 @@ type inflightTx struct {
 
 // NewClient builds a client; Subscribe must happen before the system starts
 // delivering events, so construction registers the event listener. A
-// config without a Clock is an error.
+// config without a Clock, or with batches its driver cannot take, is an
+// error.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("coconut: ClientConfig.Clock is required")
 	}
 	cfg.fill()
+	if _, ok := cfg.Driver.(BatchSubmitter); cfg.BatchSize > 1 && !ok {
+		return nil, fmt.Errorf("coconut: BatchSize %d needs a driver that submits batches; %T does not", cfg.BatchSize, cfg.Driver)
+	}
 	c := &Client{
 		cfg:         cfg,
 		threads:     make([]clientThread, cfg.WorkloadThreads),
@@ -398,7 +401,6 @@ func (c *Client) sendTx(thread int) {
 
 func (c *Client) sendBatch(thread int) {
 	th := &c.threads[thread]
-	bs, ok := c.cfg.Driver.(BatchSubmitter)
 	txs := make([]*chain.Transaction, c.cfg.BatchSize)
 	start := c.cfg.Clock.Now()
 	for i := range txs {
@@ -406,22 +408,13 @@ func (c *Client) sendBatch(thread int) {
 		txs[i].SubmittedAt = start
 		c.track(txs[i].ID, start, 1, thread)
 	}
-	if ok {
-		// On rejection (Sawtooth's full queue) the whole batch is lost and
-		// its key range rolls back for reuse by the next batch.
-		if err := bs.SubmitBatch(c.cfg.EntryNode, chain.NewBatch(txs...)); err != nil {
-			th.idx -= uint64(len(txs))
-			return
-		}
-		th.sent += uint64(len(txs))
+	// On rejection (Sawtooth's full queue) the whole batch is lost and its
+	// key range rolls back for reuse by the next batch.
+	if err := c.cfg.Driver.(BatchSubmitter).SubmitBatch(c.cfg.EntryNode, chain.NewBatch(txs...)); err != nil {
+		th.idx -= uint64(len(txs))
 		return
 	}
-	// Driver without batch support: degrade to individual sends.
-	for _, tx := range txs {
-		if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err == nil {
-			th.sent++
-		}
-	}
+	th.sent += uint64(len(txs))
 }
 
 // track registers a transaction in the in-flight index before submission,

@@ -149,6 +149,19 @@ func TestNewClientRequiresClock(t *testing.T) {
 	}
 }
 
+// TestNewClientRejectsBatchesWithoutBatchSubmitter: batching needs a driver
+// that takes atomic batches; there is no fallback to single sends.
+func TestNewClientRejectsBatchesWithoutBatchSubmitter(t *testing.T) {
+	clk := systemstest.Env(t).Clock
+	singles := struct{ systems.Driver }{newFakeDriver()} // hides SubmitBatch
+	if _, err := NewClient(ClientConfig{ID: "c0", Driver: singles, BatchSize: 5, Clock: clk}); err == nil {
+		t.Fatal("NewClient with BatchSize 5 and a driver without SubmitBatch must fail")
+	}
+	if _, err := NewClient(ClientConfig{ID: "c1", Driver: singles, BatchSize: 1, Clock: clk}); err != nil {
+		t.Fatalf("BatchSize 1 needs no SubmitBatch: %v", err)
+	}
+}
+
 // runSummary runs the client and returns its summary: with one operation per
 // transaction, ExpectedNoT is the number of transactions it sent.
 func runSummary(c *Client) ClientSummary {

@@ -267,24 +267,19 @@ func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench B
 	}
 
 	// All clients wait on a shared barrier so load starts uniformly (§4.3).
-	// Each goroutine writes only its own summary slot; wg.Wait orders the
+	// Each client writes only its own summary slot; the join orders the
 	// writes before the merge, so no lock is needed.
-	wg := clock.NewGroup(clk)
 	sums := make([]ClientSummary, len(clients))
 	start := clock.NewGate(clk)
-	clock.Fork(clk, len(clients))
+	ids := make([]string, len(clients))
 	for i, cl := range clients {
-		i, cl := i, cl
-		wg.Add(1)
-		go func() {
-			h := clock.RegisterForked(clk, cl.cfg.ID)
-			defer h.Close()
-			defer wg.Done()
-			clock.Await(clk, start)
-			cl.Run()
-			sums[i] = cl.Summary()
-		}()
+		ids[i] = cl.cfg.ID
 	}
+	joinClients := clock.Go(clk, ids, func(i int) {
+		clock.Await(clk, start)
+		clients[i].Run()
+		sums[i] = clients[i].Summary()
+	})
 
 	// Driver-side conflict counters are cumulative over the driver's
 	// lifetime; snapshot around the phase so each unit member reports only
@@ -303,40 +298,31 @@ func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench B
 		injector.Start()
 	}
 
-	// The gauge sampler is a forked clock actor snapshotting the driver's
+	// The gauge sampler is a clock actor snapshotting the driver's
 	// queue depths once per timeline window, so the windowed throughput
 	// timeline gains a matching queue/resource telemetry series. It runs
 	// only when a timeline is collected — the paper-grid hot path stays
 	// untouched.
 	var gaugeSamples GaugeSeries
-	var gaugeStop, gaugeDone *clock.Gate
+	var gaugeStop *clock.Gate
+	var joinGauge func()
 	if timeline != nil && window > 0 {
 		gaugeStop = clock.NewGate(clk)
-		gaugeDone = clock.NewGate(clk)
-		clock.Fork(clk, 1)
-		go func() {
-			h := clock.RegisterForked(clk, "gauge-sampler")
-			defer h.Close()
-			defer gaugeDone.Close()
-			t := clk.NewTicker(window)
-			defer t.Stop()
-			for {
-				if i, _, _ := clock.Await(clk, gaugeStop, t); i == 0 {
-					return
-				}
+		joinGauge = clock.Go(clk, []string{"gauge-sampler"}, func(int) {
+			clock.Serve[struct{}](clk, gaugeStop, nil, window, nil, func() {
 				gaugeSamples = append(gaugeSamples, sampleGauges(driver.QueueSnapshot()))
-			}
-		}()
+			})
+		})
 	}
 
 	start.Close()
-	wg.Wait()
+	joinClients()
 	if injector != nil {
 		injector.Stop()
 	}
 	if gaugeStop != nil {
 		gaugeStop.Close()
-		clock.Await(clk, gaugeDone)
+		joinGauge()
 	}
 
 	written := make([][]uint64, len(clients))

@@ -42,7 +42,7 @@ type Config struct {
 	Peers []string
 	// Transport carries protocol messages.
 	Transport *network.Transport
-	// Clock drives the round-change timer.
+	// Clock drives the round-change timer. Required.
 	Clock clock.Clock
 	// OnDecide receives decided payloads in height order.
 	OnDecide consensus.DecideFunc
@@ -61,7 +61,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Clock == nil {
-		c.Clock = clock.New()
+		panic("bftcore: Config.Clock is nil")
 	}
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 500 * time.Millisecond
@@ -167,7 +167,7 @@ type Core struct {
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
-	done   *clock.Gate
+	join   func() // waits for the loop Start began
 }
 
 var _ consensus.Engine = (*Core)(nil)
@@ -199,7 +199,6 @@ func New(cfg Config) *Core {
 		roundAhead:  make(map[uint64]*consensus.VoteSet),
 		events:      clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:        clock.NewGate(cfg.Clock),
-		done:        clock.NewGate(cfg.Clock),
 	}
 }
 
@@ -217,8 +216,12 @@ func (c *Core) Start() error {
 	c.cfg.Transport.Register(c.cfg.ID, func(m network.Message) {
 		c.events.Send(m, c.stop)
 	})
-	clock.Fork(c.cfg.Clock, 1)
-	go c.run()
+	c.join = clock.Go(c.cfg.Clock, []string{"bftcore/" + c.cfg.ID}, func(int) {
+		clock.Serve(c.cfg.Clock, c.stop, c.events, c.cfg.RoundTimeout/4, c.handle, func() {
+			c.tryPropose()
+			c.checkRoundTimeout()
+		})
+	})
 	return nil
 }
 
@@ -232,7 +235,7 @@ func (c *Core) Stop() {
 	c.running = false
 	c.mu.Unlock()
 	c.stop.Close()
-	clock.Await(c.cfg.Clock, c.done)
+	c.join()
 	c.cfg.Transport.Unregister(c.cfg.ID)
 }
 
@@ -320,27 +323,6 @@ func (c *Core) enterRoundLocked(r uint64) []network.Message {
 		}
 	}
 	return replay
-}
-
-func (c *Core) run() {
-	h := clock.RegisterForked(c.cfg.Clock, "bftcore/"+c.cfg.ID)
-	defer h.Close()
-	defer c.done.Close()
-	tick := c.cfg.Clock.NewTicker(c.cfg.RoundTimeout / 4)
-	defer tick.Stop()
-	var m network.Message
-	events := c.events.Receiver(&m)
-	for {
-		switch i, _, _ := clock.Await(c.cfg.Clock, c.stop, events, tick); i {
-		case 0:
-			return
-		case 1:
-			c.handle(m)
-		case 2:
-			c.tryPropose()
-			c.checkRoundTimeout()
-		}
-	}
 }
 
 func (c *Core) handle(m network.Message) {

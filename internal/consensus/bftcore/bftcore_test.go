@@ -34,6 +34,7 @@ func newCluster(t *testing.T, n int, policy ProposerPolicy) *cluster {
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		core := New(Config{
+			Clock:        clock.New(),
 			ID:           id,
 			Peers:        peers,
 			Transport:    c.transport,
@@ -240,7 +241,7 @@ func TestRoundChangeOnStalledProposer(t *testing.T) {
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
-	core := New(Config{ID: "x", Peers: []string{"x"}, Transport: tr})
+	core := New(Config{Clock: clock.New(), ID: "x", Peers: []string{"x"}, Transport: tr})
 	if err := core.Submit("v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -250,6 +251,7 @@ func TestMaxPendingBackpressure(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
 	core := New(Config{
+		Clock:      clock.New(),
 		ID:         "solo",
 		Peers:      []string{"solo", "ghost-a", "ghost-b", "ghost-c"},
 		Transport:  tr,

@@ -84,6 +84,7 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
+			Clock:             clock.New(),
 			ID:                id,
 			Peers:             ids,
 			Transport:         tr,
@@ -140,6 +141,7 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 	var cores []*bftcore.Core
 	for _, id := range ids {
 		c := bftcore.New(bftcore.Config{
+			Clock:        clock.New(),
 			ID:           id,
 			Peers:        ids,
 			Transport:    tr,
@@ -181,6 +183,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 	var cores []*bftcore.Core
 	for _, id := range ids {
 		c := bftcore.New(bftcore.Config{
+			Clock:        clock.New(),
 			ID:           id,
 			Peers:        ids,
 			Transport:    tr,
@@ -230,6 +233,7 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
+			Clock:             clock.New(),
 			ID:                id,
 			Peers:             ids,
 			Transport:         tr,

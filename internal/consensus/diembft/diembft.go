@@ -29,7 +29,7 @@ type Config struct {
 	Validators []string
 	// Transport carries protocol messages.
 	Transport *network.Transport
-	// Clock drives the pacemaker.
+	// Clock drives the pacemaker. Required.
 	Clock clock.Clock
 	// OnDecide receives committed non-empty payloads in commit order.
 	OnDecide consensus.DecideFunc
@@ -48,7 +48,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Clock == nil {
-		c.Clock = clock.New()
+		panic("diembft: Config.Clock is nil")
 	}
 	if c.RoundInterval <= 0 {
 		c.RoundInterval = 20 * time.Millisecond
@@ -111,7 +111,7 @@ type Engine struct {
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
-	done   *clock.Gate
+	join   func() // waits for the loop Start began
 }
 
 var _ consensus.Engine = (*Engine)(nil)
@@ -132,7 +132,6 @@ func New(cfg Config) *Engine {
 		voted:      make(map[uint64]bool),
 		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:       clock.NewGate(cfg.Clock),
-		done:       clock.NewGate(cfg.Clock),
 	}
 	return e
 }
@@ -150,8 +149,7 @@ func (e *Engine) Start() error {
 	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
 		e.events.Send(m, e.stop)
 	})
-	clock.Fork(e.cfg.Clock, 1)
-	go e.run()
+	e.join = clock.Go(e.cfg.Clock, []string{"diembft/" + e.cfg.ID}, func(int) { e.run() })
 	return nil
 }
 
@@ -165,7 +163,7 @@ func (e *Engine) Stop() {
 	e.running = false
 	e.mu.Unlock()
 	e.stop.Close()
-	clock.Await(e.cfg.Clock, e.done)
+	e.join()
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
@@ -218,32 +216,21 @@ func blockID(parent crypto.Hash, round uint64, proposer string, payload any) cry
 	return id
 }
 
+// run is the validator's loop: messages, and a propose tick that also
+// fires the round timeout once RoundTimeout passes without progress.
 func (e *Engine) run() {
-	h := clock.RegisterForked(e.cfg.Clock, "diembft/"+e.cfg.ID)
-	defer h.Close()
-	defer e.done.Close()
-	propose := e.cfg.Clock.NewTicker(e.cfg.RoundInterval)
-	defer propose.Stop()
 	lastProgress := e.cfg.Clock.Now()
-	var m network.Message
-	events := e.events.Receiver(&m)
-
-	for {
-		switch i, _, _ := clock.Await(e.cfg.Clock, e.stop, events, propose); i {
-		case 0:
-			return
-		case 1:
-			if e.handle(m) {
-				lastProgress = e.cfg.Clock.Now()
-			}
-		case 2:
-			e.tryPropose()
-			if e.cfg.Clock.Since(lastProgress) > e.cfg.RoundTimeout {
-				e.fireTimeout()
-				lastProgress = e.cfg.Clock.Now()
-			}
+	clock.Serve(e.cfg.Clock, e.stop, e.events, e.cfg.RoundInterval, func(m network.Message) {
+		if e.handle(m) {
+			lastProgress = e.cfg.Clock.Now()
 		}
-	}
+	}, func() {
+		e.tryPropose()
+		if e.cfg.Clock.Since(lastProgress) > e.cfg.RoundTimeout {
+			e.fireTimeout()
+			lastProgress = e.cfg.Clock.Now()
+		}
+	})
 }
 
 // tryPropose makes the round leader propose one block per round: either the

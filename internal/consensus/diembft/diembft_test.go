@@ -35,6 +35,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	for _, id := range names {
 		id := id
 		e := New(Config{
+			Clock:         clock.New(),
 			ID:            id,
 			Validators:    names,
 			Transport:     c.transport,
@@ -155,7 +156,7 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
-	e := New(Config{ID: "x", Validators: []string{"x"}, Transport: tr})
+	e := New(Config{Clock: clock.New(), ID: "x", Validators: []string{"x"}, Transport: tr})
 	if err := e.Submit("v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -177,7 +178,7 @@ func TestSurvivesLeaderIsolation(t *testing.T) {
 func TestPendingCount(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
-	e := New(Config{ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
+	e := New(Config{Clock: clock.New(), ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

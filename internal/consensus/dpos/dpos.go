@@ -44,7 +44,7 @@ type Config struct {
 	Observers []string
 	// Transport carries gossip and block messages.
 	Transport *network.Transport
-	// Clock drives slot timing.
+	// Clock drives slot timing. Required.
 	Clock clock.Clock
 	// OnDecide receives produced blocks in slot order.
 	OnDecide consensus.DecideFunc
@@ -63,7 +63,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Clock == nil {
-		c.Clock = clock.New()
+		panic("dpos: Config.Clock is nil")
 	}
 	if c.BlockInterval <= 0 {
 		c.BlockInterval = time.Second
@@ -99,7 +99,7 @@ type Engine struct {
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
-	done   *clock.Gate
+	join   func() // waits for the loop Start began
 }
 
 var _ consensus.Engine = (*Engine)(nil)
@@ -139,7 +139,6 @@ func newEngine(cfg Config, sched *schedule) *Engine {
 		included: make(map[any]struct{}),
 		events:   clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:     clock.NewGate(cfg.Clock),
-		done:     clock.NewGate(cfg.Clock),
 	}
 }
 
@@ -190,8 +189,9 @@ func (e *Engine) Start() error {
 	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
 		e.events.Send(m, e.stop)
 	})
-	clock.Fork(e.cfg.Clock, 1)
-	go e.run()
+	e.join = clock.Go(e.cfg.Clock, []string{"dpos/" + e.cfg.ID}, func(int) {
+		clock.Serve(e.cfg.Clock, e.stop, e.events, e.cfg.BlockInterval, e.handle, e.maybeProduce)
+	})
 	return nil
 }
 
@@ -205,7 +205,7 @@ func (e *Engine) Stop() {
 	e.running = false
 	e.mu.Unlock()
 	e.stop.Close()
-	clock.Await(e.cfg.Clock, e.done)
+	e.join()
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
@@ -251,26 +251,6 @@ func (e *Engine) PendingCount() int {
 // shuffled-witness schedule.
 func (e *Engine) witnessForSlot(slot uint64) string {
 	return e.cfg.Witnesses[e.sched.witness(slot)]
-}
-
-func (e *Engine) run() {
-	h := clock.RegisterForked(e.cfg.Clock, "dpos/"+e.cfg.ID)
-	defer h.Close()
-	defer e.done.Close()
-	tick := e.cfg.Clock.NewTicker(e.cfg.BlockInterval)
-	defer tick.Stop()
-	var m network.Message
-	events := e.events.Receiver(&m)
-	for {
-		switch i, _, _ := clock.Await(e.cfg.Clock, e.stop, events, tick); i {
-		case 0:
-			return
-		case 1:
-			e.handle(m)
-		case 2:
-			e.maybeProduce()
-		}
-	}
 }
 
 func (e *Engine) handle(m network.Message) {

@@ -36,6 +36,7 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 	for _, id := range names {
 		id := id
 		e := New(Config{
+			Clock:         clock.New(),
 			ID:            id,
 			Witnesses:     names,
 			Transport:     c.transport,
@@ -166,7 +167,7 @@ func TestScheduleSharesProduction(t *testing.T) {
 }
 
 func TestWitnessForSlotDeterministic(t *testing.T) {
-	e := New(Config{ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+	e := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 	for slot := uint64(0); slot < 30; slot++ {
 		if e.witnessForSlot(slot) != e.witnessForSlot(slot) {
 			t.Fatal("schedule must be deterministic")
@@ -175,7 +176,7 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 	// The order kept for a round must equal a fresh computation, also when
 	// slots are visited out of order.
 	for _, slot := range []uint64{0, 7, 3, 29, 4, 8, 2, 28} {
-		fresh := New(Config{ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+		fresh := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
 			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
 		}
@@ -205,7 +206,7 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 func TestSubmitNotRunning(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
-	e := New(Config{ID: "x", Witnesses: []string{"x"}, Transport: tr})
+	e := New(Config{Clock: clock.New(), ID: "x", Witnesses: []string{"x"}, Transport: tr})
 	if err := e.Submit(1); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -274,7 +275,7 @@ func TestDropIncludedMatchesNestedLoop(t *testing.T) {
 			payloads[i] = fmt.Sprintf("item-%d", i)
 		}
 	}
-	e := New(Config{ID: "w", Witnesses: []string{"w"}})
+	e := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"w"}})
 	for trial := 0; trial < 500; trial++ {
 		pending := make([]gossipMsg, rng.Intn(30))
 		for i := range pending {
@@ -315,7 +316,7 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
 	cfgs := make([]Config, 4)
 	for i := range cfgs {
-		cfgs[i] = Config{ID: names[i], Witnesses: names, ShuffleSeed: 9}
+		cfgs[i] = Config{Clock: clock.New(), ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	cfgs[3].ShuffleSeed = 10
 	engines := NewNetwork(cfgs)

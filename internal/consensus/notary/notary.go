@@ -114,21 +114,16 @@ func collectSerial(parties []string, txID crypto.Hash, sign Signer) ([]crypto.Si
 func collectParallel(clk clock.Clock, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	collected := make([]crypto.Signature, len(parties))
 	errs := make([]error, len(parties))
-	wg := clock.NewGroup(clk)
-	clock.Fork(clk, len(parties))
+	// The txID prefix keeps actor names unique when several flows collect
+	// from the same counterparties concurrently.
+	names := make([]string, len(parties))
+	prefix := "notary-sign/" + txID.Short() + "/"
 	for i, p := range parties {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			// The txID prefix keeps actor names unique when several flows
-			// collect from the same counterparties concurrently.
-			h := clock.RegisterForked(clk, "notary-sign/"+txID.Short()+"/"+p)
-			defer h.Close()
-			defer wg.Done()
-			collected[i], errs[i] = sign(p, txID)
-		}()
+		names[i] = prefix + p
 	}
-	wg.Wait()
+	clock.Go(clk, names, func(i int) {
+		collected[i], errs[i] = sign(parties[i], txID)
+	})()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

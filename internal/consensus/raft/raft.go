@@ -52,7 +52,7 @@ type Config struct {
 	Peers []string
 	// Transport carries protocol messages.
 	Transport *network.Transport
-	// Clock drives timeouts.
+	// Clock drives timeouts. Required.
 	Clock clock.Clock
 	// OnDecide receives committed payloads in log order.
 	OnDecide consensus.DecideFunc
@@ -68,7 +68,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Clock == nil {
-		c.Clock = clock.New()
+		panic("raft: Config.Clock is nil")
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 15 * time.Millisecond
@@ -139,7 +139,7 @@ type Node struct {
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
-	done   *clock.Gate
+	join   func() // waits for the loop Start began
 }
 
 var _ consensus.Engine = (*Node)(nil)
@@ -160,7 +160,6 @@ func New(cfg Config) *Node {
 		matchIndex: make([]int, len(cfg.Peers)),
 		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:       clock.NewGate(cfg.Clock),
-		done:       clock.NewGate(cfg.Clock),
 	}
 }
 
@@ -178,8 +177,7 @@ func (n *Node) Start() error {
 	n.cfg.Transport.Register(n.cfg.ID, func(m network.Message) {
 		n.events.Send(m, n.stop)
 	})
-	clock.Fork(n.cfg.Clock, 1)
-	go n.run()
+	n.join = clock.Go(n.cfg.Clock, []string{"raft/" + n.cfg.ID}, func(int) { n.run() })
 	return nil
 }
 
@@ -193,7 +191,7 @@ func (n *Node) Stop() {
 	n.running = false
 	n.mu.Unlock()
 	n.stop.Close()
-	clock.Await(n.cfg.Clock, n.done)
+	n.join()
 	n.cfg.Transport.Unregister(n.cfg.ID)
 }
 
@@ -249,36 +247,23 @@ func (n *Node) CommitIndex() int {
 	return n.commitIndex
 }
 
+// run is the node's loop: messages, and a heartbeat tick on which the
+// leader replicates and a follower idle past its election deadline stands.
 func (n *Node) run() {
-	h := clock.RegisterForked(n.cfg.Clock, "raft/"+n.cfg.ID)
-	defer h.Close()
-	defer n.done.Close()
-	tick := n.cfg.Clock.NewTicker(n.cfg.HeartbeatInterval)
-	defer tick.Stop()
 	electionDeadline := n.randomElectionTimeout()
-	var m network.Message
-	events := n.events.Receiver(&m)
-
-	for {
-		switch i, _, _ := clock.Await(n.cfg.Clock, n.stop, events, tick); i {
-		case 0:
-			return
-		case 1:
-			n.handle(m)
-		case 2:
-			n.mu.Lock()
-			role := n.role
-			idle := n.cfg.Clock.Since(n.lastHeard)
-			n.mu.Unlock()
-			switch {
-			case role == Leader:
-				n.broadcastAppend()
-			case idle >= electionDeadline:
-				n.startElection()
-				electionDeadline = n.randomElectionTimeout()
-			}
+	clock.Serve(n.cfg.Clock, n.stop, n.events, n.cfg.HeartbeatInterval, n.handle, func() {
+		n.mu.Lock()
+		role := n.role
+		idle := n.cfg.Clock.Since(n.lastHeard)
+		n.mu.Unlock()
+		switch {
+		case role == Leader:
+			n.broadcastAppend()
+		case idle >= electionDeadline:
+			n.startElection()
+			electionDeadline = n.randomElectionTimeout()
 		}
-	}
+	})
 }
 
 func (n *Node) randomElectionTimeout() time.Duration {

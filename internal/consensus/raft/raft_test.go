@@ -35,6 +35,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		node := New(Config{
+			Clock:             clock.New(),
 			ID:                id,
 			Peers:             peers,
 			Transport:         c.transport,
@@ -240,6 +241,7 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
 	n := New(Config{
+		Clock:     clock.New(),
 		ID:        "solo-follower",
 		Peers:     []string{"solo-follower", "ghost-1", "ghost-2"},
 		Transport: tr,
@@ -258,7 +260,7 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 func TestSubmitAfterStop(t *testing.T) {
 	tr := network.NewTransport(clock.New(), nil)
 	defer tr.Stop()
-	n := New(Config{ID: "a", Peers: []string{"a"}, Transport: tr})
+	n := New(Config{Clock: clock.New(), ID: "a", Peers: []string{"a"}, Transport: tr})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +276,7 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 	var mu sync.Mutex
 	var got []any
 	n := New(Config{
+		Clock:     clock.New(),
 		ID:        "solo",
 		Peers:     []string{"solo"},
 		Transport: tr,

@@ -34,14 +34,14 @@ type Injector struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      *clock.Gate
-	done      *clock.Gate
+	join      func() // set by Start: waits for the timeline actor
 }
 
 // NewInjector builds an injector for the schedule (applied in time order)
-// over the given driver. A nil clock defaults to the wall clock.
+// over the given driver, timed by clk, which is required.
 func NewInjector(drv systems.Driver, sched Schedule, clk clock.Clock) *Injector {
 	if clk == nil {
-		clk = clock.New()
+		panic("faults: NewInjector needs a clock")
 	}
 	return &Injector{
 		drv:     drv,
@@ -49,7 +49,6 @@ func NewInjector(drv systems.Driver, sched Schedule, clk clock.Clock) *Injector 
 		sched:   sched.sorted(),
 		crashed: make(map[int]bool),
 		stop:    clock.NewGate(clk),
-		done:    clock.NewGate(clk),
 	}
 }
 
@@ -57,8 +56,8 @@ func NewInjector(drv systems.Driver, sched Schedule, clk clock.Clock) *Injector 
 // call. Start is idempotent.
 func (in *Injector) Start() {
 	in.startOnce.Do(func() {
-		clock.Fork(in.clk, 1)
-		go in.run(in.clk.Now())
+		start := in.clk.Now()
+		in.join = clock.Go(in.clk, []string{"fault-injector"}, func(int) { in.run(start) })
 	})
 }
 
@@ -68,15 +67,12 @@ func (in *Injector) Start() {
 // to the next one. Stop is idempotent and safe without Start.
 func (in *Injector) Stop() {
 	in.stopOnce.Do(func() { in.stop.Close() })
-	in.startOnce.Do(func() { in.done.Close() }) // never started: nothing to wait for
-	clock.Await(in.clk, in.done)
+	in.startOnce.Do(func() { in.join = func() {} }) // never started: nothing to wait for
+	in.join()
 	in.restoreAll()
 }
 
 func (in *Injector) run(start time.Time) {
-	h := clock.RegisterForked(in.clk, "fault-injector")
-	defer h.Close()
-	defer in.done.Close()
 	for _, ev := range in.sched {
 		// An absolute deadline: a stepped clock advancing between reading
 		// the time and arming the timer must not push the event later.

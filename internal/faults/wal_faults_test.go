@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
@@ -98,11 +99,11 @@ func (s *walStub) NodeWAL(node int) *wal.Log {
 
 func TestInjectorAppliesLogCorruption(t *testing.T) {
 	drv := &walStub{stubDriver: newStubDriver(2), logs: make([]*wal.Log, 2)}
-	drv.logs[1] = wal.New("n1", wal.Options{Fsync: wal.FsyncAlways}, nil)
+	drv.logs[1] = wal.New("n1", wal.Options{Fsync: wal.FsyncAlways}, clock.New())
 	for i := 0; i < 6; i++ {
 		drv.logs[1].Append(1)
 	}
-	in := NewInjector(drv, Schedule{}, nil)
+	in := NewInjector(drv, Schedule{}, clock.New())
 	if err := in.Apply(Event{Kind: TornWrite, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestInjectorAppliesLogCorruption(t *testing.T) {
 	if err := in.Apply(Event{Kind: TornWrite, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
-	plain := NewInjector(newStubDriver(2), Schedule{}, nil)
+	plain := NewInjector(newStubDriver(2), Schedule{}, clock.New())
 	if err := plain.Apply(Event{Kind: CorruptRecord, Node: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -100,14 +100,14 @@ type endpoint struct {
 // message (counted), modeling kernel socket-buffer exhaustion.
 const endpointQueueDepth = 65536
 
-// NewTransport creates a fabric with the given latency model. A nil model
-// defaults to ZeroLatency.
+// NewTransport creates a fabric timed by clk, which is required, with the
+// given latency model. A nil model defaults to ZeroLatency.
 func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
+	if clk == nil {
+		panic("network: NewTransport needs a clock")
+	}
 	if latency == nil {
 		latency = ZeroLatency{}
-	}
-	if clk == nil {
-		clk = clock.New()
 	}
 	t := &Transport{
 		clk:       clk,

@@ -171,24 +171,19 @@ func TestWALCrashDuringReplay(t *testing.T) {
 
 			// The restart runs as a second actor; the crash lands 150ms into
 			// its replay.
-			restarted := clock.NewGate(clk)
-			var restartedAt time.Time // written before restarted closes
-			clock.Fork(clk, 1)
-			go func() {
-				h := clock.RegisterForked(clk, "restarter")
-				defer h.Close()
-				defer restarted.Close()
+			var restartedAt time.Time // written before the restarter finishes
+			joinRestarter := clock.Go(clk, []string{"restarter"}, func(int) {
 				if err := d.RestartNode(faultNode); err != nil {
 					t.Error(err)
 				}
 				restartedAt = clk.Now()
-			}()
+			})
 			clk.Sleep(150 * time.Millisecond)
 			crashedAt := clk.Now()
 			if err := d.CrashNode(faultNode); err != nil {
 				t.Fatal(err)
 			}
-			clock.Await(clk, restarted)
+			joinRestarter()
 			if !restartedAt.After(crashedAt) {
 				t.Fatalf("the restart returned at %v, before the crash at %v: the crash missed the replay",
 					restartedAt, crashedAt)

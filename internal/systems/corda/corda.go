@@ -137,8 +137,8 @@ type Network struct {
 	failed    uint64            // flows lost to execution/notary failure
 	conflicts map[string]uint64 // failed flows by canonical abort code
 
-	wg   *clock.Group
 	stop *clock.Gate
+	join func() // waits for the flow workers Start began
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -164,7 +164,6 @@ func build(env systems.Env, cfg config) *Network {
 		flowWorkers: workers,
 		notary:      notary.NewService("corda-notary"),
 		conflicts:   make(map[string]uint64),
-		wg:          clock.NewGroup(env.Clock),
 		stop:        clock.NewGate(env.Clock),
 	}
 	n.Cluster = systems.NewCluster(cfg.edition.String(), systems.NodeIDs("corda-node", env.Nodes), env, n.flowBacklog)
@@ -183,28 +182,18 @@ func (n *Network) Start() error {
 	if !n.MarkStarted() {
 		return nil
 	}
-	clock.Fork(n.env.Clock, len(n.nodes)*n.flowWorkers)
+	var names []string
 	for _, nd := range n.nodes {
 		for w := 0; w < n.flowWorkers; w++ {
-			nd, w := nd, w
-			n.wg.Add(1)
-			go func() {
-				h := clock.RegisterForked(n.env.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
-				defer h.Close()
-				defer n.wg.Done()
-				var job flowJob // this worker's own: its siblings share the queue
-				queue := nd.queue.Receiver(&job)
-				for {
-					switch i, _, _ := clock.Await(n.env.Clock, n.stop, queue); i {
-					case 0:
-						return
-					case 1:
-						n.runFlow(nd, job.tx)
-					}
-				}
-			}()
+			names = append(names, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
 		}
 	}
+	// Worker i serves node i/flowWorkers's queue, sharing it with its
+	// siblings; each binds its own receiver.
+	n.join = clock.Go(n.env.Clock, names, func(i int) {
+		nd := n.nodes[i/n.flowWorkers]
+		clock.Serve(n.env.Clock, n.stop, nd.queue, 0, func(job flowJob) { n.runFlow(nd, job.tx) }, nil)
+	})
 	return nil
 }
 
@@ -214,7 +203,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	n.wg.Wait()
+	n.join()
 }
 
 // Submit implements systems.Driver: the flow enqueues on the entry node's

@@ -101,7 +101,7 @@ type Network struct {
 	orderers []*orderer
 
 	stop *clock.Gate
-	done *clock.Gate
+	join func() // waits for the loop Start began
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -114,7 +114,6 @@ func build(env systems.Env, cfg config) *Network {
 		env:  env,
 		cfg:  cfg,
 		stop: clock.NewGate(env.Clock),
-		done: clock.NewGate(env.Clock),
 	}
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameFabric, systems.NodeIDs("fabric-peer", env.Nodes),
 		env, n.ingressBacklog)
@@ -156,8 +155,7 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start orderer %s: %w", o.id, err)
 		}
 	}
-	clock.Fork(n.env.Clock, 1)
-	go n.cutLoop()
+	n.join = clock.Go(n.env.Clock, []string{"fabric/cutter"}, func(int) { n.cutLoop() })
 	return nil
 }
 
@@ -167,7 +165,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	clock.Await(n.env.Clock, n.done)
+	n.join()
 	for _, o := range n.orderers {
 		o.node.Stop()
 	}
@@ -230,9 +228,6 @@ func (r *rwRecorder) Put(key, value string) { r.rw.RecordWrite(key, value) }
 // cutLoop drains orderer ingress queues into blocks, honouring
 // MaxMessageCount and BatchTimeout, and submits each cut batch to Raft.
 func (n *Network) cutLoop() {
-	h := clock.RegisterForked(n.env.Clock, "fabric/cutter")
-	defer h.Close()
-	defer n.done.Close()
 	// Poll at a fraction of the batch timeout for responsive cutting, but
 	// never slower than 10ms so MaxMessageCount cuts stay prompt even with
 	// a long batch timeout.
@@ -240,39 +235,31 @@ func (n *Network) cutLoop() {
 	if interval <= 0 || interval > 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	tick := n.env.Clock.NewTicker(interval)
-	defer tick.Stop()
 	lastCut := n.env.Clock.Now()
-
-	for {
-		switch i, _, _ := clock.Await(n.env.Clock, n.stop, tick); i {
-		case 0:
-			return
-		case 1:
-			timedOut := n.env.Clock.Since(lastCut) >= n.cfg.batchTimeout
-			for _, o := range n.orderers {
-				for o.ingress.Len() >= n.cfg.maxMessageCount {
-					// A failed cut (no Raft leader yet) puts the envelopes
-					// back; retrying before the next tick would spin without
-					// ever yielding, which under the virtual clock starves
-					// the very election the retry is waiting on.
-					if !n.cut(o, o.ingress.Take(n.cfg.maxMessageCount)) {
-						break
-					}
-					lastCut = n.env.Clock.Now()
+	clock.Serve[struct{}](n.env.Clock, n.stop, nil, interval, nil, func() {
+		timedOut := n.env.Clock.Since(lastCut) >= n.cfg.batchTimeout
+		for _, o := range n.orderers {
+			for o.ingress.Len() >= n.cfg.maxMessageCount {
+				// A failed cut (no Raft leader yet) puts the envelopes
+				// back; retrying before the next tick would spin without
+				// ever yielding, which under the virtual clock starves
+				// the very election the retry is waiting on.
+				if !n.cut(o, o.ingress.Take(n.cfg.maxMessageCount)) {
+					break
 				}
-				if timedOut {
-					if envs := o.ingress.Take(n.cfg.maxMessageCount); len(envs) > 0 {
-						n.cut(o, envs)
-						lastCut = n.env.Clock.Now()
-					}
-				}
-			}
-			if timedOut {
 				lastCut = n.env.Clock.Now()
 			}
+			if timedOut {
+				if envs := o.ingress.Take(n.cfg.maxMessageCount); len(envs) > 0 {
+					n.cut(o, envs)
+					lastCut = n.env.Clock.Now()
+				}
+			}
 		}
-	}
+		if timedOut {
+			lastCut = n.env.Clock.Now()
+		}
+	})
 }
 
 // cut submits one batch to the ordering service, reporting whether it was

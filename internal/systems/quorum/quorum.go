@@ -101,7 +101,7 @@ type Network struct {
 	validators []*validator
 
 	stop *clock.Gate
-	done *clock.Gate
+	join func() // waits for the loop Start began
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -114,7 +114,6 @@ func build(env systems.Env, cfg config) *Network {
 		env:  env,
 		cfg:  cfg,
 		stop: clock.NewGate(env.Clock),
-		done: clock.NewGate(env.Clock),
 	}
 	names := systems.NodeIDs("quorum", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
@@ -178,8 +177,9 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start validator %d: %w", i, err)
 		}
 	}
-	clock.Fork(n.env.Clock, 1)
-	go n.produceLoop()
+	n.join = clock.Go(n.env.Clock, []string{"quorum/producer"}, func(int) {
+		clock.Serve[struct{}](n.env.Clock, n.stop, nil, n.cfg.blockPeriod, nil, n.produceOnProposer)
+	})
 	return nil
 }
 
@@ -189,7 +189,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	clock.Await(n.env.Clock, n.done)
+	n.join()
 	for _, v := range n.validators {
 		v.engine.Stop()
 		n.Transport.Unregister(v.gossip)
@@ -232,26 +232,13 @@ func (n *Network) admit(v *validator, tx *chain.Transaction) {
 	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 }
 
-// produceLoop forms a block every BlockPeriod on whichever validator is the
-// IBFT proposer, and evaluates the livelock condition.
-func (n *Network) produceLoop() {
-	h := clock.RegisterForked(n.env.Clock, "quorum/producer")
-	defer h.Close()
-	defer n.done.Close()
-	tick := n.env.Clock.NewTicker(n.cfg.blockPeriod)
-	defer tick.Stop()
-	for {
-		switch i, _, _ := clock.Await(n.env.Clock, n.stop, tick); i {
-		case 0:
+// produceOnProposer forms a block, once per block period, on whichever
+// validator is the IBFT proposer, and evaluates the livelock condition.
+func (n *Network) produceOnProposer() {
+	for _, v := range n.validators {
+		if v.engine.IsProposer() {
+			n.produce(v)
 			return
-		case 1:
-			for _, v := range n.validators {
-				if !v.engine.IsProposer() {
-					continue
-				}
-				n.produce(v)
-				break
-			}
 		}
 	}
 }

@@ -100,7 +100,7 @@ type Network struct {
 	validators []*validator
 
 	stop *clock.Gate
-	done *clock.Gate
+	join func() // waits for the loop Start began
 
 	// discardedOps counts payload operations lost to atomic batch discard
 	// (counted once per decision, on validator 0's identical replay).
@@ -117,7 +117,6 @@ func build(env systems.Env, cfg config) *Network {
 		env:  env,
 		cfg:  cfg,
 		stop: clock.NewGate(env.Clock),
-		done: clock.NewGate(env.Clock),
 	}
 	names := systems.NodeIDs("sawtooth", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameSawtooth, names, env, n.queueBacklog)
@@ -179,8 +178,9 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start validator %d: %w", i, err)
 		}
 	}
-	clock.Fork(n.env.Clock, 1)
-	go n.publishLoop()
+	n.join = clock.Go(n.env.Clock, []string{"sawtooth/publisher"}, func(int) {
+		clock.Serve[struct{}](n.env.Clock, n.stop, nil, n.cfg.publishingDelay, nil, n.publish)
+	})
 	return nil
 }
 
@@ -190,7 +190,7 @@ func (n *Network) Stop() {
 		return
 	}
 	n.stop.Close()
-	clock.Await(n.env.Clock, n.done)
+	n.join()
 	for _, v := range n.validators {
 		v.engine.Stop()
 		n.Transport.Unregister(v.gossip)
@@ -253,49 +253,37 @@ func (n *Network) admitGossip(v *validator, b *chain.Batch) {
 	_ = v.queue.Add(b)
 }
 
-// publishLoop publishes a block every publishing delay on the PBFT
+// publish publishes a block, once per publishing delay, on the PBFT
 // primary.
-func (n *Network) publishLoop() {
-	h := clock.RegisterForked(n.env.Clock, "sawtooth/publisher")
-	defer h.Close()
-	defer n.done.Close()
-	tick := n.env.Clock.NewTicker(n.cfg.publishingDelay)
-	defer tick.Stop()
-	for {
-		switch i, _, _ := clock.Await(n.env.Clock, n.stop, tick); i {
-		case 0:
+func (n *Network) publish() {
+	if n.env.Nodes >= n.cfg.pendingStallAt {
+		return // transactions stay pending, never finalized
+	}
+	for _, v := range n.validators {
+		if !v.engine.IsProposer() {
+			continue
+		}
+		batches := v.queue.Take(maxBlockBatches)
+		if len(batches) == 0 {
 			return
-		case 1:
-			if n.env.Nodes >= n.cfg.pendingStallAt {
-				continue // transactions stay pending, never finalized
+		}
+		blk := publishedBlock{
+			Batches:     batches,
+			PublishedAt: n.env.Clock.Now(),
+			Publisher:   v.ID,
+		}
+		if err := v.engine.Submit(blk); err != nil {
+			for _, b := range batches {
+				_ = v.queue.Add(b)
 			}
-			for _, v := range n.validators {
-				if !v.engine.IsProposer() {
-					continue
-				}
-				batches := v.queue.Take(maxBlockBatches)
-				if len(batches) == 0 {
-					break
-				}
-				blk := publishedBlock{
-					Batches:     batches,
-					PublishedAt: n.env.Clock.Now(),
-					Publisher:   v.ID,
-				}
-				if err := v.engine.Submit(blk); err != nil {
-					for _, b := range batches {
-						_ = v.queue.Add(b)
-					}
-					break
-				}
-				for _, b := range batches {
-					for _, tx := range b.Txs {
-						tx.Stages.Mark(chain.StageQueue, blk.PublishedAt)
-					}
-				}
-				break
+			return
+		}
+		for _, b := range batches {
+			for _, tx := range b.Txs {
+				tx.Stages.Mark(chain.StageQueue, blk.PublishedAt)
 			}
 		}
+		return
 	}
 }
 

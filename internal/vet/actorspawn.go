@@ -1,85 +1,29 @@
 package vet
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// ActorSpawn flags bare `go` statements in the packages converted to
-// clock-actor scheduling in PR 6 (consensus engines, system drivers,
-// transport, runner). Under `-time virtual` the AutoVirtual quiescence
-// detector only advances time when every registered actor is parked; a
-// goroutine spawned without announcing itself via clock.Fork (and
-// registering with clock.RegisterForked) is invisible to the detector,
-// so the clock can jump while the goroutine still has work — the
-// nondeterminism and livelock class PR 6 converted the whole engine
-// stack to avoid.
+// ActorSpawn flags every go statement in the clock-actor packages
+// (consensus engines, system drivers, transport, runner, fault injector).
+// Under `-time virtual` the AutoVirtual clock advances only when every
+// registered actor is parked; a goroutine it was not told about is
+// invisible to it, so time can jump while that goroutine still has work.
+// clock.Go is the one way to start an actor: it announces the wave,
+// registers each goroutine and closes its handle.
 var ActorSpawn = &Analyzer{
 	Name: "actorspawn",
-	Doc: "flags bare go statements in clock-actor packages; announce spawns with clock.Fork and register " +
-		"with clock.RegisterForked so AutoVirtual quiescence can see the goroutine (PR 6)",
-	Run: runActorSpawn,
+	Doc:  "flags go statements in clock-actor packages; start actors with clock.Go",
+	Run:  runActorSpawn,
 }
 
 func runActorSpawn(pass *Pass) (interface{}, error) {
-	info := pass.TypesInfo
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			// Fork-before-spawn is the repo idiom: clock.Fork(clk, n)
-			// announces the next n spawns, then the bare go statements
-			// follow (each goroutine registering itself). Any Fork call
-			// earlier in the same function sanctions the spawns after it.
-			var forkPositions []int
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil &&
-						isInternalPkg(fn.Pkg().Path(), "internal/clock") && fn.Name() == "Fork" {
-						forkPositions = append(forkPositions, int(call.Pos()))
-					}
-				}
-				return true
-			})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				for _, fp := range forkPositions {
-					if fp < int(gs.Pos()) {
-						return true
-					}
-				}
-				// A spawned closure that registers itself as a (forked)
-				// actor is also visible to quiescence.
-				if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok && callsClockRegister(info, lit) {
-					return true
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if gs, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(gs.Pos(),
-					"bare go statement in a clock-actor package: the goroutine is invisible to AutoVirtual quiescence; announce it with clock.Fork and register with clock.RegisterForked (or use clock.Group)")
-				return true
-			})
-		}
+					"go statement in a clock-actor package: the goroutine is invisible to AutoVirtual quiescence; start it with clock.Go")
+			}
+			return true
+		})
 	}
 	return nil, nil
-}
-
-func callsClockRegister(info *types.Info, lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil &&
-				isInternalPkg(fn.Pkg().Path(), "internal/clock") {
-				switch fn.Name() {
-				case "Register", "RegisterForked":
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -41,8 +41,8 @@ func TestMapOrder(t *testing.T) {
 
 func TestActorSpawn(t *testing.T) {
 	res := vettest.Run(t, vet.ActorSpawn, "actorspawn")
-	if len(res.Findings) != 2 {
-		t.Errorf("want exactly 2 actorspawn findings (bare spawn + bare closure), got %d", len(res.Findings))
+	if len(res.Findings) != 5 {
+		t.Errorf("want exactly 5 actorspawn findings (every go statement, announced or not; none for clock.Go), got %d", len(res.Findings))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // ParkLock flags calls that can park on a clock primitive — Gate.Do /
-// Commit / Restart, Mailbox.Recv / Send, Group.Wait, Clock.Sleep,
+// Commit / Restart, Mailbox.Send, Clock.Sleep,
 // clock.Await, and receives from Timer/Ticker channels — while a
 // sync.Mutex or RWMutex acquired in the same function is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
@@ -155,7 +155,7 @@ func classifyCall(pass *Pass, call *ast.CallExpr, held map[string]token.Pos) {
 	}
 	if fromInternalPkg(named, "internal/clock") {
 		switch fn.Name() {
-		case "Recv", "Send", "Wait", "Sleep":
+		case "Send", "Sleep":
 			reportPark(pass, call.Pos(), named.Obj().Name()+"."+fn.Name(), held)
 		}
 	}

@@ -1,8 +1,8 @@
-// Fixture for the actorspawn analyzer: goroutines spawned in clock-actor
-// packages must be announced with clock.Fork (and register with
-// clock.RegisterForked) so the AutoVirtual quiescence detector can see
-// them — a bare `go` is invisible and lets virtual time jump over live
-// work (PR 6).
+// Fixture for the actorspawn analyzer: in clock-actor packages every
+// goroutine is an actor started by clock.Go, which announces and registers
+// it so the AutoVirtual quiescence detector can see it. Any go statement —
+// bare, or hand-announced with clock.Fork and clock.RegisterForked — is a
+// finding.
 package fixture
 
 import (
@@ -12,33 +12,38 @@ import (
 func worker(c clock.Clock) { c.Sleep(1) }
 
 func bare(c clock.Clock) {
-	go worker(c) // want `bare go statement in a clock-actor package`
+	go worker(c) // want `go statement in a clock-actor package`
 }
 
 func bareClosure(c clock.Clock) {
-	go func() { // want `bare go statement in a clock-actor package`
+	go func() { // want `go statement in a clock-actor package`
 		worker(c)
 	}()
 }
 
-// The repo idiom: Fork announces the spawns that follow.
+// A hand-written Fork no longer sanctions the spawns after it.
 func forked(c clock.Clock) {
 	clock.Fork(c, 1)
-	go worker(c)
+	go worker(c) // want `go statement in a clock-actor package`
 }
 
 func forkedLoop(c clock.Clock, n int) {
 	clock.Fork(c, n)
 	for i := 0; i < n; i++ {
-		go worker(c)
+		go worker(c) // want `go statement in a clock-actor package`
 	}
 }
 
-// A closure that registers itself as a forked actor is also visible.
+// Nor does a closure that registers itself.
 func selfRegistering(c clock.Clock) {
-	go func() {
+	go func() { // want `go statement in a clock-actor package`
 		h := clock.RegisterForked(c, "w")
 		defer h.Close()
 		worker(c)
 	}()
+}
+
+// The one way to start actors.
+func started(c clock.Clock) {
+	clock.Go(c, []string{"w0", "w1"}, func(int) { worker(c) })()
 }

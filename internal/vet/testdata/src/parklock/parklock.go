@@ -24,10 +24,10 @@ func (n *node) sendWhileLocked() {
 	n.mu.Unlock()
 }
 
-func (n *node) deferredUnlock(c clock.Clock, g *clock.Group) {
+func (n *node) deferredUnlock(c clock.Clock) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g.Wait() // want `Group.Wait can park while mutex "n.mu"`
+	n.inbox.Send(2, n.stop) // want `Mailbox.Send can park while mutex "n.mu"`
 }
 
 func (n *node) awaitUnderRLock(c clock.Clock) {

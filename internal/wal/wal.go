@@ -181,12 +181,12 @@ type Log struct {
 	lost          uint64
 }
 
-// New builds an empty log named for diagnostics (and mirror file naming).
-// A nil clock defaults to the wall clock.
+// New builds an empty log named for diagnostics (and mirror file naming),
+// timed by clk, which is required.
 func New(name string, opts Options, clk clock.Clock) *Log {
 	opts.fill()
 	if clk == nil {
-		clk = clock.New()
+		panic("wal: New needs a clock")
 	}
 	return &Log{
 		name: name,
