@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"container/heap"
 	"fmt"
 	"reflect"
 	"sort"
@@ -21,14 +22,14 @@ var SimEpoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 // surface.
 func Walltime() time.Time { return time.Now() }
 
-// AutoVirtual is a Virtual clock that advances itself. Goroutines
-// participating in a run register as actors; the clock hands an execution
-// token to exactly one actor at a time, so the whole simulation executes as
-// one deterministic serial order. When every actor is parked in a blocking
-// primitive (Await, Sleep, Mailbox.Send) the clock jumps atomically to the
-// earliest pending deadline — no polling, no wall-clock sleeps. If every
-// actor is parked and no deadline remains, the run cannot ever make
-// progress and the clock fails loudly with the parked-actor list.
+// AutoVirtual is the deterministic virtual clock, and it advances itself.
+// Goroutines participating in a run register as actors; the clock hands an
+// execution token to exactly one actor at a time, so the whole simulation
+// executes as one deterministic serial order. When every actor is parked
+// in a blocking primitive (Await, Sleep, Mailbox.Send) the clock jumps
+// atomically to the earliest pending deadline — no polling, no wall-clock
+// sleeps. If every actor is parked and no deadline remains, the run cannot
+// ever make progress and the clock fails loudly with the parked-actor list.
 //
 // The contract actors must keep:
 //
@@ -90,8 +91,28 @@ func Walltime() time.Time { return time.Now() }
 //
 // Events are not registered actors: a clock with armed events and no actors
 // stays idle, and the deadlock report lists actors only.
+//
+// Timers, tickers, sleeping actors and armed events are waiters in one heap
+// ordered by (deadline, tie name, tie sequence); all fields are guarded by
+// mu except elapsed, which Now reads without it.
 type AutoVirtual struct {
-	*Virtual
+	mu  sync.Mutex
+	now time.Time
+	// start and elapsed are now for readers that take no lock: now is always
+	// start.Add(elapsed), written only by setNowLocked.
+	start   time.Time
+	elapsed atomic.Int64
+	waiters waiterHeap
+	seq     int64
+
+	actors     map[*Actor]struct{}
+	current    *Actor       // token holder, nil while idle or advancing
+	runq       ring[*Actor] // FIFO of actors ready for the token
+	forking    int          // children announced by Fork but not yet registered
+	arrivals   []*Actor     // registered fork-wave children awaiting release
+	dead       bool
+	onDeadlock func(msg string)
+	stats      KernelStats
 }
 
 var _ Clock = (*AutoVirtual)(nil)
@@ -99,12 +120,7 @@ var _ Clock = (*AutoVirtual)(nil)
 // NewAutoVirtual returns an auto-advancing virtual clock starting at
 // SimEpoch.
 func NewAutoVirtual() *AutoVirtual {
-	v := NewVirtual(SimEpoch)
-	v.auto = &autoCore{
-		v:      v,
-		actors: make(map[*Actor]struct{}),
-	}
-	return &AutoVirtual{Virtual: v}
+	return &AutoVirtual{now: SimEpoch, start: SimEpoch, actors: make(map[*Actor]struct{})}
 }
 
 // Sleep implements Clock: the calling actor parks until the clock reaches
@@ -112,13 +128,12 @@ func NewAutoVirtual() *AutoVirtual {
 // actor for the duration of the sleep, so tests can sleep on the simulated
 // clock without joining a run explicitly. The deadline rides on the actor's
 // own waiter, which wakes it directly: a sleep allocates nothing.
-func (av *AutoVirtual) Sleep(d time.Duration) {
-	v := av.Virtual
+func (v *AutoVirtual) Sleep(d time.Duration) {
 	v.mu.Lock()
-	a := v.auto.current
+	a := v.current
 	if a == nil {
 		v.mu.Unlock()
-		h := Register(av, "sleeper")
+		h := Register(v, "sleeper")
 		defer h.Close()
 		a = h.a
 		v.mu.Lock()
@@ -133,29 +148,12 @@ func (av *AutoVirtual) Sleep(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// After is unsupported on AutoVirtual: a bare channel receive blocks the
-// holding actor without parking it, freezing the clock. Use NewTimer with
-// Await (or Sleep) instead.
-func (av *AutoVirtual) After(d time.Duration) <-chan time.Time {
-	panic("clock: AutoVirtual.After would block without parking; use NewTimer + Await")
-}
-
 // SetDeadlockHandler replaces the default deadlock reaction (panic) with
 // fn, which receives the diagnostic message. Intended for tests.
-func (av *AutoVirtual) SetDeadlockHandler(fn func(msg string)) {
-	av.mu.Lock()
-	av.auto.onDeadlock = fn
-	av.mu.Unlock()
-}
-
-// autoOf extracts the auto-advancing core from a clock; ok is false for
-// Real and plain Virtual clocks, which keeps every primitive below
-// backward-compatible with channel-based blocking.
-func autoOf(c Clock) (*Virtual, bool) {
-	if av, ok := c.(*AutoVirtual); ok {
-		return av.Virtual, true
-	}
-	return nil, false
+func (v *AutoVirtual) SetDeadlockHandler(fn func(msg string)) {
+	v.mu.Lock()
+	v.onDeadlock = fn
+	v.mu.Unlock()
 }
 
 type actorState int
@@ -168,7 +166,7 @@ const (
 
 // Actor is one registered participant of an auto-advancing run.
 type Actor struct {
-	v         *Virtual
+	v         *AutoVirtual
 	name      string
 	state     actorState
 	grant     chan struct{}
@@ -186,20 +184,6 @@ type awaitResult struct {
 	ok  bool
 }
 
-// autoCore is the cooperative scheduler behind AutoVirtual. All fields are
-// guarded by the owning Virtual's mutex.
-type autoCore struct {
-	v          *Virtual
-	actors     map[*Actor]struct{}
-	current    *Actor       // token holder, nil while idle or advancing
-	runq       ring[*Actor] // FIFO of actors ready for the token
-	forking    int          // children announced by Fork but not yet registered
-	arrivals   []*Actor     // registered fork-wave children awaiting release
-	dead       bool
-	onDeadlock func(msg string)
-	stats      KernelStats
-}
-
 // KernelStats counts what the scheduler did, the currency a run's wall time
 // is paid in: every hand-off costs a goroutine switch, an event run and a
 // timer fire cost a function call. The counts repeat exactly at a fixed seed.
@@ -210,14 +194,14 @@ type KernelStats struct {
 }
 
 // KernelStats returns the scheduler's counters so far.
-func (av *AutoVirtual) KernelStats() KernelStats {
-	av.mu.Lock()
-	defer av.mu.Unlock()
-	return av.auto.stats
+func (v *AutoVirtual) KernelStats() KernelStats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
 }
 
-// Handle identifies one registered actor. The zero Handle (returned for
-// non-auto clocks) is a no-op.
+// Handle identifies one registered actor. The zero Handle (returned on the
+// real clock) is a no-op.
 type Handle struct{ a *Actor }
 
 // Close detaches the actor from the clock and releases the execution token.
@@ -230,8 +214,8 @@ func (h Handle) Close() {
 }
 
 // Register joins the calling goroutine to the clock's schedule under the
-// given name, blocking until it is granted the execution token. On real and
-// plain-virtual clocks it is a no-op. Names feed the deterministic timer
+// given name, blocking until it is granted the execution token. On the real
+// clock it is a no-op. Names feed the deterministic timer
 // tie-break and the deadlock diagnostics, so they must be derived from
 // stable identities (node IDs, shard indices), never from creation order.
 func Register(c Clock, name string) Handle {
@@ -325,7 +309,7 @@ func Fork(c Clock, n int) {
 		return
 	}
 	av.mu.Lock()
-	av.auto.forking += n
+	av.forking += n
 	av.mu.Unlock()
 }
 
@@ -341,35 +325,33 @@ func RegisterForked(c Clock, name string) Handle {
 	return Handle{a: av.register(name, true)}
 }
 
-func (av *AutoVirtual) register(name string, forked bool) *Actor {
-	v := av.Virtual
+func (v *AutoVirtual) register(name string, forked bool) *Actor {
 	a := &Actor{v: v, name: name, grant: make(chan struct{}, 1)}
 	a.sleep = waiter{sleeper: a, index: -1}
 	v.mu.Lock()
-	core := v.auto
-	core.actors[a] = struct{}{}
-	if forked && core.forking > 0 {
-		core.forking--
+	v.actors[a] = struct{}{}
+	if forked && v.forking > 0 {
+		v.forking--
 		a.state = actorReady
-		core.arrivals = append(core.arrivals, a)
-		if core.forking == 0 {
-			core.flushArrivalsLocked()
-			core.kickLocked()
+		v.arrivals = append(v.arrivals, a)
+		if v.forking == 0 {
+			v.flushArrivalsLocked()
+			v.kickLocked()
 		}
 		v.mu.Unlock()
 		<-a.grant
 		return a
 	}
-	if core.current == nil && core.runq.len() == 0 {
+	if v.current == nil && v.runq.len() == 0 {
 		// Sole runnable actor: take the token immediately.
-		core.current = a
+		v.current = a
 		a.state = actorRunning
 		v.mu.Unlock()
 		return a
 	}
 	a.state = actorReady
-	core.runq.push(a)
-	core.kickLocked()
+	v.runq.push(a)
+	v.kickLocked()
 	v.mu.Unlock()
 	<-a.grant
 	return a
@@ -378,32 +360,31 @@ func (av *AutoVirtual) register(name string, forked bool) *Actor {
 // flushArrivalsLocked releases a completed fork wave into the run queue in
 // name order. Actor names must therefore be unique within a wave for the
 // release order to be fully deterministic.
-func (c *autoCore) flushArrivalsLocked() {
-	sort.Slice(c.arrivals, func(i, j int) bool { return c.arrivals[i].name < c.arrivals[j].name })
-	for _, a := range c.arrivals {
-		c.runq.push(a)
+func (v *AutoVirtual) flushArrivalsLocked() {
+	sort.Slice(v.arrivals, func(i, j int) bool { return v.arrivals[i].name < v.arrivals[j].name })
+	for _, a := range v.arrivals {
+		v.runq.push(a)
 	}
-	c.arrivals = nil
+	v.arrivals = nil
 }
 
 func (a *Actor) close() {
 	v := a.v
 	v.mu.Lock()
-	core := v.auto
-	if core.current != a {
+	if v.current != a {
 		v.mu.Unlock()
 		panic("clock: actor " + a.name + " closed without holding the execution token")
 	}
-	delete(core.actors, a)
-	core.current = nil
-	core.scheduleLocked()
+	delete(v.actors, a)
+	v.current = nil
+	v.scheduleLocked()
 	v.mu.Unlock()
 }
 
 // kickLocked dispatches the scheduler if the token is unheld.
-func (c *autoCore) kickLocked() {
-	if c.current == nil {
-		c.scheduleLocked()
+func (v *AutoVirtual) kickLocked() {
+	if v.current == nil {
+		v.scheduleLocked()
 	}
 }
 
@@ -415,24 +396,24 @@ func (c *autoCore) kickLocked() {
 // clock advances to the earliest deadline and fires it; deadlines fire one
 // at a time so execution stays a single serial order even for timers sharing
 // an instant. An empty heap with parked actors is a deadlock.
-func (c *autoCore) scheduleLocked() {
-	if c.current != nil || c.dead {
+func (v *AutoVirtual) scheduleLocked() {
+	if v.current != nil || v.dead {
 		return
 	}
 	for {
-		if c.runq.len() > 0 {
-			a := c.runq.pop()
+		if v.runq.len() > 0 {
+			a := v.runq.pop()
 			if ev := a.ev; ev != nil {
 				ev.queued = false
 				if ev.stopped.Load() {
 					continue
 				}
-				c.current = a
-				c.stats.Events++
-				c.v.mu.Unlock()
+				v.current = a
+				v.stats.Events++
+				v.mu.Unlock()
 				ev.fn()
-				c.v.mu.Lock()
-				c.current = nil
+				v.mu.Lock()
+				v.current = nil
 				continue
 			}
 			if len(a.awaiting) > 0 {
@@ -450,70 +431,81 @@ func (c *autoCore) scheduleLocked() {
 				clear(a.awaiting)
 				a.awaiting = a.awaiting[:0]
 			}
-			c.current = a
+			v.current = a
 			a.state = actorRunning
-			c.stats.Handoffs++
+			v.stats.Handoffs++
 			a.grant <- struct{}{}
 			return
 		}
-		if c.forking > 0 || len(c.actors) == 0 {
+		if v.forking > 0 || len(v.actors) == 0 {
 			return // children on the way, or nothing registered: stay idle
 		}
-		if !c.advanceLocked() {
-			c.deadlockLocked()
+		if !v.advanceLocked() {
+			v.deadlockLocked()
 			return
 		}
 	}
 }
 
-// advanceLocked jumps the clock to the earliest deadline and fires it,
-// waking that waiter's parked watchers. Returns false when no waiter
+// advanceLocked jumps the clock to the earliest deadline and fires it: a
+// timer or ticker ticks (a ticker re-arms), and the waiter's parked
+// watchers, sleeper or event get their turn. Returns false when no waiter
 // remains.
-func (c *autoCore) advanceLocked() bool {
-	if len(c.v.waiters) == 0 {
+func (v *AutoVirtual) advanceLocked() bool {
+	if len(v.waiters) == 0 {
 		return false
 	}
-	w := c.v.fireNextLocked()
-	c.stats.TimerFires++
+	w := heap.Pop(&v.waiters).(*waiter)
+	v.setNowLocked(w.at)
+	if w.ch != nil {
+		select {
+		case w.ch <- w.at:
+		default: // slow receiver: drop the tick, as time.Ticker does
+		}
+	}
+	if w.repeat > 0 {
+		w.at = w.at.Add(w.repeat)
+		v.addWaiterLocked(w)
+	}
+	v.stats.TimerFires++
 	if w.event != nil {
-		c.queueEventLocked(w.event)
+		v.queueEventLocked(w.event)
 	}
 	if w.wake != nil {
-		w.wake.wakeLocked(c)
+		w.wake.wakeLocked(v)
 	}
 	if w.sleeper != nil {
-		c.wakeLocked(w.sleeper)
+		v.wakeLocked(w.sleeper)
 	}
 	return true
 }
 
-func (c *autoCore) wakeLocked(a *Actor) {
+func (v *AutoVirtual) wakeLocked(a *Actor) {
 	if a.state == actorParked {
 		a.state = actorReady
-		c.runq.push(a)
+		v.runq.push(a)
 	}
 }
 
 // queueEventLocked gives a fired or triggered event its turn: one place at
 // the tail of the run queue, however often it is asked for before it runs.
-func (c *autoCore) queueEventLocked(e *Event) {
+func (v *AutoVirtual) queueEventLocked(e *Event) {
 	if !e.queued && !e.stopped.Load() {
 		e.queued = true
-		c.runq.push(e.actor)
+		v.runq.push(e.actor)
 	}
 }
 
 // parkLocked releases the token held by a and blocks it until a wake
 // re-grants it. Callers hold v.mu; it is held again on return.
-func (v *Virtual) parkLocked(a *Actor) {
+func (v *AutoVirtual) parkLocked(a *Actor) {
 	if a.ev != nil {
 		v.mu.Unlock()
 		panic("clock: event " + a.name + " would park: an event runs to completion on the scheduler and has no goroutine to block")
 	}
-	core := v.auto
 	a.state = actorParked
-	core.current = nil
-	core.scheduleLocked()
+	v.current = nil
+	v.scheduleLocked()
 	v.mu.Unlock()
 	<-a.grant
 	v.mu.Lock()
@@ -522,19 +514,19 @@ func (v *Virtual) parkLocked(a *Actor) {
 // deadlockLocked reports that every actor is parked with nothing left to
 // fire. The handler runs on its own goroutine so diagnostics (or a test's
 // recovery) never deadlock on the clock mutex; the default handler panics.
-func (c *autoCore) deadlockLocked() {
-	if c.dead {
+func (v *AutoVirtual) deadlockLocked() {
+	if v.dead {
 		return
 	}
-	c.dead = true
-	names := make([]string, 0, len(c.actors))
-	for a := range c.actors {
+	v.dead = true
+	names := make([]string, 0, len(v.actors))
+	for a := range v.actors {
 		names = append(names, a.name)
 	}
 	sort.Strings(names)
 	msg := fmt.Sprintf("clock: deadlock: all %d actors parked with no pending timers at %s: %s",
-		len(names), c.v.now.Format(time.RFC3339Nano), strings.Join(names, ", "))
-	h := c.onDeadlock
+		len(names), v.now.Format(time.RFC3339Nano), strings.Join(names, ", "))
+	h := v.onDeadlock
 	if h == nil {
 		h = func(m string) { panic(m) }
 	}
@@ -563,9 +555,9 @@ func (w *watchers) remove(a *Actor) {
 	}
 }
 
-func (w *watchers) wakeLocked(c *autoCore) {
+func (w *watchers) wakeLocked(v *AutoVirtual) {
 	for _, a := range w.list {
-		c.wakeLocked(a)
+		v.wakeLocked(a)
 	}
 }
 
@@ -592,14 +584,14 @@ type Waitable interface {
 // worth boxing (the fire instant is Now). On an AutoVirtual clock the caller
 // is the token holder and readiness is checked in argument order — lowest
 // index wins — making multi-ready races deterministic; put the stop gate
-// first so shutdown beats pending work. On every other clock (or with no
+// first so shutdown beats pending work. On the real clock (or with no
 // token out, i.e. from outside the run) Await degrades to a
 // pseudo-randomly-tie-broken channel select, matching Go select semantics;
 // an AutoVirtual Mailbox has no channel to offer there and panics.
 func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
-	if v, auto := autoOf(c); auto {
+	if v, auto := c.(*AutoVirtual); auto {
 		v.mu.Lock()
-		if a := v.auto.current; a != nil {
+		if a := v.current; a != nil {
 			return v.await(a, srcs)
 		}
 		v.mu.Unlock()
@@ -621,7 +613,7 @@ func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
 // released before returning. With nothing ready the actor parks attached to
 // every source; the scheduler re-grants it only once it has consumed one of
 // them into a.got.
-func (v *Virtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
+func (v *AutoVirtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
 	r, ready := a.consumeLocked(srcs)
 	if !ready {
 		a.awaiting = append(a.awaiting[:0], srcs...)
@@ -653,7 +645,7 @@ func (a *Actor) consumeLocked(srcs []Waitable) (r awaitResult, ready bool) {
 // parks auto-virtual actors instead of blocking them. The zero value is not
 // usable; construct with NewGate.
 type Gate struct {
-	v      *Virtual // non-nil only under AutoVirtual
+	v      *AutoVirtual // nil on the real clock
 	mu     sync.Mutex
 	ch     chan struct{}
 	closed bool
@@ -669,9 +661,7 @@ func NewGate(c Clock) *Gate {
 
 func (g *Gate) init(c Clock) {
 	g.ch = make(chan struct{})
-	if v, ok := autoOf(c); ok {
-		g.v = v
-	}
+	g.v, _ = c.(*AutoVirtual)
 }
 
 // Close opens the gate exactly once, waking every waiter; further Closes
@@ -690,8 +680,8 @@ func (g *Gate) Close() {
 	if !g.closed {
 		g.closed = true
 		close(g.ch)
-		g.w.wakeLocked(g.v.auto)
-		g.v.auto.kickLocked()
+		g.w.wakeLocked(g.v)
+		g.v.kickLocked()
 	}
 	g.v.mu.Unlock()
 }
@@ -708,10 +698,6 @@ func (g *Gate) Closed() bool {
 	return g.closed
 }
 
-// C exposes the underlying channel for native selects on the real-clock
-// path; auto-virtual actors must use Await instead.
-func (g *Gate) C() <-chan struct{} { return g.ch }
-
 func (g *Gate) waitChan() reflect.Value { return reflect.ValueOf(g.ch) }
 func (g *Gate) attach(a *Actor)         { g.w.add(a) }
 func (g *Gate) detach(a *Actor)         { g.w.remove(a) }
@@ -723,13 +709,13 @@ func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 }
 
 // Mailbox is a bounded FIFO channel whose blocking operations park
-// auto-virtual actors. Capacity must be at least 1. On real and
-// plain-virtual clocks it is a buffered channel. Under AutoVirtual every
+// auto-virtual actors. Capacity must be at least 1. On the real clock it is
+// a buffered channel. Under AutoVirtual every
 // operation already runs under the clock mutex, so the buffer is a ring
 // that grows on demand up to the capacity: an inbox sized for the worst
 // case costs only what it actually held.
 type Mailbox[T any] struct {
-	v        *Virtual // non-nil only under AutoVirtual
+	v        *AutoVirtual // nil on the real clock
 	mu       sync.Mutex
 	ch       chan T  // nil under AutoVirtual
 	q        ring[T] // AutoVirtual only, guarded by v.mu
@@ -745,9 +731,7 @@ func NewMailbox[T any](c Clock, capacity int) *Mailbox[T] {
 		capacity = 1
 	}
 	m := &Mailbox[T]{capacity: capacity}
-	if v, ok := autoOf(c); ok {
-		m.v = v
-	} else {
+	if m.v, _ = c.(*AutoVirtual); m.v == nil {
 		m.ch = make(chan T, capacity)
 	}
 	return m
@@ -774,7 +758,7 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 	}
 	v := m.v
 	v.mu.Lock()
-	a := v.auto.current
+	a := v.current
 	if a == nil {
 		v.mu.Unlock()
 		panic("clock: Mailbox.Send from a goroutine not registered with the AutoVirtual clock")
@@ -790,7 +774,7 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 		}
 		if m.q.len() < m.capacity {
 			m.q.push(val)
-			m.recvW.wakeLocked(v.auto)
+			m.recvW.wakeLocked(v)
 			m.sendW.remove(a)
 			if abort != nil {
 				abort.w.remove(a)
@@ -826,8 +810,8 @@ func (m *Mailbox[T]) TrySend(val T) bool {
 		return false
 	}
 	m.q.push(val)
-	m.recvW.wakeLocked(v.auto)
-	v.auto.kickLocked()
+	m.recvW.wakeLocked(v)
+	v.kickLocked()
 	return true
 }
 
@@ -848,9 +832,9 @@ func (m *Mailbox[T]) Close() {
 	m.v.mu.Lock()
 	if !m.closed {
 		m.closed = true
-		m.recvW.wakeLocked(m.v.auto)
-		m.sendW.wakeLocked(m.v.auto)
-		m.v.auto.kickLocked()
+		m.recvW.wakeLocked(m.v)
+		m.sendW.wakeLocked(m.v)
+		m.v.kickLocked()
 	}
 	m.v.mu.Unlock()
 }
@@ -892,7 +876,7 @@ func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
 func (m *Mailbox[T]) popLocked() (val T, ok, ready bool) {
 	if m.q.len() > 0 {
 		val = m.q.pop()
-		m.sendW.wakeLocked(m.v.auto)
+		m.sendW.wakeLocked(m.v)
 		return val, true, true
 	}
 	return val, false, m.closed

@@ -155,15 +155,3 @@ func TestAutoVirtualRegisterChurn(t *testing.T) {
 		t.Fatalf("PendingWaiters = %d after churn, want 0", got)
 	}
 }
-
-// TestAutoVirtualAfterPanics locks in the guard against the one blocking
-// idiom the scheduler cannot see through.
-func TestAutoVirtualAfterPanics(t *testing.T) {
-	av := NewAutoVirtual()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AutoVirtual.After did not panic")
-		}
-	}()
-	av.After(time.Second)
-}

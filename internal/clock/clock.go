@@ -1,7 +1,7 @@
 // Package clock provides an injectable time source so that every component in
 // the simulated cluster (consensus pacemakers, block publishers, rate
 // limiters, the COCONUT client phases) can run against either the wall clock
-// or a deterministic virtual clock in tests.
+// or the deterministic, auto-advancing virtual clock (AutoVirtual).
 package clock
 
 import (
@@ -15,30 +15,25 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks for at least d.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the current time after d.
-	After(d time.Duration) <-chan time.Time
 	// NewTicker returns a ticker firing every d.
 	NewTicker(d time.Duration) Ticker
-	// NewTimer returns a timer firing once after d.
-	NewTimer(d time.Duration) Timer
 	// NewTimerAt returns a timer firing once when the clock reaches the
 	// absolute instant at; a deadline at or before Now fires immediately.
-	// Schedulers use it to arm exact deadlines race-free: unlike NewTimer,
-	// the deadline cannot drift when the clock advances between computing
-	// the duration and arming the timer.
+	// Schedulers use it to arm exact deadlines race-free: the deadline
+	// cannot drift when the clock advances between computing it and arming
+	// the timer.
 	NewTimerAt(at time.Time) Timer
 	// Since returns the elapsed time since t.
 	Since(t time.Time) time.Duration
 }
 
 // Ticker delivers ticks at intervals. It mirrors time.Ticker but is
-// interface-based so virtual clocks can implement it. Every Ticker is a
+// interface-based so the virtual clock can implement it. Every Ticker is a
 // Waitable, so it can be a source in Await.
 type Ticker interface {
 	Waitable
 	C() <-chan time.Time
 	Stop()
-	Reset(d time.Duration)
 }
 
 // Timer delivers a single tick. It mirrors time.Timer. Every Timer is a
@@ -46,8 +41,7 @@ type Ticker interface {
 type Timer interface {
 	Waitable
 	C() <-chan time.Time
-	Stop() bool
-	Reset(d time.Duration) bool
+	Stop()
 }
 
 // Real is a Clock backed by the time package. The zero value is ready to use.
@@ -64,17 +58,11 @@ func (Real) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // NewTicker implements Clock.
 func (Real) NewTicker(d time.Duration) Ticker { return &realTicker{t: time.NewTicker(d)} }
-
-// NewTimer implements Clock.
-func (Real) NewTimer(d time.Duration) Timer { return &realTimer{t: time.NewTimer(d)} }
 
 // NewTimerAt implements Clock.
 func (Real) NewTimerAt(at time.Time) Timer {
@@ -87,9 +75,8 @@ func (Real) NewTimerAt(at time.Time) Timer {
 
 type realTicker struct{ t *time.Ticker }
 
-func (r *realTicker) C() <-chan time.Time   { return r.t.C }
-func (r *realTicker) Stop()                 { r.t.Stop() }
-func (r *realTicker) Reset(d time.Duration) { r.t.Reset(d) }
+func (r *realTicker) C() <-chan time.Time { return r.t.C }
+func (r *realTicker) Stop()               { r.t.Stop() }
 
 // Real-clock tickers are only ever awaited through the reflect.Select path.
 func (r *realTicker) waitChan() reflect.Value             { return reflect.ValueOf(r.t.C) }
@@ -99,9 +86,8 @@ func (r *realTicker) tryConsumeLocked() (any, bool, bool) { return nil, false, f
 
 type realTimer struct{ t *time.Timer }
 
-func (r *realTimer) C() <-chan time.Time        { return r.t.C }
-func (r *realTimer) Stop() bool                 { return r.t.Stop() }
-func (r *realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
+func (r *realTimer) C() <-chan time.Time { return r.t.C }
+func (r *realTimer) Stop()               { r.t.Stop() }
 
 // Real-clock timers are only ever awaited through the reflect.Select path.
 func (r *realTimer) waitChan() reflect.Value             { return reflect.ValueOf(r.t.C) }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -37,64 +38,64 @@ func TestRealTickerDelivers(t *testing.T) {
 
 func TestRealTimerDelivers(t *testing.T) {
 	c := New()
-	tm := c.NewTimer(time.Millisecond)
+	tm := c.NewTimerAt(c.Now().Add(time.Millisecond))
 	select {
 	case <-tm.C():
 	case <-time.After(time.Second):
 		t.Fatal("timer did not fire within 1s")
 	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire should return false")
-	}
+	tm.Stop() // after the fire: a no-op
 }
 
-func TestVirtualAdvanceMovesNow(t *testing.T) {
-	start := time.Date(2023, 12, 11, 0, 0, 0, 0, time.UTC)
-	v := NewVirtual(start)
-	v.Advance(90 * time.Second)
-	if got, want := v.Now(), start.Add(90*time.Second); !got.Equal(want) {
+// The stepping below is a Sleep from outside the run: the caller becomes a
+// transient actor, and the clock jumps through every deadline up to its own.
+
+func TestVirtualSleepMovesNow(t *testing.T) {
+	v := NewAutoVirtual()
+	v.Sleep(90 * time.Second)
+	if got, want := v.Now(), SimEpoch.Add(90*time.Second); !got.Equal(want) {
 		t.Fatalf("Now = %v, want %v", got, want)
 	}
 }
 
-func TestVirtualAfterFiresInOrder(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	ch1 := v.After(time.Second)
-	ch2 := v.After(2 * time.Second)
-	v.Advance(3 * time.Second)
+func TestVirtualTimersFireInOrder(t *testing.T) {
+	v := NewAutoVirtual()
+	tm1 := v.NewTimerAt(v.Now().Add(time.Second))
+	tm2 := v.NewTimerAt(v.Now().Add(2 * time.Second))
+	v.Sleep(3 * time.Second)
 
-	t1 := <-ch1
-	t2 := <-ch2
+	t1 := <-tm1.C()
+	t2 := <-tm2.C()
 	if !t1.Before(t2) {
-		t.Fatalf("expected ch1 (%v) to fire before ch2 (%v)", t1, t2)
+		t.Fatalf("expected tm1 (%v) to fire before tm2 (%v)", t1, t2)
 	}
 }
 
-func TestVirtualAfterDoesNotFireEarly(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	ch := v.After(10 * time.Second)
-	v.Advance(9 * time.Second)
+func TestVirtualTimerDoesNotFireEarly(t *testing.T) {
+	v := NewAutoVirtual()
+	tm := v.NewTimerAt(v.Now().Add(10 * time.Second))
+	v.Sleep(9 * time.Second)
 	select {
-	case <-ch:
-		t.Fatal("After fired before its deadline")
+	case <-tm.C():
+		t.Fatal("timer fired before its deadline")
 	default:
 	}
-	v.Advance(time.Second)
+	v.Sleep(time.Second)
 	select {
-	case <-ch:
+	case <-tm.C():
 	default:
-		t.Fatal("After did not fire at its deadline")
+		t.Fatal("timer did not fire at its deadline")
 	}
 }
 
 func TestVirtualTickerRepeats(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
+	v := NewAutoVirtual()
 	tk := v.NewTicker(time.Second)
 	defer tk.Stop()
 
 	fired := 0
 	for i := 0; i < 5; i++ {
-		v.Advance(time.Second)
+		v.Sleep(time.Second)
 		select {
 		case <-tk.C():
 			fired++
@@ -108,10 +109,10 @@ func TestVirtualTickerRepeats(t *testing.T) {
 }
 
 func TestVirtualTickerStop(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
+	v := NewAutoVirtual()
 	tk := v.NewTicker(time.Second)
 	tk.Stop()
-	v.Advance(5 * time.Second)
+	v.Sleep(5 * time.Second)
 	select {
 	case <-tk.C():
 		t.Fatal("stopped ticker fired")
@@ -119,25 +120,11 @@ func TestVirtualTickerStop(t *testing.T) {
 	}
 }
 
-func TestVirtualTickerReset(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	tk := v.NewTicker(time.Hour)
-	tk.Reset(time.Second)
-	v.Advance(time.Second)
-	select {
-	case <-tk.C():
-	default:
-		t.Fatal("reset ticker did not fire at new period")
-	}
-}
-
 func TestVirtualTimerStopPreventsFire(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	tm := v.NewTimer(time.Second)
-	if !tm.Stop() {
-		t.Fatal("Stop before fire should return true")
-	}
-	v.Advance(2 * time.Second)
+	v := NewAutoVirtual()
+	tm := v.NewTimerAt(v.Now().Add(time.Second))
+	tm.Stop()
+	v.Sleep(2 * time.Second)
 	select {
 	case <-tm.C():
 		t.Fatal("stopped timer fired")
@@ -145,65 +132,26 @@ func TestVirtualTimerStopPreventsFire(t *testing.T) {
 	}
 }
 
-func TestVirtualTimerReset(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	tm := v.NewTimer(time.Hour)
-	tm.Reset(time.Second)
-	v.Advance(time.Second)
-	select {
-	case <-tm.C():
-	default:
-		t.Fatal("reset timer did not fire")
-	}
-}
-
-func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	done := make(chan struct{})
-	go func() {
-		v.Sleep(time.Second)
-		close(done)
-	}()
-	// Let the sleeper register its waiter.
-	for v.PendingWaiters() == 0 {
-		time.Sleep(time.Microsecond)
-	}
-	v.Advance(time.Second)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Sleep did not unblock after Advance")
-	}
-}
-
+// TestVirtualDeterministicOrderAtSameInstant: waiters armed from outside the
+// run tie by creation order, whoever awaits them. Actor "a" awaits the timer
+// armed second, "b" the one armed first, so b must wake first.
 func TestVirtualDeterministicOrderAtSameInstant(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	var order []int
-	ch1 := v.After(time.Second)
-	ch2 := v.After(time.Second)
-	v.Advance(time.Second)
-	// Both fired at the same instant; FIFO registration order must hold in
-	// the heap (seq tiebreak), observable via buffered sends already done.
-	select {
-	case <-ch1:
-		order = append(order, 1)
-	default:
-		t.Fatal("ch1 missing")
-	}
-	select {
-	case <-ch2:
-		order = append(order, 2)
-	default:
-		t.Fatal("ch2 missing")
-	}
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
+	v := NewAutoVirtual()
+	first := v.NewTimerAt(v.Now().Add(time.Second))
+	second := v.NewTimerAt(v.Now().Add(time.Second))
+	var order []string // appended under the execution token
+	runActors(v, map[string]func(){
+		"a": func() { Await(v, second); order = append(order, "a") },
+		"b": func() { Await(v, first); order = append(order, "b") },
+	})
+	if fmt.Sprint(order) != "[b a]" {
+		t.Fatalf("woke in order %v, want [b a]: creation order breaks the tie", order)
 	}
 }
 
 func TestVirtualPendingWaiters(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	tm := v.NewTimer(time.Second)
+	v := NewAutoVirtual()
+	tm := v.NewTimerAt(v.Now().Add(time.Second))
 	if got := v.PendingWaiters(); got != 1 {
 		t.Fatalf("PendingWaiters = %d, want 1", got)
 	}
@@ -214,23 +162,24 @@ func TestVirtualPendingWaiters(t *testing.T) {
 }
 
 func TestVirtualNewTimerAtFiresAtAbsoluteDeadline(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	tm := v.NewTimerAt(time.Unix(0, 0).Add(10 * time.Millisecond))
+	v := NewAutoVirtual()
+	want := SimEpoch.Add(10 * time.Millisecond)
+	tm := v.NewTimerAt(want)
 	select {
 	case <-tm.C():
 		t.Fatal("timer fired before its deadline")
 	default:
 	}
-	v.Advance(9 * time.Millisecond)
+	v.Sleep(9 * time.Millisecond)
 	select {
 	case <-tm.C():
 		t.Fatal("timer fired 1ms early")
 	default:
 	}
-	v.Advance(time.Millisecond)
+	v.Sleep(time.Millisecond)
 	select {
 	case at := <-tm.C():
-		if want := time.Unix(0, 0).Add(10 * time.Millisecond); !at.Equal(want) {
+		if !at.Equal(want) {
 			t.Fatalf("fired at %v, want %v", at, want)
 		}
 	default:
@@ -239,11 +188,11 @@ func TestVirtualNewTimerAtFiresAtAbsoluteDeadline(t *testing.T) {
 }
 
 func TestVirtualNewTimerAtPastDeadlineFiresImmediately(t *testing.T) {
-	v := NewVirtual(time.Unix(100, 0))
+	v := NewAutoVirtual()
 	// The race NewTimerAt exists to close: the clock advanced past the
 	// intended deadline before the caller could arm the timer. It must
-	// fire without any further Advance.
-	tm := v.NewTimerAt(time.Unix(99, 0))
+	// fire without the clock moving.
+	tm := v.NewTimerAt(SimEpoch.Add(-time.Second))
 	select {
 	case <-tm.C():
 	default:
@@ -277,7 +226,7 @@ func TestRealNewTimerAt(t *testing.T) {
 
 // lockedNow reads the clock's instant under its mutex, as every method but
 // Now does.
-func lockedNow(v *Virtual) time.Time {
+func lockedNow(v *AutoVirtual) time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.now
@@ -285,68 +234,51 @@ func lockedNow(v *Virtual) time.Time {
 
 // TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
 // == to the instant the timer heap runs on — same wall encoding, same
-// location, no monotonic reading — after Advance, after timer and ticker
-// fires, after an absolute deadline handed in from another location, and
-// after an AutoVirtual's jumps.
+// location, no monotonic reading — after sleep and ticker jumps, inside an
+// event at its deadline, and after an absolute deadline handed in from
+// another location.
 func TestVirtualNowIsTheLockedInstant(t *testing.T) {
-	check := func(t *testing.T, v *Virtual, when string) {
+	av := NewAutoVirtual()
+	check := func(when string) {
 		t.Helper()
-		if got, want := v.Now(), lockedNow(v); got != want {
+		if got, want := av.Now(), lockedNow(av); got != want {
 			t.Errorf("%s: Now() = %#v, the clock is at %#v", when, got, want)
 		}
 	}
-	t.Run("stepped", func(t *testing.T) {
-		v := NewVirtual(time.Now()) // a start with a monotonic reading
-		check(t, v, "at start")
-		if v.Now() != v.Now().Round(0) {
-			t.Fatal("Now carries a monotonic reading")
-		}
-		tick := v.NewTicker(30 * time.Millisecond)
+	check("at start")
+	var fired time.Time
+	ev := NewEvent(av, "probe", func() { fired = av.Now(); check("inside an event") })
+	defer ev.Stop()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h := Register(av, "jumper")
+		defer h.Close()
+		tick := av.NewTicker(7 * time.Second)
 		defer tick.Stop()
-		timer := v.NewTimer(45 * time.Millisecond)
-		abroad := v.NewTimerAt(v.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
-		var fired time.Time
-		ev := NewEvent(v, "probe", func() { fired = v.Now(); check(t, v, "inside an event") })
-		defer ev.Stop()
+		for i := 0; i < 5; i++ {
+			av.Sleep(time.Duration(i+1) * time.Hour)
+			check("after a sleep jump")
+			Await(av, tick)
+			check("after a ticker jump")
+		}
 		ev.After(50 * time.Millisecond)
-		for i := 0; i < 10; i++ {
-			v.Advance(11 * time.Millisecond)
-			check(t, v, "after Advance")
+		abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
+		Await(av, abroad)
+		check("after a deadline from another location")
+		if want := lockedNow(av).Add(-20 * time.Millisecond); fired != want {
+			t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)
 		}
-		if at := <-timer.C(); !at.Equal(v.Now().Add(-65 * time.Millisecond)) {
-			t.Fatalf("timer fired at %v", at)
-		}
-		<-abroad.C()
-		if want := lockedNow(v).Add(-60 * time.Millisecond); fired != want {
-			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
-		}
-		if v.Now().Location() != time.Local {
-			t.Fatalf("Now() moved to location %v", v.Now().Location())
-		}
-	})
-	t.Run("auto", func(t *testing.T) {
-		av := NewAutoVirtual()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			h := Register(av, "jumper")
-			defer h.Close()
-			tick := av.NewTicker(7 * time.Second)
-			defer tick.Stop()
-			for i := 0; i < 5; i++ {
-				av.Sleep(time.Duration(i+1) * time.Hour)
-				check(t, av.Virtual, "after a sleep jump")
-				Await(av, tick)
-				check(t, av.Virtual, "after a ticker jump")
-			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("auto-virtual actor did not finish")
-		}
-		if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
-			t.Fatalf("clock advanced %v, want at least the 15h slept", got)
-		}
-	})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("auto-virtual actor did not finish")
+	}
+	if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
+		t.Fatalf("clock advanced %v, want at least the 15h slept", got)
+	}
+	if av.Now().Location() != time.UTC || av.Now() != av.Now().Round(0) {
+		t.Fatalf("Now() = %#v moved location or carries a monotonic reading", av.Now())
+	}
 }

@@ -22,8 +22,6 @@ import (
 //     tie, where a fired or triggered event queues, what fn may call).
 //   - Real: on one goroutine the event owns, which waits for the deadline or
 //     a Trigger; there fn may block, and holds up only its own event.
-//   - Virtual: inside the Advance that reaches the deadline, or inside
-//     Trigger, on the calling goroutine.
 //
 // Stop disarms the event for good and returns only when fn is not running.
 // Under AutoVirtual that holds because the caller is, as for every primitive
@@ -32,27 +30,23 @@ type Event struct {
 	fn      func()
 	stopped atomic.Bool
 
-	// Virtual and AutoVirtual: the deadline is a waiter in v's heap exactly
-	// while armed. actor is set under AutoVirtual only: it is what sits in
-	// runq and holds the token during fn; queued (guarded by v.mu) says it is
-	// in runq now.
-	v      *Virtual
+	// AutoVirtual: the deadline is a waiter in v's heap exactly while armed.
+	// actor is what sits in runq and holds the token during fn; queued
+	// (guarded by v.mu) says it is in runq now.
+	v      *AutoVirtual
 	w      waiter
 	actor  *Actor
 	queued bool
 
-	// Real and Virtual, guarded by mu: owed marks a run to be made. Virtual
-	// serialises its inline runs with running and idle; a real clock hands
-	// them to the event's goroutine, which wake pokes after a state change
-	// and which closes done when it exits.
-	mu      sync.Mutex
-	owed    bool
-	running bool
-	idle    *sync.Cond
-	c       Clock
-	at      time.Time // the real clock's deadline, zero while unarmed
-	wake    chan struct{}
-	done    chan struct{}
+	// Real, guarded by mu: owed marks a run to be made, which the event's
+	// goroutine makes; wake pokes it after a state change and it closes done
+	// when it exits.
+	mu   sync.Mutex
+	owed bool
+	c    Clock
+	at   time.Time // the deadline, zero while unarmed
+	wake chan struct{}
+	done chan struct{}
 }
 
 // NewEvent builds an unarmed event bound to the clock's scheduling mode.
@@ -60,20 +54,16 @@ type Event struct {
 // actor's, and must be as stable and as unique.
 func NewEvent(c Clock, name string, fn func()) *Event {
 	e := &Event{fn: fn}
-	e.w = waiter{event: e, index: -1}
-	switch c := c.(type) {
-	case *AutoVirtual:
-		e.v = c.Virtual
-		e.actor = &Actor{v: c.Virtual, name: name, ev: e}
-	case *Virtual:
-		e.v = c
-		e.idle = sync.NewCond(&e.mu)
-	default:
-		e.c = c
-		e.wake = make(chan struct{}, 1)
-		e.done = make(chan struct{})
-		go e.loop()
+	if v, ok := c.(*AutoVirtual); ok {
+		e.v = v
+		e.w = waiter{event: e, index: -1}
+		e.actor = &Actor{v: v, name: name, ev: e}
+		return e
 	}
+	e.c = c
+	e.wake = make(chan struct{}, 1)
+	e.done = make(chan struct{})
+	go e.loop()
 	return e
 }
 
@@ -119,42 +109,19 @@ func (e *Event) armLocked(at time.Time) {
 }
 
 // Trigger asks for a run now: in the event's turn under AutoVirtual, on its
-// goroutine on a real clock, before returning on Virtual.
+// goroutine on the real clock.
 func (e *Event) Trigger() {
-	switch {
-	case e.v == nil:
+	if e.v == nil {
 		e.mu.Lock()
 		e.owed = true
 		e.mu.Unlock()
 		e.poke()
-	case e.actor != nil:
-		e.v.mu.Lock()
-		e.v.auto.queueEventLocked(e)
-		e.v.auto.kickLocked()
-		e.v.mu.Unlock()
-	default:
-		e.runInline()
+		return
 	}
-}
-
-// runInline is Virtual's run, on the calling goroutine — unless a run is in
-// progress (on another goroutine, or further up this one's stack), which
-// then repeats.
-func (e *Event) runInline() {
-	e.mu.Lock()
-	e.owed = true
-	if !e.running {
-		e.running = true
-		for e.owed && !e.stopped.Load() {
-			e.owed = false
-			e.mu.Unlock()
-			e.fn()
-			e.mu.Lock()
-		}
-		e.running = false
-		e.idle.Broadcast()
-	}
-	e.mu.Unlock()
+	e.v.mu.Lock()
+	e.v.queueEventLocked(e)
+	e.v.kickLocked()
+	e.v.mu.Unlock()
 }
 
 // Stop disarms the event, drops a run that is owed and makes every later
@@ -169,13 +136,6 @@ func (e *Event) Stop() {
 	e.v.mu.Lock()
 	e.v.cancelLocked(&e.w)
 	e.v.mu.Unlock()
-	if e.idle != nil {
-		e.mu.Lock()
-		for e.running {
-			e.idle.Wait()
-		}
-		e.mu.Unlock()
-	}
 }
 
 func (e *Event) poke() {

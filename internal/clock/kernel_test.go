@@ -52,7 +52,7 @@ func TestCallerIsTokenHolder(t *testing.T) {
 		"census": func() {
 			av.Sleep(time.Second) // napper is parked in its own Sleep now
 			av.mu.Lock()
-			for a := range av.auto.actors {
+			for a := range av.actors {
 				during = append(during, a.name)
 			}
 			av.mu.Unlock()
@@ -76,7 +76,7 @@ func TestNoTokenOut(t *testing.T) {
 			t.Fatalf("slept %v, want 1h", got)
 		}
 		av.mu.Lock()
-		left := len(av.auto.actors)
+		left := len(av.actors)
 		av.mu.Unlock()
 		if left != 0 {
 			t.Fatalf("%d actors still registered after the sleep", left)
@@ -85,8 +85,8 @@ func TestNoTokenOut(t *testing.T) {
 	t.Run("Await falls back to the channel select", func(t *testing.T) {
 		av := NewAutoVirtual()
 		never := NewGate(av)
-		timer := av.NewTimer(time.Second)
-		av.Advance(time.Second) // plain-Virtual stepping still works from outside
+		timer := av.NewTimerAt(av.Now().Add(time.Second))
+		av.Sleep(time.Second) // a transient sleeper lets the clock reach the deadline
 		if idx, _, ok := Await(av, never, timer); idx != 1 || !ok {
 			t.Fatalf("Await = (%d, ok=%v), want the fired timer at index 1", idx, ok)
 		}
@@ -118,7 +118,7 @@ func TestNoTokenOut(t *testing.T) {
 		h := <-parked
 		for { // wait until the actor has parked and the clock went idle
 			av.mu.Lock()
-			idle := av.auto.current == nil
+			idle := av.current == nil
 			av.mu.Unlock()
 			if idle {
 				break
@@ -139,15 +139,6 @@ func TestKernelAllocationCeilings(t *testing.T) {
 
 	if n := testing.AllocsPerRun(200, func() { av.Sleep(time.Millisecond) }); n != 0 {
 		t.Errorf("Sleep allocates %v times per call, want 0", n)
-	}
-
-	timer := av.NewTimer(time.Millisecond)
-	Await(av, timer)
-	if n := testing.AllocsPerRun(200, func() {
-		timer.Reset(time.Millisecond)
-		Await(av, timer)
-	}); n != 0 {
-		t.Errorf("Timer.Reset + Await allocates %v times per round, want 0", n)
 	}
 
 	ticker := av.NewTicker(time.Millisecond)
@@ -195,7 +186,7 @@ func TestKernelAllocationCeilings(t *testing.T) {
 }
 
 // TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep,
-// NewTimer and a re-armed (reused) timer all enter the heap keyed by
+// NewTimerAt and NewTicker all enter the heap keyed by
 // (deadline, actor name, per-actor sequence). Three actors whose waits
 // collide at every instant, each mixing the three kinds, must therefore wake
 // in name order at each instant — the order the one-waiter-per-arm kernel
@@ -207,20 +198,20 @@ func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 		var log []string // appended under the execution token
 		body := func(name string, phase int) func() {
 			return func() {
-				var timer Timer
+				var ticker Ticker
 				for r := 0; r < rounds; r++ {
 					switch (r + phase) % 3 {
 					case 0:
 						av.Sleep(10 * time.Millisecond)
 					case 1:
-						Await(av, av.NewTimer(10*time.Millisecond))
+						Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
 					case 2:
-						if timer == nil {
-							timer = av.NewTimer(10 * time.Millisecond)
-						} else {
-							timer.Reset(10 * time.Millisecond)
+						if ticker == nil {
+							ticker = av.NewTicker(10 * time.Millisecond)
 						}
-						Await(av, timer)
+						Await(av, ticker)
+						ticker.Stop()
+						ticker = nil
 					}
 					log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
 				}
@@ -249,62 +240,30 @@ func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 	}
 }
 
-// TestResetRekeysTheReusedWaiter: re-arming takes a fresh per-actor sequence
-// number, exactly as arming a new waiter did, so between two of one actor's
-// timers due at the same instant the one armed last fires last — also when
-// it was created first.
-func TestResetRekeysTheReusedWaiter(t *testing.T) {
-	av := NewAutoVirtual()
-	h := Register(av, "solo")
-	defer h.Close()
-	first := av.NewTimer(time.Second)
-	second := av.NewTimer(time.Second)
-	if !first.Reset(time.Second) { // same deadline, armed after second
-		t.Fatal("Reset of a pending timer reported it inactive")
-	}
-	if idx, _, _ := Await(av, first, second); idx != 1 {
-		t.Fatalf("the re-armed timer fired before the one armed earlier (index %d)", idx)
-	}
-	if idx, _, _ := Await(av, first, second); idx != 0 {
-		t.Fatalf("the re-armed timer did not fire second (index %d)", idx)
-	}
-	if first.Stop() || second.Stop() {
-		t.Fatal("a fired timer reported itself active")
-	}
-	if got := av.PendingWaiters(); got != 0 {
-		t.Fatalf("PendingWaiters = %d, want 0", got)
-	}
-}
-
-// TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, and a
-// stopped timer or ticker re-arms the waiter it already owns.
+// TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, so a
+// stopped timer or ticker never fires, and stopping twice is harmless.
 func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
 	av := NewAutoVirtual()
 	h := Register(av, "solo")
 	defer h.Close()
-	timer := av.NewTimer(time.Hour)
+	timer := av.NewTimerAt(av.Now().Add(time.Hour))
 	ticker := av.NewTicker(time.Hour)
 	if got := av.PendingWaiters(); got != 2 {
 		t.Fatalf("PendingWaiters = %d, want 2", got)
 	}
-	if !timer.Stop() {
-		t.Fatal("Stop of a pending timer reported it inactive")
-	}
+	timer.Stop()
 	ticker.Stop()
+	timer.Stop()
 	if got := av.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
 	}
-	if timer.Reset(time.Minute) {
-		t.Fatal("Reset of a stopped timer reported it active")
-	}
-	ticker.Reset(time.Second)
-	if idx, _, _ := Await(av, timer, ticker); idx != 1 {
-		t.Fatalf("index %d fired first, want the 1s ticker", idx)
-	}
-	ticker.Stop()
-	Await(av, timer)
-	if got := av.Now().Sub(SimEpoch); got != time.Minute {
-		t.Fatalf("re-armed timer fired at +%v, want +1m", got)
+	av.Sleep(3 * time.Hour)
+	select {
+	case <-timer.C():
+		t.Fatal("stopped timer fired")
+	case <-ticker.C():
+		t.Fatal("stopped ticker fired")
+	default:
 	}
 }
 
@@ -485,9 +444,10 @@ func TestSharedMailboxWakesInAttachOrder(t *testing.T) {
 
 // TestEventFiresWhereItsActorsTimerWould: an event's deadline is keyed like
 // a timer of an actor with the event's name. "node-b" keeps one deadline 10ms
-// ahead, once as an actor re-arming a timer and once as an event re-arming
-// itself, between two actors whose Sleep and NewTimer deadlines collide with
-// it at every instant; both runs must log the same order, a, b, c.
+// ahead, once as an actor arming a timer per round and once as an event
+// re-arming itself, between two actors whose Sleep and NewTimerAt deadlines
+// collide with it at every instant; both runs must log the same order, a, b,
+// c.
 func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 	const rounds = 5
 	run := func(asEvent bool) []string {
@@ -505,7 +465,7 @@ func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 			},
 			"node-c": func() {
 				for r := 0; r < rounds; r++ {
-					Await(av, av.NewTimer(10*time.Millisecond))
+					Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
 					note("node-c")
 				}
 			},
@@ -522,13 +482,10 @@ func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 			ev.After(10 * time.Millisecond)
 		} else {
 			bodies["node-b"] = func() {
-				timer := av.NewTimer(10 * time.Millisecond)
 				for r := 0; r < rounds; r++ {
-					Await(av, timer)
+					Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
 					note("node-b")
-					timer.Reset(10 * time.Millisecond)
 				}
-				timer.Stop()
 			}
 		}
 		runActors(av, bodies)
@@ -685,21 +642,23 @@ func TestEventAllocations(t *testing.T) {
 	ev.Stop()
 }
 
-// TestEventOnPlainVirtual: Advance runs events at their deadlines, in
-// deadline order, before it returns; Trigger runs before it returns, and one
-// made from inside fn repeats the run instead of recursing.
-func TestEventOnPlainVirtual(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
+// TestEventDeadlinesFromOutsideTheRun: events armed and triggered with no
+// token out run at their deadlines, in deadline order, while a sleep from
+// outside moves the clock; At replaces an earlier After; a Trigger with no
+// token out runs before it returns, and one made from inside fn repeats the
+// run instead of recursing; a stopped event leaves the heap and never runs.
+func TestEventDeadlinesFromOutsideTheRun(t *testing.T) {
+	v := NewAutoVirtual()
 	var log []string
 	note := func(name string) func() {
-		return func() { log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(time.Unix(0, 0)))) }
+		return func() { log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(SimEpoch))) }
 	}
 	late, early := NewEvent(v, "late", note("late")), NewEvent(v, "early", note("early"))
 	late.After(3 * time.Second)
 	early.After(time.Second)
 	moved := NewEvent(v, "moved", note("moved"))
 	moved.After(time.Second)
-	moved.At(time.Unix(2, 0)) // replaces the 1s deadline
+	moved.At(SimEpoch.Add(2 * time.Second)) // replaces the 1s deadline
 	left := 3
 	var again *Event
 	again = NewEvent(v, "again", func() {
@@ -709,7 +668,10 @@ func TestEventOnPlainVirtual(t *testing.T) {
 		}
 	})
 	again.Trigger()
-	v.Advance(5 * time.Second)
+	if want := "[again@0s again@0s again@0s]"; fmt.Sprint(log) != want {
+		t.Fatalf("after Trigger: %v, want %s", log, want)
+	}
+	v.Sleep(5 * time.Second)
 	want := "[again@0s again@0s again@0s early@1s moved@2s late@3s]"
 	if fmt.Sprint(log) != want {
 		t.Fatalf("order:\n got %v\nwant %s", log, want)
@@ -719,7 +681,7 @@ func TestEventOnPlainVirtual(t *testing.T) {
 	if got := v.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
 	}
-	v.Advance(time.Minute)
+	v.Sleep(time.Minute)
 	if fmt.Sprint(log) != want {
 		t.Fatalf("a stopped event ran: %v", log)
 	}

@@ -79,12 +79,12 @@ func TestReceiverAllocatesNothing(t *testing.T) {
 // TestReceiverOnEveryClock: the typed receive delivers every element exactly
 // once into the variable of the consumer that took it, and a closed, drained
 // mailbox stores the zero element with ok false — on the channel-backed
-// mailboxes of Real and stepped Virtual (several consumers racing on one
-// channel, each with its own Receiver; run under -race) as on AutoVirtual,
+// mailbox of Real (several consumers racing on one channel, each with its
+// own Receiver; run under -race) as on AutoVirtual,
 // where the consumers are parked when the elements arrive.
 func TestReceiverOnEveryClock(t *testing.T) {
 	const consumers, elements = 4, 200
-	for name, clk := range map[string]Clock{"real": New(), "virtual": NewVirtual(SimEpoch), "auto": NewAutoVirtual()} {
+	for name, clk := range map[string]Clock{"real": New(), "auto": NewAutoVirtual()} {
 		t.Run(name, func(t *testing.T) {
 			m := NewMailbox[envelope](clk, 8)
 			seen := make([][]int, consumers)

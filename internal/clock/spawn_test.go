@@ -59,7 +59,7 @@ func TestGoJoinWaitsForEveryActor(t *testing.T) {
 			t.Fatalf("join returned at +%v, want +3s (the slowest actor)", got)
 		}
 		av.mu.Lock()
-		left := len(av.auto.actors)
+		left := len(av.actors)
 		av.mu.Unlock()
 		if left != 1 {
 			t.Fatalf("%d actors registered after the join, want only the joiner", left)

@@ -72,10 +72,10 @@ func TestCombineSummariesEmpty(t *testing.T) {
 func TestClientOpsCounting(t *testing.T) {
 	// BitShares-style: one transaction carrying 100 operations counts as
 	// 100 transactions (§4.5).
-	clk := clock.NewVirtual(clock.SimEpoch)
+	clk := clock.NewAutoVirtual()
 	c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
 	c.track(crypto.Hash{1}, clk.Now(), 100, 0)
-	clk.Advance(time.Second)
+	clk.Sleep(time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
 	res := CombineSummaries([]ClientSummary{c.Summary()})
 	if res.ReceivedNoT != 100 {
@@ -239,13 +239,13 @@ func TestCombineSummariesPercentiles(t *testing.T) {
 func TestMFLSIsOpsWeighted(t *testing.T) {
 	// A 2-op transaction at 1s and a 1-op transaction at 4s: the
 	// per-payload mean is (2*1 + 1*4) / 3 = 2s, not (1+4)/2 = 2.5s.
-	clk := clock.NewVirtual(clock.SimEpoch)
+	clk := clock.NewAutoVirtual()
 	c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
 	c.track(crypto.Hash{1}, clk.Now(), 2, 0)
 	c.track(crypto.Hash{2}, clk.Now(), 1, 0)
-	clk.Advance(time.Second)
+	clk.Sleep(time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
-	clk.Advance(3 * time.Second)
+	clk.Sleep(3 * time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{2}, ValidOK: true})
 	res := CombineSummaries([]ClientSummary{c.Summary()})
 	if got, want := res.FLS, 2.0; math.Abs(got-want) > 1e-9 {
@@ -305,13 +305,13 @@ func TestPropertySummarizeMeanBounded(t *testing.T) {
 // once.
 func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 	f := func(flags []bool) bool {
-		clk := clock.NewVirtual(clock.SimEpoch)
+		clk := clock.NewAutoVirtual()
 		c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
 		confirmed := 0
 		for i, ok := range flags {
 			id := crypto.Hash{byte(i), byte(i >> 8), 1}
 			c.track(id, clk.Now(), 1, 0)
-			clk.Advance(time.Second)
+			clk.Sleep(time.Second)
 			if ok {
 				confirmed++
 				c.onEvent(systems.Event{TxID: id, ValidOK: true})

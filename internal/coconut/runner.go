@@ -181,8 +181,8 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	// armed during the repetition must have fired or been stopped —
 	// otherwise long soaks accumulate dead waiters in the virtual heap.
 	stopDriver()
-	if pw, ok := clk.(interface{ PendingWaiters() int }); ok {
-		if n := pw.PendingWaiters(); n != 0 {
+	if av, ok := clk.(*clock.AutoVirtual); ok {
+		if n := av.PendingWaiters(); n != 0 {
 			return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
 		}
 	}

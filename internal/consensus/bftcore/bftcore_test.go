@@ -315,7 +315,7 @@ func TestHeightAdvances(t *testing.T) {
 // set (Quorum's "-gossip" endpoints do). Counted by name they would reach the
 // quorum of three twice over and decide; only members' votes may.
 func TestNonMemberVotesNeverCompleteAQuorum(t *testing.T) {
-	clk := clock.NewVirtual(clock.SimEpoch)
+	clk := clock.NewAutoVirtual()
 	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	var decided []consensus.Decision

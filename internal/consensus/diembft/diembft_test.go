@@ -196,7 +196,7 @@ func TestPendingCount(t *testing.T) {
 // name, and votes one validator relays for another must not form the QC that
 // three validators' own votes then do.
 func TestOnlyAValidatorsOwnVoteCounts(t *testing.T) {
-	clk := clock.NewVirtual(clock.SimEpoch)
+	clk := clock.NewAutoVirtual()
 	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	e := New(Config{ID: "v1", Validators: []string{"v0", "v1", "v2", "v3"}, Transport: tr, Clock: clk})

@@ -348,7 +348,7 @@ func TestDecisionsAreGapFree(t *testing.T) {
 // acknowledgement. Neither may come from an endpoint outside the cluster, and
 // an acknowledgement may not be delivered under another sender's name.
 func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
-	clk := clock.NewVirtual(clock.SimEpoch)
+	clk := clock.NewAutoVirtual()
 	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	var decided []consensus.Decision

@@ -170,32 +170,25 @@ func TestInjectorDeterministicUnderVirtualClock(t *testing.T) {
 		{At: 400 * time.Millisecond, Kind: RestartNode, Node: 3},
 	}}
 
-	waitApplied := func(t *testing.T, in *Injector, want int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if len(in.Applied()) >= want {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("applied %d events, want %d", len(in.Applied()), want)
-	}
-
 	runOnce := func() ([]string, []time.Time) {
 		d := newStubDriver(4)
-		clk := clock.NewVirtual(time.Unix(0, 0))
+		clk := clock.NewAutoVirtual()
+		h := clock.Register(clk, "test")
+		defer h.Close()
 		in := NewInjector(d, sched, clk)
 		in.Start()
-		// Lockstep: advance in 50ms steps and wait for each event to be
-		// applied before advancing further, so applied virtual times are
-		// exact regardless of goroutine scheduling.
+		// Lockstep: sleep in 50ms steps. The injector's deadline sorts
+		// before the test's sleep at the same instant ("fault-injector" <
+		// "test"), so each step returns with every event due by then
+		// applied.
 		for step, want := 1, 0; step <= 8; step++ {
-			clk.Advance(50 * time.Millisecond)
+			clk.Sleep(50 * time.Millisecond)
 			if step%2 == 0 {
 				want++
 			}
-			waitApplied(t, in, want)
+			if got := len(in.Applied()); got != want {
+				t.Fatalf("step %d: applied %d events, want %d", step, got, want)
+			}
 		}
 		in.Stop()
 		var ats []time.Time
@@ -220,8 +213,8 @@ func TestInjectorDeterministicUnderVirtualClock(t *testing.T) {
 		if !ats1[i].Equal(ats2[i]) {
 			t.Fatalf("virtual apply times differ between runs: %v vs %v", ats1, ats2)
 		}
-		if got, want := ats1[i], time.Unix(0, 0).Add(sched.Events[i].At); got.Before(want) {
-			t.Fatalf("event %d applied at %v, before its schedule time %v", i, got, want)
+		if got, want := ats1[i], clock.SimEpoch.Add(sched.Events[i].At); !got.Equal(want) {
+			t.Fatalf("event %d applied at %v, want its schedule time %v", i, got, want)
 		}
 	}
 }

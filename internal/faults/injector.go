@@ -17,7 +17,7 @@ type Applied struct {
 
 // Injector applies a Schedule against a running driver. Events fire on the
 // injected clock, so schedules replay deterministically under
-// clock.Virtual. Every Apply transition is idempotent: crashing a crashed
+// clock.AutoVirtual. Every Apply transition is idempotent: crashing a crashed
 // node, healing without a partition, or restarting a running node are
 // no-ops, never panics — chaos schedules are allowed to be sloppy.
 type Injector struct {
@@ -74,8 +74,8 @@ func (in *Injector) Stop() {
 
 func (in *Injector) run(start time.Time) {
 	for _, ev := range in.sched {
-		// An absolute deadline: a stepped clock advancing between reading
-		// the time and arming the timer must not push the event later.
+		// An absolute deadline: time passing between reading the clock and
+		// arming the timer must not push the event later.
 		if due := start.Add(ev.At); in.clk.Now().Before(due) {
 			t := in.clk.NewTimerAt(due)
 			if i, _, _ := clock.Await(in.clk, in.stop, t); i == 0 {

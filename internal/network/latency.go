@@ -5,14 +5,15 @@
 // delay drawn from a configurable LatencyModel, and links can be cut or
 // degraded to emulate partitions and WAN loss.
 //
-// Delivery is scheduled by a hashed timing wheel with one delivery event
-// (wheel.go), all of it under the Transport's one lock. Messages on the same
-// directed link are delivered in send order after their latency delay (the
-// per-connection FIFO property of the TCP links the real deployments rely
-// on); messages on different links order by ready timestamp. Under
-// clock.Virtual the whole fabric is deterministic: latency and loss draws
-// come from seeded per-link sources and delivery order is exactly (ready
-// time, send order).
+// Delivery is scheduled by one queue — a ready list for messages due at once
+// and a heap by ready time for the rest — with one delivery event
+// (delivery.go), all of it under the Transport's one lock. Messages on the
+// same directed link are delivered in send order after their latency delay
+// (the per-connection FIFO property of the TCP links the real deployments
+// rely on); messages on different links order by ready timestamp. Under
+// clock.AutoVirtual the whole fabric is deterministic: latency and loss
+// draws come from seeded per-link sources and delivery order is exactly
+// (ready time, send order).
 package network
 
 import (

@@ -13,56 +13,117 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 )
 
-// TestSchedulerDeterministicUnderVirtualClock: with a virtual clock and
-// constant per-link latencies, the wheel delivers in exact (ready time,
-// enqueue order) sequence, reproducibly across runs.
+// TestSchedulerDeterministicUnderVirtualClock: with the virtual clock and
+// constant per-link latencies, the transport delivers every message exactly
+// at its ready time, in (ready time, send order) sequence, reproducibly
+// across runs. The delays straddle the edges of the former timing wheel (one
+// 100µs tick, a 4096-tick horizon of 409.6ms) and reach far beyond it.
+// Rounds sent 50µs and 1ms after the first tie ready times across links, and
+// the test's actor ("main") sends them ahead of the delivery event
+// ("net/shard-0") at that instant, so messages due at once share a batch
+// with ones that waited. Every message is sent back from inside the handler
+// that receives it, on a link of the same delay.
 func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
-	run := func() []string {
-		clk := clock.NewVirtual(time.Unix(100, 0))
+	delays := []time.Duration{
+		0, 50 * time.Microsecond, 100 * time.Microsecond,
+		409 * time.Millisecond, 410 * time.Millisecond, 411 * time.Millisecond,
+		time.Hour,
+	}
+	type delivery struct {
+		link string
+		at   time.Duration // since the epoch
+		seq  int           // global send order
+	}
+	run := func() []delivery {
+		clk := clock.NewAutoVirtual()
 		lat := NewAsymmetricLatency(ZeroLatency{})
 		lat.SetLink("a", "dst", ConstantLatency{D: 30 * time.Millisecond})
 		lat.SetLink("b", "dst", ConstantLatency{D: 10 * time.Millisecond})
 		lat.SetLink("c", "dst", ConstantLatency{D: 20 * time.Millisecond})
+		delay := map[string]time.Duration{"a": 30 * time.Millisecond, "b": 10 * time.Millisecond, "c": 20 * time.Millisecond}
+		for _, d := range delays {
+			src, echo := "s-"+d.String(), "echo-"+d.String()
+			lat.SetLink(src, "dst", ConstantLatency{D: d})
+			lat.SetLink("dst", echo, ConstantLatency{D: d})
+			delay[src], delay[echo] = d, d
+		}
 		tr := NewTransport(clk, lat)
 		defer tr.Stop()
+		h := clock.Register(clk, "main")
+		defer h.Close()
 
-		var mu sync.Mutex
-		var order []string
+		var log []delivery // appended under the execution token
+		seq := 0
+		send := func(from, to, kind string) {
+			seq++
+			if err := tr.Send(from, to, kind, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		record := func(m Message, link string) {
+			if want := m.SentAt.Add(delay[link]); !clk.Now().Equal(want) {
+				t.Errorf("%s:%s delivered at %v, want its ready time %v", link, m.Kind, clk.Now(), want)
+			}
+			log = append(log, delivery{link + ":" + m.Kind, clk.Now().Sub(clock.SimEpoch), m.Payload.(int)})
+		}
 		tr.Register("dst", func(m Message) {
-			mu.Lock()
-			order = append(order, m.From+":"+m.Kind)
-			mu.Unlock()
+			record(m, m.From)
+			if strings.HasPrefix(m.From, "s-") {
+				send("dst", "echo-"+strings.TrimPrefix(m.From, "s-"), m.Kind)
+			}
 		})
-		for i := 0; i < 3; i++ {
-			kind := fmt.Sprintf("m%d", i)
-			for _, src := range []string{"a", "b", "c"} {
-				if err := tr.Send(src, "dst", kind, nil); err != nil {
-					t.Fatal(err)
+		for _, d := range delays {
+			echo := "echo-" + d.String()
+			tr.Register(echo, func(m Message) { record(m, echo) })
+		}
+		for round, at := range []time.Duration{0, 50 * time.Microsecond, time.Millisecond} {
+			clk.Sleep(at - clk.Now().Sub(clock.SimEpoch))
+			for i := 0; i < 3; i++ {
+				kind := fmt.Sprintf("r%dm%d", round, i)
+				for _, src := range []string{"a", "b", "c"} {
+					send(src, "dst", kind)
+				}
+				for _, d := range delays {
+					send("s-"+d.String(), "dst", kind)
 				}
 			}
 		}
-		clk.Advance(40 * time.Millisecond)
-		waitDelivered(t, tr, 9, 2*time.Second)
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), order...)
+		clk.Sleep(3 * time.Hour)
+		if want := 3 * 3 * (3 + 2*len(delays)); len(log) != want || seq != want {
+			t.Fatalf("sent %d and delivered %d messages, want %d", seq, len(log), want)
+		}
+		return log
 	}
 
+	// The first round on the a, b and c links, in ready-time then send order.
 	want := []string{
-		"b:m0", "b:m1", "b:m2", // 10ms link, enqueue order
-		"c:m0", "c:m1", "c:m2", // 20ms link
-		"a:m0", "a:m1", "a:m2", // 30ms link
+		"b:r0m0", "b:r0m1", "b:r0m2", // 10ms link, enqueue order
+		"c:r0m0", "c:r0m1", "c:r0m2", // 20ms link
+		"a:r0m0", "a:r0m1", "a:r0m2", // 30ms link
 	}
+	var first []delivery
 	for attempt := 0; attempt < 3; attempt++ {
 		got := run()
-		if len(got) != len(want) {
-			t.Fatalf("attempt %d: delivered %d messages, want %d", attempt, len(got), len(want))
+		if attempt == 0 {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("attempt %d delivered in a different order:\n got %v\nwant %v", attempt, got, first)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("attempt %d: order[%d] = %s, want %s (full: %v)", attempt, i, got[i], want[i], got)
+	}
+	var abc []string
+	for i, d := range first {
+		if i > 0 {
+			prev := first[i-1]
+			if d.at < prev.at || (d.at == prev.at && d.seq < prev.seq) {
+				t.Fatalf("delivery %d (%+v) precedes %+v in (ready time, send order)", i, prev, d)
 			}
 		}
+		if link, kind, _ := strings.Cut(d.link, ":"); len(link) == 1 && strings.HasPrefix(kind, "r0") {
+			abc = append(abc, d.link)
+		}
+	}
+	if !slices.Equal(abc, want) {
+		t.Fatalf("a, b, c first round = %v, want %v", abc, want)
 	}
 }
 
@@ -124,7 +185,7 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 // TestQueueOverflowDropAccounting: a full endpoint queue rejects the send
 // and counts the drop, without disturbing sent/lost accounting.
 func TestQueueOverflowDropAccounting(t *testing.T) {
-	// One-hour latency parks every message in the scheduler (far heap).
+	// One-hour latency parks every message in the scheduler's heap.
 	tr := NewTransport(clock.New(), ConstantLatency{D: time.Hour})
 	defer tr.Stop()
 	tr.Register("dst", func(Message) { t.Error("nothing should be delivered") })
@@ -213,11 +274,12 @@ func TestDegradedLossDeterministicPerLink(t *testing.T) {
 
 // TestLinkStateOutlivesTheEndpoint: a link's loss stream belongs to the pair
 // of names, not to the registration — a node that crashes and re-registers
-// mid-run loses exactly the messages it would have lost anyway. (The stepped
-// clock delivers inside Send, so nothing is in flight across the gap.)
+// mid-run loses exactly the messages it would have lost anyway. (Outside a
+// run the virtual clock delivers inside Send, so nothing is in flight across
+// the gap.)
 func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 	run := func(reregister bool) []int {
-		tr := NewTransport(clock.NewVirtual(clock.SimEpoch), nil)
+		tr := NewTransport(clock.NewAutoVirtual(), nil)
 		defer tr.Stop()
 		var got []int
 		h := func(m Message) { got = append(got, m.Payload.(int)) }
@@ -388,20 +450,19 @@ func TestSchedulerStressRace(t *testing.T) {
 }
 
 // TestSchedulerExactVirtualAdvanceDelivers advances the virtual clock in
-// steps landing exactly on a message's ready time. The worker may be
-// arming its timer concurrently with any step; because deadlines are
-// absolute (clock.NewTimerAt), no interleaving can oversleep the due time.
+// steps landing exactly on a message's ready time. The delivery deadline is
+// absolute (Event.At), so the step that reaches it delivers the message.
 func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		clk := clock.NewVirtual(time.Unix(0, 0))
+		clk := clock.NewAutoVirtual()
 		tr := NewTransport(clk, ConstantLatency{D: 10 * time.Millisecond})
 		got := make(chan Message, 1)
 		tr.Register("dst", func(m Message) { got <- m })
 		if err := tr.Send("src", "dst", "k", i); err != nil {
 			t.Fatal(err)
 		}
-		clk.Advance(5 * time.Millisecond)
-		clk.Advance(5 * time.Millisecond) // lands exactly on the ready time
+		clk.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond) // lands exactly on the ready time
 		select {
 		case <-got:
 		case <-time.After(2 * time.Second):
@@ -462,39 +523,4 @@ func TestDeliveryIntoFullInbox(t *testing.T) {
 			t.Fatalf("second message = %v, want payload 1", v)
 		}
 	})
-}
-
-// TestWheelAllocatedByFirstDelayedMessage: a zero-latency fabric delivers
-// everything through the ready list and never builds its 4096-bucket wheel;
-// the first message that has to wait does.
-func TestWheelAllocatedByFirstDelayedMessage(t *testing.T) {
-	lat := NewAsymmetricLatency(ZeroLatency{})
-	lat.SetLink("slow", "dst", ConstantLatency{D: time.Millisecond})
-	tr := NewTransport(clock.New(), lat)
-	defer tr.Stop()
-	tr.Register("dst", func(Message) {})
-	wheels := func() (n int) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		if tr.wheel.slots != nil {
-			n++
-		}
-		return n
-	}
-	for i := 0; i < 100; i++ {
-		if err := tr.Send("fast", "dst", "k", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitDelivered(t, tr, 100, 2*time.Second)
-	if n := wheels(); n != 0 {
-		t.Fatalf("%d wheels allocated by zero-latency traffic, want 0", n)
-	}
-	if err := tr.Send("slow", "dst", "k", nil); err != nil {
-		t.Fatal(err)
-	}
-	waitDelivered(t, tr, 101, 2*time.Second)
-	if n := wheels(); n != 1 {
-		t.Fatalf("%d wheels after one delayed message, want 1", n)
-	}
 }

@@ -25,7 +25,7 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run inside the transport's
-// delivery events (clock.Event): on the virtual clocks they must not park at
+// delivery events (clock.Event): on the virtual clock they must not park at
 // all, on the real clock not indefinitely.
 type Handler func(Message)
 
@@ -36,22 +36,23 @@ var (
 	ErrStopped         = errors.New("network: transport stopped")
 )
 
-// Transport is the in-process message fabric. Delivery is driven by a
-// timing-wheel scheduler (see wheel.go): Send computes a ready time from the
+// Transport is the in-process message fabric. Delivery is driven by one
+// queue (see delivery.go): Send computes a ready time from the
 // latency model plus any link degradation, clamps it so messages on the same
 // directed link never reorder (TCP's per-connection FIFO property the real
-// deployments rely on), and enqueues the message. One clock event drains due
+// deployments rely on), and enqueues the message: on a ready list when it is
+// due at once, in a heap by ready time otherwise. One clock event drains due
 // messages in timestamp order.
 //
 // One mutex guards everything that changes: topology and fault state, the
-// per-link state (the FIFO clamp, a seeded loss RNG), the wheel and the
+// per-link state (the FIFO clamp, a seeded loss RNG), the queue and the
 // counters. A send is one lock section, a broadcast one for the whole
 // fan-out; handlers run with the lock released, because they send. What
 // orders messages is therefore the same on every host.
 type Transport struct {
 	clk     clock.Clock
 	latency LatencyModel
-	t0      time.Time // wheel epoch; ready times are nanoseconds since t0
+	t0      time.Time // queue epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
 
 	mu        sync.Mutex
@@ -61,7 +62,7 @@ type Transport struct {
 	cut       map[linkKey]bool
 	degraded  map[linkKey]Degradation
 	links     map[linkKey]*linkState
-	wheel     wheel
+	queue     queue
 	// tracer, when set, records sampled network-hop spans (one per scheduled
 	// delivery, per-link ordinal sampling) under the Perfetto process row
 	// traceProc (the owning system's name).
@@ -118,7 +119,7 @@ func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
 		cut:       make(map[linkKey]bool),
 		degraded:  make(map[linkKey]Degradation),
 		links:     make(map[linkKey]*linkState),
-		wheel:     wheel{wakeAt: math.MaxInt64},
+		queue:     queue{wakeAt: math.MaxInt64},
 	}
 	t.deliver = clock.NewEvent(clk, "net/shard-0", t.drain)
 	return t
@@ -138,7 +139,7 @@ func (t *Transport) SetTracer(tr *trace.Tracer, proc string) {
 }
 
 // PendingCount reports messages scheduled but not yet delivered, summed
-// over every endpoint's queue — the timing wheel's in-flight backlog, and
+// over every endpoint's queue — the delivery queue's in-flight backlog, and
 // the telemetry plane's netPending gauge.
 func (t *Transport) PendingCount() int64 {
 	t.mu.Lock()
@@ -296,7 +297,7 @@ func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload a
 	it.msg = Message{From: from, To: to, Kind: kind, Payload: payload, SentAt: now}
 	it.ep = ep
 	it.readyNanos = readyN
-	return t.wheel.enqueue(it, nowN), nil
+	return t.queue.enqueue(it, nowN), nil
 }
 
 // Broadcast sends to every registered endpoint except the sender, in

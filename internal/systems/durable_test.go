@@ -2,7 +2,6 @@ package systems
 
 import (
 	"testing"
-	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -45,27 +44,18 @@ func TestGateBacklogVisibleDuringReplay(t *testing.T) {
 // committed before the crash.
 func TestGateDurableReplayCostScalesWithLogLength(t *testing.T) {
 	run := func(commits int) (float64, RecoveryStats) {
-		clk := clock.NewVirtual(time.Unix(0, 0))
+		// The commits' and the replay's sleeps each run the clock from
+		// outside, as a transient actor.
+		clk := clock.NewAutoVirtual()
 		var g DurableGate
 		g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncAlways}, clk))
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < commits; i++ {
-				g.Commit(1, func() {})
-			}
-			g.Crash()
-			g.Restart()
-		}()
-		for {
-			select {
-			case <-done:
-				st := g.Stats()
-				return st.ReplaySec, st
-			default:
-				clk.Advance(time.Millisecond)
-			}
+		for i := 0; i < commits; i++ {
+			g.Commit(1, func() {})
 		}
+		g.Crash()
+		g.Restart()
+		st := g.Stats()
+		return st.ReplaySec, st
 	}
 	small, _ := run(10)
 	large, st := run(100)
@@ -83,28 +73,15 @@ func TestGateDurableReplayCostScalesWithLogLength(t *testing.T) {
 // TestGateDurableCrashLosesUnsyncedTail pins that with a lazy fsync policy
 // a crash drops the pending tail and restart re-fetches it from peers.
 func TestGateDurableCrashLosesUnsyncedTail(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
+	clk := clock.NewAutoVirtual()
 	var g DurableGate
 	g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncBatch, BatchRecords: 4}, clk))
-	done := make(chan RecoveryStats)
-	go func() {
-		for i := 0; i < 6; i++ { // 4 synced, 2 pending
-			g.Commit(1, func() {})
-		}
-		g.Crash()
-		g.Restart()
-		done <- g.Stats()
-	}()
-	var st RecoveryStats
-	for {
-		select {
-		case st = <-done:
-		default:
-			clk.Advance(time.Millisecond)
-			continue
-		}
-		break
+	for i := 0; i < 6; i++ { // 4 synced, 2 pending
+		g.Commit(1, func() {})
 	}
+	g.Crash()
+	g.Restart()
+	st := g.Stats()
 	if st.LostRecords != 2 {
 		t.Fatalf("lost %d records, want the 2 un-synced", st.LostRecords)
 	}

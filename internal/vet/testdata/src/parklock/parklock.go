@@ -43,7 +43,7 @@ func (n *node) sleepUnderLock(c clock.Clock) {
 }
 
 func (n *node) timerWaitUnderLock(c clock.Clock) {
-	t := c.NewTimer(1)
+	t := c.NewTimerAt(c.Now().Add(1))
 	n.mu.Lock()
 	<-t.C() // want `<-Timer.C\(\) can park while mutex "n.mu"`
 	n.mu.Unlock()

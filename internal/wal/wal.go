@@ -37,7 +37,7 @@ const (
 	FsyncAlways = "always"
 	// FsyncBatch syncs once BatchRecords appends accumulate or the oldest
 	// unsynced append is BatchInterval old (evaluated lazily at append
-	// time, so the policy stays deterministic under virtual clocks).
+	// time, so the policy stays deterministic under the virtual clock).
 	FsyncBatch = "batch"
 	// FsyncNever syncs only at snapshots: a crash loses everything since
 	// the last checkpoint.

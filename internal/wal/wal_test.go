@@ -13,7 +13,7 @@ import (
 )
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewAutoVirtual())
 	for i := 0; i < 10; i++ {
 		res := l.Append(i % 4)
 		if !res.Synced {
@@ -37,7 +37,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestCrashDropsUnsyncedTail(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 4}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 4}, clock.NewAutoVirtual())
 	synced := 0
 	for i := 0; i < 10; i++ {
 		if l.Append(1).Synced {
@@ -63,7 +63,7 @@ func TestCrashDropsUnsyncedTail(t *testing.T) {
 }
 
 func TestFsyncNeverLosesEverythingSinceSnapshot(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncNever}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncNever}, clock.NewAutoVirtual())
 	for i := 0; i < 5; i++ {
 		l.Append(1)
 	}
@@ -82,19 +82,19 @@ func TestFsyncNeverLosesEverythingSinceSnapshot(t *testing.T) {
 }
 
 func TestBatchIntervalTriggersSync(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
+	clk := clock.NewAutoVirtual()
 	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 100, BatchInterval: 10 * time.Millisecond}, clk)
 	if l.Append(1).Synced {
 		t.Fatal("first append must not sync")
 	}
-	clk.Advance(20 * time.Millisecond)
+	clk.Sleep(20 * time.Millisecond)
 	if !l.Append(1).Synced {
 		t.Fatal("append after BatchInterval must sync")
 	}
 }
 
 func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, SnapshotEvery: 50}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, SnapshotEvery: 50}, clock.NewAutoVirtual())
 	snapped := false
 	for i := 0; i < 120; i++ {
 		if l.Append(1).Snapshotted {
@@ -117,7 +117,7 @@ func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
 }
 
 func TestTornWriteStopsReplayAtValidPrefix(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewAutoVirtual())
 	for i := 0; i < 6; i++ {
 		l.Append(2)
 	}
@@ -140,7 +140,7 @@ func TestTornWriteStopsReplayAtValidPrefix(t *testing.T) {
 }
 
 func TestCorruptRecordStopsReplayMidLog(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncAlways}, clock.NewAutoVirtual())
 	for i := 0; i < 8; i++ {
 		l.Append(1)
 	}
@@ -157,7 +157,7 @@ func TestCorruptRecordStopsReplayMidLog(t *testing.T) {
 }
 
 func TestInjectorsOnEmptyLog(t *testing.T) {
-	l := New("n0", Options{}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{}, clock.NewAutoVirtual())
 	if l.InjectTornWrite() {
 		t.Fatal("torn write on empty log must report false")
 	}
@@ -173,7 +173,7 @@ func TestInjectorsOnEmptyLog(t *testing.T) {
 }
 
 func TestAppendBatchForcesSingleSync(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncNever}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncNever}, clock.NewAutoVirtual())
 	res := l.AppendBatch([]int{1, 2, 3})
 	if !res.Synced {
 		t.Fatal("AppendBatch must force a sync")
@@ -198,7 +198,7 @@ func TestLatencyScaling(t *testing.T) {
 
 func TestOSDirMirror(t *testing.T) {
 	dir := t.TempDir()
-	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, Dir: OSDir{Path: dir}}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, Dir: OSDir{Path: dir}}, clock.NewAutoVirtual())
 	for i := 0; i < 20; i++ {
 		l.Append(1)
 	}
@@ -223,7 +223,7 @@ func TestOSDirMirror(t *testing.T) {
 
 func TestDeterministicFrames(t *testing.T) {
 	mk := func() *Log {
-		l := New("n0", Options{Fsync: FsyncAlways}, clock.NewVirtual(time.Unix(0, 0)))
+		l := New("n0", Options{Fsync: FsyncAlways}, clock.NewAutoVirtual())
 		for i := 0; i < 12; i++ {
 			l.Append(i % 3)
 		}
@@ -263,7 +263,7 @@ func referenceFrame(seq uint64, entries, bytesPerEntry int) []byte {
 func TestFrameIntoMatchesReference(t *testing.T) {
 	prefix := []byte{1, 2, 3}
 	for _, bpe := range []int{96, 1, 7, 13} {
-		l := New("n0", Options{BytesPerEntry: bpe}, clock.NewVirtual(time.Unix(0, 0)))
+		l := New("n0", Options{BytesPerEntry: bpe}, clock.NewAutoVirtual())
 		for _, seq := range []uint64{0, 1, 254, 255, 256, 257, 511, 1<<40 + 3} {
 			for entries := 0; entries <= 40; entries++ {
 				want := referenceFrame(seq, entries, bpe)
@@ -310,7 +310,7 @@ func checkLiveFrames(t *testing.T, l *Log, entriesAt map[uint64]int) {
 // after a snapshot, a crash, a torn-write repair and a corrupt-record
 // repair — and checks every frame written over stale bytes.
 func TestReusedStorageMatchesReference(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 3, SegmentBytes: 512, BytesPerEntry: 13}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 3, SegmentBytes: 512, BytesPerEntry: 13}, clock.NewAutoVirtual())
 	entriesAt := map[uint64]int{}
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
@@ -357,7 +357,7 @@ func TestReusedStorageMatchesReference(t *testing.T) {
 
 func TestAppendAllocs(t *testing.T) {
 	for _, fsync := range []string{FsyncAlways, FsyncBatch} {
-		l := New("n0", Options{Fsync: fsync}, clock.NewVirtual(time.Unix(0, 0)))
+		l := New("n0", Options{Fsync: fsync}, clock.NewAutoVirtual())
 		l.Append(1) // sizes the first segment's buffer
 		if n := testing.AllocsPerRun(100, func() { l.Append(1) }); n != 0 {
 			t.Fatalf("%s: Append inside a segment allocates %v, want 0", fsync, n)
@@ -365,7 +365,7 @@ func TestAppendAllocs(t *testing.T) {
 	}
 	// One frame per segment: every append rotates. The segment list's
 	// growth amortizes below one allocation per append.
-	l := New("n0", Options{SegmentBytes: headerBytes + payloadHeader + 96}, clock.NewVirtual(time.Unix(0, 0)))
+	l := New("n0", Options{SegmentBytes: headerBytes + payloadHeader + 96}, clock.NewAutoVirtual())
 	l.Append(1)
 	if n := testing.AllocsPerRun(100, func() { l.Append(1) }); n != 2 {
 		t.Fatalf("a rotating Append allocates %v, want 2 (the new segment and its buffer)", n)
@@ -377,7 +377,7 @@ func BenchmarkAppend(b *testing.B) {
 		b.Run(fsync, func(b *testing.B) {
 			// Snapshots bound the log to a few segments, so the loop
 			// measures steady-state appends, rotations included.
-			l := New("bench", Options{Fsync: fsync, SnapshotEvery: 2048}, clock.NewVirtual(time.Unix(0, 0)))
+			l := New("bench", Options{Fsync: fsync, SnapshotEvery: 2048}, clock.NewAutoVirtual())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l.Append(1)

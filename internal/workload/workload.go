@@ -24,7 +24,7 @@
 // from (Spec.Seed, global thread index) via a SplitMix64 mix, and the key
 // distributions draw only from that stream — identical seeds reproduce
 // identical operation sequences run over run, so measured abort rates are
-// reproducible under clock.Virtual and comparable across systems.
+// reproducible under clock.AutoVirtual and comparable across systems.
 package workload
 
 import (
