@@ -58,6 +58,33 @@ func TestVirtualSleepMovesNow(t *testing.T) {
 	}
 }
 
+// TestVirtualSleepUnblocksOnAdvance: an actor parked in Sleep stays parked
+// while the clock advances to earlier deadlines, and wakes exactly at its own
+// — between the other actor's wake-ups before and after it.
+func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
+	v := NewAutoVirtual()
+	var log []string // appended under the execution token
+	note := func(name string) {
+		log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(SimEpoch)))
+	}
+	runActors(v, map[string]func(){
+		"sleeper": func() { v.Sleep(time.Second); note("sleeper") },
+		"stepper": func() {
+			for i := 0; i < 4; i++ {
+				v.Sleep(300 * time.Millisecond)
+				note("stepper")
+			}
+		},
+	})
+	want := "[stepper@300ms stepper@600ms stepper@900ms sleeper@1s stepper@1.2s]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("woke as\n got %v\nwant %s", log, want)
+	}
+	if got := v.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
 func TestVirtualTimersFireInOrder(t *testing.T) {
 	v := NewAutoVirtual()
 	tm1 := v.NewTimerAt(v.Now().Add(time.Second))
@@ -234,51 +261,82 @@ func lockedNow(v *AutoVirtual) time.Time {
 
 // TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
 // == to the instant the timer heap runs on — same wall encoding, same
-// location, no monotonic reading — after sleep and ticker jumps, inside an
-// event at its deadline, and after an absolute deadline handed in from
-// another location.
+// location, no monotonic reading — whether the clock is stepped by sleeps
+// from outside the run or jumps for its own actors: after timer, ticker and
+// sleep jumps, inside an event at its deadline, and after an absolute
+// deadline handed in from another location.
 func TestVirtualNowIsTheLockedInstant(t *testing.T) {
-	av := NewAutoVirtual()
-	check := func(when string) {
+	check := func(t *testing.T, av *AutoVirtual, when string) {
 		t.Helper()
 		if got, want := av.Now(), lockedNow(av); got != want {
 			t.Errorf("%s: Now() = %#v, the clock is at %#v", when, got, want)
 		}
 	}
-	check("at start")
-	var fired time.Time
-	ev := NewEvent(av, "probe", func() { fired = av.Now(); check("inside an event") })
-	defer ev.Stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h := Register(av, "jumper")
-		defer h.Close()
-		tick := av.NewTicker(7 * time.Second)
+	wellFormed := func(t *testing.T, av *AutoVirtual) {
+		t.Helper()
+		if av.Now().Location() != time.UTC || av.Now() != av.Now().Round(0) {
+			t.Fatalf("Now() = %#v moved location or carries a monotonic reading", av.Now())
+		}
+	}
+	t.Run("stepped", func(t *testing.T) {
+		av := NewAutoVirtual()
+		check(t, av, "at start")
+		tick := av.NewTicker(30 * time.Millisecond)
 		defer tick.Stop()
-		for i := 0; i < 5; i++ {
-			av.Sleep(time.Duration(i+1) * time.Hour)
-			check("after a sleep jump")
-			Await(av, tick)
-			check("after a ticker jump")
-		}
-		ev.After(50 * time.Millisecond)
+		timer := av.NewTimerAt(av.Now().Add(45 * time.Millisecond))
 		abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
-		Await(av, abroad)
-		check("after a deadline from another location")
-		if want := lockedNow(av).Add(-20 * time.Millisecond); fired != want {
-			t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)
+		var fired time.Time
+		ev := NewEvent(av, "probe", func() { fired = av.Now(); check(t, av, "inside an event") })
+		defer ev.Stop()
+		ev.After(50 * time.Millisecond)
+		for i := 0; i < 10; i++ {
+			av.Sleep(11 * time.Millisecond)
+			check(t, av, "after a sleep from outside")
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("auto-virtual actor did not finish")
-	}
-	if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
-		t.Fatalf("clock advanced %v, want at least the 15h slept", got)
-	}
-	if av.Now().Location() != time.UTC || av.Now() != av.Now().Round(0) {
-		t.Fatalf("Now() = %#v moved location or carries a monotonic reading", av.Now())
-	}
+		if at := <-timer.C(); !at.Equal(av.Now().Add(-65 * time.Millisecond)) {
+			t.Fatalf("timer fired at %v", at)
+		}
+		<-abroad.C()
+		if want := lockedNow(av).Add(-60 * time.Millisecond); fired != want {
+			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
+		}
+		wellFormed(t, av)
+	})
+	t.Run("auto", func(t *testing.T) {
+		av := NewAutoVirtual()
+		check(t, av, "at start")
+		var fired time.Time
+		ev := NewEvent(av, "probe", func() { fired = av.Now(); check(t, av, "inside an event") })
+		defer ev.Stop()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h := Register(av, "jumper")
+			defer h.Close()
+			tick := av.NewTicker(7 * time.Second)
+			defer tick.Stop()
+			for i := 0; i < 5; i++ {
+				av.Sleep(time.Duration(i+1) * time.Hour)
+				check(t, av, "after a sleep jump")
+				Await(av, tick)
+				check(t, av, "after a ticker jump")
+			}
+			ev.After(50 * time.Millisecond)
+			abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
+			Await(av, abroad)
+			check(t, av, "after a deadline from another location")
+			if want := lockedNow(av).Add(-20 * time.Millisecond); fired != want {
+				t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("auto-virtual actor did not finish")
+		}
+		if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
+			t.Fatalf("clock advanced %v, want at least the 15h slept", got)
+		}
+		wellFormed(t, av)
+	})
 }

@@ -240,6 +240,30 @@ func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 	}
 }
 
+// TestRearmTakesAFreshTieKey: every arm takes the actor's next sequence
+// number, so between two of one actor's timers due at the same instant the
+// one armed last fires last — also when its deadline was first armed before
+// the other's, then stopped and armed anew.
+func TestRearmTakesAFreshTieKey(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "solo")
+	defer h.Close()
+	at := av.Now().Add(time.Second)
+	first := av.NewTimerAt(at)
+	second := av.NewTimerAt(at)
+	first.Stop()
+	first = av.NewTimerAt(at) // same deadline, armed after second
+	if idx, _, _ := Await(av, first, second); idx != 1 {
+		t.Fatalf("the re-armed timer fired before the one armed earlier (index %d)", idx)
+	}
+	if idx, _, _ := Await(av, first, second); idx != 0 {
+		t.Fatalf("the re-armed timer did not fire second (index %d)", idx)
+	}
+	if got := av.PendingWaiters(); got != 0 {
+		t.Fatalf("PendingWaiters = %d, want 0", got)
+	}
+}
+
 // TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, so a
 // stopped timer or ticker never fires, and stopping twice is harmless.
 func TestStoppedWaitersLeaveTheHeap(t *testing.T) {

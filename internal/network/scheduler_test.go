@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -469,6 +470,109 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 			t.Fatalf("iteration %d: message due exactly at the advanced instant never delivered", i)
 		}
 		tr.Stop()
+	}
+}
+
+// TestZeroLatencyTrafficBypassesTheHeap: a zero-latency fabric delivers
+// everything through the ready list and never grows the heap of messages not
+// yet due; a delayed message waits in the heap until its ready time.
+func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
+	lat := NewAsymmetricLatency(ZeroLatency{})
+	lat.SetLink("slow", "dst", ConstantLatency{D: time.Millisecond})
+	clk := clock.NewAutoVirtual()
+	tr := NewTransport(clk, lat)
+	defer tr.Stop()
+	tr.Register("dst", func(Message) {})
+	waiting := func() (n, capacity int) {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.queue.later), cap(tr.queue.later)
+	}
+	for i := 0; i < 100; i++ {
+		if err := tr.Send("fast", "dst", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDelivered(t, tr, 100, 2*time.Second)
+	if _, c := waiting(); c != 0 {
+		t.Fatalf("zero-latency traffic grew the heap to capacity %d, want 0", c)
+	}
+	if err := tr.Send("slow", "dst", "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := waiting(); n != 1 {
+		t.Fatalf("%d messages in the heap after one delayed send, want 1", n)
+	}
+	clk.Sleep(time.Millisecond)
+	waitDelivered(t, tr, 101, 2*time.Second)
+	if n, _ := waiting(); n != 0 {
+		t.Fatalf("%d messages left in the heap after their ready time, want 0", n)
+	}
+}
+
+// TestQueueWakeDecision pins the wakeAt protocol of enqueue (delivery.go):
+// an item triggers the delivery event exactly when the event would
+// otherwise first run after the item's ready time, and the trigger marks
+// the run as on its way. Items due at enqueue time take the ready list,
+// the rest the heap.
+func TestQueueWakeDecision(t *testing.T) {
+	const now = 100
+	for _, c := range []struct {
+		name               string
+		wakeAt, readyNanos int64
+		wantWake           bool
+		wantWakeAt         int64
+		wantReady          bool
+	}{
+		{"idle, due now", math.MaxInt64, now, true, math.MinInt64, true},
+		{"idle, due later", math.MaxInt64, 200, true, math.MinInt64, false},
+		{"armed before the item", 150, 200, false, 150, false},
+		{"armed at the item's time", 200, 200, false, 200, false},
+		{"armed after the item", 300, 200, true, math.MinInt64, false},
+		{"run on its way", math.MinInt64, now, false, math.MinInt64, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := queue{wakeAt: c.wakeAt}
+			if got := q.enqueue(&item{readyNanos: c.readyNanos}, now); got != c.wantWake {
+				t.Errorf("needWake = %v, want %v", got, c.wantWake)
+			}
+			if q.wakeAt != c.wantWakeAt {
+				t.Errorf("wakeAt = %d, want %d", q.wakeAt, c.wantWakeAt)
+			}
+			if inReady := len(q.ready) == 1; inReady != c.wantReady || len(q.ready)+len(q.later) != 1 {
+				t.Errorf("ready %d, heap %d: want the item in the ready list = %v", len(q.ready), len(q.later), c.wantReady)
+			}
+		})
+	}
+}
+
+// TestQueueCollectPopsDueItems: collect takes the ready list and every heap
+// item due at or before now — one due exactly now included — and leaves the
+// rest; with nothing due it reports the earliest ready time and arms wakeAt
+// at it.
+func TestQueueCollectPopsDueItems(t *testing.T) {
+	q := queue{wakeAt: math.MaxInt64}
+	for _, ready := range []int64{101, 100, 99, 50} {
+		q.enqueue(&item{readyNanos: ready}, 50)
+	}
+	got := func(batch []*item) (rs []int64) {
+		for _, it := range batch {
+			rs = append(rs, it.readyNanos)
+		}
+		return rs
+	}
+	batch, next := q.collect(100, nil)
+	if fmt.Sprint(got(batch)) != "[50 99 100]" || next != math.MaxInt64 || q.wakeAt != math.MinInt64 {
+		t.Fatalf("collect(100) = %v, next %d, wakeAt %d; want [50 99 100], MaxInt64, MinInt64",
+			got(batch), next, q.wakeAt)
+	}
+	batch, next = q.collect(100, batch[:0])
+	if len(batch) != 0 || next != 101 || q.wakeAt != 101 {
+		t.Fatalf("second collect(100) = %v, next %d, wakeAt %d; want [], 101, 101", got(batch), next, q.wakeAt)
+	}
+	batch, next = q.collect(101, batch[:0])
+	if fmt.Sprint(got(batch)) != "[101]" || len(q.later) != 0 {
+		t.Fatalf("collect(101) = %v with %d left in the heap, want [101] and none", got(batch), len(q.later))
 	}
 }
 
