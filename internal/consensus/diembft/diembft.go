@@ -64,7 +64,8 @@ type qc struct {
 	Round   uint64
 }
 
-// blockNode is a proposal in the block tree.
+// blockNode is a proposal in the block tree. The proposer's node is the one
+// every validator stores, so no field is written after tryPropose builds it.
 type blockNode struct {
 	ID       crypto.Hash
 	Round    uint64
@@ -76,7 +77,7 @@ type blockNode struct {
 // Wire messages.
 type (
 	proposalMsg struct {
-		Block     blockNode
+		Block     *blockNode
 		JustifyQC qc
 	}
 	voteMsg struct {
@@ -256,15 +257,15 @@ func (e *Engine) tryPropose() {
 		payload = e.cfg.PayloadSource()
 	}
 	parent := e.highQC
-	blk := blockNode{
+	blk := &blockNode{
+		ID:       blockID(parent.BlockID, e.round, e.cfg.ID, payload),
 		Round:    e.round,
 		ParentID: parent.BlockID,
 		Payload:  payload,
 		Proposer: e.cfg.ID,
 	}
-	blk.ID = blockID(parent.BlockID, blk.Round, e.cfg.ID, payload)
-	e.blocks[blk.ID] = &blk
-	msg := proposalMsg{Block: blk, JustifyQC: parent}
+	e.blocks[blk.ID] = blk
+	var msg any = proposalMsg{Block: blk, JustifyQC: parent} // boxed once for every validator
 	e.mu.Unlock()
 
 	for _, v := range e.cfg.Validators {
@@ -311,7 +312,7 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 		return false
 	}
 	b := p.Block
-	e.blocks[b.ID] = &b
+	e.blocks[b.ID] = b
 	e.voted[b.Round] = true
 	if b.Round > e.round {
 		e.round = b.Round
@@ -320,14 +321,15 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	vote := voteMsg{BlockID: b.ID, Round: b.Round, Voter: e.cfg.ID}
 	e.mu.Unlock()
 
+	var msg any = vote // boxed once for both leaders
 	if nextLeader == e.cfg.ID {
 		e.onVote(e.cfg.ID, vote)
 	} else {
-		_ = e.cfg.Transport.Send(e.cfg.ID, nextLeader, "diembft.vote", vote)
+		_ = e.cfg.Transport.Send(e.cfg.ID, nextLeader, "diembft.vote", msg)
 	}
 	// The current leader also aggregates votes for its own block.
 	if cur := e.leaderOf(b.Round); cur != e.cfg.ID && cur != nextLeader {
-		_ = e.cfg.Transport.Send(e.cfg.ID, cur, "diembft.vote", vote)
+		_ = e.cfg.Transport.Send(e.cfg.ID, cur, "diembft.vote", msg)
 	}
 	return true
 }
@@ -355,11 +357,12 @@ func (e *Engine) onVote(from string, v voteMsg) bool {
 	e.mu.Unlock()
 	if changed {
 		// Share the certificate so every validator observes the commit.
+		var msg any = qcMsg{QC: newQC} // boxed once for every validator
 		for _, val := range e.cfg.Validators {
 			if val == e.cfg.ID {
 				continue
 			}
-			_ = e.cfg.Transport.Send(e.cfg.ID, val, "diembft.qc", qcMsg{QC: newQC})
+			_ = e.cfg.Transport.Send(e.cfg.ID, val, "diembft.qc", msg)
 		}
 	}
 	return true
@@ -443,11 +446,12 @@ func (e *Engine) fireTimeout() {
 	round := e.round
 	consensus.VoteSetAt(e.timeouts, round, len(e.cfg.Validators)).Add(e.validators.Of(e.cfg.ID))
 	e.mu.Unlock()
+	var msg any = timeoutMsg{Round: round} // boxed once for every validator
 	for _, v := range e.cfg.Validators {
 		if v == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.timeout", timeoutMsg{Round: round})
+		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.timeout", msg)
 	}
 	e.maybeAdvanceOnTimeout(round)
 }

@@ -236,3 +236,59 @@ func TestOnlyAValidatorsOwnVoteCounts(t *testing.T) {
 		t.Fatalf("highQC = %+v, want the round-1 block certified by v1, v0 and v2", e.highQC)
 	}
 }
+
+// TestValidatorsShareTheProposersBlock: a proposal carries the proposer's
+// block node, and every validator stores that node rather than a copy, so
+// after a decided round each one's blocks[id] is the proposer's pointer.
+func TestValidatorsShareTheProposersBlock(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	h := clock.Register(clk, "test")
+	defer h.Close()
+	tr := network.NewTransport(clk, nil)
+	names := []string{"v0", "v1", "v2", "v3"}
+	var decided []consensus.Decision // v0's; written under the execution token
+	var engines []*Engine
+	for _, id := range names {
+		cfg := Config{ID: id, Validators: names, Transport: tr, Clock: clk, RoundInterval: 5 * time.Millisecond}
+		if id == "v0" {
+			cfg.OnDecide = func(d consensus.Decision) { decided = append(decided, d) }
+		}
+		e := New(cfg)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	defer func() {
+		for _, e := range engines {
+			e.Stop()
+		}
+		tr.Stop()
+	}()
+	for _, e := range engines { // whichever leads next proposes it
+		if err := e.Submit("shared"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := clk.Now().Add(5 * time.Second); len(decided) == 0; clk.Sleep(5 * time.Millisecond) {
+		if clk.Now().After(deadline) {
+			t.Fatal("no round decided")
+		}
+	}
+	d := decided[0]
+	proposer := engines[engines[0].validators.Of(d.Proposer)]
+	var block *blockNode
+	for _, b := range proposer.blocks {
+		if b.Payload == d.Payload && b.Proposer == d.Proposer {
+			block = b
+		}
+	}
+	if block == nil {
+		t.Fatalf("proposer %s holds no block carrying the decided payload", d.Proposer)
+	}
+	for _, e := range engines {
+		if got := e.blocks[block.ID]; got != block {
+			t.Fatalf("%s stores %p for the decided block, the proposer %p", e.cfg.ID, got, block)
+		}
+	}
+}

@@ -90,12 +90,13 @@ type Engine struct {
 	seq      uint64
 	nonce    uint64
 	pending  []gossipMsg
-	seen     map[crypto.Hash]bool
 	running  bool
 	produced uint64 // blocks produced by this witness
 
 	sched    *schedule
-	included map[any]struct{} // scratch of dropIncluded, empty between calls
+	seen     *consensus.GossipIndex // the gossip each node of the network admitted
+	node     int                    // this engine's node in seen
+	included map[any]struct{}       // scratch of dropIncluded, empty between calls
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
@@ -104,38 +105,42 @@ type Engine struct {
 
 var _ consensus.Engine = (*Engine)(nil)
 
-// New constructs a witness; call Start to begin the schedule.
+// New constructs a witness; call Start to begin the schedule. Its gossip
+// index is its own: a network of one.
 func New(cfg Config) *Engine {
-	return newEngine(cfg, newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed))
+	return newEngine(cfg, newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed), consensus.NewGossipIndex(), 0)
 }
 
 // NewNetwork constructs the engines of one network, one per config. Their
 // schedule is a pure function of the witness count and ShuffleSeed, which
 // the nodes of a network agree on, so they share one: a round's order is
 // shuffled once, not once per engine. A config that disagrees with the
-// first keeps a schedule of its own.
+// first keeps a schedule of its own. All of them share one gossip index, in
+// which an engine's node is its config's position.
 func NewNetwork(cfgs []Config) []*Engine {
 	engines := make([]*Engine, len(cfgs))
+	seen := consensus.NewGossipIndex()
 	var shared *schedule
 	for i, cfg := range cfgs {
 		if shared == nil {
 			shared = newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed)
 		}
-		if len(cfg.Witnesses) == shared.n && cfg.ShuffleSeed == shared.seed {
-			engines[i] = newEngine(cfg, shared)
-		} else {
-			engines[i] = New(cfg)
+		sched := shared
+		if len(cfg.Witnesses) != shared.n || cfg.ShuffleSeed != shared.seed {
+			sched = newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed)
 		}
+		engines[i] = newEngine(cfg, sched, seen, i)
 	}
 	return engines
 }
 
-func newEngine(cfg Config, sched *schedule) *Engine {
+func newEngine(cfg Config, sched *schedule, seen *consensus.GossipIndex, node int) *Engine {
 	cfg.fill()
 	return &Engine{
 		cfg:      cfg,
-		seen:     make(map[crypto.Hash]bool),
 		sched:    sched,
+		seen:     seen,
+		node:     node,
 		included: make(map[any]struct{}),
 		events:   clock.NewMailbox[network.Message](cfg.Clock, 8192),
 		stop:     clock.NewGate(cfg.Clock),
@@ -219,15 +224,16 @@ func (e *Engine) Submit(payload any) error {
 	}
 	e.nonce++
 	g := gossipMsg{Digest: crypto.TxID(e.cfg.ID, e.nonce, nil), Payload: payload}
-	e.seen[g.Digest] = true
+	e.seen.Admit(g.Digest, e.node)
 	e.pending = append(e.pending, g)
 	e.mu.Unlock()
 
+	var msg any = g // boxed once for every witness
 	for _, w := range e.cfg.Witnesses {
 		if w == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.gossip", g)
+		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.gossip", msg)
 	}
 	return nil
 }
@@ -257,8 +263,7 @@ func (e *Engine) handle(m network.Message) {
 	switch p := m.Payload.(type) {
 	case gossipMsg:
 		e.mu.Lock()
-		if !e.seen[p.Digest] {
-			e.seen[p.Digest] = true
+		if e.seen.Admit(p.Digest, e.node) {
 			e.pending = append(e.pending, p)
 		}
 		e.mu.Unlock()
@@ -304,17 +309,18 @@ func (e *Engine) maybeProduce() {
 	cb := e.cfg.OnDecide
 	e.mu.Unlock()
 
+	var msg any = blockMsg{Block: blk} // boxed once for every recipient
 	for _, w := range e.cfg.Witnesses {
 		if w == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.block", blockMsg{Block: blk})
+		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.block", msg)
 	}
 	for _, o := range e.cfg.Observers {
 		if o == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", blockMsg{Block: blk})
+		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", msg)
 	}
 	if cb != nil {
 		cb(d)

@@ -335,3 +335,38 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestNetworkSharesOneGossipIndex: the engines of one NewNetwork share one
+// index, in which each is its config's position, so one engine's admission
+// hides a digest from no other; an engine built by New keeps its own and is
+// affected by no other engine.
+func TestNetworkSharesOneGossipIndex(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	cfgs := make([]Config, len(names))
+	for i := range cfgs {
+		cfgs[i] = Config{Clock: clock.New(), ID: names[i], Witnesses: names, ShuffleSeed: 9}
+	}
+	engines := NewNetwork(cfgs)
+	solo := New(cfgs[0])
+	for i, e := range engines {
+		if e.seen != engines[0].seen || e.node != i {
+			t.Fatalf("engine %d: index %p node %d, want the network's %p and node %d", i, e.seen, e.node, engines[0].seen, i)
+		}
+	}
+	if solo.seen == engines[0].seen {
+		t.Fatal("an engine built by New shares the network's index")
+	}
+	g := network.Message{Payload: gossipMsg{Digest: crypto.TxID("a", 1, nil), Payload: "tx"}}
+	for _, e := range append(engines, solo) {
+		e.handle(g)
+		e.handle(g) // a repeat is admitted once
+		if got := e.PendingCount(); got != 1 {
+			t.Fatalf("%s (node %d) holds %d copies of one gossiped digest, want 1", e.cfg.ID, e.node, got)
+		}
+	}
+	other := New(cfgs[1])
+	other.handle(g)
+	if other.PendingCount() != 1 {
+		t.Fatal("a second engine built by New saw the first one's admission")
+	}
+}

@@ -83,12 +83,12 @@ type producedBlock struct {
 // validator is one Quorum node.
 type validator struct {
 	systems.Replica
+	index  int    // position in the network: the validator's node in seen
 	gossip string // the tx-gossip endpoint beside the engine's: ID + "-gossip"
 	engine *bftcore.Core
 	pool   *mempool.Pool[*chain.Transaction]
 
 	mu      sync.Mutex
-	seen    map[crypto.Hash]bool
 	stalled bool
 }
 
@@ -99,6 +99,7 @@ type Network struct {
 	cfg config
 
 	validators []*validator
+	seen       *consensus.GossipIndex // the transactions each validator admitted
 
 	stop *clock.Gate
 	join func() // waits for the loop Start began
@@ -113,6 +114,7 @@ func build(env systems.Env, cfg config) *Network {
 	n := &Network{
 		env:  env,
 		cfg:  cfg,
+		seen: consensus.NewGossipIndex(),
 		stop: clock.NewGate(env.Clock),
 	}
 	names := systems.NodeIDs("quorum", env.Nodes)
@@ -120,9 +122,9 @@ func build(env systems.Env, cfg config) *Network {
 	for i, r := range n.Replicas() {
 		v := &validator{
 			Replica: r,
+			index:   i,
 			gossip:  names[i] + "-gossip",
 			pool:    mempool.NewUnbounded[*chain.Transaction](),
-			seen:    make(map[crypto.Hash]bool),
 		}
 		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
 		v.engine = bftcore.New(bftcore.Config{
@@ -219,13 +221,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // admit adds a transaction to a validator's pool once.
 func (n *Network) admit(v *validator, tx *chain.Transaction) {
-	v.mu.Lock()
-	if v.seen[tx.ID] {
-		v.mu.Unlock()
+	if !n.seen.Admit(tx.ID, v.index) {
 		return
 	}
-	v.seen[tx.ID] = true
-	v.mu.Unlock()
 	_ = v.pool.Add(tx)
 	// First admission into any pool ends the submit stage (gossip copies
 	// share the pointer; the CAS keeps the earliest).

@@ -49,3 +49,28 @@ func TestScrubIsNoAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestGossipAdmitsOncePerValidator: a transaction gossiped twice to one
+// validator enters its pool once, and that validator's admission hides the
+// transaction from no other validator, all of which share one index.
+func TestGossipAdmitsOncePerValidator(t *testing.T) {
+	env := systemstest.Env(t)
+	cfg := calibrate(env, systems.Params{})
+	cfg.blockPeriod = time.Hour // no block takes the transaction out of a pool
+	n := build(env, cfg)
+	systemstest.Start(t, n)
+	tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
+	entry, twice := n.validators[0], n.validators[1]
+	if err := n.Submit(0, tx); err != nil { // admits at the entry, gossips to the rest
+		t.Fatal(err)
+	}
+	if err := n.Transport.Send(entry.gossip, twice.gossip, "quorum.tx", tx); err != nil {
+		t.Fatal(err)
+	}
+	env.Clock.Sleep(100 * time.Millisecond)
+	for _, v := range n.validators {
+		if admitted, _ := v.pool.Stats(); admitted != 1 || v.pool.Len() != 1 {
+			t.Errorf("%s: %d admissions, %d queued; want the one transaction once", v.ID, admitted, v.pool.Len())
+		}
+	}
+}

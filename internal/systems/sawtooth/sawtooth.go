@@ -19,7 +19,6 @@ package sawtooth
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,12 +82,10 @@ type publishedBlock struct {
 // validator is one Sawtooth node.
 type validator struct {
 	systems.Replica
+	index  int    // position in the network: the validator's node in seen
 	gossip string // the batch-gossip endpoint beside the engine's: ID + "-gossip"
 	engine *bftcore.Core
 	queue  *mempool.Pool[*chain.Batch]
-
-	mu   sync.Mutex
-	seen map[crypto.Hash]bool
 }
 
 // Network is a full Sawtooth deployment.
@@ -98,6 +95,7 @@ type Network struct {
 	cfg config
 
 	validators []*validator
+	seen       *consensus.GossipIndex // the batches each validator admitted
 
 	stop *clock.Gate
 	join func() // waits for the loop Start began
@@ -116,6 +114,7 @@ func build(env systems.Env, cfg config) *Network {
 	n := &Network{
 		env:  env,
 		cfg:  cfg,
+		seen: consensus.NewGossipIndex(),
 		stop: clock.NewGate(env.Clock),
 	}
 	names := systems.NodeIDs("sawtooth", env.Nodes)
@@ -123,9 +122,9 @@ func build(env systems.Env, cfg config) *Network {
 	for i, r := range n.Replicas() {
 		v := &validator{
 			Replica: r,
+			index:   i,
 			gossip:  names[i] + "-gossip",
 			queue:   mempool.NewBounded[*chain.Batch](queueDepth),
-			seen:    make(map[crypto.Hash]bool),
 		}
 		v.Endpoints = []string{v.ID, v.gossip} // PBFT plus batch gossip
 		v.engine = bftcore.New(bftcore.Config{
@@ -214,12 +213,9 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 		return err
 	}
 	v := n.validators[i]
-	v.mu.Lock()
-	if v.seen[b.ID] {
-		v.mu.Unlock()
+	if n.seen.Has(b.ID, v.index) {
 		return nil
 	}
-	v.mu.Unlock()
 	if err := v.queue.Add(b); err != nil {
 		return err // backpressure: rejected, client must re-send
 	}
@@ -227,9 +223,8 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 	for _, tx := range b.Txs {
 		tx.Stages.Mark(chain.StageSubmit, admitted)
 	}
-	v.mu.Lock()
-	v.seen[b.ID] = true
-	v.mu.Unlock()
+	// Marked only now, so a batch the full queue rejected can be re-sent.
+	n.seen.Admit(b.ID, v.index)
 	// Gossip to the other validators so the PBFT primary can publish it.
 	for _, other := range n.validators {
 		if other == v {
@@ -243,13 +238,9 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 // admitGossip adds gossiped batches without backpressure errors (peer
 // validators drop silently on overflow, as the real gossip layer does).
 func (n *Network) admitGossip(v *validator, b *chain.Batch) {
-	v.mu.Lock()
-	if v.seen[b.ID] {
-		v.mu.Unlock()
+	if !n.seen.Admit(b.ID, v.index) {
 		return
 	}
-	v.seen[b.ID] = true
-	v.mu.Unlock()
 	_ = v.queue.Add(b)
 }
 

@@ -1,11 +1,13 @@
 package sawtooth
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
@@ -55,5 +57,37 @@ func TestPendingStallAtValidators(t *testing.T) {
 	}
 	if n.Drained() {
 		t.Fatal("transactions must stay pending, not drain")
+	}
+}
+
+// TestRejectedBatchIsAdmittedWhenResent: a batch the full queue rejects is
+// not marked seen, so re-sending it once there is room admits it; a batch
+// that was admitted is not admitted again.
+func TestRejectedBatchIsAdmittedWhenResent(t *testing.T) {
+	n, _ := start(t, func(c *config) { c.pendingStallAt = 4 }) // nothing is published
+	v := n.validators[0]
+	batch := func(i int) *chain.Batch {
+		return chain.NewBatch(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
+	}
+	for i := 0; i < queueDepth; i++ {
+		if err := n.SubmitBatch(0, batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected := batch(queueDepth)
+	if err := n.SubmitBatch(0, rejected); !errors.Is(err, mempool.ErrQueueFull) {
+		t.Fatalf("submit to a full queue: err = %v, want ErrQueueFull", err)
+	}
+	v.queue.Take(1)
+	for resend := 0; resend < 2; resend++ {
+		if err := n.SubmitBatch(0, rejected); err != nil {
+			t.Fatalf("re-send %d: %v", resend, err)
+		}
+	}
+	if got := v.queue.Len(); got != queueDepth {
+		t.Fatalf("queue holds %d batches after the re-sends, want %d", got, queueDepth)
+	}
+	if admitted, _ := v.queue.Stats(); admitted != queueDepth+1 {
+		t.Fatalf("%d admissions, want %d: the re-sent batch was admitted %d times", admitted, queueDepth+1, int(admitted)-queueDepth)
 	}
 }
