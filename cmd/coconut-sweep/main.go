@@ -186,19 +186,7 @@ func run() error {
 			return err
 		}
 		outcomes = append(outcomes, oc)
-		for i, t := range oc.Timings {
-			// Rows and timings are both one per cell, in expansion order.
-			sent := 0
-			for _, rep := range oc.Rows[i].Result.Repetitions {
-				sent += rep.ExpectedNoT
-			}
-			perTx := 0.0
-			if sent > 0 {
-				perTx = float64(t.Handoffs) / float64(sent)
-			}
-			fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx  %5.2f hand-offs/tx\n",
-				t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup, perTx)
-		}
+		printTimings(oc)
 		if err := experiments.WriteFidelity(os.Stdout, oc); err != nil {
 			return err
 		}
@@ -246,6 +234,35 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// printTimings renders one [virtual] line per cell. A cell whose row came
+// from another cell's run names that cell; a cell that ran a unit divides
+// the run's hand-offs by the payloads of every row the run produced.
+func printTimings(oc *experiments.Outcome) {
+	// Rows and timings are both one per cell, in expansion order.
+	sent := make([]int, len(oc.Timings))
+	for i, t := range oc.Timings {
+		run := i
+		if t.RunBy > 0 {
+			run = t.RunBy - 1
+		}
+		for _, rep := range oc.Rows[i].Result.Repetitions {
+			sent[run] += rep.ExpectedNoT
+		}
+	}
+	for i, t := range oc.Timings {
+		if t.RunBy > 0 {
+			fmt.Printf("  [virtual] %-40s row from cell %d's run (%s)\n", t.Cell, t.RunBy, oc.Timings[t.RunBy-1].Cell)
+			continue
+		}
+		perTx := 0.0
+		if sent[i] > 0 {
+			perTx = float64(t.Handoffs) / float64(sent[i])
+		}
+		fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx  %5.2f hand-offs/tx\n",
+			t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup, perTx)
+	}
 }
 
 // printProgress renders engine completion events as sweep progress lines.

@@ -121,7 +121,8 @@ func Run(cfg RunConfig) ([]Result, error) {
 }
 
 // runRepetition provisions one fresh system on a fresh clock and runs every
-// unit member.
+// unit member, quiescing between members. Each member's result is complete
+// when its phase ends, so the driver stops right after the last one.
 func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
 	// Under auto-advancing virtual time the runner itself is an actor: its
@@ -159,7 +160,10 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	// counts into dependent read phases.
 	writtenCounts := make(map[BenchmarkName][][]uint64)
 
-	for _, bench := range cfg.Unit {
+	for i, bench := range cfg.Unit {
+		if i > 0 {
+			quiesce(clk, driver)
+		}
 		var readMax [][]uint64
 		if dep := ReadBenchmarkDependsOnWrite(bench); dep != "" {
 			readMax = writtenCounts[dep]
@@ -175,7 +179,6 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 		}
 		writtenCounts[bench] = sent
 		out[bench] = rr
-		quiesce(clk, driver)
 	}
 	// Teardown leak check: after the driver stops, every timer and ticker
 	// armed during the repetition must have fired or been stopped —

@@ -65,38 +65,47 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 }
 
 // TestRunnerQuiesceTimeoutBounds: a driver that does not drain costs the
-// runner the quiesce bound — 8 s of virtual time, within one 20 ms poll —
-// and next to no wall time.
+// runner the quiesce bound between two unit members — 8 s of virtual time,
+// within one 20 ms poll — and next to no wall time. After the last member
+// the runner does not quiesce at all: no result reads that time, so a
+// one-member unit's clock stops where its phase ends, at send + grace.
 func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
-	// The driver drains only after 20 s of polls, so a quiesce that ignores
-	// its deadline overshoots the bound by seconds instead of hanging.
-	d := &drainingDriver{fakeDriver: newFakeDriver(), need: 1000}
 	const send, grace = 50 * time.Millisecond, 20 * time.Millisecond
+	run := func(unit ...BenchmarkName) time.Duration {
+		t.Helper()
+		// The driver drains only after 20 s of polls, so a quiesce that
+		// ignores its deadline overshoots the bound by seconds instead of
+		// hanging.
+		d := &drainingDriver{fakeDriver: newFakeDriver(), need: 1000}
+		var clk *clock.AutoVirtual
+		start := time.Now()
+		_, err := Run(RunConfig{
+			SystemName:      "fake",
+			NewDriver:       func(clock.Clock) systems.Driver { return d },
+			Unit:            unit,
+			Clients:         1,
+			RateLimit:       100,
+			WorkloadThreads: 1,
+			SendDuration:    send,
+			ListenGrace:     grace,
+			Repetitions:     1,
+			NewClock:        func() clock.Clock { clk = clock.NewAutoVirtual(); return clk },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wall := time.Since(start); wall > time.Second {
+			t.Fatalf("run took %v of wall time; the quiesce wait must be virtual", wall)
+		}
+		return clk.Now().Sub(clock.SimEpoch)
+	}
 
-	var clk *clock.AutoVirtual
-	start := time.Now()
-	_, err := Run(RunConfig{
-		SystemName:      "fake",
-		NewDriver:       func(clock.Clock) systems.Driver { return d },
-		Unit:            []BenchmarkName{BenchDoNothing},
-		Clients:         1,
-		RateLimit:       100,
-		WorkloadThreads: 1,
-		SendDuration:    send,
-		ListenGrace:     grace,
-		Repetitions:     1,
-		NewClock:        func() clock.Clock { clk = clock.NewAutoVirtual(); return clk },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	quiesced := clk.Now().Sub(clock.SimEpoch) - send - grace
+	quiesced := run(BenchKeyValueSet, BenchKeyValueGet) - 2*(send+grace)
 	if quiesced < quiesceTimeout || quiesced > quiesceTimeout+20*time.Millisecond {
-		t.Fatalf("quiesce took %v of virtual time, want %v to %v", quiesced, quiesceTimeout, quiesceTimeout+20*time.Millisecond)
+		t.Fatalf("quiesce between members took %v of virtual time, want %v to %v", quiesced, quiesceTimeout, quiesceTimeout+20*time.Millisecond)
 	}
-	if wall > time.Second {
-		t.Fatalf("run took %v of wall time; the quiesce wait must be virtual", wall)
+	if got := run(BenchDoNothing); got != send+grace {
+		t.Fatalf("a one-member unit's clock stopped at %v, want send + grace = %v (no quiesce after the last member)", got, send+grace)
 	}
 }
 

@@ -108,6 +108,7 @@ type Engine struct {
 	pending   []any
 	seq       uint64
 	voted     map[uint64]bool // rounds this node voted in
+	proposed  uint64          // the round of this node's last proposal; 0 before the first
 	running   bool
 
 	events *clock.Mailbox[network.Message]
@@ -242,13 +243,14 @@ func (e *Engine) tryPropose() {
 		e.mu.Unlock()
 		return
 	}
-	// One proposal per round: skip if we already built a block this round.
-	for _, b := range e.blocks {
-		if b.Round == e.round && b.Proposer == e.cfg.ID {
-			e.mu.Unlock()
-			return
-		}
+	// One proposal per round. Rounds only rise, and only this function
+	// builds a block this node proposed, so the round of the last one says
+	// whether this round already has it.
+	if e.proposed == e.round {
+		e.mu.Unlock()
+		return
 	}
+	e.proposed = e.round
 	var payload any
 	if len(e.pending) > 0 {
 		payload = e.pending[0]

@@ -292,3 +292,40 @@ func TestValidatorsShareTheProposersBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaderProposesOncePerRound: a leader asked to propose twice in one
+// round sends one proposal, and it proposes again in the next round it
+// leads.
+func TestLeaderProposesOncePerRound(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	names := []string{"v0", "v1", "v2", "v3"}
+	for _, id := range names {
+		if id != "v1" {
+			tr.Register(id, func(network.Message) {})
+		}
+	}
+	e := New(Config{ID: "v1", Validators: names, Transport: tr, Clock: clk})
+	e.running = true // tryPropose is called from here; no run loop
+	proposals := func() (own int, sent uint64) {
+		for _, b := range e.blocks {
+			if b.Proposer == "v1" {
+				own++
+			}
+		}
+		sent, _, _ = tr.Stats()
+		return own, sent
+	}
+
+	e.tryPropose() // v1 leads round 1
+	e.tryPropose()
+	if own, sent := proposals(); own != 1 || sent != 3 {
+		t.Fatalf("round 1 asked twice: %d own blocks, %d messages sent; want 1 block sent to 3 validators", own, sent)
+	}
+	e.round = 5 // v1 leads round 5 next
+	e.tryPropose()
+	if own, sent := proposals(); own != 2 || sent != 6 {
+		t.Fatalf("round 5: %d own blocks, %d messages sent; want a second block sent to 3 validators", own, sent)
+	}
+}

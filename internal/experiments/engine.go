@@ -96,6 +96,12 @@ type Outcome struct {
 // CellTiming is one virtual-time cell's speed accounting: how many
 // simulated seconds elapsed across the cell's clocks per wall-clock
 // second spent computing them.
+//
+// The cell that runs a §4.1 unit carries the whole run — every member any
+// cell of the scenario reports at its parameter point — so its timing
+// covers the rows of the cells it serves as well. A served cell (RunBy
+// set) constructs no clock: it carries only its own near-zero wall time
+// and zero simulated seconds and counters.
 type CellTiming struct {
 	Cell        string  `json:"cell"`
 	SimSeconds  float64 `json:"simSeconds"`
@@ -111,6 +117,11 @@ type CellTiming struct {
 	Handoffs   int64 `json:"handoffs"`
 	Events     int64 `json:"events"`
 	TimerFires int64 `json:"timerFires"`
+	// RunBy names the cell whose run produced this cell's row, by its
+	// 1-based position in Rows (Progress.Index); 0 when the cell ran its
+	// unit itself. Cell labels alone cannot name it: a parameter grid
+	// repeats them.
+	RunBy int `json:"runBy,omitempty"`
 }
 
 // cellSpec is one fully resolved unit of work.
@@ -202,7 +213,15 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 		return nil, err
 	}
 
+	plan, err := planRuns(sc, cells)
+	if err != nil {
+		return nil, err
+	}
+
 	out := &Outcome{Scenario: sc, Rows: make([]OutcomeRow, 0, len(cells))}
+	// runs[i] holds the results of the coconut.Run cell i executed, for the
+	// later cells whose rows it also serves.
+	runs := make([][]coconut.Result, len(cells))
 	for i, cell := range cells {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q canceled at cell %d/%d: %w", sc.Name, i+1, len(cells), err)
@@ -211,11 +230,18 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 			o.Progress(Progress{Scenario: sc.Name, Cell: cell.label(), System: cell.system, Index: i + 1, Total: len(cells)})
 		}
 		if o.virtualTime() {
-			// A fresh meter per cell so Timings isolate each cell's clocks.
+			// A fresh meter per cell so Timings isolate each cell's clocks;
+			// a cell served by an earlier cell's run constructs none.
 			o.meter = &clockMeter{}
 		}
 		w0 := clock.Walltime()
-		res, err := runCell(cell, sc, o)
+		owner := plan[i].owner
+		if owner == i {
+			if runs[i], err = runCell(cell, plan[i].unit, sc, o); err != nil {
+				return nil, fmt.Errorf("experiments: scenario %q cell %s: %w", sc.Name, cell.label(), err)
+			}
+		}
+		res, err := memberResult(runs[owner], cell)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %q cell %s: %w", sc.Name, cell.label(), err)
 		}
@@ -229,6 +255,9 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 		if o.virtualTime() {
 			wall := clock.Walltime().Sub(w0).Seconds()
 			t := CellTiming{Cell: cell.label(), WallSeconds: wall}
+			if owner != i {
+				t.RunBy = owner + 1
+			}
 			o.meter.fill(&t)
 			if wall > 0 {
 				t.Speedup = t.SimSeconds / wall
@@ -374,6 +403,95 @@ func expandWALAxis(sc Scenario, cells []cellSpec) []cellSpec {
 	return out
 }
 
+// cellRun is the plan for one cell's row: the cell at index owner runs
+// unit once, and its results serve this cell. A cell is its own owner
+// unless an earlier cell's run already covers it.
+type cellRun struct {
+	owner int
+	// unit is the prefix of a §4.1 unit the owner runs; nil on a cell
+	// served by another and on contention cells, which run their
+	// workload's one phase.
+	unit []coconut.BenchmarkName
+}
+
+// planRuns decides, before any cell runs, which cells share a coconut.Run.
+// The paper runs a unit's members back to back on one provisioned network
+// (§4.1), and every input of that run other than the system, the
+// parameter point, the network size and the WAL point is per scenario. So
+// the healthy paper-benchmark cells that agree on those and on their unit
+// share one run, executed by the first of them in expansion order and only
+// as deep as the deepest member any of them reports. A faulted cell (a
+// fault axis or a WAL crash point) runs only the member under test: its
+// fault window is anchored to that one load phase, which is why Validate
+// rejects read benchmarks there.
+func planRuns(sc Scenario, cells []cellSpec) ([]cellRun, error) {
+	type runKey struct {
+		system string
+		params Params
+		nodes  int
+		wal    walCell
+		unit   int
+	}
+	plan := make([]cellRun, len(cells))
+	owners := make(map[runKey]int)
+	for i, cell := range cells {
+		plan[i].owner = i
+		if cell.wl != nil {
+			continue
+		}
+		u, depth := unitOf(cell.bench)
+		if u < 0 {
+			return nil, fmt.Errorf("experiments: unknown benchmark %q", cell.bench)
+		}
+		if sc.Faults != nil || cell.wal != nil && cell.wal.crashPoint > 0 {
+			plan[i].unit = []coconut.BenchmarkName{cell.bench}
+			continue
+		}
+		k := runKey{system: cell.system, params: cell.params, nodes: cell.nodes, unit: u}
+		if cell.wal != nil {
+			k.wal = *cell.wal
+		}
+		owner, ok := owners[k]
+		if !ok {
+			owner = i
+			owners[k] = i
+		}
+		plan[i].owner = owner
+		if members := coconut.BenchmarkUnits[u][:depth+1]; len(members) > len(plan[owner].unit) {
+			plan[owner].unit = members
+		}
+	}
+	return plan, nil
+}
+
+// unitOf locates a paper benchmark in coconut.BenchmarkUnits: the unit's
+// index and the benchmark's position in it, or -1 when no unit has it.
+func unitOf(b coconut.BenchmarkName) (unit, member int) {
+	for u, members := range coconut.BenchmarkUnits {
+		for m, name := range members {
+			if name == b {
+				return u, m
+			}
+		}
+	}
+	return -1, -1
+}
+
+// memberResult hands a cell its row out of the results of the run that
+// served it.
+func memberResult(results []coconut.Result, cell cellSpec) (coconut.Result, error) {
+	want := string(cell.bench)
+	if cell.wl != nil {
+		want = cell.wl.Name()
+	}
+	for _, r := range results {
+		if r.Benchmark == want {
+			return r, nil
+		}
+	}
+	return coconut.Result{}, fmt.Errorf("experiments: benchmark %q missing from unit results", want)
+}
+
 // scenarioClients is the client-application count every scenario cell runs
 // with: the paper's four clients, one per server (§4.3).
 const scenarioClients = 4
@@ -381,8 +499,9 @@ const scenarioClients = 4
 // benchGridThreads is the paper grid's workload-thread count per client.
 const benchGridThreads = 8
 
-// runCell executes one resolved cell.
-func runCell(cell cellSpec, sc Scenario, o Options) (coconut.Result, error) {
+// runCell executes one resolved cell, running unit for a paper-benchmark
+// cell, and returns one result per member it ran.
+func runCell(cell cellSpec, unit []coconut.BenchmarkName, sc Scenario, o Options) ([]coconut.Result, error) {
 	o.fill()
 	o.Nodes = cell.nodes
 	o.Netem = o.Netem || sc.Netem
@@ -398,13 +517,13 @@ func runCell(cell cellSpec, sc Scenario, o Options) (coconut.Result, error) {
 
 	sched, label, err := resolveFaults(sc.Faults, o)
 	if err != nil {
-		return coconut.Result{}, err
+		return nil, err
 	}
 	if cell.wal != nil {
 		var walSched *faults.Schedule
 		walSched, err = resolveWAL(cell.wal, &o)
 		if err != nil {
-			return coconut.Result{}, err
+			return nil, err
 		}
 		if walSched != nil {
 			// Validate rejected CrashPoints+Faults, so the synthesized
@@ -413,7 +532,7 @@ func runCell(cell cellSpec, sc Scenario, o Options) (coconut.Result, error) {
 		}
 	}
 
-	return execCell(cell, o, sc.threads(), sched, label)
+	return execCell(cell, unit, o, sc.threads(), sched, label)
 }
 
 // resolveFaults turns the scenario's fault axis into a concrete sim-time
@@ -485,20 +604,21 @@ func resolveWAL(wc *walCell, o *Options) (*faults.Schedule, error) {
 }
 
 // execCell runs one cell through the COCONUT runner on the resolved
-// Options o. A paper-benchmark cell runs its whole §4.1 unit so read
-// benchmarks see their write phase, and returns the requested member's
-// aggregated result; a contention cell runs the workload spec's preload
+// Options o and returns one aggregated result per member it ran. A
+// paper-benchmark cell runs unit, the prefix of its §4.1 unit that planRuns
+// chose: members back to back on one network, so read benchmarks see
+// their write phase. A contention cell runs the workload spec's preload
 // plus one measured phase.
-func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, faultLabel string) (coconut.Result, error) {
+func execCell(cell cellSpec, unit []coconut.BenchmarkName, o Options, threads int, sched *faults.Schedule, faultLabel string) ([]coconut.Result, error) {
 	o.fill()
 	p := cell.params
 	newDriver, err := NewDriverFunc(cell.system, p, o)
 	if err != nil {
-		return coconut.Result{}, err
+		return nil, err
 	}
 	arrival, err := o.arrivalSchedule()
 	if err != nil {
-		return coconut.Result{}, err
+		return nil, err
 	}
 	perClientRL := p.RL / scenarioClients
 	if perClientRL < 1 {
@@ -508,6 +628,7 @@ func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, fau
 		SystemName:      cell.system,
 		NewDriver:       newDriver,
 		NewClock:        o.newClockFn(),
+		Unit:            unit,
 		Clients:         scenarioClients,
 		RateLimit:       perClientRL,
 		Arrival:         arrival,
@@ -520,29 +641,10 @@ func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, fau
 		Trace:           o.Trace,
 	}
 
-	want := string(cell.bench)
 	if cell.wl != nil {
-		want = cell.wl.Name()
 		cfg.Workload = cell.wl
-		cfg.Params = map[string]string{"RL": strconv.Itoa(p.RL), "workload": want}
+		cfg.Params = map[string]string{"RL": strconv.Itoa(p.RL), "workload": cell.wl.Name()}
 	} else {
-		for _, u := range coconut.BenchmarkUnits {
-			for _, b := range u {
-				if b == cell.bench {
-					cfg.Unit = u
-				}
-			}
-		}
-		if cfg.Unit == nil {
-			return coconut.Result{}, fmt.Errorf("experiments: unknown benchmark %q", cell.bench)
-		}
-		if sched != nil {
-			// Chaos cells run only the member under test: the fault window is
-			// anchored to one load phase, and the §4.1 unit coupling (reads
-			// after writes) is a healthy-grid concern — which is why Validate
-			// rejects read benchmarks under a fault axis.
-			cfg.Unit = []coconut.BenchmarkName{cell.bench}
-		}
 		switch cell.system {
 		case systems.NameBitShares:
 			if p.Actions > 1 {
@@ -558,15 +660,5 @@ func execCell(cell cellSpec, o Options, threads int, sched *faults.Schedule, fau
 	if faultLabel != "" {
 		cfg.Params["faults"] = faultLabel
 	}
-
-	results, err := coconut.Run(cfg)
-	if err != nil {
-		return coconut.Result{}, err
-	}
-	for _, r := range results {
-		if r.Benchmark == want {
-			return r, nil
-		}
-	}
-	return coconut.Result{}, fmt.Errorf("experiments: benchmark %q missing from unit results", want)
+	return coconut.Run(cfg)
 }

@@ -38,10 +38,12 @@ type Scenario struct {
 	// Systems lists the systems to run, in report order. Empty means all
 	// seven in the paper's column order.
 	Systems []string `json:"systems,omitempty"`
-	// Benchmarks lists paper benchmarks to run (each runs inside its §4.1
-	// unit so read benchmarks see their write phase). Mutually exclusive
-	// with Workload. Empty with no Workload means the full six-benchmark
-	// grid.
+	// Benchmarks lists paper benchmarks to run. Each runs inside its §4.1
+	// unit so read benchmarks see their write phase; the cells of one
+	// system, parameter point, network size and WAL point that share a
+	// unit share one run of it, which goes as deep as the deepest member
+	// listed. Mutually exclusive with Workload. Empty with no Workload
+	// means the full six-benchmark grid.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Workload selects the contention plane instead of paper benchmarks: a
 	// grid of operation mixes x key skews over a shared key space.
@@ -407,7 +409,7 @@ func (s Scenario) Validate() error {
 		}
 	}
 
-	// A chaos cell runs only the member under test (see execCell), so a
+	// A chaos cell runs only the member under test (see planRuns), so a
 	// read benchmark there would read keys no write phase ever wrote and
 	// report every operation as an abort.
 	chaos := ""
