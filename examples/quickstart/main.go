@@ -39,7 +39,6 @@ func run() error {
 		Benchmarks: []string{string(coconut.BenchDoNothing)},
 		BestParams: true,
 		PaperRef:   "figure3",
-		Time:       "virtual",
 	}
 	// Scale 1/100 runs one paper-second as 10 simulated milliseconds.
 	opts := experiments.Options{Scale: 0.01, Seed: 42}

@@ -3,7 +3,6 @@ package clock
 import (
 	"container/heap"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -49,12 +48,11 @@ func Walltime() time.Time { return time.Now() }
 // that can be executing is its holder; the primitives read the holder under
 // the clock mutex and never ask the runtime who is calling. With no token
 // out the caller cannot be an actor, and that much stays decidable: Sleep
-// registers a transient "sleeper" actor for its duration, Await degrades to
-// a channel select over gates, timers and tickers, anything on a Mailbox
-// (Send, or Await with one among the sources) panics, and Handle.Close
-// checks its handle against the holder. What cannot be seen at run time is
-// an unregistered goroutine entering a parking primitive while some other
-// actor holds the token: it would park that actor's identity.
+// and Await register a transient actor for their duration, Mailbox.Send
+// panics, and Handle.Close checks its handle against the holder. What
+// cannot be seen at run time is an unregistered goroutine entering a
+// parking primitive while some other actor holds the token: it would park
+// that actor's identity.
 // That was always a violation of the first rule; it is kept out statically
 // (actorspawn: no go statement but Go's), not detected dynamically.
 //
@@ -200,30 +198,21 @@ func (v *AutoVirtual) KernelStats() KernelStats {
 	return v.stats
 }
 
-// Handle identifies one registered actor. The zero Handle (returned on the
-// real clock) is a no-op.
+// Handle identifies one registered actor.
 type Handle struct{ a *Actor }
 
 // Close detaches the actor from the clock and releases the execution token.
 // It must be the goroutine's final interaction with the clock, made while it
 // still holds the token.
-func (h Handle) Close() {
-	if h.a != nil {
-		h.a.close()
-	}
-}
+func (h Handle) Close() { h.a.close() }
 
 // Register joins the calling goroutine to the clock's schedule under the
-// given name, blocking until it is granted the execution token. On the real
-// clock it is a no-op. Names feed the deterministic timer
-// tie-break and the deadlock diagnostics, so they must be derived from
-// stable identities (node IDs, shard indices), never from creation order.
+// given name, blocking until it is granted the execution token. Names feed
+// the deterministic timer tie-break and the deadlock diagnostics, so they
+// must be derived from stable identities (node IDs, shard indices), never
+// from creation order.
 func Register(c Clock, name string) Handle {
-	av, ok := c.(*AutoVirtual)
-	if !ok {
-		return Handle{}
-	}
-	return Handle{a: av.register(name, false)}
+	return Handle{a: c.(*AutoVirtual).register(name, false)}
 }
 
 // Go starts one actor per name, the way every actor outside this package
@@ -232,15 +221,24 @@ func Register(c Clock, name string) Handle {
 // its members are released in name order: names must be unique within a
 // wave and derived from stable identities. Actor i runs fn(i), registered
 // under names[i], and closes its handle when fn returns. The returned join
-// blocks until every fn of the wave has returned. It parks like Await, so
-// it may also be called from outside the run; an actor that calls it
-// resumes only after the last of them has closed its handle.
+// blocks until every fn of the wave has returned. An actor that calls it
+// parks like Await and resumes only after the last of them has closed its
+// handle. A wave started from outside the run, with no token out, is joined
+// from outside it: its join waits on a channel of its own and never joins
+// the run, so it cannot be mistaken for the actor that holds the token by
+// then.
 func Go(c Clock, names []string, fn func(i int)) (join func()) {
+	v := c.(*AutoVirtual)
 	w := &wave{c: c}
 	w.done.init(c)
 	w.left.Store(int64(len(names)))
+	v.mu.Lock()
+	if v.current == nil {
+		w.outside = make(chan struct{})
+	}
+	v.mu.Unlock()
 	if len(names) == 0 {
-		w.done.Close()
+		w.finished()
 	}
 	Fork(c, len(names))
 	for i, name := range names {
@@ -254,21 +252,37 @@ func Go(c Clock, names []string, fn func(i int)) (join func()) {
 	return w.join
 }
 
-// wave is one Go call's join state, a single allocation: done closes when
-// the last of left actors finishes, while it still holds the token.
+// wave is one Go call's join state, a single allocation for a wave an actor
+// started: done closes when the last of left actors finishes, while it
+// still holds the token, and so does outside, the channel of a wave started
+// from outside the run.
 type wave struct {
-	c    Clock
-	done Gate
-	left atomic.Int64
+	c       Clock
+	done    Gate
+	left    atomic.Int64
+	outside chan struct{}
 }
 
 func (w *wave) finish() {
 	if w.left.Add(-1) == 0 {
-		w.done.Close()
+		w.finished()
 	}
 }
 
-func (w *wave) join() { Await(w.c, &w.done) }
+func (w *wave) finished() {
+	w.done.Close()
+	if w.outside != nil {
+		close(w.outside)
+	}
+}
+
+func (w *wave) join() {
+	if w.outside != nil {
+		<-w.outside
+		return
+	}
+	Await(w.c, &w.done)
+}
 
 // Serve is an actor's receive loop, called from inside the actor: until
 // stop closes it hands each inbox message to onMsg and each tick of a
@@ -304,10 +318,7 @@ func Serve[T any](c Clock, stop *Gate, inbox *Mailbox[T], period time.Duration, 
 // RegisterForked stay exported for the scheduler probes that time a bare
 // hand-off.
 func Fork(c Clock, n int) {
-	av, ok := c.(*AutoVirtual)
-	if !ok {
-		return
-	}
+	av := c.(*AutoVirtual)
 	av.mu.Lock()
 	av.forking += n
 	av.mu.Unlock()
@@ -318,11 +329,7 @@ func Fork(c Clock, n int) {
 // whole fork wave has arrived and then released in name order, so the OS
 // scheduling order of the spawned goroutines never leaks into the schedule.
 func RegisterForked(c Clock, name string) Handle {
-	av, ok := c.(*AutoVirtual)
-	if !ok {
-		return Handle{}
-	}
-	return Handle{a: av.register(name, true)}
+	return Handle{a: c.(*AutoVirtual).register(name, true)}
 }
 
 func (v *AutoVirtual) register(name string, forked bool) *Actor {
@@ -334,15 +341,12 @@ func (v *AutoVirtual) register(name string, forked bool) *Actor {
 		v.forking--
 		a.state = actorReady
 		v.arrivals = append(v.arrivals, a)
-		if v.forking == 0 {
-			v.flushArrivalsLocked()
-			v.kickLocked()
-		}
+		v.kickLocked() // once the last child is in, an idle scheduler releases the waves
 		v.mu.Unlock()
 		<-a.grant
 		return a
 	}
-	if v.current == nil && v.runq.len() == 0 {
+	if v.current == nil && v.runq.len() == 0 && v.forking == 0 {
 		// Sole runnable actor: take the token immediately.
 		v.current = a
 		a.state = actorRunning
@@ -357,7 +361,7 @@ func (v *AutoVirtual) register(name string, forked bool) *Actor {
 	return a
 }
 
-// flushArrivalsLocked releases a completed fork wave into the run queue in
+// flushArrivalsLocked releases the arrived fork waves into the run queue in
 // name order. Actor names must therefore be unique within a wave for the
 // release order to be fully deterministic.
 func (v *AutoVirtual) flushArrivalsLocked() {
@@ -391,16 +395,30 @@ func (v *AutoVirtual) kickLocked() {
 // scheduleLocked hands the token to the next ready actor, running the events
 // queued ahead of it right here, on the calling goroutine, each holding the
 // token for the length of its function (the clock mutex is released around
-// it; nobody else can schedule meanwhile, because the token is out). With no
-// ready actor and no pending fork, every registered actor is parked, so the
-// clock advances to the earliest deadline and fires it; deadlines fire one
-// at a time so execution stays a single serial order even for timers sharing
-// an instant. An empty heap with parked actors is a deadlock.
+// it; nobody else can schedule meanwhile, because the token is out).
+//
+// While a fork wave is registering nobody gets the token, and the waves are
+// released here, when the token comes back, not as their last child
+// arrives: every wave forked in one holder's turn joins the run queue as one
+// batch in name order, after the actors already ready. So neither whether a
+// ready actor runs before a wave nor how two waves interleave depends on how
+// fast the OS started their goroutines.
+//
+// With no ready actor, every registered actor is parked, so the clock
+// advances to the earliest deadline and fires it; deadlines fire one at a
+// time so execution stays a single serial order even for timers sharing an
+// instant. An empty heap with parked actors is a deadlock.
 func (v *AutoVirtual) scheduleLocked() {
 	if v.current != nil || v.dead {
 		return
 	}
 	for {
+		if v.forking > 0 {
+			return // children on the way: the last to register schedules
+		}
+		if len(v.arrivals) > 0 {
+			v.flushArrivalsLocked()
+		}
 		if v.runq.len() > 0 {
 			a := v.runq.pop()
 			if ev := a.ev; ev != nil {
@@ -437,8 +455,8 @@ func (v *AutoVirtual) scheduleLocked() {
 			a.grant <- struct{}{}
 			return
 		}
-		if v.forking > 0 || len(v.actors) == 0 {
-			return // children on the way, or nothing registered: stay idle
+		if len(v.actors) == 0 {
+			return // nothing registered: stay idle
 		}
 		if !v.advanceLocked() {
 			v.deadlockLocked()
@@ -448,21 +466,15 @@ func (v *AutoVirtual) scheduleLocked() {
 }
 
 // advanceLocked jumps the clock to the earliest deadline and fires it: a
-// timer or ticker ticks (a ticker re-arms), and the waiter's parked
-// watchers, sleeper or event get their turn. Returns false when no waiter
-// remains.
+// timer or ticker marks a fire for Await to consume (a ticker re-arms), and
+// the waiter's parked watchers, sleeper or event get their turn. Returns
+// false when no waiter remains.
 func (v *AutoVirtual) advanceLocked() bool {
 	if len(v.waiters) == 0 {
 		return false
 	}
 	w := heap.Pop(&v.waiters).(*waiter)
 	v.setNowLocked(w.at)
-	if w.ch != nil {
-		select {
-		case w.ch <- w.at:
-		default: // slow receiver: drop the tick, as time.Ticker does
-		}
-	}
 	if w.repeat > 0 {
 		w.at = w.at.Add(w.repeat)
 		v.addWaiterLocked(w)
@@ -471,8 +483,9 @@ func (v *AutoVirtual) advanceLocked() bool {
 	if w.event != nil {
 		v.queueEventLocked(w.event)
 	}
-	if w.wake != nil {
-		w.wake.wakeLocked(v)
+	if t := w.tick; t != nil {
+		t.fired = true // an unconsumed fire absorbs this one, as time.Ticker drops ticks
+		t.watch.wakeLocked(v)
 	}
 	if w.sleeper != nil {
 		v.wakeLocked(w.sleeper)
@@ -565,8 +578,6 @@ func (w *watchers) wakeLocked(v *AutoVirtual) {
 // and tickers, Gate, Mailbox, and a Mailbox's Receiver. Implementations are
 // provided by this package only.
 type Waitable interface {
-	// waitChan is the receive channel used outside auto-virtual scheduling.
-	waitChan() reflect.Value
 	// attach/detach subscribe a parked actor to the source's wake list;
 	// tryConsumeLocked reports readiness and consumes the ready value.
 	// All three run under the owning clock's mutex.
@@ -581,36 +592,27 @@ type Waitable interface {
 // received from a Mailbox awaited directly, boxed; a loop that receives per
 // message awaits the mailbox's Receiver instead, which stores the element
 // typed and leaves the value nil. Gates, timers and tickers carry no value
-// worth boxing (the fire instant is Now). On an AutoVirtual clock the caller
-// is the token holder and readiness is checked in argument order — lowest
-// index wins — making multi-ready races deterministic; put the stop gate
-// first so shutdown beats pending work. On the real clock (or with no
-// token out, i.e. from outside the run) Await degrades to a
-// pseudo-randomly-tie-broken channel select, matching Go select semantics;
-// an AutoVirtual Mailbox has no channel to offer there and panics.
+// worth boxing (the fire instant is Now). The caller is the token holder,
+// and readiness is checked in argument order — lowest index wins — making
+// multi-ready races deterministic; put the stop gate first so shutdown beats
+// pending work. With no token out, i.e. from outside the run, the caller is
+// registered as a transient actor for the duration of the wait, as in Sleep.
 func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
-	if v, auto := c.(*AutoVirtual); auto {
-		v.mu.Lock()
-		if a := v.current; a != nil {
-			return v.await(a, srcs)
-		}
+	v := c.(*AutoVirtual)
+	v.mu.Lock()
+	a := v.current
+	if a == nil {
 		v.mu.Unlock()
+		h := Register(v, "awaiter")
+		defer h.Close()
+		a = h.a
+		v.mu.Lock()
 	}
-	cases := make([]reflect.SelectCase, len(srcs))
-	for i, s := range srcs {
-		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: s.waitChan()}
-	}
-	i, rv, rok := reflect.Select(cases)
-	if t, typed := srcs[i].(interface{ store(reflect.Value) }); typed {
-		t.store(rv)
-	} else if rv.IsValid() {
-		val = rv.Interface()
-	}
-	return i, val, rok
+	return v.await(a, srcs)
 }
 
-// await is the auto-virtual path of Await; v.mu is held on entry and
-// released before returning. With nothing ready the actor parks attached to
+// await is Await for the token holder a; v.mu is held on entry and released
+// before returning. With nothing ready the actor parks attached to
 // every source; the scheduler re-grants it only once it has consumed one of
 // them into a.got.
 func (v *AutoVirtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
@@ -641,45 +643,30 @@ func (a *Actor) consumeLocked(srcs []Waitable) (r awaitResult, ready bool) {
 	return awaitResult{}, false
 }
 
-// Gate is a broadcast close signal (the stop/done channel idiom) that
-// parks auto-virtual actors instead of blocking them. The zero value is not
-// usable; construct with NewGate.
+// Gate is a broadcast close signal (the stop/done channel idiom) that parks
+// actors instead of blocking them. The zero value is not usable; construct
+// with NewGate. closed and w are guarded by v.mu.
 type Gate struct {
-	v      *AutoVirtual // nil on the real clock
-	mu     sync.Mutex
-	ch     chan struct{}
+	v      *AutoVirtual
 	closed bool
 	w      watchers
 }
 
-// NewGate builds a gate bound to the clock's scheduling mode.
+// NewGate builds an open gate on the clock.
 func NewGate(c Clock) *Gate {
 	g := &Gate{}
 	g.init(c)
 	return g
 }
 
-func (g *Gate) init(c Clock) {
-	g.ch = make(chan struct{})
-	g.v, _ = c.(*AutoVirtual)
-}
+func (g *Gate) init(c Clock) { g.v = c.(*AutoVirtual) }
 
 // Close opens the gate exactly once, waking every waiter; further Closes
 // are no-ops.
 func (g *Gate) Close() {
-	if g.v == nil {
-		g.mu.Lock()
-		if !g.closed {
-			g.closed = true
-			close(g.ch)
-		}
-		g.mu.Unlock()
-		return
-	}
 	g.v.mu.Lock()
 	if !g.closed {
 		g.closed = true
-		close(g.ch)
 		g.w.wakeLocked(g.v)
 		g.v.kickLocked()
 	}
@@ -688,19 +675,13 @@ func (g *Gate) Close() {
 
 // Closed reports whether the gate has been closed.
 func (g *Gate) Closed() bool {
-	if g.v == nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.closed
-	}
 	g.v.mu.Lock()
 	defer g.v.mu.Unlock()
 	return g.closed
 }
 
-func (g *Gate) waitChan() reflect.Value { return reflect.ValueOf(g.ch) }
-func (g *Gate) attach(a *Actor)         { g.w.add(a) }
-func (g *Gate) detach(a *Actor)         { g.w.remove(a) }
+func (g *Gate) attach(a *Actor) { g.w.add(a) }
+func (g *Gate) detach(a *Actor) { g.w.remove(a) }
 func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 	if g.closed {
 		return nil, false, true
@@ -708,17 +689,13 @@ func (g *Gate) tryConsumeLocked() (any, bool, bool) {
 	return nil, false, false
 }
 
-// Mailbox is a bounded FIFO channel whose blocking operations park
-// auto-virtual actors. Capacity must be at least 1. On the real clock it is
-// a buffered channel. Under AutoVirtual every
-// operation already runs under the clock mutex, so the buffer is a ring
-// that grows on demand up to the capacity: an inbox sized for the worst
-// case costs only what it actually held.
+// Mailbox is a bounded FIFO channel whose blocking operations park actors.
+// Capacity must be at least 1. Every operation runs under the clock mutex,
+// so the buffer is a ring that grows on demand up to the capacity: an inbox
+// sized for the worst case costs only what it actually held.
 type Mailbox[T any] struct {
-	v        *AutoVirtual // nil on the real clock
-	mu       sync.Mutex
-	ch       chan T  // nil under AutoVirtual
-	q        ring[T] // AutoVirtual only, guarded by v.mu
+	v        *AutoVirtual
+	q        ring[T] // guarded by v.mu, as are closed and the watchers
 	capacity int
 	closed   bool
 	recvW    watchers // actors parked in Await
@@ -730,32 +707,13 @@ func NewMailbox[T any](c Clock, capacity int) *Mailbox[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	m := &Mailbox[T]{capacity: capacity}
-	if m.v, _ = c.(*AutoVirtual); m.v == nil {
-		m.ch = make(chan T, capacity)
-	}
-	return m
+	return &Mailbox[T]{v: c.(*AutoVirtual), capacity: capacity}
 }
 
 // Send enqueues val, blocking while the mailbox is full. It returns false
 // without enqueueing when the mailbox is closed or abort (which may be nil)
-// closes first. Under AutoVirtual the caller must be a registered actor.
+// closes first. The caller must be a registered actor.
 func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
-	if m.v == nil {
-		if m.isClosed() {
-			return false
-		}
-		if abort == nil {
-			m.ch <- val
-			return true
-		}
-		select {
-		case m.ch <- val:
-			return true
-		case <-abort.ch:
-			return false
-		}
-	}
 	v := m.v
 	v.mu.Lock()
 	a := v.current
@@ -792,17 +750,6 @@ func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
 
 // TrySend enqueues val without blocking, reporting whether it fit.
 func (m *Mailbox[T]) TrySend(val T) bool {
-	if m.v == nil {
-		if m.isClosed() {
-			return false
-		}
-		select {
-		case m.ch <- val:
-			return true
-		default:
-			return false
-		}
-	}
 	v := m.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -816,19 +763,8 @@ func (m *Mailbox[T]) TrySend(val T) bool {
 }
 
 // Close marks the mailbox closed: receivers drain the buffer then observe
-// ok=false, senders fail. Only the sole sender may close a real-clock
-// mailbox (channel close semantics); the auto-virtual path tolerates any
-// closer.
+// ok=false, senders fail. Any actor may close it, more than once.
 func (m *Mailbox[T]) Close() {
-	if m.v == nil {
-		m.mu.Lock()
-		if !m.closed {
-			m.closed = true
-			close(m.ch)
-		}
-		m.mu.Unlock()
-		return
-	}
 	m.v.mu.Lock()
 	if !m.closed {
 		m.closed = true
@@ -841,26 +777,11 @@ func (m *Mailbox[T]) Close() {
 
 // Len reports the number of buffered values.
 func (m *Mailbox[T]) Len() int {
-	if m.v == nil {
-		return len(m.ch)
-	}
 	m.v.mu.Lock()
 	defer m.v.mu.Unlock()
 	return m.q.len()
 }
 
-func (m *Mailbox[T]) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
-
-func (m *Mailbox[T]) waitChan() reflect.Value {
-	if m.v != nil {
-		panic("clock: Await on a Mailbox from a goroutine not registered with the AutoVirtual clock")
-	}
-	return reflect.ValueOf(m.ch)
-}
 func (m *Mailbox[T]) attach(a *Actor) { m.recvW.add(a) }
 func (m *Mailbox[T]) detach(a *Actor) { m.recvW.remove(a) }
 func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
@@ -888,8 +809,8 @@ func (m *Mailbox[T]) popLocked() (val T, ok, ready bool) {
 // message. Bind it once, before the receive loop; Await's value is nil for
 // it, and a closed, drained mailbox stores the zero element with ok false.
 // The variable is written by whoever consumes on the consumer's behalf — the
-// scheduler, under AutoVirtual, before it grants the token — so it belongs
-// to that one consumer: several consumers of one mailbox each bind their own.
+// scheduler, before it grants the token — so it belongs to that one
+// consumer: several consumers of one mailbox each bind their own.
 type Receiver[T any] struct {
 	*Mailbox[T]
 	dst *T
@@ -908,14 +829,8 @@ func (r *Receiver[T]) tryConsumeLocked() (any, bool, bool) {
 	return nil, ok, ready
 }
 
-// store is tryConsumeLocked's counterpart on the channel-select path of
-// Await: rv is what reflect.Select received, the zero element once closed.
-func (r *Receiver[T]) store(rv reflect.Value) {
-	reflect.ValueOf(r.dst).Elem().Set(rv)
-}
-
 // ring is a FIFO that grows by doubling and never shrinks; the scheduler's
-// run queue and the auto-virtual Mailbox buffer are both one.
+// run queue and the Mailbox buffer are both one.
 type ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int

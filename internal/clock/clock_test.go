@@ -6,45 +6,11 @@ import (
 	"time"
 )
 
-func TestRealNow(t *testing.T) {
-	c := New()
-	before := time.Now()
-	got := c.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("Real.Now() = %v, want between %v and %v", got, before, after)
-	}
-}
-
-func TestRealSince(t *testing.T) {
-	c := New()
-	start := c.Now()
-	c.Sleep(time.Millisecond)
-	if d := c.Since(start); d < time.Millisecond {
-		t.Fatalf("Since = %v, want >= 1ms", d)
-	}
-}
-
-func TestRealTickerDelivers(t *testing.T) {
-	c := New()
-	tk := c.NewTicker(time.Millisecond)
-	defer tk.Stop()
-	select {
-	case <-tk.C():
-	case <-time.After(time.Second):
-		t.Fatal("ticker did not fire within 1s")
-	}
-}
-
-func TestRealTimerDelivers(t *testing.T) {
-	c := New()
-	tm := c.NewTimerAt(c.Now().Add(time.Millisecond))
-	select {
-	case <-tm.C():
-	case <-time.After(time.Second):
-		t.Fatal("timer did not fire within 1s")
-	}
-	tm.Stop() // after the fire: a no-op
+// hasFired reports whether w has a fire pending, consuming it, without moving
+// the clock: Await prefers w to a timer already due.
+func hasFired(v *AutoVirtual, w Waitable) bool {
+	i, _, _ := Await(v, w, v.NewTimerAt(v.Now()))
+	return i == 0
 }
 
 // The stepping below is a Sleep from outside the run: the caller becomes a
@@ -85,16 +51,21 @@ func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
 	}
 }
 
+// TestVirtualTimersFireInOrder awaits from outside the run: the caller is a
+// transient actor, and the clock jumps to the earlier deadline first.
 func TestVirtualTimersFireInOrder(t *testing.T) {
 	v := NewAutoVirtual()
 	tm1 := v.NewTimerAt(v.Now().Add(time.Second))
 	tm2 := v.NewTimerAt(v.Now().Add(2 * time.Second))
-	v.Sleep(3 * time.Second)
-
-	t1 := <-tm1.C()
-	t2 := <-tm2.C()
-	if !t1.Before(t2) {
-		t.Fatalf("expected tm1 (%v) to fire before tm2 (%v)", t1, t2)
+	if i, _, ok := Await(v, tm2, tm1); i != 1 || !ok {
+		t.Fatalf("Await = (%d, %v), want tm1 (1, true) first", i, ok)
+	}
+	if got := v.Now().Sub(SimEpoch); got != time.Second {
+		t.Fatalf("tm1 fired at %v, want 1s", got)
+	}
+	Await(v, tm2)
+	if got := v.Now().Sub(SimEpoch); got != 2*time.Second {
+		t.Fatalf("tm2 fired at %v, want 2s", got)
 	}
 }
 
@@ -102,15 +73,11 @@ func TestVirtualTimerDoesNotFireEarly(t *testing.T) {
 	v := NewAutoVirtual()
 	tm := v.NewTimerAt(v.Now().Add(10 * time.Second))
 	v.Sleep(9 * time.Second)
-	select {
-	case <-tm.C():
+	if hasFired(v, tm) {
 		t.Fatal("timer fired before its deadline")
-	default:
 	}
 	v.Sleep(time.Second)
-	select {
-	case <-tm.C():
-	default:
+	if !hasFired(v, tm) {
 		t.Fatal("timer did not fire at its deadline")
 	}
 }
@@ -120,18 +87,34 @@ func TestVirtualTickerRepeats(t *testing.T) {
 	tk := v.NewTicker(time.Second)
 	defer tk.Stop()
 
-	fired := 0
 	for i := 0; i < 5; i++ {
 		v.Sleep(time.Second)
-		select {
-		case <-tk.C():
-			fired++
-		default:
+		if !hasFired(v, tk) {
 			t.Fatalf("tick %d missing", i)
 		}
 	}
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
+	if hasFired(v, tk) {
+		t.Fatal("a consumed tick fired again")
+	}
+}
+
+// TestVirtualTickerCoalescesUnconsumedFires: fires that arrive while one is
+// still unconsumed are dropped, as time.Ticker drops ticks for a slow
+// receiver, and the ticker keeps its period.
+func TestVirtualTickerCoalescesUnconsumedFires(t *testing.T) {
+	v := NewAutoVirtual()
+	tk := v.NewTicker(time.Second)
+	defer tk.Stop()
+	v.Sleep(5*time.Second + time.Millisecond) // five fires, none consumed
+	if !hasFired(v, tk) {
+		t.Fatal("no fire pending after five periods")
+	}
+	if hasFired(v, tk) {
+		t.Fatal("five unconsumed fires left more than one pending")
+	}
+	Await(v, tk)
+	if got := v.Now().Sub(SimEpoch); got != 6*time.Second {
+		t.Fatalf("next fire at +%v, want +6s", got)
 	}
 }
 
@@ -140,10 +123,8 @@ func TestVirtualTickerStop(t *testing.T) {
 	tk := v.NewTicker(time.Second)
 	tk.Stop()
 	v.Sleep(5 * time.Second)
-	select {
-	case <-tk.C():
+	if hasFired(v, tk) {
 		t.Fatal("stopped ticker fired")
-	default:
 	}
 }
 
@@ -152,10 +133,8 @@ func TestVirtualTimerStopPreventsFire(t *testing.T) {
 	tm := v.NewTimerAt(v.Now().Add(time.Second))
 	tm.Stop()
 	v.Sleep(2 * time.Second)
-	select {
-	case <-tm.C():
+	if hasFired(v, tm) {
 		t.Fatal("stopped timer fired")
-	default:
 	}
 }
 
@@ -192,25 +171,16 @@ func TestVirtualNewTimerAtFiresAtAbsoluteDeadline(t *testing.T) {
 	v := NewAutoVirtual()
 	want := SimEpoch.Add(10 * time.Millisecond)
 	tm := v.NewTimerAt(want)
-	select {
-	case <-tm.C():
+	if hasFired(v, tm) {
 		t.Fatal("timer fired before its deadline")
-	default:
 	}
 	v.Sleep(9 * time.Millisecond)
-	select {
-	case <-tm.C():
+	if hasFired(v, tm) {
 		t.Fatal("timer fired 1ms early")
-	default:
 	}
-	v.Sleep(time.Millisecond)
-	select {
-	case at := <-tm.C():
-		if !at.Equal(want) {
-			t.Fatalf("fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire at its exact deadline")
+	Await(v, tm)
+	if got := v.Now(); !got.Equal(want) {
+		t.Fatalf("fired at %v, want %v", got, want)
 	}
 }
 
@@ -220,34 +190,11 @@ func TestVirtualNewTimerAtPastDeadlineFiresImmediately(t *testing.T) {
 	// intended deadline before the caller could arm the timer. It must
 	// fire without the clock moving.
 	tm := v.NewTimerAt(SimEpoch.Add(-time.Second))
-	select {
-	case <-tm.C():
-	default:
+	if !hasFired(v, tm) {
 		t.Fatal("past-deadline timer must fire immediately")
 	}
 	if got := v.PendingWaiters(); got != 0 {
 		t.Fatalf("immediate-fire timer left %d pending waiters", got)
-	}
-}
-
-func TestRealNewTimerAt(t *testing.T) {
-	clk := New()
-	start := time.Now()
-	tm := clk.NewTimerAt(start.Add(20 * time.Millisecond))
-	select {
-	case <-tm.C():
-		if d := time.Since(start); d < 15*time.Millisecond {
-			t.Fatalf("fired after %v, want ~20ms", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never fired")
-	}
-	// A past deadline fires promptly.
-	tm2 := clk.NewTimerAt(start)
-	select {
-	case <-tm2.C():
-	case <-time.After(time.Second):
-		t.Fatal("past-deadline timer did not fire")
 	}
 }
 
@@ -293,10 +240,10 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 			av.Sleep(11 * time.Millisecond)
 			check(t, av, "after a sleep from outside")
 		}
-		if at := <-timer.C(); !at.Equal(av.Now().Add(-65 * time.Millisecond)) {
-			t.Fatalf("timer fired at %v", at)
+		if !hasFired(av, timer) || !hasFired(av, abroad) {
+			t.Fatal("timers due 45ms and 70ms in did not fire within 110ms")
 		}
-		<-abroad.C()
+		check(t, av, "after awaiting fired timers")
 		if want := lockedNow(av).Add(-60 * time.Millisecond); fired != want {
 			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
 		}

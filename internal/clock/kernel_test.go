@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -82,23 +81,34 @@ func TestNoTokenOut(t *testing.T) {
 			t.Fatalf("%d actors still registered after the sleep", left)
 		}
 	})
-	t.Run("Await falls back to the channel select", func(t *testing.T) {
+	t.Run("Await registers a transient actor", func(t *testing.T) {
 		av := NewAutoVirtual()
 		never := NewGate(av)
 		timer := av.NewTimerAt(av.Now().Add(time.Second))
-		av.Sleep(time.Second) // a transient sleeper lets the clock reach the deadline
 		if idx, _, ok := Await(av, never, timer); idx != 1 || !ok {
-			t.Fatalf("Await = (%d, ok=%v), want the fired timer at index 1", idx, ok)
+			t.Fatalf("Await = (%d, ok=%v), want the timer at index 1", idx, ok)
+		}
+		if got := av.Now().Sub(SimEpoch); got != time.Second {
+			t.Fatalf("Await returned at +%v, want the timer's +1s", got)
 		}
 		never.Close()
 		if idx, _, ok := Await(av, never); idx != 0 || ok {
 			t.Fatalf("Await = (%d, ok=%v), want the closed gate", idx, ok)
 		}
-	})
-	t.Run("Await on a Mailbox panics", func(t *testing.T) {
-		av := NewAutoVirtual()
 		m := NewMailbox[int](av, 1)
-		mustPanic(t, "not registered", func() { Await(av, m) })
+		m.TrySend(7)
+		if idx, v, ok := Await(av, never, m); idx != 0 || ok || v != nil {
+			t.Fatalf("Await = (%d, %v, ok=%v), want the closed gate ahead of the mailbox", idx, v, ok)
+		}
+		if idx, v, ok := Await(av, m); idx != 0 || !ok || v != 7 {
+			t.Fatalf("Await = (%d, %v, ok=%v), want the buffered 7", idx, v, ok)
+		}
+		av.mu.Lock()
+		left := len(av.actors)
+		av.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d actors still registered after the awaits", left)
+		}
 	})
 	t.Run("Send panics", func(t *testing.T) {
 		av := NewAutoVirtual()
@@ -282,12 +292,8 @@ func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
 		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
 	}
 	av.Sleep(3 * time.Hour)
-	select {
-	case <-timer.C():
-		t.Fatal("stopped timer fired")
-	case <-ticker.C():
-		t.Fatal("stopped ticker fired")
-	default:
+	if hasFired(av, timer) || hasFired(av, ticker) {
+		t.Fatal("stopped timer or ticker fired")
 	}
 }
 
@@ -708,79 +714,5 @@ func TestEventDeadlinesFromOutsideTheRun(t *testing.T) {
 	v.Sleep(time.Minute)
 	if fmt.Sprint(log) != want {
 		t.Fatalf("a stopped event ran: %v", log)
-	}
-}
-
-// TestEventOnRealClock drives the goroutine path from several goroutines at
-// once (run it under -race): runs never overlap, a deadline and triggers
-// both get through, a re-arm from inside fn paces the next run, and Stop
-// waits out a run in progress.
-func TestEventOnRealClock(t *testing.T) {
-	clk := New()
-	var running, overlaps, runs atomic.Int32
-	inFn := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var ev *Event
-	ev = NewEvent(clk, "real", func() {
-		if running.Add(1) != 1 {
-			overlaps.Add(1)
-		}
-		if n := runs.Add(1); n < 5 {
-			ev.After(time.Millisecond) // paced re-arm
-		}
-		select {
-		case inFn <- struct{}{}:
-			<-release // hold the first run open
-		default:
-		}
-		running.Add(-1)
-	})
-	ev.After(time.Millisecond)
-	<-inFn
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				ev.Trigger()
-			}
-		}()
-	}
-	wg.Wait()
-	close(release)
-	for runs.Load() < 5 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Stop during a run returns only once the run is over.
-	blocker := make(chan struct{})
-	entered := make(chan struct{})
-	var finished atomic.Bool
-	slow := NewEvent(clk, "slow", func() {
-		close(entered)
-		<-blocker
-		finished.Store(true)
-	})
-	slow.Trigger()
-	<-entered
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		close(blocker)
-	}()
-	slow.Stop()
-	if !finished.Load() {
-		t.Fatal("Stop returned while fn was still running")
-	}
-	ev.Stop()
-	after := runs.Load()
-	ev.Trigger()
-	ev.After(0)
-	time.Sleep(5 * time.Millisecond)
-	if runs.Load() != after {
-		t.Fatal("a stopped event ran")
-	}
-	if overlaps.Load() != 0 {
-		t.Fatalf("%d overlapping runs", overlaps.Load())
 	}
 }

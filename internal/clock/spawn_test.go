@@ -3,6 +3,7 @@ package clock
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,8 +41,8 @@ func TestServeStopBeatsReadyInboxAndTick(t *testing.T) {
 }
 
 // TestGoJoinWaitsForEveryActor: the join returns once every actor of the
-// wave has finished and closed its handle, on the virtual clock (joined by
-// an actor) and on the real one; an empty wave joins at once.
+// wave has finished and closed its handle, whether an actor joins it or a
+// goroutine outside the run does; an empty wave joins at once.
 func TestGoJoinWaitsForEveryActor(t *testing.T) {
 	t.Run("AutoVirtual", func(t *testing.T) {
 		av := NewAutoVirtual()
@@ -65,14 +66,18 @@ func TestGoJoinWaitsForEveryActor(t *testing.T) {
 			t.Fatalf("%d actors registered after the join, want only the joiner", left)
 		}
 	})
-	t.Run("Real", func(t *testing.T) {
+	t.Run("Outside", func(t *testing.T) {
+		av := NewAutoVirtual()
 		var finished atomic.Int64
-		Go(Real{}, []string{"w0", "w1", "w2"}, func(i int) {
-			Real{}.Sleep(time.Duration(i) * time.Millisecond)
+		Go(av, []string{"w0", "w1", "w2"}, func(i int) {
+			av.Sleep(time.Duration(i) * time.Second)
 			finished.Add(1)
 		})()
 		if n := finished.Load(); n != 3 {
 			t.Fatalf("join returned after %d of 3 actors finished", n)
+		}
+		if got := av.Now().Sub(SimEpoch); got != 2*time.Second {
+			t.Fatalf("join returned at +%v, want +2s (the slowest actor)", got)
 		}
 	})
 	t.Run("Empty", func(t *testing.T) {
@@ -122,5 +127,91 @@ func TestServeTickerTiesKeyUnderActorName(t *testing.T) {
 	joinB()
 	if want := []string{"a@20ms", "b@20ms"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("ticks fired %v, want %v", fired, want)
+	}
+}
+
+// TestForkWaveHoldsTheToken: actor a forks a wave while actor b is ready. No
+// one gets the token until a's wave has registered, so b always runs after
+// the wave arrived and forks its own wave separately: the two waves are
+// released one after the other, never merged by name, whichever goroutines
+// the OS started first and however many Ps it had to start them on.
+func TestForkWaveHoldsTheToken(t *testing.T) {
+	run := func() []string {
+		av := NewAutoVirtual()
+		var log []string // appended under the execution token
+		child := func(names ...string) func() {
+			return Go(av, names, func(i int) { log = append(log, names[i]) })
+		}
+		Go(av, []string{"a", "b"}, func(i int) {
+			if i == 0 {
+				log = append(log, "a")
+				child("x2", "x4")() // parks a in the join with b ready
+				return
+			}
+			log = append(log, "b")
+			child("x1", "x3")()
+		})()
+		return log
+	}
+	want := []string{"a", "b", "x2", "x4", "x1", "x3"}
+	for _, procs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < 50; i++ {
+				if got := run(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d granted %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// foreignClock is a Clock the package did not build.
+type foreignClock struct{ Clock }
+
+// TestPrimitivesRequireTheVirtualClock: the blocking primitives accept no
+// other Clock. Handed one, each panics at once rather than running on
+// something that cannot schedule it.
+func TestPrimitivesRequireTheVirtualClock(t *testing.T) {
+	c := foreignClock{}
+	for name, f := range map[string]func(){
+		"Register":       func() { Register(c, "x") },
+		"RegisterForked": func() { RegisterForked(c, "x") },
+		"Fork":           func() { Fork(c, 1) },
+		"Go":             func() { Go(c, []string{"x"}, func(int) {}) },
+		"Await":          func() { Await(c) },
+		"NewGate":        func() { NewGate(c) },
+		"NewMailbox":     func() { NewMailbox[int](c, 1) },
+		"NewEvent":       func() { NewEvent(c, "x", func() {}) },
+	} {
+		t.Run(name, func(t *testing.T) { mustPanic(t, "clock.foreignClock", f) })
+	}
+}
+
+// TestWavesOfOneTurnReleaseTogether: the waves an actor forks before it
+// parks join the run queue as one batch in name order, even when the first
+// wave's goroutines all registered before the second wave was forked.
+func TestWavesOfOneTurnReleaseTogether(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for i := 0; i < 50; i++ {
+		av := NewAutoVirtual()
+		var log []string // appended under the execution token
+		child := func(names ...string) func() {
+			return Go(av, names, func(i int) { log = append(log, names[i]) })
+		}
+		Go(av, []string{"forker"}, func(int) {
+			first := child("y2", "y4")
+			for registering := 2; registering > 0; runtime.Gosched() {
+				av.mu.Lock()
+				registering = av.forking
+				av.mu.Unlock()
+			}
+			second := child("y1", "y3")
+			first()
+			second()
+		})()
+		if want := []string{"y1", "y2", "y3", "y4"}; !reflect.DeepEqual(log, want) {
+			t.Fatalf("run %d granted %v, want %v", i, log, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package clock
 
 import (
 	"container/heap"
-	"reflect"
 	"time"
 )
 
@@ -27,8 +26,8 @@ func (v *AutoVirtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 func (v *AutoVirtual) NewTicker(d time.Duration) Ticker {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &deadline{clk: v, ch: make(chan time.Time, 1)}
-	t.w = waiter{at: v.now.Add(d), ch: t.ch, repeat: d, wake: &t.watch}
+	t := &deadline{clk: v}
+	t.w = waiter{at: v.now.Add(d), repeat: d, tick: t}
 	v.addWaiterLocked(&t.w)
 	return t
 }
@@ -39,10 +38,10 @@ func (v *AutoVirtual) NewTicker(d time.Duration) Ticker {
 func (v *AutoVirtual) NewTimerAt(at time.Time) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &deadline{clk: v, ch: make(chan time.Time, 1)}
-	t.w = waiter{at: at, ch: t.ch, wake: &t.watch, index: -1}
+	t := &deadline{clk: v}
+	t.w = waiter{at: at, tick: t, index: -1}
 	if !at.After(v.now) {
-		t.ch <- v.now // never enters the heap
+		t.fired = true // never enters the heap
 		return t
 	}
 	v.addWaiterLocked(&t.w)
@@ -95,11 +94,10 @@ func (v *AutoVirtual) cancelLocked(w *waiter) {
 // while armed.
 type waiter struct {
 	at      time.Time
-	ch      chan time.Time // nil for an actor's sleep waiter
 	repeat  time.Duration
 	tieName string
 	tieSeq  int64
-	wake    *watchers // actors parked on this waiter via Await
+	tick    *deadline // the timer or ticker whose deadline this is
 	sleeper *Actor    // the actor parked on this waiter in Sleep
 	event   *Event    // the event whose deadline this is
 	index   int       // heap position, -1 while out of the heap
@@ -138,16 +136,14 @@ func (h *waiterHeap) Pop() any {
 }
 
 // deadline is a virtual timer or ticker: the waiter it arms (a ticker's
-// re-arms itself on every fire), the channel it ticks on, and the actors
-// awaiting it.
+// re-arms itself on every fire), whether a fire awaits consumption, and the
+// actors awaiting it. fired and watch are guarded by clk.mu.
 type deadline struct {
 	clk   *AutoVirtual
-	ch    chan time.Time
 	w     waiter
+	fired bool
 	watch watchers
 }
-
-func (t *deadline) C() <-chan time.Time { return t.ch }
 
 func (t *deadline) Stop() {
 	t.clk.mu.Lock()
@@ -155,18 +151,16 @@ func (t *deadline) Stop() {
 	t.clk.cancelLocked(&t.w)
 }
 
-func (t *deadline) waitChan() reflect.Value { return reflect.ValueOf(t.ch) }
-func (t *deadline) attach(a *Actor)         { t.watch.add(a) }
-func (t *deadline) detach(a *Actor)         { t.watch.remove(a) }
+func (t *deadline) attach(a *Actor) { t.watch.add(a) }
+func (t *deadline) detach(a *Actor) { t.watch.remove(a) }
 
-// tryConsumeLocked takes a delivered tick off the channel. Await reports the
-// fire by index alone: boxing the instant into the any would cost one
-// allocation per fire for a value Now already answers.
+// tryConsumeLocked consumes a pending fire. Await reports the fire by index
+// alone: boxing the instant into the any would cost one allocation per fire
+// for a value Now already answers.
 func (t *deadline) tryConsumeLocked() (any, bool, bool) {
-	select {
-	case <-t.ch:
-		return nil, true, true
-	default:
+	if !t.fired {
 		return nil, false, false
 	}
+	t.fired = false
+	return nil, true, true
 }

@@ -65,10 +65,9 @@ type RunConfig struct {
 	// consensus rounds, and WAL appends). Nil disables tracing with zero
 	// overhead on the hot path.
 	Trace *trace.Tracer
-	// NewClock constructs each repetition's time source; it is required, so
-	// no run falls back to the wall clock unasked. Auto-advancing virtual
-	// runs need a fresh clock per repetition: a clock's scheduler state must
-	// not span re-provisioned systems.
+	// NewClock constructs each repetition's time source, a fresh
+	// AutoVirtual; it is required. A clock's scheduler state must not span
+	// re-provisioned systems, so every repetition gets its own.
 	NewClock func() clock.Clock
 }
 
@@ -125,8 +124,8 @@ func Run(cfg RunConfig) ([]Result, error) {
 // when its phase ends, so the driver stops right after the last one.
 func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
-	// Under auto-advancing virtual time the runner itself is an actor: its
-	// waits and quiesce sleeps park it so the clock can jump.
+	// The runner itself is an actor: its waits and quiesce sleeps park it so
+	// the clock can jump.
 	h := clock.Register(clk, "coconut-runner")
 	defer h.Close()
 	driver := cfg.NewDriver(clk)
@@ -184,10 +183,8 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	// armed during the repetition must have fired or been stopped —
 	// otherwise long soaks accumulate dead waiters in the virtual heap.
 	stopDriver()
-	if av, ok := clk.(*clock.AutoVirtual); ok {
-		if n := av.PendingWaiters(); n != 0 {
-			return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
-		}
+	if n := clk.(*clock.AutoVirtual).PendingWaiters(); n != 0 {
+		return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
 	}
 	return out, nil
 }

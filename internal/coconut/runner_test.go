@@ -1,6 +1,7 @@
 package coconut
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestRunRequiresDriver(t *testing.T) {
-	if _, err := Run(RunConfig{NewClock: clock.New}); err == nil {
+	if _, err := Run(RunConfig{NewClock: func() clock.Clock { return clock.NewAutoVirtual() }}); err == nil {
 		t.Fatal("Run without NewDriver must fail")
 	}
 }
@@ -20,6 +21,37 @@ func TestRunRequiresClock(t *testing.T) {
 	d := newFakeDriver()
 	if _, err := Run(RunConfig{NewDriver: func(clock.Clock) systems.Driver { return d }}); err == nil {
 		t.Fatal("Run without NewClock must fail")
+	}
+}
+
+// leakyDriver arms a ticker when it starts and never stops it.
+type leakyDriver struct {
+	*fakeDriver
+	clk clock.Clock
+}
+
+func (d leakyDriver) Start() error {
+	d.clk.NewTicker(time.Second)
+	return nil
+}
+
+// TestRunReportsLeakedWaiters: every repetition ends with the teardown leak
+// check, so a timer a driver leaves armed fails the run.
+func TestRunReportsLeakedWaiters(t *testing.T) {
+	_, err := Run(RunConfig{
+		SystemName:      "fake",
+		NewDriver:       func(clk clock.Clock) systems.Driver { return leakyDriver{newFakeDriver(), clk} },
+		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		Unit:            []BenchmarkName{BenchDoNothing},
+		Clients:         1,
+		RateLimit:       100,
+		WorkloadThreads: 1,
+		SendDuration:    100 * time.Millisecond,
+		ListenGrace:     50 * time.Millisecond,
+		Repetitions:     1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 timer/ticker waiter(s) leaked") {
+		t.Fatalf("err = %v, want the leaked ticker reported", err)
 	}
 }
 

@@ -151,62 +151,52 @@ func TestRunSawtoothBatches(t *testing.T) {
 	}
 }
 
-// TestRunStageBreakdownRealAndVirtual runs a real driver under both clock
-// modes and checks the tentpole invariants of stage attribution: every
-// received payload resolves into stages, stage means are non-negative, the
-// bottleneck is named, and the per-stage means sum back to the end-to-end
-// MFLS (the stages partition the finalization window exactly). The real
-// half stays on the wall clock: comparing the two clocks is its purpose.
-func TestRunStageBreakdownRealAndVirtual(t *testing.T) {
-	for _, mode := range []string{"real", "virtual"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			cfg := coconut.RunConfig{
-				SystemName:      systems.NameQuorum,
-				NewDriver:       best(t, systems.NameQuorum, coconut.BenchKeyValueSet),
-				NewClock:        clock.New,
-				Unit:            []coconut.BenchmarkName{coconut.BenchKeyValueSet},
-				Clients:         2,
-				RateLimit:       200,
-				WorkloadThreads: 4,
-				SendDuration:    300 * time.Millisecond,
-				ListenGrace:     200 * time.Millisecond,
-				Repetitions:     1,
-			}
-			if mode == "virtual" {
-				cfg.NewClock = virtual
-			}
-			results, err := coconut.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := results[0]
-			if r.Received.Mean <= 0 {
-				t.Fatal("nothing received; stage attribution untestable")
-			}
-			if len(r.Stages) == 0 {
-				t.Fatal("no stage breakdown on an instrumented driver")
-			}
-			if r.Bottleneck == "" {
-				t.Fatal("bottleneck not named")
-			}
-			var sum float64
-			for _, sr := range r.Stages {
-				if sr.Mean.Mean < 0 {
-					t.Fatalf("stage %s mean = %v, want >= 0", sr.Stage, sr.Mean.Mean)
-				}
-				if sr.Ops.Mean <= 0 {
-					t.Fatalf("stage %s carries no ops", sr.Stage)
-				}
-				sum += sr.Mean.Mean
-			}
-			// Stage durations partition [send, confirm] per payload, so the
-			// ops-weighted stage means must sum to the MFLS up to the per-
-			// stage nanosecond truncation.
-			if diff := sum - r.MFLS.Mean; diff < -1e-6 || diff > 1e-6 {
-				t.Fatalf("stage means sum to %v, MFLS %v (diff %v)", sum, r.MFLS.Mean, diff)
-			}
-		})
+// TestRunStageBreakdown runs a real driver and checks the invariants of
+// stage attribution: every received payload resolves into stages, stage
+// means are non-negative, the bottleneck is named, and the per-stage means
+// sum back to the end-to-end MFLS (the stages partition the finalization
+// window exactly).
+func TestRunStageBreakdown(t *testing.T) {
+	results, err := coconut.Run(coconut.RunConfig{
+		SystemName:      systems.NameQuorum,
+		NewDriver:       best(t, systems.NameQuorum, coconut.BenchKeyValueSet),
+		NewClock:        virtual,
+		Unit:            []coconut.BenchmarkName{coconut.BenchKeyValueSet},
+		Clients:         2,
+		RateLimit:       200,
+		WorkloadThreads: 4,
+		SendDuration:    300 * time.Millisecond,
+		ListenGrace:     200 * time.Millisecond,
+		Repetitions:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Received.Mean <= 0 {
+		t.Fatal("nothing received; stage attribution untestable")
+	}
+	if len(r.Stages) == 0 {
+		t.Fatal("no stage breakdown on an instrumented driver")
+	}
+	if r.Bottleneck == "" {
+		t.Fatal("bottleneck not named")
+	}
+	var sum float64
+	for _, sr := range r.Stages {
+		if sr.Mean.Mean < 0 {
+			t.Fatalf("stage %s mean = %v, want >= 0", sr.Stage, sr.Mean.Mean)
+		}
+		if sr.Ops.Mean <= 0 {
+			t.Fatalf("stage %s carries no ops", sr.Stage)
+		}
+		sum += sr.Mean.Mean
+	}
+	// Stage durations partition [send, confirm] per payload, so the ops-
+	// weighted stage means must sum to the MFLS up to the per-stage
+	// nanosecond truncation.
+	if diff := sum - r.MFLS.Mean; diff < -1e-6 || diff > 1e-6 {
+		t.Fatalf("stage means sum to %v, MFLS %v (diff %v)", sum, r.MFLS.Mean, diff)
 	}
 }
 

@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/network"
 )
 
 type cluster struct {
 	t         *testing.T
+	clk       *clock.AutoVirtual
 	transport *network.Transport
 	cores     []*Core
 
@@ -22,9 +24,11 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, policy ProposerPolicy) *cluster {
 	t.Helper()
+	clk := clocktest.New(t)
 	c := &cluster{
 		t:         t,
-		transport: network.NewTransport(clock.New(), nil),
+		clk:       clk,
+		transport: network.NewTransport(clk, nil),
 		decided:   make(map[string][]consensus.Decision),
 	}
 	peers := make([]string, n)
@@ -34,7 +38,7 @@ func newCluster(t *testing.T, n int, policy ProposerPolicy) *cluster {
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		core := New(Config{
-			Clock:        clock.New(),
+			Clock:        clk,
 			ID:           id,
 			Peers:        peers,
 			Transport:    c.transport,
@@ -66,27 +70,20 @@ func (c *cluster) recorder(id string) consensus.DecideFunc {
 	}
 }
 
+func (c *cluster) decidedBy(id string) []consensus.Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]consensus.Decision(nil), c.decided[id]...)
+}
+
+// waitDecisions sleeps on the cluster's clock until id has decided want
+// payloads and returns its decisions.
 func (c *cluster) waitDecisions(id string, want int, timeout time.Duration) []consensus.Decision {
 	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		got := len(c.decided[id])
-		c.mu.Unlock()
-		if got >= want {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			out := make([]consensus.Decision, len(c.decided[id]))
-			copy(out, c.decided[id])
-			return out
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.mu.Lock()
-	got := len(c.decided[id])
-	c.mu.Unlock()
-	c.t.Fatalf("%s decided %d, want %d", id, got, want)
-	return nil
+	clocktest.Until(c.t, c.clk, timeout, fmt.Sprintf("%s decides %d", id, want), func() bool {
+		return len(c.decidedBy(id)) >= want
+	})
+	return c.decidedBy(id)
 }
 
 func (c *cluster) submitToProposer(payload any) {
@@ -151,13 +148,14 @@ func TestDecidesSingleValue(t *testing.T) {
 func TestDecidesManyInOrder(t *testing.T) {
 	c := newCluster(t, 4, RoundRobinByHeight)
 	const total = 30
-	go func() {
+	// The submitter starts now; the test joins it when it returns.
+	defer clock.Go(c.clk, []string{"submitter"}, func(int) {
 		for i := 0; i < total; i++ {
 			// Submit via any node; non-proposers forward.
 			_ = c.cores[i%4].Submit(fmt.Sprintf("block-%d", i))
-			time.Sleep(time.Millisecond)
+			c.clk.Sleep(time.Millisecond)
 		}
-	}()
+	})()
 	var reference []consensus.Decision
 	for i, core := range c.cores {
 		ds := c.waitDecisions(core.cfg.ID, total, 10*time.Second)[:total]
@@ -225,33 +223,26 @@ func TestRoundChangeOnStalledProposer(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.decided["validator-0"])
-		c.mu.Unlock()
-		if n >= 1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("cluster did not decide after proposer failure (round change broken)")
+	// A round change elects validator-2, which decides the payload.
+	c.waitDecisions("validator-0", 1, 5*time.Second)
 }
 
 func TestSubmitNotRunning(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	core := New(Config{Clock: clock.New(), ID: "x", Peers: []string{"x"}, Transport: tr})
+	core := New(Config{Clock: clk, ID: "x", Peers: []string{"x"}, Transport: tr})
 	if err := core.Submit("v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
 
 func TestMaxPendingBackpressure(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	core := New(Config{
-		Clock:      clock.New(),
+		Clock:      clk,
 		ID:         "solo",
 		Peers:      []string{"solo", "ghost-a", "ghost-b", "ghost-c"},
 		Transport:  tr,
@@ -284,7 +275,7 @@ func TestQuorumRequiresEnoughValidators(t *testing.T) {
 	c.transport.Isolate("validator-2")
 	c.transport.Isolate("validator-3")
 	_ = c.cores[0].Submit("unsafe")
-	time.Sleep(300 * time.Millisecond)
+	c.clk.Sleep(300 * time.Millisecond)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.decided["validator-0"]) != 0 {
@@ -299,14 +290,7 @@ func TestHeightAdvances(t *testing.T) {
 	}
 	c.submitToProposer("a")
 	c.waitDecisions("validator-0", 1, 3*time.Second)
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if c.cores[0].Height() == 2 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("height = %d, want 2", c.cores[0].Height())
+	clocktest.Until(t, c.clk, time.Second, "height 2", func() bool { return c.cores[0].Height() == 2 })
 }
 
 // TestNonMemberVotesNeverCompleteAQuorum drives one core's handlers by hand:

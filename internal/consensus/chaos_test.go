@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
@@ -60,22 +61,32 @@ func (r *recorder) checkAgreement(t *testing.T, ids []string, upTo int) {
 	}
 }
 
-func waitCount(t *testing.T, r *recorder, id string, want int, timeout time.Duration) {
+// waitCount sleeps on clk until id has decided want slots.
+func waitCount(t *testing.T, clk clock.Clock, r *recorder, id string, want int, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if r.count(id) >= want {
-			return
+	clocktest.Until(t, clk, timeout, fmt.Sprintf("%s decides %d", id, want), func() bool { return r.count(id) >= want })
+}
+
+// waitLeader sleeps on clk until one of nodes leads and returns it.
+func waitLeader(t *testing.T, clk clock.Clock, nodes []*raft.Node) *raft.Node {
+	t.Helper()
+	var leader *raft.Node
+	clocktest.Until(t, clk, 5*time.Second, "a leader elected", func() bool {
+		for _, n := range nodes {
+			if n.Role() == raft.Leader {
+				leader = n
+			}
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("%s decided %d, want %d", id, r.count(id), want)
+		return leader != nil
+	})
+	return leader
 }
 
 // TestRaftAgreementUnderLatency runs Raft over the paper's netem model and
 // verifies total-order agreement still holds.
 func TestRaftAgreementUnderLatency(t *testing.T) {
-	tr := network.NewTransport(clock.New(),
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk,
 		network.NewNormalLatency(3*time.Millisecond, time.Millisecond, 11))
 	defer tr.Stop()
 	rec := newRecorder()
@@ -84,7 +95,7 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
-			Clock:             clock.New(),
+			Clock:             clk,
 			ID:                id,
 			Peers:             ids,
 			Transport:         tr,
@@ -105,26 +116,14 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 	}()
 
 	// Find the leader and push 20 entries through the jittery network.
-	var leader *raft.Node
-	deadline := time.Now().Add(5 * time.Second)
-	for leader == nil && time.Now().Before(deadline) {
-		for _, n := range nodes {
-			if n.Role() == raft.Leader {
-				leader = n
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if leader == nil {
-		t.Fatal("no leader under latency")
-	}
+	leader := waitLeader(t, clk, nodes)
 	for i := 0; i < 20; i++ {
 		if err := leader.Submit(fmt.Sprintf("e%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, id := range ids {
-		waitCount(t, rec, id, 20, 10*time.Second)
+		waitCount(t, clk, rec, id, 20, 10*time.Second)
 	}
 	rec.checkAgreement(t, ids, 20)
 }
@@ -132,7 +131,8 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 // TestBFTAgreementUnderLatency runs the shared three-phase core over the
 // netem model.
 func TestBFTAgreementUnderLatency(t *testing.T) {
-	tr := network.NewTransport(clock.New(),
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk,
 		network.NewNormalLatency(3*time.Millisecond, time.Millisecond, 13))
 	defer tr.Stop()
 	rec := newRecorder()
@@ -141,7 +141,7 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 	var cores []*bftcore.Core
 	for _, id := range ids {
 		c := bftcore.New(bftcore.Config{
-			Clock:        clock.New(),
+			Clock:        clk,
 			ID:           id,
 			Peers:        ids,
 			Transport:    tr,
@@ -163,10 +163,10 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 		if err := cores[i%4].Submit(fmt.Sprintf("p%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		clk.Sleep(2 * time.Millisecond)
 	}
 	for _, id := range ids {
-		waitCount(t, rec, id, 15, 15*time.Second)
+		waitCount(t, clk, rec, id, 15, 15*time.Second)
 	}
 	rec.checkAgreement(t, ids, 15)
 }
@@ -175,7 +175,8 @@ func TestBFTAgreementUnderLatency(t *testing.T) {
 // remaining quorum of three must keep deciding, and the rejoined node must
 // not have produced conflicting decisions.
 func TestBFTToleratesOneFaultyValidator(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	rec := newRecorder()
 
@@ -183,7 +184,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 	var cores []*bftcore.Core
 	for _, id := range ids {
 		c := bftcore.New(bftcore.Config{
-			Clock:        clock.New(),
+			Clock:        clk,
 			ID:           id,
 			Peers:        ids,
 			Transport:    tr,
@@ -209,11 +210,11 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 		for _, c := range cores[:3] {
 			_ = c.Submit(fmt.Sprintf("p%d", i))
 		}
-		time.Sleep(2 * time.Millisecond)
+		clk.Sleep(2 * time.Millisecond)
 	}
 	live := []string{"v0", "v1", "v2"}
 	for _, id := range live {
-		waitCount(t, rec, id, 8, 20*time.Second)
+		waitCount(t, clk, rec, id, 8, 20*time.Second)
 	}
 	rec.checkAgreement(t, live, 8)
 	// The isolated validator must have decided nothing by itself.
@@ -225,7 +226,8 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 // TestRaftPartitionMinorityCannotCommit cuts the cluster 2/1 and verifies
 // the minority side stops committing (no split brain).
 func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	rec := newRecorder()
 
@@ -233,7 +235,7 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
-			Clock:             clock.New(),
+			Clock:             clk,
 			ID:                id,
 			Peers:             ids,
 			Transport:         tr,
@@ -253,25 +255,13 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 		}
 	}()
 
-	var leader *raft.Node
-	deadline := time.Now().Add(5 * time.Second)
-	for leader == nil && time.Now().Before(deadline) {
-		for _, n := range nodes {
-			if n.Role() == raft.Leader {
-				leader = n
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if leader == nil {
-		t.Fatal("no leader")
-	}
+	leader := waitLeader(t, clk, nodes)
 
 	// Isolate the leader (minority of one); it must not commit new entries.
 	tr.Isolate(leader.Leader())
 	before := leader.CommitIndex()
 	_ = leader.Submit("orphan")
-	time.Sleep(150 * time.Millisecond)
+	clk.Sleep(150 * time.Millisecond)
 	if leader.CommitIndex() > before {
 		t.Fatal("isolated minority leader advanced its commit index (split brain)")
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
@@ -14,6 +15,7 @@ import (
 
 type cluster struct {
 	t         *testing.T
+	clk       *clock.AutoVirtual
 	transport *network.Transport
 	engines   []*Engine
 
@@ -23,9 +25,11 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
+	clk := clocktest.New(t)
 	c := &cluster{
 		t:         t,
-		transport: network.NewTransport(clock.New(), nil),
+		clk:       clk,
+		transport: network.NewTransport(clk, nil),
 		decided:   make(map[string][]consensus.Decision),
 	}
 	names := make([]string, n)
@@ -35,7 +39,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	for _, id := range names {
 		id := id
 		e := New(Config{
-			Clock:         clock.New(),
+			Clock:         clk,
 			ID:            id,
 			Validators:    names,
 			Transport:     c.transport,
@@ -60,27 +64,20 @@ func newCluster(t *testing.T, n int) *cluster {
 	return c
 }
 
+func (c *cluster) decidedBy(id string) []consensus.Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]consensus.Decision(nil), c.decided[id]...)
+}
+
+// waitDecisions sleeps on the cluster's clock until id has decided want
+// payloads and returns its decisions.
 func (c *cluster) waitDecisions(id string, want int, timeout time.Duration) []consensus.Decision {
 	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := len(c.decided[id])
-		c.mu.Unlock()
-		if n >= want {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			out := make([]consensus.Decision, len(c.decided[id]))
-			copy(out, c.decided[id])
-			return out
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.mu.Lock()
-	n := len(c.decided[id])
-	c.mu.Unlock()
-	c.t.Fatalf("%s decided %d, want %d", id, n, want)
-	return nil
+	clocktest.Until(c.t, c.clk, timeout, fmt.Sprintf("%s decides %d", id, want), func() bool {
+		return len(c.decidedBy(id)) >= want
+	})
+	return c.decidedBy(id)
 }
 
 func TestCommitsSubmittedPayload(t *testing.T) {
@@ -142,7 +139,7 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 	// Even with nothing submitted the pacemaker must advance rounds via
 	// empty blocks.
 	start := c.engines[0].Round()
-	time.Sleep(200 * time.Millisecond)
+	c.clk.Sleep(200 * time.Millisecond)
 	if got := c.engines[0].Round(); got <= start {
 		t.Fatalf("round did not advance: %d -> %d", start, got)
 	}
@@ -154,9 +151,10 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 }
 
 func TestSubmitNotRunning(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	e := New(Config{Clock: clock.New(), ID: "x", Validators: []string{"x"}, Transport: tr})
+	e := New(Config{Clock: clk, ID: "x", Validators: []string{"x"}, Transport: tr})
 	if err := e.Submit("v"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -176,9 +174,10 @@ func TestSurvivesLeaderIsolation(t *testing.T) {
 }
 
 func TestPendingCount(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	e := New(Config{Clock: clock.New(), ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
+	e := New(Config{Clock: clk, ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
@@ -15,6 +16,7 @@ import (
 
 type cluster struct {
 	t         *testing.T
+	clk       *clock.AutoVirtual
 	transport *network.Transport
 	engines   []*Engine
 
@@ -24,9 +26,11 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *cluster {
 	t.Helper()
+	clk := clocktest.New(t)
 	c := &cluster{
 		t:         t,
-		transport: network.NewTransport(clock.New(), nil),
+		clk:       clk,
+		transport: network.NewTransport(clk, nil),
 		decided:   make(map[string][]ProducedBlock),
 	}
 	names := make([]string, n)
@@ -36,7 +40,7 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 	for _, id := range names {
 		id := id
 		e := New(Config{
-			Clock:         clock.New(),
+			Clock:         clk,
 			ID:            id,
 			Witnesses:     names,
 			Transport:     c.transport,
@@ -68,6 +72,14 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 	return c
 }
 
+// waitItems sleeps on the cluster's clock until id has observed want items.
+func (c *cluster) waitItems(id string, want int) {
+	c.t.Helper()
+	clocktest.Until(c.t, c.clk, 5*time.Second, fmt.Sprintf("%s observes %d items", id, want), func() bool {
+		return len(c.collectItems(id)) >= want
+	})
+}
+
 func (c *cluster) collectItems(id string) []any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,17 +97,8 @@ func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(c.collectItems("witness-0")) >= 10 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.waitItems("witness-0", 10)
 	items := c.collectItems("witness-0")
-	if len(items) < 10 {
-		t.Fatalf("witness-0 observed %d items, want 10", len(items))
-	}
 	got := make(map[any]int)
 	for _, it := range items {
 		got[it]++
@@ -113,20 +116,9 @@ func TestAllWitnessesObserveBlocks(t *testing.T) {
 	if err := c.engines[0].Submit("payload"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for i := 0; i < 4; i++ {
-			if len(c.collectItems(fmt.Sprintf("witness-%d", i))) < 1 {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c.waitItems(fmt.Sprintf("witness-%d", i), 1)
 	}
-	t.Fatal("not every witness observed the block")
 }
 
 func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
@@ -136,13 +128,7 @@ func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(c.collectItems("witness-0")) >= 10 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.waitItems("witness-0", 10)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, b := range c.decided["witness-0"] {
@@ -154,7 +140,7 @@ func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
 
 func TestScheduleSharesProduction(t *testing.T) {
 	c := newCluster(t, 3, 5*time.Millisecond, 0)
-	time.Sleep(300 * time.Millisecond)
+	c.clk.Sleep(300 * time.Millisecond)
 	producing := 0
 	for _, e := range c.engines {
 		if e.Produced() > 0 {
@@ -167,7 +153,8 @@ func TestScheduleSharesProduction(t *testing.T) {
 }
 
 func TestWitnessForSlotDeterministic(t *testing.T) {
-	e := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+	clk := clocktest.New(t)
+	e := New(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 	for slot := uint64(0); slot < 30; slot++ {
 		if e.witnessForSlot(slot) != e.witnessForSlot(slot) {
 			t.Fatal("schedule must be deterministic")
@@ -176,7 +163,7 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 	// The order kept for a round must equal a fresh computation, also when
 	// slots are visited out of order.
 	for _, slot := range []uint64{0, 7, 3, 29, 4, 8, 2, 28} {
-		fresh := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+		fresh := New(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
 			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
 		}
@@ -204,9 +191,10 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 }
 
 func TestSubmitNotRunning(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	e := New(Config{Clock: clock.New(), ID: "x", Witnesses: []string{"x"}, Transport: tr})
+	e := New(Config{Clock: clk, ID: "x", Witnesses: []string{"x"}, Transport: tr})
 	if err := e.Submit(1); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -218,25 +206,18 @@ func TestFinalizationLatencyTracksInterval(t *testing.T) {
 	// means waiting roughly one interval.
 	interval := 50 * time.Millisecond
 	c := newCluster(t, 2, interval, 0)
-	time.Sleep(interval) // let the schedule start
-	start := time.Now()
+	c.clk.Sleep(interval) // let the schedule start
+	start := c.clk.Now()
 	if err := c.engines[0].Submit("timed"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, it := range c.collectItems("witness-0") {
-			if it == "timed" {
-				elapsed := time.Since(start)
-				if elapsed > 4*interval {
-					t.Fatalf("finalization took %v, want O(block_interval)=%v", elapsed, interval)
-				}
-				return
-			}
-		}
-		time.Sleep(time.Millisecond)
+	c.waitItems("witness-0", 1)
+	if elapsed := c.clk.Since(start); elapsed > 4*interval {
+		t.Fatalf("finalization took %v, want O(block_interval)=%v", elapsed, interval)
 	}
-	t.Fatal("item never finalized")
+	if items := c.collectItems("witness-0"); items[0] != "timed" {
+		t.Fatalf("finalized %v, want the timed item", items)
+	}
 }
 
 // dropIncludedOracle is the backlog removal acceptBlock used to do: every
@@ -275,7 +256,7 @@ func TestDropIncludedMatchesNestedLoop(t *testing.T) {
 			payloads[i] = fmt.Sprintf("item-%d", i)
 		}
 	}
-	e := New(Config{Clock: clock.New(), ID: "w", Witnesses: []string{"w"}})
+	e := New(Config{Clock: clocktest.New(t), ID: "w", Witnesses: []string{"w"}})
 	for trial := 0; trial < 500; trial++ {
 		pending := make([]gossipMsg, rng.Intn(30))
 		for i := range pending {
@@ -314,9 +295,10 @@ func TestDropIncludedMatchesNestedLoop(t *testing.T) {
 // config that disagrees keeps its own.
 func TestNetworkSharesOneSchedule(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
+	clk := clocktest.New(t)
 	cfgs := make([]Config, 4)
 	for i := range cfgs {
-		cfgs[i] = Config{Clock: clock.New(), ID: names[i], Witnesses: names, ShuffleSeed: 9}
+		cfgs[i] = Config{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	cfgs[3].ShuffleSeed = 10
 	engines := NewNetwork(cfgs)
@@ -342,9 +324,10 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 // affected by no other engine.
 func TestNetworkSharesOneGossipIndex(t *testing.T) {
 	names := []string{"a", "b", "c"}
+	clk := clocktest.New(t)
 	cfgs := make([]Config, len(names))
 	for i := range cfgs {
-		cfgs[i] = Config{Clock: clock.New(), ID: names[i], Witnesses: names, ShuffleSeed: 9}
+		cfgs[i] = Config{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	engines := NewNetwork(cfgs)
 	solo := New(cfgs[0])

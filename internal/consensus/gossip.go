@@ -14,7 +14,7 @@ import (
 // Nodes 0–63 share one inline word per message, so an entry of a network of
 // up to 64 nodes costs nothing beyond map growth; nodes from 64 up spill to
 // a second map that smaller networks never touch. The index has its own
-// lock: on the wall clock the nodes sharing it run on separate goroutines.
+// lock.
 type GossipIndex struct {
 	mu    sync.Mutex
 	low   map[crypto.Hash]uint64   // bit i: node i < 64 admitted the message

@@ -88,8 +88,7 @@ type Signer func(party string, txID crypto.Hash) (crypto.Signature, error)
 // mode. In Serial mode the total latency is the sum of per-party latencies;
 // in Parallel mode it is the maximum. Any failure aborts the collection.
 // Parallel collection runs each party's signing on its own clock actor, so
-// under virtual time the concurrent waits overlap exactly as they would on
-// the wall clock.
+// the concurrent waits overlap on the clock.
 func CollectSignatures(clk clock.Clock, mode SigningMode, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	switch mode {
 	case Parallel:

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
@@ -98,12 +98,9 @@ func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
 func TestCollectSignaturesSerial(t *testing.T) {
 	parties := []string{"node-0", "node-1", "node-2", "node-3"}
 	var order []string
-	var mu sync.Mutex
-	sigs, err := CollectSignatures(clock.New(), Serial, parties, crypto.SumString("tx"),
+	sigs, err := CollectSignatures(clocktest.New(t), Serial, parties, crypto.SumString("tx"),
 		func(p string, txID crypto.Hash) (crypto.Signature, error) {
-			mu.Lock()
 			order = append(order, p)
-			mu.Unlock()
 			return crypto.Signature{Signer: p}, nil
 		})
 	if err != nil {
@@ -125,35 +122,36 @@ func TestCollectSignaturesSerial(t *testing.T) {
 func TestCollectSignaturesSerialLatencyIsSum(t *testing.T) {
 	parties := []string{"a", "b", "c", "d"}
 	perParty := 20 * time.Millisecond
-	start := time.Now()
-	_, err := CollectSignatures(clock.New(), Serial, parties, crypto.SumString("tx"),
+	clk := clocktest.New(t)
+	start := clk.Now()
+	_, err := CollectSignatures(clk, Serial, parties, crypto.SumString("tx"),
 		func(p string, _ crypto.Hash) (crypto.Signature, error) {
-			time.Sleep(perParty)
+			clk.Sleep(perParty)
 			return crypto.Signature{Signer: p}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 4*perParty {
-		t.Fatalf("serial collection took %v, want >= %v", elapsed, 4*perParty)
+	if elapsed := clk.Since(start); elapsed != 4*perParty {
+		t.Fatalf("serial collection took %v, want the sum %v", elapsed, 4*perParty)
 	}
 }
 
 func TestCollectSignaturesParallelLatencyIsMax(t *testing.T) {
 	parties := []string{"a", "b", "c", "d"}
 	perParty := 30 * time.Millisecond
-	start := time.Now()
-	sigs, err := CollectSignatures(clock.New(), Parallel, parties, crypto.SumString("tx"),
+	clk := clocktest.New(t)
+	start := clk.Now()
+	sigs, err := CollectSignatures(clk, Parallel, parties, crypto.SumString("tx"),
 		func(p string, _ crypto.Hash) (crypto.Signature, error) {
-			time.Sleep(perParty)
+			clk.Sleep(perParty)
 			return crypto.Signature{Signer: p}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed >= time.Duration(len(parties))*perParty {
-		t.Fatalf("parallel collection took %v (looks serial)", elapsed)
+	if elapsed := clk.Since(start); elapsed != perParty {
+		t.Fatalf("parallel collection took %v, want the slowest party's %v", elapsed, perParty)
 	}
 	if len(sigs) != 4 {
 		t.Fatalf("got %d signatures", len(sigs))
@@ -167,8 +165,9 @@ func TestCollectSignaturesParallelLatencyIsMax(t *testing.T) {
 
 func TestCollectSignaturesPropagatesError(t *testing.T) {
 	wantErr := errors.New("party refused")
+	clk := clocktest.New(t)
 	for _, mode := range []SigningMode{Serial, Parallel} {
-		_, err := CollectSignatures(clock.New(), mode, []string{"a", "b"}, crypto.SumString("tx"),
+		_, err := CollectSignatures(clk, mode, []string{"a", "b"}, crypto.SumString("tx"),
 			func(p string, _ crypto.Hash) (crypto.Signature, error) {
 				if p == "b" {
 					return crypto.Signature{}, wantErr

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/network"
 )
@@ -14,6 +15,7 @@ import (
 // cluster is a test harness wiring n Raft nodes over one transport.
 type cluster struct {
 	t         *testing.T
+	clk       *clock.AutoVirtual
 	transport *network.Transport
 	nodes     []*Node
 
@@ -23,9 +25,11 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
+	clk := clocktest.New(t)
 	c := &cluster{
 		t:         t,
-		transport: network.NewTransport(clock.New(), nil),
+		clk:       clk,
+		transport: network.NewTransport(clk, nil),
 		decided:   make(map[string][]consensus.Decision),
 	}
 	peers := make([]string, n)
@@ -35,7 +39,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		node := New(Config{
-			Clock:             clock.New(),
+			Clock:             clk,
 			ID:                id,
 			Peers:             peers,
 			Transport:         c.transport,
@@ -68,49 +72,44 @@ func (c *cluster) recorder(id string) consensus.DecideFunc {
 	}
 }
 
-func (c *cluster) waitLeader(timeout time.Duration) *Node {
-	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, n := range c.nodes {
-			if n.Role() == Leader {
-				return n
-			}
+// leaderOtherThan returns a node other than old that leads, or nil.
+func (c *cluster) leaderOtherThan(old *Node) *Node {
+	for _, n := range c.nodes {
+		if n != old && n.Role() == Leader {
+			return n
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	c.t.Fatal("no leader elected")
 	return nil
 }
 
+// waitLeader sleeps on the cluster's clock until a node leads.
+func (c *cluster) waitLeader(timeout time.Duration) *Node {
+	c.t.Helper()
+	clocktest.Until(c.t, c.clk, timeout, "a leader elected", func() bool { return c.leaderOtherThan(nil) != nil })
+	return c.leaderOtherThan(nil)
+}
+
+func (c *cluster) decidedBy(id string) []consensus.Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]consensus.Decision(nil), c.decided[id]...)
+}
+
+// waitDecisions sleeps on the cluster's clock until node id has decided want
+// entries and returns its decisions.
 func (c *cluster) waitDecisions(id string, want int, timeout time.Duration) []consensus.Decision {
 	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		got := len(c.decided[id])
-		c.mu.Unlock()
-		if got >= want {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			out := make([]consensus.Decision, len(c.decided[id]))
-			copy(out, c.decided[id])
-			return out
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c.mu.Lock()
-	got := len(c.decided[id])
-	c.mu.Unlock()
-	c.t.Fatalf("node %s decided %d entries, want %d", id, got, want)
-	return nil
+	clocktest.Until(c.t, c.clk, timeout, fmt.Sprintf("node %s decides %d entries", id, want), func() bool {
+		return len(c.decidedBy(id)) >= want
+	})
+	return c.decidedBy(id)
 }
 
 func TestElectsSingleLeader(t *testing.T) {
 	c := newCluster(t, 3)
 	c.waitLeader(2 * time.Second)
 	// Give elections time to settle, then count leaders in the same term.
-	time.Sleep(100 * time.Millisecond)
+	c.clk.Sleep(100 * time.Millisecond)
 	leaders := 0
 	var term uint64
 	for _, n := range c.nodes {
@@ -182,7 +181,7 @@ func TestFollowerForwardsSubmit(t *testing.T) {
 	}
 	if follower == nil {
 		// Followers may not have heard a heartbeat yet; wait briefly.
-		time.Sleep(50 * time.Millisecond)
+		c.clk.Sleep(50 * time.Millisecond)
 		for _, n := range c.nodes {
 			if n != leader && n.Leader() == leader.cfg.ID {
 				follower = n
@@ -214,20 +213,10 @@ func TestLeaderFailover(t *testing.T) {
 
 	// Isolate the leader; a new one must emerge among the rest.
 	c.transport.Isolate(leader.cfg.ID)
-	deadline := time.Now().Add(3 * time.Second)
-	var newLeader *Node
-	for time.Now().Before(deadline) && newLeader == nil {
-		for _, n := range c.nodes {
-			if n != leader && n.Role() == Leader {
-				newLeader = n
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if newLeader == nil {
-		t.Fatal("no new leader after isolating old leader")
-	}
+	clocktest.Until(t, c.clk, 3*time.Second, "a new leader after isolating the old one", func() bool {
+		return c.leaderOtherThan(leader) != nil
+	})
+	newLeader := c.leaderOtherThan(leader)
 	if err := newLeader.Submit("after-failover"); err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +227,11 @@ func TestLeaderFailover(t *testing.T) {
 }
 
 func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 	n := New(Config{
-		Clock:     clock.New(),
+		Clock:     clk,
 		ID:        "solo-follower",
 		Peers:     []string{"solo-follower", "ghost-1", "ghost-2"},
 		Transport: tr,
@@ -258,9 +248,10 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 }
 
 func TestSubmitAfterStop(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	n := New(Config{Clock: clock.New(), ID: "a", Peers: []string{"a"}, Transport: tr})
+	n := New(Config{Clock: clk, ID: "a", Peers: []string{"a"}, Transport: tr})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +262,17 @@ func TestSubmitAfterStop(t *testing.T) {
 }
 
 func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
-	tr := network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	var mu sync.Mutex
 	var got []any
 	n := New(Config{
-		Clock:     clock.New(),
+		Clock:     clk,
 		ID:        "solo",
 		Peers:     []string{"solo"},
 		Transport: tr,
 		OnDecide: func(d consensus.Decision) {
-			mu.Lock()
 			got = append(got, d.Payload)
-			mu.Unlock()
 		},
 		HeartbeatInterval: 2 * time.Millisecond,
 		ElectionTimeout:   10 * time.Millisecond,
@@ -293,26 +282,11 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 	}
 	defer n.Stop()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Role() != Leader && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n.Role() != Leader {
-		t.Fatal("single node did not become leader")
-	}
+	clocktest.Until(t, clk, 2*time.Second, "single node leads", func() bool { return n.Role() == Leader })
 	if err := n.Submit("only"); err != nil {
 		t.Fatal(err)
 	}
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := len(got) == 1
-		mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("single-node cluster did not decide")
+	clocktest.Until(t, clk, 2*time.Second, "single-node cluster decides", func() bool { return len(got) == 1 })
 }
 
 func TestRoleString(t *testing.T) {

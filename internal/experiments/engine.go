@@ -81,14 +81,13 @@ type OutcomeRow struct {
 }
 
 // Outcome is a scenario's full measured result: the spec it ran and one
-// row per cell, in deterministic expansion order. Virtual-time runs also
-// carry one CellTiming per cell.
+// row per cell, in deterministic expansion order, and one CellTiming per
+// cell.
 type Outcome struct {
 	Scenario Scenario     `json:"scenario"`
 	Rows     []OutcomeRow `json:"rows"`
-	// Timings reports per-cell simulated-versus-wall time when the
-	// scenario ran under the virtual clock; empty on real-time runs.
-	// The entries are wall-clock measurements, so they vary run to run
+	// Timings reports each cell's simulated-versus-wall time and kernel
+	// counters. The entries are wall-clock measurements, so they vary run to run
 	// even when the Rows are bit-identical.
 	Timings []CellTiming `json:"timings,omitempty"`
 }
@@ -151,10 +150,18 @@ func (c *walCell) label() string {
 	return c.spec.Label(c.snapshotEvery, c.crashPoint)
 }
 
-// checkFinite rejects a NaN or infinite run length or scale, which would
-// otherwise size every cell as zero or unbounded; a value <= 0 still means
-// the default.
-func (o Options) checkFinite() error {
+// Validate rejects options no run can honour: a clock other than the one
+// virtual clock, and a NaN or infinite run length or scale, which would
+// otherwise size every cell as zero or unbounded (a value <= 0 still means
+// the default).
+func (o Options) Validate() error {
+	switch o.Time {
+	case "", "virtual":
+	case "real":
+		return fmt.Errorf("experiments: Time %q was removed: every run executes on the virtual clock (want \"\" or \"virtual\")", o.Time)
+	default:
+		return fmt.Errorf("experiments: unknown Time %q (want \"\" or \"virtual\")", o.Time)
+	}
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -190,21 +197,10 @@ func (c cellSpec) label() string {
 // can override (Arrival, Repetitions, Seed, Nodes, Netem); Options.Progress
 // streams per-cell events. ctx cancels between cells.
 func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
-	if err := o.checkFinite(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	o.fill()
-	if sc.Time != "" {
-		o.Time = sc.Time
-	}
-	if o.virtualTime() {
-		// One P for the whole run: the auto-advancing clock runs one goroutine
-		// at a time, so a second P only adds cross-thread hand-offs — and lets
-		// whatever runs outside the execution token (ROADMAP's defect list
-		// names one such path) reach the model, which made two identical runs
-		// differ at GOMAXPROCS=8.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,11 +225,9 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 		if o.Progress != nil {
 			o.Progress(Progress{Scenario: sc.Name, Cell: cell.label(), System: cell.system, Index: i + 1, Total: len(cells)})
 		}
-		if o.virtualTime() {
-			// A fresh meter per cell so Timings isolate each cell's clocks;
-			// a cell served by an earlier cell's run constructs none.
-			o.meter = &clockMeter{}
-		}
+		// A fresh meter per cell so Timings isolate each cell's clocks; a
+		// cell served by an earlier cell's run constructs none.
+		o.meter = &clockMeter{}
 		w0 := clock.Walltime()
 		owner := plan[i].owner
 		if owner == i {
@@ -252,18 +246,16 @@ func Run(ctx context.Context, sc Scenario, o Options) (*Outcome, error) {
 		// set just before or just after a cell's largest burst moved a sweep's
 		// peak RSS between 61 and 104 MB from run to run.
 		runtime.GC()
-		if o.virtualTime() {
-			wall := clock.Walltime().Sub(w0).Seconds()
-			t := CellTiming{Cell: cell.label(), WallSeconds: wall}
-			if owner != i {
-				t.RunBy = owner + 1
-			}
-			o.meter.fill(&t)
-			if wall > 0 {
-				t.Speedup = t.SimSeconds / wall
-			}
-			out.Timings = append(out.Timings, t)
+		wall := clock.Walltime().Sub(w0).Seconds()
+		t := CellTiming{Cell: cell.label(), WallSeconds: wall}
+		if owner != i {
+			t.RunBy = owner + 1
 		}
+		o.meter.fill(&t)
+		if wall > 0 {
+			t.Speedup = t.SimSeconds / wall
+		}
+		out.Timings = append(out.Timings, t)
 		row := OutcomeRow{
 			System:    cell.system,
 			Benchmark: res.Benchmark,

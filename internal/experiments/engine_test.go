@@ -86,6 +86,45 @@ func TestRunRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestOptionsValidateAcceptsOnlyTheVirtualClock: "" and "virtual" both name
+// the one clock; the removed "real" fails with an error that says so, and
+// Run refuses it before building anything.
+func TestOptionsValidateAcceptsOnlyTheVirtualClock(t *testing.T) {
+	for _, ok := range []string{"", "virtual"} {
+		if err := (Options{Time: ok}).Validate(); err != nil {
+			t.Fatalf("Time %q: %v", ok, err)
+		}
+	}
+	err := Options{Time: "real"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("Time \"real\": err = %v, want one saying the mode was removed", err)
+	}
+	if err := (Options{Time: "wall"}).Validate(); err == nil {
+		t.Fatal("Time \"wall\" validated")
+	}
+	sc := Scenario{Systems: []string{systems.NameQuorum}, Benchmarks: []string{"DoNothing"}}
+	if _, err := Run(context.Background(), sc, Options{Time: "real"}); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("Run with Time \"real\": err = %v", err)
+	}
+}
+
+// TestRunDefaultsToTheVirtualClock: Options with no Time run on the virtual
+// clock, so every cell reports the simulated time it covered and its
+// kernel's counters.
+func TestRunDefaultsToTheVirtualClock(t *testing.T) {
+	sc := Scenario{Systems: []string{systems.NameFabric}, Benchmarks: []string{"DoNothing"}}
+	oc, err := Run(context.Background(), sc, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oc.Timings) != 1 {
+		t.Fatalf("timings = %d, want one for the one cell", len(oc.Timings))
+	}
+	if tm := oc.Timings[0]; tm.SimSeconds <= 0 || tm.Handoffs <= 0 || tm.TimerFires <= 0 {
+		t.Fatalf("cell timing %+v: want simulated seconds, hand-offs and timer fires", tm)
+	}
+}
+
 func TestRunHonorsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -105,7 +144,6 @@ func TestRunHonorsContextCancellation(t *testing.T) {
 func TestEveryCellCollectsItsOwnGarbage(t *testing.T) {
 	sc := Scenario{Name: "gc", Systems: []string{systems.NameFabric, systems.NameBitShares}, Benchmarks: []string{"DoNothing"}}
 	opts := fastOptions()
-	opts.Time = "virtual"
 	var cycles []uint32
 	opts.Progress = func(Progress) {
 		var m runtime.MemStats
@@ -135,7 +173,7 @@ func TestContentionUnderChaosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Scale: 0.004, SendSeconds: 150, GraceSeconds: 60, Repetitions: 1, Seed: 42, Time: "virtual"}
+	opts := Options{Scale: 0.004, SendSeconds: 150, GraceSeconds: 60, Repetitions: 1, Seed: 42}
 	outcome, err := Run(context.Background(), sc, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +242,7 @@ func TestEngineSeedStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Systems = []string{systems.NameQuorum}
-	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60, Repetitions: 1, Seed: 42, Time: "virtual"}
+	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60, Repetitions: 1, Seed: 42}
 
 	measure := func() *Outcome {
 		outcome, err := Run(context.Background(), sc, opts)

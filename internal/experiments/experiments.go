@@ -62,9 +62,10 @@ type Options struct {
 	Arrival string
 	// Seed drives deterministic randomness.
 	Seed int64
-	// Time selects the run's clock: "" or "real" executes on the wall
-	// clock, "virtual" on the auto-advancing simulated clock, which makes
-	// every cell CPU-bound and bit-deterministic at a fixed seed.
+	// Time names the run's clock, and there is one: every run executes on
+	// the auto-advancing virtual clock, which makes every cell CPU-bound
+	// and bit-deterministic at a fixed seed. "" and "virtual" both name it;
+	// Validate rejects anything else, the removed "real" among it.
 	Time string
 	// WAL, when set, runs every node's commit plane through a write-ahead
 	// log with these options (latencies pre-scaled). The engine fills it
@@ -86,20 +87,10 @@ type Options struct {
 	meter *clockMeter
 }
 
-// ValidTime reports whether a time-axis value is recognised.
-func ValidTime(t string) bool { return t == "" || t == "real" || t == "virtual" }
-
-// virtualTime reports whether the run executes on the auto-advancing clock.
-func (o Options) virtualTime() bool { return o.Time == "virtual" }
-
-// newClockFn returns the per-repetition clock factory: a fresh wall clock
-// in real mode, a fresh AutoVirtual in virtual mode. Fresh-per-repetition
-// matters even on the wall clock — a repetition must never inherit another
-// repetition's timer state.
+// newClockFn returns the per-repetition clock factory: a fresh AutoVirtual
+// each time, because a repetition must never inherit another repetition's
+// timer state.
 func (o Options) newClockFn() func() clock.Clock {
-	if !o.virtualTime() {
-		return clock.New
-	}
 	m := o.meter
 	return func() clock.Clock {
 		c := clock.NewAutoVirtual()

@@ -22,7 +22,6 @@ func fastOptions() Options {
 		GraceSeconds: 60,
 		Repetitions:  1,
 		Seed:         1,
-		Time:         "virtual",
 	}
 }
 
@@ -128,7 +127,7 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 	quorumTPS := measure(systems.NameQuorum, fastOptions())
 	// Sawtooth's drain is real-time-limited (~1s per 100-tx batch), so its
 	// window must cover several batch validations.
-	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1, Time: "virtual"})
+	sawtoothTPS := measure(systems.NameSawtooth, Options{Scale: 0.01, Repetitions: 1, Seed: 1})
 	cordaOSTPS := measure(systems.NameCordaOS, fastOptions())
 
 	if fabricTPS <= quorumTPS {

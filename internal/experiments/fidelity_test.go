@@ -210,7 +210,7 @@ func modelDigest(figure3, figure4 []OutcomeRow) (string, error) {
 // its committed bound. It also pins the model bit for bit, so a refactor
 // that moves any measured number fails here even inside the bounds.
 func TestPaperFidelity(t *testing.T) {
-	o := Options{Scale: 0.01, Seed: 42, Time: "virtual"}
+	o := Options{Scale: 0.01, Seed: 42}
 	run := func(name string) []OutcomeRow {
 		sc, err := ScenarioByName(name)
 		if err != nil {
@@ -241,12 +241,9 @@ func TestPaperFidelity(t *testing.T) {
 	}
 
 	// The fingerprint is checked on amd64 only: arm64 fuses multiply-adds,
-	// which rounds differently and moves the last bits of the results. Nor
-	// is it checked under the race detector: Corda Enterprise's flow path
-	// runs work outside the execution token, so the race runtime's
-	// scheduling moves its Figure 4 rows.
-	if runtime.GOARCH != "amd64" || raceDetector {
-		t.Logf("model fingerprint not checked on %s (race detector: %v)", runtime.GOARCH, raceDetector)
+	// which rounds differently and moves the last bits of the results.
+	if runtime.GOARCH != "amd64" {
+		t.Logf("model fingerprint not checked on %s", runtime.GOARCH)
 		return
 	}
 	got, err := modelDigest(lan, wan)

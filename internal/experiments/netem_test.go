@@ -22,7 +22,7 @@ func TestNetemCellsCompleteUnderVirtualTime(t *testing.T) {
 		t.Run(system, func(t *testing.T) {
 			meter := &clockMeter{}
 			opts := Options{Scale: 0.01, SendSeconds: 30, GraceSeconds: 30,
-				Seed: 42, Time: "virtual", Netem: true, meter: meter}
+				Seed: 42, Netem: true, meter: meter}
 			results, err := execCell(cellSpec{system: system, bench: coconut.BenchDoNothing, params: Params{RL: 200}},
 				[]coconut.BenchmarkName{coconut.BenchDoNothing}, opts, 0, nil, "")
 			if err != nil {
@@ -47,31 +47,38 @@ func TestNetemCellsCompleteUnderVirtualTime(t *testing.T) {
 // itself from the host. The transport once built min(8, GOMAXPROCS) delivery
 // shards, and which endpoints shared one decided the order of same-instant
 // deliveries — invisible on four nodes, two rows of Figure 5 on thirty-two.
-// The cells run through execCell, below the engine's one-P pin, so the
-// model itself is what must not move: a zero-latency and an emulated-WAN
-// 4-node cell and Figure 5's 32-node Quorum cell give equal results at
-// GOMAXPROCS 1 and 8.
+// And Corda Enterprise forks a wave per flow to sign in parallel, which let
+// a second actor take the token mid-wave when a second P started the wave's
+// goroutines late. A zero-latency and an emulated-WAN 4-node Quorum cell,
+// Figure 5's 32-node Quorum cell and Corda Enterprise's Figure 4 cell give
+// equal results at GOMAXPROCS 1 and 8.
 func TestCoreCountNeverReachesTheModel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	best, ok := BestCell(systems.NameQuorum, coconut.BenchDoNothing)
 	if !ok {
 		t.Fatal("no Figure 3 cell for Quorum DoNothing")
 	}
-	small := Options{Scale: 0.01, SendSeconds: 30, GraceSeconds: 30, Seed: 42, Time: "virtual"}
+	small := Options{Scale: 0.01, SendSeconds: 30, GraceSeconds: 30, Seed: 42}
 	wan, figure5 := small, small
 	wan.Netem = true
 	// A third of Figure 5's send window reaches the first reordered tie.
 	figure5.Netem, figure5.Nodes, figure5.SendSeconds = true, 32, 100
+	corda, ok := BestCell(systems.NameCordaEnt, coconut.BenchKeyValueSet)
+	if !ok {
+		t.Fatal("no Figure 3 cell for Corda Enterprise KeyValue-Set")
+	}
 	for _, tc := range []struct {
 		name    string
+		system  string
 		bench   coconut.BenchmarkName
 		params  Params
 		opts    Options
 		threads int
 	}{
-		{"netem=false", coconut.BenchKeyValueSet, Params{RL: 400}, small, 0},
-		{"netem=true", coconut.BenchKeyValueSet, Params{RL: 400}, wan, 0},
-		{"figure5 n=32", coconut.BenchDoNothing, best.Params, figure5, benchGridThreads},
+		{"netem=false", systems.NameQuorum, coconut.BenchKeyValueSet, Params{RL: 400}, small, 0},
+		{"netem=true", systems.NameQuorum, coconut.BenchKeyValueSet, Params{RL: 400}, wan, 0},
+		{"figure5 n=32", systems.NameQuorum, coconut.BenchDoNothing, best.Params, figure5, benchGridThreads},
+		{"figure4 Corda Enterprise", systems.NameCordaEnt, coconut.BenchKeyValueSet, corda.Params, wan, benchGridThreads},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The whole §4.1 unit, so a read phase runs on the write phase's
@@ -80,7 +87,7 @@ func TestCoreCountNeverReachesTheModel(t *testing.T) {
 			var results [][]coconut.Result
 			for _, procs := range []int{1, 8} {
 				runtime.GOMAXPROCS(procs)
-				res, err := execCell(cellSpec{system: systems.NameQuorum, bench: tc.bench, params: tc.params},
+				res, err := execCell(cellSpec{system: tc.system, bench: tc.bench, params: tc.params},
 					coconut.BenchmarkUnits[u], tc.opts, tc.threads, nil, "")
 				if err != nil {
 					t.Fatal(err)

@@ -50,21 +50,6 @@ func assertRowsMatchSingleBenchmarkRuns(t *testing.T, sc Scenario, o Options) *O
 	return out
 }
 
-// raceFreeSystems leaves out Corda Enterprise under the race detector,
-// whose scheduling moves that system's rows (see TestPaperFidelity).
-func raceFreeSystems(all []string) []string {
-	if !raceDetector {
-		return all
-	}
-	var out []string
-	for _, s := range all {
-		if s != systems.NameCordaEnt {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // TestSharedUnitRunsKeepRows: at an explicit parameter point all six
 // members of a system share runs, one per §4.1 unit; at the Figure 3 winners
 // only the members whose winners coincide do (Fabric, BitShares and Diem
@@ -73,7 +58,7 @@ func raceFreeSystems(all []string) []string {
 func TestSharedUnitRunsKeepRows(t *testing.T) {
 	o := fastOptions()
 	t.Run("explicit params", func(t *testing.T) {
-		for _, system := range raceFreeSystems(AllSystems) {
+		for _, system := range AllSystems {
 			best, ok := BestCell(system, coconut.BenchDoNothing)
 			if !ok {
 				t.Fatalf("no Figure 3 cell for %s DoNothing", system)

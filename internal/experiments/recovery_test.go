@@ -28,7 +28,7 @@ func TestRecoveryCostReplayScaling(t *testing.T) {
 	// so the send window must be long enough in sim time for the crashed
 	// node to keep accumulating log between consecutive crash points.
 	opts := Options{Scale: 0.1, SendSeconds: 120, GraceSeconds: 60,
-		Repetitions: 1, Seed: 42, Time: "virtual"}
+		Repetitions: 1, Seed: 42}
 
 	run := func() (*Outcome, []byte) {
 		t.Helper()

@@ -82,11 +82,6 @@ type Scenario struct {
 	Repetitions int `json:"repetitions,omitempty"`
 	// Seed overrides Options.Seed when != 0.
 	Seed int64 `json:"seed,omitempty"`
-	// Time selects the cell clock: "real" runs against the wall clock,
-	// "virtual" against the auto-advancing simulated clock (every run
-	// becomes CPU-bound and the report gains per-cell speedup timings).
-	// Empty inherits Options.Time.
-	Time string `json:"time,omitempty"`
 	// PaperRef attaches the paper's reference values to the result rows:
 	// "figure3" (BestParams, no Netem), "figure4" (BestParams, Netem),
 	// "figure5" (Nodes, Netem, DoNothing only), or "table:<id>" (e.g.
@@ -316,9 +311,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.Repetitions < 0 {
 		return fail("Repetitions %d is negative", s.Repetitions)
-	}
-	if !ValidTime(s.Time) {
-		return fail("unknown Time %q (want real or virtual)", s.Time)
 	}
 
 	if f := s.Faults; f != nil {

@@ -74,6 +74,18 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseScenarioRejectsTime: a scenario no longer names a clock. A spec
+// that still carries "time", the removed "real" or the one "virtual", is an
+// error naming the field, not a panic and not a run on some other clock.
+func TestParseScenarioRejectsTime(t *testing.T) {
+	for _, v := range []string{"real", "virtual"} {
+		_, err := ParseScenario([]byte(`{"name":"x","systems":["Fabric"],"time":"` + v + `"}`))
+		if err == nil || !strings.Contains(err.Error(), `"time"`) {
+			t.Fatalf("time %q: err = %v, want an unknown-field error naming \"time\"", v, err)
+		}
+	}
+}
+
 func TestScenarioValidationRejectsConflicts(t *testing.T) {
 	type conflict struct {
 		name    string

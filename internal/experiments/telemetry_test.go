@@ -33,7 +33,7 @@ func TestTraceAllSystemsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60,
-		Repetitions: 1, Seed: 42, Time: "virtual"}
+		Repetitions: 1, Seed: 42}
 
 	export := func() []byte {
 		t.Helper()
@@ -104,7 +104,7 @@ func TestGaugeSeriesMatchesTimeline(t *testing.T) {
 	}
 	sc.Systems = []string{systems.NameFabric, systems.NameCordaOS}
 	opts := Options{Scale: 0.004, SendSeconds: 120, GraceSeconds: 60,
-		Repetitions: 1, Seed: 42, Time: "virtual"}
+		Repetitions: 1, Seed: 42}
 	oc, err := Run(context.Background(), sc, opts)
 	if err != nil {
 		t.Fatal(err)

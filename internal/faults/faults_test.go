@@ -8,6 +8,7 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
@@ -223,7 +224,7 @@ func TestInjectorDeterministicUnderVirtualClock(t *testing.T) {
 // restart-without-crash are no-ops, not panics.
 func TestInjectorIdempotence(t *testing.T) {
 	d := newStubDriver(4)
-	in := NewInjector(d, Schedule{}, clock.New())
+	in := NewInjector(d, Schedule{}, clocktest.New(t))
 
 	if err := in.Apply(Event{Kind: CrashNode, Node: 1}); err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestInjectorIdempotence(t *testing.T) {
 // must not resurrect it early.
 func TestInjectorHealLeavesExplicitCrashesDown(t *testing.T) {
 	d := newStubDriver(4)
-	in := NewInjector(d, Schedule{}, clock.New())
+	in := NewInjector(d, Schedule{}, clocktest.New(t))
 
 	if err := in.Apply(Event{Kind: Partition, Group: []int{1, 2}}); err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func TestInjectorHealLeavesExplicitCrashesDown(t *testing.T) {
 // as applied.
 func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
 	d := newStubDriver(4) // the chassis' FaultTransport: nil
-	in := NewInjector(d, Schedule{}, clock.New())
+	in := NewInjector(d, Schedule{}, clocktest.New(t))
 	if err := in.Apply(Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +320,14 @@ func TestInjectorDegradeWithoutTransportNotRecorded(t *testing.T) {
 // left broken, including transport degradations.
 func TestInjectorStopRestoresHealth(t *testing.T) {
 	d := &transportStub{newStubDriver(4)}
-	d.tr = network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	d.tr = network.NewTransport(clk, nil)
 	defer d.tr.Stop()
 	for i := 0; i < 4; i++ {
 		d.tr.Register(fmt.Sprintf("n%d", i), func(network.Message) {})
 	}
 
-	in := NewInjector(d, Schedule{}, clock.New())
+	in := NewInjector(d, Schedule{}, clk)
 	if err := in.Apply(Event{Kind: CrashNode, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +353,13 @@ func TestInjectorStopRestoresHealth(t *testing.T) {
 // directed link.
 func TestInjectorDegradeAllLinks(t *testing.T) {
 	d := &transportStub{newStubDriver(3)}
-	d.tr = network.NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	d.tr = network.NewTransport(clk, nil)
 	defer d.tr.Stop()
 	for i := 0; i < 3; i++ {
 		d.tr.Register(fmt.Sprintf("n%d", i), func(network.Message) {})
 	}
-	in := NewInjector(d, Schedule{}, clock.New())
+	in := NewInjector(d, Schedule{}, clk)
 	if err := in.Apply(Event{Kind: DegradeLink, Extra: time.Millisecond, Loss: 0.1}); err != nil {
 		t.Fatal(err)
 	}

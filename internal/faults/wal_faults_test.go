@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
@@ -98,12 +98,13 @@ func (s *walStub) NodeWAL(node int) *wal.Log {
 }
 
 func TestInjectorAppliesLogCorruption(t *testing.T) {
+	clk := clocktest.New(t)
 	drv := &walStub{stubDriver: newStubDriver(2), logs: make([]*wal.Log, 2)}
-	drv.logs[1] = wal.New("n1", wal.Options{Fsync: wal.FsyncAlways}, clock.New())
+	drv.logs[1] = wal.New("n1", wal.Options{Fsync: wal.FsyncAlways}, clk)
 	for i := 0; i < 6; i++ {
 		drv.logs[1].Append(1)
 	}
-	in := NewInjector(drv, Schedule{}, clock.New())
+	in := NewInjector(drv, Schedule{}, clk)
 	if err := in.Apply(Event{Kind: TornWrite, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestInjectorAppliesLogCorruption(t *testing.T) {
 	if err := in.Apply(Event{Kind: TornWrite, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
-	plain := NewInjector(newStubDriver(2), Schedule{}, clock.New())
+	plain := NewInjector(newStubDriver(2), Schedule{}, clk)
 	if err := plain.Apply(Event{Kind: CorruptRecord, Node: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,21 @@ import (
 
 // ExampleTransport wires two endpoints and delivers a message.
 func ExampleTransport() {
-	tr := network.NewTransport(clock.New(), nil)
+	// The caller is an actor on the virtual clock, as every sender is.
+	clk := clock.NewAutoVirtual()
+	h := clock.Register(clk, "example")
+	defer h.Close()
+	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
 
-	done := make(chan network.Message, 1)
-	tr.Register("node-b", func(m network.Message) { done <- m })
+	var m network.Message
+	tr.Register("node-b", func(got network.Message) { m = got })
 
 	if err := tr.Send("node-a", "node-b", "ping", "hello"); err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	m := <-done
+	clk.Sleep(time.Millisecond) // the delivery runs while the sender sleeps
 	fmt.Printf("%s -> %s: %v\n", m.From, m.To, m.Payload)
 	// Output:
 	// node-a -> node-b: hello

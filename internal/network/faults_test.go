@@ -1,31 +1,29 @@
 package network
 
 import (
-	"sync/atomic"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
-func waitDelivered(t *testing.T, tr *Transport, want uint64, timeout time.Duration) {
+// waitDelivered sleeps on clk until tr has delivered want messages.
+func waitDelivered(t *testing.T, clk clock.Clock, tr *Transport, want uint64, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if _, delivered, _ := tr.Stats(); delivered >= want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, delivered, _ := tr.Stats()
-	t.Fatalf("delivered = %d, want %d", delivered, want)
+	clocktest.Until(t, clk, timeout, fmt.Sprintf("%d deliveries", want), func() bool {
+		_, delivered, _ := tr.Stats()
+		return delivered >= want
+	})
 }
 
 // TestHealAllUndoesIsolate: Isolate cuts 2(n-1) links at once and HealAll
 // is its wholesale inverse; the Stats counters show traffic stopping and
 // resuming.
 func TestHealAllUndoesIsolate(t *testing.T) {
-	tr := NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, nil)
 	defer tr.Stop()
 	for _, name := range []string{"a", "b", "c"} {
 		tr.Register(name, func(Message) {})
@@ -34,7 +32,7 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 	if err := tr.Send("a", "b", "k", 1); err != nil {
 		t.Fatal(err)
 	}
-	waitDelivered(t, tr, 1, time.Second)
+	waitDelivered(t, clk, tr, 1, time.Second)
 	sentBefore, deliveredBefore, droppedBefore := tr.Stats()
 	if sentBefore != 1 || deliveredBefore != 1 || droppedBefore != 0 {
 		t.Fatalf("healthy stats = (%d, %d, %d), want (1, 1, 0)", sentBefore, deliveredBefore, droppedBefore)
@@ -65,7 +63,7 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 	if err := tr.Send("c", "a", "k", 5); err != nil {
 		t.Fatalf("send after HealAll: %v", err)
 	}
-	waitDelivered(t, tr, 3, time.Second)
+	waitDelivered(t, clk, tr, 3, time.Second)
 	sent, delivered, dropped := tr.Stats()
 	if sent != 3 || delivered != 3 || dropped != 0 {
 		t.Fatalf("stats after heal = (%d, %d, %d), want (3, 3, 0)", sent, delivered, dropped)
@@ -75,10 +73,11 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 // TestDegradeLinkAddsLatency: a degraded link delays delivery by the
 // configured extra on top of the (zero) latency model.
 func TestDegradeLinkAddsLatency(t *testing.T) {
-	tr := NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, nil)
 	defer tr.Stop()
-	var deliveredAt atomic.Int64
-	tr.Register("dst", func(m Message) { deliveredAt.Store(time.Now().UnixNano()) })
+	var deliveredAt time.Time
+	tr.Register("dst", func(m Message) { deliveredAt = clk.Now() })
 	tr.Register("src", func(Message) {})
 
 	const extra = 60 * time.Millisecond
@@ -86,13 +85,13 @@ func TestDegradeLinkAddsLatency(t *testing.T) {
 	if tr.DegradedCount() != 1 {
 		t.Fatalf("degraded links = %d, want 1", tr.DegradedCount())
 	}
-	start := time.Now()
+	start := clk.Now()
 	if err := tr.Send("src", "dst", "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitDelivered(t, tr, 1, 2*time.Second)
-	if got := time.Duration(deliveredAt.Load() - start.UnixNano()); got < extra {
-		t.Fatalf("delivery took %v, want >= %v", got, extra)
+	waitDelivered(t, clk, tr, 1, 2*time.Second)
+	if got := deliveredAt.Sub(start); got != extra {
+		t.Fatalf("delivery took %v, want the link's extra %v", got, extra)
 	}
 
 	// HealAll clears the degradation too.
@@ -106,10 +105,11 @@ func TestDegradeLinkAddsLatency(t *testing.T) {
 // in flight — the sender sees success, the dropped and lost counters
 // advance, and nothing is delivered.
 func TestDegradeLinkLoss(t *testing.T) {
-	tr := NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, nil)
 	defer tr.Stop()
-	var got atomic.Int64
-	tr.Register("dst", func(Message) { got.Add(1) })
+	got := 0
+	tr.Register("dst", func(Message) { got++ })
 	tr.Register("src", func(Message) {})
 
 	tr.DegradeLink("src", "dst", 0, 1.0)
@@ -123,8 +123,8 @@ func TestDegradeLinkLoss(t *testing.T) {
 	if sent != n {
 		t.Fatalf("sent = %d, want %d", sent, n)
 	}
-	if delivered != 0 || got.Load() != 0 {
-		t.Fatalf("delivered = %d (handler saw %d), want 0", delivered, got.Load())
+	if delivered != 0 || got != 0 {
+		t.Fatalf("delivered = %d (handler saw %d), want 0", delivered, got)
 	}
 	if dropped != n || tr.LostCount() != n {
 		t.Fatalf("dropped = %d, lost = %d, want %d each", dropped, tr.LostCount(), n)
@@ -138,5 +138,5 @@ func TestDegradeLinkLoss(t *testing.T) {
 	if err := tr.Send("src", "dst", "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitDelivered(t, tr, 1, time.Second)
+	waitDelivered(t, clk, tr, 1, time.Second)
 }

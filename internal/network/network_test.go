@@ -1,11 +1,11 @@
 package network
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 func TestZeroLatency(t *testing.T) {
@@ -69,33 +69,32 @@ func TestMeasureLatencyEmpty(t *testing.T) {
 	}
 }
 
-func newTestTransport(t *testing.T) *Transport {
+// newTestTransport builds a transport on a fresh virtual clock with the test
+// registered on it, stopped when the test ends.
+func newTestTransport(t *testing.T, lat LatencyModel) (*Transport, *clock.AutoVirtual) {
 	t.Helper()
-	tr := NewTransport(clock.New(), nil)
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, lat)
 	t.Cleanup(tr.Stop)
-	return tr
+	return tr, clk
 }
 
 func TestTransportDelivers(t *testing.T) {
-	tr := newTestTransport(t)
-	got := make(chan Message, 1)
-	tr.Register("b", func(m Message) { got <- m })
+	tr, clk := newTestTransport(t, nil)
+	var got []Message
+	tr.Register("b", func(m Message) { got = append(got, m) })
 
 	if err := tr.Send("a", "b", "ping", 42); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m := <-got:
-		if m.From != "a" || m.To != "b" || m.Kind != "ping" || m.Payload != 42 {
-			t.Fatalf("unexpected message %+v", m)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
+	clocktest.Until(t, clk, time.Second, "message delivered", func() bool { return len(got) > 0 })
+	if m := got[0]; m.From != "a" || m.To != "b" || m.Kind != "ping" || m.Payload != 42 {
+		t.Fatalf("unexpected message %+v", m)
 	}
 }
 
 func TestTransportUnknownEndpoint(t *testing.T) {
-	tr := newTestTransport(t)
+	tr, _ := newTestTransport(t, nil)
 	err := tr.Send("a", "nope", "x", nil)
 	if err == nil {
 		t.Fatal("expected error for unknown endpoint")
@@ -103,28 +102,15 @@ func TestTransportUnknownEndpoint(t *testing.T) {
 }
 
 func TestTransportFIFOPerLink(t *testing.T) {
-	tr := newTestTransport(t)
-	var mu sync.Mutex
+	tr, clk := newTestTransport(t, nil)
 	var order []int
-	done := make(chan struct{})
-	tr.Register("dst", func(m Message) {
-		mu.Lock()
-		order = append(order, m.Payload.(int))
-		if len(order) == 100 {
-			close(done)
-		}
-		mu.Unlock()
-	})
+	tr.Register("dst", func(m Message) { order = append(order, m.Payload.(int)) })
 	for i := 0; i < 100; i++ {
 		if err := tr.Send("src", "dst", "seq", i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("not all messages delivered")
-	}
+	clocktest.Until(t, clk, 2*time.Second, "all 100 messages delivered", func() bool { return len(order) == 100 })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d, want %d (FIFO violated)", i, v, i)
@@ -133,28 +119,18 @@ func TestTransportFIFOPerLink(t *testing.T) {
 }
 
 func TestTransportBroadcast(t *testing.T) {
-	tr := newTestTransport(t)
-	var mu sync.Mutex
+	tr, clk := newTestTransport(t, nil)
 	recv := map[string]int{}
-	var wg sync.WaitGroup
-	wg.Add(3)
 	for _, name := range []string{"n1", "n2", "n3"} {
-		name := name
-		tr.Register(name, func(Message) {
-			mu.Lock()
-			recv[name]++
-			mu.Unlock()
-			wg.Done()
-		})
+		tr.Register(name, func(Message) { recv[name]++ })
 	}
 	tr.Register("sender", func(Message) { t.Error("sender must not receive its own broadcast") })
 
 	if n := tr.Broadcast("sender", "hello", nil); n != 3 {
 		t.Fatalf("broadcast reached %d endpoints, want 3", n)
 	}
-	waitDone(t, &wg)
-	mu.Lock()
-	defer mu.Unlock()
+	clocktest.Until(t, clk, 2*time.Second, "broadcast delivered", func() bool { return len(recv) == 3 })
+	clk.Sleep(time.Second) // room for a duplicate to show
 	for _, name := range []string{"n1", "n2", "n3"} {
 		if recv[name] != 1 {
 			t.Fatalf("%s received %d messages, want 1", name, recv[name])
@@ -163,9 +139,9 @@ func TestTransportBroadcast(t *testing.T) {
 }
 
 func TestTransportCutAndHealLink(t *testing.T) {
-	tr := newTestTransport(t)
-	got := make(chan Message, 2)
-	tr.Register("b", func(m Message) { got <- m })
+	tr, clk := newTestTransport(t, nil)
+	got := 0
+	tr.Register("b", func(Message) { got++ })
 
 	tr.CutLink("a", "b")
 	if err := tr.Send("a", "b", "x", nil); err == nil {
@@ -175,15 +151,11 @@ func TestTransportCutAndHealLink(t *testing.T) {
 	if err := tr.Send("a", "b", "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-got:
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered after heal")
-	}
+	clocktest.Until(t, clk, time.Second, "message delivered after heal", func() bool { return got == 1 })
 }
 
 func TestTransportIsolate(t *testing.T) {
-	tr := newTestTransport(t)
+	tr, _ := newTestTransport(t, nil)
 	tr.Register("a", func(Message) {})
 	tr.Register("b", func(Message) {})
 	tr.Isolate("a")
@@ -196,26 +168,21 @@ func TestTransportIsolate(t *testing.T) {
 }
 
 func TestTransportLatencyDelaysDelivery(t *testing.T) {
-	tr := NewTransport(clock.New(), ConstantLatency{D: 50 * time.Millisecond})
-	defer tr.Stop()
-	got := make(chan time.Time, 1)
-	tr.Register("b", func(Message) { got <- time.Now() })
-	start := time.Now()
+	tr, clk := newTestTransport(t, ConstantLatency{D: 50 * time.Millisecond})
+	var at time.Time
+	tr.Register("b", func(Message) { at = clk.Now() })
+	start := clk.Now()
 	if err := tr.Send("a", "b", "x", nil); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case at := <-got:
-		if d := at.Sub(start); d < 45*time.Millisecond {
-			t.Fatalf("delivered after %v, want >= ~50ms", d)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
+	clocktest.Until(t, clk, time.Second, "message delivered", func() bool { return !at.IsZero() })
+	if d := at.Sub(start); d != 50*time.Millisecond {
+		t.Fatalf("delivered after %v, want the link's 50ms", d)
 	}
 }
 
 func TestTransportStopRejectsSends(t *testing.T) {
-	tr := NewTransport(clock.New(), nil)
+	tr := NewTransport(clocktest.New(t), nil)
 	tr.Register("b", func(Message) {})
 	tr.Stop()
 	if err := tr.Send("a", "b", "x", nil); err == nil {
@@ -226,7 +193,7 @@ func TestTransportStopRejectsSends(t *testing.T) {
 }
 
 func TestTransportUnregister(t *testing.T) {
-	tr := newTestTransport(t)
+	tr, _ := newTestTransport(t, nil)
 	tr.Register("b", func(Message) {})
 	tr.Unregister("b")
 	if err := tr.Send("a", "b", "x", nil); err == nil {
@@ -235,13 +202,12 @@ func TestTransportUnregister(t *testing.T) {
 }
 
 func TestTransportStats(t *testing.T) {
-	tr := newTestTransport(t)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	tr.Register("b", func(Message) { wg.Done() })
+	tr, clk := newTestTransport(t, nil)
+	got := 0
+	tr.Register("b", func(Message) { got++ })
 	_ = tr.Send("a", "b", "x", nil)
 	_ = tr.Send("a", "b", "x", nil)
-	waitDone(t, &wg)
+	clocktest.Until(t, clk, 2*time.Second, "two deliveries", func() bool { return got == 2 })
 	// drain counts a delivery after its handler returns; Stop waits for
 	// drain, so the counts are final once it returns.
 	tr.Stop()
@@ -252,7 +218,7 @@ func TestTransportStats(t *testing.T) {
 }
 
 func TestTransportEndpoints(t *testing.T) {
-	tr := newTestTransport(t)
+	tr, _ := newTestTransport(t, nil)
 	tr.Register("x", func(Message) {})
 	tr.Register("y", func(Message) {})
 	if got := len(tr.Endpoints()); got != 2 {
@@ -260,45 +226,18 @@ func TestTransportEndpoints(t *testing.T) {
 	}
 }
 
-func waitDone(t *testing.T, wg *sync.WaitGroup) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for deliveries")
-	}
-}
-
 func TestTransportFIFOUnderRandomLatency(t *testing.T) {
 	// Per-link FIFO must hold even when each message draws a random delay:
 	// the delivery queue is serial per endpoint.
-	tr := NewTransport(clock.New(), NewNormalLatency(500*time.Microsecond, 200*time.Microsecond, 99))
-	defer tr.Stop()
-	var mu sync.Mutex
+	tr, clk := newTestTransport(t, NewNormalLatency(500*time.Microsecond, 200*time.Microsecond, 99))
 	var order []int
-	done := make(chan struct{})
-	tr.Register("dst", func(m Message) {
-		mu.Lock()
-		order = append(order, m.Payload.(int))
-		if len(order) == 50 {
-			close(done)
-		}
-		mu.Unlock()
-	})
+	tr.Register("dst", func(m Message) { order = append(order, m.Payload.(int)) })
 	for i := 0; i < 50; i++ {
 		if err := tr.Send("src", "dst", "seq", i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("messages not delivered")
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	clocktest.Until(t, clk, 5*time.Second, "all 50 messages delivered", func() bool { return len(order) == 50 })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d (FIFO violated under latency)", i, v)

@@ -6,12 +6,11 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 // TestSchedulerDeterministicUnderVirtualClock: with the virtual clock and
@@ -132,52 +131,40 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 // per-message random latency draws and concurrent senders — the ready-time
 // clamp makes later sends on a link never overtake earlier ones.
 func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
-	tr := NewTransport(clock.New(), NewNormalLatency(300*time.Microsecond, 300*time.Microsecond, 7))
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, NewNormalLatency(300*time.Microsecond, 300*time.Microsecond, 7))
 	defer tr.Stop()
 
 	const senders = 4
 	const perSender = 150
-	var mu sync.Mutex
 	last := map[string]int{}
 	var violations []string
-	done := make(chan struct{})
 	total := 0
 	tr.Register("dst", func(m Message) {
-		mu.Lock()
 		seq := m.Payload.(int)
 		if prev, ok := last[m.From]; ok && seq <= prev {
 			violations = append(violations, fmt.Sprintf("%s: %d after %d", m.From, seq, prev))
 		}
 		last[m.From] = seq
 		total++
-		if total == senders*perSender {
-			close(done)
-		}
-		mu.Unlock()
 	})
 
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			src := fmt.Sprintf("src%d", s)
-			for i := 0; i < perSender; i++ {
-				if err := tr.Send(src, "dst", "seq", i); err != nil {
-					t.Error(err)
-					return
-				}
+	names := make([]string, senders)
+	for s := range names {
+		names[s] = fmt.Sprintf("src%d", s)
+	}
+	// The senders interleave: each sleeps a different step between sends,
+	// so deliveries of earlier sends land among later ones.
+	clock.Go(clk, names, func(s int) {
+		for i := 0; i < perSender; i++ {
+			if err := tr.Send(names[s], "dst", "seq", i); err != nil {
+				t.Error(err)
+				return
 			}
-		}(s)
-	}
-	wg.Wait()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("timed out waiting for deliveries")
-	}
-	mu.Lock()
-	defer mu.Unlock()
+			clk.Sleep(time.Duration(50*(s+1)) * time.Microsecond)
+		}
+	})()
+	clocktest.Until(t, clk, 10*time.Second, "all deliveries", func() bool { return total == senders*perSender })
 	if len(violations) > 0 {
 		t.Fatalf("per-link FIFO violated %d times, e.g. %s", len(violations), violations[0])
 	}
@@ -187,7 +174,7 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 // and counts the drop, without disturbing sent/lost accounting.
 func TestQueueOverflowDropAccounting(t *testing.T) {
 	// One-hour latency parks every message in the scheduler's heap.
-	tr := NewTransport(clock.New(), ConstantLatency{D: time.Hour})
+	tr := NewTransport(clocktest.New(t), ConstantLatency{D: time.Hour})
 	defer tr.Stop()
 	tr.Register("dst", func(Message) { t.Error("nothing should be delivered") })
 
@@ -226,12 +213,15 @@ func TestQueueOverflowDropAccounting(t *testing.T) {
 // could not guarantee this.
 func TestDegradedLossDeterministicPerLink(t *testing.T) {
 	run := func(interleave bool) int {
-		tr := NewTransport(clock.New(), nil)
+		clk := clock.NewAutoVirtual()
+		h := clock.Register(clk, "test")
+		defer h.Close()
+		tr := NewTransport(clk, nil)
 		defer tr.Stop()
-		var fromA atomic.Int64
+		fromA := 0
 		tr.Register("b", func(m Message) {
 			if m.From == "a" {
-				fromA.Add(1)
+				fromA++
 			}
 		})
 		tr.Register("a", func(Message) {})
@@ -249,18 +239,11 @@ func TestDegradedLossDeterministicPerLink(t *testing.T) {
 			}
 		}
 		// Drain: all non-lost messages must be delivered.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
+		clocktest.Until(t, clk, 5*time.Second, "drain", func() bool {
 			sent, delivered, dropped := tr.Stats()
-			if delivered == sent-dropped {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("drain timeout: stats %d/%d/%d", sent, delivered, dropped)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return int(fromA.Load())
+			return delivered == sent-dropped
+		})
+		return fromA
 	}
 
 	quiet := run(false)
@@ -306,135 +289,93 @@ func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 	}
 }
 
-// TestSchedulerStressRace mixes Send/Broadcast with concurrent link faults,
-// churn of idle and of busy endpoints, handlers that send, readers of every
-// counter, and a Stop while all of them are still running. They share one
-// lock, which handlers run outside of: run under -race it checks that
-// nothing is touched without it and that nothing deadlocks on it; the
-// counter inequality holds because every accepted send is eventually
+// TestSchedulerStressRace mixes Send/Broadcast with link faults, churn of
+// idle and of busy endpoints, handlers that send, readers of every counter,
+// and a Stop while all of them are still running — each an actor of its own,
+// interleaved by their sleeps, with deliveries run by whichever of them is
+// scheduling. Run under -race it checks that the transport's state is only
+// touched under its lock or the token, and that nothing deadlocks on them;
+// the counter inequality holds because every accepted send is eventually
 // delivered, dropped, or torn down.
 func TestSchedulerStressRace(t *testing.T) {
-	tr := NewTransport(clock.New(), NewNormalLatency(200*time.Microsecond, 100*time.Microsecond, 3))
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, NewNormalLatency(200*time.Microsecond, 100*time.Microsecond, 3))
 	names := make([]string, 8)
-	var received atomic.Int64
+	received := 0
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
 		next := fmt.Sprintf("n%d", (i+1)%len(names))
 		tr.Register(names[i], func(m Message) {
-			received.Add(1)
+			received++
 			if m.Kind == "msg" { // forward once: delivery re-enters Send
 				_ = tr.Send(m.To, next, "fwd", m.Payload)
 			}
 		})
 	}
+	stop := clock.NewGate(clk)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Senders.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+	roles := []string{"chaos", "churn", "reader", "sender-0", "sender-1", "sender-2", "sender-3"}
+	join := clock.Go(clk, roles, func(r int) {
+		rng := rand.New(rand.NewSource(int64(r)))
+		for i := 0; !stop.Closed(); i++ {
+			switch roles[r] {
+			case "chaos":
+				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+				switch rng.Intn(5) {
+				case 0:
+					tr.CutLink(a, b)
+				case 1:
+					tr.HealLink(a, b)
+				case 2:
+					tr.DegradeLink(a, b, time.Duration(rng.Intn(300))*time.Microsecond, 0.2)
+				case 3:
+					tr.DegradeLink(a, b, 0, 0)
+				case 4:
+					tr.HealAll()
 				}
+				clk.Sleep(100 * time.Microsecond)
+			case "churn":
+				// One endpoint nobody addresses, and one of the busy ones,
+				// whose queued messages are dropped each time it goes.
+				tr.Register("flappy", func(Message) {})
+				tr.Unregister(names[7])
+				clk.Sleep(200 * time.Microsecond)
+				tr.Unregister("flappy")
+				tr.Register(names[7], func(Message) { received++ })
+				if i%8 == 0 {
+					tr.Isolate(names[6])
+				}
+			case "reader":
+				sent, delivered, dropped := tr.Stats()
+				if delivered+dropped > sent {
+					t.Errorf("impossible counters mid-run: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
+					return
+				}
+				_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.CutCount()+tr.DegradedCount()+len(tr.Endpoints()))
+				clk.Sleep(200 * time.Microsecond)
+			default:
 				src := names[rng.Intn(len(names))]
 				if i%16 == 0 {
 					tr.Broadcast(src, "burst", i)
-					continue
+				} else {
+					_ = tr.Send(src, names[rng.Intn(len(names))], "msg", i) // ErrLinkDown etc. expected
 				}
-				dst := names[rng.Intn(len(names))]
-				_ = tr.Send(src, dst, "msg", i) // ErrLinkDown etc. expected
-			}
-		}(g)
-	}
-
-	// Link chaos.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
-			switch rng.Intn(5) {
-			case 0:
-				tr.CutLink(a, b)
-			case 1:
-				tr.HealLink(a, b)
-			case 2:
-				tr.DegradeLink(a, b, time.Duration(rng.Intn(300))*time.Microsecond, 0.2)
-			case 3:
-				tr.DegradeLink(a, b, 0, 0)
-			case 4:
-				tr.HealAll()
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-
-	// Endpoint churn: one endpoint nobody addresses, and one of the busy
-	// ones, whose queued messages are dropped each time it goes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tr.Register("flappy", func(Message) {})
-			tr.Unregister(names[7])
-			time.Sleep(200 * time.Microsecond)
-			tr.Unregister("flappy")
-			tr.Register(names[7], func(Message) { received.Add(1) })
-			if i%8 == 0 {
-				tr.Isolate(names[6])
+				clk.Sleep(time.Duration(50+rng.Intn(100)) * time.Microsecond)
 			}
 		}
-	}()
+	})
 
-	// Readers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sent, delivered, dropped := tr.Stats()
-			if delivered+dropped > sent {
-				t.Errorf("impossible counters mid-run: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
-				return
-			}
-			_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.CutCount()+tr.DegradedCount()+len(tr.Endpoints()))
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-
-	time.Sleep(300 * time.Millisecond)
+	clk.Sleep(300 * time.Millisecond)
 	tr.Stop() // against running senders, chaos and churn: all of them become no-ops
-	before := received.Load()
+	before := received
 	if n := len(tr.Endpoints()) + tr.CutCount() + tr.DegradedCount(); n != 0 {
 		t.Errorf("%d endpoints, cuts and degradations survive Stop", n)
 	}
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if before == 0 || received.Load() != before {
-		t.Fatalf("handlers ran %d times before Stop returned and %d more after it", before, received.Load()-before)
+	clk.Sleep(10 * time.Millisecond)
+	stop.Close()
+	join()
+	if before == 0 || received != before {
+		t.Fatalf("handlers ran %d times before Stop returned and %d more after it", before, received-before)
 	}
 
 	sent, delivered, dropped := tr.Stats()
@@ -493,7 +434,7 @@ func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitDelivered(t, tr, 100, 2*time.Second)
+	waitDelivered(t, clk, tr, 100, 2*time.Second)
 	if _, c := waiting(); c != 0 {
 		t.Fatalf("zero-latency traffic grew the heap to capacity %d, want 0", c)
 	}
@@ -504,7 +445,7 @@ func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
 		t.Fatalf("%d messages in the heap after one delayed send, want 1", n)
 	}
 	clk.Sleep(time.Millisecond)
-	waitDelivered(t, tr, 101, 2*time.Second)
+	waitDelivered(t, clk, tr, 101, 2*time.Second)
 	if n, _ := waiting(); n != 0 {
 		t.Fatalf("%d messages left in the heap after their ready time, want 0", n)
 	}
@@ -576,55 +517,28 @@ func TestQueueCollectPopsDueItems(t *testing.T) {
 	}
 }
 
-// TestDeliveryIntoFullInbox pins the one behaviour that differs between the
-// clocks: what a handler that would block does. Handlers forward into an
-// engine's inbox (clock.Mailbox.Send). On the auto-advancing clock delivery
+// TestDeliveryIntoFullInbox pins what a handler that would block does.
+// Handlers forward into an engine's inbox (clock.Mailbox.Send), and delivery
 // runs to completion on the scheduler and cannot park, so a full inbox is a
-// loud failure naming the delivery event; on the real clock the event's
-// goroutine blocks, holding up delivery, until the inbox has room. No
-// inbox in the tree fills (8192 slots against batches of tens); this is the
-// contract for the day one does.
+// loud failure naming the delivery event. No inbox in the tree fills (8192
+// slots against batches of tens); this is the contract for the day one does.
 func TestDeliveryIntoFullInbox(t *testing.T) {
-	forward := func(tr *Transport, clk clock.Clock) *clock.Mailbox[Message] {
-		inbox := clock.NewMailbox[Message](clk, 1)
-		tr.Register("dst", func(m Message) { inbox.Send(m, nil) })
-		for i := 0; i < 2; i++ {
-			if err := tr.Send("src", "dst", "k", i); err != nil {
-				t.Fatal(err)
-			}
+	av := clock.NewAutoVirtual()
+	clock.Register(av, "main") // never closed: the panic leaves the clock unusable
+	tr := NewTransport(av, nil)
+	inbox := clock.NewMailbox[Message](av, 1)
+	tr.Register("dst", func(m Message) { inbox.Send(m, nil) })
+	for i := 0; i < 2; i++ {
+		if err := tr.Send("src", "dst", "k", i); err != nil {
+			t.Fatal(err)
 		}
-		return inbox
 	}
-	t.Run("auto-virtual panics", func(t *testing.T) {
-		av := clock.NewAutoVirtual()
-		clock.Register(av, "main") // never closed: the panic leaves the clock unusable
-		tr := NewTransport(av, nil)
-		forward(tr, av)
-		defer func() {
-			msg := fmt.Sprint(recover())
-			if !strings.Contains(msg, "event net/shard-0") || !strings.Contains(msg, "would park") {
-				t.Fatalf("panic = %q, want one naming the net/shard-0 event", msg)
-			}
-		}()
-		av.Sleep(time.Millisecond) // main parks and schedules the delivery on its own goroutine
-		t.Fatal("delivery into a full inbox did not panic")
-	})
-	t.Run("real blocks", func(t *testing.T) {
-		clk := clock.New()
-		tr := NewTransport(clk, nil)
-		defer tr.Stop()
-		inbox := forward(tr, clk)
-		waitDelivered(t, tr, 1, 2*time.Second)
-		time.Sleep(20 * time.Millisecond) // the second delivery is now stuck in Send
-		if _, delivered, _ := tr.Stats(); delivered != 1 {
-			t.Fatalf("delivered = %d with the inbox full, want 1", delivered)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "event net/shard-0") || !strings.Contains(msg, "would park") {
+			t.Fatalf("panic = %q, want one naming the net/shard-0 event", msg)
 		}
-		if _, v, _ := clock.Await(clk, inbox); v.(Message).Payload.(int) != 0 {
-			t.Fatalf("first message = %v, want payload 0", v)
-		}
-		waitDelivered(t, tr, 2, 2*time.Second)
-		if _, v, _ := clock.Await(clk, inbox); v.(Message).Payload.(int) != 1 {
-			t.Fatalf("second message = %v, want payload 1", v)
-		}
-	})
+	}()
+	av.Sleep(time.Millisecond) // main parks and schedules the delivery on its own goroutine
+	t.Fatal("delivery into a full inbox did not panic")
 }

@@ -25,8 +25,7 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run inside the transport's
-// delivery events (clock.Event): on the virtual clock they must not park at
-// all, on the real clock not indefinitely.
+// delivery events (clock.Event) and must not park.
 type Handler func(Message)
 
 // Errors returned by Transport operations.

@@ -18,9 +18,8 @@ const DefaultEmittedRetention = 1 << 19
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// One lock guards all of it: virtual time runs one goroutine at a time and
-// real-time runs use a few percent of a core, so there is nothing for more
-// lock domains to separate. Node identities are interned once into dense
+// One lock guards all of it: a run executes one goroutine at a time, so
+// there is nothing for more lock domains to separate. Node identities are interned once into dense
 // indices so per-transaction tracking is a bitset rather than a map of
 // node-ID strings.
 type Hub struct {

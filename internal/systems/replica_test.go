@@ -2,13 +2,14 @@ package systems
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -172,45 +173,48 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 	// and applying, with the gate lock released: the crash can land there too.
 	logged := &wal.Options{Latency: wal.LatencyModel{AppendPerRecord: time.Microsecond}}
 	for name, w := range map[string]*wal.Options{"no log": nil, "log": logged} {
-		replicas := testReplicasOn(2, clock.New(), w)
-		txs := make([]*chain.Transaction, 40)
-		for i := range txs {
-			k := strconv.Itoa(i)
-			txs[i] = boundTx(uint64(i), bank(iel.FnCreateAccount, k, "5", "5"), bank(iel.FnSendPayment, k, k, "1"), set(k, k))
-		}
-		var wg sync.WaitGroup
-		for i := range replicas {
-			r := &replicas[i]
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for n, tx := range txs {
-						if g == 0 && n == 10 {
-							r.Gate.Crash()
-						}
-						if g == 0 && n == 30 {
-							r.Gate.Restart()
-						}
-						r.Gate.Commit(1, func() {
-							if r.DryRun(tx) {
-								r.ApplyTx(tx, uint64(n), g)
-							}
-							_ = r.ExecuteTx(tx, uint64(n), g)
-						})
+		t.Run(name, func(t *testing.T) {
+			clk := clocktest.New(t)
+			replicas := testReplicasOn(2, clk, w)
+			txs := make([]*chain.Transaction, 40)
+			for i := range txs {
+				k := strconv.Itoa(i)
+				txs[i] = boundTx(uint64(i), bank(iel.FnCreateAccount, k, "5", "5"), bank(iel.FnSendPayment, k, k, "1"), set(k, k))
+			}
+			// Four committers per replica, each an actor; the log's append
+			// latency parks them mid-commit, so they interleave.
+			var names []string
+			for i := range replicas {
+				for g := 0; g < 4; g++ {
+					names = append(names, fmt.Sprintf("r%d/g%d", i, g))
+				}
+			}
+			clock.Go(clk, names, func(a int) {
+				r, g := &replicas[a/4], a%4
+				for n, tx := range txs {
+					if g == 0 && n == 10 {
+						r.Gate.Crash()
 					}
-				}(g)
+					if g == 0 && n == 30 {
+						r.Gate.Restart()
+					}
+					r.Gate.Commit(1, func() {
+						if r.DryRun(tx) {
+							r.ApplyTx(tx, uint64(n), g)
+						}
+						_ = r.ExecuteTx(tx, uint64(n), g)
+					})
+				}
+			})()
+			for i := range replicas {
+				if replicas[i].Gate.Down() {
+					replicas[i].Gate.Restart()
+				}
+				if got := replicas[i].State.Len(); got != 3*len(txs) {
+					t.Errorf("replica %d holds %d keys, want %d", i, got, 3*len(txs))
+				}
 			}
-		}
-		wg.Wait()
-		for i := range replicas {
-			if replicas[i].Gate.Down() {
-				replicas[i].Gate.Restart()
-			}
-			if got := replicas[i].State.Len(); got != 3*len(txs) {
-				t.Errorf("%s: replica %d holds %d keys, want %d", name, i, got, 3*len(txs))
-			}
-		}
+		})
 	}
 }
 

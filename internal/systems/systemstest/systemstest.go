@@ -6,12 +6,12 @@
 package systemstest
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
@@ -25,40 +25,12 @@ func On(clk clock.Clock) systems.Env {
 }
 
 // Env returns a test Env on a fresh auto-advancing virtual clock, with the
-// calling test registered on it as an actor until the test ends. Like
-// experiments.Run, it holds the process at one P meanwhile. Call it after
-// t.Parallel, and stop what is built on it before the test returns: a
+// calling test registered on it as an actor until the test ends. Call it
+// after t.Parallel, and stop what is built on it before the test returns: a
 // Start or t.Cleanup registered after Env runs first.
 func Env(t testing.TB) systems.Env {
 	t.Helper()
-	pinOneP(t)
-	clk := clock.NewAutoVirtual()
-	h := clock.Register(clk, "test")
-	t.Cleanup(h.Close)
-	return On(clk)
-}
-
-// onePin counts the tests holding GOMAXPROCS at 1 and remembers the value
-// to restore when the last one ends.
-var onePin struct {
-	sync.Mutex
-	holders, prev int
-}
-
-func pinOneP(t testing.TB) {
-	onePin.Lock()
-	if onePin.holders == 0 {
-		onePin.prev = runtime.GOMAXPROCS(1)
-	}
-	onePin.holders++
-	onePin.Unlock()
-	t.Cleanup(func() {
-		onePin.Lock()
-		if onePin.holders--; onePin.holders == 0 {
-			runtime.GOMAXPROCS(onePin.prev)
-		}
-		onePin.Unlock()
-	})
+	return On(clocktest.New(t))
 }
 
 // Start starts d and stops it when the test ends.

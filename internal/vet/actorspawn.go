@@ -4,7 +4,7 @@ import "go/ast"
 
 // ActorSpawn flags every go statement in the clock-actor packages
 // (consensus engines, system drivers, transport, runner, fault injector).
-// Under `-time virtual` the AutoVirtual clock advances only when every
+// The AutoVirtual clock advances only when every
 // registered actor is parked; a goroutine it was not told about is
 // invisible to it, so time can jump while that goroutine still has work.
 // clock.Go is the one way to start an actor: it announces the wave,

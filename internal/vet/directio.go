@@ -13,7 +13,7 @@ var mutatingOSFuncs = []string{
 // production code never writes the filesystem directly — durable state
 // flows through internal/wal (whose Dir abstraction owns the real
 // syscalls), so recovery cost stays modeled, crash truncation stays
-// simulable, and `-time virtual` runs never block on real disks. Unlike
+// simulable, and runs never block on real disks. Unlike
 // the retired lint-directio.sh grep, it matches the resolved `os`
 // package object, so aliased or dot imports are caught.
 var DirectIO = &Analyzer{

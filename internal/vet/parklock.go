@@ -7,8 +7,8 @@ import (
 )
 
 // ParkLock flags calls that can park on a clock primitive — Gate.Do /
-// Commit / Restart, Mailbox.Send, Clock.Sleep,
-// clock.Await, and receives from Timer/Ticker channels — while a
+// Commit / Restart, Mailbox.Send, Clock.Sleep and
+// clock.Await — while a
 // sync.Mutex or RWMutex acquired in the same function is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
 // twice already (gate backlog replay in PR 7, DurableGate latency charging
@@ -91,16 +91,6 @@ func scanExprStmt(pass *Pass, s ast.Stmt, held map[string]token.Pos) {
 			return false
 		case *ast.CallExpr:
 			classifyCall(pass, n, held)
-		case *ast.UnaryExpr:
-			// <-t.C() on a clock Timer/Ticker is the wait itself.
-			if n.Op == token.ARROW {
-				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-					if fn, named := methodCall(pass.TypesInfo, call); fn != nil && fn.Name() == "C" &&
-						fromInternalPkg(named, "internal/clock") {
-						reportPark(pass, n.Pos(), "<-"+named.Obj().Name()+".C()", held)
-					}
-				}
-			}
 		}
 		return true
 	})

@@ -42,14 +42,6 @@ func (n *node) sleepUnderLock(c clock.Clock) {
 	n.mu.Unlock()
 }
 
-func (n *node) timerWaitUnderLock(c clock.Clock) {
-	t := c.NewTimerAt(c.Now().Add(1))
-	n.mu.Lock()
-	<-t.C() // want `<-Timer.C\(\) can park while mutex "n.mu"`
-	n.mu.Unlock()
-	t.Stop()
-}
-
 func gateWhileLocked(d *systems.DurableGate, mu *sync.Mutex) {
 	mu.Lock()
 	d.Do(func() {}) // want `DurableGate.Do can park while mutex "mu"`

@@ -13,8 +13,8 @@ var wallFuncs = []string{
 
 // Walltime enforces the determinism contract's source-level rule (PR 6):
 // production code never reads the wall clock or schedules against it
-// directly — all time flows through internal/clock so `-time virtual`
-// runs stay CPU-bound and bit-deterministic. Unlike the retired
+// directly — all time flows through internal/clock so runs stay
+// CPU-bound and bit-deterministic. Unlike the retired
 // lint-walltime.sh grep, it matches the resolved `time` package object,
 // so aliased imports (`import wt "time"`), dot imports, and re-exported
 // wrappers are caught.
