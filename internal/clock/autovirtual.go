@@ -423,7 +423,7 @@ func (v *AutoVirtual) scheduleLocked() {
 			a := v.runq.pop()
 			if ev := a.ev; ev != nil {
 				ev.queued = false
-				if ev.stopped.Load() {
+				if ev.stopped {
 					continue
 				}
 				v.current = a
@@ -503,7 +503,7 @@ func (v *AutoVirtual) wakeLocked(a *Actor) {
 // queueEventLocked gives a fired or triggered event its turn: one place at
 // the tail of the run queue, however often it is asked for before it runs.
 func (v *AutoVirtual) queueEventLocked(e *Event) {
-	if !e.queued && !e.stopped.Load() {
+	if !e.queued && !e.stopped {
 		e.queued = true
 		v.runq.push(e.actor)
 	}

@@ -1,9 +1,6 @@
 package clock
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Event is a named callback that the clock runs to completion: a timer with
 // a function where a Timer has a waiting actor, for the loops that never
@@ -23,16 +20,16 @@ import (
 // That holds because the caller is, as for every primitive of the clock,
 // the token holder or outside a run with no token out.
 type Event struct {
-	fn      func()
-	stopped atomic.Bool
+	fn func()
 
 	// The deadline is a waiter in v's heap exactly while armed. actor is
-	// what sits in runq and holds the token during fn; queued (guarded by
-	// v.mu) says it is in runq now.
-	v      *AutoVirtual
-	w      waiter
-	actor  *Actor
-	queued bool
+	// what sits in runq and holds the token during fn; queued says it is in
+	// runq now. queued and stopped are guarded by v.mu.
+	v       *AutoVirtual
+	w       waiter
+	actor   *Actor
+	queued  bool
+	stopped bool
 }
 
 // NewEvent builds an unarmed event on the clock. name feeds the
@@ -66,7 +63,7 @@ func (e *Event) armLocked(at time.Time) {
 	v := e.v
 	v.cancelLocked(&e.w)
 	late := !at.After(v.now)
-	if !late && !e.stopped.Load() {
+	if !late && !e.stopped {
 		e.w.at = at
 		v.addWaiterAsLocked(&e.w, e.actor)
 	}
@@ -87,8 +84,8 @@ func (e *Event) Trigger() {
 // Stop disarms the event, drops a run that is owed and makes every later
 // After, At and Trigger a no-op; it returns only when fn is not running.
 func (e *Event) Stop() {
-	e.stopped.Store(true)
 	e.v.mu.Lock()
+	e.stopped = true
 	e.v.cancelLocked(&e.w)
 	e.v.mu.Unlock()
 }
