@@ -21,8 +21,8 @@
 // and -json is the result store.
 //
 // Figure 3 and 4 runs print a fidelity summary (experiments.Fidelity): mean
-// |log2(model/paper)|, the cells that disagree with the paper, and the
-// paper's shape checks. The exit status reports only whether every run
+// |log2(model/paper)|, the cells that reach or pass their rate limiter, the
+// cells that disagree with the paper, and the paper's shape checks. The exit status reports only whether every run
 // completed; the fidelity bounds are enforced by the TestPaperFidelity test
 // in internal/experiments, not by this command.
 package main

@@ -1,3 +1,7 @@
+// Package clock provides the one time source every component in the
+// simulated cluster runs against (consensus pacemakers, block publishers,
+// rate limiters, the COCONUT client phases): the deterministic,
+// auto-advancing virtual clock AutoVirtual.
 package clock
 
 import (
@@ -113,19 +117,17 @@ type AutoVirtual struct {
 	stats      KernelStats
 }
 
-var _ Clock = (*AutoVirtual)(nil)
-
 // NewAutoVirtual returns an auto-advancing virtual clock starting at
 // SimEpoch.
 func NewAutoVirtual() *AutoVirtual {
 	return &AutoVirtual{now: SimEpoch, start: SimEpoch, actors: make(map[*Actor]struct{})}
 }
 
-// Sleep implements Clock: the calling actor parks until the clock reaches
-// the deadline. With no token out the caller is registered as a transient
-// actor for the duration of the sleep, so tests can sleep on the simulated
-// clock without joining a run explicitly. The deadline rides on the actor's
-// own waiter, which wakes it directly: a sleep allocates nothing.
+// Sleep parks the calling actor until the clock reaches the deadline. With
+// no token out the caller is registered as a transient actor for the
+// duration of the sleep, so tests can sleep on the simulated clock without
+// joining a run explicitly. The deadline rides on the actor's own waiter,
+// which wakes it directly: a sleep allocates nothing.
 func (v *AutoVirtual) Sleep(d time.Duration) {
 	v.mu.Lock()
 	a := v.current
@@ -211,8 +213,8 @@ func (h Handle) Close() { h.a.close() }
 // the deterministic timer tie-break and the deadlock diagnostics, so they
 // must be derived from stable identities (node IDs, shard indices), never
 // from creation order.
-func Register(c Clock, name string) Handle {
-	return Handle{a: c.(*AutoVirtual).register(name, false)}
+func Register(v *AutoVirtual, name string) Handle {
+	return Handle{a: v.register(name, false)}
 }
 
 // Go starts one actor per name, the way every actor outside this package
@@ -227,10 +229,9 @@ func Register(c Clock, name string) Handle {
 // from outside it: its join waits on a channel of its own and never joins
 // the run, so it cannot be mistaken for the actor that holds the token by
 // then.
-func Go(c Clock, names []string, fn func(i int)) (join func()) {
-	v := c.(*AutoVirtual)
-	w := &wave{c: c}
-	w.done.init(c)
+func Go(v *AutoVirtual, names []string, fn func(i int)) (join func()) {
+	w := &wave{v: v}
+	w.done.v = v
 	w.left.Store(int64(len(names)))
 	v.mu.Lock()
 	if v.current == nil {
@@ -240,10 +241,10 @@ func Go(c Clock, names []string, fn func(i int)) (join func()) {
 	if len(names) == 0 {
 		w.finished()
 	}
-	Fork(c, len(names))
+	Fork(v, len(names))
 	for i, name := range names {
 		go func() {
-			h := RegisterForked(c, name)
+			h := RegisterForked(v, name)
 			defer h.Close()
 			defer w.finish()
 			fn(i)
@@ -257,7 +258,7 @@ func Go(c Clock, names []string, fn func(i int)) (join func()) {
 // still holds the token, and so does outside, the channel of a wave started
 // from outside the run.
 type wave struct {
-	c       Clock
+	v       *AutoVirtual
 	done    Gate
 	left    atomic.Int64
 	outside chan struct{}
@@ -281,7 +282,7 @@ func (w *wave) join() {
 		<-w.outside
 		return
 	}
-	Await(w.c, &w.done)
+	Await(w.v, &w.done)
 }
 
 // Serve is an actor's receive loop, called from inside the actor: until
@@ -290,19 +291,19 @@ func (w *wave) join() {
 // when several are ready. The ticker is armed here, by the actor, so its
 // ties key under the actor's name. A nil inbox or a zero period drops that
 // source.
-func Serve[T any](c Clock, stop *Gate, inbox *Mailbox[T], period time.Duration, onMsg func(T), onTick func()) {
+func Serve[T any](v *AutoVirtual, stop *Gate, inbox *Mailbox[T], period time.Duration, onMsg func(T), onTick func()) {
 	srcs := append(make([]Waitable, 0, 3), stop)
 	var m T
 	if inbox != nil {
 		srcs = append(srcs, inbox.Receiver(&m))
 	}
 	if period > 0 {
-		tick := c.NewTicker(period)
+		tick := v.NewTicker(period)
 		defer tick.Stop()
 		srcs = append(srcs, tick)
 	}
 	for {
-		switch i, _, _ := Await(c, srcs...); {
+		switch i, _, _ := Await(v, srcs...); {
 		case i == 0:
 			return
 		case inbox != nil && i == 1:
@@ -317,19 +318,18 @@ func Serve[T any](c Clock, stop *Gate, inbox *Mailbox[T], period time.Duration, 
 // will each call RegisterForked. Go is the one way to do so; Fork and
 // RegisterForked stay exported for the scheduler probes that time a bare
 // hand-off.
-func Fork(c Clock, n int) {
-	av := c.(*AutoVirtual)
-	av.mu.Lock()
-	av.forking += n
-	av.mu.Unlock()
+func Fork(v *AutoVirtual, n int) {
+	v.mu.Lock()
+	v.forking += n
+	v.mu.Unlock()
 }
 
 // RegisterForked joins a goroutine announced by Fork, blocking until it is
 // granted the execution token. Announced registrants are held back until the
 // whole fork wave has arrived and then released in name order, so the OS
 // scheduling order of the spawned goroutines never leaks into the schedule.
-func RegisterForked(c Clock, name string) Handle {
-	return Handle{a: c.(*AutoVirtual).register(name, true)}
+func RegisterForked(v *AutoVirtual, name string) Handle {
+	return Handle{a: v.register(name, true)}
 }
 
 func (v *AutoVirtual) register(name string, forked bool) *Actor {
@@ -597,8 +597,7 @@ type Waitable interface {
 // multi-ready races deterministic; put the stop gate first so shutdown beats
 // pending work. With no token out, i.e. from outside the run, the caller is
 // registered as a transient actor for the duration of the wait, as in Sleep.
-func Await(c Clock, srcs ...Waitable) (idx int, val any, ok bool) {
-	v := c.(*AutoVirtual)
+func Await(v *AutoVirtual, srcs ...Waitable) (idx int, val any, ok bool) {
 	v.mu.Lock()
 	a := v.current
 	if a == nil {
@@ -653,13 +652,7 @@ type Gate struct {
 }
 
 // NewGate builds an open gate on the clock.
-func NewGate(c Clock) *Gate {
-	g := &Gate{}
-	g.init(c)
-	return g
-}
-
-func (g *Gate) init(c Clock) { g.v = c.(*AutoVirtual) }
+func NewGate(v *AutoVirtual) *Gate { return &Gate{v: v} }
 
 // Close opens the gate exactly once, waking every waiter; further Closes
 // are no-ops.
@@ -703,11 +696,11 @@ type Mailbox[T any] struct {
 }
 
 // NewMailbox builds a mailbox with the given capacity (floored at 1).
-func NewMailbox[T any](c Clock, capacity int) *Mailbox[T] {
+func NewMailbox[T any](v *AutoVirtual, capacity int) *Mailbox[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Mailbox[T]{v: c.(*AutoVirtual), capacity: capacity}
+	return &Mailbox[T]{v: v, capacity: capacity}
 }
 
 // Send enqueues val, blocking while the mailbox is full. It returns false

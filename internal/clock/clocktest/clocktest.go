@@ -27,7 +27,7 @@ const pollInterval = time.Millisecond
 
 // Until sleeps on clk until cond holds, failing t with what once timeout has
 // passed on the clock.
-func Until(t testing.TB, clk clock.Clock, timeout time.Duration, what string, cond func() bool) {
+func Until(t testing.TB, clk *clock.AutoVirtual, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := clk.Now().Add(timeout)
 	for !cond() {

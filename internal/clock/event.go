@@ -35,8 +35,7 @@ type Event struct {
 // NewEvent builds an unarmed event on the clock. name feeds the
 // deterministic tie-break and the diagnostics, like an actor's, and must be
 // as stable and as unique.
-func NewEvent(c Clock, name string, fn func()) *Event {
-	v := c.(*AutoVirtual)
+func NewEvent(v *AutoVirtual, name string, fn func()) *Event {
 	e := &Event{fn: fn, v: v}
 	e.w = waiter{event: e, index: -1}
 	e.actor = &Actor{v: v, name: name, ev: e}

@@ -208,7 +208,7 @@ func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 		var log []string // appended under the execution token
 		body := func(name string, phase int) func() {
 			return func() {
-				var ticker Ticker
+				var ticker *Timer
 				for r := 0; r < rounds; r++ {
 					switch (r + phase) % 3 {
 					case 0:

@@ -166,28 +166,6 @@ func TestForkWaveHoldsTheToken(t *testing.T) {
 	}
 }
 
-// foreignClock is a Clock the package did not build.
-type foreignClock struct{ Clock }
-
-// TestPrimitivesRequireTheVirtualClock: the blocking primitives accept no
-// other Clock. Handed one, each panics at once rather than running on
-// something that cannot schedule it.
-func TestPrimitivesRequireTheVirtualClock(t *testing.T) {
-	c := foreignClock{}
-	for name, f := range map[string]func(){
-		"Register":       func() { Register(c, "x") },
-		"RegisterForked": func() { RegisterForked(c, "x") },
-		"Fork":           func() { Fork(c, 1) },
-		"Go":             func() { Go(c, []string{"x"}, func(int) {}) },
-		"Await":          func() { Await(c) },
-		"NewGate":        func() { NewGate(c) },
-		"NewMailbox":     func() { NewMailbox[int](c, 1) },
-		"NewEvent":       func() { NewEvent(c, "x", func() {}) },
-	} {
-		t.Run(name, func(t *testing.T) { mustPanic(t, "clock.foreignClock", f) })
-	}
-}
-
 // TestWavesOfOneTurnReleaseTogether: the waves an actor forks before it
 // parks join the run queue as one batch in name order, even when the first
 // wave's goroutines all registered before the second wave was forked.

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Now implements Clock. It is the most-called method of a simulation and
-// takes no lock.
+// Now returns the current virtual instant. It is the most-called method of
+// a simulation and takes no lock.
 func (v *AutoVirtual) Now() time.Time {
 	return v.start.Add(time.Duration(v.elapsed.Load()))
 }
@@ -19,26 +19,27 @@ func (v *AutoVirtual) setNowLocked(t time.Time) {
 	v.now = v.start.Add(d)
 }
 
-// Since implements Clock.
+// Since returns the virtual time elapsed since t.
 func (v *AutoVirtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// NewTicker implements Clock.
-func (v *AutoVirtual) NewTicker(d time.Duration) Ticker {
+// NewTicker returns a timer that fires every d.
+func (v *AutoVirtual) NewTicker(d time.Duration) *Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &deadline{clk: v}
+	t := &Timer{clk: v}
 	t.w = waiter{at: v.now.Add(d), repeat: d, tick: t}
 	v.addWaiterLocked(&t.w)
 	return t
 }
 
-// NewTimerAt implements Clock. A deadline at or before the current virtual
-// instant fires immediately, so callers arming an absolute deadline cannot
-// lose a wake-up to a jump of the clock.
-func (v *AutoVirtual) NewTimerAt(at time.Time) Timer {
+// NewTimerAt returns a timer that fires once when the clock reaches the
+// absolute instant at. A deadline at or before the current virtual instant
+// fires immediately, so callers arming an absolute deadline cannot lose a
+// wake-up to a jump of the clock.
+func (v *AutoVirtual) NewTimerAt(at time.Time) *Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &deadline{clk: v}
+	t := &Timer{clk: v}
 	t.w = waiter{at: at, tick: t, index: -1}
 	if !at.After(v.now) {
 		t.fired = true // never enters the heap
@@ -97,10 +98,10 @@ type waiter struct {
 	repeat  time.Duration
 	tieName string
 	tieSeq  int64
-	tick    *deadline // the timer or ticker whose deadline this is
-	sleeper *Actor    // the actor parked on this waiter in Sleep
-	event   *Event    // the event whose deadline this is
-	index   int       // heap position, -1 while out of the heap
+	tick    *Timer // the timer or ticker whose deadline this is
+	sleeper *Actor // the actor parked on this waiter in Sleep
+	event   *Event // the event whose deadline this is
+	index   int    // heap position, -1 while out of the heap
 }
 
 type waiterHeap []*waiter
@@ -135,29 +136,34 @@ func (h *waiterHeap) Pop() any {
 	return w
 }
 
-// deadline is a virtual timer or ticker: the waiter it arms (a ticker's
+// Timer is a virtual timer (NewTimerAt), which fires once, or ticker
+// (NewTicker), which fires every period: the waiter it arms (a ticker's
 // re-arms itself on every fire), whether a fire awaits consumption, and the
-// actors awaiting it. fired and watch are guarded by clk.mu.
-type deadline struct {
+// actors awaiting it. A fire is consumed by awaiting the timer (Await);
+// fires that arrive while one is still unconsumed are dropped, as
+// time.Ticker drops ticks for a slow receiver. fired and watch are guarded
+// by clk.mu.
+type Timer struct {
 	clk   *AutoVirtual
 	w     waiter
 	fired bool
 	watch watchers
 }
 
-func (t *deadline) Stop() {
+// Stop disarms the timer; a fire not yet consumed stays pending.
+func (t *Timer) Stop() {
 	t.clk.mu.Lock()
 	defer t.clk.mu.Unlock()
 	t.clk.cancelLocked(&t.w)
 }
 
-func (t *deadline) attach(a *Actor) { t.watch.add(a) }
-func (t *deadline) detach(a *Actor) { t.watch.remove(a) }
+func (t *Timer) attach(a *Actor) { t.watch.add(a) }
+func (t *Timer) detach(a *Actor) { t.watch.remove(a) }
 
 // tryConsumeLocked consumes a pending fire. Await reports the fire by index
 // alone: boxing the instant into the any would cost one allocation per fire
 // for a value Now already answers.
-func (t *deadline) tryConsumeLocked() (any, bool, bool) {
+func (t *Timer) tryConsumeLocked() (any, bool, bool) {
 	if !t.fired {
 		return nil, false, false
 	}

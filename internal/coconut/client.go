@@ -75,7 +75,7 @@ type ClientConfig struct {
 	// the hash-and-compare guard (zero allocations).
 	Trace *trace.Tracer
 	// Clock is the time source; it is required.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 }
 
 func (c *ClientConfig) fill() {

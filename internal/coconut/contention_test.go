@@ -18,7 +18,7 @@ func TestContentionPreloadFailureFailsRun(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Zipfian{}, Mix: workload.SmallBank{}, Keys: 8, Seed: 1}
 	_, err := Run(RunConfig{
 		SystemName:      "failing-preload",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return failingPreloadDriver{newFakeDriver()} },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return failingPreloadDriver{newFakeDriver()} },
 		Workload:        &spec,
 		Clients:         1,
 		RateLimit:       10,
@@ -26,7 +26,7 @@ func TestContentionPreloadFailureFailsRun(t *testing.T) {
 		SendDuration:    50 * time.Millisecond,
 		ListenGrace:     10 * time.Millisecond,
 		Repetitions:     1,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err == nil || !strings.Contains(err.Error(), spec.Name()) || !errors.Is(err, errPreloadRefused) {
 		t.Fatalf("err = %v, want the preload failure naming workload %q", err, spec.Name())

@@ -24,7 +24,7 @@ func ExampleRun() {
 	results, err := coconut.Run(coconut.RunConfig{
 		SystemName:      systems.NameFabric,
 		NewDriver:       newDriver,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 		Unit:            []coconut.BenchmarkName{coconut.BenchDoNothing},
 		Clients:         2,
 		RateLimit:       100,

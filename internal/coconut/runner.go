@@ -20,7 +20,7 @@ type RunConfig struct {
 	// NewDriver provisions a fresh system (called once per repetition) on
 	// the given time source — the repetition's clock, so virtual repetitions
 	// never share timer state.
-	NewDriver func(clk clock.Clock) systems.Driver
+	NewDriver func(clk *clock.AutoVirtual) systems.Driver
 	// Unit lists the benchmarks to run in sequence on the same system.
 	Unit []BenchmarkName
 	// Workload, when set, replaces the paper benchmark generators with the
@@ -68,7 +68,7 @@ type RunConfig struct {
 	// NewClock constructs each repetition's time source, a fresh
 	// AutoVirtual; it is required. A clock's scheduler state must not span
 	// re-provisioned systems, so every repetition gets its own.
-	NewClock func() clock.Clock
+	NewClock func() *clock.AutoVirtual
 }
 
 func (c *RunConfig) fill() {
@@ -183,7 +183,7 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 	// armed during the repetition must have fired or been stopped —
 	// otherwise long soaks accumulate dead waiters in the virtual heap.
 	stopDriver()
-	if n := clk.(*clock.AutoVirtual).PendingWaiters(); n != 0 {
+	if n := clk.PendingWaiters(); n != 0 {
 		return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
 	}
 	return out, nil
@@ -196,7 +196,7 @@ const quiesceTimeout = 8 * time.Second
 
 // quiesce waits for slow admission queues to empty between unit members,
 // bounded by quiesceTimeout. Systems without backlogs return immediately.
-func quiesce(clk clock.Clock, driver systems.Driver) {
+func quiesce(clk *clock.AutoVirtual, driver systems.Driver) {
 	deadline := clk.Now().Add(quiesceTimeout)
 	for clk.Now().Before(deadline) {
 		if driver.Drained() {
@@ -210,7 +210,7 @@ func quiesce(clk clock.Clock, driver systems.Driver) {
 // client streams its own online summary (its memory is bounded by the
 // in-flight window); the summaries merge lock-free at phase end into the
 // repetition's metrics.
-func runBenchmark(cfg RunConfig, clk clock.Clock, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64, error) {
+func runBenchmark(cfg RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64, error) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected only under a fault schedule, so the paper-grid hot path

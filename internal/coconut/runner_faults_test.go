@@ -15,7 +15,7 @@ import (
 func TestRunnerNoFaultFullAvailability(t *testing.T) {
 	results, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return newFakeDriver() },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return newFakeDriver() },
 		Unit:            []BenchmarkName{BenchDoNothing},
 		Clients:         1,
 		RateLimit:       400,
@@ -24,7 +24,7 @@ func TestRunnerNoFaultFullAvailability(t *testing.T) {
 		ListenGrace:     100 * time.Millisecond,
 		Faults:          &faults.Schedule{},
 		Repetitions:     1,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestRunnerPartitionDipAndRecovery(t *testing.T) {
 	}}
 	results, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return newFakeDriver() },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return newFakeDriver() },
 		Unit:            []BenchmarkName{BenchDoNothing},
 		Clients:         1,
 		RateLimit:       400,
@@ -64,7 +64,7 @@ func TestRunnerPartitionDipAndRecovery(t *testing.T) {
 		ListenGrace:     150 * time.Millisecond,
 		Faults:          sched,
 		Repetitions:     1,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +120,14 @@ func TestRunnerRejectsInvalidSchedule(t *testing.T) {
 	}}
 	_, err := Run(RunConfig{
 		SystemName:   "fake",
-		NewDriver:    func(clk clock.Clock) systems.Driver { return newFakeDriver() },
+		NewDriver:    func(clk *clock.AutoVirtual) systems.Driver { return newFakeDriver() },
 		Unit:         []BenchmarkName{BenchDoNothing},
 		Clients:      1,
 		SendDuration: 100 * time.Millisecond,
 		ListenGrace:  50 * time.Millisecond,
 		Faults:       sched,
 		Repetitions:  1,
-		NewClock:     func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:     func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err == nil {
 		t.Fatal("runner accepted a schedule reaching past the run end")

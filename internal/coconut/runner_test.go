@@ -12,14 +12,14 @@ import (
 )
 
 func TestRunRequiresDriver(t *testing.T) {
-	if _, err := Run(RunConfig{NewClock: func() clock.Clock { return clock.NewAutoVirtual() }}); err == nil {
+	if _, err := Run(RunConfig{NewClock: func() *clock.AutoVirtual { return clock.NewAutoVirtual() }}); err == nil {
 		t.Fatal("Run without NewDriver must fail")
 	}
 }
 
 func TestRunRequiresClock(t *testing.T) {
 	d := newFakeDriver()
-	if _, err := Run(RunConfig{NewDriver: func(clock.Clock) systems.Driver { return d }}); err == nil {
+	if _, err := Run(RunConfig{NewDriver: func(*clock.AutoVirtual) systems.Driver { return d }}); err == nil {
 		t.Fatal("Run without NewClock must fail")
 	}
 }
@@ -27,7 +27,7 @@ func TestRunRequiresClock(t *testing.T) {
 // leakyDriver arms a ticker when it starts and never stops it.
 type leakyDriver struct {
 	*fakeDriver
-	clk clock.Clock
+	clk *clock.AutoVirtual
 }
 
 func (d leakyDriver) Start() error {
@@ -40,8 +40,8 @@ func (d leakyDriver) Start() error {
 func TestRunReportsLeakedWaiters(t *testing.T) {
 	_, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return leakyDriver{newFakeDriver(), clk} },
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return leakyDriver{newFakeDriver(), clk} },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 		Unit:            []BenchmarkName{BenchDoNothing},
 		Clients:         1,
 		RateLimit:       100,
@@ -76,7 +76,7 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 
 	_, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return d },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return d },
 		Unit:            []BenchmarkName{BenchKeyValueSet, BenchKeyValueGet},
 		Clients:         1,
 		RateLimit:       100,
@@ -84,7 +84,7 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 		SendDuration:    50 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 		Repetitions:     1,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
 		start := time.Now()
 		_, err := Run(RunConfig{
 			SystemName:      "fake",
-			NewDriver:       func(clock.Clock) systems.Driver { return d },
+			NewDriver:       func(*clock.AutoVirtual) systems.Driver { return d },
 			Unit:            unit,
 			Clients:         1,
 			RateLimit:       100,
@@ -121,7 +121,7 @@ func TestRunnerQuiesceTimeoutBounds(t *testing.T) {
 			SendDuration:    send,
 			ListenGrace:     grace,
 			Repetitions:     1,
-			NewClock:        func() clock.Clock { clk = clock.NewAutoVirtual(); return clk },
+			NewClock:        func() *clock.AutoVirtual { clk = clock.NewAutoVirtual(); return clk },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +156,7 @@ func TestRunnerFoldsConflictDeltasPerPhase(t *testing.T) {
 	d := sheddingDriver{newFakeDriver()}
 	results, err := Run(RunConfig{
 		SystemName:      "fake",
-		NewDriver:       func(clk clock.Clock) systems.Driver { return d },
+		NewDriver:       func(clk *clock.AutoVirtual) systems.Driver { return d },
 		Unit:            []BenchmarkName{BenchKeyValueSet, BenchKeyValueGet},
 		Clients:         1,
 		RateLimit:       100,
@@ -164,7 +164,7 @@ func TestRunnerFoldsConflictDeltasPerPhase(t *testing.T) {
 		SendDuration:    50 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 		Repetitions:     1,
-		NewClock:        func() clock.Clock { return clock.NewAutoVirtual() },
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,13 +14,13 @@ import (
 
 // best returns a NewDriver that builds system through the constructor table
 // at its Figure 3 cell for bench, on each repetition's clock.
-func best(t *testing.T, system string, bench coconut.BenchmarkName) func(clk clock.Clock) systems.Driver {
+func best(t *testing.T, system string, bench coconut.BenchmarkName) func(clk *clock.AutoVirtual) systems.Driver {
 	t.Helper()
 	cell, ok := experiments.BestCell(system, bench)
 	if !ok {
 		t.Fatalf("no Figure 3 cell for %s %s", system, bench)
 	}
-	return func(clk clock.Clock) systems.Driver {
+	return func(clk *clock.AutoVirtual) systems.Driver {
 		d, err := experiments.NewDriver(system, systemstest.On(clk), cell.Params)
 		if err != nil {
 			panic(err)
@@ -30,7 +30,7 @@ func best(t *testing.T, system string, bench coconut.BenchmarkName) func(clk clo
 }
 
 // virtual is the runner's clock factory for these tests.
-func virtual() clock.Clock { return clock.NewAutoVirtual() }
+func virtual() *clock.AutoVirtual { return clock.NewAutoVirtual() }
 
 func TestRunFabricDoNothingUnit(t *testing.T) {
 	results, err := coconut.Run(coconut.RunConfig{
@@ -201,7 +201,7 @@ func TestRunStageBreakdown(t *testing.T) {
 }
 
 // runContention executes one seeded workload phase against a driver.
-func runContention(t *testing.T, name string, newDriver func(clk clock.Clock) systems.Driver, spec workload.Spec) coconut.Result {
+func runContention(t *testing.T, name string, newDriver func(clk *clock.AutoVirtual) systems.Driver, spec workload.Spec) coconut.Result {
 	t.Helper()
 	results, err := coconut.Run(coconut.RunConfig{
 		SystemName:      name,

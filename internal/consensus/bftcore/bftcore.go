@@ -43,7 +43,7 @@ type Config struct {
 	// Transport carries protocol messages.
 	Transport *network.Transport
 	// Clock drives the round-change timer. Required.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 	// OnDecide receives decided payloads in height order.
 	OnDecide consensus.DecideFunc
 	// Proposer selects the proposer per (height, round).
@@ -55,8 +55,6 @@ type Config struct {
 	Digest func(any) crypto.Hash
 	// MsgPrefix namespaces wire message kinds (e.g. "ibft", "pbft").
 	MsgPrefix string
-	// MaxPending bounds the proposal backlog; 0 means unbounded.
-	MaxPending int
 }
 
 func (c *Config) fill() {
@@ -170,8 +168,6 @@ type Core struct {
 	join   func() // waits for the loop Start began
 }
 
-var _ consensus.Engine = (*Core)(nil)
-
 // New constructs a core; call Start to join the validator set.
 func New(cfg Config) *Core {
 	cfg.fill()
@@ -202,7 +198,7 @@ func New(cfg Config) *Core {
 	}
 }
 
-// Start implements consensus.Engine.
+// Start joins the validator set and launches the core's loop.
 func (c *Core) Start() error {
 	c.mu.Lock()
 	if c.running {
@@ -225,7 +221,7 @@ func (c *Core) Start() error {
 	return nil
 }
 
-// Stop implements consensus.Engine.
+// Stop terminates the core and waits for its loop to exit.
 func (c *Core) Stop() {
 	c.mu.Lock()
 	if !c.running {
@@ -239,19 +235,16 @@ func (c *Core) Stop() {
 	c.cfg.Transport.Unregister(c.cfg.ID)
 }
 
-// Submit implements consensus.Engine. The payload always queues locally so
-// that it survives proposer failures; when this node is not the proposer, a
-// copy is also forwarded to the current proposer for prompt ordering. The
-// locally-queued copy is discarded once a matching digest is decided.
+// Submit hands a payload to the core for ordering. The payload always
+// queues locally so that it survives proposer failures; when this node is
+// not the proposer, a copy is also forwarded to the current proposer for
+// prompt ordering. The locally-queued copy is discarded once a matching
+// digest is decided.
 func (c *Core) Submit(payload any) error {
 	c.mu.Lock()
 	if !c.running {
 		c.mu.Unlock()
 		return consensus.ErrNotRunning
-	}
-	if c.cfg.MaxPending > 0 && len(c.pending) >= c.cfg.MaxPending {
-		c.mu.Unlock()
-		return consensus.ErrOverloaded
 	}
 	c.pending = append(c.pending, pendingItem{payload: payload, digest: c.cfg.Digest(payload)})
 	proposer := c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round)

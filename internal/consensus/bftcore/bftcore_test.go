@@ -237,38 +237,6 @@ func TestSubmitNotRunning(t *testing.T) {
 	}
 }
 
-func TestMaxPendingBackpressure(t *testing.T) {
-	clk := clocktest.New(t)
-	tr := network.NewTransport(clk, nil)
-	defer tr.Stop()
-	core := New(Config{
-		Clock:      clk,
-		ID:         "solo",
-		Peers:      []string{"solo", "ghost-a", "ghost-b", "ghost-c"},
-		Transport:  tr,
-		MaxPending: 2,
-		// solo proposes height 4k? RoundRobin: height 1 proposer = peers[1]
-		// = ghost-a, so solo forwards... use sticky so solo is primary at
-		// round 0? StickyPrimary picks peers[0] = solo. Good.
-		Proposer: StickyPrimary,
-	})
-	if err := core.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer core.Stop()
-	// Ghosts never vote, so proposals stall and pending accumulates. The
-	// first submit is consumed into the in-flight proposal slot.
-	errs := 0
-	for i := 0; i < 10; i++ {
-		if err := core.Submit(i); err == consensus.ErrOverloaded {
-			errs++
-		}
-	}
-	if errs == 0 {
-		t.Fatal("bounded pending queue never pushed back")
-	}
-}
-
 func TestQuorumRequiresEnoughValidators(t *testing.T) {
 	// 4 validators, 2 isolated: remaining 2 < quorum(3) must not decide.
 	c := newCluster(t, 4, StickyPrimary)

@@ -62,13 +62,13 @@ func (r *recorder) checkAgreement(t *testing.T, ids []string, upTo int) {
 }
 
 // waitCount sleeps on clk until id has decided want slots.
-func waitCount(t *testing.T, clk clock.Clock, r *recorder, id string, want int, timeout time.Duration) {
+func waitCount(t *testing.T, clk *clock.AutoVirtual, r *recorder, id string, want int, timeout time.Duration) {
 	t.Helper()
 	clocktest.Until(t, clk, timeout, fmt.Sprintf("%s decides %d", id, want), func() bool { return r.count(id) >= want })
 }
 
 // waitLeader sleeps on clk until one of nodes leads and returns it.
-func waitLeader(t *testing.T, clk clock.Clock, nodes []*raft.Node) *raft.Node {
+func waitLeader(t *testing.T, clk *clock.AutoVirtual, nodes []*raft.Node) *raft.Node {
 	t.Helper()
 	var leader *raft.Node
 	clocktest.Until(t, clk, 5*time.Second, "a leader elected", func() bool {
@@ -95,14 +95,12 @@ func TestRaftAgreementUnderLatency(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
-			Clock:             clk,
-			ID:                id,
-			Peers:             ids,
-			Transport:         tr,
-			OnDecide:          rec.fn(id),
-			HeartbeatInterval: 8 * time.Millisecond,
-			ElectionTimeout:   60 * time.Millisecond,
-			Seed:              int64(i + 1),
+			Clock:     clk,
+			ID:        id,
+			Peers:     ids,
+			Transport: tr,
+			OnDecide:  rec.fn(id),
+			Seed:      int64(i + 1),
 		})
 		nodes = append(nodes, n)
 		if err := n.Start(); err != nil {
@@ -235,14 +233,12 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 	var nodes []*raft.Node
 	for i, id := range ids {
 		n := raft.New(raft.Config{
-			Clock:             clk,
-			ID:                id,
-			Peers:             ids,
-			Transport:         tr,
-			OnDecide:          rec.fn(id),
-			HeartbeatInterval: 5 * time.Millisecond,
-			ElectionTimeout:   40 * time.Millisecond,
-			Seed:              int64(i + 1),
+			Clock:     clk,
+			ID:        id,
+			Peers:     ids,
+			Transport: tr,
+			OnDecide:  rec.fn(id),
+			Seed:      int64(i + 1),
 		})
 		nodes = append(nodes, n)
 		if err := n.Start(); err != nil {

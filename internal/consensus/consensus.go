@@ -28,22 +28,10 @@ type Decision struct {
 // decided. Callbacks run on engine goroutines and must return promptly.
 type DecideFunc func(Decision)
 
-// Engine orders payloads across a set of nodes.
-type Engine interface {
-	// Start launches the engine's goroutines.
-	Start() error
-	// Submit hands a payload to the engine for ordering. Non-leader nodes
-	// forward to the current leader where the protocol requires it.
-	Submit(payload any) error
-	// Stop terminates the engine and waits for its goroutines to exit.
-	Stop()
-}
-
 // Engine lifecycle errors.
 var (
 	ErrNotRunning = errors.New("consensus: engine not running")
 	ErrNotLeader  = errors.New("consensus: not the leader")
-	ErrOverloaded = errors.New("consensus: proposal queue full")
 )
 
 // QuorumSize returns the vote threshold for a BFT protocol tolerating f

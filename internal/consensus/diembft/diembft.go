@@ -30,15 +30,12 @@ type Config struct {
 	// Transport carries protocol messages.
 	Transport *network.Transport
 	// Clock drives the pacemaker. Required.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 	// OnDecide receives committed non-empty payloads in commit order.
 	OnDecide consensus.DecideFunc
 	// RoundInterval is the cadence at which the leader proposes. Default
 	// 20ms.
 	RoundInterval time.Duration
-	// RoundTimeout is the pacemaker's per-round timeout. Default
-	// 10x RoundInterval.
-	RoundTimeout time.Duration
 	// PayloadSource, when set, is consulted by the round leader whenever
 	// its local Submit backlog is empty; returning nil proposes an empty
 	// block. Systems use it to pull a freshly formed block (e.g. up to
@@ -53,10 +50,10 @@ func (c *Config) fill() {
 	if c.RoundInterval <= 0 {
 		c.RoundInterval = 20 * time.Millisecond
 	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 10 * c.RoundInterval
-	}
 }
+
+// timeoutRounds is the pacemaker's per-round timeout in round intervals.
+const timeoutRounds = 10
 
 // qc is a quorum certificate over a block at a round.
 type qc struct {
@@ -116,8 +113,6 @@ type Engine struct {
 	join   func() // waits for the loop Start began
 }
 
-var _ consensus.Engine = (*Engine)(nil)
-
 // New constructs a validator; call Start to join.
 func New(cfg Config) *Engine {
 	cfg.fill()
@@ -138,7 +133,7 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Start implements consensus.Engine.
+// Start joins the validator set and launches the validator's loop.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	if e.running {
@@ -155,7 +150,7 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// Stop implements consensus.Engine.
+// Stop terminates the validator and waits for its loop to exit.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.running {
@@ -169,9 +164,9 @@ func (e *Engine) Stop() {
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
-// Submit implements consensus.Engine. Payloads queue locally and are also
-// forwarded to the next few leaders so whichever wins the round can include
-// them.
+// Submit hands a payload to the validator for ordering. Payloads queue
+// locally and are also forwarded to the next few leaders so whichever wins
+// the round can include them.
 func (e *Engine) Submit(payload any) error {
 	e.mu.Lock()
 	if !e.running {
@@ -219,8 +214,10 @@ func blockID(parent crypto.Hash, round uint64, proposer string, payload any) cry
 }
 
 // run is the validator's loop: messages, and a propose tick that also
-// fires the round timeout once RoundTimeout passes without progress.
+// fires the round timeout once timeoutRounds round intervals pass without
+// progress.
 func (e *Engine) run() {
+	roundTimeout := timeoutRounds * e.cfg.RoundInterval
 	lastProgress := e.cfg.Clock.Now()
 	clock.Serve(e.cfg.Clock, e.stop, e.events, e.cfg.RoundInterval, func(m network.Message) {
 		if e.handle(m) {
@@ -228,7 +225,7 @@ func (e *Engine) run() {
 		}
 	}, func() {
 		e.tryPropose()
-		if e.cfg.Clock.Since(lastProgress) > e.cfg.RoundTimeout {
+		if e.cfg.Clock.Since(lastProgress) > roundTimeout {
 			e.fireTimeout()
 			lastProgress = e.cfg.Clock.Now()
 		}

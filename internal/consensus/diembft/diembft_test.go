@@ -189,6 +189,38 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
+// TestPacemakerTimesOutAfterTimeoutRounds: a validator that hears nothing
+// votes to time its round out once timeoutRounds round intervals have
+// passed without progress, and not before.
+func TestPacemakerTimesOutAfterTimeoutRounds(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	// Round 1's leader is g1, which never runs: solo only ever waits.
+	e := New(Config{Clock: clk, ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr, RoundInterval: interval})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	timedOut := func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.timeouts[1] != nil
+	}
+	clk.Sleep(timeoutRounds*interval + interval/2)
+	if timedOut() {
+		t.Fatalf("round 1 timed out within %d round intervals", timeoutRounds)
+	}
+	clk.Sleep(interval)
+	if !timedOut() {
+		t.Fatalf("round 1 did not time out on the first tick past %d round intervals", timeoutRounds)
+	}
+	if r := e.Round(); r != 1 {
+		t.Fatalf("round %d: one timeout vote of four must not advance it", r)
+	}
+}
+
 // TestOnlyAValidatorsOwnVoteCounts drives the round-1 leader's handlers by
 // hand. A vote counts when its sender is a validator and names itself as the
 // voter; votes from an outsider, votes an outsider casts in a validator's

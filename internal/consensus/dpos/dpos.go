@@ -45,7 +45,7 @@ type Config struct {
 	// Transport carries gossip and block messages.
 	Transport *network.Transport
 	// Clock drives slot timing. Required.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 	// OnDecide receives produced blocks in slot order.
 	OnDecide consensus.DecideFunc
 	// BlockInterval is the slot length (the paper's block_interval
@@ -102,8 +102,6 @@ type Engine struct {
 	stop   *clock.Gate
 	join   func() // waits for the loop Start began
 }
-
-var _ consensus.Engine = (*Engine)(nil)
 
 // New constructs a witness; call Start to begin the schedule. Its gossip
 // index is its own: a network of one.
@@ -181,7 +179,7 @@ func (s *schedule) witness(slot uint64) int {
 	return s.order[slot%n]
 }
 
-// Start implements consensus.Engine.
+// Start joins the witness schedule and launches the witness's loop.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	if e.running {
@@ -200,7 +198,7 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// Stop implements consensus.Engine.
+// Stop terminates the witness and waits for its loop to exit.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if !e.running {
@@ -214,8 +212,9 @@ func (e *Engine) Stop() {
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
-// Submit implements consensus.Engine: the payload is gossiped to every
-// witness and included by whichever produces the next block.
+// Submit hands a payload to the witnesses for ordering: the payload is
+// gossiped to every witness and included by whichever produces the next
+// block.
 func (e *Engine) Submit(payload any) error {
 	e.mu.Lock()
 	if !e.running {

@@ -89,7 +89,7 @@ type Signer func(party string, txID crypto.Hash) (crypto.Signature, error)
 // in Parallel mode it is the maximum. Any failure aborts the collection.
 // Parallel collection runs each party's signing on its own clock actor, so
 // the concurrent waits overlap on the clock.
-func CollectSignatures(clk clock.Clock, mode SigningMode, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
+func CollectSignatures(clk *clock.AutoVirtual, mode SigningMode, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	switch mode {
 	case Parallel:
 		return collectParallel(clk, parties, txID, sign)
@@ -110,7 +110,7 @@ func collectSerial(parties []string, txID crypto.Hash, sign Signer) ([]crypto.Si
 	return sigs, nil
 }
 
-func collectParallel(clk clock.Clock, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
+func collectParallel(clk *clock.AutoVirtual, parties []string, txID crypto.Hash, sign Signer) ([]crypto.Signature, error) {
 	collected := make([]crypto.Signature, len(parties))
 	errs := make([]error, len(parties))
 	// The txID prefix keeps actor names unique when several flows collect

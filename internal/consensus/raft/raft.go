@@ -53,15 +53,9 @@ type Config struct {
 	// Transport carries protocol messages.
 	Transport *network.Transport
 	// Clock drives timeouts. Required.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 	// OnDecide receives committed payloads in log order.
 	OnDecide consensus.DecideFunc
-	// HeartbeatInterval is the leader's AppendEntries cadence.
-	// Default 15ms.
-	HeartbeatInterval time.Duration
-	// ElectionTimeout is the base follower timeout; each node randomizes
-	// within [timeout, 2*timeout). Default 100ms.
-	ElectionTimeout time.Duration
 	// Seed randomizes election timeouts deterministically.
 	Seed int64
 }
@@ -70,13 +64,15 @@ func (c *Config) fill() {
 	if c.Clock == nil {
 		panic("raft: Config.Clock is nil")
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 15 * time.Millisecond
-	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 100 * time.Millisecond
-	}
 }
+
+const (
+	// heartbeatInterval is the leader's AppendEntries cadence.
+	heartbeatInterval = 15 * time.Millisecond
+	// electionTimeout is the base follower timeout; each node randomizes
+	// within [electionTimeout, 2*electionTimeout).
+	electionTimeout = 100 * time.Millisecond
+)
 
 type entry struct {
 	Term    uint64
@@ -142,8 +138,6 @@ type Node struct {
 	join   func() // waits for the loop Start began
 }
 
-var _ consensus.Engine = (*Node)(nil)
-
 // New creates a Raft node; call Start to join the cluster.
 func New(cfg Config) *Node {
 	cfg.fill()
@@ -163,7 +157,7 @@ func New(cfg Config) *Node {
 	}
 }
 
-// Start implements consensus.Engine.
+// Start joins the cluster and launches the node's loop.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.running {
@@ -181,7 +175,7 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Stop implements consensus.Engine.
+// Stop terminates the node and waits for its loop to exit.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if !n.running {
@@ -195,8 +189,8 @@ func (n *Node) Stop() {
 	n.cfg.Transport.Unregister(n.cfg.ID)
 }
 
-// Submit implements consensus.Engine. On the leader it appends to the log;
-// on followers it forwards to the last known leader.
+// Submit hands a payload to the cluster for ordering. On the leader it
+// appends to the log; on followers it forwards to the last known leader.
 func (n *Node) Submit(payload any) error {
 	n.mu.Lock()
 	if !n.running {
@@ -251,7 +245,7 @@ func (n *Node) CommitIndex() int {
 // leader replicates and a follower idle past its election deadline stands.
 func (n *Node) run() {
 	electionDeadline := n.randomElectionTimeout()
-	clock.Serve(n.cfg.Clock, n.stop, n.events, n.cfg.HeartbeatInterval, n.handle, func() {
+	clock.Serve(n.cfg.Clock, n.stop, n.events, heartbeatInterval, n.handle, func() {
 		n.mu.Lock()
 		role := n.role
 		idle := n.cfg.Clock.Since(n.lastHeard)
@@ -267,8 +261,7 @@ func (n *Node) run() {
 }
 
 func (n *Node) randomElectionTimeout() time.Duration {
-	base := n.cfg.ElectionTimeout
-	return base + time.Duration(n.rng.Int63n(int64(base)))
+	return electionTimeout + time.Duration(n.rng.Int63n(int64(electionTimeout)))
 }
 
 func (n *Node) handle(m network.Message) {

@@ -39,14 +39,12 @@ func newCluster(t *testing.T, n int) *cluster {
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		node := New(Config{
-			Clock:             clk,
-			ID:                id,
-			Peers:             peers,
-			Transport:         c.transport,
-			OnDecide:          c.recorder(id),
-			HeartbeatInterval: 5 * time.Millisecond,
-			ElectionTimeout:   30 * time.Millisecond,
-			Seed:              int64(i + 1),
+			Clock:     clk,
+			ID:        id,
+			Peers:     peers,
+			Transport: c.transport,
+			OnDecide:  c.recorder(id),
+			Seed:      int64(i + 1),
 		})
 		c.nodes = append(c.nodes, node)
 	}
@@ -235,13 +233,18 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 		ID:        "solo-follower",
 		Peers:     []string{"solo-follower", "ghost-1", "ghost-2"},
 		Transport: tr,
-		// Long timeout so it stays follower during the test.
-		ElectionTimeout: time.Hour,
 	})
+	start := clk.Now()
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
+	// The test holds the execution token, so the clock cannot move before
+	// Submit: no election timeout can have fired, and the node is still a
+	// follower that knows no leader.
+	if waited := clk.Since(start); waited >= electionTimeout {
+		t.Fatalf("%v passed before Submit, want under the %v election timeout", waited, electionTimeout)
+	}
 	if err := n.Submit("x"); err != consensus.ErrNotLeader {
 		t.Fatalf("err = %v, want ErrNotLeader", err)
 	}
@@ -274,8 +277,6 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 		OnDecide: func(d consensus.Decision) {
 			got = append(got, d.Payload)
 		},
-		HeartbeatInterval: 2 * time.Millisecond,
-		ElectionTimeout:   10 * time.Millisecond,
 	})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
@@ -287,6 +288,26 @@ func TestSingleNodeClusterDecidesImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	clocktest.Until(t, clk, 2*time.Second, "single-node cluster decides", func() bool { return len(got) == 1 })
+}
+
+// TestElectionWaitsForTheElectionTimeout: a lone node stays a follower
+// for electionTimeout, then stands and leads before twice that (its
+// randomized deadline) plus one heartbeat tick has passed.
+func TestElectionWaitsForTheElectionTimeout(t *testing.T) {
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	n := New(Config{Clock: clk, ID: "solo", Peers: []string{"solo"}, Transport: tr, Seed: 1})
+	start := clk.Now()
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	clk.Sleep(electionTimeout - time.Millisecond)
+	if r := n.Role(); r != Follower {
+		t.Fatalf("%v before the election timeout: %v, want follower", clk.Since(start), r)
+	}
+	clocktest.Until(t, clk, electionTimeout+heartbeatInterval, "the lone node leads", func() bool { return n.Role() == Leader })
 }
 
 func TestRoleString(t *testing.T) {

@@ -90,9 +90,9 @@ type Options struct {
 // newClockFn returns the per-repetition clock factory: a fresh AutoVirtual
 // each time, because a repetition must never inherit another repetition's
 // timer state.
-func (o Options) newClockFn() func() clock.Clock {
+func (o Options) newClockFn() func() *clock.AutoVirtual {
 	m := o.meter
-	return func() clock.Clock {
+	return func() *clock.AutoVirtual {
 		c := clock.NewAutoVirtual()
 		if m != nil {
 			m.add(c)
@@ -206,13 +206,13 @@ func NewDriver(system string, env systems.Env, p Params) (systems.Driver, error)
 // the driver should live on — the runner hands it each repetition's clock,
 // so no two repetitions (and no two concurrently running cells) share timer
 // state — and a fresh latency model, so none shares its draws either.
-func NewDriverFunc(system string, p Params, o Options) (func(clk clock.Clock) systems.Driver, error) {
+func NewDriverFunc(system string, p Params, o Options) (func(clk *clock.AutoVirtual) systems.Driver, error) {
 	o.fill()
 	newDriver, ok := drivers[system]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
-	return func(clk clock.Clock) systems.Driver {
+	return func(clk *clock.AutoVirtual) systems.Driver {
 		return newDriver(systems.Env{Nodes: o.Nodes, Scale: o.Scale, Latency: o.latency(), Clock: clk,
 			WAL: o.WAL, Trace: o.Trace, Seed: o.Seed}, p)
 	}, nil

@@ -28,6 +28,15 @@ const (
 // as agreement.
 const agreeBand = 1.5
 
+// A cell's MTPS against its rate limiter RL. At rateLimitedAt·RL the cell
+// took all it was offered: the model found no ceiling below the offered
+// load, so agreement there is no evidence. Past overOfferedAt·RL it
+// confirmed more than was offered, which no steady state can do.
+const (
+	rateLimitedAt = 0.99
+	overOfferedAt = 1.01
+)
+
 // Compare judges one row against its paper reference.
 func Compare(row OutcomeRow) Verdict {
 	p := row.Paper
@@ -74,6 +83,10 @@ type FidelitySummary struct {
 	Disagree map[Verdict][]string
 	// Shapes are the paper's qualitative claims checked on the rows.
 	Shapes []ShapeCheck
+	// RateLimited counts the cells whose MTPS reached rateLimitedAt of
+	// their rate limiter, and OverOffered names those past overOfferedAt.
+	RateLimited int
+	OverOffered []string
 }
 
 // disagreeOrder is the order verdict lists render in.
@@ -92,6 +105,14 @@ func Fidelity(rows []OutcomeRow) FidelitySummary {
 		if v != NoReference && v != Agree && v != BothFailed {
 			f.Disagree[v] = append(f.Disagree[v], row.System+" "+row.Benchmark)
 		}
+		if rl := float64(row.Params.RL); rl > 0 {
+			if row.Result.MTPS.Mean >= rateLimitedAt*rl {
+				f.RateLimited++
+			}
+			if row.Result.MTPS.Mean > overOfferedAt*rl {
+				f.OverOffered = append(f.OverOffered, row.System+" "+row.Benchmark)
+			}
+		}
 	}
 	if f.Compared > 0 {
 		f.MeanLog2 = sum / float64(f.Compared)
@@ -99,10 +120,17 @@ func Fidelity(rows []OutcomeRow) FidelitySummary {
 	return f
 }
 
-// String renders the summary as a markdown paragraph with one bullet per
-// disagreeing verdict and per failed shape check.
+// String renders the summary as a markdown paragraph with one bullet for
+// the rate-limiter counts, one per disagreeing verdict and one per failed
+// shape check.
 func (f FidelitySummary) String() string {
 	s := fmt.Sprintf("Fidelity: mean |log₂(model/paper)| %.2f over %d cells where both ran\n", f.MeanLog2, f.Compared)
+	s += fmt.Sprintf("- %d rate-limited (MTPS ≥ %.2f·RL), %d over-offered (MTPS > %.2f·RL)",
+		f.RateLimited, rateLimitedAt, len(f.OverOffered), overOfferedAt)
+	if len(f.OverOffered) > 0 {
+		s += ": " + strings.Join(f.OverOffered, ", ")
+	}
+	s += "\n"
 	for _, v := range disagreeOrder {
 		if names := f.Disagree[v]; len(names) > 0 {
 			s += fmt.Sprintf("- %d %s: %s\n", len(names), v, strings.Join(names, ", "))

@@ -21,9 +21,11 @@ import (
 // list fails the gate, and so does an entry that no longer occurs, which
 // asks for its removal.
 type fidelityGate struct {
-	maxMeanLog2   float64
-	disagree      []string // cells whose verdict may be other than agreement
-	shapeFailures []string
+	maxMeanLog2    float64
+	maxRateLimited int
+	disagree       []string // cells whose verdict may be other than agreement
+	shapeFailures  []string
+	overOffered    []string // cells whose MTPS may pass their rate limiter
 }
 
 func (g fidelityGate) violations(f FidelitySummary) []string {
@@ -31,6 +33,9 @@ func (g fidelityGate) violations(f FidelitySummary) []string {
 	if f.MeanLog2 > g.maxMeanLog2 {
 		out = append(out, fmt.Sprintf("mean |log2(model/paper)| %.4f over %d cells exceeds the bound %.3f",
 			f.MeanLog2, f.Compared, g.maxMeanLog2))
+	}
+	if f.RateLimited > g.maxRateLimited {
+		out = append(out, fmt.Sprintf("%d rate-limited cells exceed the bound %d", f.RateLimited, g.maxRateLimited))
 	}
 	var disagree, shapes []string
 	for _, v := range disagreeOrder {
@@ -42,6 +47,7 @@ func (g fidelityGate) violations(f FidelitySummary) []string {
 		}
 	}
 	out = append(out, allowListViolations("disagreeing cell", disagree, g.disagree)...)
+	out = append(out, allowListViolations("over-offered cell", f.OverOffered, g.overOffered)...)
 	return append(out, allowListViolations("shape failure", shapes, g.shapeFailures)...)
 }
 
@@ -102,10 +108,23 @@ func latencyDrift(lan, wan []OutcomeRow) (drifted []string, comparable int) {
 	return drifted, comparable
 }
 
+// overOfferedAt001 lists the cells that confirm more than their rate limiter
+// offers at scale 0.01 in both figures: BitShares at 1.03-1.09x.
+var overOfferedAt001 = []string{
+	"BitShares DoNothing",
+	"BitShares KeyValue-Set",
+	"BitShares KeyValue-Get",
+	"BitShares BankingApp-CreateAccount",
+	"BitShares BankingApp-Balance",
+}
+
 // figure3Gate pins Figure 3 under -time virtual at scale 0.01, seed 42. The
-// bound is the measured mean (0.7911) rounded up at the third decimal.
+// bound is the measured mean (0.7911) rounded up at the third decimal; the
+// rate-limited bound is the measured count.
 var figure3Gate = fidelityGate{
-	maxMeanLog2: 0.792,
+	maxMeanLog2:    0.792,
+	maxRateLimited: 16,
+	overOffered:    overOfferedAt001,
 	disagree: []string{
 		// off-band
 		"Corda Enterprise KeyValue-Set",
@@ -128,9 +147,12 @@ var figure3Gate = fidelityGate{
 }
 
 // figure4Gate pins Figure 4 under -time virtual at scale 0.01, seed 42. The
-// bound is the measured mean (1.1141) rounded up at the third decimal.
+// bound is the measured mean (1.1141) rounded up at the third decimal; the
+// rate-limited bound is the measured count.
 var figure4Gate = fidelityGate{
-	maxMeanLog2: 1.115,
+	maxMeanLog2:    1.115,
+	maxRateLimited: 16,
+	overOffered:    overOfferedAt001,
 	disagree: []string{
 		// off-band
 		"Corda Enterprise KeyValue-Set",
@@ -274,6 +296,17 @@ func mutateCell(rows []OutcomeRow, system, bench string, tps float64) []OutcomeR
 	return out
 }
 
+// limitCell gives the named cell the rate limiter rl.
+func limitCell(rows []OutcomeRow, system, bench string, rl int) []OutcomeRow {
+	out := append([]OutcomeRow(nil), rows...)
+	for i := range out {
+		if out[i].System == system && out[i].Benchmark == bench {
+			out[i].Params.RL = rl
+		}
+	}
+	return out
+}
+
 func TestFidelityGateHoldsPaperShapedGrid(t *testing.T) {
 	f := Fidelity(fakeGridRows())
 	if v := passingGate.violations(f); len(v) > 0 {
@@ -307,11 +340,51 @@ func TestFidelityGateFailsOnEachMutation(t *testing.T) {
 			fidelityGate{maxMeanLog2: 1, disagree: []string{"BitShares BankingApp-SendPayment"}},
 			`shape failure "BitShares SendPayment collapses" is not on the allow-list`},
 		{"mean past its bound", grid, fidelityGate{maxMeanLog2: 0.05}, "exceeds the bound 0.050"},
+		// The grid's Fabric DoNothing confirms 1.05 x 1461.05 = 1534.1 MTPS.
+		{"rate-limited count past its bound", limitCell(grid, "Fabric", "DoNothing", 1540), passingGate,
+			"1 rate-limited cells exceed the bound 0"},
+		{"over-offered cell outside the list", limitCell(grid, "Fabric", "DoNothing", 1500),
+			fidelityGate{maxMeanLog2: 0.1, maxRateLimited: 1},
+			`over-offered cell "Fabric DoNothing" is not on the allow-list`},
+		{"allow-listed over-offered cell that now keeps to its limiter", grid,
+			fidelityGate{maxMeanLog2: 0.1, overOffered: []string{"Fabric DoNothing"}},
+			`remove "Fabric DoNothing" from the allow-list`},
 	} {
-		v := strings.Join(tc.gate.violations(Fidelity(tc.rows)), "\n")
-		if !strings.Contains(v, tc.want) {
-			t.Errorf("%s: violations %q lack %q", tc.name, v, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			v := strings.Join(tc.gate.violations(Fidelity(tc.rows)), "\n")
+			if !strings.Contains(v, tc.want) {
+				t.Errorf("violations %q lack %q", v, tc.want)
+			}
+		})
+	}
+}
+
+// TestFidelityRateLimiterBoundaries: a cell is rate-limited from exactly
+// 0.99·RL and over-offered only past 1.01·RL.
+func TestFidelityRateLimiterBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		rl                       int
+		mtps                     float64
+		rateLimited, overOffered bool
+	}{
+		{"below 0.99", 1000, 989.9, false, false},
+		{"at 0.99", 1000, 990, true, false},
+		{"at 1.01", 1000, 1010, true, false},
+		{"past 1.01", 1000, 1010.1, true, true},
+		{"no rate limiter", 0, 5000, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row := fakeRow("Fabric", "DoNothing", nil, coconut.RepetitionResult{TPS: tc.mtps, ReceivedNoT: int(tc.mtps * 300)})
+			row.Params.RL = tc.rl
+			f := Fidelity([]OutcomeRow{row})
+			if got := f.RateLimited == 1; got != tc.rateLimited {
+				t.Errorf("MTPS %v at RL %d: rate-limited %v, want %v", tc.mtps, tc.rl, got, tc.rateLimited)
+			}
+			if got := len(f.OverOffered) == 1; got != tc.overOffered {
+				t.Errorf("MTPS %v at RL %d: over-offered %v, want %v", tc.mtps, tc.rl, got, tc.overOffered)
+			}
+		})
 	}
 }
 

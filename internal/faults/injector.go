@@ -22,7 +22,7 @@ type Applied struct {
 // no-ops, never panics — chaos schedules are allowed to be sloppy.
 type Injector struct {
 	drv   systems.Driver
-	clk   clock.Clock
+	clk   *clock.AutoVirtual
 	sched []Event
 
 	mu          sync.Mutex
@@ -39,7 +39,7 @@ type Injector struct {
 
 // NewInjector builds an injector for the schedule (applied in time order)
 // over the given driver, timed by clk, which is required.
-func NewInjector(drv systems.Driver, sched Schedule, clk clock.Clock) *Injector {
+func NewInjector(drv systems.Driver, sched Schedule, clk *clock.AutoVirtual) *Injector {
 	if clk == nil {
 		panic("faults: NewInjector needs a clock")
 	}

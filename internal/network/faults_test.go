@@ -10,7 +10,7 @@ import (
 )
 
 // waitDelivered sleeps on clk until tr has delivered want messages.
-func waitDelivered(t *testing.T, clk clock.Clock, tr *Transport, want uint64, timeout time.Duration) {
+func waitDelivered(t *testing.T, clk *clock.AutoVirtual, tr *Transport, want uint64, timeout time.Duration) {
 	t.Helper()
 	clocktest.Until(t, clk, timeout, fmt.Sprintf("%d deliveries", want), func() bool {
 		_, delivered, _ := tr.Stats()

@@ -49,7 +49,7 @@ var (
 // fan-out; handlers run with the lock released, because they send. What
 // orders messages is therefore the same on every host.
 type Transport struct {
-	clk     clock.Clock
+	clk     *clock.AutoVirtual
 	latency LatencyModel
 	t0      time.Time // queue epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
@@ -102,7 +102,7 @@ const endpointQueueDepth = 65536
 
 // NewTransport creates a fabric timed by clk, which is required, with the
 // given latency model. A nil model defaults to ZeroLatency.
-func NewTransport(clk clock.Clock, latency LatencyModel) *Transport {
+func NewTransport(clk *clock.AutoVirtual, latency LatencyModel) *Transport {
 	if clk == nil {
 		panic("network: NewTransport needs a clock")
 	}

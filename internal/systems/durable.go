@@ -55,7 +55,7 @@ type DurableGate struct {
 	// batch, so Backlog never under-reports during replay.
 	inflight int
 
-	clk clock.Clock
+	clk *clock.AutoVirtual
 	log *wal.Log
 	// pendingRefetch counts records the log lost at crash time, to be
 	// re-fetched from peers on the next Restart.
@@ -85,7 +85,7 @@ type gateTask struct {
 
 // Enable mounts a write-ahead log on the gate. Call before traffic starts;
 // a gate never Enabled only buffers and replays, at no modeled cost.
-func (g *DurableGate) Enable(clk clock.Clock, log *wal.Log) {
+func (g *DurableGate) Enable(clk *clock.AutoVirtual, log *wal.Log) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.clk = clk

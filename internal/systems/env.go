@@ -48,7 +48,7 @@ type Env struct {
 	// Latency models the per-hop delay between nodes.
 	Latency network.LatencyModel
 	// Clock is the time source every timer and modeled cost runs on.
-	Clock clock.Clock
+	Clock *clock.AutoVirtual
 	// WAL, when set, mounts a write-ahead log on every node's commit gate
 	// (see DurableGate); nil runs the no-WAL hot path.
 	WAL *wal.Options

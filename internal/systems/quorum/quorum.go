@@ -87,6 +87,9 @@ type validator struct {
 	gossip string // the tx-gossip endpoint beside the engine's: ID + "-gossip"
 	engine *bftcore.Core
 	pool   *mempool.Pool[*chain.Transaction]
+	// included holds the IDs of the block scrubPool is removing, cleared
+	// and refilled per block.
+	included map[crypto.Hash]struct{}
 
 	mu      sync.Mutex
 	stalled bool
@@ -121,10 +124,11 @@ func build(env systems.Env, cfg config) *Network {
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
 	for i, r := range n.Replicas() {
 		v := &validator{
-			Replica: r,
-			index:   i,
-			gossip:  names[i] + "-gossip",
-			pool:    mempool.NewUnbounded[*chain.Transaction](),
+			Replica:  r,
+			index:    i,
+			gossip:   names[i] + "-gossip",
+			pool:     mempool.NewUnbounded[*chain.Transaction](),
+			included: make(map[crypto.Hash]struct{}),
 		}
 		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
 		v.engine = bftcore.New(bftcore.Config{
@@ -336,11 +340,14 @@ func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
 	if len(included) == 0 {
 		return
 	}
-	ids := make(map[crypto.Hash]bool, len(included))
+	clear(v.included)
 	for _, tx := range included {
-		ids[tx.ID] = true
+		v.included[tx.ID] = struct{}{}
 	}
-	v.pool.Remove(func(tx *chain.Transaction) bool { return ids[tx.ID] })
+	v.pool.Remove(func(tx *chain.Transaction) bool {
+		_, ok := v.included[tx.ID]
+		return ok
+	})
 }
 
 // Stalled reports whether any validator has latched the livelock.

@@ -50,6 +50,34 @@ func TestScrubIsNoAdmission(t *testing.T) {
 	}
 }
 
+// TestScrubReusesItsSet: scrubbing removes exactly the included
+// transactions, and a later block's scrub reuses the validator's set
+// instead of allocating one per block.
+func TestScrubReusesItsSet(t *testing.T) {
+	env := systemstest.Env(t)
+	n := build(env, calibrate(env, systems.Params{}))
+	v := n.validators[0]
+	var queued []*chain.Transaction
+	for i := 0; i < 128; i++ {
+		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
+		if err := v.pool.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, tx)
+	}
+	block := queued[:64]
+	n.scrubPool(v, block)
+	if left := v.pool.Peek(0); len(left) != 64 || left[0] != queued[64] {
+		t.Fatalf("after scrubbing 64 of 128 the pool holds %d, want the last 64", len(left))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.scrubPool(v, block) }); allocs != 0 {
+		t.Fatalf("a scrub allocates %v, want 0", allocs)
+	}
+	if v.pool.Len() != 64 {
+		t.Fatalf("re-scrubbing removed transactions the block did not include: %d left", v.pool.Len())
+	}
+}
+
 // TestGossipAdmitsOncePerValidator: a transaction gossiped twice to one
 // validator enters its pool once, and that validator's admission hides the
 // transaction from no other validator, all of which share one index.

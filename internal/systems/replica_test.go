@@ -17,7 +17,7 @@ import (
 
 func testReplicas(n int) []Replica { return testReplicasOn(n, clock.NewAutoVirtual(), nil) }
 
-func testReplicasOn(n int, clk clock.Clock, w *wal.Options) []Replica {
+func testReplicasOn(n int, clk *clock.AutoVirtual, w *wal.Options) []Replica {
 	return NewLedgerCluster("Fake", NodeIDs("fake", n), Env{Clock: clk, WAL: w}, func() int { return 0 }).Replicas()
 }
 

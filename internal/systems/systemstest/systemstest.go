@@ -20,7 +20,7 @@ import (
 // runner hands each repetition its own): the paper's four nodes at the
 // scale the model is calibrated at, zero link latency, no WAL, no tracer,
 // seed 42.
-func On(clk clock.Clock) systems.Env {
+func On(clk *clock.AutoVirtual) systems.Env {
 	return systems.Env{Nodes: 4, Scale: 0.01, Latency: network.ZeroLatency{}, Clock: clk, Seed: 42}
 }
 
@@ -57,7 +57,7 @@ const Settle = 5 * time.Second
 
 // Collector gathers the events a driver delivers to one client.
 type Collector struct {
-	clk    clock.Clock
+	clk    *clock.AutoVirtual
 	mu     sync.Mutex
 	events []systems.Event
 }

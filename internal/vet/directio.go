@@ -10,15 +10,14 @@ var mutatingOSFuncs = []string{
 }
 
 // DirectIO enforces the durability contract's source-level rule (PR 8):
-// production code never writes the filesystem directly — durable state
-// flows through internal/wal (whose Dir abstraction owns the real
-// syscalls), so recovery cost stays modeled, crash truncation stays
-// simulable, and runs never block on real disks. Unlike
+// production code never writes the filesystem — durable state is the
+// in-memory log of internal/wal, so recovery cost stays modeled, crash
+// truncation stays simulable, and runs never block on real disks. Unlike
 // the retired lint-directio.sh grep, it matches the resolved `os`
 // package object, so aliased or dot imports are caught.
 var DirectIO = &Analyzer{
 	Name: "directio",
-	Doc: "flags direct os mutating filesystem calls outside internal/wal; " +
+	Doc: "flags direct os mutating filesystem calls; " +
 		"route durable state through internal/wal (durability contract, PR 8)",
 	Run: runDirectIO,
 }
@@ -32,7 +31,7 @@ func runDirectIO(pass *Pass) (interface{}, error) {
 			}
 			if name, ok := pkgFuncCall(pass.TypesInfo, call, "os", mutatingOSFuncs...); ok {
 				pass.Reportf(call.Pos(),
-					"direct filesystem write: os.%s; route durable state through internal/wal (or wal.Dir for raw segment I/O)", name)
+					"direct filesystem write: os.%s; route durable state through internal/wal", name)
 			}
 			return true
 		})

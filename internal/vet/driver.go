@@ -39,9 +39,8 @@ func DefaultPolicy() *Policy {
 			Walltime.Name:   {"internal/clock"},
 			ActorSpawn.Name: {"internal/clock"},
 			ParkLock.Name:   {"internal/clock"},
-			// internal/wal owns the real filesystem syscalls; CLIs write
-			// their own output files.
-			DirectIO.Name: {"internal/wal", "cmd"},
+			// CLIs write their own output files.
+			DirectIO.Name: {"cmd"},
 			// The registry/tracer packages own telemetry construction;
 			// CLIs are the sanctioned tracer constructors.
 			Telemetry.Name: {"internal/trace", "internal/coconut", "cmd"},

@@ -159,7 +159,7 @@ func TestDefaultPolicyExemptions(t *testing.T) {
 		{"walltime", "internal/clock", false},
 		{"walltime", "internal/systems", true},
 		{"walltime", "cmd/coconut-sweep", true},
-		{"directio", "internal/wal", false},
+		{"directio", "internal/wal", true},
 		{"directio", "cmd/coconut-sweep", false},
 		{"directio", "internal/coconut", true},
 		{"telemetry", "internal/trace", false},

@@ -7,9 +7,8 @@ import (
 )
 
 // ParkLock flags calls that can park on a clock primitive — Gate.Do /
-// Commit / Restart, Mailbox.Send, Clock.Sleep and
-// clock.Await — while a
-// sync.Mutex or RWMutex acquired in the same function is still held.
+// Commit / Restart, Mailbox.Send, AutoVirtual.Sleep and clock.Await —
+// while a sync.Mutex or RWMutex acquired in the same function is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
 // twice already (gate backlog replay in PR 7, DurableGate latency charging
 // in PR 8): the parked actor holds the mutex, the actor that would wake
@@ -155,10 +154,6 @@ func classifyCall(pass *Pass, call *ast.CallExpr, held map[string]token.Pos) {
 		case "Do", "Commit", "Restart":
 			reportPark(pass, call.Pos(), named.Obj().Name()+"."+fn.Name(), held)
 		}
-	}
-	// The Clock interface itself: Sleep parks the calling actor.
-	if fromInternalPkg(named, "internal/clock") && fn.Name() == "Sleep" {
-		return // already reported above
 	}
 }
 

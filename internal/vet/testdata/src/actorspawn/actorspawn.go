@@ -9,25 +9,25 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 )
 
-func worker(c clock.Clock) { c.Sleep(1) }
+func worker(c *clock.AutoVirtual) { c.Sleep(1) }
 
-func bare(c clock.Clock) {
+func bare(c *clock.AutoVirtual) {
 	go worker(c) // want `go statement in a clock-actor package`
 }
 
-func bareClosure(c clock.Clock) {
+func bareClosure(c *clock.AutoVirtual) {
 	go func() { // want `go statement in a clock-actor package`
 		worker(c)
 	}()
 }
 
 // A hand-written Fork no longer sanctions the spawns after it.
-func forked(c clock.Clock) {
+func forked(c *clock.AutoVirtual) {
 	clock.Fork(c, 1)
 	go worker(c) // want `go statement in a clock-actor package`
 }
 
-func forkedLoop(c clock.Clock, n int) {
+func forkedLoop(c *clock.AutoVirtual, n int) {
 	clock.Fork(c, n)
 	for i := 0; i < n; i++ {
 		go worker(c) // want `go statement in a clock-actor package`
@@ -35,7 +35,7 @@ func forkedLoop(c clock.Clock, n int) {
 }
 
 // Nor does a closure that registers itself.
-func selfRegistering(c clock.Clock) {
+func selfRegistering(c *clock.AutoVirtual) {
 	go func() { // want `go statement in a clock-actor package`
 		h := clock.RegisterForked(c, "w")
 		defer h.Close()
@@ -44,6 +44,6 @@ func selfRegistering(c clock.Clock) {
 }
 
 // The one way to start actors.
-func started(c clock.Clock) {
+func started(c *clock.AutoVirtual) {
 	clock.Go(c, []string{"w0", "w1"}, func(int) { worker(c) })()
 }

@@ -24,21 +24,21 @@ func (n *node) sendWhileLocked() {
 	n.mu.Unlock()
 }
 
-func (n *node) deferredUnlock(c clock.Clock) {
+func (n *node) deferredUnlock(c *clock.AutoVirtual) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.inbox.Send(2, n.stop) // want `Mailbox.Send can park while mutex "n.mu"`
 }
 
-func (n *node) awaitUnderRLock(c clock.Clock) {
+func (n *node) awaitUnderRLock(c *clock.AutoVirtual) {
 	n.state.RLock()
 	clock.Await(c, n.stop) // want `clock.Await can park while mutex "n.state"`
 	n.state.RUnlock()
 }
 
-func (n *node) sleepUnderLock(c clock.Clock) {
+func (n *node) sleepUnderLock(c *clock.AutoVirtual) {
 	n.mu.Lock()
-	c.Sleep(1) // want `Clock.Sleep can park while mutex "n.mu"`
+	c.Sleep(1) // want `AutoVirtual.Sleep can park while mutex "n.mu"`
 	n.mu.Unlock()
 }
 
@@ -49,7 +49,7 @@ func gateWhileLocked(d *systems.DurableGate, mu *sync.Mutex) {
 }
 
 // Release before parking: no findings.
-func (n *node) releasedFirst(c clock.Clock) {
+func (n *node) releasedFirst(c *clock.AutoVirtual) {
 	n.mu.Lock()
 	n.mu.Unlock()
 	clock.Await(c, n.stop)
@@ -57,7 +57,7 @@ func (n *node) releasedFirst(c clock.Clock) {
 
 // An unlock on the early-return path does not release the fall-through
 // path, which still holds the mutex when it parks.
-func (n *node) branchUnlock(c clock.Clock, early bool) {
+func (n *node) branchUnlock(c *clock.AutoVirtual, early bool) {
 	n.mu.Lock()
 	if early {
 		n.mu.Unlock()

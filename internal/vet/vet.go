@@ -168,8 +168,8 @@ func isInternalPkg(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// receiverFromClockPkg reports whether named is declared in
-// internal/clock (or is the clock.Clock interface itself).
+// fromInternalPkg reports whether named is declared in this module's
+// package with the given path suffix (e.g. "internal/clock").
 func fromInternalPkg(named *types.Named, suffix string) bool {
 	if named == nil || named.Obj() == nil || named.Obj().Pkg() == nil {
 		return false

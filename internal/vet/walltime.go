@@ -21,7 +21,7 @@ var wallFuncs = []string{
 var Walltime = &Analyzer{
 	Name: "walltime",
 	Doc: "flags direct time.Now/Sleep/After/Tick/NewTicker/NewTimer/AfterFunc/Since/Until calls outside " +
-		"internal/clock; route time through the injected clock.Clock (determinism contract, PR 6)",
+		"internal/clock; route time through the injected *clock.AutoVirtual (determinism contract)",
 	Run: runWalltime,
 }
 
@@ -34,7 +34,7 @@ func runWalltime(pass *Pass) (interface{}, error) {
 			}
 			if name, ok := pkgFuncCall(pass.TypesInfo, call, "time", wallFuncs...); ok {
 				pass.Reportf(call.Pos(),
-					"direct wall-clock use: time.%s; route time through the injected clock.Clock (or clock.Walltime for sanctioned wall reads)", name)
+					"direct wall-clock use: time.%s; route time through the injected *clock.AutoVirtual (or clock.Walltime for sanctioned wall reads)", name)
 			}
 			return true
 		})

@@ -13,15 +13,13 @@
 //
 // Time never flows through the wall clock here: append, fsync, replay, and
 // snapshot costs are *modeled* by a LatencyModel and charged by the caller
-// through the injected clock.Clock, so virtual-time runs stay CPU-bound and
-// bit-deterministic. The in-memory segment image is authoritative; an
-// optional Dir mirror persists segment bytes on every sync so the on-disk
-// layout is real without ever being read back on the hot path.
+// on the virtual clock, so runs stay CPU-bound and bit-deterministic. The
+// log never touches the filesystem: its in-memory segment image is the
+// whole log.
 package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"time"
 
@@ -107,20 +105,11 @@ type Options struct {
 	// BatchInterval is the FsyncBatch age threshold; 0 disables the age
 	// trigger.
 	BatchInterval time.Duration
-	// SegmentBytes rotates the active segment once it would exceed this
-	// size (default 64 KiB).
-	SegmentBytes int
 	// SnapshotEvery checkpoints and compacts after this many live records;
 	// 0 never snapshots.
 	SnapshotEvery int
-	// BytesPerEntry sizes a record's payload per entry it covers (default
-	// 96, a signed tx envelope's ballpark).
-	BytesPerEntry int
 	// Latency prices operations; the zero value means DefaultLatency.
 	Latency LatencyModel
-	// Dir, when set, mirrors segment bytes to a backing store on every
-	// sync (best-effort; the in-memory image stays authoritative).
-	Dir Dir
 }
 
 func (o *Options) fill() {
@@ -129,12 +118,6 @@ func (o *Options) fill() {
 	}
 	if o.BatchRecords <= 0 {
 		o.BatchRecords = 16
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 10
-	}
-	if o.BytesPerEntry <= 0 {
-		o.BytesPerEntry = 96
 	}
 	if o.Latency == (LatencyModel{}) {
 		o.Latency = DefaultLatency()
@@ -147,6 +130,14 @@ const headerBytes = 8
 // payloadHeader is the fixed prefix of a synthesized payload (seq, entry
 // count, reserved), before the per-entry filler bytes.
 const payloadHeader = 24
+
+// bytesPerEntry sizes a record's payload per entry it covers, a signed tx
+// envelope's ballpark. Like payloadHeader it is a multiple of 8, so every
+// payload is a whole number of words.
+const bytesPerEntry = 96
+
+// segmentBytes is the size past which the active segment rotates.
+const segmentBytes = 64 << 10
 
 // segment is one contiguous run of frames. buf is owned by the log: frames
 // are written straight into it, and truncation (crash, replay repair) and
@@ -161,7 +152,7 @@ type segment struct {
 type Log struct {
 	name string
 	opts Options
-	clk  clock.Clock
+	clk  *clock.AutoVirtual
 
 	mu   sync.Mutex
 	segs []*segment
@@ -181,9 +172,9 @@ type Log struct {
 	lost          uint64
 }
 
-// New builds an empty log named for diagnostics (and mirror file naming),
-// timed by clk, which is required.
-func New(name string, opts Options, clk clock.Clock) *Log {
+// New builds an empty log named for diagnostics, timed by clk, which is
+// required.
+func New(name string, opts Options, clk *clock.AutoVirtual) *Log {
 	opts.fill()
 	if clk == nil {
 		panic("wal: New needs a clock")
@@ -248,20 +239,20 @@ func (l *Log) appendLocked(entries int, policySync bool) AppendResult {
 	if entries < 0 {
 		entries = 0
 	}
-	n := headerBytes + payloadHeader + entries*l.opts.BytesPerEntry
+	n := headerBytes + payloadHeader + entries*bytesPerEntry
 	active := l.segs[len(l.segs)-1]
-	if len(active.buf) > 0 && len(active.buf)+n > l.opts.SegmentBytes {
+	if len(active.buf) > 0 && len(active.buf)+n > segmentBytes {
 		active = &segment{base: l.seq}
 		l.segs = append(l.segs, active)
 	}
 	if len(active.buf)+n > cap(active.buf) {
 		// A segment's buffer is sized once, at its first append, to hold a
-		// whole segment; only a frame larger than SegmentBytes grows it.
-		buf := make([]byte, len(active.buf), max(len(active.buf)+n, l.opts.SegmentBytes))
+		// whole segment; only a frame larger than segmentBytes grows it.
+		buf := make([]byte, len(active.buf), max(len(active.buf)+n, segmentBytes))
 		copy(buf, active.buf)
 		active.buf = buf
 	}
-	active.buf = l.frameInto(active.buf, l.seq, entries)
+	active.buf = frameInto(active.buf, l.seq, entries)
 	l.seq++
 	l.appended++
 	l.appendedBytes += uint64(n)
@@ -315,20 +306,14 @@ func (l *Log) Sync() time.Duration {
 	return l.opts.Latency.Fsync
 }
 
-// syncLocked advances the durable watermark to the end of the log and
-// mirrors dirty segments. Callers hold l.mu.
+// syncLocked advances the durable watermark to the end of the log.
+// Callers hold l.mu.
 func (l *Log) syncLocked() {
-	from := l.durSeg
 	l.durSeg = len(l.segs) - 1
 	l.durOff = len(l.segs[l.durSeg].buf)
 	l.durableSeq = l.seq
 	l.pendingRecords = 0
 	l.fsyncs++
-	if l.opts.Dir != nil {
-		for i := from; i < len(l.segs); i++ {
-			_ = l.opts.Dir.WriteSegment(l.segmentName(l.segs[i]), l.segs[i].buf)
-		}
-	}
 }
 
 // Snapshot checkpoints the current height and compacts every segment below
@@ -342,11 +327,6 @@ func (l *Log) Snapshot() time.Duration {
 }
 
 func (l *Log) snapshotLocked() {
-	if l.opts.Dir != nil {
-		for _, s := range l.segs {
-			_ = l.opts.Dir.RemoveSegment(l.segmentName(s))
-		}
-	}
 	l.snapSeq = l.seq
 	l.durableSeq = l.seq
 	// The first segment and its buffer carry on from the checkpoint; the
@@ -416,9 +396,6 @@ func (l *Log) Replay() ReplayResult {
 		l.durableSeq = l.seq
 		l.pendingRecords = 0
 		l.lost += uint64(res.Lost)
-		if l.opts.Dir != nil {
-			_ = l.opts.Dir.WriteSegment(l.segmentName(l.segs[stopSeg]), l.segs[stopSeg].buf)
-		}
 	}
 	return res
 }
@@ -594,8 +571,8 @@ var fillerWords = func() (w [32]uint64) {
 // frameInto appends one framed record for seq covering entries to dst and
 // returns the extended slice; dst must have the capacity. Every frame byte
 // is written, so dst's spare capacity may hold stale frames.
-func (l *Log) frameInto(dst []byte, seq uint64, entries int) []byte {
-	plen := payloadHeader + entries*l.opts.BytesPerEntry
+func frameInto(dst []byte, seq uint64, entries int) []byte {
+	plen := payloadHeader + entries*bytesPerEntry
 	off := len(dst)
 	dst = dst[:off+headerBytes+plen]
 	payload := dst[off+headerBytes:]
@@ -604,22 +581,14 @@ func (l *Log) frameInto(dst []byte, seq uint64, entries int) []byte {
 	binary.LittleEndian.PutUint64(payload[16:24], 0) // reserved
 	// Deterministic filler byte(seq) ^ byte(i*31), derived from seq and
 	// position so every record's CRC is distinct and replay verification
-	// is honest; written a word at a time with a bytewise tail.
+	// is honest; written a word at a time.
 	s := uint64(byte(seq)) * 0x0101010101010101
-	i := payloadHeader
-	for ; i+8 <= plen; i += 8 {
+	for i := payloadHeader; i < plen; i += 8 {
 		binary.LittleEndian.PutUint64(payload[i:], fillerWords[(i>>3)&31]^s)
-	}
-	for ; i < plen; i++ {
-		payload[i] = byte(seq) ^ byte(i*31)
 	}
 	binary.LittleEndian.PutUint32(dst[off:], uint32(plen))
 	binary.LittleEndian.PutUint32(dst[off+4:], crc32.ChecksumIEEE(payload))
 	return dst
-}
-
-func (l *Log) segmentName(s *segment) string {
-	return fmt.Sprintf("%s-%012d.wal", l.name, s.base)
 }
 
 // perKB prices n bytes at a per-KiB rate.

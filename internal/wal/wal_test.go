@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -93,11 +91,16 @@ func TestBatchIntervalTriggersSync(t *testing.T) {
 	}
 }
 
+// segmentEntries is the largest entry count whose frame fits in one
+// segment.
+const segmentEntries = (segmentBytes - headerBytes - payloadHeader) / bytesPerEntry
+
 func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, SnapshotEvery: 50}, clock.NewAutoVirtual())
+	l := New("n0", Options{Fsync: FsyncAlways, SnapshotEvery: 50}, clock.NewAutoVirtual())
 	snapped := false
 	for i := 0; i < 120; i++ {
-		if l.Append(1).Snapshotted {
+		// Three frames to a segment.
+		if l.Append(segmentEntries / 3).Snapshotted {
 			snapped = true
 		}
 	}
@@ -110,6 +113,9 @@ func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
 	}
 	if st.LiveRecords != 20 {
 		t.Fatalf("live records = %d, want 20 (120 mod 50)", st.LiveRecords)
+	}
+	if len(l.segs) != 7 {
+		t.Fatalf("segments = %d, want 7: the 20 live records three to a segment", len(l.segs))
 	}
 	if rep := l.Replay(); rep.Records != 20 {
 		t.Fatalf("replay = %d records, want the 20 since the checkpoint", rep.Records)
@@ -196,31 +202,6 @@ func TestLatencyScaling(t *testing.T) {
 	}
 }
 
-func TestOSDirMirror(t *testing.T) {
-	dir := t.TempDir()
-	l := New("n0", Options{Fsync: FsyncAlways, SegmentBytes: 256, Dir: OSDir{Path: dir}}, clock.NewAutoVirtual())
-	for i := 0; i < 20; i++ {
-		l.Append(1)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "n0-*.wal"))
-	if err != nil || len(names) < 2 {
-		t.Fatalf("mirror files = %v (err %v), want rotated segments", names, err)
-	}
-	// Snapshot compacts the mirror too.
-	l.Snapshot()
-	names, _ = filepath.Glob(filepath.Join(dir, "n0-*.wal"))
-	if len(names) != 0 {
-		t.Fatalf("mirror after snapshot = %v, want empty", names)
-	}
-	// RemoveSegment on a missing file is not an error.
-	if err := (OSDir{Path: dir}).RemoveSegment("nope.wal"); err != nil {
-		t.Fatalf("remove missing: %v", err)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("stat mirror dir: %v", err)
-	}
-}
-
 func TestDeterministicFrames(t *testing.T) {
 	mk := func() *Log {
 		l := New("n0", Options{Fsync: FsyncAlways}, clock.NewAutoVirtual())
@@ -246,7 +227,7 @@ func TestDeterministicFrames(t *testing.T) {
 // referenceFrame is the frame format as originally written: a fresh,
 // zeroed buffer per record, filled a byte at a time. frameInto must
 // reproduce it byte for byte.
-func referenceFrame(seq uint64, entries, bytesPerEntry int) []byte {
+func referenceFrame(seq uint64, entries int) []byte {
 	plen := payloadHeader + entries*bytesPerEntry
 	buf := make([]byte, headerBytes+plen)
 	payload := buf[headerBytes:]
@@ -262,22 +243,19 @@ func referenceFrame(seq uint64, entries, bytesPerEntry int) []byte {
 
 func TestFrameIntoMatchesReference(t *testing.T) {
 	prefix := []byte{1, 2, 3}
-	for _, bpe := range []int{96, 1, 7, 13} {
-		l := New("n0", Options{BytesPerEntry: bpe}, clock.NewAutoVirtual())
-		for _, seq := range []uint64{0, 1, 254, 255, 256, 257, 511, 1<<40 + 3} {
-			for entries := 0; entries <= 40; entries++ {
-				want := referenceFrame(seq, entries, bpe)
-				// Stale bytes fill the spare capacity, and an odd-length
-				// prefix moves the frame off word alignment.
-				dst := bytes.Repeat([]byte{0xA5}, len(prefix)+len(want))
-				copy(dst, prefix)
-				got := l.frameInto(dst[:len(prefix)], seq, entries)
-				if !bytes.Equal(got[:len(prefix)], prefix) {
-					t.Fatalf("bpe=%d seq=%d entries=%d: prefix overwritten", bpe, seq, entries)
-				}
-				if !bytes.Equal(got[len(prefix):], want) {
-					t.Fatalf("bpe=%d seq=%d entries=%d: frame differs from the reference", bpe, seq, entries)
-				}
+	for _, seq := range []uint64{0, 1, 254, 255, 256, 257, 511, 1<<40 + 3} {
+		for entries := 0; entries <= 40; entries++ {
+			want := referenceFrame(seq, entries)
+			// Stale bytes fill the spare capacity, and an odd-length
+			// prefix moves the frame off word alignment.
+			dst := bytes.Repeat([]byte{0xA5}, len(prefix)+len(want))
+			copy(dst, prefix)
+			got := frameInto(dst[:len(prefix)], seq, entries)
+			if !bytes.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("seq=%d entries=%d: prefix overwritten", seq, entries)
+			}
+			if !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("seq=%d entries=%d: frame differs from the reference", seq, entries)
 			}
 		}
 	}
@@ -290,7 +268,7 @@ func checkLiveFrames(t *testing.T, l *Log, entriesAt map[uint64]int) {
 	seq := l.snapSeq
 	for si, s := range l.segs {
 		for off := 0; off < len(s.buf); seq++ {
-			want := referenceFrame(seq, entriesAt[seq], l.opts.BytesPerEntry)
+			want := referenceFrame(seq, entriesAt[seq])
 			end := off + len(want)
 			if end > len(s.buf) || !bytes.Equal(s.buf[off:end], want) {
 				t.Fatalf("segment %d offset %d: frame %d differs from the reference", si, off, seq)
@@ -310,17 +288,21 @@ func checkLiveFrames(t *testing.T, l *Log, entriesAt map[uint64]int) {
 // after a snapshot, a crash, a torn-write repair and a corrupt-record
 // repair — and checks every frame written over stale bytes.
 func TestReusedStorageMatchesReference(t *testing.T) {
-	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 3, SegmentBytes: 512, BytesPerEntry: 13}, clock.NewAutoVirtual())
+	l := New("n0", Options{Fsync: FsyncBatch, BatchRecords: 3}, clock.NewAutoVirtual())
 	entriesAt := map[uint64]int{}
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
-			// Sizes vary with seq, so rewritten frames straddle old ones.
-			e := int(l.seq * 7 % 11)
+			// Sizes vary with seq, so rewritten frames straddle old ones,
+			// and run from empty to over a segment, so segments rotate.
+			e := int(l.seq*7%11) * segmentEntries / 8
 			entriesAt[l.seq] = e
 			l.Append(e)
 		}
 	}
 	appendN(20)
+	if len(l.segs) < 2 {
+		t.Fatal("20 appends of up to a segment each stayed in one segment")
+	}
 	checkLiveFrames(t, l, entriesAt)
 
 	l.Snapshot()
@@ -363,11 +345,11 @@ func TestAppendAllocs(t *testing.T) {
 			t.Fatalf("%s: Append inside a segment allocates %v, want 0", fsync, n)
 		}
 	}
-	// One frame per segment: every append rotates. The segment list's
-	// growth amortizes below one allocation per append.
-	l := New("n0", Options{SegmentBytes: headerBytes + payloadHeader + 96}, clock.NewAutoVirtual())
-	l.Append(1)
-	if n := testing.AllocsPerRun(100, func() { l.Append(1) }); n != 2 {
+	// A frame over a segment's size: every append rotates. The segment
+	// list's growth amortizes below one allocation per append.
+	l := New("n0", Options{}, clock.NewAutoVirtual())
+	l.Append(segmentEntries + 1)
+	if n := testing.AllocsPerRun(100, func() { l.Append(segmentEntries + 1) }); n != 2 {
 		t.Fatalf("a rotating Append allocates %v, want 2 (the new segment and its buffer)", n)
 	}
 }
