@@ -112,10 +112,7 @@ func TestArrivalByName(t *testing.T) {
 // still respects the configured long-run rate through the client pacer.
 func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       100, // ~30 expected over 300ms
 		Arrival:         PoissonArrival{},
 		ArrivalSeed:     42,
@@ -136,10 +133,7 @@ func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 // through the client at the configured mean rate.
 func TestClientBurstArrivalDelivers(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       200,
 		Arrival:         BurstArrival{Size: 10},
 		WorkloadThreads: 2,

@@ -15,91 +15,13 @@ import (
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
+	"github.com/coconut-bench/coconut/internal/workload"
 )
 
 // BatchSubmitter is implemented by drivers that accept atomic batches
-// (Sawtooth). A client with BatchSize > 1 requires it.
+// (Sawtooth). A run with BatchSize > 1 requires it.
 type BatchSubmitter interface {
 	SubmitBatch(entryNode int, b *chain.Batch) error
-}
-
-// ClientConfig parameterizes one COCONUT client application. The paper runs
-// four client applications, each with four client threads of four workload
-// threads (16 senders per application), each application targeting a
-// different server (§4.3).
-type ClientConfig struct {
-	// ID is the client application's name; events route to it.
-	ID string
-	// Driver is the system under test.
-	Driver systems.Driver
-	// EntryNode is the node this client sends to.
-	EntryNode int
-	// Benchmark selects the workload.
-	Benchmark BenchmarkName
-	// Gen, when set, overrides the benchmark generator: it is called once
-	// per workload thread and must return that thread's deterministic
-	// operation generator. The contention workload plane
-	// (internal/workload) plugs in here; nil keeps the paper's per-thread
-	// partitioned benchmark generators.
-	Gen func(thread int) OpGen
-	// RateLimit is the maximum payloads per second this client sends — the
-	// paper's RL parameter (§4.4).
-	RateLimit int
-	// Arrival shapes the inter-send gaps at the configured rate; nil means
-	// the paper's uniform pacing.
-	Arrival ArrivalSchedule
-	// ArrivalSeed drives randomized schedules (Poisson) deterministically.
-	ArrivalSeed int64
-	// WorkloadThreads is the number of concurrent senders (paper: 16).
-	WorkloadThreads int
-	// OpsPerTx packs several operations into one transaction (BitShares:
-	// 1, 50, 100). Default 1.
-	OpsPerTx int
-	// BatchSize groups transactions into an atomic batch (Sawtooth: 1, 50,
-	// 100). Default 1. Above 1 the driver must implement BatchSubmitter.
-	BatchSize int
-	// SendDuration is the transaction sending window (paper: 300s).
-	SendDuration time.Duration
-	// ListenGrace is the extra listening window for late confirmations
-	// (paper: 30s).
-	ListenGrace time.Duration
-	// ReadMax, when non-zero, wraps generated indices so read benchmarks
-	// target keys the preceding write phase actually sent (per thread).
-	ReadMax []uint64
-	// Timeline, when set, receives every send and confirmation into the
-	// shared windowed measurement plane (fault runs derive availability
-	// and recovery statistics from it).
-	Timeline *Timeline
-	// Trace, when set, receives one span per pipeline stage for sampled
-	// transactions at confirmation time; unsampled transactions pay only
-	// the hash-and-compare guard (zero allocations).
-	Trace *trace.Tracer
-	// Clock is the time source; it is required.
-	Clock *clock.AutoVirtual
-}
-
-func (c *ClientConfig) fill() {
-	if c.RateLimit <= 0 {
-		c.RateLimit = 50
-	}
-	if c.Arrival == nil {
-		c.Arrival = UniformArrival{}
-	}
-	if c.WorkloadThreads <= 0 {
-		c.WorkloadThreads = 16
-	}
-	if c.OpsPerTx <= 0 {
-		c.OpsPerTx = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
-	}
-	if c.SendDuration <= 0 {
-		c.SendDuration = 300 * time.Second
-	}
-	if c.ListenGrace <= 0 {
-		c.ListenGrace = 30 * time.Second
-	}
 }
 
 // clientThread is one workload thread: a lane of the pacer with its own
@@ -118,9 +40,28 @@ type clientThread struct {
 // Client is one COCONUT client application: it paces sends according to the
 // arrival schedule, deals them to the workload threads in turn, and streams
 // finalization notifications into online counters and a latency histogram,
-// so its memory is bounded by the in-flight window, not the run length.
+// so its memory is bounded by the in-flight window, not the run length. The
+// paper runs four client applications, each with four client threads of four
+// workload threads (16 senders per application), each application targeting
+// a different server (§4.3).
 type Client struct {
-	cfg ClientConfig
+	// cfg is the run the client belongs to: its rate limit, arrival
+	// schedule, workload threads, payload packing, phase windows and tracer
+	// are the run's.
+	cfg *RunConfig
+
+	// id is the client application's name, stable across unit members and
+	// repetitions so read phases regenerate the write phase's keys; events
+	// route to it.
+	id          string
+	entryNode   int // the node this client sends to
+	bench       BenchmarkName
+	readMax     []uint64 // per thread: non-zero wraps read indices into the written key space
+	gen         func(thread int) OpGen
+	arrivalSeed int64
+	timeline    *Timeline
+	clk         *clock.AutoVirtual
+	driver      systems.Driver
 
 	seq     atomic.Uint64
 	threads []clientThread
@@ -152,28 +93,44 @@ type inflightTx struct {
 	thread int
 }
 
-// NewClient builds a client; Subscribe must happen before the system starts
-// delivering events, so construction registers the event listener. A
-// config without a Clock, or with batches its driver cannot take, is an
-// error.
-func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("coconut: ClientConfig.Clock is required")
-	}
-	cfg.fill()
-	if _, ok := cfg.Driver.(BatchSubmitter); cfg.BatchSize > 1 && !ok {
-		return nil, fmt.Errorf("coconut: BatchSize %d needs a driver that submits batches; %T does not", cfg.BatchSize, cfg.Driver)
+// newClient builds client i of a bench phase in repetition rep of the run
+// cfg, which Run has filled and checked. The client sends to node i, wraps
+// each workload thread's indices by readMax, and feeds timeline when it is
+// set. gen, when set, is called once per workload thread for that thread's
+// operation generator; nil draws from cfg.Workload when the run has one,
+// and otherwise from the paper's per-thread partitioned benchmark
+// generators. Subscribe must happen before the system starts delivering
+// events, so construction registers the event listener.
+func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, timeline *Timeline, i, rep int, bench BenchmarkName, readMax []uint64, gen func(thread int) OpGen) *Client {
+	if gen == nil && cfg.Workload != nil {
+		gen = func(thread int) OpGen {
+			return OpGen(cfg.Workload.Generator(workload.Placement{
+				Client: i, Clients: cfg.Clients,
+				Thread: thread, Threads: cfg.WorkloadThreads,
+			}))
+		}
 	}
 	c := &Client{
-		cfg:         cfg,
+		cfg:       cfg,
+		id:        fmt.Sprintf("coconut-client-%d", i),
+		entryNode: i,
+		bench:     bench,
+		readMax:   readMax,
+		gen:       gen,
+		// Decorrelate randomized arrival streams across clients and
+		// repetitions while keeping runs reproducible.
+		arrivalSeed: cfg.ArrivalSeed + int64(i)*7919 + int64(rep)*104729,
+		timeline:    timeline,
+		clk:         clk,
+		driver:      driver,
 		threads:     make([]clientThread, cfg.WorkloadThreads),
 		hist:        NewLatencyHist(),
 		inflight:    make(map[crypto.Hash]inflightTx),
 		firstSendNs: math.MaxInt64,
 		lastRecvNs:  math.MinInt64,
 	}
-	cfg.Driver.Subscribe(cfg.ID, c.onEvent)
-	return c, nil
+	driver.Subscribe(c.id, c.onEvent)
+	return c
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
@@ -181,7 +138,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // folded in immediately and the index entry is dropped, so the index size
 // tracks outstanding transactions, not run length.
 func (c *Client) onEvent(ev systems.Event) {
-	now := c.cfg.Clock.Now()
+	now := c.clk.Now()
 	c.mu.Lock()
 	tx, ok := c.inflight[ev.TxID]
 	if !ok {
@@ -233,13 +190,13 @@ func (c *Client) onEvent(ev systems.Event) {
 			for _, sp := range spans {
 				spanEnd := cursor + int64(sp.Dur)
 				tr.Add(trace.Span{Key: key, Name: sp.Stage.String(), Cat: "stage",
-					Proc: c.cfg.Driver.Name(), Lane: lane, Start: cursor, End: spanEnd, Block: ev.BlockNum})
+					Proc: c.driver.Name(), Lane: lane, Start: cursor, End: spanEnd, Block: ev.BlockNum})
 				cursor = spanEnd
 			}
 		}
 	}
-	if c.cfg.Timeline != nil {
-		c.cfg.Timeline.RecordRecv(now, ops, fls, ev.ValidOK)
+	if c.timeline != nil {
+		c.timeline.RecordRecv(now, ops, fls, ev.ValidOK)
 	}
 }
 
@@ -253,18 +210,18 @@ func (c *Client) onEvent(ev systems.Event) {
 // limiter; a zero gap sends again as soon as what this send woke has run).
 // Sends never wait for finalization confirmations (§4.3).
 func (c *Client) Run() {
-	clk := c.cfg.Clock
+	clk := c.clk
 	payloadsPerSend := c.cfg.OpsPerTx * c.cfg.BatchSize
 	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.cfg.RateLimit))
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	gaps := c.cfg.Arrival.Gaps(interval, c.cfg.ArrivalSeed)
+	gaps := c.cfg.Arrival.Gaps(interval, c.arrivalSeed)
 
 	lanes := c.lanes()
 	next := 0
 	var pacer *clock.Event
-	pacer = clock.NewEvent(clk, c.cfg.ID+"/pacer", func() {
+	pacer = clock.NewEvent(clk, c.id+"/pacer", func() {
 		c.send(lanes[next])
 		next = (next + 1) % len(lanes)
 		pacer.After(gaps())
@@ -288,17 +245,17 @@ func (c *Client) Run() {
 // each was an actor, which per-thread sent counts, and through them the key
 // space of a dependent read phase, were calibrated against.
 func (c *Client) lanes() []int {
-	readPhase := ReadBenchmarkDependsOnWrite(c.cfg.Benchmark) != "" && len(c.cfg.ReadMax) > 0
+	readPhase := ReadBenchmarkDependsOnWrite(c.bench) != "" && len(c.readMax) > 0
 	var lanes []int
 	for t := range c.threads {
 		th := &c.threads[t]
-		if c.cfg.Gen != nil {
-			th.gen = c.cfg.Gen(t)
+		if c.gen != nil {
+			th.gen = c.gen(t)
 		} else {
-			th.gen = NewOpGen(c.cfg.Benchmark, c.cfg.ID+"/"+strconv.Itoa(t))
+			th.gen = NewOpGen(c.bench, c.id+"/"+strconv.Itoa(t))
 		}
-		if t < len(c.cfg.ReadMax) {
-			th.readMax = c.cfg.ReadMax[t]
+		if t < len(c.readMax) {
+			th.readMax = c.readMax[t]
 		}
 		// A read thread whose write-phase counterpart got nothing accepted has
 		// no key space to read; it stays idle rather than querying keys that
@@ -374,17 +331,17 @@ func (c *Client) sendTx(thread int) {
 	th := &c.threads[thread]
 	var tx *chain.Transaction
 	if c.cfg.OpsPerTx == 1 {
-		tx = chain.NewSingleOpTx(c.cfg.ID, c.seq.Add(1), th.nextOp())
+		tx = chain.NewSingleOpTx(c.id, c.seq.Add(1), th.nextOp())
 	} else {
 		ops := make([]chain.Operation, c.cfg.OpsPerTx)
 		for i := range ops {
 			ops[i] = th.nextOp()
 		}
-		tx = chain.NewTransaction(c.cfg.ID, c.seq.Add(1), ops...)
+		tx = chain.NewTransaction(c.id, c.seq.Add(1), ops...)
 	}
 	ops := tx.OpCount()
 
-	start := c.cfg.Clock.Now()
+	start := c.clk.Now()
 	tx.SubmittedAt = start
 	c.track(tx.ID, start, ops, thread)
 	// A submission error is an admission rejection: the transaction stays
@@ -392,7 +349,7 @@ func (c *Client) sendTx(thread int) {
 	// consumed indices roll back so the written key space stays
 	// contiguous — rejected writes never reached the chain, and the
 	// paper's clients re-send into the same space.
-	if err := c.cfg.Driver.Submit(c.cfg.EntryNode, tx); err != nil {
+	if err := c.driver.Submit(c.entryNode, tx); err != nil {
 		th.idx -= uint64(ops)
 		return
 	}
@@ -402,15 +359,15 @@ func (c *Client) sendTx(thread int) {
 func (c *Client) sendBatch(thread int) {
 	th := &c.threads[thread]
 	txs := make([]*chain.Transaction, c.cfg.BatchSize)
-	start := c.cfg.Clock.Now()
+	start := c.clk.Now()
 	for i := range txs {
-		txs[i] = chain.NewSingleOpTx(c.cfg.ID, c.seq.Add(1), th.nextOp())
+		txs[i] = chain.NewSingleOpTx(c.id, c.seq.Add(1), th.nextOp())
 		txs[i].SubmittedAt = start
 		c.track(txs[i].ID, start, 1, thread)
 	}
 	// On rejection (Sawtooth's full queue) the whole batch is lost and its
 	// key range rolls back for reuse by the next batch.
-	if err := c.cfg.Driver.(BatchSubmitter).SubmitBatch(c.cfg.EntryNode, chain.NewBatch(txs...)); err != nil {
+	if err := c.driver.(BatchSubmitter).SubmitBatch(c.entryNode, chain.NewBatch(txs...)); err != nil {
 		th.idx -= uint64(len(txs))
 		return
 	}
@@ -425,8 +382,8 @@ func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
 	c.expectedOps += ops
 	c.firstSendNs = min(c.firstSendNs, start.UnixNano())
 	c.mu.Unlock()
-	if c.cfg.Timeline != nil {
-		c.cfg.Timeline.RecordSend(start, ops)
+	if c.timeline != nil {
+		c.timeline.RecordSend(start, ops)
 	}
 }
 

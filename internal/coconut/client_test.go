@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -129,37 +130,16 @@ func (f *fakeDriver) submittedCount() int {
 	return len(f.submitted)
 }
 
-// testClient builds a client from cfg; one that names no clock runs on a
-// fresh auto-advancing clock with the test registered as its actor.
-func testClient(t *testing.T, cfg ClientConfig) *Client {
+// testClient builds client 0 of the phase of cfg's first unit member, with
+// cfg filled with Run's defaults, on d and clk; a nil clk is a fresh
+// auto-advancing clock with the test registered as its actor.
+func testClient(t *testing.T, d systems.Driver, clk *clock.AutoVirtual, cfg RunConfig) *Client {
 	t.Helper()
-	if cfg.Clock == nil {
-		cfg.Clock = systemstest.Env(t).Clock
+	if clk == nil {
+		clk = systemstest.Env(t).Clock
 	}
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestNewClientRequiresClock(t *testing.T) {
-	if _, err := NewClient(ClientConfig{ID: "c0", Driver: newFakeDriver()}); err == nil {
-		t.Fatal("NewClient without a Clock must fail")
-	}
-}
-
-// TestNewClientRejectsBatchesWithoutBatchSubmitter: batching needs a driver
-// that takes atomic batches; there is no fallback to single sends.
-func TestNewClientRejectsBatchesWithoutBatchSubmitter(t *testing.T) {
-	clk := systemstest.Env(t).Clock
-	singles := struct{ systems.Driver }{newFakeDriver()} // hides SubmitBatch
-	if _, err := NewClient(ClientConfig{ID: "c0", Driver: singles, BatchSize: 5, Clock: clk}); err == nil {
-		t.Fatal("NewClient with BatchSize 5 and a driver without SubmitBatch must fail")
-	}
-	if _, err := NewClient(ClientConfig{ID: "c1", Driver: singles, BatchSize: 1, Clock: clk}); err != nil {
-		t.Fatalf("BatchSize 1 needs no SubmitBatch: %v", err)
-	}
+	cfg.fill()
+	return newClient(&cfg, clk, d, nil, 0, 0, cfg.Unit[0], nil, nil)
 }
 
 // runSummary runs the client and returns its summary: with one operation per
@@ -171,10 +151,7 @@ func runSummary(c *Client) ClientSummary {
 
 func TestClientSendsAndCollects(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       500,
 		WorkloadThreads: 2,
 		SendDuration:    200 * time.Millisecond,
@@ -196,10 +173,7 @@ func TestClientSendsAndCollects(t *testing.T) {
 
 func TestClientRateLimit(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       100, // 100 payloads/s over 300ms → ~30 expected
 		WorkloadThreads: 4,
 		SendDuration:    300 * time.Millisecond,
@@ -222,10 +196,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 		// Confirm every other transaction.
 		return tx.Seq%2 == 0
 	}
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       1000,
 		WorkloadThreads: 1,
 		SendDuration:    100 * time.Millisecond,
@@ -243,10 +214,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 
 func TestClientOpsPerTx(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       1000,
 		WorkloadThreads: 1,
 		OpsPerTx:        50,
@@ -273,10 +241,7 @@ func TestClientOpsPerTx(t *testing.T) {
 
 func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       1000,
 		WorkloadThreads: 1,
 		BatchSize:       10,
@@ -301,16 +266,16 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 // every transaction's ID is the one NewTransaction derives from the bare
 // operations.
 func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
-	for name, cfg := range map[string]ClientConfig{
+	for name, cfg := range map[string]RunConfig{
 		"single":   {},
 		"multi-op": {OpsPerTx: 3},
 		"batch":    {BatchSize: 5},
 	} {
 		d := newFakeDriver()
-		cfg.ID, cfg.Driver, cfg.Benchmark = "c0", d, BenchSendPayment
+		cfg.Unit = []BenchmarkName{BenchSendPayment}
 		cfg.RateLimit, cfg.WorkloadThreads = 1000, 2
 		cfg.SendDuration, cfg.ListenGrace = 50*time.Millisecond, 10*time.Millisecond
-		testClient(t, cfg).Run()
+		testClient(t, d, nil, cfg).Run()
 		d.mu.Lock()
 		if len(d.submitted) == 0 {
 			t.Fatalf("%s: nothing sent", name)
@@ -333,16 +298,15 @@ func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
 
 func TestClientReadMaxWrapsIndices(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchKeyValueGet,
+	cfg := RunConfig{
 		RateLimit:       2000,
 		WorkloadThreads: 1,
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
-		ReadMax:         []uint64{3}, // only keys 0..2 were "written"
-	})
+	}
+	cfg.fill()
+	// Only keys 0..2 were "written".
+	c := newClient(&cfg, systemstest.Env(t).Clock, d, nil, 0, 0, BenchKeyValueGet, []uint64{3}, nil)
 	c.Run()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -351,7 +315,7 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 	}
 	for _, tx := range d.submitted {
 		key := tx.Ops[0].Args[0]
-		// Keys must come from the wrapped space kv/c0/0/{0,1,2}.
+		// Keys must come from the wrapped space kv/coconut-client-0/0/{0,1,2}.
 		if !strings.HasSuffix(key, "/0") && !strings.HasSuffix(key, "/1") && !strings.HasSuffix(key, "/2") {
 			t.Fatalf("key %q outside ReadMax=3 space", key)
 		}
@@ -360,10 +324,8 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 
 func TestClientSentCountsMatchSubmitted(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchKeyValueSet,
+	c := testClient(t, d, nil, RunConfig{
+		Unit:            []BenchmarkName{BenchKeyValueSet},
 		RateLimit:       500,
 		WorkloadThreads: 3,
 		SendDuration:    150 * time.Millisecond,
@@ -388,10 +350,7 @@ func TestClientSentCountsMatchSubmitted(t *testing.T) {
 // in-flight index is empty once it ends.
 func TestClientStreamsOnlineMetrics(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       500,
 		WorkloadThreads: 2,
 		SendDuration:    150 * time.Millisecond,
@@ -424,10 +383,7 @@ func TestClientStreamsOnlineMetrics(t *testing.T) {
 
 func TestClientIgnoresUnknownEvents(t *testing.T) {
 	d := newFakeDriver()
-	c := testClient(t, ClientConfig{
-		ID:              "c0",
-		Driver:          d,
-		Benchmark:       BenchDoNothing,
+	c := testClient(t, d, nil, RunConfig{
 		RateLimit:       100,
 		WorkloadThreads: 1,
 		SendDuration:    50 * time.Millisecond,
@@ -436,9 +392,9 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 	// Fire a stray event for a transaction this client never sent.
 	ghost := chain.NewSingleOp("other", 99, "donothing", "DoNothing")
 	d.mu.Lock()
-	fn := d.subs["c0"]
+	fn := d.subs["coconut-client-0"]
 	d.mu.Unlock()
-	fn(systems.Event{TxID: ghost.ID, Client: "c0", Committed: true})
+	fn(systems.Event{TxID: ghost.ID, Client: "coconut-client-0", Committed: true})
 	s := runSummary(c)
 	if s.ReceivedNoT != s.ExpectedNoT || s.ExpectedNoT != d.submittedCount() {
 		t.Fatalf("NoT = %d/%d for %d sent: the stray event was counted", s.ReceivedNoT, s.ExpectedNoT, d.submittedCount())

@@ -275,8 +275,10 @@ type RepetitionResult struct {
 	// re-fetch from survivors and re-persist.
 	RefetchedRecords int
 	RefetchSec       float64
-	// LogRecords and LogBytes are the live WAL footprint summed across
-	// nodes at the end of the repetition (post-compaction).
+	// LogRecords and LogBytes count every record appended to the WALs,
+	// summed across nodes, from provisioning to the end of the phase: they
+	// are cumulative over the repetition's earlier unit members and ignore
+	// compaction, so they are not the live log footprint.
 	LogRecords int
 	LogBytes   int
 }

@@ -73,7 +73,7 @@ func TestClientOpsCounting(t *testing.T) {
 	// BitShares-style: one transaction carrying 100 operations counts as
 	// 100 transactions (§4.5).
 	clk := clock.NewAutoVirtual()
-	c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+	c := testClient(t, newFakeDriver(), clk, RunConfig{})
 	c.track(crypto.Hash{1}, clk.Now(), 100, 0)
 	clk.Sleep(time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
@@ -240,7 +240,7 @@ func TestMFLSIsOpsWeighted(t *testing.T) {
 	// A 2-op transaction at 1s and a 1-op transaction at 4s: the
 	// per-payload mean is (2*1 + 1*4) / 3 = 2s, not (1+4)/2 = 2.5s.
 	clk := clock.NewAutoVirtual()
-	c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+	c := testClient(t, newFakeDriver(), clk, RunConfig{})
 	c.track(crypto.Hash{1}, clk.Now(), 2, 0)
 	c.track(crypto.Hash{2}, clk.Now(), 1, 0)
 	clk.Sleep(time.Second)
@@ -306,7 +306,7 @@ func TestPropertySummarizeMeanBounded(t *testing.T) {
 func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 	f := func(flags []bool) bool {
 		clk := clock.NewAutoVirtual()
-		c := testClient(t, ClientConfig{ID: "c0", Driver: newFakeDriver(), Clock: clk})
+		c := testClient(t, newFakeDriver(), clk, RunConfig{})
 		confirmed := 0
 		for i, ok := range flags {
 			id := crypto.Hash{byte(i), byte(i >> 8), 1}

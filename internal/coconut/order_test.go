@@ -44,15 +44,12 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			av := clock.NewAutoVirtual()
 			drv := newFakeDriver()
-			cl := testClient(t, ClientConfig{
-				ID: "coconut-client-0", Driver: drv, Benchmark: tc.bench, ReadMax: tc.readMax,
-				Gen: func(thread int) OpGen {
-					return func(i uint64) chain.Operation {
-						return chain.Operation{IEL: "order", Function: "f", Args: []string{fmt.Sprintf("w%d#%d", thread, i)}}
-					}
-				},
-				RateLimit: 100, WorkloadThreads: tc.threads,
-				SendDuration: window, ListenGrace: 10 * time.Millisecond, Clock: av,
+			cfg := RunConfig{RateLimit: 100, WorkloadThreads: tc.threads, SendDuration: window, ListenGrace: 10 * time.Millisecond}
+			cfg.fill()
+			cl := newClient(&cfg, av, drv, nil, 0, 0, tc.bench, tc.readMax, func(thread int) OpGen {
+				return func(i uint64) chain.Operation {
+					return chain.Operation{IEL: "order", Function: "f", Args: []string{fmt.Sprintf("w%d#%d", thread, i)}}
+				}
 			})
 			h := clock.Register(av, "coconut-client-0") // the runner names a client's actor after the client
 			cl.Run()

@@ -32,7 +32,8 @@ type RunConfig struct {
 	// Clients is the number of COCONUT client applications (paper: 4, one
 	// per server).
 	Clients int
-	// RateLimit is payloads/second per client (the paper's RL).
+	// RateLimit is payloads/second per client (the paper's RL); it is
+	// required.
 	RateLimit int
 	// Arrival shapes each client's inter-send gaps at the configured rate;
 	// nil means the paper's uniform pacing. Poisson and burst schedules
@@ -43,11 +44,16 @@ type RunConfig struct {
 	ArrivalSeed int64
 	// WorkloadThreads per client (paper: 16).
 	WorkloadThreads int
-	// OpsPerTx and BatchSize mirror ClientConfig.
-	OpsPerTx  int
+	// OpsPerTx packs several operations into one transaction (BitShares:
+	// 1, 50, 100). Default 1.
+	OpsPerTx int
+	// BatchSize groups transactions into an atomic batch (Sawtooth: 1, 50,
+	// 100). Default 1. Above 1 the driver must implement BatchSubmitter.
 	BatchSize int
-	// SendDuration and ListenGrace mirror ClientConfig; scaled-down values
-	// regenerate the paper's shapes quickly.
+	// SendDuration is each phase's transaction sending window (paper:
+	// 300s); ListenGrace is the extra listening window for late
+	// confirmations (paper: 30s). Scaled-down values regenerate the paper's
+	// shapes quickly.
 	SendDuration time.Duration
 	ListenGrace  time.Duration
 	// Repetitions is r in the paper's formulas (paper: 3).
@@ -75,8 +81,17 @@ func (c *RunConfig) fill() {
 	if c.Clients <= 0 {
 		c.Clients = 4
 	}
+	if c.Arrival == nil {
+		c.Arrival = UniformArrival{}
+	}
 	if c.WorkloadThreads <= 0 {
 		c.WorkloadThreads = 16
+	}
+	if c.OpsPerTx <= 0 {
+		c.OpsPerTx = 1
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = 1
 	}
 	if c.Repetitions <= 0 {
 		c.Repetitions = 3
@@ -100,10 +115,13 @@ func Run(cfg RunConfig) ([]Result, error) {
 	if cfg.NewClock == nil {
 		return nil, fmt.Errorf("coconut: RunConfig.NewClock is required")
 	}
+	if cfg.RateLimit <= 0 {
+		return nil, fmt.Errorf("coconut: RunConfig.RateLimit must be positive, got %d", cfg.RateLimit)
+	}
 
 	perBench := make(map[BenchmarkName][]RepetitionResult, len(cfg.Unit))
 	for rep := 0; rep < cfg.Repetitions; rep++ {
-		repResults, err := runRepetition(cfg, rep)
+		repResults, err := runRepetition(&cfg, rep)
 		if err != nil {
 			return nil, fmt.Errorf("repetition %d: %w", rep, err)
 		}
@@ -122,13 +140,16 @@ func Run(cfg RunConfig) ([]Result, error) {
 // runRepetition provisions one fresh system on a fresh clock and runs every
 // unit member, quiescing between members. Each member's result is complete
 // when its phase ends, so the driver stops right after the last one.
-func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
+func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
 	// The runner itself is an actor: its waits and quiesce sleeps park it so
 	// the clock can jump.
 	h := clock.Register(clk, "coconut-runner")
 	defer h.Close()
 	driver := cfg.NewDriver(clk)
+	if _, ok := driver.(BatchSubmitter); cfg.BatchSize > 1 && !ok {
+		return nil, fmt.Errorf("coconut: BatchSize %d needs a driver that submits batches; %T does not", cfg.BatchSize, driver)
+	}
 	if cfg.Faults != nil {
 		runLen := cfg.SendDuration + cfg.ListenGrace
 		if err := cfg.Faults.Validate(runLen, driver.NodeCount()); err != nil {
@@ -172,10 +193,7 @@ func runRepetition(cfg RunConfig, rep int) (map[BenchmarkName]RepetitionResult, 
 			}
 		}
 
-		rr, sent, err := runBenchmark(cfg, clk, driver, bench, rep, readMax)
-		if err != nil {
-			return nil, err
-		}
+		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax)
 		writtenCounts[bench] = sent
 		out[bench] = rr
 	}
@@ -210,7 +228,7 @@ func quiesce(clk *clock.AutoVirtual, driver systems.Driver) {
 // client streams its own online summary (its memory is bounded by the
 // in-flight window); the summaries merge lock-free at phase end into the
 // repetition's metrics.
-func runBenchmark(cfg RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64, error) {
+func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected only under a fault schedule, so the paper-grid hot path
@@ -227,43 +245,7 @@ func runBenchmark(cfg RunConfig, clk *clock.AutoVirtual, driver systems.Driver, 
 		if i < len(readMax) {
 			rm = readMax[i]
 		}
-		var gen func(int) OpGen
-		if cfg.Workload != nil {
-			i := i
-			gen = func(thread int) OpGen {
-				return OpGen(cfg.Workload.Generator(workload.Placement{
-					Client: i, Clients: cfg.Clients,
-					Thread: thread, Threads: cfg.WorkloadThreads,
-				}))
-			}
-		}
-		cl, err := NewClient(ClientConfig{
-			// The client identity is stable across unit members and
-			// repetitions so read phases regenerate the write phase's keys.
-			ID:        fmt.Sprintf("coconut-client-%d", i),
-			Driver:    driver,
-			EntryNode: i, // each client targets a different server (§4.3)
-			Benchmark: bench,
-			Gen:       gen,
-			RateLimit: cfg.RateLimit,
-			Arrival:   cfg.Arrival,
-			// Decorrelate randomized arrival streams across clients and
-			// repetitions while keeping runs reproducible.
-			ArrivalSeed:     cfg.ArrivalSeed + int64(i)*7919 + int64(rep)*104729,
-			WorkloadThreads: cfg.WorkloadThreads,
-			OpsPerTx:        cfg.OpsPerTx,
-			BatchSize:       cfg.BatchSize,
-			SendDuration:    cfg.SendDuration,
-			ListenGrace:     cfg.ListenGrace,
-			ReadMax:         rm,
-			Timeline:        timeline,
-			Trace:           cfg.Trace,
-			Clock:           clk,
-		})
-		if err != nil {
-			return RepetitionResult{}, nil, err
-		}
-		clients[i] = cl
+		clients[i] = newClient(cfg, clk, driver, timeline, i, rep, bench, rm, nil)
 	}
 
 	// All clients wait on a shared barrier so load starts uniformly (§4.3).
@@ -273,7 +255,7 @@ func runBenchmark(cfg RunConfig, clk *clock.AutoVirtual, driver systems.Driver, 
 	start := clock.NewGate(clk)
 	ids := make([]string, len(clients))
 	for i, cl := range clients {
-		ids[i] = cl.cfg.ID
+		ids[i] = cl.id
 	}
 	joinClients := clock.Go(clk, ids, func(i int) {
 		clock.Await(clk, start)
@@ -374,12 +356,12 @@ func runBenchmark(cfg RunConfig, clk *clock.AutoVirtual, driver systems.Driver, 
 		rr.ReplaySec = delta.ReplaySec
 		rr.RefetchedRecords = int(delta.RefetchedRecords)
 		rr.RefetchSec = delta.RefetchSec
-		// The live log footprint is a gauge, not a counter: report the
-		// end-of-repetition state rather than a delta.
+		// The log counters are reported as they stand at the end of the
+		// phase, not as a delta: cumulative appends since provisioning.
 		rr.LogRecords = int(after.LogRecords)
 		rr.LogBytes = int(after.LogBytes)
 	}
-	return rr, written, nil
+	return rr, written
 }
 
 func decrementCounts(in [][]uint64) [][]uint64 {

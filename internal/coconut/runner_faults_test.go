@@ -123,6 +123,7 @@ func TestRunnerRejectsInvalidSchedule(t *testing.T) {
 		NewDriver:    func(clk *clock.AutoVirtual) systems.Driver { return newFakeDriver() },
 		Unit:         []BenchmarkName{BenchDoNothing},
 		Clients:      1,
+		RateLimit:    100,
 		SendDuration: 100 * time.Millisecond,
 		ListenGrace:  50 * time.Millisecond,
 		Faults:       sched,

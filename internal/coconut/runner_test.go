@@ -24,6 +24,43 @@ func TestRunRequiresClock(t *testing.T) {
 	}
 }
 
+func TestRunRequiresRateLimit(t *testing.T) {
+	_, err := Run(RunConfig{
+		NewDriver: func(*clock.AutoVirtual) systems.Driver { return newFakeDriver() },
+		NewClock:  func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
+	})
+	if err == nil || !strings.Contains(err.Error(), "RateLimit must be positive") {
+		t.Fatalf("err = %v, want a Run without RateLimit rejected", err)
+	}
+}
+
+// TestRunRejectsBatchesWithoutBatchSubmitter: batching needs a driver that
+// takes atomic batches; there is no fallback to single sends.
+func TestRunRejectsBatchesWithoutBatchSubmitter(t *testing.T) {
+	run := func(batch int) error {
+		_, err := Run(RunConfig{
+			SystemName: "fake",
+			// Embedding the interface hides the fake's SubmitBatch.
+			NewDriver:       func(*clock.AutoVirtual) systems.Driver { return struct{ systems.Driver }{newFakeDriver()} },
+			NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
+			Clients:         1,
+			RateLimit:       100,
+			WorkloadThreads: 1,
+			BatchSize:       batch,
+			SendDuration:    50 * time.Millisecond,
+			ListenGrace:     20 * time.Millisecond,
+			Repetitions:     1,
+		})
+		return err
+	}
+	if err := run(5); err == nil || !strings.Contains(err.Error(), "BatchSize 5 needs a driver that submits batches") {
+		t.Fatalf("err = %v, want BatchSize 5 on a driver without SubmitBatch rejected", err)
+	}
+	if err := run(1); err != nil {
+		t.Fatalf("BatchSize 1 needs no SubmitBatch: %v", err)
+	}
+}
+
 // leakyDriver arms a ticker when it starts and never stops it.
 type leakyDriver struct {
 	*fakeDriver

@@ -52,9 +52,6 @@ func NewTimeline(start time.Time, window, horizon time.Duration) *Timeline {
 	}
 }
 
-// Window returns the bucket width.
-func (t *Timeline) Window() time.Duration { return t.window }
-
 // idx maps an instant to its window, or -1 when it falls past the horizon.
 // Pre-start instants (clock skew around load start) clamp into window 0.
 func (t *Timeline) idx(at time.Time) int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -78,6 +79,12 @@ type FidelitySummary struct {
 	// where both the model and the paper ran.
 	MeanLog2 float64
 	Compared int
+	// Tau is Kendall's τ between the model's and the paper's MTPS over the
+	// Ranked DoNothing cells where both ran: the share of system pairs the
+	// two order alike minus the share they order oppositely, a pair tied on
+	// either side counting neither way. It is 0 below two cells.
+	Tau    float64
+	Ranked int
 	// Disagree names ("System Benchmark") the cells whose verdict does not
 	// count as agreement, by verdict.
 	Disagree map[Verdict][]string
@@ -96,11 +103,16 @@ var disagreeOrder = []Verdict{OffBand, ModelFailed, PaperFailed, Transcribed}
 func Fidelity(rows []OutcomeRow) FidelitySummary {
 	f := FidelitySummary{Disagree: make(map[Verdict][]string), Shapes: ShapeChecks(rows)}
 	sum := 0.0
+	var model, paper []float64 // the DoNothing cells where both ran
 	for _, row := range rows {
 		v := Compare(row)
 		if v == Agree || v == OffBand {
 			sum += math.Abs(math.Log2(row.Result.MTPS.Mean / row.Paper.MTPS))
 			f.Compared++
+			if row.Benchmark == string(coconut.BenchDoNothing) {
+				model = append(model, row.Result.MTPS.Mean)
+				paper = append(paper, row.Paper.MTPS)
+			}
 		}
 		if v != NoReference && v != Agree && v != BothFailed {
 			f.Disagree[v] = append(f.Disagree[v], row.System+" "+row.Benchmark)
@@ -117,14 +129,33 @@ func Fidelity(rows []OutcomeRow) FidelitySummary {
 	if f.Compared > 0 {
 		f.MeanLog2 = sum / float64(f.Compared)
 	}
+	f.Tau, f.Ranked = kendallTau(model, paper), len(model)
 	return f
 }
 
+// kendallTau is Kendall's τ-a between x and y: over every pair of indices,
+// +1 when x and y order it alike, -1 when oppositely and 0 on a tie, divided
+// by the number of pairs. It is 0 when there is no pair.
+func kendallTau(x, y []float64) float64 {
+	n := len(x)
+	if n < 2 {
+		return 0
+	}
+	agree := 0
+	for i := range n {
+		for j := i + 1; j < n; j++ {
+			agree += cmp.Compare(x[i], x[j]) * cmp.Compare(y[i], y[j])
+		}
+	}
+	return float64(agree) / float64(n*(n-1)/2)
+}
+
 // String renders the summary as a markdown paragraph with one bullet for
-// the rate-limiter counts, one per disagreeing verdict and one per failed
-// shape check.
+// the DoNothing ranking, one for the rate-limiter counts, one per
+// disagreeing verdict and one per failed shape check.
 func (f FidelitySummary) String() string {
 	s := fmt.Sprintf("Fidelity: mean |log₂(model/paper)| %.2f over %d cells where both ran\n", f.MeanLog2, f.Compared)
+	s += fmt.Sprintf("- DoNothing ranking: Kendall τ %.3f over %d systems where both ran\n", f.Tau, f.Ranked)
 	s += fmt.Sprintf("- %d rate-limited (MTPS ≥ %.2f·RL), %d over-offered (MTPS > %.2f·RL)",
 		f.RateLimited, rateLimitedAt, len(f.OverOffered), overOfferedAt)
 	if len(f.OverOffered) > 0 {

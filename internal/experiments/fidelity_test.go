@@ -22,6 +22,7 @@ import (
 // asks for its removal.
 type fidelityGate struct {
 	maxMeanLog2    float64
+	minTau         float64 // Kendall τ of the DoNothing ranking
 	maxRateLimited int
 	disagree       []string // cells whose verdict may be other than agreement
 	shapeFailures  []string
@@ -33,6 +34,10 @@ func (g fidelityGate) violations(f FidelitySummary) []string {
 	if f.MeanLog2 > g.maxMeanLog2 {
 		out = append(out, fmt.Sprintf("mean |log2(model/paper)| %.4f over %d cells exceeds the bound %.3f",
 			f.MeanLog2, f.Compared, g.maxMeanLog2))
+	}
+	if f.Tau < g.minTau {
+		out = append(out, fmt.Sprintf("DoNothing ranking Kendall τ %.4f over %d systems is below the bound %.3f",
+			f.Tau, f.Ranked, g.minTau))
 	}
 	if f.RateLimited > g.maxRateLimited {
 		out = append(out, fmt.Sprintf("%d rate-limited cells exceed the bound %d", f.RateLimited, g.maxRateLimited))
@@ -120,9 +125,11 @@ var overOfferedAt001 = []string{
 
 // figure3Gate pins Figure 3 under -time virtual at scale 0.01, seed 42. The
 // bound is the measured mean (0.7911) rounded up at the third decimal; the
-// rate-limited bound is the measured count.
+// τ bound is the measured 19/21 (one discordant pair of 21: Diem over
+// Sawtooth) rounded down; the rate-limited bound is the measured count.
 var figure3Gate = fidelityGate{
 	maxMeanLog2:    0.792,
+	minTau:         0.904,
 	maxRateLimited: 16,
 	overOffered:    overOfferedAt001,
 	disagree: []string{
@@ -148,9 +155,12 @@ var figure3Gate = fidelityGate{
 
 // figure4Gate pins Figure 4 under -time virtual at scale 0.01, seed 42. The
 // bound is the measured mean (1.1141) rounded up at the third decimal; the
-// rate-limited bound is the measured count.
+// τ bound is the measured 19/21 (one discordant pair of 21: Corda
+// Enterprise over Diem) rounded down; the rate-limited bound is the
+// measured count.
 var figure4Gate = fidelityGate{
 	maxMeanLog2:    1.115,
+	minTau:         0.904,
 	maxRateLimited: 16,
 	overOffered:    overOfferedAt001,
 	disagree: []string{
@@ -317,6 +327,9 @@ func TestFidelityGateHoldsPaperShapedGrid(t *testing.T) {
 	if f.Compared != 40 || math.Abs(f.MeanLog2-math.Log2(1.05)) > 1e-9 {
 		t.Fatalf("compared %d cells at mean %.4f, want 40 at log2(1.05)", f.Compared, f.MeanLog2)
 	}
+	if f.Tau != 1 || f.Ranked != 7 {
+		t.Fatalf("DoNothing ranking τ %v over %d systems, want 1 over 7", f.Tau, f.Ranked)
+	}
 }
 
 func TestFidelityGateFailsOnEachMutation(t *testing.T) {
@@ -340,6 +353,11 @@ func TestFidelityGateFailsOnEachMutation(t *testing.T) {
 			fidelityGate{maxMeanLog2: 1, disagree: []string{"BitShares BankingApp-SendPayment"}},
 			`shape failure "BitShares SendPayment collapses" is not on the allow-list`},
 		{"mean past its bound", grid, fidelityGate{maxMeanLog2: 0.05}, "exceeds the bound 0.050"},
+		// Fabric's and Quorum's DoNothing MTPS swapped: the pair itself and
+		// each system the paper ranks between them turn discordant.
+		{"DoNothing ranking below its bound",
+			mutateCell(mutateCell(grid, "Fabric", "DoNothing", 773.60*1.05), "Quorum", "DoNothing", 1461.05*1.05),
+			fidelityGate{maxMeanLog2: 0.1, minTau: 1}, "is below the bound 1.000"},
 		// The grid's Fabric DoNothing confirms 1.05 x 1461.05 = 1534.1 MTPS.
 		{"rate-limited count past its bound", limitCell(grid, "Fabric", "DoNothing", 1540), passingGate,
 			"1 rate-limited cells exceed the bound 0"},
@@ -356,6 +374,27 @@ func TestFidelityGateFailsOnEachMutation(t *testing.T) {
 				t.Errorf("violations %q lack %q", v, tc.want)
 			}
 		})
+	}
+}
+
+// TestKendallTau: τ is 1 when the model orders the cells as the paper does,
+// -1 when it reverses them, and 1/3 when it swaps one pair of three; a tie
+// counts neither way.
+func TestKendallTau(t *testing.T) {
+	paper := []float64{1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		model []float64
+		want  float64
+	}{
+		{"perfect order", []float64{10, 20, 30}, 1},
+		{"reversed order", []float64{30, 20, 10}, -1},
+		{"one swap of three", []float64{20, 10, 30}, 1.0 / 3},
+		{"one tie of three", []float64{10, 10, 30}, 2.0 / 3},
+	} {
+		if got := kendallTau(tc.model, paper); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: τ = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -250,8 +250,8 @@ func writeTableSection(w *strings.Builder, oc *Outcome) {
 // "Late" column — confirmations that arrived past the timeline's horizon
 // and count toward no window (Timeline.Overflow). When the scenario's WAL
 // axis is active, the durability columns (replay time, replayed records,
-// live log size) join the recovery ones; plain fault scenarios keep the
-// pre-WAL column set.
+// bytes appended to the logs since provisioning) join the recovery ones;
+// plain fault scenarios keep the pre-WAL column set.
 func writeFaultSection(w *strings.Builder, oc *Outcome) {
 	walActive := oc.Scenario.WAL != nil
 	header := "| System | MTPS | MFLS | Availability | Recovery | Goodput recovery | Late | Received/Expected |"

@@ -1,8 +1,8 @@
-// Package statestore implements the world-state storage engines backing the
-// simulated systems' interface execution layers: a versioned key-value
-// store with MVCC read-set validation (Fabric's execute-order-validate
-// pipeline), and an account store for the account-model systems (Quorum,
-// Diem) and the BankingApp IEL.
+// Package statestore implements the world state backing the simulated
+// systems' interface execution layers: a versioned key-value store with
+// MVCC read-set validation (Fabric's execute-order-validate pipeline).
+// Accounts live in that store through the BankingApp IEL (internal/iel),
+// or, for Corda, as UTXO states.
 package statestore
 
 import (

@@ -88,20 +88,3 @@ func BenchmarkRWSetValidateConflicting(b *testing.B) {
 	}
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 }
-
-func BenchmarkAccountTransfer(b *testing.B) {
-	s := NewAccountStore()
-	if err := s.Create("a", 1<<40, 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Create("b", 0, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Transfer("a", "b", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -168,118 +167,6 @@ func TestRWSetDeletedKeyConflict(t *testing.T) {
 	}
 }
 
-func TestAccountCreateAndBalance(t *testing.T) {
-	s := NewAccountStore()
-	if err := s.Create("acc-1", 100, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create("acc-1", 0, 0); !errors.Is(err, ErrAccountExists) {
-		t.Fatalf("err = %v, want ErrAccountExists", err)
-	}
-	c, sv, err := s.Balance("acc-1")
-	if err != nil || c != 100 || sv != 50 {
-		t.Fatalf("Balance = (%d,%d,%v)", c, sv, err)
-	}
-	if _, _, err := s.Balance("ghost"); !errors.Is(err, ErrAccountNotFound) {
-		t.Fatalf("err = %v, want ErrAccountNotFound", err)
-	}
-	if !s.Exists("acc-1") || s.Exists("ghost") {
-		t.Fatal("Exists wrong")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestAccountTransfer(t *testing.T) {
-	s := NewAccountStore()
-	mustCreate(t, s, "a", 100)
-	mustCreate(t, s, "b", 0)
-
-	if err := s.Transfer("a", "b", 40); err != nil {
-		t.Fatal(err)
-	}
-	ca, _, _ := s.Balance("a")
-	cb, _, _ := s.Balance("b")
-	if ca != 60 || cb != 40 {
-		t.Fatalf("balances = %d/%d, want 60/40", ca, cb)
-	}
-
-	if err := s.Transfer("a", "b", 1000); !errors.Is(err, ErrInsufficientFunds) {
-		t.Fatalf("err = %v, want ErrInsufficientFunds", err)
-	}
-	if err := s.Transfer("ghost", "b", 1); !errors.Is(err, ErrAccountNotFound) {
-		t.Fatalf("err = %v, want ErrAccountNotFound", err)
-	}
-	if err := s.Transfer("a", "ghost", 1); !errors.Is(err, ErrAccountNotFound) {
-		t.Fatalf("err = %v, want ErrAccountNotFound", err)
-	}
-}
-
-func TestAccountSequence(t *testing.T) {
-	s := NewAccountStore()
-	mustCreate(t, s, "a", 0)
-	if err := s.NextSeq("a", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NextSeq("a", 0); !errors.Is(err, ErrBadSequence) {
-		t.Fatalf("replayed seq: err = %v, want ErrBadSequence", err)
-	}
-	if err := s.NextSeq("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NextSeq("ghost", 0); !errors.Is(err, ErrAccountNotFound) {
-		t.Fatalf("err = %v, want ErrAccountNotFound", err)
-	}
-}
-
-func TestAccountTransferConservesFunds(t *testing.T) {
-	s := NewAccountStore()
-	for i := 0; i < 10; i++ {
-		mustCreate(t, s, fmt.Sprintf("acc-%d", i), 1000)
-	}
-	before := s.TotalFunds()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				from := fmt.Sprintf("acc-%d", i)
-				to := fmt.Sprintf("acc-%d", (i+1)%10)
-				_ = s.Transfer(from, to, 1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if after := s.TotalFunds(); after != before {
-		t.Fatalf("funds not conserved: before=%d after=%d", before, after)
-	}
-}
-
-// Property: any sequence of valid transfers conserves total funds.
-func TestPropertyTransfersConserveFunds(t *testing.T) {
-	f := func(moves []uint8) bool {
-		s := NewAccountStore()
-		_ = s.Create("a", 1000, 0)
-		_ = s.Create("b", 1000, 0)
-		_ = s.Create("c", 1000, 0)
-		names := []string{"a", "b", "c"}
-		for i, m := range moves {
-			from := names[i%3]
-			to := names[(i+1)%3]
-			_ = s.Transfer(from, to, int64(m))
-		}
-		return s.TotalFunds() == 3000
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: committing a validated RWSet always advances the key version.
 func TestPropertyCommitAdvancesVersion(t *testing.T) {
 	f := func(keys []string, blockNum uint16) bool {
@@ -304,80 +191,5 @@ func TestPropertyCommitAdvancesVersion(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func mustCreate(t *testing.T, s *AccountStore, id string, funds int64) {
-	t.Helper()
-	if err := s.Create(id, funds, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAccountStoreConcurrent exercises the account store under -race:
-// concurrent transfers over a ring of accounts, interleaved with balance
-// reads, creations, and sequence-number advances, must conserve total funds
-// and never trip the race detector.
-func TestAccountStoreConcurrent(t *testing.T) {
-	const (
-		accounts = 16
-		workers  = 8
-		opsEach  = 2000
-		initial  = int64(1000)
-	)
-	s := NewAccountStore()
-	for i := 0; i < accounts; i++ {
-		mustCreate(t, s, fmt.Sprintf("acc-%d", i), initial)
-	}
-	total := s.TotalFunds()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opsEach; i++ {
-				from := fmt.Sprintf("acc-%d", (w+i)%accounts)
-				to := fmt.Sprintf("acc-%d", (w+i+1)%accounts)
-				switch i % 4 {
-				case 0, 1:
-					// Transfers may fail on drained balances; conservation
-					// is what matters.
-					_ = s.Transfer(from, to, 1)
-				case 2:
-					if _, _, err := s.Balance(from); err != nil {
-						t.Error(err)
-						return
-					}
-				case 3:
-					if !s.Exists(to) {
-						t.Errorf("account %s vanished", to)
-						return
-					}
-				}
-			}
-		}()
-	}
-	// A creator races the transfer workers on the store's write lock.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 64; i++ {
-			id := fmt.Sprintf("extra-%d", i)
-			mustCreate(t, s, id, 0)
-			if err := s.NextSeq(id, 0); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	if got := s.TotalFunds(); got != total {
-		t.Fatalf("total funds = %d, want %d (transfers must conserve)", got, total)
-	}
-	if s.Len() != accounts+64 {
-		t.Fatalf("len = %d, want %d", s.Len(), accounts+64)
 	}
 }

@@ -549,8 +549,10 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 	}
 }
 
-// findStateOpt resolves one vault state for a write flow: like the Set
-// duplicate check it pays the full scan cost without a read budget.
+// findStateOpt resolves one vault state: it linear-scans the entry node's
+// vault and charges scanCost per visited state. Write flows call it
+// directly, paying the full scan cost without a read budget; reads go
+// through scanVault.
 func (n *Network) findStateOpt(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool) {
 	var (
 		outRef chain.StateRef
@@ -636,23 +638,8 @@ func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chai
 		n.env.Clock.Sleep(time.Duration(b) * n.cfg.scanCost)
 		return chain.StateRef{}, chain.ContractState{}, false, errScanBudget
 	}
-	visited := 0
-	var (
-		outRef chain.StateRef
-		outSt  chain.ContractState
-		found  bool
-	)
-	visited = entry.vault.LinearScan(func(ref chain.StateRef, st chain.ContractState) bool {
-		if st.Kind == kind && st.Key == key {
-			outRef, outSt, found = ref, st, true
-			return true
-		}
-		return false
-	})
-	if cost := time.Duration(visited) * n.cfg.scanCost; cost > 0 {
-		n.env.Clock.Sleep(cost)
-	}
-	return outRef, outSt, found, nil
+	ref, st, found := n.findStateOpt(entry, kind, key)
+	return ref, st, found, nil
 }
 
 func flowTxID(tx *chain.Transaction, utx *chain.UTXOTransaction) crypto.Hash {

@@ -38,8 +38,6 @@ const (
 	AbortAccountNotFound = "account-not-found"
 	// AbortKeyNotFound is a KeyValue Get against a missing key.
 	AbortKeyNotFound = "key-not-found"
-	// AbortBadSequence is Diem-style sequence-number admission failure.
-	AbortBadSequence = "bad-sequence"
 	// AbortConflictExcluded is BitShares' interacting-operation exclusion:
 	// the transaction touched keys already touched in the window and was
 	// dropped from the forming block.
@@ -65,16 +63,14 @@ func ClassifyAbort(err error) string {
 		return ""
 	case errors.Is(err, statestore.ErrMVCCConflict):
 		return AbortMVCCConflict
-	case errors.Is(err, iel.ErrInsufficientFunds), errors.Is(err, statestore.ErrInsufficientFunds):
+	case errors.Is(err, iel.ErrInsufficientFunds):
 		return AbortInsufficientFunds
-	case errors.Is(err, iel.ErrAccountExists), errors.Is(err, statestore.ErrAccountExists):
+	case errors.Is(err, iel.ErrAccountExists):
 		return AbortAccountExists
-	case errors.Is(err, iel.ErrAccountNotFound), errors.Is(err, statestore.ErrAccountNotFound):
+	case errors.Is(err, iel.ErrAccountNotFound):
 		return AbortAccountNotFound
 	case errors.Is(err, iel.ErrKeyNotFound):
 		return AbortKeyNotFound
-	case errors.Is(err, statestore.ErrBadSequence):
-		return AbortBadSequence
 	default:
 		var ds *chain.DoubleSpendError
 		if errors.As(err, &ds) {

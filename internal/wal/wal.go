@@ -294,18 +294,6 @@ func (l *Log) shouldSyncLocked() bool {
 	}
 }
 
-// Sync forces a durability barrier, returning its modeled latency (zero
-// when nothing was pending).
-func (l *Log) Sync() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pendingRecords == 0 {
-		return 0
-	}
-	l.syncLocked()
-	return l.opts.Latency.Fsync
-}
-
 // syncLocked advances the durable watermark to the end of the log.
 // Callers hold l.mu.
 func (l *Log) syncLocked() {
