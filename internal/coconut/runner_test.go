@@ -1,6 +1,7 @@
 package coconut
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +32,62 @@ func TestRunRequiresRateLimit(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "RateLimit must be positive") {
 		t.Fatalf("err = %v, want a Run without RateLimit rejected", err)
+	}
+}
+
+// TestRunConfigFillDefaults: RunConfig.fill is the run's one set of
+// defaults, so a zero config reaches the clients with the paper's shape —
+// four clients of 16 workload threads, uniform pacing, one operation per
+// transaction and no batching, three repetitions of DoNothing — and set
+// values stay as given.
+func TestRunConfigFillDefaults(t *testing.T) {
+	var zero RunConfig
+	zero.fill()
+	if zero.Clients != 4 || zero.WorkloadThreads != 16 || zero.OpsPerTx != 1 || zero.BatchSize != 1 || zero.Repetitions != 3 {
+		t.Fatalf("filled clients %d, threads %d, ops/tx %d, batch %d, reps %d; want 4, 16, 1, 1, 3",
+			zero.Clients, zero.WorkloadThreads, zero.OpsPerTx, zero.BatchSize, zero.Repetitions)
+	}
+	if _, ok := zero.Arrival.(UniformArrival); !ok {
+		t.Fatalf("filled Arrival = %T, want UniformArrival", zero.Arrival)
+	}
+	if len(zero.Unit) != 1 || zero.Unit[0] != BenchDoNothing {
+		t.Fatalf("filled Unit = %v, want [%s]", zero.Unit, BenchDoNothing)
+	}
+
+	set := RunConfig{Clients: 2, WorkloadThreads: 3, OpsPerTx: 50, BatchSize: 100, Repetitions: 1,
+		Arrival: PoissonArrival{}, Unit: []BenchmarkName{BenchKeyValueSet}}
+	set.fill()
+	if set.Clients != 2 || set.WorkloadThreads != 3 || set.OpsPerTx != 50 || set.BatchSize != 100 || set.Repetitions != 1 {
+		t.Fatalf("fill changed set values: clients %d, threads %d, ops/tx %d, batch %d, reps %d",
+			set.Clients, set.WorkloadThreads, set.OpsPerTx, set.BatchSize, set.Repetitions)
+	}
+	if _, ok := set.Arrival.(PoissonArrival); !ok || len(set.Unit) != 1 || set.Unit[0] != BenchKeyValueSet {
+		t.Fatalf("fill changed set values: Arrival %T, Unit %v", set.Arrival, set.Unit)
+	}
+}
+
+// TestClientArrivalSeeds: each client and repetition draws its own arrival
+// stream from the run's seed, and the same client of the same repetition
+// draws the same one.
+func TestClientArrivalSeeds(t *testing.T) {
+	cfg := RunConfig{ArrivalSeed: 42}
+	cfg.fill()
+	clk := clock.NewAutoVirtual()
+	seed := func(i, rep int) int64 {
+		return newClient(&cfg, clk, newFakeDriver(), nil, i, rep, BenchDoNothing, nil, nil).arrivalSeed
+	}
+	seen := make(map[int64]string)
+	for i := range 4 {
+		for rep := range 3 {
+			s := seed(i, rep)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("client %d repetition %d shares arrival seed %d with %s", i, rep, s, prev)
+			}
+			seen[s] = fmt.Sprintf("client %d repetition %d", i, rep)
+			if again := seed(i, rep); again != s {
+				t.Fatalf("client %d repetition %d: arrival seed %d, then %d", i, rep, s, again)
+			}
+		}
 	}
 }
 
