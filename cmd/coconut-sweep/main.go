@@ -36,6 +36,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/coconut-bench/coconut/internal/coconut"
@@ -64,8 +65,6 @@ func run() error {
 		seed        = flag.Int64("seed", 42, "deterministic seed")
 		arrival     = flag.String("arrival", "uniform", "client arrival schedule: uniform, poisson, or burst[:N]")
 		tracePath   = flag.String("trace", "", "record sampled per-transaction spans across every cell and write Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to this file")
-		ndjsonPath  = flag.String("ndjson", "", "stream each cell's windowed gauge series to this file as NDJSON, one record per timeline window")
-		stagesFlag  = flag.Bool("stages", false, "print the per-stage pipeline latency breakdown (submit/queue/consensus/execute/validate/commit) and bottleneck per cell")
 		list        = flag.Bool("list", false, "enumerate scenarios, benchmarks, arrivals, fault presets, mixes, and skews")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
@@ -119,21 +118,6 @@ func run() error {
 		tracer = trace.New(trace.Options{})
 		opts.Trace = tracer
 	}
-	if *ndjsonPath != "" {
-		f, err := os.Create(*ndjsonPath)
-		if err != nil {
-			return fmt.Errorf("ndjson: %w", err)
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		inner := opts.Progress
-		opts.Progress = func(p experiments.Progress) {
-			inner(p)
-			if err := streamGauges(enc, p); err != nil {
-				fmt.Fprintln(os.Stderr, "coconut-sweep: ndjson:", err)
-			}
-		}
-	}
 
 	scenarios, err := resolveScenarios(*scenarioArg)
 	if err != nil {
@@ -144,32 +128,8 @@ func run() error {
 		return fmt.Errorf("nothing to do: pass -scenario or -list")
 	}
 	if *system != "" {
-		// Restrict, never replace: a scenario pinned to other systems (a
-		// paper table) is skipped with a notice instead of being run
-		// against a system its parameters and references do not describe.
-		restricted := scenarios[:0]
-		for _, sc := range scenarios {
-			keep := false
-			for _, s := range sc.Systems {
-				if s == *system {
-					keep = true
-				}
-			}
-			if len(sc.Systems) == 0 {
-				// Default = all systems; validation rejects unknown names.
-				keep = true
-			}
-			if !keep {
-				fmt.Fprintf(os.Stderr, "coconut-sweep: skipping %s: it does not include system %q (systems: %s)\n",
-					sc.Name, *system, strings.Join(sc.Systems, ", "))
-				continue
-			}
-			sc.Systems = []string{*system}
-			restricted = append(restricted, sc)
-		}
-		scenarios = restricted
-		if len(scenarios) == 0 {
-			return fmt.Errorf("no requested scenario includes system %q", *system)
+		if scenarios, err = restrictToSystem(scenarios, *system, os.Stderr); err != nil {
+			return err
 		}
 	}
 
@@ -184,9 +144,6 @@ func run() error {
 		printTimings(oc)
 		if err := experiments.WriteFidelity(os.Stdout, oc); err != nil {
 			return err
-		}
-		if *stagesFlag {
-			printStages(oc)
 		}
 	}
 
@@ -283,31 +240,6 @@ func printProgress(p experiments.Progress) {
 	fmt.Println(line)
 }
 
-// streamGauges writes one NDJSON record per timeline window of a completed
-// cell's gauge series: the cell coordinates plus every registered gauge by
-// name. Cells without a series (no timeline, or a driver that does not
-// report queue depths) emit nothing.
-func streamGauges(enc *json.Encoder, p experiments.Progress) error {
-	if p.Result == nil {
-		return nil
-	}
-	for i, smp := range p.Result.Series {
-		rec := map[string]any{
-			"scenario": p.Scenario,
-			"cell":     p.Cell,
-			"system":   p.System,
-			"window":   i,
-		}
-		for g := 0; g < coconut.NumGauges; g++ {
-			rec[coconut.GaugeNames[g]] = smp[g]
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeExemplarSection appends the sampled-trace exemplars to the markdown
 // report: the p50/p99/max end-to-end transactions with the txid to search
 // for in Perfetto, linked to the trace file the sweep wrote. Like the
@@ -329,22 +261,27 @@ func writeExemplarSection(w io.Writer, tr *trace.Tracer, tracePath string) error
 	return err
 }
 
-// printStages renders each cell's per-stage pipeline latency breakdown and
-// names the dominant stage. The markdown report renders the same data as a
-// table whenever it is present; this flag surfaces it on stdout.
-func printStages(oc *experiments.Outcome) {
-	for _, row := range oc.Rows {
-		r := row.Result
-		if len(r.Stages) == 0 {
+// restrictToSystem narrows every scenario to system. It restricts, never
+// replaces: a scenario pinned to other systems (a paper table) is skipped,
+// with a notice on w, instead of being run against a system its parameters
+// and references do not describe. A scenario that names no systems runs on
+// all of them, so it keeps system; Validate rejects an unknown name. It is
+// an error when no scenario is left.
+func restrictToSystem(scenarios []experiments.Scenario, system string, w io.Writer) ([]experiments.Scenario, error) {
+	var restricted []experiments.Scenario
+	for _, sc := range scenarios {
+		if len(sc.Systems) > 0 && !slices.Contains(sc.Systems, system) {
+			fmt.Fprintf(w, "coconut-sweep: skipping %s: it does not include system %q (systems: %s)\n",
+				sc.Name, system, strings.Join(sc.Systems, ", "))
 			continue
 		}
-		line := fmt.Sprintf("  [stages] %-40s", row.System+"/"+row.Benchmark)
-		for _, sr := range r.Stages {
-			line += fmt.Sprintf(" %s=%.3fs", sr.Stage, sr.Mean.Mean)
-		}
-		line += " bottleneck=" + r.Bottleneck
-		fmt.Println(line)
+		sc.Systems = []string{system}
+		restricted = append(restricted, sc)
 	}
+	if len(restricted) == 0 {
+		return nil, fmt.Errorf("no requested scenario includes system %q", system)
+	}
+	return restricted, nil
 }
 
 // resolveScenarios maps the -scenario flag onto scenario specs: each
@@ -413,7 +350,7 @@ func printList() {
 	for _, s := range experiments.AllSystems {
 		fmt.Printf("  %s\n", s)
 	}
-	fmt.Println("telemetry gauges (sampled per timeline window; -ndjson records, report p95/max):")
+	fmt.Println("telemetry gauges (sampled per timeline window; -json Series, report p95/max):")
 	for _, g := range coconut.GaugeNames {
 		fmt.Printf("  %s\n", g)
 	}

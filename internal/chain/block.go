@@ -104,15 +104,10 @@ func (b *Block) VerifyLink(prev *Block) error {
 }
 
 // Ledger is a node's append-only, hash-linked block store. It enforces
-// integrity on every append and supports lookup by height and by
-// transaction ID.
+// integrity on every append and supports lookup by height.
 type Ledger struct {
 	mu     sync.RWMutex
 	blocks []*Block
-	// txIndex maps tx ID -> block number. The first FindTx builds it from
-	// the blocks and Append maintains it from then on: a replica nobody
-	// queries by transaction — every replica of a sweep — keeps none.
-	txIndex map[crypto.Hash]uint64
 }
 
 // NewLedger creates a ledger seeded with the genesis block for networkID.
@@ -129,16 +124,7 @@ func (l *Ledger) Append(b *Block) error {
 		return err
 	}
 	l.blocks = append(l.blocks, b)
-	if l.txIndex != nil {
-		l.indexLocked(b)
-	}
 	return nil
-}
-
-func (l *Ledger) indexLocked(b *Block) {
-	for _, tx := range b.Txs {
-		l.txIndex[tx.ID] = b.Number
-	}
 }
 
 // Head returns the latest block.
@@ -159,20 +145,6 @@ func (l *Ledger) BlockAt(n uint64) (*Block, bool) {
 		return nil, false
 	}
 	return l.blocks[n], true
-}
-
-// FindTx reports the block height containing a transaction.
-func (l *Ledger) FindTx(id crypto.Hash) (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.txIndex == nil {
-		l.txIndex = make(map[crypto.Hash]uint64)
-		for _, b := range l.blocks {
-			l.indexLocked(b)
-		}
-	}
-	n, ok := l.txIndex[id]
-	return n, ok
 }
 
 // TxCount returns the total committed transactions (excluding genesis).

@@ -116,8 +116,9 @@ func BenchmarkVaultLinearScan(b *testing.B) {
 		b.Run(fmt.Sprintf("states=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Worst case: the key is the last state, full scan.
-				if _, _, ok := v.FindByKey("kv", fmt.Sprintf("k%d", size-1)); !ok {
-					b.Fatal("key not found")
+				key := fmt.Sprintf("k%d", size-1)
+				if n := v.LinearScan(func(_ StateRef, st ContractState) bool { return st.Key == key }); n != size {
+					b.Fatalf("scan visited %d of %d states", n, size)
 				}
 			}
 		})

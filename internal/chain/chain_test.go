@@ -167,12 +167,6 @@ func TestLedgerAppendAndLookup(t *testing.T) {
 	if l.Height() != 1 {
 		t.Fatalf("height = %d, want 1", l.Height())
 	}
-	if n, ok := l.FindTx(tx.ID); !ok || n != 1 {
-		t.Fatalf("FindTx = (%d,%v), want (1,true)", n, ok)
-	}
-	if _, ok := l.FindTx(crypto.SumString("missing")); ok {
-		t.Fatal("found nonexistent tx")
-	}
 	got, ok := l.BlockAt(1)
 	if !ok || got.Hash != b.Hash {
 		t.Fatal("BlockAt(1) mismatch")
@@ -298,10 +292,6 @@ func TestVaultLinearScanVisitsInOrder(t *testing.T) {
 	}
 	// Finding the last key must visit all 10 states (the paper's Corda read
 	// pathology).
-	_, _, found := v.FindByKey("kv", "j")
-	if !found {
-		t.Fatal("key j not found")
-	}
 	visited := v.LinearScan(func(_ StateRef, st ContractState) bool {
 		return st.Key == "j"
 	})
@@ -313,13 +303,6 @@ func TestVaultLinearScanVisitsInOrder(t *testing.T) {
 	})
 	if visited != 1 {
 		t.Fatalf("visited = %d, want 1 (early exit)", visited)
-	}
-}
-
-func TestVaultFindByKeyMissing(t *testing.T) {
-	v := NewVault()
-	if _, _, found := v.FindByKey("kv", "missing"); found {
-		t.Fatal("found a key in an empty vault")
 	}
 }
 
@@ -391,8 +374,7 @@ func TestPropertyVaultConservation(t *testing.T) {
 }
 
 // chainOf builds n linked blocks of perBlock transactions on top of the
-// ledger's head without appending them; every third block repeats a
-// transaction of an earlier one, so the index has a later block to prefer.
+// ledger's head without appending them.
 func chainOf(l *Ledger, n, perBlock int) []*Block {
 	blocks := make([]*Block, n)
 	prev := l.Head()
@@ -403,20 +385,15 @@ func chainOf(l *Ledger, n, perBlock int) []*Block {
 			seq++
 			txs[j] = NewSingleOp("c", seq, "donothing", "DoNothing")
 		}
-		if i%3 == 2 {
-			txs[0] = blocks[i-2].Txs[perBlock-1]
-		}
 		blocks[i] = NewBlock(prev, "orderer", time.Unix(int64(i), 0), txs)
 		prev = blocks[i]
 	}
 	return blocks
 }
 
-// TestLedgerIndexesOnFirstFindTx: a ledger nobody queries by transaction
-// keeps no index and Append allocates nothing for one; the first FindTx
-// builds it from the blocks, Append maintains it from then on, and at every
-// point it answers as an index maintained from the first append does.
-func TestLedgerIndexesOnFirstFindTx(t *testing.T) {
+// TestLedgerAppendAllocatesNothing: a replica's Append keeps no per-block
+// state beyond the block itself.
+func TestLedgerAppendAllocatesNothing(t *testing.T) {
 	const runs = 200
 	l := NewLedger("net")
 	blocks := chainOf(l, runs+2, 4)
@@ -427,42 +404,6 @@ func TestLedgerIndexesOnFirstFindTx(t *testing.T) {
 		}
 		next++
 	}); n != 0 { // the block slice's doublings, eight in 200 appends, average to 0
-		t.Errorf("Append before any FindTx allocates %v times per block, want 0", n)
-	}
-	if l.txIndex != nil {
-		t.Fatal("the ledger built a transaction index nobody asked for")
-	}
-
-	late, eager := NewLedger("net"), NewLedger("net")
-	eager.FindTx(crypto.Hash{}) // indexes from the first append on
-	blocks = chainOf(late, 30, 4)
-	agree := func(upTo int) {
-		t.Helper()
-		for _, b := range blocks {
-			for _, tx := range b.Txs {
-				gn, gok := late.FindTx(tx.ID)
-				wn, wok := eager.FindTx(tx.ID)
-				if gn != wn || gok != wok {
-					t.Fatalf("after %d blocks FindTx(%s) = (%d,%v) on the late index, (%d,%v) on the eager one",
-						upTo, tx.ID.Short(), gn, gok, wn, wok)
-				}
-			}
-		}
-	}
-	for i, b := range blocks {
-		if err := late.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := eager.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if i == 19 {
-			agree(20) // the late ledger's first FindTx: 20 blocks behind it, 10 to come
-		}
-	}
-	agree(30)
-	repeated := blocks[0].Txs[3] // also in block 3 (height 3): the later block wins
-	if n, ok := late.FindTx(repeated.ID); !ok || n != 3 {
-		t.Fatalf("FindTx of a repeated transaction = (%d,%v), want its latest block 3", n, ok)
+		t.Errorf("Append allocates %v times per block, want 0", n)
 	}
 }

@@ -34,15 +34,6 @@ func (o Operation) String() string {
 	return fmt.Sprintf("%s.%s(%s)", o.IEL, o.Function, strings.Join(o.Args, ","))
 }
 
-// Digest hashes the operation content.
-func (o Operation) Digest() crypto.Hash {
-	h := crypto.AcquireHasher()
-	o.digestInto(h)
-	d := h.Sum()
-	h.Release()
-	return d
-}
-
 // digestInto streams the operation content into an in-progress digest. The
 // byte stream matches the historical Sum([]byte(IEL), []byte(Function),
 // args...) concatenation, so derived IDs are stable across the refactor.
@@ -93,8 +84,6 @@ type Transaction struct {
 	// SubmittedAt is stamped by the client just before sending (the paper's
 	// starttime, T0 in Figure 2).
 	SubmittedAt time.Time
-	// Signatures collected over the transaction digest.
-	Signatures []crypto.Signature
 	// Stages carries the per-stage pipeline completion timestamps stamped by
 	// the driver as the transaction travels submit → queue → consensus →
 	// execute → validate. Embedded by value so marking allocates nothing;
@@ -144,9 +133,6 @@ func (tx *Transaction) computeID() crypto.Hash {
 	h.Release()
 	return id
 }
-
-// Digest returns the signable content hash.
-func (tx *Transaction) Digest() crypto.Hash { return tx.ID }
 
 // OpCount returns the number of operations the transaction carries. The
 // paper counts each BitShares operation as one transaction for MTPS

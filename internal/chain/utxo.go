@@ -3,7 +3,6 @@ package chain
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -35,17 +34,13 @@ type ContractState struct {
 // these transactions finalize individually once notarised and signed by all
 // required parties.
 type UTXOTransaction struct {
-	ID          crypto.Hash
-	Client      string
-	Seq         uint64
-	Op          Operation
-	Inputs      []StateRef
-	Outputs     []ContractState
-	SubmittedAt time.Time
-	Signatures  []crypto.Signature
+	ID      crypto.Hash
+	Inputs  []StateRef
+	Outputs []ContractState
 }
 
-// NewUTXOTransaction derives the transaction ID from its content. The
+// NewUTXOTransaction derives the transaction ID from the submitting
+// client, its sequence number, the operation and the states. The
 // derivation streams through one pooled hasher (operation digest, then the
 // content digest, then the client/seq ID) and allocates nothing.
 func NewUTXOTransaction(client string, seq uint64, op Operation, inputs []StateRef, outputs []ContractState) *UTXOTransaction {
@@ -71,14 +66,7 @@ func NewUTXOTransaction(client string, seq uint64, op Operation, inputs []StateR
 	h.WriteHash(content)
 	id := h.Sum()
 	h.Release()
-	return &UTXOTransaction{
-		ID:      id,
-		Client:  client,
-		Seq:     seq,
-		Op:      op,
-		Inputs:  inputs,
-		Outputs: outputs,
-	}
+	return &UTXOTransaction{ID: id, Inputs: inputs, Outputs: outputs}
 }
 
 // Ref returns the StateRef for output i of this transaction.
@@ -178,24 +166,6 @@ func (v *Vault) LinearScan(fn func(ref StateRef, st ContractState) bool) int {
 		}
 	}
 	return visited
-}
-
-// FindByKey linear-scans for the first unspent state with the given kind
-// and key.
-func (v *Vault) FindByKey(kind, key string) (StateRef, ContractState, bool) {
-	var (
-		foundRef StateRef
-		foundSt  ContractState
-		found    bool
-	)
-	v.LinearScan(func(ref StateRef, st ContractState) bool {
-		if st.Kind == kind && st.Key == key {
-			foundRef, foundSt, found = ref, st, true
-			return true
-		}
-		return false
-	})
-	return foundRef, foundSt, found
 }
 
 // UnspentCount returns the number of live states.

@@ -68,18 +68,6 @@ func (s GaugeSeries) Max(g int) float64 {
 	return max
 }
 
-// Mean returns gauge g's mean across the series (zero when empty).
-func (s GaugeSeries) Mean(g int) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, smp := range s {
-		sum += smp[g]
-	}
-	return sum / float64(len(s))
-}
-
 // Quantile returns gauge g's value at quantile q in [0, 1] across the
 // series' windows (zero when empty).
 func (s GaugeSeries) Quantile(g int, q float64) float64 {

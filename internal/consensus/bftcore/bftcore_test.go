@@ -10,6 +10,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/network"
+	"github.com/coconut-bench/coconut/internal/network/networktest"
 )
 
 type cluster struct {
@@ -203,10 +204,10 @@ func TestStickyPrimaryDecides(t *testing.T) {
 
 func TestRoundChangeOnStalledProposer(t *testing.T) {
 	c := newCluster(t, 4, RoundRobinByHeight)
-	// Height 1, round 0 proposer is validator-1. Isolate it, then submit to
+	// Height 1, round 0 proposer is validator-1. Cut it off, then submit to
 	// another node, which forwards to the dead proposer; the round change
 	// must elect validator-2 and still decide.
-	c.transport.Isolate("validator-1")
+	networktest.Disconnect(c.transport, "validator-1")
 
 	var submitter *Core
 	for _, core := range c.cores {
@@ -240,8 +241,8 @@ func TestSubmitNotRunning(t *testing.T) {
 func TestQuorumRequiresEnoughValidators(t *testing.T) {
 	// 4 validators, 2 isolated: remaining 2 < quorum(3) must not decide.
 	c := newCluster(t, 4, StickyPrimary)
-	c.transport.Isolate("validator-2")
-	c.transport.Isolate("validator-3")
+	networktest.Disconnect(c.transport, "validator-2")
+	networktest.Disconnect(c.transport, "validator-3")
 	_ = c.cores[0].Submit("unsafe")
 	c.clk.Sleep(300 * time.Millisecond)
 	c.mu.Lock()
@@ -282,8 +283,8 @@ func TestNonMemberVotesNeverCompleteAQuorum(t *testing.T) {
 	}
 	digest := core.inst.digest
 	vote := func(from string) {
-		core.handle(network.Message{From: from, To: "v1", Payload: prepareMsg{Height: 1, Digest: digest}})
-		core.handle(network.Message{From: from, To: "v1", Payload: commitMsg{Height: 1, Digest: digest}})
+		core.handle(network.Message{From: from, Payload: prepareMsg{Height: 1, Digest: digest}})
+		core.handle(network.Message{From: from, Payload: commitMsg{Height: 1, Digest: digest}})
 	}
 	for _, outsider := range []string{"v0-gossip", "v2-gossip", "v3-gossip", "intruder"} {
 		vote(outsider)
@@ -292,7 +293,7 @@ func TestNonMemberVotesNeverCompleteAQuorum(t *testing.T) {
 		t.Fatalf("four non-members' votes prepared=%v the instance and decided %d payloads", core.inst.prepared, len(decided))
 	}
 	for _, outsider := range []string{"v0-gossip", "intruder"} {
-		core.handle(network.Message{From: outsider, To: "v1", Payload: roundChangeMsg{Height: 1, NewRound: 1}})
+		core.handle(network.Message{From: outsider, Payload: roundChangeMsg{Height: 1, NewRound: 1}})
 	}
 	if core.inst.round != 0 || core.inst.roundChange.Count() != 0 {
 		t.Fatalf("non-members moved the core to round %d with %d round-change votes", core.inst.round, core.inst.roundChange.Count())

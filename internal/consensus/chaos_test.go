@@ -12,6 +12,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
 	"github.com/coconut-bench/coconut/internal/network"
+	"github.com/coconut-bench/coconut/internal/network/networktest"
 )
 
 // recorder collects decisions per node and checks cross-node agreement.
@@ -201,7 +202,7 @@ func TestBFTToleratesOneFaultyValidator(t *testing.T) {
 	}()
 
 	// v3 goes dark before any traffic.
-	tr.Isolate("v3")
+	networktest.Disconnect(tr, "v3")
 	for i := 0; i < 8; i++ {
 		// Submit everywhere that is still connected so round changes can
 		// always find a proposer with the payload.
@@ -253,8 +254,8 @@ func TestRaftPartitionMinorityCannotCommit(t *testing.T) {
 
 	leader := waitLeader(t, clk, nodes)
 
-	// Isolate the leader (minority of one); it must not commit new entries.
-	tr.Isolate(leader.Leader())
+	// Cut the leader off (a minority of one); it must not commit new entries.
+	networktest.Disconnect(tr, leader.Leader())
 	before := leader.CommitIndex()
 	_ = leader.Submit("orphan")
 	clk.Sleep(150 * time.Millisecond)

@@ -5,9 +5,10 @@
 // two-chain rule once a QC forms on a contiguous-round child.
 //
 // A pacemaker advances rounds on timeout quorums so the chain keeps moving
-// past silent leaders. When a leader has no payload queued it proposes an
-// empty block — Diem does the same, which is why the paper observes Diem
-// blocks that never saturate (§5.7).
+// past silent leaders. The leader takes each block's payload from its
+// Config.PayloadSource; when that has nothing it proposes an empty block —
+// Diem does the same, which is why the paper observes Diem blocks that
+// never saturate (§5.7).
 package diembft
 
 import (
@@ -36,8 +37,8 @@ type Config struct {
 	// RoundInterval is the cadence at which the leader proposes. Default
 	// 20ms.
 	RoundInterval time.Duration
-	// PayloadSource, when set, is consulted by the round leader whenever
-	// its local Submit backlog is empty; returning nil proposes an empty
+	// PayloadSource is consulted once by the leader of each round for the
+	// block's payload; returning nil, or leaving it unset, proposes an empty
 	// block. Systems use it to pull a freshly formed block (e.g. up to
 	// max_block_size transactions) at proposal time.
 	PayloadSource func() any
@@ -102,7 +103,6 @@ type Engine struct {
 	votes     map[crypto.Hash]*consensus.VoteSet // by validator index
 	timeouts  map[uint64]*consensus.VoteSet      // by validator index
 	committed map[crypto.Hash]bool
-	pending   []any
 	seq       uint64
 	voted     map[uint64]bool // rounds this node voted in
 	proposed  uint64          // the round of this node's last proposal; 0 before the first
@@ -164,32 +164,11 @@ func (e *Engine) Stop() {
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
-// Submit hands a payload to the validator for ordering. Payloads queue
-// locally and are also forwarded to the next few leaders so whichever wins
-// the round can include them.
-func (e *Engine) Submit(payload any) error {
-	e.mu.Lock()
-	if !e.running {
-		e.mu.Unlock()
-		return consensus.ErrNotRunning
-	}
-	e.pending = append(e.pending, payload)
-	e.mu.Unlock()
-	return nil
-}
-
 // Round returns the validator's current round.
 func (e *Engine) Round() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.round
-}
-
-// PendingCount returns the local payload backlog.
-func (e *Engine) PendingCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
 }
 
 func (e *Engine) leaderOf(round uint64) string {
@@ -232,8 +211,8 @@ func (e *Engine) run() {
 	})
 }
 
-// tryPropose makes the round leader propose one block per round: either the
-// next pending payload or an empty block to keep the chain advancing.
+// tryPropose makes the round leader propose one block per round: the
+// PayloadSource's payload, or an empty block to keep the chain advancing.
 func (e *Engine) tryPropose() {
 	e.mu.Lock()
 	if !e.running || e.leaderOf(e.round) != e.cfg.ID {
@@ -249,10 +228,7 @@ func (e *Engine) tryPropose() {
 	}
 	e.proposed = e.round
 	var payload any
-	if len(e.pending) > 0 {
-		payload = e.pending[0]
-		e.pending = e.pending[1:]
-	} else if e.cfg.PayloadSource != nil {
+	if e.cfg.PayloadSource != nil {
 		payload = e.cfg.PayloadSource()
 	}
 	parent := e.highQC

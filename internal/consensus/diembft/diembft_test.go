@@ -11,13 +11,40 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
+	"github.com/coconut-bench/coconut/internal/network/networktest"
 )
+
+// payloadQueue is one leader's backlog in these tests. Its pop is the
+// engine's PayloadSource, as the Diem driver's mempool take is in a run.
+type payloadQueue struct {
+	mu    sync.Mutex
+	items []any
+}
+
+func (q *payloadQueue) push(p any) {
+	q.mu.Lock()
+	q.items = append(q.items, p)
+	q.mu.Unlock()
+}
+
+// pop returns the oldest payload, or nil for an empty block.
+func (q *payloadQueue) pop() any {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 {
+		return nil
+	}
+	p := q.items[0]
+	q.items = q.items[1:]
+	return p
+}
 
 type cluster struct {
 	t         *testing.T
 	clk       *clock.AutoVirtual
 	transport *network.Transport
 	engines   []*Engine
+	queues    []*payloadQueue // engines[i] proposes from queues[i]
 
 	mu      sync.Mutex
 	decided map[string][]consensus.Decision
@@ -38,12 +65,15 @@ func newCluster(t *testing.T, n int) *cluster {
 	}
 	for _, id := range names {
 		id := id
+		q := &payloadQueue{}
+		c.queues = append(c.queues, q)
 		e := New(Config{
 			Clock:         clk,
 			ID:            id,
 			Validators:    names,
 			Transport:     c.transport,
 			RoundInterval: 5 * time.Millisecond,
+			PayloadSource: q.pop,
 			OnDecide: func(d consensus.Decision) {
 				c.mu.Lock()
 				c.decided[id] = append(c.decided[id], d)
@@ -64,6 +94,10 @@ func newCluster(t *testing.T, n int) *cluster {
 	return c
 }
 
+// submit queues payload for engines[i] to propose when it next leads a
+// round.
+func (c *cluster) submit(i int, payload any) { c.queues[i].push(payload) }
+
 func (c *cluster) decidedBy(id string) []consensus.Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -82,9 +116,7 @@ func (c *cluster) waitDecisions(id string, want int, timeout time.Duration) []co
 
 func TestCommitsSubmittedPayload(t *testing.T) {
 	c := newCluster(t, 4)
-	if err := c.engines[0].Submit("tx-block-1"); err != nil {
-		t.Fatal(err)
-	}
+	c.submit(0, "tx-block-1")
 	ds := c.waitDecisions("diem-0", 1, 5*time.Second)
 	if ds[0].Payload != "tx-block-1" {
 		t.Fatalf("payload = %v", ds[0].Payload)
@@ -96,10 +128,8 @@ func TestAllValidatorsCommitSameOrder(t *testing.T) {
 	const total = 10
 	for i := 0; i < total; i++ {
 		// Spread submissions across validators; each leader drains its own
-		// pending queue when its round arrives.
-		if err := c.engines[i%4].Submit(fmt.Sprintf("p-%d", i)); err != nil {
-			t.Fatal(err)
-		}
+		// queue when its round arrives.
+		c.submit(i%4, fmt.Sprintf("p-%d", i))
 	}
 	var ref []consensus.Decision
 	for i, e := range c.engines {
@@ -122,9 +152,7 @@ func TestAllValidatorsCommitSameOrder(t *testing.T) {
 func TestSeqIsGapFree(t *testing.T) {
 	c := newCluster(t, 4)
 	for i := 0; i < 5; i++ {
-		if err := c.engines[0].Submit(i); err != nil {
-			t.Fatal(err)
-		}
+		c.submit(0, i)
 	}
 	ds := c.waitDecisions("diem-0", 5, 5*time.Second)
 	for i, d := range ds[:5] {
@@ -150,43 +178,15 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 	}
 }
 
-func TestSubmitNotRunning(t *testing.T) {
-	clk := clocktest.New(t)
-	tr := network.NewTransport(clk, nil)
-	defer tr.Stop()
-	e := New(Config{Clock: clk, ID: "x", Validators: []string{"x"}, Transport: tr})
-	if err := e.Submit("v"); err != consensus.ErrNotRunning {
-		t.Fatalf("err = %v, want ErrNotRunning", err)
-	}
-}
-
 func TestSurvivesLeaderIsolation(t *testing.T) {
 	c := newCluster(t, 4)
-	// Isolate one validator; the pacemaker must skip its rounds and the
+	// Cut one validator off; the pacemaker must skip its rounds and the
 	// cluster still commits with 3 of 4 (quorum 3).
-	c.transport.Isolate("diem-1")
+	networktest.Disconnect(c.transport, "diem-1")
 	for i := 0; i < 3; i++ {
-		if err := c.engines[0].Submit(fmt.Sprintf("x-%d", i)); err != nil {
-			t.Fatal(err)
-		}
+		c.submit(0, fmt.Sprintf("x-%d", i))
 	}
 	c.waitDecisions("diem-0", 3, 10*time.Second)
-}
-
-func TestPendingCount(t *testing.T) {
-	clk := clocktest.New(t)
-	tr := network.NewTransport(clk, nil)
-	defer tr.Stop()
-	e := New(Config{Clock: clk, ID: "solo", Validators: []string{"solo", "g1", "g2", "g3"}, Transport: tr})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	_ = e.Submit(1)
-	_ = e.Submit(2)
-	if n := e.PendingCount(); n < 1 {
-		t.Fatalf("pending = %d, want >= 1", n)
-	}
 }
 
 // TestPacemakerTimesOutAfterTimeoutRounds: a validator that hears nothing
@@ -240,7 +240,7 @@ func TestOnlyAValidatorsOwnVoteCounts(t *testing.T) {
 		}
 	}
 	vote := func(from, voter string) {
-		e.handle(network.Message{From: from, To: "v1", Payload: voteMsg{BlockID: blockID, Round: 1, Voter: voter}})
+		e.handle(network.Message{From: from, Payload: voteMsg{BlockID: blockID, Round: 1, Voter: voter}})
 	}
 	vote("intruder", "intruder")
 	vote("v0-gossip", "v0-gossip")
@@ -252,7 +252,7 @@ func TestOnlyAValidatorsOwnVoteCounts(t *testing.T) {
 		t.Fatalf("a QC formed for round %d on the leader's own vote and six that must not count", e.highQC.Round)
 	}
 	for _, outsider := range []string{"intruder", "v0-gossip", "v2-gossip"} {
-		e.handle(network.Message{From: outsider, To: "v1", Payload: timeoutMsg{Round: 1}})
+		e.handle(network.Message{From: outsider, Payload: timeoutMsg{Round: 1}})
 	}
 	if e.round != 1 {
 		t.Fatalf("non-members' timeouts advanced the round to %d", e.round)
@@ -280,7 +280,9 @@ func TestValidatorsShareTheProposersBlock(t *testing.T) {
 	var decided []consensus.Decision // v0's; written under the execution token
 	var engines []*Engine
 	for _, id := range names {
-		cfg := Config{ID: id, Validators: names, Transport: tr, Clock: clk, RoundInterval: 5 * time.Millisecond}
+		q := &payloadQueue{}
+		q.push("shared") // whichever leads next proposes it
+		cfg := Config{ID: id, Validators: names, Transport: tr, Clock: clk, RoundInterval: 5 * time.Millisecond, PayloadSource: q.pop}
 		if id == "v0" {
 			cfg.OnDecide = func(d consensus.Decision) { decided = append(decided, d) }
 		}
@@ -296,11 +298,6 @@ func TestValidatorsShareTheProposersBlock(t *testing.T) {
 		}
 		tr.Stop()
 	}()
-	for _, e := range engines { // whichever leads next proposes it
-		if err := e.Submit("shared"); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for deadline := clk.Now().Add(5 * time.Second); len(decided) == 0; clk.Sleep(5 * time.Millisecond) {
 		if clk.Now().After(deadline) {
 			t.Fatal("no round decided")
@@ -358,5 +355,50 @@ func TestLeaderProposesOncePerRound(t *testing.T) {
 	e.tryPropose()
 	if own, sent := proposals(); own != 2 || sent != 6 {
 		t.Fatalf("round 5: %d own blocks, %d messages sent; want a second block sent to 3 validators", own, sent)
+	}
+}
+
+// TestNilPayloadProposesEmptyBlock: a leader whose PayloadSource returns nil
+// still proposes, once per round, an empty block; the source is asked once
+// per proposal, and its next payload goes into the next round the node
+// leads.
+func TestNilPayloadProposesEmptyBlock(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	names := []string{"v0", "v1", "v2", "v3"}
+	for _, id := range names {
+		if id != "v1" {
+			tr.Register(id, func(network.Message) {})
+		}
+	}
+	q := &payloadQueue{}
+	asked := 0
+	e := New(Config{ID: "v1", Validators: names, Transport: tr, Clock: clk,
+		PayloadSource: func() any { asked++; return q.pop() }})
+	e.running = true // tryPropose is called from here; no run loop
+	proposed := func(round uint64) *blockNode {
+		for _, b := range e.blocks {
+			if b.Proposer == "v1" && b.Round == round {
+				return b
+			}
+		}
+		return nil
+	}
+
+	e.tryPropose() // v1 leads round 1; its queue is empty
+	e.tryPropose()
+	b := proposed(1)
+	if b == nil || b.Payload != nil || asked != 1 {
+		t.Fatalf("round 1: block %+v after %d PayloadSource calls; want one empty block from one call", b, asked)
+	}
+	if sent, _, _ := tr.Stats(); sent != 3 {
+		t.Fatalf("the empty block went to %d validators, want 3", sent)
+	}
+	q.push("next")
+	e.round = 5 // v1 leads round 5 next
+	e.tryPropose()
+	if b := proposed(5); b == nil || b.Payload != "next" || asked != 2 {
+		t.Fatalf("round 5: block %+v after %d calls; want the queued payload from a second call", b, asked)
 	}
 }

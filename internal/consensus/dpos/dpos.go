@@ -103,18 +103,13 @@ type Engine struct {
 	join   func() // waits for the loop Start began
 }
 
-// New constructs a witness; call Start to begin the schedule. Its gossip
-// index is its own: a network of one.
-func New(cfg Config) *Engine {
-	return newEngine(cfg, newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed), consensus.NewGossipIndex(), 0)
-}
-
-// NewNetwork constructs the engines of one network, one per config. Their
-// schedule is a pure function of the witness count and ShuffleSeed, which
-// the nodes of a network agree on, so they share one: a round's order is
-// shuffled once, not once per engine. A config that disagrees with the
-// first keeps a schedule of its own. All of them share one gossip index, in
-// which an engine's node is its config's position.
+// NewNetwork constructs the engines of one network, one per config; call
+// Start on each to begin the schedule. Their schedule is a pure function of
+// the witness count and ShuffleSeed, which the nodes of a network agree on,
+// so they share one: a round's order is shuffled once, not once per engine.
+// A config that disagrees with the first keeps a schedule of its own. All
+// of them share one gossip index, in which an engine's node is its
+// config's position.
 func NewNetwork(cfgs []Config) []*Engine {
 	engines := make([]*Engine, len(cfgs))
 	seen := consensus.NewGossipIndex()

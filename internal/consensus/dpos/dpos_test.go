@@ -37,9 +37,10 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 	for i := range names {
 		names[i] = fmt.Sprintf("witness-%d", i)
 	}
-	for _, id := range names {
+	cfgs := make([]Config, n)
+	for i, id := range names {
 		id := id
-		e := New(Config{
+		cfgs[i] = Config{
 			Clock:         clk,
 			ID:            id,
 			Witnesses:     names,
@@ -57,8 +58,10 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 				c.decided[id] = append(c.decided[id], blk)
 				c.mu.Unlock()
 			},
-		})
-		c.engines = append(c.engines, e)
+		}
+	}
+	c.engines = NewNetwork(cfgs)
+	for _, e := range c.engines {
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +92,9 @@ func (c *cluster) collectItems(id string) []any {
 	}
 	return items
 }
+
+// newWitness builds one engine as a network of one.
+func newWitness(cfg Config) *Engine { return NewNetwork([]Config{cfg})[0] }
 
 func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 	c := newCluster(t, 3, 10*time.Millisecond, 0)
@@ -154,7 +160,7 @@ func TestScheduleSharesProduction(t *testing.T) {
 
 func TestWitnessForSlotDeterministic(t *testing.T) {
 	clk := clocktest.New(t)
-	e := New(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+	e := newWitness(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 	for slot := uint64(0); slot < 30; slot++ {
 		if e.witnessForSlot(slot) != e.witnessForSlot(slot) {
 			t.Fatal("schedule must be deterministic")
@@ -163,7 +169,7 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 	// The order kept for a round must equal a fresh computation, also when
 	// slots are visited out of order.
 	for _, slot := range []uint64{0, 7, 3, 29, 4, 8, 2, 28} {
-		fresh := New(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+		fresh := newWitness(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
 			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
 		}
@@ -194,7 +200,7 @@ func TestSubmitNotRunning(t *testing.T) {
 	clk := clocktest.New(t)
 	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	e := New(Config{Clock: clk, ID: "x", Witnesses: []string{"x"}, Transport: tr})
+	e := newWitness(Config{Clock: clk, ID: "x", Witnesses: []string{"x"}, Transport: tr})
 	if err := e.Submit(1); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
@@ -256,7 +262,7 @@ func TestDropIncludedMatchesNestedLoop(t *testing.T) {
 			payloads[i] = fmt.Sprintf("item-%d", i)
 		}
 	}
-	e := New(Config{Clock: clocktest.New(t), ID: "w", Witnesses: []string{"w"}})
+	e := newWitness(Config{Clock: clocktest.New(t), ID: "w", Witnesses: []string{"w"}})
 	for trial := 0; trial < 500; trial++ {
 		pending := make([]gossipMsg, rng.Intn(30))
 		for i := range pending {
@@ -310,7 +316,7 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 	}
 	for _, slot := range []uint64{0, 4, 5, 23, 7, 6, 100, 3} { // rounds out of order
 		for i, e := range engines {
-			private := New(cfgs[i])
+			private := newWitness(cfgs[i])
 			if got, want := e.witnessForSlot(slot), private.witnessForSlot(slot); got != want {
 				t.Fatalf("slot %d engine %d: shared schedule gives %s, a private one %s", slot, i, got, want)
 			}
@@ -320,8 +326,8 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 
 // TestNetworkSharesOneGossipIndex: the engines of one NewNetwork share one
 // index, in which each is its config's position, so one engine's admission
-// hides a digest from no other; an engine built by New keeps its own and is
-// affected by no other engine.
+// hides a digest from no other; the engine of another network keeps its
+// own and is affected by no other engine.
 func TestNetworkSharesOneGossipIndex(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	clk := clocktest.New(t)
@@ -330,14 +336,14 @@ func TestNetworkSharesOneGossipIndex(t *testing.T) {
 		cfgs[i] = Config{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	engines := NewNetwork(cfgs)
-	solo := New(cfgs[0])
+	solo := newWitness(cfgs[0])
 	for i, e := range engines {
 		if e.seen != engines[0].seen || e.node != i {
 			t.Fatalf("engine %d: index %p node %d, want the network's %p and node %d", i, e.seen, e.node, engines[0].seen, i)
 		}
 	}
 	if solo.seen == engines[0].seen {
-		t.Fatal("an engine built by New shares the network's index")
+		t.Fatal("an engine of another network shares the network's index")
 	}
 	g := network.Message{Payload: gossipMsg{Digest: crypto.TxID("a", 1, nil), Payload: "tx"}}
 	for _, e := range append(engines, solo) {
@@ -347,9 +353,9 @@ func TestNetworkSharesOneGossipIndex(t *testing.T) {
 			t.Fatalf("%s (node %d) holds %d copies of one gossiped digest, want 1", e.cfg.ID, e.node, got)
 		}
 	}
-	other := New(cfgs[1])
+	other := newWitness(cfgs[1])
 	other.handle(g)
 	if other.PendingCount() != 1 {
-		t.Fatal("a second engine built by New saw the first one's admission")
+		t.Fatal("a second one-engine network saw the first one's admission")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/network"
+	"github.com/coconut-bench/coconut/internal/network/networktest"
 )
 
 // cluster is a test harness wiring n Raft nodes over one transport.
@@ -209,8 +210,8 @@ func TestLeaderFailover(t *testing.T) {
 		c.waitDecisions(n.cfg.ID, 1, 3*time.Second)
 	}
 
-	// Isolate the leader; a new one must emerge among the rest.
-	c.transport.Isolate(leader.cfg.ID)
+	// Cut the leader off; a new one must emerge among the rest.
+	networktest.Disconnect(c.transport, leader.cfg.ID)
 	clocktest.Until(t, c.clk, 3*time.Second, "a new leader after isolating the old one", func() bool {
 		return c.leaderOtherThan(leader) != nil
 	})
@@ -355,12 +356,12 @@ func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
 	n.startElection()
 	grant := voteResponse{Term: n.Term(), Granted: true}
 	for _, outsider := range []string{"n1-gossip", "n2-gossip", "intruder"} {
-		n.handle(network.Message{From: outsider, To: "n0", Payload: grant})
+		n.handle(network.Message{From: outsider, Payload: grant})
 	}
 	if n.Role() != Candidate {
 		t.Fatalf("three non-members' grants made the candidate a %v", n.Role())
 	}
-	n.handle(network.Message{From: "n1", To: "n0", Payload: grant})
+	n.handle(network.Message{From: "n1", Payload: grant})
 	if n.Role() != Leader {
 		t.Fatalf("role = %v after a member's grant, want leader", n.Role())
 	}
@@ -369,7 +370,7 @@ func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack := func(from, named string) {
-		n.handle(network.Message{From: from, To: "n0",
+		n.handle(network.Message{From: from,
 			Payload: appendResponse{Term: n.Term(), From: named, Success: true, MatchIndex: 1}})
 	}
 	ack("intruder", "intruder")

@@ -94,34 +94,17 @@ func NewIdentity(name string) *Identity {
 	}
 }
 
-// Public returns the public key.
-func (id *Identity) Public() ed25519.PublicKey { return id.pub }
-
 // Sign signs the message with the identity's private key.
 func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
 
 // Verify checks a signature produced by Sign against this identity's key.
 func (id *Identity) Verify(msg, sig []byte) bool { return ed25519.Verify(id.pub, msg, sig) }
 
-// VerifyWith checks a signature against an arbitrary public key.
-func VerifyWith(pub ed25519.PublicKey, msg, sig []byte) bool {
-	return ed25519.Verify(pub, msg, sig)
-}
-
-// Signature couples a signer name with signature bytes, as carried inside
-// transactions and consensus votes.
+// Signature couples a signer name with signature bytes; the Corda notary's
+// signing coordinator gathers one per counterparty.
 type Signature struct {
 	Signer string
 	Bytes  []byte
-}
-
-// MultiSign collects signatures from several identities over one message.
-func MultiSign(msg []byte, ids ...*Identity) []Signature {
-	sigs := make([]Signature, 0, len(ids))
-	for _, id := range ids {
-		sigs = append(sigs, Signature{Signer: id.Name, Bytes: id.Sign(msg)})
-	}
-	return sigs
 }
 
 // Uint64Bytes encodes a uint64 big-endian, a helper for hashing integers.

@@ -74,13 +74,14 @@ func TestMerkleRootOddLeaves(t *testing.T) {
 }
 
 func TestIdentityDeterministic(t *testing.T) {
+	msg := []byte("block payload")
 	a := NewIdentity("node-1")
 	b := NewIdentity("node-1")
-	if !bytes.Equal(a.Public(), b.Public()) {
+	if !b.Verify(msg, a.Sign(msg)) {
 		t.Fatal("same name must derive same key")
 	}
 	c := NewIdentity("node-2")
-	if bytes.Equal(a.Public(), c.Public()) {
+	if c.Verify(msg, a.Sign(msg)) {
 		t.Fatal("different names derived same key")
 	}
 }
@@ -96,25 +97,8 @@ func TestSignVerify(t *testing.T) {
 		t.Fatal("signature verified against wrong message")
 	}
 	other := NewIdentity("other")
-	if VerifyWith(other.Public(), msg, sig) {
+	if other.Verify(msg, sig) {
 		t.Fatal("signature verified under wrong key")
-	}
-}
-
-func TestMultiSign(t *testing.T) {
-	ids := []*Identity{NewIdentity("a"), NewIdentity("b"), NewIdentity("c")}
-	msg := []byte("tx")
-	sigs := MultiSign(msg, ids...)
-	if len(sigs) != 3 {
-		t.Fatalf("len(sigs) = %d, want 3", len(sigs))
-	}
-	for i, s := range sigs {
-		if s.Signer != ids[i].Name {
-			t.Fatalf("sig %d signer = %q, want %q", i, s.Signer, ids[i].Name)
-		}
-		if !ids[i].Verify(msg, s.Bytes) {
-			t.Fatalf("sig %d does not verify", i)
-		}
 	}
 }
 

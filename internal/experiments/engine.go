@@ -572,7 +572,7 @@ func resolveWAL(wc *walCell, o *Options) (*faults.Schedule, error) {
 		}
 		opts.BatchInterval = time.Duration(float64(d) * o.Scale)
 	}
-	o.WAL = &opts
+	o.walOpts = &opts
 
 	if wc.crashPoint <= 0 {
 		return nil, nil

@@ -13,12 +13,12 @@
 //
 // Every run is a Scenario executed by Run, and every driver is built by its
 // system's one constructor, from a systems.Env and the cell's Params,
-// through the table behind NewDriver and NewDriverFunc. Beyond the paper's
-// grid, a scenario's Faults axis subjects every system to scripted fault
-// schedules (node crashes, partitions, degraded links) and reports windowed
-// availability and post-heal recovery time. The paper benchmarks healthy 4-node
-// networks only, so these scenarios have no paper-vs-measured reference
-// rows.
+// through the table behind NewDriver. Beyond the paper's grid, a
+// scenario's Faults axis subjects every system to scripted fault schedules
+// (node crashes, partitions, degraded links) and reports windowed
+// availability and post-heal recovery time. The paper benchmarks healthy
+// 4-node networks only, so these scenarios have no paper-vs-measured
+// reference rows.
 package experiments
 
 import (
@@ -67,10 +67,6 @@ type Options struct {
 	// and bit-deterministic at a fixed seed. "" and "virtual" both name it;
 	// Validate rejects anything else, the removed "real" among it.
 	Time string
-	// WAL, when set, runs every node's commit plane through a write-ahead
-	// log with these options (latencies pre-scaled). The engine fills it
-	// from the scenario's WAL axis; nil runs the no-WAL hot path.
-	WAL *wal.Options
 	// Progress, when set, streams one event per scenario cell start and
 	// completion from the engine (Run). It replaces the io.Writer
 	// side-channels the pre-scenario runners threaded through every call.
@@ -82,6 +78,11 @@ type Options struct {
 	// the untraced hot path.
 	Trace *trace.Tracer `json:"-"`
 
+	// walOpts, when set, runs every node's commit plane through a
+	// write-ahead log with these options (latencies pre-scaled). Only
+	// resolveWAL sets it, from the scenario's WAL axis; nil runs the no-WAL
+	// hot path.
+	walOpts *wal.Options
 	// meter, when attached by the engine, collects every clock the run
 	// constructs so the cell's consumed simulation time can be summed.
 	meter *clockMeter
@@ -201,19 +202,22 @@ func NewDriver(system string, env systems.Env, p Params) (systems.Driver, error)
 	return newDriver(env, p), nil
 }
 
-// NewDriverFunc builds a fresh driver for one system under the given
-// parameters and options. The returned constructor takes the time source
-// the driver should live on — the runner hands it each repetition's clock,
-// so no two repetitions (and no two concurrently running cells) share timer
-// state — and a fresh latency model, so none shares its draws either.
+// NewDriverFunc returns a constructor that builds one system through
+// NewDriver under the given parameters and options. It takes the time
+// source the driver should live on — the runner hands it each repetition's
+// clock, so no two repetitions (and no two concurrently running cells)
+// share timer state — and gives each driver a fresh latency model, so none
+// shares its draws either. An unknown system is an error here, before any
+// repetition runs.
 func NewDriverFunc(system string, p Params, o Options) (func(clk *clock.AutoVirtual) systems.Driver, error) {
-	o.fill()
-	newDriver, ok := drivers[system]
-	if !ok {
+	if _, ok := drivers[system]; !ok {
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
+	o.fill()
 	return func(clk *clock.AutoVirtual) systems.Driver {
-		return newDriver(systems.Env{Nodes: o.Nodes, Scale: o.Scale, Latency: o.latency(), Clock: clk,
-			WAL: o.WAL, Trace: o.Trace, Seed: o.Seed}, p)
+		// Only an unknown system fails, and that was checked above.
+		d, _ := NewDriver(system, systems.Env{Nodes: o.Nodes, Scale: o.Scale, Latency: o.latency(), Clock: clk,
+			WAL: o.walOpts, Trace: o.Trace, Seed: o.Seed}, p)
+		return d
 	}, nil
 }

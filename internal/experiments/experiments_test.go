@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/coconut"
-	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
@@ -237,10 +236,14 @@ func TestNetemOptionAppliesLatency(t *testing.T) {
 	o := Options{Scale: 0.01, Netem: true, Seed: 3}
 	o.fill()
 	m := o.latency()
-	stats := network.MeasureLatency(m, 5000)
+	var sum time.Duration
+	const draws = 5000
+	for i := 0; i < draws; i++ {
+		sum += m.Delay("a", "b")
+	}
 	// Scaled mu: 12ms x 0.01 = 120us.
-	if stats.Mean < 100*time.Microsecond || stats.Mean > 140*time.Microsecond {
-		t.Fatalf("netem mean = %v, want ~120us", stats.Mean)
+	if mean := sum / draws; mean < 100*time.Microsecond || mean > 140*time.Microsecond {
+		t.Fatalf("netem mean = %v, want ~120us", mean)
 	}
 	o.Netem = false
 	if d := o.latency().Delay("a", "b"); d != 0 {

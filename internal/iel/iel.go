@@ -366,20 +366,6 @@ func readBalance(st StateOps, key, id string) (int64, error) {
 	return v, nil
 }
 
-// ReadOnly reports whether the operation performs no writes; systems use it
-// to distinguish read benchmarks (the paper's KeyValue-Get and
-// BankingApp-Balance) from write benchmarks.
-func ReadOnly(op chain.Operation) bool {
-	switch op.IEL {
-	case KeyValueName:
-		return op.Function == FnGet
-	case BankingAppName:
-		return op.Function == FnBalance
-	default:
-		return false
-	}
-}
-
 // TouchedKeys returns the state keys an operation reads or writes, written
 // keys first, used by BitShares-style conflict exclusion and by ablation
 // benches. DoNothing touches nothing; unknown shapes return nil.

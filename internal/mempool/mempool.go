@@ -21,15 +21,11 @@ import (
 // expected to re-send (Sawtooth semantics); COCONUT counts these as lost.
 var ErrQueueFull = errors.New("mempool: queue full, transaction rejected")
 
-// ErrClosed is returned after Close.
-var ErrClosed = errors.New("mempool: closed")
-
 // Pool is a FIFO admission queue of opaque items (transactions or batches).
 type Pool[T any] struct {
 	mu       sync.Mutex
 	items    []T
 	capacity int // 0 = unbounded
-	closed   bool
 
 	rejected uint64
 	admitted uint64
@@ -49,9 +45,6 @@ func NewUnbounded[T any]() *Pool[T] {
 func (p *Pool[T]) Add(item T) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
 	if p.capacity > 0 && len(p.items) >= p.capacity {
 		p.rejected++
 		return ErrQueueFull
@@ -100,19 +93,6 @@ func (p *Pool[T]) Remove(drop func(T) bool) {
 	p.items = kept
 }
 
-// Peek returns up to max items without removing them.
-func (p *Pool[T]) Peek(max int) []T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.items)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]T, n)
-	copy(out, p.items[:n])
-	return out
-}
-
 // Len returns the queue occupancy.
 func (p *Pool[T]) Len() int {
 	p.mu.Lock()
@@ -125,12 +105,4 @@ func (p *Pool[T]) Stats() (admitted, rejected uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.admitted, p.rejected
-}
-
-// Close rejects all future adds and drops queued items.
-func (p *Pool[T]) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	p.items = nil
 }

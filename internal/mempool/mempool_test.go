@@ -81,18 +81,6 @@ func TestTakeEmpty(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
-	p := NewUnbounded[int]()
-	_ = p.Add(1)
-	_ = p.Add(2)
-	if got := p.Peek(1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Peek = %v", got)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("Peek removed items: Len = %d", p.Len())
-	}
-}
-
 // TestRemoveFiltersInPlace: Remove keeps the survivors in FIFO order, leaves
 // nothing of the dropped items in the backing array, and is no admission.
 func TestRemoveFiltersInPlace(t *testing.T) {
@@ -132,18 +120,6 @@ func TestRemoveFiltersInPlace(t *testing.T) {
 	p.Remove(func(*int) bool { return true }) // an empty pool is fine
 	if p.Len() != 0 {
 		t.Fatal("Remove on an empty pool left items")
-	}
-}
-
-func TestCloseRejectsAndDrops(t *testing.T) {
-	p := NewUnbounded[int]()
-	_ = p.Add(1)
-	p.Close()
-	if err := p.Add(2); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	if p.Len() != 0 {
-		t.Fatal("Close did not drop queued items")
 	}
 }
 

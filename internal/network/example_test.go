@@ -2,6 +2,7 @@ package network_test
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -25,20 +26,26 @@ func ExampleTransport() {
 		return
 	}
 	clk.Sleep(time.Millisecond) // the delivery runs while the sender sleeps
-	fmt.Printf("%s -> %s: %v\n", m.From, m.To, m.Payload)
+	fmt.Printf("node-b got %v from %s\n", m.Payload, m.From)
 	// Output:
-	// node-a -> node-b: hello
+	// node-b got hello from node-a
 }
 
-// ExamplePaperNetem reproduces the paper's latency emulation and verifies
-// its statistical parameters.
-func ExamplePaperNetem() {
-	model := network.PaperNetem(42)
-	stats := network.MeasureLatency(model, 50000)
-	fmt.Printf("mean within 1ms of 12ms: %v\n",
-		stats.Mean > 11*time.Millisecond && stats.Mean < 13*time.Millisecond)
-	fmt.Printf("sigma within 0.5ms of 2ms: %v\n",
-		stats.Std > 1500*time.Microsecond && stats.Std < 2500*time.Microsecond)
+// ExampleNewNormalLatency reproduces the paper's latency emulation (§5.8.1:
+// mu = 12 ms, sigma = 2 ms on every link) and checks its parameters.
+func ExampleNewNormalLatency() {
+	model := network.NewNormalLatency(12*time.Millisecond, 2*time.Millisecond, 42)
+	const n = 50000
+	var sum, sq float64
+	for i := 0; i < n; i++ {
+		d := float64(model.Delay("a", "b"))
+		sum += d
+		sq += d * d
+	}
+	mean := time.Duration(sum / n)
+	sigma := time.Duration(math.Sqrt(sq/n - (sum/n)*(sum/n)))
+	fmt.Printf("mean within 1ms of 12ms: %v\n", mean > 11*time.Millisecond && mean < 13*time.Millisecond)
+	fmt.Printf("sigma within 0.5ms of 2ms: %v\n", sigma > 1500*time.Microsecond && sigma < 2500*time.Microsecond)
 	// Output:
 	// mean within 1ms of 12ms: true
 	// sigma within 0.5ms of 2ms: true

@@ -18,9 +18,9 @@ func waitDelivered(t *testing.T, clk *clock.AutoVirtual, tr *Transport, want uin
 	})
 }
 
-// TestHealAllUndoesIsolate: Isolate cuts 2(n-1) links at once and HealAll
-// is its wholesale inverse; the Stats counters show traffic stopping and
-// resuming.
+// TestHealAllUndoesIsolate: isolating an endpoint degrades its 2(n-1)
+// directed links to full loss, and HealAll is the wholesale inverse; the
+// Stats counters show traffic vanishing and resuming.
 func TestHealAllUndoesIsolate(t *testing.T) {
 	clk := clocktest.New(t)
 	tr := NewTransport(clk, nil)
@@ -38,24 +38,27 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 		t.Fatalf("healthy stats = (%d, %d, %d), want (1, 1, 0)", sentBefore, deliveredBefore, droppedBefore)
 	}
 
-	tr.Isolate("a")
-	if got, want := tr.CutCount(), 4; got != want {
-		t.Fatalf("cut links after Isolate = %d, want %d", got, want)
+	for _, other := range []string{"b", "c"} {
+		tr.DegradeLink("a", other, 0, 1)
+		tr.DegradeLink(other, "a", 0, 1)
 	}
-	if err := tr.Send("a", "b", "k", 2); err != ErrLinkDown {
-		t.Fatalf("send on isolated link: err = %v, want ErrLinkDown", err)
+	if got, want := tr.DegradedCount(), 4; got != want {
+		t.Fatalf("degraded links after isolating a = %d, want %d", got, want)
 	}
-	if err := tr.Send("c", "a", "k", 3); err != ErrLinkDown {
-		t.Fatalf("send to isolated endpoint: err = %v, want ErrLinkDown", err)
+	if err := tr.Send("a", "b", "k", 2); err != nil {
+		t.Fatalf("send on isolated link: %v (loss must be silent)", err)
 	}
-	// Cut-link sends never enter the fabric: sent must not advance.
-	if sent, _, _ := tr.Stats(); sent != sentBefore {
-		t.Fatalf("sent advanced to %d during isolation", sent)
+	if err := tr.Send("c", "a", "k", 3); err != nil {
+		t.Fatalf("send to isolated endpoint: %v (loss must be silent)", err)
+	}
+	// Both sends enter the fabric and are lost in flight.
+	if sent, delivered, dropped := tr.Stats(); sent != 3 || delivered != 1 || dropped != 2 || tr.LostCount() != 2 {
+		t.Fatalf("isolated stats = (%d, %d, %d), lost %d; want (3, 1, 2), lost 2", sent, delivered, dropped, tr.LostCount())
 	}
 
 	tr.HealAll()
-	if tr.CutCount() != 0 {
-		t.Fatalf("cut links after HealAll = %d, want 0", tr.CutCount())
+	if tr.DegradedCount() != 0 {
+		t.Fatalf("degraded links after HealAll = %d, want 0", tr.DegradedCount())
 	}
 	if err := tr.Send("a", "b", "k", 4); err != nil {
 		t.Fatalf("send after HealAll: %v", err)
@@ -65,8 +68,44 @@ func TestHealAllUndoesIsolate(t *testing.T) {
 	}
 	waitDelivered(t, clk, tr, 3, time.Second)
 	sent, delivered, dropped := tr.Stats()
-	if sent != 3 || delivered != 3 || dropped != 0 {
-		t.Fatalf("stats after heal = (%d, %d, %d), want (3, 3, 0)", sent, delivered, dropped)
+	if sent != 5 || delivered != 3 || dropped != 2 {
+		t.Fatalf("stats after heal = (%d, %d, %d), want (5, 3, 2)", sent, delivered, dropped)
+	}
+}
+
+// TestDegradeLinkClampsLoss: a loss below 0 is no loss and one above 1 is
+// total loss; a degradation that clamps to nothing restores the link.
+func TestDegradeLinkClampsLoss(t *testing.T) {
+	clk := clocktest.New(t)
+	tr := NewTransport(clk, nil)
+	defer tr.Stop()
+	got := 0
+	tr.Register("dst", func(Message) { got++ })
+
+	tr.DegradeLink("src", "dst", 0, 1.5)
+	for i := 0; i < 10; i++ {
+		if err := tr.Send("src", "dst", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Sleep(time.Second)
+	if got != 0 || tr.LostCount() != 10 {
+		t.Fatalf("loss 1.5: delivered %d, lost %d; want every message lost", got, tr.LostCount())
+	}
+
+	tr.DegradeLink("src", "dst", 0, -0.5)
+	if tr.DegradedCount() != 0 {
+		t.Fatal("a negative loss with no extra delay must restore the link")
+	}
+	tr.DegradeLink("src", "dst", time.Millisecond, -0.5)
+	for i := 0; i < 10; i++ {
+		if err := tr.Send("src", "dst", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDelivered(t, clk, tr, 10, time.Second)
+	if tr.LostCount() != 10 {
+		t.Fatalf("loss -0.5 lost %d more messages, want none", tr.LostCount()-10)
 	}
 }
 

@@ -2,8 +2,8 @@
 // simulated blockchain nodes and clients. It replaces the paper's physical
 // 1 Gbit/s data-center LAN plus netem: every message sent through a
 // Transport is delivered asynchronously to the destination endpoint after a
-// delay drawn from a configurable LatencyModel, and links can be cut or
-// degraded to emulate partitions and WAN loss.
+// delay drawn from a configurable LatencyModel, and links can be degraded
+// to emulate slow, lossy WAN links (a loss of 1 cuts one off).
 //
 // Delivery is scheduled by one queue — a ready list for messages due at once
 // and a heap by ready time for the rest — with one delivery event
@@ -17,7 +17,6 @@
 package network
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -38,14 +37,6 @@ var _ LatencyModel = ZeroLatency{}
 
 // Delay implements LatencyModel.
 func (ZeroLatency) Delay(_, _ string) time.Duration { return 0 }
-
-// ConstantLatency delays every message by a fixed duration.
-type ConstantLatency struct{ D time.Duration }
-
-var _ LatencyModel = ConstantLatency{}
-
-// Delay implements LatencyModel.
-func (c ConstantLatency) Delay(_, _ string) time.Duration { return c.D }
 
 // NormalLatency draws delays from a normal distribution, reproducing the
 // paper's netem configuration (§5.8.1: mu = 12 ms, sigma = 2 ms, equidistant
@@ -69,13 +60,6 @@ func NewNormalLatency(mu, sigma time.Duration, seed int64) *NormalLatency {
 	}
 }
 
-// PaperNetem returns the exact latency emulation used in the paper's
-// Figure 4 and Figure 5 experiments: normal distribution with mu = 12 ms and
-// sigma = 2 ms on every link.
-func PaperNetem(seed int64) *NormalLatency {
-	return NewNormalLatency(12*time.Millisecond, 2*time.Millisecond, seed)
-}
-
 // Delay implements LatencyModel.
 func (n *NormalLatency) Delay(_, _ string) time.Duration {
 	n.mu.Lock()
@@ -86,73 +70,4 @@ func (n *NormalLatency) Delay(_, _ string) time.Duration {
 		return 0
 	}
 	return d
-}
-
-// AsymmetricLatency wires different models per directed link, falling back
-// to a default. It supports topologies where, e.g., client→node links are
-// local but node→node links cross the emulated WAN.
-type AsymmetricLatency struct {
-	mu       sync.RWMutex
-	links    map[linkKey]LatencyModel
-	fallback LatencyModel
-}
-
-type linkKey struct{ src, dst string }
-
-var _ LatencyModel = (*AsymmetricLatency)(nil)
-
-// NewAsymmetricLatency builds a per-link model with the given fallback.
-func NewAsymmetricLatency(fallback LatencyModel) *AsymmetricLatency {
-	return &AsymmetricLatency{
-		links:    make(map[linkKey]LatencyModel),
-		fallback: fallback,
-	}
-}
-
-// SetLink overrides the model for the directed link src→dst.
-func (a *AsymmetricLatency) SetLink(src, dst string, m LatencyModel) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.links[linkKey{src, dst}] = m
-}
-
-// Delay implements LatencyModel.
-func (a *AsymmetricLatency) Delay(src, dst string) time.Duration {
-	a.mu.RLock()
-	m, ok := a.links[linkKey{src, dst}]
-	a.mu.RUnlock()
-	if ok {
-		return m.Delay(src, dst)
-	}
-	return a.fallback.Delay(src, dst)
-}
-
-// JitterStats summarises observed delays, used by tests to validate that the
-// normal model produces the configured distribution.
-type JitterStats struct {
-	N    int
-	Mean time.Duration
-	Std  time.Duration
-}
-
-// MeasureLatency samples a model n times and reports mean and standard
-// deviation.
-func MeasureLatency(m LatencyModel, n int) JitterStats {
-	if n <= 0 {
-		return JitterStats{}
-	}
-	samples := make([]float64, n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		d := float64(m.Delay("a", "b"))
-		samples[i] = d
-		sum += d
-	}
-	mean := sum / float64(n)
-	var sq float64
-	for _, s := range samples {
-		sq += (s - mean) * (s - mean)
-	}
-	std := math.Sqrt(sq / float64(n))
-	return JitterStats{N: n, Mean: time.Duration(mean), Std: time.Duration(std)}
 }

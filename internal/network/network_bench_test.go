@@ -55,7 +55,7 @@ func BenchmarkTransportBroadcast(b *testing.B) {
 }
 
 func BenchmarkNormalLatencyDraw(b *testing.B) {
-	m := PaperNetem(1)
+	m := NewNormalLatency(12*time.Millisecond, 2*time.Millisecond, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = m.Delay("a", "b")

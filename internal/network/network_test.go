@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,27 +9,53 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
+// constantLatency delays every message by a fixed duration.
+type constantLatency struct{ d time.Duration }
+
+func (c constantLatency) Delay(_, _ string) time.Duration { return c.d }
+
+// linkLatency wires a model per directed link, falling back to zero.
+type linkLatency map[linkKey]LatencyModel
+
+func (l linkLatency) Delay(src, dst string) time.Duration {
+	if m, ok := l[linkKey{src, dst}]; ok {
+		return m.Delay(src, dst)
+	}
+	return 0
+}
+
+// measureLatency samples m n times and returns the mean and standard
+// deviation of the draws.
+func measureLatency(m LatencyModel, n int) (mean, std time.Duration) {
+	samples := make([]float64, n)
+	var sum float64
+	for i := range samples {
+		samples[i] = float64(m.Delay("a", "b"))
+		sum += samples[i]
+	}
+	mu := sum / float64(n)
+	var sq float64
+	for _, s := range samples {
+		sq += (s - mu) * (s - mu)
+	}
+	return time.Duration(mu), time.Duration(math.Sqrt(sq / float64(n)))
+}
+
 func TestZeroLatency(t *testing.T) {
 	if d := (ZeroLatency{}).Delay("a", "b"); d != 0 {
 		t.Fatalf("ZeroLatency delay = %v, want 0", d)
 	}
 }
 
-func TestConstantLatency(t *testing.T) {
-	m := ConstantLatency{D: 5 * time.Millisecond}
-	if d := m.Delay("a", "b"); d != 5*time.Millisecond {
-		t.Fatalf("delay = %v, want 5ms", d)
-	}
-}
-
+// TestNormalLatencyDistribution draws from the paper's netem parameters
+// (§5.8.1: mu = 12 ms, sigma = 2 ms).
 func TestNormalLatencyDistribution(t *testing.T) {
-	m := PaperNetem(42)
-	stats := MeasureLatency(m, 20000)
-	if stats.Mean < 11*time.Millisecond || stats.Mean > 13*time.Millisecond {
-		t.Fatalf("mean = %v, want ~12ms", stats.Mean)
+	mean, std := measureLatency(NewNormalLatency(12*time.Millisecond, 2*time.Millisecond, 42), 20000)
+	if mean < 11*time.Millisecond || mean > 13*time.Millisecond {
+		t.Fatalf("mean = %v, want ~12ms", mean)
 	}
-	if stats.Std < 1500*time.Microsecond || stats.Std > 2500*time.Microsecond {
-		t.Fatalf("std = %v, want ~2ms", stats.Std)
+	if std < 1500*time.Microsecond || std > 2500*time.Microsecond {
+		t.Fatalf("std = %v, want ~2ms", std)
 	}
 }
 
@@ -52,23 +79,6 @@ func TestNormalLatencyDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestAsymmetricLatency(t *testing.T) {
-	a := NewAsymmetricLatency(ZeroLatency{})
-	a.SetLink("n1", "n2", ConstantLatency{D: 9 * time.Millisecond})
-	if d := a.Delay("n1", "n2"); d != 9*time.Millisecond {
-		t.Fatalf("link delay = %v, want 9ms", d)
-	}
-	if d := a.Delay("n2", "n1"); d != 0 {
-		t.Fatalf("reverse link delay = %v, want fallback 0", d)
-	}
-}
-
-func TestMeasureLatencyEmpty(t *testing.T) {
-	if s := MeasureLatency(ZeroLatency{}, 0); s.N != 0 {
-		t.Fatalf("stats for n=0: %+v", s)
-	}
-}
-
 // newTestTransport builds a transport on a fresh virtual clock with the test
 // registered on it, stopped when the test ends.
 func newTestTransport(t *testing.T, lat LatencyModel) (*Transport, *clock.AutoVirtual) {
@@ -88,7 +98,7 @@ func TestTransportDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clocktest.Until(t, clk, time.Second, "message delivered", func() bool { return len(got) > 0 })
-	if m := got[0]; m.From != "a" || m.To != "b" || m.Kind != "ping" || m.Payload != 42 {
+	if m := got[0]; m.From != "a" || m.Payload != 42 {
 		t.Fatalf("unexpected message %+v", m)
 	}
 }
@@ -138,37 +148,49 @@ func TestTransportBroadcast(t *testing.T) {
 	}
 }
 
+// TestTransportCutAndHealLink: a full-loss degradation cuts one directed
+// link — the send succeeds and the message vanishes — and a zero
+// degradation heals it.
 func TestTransportCutAndHealLink(t *testing.T) {
 	tr, clk := newTestTransport(t, nil)
 	got := 0
 	tr.Register("b", func(Message) { got++ })
 
-	tr.CutLink("a", "b")
-	if err := tr.Send("a", "b", "x", nil); err == nil {
-		t.Fatal("expected ErrLinkDown on cut link")
+	tr.DegradeLink("a", "b", 0, 1)
+	if err := tr.Send("a", "b", "x", nil); err != nil {
+		t.Fatalf("send on a cut link: %v (loss must be silent)", err)
 	}
-	tr.HealLink("a", "b")
+	tr.DegradeLink("a", "b", 0, 0)
 	if err := tr.Send("a", "b", "x", nil); err != nil {
 		t.Fatal(err)
 	}
 	clocktest.Until(t, clk, time.Second, "message delivered after heal", func() bool { return got == 1 })
+	clk.Sleep(time.Second) // room for the cut message to show
+	if got != 1 || tr.LostCount() != 1 {
+		t.Fatalf("delivered %d, lost %d; want the healed message delivered and the cut one lost", got, tr.LostCount())
+	}
 }
 
+// TestTransportIsolate: full-loss degradation in both directions isolates
+// an endpoint; neither what it sends nor what is sent to it arrives.
 func TestTransportIsolate(t *testing.T) {
-	tr, _ := newTestTransport(t, nil)
-	tr.Register("a", func(Message) {})
-	tr.Register("b", func(Message) {})
-	tr.Isolate("a")
-	if err := tr.Send("a", "b", "x", nil); err == nil {
-		t.Fatal("isolated node should not send")
+	tr, clk := newTestTransport(t, nil)
+	got := map[string]int{}
+	for _, name := range []string{"a", "b"} {
+		tr.Register(name, func(Message) { got[name]++ })
 	}
-	if err := tr.Send("b", "a", "x", nil); err == nil {
-		t.Fatal("isolated node should not receive")
+	tr.DegradeLink("a", "b", 0, 1)
+	tr.DegradeLink("b", "a", 0, 1)
+	_ = tr.Send("a", "b", "x", nil)
+	_ = tr.Send("b", "a", "x", nil)
+	clk.Sleep(time.Second)
+	if got["a"] != 0 || got["b"] != 0 || tr.LostCount() != 2 {
+		t.Fatalf("isolated endpoint exchanged messages: received %v, lost %d", got, tr.LostCount())
 	}
 }
 
 func TestTransportLatencyDelaysDelivery(t *testing.T) {
-	tr, clk := newTestTransport(t, ConstantLatency{D: 50 * time.Millisecond})
+	tr, clk := newTestTransport(t, constantLatency{50 * time.Millisecond})
 	var at time.Time
 	tr.Register("b", func(Message) { at = clk.Now() })
 	start := clk.Now()

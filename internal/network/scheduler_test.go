@@ -36,15 +36,16 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 	}
 	run := func() []delivery {
 		clk := clock.NewAutoVirtual()
-		lat := NewAsymmetricLatency(ZeroLatency{})
-		lat.SetLink("a", "dst", ConstantLatency{D: 30 * time.Millisecond})
-		lat.SetLink("b", "dst", ConstantLatency{D: 10 * time.Millisecond})
-		lat.SetLink("c", "dst", ConstantLatency{D: 20 * time.Millisecond})
+		lat := linkLatency{
+			{"a", "dst"}: constantLatency{30 * time.Millisecond},
+			{"b", "dst"}: constantLatency{10 * time.Millisecond},
+			{"c", "dst"}: constantLatency{20 * time.Millisecond},
+		}
 		delay := map[string]time.Duration{"a": 30 * time.Millisecond, "b": 10 * time.Millisecond, "c": 20 * time.Millisecond}
 		for _, d := range delays {
 			src, echo := "s-"+d.String(), "echo-"+d.String()
-			lat.SetLink(src, "dst", ConstantLatency{D: d})
-			lat.SetLink("dst", echo, ConstantLatency{D: d})
+			lat[linkKey{src, "dst"}] = constantLatency{d}
+			lat[linkKey{"dst", echo}] = constantLatency{d}
 			delay[src], delay[echo] = d, d
 		}
 		tr := NewTransport(clk, lat)
@@ -54,22 +55,26 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 
 		var log []delivery // appended under the execution token
 		seq := 0
+		kinds := map[int]string{}     // by send order
+		sentAt := map[int]time.Time{} // by send order
 		send := func(from, to, kind string) {
 			seq++
+			kinds[seq], sentAt[seq] = kind, clk.Now()
 			if err := tr.Send(from, to, kind, seq); err != nil {
 				t.Fatal(err)
 			}
 		}
 		record := func(m Message, link string) {
-			if want := m.SentAt.Add(delay[link]); !clk.Now().Equal(want) {
-				t.Errorf("%s:%s delivered at %v, want its ready time %v", link, m.Kind, clk.Now(), want)
+			n := m.Payload.(int)
+			if want := sentAt[n].Add(delay[link]); !clk.Now().Equal(want) {
+				t.Errorf("%s:%s delivered at %v, want its ready time %v", link, kinds[n], clk.Now(), want)
 			}
-			log = append(log, delivery{link + ":" + m.Kind, clk.Now().Sub(clock.SimEpoch), m.Payload.(int)})
+			log = append(log, delivery{link + ":" + kinds[n], clk.Now().Sub(clock.SimEpoch), n})
 		}
 		tr.Register("dst", func(m Message) {
 			record(m, m.From)
 			if strings.HasPrefix(m.From, "s-") {
-				send("dst", "echo-"+strings.TrimPrefix(m.From, "s-"), m.Kind)
+				send("dst", "echo-"+strings.TrimPrefix(m.From, "s-"), kinds[m.Payload.(int)])
 			}
 		})
 		for _, d := range delays {
@@ -174,7 +179,7 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 // and counts the drop, without disturbing sent/lost accounting.
 func TestQueueOverflowDropAccounting(t *testing.T) {
 	// One-hour latency parks every message in the scheduler's heap.
-	tr := NewTransport(clocktest.New(t), ConstantLatency{D: time.Hour})
+	tr := NewTransport(clocktest.New(t), constantLatency{time.Hour})
 	defer tr.Stop()
 	tr.Register("dst", func(Message) { t.Error("nothing should be delivered") })
 
@@ -289,7 +294,8 @@ func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 	}
 }
 
-// TestSchedulerStressRace mixes Send/Broadcast with link faults, churn of
+// TestSchedulerStressRace mixes Send/Broadcast with link faults (cuts are
+// full-loss degradations), churn of
 // idle and of busy endpoints, handlers that send, readers of every counter,
 // and a Stop while all of them are still running — each an actor of its own,
 // interleaved by their sleeps, with deliveries run by whichever of them is
@@ -303,12 +309,12 @@ func TestSchedulerStressRace(t *testing.T) {
 	names := make([]string, 8)
 	received := 0
 	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i)
-		next := fmt.Sprintf("n%d", (i+1)%len(names))
-		tr.Register(names[i], func(m Message) {
+		self, next := fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", (i+1)%len(names))
+		names[i] = self
+		tr.Register(self, func(m Message) {
 			received++
-			if m.Kind == "msg" { // forward once: delivery re-enters Send
-				_ = tr.Send(m.To, next, "fwd", m.Payload)
+			if n, ok := m.Payload.(int); ok { // forward once: delivery re-enters Send
+				_ = tr.Send(self, next, "fwd", float64(n))
 			}
 		})
 	}
@@ -323,13 +329,13 @@ func TestSchedulerStressRace(t *testing.T) {
 				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
 				switch rng.Intn(5) {
 				case 0:
-					tr.CutLink(a, b)
+					tr.DegradeLink(a, b, 0, 1)
 				case 1:
-					tr.HealLink(a, b)
+					tr.DegradeLink(a, b, 0, 0)
 				case 2:
 					tr.DegradeLink(a, b, time.Duration(rng.Intn(300))*time.Microsecond, 0.2)
 				case 3:
-					tr.DegradeLink(a, b, 0, 0)
+					tr.DegradeLink(a, b, 0, 1.5) // clamped to a cut
 				case 4:
 					tr.HealAll()
 				}
@@ -343,7 +349,10 @@ func TestSchedulerStressRace(t *testing.T) {
 				tr.Unregister("flappy")
 				tr.Register(names[7], func(Message) { received++ })
 				if i%8 == 0 {
-					tr.Isolate(names[6])
+					for _, other := range tr.Endpoints() {
+						tr.DegradeLink(names[6], other, 0, 1)
+						tr.DegradeLink(other, names[6], 0, 1)
+					}
 				}
 			case "reader":
 				sent, delivered, dropped := tr.Stats()
@@ -351,14 +360,14 @@ func TestSchedulerStressRace(t *testing.T) {
 					t.Errorf("impossible counters mid-run: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
 					return
 				}
-				_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.CutCount()+tr.DegradedCount()+len(tr.Endpoints()))
+				_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.DegradedCount()+len(tr.Endpoints()))
 				clk.Sleep(200 * time.Microsecond)
 			default:
 				src := names[rng.Intn(len(names))]
 				if i%16 == 0 {
-					tr.Broadcast(src, "burst", i)
+					tr.Broadcast(src, "burst", "burst")
 				} else {
-					_ = tr.Send(src, names[rng.Intn(len(names))], "msg", i) // ErrLinkDown etc. expected
+					_ = tr.Send(src, names[rng.Intn(len(names))], "msg", i) // ErrUnknownEndpoint etc. expected
 				}
 				clk.Sleep(time.Duration(50+rng.Intn(100)) * time.Microsecond)
 			}
@@ -368,8 +377,8 @@ func TestSchedulerStressRace(t *testing.T) {
 	clk.Sleep(300 * time.Millisecond)
 	tr.Stop() // against running senders, chaos and churn: all of them become no-ops
 	before := received
-	if n := len(tr.Endpoints()) + tr.CutCount() + tr.DegradedCount(); n != 0 {
-		t.Errorf("%d endpoints, cuts and degradations survive Stop", n)
+	if n := len(tr.Endpoints()) + tr.DegradedCount(); n != 0 {
+		t.Errorf("%d endpoints and degradations survive Stop", n)
 	}
 	clk.Sleep(10 * time.Millisecond)
 	stop.Close()
@@ -397,7 +406,7 @@ func TestSchedulerStressRace(t *testing.T) {
 func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		clk := clock.NewAutoVirtual()
-		tr := NewTransport(clk, ConstantLatency{D: 10 * time.Millisecond})
+		tr := NewTransport(clk, constantLatency{10 * time.Millisecond})
 		got := make(chan Message, 1)
 		tr.Register("dst", func(m Message) { got <- m })
 		if err := tr.Send("src", "dst", "k", i); err != nil {
@@ -418,8 +427,7 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 // everything through the ready list and never grows the heap of messages not
 // yet due; a delayed message waits in the heap until its ready time.
 func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
-	lat := NewAsymmetricLatency(ZeroLatency{})
-	lat.SetLink("slow", "dst", ConstantLatency{D: time.Millisecond})
+	lat := linkLatency{{"slow", "dst"}: constantLatency{time.Millisecond}}
 	clk := clock.NewAutoVirtual()
 	tr := NewTransport(clk, lat)
 	defer tr.Stop()

@@ -18,10 +18,7 @@ import (
 // value; systems define their own message types.
 type Message struct {
 	From    string
-	To      string
-	Kind    string
 	Payload any
-	SentAt  time.Time
 }
 
 // Handler receives delivered messages. Handlers run inside the transport's
@@ -31,7 +28,6 @@ type Handler func(Message)
 // Errors returned by Transport operations.
 var (
 	ErrUnknownEndpoint = errors.New("network: unknown endpoint")
-	ErrLinkDown        = errors.New("network: link is partitioned")
 	ErrStopped         = errors.New("network: transport stopped")
 )
 
@@ -58,7 +54,6 @@ type Transport struct {
 	stopped   bool
 	endpoints map[string]*endpoint
 	list      []*endpoint // sorted by name: deterministic broadcast fan-out
-	cut       map[linkKey]bool
 	degraded  map[linkKey]Degradation
 	links     map[linkKey]*linkState
 	queue     queue
@@ -77,6 +72,9 @@ type Transport struct {
 	deliver *clock.Event
 	batch   []*item // drain's scratch, reused across runs
 }
+
+// linkKey names one directed link.
+type linkKey struct{ src, dst string }
 
 // Degradation models a lossy, slow link: every message gains Extra one-way
 // delay on top of the latency model, and is silently lost with probability
@@ -115,7 +113,6 @@ func NewTransport(clk *clock.AutoVirtual, latency LatencyModel) *Transport {
 		t0:        clk.Now(),
 		seed:      0x10551, // deterministic loss draws
 		endpoints: make(map[string]*endpoint),
-		cut:       make(map[linkKey]bool),
 		degraded:  make(map[linkKey]Degradation),
 		links:     make(map[linkKey]*linkState),
 		queue:     queue{wakeAt: math.MaxInt64},
@@ -202,7 +199,7 @@ func (t *Transport) Endpoints() []string {
 }
 
 // Send schedules delivery of a message. It returns an error when the
-// destination is unknown, the link is cut, or the transport is stopped.
+// destination is unknown or the transport is stopped.
 func (t *Transport) Send(from, to, kind string, payload any) error {
 	now := t.clk.Now()
 	t.mu.Lock()
@@ -213,8 +210,6 @@ func (t *Transport) Send(from, to, kind string, payload any) error {
 	switch ep, ok := t.endpoints[to]; {
 	case t.stopped:
 		err = ErrStopped
-	case t.cut[linkKey{from, to}]:
-		err = ErrLinkDown
 	case !ok:
 		err = fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
 	default:
@@ -227,8 +222,8 @@ func (t *Transport) Send(from, to, kind string, payload any) error {
 	return err
 }
 
-// sendLocked schedules one message on a link that is not cut and reports
-// whether the delivery event must be triggered once t.mu is released.
+// sendLocked schedules one message and reports whether the delivery event
+// must be triggered once t.mu is released.
 func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
 	to := ep.name
 	lk := linkKey{from, to}
@@ -293,7 +288,7 @@ func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload a
 	}
 	ep.pending++
 	it := itemPool.Get().(*item)
-	it.msg = Message{From: from, To: to, Kind: kind, Payload: payload, SentAt: now}
+	it.msg = Message{From: from, Payload: payload}
 	it.ep = ep
 	it.readyNanos = readyN
 	return t.queue.enqueue(it, nowN), nil
@@ -307,7 +302,7 @@ func (t *Transport) Broadcast(from, kind string, payload any) int {
 	n, wake := 0, false
 	t.mu.Lock()
 	for _, ep := range t.list {
-		if ep.name == from || t.cut[linkKey{from, ep.name}] {
+		if ep.name == from {
 			continue
 		}
 		w, err := t.sendLocked(from, ep, kind, payload, now)
@@ -323,42 +318,11 @@ func (t *Transport) Broadcast(from, kind string, payload any) int {
 	return n
 }
 
-// CutLink partitions the directed link src→dst. Subsequent sends fail.
-func (t *Transport) CutLink(src, dst string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.stopped {
-		t.cut[linkKey{src, dst}] = true
-	}
-}
-
-// HealLink restores a previously cut link.
-func (t *Transport) HealLink(src, dst string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.cut, linkKey{src, dst})
-}
-
-// Isolate cuts every link to and from the named endpoint.
-func (t *Transport) Isolate(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ep := range t.list { // empty once stopped
-		if ep.name != name {
-			t.cut[linkKey{name, ep.name}] = true
-			t.cut[linkKey{ep.name, name}] = true
-		}
-	}
-}
-
-// HealAll undoes every CutLink and Isolate in one step and clears all link
-// degradations, restoring the pristine fabric. It is the wholesale
-// counterpart of HealLink: Isolate cuts 2(n-1) directed links at once and
-// previously had no inverse.
+// HealAll clears every link degradation in one step, restoring the
+// pristine fabric.
 func (t *Transport) HealAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	clear(t.cut)
 	clear(t.degraded)
 }
 
@@ -375,13 +339,6 @@ func (t *Transport) DegradeLink(src, dst string, extra time.Duration, loss float
 	} else if !t.stopped {
 		t.degraded[linkKey{src, dst}] = Degradation{Extra: extra, Loss: loss}
 	}
-}
-
-// CutCount reports how many directed links are currently cut.
-func (t *Transport) CutCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.cut)
 }
 
 // DegradedCount reports how many directed links carry a degradation.
@@ -421,7 +378,6 @@ func (t *Transport) Stop() {
 	}
 	clear(t.endpoints)
 	t.list = nil
-	clear(t.cut)
 	clear(t.degraded)
 	t.mu.Unlock()
 	t.deliver.Stop() // not under mu: it waits for a handler, which may be in Send
