@@ -22,10 +22,9 @@ func TestNewTransactionID(t *testing.T) {
 }
 
 // TestSingleOpTxIsNewTransaction: the one-allocation constructor derives
-// NewTransaction's ID, which the operation's resolved keys are no part of,
-// and hands the operation on with them.
+// NewTransaction's ID and hands the operation on as it is.
 func TestSingleOpTxIsNewTransaction(t *testing.T) {
-	op := Operation{IEL: "bankingapp", Function: "Balance", Args: []string{"a"}, Keys: []string{"acct/a/checking"}}
+	op := Operation{IEL: "bankingapp", Function: "Balance", Args: []string{"a"}}
 	tx := NewSingleOpTx("client-1", 9, op)
 	if want := NewSingleOp("client-1", 9, op.IEL, op.Function, op.Args...); tx.ID != want.ID {
 		t.Fatal("NewSingleOpTx and NewSingleOp derive different IDs for the same content")
@@ -36,8 +35,8 @@ func TestSingleOpTxIsNewTransaction(t *testing.T) {
 	if err := tx.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tx.Ops) != 1 || len(tx.Ops[0].Keys) != 1 || tx.Ops[0].Keys[0] != op.Keys[0] {
-		t.Fatalf("Ops = %+v, want the operation with its keys", tx.Ops)
+	if len(tx.Ops) != 1 || tx.Ops[0].String() != op.String() || &tx.Ops[0].Args[0] != &op.Args[0] {
+		t.Fatalf("Ops = %+v, want the operation itself", tx.Ops)
 	}
 	if raceDetector {
 		t.Skip("the allocation pin derives the ID through hasherPool, which the race detector drains at random")

@@ -22,11 +22,6 @@ type Operation struct {
 	Function string
 	// Args are the function arguments.
 	Args []string
-	// Keys are the state keys the operation touches, written keys first, as
-	// resolved by iel.Bind where the operation is created. They are derived
-	// from Args and are not part of the digest: an operation hashes, and
-	// executes, the same with or without them.
-	Keys []string
 }
 
 // String renders the operation for tracing.

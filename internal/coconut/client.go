@@ -12,7 +12,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/workload"
@@ -316,15 +315,14 @@ func (c *Client) Summary() ClientSummary {
 }
 
 // nextOp generates the thread's next operation, wrapping its index into the
-// written key space for read benchmarks. This is where an operation's state
-// keys are resolved, once, for every replica that will execute it.
+// written key space for read benchmarks.
 func (th *clientThread) nextOp() chain.Operation {
 	i := th.idx
 	th.idx++
 	if th.readMax > 0 {
 		i %= th.readMax
 	}
-	return iel.Bind(th.gen(i))
+	return th.gen(i)
 }
 
 func (c *Client) sendTx(thread int) {

@@ -1,7 +1,6 @@
 package coconut
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -260,12 +259,11 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 	}
 }
 
-// TestClientBindsKeysAndKeepsIDs: whichever way the client packs operations
-// (one per transaction, several, or a batch of single-operation
-// transactions), each reaches the driver with its state keys resolved, and
-// every transaction's ID is the one NewTransaction derives from the bare
-// operations.
-func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
+// TestClientPacksOperationsWithTheirIDs: whichever way the client packs
+// operations (one per transaction, several, or a batch of single-operation
+// transactions), each reaches the driver as the generator made it, and every
+// transaction's ID is the one NewTransaction derives from its operations.
+func TestClientPacksOperationsWithTheirIDs(t *testing.T) {
 	for name, cfg := range map[string]RunConfig{
 		"single":   {},
 		"multi-op": {OpsPerTx: 3},
@@ -281,14 +279,12 @@ func TestClientBindsKeysAndKeepsIDs(t *testing.T) {
 			t.Fatalf("%s: nothing sent", name)
 		}
 		for _, tx := range d.submitted {
-			bare := make([]chain.Operation, len(tx.Ops))
-			for i, op := range tx.Ops {
-				bare[i] = chain.Operation{IEL: op.IEL, Function: op.Function, Args: op.Args}
-				if want := iel.TouchedKeys(bare[i]); len(want) != 2 || !slices.Equal(op.Keys, want) {
-					t.Fatalf("%s: %s reached the driver with keys %v, want %v", name, op, op.Keys, want)
+			for _, op := range tx.Ops {
+				if op.IEL != iel.BankingAppName || op.Function != iel.FnSendPayment || len(op.Args) != 3 {
+					t.Fatalf("%s: %s reached the driver, want a SendPayment", name, op)
 				}
 			}
-			if want := chain.NewTransaction(tx.Client, tx.Seq, bare...); tx.ID != want.ID {
+			if want := chain.NewTransaction(tx.Client, tx.Seq, tx.Ops...); tx.ID != want.ID {
 				t.Fatalf("%s: tx %d has ID %s, want %s", name, tx.Seq, tx.ID.Short(), want.ID.Short())
 			}
 		}

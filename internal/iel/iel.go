@@ -16,10 +16,10 @@ package iel
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"strconv"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/statestore"
 )
 
 // IEL names as used in transactions.
@@ -50,9 +50,9 @@ const (
 // StateOps is the world-state interface the execution layers run against.
 type StateOps interface {
 	// Get returns the value stored at key.
-	Get(key string) (string, bool)
+	Get(key statestore.Key) (string, bool)
 	// Put stores value at key.
-	Put(key, value string)
+	Put(key statestore.Key, value string)
 }
 
 // Execution errors, matchable with errors.Is.
@@ -67,70 +67,69 @@ var (
 )
 
 // Account keys in the underlying store.
-func checkingKey(id string) string { return "acct/" + id + "/checking" }
-func savingsKey(id string) string  { return "acct/" + id + "/savings" }
+func checkingKey(id string) statestore.Key {
+	return statestore.Key{Name: id, Part: statestore.Checking}
+}
+
+func savingsKey(id string) statestore.Key {
+	return statestore.Key{Name: id, Part: statestore.Savings}
+}
+
+// MaxKeys is the most state keys one operation touches: Amalgamate's three.
+const MaxKeys = 3
 
 // keysOf is the one table of the state keys each function touches, written
-// keys first. Every BankingApp function draws its keys, in this order, from
-// the first account's checking and savings balances and the second account's
-// checking balance. DoNothing, unknown shapes and an operation too short to
-// name its accounts touch nothing. A bound operation's keys are returned as
-// they are, not built again.
-func keysOf(op chain.Operation) (keys []string, written int) {
+// keys first: keys[:touched] are touched and keys[:written] written. Every
+// BankingApp function draws its keys, in this order, from the first
+// account's checking and savings balances and the second account's checking
+// balance. DoNothing, unknown shapes and an operation too short to name its
+// accounts touch nothing. The keys name the operation's Args, so resolving
+// them allocates nothing.
+func keysOf(op chain.Operation) (keys [MaxKeys]statestore.Key, touched, written int) {
 	const checking0, savings0, checking1 = 1, 2, 4
-	a, touched := op.Args, 0
+	a, parts := op.Args, 0
 	switch {
 	case len(a) == 0:
 	case op.IEL == KeyValueName:
 		if op.Function == FnSet {
 			written = 1
 		}
-		return a[:1:1], written
+		keys[0] = statestore.Key{Name: a[0]}
+		return keys, 1, written
 	case op.IEL == BankingAppName:
 		switch op.Function {
 		case FnCreateAccount:
-			touched, written = checking0|savings0, 2
+			parts, written = checking0|savings0, 2
 		case FnSendPayment:
-			touched, written = checking0|checking1, 2
+			parts, written = checking0|checking1, 2
 		case FnBalance:
-			touched, written = checking0, 0
+			parts, written = checking0, 0
 		case FnTransactSavings:
-			touched, written = savings0, 1
+			parts, written = savings0, 1
 		case FnDepositChecking:
-			touched, written = checking0, 1
+			parts, written = checking0, 1
 		case FnWriteCheck: // reads savings, writes only checking
-			touched, written = checking0|savings0, 1
+			parts, written = checking0|savings0, 1
 		case FnAmalgamate:
-			touched, written = checking0|savings0|checking1, 3
+			parts, written = checking0|savings0|checking1, 3
 		}
 	}
-	if touched == 0 || touched&checking1 != 0 && len(a) < 2 {
-		return nil, 0
+	if parts == 0 || parts&checking1 != 0 && len(a) < 2 {
+		return keys, 0, 0
 	}
-	if op.Keys != nil {
-		return op.Keys, written
+	if parts&checking0 != 0 {
+		keys[touched] = checkingKey(a[0])
+		touched++
 	}
-	keys = make([]string, 0, bits.OnesCount(uint(touched)))
-	if touched&checking0 != 0 {
-		keys = append(keys, checkingKey(a[0]))
+	if parts&savings0 != 0 {
+		keys[touched] = savingsKey(a[0])
+		touched++
 	}
-	if touched&savings0 != 0 {
-		keys = append(keys, savingsKey(a[0]))
+	if parts&checking1 != 0 {
+		keys[touched] = checkingKey(a[1])
+		touched++
 	}
-	if touched&checking1 != 0 {
-		keys = append(keys, checkingKey(a[1]))
-	}
-	return keys, written
-}
-
-// Bind returns op with its state keys resolved, so that every replica,
-// dry-run and conflict filter it later reaches reads them instead of
-// building them again. Bind where the operation is created and leave Args
-// alone afterwards; an unbound operation executes the same, resolving its
-// keys on each call.
-func Bind(op chain.Operation) chain.Operation {
-	op.Keys, _ = keysOf(op)
-	return op
+	return keys, touched, written
 }
 
 // Execute runs one operation against the state. A non-nil error marks the
@@ -162,13 +161,13 @@ func executeKeyValue(op chain.Operation, st StateOps) error {
 		if len(op.Args) != 2 {
 			return fmt.Errorf("%w: Set wants (key, value), got %d args", ErrBadArgs, len(op.Args))
 		}
-		st.Put(op.Args[0], op.Args[1])
+		st.Put(statestore.Key{Name: op.Args[0]}, op.Args[1])
 		return nil
 	case FnGet:
 		if len(op.Args) != 1 {
 			return fmt.Errorf("%w: Get wants (key), got %d args", ErrBadArgs, len(op.Args))
 		}
-		if _, ok := st.Get(op.Args[0]); !ok {
+		if _, ok := st.Get(statestore.Key{Name: op.Args[0]}); !ok {
 			return fmt.Errorf("%w: %q", ErrKeyNotFound, op.Args[0])
 		}
 		return nil
@@ -180,7 +179,7 @@ func executeKeyValue(op chain.Operation, st StateOps) error {
 func executeBankingApp(op chain.Operation, st StateOps) error {
 	// Each function checks its argument count before it indexes keys: with
 	// the right count, every key keysOf lists for it is there.
-	keys, _ := keysOf(op) // op.Keys when bound
+	keys, _, _ := keysOf(op)
 	switch op.Function {
 	case FnCreateAccount:
 		// CreateAccount(id, checking, savings) creates checking and saving
@@ -354,7 +353,7 @@ func executeBankingApp(op chain.Operation, st StateOps) error {
 
 // readBalance fetches and parses one balance key, mapping a missing key to
 // ErrAccountNotFound.
-func readBalance(st StateOps, key, id string) (int64, error) {
+func readBalance(st StateOps, key statestore.Key, id string) (int64, error) {
 	raw, ok := st.Get(key)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrAccountNotFound, id)
@@ -366,35 +365,25 @@ func readBalance(st StateOps, key, id string) (int64, error) {
 	return v, nil
 }
 
-// TouchedKeys returns the state keys an operation reads or writes, written
-// keys first, used by BitShares-style conflict exclusion and by ablation
-// benches. DoNothing touches nothing; unknown shapes return nil.
-func TouchedKeys(op chain.Operation) []string {
-	keys, _ := keysOf(op)
-	return keys
-}
-
-// WrittenKeys returns only the state keys an operation writes. BitShares'
-// interacting-operation exclusion uses write sets: two reads never
-// interact, a read never invalidates a block member.
-func WrittenKeys(op chain.Operation) []string {
-	keys, written := keysOf(op)
-	if written == 0 {
-		return nil
-	}
-	return keys[:written]
+// WrittenKeys returns the state keys an operation writes, in keys[:n]:
+// BitShares' interacting-operation exclusion uses write sets, since two
+// reads never interact and a read never invalidates a block member.
+// DoNothing, reads and unknown shapes write nothing.
+func WrittenKeys(op chain.Operation) (keys [MaxKeys]statestore.Key, n int) {
+	keys, _, n = keysOf(op)
+	return keys, n
 }
 
 // KVState adapts a plain map to StateOps for tests and simple systems.
-type KVState map[string]string
+type KVState map[statestore.Key]string
 
 var _ StateOps = KVState{}
 
 // Get implements StateOps.
-func (m KVState) Get(key string) (string, bool) {
+func (m KVState) Get(key statestore.Key) (string, bool) {
 	v, ok := m[key]
 	return v, ok
 }
 
 // Put implements StateOps.
-func (m KVState) Put(key, value string) { m[key] = value }
+func (m KVState) Put(key statestore.Key, value string) { m[key] = value }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/statestore"
 )
 
 func op(ielName, fn string, args ...string) chain.Operation {
@@ -37,7 +38,7 @@ func TestKeyValueSetGet(t *testing.T) {
 	if err := Execute(op(KeyValueName, FnSet, "k1", "v1"), st); err != nil {
 		t.Fatal(err)
 	}
-	if st["k1"] != "v1" {
+	if st[statestore.Key{Name: "k1"}] != "v1" {
 		t.Fatalf("state = %v", st)
 	}
 	if err := Execute(op(KeyValueName, FnGet, "k1"), st); err != nil {
@@ -66,7 +67,7 @@ func TestCreateAccount(t *testing.T) {
 	if err := Execute(op(BankingAppName, FnCreateAccount, "acc-0", "100", "50"), st); err != nil {
 		t.Fatal(err)
 	}
-	if st["acct/acc-0/checking"] != "100" || st["acct/acc-0/savings"] != "50" {
+	if st[checkingKey("acc-0")] != "100" || st[savingsKey("acc-0")] != "50" {
 		t.Fatalf("state = %v", st)
 	}
 	err := Execute(op(BankingAppName, FnCreateAccount, "acc-0", "1", "1"), st)
@@ -85,7 +86,7 @@ func TestSendPayment(t *testing.T) {
 	mustExec(t, st, op(BankingAppName, FnCreateAccount, "b", "10", "0"))
 
 	mustExec(t, st, op(BankingAppName, FnSendPayment, "a", "b", "30"))
-	if st["acct/a/checking"] != "70" || st["acct/b/checking"] != "40" {
+	if st[checkingKey("a")] != "70" || st[checkingKey("b")] != "40" {
 		t.Fatalf("balances = %v", st)
 	}
 
@@ -135,27 +136,27 @@ func TestReadsWriteNothing(t *testing.T) {
 		{op(DoNothingName, FnDoNothing), false},
 	}
 	for _, c := range cases {
-		if got := WrittenKeys(c.op); (len(got) > 0) != c.writes {
+		if got := written(c.op); (len(got) > 0) != c.writes {
 			t.Errorf("%v writes %v, want a write: %v", c.op, got, c.writes)
 		}
 	}
 }
 
 func TestTouchedKeys(t *testing.T) {
-	if keys := TouchedKeys(op(KeyValueName, FnSet, "k", "v")); len(keys) != 1 || keys[0] != "k" {
+	if keys := touched(op(KeyValueName, FnSet, "k", "v")); len(keys) != 1 || keys[0] != "k" {
 		t.Fatalf("keys = %v", keys)
 	}
-	keys := TouchedKeys(op(BankingAppName, FnSendPayment, "a", "b", "1"))
+	keys := touched(op(BankingAppName, FnSendPayment, "a", "b", "1"))
 	if len(keys) != 2 || keys[0] != "acct/a/checking" || keys[1] != "acct/b/checking" {
 		t.Fatalf("keys = %v", keys)
 	}
-	if keys := TouchedKeys(op(DoNothingName, FnDoNothing)); keys != nil {
+	if keys := touched(op(DoNothingName, FnDoNothing)); keys != nil {
 		t.Fatalf("DoNothing keys = %v, want nil", keys)
 	}
-	if keys := TouchedKeys(op(BankingAppName, FnCreateAccount, "a", "1", "1")); len(keys) != 2 {
+	if keys := touched(op(BankingAppName, FnCreateAccount, "a", "1", "1")); len(keys) != 2 {
 		t.Fatalf("CreateAccount keys = %v", keys)
 	}
-	if keys := TouchedKeys(op(BankingAppName, FnBalance, "a")); len(keys) != 1 {
+	if keys := touched(op(BankingAppName, FnBalance, "a")); len(keys) != 1 {
 		t.Fatalf("Balance keys = %v", keys)
 	}
 }
@@ -179,8 +180,8 @@ func TestPropertyPaymentChainConservesFunds(t *testing.T) {
 		}
 		total := int64(0)
 		for i := 0; i < n; i++ {
-			c, _ := strconv.ParseInt(st["acct/acc-"+strconv.Itoa(i)+"/checking"], 10, 64)
-			s, _ := strconv.ParseInt(st["acct/acc-"+strconv.Itoa(i)+"/savings"], 10, 64)
+			c, _ := strconv.ParseInt(st[checkingKey("acc-"+strconv.Itoa(i))], 10, 64)
+			s, _ := strconv.ParseInt(st[savingsKey("acc-"+strconv.Itoa(i))], 10, 64)
 			total += c + s
 		}
 		return total == int64(n)*1000
@@ -212,22 +213,22 @@ func mustExec(t *testing.T, st StateOps, o chain.Operation) {
 }
 
 func TestWrittenKeys(t *testing.T) {
-	if keys := WrittenKeys(op(KeyValueName, FnSet, "k", "v")); len(keys) != 1 || keys[0] != "k" {
+	if keys := written(op(KeyValueName, FnSet, "k", "v")); len(keys) != 1 || keys[0] != "k" {
 		t.Fatalf("Set keys = %v", keys)
 	}
-	if keys := WrittenKeys(op(KeyValueName, FnGet, "k")); keys != nil {
+	if keys := written(op(KeyValueName, FnGet, "k")); keys != nil {
 		t.Fatalf("Get must write nothing, got %v", keys)
 	}
-	if keys := WrittenKeys(op(BankingAppName, FnBalance, "a")); keys != nil {
+	if keys := written(op(BankingAppName, FnBalance, "a")); keys != nil {
 		t.Fatalf("Balance must write nothing, got %v", keys)
 	}
-	if keys := WrittenKeys(op(BankingAppName, FnSendPayment, "a", "b", "1")); len(keys) != 2 {
+	if keys := written(op(BankingAppName, FnSendPayment, "a", "b", "1")); len(keys) != 2 {
 		t.Fatalf("SendPayment keys = %v", keys)
 	}
-	if keys := WrittenKeys(op(BankingAppName, FnCreateAccount, "a", "1", "1")); len(keys) != 2 {
+	if keys := written(op(BankingAppName, FnCreateAccount, "a", "1", "1")); len(keys) != 2 {
 		t.Fatalf("CreateAccount keys = %v", keys)
 	}
-	if keys := WrittenKeys(op(DoNothingName, FnDoNothing)); keys != nil {
+	if keys := written(op(DoNothingName, FnDoNothing)); keys != nil {
 		t.Fatalf("DoNothing keys = %v", keys)
 	}
 }
@@ -241,11 +242,11 @@ func newAccount(t *testing.T, st StateOps, id string, checking, savings int) {
 
 func balances(t *testing.T, st StateOps, id string) (checking, savings int64) {
 	t.Helper()
-	c, ok := st.Get("acct/" + id + "/checking")
+	c, ok := st.Get(checkingKey(id))
 	if !ok {
 		t.Fatalf("account %q has no checking balance", id)
 	}
-	s, ok := st.Get("acct/" + id + "/savings")
+	s, ok := st.Get(savingsKey(id))
 	if !ok {
 		t.Fatalf("account %q has no savings balance", id)
 	}
@@ -316,20 +317,20 @@ func TestAmalgamate(t *testing.T) {
 }
 
 func TestSmallBankKeySets(t *testing.T) {
-	if keys := WrittenKeys(op(BankingAppName, FnTransactSavings, "a", "1")); len(keys) != 1 || keys[0] != "acct/a/savings" {
+	if keys := written(op(BankingAppName, FnTransactSavings, "a", "1")); len(keys) != 1 || keys[0] != "acct/a/savings" {
 		t.Fatalf("TransactSavings written keys = %v", keys)
 	}
-	if keys := WrittenKeys(op(BankingAppName, FnWriteCheck, "a", "1")); len(keys) != 1 || keys[0] != "acct/a/checking" {
+	if keys := written(op(BankingAppName, FnWriteCheck, "a", "1")); len(keys) != 1 || keys[0] != "acct/a/checking" {
 		t.Fatalf("WriteCheck written keys = %v", keys)
 	}
-	if keys := TouchedKeys(op(BankingAppName, FnWriteCheck, "a", "1")); len(keys) != 2 {
+	if keys := touched(op(BankingAppName, FnWriteCheck, "a", "1")); len(keys) != 2 {
 		t.Fatalf("WriteCheck touched keys = %v", keys)
 	}
-	if keys := WrittenKeys(op(BankingAppName, FnAmalgamate, "a", "b")); len(keys) != 3 {
+	if keys := written(op(BankingAppName, FnAmalgamate, "a", "b")); len(keys) != 3 {
 		t.Fatalf("Amalgamate written keys = %v", keys)
 	}
 	for _, fn := range []string{FnTransactSavings, FnDepositChecking, FnWriteCheck, FnAmalgamate} {
-		if len(WrittenKeys(op(BankingAppName, fn, "a", "1"))) == 0 {
+		if len(written(op(BankingAppName, fn, "a", "1"))) == 0 {
 			t.Errorf("%s must write a key", fn)
 		}
 	}

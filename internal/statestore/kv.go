@@ -1,8 +1,9 @@
 // Package statestore implements the world state backing the simulated
 // systems' interface execution layers: a versioned key-value store with
 // MVCC read-set validation (Fabric's execute-order-validate pipeline).
-// Accounts live in that store through the BankingApp IEL (internal/iel),
-// or, for Corda, as UTXO states.
+// Keys are typed (Key), and the stores of one network's replicas share one
+// Index that slots each key once. Accounts live in that store through the
+// BankingApp IEL (internal/iel), or, for Corda, as UTXO states.
 package statestore
 
 import (
@@ -32,57 +33,98 @@ type VersionedValue struct {
 	Version Version
 }
 
-// KVStore is a thread-safe versioned key-value world state.
-type KVStore struct {
-	mu   sync.RWMutex
-	data map[string]VersionedValue
+// pageSize is how many slots one page of a store's column holds.
+const pageSize = 256
+
+// cell is one slot of a store's column.
+type cell struct {
+	value   string
+	ver     Version
+	present bool
 }
 
-// NewKVStore creates an empty store.
-func NewKVStore() *KVStore {
-	return &KVStore{data: make(map[string]VersionedValue)}
+// page is a fixed-size run of a store's column; pages are never copied as
+// the column grows.
+type page [pageSize]cell
+
+// KVStore is a thread-safe versioned key-value world state: a column of
+// cells indexed by the slots of its Index, allocated a page at a time where
+// the store writes. Stores on one Index share its keys but not their
+// values: a key one store holds is absent from another until that one
+// writes it.
+type KVStore struct {
+	mu    sync.RWMutex
+	index *Index
+	pages []*page
+	n     int
+}
+
+// NewKVStore creates an empty store on a private index.
+func NewKVStore() *KVStore { return NewIndex().NewKVStore() }
+
+// cell returns the store's cell at slot i, nil where no page holds it yet.
+func (s *KVStore) cell(i slot) *cell {
+	if p := int(i / pageSize); p < len(s.pages) && s.pages[p] != nil {
+		return &s.pages[p][i%pageSize]
+	}
+	return nil
 }
 
 // Get returns the value and version for key.
-func (s *KVStore) Get(key string) (VersionedValue, bool) {
+func (s *KVStore) Get(key Key) (VersionedValue, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	if i, ok := s.index.lookup(key); ok {
+		if c := s.cell(i); c != nil && c.present {
+			return VersionedValue{Value: c.value, Version: c.ver}, true
+		}
+	}
+	return VersionedValue{}, false
 }
 
 // Set writes key at the given version.
-func (s *KVStore) Set(key, value string, ver Version) {
+func (s *KVStore) Set(key Key, value string, ver Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data[key] = VersionedValue{Value: value, Version: ver}
+	s.set(key, value, ver)
 }
 
-// Delete removes a key.
-func (s *KVStore) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
+func (s *KVStore) set(key Key, value string, ver Version) {
+	i := s.index.assign(key)
+	p := int(i / pageSize)
+	for len(s.pages) <= p {
+		s.pages = append(s.pages, nil)
+	}
+	if s.pages[p] == nil {
+		s.pages[p] = new(page)
+	}
+	c := &s.pages[p][i%pageSize]
+	if !c.present {
+		c.present = true
+		s.n++
+	}
+	c.value, c.ver = value, ver
 }
 
 // Len returns the number of keys.
 func (s *KVStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return s.n
 }
 
 // rwInline is how many reads and how many writes an RWSet holds before it
-// allocates: the paper's operations touch one to four keys.
-const rwInline = 4
+// allocates: one operation touches at most three keys (Amalgamate's).
+const rwInline = 3
 
 type readEntry struct {
-	key string
+	key Key
 	ver Version
 }
 
 type writeEntry struct {
-	key, value string
+	key   Key
+	value string
 }
 
 // RWSet is the endorsement result of Fabric's execute phase: the read
@@ -101,9 +143,9 @@ type RWSet struct {
 // NewRWSet returns an empty read-write set.
 func NewRWSet() *RWSet { return &RWSet{} }
 
-// RecordRead captures the observed version of key. Missing keys record the
-// zero Version, matching Fabric's nil-version convention.
-func (rw *RWSet) RecordRead(key string, s *KVStore) (string, bool) {
+// Read captures the observed version of key. Missing keys record the zero
+// Version, matching Fabric's nil-version convention.
+func (rw *RWSet) Read(key Key, s *KVStore) (string, bool) {
 	v, ok := s.Get(key) // the zero VersionedValue when missing
 	for i := range rw.reads {
 		if rw.reads[i].key == key {
@@ -118,8 +160,8 @@ func (rw *RWSet) RecordRead(key string, s *KVStore) (string, bool) {
 	return v.Value, ok
 }
 
-// RecordWrite stages a write; a later write to the same key replaces it.
-func (rw *RWSet) RecordWrite(key, value string) {
+// Write stages a write; a later write to the same key replaces it.
+func (rw *RWSet) Write(key Key, value string) {
 	if w := rw.staged(key); w != nil {
 		w.value = value
 		return
@@ -130,15 +172,23 @@ func (rw *RWSet) RecordWrite(key, value string) {
 	rw.writes = append(rw.writes, writeEntry{key, value})
 }
 
+// RecordRead is Read of the KeyValue key name.
+func (rw *RWSet) RecordRead(name string, s *KVStore) (string, bool) {
+	return rw.Read(Key{Name: name}, s)
+}
+
+// RecordWrite is Write of the KeyValue key name.
+func (rw *RWSet) RecordWrite(name, value string) { rw.Write(Key{Name: name}, value) }
+
 // Written returns the value staged for key, if any.
-func (rw *RWSet) Written(key string) (string, bool) {
+func (rw *RWSet) Written(key Key) (string, bool) {
 	if w := rw.staged(key); w != nil {
 		return w.value, true
 	}
 	return "", false
 }
 
-func (rw *RWSet) staged(key string) *writeEntry {
+func (rw *RWSet) staged(key Key) *writeEntry {
 	for i := range rw.writes {
 		if rw.writes[i].key == key {
 			return &rw.writes[i]
@@ -154,17 +204,13 @@ func (rw *RWSet) staged(key string) *writeEntry {
 // appended to the chain (paper §5.4).
 var ErrMVCCConflict = errors.New("statestore: mvcc read conflict")
 
-// Validate checks the read set against the current world state.
+// Validate checks the read set against the current world state. A key read
+// while absent stays valid while it is absent, since its version then is
+// still the zero Version it was read at.
 func (rw *RWSet) Validate(s *KVStore) error {
 	for _, r := range rw.reads {
-		cur, ok := s.Get(r.key)
-		switch {
-		case !ok && r.ver == Version{}:
-			// Key still absent: read remains valid.
-		case !ok:
-			return fmt.Errorf("%w: key %q deleted since read", ErrMVCCConflict, r.key)
-		case cur.Version != r.ver:
-			return fmt.Errorf("%w: key %q read at %+v, now %+v", ErrMVCCConflict, r.key, r.ver, cur.Version)
+		if cur, _ := s.Get(r.key); cur.Version != r.ver {
+			return fmt.Errorf("%w: key %q read at %+v, now %+v", ErrMVCCConflict, r.key.String(), r.ver, cur.Version)
 		}
 	}
 	return nil
@@ -173,7 +219,9 @@ func (rw *RWSet) Validate(s *KVStore) error {
 // Commit applies the write set at the given version. Callers must have
 // validated first.
 func (rw *RWSet) Commit(s *KVStore, ver Version) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, w := range rw.writes {
-		s.Set(w.key, w.value, ver)
+		s.set(w.key, w.value, ver)
 	}
 }

@@ -8,22 +8,25 @@ import (
 	"testing/quick"
 )
 
+// kv is the KeyValue key name.
+func kv(name string) Key { return Key{Name: name} }
+
 func TestKVSetGet(t *testing.T) {
 	s := NewKVStore()
-	if _, ok := s.Get("k"); ok {
+	if _, ok := s.Get(kv("k")); ok {
 		t.Fatal("empty store returned a value")
 	}
-	s.Set("k", "v", Version{BlockNum: 1, TxNum: 0})
-	got, ok := s.Get("k")
+	s.Set(kv("k"), "v", Version{BlockNum: 1, TxNum: 0})
+	got, ok := s.Get(kv("k"))
 	if !ok || got.Value != "v" || got.Version.BlockNum != 1 {
 		t.Fatalf("Get = (%+v, %v)", got, ok)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	s.Delete("k")
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("deleted key still present")
+	s.Set(kv("k"), "w", Version{BlockNum: 2})
+	if got, _ := s.Get(kv("k")); got.Value != "w" || s.Len() != 1 {
+		t.Fatalf("after an overwrite Get = %+v, Len = %d", got, s.Len())
 	}
 }
 
@@ -46,7 +49,7 @@ func TestVersionLess(t *testing.T) {
 
 func TestRWSetValidCommit(t *testing.T) {
 	s := NewKVStore()
-	s.Set("k", "v0", Version{BlockNum: 1})
+	s.Set(kv("k"), "v0", Version{BlockNum: 1})
 
 	rw := NewRWSet()
 	val, ok := rw.RecordRead("k", s)
@@ -59,7 +62,7 @@ func TestRWSetValidCommit(t *testing.T) {
 		t.Fatalf("validation of fresh read failed: %v", err)
 	}
 	rw.Commit(s, Version{BlockNum: 2})
-	got, _ := s.Get("k")
+	got, _ := s.Get(kv("k"))
 	if got.Value != "v1" || got.Version.BlockNum != 2 {
 		t.Fatalf("after commit: %+v", got)
 	}
@@ -72,23 +75,24 @@ func TestRWSetValidCommit(t *testing.T) {
 // arrays.
 func TestRWSetFirstTouchOrder(t *testing.T) {
 	s := NewKVStore()
-	keys := make([]string, 12)
+	keys := make([]Key, 12)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%02d", len(keys)-i) // first touch runs against key order
+		// First touch runs against name order, and the parts interleave.
+		keys[i] = Key{Name: fmt.Sprintf("k%02d", len(keys)-i), Part: uint8(i % 3)}
 		s.Set(keys[i], "v0", Version{BlockNum: 1})
 	}
 	for run := 0; run < 20; run++ {
 		rw := NewRWSet()
 		for _, k := range keys {
-			rw.RecordRead(k, s)
-			rw.RecordWrite(k, "first")
+			rw.Read(k, s)
+			rw.Write(k, "first")
 		}
-		rw.RecordRead(keys[0], s) // touched again: same place
-		rw.RecordWrite(keys[3], "second")
+		rw.Read(keys[0], s) // touched again: same place
+		rw.Write(keys[3], "second")
 		if v, ok := rw.Written(keys[3]); !ok || v != "second" {
 			t.Fatalf("Written(%s) = (%q, %v), want the later write", keys[3], v, ok)
 		}
-		if _, ok := rw.Written("never"); ok {
+		if _, ok := rw.Written(kv("never")); ok {
 			t.Fatal("Written reports a key nobody wrote")
 		}
 		if len(rw.reads) != len(keys) || len(rw.writes) != len(keys) {
@@ -100,7 +104,7 @@ func TestRWSetFirstTouchOrder(t *testing.T) {
 			stale.Set(k, "v1", Version{BlockNum: 1000}) // every read is stale
 		}
 		err := rw.Validate(stale)
-		if !errors.Is(err, ErrMVCCConflict) || !strings.Contains(err.Error(), `"`+keys[0]+`"`) {
+		if !errors.Is(err, ErrMVCCConflict) || !strings.Contains(err.Error(), `"`+keys[0].String()+`"`) {
 			t.Fatalf("run %d: Validate = %v, want a conflict naming the first-read key %s", run, err, keys[0])
 		}
 
@@ -119,7 +123,7 @@ func TestRWSetFirstTouchOrder(t *testing.T) {
 
 func TestRWSetMVCCConflict(t *testing.T) {
 	s := NewKVStore()
-	s.Set("k", "v0", Version{BlockNum: 1})
+	s.Set(kv("k"), "v0", Version{BlockNum: 1})
 
 	// Two transactions read the same version; the first to commit
 	// invalidates the second — the paper's SendPayment overwrite scenario.
@@ -150,18 +154,7 @@ func TestRWSetMissingKeyReadStaysValid(t *testing.T) {
 		t.Fatalf("phantom-free read failed validation: %v", err)
 	}
 	// Now someone writes the key: the read becomes stale.
-	s.Set("absent", "x", Version{BlockNum: 3})
-	if err := rw.Validate(s); !errors.Is(err, ErrMVCCConflict) {
-		t.Fatalf("err = %v, want ErrMVCCConflict", err)
-	}
-}
-
-func TestRWSetDeletedKeyConflict(t *testing.T) {
-	s := NewKVStore()
-	s.Set("k", "v", Version{BlockNum: 1})
-	rw := NewRWSet()
-	rw.RecordRead("k", s)
-	s.Delete("k")
+	s.Set(kv("absent"), "x", Version{BlockNum: 3})
 	if err := rw.Validate(s); !errors.Is(err, ErrMVCCConflict) {
 		t.Fatalf("err = %v, want ErrMVCCConflict", err)
 	}
@@ -182,7 +175,7 @@ func TestPropertyCommitAdvancesVersion(t *testing.T) {
 		ver := Version{BlockNum: uint64(blockNum) + 1}
 		rw.Commit(s, ver)
 		for _, k := range keys {
-			got, ok := s.Get(k)
+			got, ok := s.Get(kv(k))
 			if !ok || got.Version != ver {
 				return false
 			}

@@ -27,6 +27,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/dpos"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 )
@@ -88,11 +89,11 @@ type Network struct {
 	// included transactions: windowKeys[windowHead:] holds each one's
 	// written keys, oldest first, and windowRefs counts per key how many of
 	// them wrote it, so membership is one lookup.
-	windowKeys   [][]string
+	windowKeys   [][]statestore.Key
 	windowHead   int
-	windowRefs   map[string]int
-	blockTouched map[string]bool // scratch of one conflictFilter call
-	spareKeys    []string        // backing array recycled from the window
+	windowRefs   map[statestore.Key]int
+	blockTouched map[statestore.Key]bool // scratch of one conflictFilter call
+	spareKeys    []statestore.Key        // backing array recycled from the window
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -104,8 +105,8 @@ func build(env systems.Env, cfg config) *Network {
 	n := &Network{
 		env:          env,
 		cfg:          cfg,
-		windowRefs:   make(map[string]int),
-		blockTouched: make(map[string]bool),
+		windowRefs:   make(map[statestore.Key]int),
+		blockTouched: make(map[statestore.Key]bool),
 	}
 	names := systems.NodeIDs("bitshares", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameBitShares, names, env, n.pendingBacklog)
@@ -195,7 +196,8 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 		conflict := false
 		keys := n.spareKeys[:0]
 		for _, op := range tx.Ops {
-			for _, k := range iel.WrittenKeys(op) {
+			written, count := iel.WrittenKeys(op)
+			for _, k := range written[:count] {
 				keys = append(keys, k)
 				if n.blockTouched[k] || n.windowRefs[k] > 0 {
 					conflict = true
@@ -229,7 +231,7 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 // slideWindow admits an included transaction's written keys to the window
 // and expires the oldest entry once more than conflictWindow are held. It
 // returns a key slice the caller may overwrite: the expired entry's, or nil.
-func (n *Network) slideWindow(keys []string) (spare []string) {
+func (n *Network) slideWindow(keys []statestore.Key) (spare []statestore.Key) {
 	for _, k := range keys {
 		n.windowRefs[k]++
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
@@ -96,11 +97,11 @@ func TestConflictWindowSpansBlocks(t *testing.T) {
 // oracle for the refcounted window.
 type referenceConflictFilter struct {
 	window     int
-	windowKeys []map[string]bool
+	windowKeys []map[statestore.Key]bool
 }
 
 func (r *referenceConflictFilter) filter(items []any) (included, excluded []any) {
-	inWindow := func(key string) bool {
+	inWindow := func(key statestore.Key) bool {
 		for _, set := range r.windowKeys {
 			if set[key] {
 				return true
@@ -108,13 +109,14 @@ func (r *referenceConflictFilter) filter(items []any) (included, excluded []any)
 		}
 		return false
 	}
-	blockTouched := make(map[string]bool)
+	blockTouched := make(map[statestore.Key]bool)
 	for _, it := range items {
 		tx := it.(*chain.Transaction)
 		conflict := false
-		keys := make(map[string]bool)
+		keys := make(map[statestore.Key]bool)
 		for _, op := range tx.Ops {
-			for _, k := range iel.WrittenKeys(op) {
+			written, n := iel.WrittenKeys(op)
+			for _, k := range written[:n] {
 				keys[k] = true
 				if blockTouched[k] || inWindow(k) {
 					conflict = true

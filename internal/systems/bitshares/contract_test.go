@@ -9,6 +9,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/coconut"
 	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/bitshares"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -54,7 +55,7 @@ func TestSingleOpCommits(t *testing.T) {
 	}
 	// All 4 nodes (including the observer) must hold the write.
 	for i := 0; i < 4; i++ {
-		if _, ok := n.WorldState(i).Get("k"); !ok {
+		if _, ok := n.WorldState(i).Get(statestore.Key{Name: "k"}); !ok {
 			t.Fatalf("node %d missing key", i)
 		}
 	}
@@ -103,7 +104,7 @@ func TestAtomicTransactionDiscardOnFailingOp(t *testing.T) {
 			t.Fatal("failing atomic transaction produced an event")
 		}
 	}
-	if _, ok := n.WorldState(0).Get("atomic-k"); ok {
+	if _, ok := n.WorldState(0).Get(statestore.Key{Name: "atomic-k"}); ok {
 		t.Fatal("partial write from discarded transaction leaked")
 	}
 }

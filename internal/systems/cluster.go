@@ -237,8 +237,8 @@ type LedgerCluster struct {
 
 // NewLedgerCluster assembles a Cluster plus the private transport (traced
 // under the system's name, with env's link latency) and every replica's
-// ledger and world state. The ledgers' genesis network ID is the lower-cased
-// system name.
+// ledger and world state, the states on one key index. The ledgers' genesis
+// network ID is the lower-cased system name.
 func NewLedgerCluster(name string, ids []string, env Env, depth func() int) *LedgerCluster {
 	c := &LedgerCluster{}
 	c.init(name, ids, env, depth)
@@ -248,11 +248,12 @@ func NewLedgerCluster(name string, ids []string, env Env, depth func() int) *Led
 	}
 	c.net = c.Transport
 	c.replicas = make([]Replica, len(ids))
+	keys := statestore.NewIndex()
 	for i := range c.replicas {
 		c.replicas[i] = Replica{
 			Node:   c.Node(i),
 			Ledger: chain.NewLedger(strings.ToLower(name)),
-			State:  statestore.NewKVStore(),
+			State:  keys.NewKVStore(),
 		}
 	}
 	return c
@@ -274,12 +275,8 @@ func (c *LedgerCluster) WorldState(i int) *statestore.KVStore {
 // contention workloads start from a materialized shared key space. The
 // identical version on every replica keeps later MVCC validation consistent.
 func (c *LedgerCluster) Preload(ops []chain.Operation) error {
-	bound := make([]chain.Operation, len(ops))
-	for i, op := range ops {
-		bound[i] = iel.Bind(op)
-	}
 	for r := range c.replicas {
-		for i, op := range bound {
+		for i, op := range ops {
 			if err := iel.Execute(op, c.replicas[r].at(0, i)); err != nil {
 				return fmt.Errorf("%s preload op %d: %w", c.name, i, err)
 			}
@@ -296,12 +293,12 @@ type kvState struct {
 
 var _ iel.StateOps = (*kvState)(nil)
 
-func (a *kvState) Get(key string) (string, bool) {
+func (a *kvState) Get(key statestore.Key) (string, bool) {
 	v, ok := a.state.Get(key)
 	return v.Value, ok
 }
 
-func (a *kvState) Put(key, value string) { a.state.Set(key, value, a.ver) }
+func (a *kvState) Put(key statestore.Key, value string) { a.state.Set(key, value, a.ver) }
 
 // at points the replica's adapter at its state and the given version.
 func (r *Replica) at(blockNum uint64, txNum int) *kvState {
@@ -361,8 +358,11 @@ const overlayInline = 8
 type overlay struct {
 	base  *statestore.KVStore
 	n     int
-	first [overlayInline]struct{ key, value string }
-	spill map[string]string
+	first [overlayInline]struct {
+		key   statestore.Key
+		value string
+	}
+	spill map[statestore.Key]string
 }
 
 var _ iel.StateOps = (*overlay)(nil)
@@ -373,7 +373,7 @@ func (o *overlay) reset(base *statestore.KVStore) {
 }
 
 // inline returns where the array holds key's value, nil when it does not.
-func (o *overlay) inline(key string) *string {
+func (o *overlay) inline(key statestore.Key) *string {
 	for i := range o.first[:o.n] {
 		if o.first[i].key == key {
 			return &o.first[i].value
@@ -382,7 +382,7 @@ func (o *overlay) inline(key string) *string {
 	return nil
 }
 
-func (o *overlay) Get(key string) (string, bool) {
+func (o *overlay) Get(key statestore.Key) (string, bool) {
 	if v := o.inline(key); v != nil {
 		return *v, true
 	}
@@ -393,7 +393,7 @@ func (o *overlay) Get(key string) (string, bool) {
 	return v.Value, ok
 }
 
-func (o *overlay) Put(key, value string) {
+func (o *overlay) Put(key statestore.Key, value string) {
 	switch v := o.inline(key); {
 	case v != nil:
 		*v = value
@@ -402,7 +402,7 @@ func (o *overlay) Put(key, value string) {
 		o.n++
 	default:
 		if o.spill == nil {
-			o.spill = map[string]string{}
+			o.spill = map[statestore.Key]string{}
 		}
 		o.spill[key] = value
 	}

@@ -295,8 +295,9 @@ func TestContractFundsConservation(t *testing.T) {
 				total := int64(0)
 				found := 0
 				for i := 0; i < accounts; i++ {
-					cKey := fmt.Sprintf("acct/fc-%d/checking", i)
-					sKey := fmt.Sprintf("acct/fc-%d/savings", i)
+					id := fmt.Sprintf("fc-%d", i)
+					cKey := statestore.Key{Name: id, Part: statestore.Checking}
+					sKey := statestore.Key{Name: id, Part: statestore.Savings}
 					cv, okC := sr.WorldState(node).Get(cKey)
 					sv, okS := sr.WorldState(node).Get(sKey)
 					if !okC || !okS {

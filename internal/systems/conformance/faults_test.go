@@ -59,8 +59,8 @@ func assertNoEvents(t *testing.T, env systems.Env, col *systemstest.Collector, b
 	}
 }
 
-// assertStateConverged checks that every node agrees on which of the keys
-// exist and on their values. Drivers without a queryable world state
+// assertStateConverged checks that every node agrees on which of the
+// KeyValue keys exist and on their values. Drivers without a queryable world state
 // (Corda) are checked via their vault sizes instead.
 func assertStateConverged(t *testing.T, d systems.Driver, keys []string) {
 	t.Helper()
@@ -73,9 +73,9 @@ func assertStateConverged(t *testing.T, d systems.Driver, keys []string) {
 	switch sr := d.(type) {
 	case stateReader:
 		for _, key := range keys {
-			ref, refOK := sr.WorldState(0).Get(key)
+			ref, refOK := sr.WorldState(0).Get(statestore.Key{Name: key})
 			for node := 1; node < d.NodeCount(); node++ {
-				got, ok := sr.WorldState(node).Get(key)
+				got, ok := sr.WorldState(node).Get(statestore.Key{Name: key})
 				if ok != refOK {
 					t.Fatalf("key %q: node 0 present=%v, node %d present=%v (diverged prefixes)",
 						key, refOK, node, ok)

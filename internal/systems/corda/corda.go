@@ -311,7 +311,9 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// Phase 4: finality — distribute to every vault; reads complete on the
 	// entry node alone.
 	now := n.env.Clock.Now()
-	ev := systems.Event{
+	// One event per flow, shared by every node's commit work below: the
+	// closures capture the pointer, not a copy of the event each.
+	ev := &systems.Event{
 		TxID:      tx.ID,
 		Client:    tx.Client,
 		Committed: true,
@@ -320,7 +322,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		Stages:    &tx.Stages,
 	}
 	if readOnly || utx == nil {
-		n.Hub.EmitDirect(ev, now)
+		n.Hub.EmitDirect(*ev, now)
 		return
 	}
 	// One flow counts as one failure no matter how many vaults reject its
@@ -347,7 +349,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 			// Vault apply is Corda's commit-time validation (the vault
 			// rejects already-consumed inputs); first node wins the mark.
 			tx.Stages.Mark(chain.StageValidate, n.env.Clock.Now())
-			nd.Hub.Committed(ev, n.env.Clock.Now())
+			nd.Hub.Committed(*ev, n.env.Clock.Now())
 		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/diem"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -62,7 +63,7 @@ func TestCommitsEndToEnd(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 5; k++ {
-			if _, ok := n.WorldState(i).Get(fmt.Sprintf("k%d", k)); !ok {
+			if _, ok := n.WorldState(i).Get(statestore.Key{Name: fmt.Sprintf("k%d", k)}); !ok {
 				t.Fatalf("validator %d missing k%d", i, k)
 			}
 		}

@@ -240,13 +240,10 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			Client:    tx.Client,
 			Committed: true,
 			ValidOK:   execErr == nil,
+			Code:      systems.ClassifyAbort(execErr),
 			OpCount:   tx.OpCount(),
 			BlockNum:  cb.Number,
 			Stages:    &tx.Stages,
-		}
-		if execErr != nil {
-			ev.Reason = execErr.Error()
-			ev.Code = systems.ClassifyAbort(execErr)
 		}
 		v.Hub.Committed(ev, now)
 	}

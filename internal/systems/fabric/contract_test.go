@@ -9,6 +9,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/coconut"
 	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/fabric"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -70,7 +71,7 @@ func TestKeyValueSetReachesWorldStateOnAllPeers(t *testing.T) {
 	col.Wait(t, 4, 5*time.Second)
 	for p := 0; p < 4; p++ {
 		for i := 0; i < 4; i++ {
-			if _, ok := n.WorldState(p).Get(fmt.Sprintf("k%d", i)); !ok {
+			if _, ok := n.WorldState(p).Get(statestore.Key{Name: fmt.Sprintf("k%d", i)}); !ok {
 				t.Fatalf("peer %d missing key k%d", p, i)
 			}
 		}
@@ -119,7 +120,7 @@ func TestMVCCConflictAppendedButInvalid(t *testing.T) {
 		t.Fatalf("valid=%d invalid=%d, want 1 valid and 2 MVCC-failed", valid, invalid)
 	}
 	// World state must reflect exactly one applied payment.
-	v, _ := n.WorldState(0).Get("acct/a/checking")
+	v, _ := n.WorldState(0).Get(statestore.Key{Name: "a", Part: statestore.Checking})
 	if v.Value != "90" {
 		t.Fatalf("balance a = %s, want 90", v.Value)
 	}

@@ -216,14 +216,14 @@ type rwRecorder struct {
 
 var _ iel.StateOps = (*rwRecorder)(nil)
 
-func (r *rwRecorder) Get(key string) (string, bool) {
+func (r *rwRecorder) Get(key statestore.Key) (string, bool) {
 	if v, ok := r.rw.Written(key); ok {
 		return v, true
 	}
-	return r.rw.RecordRead(key, r.state)
+	return r.rw.Read(key, r.state)
 }
 
-func (r *rwRecorder) Put(key, value string) { r.rw.RecordWrite(key, value) }
+func (r *rwRecorder) Put(key statestore.Key, value string) { r.rw.Write(key, value) }
 
 // cutLoop drains orderer ingress queues into blocks, honouring
 // MaxMessageCount and BatchTimeout, and submits each cut batch to Raft.
@@ -346,13 +346,10 @@ func (n *Network) commitOnPeer(p *systems.Replica, batch *cutBatch) {
 			Client:    env.Tx.Client,
 			Committed: true, // appended to the chain regardless
 			ValidOK:   validErr == nil,
+			Code:      systems.ClassifyAbort(validErr),
 			OpCount:   env.Tx.OpCount(),
 			BlockNum:  blk.Number,
 			Stages:    &env.Tx.Stages,
-		}
-		if validErr != nil {
-			ev.Reason = validErr.Error()
-			ev.Code = systems.ClassifyAbort(validErr)
 		}
 		p.Hub.Committed(ev, now)
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/consensus/raft"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
 )
@@ -131,7 +132,7 @@ func TestEventLossAtPeersSuppressesClientEvents(t *testing.T) {
 		t.Fatalf("client received %d events despite event loss", col.Len())
 	}
 	// State still advances on every peer.
-	if _, ok := n.WorldState(0).Get("loss-0"); !ok {
+	if _, ok := n.WorldState(0).Get(statestore.Key{Name: "loss-0"}); !ok {
 		t.Fatal("world state missing committed write")
 	}
 }

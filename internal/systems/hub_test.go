@@ -92,8 +92,8 @@ func TestHubEmitDirect(t *testing.T) {
 	h := NewHub(4)
 	var got []Event
 	h.Subscribe("c", func(e Event) { got = append(got, e) })
-	h.EmitDirect(Event{TxID: crypto.SumString("rejected"), Client: "c", Committed: false, Reason: "queue full"}, time.Unix(9, 0))
-	if len(got) != 1 || got[0].Committed || got[0].Reason != "queue full" {
+	h.EmitDirect(Event{TxID: crypto.SumString("rejected"), Client: "c", Committed: false, Code: AbortExecFailed}, time.Unix(9, 0))
+	if len(got) != 1 || got[0].Committed || got[0].Client != "c" || got[0].Code != AbortExecFailed {
 		t.Fatalf("got = %+v", got)
 	}
 	if !got[0].FinalizedAt.Equal(time.Unix(9, 0)) {
@@ -191,7 +191,7 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	h.Subscribe("c", func(e Event) { fired[e.TxID]++ })
 	handles := []*HubNode{h.Node("a"), h.Node("b"), h.Node("c")}
 	event := func(i int) Event {
-		return Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c", Reason: "kept until emission"}
+		return Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c", Code: AbortExecFailed}
 	}
 	for i := 0; i < txs; i++ {
 		ev := event(i)
@@ -224,7 +224,7 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	}
 	queued := 0
 	for p := h.doneHead; p != nil; p = p.next {
-		if !p.done || p.event.Reason != "" {
+		if !p.done || p.event.Client != "" || p.event.Code != "" {
 			t.Fatal("a retained entry still holds its event")
 		}
 		if h.txs[p.event.TxID] != p {

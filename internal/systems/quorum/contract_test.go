@@ -9,6 +9,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/coconut"
 	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/quorum"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -66,7 +67,7 @@ func TestOrderExecuteAppliesState(t *testing.T) {
 	}
 	col.Wait(t, 1, 10*time.Second)
 	for i := 0; i < 4; i++ {
-		if v, ok := n.WorldState(i).Get("k"); !ok || v.Value != "v" {
+		if v, ok := n.WorldState(i).Get(statestore.Key{Name: "k"}); !ok || v.Value != "v" {
 			t.Fatalf("validator %d state missing key", i)
 		}
 	}

@@ -320,13 +320,10 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			Client:    tx.Client,
 			Committed: true, // Ethereum includes failed txs in blocks
 			ValidOK:   execErr == nil,
+			Code:      systems.ClassifyAbort(execErr),
 			OpCount:   tx.OpCount(),
 			BlockNum:  cb.Number,
 			Stages:    &tx.Stages,
-		}
-		if execErr != nil {
-			ev.Reason = execErr.Error()
-			ev.Code = systems.ClassifyAbort(execErr)
 		}
 		v.Hub.Committed(ev, now)
 	}

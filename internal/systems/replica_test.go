@@ -21,13 +21,13 @@ func testReplicasOn(n int, clk *clock.AutoVirtual, w *wal.Options) []Replica {
 	return NewLedgerCluster("Fake", NodeIDs("fake", n), Env{Clock: clk, WAL: w}, func() int { return 0 }).Replicas()
 }
 
-// boundTx is a transaction as the client builds it: every operation bound.
-func boundTx(seq uint64, ops ...chain.Operation) *chain.Transaction {
-	for i := range ops {
-		ops[i] = iel.Bind(ops[i])
-	}
+// txOf is a transaction of ops, as a client builds it.
+func txOf(seq uint64, ops ...chain.Operation) *chain.Transaction {
 	return chain.NewTransaction("c", seq, ops...)
 }
+
+// kv is the state key of the KeyValue key name.
+func kv(name string) statestore.Key { return statestore.Key{Name: name} }
 
 func set(k, v string) chain.Operation {
 	return chain.Operation{IEL: iel.KeyValueName, Function: iel.FnSet, Args: []string{k, v}}
@@ -43,31 +43,31 @@ func bank(fn string, args ...string) chain.Operation {
 
 func TestReplicaExecuteTxStopsAtFirstFailure(t *testing.T) {
 	r := &testReplicas(1)[0]
-	err := r.ExecuteTx(boundTx(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
+	err := r.ExecuteTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
 	if !errors.Is(err, iel.ErrKeyNotFound) {
 		t.Fatalf("err = %v, want ErrKeyNotFound", err)
 	}
 	want := statestore.VersionedValue{Value: "v1", Version: statestore.Version{BlockNum: 5, TxNum: 3}}
-	if got, ok := r.State.Get("k1"); !ok || got != want {
+	if got, ok := r.State.Get(kv("k1")); !ok || got != want {
 		t.Errorf("k1 = %+v, %v; want %+v: what ran before the failure stays written", got, ok, want)
 	}
-	if _, ok := r.State.Get("k2"); ok {
+	if _, ok := r.State.Get(kv("k2")); ok {
 		t.Error("k2 was written after the failing operation")
 	}
 	// The adapter is reused: the next call writes at its own version.
-	if err := r.ExecuteTx(boundTx(2, set("k1", "v1'")), 6, 0); err != nil {
+	if err := r.ExecuteTx(txOf(2, set("k1", "v1'")), 6, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := r.State.Get("k1"); got.Value != "v1'" || got.Version != (statestore.Version{BlockNum: 6}) {
+	if got, _ := r.State.Get(kv("k1")); got.Value != "v1'" || got.Version != (statestore.Version{BlockNum: 6}) {
 		t.Errorf("k1 = %+v after a second ExecuteTx at {6 0}", got)
 	}
 }
 
 func TestReplicaApplyTxSkipsFailure(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(boundTx(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
+	r.ApplyTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
 	for _, k := range []string{"k1", "k2"} {
-		if got, ok := r.State.Get(k); !ok || got.Version != (statestore.Version{BlockNum: 5, TxNum: 3}) {
+		if got, ok := r.State.Get(kv(k)); !ok || got.Version != (statestore.Version{BlockNum: 5, TxNum: 3}) {
 			t.Errorf("%s = %+v, %v; want it written at {5 3}", k, got, ok)
 		}
 	}
@@ -75,24 +75,24 @@ func TestReplicaApplyTxSkipsFailure(t *testing.T) {
 
 func TestReplicaDryRun(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(boundTx(1, bank(iel.FnCreateAccount, "rich", "10", "0")), 1, 0)
+	r.ApplyTx(txOf(1, bank(iel.FnCreateAccount, "rich", "10", "0")), 1, 0)
 	before := r.State.Len()
 
 	// Create-then-pay in one batch: the payment reads the overlay's accounts.
-	create := boundTx(2, bank(iel.FnCreateAccount, "new", "0", "0"))
-	pay := boundTx(3, bank(iel.FnSendPayment, "rich", "new", "10"))
+	create := txOf(2, bank(iel.FnCreateAccount, "new", "0", "0"))
+	pay := txOf(3, bank(iel.FnSendPayment, "rich", "new", "10"))
 	if !r.DryRun(create, pay) {
 		t.Error("create-then-pay in one batch failed: the overlay did not show its own writes")
 	}
 	// The payment moved everything, in the overlay: paying again overdraws.
-	if r.DryRun(create, pay, boundTx(4, bank(iel.FnSendPayment, "rich", "new", "1"))) {
+	if r.DryRun(create, pay, txOf(4, bank(iel.FnSendPayment, "rich", "new", "1"))) {
 		t.Error("a batch overdrawing the overlay's balance passed")
 	}
 	// Nothing of either run reached the store, or the next run's overlay.
 	if r.DryRun(pay) {
 		t.Error("a payment to an account only an earlier dry-run created passed")
 	}
-	if got, _ := r.State.Get("acct/rich/checking"); r.State.Len() != before || got.Value != "10" {
+	if got, _ := r.State.Get(statestore.Key{Name: "rich", Part: statestore.Checking}); r.State.Len() != before || got.Value != "10" {
 		t.Errorf("dry-runs wrote the base store: %d keys (was %d), rich = %q", r.State.Len(), before, got.Value)
 	}
 }
@@ -101,10 +101,10 @@ func TestReplicaDryRun(t *testing.T) {
 // reference the inline one is compared against.
 type mapOverlay struct {
 	base   *statestore.KVStore
-	writes map[string]string
+	writes map[statestore.Key]string
 }
 
-func (o *mapOverlay) Get(key string) (string, bool) {
+func (o *mapOverlay) Get(key statestore.Key) (string, bool) {
 	if v, ok := o.writes[key]; ok {
 		return v, true
 	}
@@ -112,7 +112,7 @@ func (o *mapOverlay) Get(key string) (string, bool) {
 	return v.Value, ok
 }
 
-func (o *mapOverlay) Put(key, value string) { o.writes[key] = value }
+func (o *mapOverlay) Put(key statestore.Key, value string) { o.writes[key] = value }
 
 // TestReplicaDryRunMatchesMapOverlay: for batches writing as many keys as the
 // inline array holds, one more, one, and a Sawtooth batch's worth, the
@@ -121,7 +121,7 @@ func (o *mapOverlay) Put(key, value string) { o.writes[key] = value }
 func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 	for _, writes := range []int{1, overlayInline, overlayInline + 1, 200} {
 		r := &testReplicas(1)[0]
-		r.ApplyTx(boundTx(1, set("base", "b"), set("k0", "old")), 1, 0)
+		r.ApplyTx(txOf(1, set("base", "b"), set("k0", "old")), 1, 0)
 
 		var ops []chain.Operation
 		for i := 0; i < writes; i++ {
@@ -132,11 +132,11 @@ func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 		for i := 0; i < writes; i++ {
 			ops = append(ops, get("k"+strconv.Itoa(i)))
 		}
-		good := boundTx(2, ops...)
-		bad := boundTx(3, append(ops[:len(ops):len(ops)], get("k"+strconv.Itoa(writes)))...)
+		good := txOf(2, ops...)
+		bad := txOf(3, append(ops[:len(ops):len(ops)], get("k"+strconv.Itoa(writes)))...)
 
 		for _, tx := range []*chain.Transaction{good, bad} {
-			ref := &mapOverlay{base: r.State, writes: map[string]string{}}
+			ref := &mapOverlay{base: r.State, writes: map[statestore.Key]string{}}
 			want := true
 			for _, op := range tx.Ops {
 				if iel.Execute(op, ref) != nil {
@@ -156,7 +156,7 @@ func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 				}
 			}
 		}
-		if got, _ := r.State.Get("k0"); got.Value != "old" || r.State.Len() != 2 {
+		if got, _ := r.State.Get(kv("k0")); got.Value != "old" || r.State.Len() != 2 {
 			t.Fatalf("%d writes: the dry-runs wrote the base store", writes)
 		}
 	}
@@ -167,7 +167,8 @@ func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 // commit work at a time — while the node is up, while it is down and
 // buffering, and while a restart drains the backlog. The race detector
 // fails this test if two units ever overlap. Replicas of one cluster run
-// the same transactions at once and share nothing they write.
+// the same transactions at once and share only their key index, which has
+// its own lock.
 func TestReplicaGateSerialisesExecution(t *testing.T) {
 	// A log whose appends cost something makes Commit wait between logging
 	// and applying, with the gate lock released: the crash can land there too.
@@ -179,7 +180,7 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 			txs := make([]*chain.Transaction, 40)
 			for i := range txs {
 				k := strconv.Itoa(i)
-				txs[i] = boundTx(uint64(i), bank(iel.FnCreateAccount, k, "5", "5"), bank(iel.FnSendPayment, k, k, "1"), set(k, k))
+				txs[i] = txOf(uint64(i), bank(iel.FnCreateAccount, k, "5", "5"), bank(iel.FnSendPayment, k, k, "1"), set(k, k))
 			}
 			// Four committers per replica, each an actor; the log's append
 			// latency parks them mid-commit, so they interleave.
@@ -218,11 +219,11 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 	}
 }
 
-// TestReplicaAllocs pins what the execution plane allocates per transaction
-// of bound operations: nothing, except the two balances a payment formats.
+// TestReplicaAllocs pins what the execution plane allocates per transaction:
+// nothing, except the two balances a payment formats.
 func TestReplicaAllocs(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(boundTx(0, bank(iel.FnCreateAccount, "a", "1000000", "0"), bank(iel.FnCreateAccount, "b", "1000000", "0"), set("k", "v")), 1, 0)
+	r.ApplyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000", "0"), bank(iel.FnCreateAccount, "b", "1000000", "0"), set("k", "v")), 1, 0)
 	for _, c := range []struct {
 		name string
 		op   chain.Operation
@@ -234,7 +235,7 @@ func TestReplicaAllocs(t *testing.T) {
 		{"Balance", bank(iel.FnBalance, "a"), 0},
 		{"SendPayment", bank(iel.FnSendPayment, "a", "b", "1"), 2},
 	} {
-		tx := boundTx(1, c.op)
+		tx := txOf(1, c.op)
 		if n := testing.AllocsPerRun(100, func() {
 			if err := r.ExecuteTx(tx, 2, 0); err != nil {
 				t.Fatal(err)
@@ -254,8 +255,8 @@ func TestReplicaAllocs(t *testing.T) {
 
 func BenchmarkReplicaExecuteTx(b *testing.B) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(boundTx(0, bank(iel.FnCreateAccount, "a", "1000000000000", "0"), bank(iel.FnCreateAccount, "b", "0", "0")), 1, 0)
-	tx := boundTx(1, bank(iel.FnSendPayment, "a", "b", "1"))
+	r.ApplyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000000000", "0"), bank(iel.FnCreateAccount, "b", "0", "0")), 1, 0)
+	tx := txOf(1, bank(iel.FnSendPayment, "a", "b", "1"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -269,7 +270,7 @@ func benchmarkDryRun(b *testing.B, batch int) {
 	r := &testReplicas(1)[0]
 	txs := make([]*chain.Transaction, batch)
 	for i := range txs {
-		txs[i] = boundTx(uint64(i), bank(iel.FnCreateAccount, strconv.Itoa(i), "1000", "1000"))
+		txs[i] = txOf(uint64(i), bank(iel.FnCreateAccount, strconv.Itoa(i), "1000", "1000"))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,6 +11,7 @@ import (
 	"github.com/coconut-bench/coconut/internal/experiments"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/mempool"
+	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/sawtooth"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -57,7 +58,7 @@ func TestSingleTxCommits(t *testing.T) {
 		t.Fatalf("event = %+v", events[0])
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := n.WorldState(i).Get("k"); !ok {
+		if _, ok := n.WorldState(i).Get(statestore.Key{Name: "k"}); !ok {
 			t.Fatalf("validator %d missing key", i)
 		}
 	}
@@ -101,7 +102,7 @@ func TestFailingBatchDiscardedEntirely(t *testing.T) {
 		}
 	}
 	// The good tx's write must not have leaked.
-	if _, ok := n.WorldState(0).Get("good"); ok {
+	if _, ok := n.WorldState(0).Get(statestore.Key{Name: "good"}); ok {
 		t.Fatal("partial batch write leaked (atomicity violated)")
 	}
 }

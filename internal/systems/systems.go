@@ -93,8 +93,6 @@ type Event struct {
 	Committed bool
 	// ValidOK reports whether execution/validation succeeded.
 	ValidOK bool
-	// Reason carries the failure cause when ValidOK is false.
-	Reason string
 	// Code is the canonical abort-reason code (see ClassifyAbort) when
 	// ValidOK is false; clients aggregate it into the per-reason conflict
 	// breakdown and the goodput-vs-raw-throughput split.
