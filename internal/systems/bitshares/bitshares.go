@@ -261,12 +261,13 @@ func (n *Network) slideWindow(keys []statestore.Key) (spare []statestore.Key) {
 // crashed node buffers produced blocks and replays them on restart
 // (Graphene's chain resync).
 func (n *Network) makeDecideFunc(nd *node) consensus.DecideFunc {
+	apply := func(d consensus.Decision) { n.applyDecision(nd, d) }
 	return func(d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(dpos.ProducedBlock); ok {
 			txs = len(blk.Items)
 		}
-		nd.Gate.Commit(txs, func() { n.applyDecision(nd, d) })
+		systems.CommitTo(&nd.Gate, txs, d, apply)
 	}
 }
 

@@ -207,7 +207,7 @@ func (c *Cluster) QueueSnapshot() QueueStats {
 // Replica is one node of a LedgerCluster: the node chassis plus its copy of
 // the chain and of the world state, and the execution adapters ExecuteTx,
 // ApplyTx and DryRun reuse from call to call. Those three are the replica's
-// commit work and belong inside its gate (Node.Gate.Commit), which runs one
+// commit work and belong inside its gate (systems.CommitTo), which runs one
 // unit of a node's commit work at a time — under the gate lock while the
 // node is up, on the one draining goroutine while it restarts — so the
 // adapters need no lock of their own.

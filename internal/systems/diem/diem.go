@@ -206,12 +206,13 @@ func (n *Network) spiking(v *validator) bool {
 // validator: a crashed validator buffers decided blocks and replays them on
 // restart (Diem's state sync).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
+	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
 	return func(d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(proposedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		systems.CommitTo(&v.Gate, txs, d, apply)
 	}
 }
 

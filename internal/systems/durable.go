@@ -116,26 +116,38 @@ func (g *DurableGate) WAL() *wal.Log {
 	return g.log
 }
 
-// Do runs one unit of commit work covering a single entry; see Commit.
+// Do runs one unit of commit work covering a single entry; see CommitTo.
 func (g *DurableGate) Do(f func()) { g.Commit(1, f) }
 
-// Commit durably records and then runs one unit of commit work covering
-// `entries` transactions (zero entries — an empty block — still writes a
-// header-only record). When the gate is open and a log is mounted, the
-// record is appended before f runs and the modeled append+fsync latency is
-// charged on the node's clock; when the node is down, the work is buffered
-// for replay in arrival order. Without a log f runs holding the gate lock,
-// so one node's commit work is serialized against Crash/Restart.
-func (g *DurableGate) Commit(entries int, f func()) {
+// Commit is CommitTo for work already held in a closure.
+func (g *DurableGate) Commit(entries int, f func()) { CommitTo(g, entries, f, runTask) }
+
+func runTask(f func()) { f() }
+
+// CommitTo durably records and then runs apply(arg), one unit of commit
+// work covering `entries` transactions (zero entries — an empty block —
+// still writes a header-only record). When the gate is open and a log is
+// mounted, the record is appended before the work runs and the modeled
+// append+fsync latency is charged on the node's clock; when the node is
+// down, the work is buffered for replay in arrival order. Without a log the
+// work runs holding the gate lock, so one node's commit work is serialized
+// against Crash/Restart.
+//
+// The work is data rather than a closure so the fan-out of one decided
+// block to every replica allocates nothing: drivers build apply once per
+// replica, and the closure binding it to arg is made only on the two paths
+// that must keep the work for later — the gate is down, or the node crashed
+// during the durability wait.
+func CommitTo[T any](g *DurableGate, entries int, arg T, apply func(T)) {
 	g.mu.Lock()
 	if g.down {
-		g.backlog = append(g.backlog, gateTask{entries, f})
+		g.backlog = append(g.backlog, gateTask{entries, bind(apply, arg)})
 		g.mu.Unlock()
 		return
 	}
 	if g.log == nil {
 		defer g.mu.Unlock()
-		f()
+		apply(arg)
 		return
 	}
 	res := g.log.Append(entries)
@@ -168,11 +180,15 @@ func (g *DurableGate) Commit(entries int, f func()) {
 		// The node crashed during the durability wait: the apply is
 		// deferred to replay (its record was already appended, so the
 		// buffered task carries no entries of its own).
-		g.backlog = append(g.backlog, gateTask{0, f})
+		g.backlog = append(g.backlog, gateTask{0, bind(apply, arg)})
 		return
 	}
-	f()
+	apply(arg)
 }
+
+// bind closes apply over arg for the backlog. It is a function of its own
+// so that only a call on a buffering path moves arg to the heap.
+func bind[T any](apply func(T), arg T) func() { return func() { apply(arg) } }
 
 // Crash closes the gate and drops the log's un-synced tail, reporting
 // whether the crash had effect. A crash landing mid-replay interrupts the

@@ -195,8 +195,12 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 }
 
 // endorse simulates the chaincode execution phase on the entry peer,
-// producing a read-write set against its current world state.
+// producing a read-write set against its current world state. A
+// transaction none of whose operations touches state shares noRWSet.
 func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) envelope {
+	if !touchesState(tx) {
+		return envelope{Tx: tx, RWSet: &noRWSet}
+	}
 	recorder := &rwRecorder{state: state}
 	for _, op := range tx.Ops {
 		// Endorsement failures still produce an envelope: Fabric orders
@@ -204,6 +208,21 @@ func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) enve
 		_ = iel.Execute(op, recorder)
 	}
 	return envelope{Tx: tx, RWSet: &recorder.rw}
+}
+
+// noRWSet is the read-write set of every transaction that reads and writes
+// nothing: never written, so validating and committing it do nothing.
+var noRWSet statestore.RWSet
+
+// touchesState reports whether any of tx's operations can read or write
+// world state; DoNothing's cannot.
+func touchesState(tx *chain.Transaction) bool {
+	for _, op := range tx.Ops {
+		if op.IEL != iel.DoNothingName {
+			return true
+		}
+	}
+	return false
 }
 
 // rwRecorder adapts RWSet recording to iel.StateOps with
@@ -317,13 +336,22 @@ func (n *Network) commitBlock(seq uint64, batch *cutBatch) {
 	peers := n.Replicas()
 	for i := range peers {
 		p := &peers[i]
-		p.Gate.Commit(len(batch.Txs), func() { n.commitOnPeer(p, batch) })
+		systems.CommitTo(&p.Gate, len(batch.Txs), peerCommit{n, p, batch}, commitOnPeer)
 	}
+}
+
+// peerCommit is one peer's share of a decided batch: the gate work
+// commitOnPeer applies, passed as a value so the fan-out allocates nothing.
+type peerCommit struct {
+	n     *Network
+	p     *systems.Replica
+	batch *cutBatch
 }
 
 // commitOnPeer applies one decided batch on a single peer; the batch's
 // transactions are shared read-only by every peer's block.
-func (n *Network) commitOnPeer(p *systems.Replica, batch *cutBatch) {
+func commitOnPeer(c peerCommit) {
+	n, p, batch := c.n, c.p, c.batch
 	blk := n.Sealer.Seal(p.Ledger.Head(), batch.Cutter, batch.CutAt, batch.Txs)
 	if err := p.Ledger.Append(blk); err != nil {
 		return // stale duplicate

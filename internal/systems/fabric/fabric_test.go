@@ -136,3 +136,34 @@ func TestEventLossAtPeersSuppressesClientEvents(t *testing.T) {
 		t.Fatal("world state missing committed write")
 	}
 }
+
+// TestEndorseAllocs: a transaction none of whose operations touches state
+// is endorsed without allocating and carries the shared empty read-write
+// set, which validates and commits as nothing; one that writes records its
+// own set.
+func TestEndorseAllocs(t *testing.T) {
+	n, _ := start(t, nil)
+	state := n.Replicas()[0].State
+	noop := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
+	if a := testing.AllocsPerRun(100, func() { n.endorse(state, noop) }); a != 0 {
+		t.Fatalf("endorsing DoNothing allocates %v times, want 0", a)
+	}
+	env := n.endorse(state, noop)
+	if env.RWSet != &noRWSet {
+		t.Fatal("DoNothing did not get the shared empty read-write set")
+	}
+	keys := state.Len()
+	if err := env.RWSet.Validate(state); err != nil {
+		t.Fatal(err)
+	}
+	env.RWSet.Commit(state, statestore.Version{BlockNum: 1})
+	if state.Len() != keys {
+		t.Fatal("committing the empty read-write set wrote state")
+	}
+	set := chain.NewSingleOp("client-1", 1, iel.KeyValueName, iel.FnSet, "k", "v")
+	if env := n.endorse(state, set); env.RWSet == &noRWSet {
+		t.Fatal("a Set shares the empty read-write set")
+	} else if v, ok := env.RWSet.Written(statestore.Key{Name: "k"}); !ok || v != "v" {
+		t.Fatalf("Set endorsed as %q, %v; want the write of v", v, ok)
+	}
+}

@@ -29,18 +29,26 @@ type Hub struct {
 	mu      sync.Mutex
 	subs    map[string]EventFunc
 	nodeIdx map[string]*HubNode
-	// txs holds every transaction the hub knows: the ones still collecting
-	// node reports and, marked done, the recently finalized ones, whose entry
-	// stays behind as its own tombstone so late duplicate reports do not
-	// re-open them. A report is one probe of this map.
-	txs map[crypto.Hash]*pendingTx
-	// The retention queue threads the done entries oldest-first through
-	// pendingTx.next; at the retention bound each new tombstone retires the
-	// oldest from txs.
-	doneHead, doneTail *pendingTx
-	doneN              int
-	emitted            int
+	// txs holds every transaction the hub knows, by a pointer-free value the
+	// collector never scans: a transaction still collecting node reports
+	// maps to its slot (≥ 0) in slab, and a recently finalized one to
+	// tombstone, so late duplicate reports do not re-open it. A report is one
+	// probe of this map.
+	txs map[crypto.Hash]int32
+	// slab holds the pending transactions; a finalized one's slot goes on
+	// free for the next transaction to reuse.
+	slab []pendingTx
+	free []int32
+	// ring holds the tombstoned IDs oldest-first from ringHead. It grows to
+	// retention entries; from then on each new tombstone overwrites, and
+	// retires from txs, the oldest.
+	ring     []crypto.Hash
+	ringHead int
+	emitted  int
 }
+
+// tombstone is the txs value of a finalized transaction.
+const tombstone int32 = -1
 
 // pendingTx tracks which nodes persisted one transaction, as a bitset over
 // interned node indices: the first 64 inline, larger networks spill into
@@ -50,11 +58,6 @@ type pendingTx struct {
 	seen  uint64
 	more  []uint64
 	count int
-	// done marks an emitted transaction; all that is kept of its event is
-	// the TxID the queue retires it by, and next links it to the tombstone
-	// finalized after it.
-	done bool
-	next *pendingTx
 }
 
 func (p *pendingTx) mark(idx int) bool {
@@ -93,7 +96,7 @@ func NewHub(nodes int, opts ...HubOption) *Hub {
 	h := &Hub{
 		nodes:     nodes,
 		retention: DefaultEmittedRetention,
-		txs:       make(map[crypto.Hash]*pendingTx),
+		txs:       make(map[crypto.Hash]int32),
 		subs:      make(map[string]EventFunc),
 		nodeIdx:   make(map[string]*HubNode),
 	}
@@ -141,22 +144,25 @@ func (n *HubNode) ID() string { return n.id }
 func (n *HubNode) Committed(ev Event, at time.Time) {
 	h := n.hub
 	h.mu.Lock()
-	p, ok := h.txs[ev.TxID]
+	slot, ok := h.txs[ev.TxID]
 	if !ok {
-		p = &pendingTx{event: ev}
-		h.txs[ev.TxID] = p
+		slot = h.open(ev)
+		h.txs[ev.TxID] = slot
 	}
-	if p.done || !p.mark(n.idx) || p.count < h.nodes {
+	if slot == tombstone {
+		h.mu.Unlock()
+		return
+	}
+	p := &h.slab[slot]
+	if !p.mark(n.idx) || p.count < h.nodes {
 		h.mu.Unlock()
 		return
 	}
 	// Final node: emit exactly once. The transition happens under the lock,
 	// the callback runs outside every lock.
 	out := p.event
-	p.done = true
-	p.event = Event{TxID: ev.TxID} // the entry is a tombstone now: pin nothing
-	p.more = nil
-	h.retain(p)
+	h.release(slot)
+	h.retain(ev.TxID)
 	h.emitted++
 	fn := h.subs[out.Client]
 	h.mu.Unlock()
@@ -167,22 +173,42 @@ func (n *HubNode) Committed(ev Event, at time.Time) {
 	}
 }
 
-// retain appends a done transaction to the retention queue, retiring the
-// oldest tombstone once the queue is at its bound. Caller holds h.mu.
-func (h *Hub) retain(p *pendingTx) {
-	if h.doneTail == nil {
-		h.doneHead = p
-	} else {
-		h.doneTail.next = p
+// open gives a newly reported transaction a slab slot, reusing a freed one
+// when there is one. Caller holds h.mu.
+func (h *Hub) open(ev Event) int32 {
+	if k := len(h.free); k > 0 {
+		slot := h.free[k-1]
+		h.free = h.free[:k-1]
+		h.slab[slot].event = ev
+		return slot
 	}
-	h.doneTail = p
-	if h.doneN < h.retention {
-		h.doneN++
+	h.slab = append(h.slab, pendingTx{event: ev})
+	return int32(len(h.slab) - 1)
+}
+
+// release clears a finalized transaction's slot, keeping its spill words'
+// capacity, and frees it: the slot pins nothing of the event. Caller holds
+// h.mu.
+func (h *Hub) release(slot int32) {
+	p := &h.slab[slot]
+	clear(p.more)
+	*p = pendingTx{more: p.more[:0]}
+	h.free = append(h.free, slot)
+}
+
+// retain tombstones a finalized transaction, retiring the oldest tombstone
+// once the ring is at its bound. Caller holds h.mu.
+func (h *Hub) retain(id crypto.Hash) {
+	h.txs[id] = tombstone
+	if len(h.ring) < h.retention {
+		h.ring = append(h.ring, id)
 		return
 	}
-	old := h.doneHead
-	h.doneHead, old.next = old.next, nil
-	delete(h.txs, old.event.TxID)
+	delete(h.txs, h.ring[h.ringHead])
+	h.ring[h.ringHead] = id
+	if h.ringHead++; h.ringHead == len(h.ring) {
+		h.ringHead = 0
+	}
 }
 
 // EmitDirect fires an event immediately, bypassing per-node tracking. Used
@@ -201,7 +227,7 @@ func (h *Hub) EmitDirect(ev Event, at time.Time) {
 func (h *Hub) PendingCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.txs) - h.doneN
+	return len(h.txs) - len(h.ring)
 }
 
 // EmittedCount reports fully finalized transactions over the hub's
@@ -218,5 +244,5 @@ func (h *Hub) EmittedCount() int {
 func (h *Hub) TombstoneCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.doneN
+	return len(h.ring)
 }

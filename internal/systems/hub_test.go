@@ -177,8 +177,9 @@ func TestHubTombstoneRetentionBounded(t *testing.T) {
 // through a multi-node hub whose finalized entries stay in the one
 // transaction map as tombstones: a duplicate report inside the window stays
 // suppressed — right after emission and again when the window (the hub's
-// total, not a per-partition share) is about to retire it — the map holds no
-// more than retention entries once nothing is pending, and a transaction the
+// total, not a per-partition share) is about to retire it — every ID in the
+// retention ring is a tombstone, the map holds exactly the ring once nothing
+// is pending, freed slots are reused and pin nothing, and a transaction the
 // window has retired is unknown again.
 func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	const (
@@ -222,21 +223,24 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 			t.Fatalf("tx %s fired %d times", id.Short(), n)
 		}
 	}
-	queued := 0
-	for p := h.doneHead; p != nil; p = p.next {
-		if !p.done || p.event.Client != "" || p.event.Code != "" {
-			t.Fatal("a retained entry still holds its event")
+	for _, id := range h.ring {
+		if h.txs[id] != tombstone {
+			t.Fatalf("ring holds %s, which the transaction map does not tombstone", id.Short())
 		}
-		if h.txs[p.event.TxID] != p {
-			t.Fatal("a queued tombstone is not the map's entry for its transaction")
-		}
-		if p.next == nil && p != h.doneTail {
-			t.Fatal("the retention queue does not end at its tail")
-		}
-		queued++
 	}
-	if queued != h.TombstoneCount() || len(h.txs) != queued {
-		t.Fatalf("transaction map holds %d entries, retention queue %d, TombstoneCount %d: an entry leaked", len(h.txs), queued, h.TombstoneCount())
+	if len(h.ring) != h.TombstoneCount() || len(h.txs) != len(h.ring) {
+		t.Fatalf("transaction map holds %d entries, ring %d, TombstoneCount %d: an entry leaked", len(h.txs), len(h.ring), h.TombstoneCount())
+	}
+	if _, ok := h.txs[event(0).TxID]; ok {
+		t.Fatal("a transaction the ring retired is still known")
+	}
+	// One transaction was pending at a time, so every one reused the slot
+	// the last one freed.
+	if len(h.slab) != 1 || len(h.free) != 1 {
+		t.Fatalf("slab holds %d slots, %d free; want the 1 every transaction reuses", len(h.slab), len(h.free))
+	}
+	if h.slab[0].event != (Event{}) {
+		t.Fatal("a freed slab slot still holds its event")
 	}
 	// The oldest transaction left the window long ago: one node's late
 	// report opens it afresh and cannot complete it.
@@ -315,5 +319,43 @@ func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
 	defer mu.Unlock()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want exactly 1", fired)
+	}
+}
+
+// TestHubCommittedAllocs pins that a warm hub allocates nothing per report:
+// a finalized transaction's slab slot and its tombstone's ring entry are
+// reused by the next ones. Transactions cycle through more IDs than the
+// retention holds, so every round also retires a tombstone and re-opens a
+// retired ID.
+func TestHubCommittedAllocs(t *testing.T) {
+	const nodes = 4
+	h := NewHub(nodes, WithEmittedRetention(16))
+	fired := 0
+	h.Subscribe("c", func(Event) { fired++ })
+	handles := make([]*HubNode, nodes)
+	for i := range handles {
+		handles[i] = h.Node(fmt.Sprintf("n%d", i))
+	}
+	ids := make([]crypto.Hash, 64)
+	for i := range ids {
+		ids[i] = crypto.SumString(fmt.Sprintf("tx-%d", i))
+	}
+	next := 0
+	round := func() {
+		ev := Event{TxID: ids[next%len(ids)], Client: "c", Committed: true, ValidOK: true}
+		next++
+		for _, n := range handles {
+			n.Committed(ev, time.Unix(int64(next), 0))
+		}
+		handles[0].Committed(ev, time.Unix(int64(next), 1)) // a late duplicate
+	}
+	for range 4 * len(ids) {
+		round()
+	}
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Fatalf("a round of %d reports allocates %v times, want 0", nodes+1, n)
+	}
+	if fired != next || h.PendingCount() != 0 || h.TombstoneCount() != 16 {
+		t.Fatalf("fired %d of %d, pending %d, tombstones %d", fired, next, h.PendingCount(), h.TombstoneCount())
 	}
 }

@@ -279,12 +279,13 @@ func (n *Network) produce(v *validator) {
 // WAL mounted, the block's record is appended before it applies (an empty
 // block still writes a header-only record).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
+	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
 	return func(d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(producedBlock); ok {
 			txs = len(blk.Txs)
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		systems.CommitTo(&v.Gate, txs, d, apply)
 	}
 }
 

@@ -284,6 +284,7 @@ func (n *Network) publish() {
 // per validator: a crashed validator buffers decided blocks and replays
 // them on restart (Sawtooth's catch-up).
 func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
+	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
 	return func(d consensus.Decision) {
 		txs := 0
 		if blk, ok := d.Payload.(publishedBlock); ok {
@@ -291,7 +292,7 @@ func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
 				txs += len(b.Txs)
 			}
 		}
-		v.Gate.Commit(txs, func() { n.applyDecision(v, d) })
+		systems.CommitTo(&v.Gate, txs, d, apply)
 	}
 }
 

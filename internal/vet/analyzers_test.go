@@ -48,8 +48,8 @@ func TestActorSpawn(t *testing.T) {
 
 func TestParkLock(t *testing.T) {
 	res := vettest.Run(t, vet.ParkLock, "parklock")
-	if len(res.Findings) < 6 {
-		t.Errorf("want >= 6 parklock findings, got %d", len(res.Findings))
+	if len(res.Findings) < 8 {
+		t.Errorf("want >= 8 parklock findings, got %d", len(res.Findings))
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // ParkLock flags calls that can park on a clock primitive — Gate.Do /
-// Commit / Restart, Mailbox.Send, AutoVirtual.Sleep and clock.Await —
-// while a sync.Mutex or RWMutex acquired in the same function is still held.
+// Commit / Restart, systems.CommitTo, Mailbox.Send, AutoVirtual.Sleep and
+// clock.Await — while a sync.Mutex or RWMutex acquired in the same function
+// is still held.
 // Parking while holding a lock is the re-entrant-deadlock shape fixed
 // twice already (gate backlog replay in PR 7, DurableGate latency charging
 // in PR 8): the parked actor holds the mutex, the actor that would wake
@@ -112,10 +113,17 @@ func classifyCall(pass *Pass, call *ast.CallExpr, held map[string]token.Pos) {
 	}
 	sig, _ := fn.Type().(*types.Signature)
 
-	// Package-level clock.Await.
+	// Package-level clock.Await and systems.CommitTo (the gate's commit
+	// path, which Gate.Do and Gate.Commit wrap).
 	if sig != nil && sig.Recv() == nil {
-		if fn.Pkg() != nil && isInternalPkg(fn.Pkg().Path(), "internal/clock") && fn.Name() == "Await" {
+		if fn.Pkg() == nil {
+			return
+		}
+		switch path := fn.Pkg().Path(); {
+		case isInternalPkg(path, "internal/clock") && fn.Name() == "Await":
 			reportPark(pass, call.Pos(), "clock.Await", held)
+		case isInternalPkg(path, "internal/systems") && fn.Name() == "CommitTo":
+			reportPark(pass, call.Pos(), "systems.CommitTo", held)
 		}
 		return
 	}

@@ -48,6 +48,13 @@ func gateWhileLocked(d *systems.DurableGate, mu *sync.Mutex) {
 	mu.Unlock()
 }
 
+func commitToWhileLocked(d *systems.DurableGate, mu *sync.Mutex) {
+	mu.Lock()
+	systems.CommitTo(d, 1, 0, func(int) {})      // want `systems.CommitTo can park while mutex "mu"`
+	systems.CommitTo[int](d, 1, 0, func(int) {}) // want `systems.CommitTo can park while mutex "mu"`
+	mu.Unlock()
+}
+
 // Release before parking: no findings.
 func (n *node) releasedFirst(c *clock.AutoVirtual) {
 	n.mu.Lock()

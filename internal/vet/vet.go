@@ -96,7 +96,15 @@ func AnalyzerByName(name string) *Analyzer {
 // calls): those cannot be package-API calls and are never lint targets.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	// An explicitly instantiated generic function: f[T](...), f[T, U](...).
+	switch g := fun.(type) {
+	case *ast.IndexExpr:
+		fun = g.X
+	case *ast.IndexListExpr:
+		fun = g.X
+	}
+	switch fn := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		id = fn
 	case *ast.SelectorExpr:
