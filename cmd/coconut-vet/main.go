@@ -2,7 +2,7 @@
 // analyzer suite: the type-aware replacement for the retired
 // lint-walltime.sh / lint-directio.sh / lint-telemetry.sh shell lints,
 // plus the determinism/safety analyzers grep could not express
-// (maporder, actorspawn, parklock, globalrand).
+// (maporder, actorspawn, globalrand).
 //
 // Usage:
 //

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
@@ -106,7 +105,6 @@ func (b *Block) VerifyLink(prev *Block) error {
 // Ledger is a node's append-only, hash-linked block store. It enforces
 // integrity on every append and supports lookup by height.
 type Ledger struct {
-	mu     sync.RWMutex
 	blocks []*Block
 }
 
@@ -117,8 +115,6 @@ func NewLedger(networkID string) *Ledger {
 
 // Append validates and appends a block.
 func (l *Ledger) Append(b *Block) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	head := l.blocks[len(l.blocks)-1]
 	if err := b.VerifyLink(head); err != nil {
 		return err
@@ -129,8 +125,6 @@ func (l *Ledger) Append(b *Block) error {
 
 // Head returns the latest block.
 func (l *Ledger) Head() *Block {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	return l.blocks[len(l.blocks)-1]
 }
 
@@ -139,8 +133,6 @@ func (l *Ledger) Height() uint64 { return l.Head().Number }
 
 // BlockAt returns the block at the given height.
 func (l *Ledger) BlockAt(n uint64) (*Block, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if n >= uint64(len(l.blocks)) {
 		return nil, false
 	}
@@ -149,8 +141,6 @@ func (l *Ledger) BlockAt(n uint64) (*Block, bool) {
 
 // TxCount returns the total committed transactions (excluding genesis).
 func (l *Ledger) TxCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	n := 0
 	for _, b := range l.blocks {
 		n += len(b.Txs)
@@ -160,8 +150,6 @@ func (l *Ledger) TxCount() int {
 
 // Verify walks the whole chain and validates every link.
 func (l *Ledger) Verify() error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for i := 1; i < len(l.blocks); i++ {
 		if err := l.blocks[i].VerifyLink(l.blocks[i-1]); err != nil {
 			return err
@@ -172,8 +160,6 @@ func (l *Ledger) Verify() error {
 
 // Blocks returns a snapshot copy of the chain.
 func (l *Ledger) Blocks() []*Block {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	out := make([]*Block, len(l.blocks))
 	copy(out, l.blocks)
 	return out

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -25,7 +24,6 @@ const sealerSlots = 16
 // Ledger.Append still verifies the link on every replica. Blocks are
 // immutable once returned.
 type Sealer struct {
-	mu   sync.Mutex
 	ring [sealerSlots]*Block
 }
 
@@ -35,8 +33,6 @@ func (s *Sealer) Seal(prev *Block, proposer string, ts time.Time, txs []*Transac
 	if prev == nil {
 		return NewBlock(nil, proposer, ts, txs)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	slot := &s.ring[(prev.Number+1)%sealerSlots]
 	if b := *slot; b != nil && b.Number == prev.Number+1 && b.PrevHash == prev.Hash &&
 		b.Proposer == proposer && b.Timestamp == ts && slices.Equal(b.Txs, txs) {

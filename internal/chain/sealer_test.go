@@ -1,11 +1,14 @@
 package chain
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
+
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 // sameBlock reports whether two blocks agree field for field.
@@ -150,31 +153,33 @@ func TestSealerLaggingReplica(t *testing.T) {
 	}
 }
 
-// TestSealerConcurrentReplicas appends through one Sealer from n goroutines,
-// as the replicas of a real-clock run do (run under -race).
+// TestSealerConcurrentReplicas appends through one Sealer from n replica
+// actors on one clock, each at its own pace, so they seal the same heights
+// interleaved and apart (run under -race).
 func TestSealerConcurrentReplicas(t *testing.T) {
 	const n, heights = 8, 200
+	clk := clocktest.New(t)
 	var s Sealer
 	decided := make([][]*Transaction, heights)
 	for h := range decided {
 		decided[h] = benchTxs(h % 7)
 	}
 	ledgers := make([]*Ledger, n)
-	var wg sync.WaitGroup
+	names := make([]string, n)
 	for i := range ledgers {
 		ledgers[i] = NewLedger("net")
-		wg.Add(1)
-		go func(l *Ledger) {
-			defer wg.Done()
-			for h, txs := range decided {
-				if err := l.Append(s.Seal(l.Head(), "p", time.Unix(int64(h), 0), txs)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(ledgers[i])
+		names[i] = fmt.Sprintf("replica-%d", i)
 	}
-	wg.Wait()
+	clock.Go(clk, names, func(i int) {
+		l := ledgers[i]
+		for h, txs := range decided {
+			if err := l.Append(s.Seal(l.Head(), "p", time.Unix(int64(h), 0), txs)); err != nil {
+				t.Error(err)
+				return
+			}
+			clk.Sleep(time.Duration(1+i) * time.Microsecond)
+		}
+	})()
 	for i, l := range ledgers {
 		if err := l.Verify(); err != nil {
 			t.Fatalf("replica %d: %v", i, err)

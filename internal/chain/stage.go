@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"sync/atomic"
 	"time"
 )
 
@@ -82,12 +81,11 @@ func StageByName(name string) (Stage, bool) {
 // StageTrace carries a transaction's per-stage completion timestamps. It is
 // embedded by value in Transaction so the hot path allocates nothing extra;
 // drivers stamp stages with Mark as the transaction moves through their
-// pipeline. Marks are first-write-wins (atomic CAS), which makes them
-// race-safe when several validators process the same *Transaction
-// concurrently (Quorum gossip shares the pointer) and idempotent under
-// gate backlog replay — the earliest completion is the one that counts.
+// pipeline. Marks are first-write-wins, so several validators may stamp
+// the same *Transaction (Quorum gossip shares the pointer) and gate backlog
+// replay stays idempotent — the earliest completion is the one that counts.
 type StageTrace struct {
-	marks [NumStages]atomic.Int64
+	marks [NumStages]int64
 }
 
 // Mark records stage s as completed at the given instant if it has no mark
@@ -99,11 +97,13 @@ func (t *StageTrace) Mark(s Stage, at time.Time) {
 	if ns == 0 {
 		ns = 1
 	}
-	t.marks[s].CompareAndSwap(0, ns)
+	if t.marks[s] == 0 {
+		t.marks[s] = ns
+	}
 }
 
 // At returns the stage's completion time in UnixNano, or 0 when unset.
-func (t *StageTrace) At(s Stage) int64 { return t.marks[s].Load() }
+func (t *StageTrace) At(s Stage) int64 { return t.marks[s] }
 
 // StageSpan is one resolved pipeline segment: the stage and the time spent
 // in it.
@@ -130,7 +130,7 @@ func (t *StageTrace) Durations(start, end time.Time, spans []StageSpan) []StageS
 	var set [NumStages]mark
 	n := 0
 	for s := 0; s < NumStages; s++ {
-		if ns := t.marks[s].Load(); ns != 0 {
+		if ns := t.marks[s]; ns != 0 {
 			m := mark{ns: ns, s: Stage(s)}
 			// Insertion sort on a fixed array: NumStages is tiny and this
 			// keeps the resolution allocation-free on the event hot path.

@@ -1,9 +1,11 @@
 package chain
 
 import (
-	"sync"
 	"testing"
 	"time"
+
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 func TestStageNamesRoundTrip(t *testing.T) {
@@ -101,27 +103,24 @@ func TestStageDurationsHandleExecuteFirstPipelines(t *testing.T) {
 	}
 }
 
-// TestStageMarksMonotonic drives marks from concurrent goroutines (the
-// gossip-shared-pointer case) and checks the resolved durations are
+// TestStageMarksMonotonic drives marks from validator actors sharing one
+// transaction (the gossip-shared-pointer case), each stamping every stage a
+// little after the one before it, and checks the resolved durations are
 // non-negative and sum exactly to the end-to-end window — the invariant the
 // per-stage histograms rely on.
 func TestStageMarksMonotonic(t *testing.T) {
+	clk := clocktest.New(t)
 	var tr StageTrace
-	base := time.Unix(50, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each goroutine stamps every stage at a slightly different
-			// instant; CAS keeps the earliest per stage.
-			for s := 0; s < NumStages-1; s++ {
-				tr.Mark(Stage(s), base.Add(time.Duration(s+1)*time.Second+time.Duration(g)*time.Millisecond))
-			}
-		}()
+	base := clk.Now()
+	stamp := func(s, g int) time.Time {
+		return base.Add(time.Duration(s+1)*time.Second + time.Duration(g)*time.Millisecond)
 	}
-	wg.Wait()
+	clock.Go(clk, []string{"v0", "v1", "v2", "v3"}, func(g int) {
+		for s := 0; s < NumStages-1; s++ {
+			clk.Sleep(stamp(s, g).Sub(clk.Now()))
+			tr.Mark(Stage(s), clk.Now())
+		}
+	})()
 	end := base.Add(10 * time.Second)
 	var buf [NumStages]StageSpan
 	spans := tr.Durations(base, end, buf[:0])
@@ -135,14 +134,11 @@ func TestStageMarksMonotonic(t *testing.T) {
 	if total != end.Sub(base) {
 		t.Fatalf("durations sum to %v, want %v", total, end.Sub(base))
 	}
-	// Exactly one writer's stamp must have won each stage (first arrival
-	// wins; in driver code the first arrival is the earliest completion).
+	// The first stamp of each stage wins, and in driver code the first
+	// arrival is the earliest completion: validator v0's.
 	for s := 0; s < NumStages-1; s++ {
-		got := tr.At(Stage(s))
-		lo := base.Add(time.Duration(s+1) * time.Second).UnixNano()
-		hi := lo + int64(3*time.Millisecond)
-		if got < lo || got > hi {
-			t.Fatalf("stage %v mark = %d, want one of the stamped candidates [%d, %d]", Stage(s), got, lo, hi)
+		if got, want := tr.At(Stage(s)), stamp(s, 0).UnixNano(); got != want {
+			t.Fatalf("stage %v mark = %d, want the first stamp %d", Stage(s), got, want)
 		}
 	}
 }

@@ -81,9 +81,7 @@ type Transaction struct {
 	SubmittedAt time.Time
 	// Stages carries the per-stage pipeline completion timestamps stamped by
 	// the driver as the transaction travels submit → queue → consensus →
-	// execute → validate. Embedded by value so marking allocates nothing;
-	// transactions must be passed by pointer (the atomics make the struct
-	// non-copyable, which go vet enforces).
+	// execute → validate. Embedded by value so marking allocates nothing.
 	Stages StageTrace
 }
 

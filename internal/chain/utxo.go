@@ -2,7 +2,6 @@ package chain
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -97,7 +96,6 @@ func (e *UnknownStateError) Error() string {
 // of consumed ones. It is the storage component the paper's Corda
 // KeyValue-Get benchmark stresses by forcing linear scans.
 type Vault struct {
-	mu       sync.RWMutex
 	unspent  map[StateRef]ContractState
 	consumed map[StateRef]crypto.Hash // ref -> consuming tx
 	order    []StateRef               // insertion order, for linear scans
@@ -115,8 +113,6 @@ func NewVault() *Vault {
 // outputs. It fails without side effects on double spends or unknown
 // inputs.
 func (v *Vault) Apply(tx *UTXOTransaction) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for _, in := range tx.Inputs {
 		if by, ok := v.consumed[in]; ok {
 			return &DoubleSpendError{Ref: in, ConsumedBy: by}
@@ -139,8 +135,6 @@ func (v *Vault) Apply(tx *UTXOTransaction) error {
 
 // Get returns the unspent state at ref.
 func (v *Vault) Get(ref StateRef) (ContractState, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	st, ok := v.unspent[ref]
 	return st, ok
 }
@@ -152,8 +146,6 @@ func (v *Vault) Get(ref StateRef) (ContractState, bool) {
 // find a specific one" (paper §5.1) — the root cause of its read
 // performance collapse.
 func (v *Vault) LinearScan(fn func(ref StateRef, st ContractState) bool) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	visited := 0
 	for _, ref := range v.order {
 		st, ok := v.unspent[ref]
@@ -170,14 +162,10 @@ func (v *Vault) LinearScan(fn func(ref StateRef, st ContractState) bool) int {
 
 // UnspentCount returns the number of live states.
 func (v *Vault) UnspentCount() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	return len(v.unspent)
 }
 
 // ConsumedCount returns the number of spent states.
 func (v *Vault) ConsumedCount() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	return len(v.consumed)
 }

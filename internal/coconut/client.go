@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -26,7 +24,7 @@ type BatchSubmitter interface {
 // clientThread is one workload thread: a lane of the pacer with its own
 // generator and key-space cursor. Everything but received belongs to whoever
 // sends (the pacer event; the main actor at t=0) and is only read by others
-// after the pacer has stopped; received is guarded by Client.mu.
+// after the pacer has stopped; received is counted by onEvent.
 type clientThread struct {
 	sent     uint64
 	received uint64
@@ -62,16 +60,16 @@ type Client struct {
 	clk         *clock.AutoVirtual
 	driver      systems.Driver
 
-	seq     atomic.Uint64
+	seq     uint64
 	threads []clientThread
 	hist    *LatencyHist
 	stages  StageMetrics
 
-	// mu guards the in-flight index and the online repetition summary, which
-	// is streamed as sends and events happen so phase-end aggregation never
-	// walks the full record set. Sends take it on the sending goroutine,
-	// confirmations on whichever goroutine the driver commits on.
-	mu          sync.Mutex
+	// The in-flight index and the online repetition summary are streamed as
+	// sends and events happen, so phase-end aggregation never walks the full
+	// record set. Sends update them on the sending actor, confirmations on
+	// whichever actor the driver commits on: one at a time, under the
+	// clock's token.
 	inflight    map[crypto.Hash]inflightTx
 	expectedOps int
 	receivedOps int
@@ -138,19 +136,14 @@ func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, ti
 // tracks outstanding transactions, not run length.
 func (c *Client) onEvent(ev systems.Event) {
 	now := c.clk.Now()
-	c.mu.Lock()
 	tx, ok := c.inflight[ev.TxID]
 	if !ok {
 		// Unknown or already-finalized transaction, or the phase is over: drop.
-		c.mu.Unlock()
 		return
 	}
 	delete(c.inflight, ev.TxID)
 	ops, start := tx.ops, tx.start
 	fls := now.Sub(start)
-	// The summary contribution is folded in before the lock is released:
-	// detach serializes on it, so once it completes no received event can be
-	// missing from the online counters.
 	c.receivedOps += ops
 	if ev.ValidOK {
 		c.validOps += ops
@@ -170,10 +163,7 @@ func (c *Client) onEvent(ev systems.Event) {
 	if tx.thread >= 0 && tx.thread < len(c.threads) {
 		c.threads[tx.thread].received += uint64(ops)
 	}
-	c.mu.Unlock()
-	// Stage folding and the timeline update happen outside the lock: both
-	// are atomic-only, shared by every client of the run, and need nothing
-	// it guards. The confirmation instant closes the commit segment.
+	// The confirmation instant closes the commit segment.
 	if ev.Stages != nil {
 		var buf [chain.NumStages]chain.StageSpan
 		spans := ev.Stages.Durations(start, now, buf[:0])
@@ -277,19 +267,12 @@ func (c *Client) send(thread int) {
 	}
 }
 
-// detach ends the listening phase: it clears the in-flight index under the
-// lock, so an event that arrives later finds nothing and no event goroutine
-// can touch the counters after this returns.
-func (c *Client) detach() {
-	c.mu.Lock()
-	c.inflight = make(map[crypto.Hash]inflightTx)
-	c.mu.Unlock()
-}
+// detach ends the listening phase: it clears the in-flight index, so an
+// event that arrives later finds nothing and leaves the counters alone.
+func (c *Client) detach() { c.inflight = make(map[crypto.Hash]inflightTx) }
 
 // Summary returns the client's online phase aggregation; call after Run.
 func (c *Client) Summary() ClientSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := ClientSummary{
 		ExpectedNoT: c.expectedOps,
 		ReceivedNoT: c.receivedOps,
@@ -328,14 +311,15 @@ func (th *clientThread) nextOp() chain.Operation {
 func (c *Client) sendTx(thread int) {
 	th := &c.threads[thread]
 	var tx *chain.Transaction
+	c.seq++
 	if c.cfg.OpsPerTx == 1 {
-		tx = chain.NewSingleOpTx(c.id, c.seq.Add(1), th.nextOp())
+		tx = chain.NewSingleOpTx(c.id, c.seq, th.nextOp())
 	} else {
 		ops := make([]chain.Operation, c.cfg.OpsPerTx)
 		for i := range ops {
 			ops[i] = th.nextOp()
 		}
-		tx = chain.NewTransaction(c.id, c.seq.Add(1), ops...)
+		tx = chain.NewTransaction(c.id, c.seq, ops...)
 	}
 	ops := tx.OpCount()
 
@@ -359,7 +343,8 @@ func (c *Client) sendBatch(thread int) {
 	txs := make([]*chain.Transaction, c.cfg.BatchSize)
 	start := c.clk.Now()
 	for i := range txs {
-		txs[i] = chain.NewSingleOpTx(c.id, c.seq.Add(1), th.nextOp())
+		c.seq++
+		txs[i] = chain.NewSingleOpTx(c.id, c.seq, th.nextOp())
 		txs[i].SubmittedAt = start
 		c.track(txs[i].ID, start, 1, thread)
 	}
@@ -375,11 +360,9 @@ func (c *Client) sendBatch(thread int) {
 // track registers a transaction in the in-flight index before submission,
 // so its finalization event can never outrun it.
 func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
-	c.mu.Lock()
 	c.inflight[id] = inflightTx{start: start, ops: ops, thread: thread}
 	c.expectedOps += ops
 	c.firstSendNs = min(c.firstSendNs, start.UnixNano())
-	c.mu.Unlock()
 	if c.timeline != nil {
 		c.timeline.RecordSend(start, ops)
 	}
@@ -400,8 +383,6 @@ func (c *Client) SentCounts() []uint64 {
 // thread's key space is contiguous — the runner feeds these counts into
 // dependent read phases as ReadMax.
 func (c *Client) ReceivedCounts() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]uint64, len(c.threads))
 	for i := range c.threads {
 		out[i] = c.threads[i].received

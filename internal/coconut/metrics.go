@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -20,12 +19,11 @@ import (
 // LatencyHist is an online finalization-latency histogram with logarithmic
 // buckets: histSubCount linear sub-buckets per power-of-two octave, giving
 // a bounded relative error of 1/histSubCount (~3%) over the full duration
-// range. Observations and merges use atomics, so system event goroutines
-// stream latencies into it concurrently without a lock, and percentiles
-// come from a bucket walk instead of sorting the full record set.
+// range. Percentiles come from a bucket walk instead of sorting the full
+// record set.
 type LatencyHist struct {
-	counts [histBuckets]atomic.Uint64
-	total  atomic.Uint64
+	counts [histBuckets]uint64
+	total  uint64
 }
 
 const (
@@ -75,30 +73,28 @@ func (h *LatencyHist) ObserveN(d time.Duration, n uint64) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[histIndex(uint64(d))].Add(n)
-	h.total.Add(n)
+	h.counts[histIndex(uint64(d))] += n
+	h.total += n
 }
 
 // Count reports the number of observations.
-func (h *LatencyHist) Count() uint64 { return h.total.Load() }
+func (h *LatencyHist) Count() uint64 { return h.total }
 
 // Merge folds other's observations into h.
 func (h *LatencyHist) Merge(other *LatencyHist) {
 	if other == nil {
 		return
 	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
+	for i, n := range other.counts {
+		h.counts[i] += n
 	}
-	h.total.Add(other.total.Load())
+	h.total += other.total
 }
 
 // Quantile returns the latency at quantile q in [0, 1], accurate to the
 // bucket's relative width. Zero observations yield zero.
 func (h *LatencyHist) Quantile(q float64) time.Duration {
-	total := h.total.Load()
+	total := h.total
 	if total == 0 {
 		return 0
 	}
@@ -110,8 +106,8 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 		target = total
 	}
 	var seen uint64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
+	for i, n := range h.counts {
+		seen += n
 		if seen >= target {
 			return time.Duration(histValue(i))
 		}
@@ -121,11 +117,10 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 
 // StageMetrics accumulates ops-weighted per-stage pipeline latency: a
 // sum/count pair per stage for the mean and a histogram per stage for
-// percentiles. All fields are atomic, so event goroutines stream stage
-// durations in concurrently, mirroring LatencyHist.
+// percentiles.
 type StageMetrics struct {
-	sum  [chain.NumStages]atomic.Int64 // nanoseconds, ops-weighted
-	n    [chain.NumStages]atomic.Int64 // ops carrying stage data
+	sum  [chain.NumStages]int64 // nanoseconds, ops-weighted
+	n    [chain.NumStages]int64 // ops carrying stage data
 	hist [chain.NumStages]LatencyHist
 }
 
@@ -138,8 +133,8 @@ func (m *StageMetrics) Observe(s chain.Stage, d time.Duration, ops int) {
 	if d < 0 {
 		d = 0
 	}
-	m.sum[s].Add(int64(d) * int64(ops))
-	m.n[s].Add(int64(ops))
+	m.sum[s] += int64(d) * int64(ops)
+	m.n[s] += int64(ops)
 	m.hist[s].ObserveN(d, uint64(ops))
 }
 
@@ -149,8 +144,8 @@ func (m *StageMetrics) Merge(other *StageMetrics) {
 		return
 	}
 	for i := 0; i < chain.NumStages; i++ {
-		m.sum[i].Add(other.sum[i].Load())
-		m.n[i].Add(other.n[i].Load())
+		m.sum[i] += other.sum[i]
+		m.n[i] += other.n[i]
 		m.hist[i].Merge(&other.hist[i])
 	}
 }
@@ -158,7 +153,7 @@ func (m *StageMetrics) Merge(other *StageMetrics) {
 // Empty reports whether no stage observation has been recorded.
 func (m *StageMetrics) Empty() bool {
 	for i := 0; i < chain.NumStages; i++ {
-		if m.n[i].Load() > 0 {
+		if m.n[i] > 0 {
 			return false
 		}
 	}
@@ -170,13 +165,13 @@ func (m *StageMetrics) Empty() bool {
 func (m *StageMetrics) Summarize() []StageStat {
 	var out []StageStat
 	for i := 0; i < chain.NumStages; i++ {
-		n := m.n[i].Load()
+		n := m.n[i]
 		if n == 0 {
 			continue
 		}
 		out = append(out, StageStat{
 			Stage:   chain.Stage(i).String(),
-			MeanSec: (time.Duration(m.sum[i].Load()) / time.Duration(n)).Seconds(),
+			MeanSec: (time.Duration(m.sum[i]) / time.Duration(n)).Seconds(),
 			P50Sec:  m.hist[i].Quantile(0.50).Seconds(),
 			P95Sec:  m.hist[i].Quantile(0.95).Seconds(),
 			Ops:     int(n),

@@ -1,11 +1,13 @@
 package coconut
 
 import (
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 // TestStageMetricsSummarizeZero pins the zero-observation behaviour the
@@ -76,40 +78,37 @@ func TestStageMetricsMergeEmptySide(t *testing.T) {
 	}
 }
 
-// TestStageMetricsConcurrentMerge exercises the documented concurrency
-// contract (all fields atomic) under the race detector: goroutines
-// observing and merging into a shared root concurrently must neither race
-// nor lose ops.
+// TestStageMetricsConcurrentMerge: worker actors on one clock observe into
+// a shared root between their parks and merge their own accumulators into it
+// while the others are still observing; no op is lost.
 func TestStageMetricsConcurrentMerge(t *testing.T) {
 	const (
 		workers = 8
 		perW    = 200
 	)
+	clk := clocktest.New(t)
 	var root StageMetrics
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := &StageMetrics{}
-			for i := 0; i < perW; i++ {
-				s := chain.Stage(i % chain.NumStages)
-				local.Observe(s, time.Duration(1+i)*time.Microsecond, 1)
-				// Interleave direct observation with merges so Merge runs
-				// concurrently with Observe on the shared root.
-				root.Observe(s, time.Duration(1+w)*time.Microsecond, 1)
-			}
-			root.Merge(local)
-		}(w)
+	names := make([]string, workers)
+	for w := range names {
+		names[w] = fmt.Sprintf("worker-%d", w)
 	}
-	wg.Wait()
+	clock.Go(clk, names, func(w int) {
+		local := &StageMetrics{}
+		for i := 0; i < perW; i++ {
+			s := chain.Stage(i % chain.NumStages)
+			local.Observe(s, time.Duration(1+i)*time.Microsecond, 1)
+			root.Observe(s, time.Duration(1+w)*time.Microsecond, 1)
+			clk.Sleep(time.Duration(1+w) * time.Microsecond)
+		}
+		root.Merge(local)
+	})()
 
 	var ops int
 	for _, ss := range root.Summarize() {
 		ops += ss.Ops
 	}
 	if want := 2 * workers * perW; ops != want {
-		t.Fatalf("concurrent merge lost observations: got %d ops, want %d", ops, want)
+		t.Fatalf("interleaved merge lost observations: got %d ops, want %d", ops, want)
 	}
 }
 

@@ -2,33 +2,32 @@ package coconut
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
 // Timeline is the windowed measurement plane: sends and confirmations are
-// bucketed into fixed-width time windows as they happen (two atomic adds
-// per transaction), so a faulted run produces a throughput/latency timeline
+// bucketed into fixed-width time windows as they happen (two adds per
+// transaction), so a faulted run produces a throughput/latency timeline
 // and derived availability and recovery statistics instead of a single
 // aggregate number. One Timeline is shared by every client of a benchmark
 // phase.
 type Timeline struct {
 	start  time.Time
 	window time.Duration
-	sent   []atomic.Int64
-	recv   []atomic.Int64
-	valid  []atomic.Int64
-	latNs  []atomic.Int64
+	sent   []int64
+	recv   []int64
+	valid  []int64
+	latNs  []int64
 	// Past-horizon observations accumulate here instead of being clamped
 	// into the last window: folding them in would inflate the final
 	// bucket's throughput, which lets recoveryTime mistake a burst of
 	// ultra-late confirmations for a recovered system and distorts the
 	// availability span. The overflow is reported separately (Overflow)
 	// and excluded from availability/recovery.
-	overSent  atomic.Int64
-	overRecv  atomic.Int64
-	overValid atomic.Int64
-	overLatNs atomic.Int64
+	overSent  int64
+	overRecv  int64
+	overValid int64
+	overLatNs int64
 }
 
 // NewTimeline creates a timeline starting at start, covering horizon with
@@ -45,10 +44,10 @@ func NewTimeline(start time.Time, window, horizon time.Duration) *Timeline {
 	return &Timeline{
 		start:  start,
 		window: window,
-		sent:   make([]atomic.Int64, n),
-		recv:   make([]atomic.Int64, n),
-		valid:  make([]atomic.Int64, n),
-		latNs:  make([]atomic.Int64, n),
+		sent:   make([]int64, n),
+		recv:   make([]int64, n),
+		valid:  make([]int64, n),
+		latNs:  make([]int64, n),
 	}
 }
 
@@ -69,10 +68,10 @@ func (t *Timeline) idx(at time.Time) int {
 func (t *Timeline) RecordSend(at time.Time, ops int) {
 	i := t.idx(at)
 	if i < 0 {
-		t.overSent.Add(int64(ops))
+		t.overSent += int64(ops)
 		return
 	}
-	t.sent[i].Add(int64(ops))
+	t.sent[i] += int64(ops)
 }
 
 // RecordRecv streams one confirmation of ops payloads with its end-to-end
@@ -84,18 +83,18 @@ func (t *Timeline) RecordSend(at time.Time, ops int) {
 func (t *Timeline) RecordRecv(at time.Time, ops int, fls time.Duration, valid bool) {
 	i := t.idx(at)
 	if i < 0 {
-		t.overRecv.Add(int64(ops))
+		t.overRecv += int64(ops)
 		if valid {
-			t.overValid.Add(int64(ops))
+			t.overValid += int64(ops)
 		}
-		t.overLatNs.Add(int64(fls) * int64(ops))
+		t.overLatNs += int64(fls) * int64(ops)
 		return
 	}
-	t.recv[i].Add(int64(ops))
+	t.recv[i] += int64(ops)
 	if valid {
-		t.valid[i].Add(int64(ops))
+		t.valid[i] += int64(ops)
 	}
-	t.latNs[i].Add(int64(fls) * int64(ops))
+	t.latNs[i] += int64(fls) * int64(ops)
 }
 
 // Overflow reports the observations that landed past the timeline's horizon
@@ -103,15 +102,15 @@ func (t *Timeline) RecordRecv(at time.Time, ops int, fls time.Duration, valid bo
 // Snapshot and never feeds availability or recovery; callers that need the
 // total payload accounting add it explicitly.
 func (t *Timeline) Overflow() WindowStat {
-	recv := t.overRecv.Load()
+	recv := t.overRecv
 	ws := WindowStat{
 		Start:    time.Duration(len(t.sent)) * t.window,
-		Sent:     int(t.overSent.Load()),
+		Sent:     int(t.overSent),
 		Received: int(recv),
-		Valid:    int(t.overValid.Load()),
+		Valid:    int(t.overValid),
 	}
 	if recv > 0 {
-		ws.MeanFLS = (time.Duration(t.overLatNs.Load() / recv)).Seconds()
+		ws.MeanFLS = (time.Duration(t.overLatNs / recv)).Seconds()
 	}
 	return ws
 }
@@ -146,21 +145,21 @@ func (w WindowStat) AbortRate() float64 {
 func (t *Timeline) Snapshot() []WindowStat {
 	last := -1
 	for i := range t.sent {
-		if t.sent[i].Load() > 0 || t.recv[i].Load() > 0 {
+		if t.sent[i] > 0 || t.recv[i] > 0 {
 			last = i
 		}
 	}
 	out := make([]WindowStat, last+1)
 	for i := range out {
-		recv := t.recv[i].Load()
+		recv := t.recv[i]
 		ws := WindowStat{
 			Start:    time.Duration(i) * t.window,
-			Sent:     int(t.sent[i].Load()),
+			Sent:     int(t.sent[i]),
 			Received: int(recv),
-			Valid:    int(t.valid[i].Load()),
+			Valid:    int(t.valid[i]),
 		}
 		if recv > 0 {
-			ws.MeanFLS = (time.Duration(t.latNs[i].Load() / recv)).Seconds()
+			ws.MeanFLS = (time.Duration(t.latNs[i] / recv)).Seconds()
 		}
 		out[i] = ws
 	}

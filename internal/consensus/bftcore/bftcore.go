@@ -10,7 +10,6 @@ package bftcore
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -145,14 +144,15 @@ type kinds struct {
 	forward, prePrepare, prepare, commit, roundChange string
 }
 
-// Core is one validator's three-phase agreement engine.
+// Core is one validator's three-phase agreement engine. Only the actor
+// holding the clock's token touches it — its own loop, or a client calling
+// Submit — so it takes no lock.
 type Core struct {
 	cfg   Config
 	peers consensus.PeerIndex
 	self  int // this node's index in cfg.Peers
 	kind  kinds
 
-	mu          sync.Mutex
 	height      uint64 // next height to decide
 	inst        instance
 	pending     []pendingItem
@@ -160,8 +160,11 @@ type Core struct {
 	futureRound map[uint64][]network.Message  // same-height messages from rounds ahead of ours
 	roundAhead  map[uint64]*consensus.VoteSet // round -> peers seen ahead of us
 	decideQ     []consensus.Decision          // decided but not yet delivered
-	applyMu     sync.Mutex                    // serializes OnDecide delivery
-	running     bool
+	// delivering is set while flushDecisions runs OnDecide callbacks, so a
+	// decision reached while one of them is parked waits in decideQ for the
+	// loop in hand: decisions go out in height order, one at a time.
+	delivering bool
+	running    bool
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
@@ -200,15 +203,11 @@ func New(cfg Config) *Core {
 
 // Start joins the validator set and launches the core's loop.
 func (c *Core) Start() error {
-	c.mu.Lock()
 	if c.running {
-		c.mu.Unlock()
 		return nil
 	}
 	c.running = true
-	c.newInstanceLocked()
-	c.mu.Unlock()
-
+	c.newInstance()
 	c.cfg.Transport.Register(c.cfg.ID, func(m network.Message) {
 		c.events.Send(m, c.stop)
 	})
@@ -223,13 +222,10 @@ func (c *Core) Start() error {
 
 // Stop terminates the core and waits for its loop to exit.
 func (c *Core) Stop() {
-	c.mu.Lock()
 	if !c.running {
-		c.mu.Unlock()
 		return
 	}
 	c.running = false
-	c.mu.Unlock()
 	c.stop.Close()
 	c.join()
 	c.cfg.Transport.Unregister(c.cfg.ID)
@@ -241,15 +237,11 @@ func (c *Core) Stop() {
 // prompt ordering. The locally-queued copy is discarded once a matching
 // digest is decided.
 func (c *Core) Submit(payload any) error {
-	c.mu.Lock()
 	if !c.running {
-		c.mu.Unlock()
 		return consensus.ErrNotRunning
 	}
 	c.pending = append(c.pending, pendingItem{payload: payload, digest: c.cfg.Digest(payload)})
 	proposer := c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round)
-	c.mu.Unlock()
-
 	if proposer == c.cfg.ID {
 		c.tryPropose()
 		return nil
@@ -260,30 +252,20 @@ func (c *Core) Submit(payload any) error {
 }
 
 // Height returns the next undecided height.
-func (c *Core) Height() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.height
-}
+func (c *Core) Height() uint64 { return c.height }
 
 // PendingCount returns the local proposal backlog length.
-func (c *Core) PendingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
+func (c *Core) PendingCount() int { return len(c.pending) }
 
 // IsProposer reports whether this node proposes at the current (height,
 // round).
 func (c *Core) IsProposer() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID
 }
 
-// newInstanceLocked starts the next height's instance: at round 0 after a
+// newInstance starts the next height's instance: at round 0 after a
 // decision, at the current round otherwise.
-func (c *Core) newInstanceLocked() {
+func (c *Core) newInstance() {
 	round := c.inst.round
 	if c.inst.committed {
 		round = 0
@@ -294,10 +276,11 @@ func (c *Core) newInstanceLocked() {
 	clear(c.roundAhead)
 }
 
-// enterRoundLocked abandons the current round for round r: this node's
-// stranded proposal goes back to the head of the backlog, and the buffered
-// messages of round r are returned for replay. Callers hold c.mu.
-func (c *Core) enterRoundLocked(r uint64) []network.Message {
+// enterRound abandons the current round for round r: this node's stranded
+// proposal goes back to the head of the backlog, and the buffered messages
+// of round r are replayed, then this node proposes if it is round r's
+// proposer.
+func (c *Core) enterRound(r uint64) {
 	if c.inst.proposal != nil &&
 		c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) == c.cfg.ID {
 		item := pendingItem{payload: c.inst.proposal, digest: c.inst.digest}
@@ -315,7 +298,10 @@ func (c *Core) enterRoundLocked(r uint64) []network.Message {
 			delete(c.roundAhead, rr)
 		}
 	}
-	return replay
+	for _, bm := range replay {
+		c.handle(bm)
+	}
+	c.tryPropose()
 }
 
 func (c *Core) handle(m network.Message) {
@@ -323,10 +309,8 @@ func (c *Core) handle(m network.Message) {
 	// replayed after the height advances. Without this, a fast proposer's
 	// next pre-prepare races a slow validator's previous decision.
 	if h, ok := msgHeight(m.Payload); ok {
-		c.mu.Lock()
 		if h > c.height {
 			c.future[h] = append(c.future[h], m)
-			c.mu.Unlock()
 			return
 		}
 		// Round catch-up: a node left behind in an old round would drop
@@ -338,24 +322,14 @@ func (c *Core) handle(m network.Message) {
 			set := consensus.VoteSetAt(c.roundAhead, r, len(c.cfg.Peers))
 			set.Add(c.peers.Of(m.From))
 			if set.Count() >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
-				replay := c.enterRoundLocked(r)
-				c.mu.Unlock()
-				for _, bm := range replay {
-					c.handle(bm)
-				}
-				c.tryPropose()
-				return
+				c.enterRound(r)
 			}
-			c.mu.Unlock()
 			return
 		}
-		c.mu.Unlock()
 	}
 	switch p := m.Payload.(type) {
 	case forwardMsg:
-		c.mu.Lock()
 		c.pending = append(c.pending, pendingItem{payload: p.Payload, digest: c.cfg.Digest(p.Payload)})
-		c.mu.Unlock()
 		c.tryPropose()
 	case prePrepareMsg:
 		c.onPrePrepare(p)
@@ -400,7 +374,6 @@ func msgHeight(payload any) (uint64, bool) {
 
 // replayFuture re-handles buffered messages for the current height.
 func (c *Core) replayFuture() {
-	c.mu.Lock()
 	msgs := c.future[c.height]
 	delete(c.future, c.height)
 	// Garbage-collect anything below the current height.
@@ -409,7 +382,6 @@ func (c *Core) replayFuture() {
 			delete(c.future, h)
 		}
 	}
-	c.mu.Unlock()
 	for _, m := range msgs {
 		c.handle(m)
 	}
@@ -418,201 +390,147 @@ func (c *Core) replayFuture() {
 // tryPropose broadcasts a pre-prepare if this node is the proposer at the
 // current height/round, has a pending payload, and has not yet proposed.
 func (c *Core) tryPropose() {
-	c.mu.Lock()
 	if !c.running || c.inst.proposal != nil || len(c.pending) == 0 {
-		c.mu.Unlock()
 		return
 	}
 	if c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round) != c.cfg.ID {
-		c.mu.Unlock()
 		return
 	}
 	item := c.pending[0]
 	c.pending = c.pending[1:]
-	payload, digest := item.payload, item.digest
-	c.inst.proposal = payload
-	c.inst.digest = digest
+	c.inst.proposal = item.payload
+	c.inst.digest = item.digest
 	c.inst.prepares.Add(c.self)
-	msg := prePrepareMsg{Height: c.height, Round: c.inst.round, Digest: digest, Payload: payload}
-	prep := prepareMsg{Height: c.height, Round: c.inst.round, Digest: digest}
-	c.mu.Unlock()
-
-	c.broadcast(c.kind.prePrepare, msg)
-	c.broadcast(c.kind.prepare, prep)
+	c.broadcast(c.kind.prePrepare, prePrepareMsg{Height: c.height, Round: c.inst.round, Digest: item.digest, Payload: item.payload})
+	c.broadcast(c.kind.prepare, prepareMsg{Height: c.height, Round: c.inst.round, Digest: item.digest})
 	c.advance()
 }
 
 func (c *Core) onPrePrepare(p prePrepareMsg) {
-	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round || c.inst.proposal != nil {
-		c.mu.Unlock()
 		return
 	}
 	c.inst.proposal = p.Payload
 	c.inst.digest = p.Digest
 	c.inst.prepares.Add(c.self)
-	prep := prepareMsg{Height: c.height, Round: c.inst.round, Digest: p.Digest}
-	c.mu.Unlock()
-
-	c.broadcast(c.kind.prepare, prep)
+	c.broadcast(c.kind.prepare, prepareMsg{Height: c.height, Round: c.inst.round, Digest: p.Digest})
 	c.advance()
 }
 
 func (c *Core) onPrepare(from string, p prepareMsg) {
-	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round {
-		c.mu.Unlock()
 		return
 	}
 	c.inst.prepares.Add(c.peers.Of(from))
-	c.mu.Unlock()
 	c.advance()
 }
 
 func (c *Core) onCommit(from string, p commitMsg) {
-	c.mu.Lock()
 	if p.Height != c.height || p.Round != c.inst.round {
-		c.mu.Unlock()
 		return
 	}
 	c.inst.commits.Add(c.peers.Of(from))
-	c.mu.Unlock()
 	c.advance()
 }
 
 // advance drives the prepared → committed → decided transitions.
 func (c *Core) advance() {
 	quorum := consensus.QuorumSize(len(c.cfg.Peers))
-
-	c.mu.Lock()
 	if c.inst.proposal != nil && !c.inst.prepared && c.inst.prepares.Count() >= quorum {
 		c.inst.prepared = true
 		c.inst.commits.Add(c.self)
-		msg := commitMsg{Height: c.height, Round: c.inst.round, Digest: c.inst.digest}
-		c.mu.Unlock()
-		c.broadcast(c.kind.commit, msg)
-		c.mu.Lock()
+		c.broadcast(c.kind.commit, commitMsg{Height: c.height, Round: c.inst.round, Digest: c.inst.digest})
 	}
-	if c.inst.proposal != nil && c.inst.prepared && !c.inst.committed && c.inst.commits.Count() >= quorum {
-		c.inst.committed = true
-		// Drop local copies of the decided payload from the backlog.
-		kept := c.pending[:0]
-		for _, it := range c.pending {
-			if it.digest != c.inst.digest {
-				kept = append(kept, it)
-			}
-		}
-		c.pending = kept
-		decision := consensus.Decision{
-			Seq:       c.height,
-			Payload:   c.inst.proposal,
-			Proposer:  c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round),
-			DecidedAt: c.cfg.Clock.Now(),
-		}
-		c.decideQ = append(c.decideQ, decision)
-		c.height++
-		c.newInstanceLocked()
-		c.mu.Unlock()
-		c.flushDecisions()
-		c.replayFuture()
-		c.tryPropose()
+	if c.inst.proposal == nil || !c.inst.prepared || c.inst.committed || c.inst.commits.Count() < quorum {
 		return
 	}
-	c.mu.Unlock()
-}
-
-// flushDecisions delivers queued decisions to OnDecide in height order,
-// serialized across goroutines.
-func (c *Core) flushDecisions() {
-	c.applyMu.Lock()
-	defer c.applyMu.Unlock()
-	for {
-		c.mu.Lock()
-		if len(c.decideQ) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		d := c.decideQ[0]
-		c.decideQ = c.decideQ[1:]
-		cb := c.cfg.OnDecide
-		c.mu.Unlock()
-		if cb != nil {
-			cb(d)
+	c.inst.committed = true
+	// Drop local copies of the decided payload from the backlog.
+	kept := c.pending[:0]
+	for _, it := range c.pending {
+		if it.digest != c.inst.digest {
+			kept = append(kept, it)
 		}
 	}
+	c.pending = kept
+	c.decideQ = append(c.decideQ, consensus.Decision{
+		Seq:       c.height,
+		Payload:   c.inst.proposal,
+		Proposer:  c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round),
+		DecidedAt: c.cfg.Clock.Now(),
+	})
+	c.height++
+	c.newInstance()
+	c.flushDecisions()
+	c.replayFuture()
+	c.tryPropose()
+}
+
+// flushDecisions delivers queued decisions to OnDecide in height order, one
+// at a time. OnDecide may park (a commit gate's durability wait) and let
+// another actor decide meanwhile; its call returns at once, and this loop
+// delivers that decision after the one in hand. The drained queue keeps its
+// capacity for the next decision.
+func (c *Core) flushDecisions() {
+	if c.delivering {
+		return
+	}
+	c.delivering = true
+	for i := 0; i < len(c.decideQ); i++ {
+		if cb := c.cfg.OnDecide; cb != nil {
+			cb(c.decideQ[i])
+		}
+	}
+	clear(c.decideQ)
+	c.decideQ = c.decideQ[:0]
+	c.delivering = false
 }
 
 // checkRoundTimeout fires a round change when the current height has been
 // stuck longer than RoundTimeout.
 func (c *Core) checkRoundTimeout() {
-	c.mu.Lock()
 	if c.inst.committed || c.cfg.Clock.Since(c.inst.startedAt) < c.cfg.RoundTimeout {
-		c.mu.Unlock()
 		return
 	}
 	// Only escalate when there is something to decide.
 	if c.inst.proposal == nil && len(c.pending) == 0 {
 		c.inst.startedAt = c.cfg.Clock.Now()
-		c.mu.Unlock()
 		return
 	}
 	// Re-forward the stranded payload to the current proposer: a payload
 	// queued only on this node makes no progress otherwise, because a
 	// single node's round-change request can never reach quorum while the
 	// other validators see nothing wrong.
-	var refwd *forwardMsg
-	proposer := c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round)
-	if len(c.pending) > 0 && proposer != c.cfg.ID {
-		refwd = &forwardMsg{Payload: c.pending[0].payload}
+	if proposer := c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round); len(c.pending) > 0 && proposer != c.cfg.ID {
+		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, forwardMsg{Payload: c.pending[0].payload})
 	}
-	newRound := c.inst.round + 1
 	c.inst.roundChange.Add(c.self)
-	msg := roundChangeMsg{Height: c.height, NewRound: newRound}
-	c.mu.Unlock()
-	if refwd != nil {
-		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, *refwd)
-	}
-	c.broadcast(c.kind.roundChange, msg)
+	c.broadcast(c.kind.roundChange, roundChangeMsg{Height: c.height, NewRound: c.inst.round + 1})
 	c.maybeChangeRound()
 }
 
 func (c *Core) onRoundChange(from string, p roundChangeMsg) {
-	c.mu.Lock()
 	if p.Height != c.height || p.NewRound <= c.inst.round {
-		c.mu.Unlock()
 		return
 	}
 	c.inst.roundChange.Add(c.peers.Of(from))
 	// Join rule: once f+1 peers ask for a round change, a correct node
 	// joins even if it saw no local stall — otherwise a single stalled
 	// node can never assemble a quorum.
-	var join *roundChangeMsg
 	if !c.inst.roundChange.Has(c.self) &&
 		c.inst.roundChange.Count() >= consensus.FaultTolerance(len(c.cfg.Peers))+1 {
 		c.inst.roundChange.Add(c.self)
-		join = &roundChangeMsg{Height: c.height, NewRound: p.NewRound}
-	}
-	c.mu.Unlock()
-	if join != nil {
-		c.broadcast(c.kind.roundChange, *join)
+		c.broadcast(c.kind.roundChange, roundChangeMsg{Height: c.height, NewRound: p.NewRound})
 	}
 	c.maybeChangeRound()
 }
 
 func (c *Core) maybeChangeRound() {
-	quorum := consensus.QuorumSize(len(c.cfg.Peers))
-	c.mu.Lock()
-	if c.inst.roundChange.Count() < quorum {
-		c.mu.Unlock()
+	if c.inst.roundChange.Count() < consensus.QuorumSize(len(c.cfg.Peers)) {
 		return
 	}
 	// Move to the smallest round a quorum agrees to reach.
-	replay := c.enterRoundLocked(c.inst.round + 1)
-	c.mu.Unlock()
-	for _, bm := range replay {
-		c.handle(bm)
-	}
-	c.tryPropose()
+	c.enterRound(c.inst.round + 1)
 }
 
 func (c *Core) broadcast(kind string, payload any) {

@@ -350,3 +350,40 @@ func BenchmarkBFTCoreDecideN32(b *testing.B) {
 	}
 	tr.Stop()
 }
+
+// TestOnDecideParksWhileTheNextDecides: a decision callback that parks (a
+// commit gate's durability wait) lets another actor drive the next height to
+// a decision; that decision is delivered once, after the parked one returns,
+// never beside it. A lone validator decides inside Submit, so each of two
+// client actors decides one height.
+func TestOnDecideParksWhileTheNextDecides(t *testing.T) {
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	var got []uint64
+	inFlight := 0
+	core := New(Config{Clock: clk, ID: "solo", Peers: []string{"solo"}, Transport: tr,
+		OnDecide: func(d consensus.Decision) {
+			if inFlight++; inFlight > 1 {
+				t.Errorf("height %d delivered while another decision is in flight", d.Seq)
+			}
+			if d.Seq == 1 {
+				clk.Sleep(10 * time.Millisecond)
+			}
+			got = append(got, d.Seq)
+			inFlight--
+		}})
+	if err := core.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer core.Stop()
+	clock.Go(clk, []string{"client-a", "client-b"}, func(i int) {
+		clk.Sleep(time.Duration(i) * time.Millisecond) // b submits while a's decision is parked
+		if err := core.Submit(fmt.Sprintf("tx-%d", i)); err != nil {
+			t.Error(err)
+		}
+	})()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("delivered heights %v, want [1 2]", got)
+	}
+}

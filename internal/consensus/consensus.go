@@ -25,7 +25,9 @@ type Decision struct {
 }
 
 // DecideFunc is invoked on each node, in sequence order, once a slot is
-// decided. Callbacks run on engine goroutines and must return promptly.
+// decided. Callbacks run on engine actors and may park (a commit gate's
+// durability wait); an engine delivers its next decision only after the
+// callback returns.
 type DecideFunc func(Decision)
 
 // Engine lifecycle errors.

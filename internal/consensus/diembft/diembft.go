@@ -13,7 +13,6 @@ package diembft
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -91,12 +90,12 @@ type (
 	}
 )
 
-// Engine is one DiemBFT validator.
+// Engine is one DiemBFT validator. Only the actor holding the clock's
+// token touches it, so it takes no lock.
 type Engine struct {
 	cfg        Config
 	validators consensus.PeerIndex
 
-	mu        sync.Mutex
 	round     uint64
 	highQC    qc
 	blocks    map[crypto.Hash]*blockNode
@@ -135,14 +134,10 @@ func New(cfg Config) *Engine {
 
 // Start joins the validator set and launches the validator's loop.
 func (e *Engine) Start() error {
-	e.mu.Lock()
 	if e.running {
-		e.mu.Unlock()
 		return nil
 	}
 	e.running = true
-	e.mu.Unlock()
-
 	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
 		e.events.Send(m, e.stop)
 	})
@@ -152,24 +147,17 @@ func (e *Engine) Start() error {
 
 // Stop terminates the validator and waits for its loop to exit.
 func (e *Engine) Stop() {
-	e.mu.Lock()
 	if !e.running {
-		e.mu.Unlock()
 		return
 	}
 	e.running = false
-	e.mu.Unlock()
 	e.stop.Close()
 	e.join()
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
 // Round returns the validator's current round.
-func (e *Engine) Round() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.round
-}
+func (e *Engine) Round() uint64 { return e.round }
 
 func (e *Engine) leaderOf(round uint64) string {
 	return e.cfg.Validators[round%uint64(len(e.cfg.Validators))]
@@ -214,16 +202,10 @@ func (e *Engine) run() {
 // tryPropose makes the round leader propose one block per round: the
 // PayloadSource's payload, or an empty block to keep the chain advancing.
 func (e *Engine) tryPropose() {
-	e.mu.Lock()
-	if !e.running || e.leaderOf(e.round) != e.cfg.ID {
-		e.mu.Unlock()
-		return
-	}
 	// One proposal per round. Rounds only rise, and only this function
 	// builds a block this node proposed, so the round of the last one says
 	// whether this round already has it.
-	if e.proposed == e.round {
-		e.mu.Unlock()
+	if !e.running || e.leaderOf(e.round) != e.cfg.ID || e.proposed == e.round {
 		return
 	}
 	e.proposed = e.round
@@ -241,7 +223,6 @@ func (e *Engine) tryPropose() {
 	}
 	e.blocks[blk.ID] = blk
 	var msg any = proposalMsg{Block: blk, JustifyQC: parent} // boxed once for every validator
-	e.mu.Unlock()
 
 	for _, v := range e.cfg.Validators {
 		if v == e.cfg.ID {
@@ -262,7 +243,7 @@ func (e *Engine) handle(m network.Message) bool {
 	case voteMsg:
 		return e.onVote(m.From, p)
 	case qcMsg:
-		return e.onQC(p.QC)
+		return e.updateQC(p.QC)
 	case timeoutMsg:
 		e.onTimeout(m.From, p)
 		return false
@@ -272,18 +253,11 @@ func (e *Engine) handle(m network.Message) bool {
 }
 
 func (e *Engine) onProposal(p proposalMsg) bool {
-	e.mu.Lock()
 	if !e.running {
-		e.mu.Unlock()
 		return false
 	}
-	e.updateQCLocked(p.JustifyQC)
-	if p.Block.Round < e.round || e.voted[p.Block.Round] {
-		e.mu.Unlock()
-		return false
-	}
-	if e.leaderOf(p.Block.Round) != p.Block.Proposer {
-		e.mu.Unlock()
+	e.updateQC(p.JustifyQC)
+	if p.Block.Round < e.round || e.voted[p.Block.Round] || e.leaderOf(p.Block.Round) != p.Block.Proposer {
 		return false
 	}
 	b := p.Block
@@ -294,7 +268,6 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	}
 	nextLeader := e.leaderOf(b.Round + 1)
 	vote := voteMsg{BlockID: b.ID, Round: b.Round, Voter: e.cfg.ID}
-	e.mu.Unlock()
 
 	var msg any = vote // boxed once for both leaders
 	if nextLeader == e.cfg.ID {
@@ -316,21 +289,16 @@ func (e *Engine) onVote(from string, v voteMsg) bool {
 	if v.Voter != from || voter < 0 {
 		return false
 	}
-	e.mu.Lock()
 	if !e.running {
-		e.mu.Unlock()
 		return false
 	}
 	set := consensus.VoteSetAt(e.votes, v.BlockID, len(e.cfg.Validators))
 	set.Add(voter)
 	if set.Count() < consensus.QuorumSize(len(e.cfg.Validators)) {
-		e.mu.Unlock()
 		return true
 	}
 	newQC := qc{BlockID: v.BlockID, Round: v.Round}
-	changed := e.updateQCLocked(newQC)
-	e.mu.Unlock()
-	if changed {
+	if e.updateQC(newQC) {
 		// Share the certificate so every validator observes the commit.
 		var msg any = qcMsg{QC: newQC} // boxed once for every validator
 		for _, val := range e.cfg.Validators {
@@ -343,17 +311,9 @@ func (e *Engine) onVote(from string, v voteMsg) bool {
 	return true
 }
 
-func (e *Engine) onQC(c qc) bool {
-	e.mu.Lock()
-	changed := e.updateQCLocked(c)
-	e.mu.Unlock()
-	return changed
-}
-
-// updateQCLocked adopts a higher QC, advances the round past it, and applies
-// the two-chain commit rule. Callers hold e.mu. Returns whether state
-// changed.
-func (e *Engine) updateQCLocked(c qc) bool {
+// updateQC adopts a higher QC, advances the round past it, and applies the
+// two-chain commit rule. Returns whether state changed.
+func (e *Engine) updateQC(c qc) bool {
 	if c.Round < e.highQC.Round {
 		return false
 	}
@@ -373,14 +333,14 @@ func (e *Engine) updateQCLocked(c qc) bool {
 		return changed
 	}
 	if b.Round == parent.Round+1 {
-		e.commitChainLocked(parent)
+		e.commitChain(parent)
 	}
 	return changed
 }
 
-// commitChainLocked commits the given block and its uncommitted ancestors,
-// oldest first. Callers hold e.mu.
-func (e *Engine) commitChainLocked(b *blockNode) {
+// commitChain commits the given block and its uncommitted ancestors, oldest
+// first.
+func (e *Engine) commitChain(b *blockNode) {
 	if e.committed[b.ID] {
 		return
 	}
@@ -400,27 +360,20 @@ func (e *Engine) commitChainLocked(b *blockNode) {
 			continue // empty pacemaker blocks carry nothing to deliver
 		}
 		e.seq++
-		d := consensus.Decision{
-			Seq:       e.seq,
-			Payload:   blk.Payload,
-			Proposer:  blk.Proposer,
-			DecidedAt: e.cfg.Clock.Now(),
-		}
 		if cb := e.cfg.OnDecide; cb != nil {
-			// Release the lock around the callback to avoid re-entrancy
-			// deadlocks.
-			e.mu.Unlock()
-			cb(d)
-			e.mu.Lock()
+			cb(consensus.Decision{
+				Seq:       e.seq,
+				Payload:   blk.Payload,
+				Proposer:  blk.Proposer,
+				DecidedAt: e.cfg.Clock.Now(),
+			})
 		}
 	}
 }
 
 func (e *Engine) fireTimeout() {
-	e.mu.Lock()
 	round := e.round
 	consensus.VoteSetAt(e.timeouts, round, len(e.cfg.Validators)).Add(e.validators.Of(e.cfg.ID))
-	e.mu.Unlock()
 	var msg any = timeoutMsg{Round: round} // boxed once for every validator
 	for _, v := range e.cfg.Validators {
 		if v == e.cfg.ID {
@@ -432,15 +385,11 @@ func (e *Engine) fireTimeout() {
 }
 
 func (e *Engine) onTimeout(from string, t timeoutMsg) {
-	e.mu.Lock()
 	consensus.VoteSetAt(e.timeouts, t.Round, len(e.cfg.Validators)).Add(e.validators.Of(from))
-	e.mu.Unlock()
 	e.maybeAdvanceOnTimeout(t.Round)
 }
 
 func (e *Engine) maybeAdvanceOnTimeout(round uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if round != e.round {
 		return
 	}

@@ -203,11 +203,7 @@ func TestPacemakerTimesOutAfterTimeoutRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	timedOut := func() bool {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.timeouts[1] != nil
-	}
+	timedOut := func() bool { return e.timeouts[1] != nil }
 	clk.Sleep(timeoutRounds*interval + interval/2)
 	if timedOut() {
 		t.Fatalf("round 1 timed out within %d round intervals", timeoutRounds)

@@ -11,7 +11,6 @@ package dpos
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -70,22 +69,19 @@ func (c *Config) fill() {
 	}
 }
 
-// Wire messages.
-type (
-	gossipMsg struct {
-		Digest  crypto.Hash
-		Payload any
-	}
-	blockMsg struct {
-		Block ProducedBlock
-	}
-)
+// gossipMsg is the wire message that spreads a submitted payload. A block
+// travels as its ProducedBlock, boxed once by the witness that produced it:
+// every replica hands that same value to OnDecide.
+type gossipMsg struct {
+	Digest  crypto.Hash
+	Payload any
+}
 
-// Engine is one DPoS witness.
+// Engine is one DPoS witness. Only the actor holding the clock's token
+// touches it, so it takes no lock.
 type Engine struct {
 	cfg Config
 
-	mu       sync.Mutex
 	slot     uint64 // next slot this node will consider
 	seq      uint64
 	nonce    uint64
@@ -146,7 +142,6 @@ type schedule struct {
 	n    int
 	seed int64
 
-	mu      sync.Mutex
 	order   []int // shuffled witness indices of round; empty until first use
 	round   uint64
 	shuffle *rand.Rand // reseeded per round: a fresh source is 5 KB
@@ -158,8 +153,6 @@ func newSchedule(witnesses int, seed int64) *schedule {
 
 // witness returns the index of the witness scheduled for slot.
 func (s *schedule) witness(slot uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := uint64(s.n)
 	round := slot / n
 	if len(s.order) == 0 || round != s.round {
@@ -176,14 +169,10 @@ func (s *schedule) witness(slot uint64) int {
 
 // Start joins the witness schedule and launches the witness's loop.
 func (e *Engine) Start() error {
-	e.mu.Lock()
 	if e.running {
-		e.mu.Unlock()
 		return nil
 	}
 	e.running = true
-	e.mu.Unlock()
-
 	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
 		e.events.Send(m, e.stop)
 	})
@@ -195,13 +184,10 @@ func (e *Engine) Start() error {
 
 // Stop terminates the witness and waits for its loop to exit.
 func (e *Engine) Stop() {
-	e.mu.Lock()
 	if !e.running {
-		e.mu.Unlock()
 		return
 	}
 	e.running = false
-	e.mu.Unlock()
 	e.stop.Close()
 	e.join()
 	e.cfg.Transport.Unregister(e.cfg.ID)
@@ -211,16 +197,13 @@ func (e *Engine) Stop() {
 // gossiped to every witness and included by whichever produces the next
 // block.
 func (e *Engine) Submit(payload any) error {
-	e.mu.Lock()
 	if !e.running {
-		e.mu.Unlock()
 		return consensus.ErrNotRunning
 	}
 	e.nonce++
 	g := gossipMsg{Digest: crypto.TxID(e.cfg.ID, e.nonce, nil), Payload: payload}
 	e.seen.Admit(g.Digest, e.node)
 	e.pending = append(e.pending, g)
-	e.mu.Unlock()
 
 	var msg any = g // boxed once for every witness
 	for _, w := range e.cfg.Witnesses {
@@ -233,18 +216,10 @@ func (e *Engine) Submit(payload any) error {
 }
 
 // Produced reports how many blocks this witness has produced.
-func (e *Engine) Produced() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.produced
-}
+func (e *Engine) Produced() uint64 { return e.produced }
 
 // PendingCount returns the local gossip backlog.
-func (e *Engine) PendingCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
-}
+func (e *Engine) PendingCount() int { return len(e.pending) }
 
 // witnessForSlot returns the scheduled witness. The order is shuffled every
 // round (a round = one pass over all witnesses) per Graphene's
@@ -256,26 +231,22 @@ func (e *Engine) witnessForSlot(slot uint64) string {
 func (e *Engine) handle(m network.Message) {
 	switch p := m.Payload.(type) {
 	case gossipMsg:
-		e.mu.Lock()
 		if e.seen.Admit(p.Digest, e.node) {
 			e.pending = append(e.pending, p)
 		}
-		e.mu.Unlock()
-	case blockMsg:
-		e.acceptBlock(p.Block)
+	case ProducedBlock:
+		e.acceptBlock(p, m.Payload)
 	}
 }
 
 // maybeProduce creates and broadcasts a block when this witness owns the
 // current slot.
 func (e *Engine) maybeProduce() {
-	e.mu.Lock()
 	slot := e.slot
 	if e.witnessForSlot(slot) != e.cfg.ID {
 		// Not our slot. Slot consumption happens on block receipt; if the
 		// scheduled witness is dead the slot is skipped after one interval.
 		e.slot++
-		e.mu.Unlock()
 		return
 	}
 	n := len(e.pending)
@@ -290,7 +261,7 @@ func (e *Engine) maybeProduce() {
 	if e.cfg.PackFilter != nil {
 		items, _ = e.cfg.PackFilter(items)
 	}
-	blk := ProducedBlock{Slot: slot, Witness: e.cfg.ID, Items: items}
+	var blk any = ProducedBlock{Slot: slot, Witness: e.cfg.ID, Items: items} // boxed once for every replica
 	e.slot++
 	e.produced++
 	e.seq++
@@ -300,30 +271,26 @@ func (e *Engine) maybeProduce() {
 		Proposer:  e.cfg.ID,
 		DecidedAt: e.cfg.Clock.Now(),
 	}
-	cb := e.cfg.OnDecide
-	e.mu.Unlock()
-
-	var msg any = blockMsg{Block: blk} // boxed once for every recipient
 	for _, w := range e.cfg.Witnesses {
 		if w == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.block", msg)
+		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.block", blk)
 	}
 	for _, o := range e.cfg.Observers {
 		if o == e.cfg.ID {
 			continue
 		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", msg)
+		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", blk)
 	}
-	if cb != nil {
+	if cb := e.cfg.OnDecide; cb != nil {
 		cb(d)
 	}
 }
 
 // dropIncluded removes a block's items from the local backlog. Items travel
 // as the gossiped payload values, so equality of the payload identifies
-// them. Callers hold e.mu.
+// them.
 func (e *Engine) dropIncluded(items []any) {
 	if len(items) == 0 {
 		return
@@ -342,11 +309,10 @@ func (e *Engine) dropIncluded(items []any) {
 	clear(e.included)
 }
 
-// acceptBlock applies a block produced by another witness.
-func (e *Engine) acceptBlock(blk ProducedBlock) {
-	e.mu.Lock()
+// acceptBlock applies a block produced by another witness; boxed is blk
+// as its witness boxed it, the decision's payload.
+func (e *Engine) acceptBlock(blk ProducedBlock, boxed any) {
 	if !e.running {
-		e.mu.Unlock()
 		return
 	}
 	e.dropIncluded(blk.Items)
@@ -354,15 +320,12 @@ func (e *Engine) acceptBlock(blk ProducedBlock) {
 		e.slot = blk.Slot + 1
 	}
 	e.seq++
-	d := consensus.Decision{
-		Seq:       e.seq,
-		Payload:   blk,
-		Proposer:  blk.Witness,
-		DecidedAt: e.cfg.Clock.Now(),
-	}
-	cb := e.cfg.OnDecide
-	e.mu.Unlock()
-	if cb != nil {
-		cb(d)
+	if cb := e.cfg.OnDecide; cb != nil {
+		cb(consensus.Decision{
+			Seq:       e.seq,
+			Payload:   boxed,
+			Proposer:  blk.Witness,
+			DecidedAt: e.cfg.Clock.Now(),
+		})
 	}
 }

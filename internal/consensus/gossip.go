@@ -1,10 +1,6 @@
 package consensus
 
-import (
-	"sync"
-
-	"github.com/coconut-bench/coconut/internal/crypto"
-)
+import "github.com/coconut-bench/coconut/internal/crypto"
 
 // GossipIndex records, for one network, which nodes have admitted each
 // gossiped message: the de-duplication every node of a gossip protocol
@@ -13,10 +9,9 @@ import (
 //
 // Nodes 0–63 share one inline word per message, so an entry of a network of
 // up to 64 nodes costs nothing beyond map growth; nodes from 64 up spill to
-// a second map that smaller networks never touch. The index has its own
-// lock.
+// a second map that smaller networks never touch. Only the actor holding
+// the clock's token touches the index, so it takes no lock.
 type GossipIndex struct {
-	mu    sync.Mutex
 	low   map[crypto.Hash]uint64   // bit i: node i < 64 admitted the message
 	spill map[crypto.Hash][]uint64 // word w, bit i: node 64(w+1)+i admitted it
 }
@@ -29,8 +24,6 @@ func NewGossipIndex() *GossipIndex {
 // Admit records that node admitted id and reports whether this is the
 // first time it did. node must not be negative.
 func (g *GossipIndex) Admit(id crypto.Hash, node int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if node < 64 {
 		bits, bit := g.low[id], uint64(1)<<node
 		if bits&bit != 0 {
@@ -57,8 +50,6 @@ func (g *GossipIndex) Admit(id crypto.Hash, node int) bool {
 
 // Has reports whether node has admitted id.
 func (g *GossipIndex) Has(id crypto.Hash, node int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if node < 64 {
 		return g.low[id]&(uint64(1)<<node) != 0
 	}

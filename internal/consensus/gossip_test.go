@@ -2,10 +2,11 @@ package consensus
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
@@ -38,29 +39,29 @@ func TestGossipIndexAdmitsEachNodeOnce(t *testing.T) {
 	}
 }
 
-// TestGossipIndexConcurrentAdmits: nodes on separate goroutines share one
-// index, as on the wall clock; two goroutines race for each node, spilled
-// ones included, and each node still admits each ID exactly once.
+// TestGossipIndexConcurrentAdmits: node actors on one clock share one
+// index, interleaved wherever they park; two actors race for each node,
+// spilled ones included, and each node still admits each ID exactly once.
 func TestGossipIndexConcurrentAdmits(t *testing.T) {
 	const ids = 200
 	nodes := []int{0, 1, 63, 64, 70}
+	clk := clocktest.New(t)
 	g := NewGossipIndex()
-	admitted := make([]atomic.Int64, len(nodes))
-	var wg sync.WaitGroup
-	for i := range 2 * len(nodes) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ids {
-				if g.Admit(crypto.SumString(fmt.Sprint(id)), nodes[i%len(nodes)]) {
-					admitted[i%len(nodes)].Add(1)
-				}
-			}
-		}()
+	admitted := make([]int, len(nodes))
+	names := make([]string, 2*len(nodes))
+	for i := range names {
+		names[i] = fmt.Sprintf("admitter-%d", i)
 	}
-	wg.Wait()
+	clock.Go(clk, names, func(i int) {
+		for id := range ids {
+			if g.Admit(crypto.SumString(fmt.Sprint(id)), nodes[i%len(nodes)]) {
+				admitted[i%len(nodes)]++
+			}
+			clk.Sleep(time.Duration(1+i) * time.Microsecond)
+		}
+	})()
 	for i, node := range nodes {
-		if got := admitted[i].Load(); got != ids {
+		if got := admitted[i]; got != ids {
 			t.Errorf("node %d admitted %d of %d IDs", node, got, ids)
 		}
 	}

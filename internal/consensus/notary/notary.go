@@ -12,8 +12,6 @@
 package notary
 
 import (
-	"sync"
-
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/crypto"
@@ -24,7 +22,6 @@ type Service struct {
 	// Name identifies the notary.
 	Name string
 
-	mu       sync.Mutex
 	consumed map[chain.StateRef]crypto.Hash
 }
 
@@ -36,12 +33,10 @@ func NewService(name string) *Service {
 	}
 }
 
-// Notarise atomically checks and consumes the given input states on behalf
+// Notarise checks and consumes the given input states on behalf
 // of txID. On conflict it returns a *chain.DoubleSpendError naming the
 // earlier transaction and consumes nothing.
 func (s *Service) Notarise(txID crypto.Hash, inputs []chain.StateRef) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, in := range inputs {
 		if by, ok := s.consumed[in]; ok {
 			return &chain.DoubleSpendError{Ref: in, ConsumedBy: by}
@@ -55,15 +50,11 @@ func (s *Service) Notarise(txID crypto.Hash, inputs []chain.StateRef) error {
 
 // ConsumedCount reports how many states the notary has recorded as spent.
 func (s *Service) ConsumedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.consumed)
 }
 
 // WasConsumed reports whether a state ref is recorded as spent and by whom.
 func (s *Service) WasConsumed(ref chain.StateRef) (crypto.Hash, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	by, ok := s.consumed[ref]
 	return by, ok
 }

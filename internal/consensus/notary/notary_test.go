@@ -2,11 +2,12 @@ package notary
 
 import (
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -70,28 +71,37 @@ func TestNotariseEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestNotariseConcurrentOnlyOneWins: flow actors on one clock race to
+// notarise the same input, each in its own turn; the first to arrive
+// consumes it, and every later one is told which transaction did.
 func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
-	s := NewService("n")
 	const contenders = 16
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	wins := 0
-	for i := 0; i < contenders; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			txID := crypto.TxID("racer", uint64(i), nil)
-			if err := s.Notarise(txID, []chain.StateRef{ref("contested", 0)}); err == nil {
-				mu.Lock()
-				wins++
-				mu.Unlock()
-			}
-		}()
+	clk := clocktest.New(t)
+	s := NewService("n")
+	txIDs := make([]crypto.Hash, contenders)
+	names := make([]string, contenders)
+	for i := range txIDs {
+		txIDs[i] = crypto.TxID("racer", uint64(i), nil)
+		names[i] = fmt.Sprintf("flow-%d", i)
 	}
-	wg.Wait()
+	winner := txIDs[contenders-1] // sleeps least, so arrives first
+	wins := 0
+	clock.Go(clk, names, func(i int) {
+		clk.Sleep(time.Duration(contenders-i) * time.Microsecond)
+		err := s.Notarise(txIDs[i], []chain.StateRef{ref("contested", 0)})
+		var ds *chain.DoubleSpendError
+		switch {
+		case err == nil:
+			wins++
+		case !errors.As(err, &ds) || ds.ConsumedBy != winner:
+			t.Errorf("racer %d: err = %v, want a double spend naming the first racer", i, err)
+		}
+	})()
 	if wins != 1 {
 		t.Fatalf("%d racers consumed the same state, want exactly 1", wins)
+	}
+	if by, ok := s.WasConsumed(ref("contested", 0)); !ok || by != winner {
+		t.Fatalf("contested state consumed by %v (%v), want the first racer", by.Short(), ok)
 	}
 }
 

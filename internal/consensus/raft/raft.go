@@ -12,7 +12,7 @@ package raft
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -110,14 +110,15 @@ type (
 	}
 )
 
-// Node is one Raft participant.
+// Node is one Raft participant. Only the actor holding the clock's token
+// touches it — its own loop, or a client calling Submit — so it takes no
+// lock.
 type Node struct {
 	cfg   Config
 	rng   *rand.Rand
 	peers consensus.PeerIndex
 	self  int // this node's index in cfg.Peers
 
-	mu          sync.Mutex
 	role        Role
 	term        uint64
 	votedFor    string
@@ -130,8 +131,10 @@ type Node struct {
 	matchIndex  []int
 	lastHeard   time.Time
 	running     bool
-
-	applyMu sync.Mutex // serializes OnDecide callbacks in log order
+	// delivering is set while applyCommitted runs OnDecide callbacks, so a
+	// call made while one of them is parked leaves its entries to the loop
+	// in hand: decisions go out in log order, one at a time.
+	delivering bool
 
 	events *clock.Mailbox[network.Message]
 	stop   *clock.Gate
@@ -159,15 +162,11 @@ func New(cfg Config) *Node {
 
 // Start joins the cluster and launches the node's loop.
 func (n *Node) Start() error {
-	n.mu.Lock()
 	if n.running {
-		n.mu.Unlock()
 		return nil
 	}
 	n.running = true
 	n.lastHeard = n.cfg.Clock.Now()
-	n.mu.Unlock()
-
 	n.cfg.Transport.Register(n.cfg.ID, func(m network.Message) {
 		n.events.Send(m, n.stop)
 	})
@@ -177,13 +176,10 @@ func (n *Node) Start() error {
 
 // Stop terminates the node and waits for its loop to exit.
 func (n *Node) Stop() {
-	n.mu.Lock()
 	if !n.running {
-		n.mu.Unlock()
 		return
 	}
 	n.running = false
-	n.mu.Unlock()
 	n.stop.Close()
 	n.join()
 	n.cfg.Transport.Unregister(n.cfg.ID)
@@ -192,68 +188,49 @@ func (n *Node) Stop() {
 // Submit hands a payload to the cluster for ordering. On the leader it
 // appends to the log; on followers it forwards to the last known leader.
 func (n *Node) Submit(payload any) error {
-	n.mu.Lock()
 	if !n.running {
-		n.mu.Unlock()
 		return consensus.ErrNotRunning
 	}
 	if n.role == Leader {
-		n.log = append(n.log, entry{Term: n.term, Payload: payload})
-		n.matchIndex[n.self] = len(n.log) - 1
-		n.advanceCommitLocked()
-		n.mu.Unlock()
-		n.applyCommitted()
+		n.appendLocal(payload)
 		return nil
 	}
-	leader := n.leaderID
-	n.mu.Unlock()
-	if leader == "" {
+	if n.leaderID == "" {
 		return consensus.ErrNotLeader
 	}
-	return n.cfg.Transport.Send(n.cfg.ID, leader, "raft.forward", forwardSubmit{Payload: payload})
+	return n.cfg.Transport.Send(n.cfg.ID, n.leaderID, "raft.forward", forwardSubmit{Payload: payload})
+}
+
+// appendLocal appends payload to the leader's log and delivers whatever
+// that commits.
+func (n *Node) appendLocal(payload any) {
+	n.log = append(n.log, entry{Term: n.term, Payload: payload})
+	n.matchIndex[n.self] = len(n.log) - 1
+	n.advanceCommit()
+	n.applyCommitted()
 }
 
 // Leader returns the node's current view of the leader ("" if unknown).
-func (n *Node) Leader() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderID
-}
+func (n *Node) Leader() string { return n.leaderID }
 
 // Role returns the node's current role.
-func (n *Node) Role() Role {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role
-}
+func (n *Node) Role() Role { return n.role }
 
 // Term returns the node's current term.
-func (n *Node) Term() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.term
-}
+func (n *Node) Term() uint64 { return n.term }
 
 // CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commitIndex
-}
+func (n *Node) CommitIndex() int { return n.commitIndex }
 
 // run is the node's loop: messages, and a heartbeat tick on which the
 // leader replicates and a follower idle past its election deadline stands.
 func (n *Node) run() {
 	electionDeadline := n.randomElectionTimeout()
 	clock.Serve(n.cfg.Clock, n.stop, n.events, heartbeatInterval, n.handle, func() {
-		n.mu.Lock()
-		role := n.role
-		idle := n.cfg.Clock.Since(n.lastHeard)
-		n.mu.Unlock()
 		switch {
-		case role == Leader:
+		case n.role == Leader:
 			n.broadcastAppend()
-		case idle >= electionDeadline:
+		case n.cfg.Clock.Since(n.lastHeard) >= electionDeadline:
 			n.startElection()
 			electionDeadline = n.randomElectionTimeout()
 		}
@@ -275,19 +252,13 @@ func (n *Node) handle(m network.Message) {
 	case appendResponse:
 		n.onAppendResponse(m.From, p)
 	case forwardSubmit:
-		n.mu.Lock()
 		if n.role == Leader {
-			n.log = append(n.log, entry{Term: n.term, Payload: p.Payload})
-			n.matchIndex[n.self] = len(n.log) - 1
-			n.advanceCommitLocked()
+			n.appendLocal(p.Payload)
 		}
-		n.mu.Unlock()
-		n.applyCommitted()
 	}
 }
 
 func (n *Node) startElection() {
-	n.mu.Lock()
 	n.role = Candidate
 	n.term++
 	n.votedFor = n.cfg.ID
@@ -300,21 +271,19 @@ func (n *Node) startElection() {
 		LastLogIndex: len(n.log) - 1,
 		LastLogTerm:  n.log[len(n.log)-1].Term,
 	}
-	peers := n.otherPeers()
-	n.mu.Unlock()
-
-	if n.maybeWinLocked() {
+	if n.maybeWin() {
 		return
 	}
-	for _, p := range peers {
-		_ = n.cfg.Transport.Send(n.cfg.ID, p, "raft.requestVote", req)
+	for _, p := range n.cfg.Peers {
+		if p != n.cfg.ID {
+			_ = n.cfg.Transport.Send(n.cfg.ID, p, "raft.requestVote", req)
+		}
 	}
 }
 
 func (n *Node) onRequestVote(from string, req requestVote) {
-	n.mu.Lock()
 	if req.Term > n.term {
-		n.becomeFollowerLocked(req.Term)
+		n.becomeFollower(req.Term)
 	}
 	grant := false
 	if req.Term == n.term && (n.votedFor == "" || n.votedFor == req.Candidate) {
@@ -328,33 +297,25 @@ func (n *Node) onRequestVote(from string, req requestVote) {
 			n.lastHeard = n.cfg.Clock.Now()
 		}
 	}
-	term := n.term
-	n.mu.Unlock()
-	_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.voteResponse", voteResponse{Term: term, Granted: grant})
+	_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.voteResponse", voteResponse{Term: n.term, Granted: grant})
 }
 
 func (n *Node) onVoteResponse(from string, resp voteResponse) {
-	n.mu.Lock()
 	if resp.Term > n.term {
-		n.becomeFollowerLocked(resp.Term)
-		n.mu.Unlock()
+		n.becomeFollower(resp.Term)
 		return
 	}
 	if n.role != Candidate || resp.Term != n.term || !resp.Granted {
-		n.mu.Unlock()
 		return
 	}
 	n.votes.Add(n.peers.Of(from)) // a non-member's grant is not counted
-	n.mu.Unlock()
-	n.maybeWinLocked()
+	n.maybeWin()
 }
 
-// maybeWinLocked promotes a candidate holding a majority. It reports whether
-// the node became leader.
-func (n *Node) maybeWinLocked() bool {
-	n.mu.Lock()
+// maybeWin promotes a candidate holding a majority. It reports whether the
+// node became leader.
+func (n *Node) maybeWin() bool {
 	if n.role != Candidate || n.votes.Count() < consensus.MajoritySize(len(n.cfg.Peers)) {
-		n.mu.Unlock()
 		return false
 	}
 	n.role = Leader
@@ -365,12 +326,11 @@ func (n *Node) maybeWinLocked() bool {
 		n.matchIndex[i] = 0
 	}
 	n.matchIndex[n.self] = last
-	n.mu.Unlock()
 	n.broadcastAppend()
 	return true
 }
 
-func (n *Node) becomeFollowerLocked(term uint64) {
+func (n *Node) becomeFollower(term uint64) {
 	n.term = term
 	n.role = Follower
 	n.votedFor = ""
@@ -378,56 +338,34 @@ func (n *Node) becomeFollowerLocked(term uint64) {
 }
 
 func (n *Node) broadcastAppend() {
-	n.mu.Lock()
 	if n.role != Leader {
-		n.mu.Unlock()
 		return
 	}
-	type outMsg struct {
-		to  string
-		req appendEntries
-	}
-	outs := make([]outMsg, 0, len(n.cfg.Peers)-1)
 	for i, p := range n.cfg.Peers {
 		if i == n.self {
 			continue
 		}
-		next := n.nextIndex[i]
-		if next < 1 {
-			next = 1
-		}
+		next := max(n.nextIndex[i], 1)
 		prev := next - 1
-		entries := make([]entry, len(n.log)-next)
-		copy(entries, n.log[next:])
-		outs = append(outs, outMsg{
-			to: p,
-			req: appendEntries{
-				Term:         n.term,
-				Leader:       n.cfg.ID,
-				PrevLogIndex: prev,
-				PrevLogTerm:  n.log[prev].Term,
-				Entries:      entries,
-				LeaderCommit: n.commitIndex,
-			},
+		_ = n.cfg.Transport.Send(n.cfg.ID, p, "raft.appendEntries", appendEntries{
+			Term:         n.term,
+			Leader:       n.cfg.ID,
+			PrevLogIndex: prev,
+			PrevLogTerm:  n.log[prev].Term,
+			Entries:      slices.Clone(n.log[next:]),
+			LeaderCommit: n.commitIndex,
 		})
-	}
-	n.mu.Unlock()
-	for _, o := range outs {
-		_ = n.cfg.Transport.Send(n.cfg.ID, o.to, "raft.appendEntries", o.req)
 	}
 }
 
 func (n *Node) onAppendEntries(from string, req appendEntries) {
-	n.mu.Lock()
 	if req.Term < n.term {
-		term := n.term
-		n.mu.Unlock()
 		_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.appendResponse",
-			appendResponse{Term: term, From: n.cfg.ID, Success: false})
+			appendResponse{Term: n.term, From: n.cfg.ID, Success: false})
 		return
 	}
 	if req.Term > n.term || n.role != Follower {
-		n.becomeFollowerLocked(req.Term)
+		n.becomeFollower(req.Term)
 	}
 	n.leaderID = req.Leader
 	n.lastHeard = n.cfg.Clock.Now()
@@ -458,8 +396,6 @@ func (n *Node) onAppendEntries(from string, req appendEntries) {
 		Success:    ok,
 		MatchIndex: req.PrevLogIndex + len(req.Entries),
 	}
-	n.mu.Unlock()
-
 	n.applyCommitted()
 	_ = n.cfg.Transport.Send(n.cfg.ID, from, "raft.appendResponse", resp)
 }
@@ -471,14 +407,11 @@ func (n *Node) onAppendResponse(from string, resp appendResponse) {
 	if resp.From != from || peer < 0 {
 		return
 	}
-	n.mu.Lock()
 	if resp.Term > n.term {
-		n.becomeFollowerLocked(resp.Term)
-		n.mu.Unlock()
+		n.becomeFollower(resp.Term)
 		return
 	}
 	if n.role != Leader || resp.Term != n.term {
-		n.mu.Unlock()
 		return
 	}
 	if resp.Success {
@@ -486,19 +419,16 @@ func (n *Node) onAppendResponse(from string, resp appendResponse) {
 			n.matchIndex[peer] = resp.MatchIndex
 		}
 		n.nextIndex[peer] = n.matchIndex[peer] + 1
-		n.advanceCommitLocked()
-	} else {
-		if n.nextIndex[peer] > 1 {
-			n.nextIndex[peer]--
-		}
+		n.advanceCommit()
+	} else if n.nextIndex[peer] > 1 {
+		n.nextIndex[peer]--
 	}
-	n.mu.Unlock()
 	n.applyCommitted()
 }
 
-// advanceCommitLocked moves commitIndex to the highest index replicated on a
-// majority with an entry from the current term. Callers hold n.mu.
-func (n *Node) advanceCommitLocked() {
+// advanceCommit moves commitIndex to the highest index replicated on a
+// majority with an entry from the current term.
+func (n *Node) advanceCommit() {
 	for idx := len(n.log) - 1; idx > n.commitIndex; idx-- {
 		if n.log[idx].Term != n.term {
 			break
@@ -516,43 +446,22 @@ func (n *Node) advanceCommitLocked() {
 	}
 }
 
+// applyCommitted delivers the committed entries not yet applied, in log
+// order and one at a time. OnDecide may park (a commit gate's durability
+// wait) and let another actor commit more entries meanwhile; its call
+// returns at once, and this loop delivers those entries after the one in
+// hand.
 func (n *Node) applyCommitted() {
-	// applyMu guarantees that concurrent callers deliver decisions in
-	// strictly increasing log order, one at a time.
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	for {
-		n.mu.Lock()
-		if n.lastApplied >= n.commitIndex {
-			n.mu.Unlock()
-			return
-		}
+	if n.delivering {
+		return
+	}
+	n.delivering = true
+	for n.lastApplied < n.commitIndex {
 		n.lastApplied++
-		seq := uint64(n.lastApplied)
-		e := n.log[n.lastApplied]
-		leader := n.leaderID
-		cb := n.cfg.OnDecide
-		now := n.cfg.Clock.Now()
-		n.mu.Unlock()
-		if cb != nil {
-			cb(consensus.Decision{Seq: seq, Payload: e.Payload, Proposer: leader, DecidedAt: now})
+		if cb := n.cfg.OnDecide; cb != nil {
+			cb(consensus.Decision{Seq: uint64(n.lastApplied), Payload: n.log[n.lastApplied].Payload,
+				Proposer: n.leaderID, DecidedAt: n.cfg.Clock.Now()})
 		}
 	}
-}
-
-func (n *Node) otherPeers() []string {
-	out := make([]string, 0, len(n.cfg.Peers)-1)
-	for _, p := range n.cfg.Peers {
-		if p != n.cfg.ID {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	n.delivering = false
 }

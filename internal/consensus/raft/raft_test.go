@@ -384,3 +384,41 @@ func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
 		t.Fatalf("commitIndex = %d, decided %v after a member's acknowledgement, want the payload at 1", n.CommitIndex(), decided)
 	}
 }
+
+// TestOnDecideParksWhileTheNextCommits: a decision callback that parks (a
+// commit gate's durability wait) lets another actor commit the next entry;
+// that entry is delivered once, after the parked one returns, never beside
+// it. A lone leader commits inside Submit, so each of two client actors
+// commits one entry.
+func TestOnDecideParksWhileTheNextCommits(t *testing.T) {
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
+	defer tr.Stop()
+	var got []uint64
+	inFlight := 0
+	node := New(Config{Clock: clk, ID: "solo", Peers: []string{"solo"}, Transport: tr, Seed: 1,
+		OnDecide: func(d consensus.Decision) {
+			if inFlight++; inFlight > 1 {
+				t.Errorf("entry %d delivered while another decision is in flight", d.Seq)
+			}
+			if d.Seq == 1 {
+				clk.Sleep(10 * time.Millisecond)
+			}
+			got = append(got, d.Seq)
+			inFlight--
+		}})
+	if err := node.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Stop()
+	clocktest.Until(t, clk, 2*time.Second, "the lone node leads", func() bool { return node.Role() == Leader })
+	clock.Go(clk, []string{"client-a", "client-b"}, func(i int) {
+		clk.Sleep(time.Duration(i) * time.Millisecond) // b submits while a's decision is parked
+		if err := node.Submit(fmt.Sprintf("tx-%d", i)); err != nil {
+			t.Error(err)
+		}
+	})()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("delivered entries %v, want [1 2]", got)
+	}
+}

@@ -23,7 +23,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -105,21 +104,14 @@ func (o Options) newClockFn() func() *clock.AutoVirtual {
 // clockMeter accumulates the virtual clocks a cell constructs; summing over
 // them yields the cell's simulated time and what its scheduler did.
 type clockMeter struct {
-	mu   sync.Mutex
 	clks []*clock.AutoVirtual
 }
 
-func (m *clockMeter) add(c *clock.AutoVirtual) {
-	m.mu.Lock()
-	m.clks = append(m.clks, c)
-	m.mu.Unlock()
-}
+func (m *clockMeter) add(c *clock.AutoVirtual) { m.clks = append(m.clks, c) }
 
 // fill sums into t the simulated seconds every recorded clock has advanced
 // past the simulation epoch and its kernel counters.
 func (m *clockMeter) fill(t *CellTiming) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, c := range m.clks {
 		t.SimSeconds += c.Now().Sub(clock.SimEpoch).Seconds()
 		ks := c.KernelStats()

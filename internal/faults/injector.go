@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -19,22 +18,20 @@ type Applied struct {
 // injected clock, so schedules replay deterministically under
 // clock.AutoVirtual. Every Apply transition is idempotent: crashing a crashed
 // node, healing without a partition, or restarting a running node are
-// no-ops, never panics — chaos schedules are allowed to be sloppy.
+// no-ops, never panics — chaos schedules are allowed to be sloppy. Only the
+// actor holding the clock's token touches it, so it takes no lock.
 type Injector struct {
 	drv   systems.Driver
 	clk   *clock.AutoVirtual
 	sched []Event
 
-	mu          sync.Mutex
 	crashed     map[int]bool // nodes down via CrashNode events
 	partitioned []int        // minority group of the active partition
 	degraded    bool
 	applied     []Applied
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      *clock.Gate
-	join      func() // set by Start: waits for the timeline actor
+	stop *clock.Gate
+	join func() // set by Start, or by a Stop without Start: waits for the timeline actor
 }
 
 // NewInjector builds an injector for the schedule (applied in time order)
@@ -55,10 +52,11 @@ func NewInjector(drv systems.Driver, sched Schedule, clk *clock.AutoVirtual) *In
 // Start launches the injection timeline; offsets are measured from this
 // call. Start is idempotent.
 func (in *Injector) Start() {
-	in.startOnce.Do(func() {
-		start := in.clk.Now()
-		in.join = clock.Go(in.clk, []string{"fault-injector"}, func(int) { in.run(start) })
-	})
+	if in.join != nil {
+		return
+	}
+	start := in.clk.Now()
+	in.join = clock.Go(in.clk, []string{"fault-injector"}, func(int) { in.run(start) })
 }
 
 // Stop halts the timeline and restores the system to health: crashed and
@@ -66,8 +64,10 @@ func (in *Injector) Start() {
 // degradations clear, so a benchmark phase always hands a healthy system
 // to the next one. Stop is idempotent and safe without Start.
 func (in *Injector) Stop() {
-	in.stopOnce.Do(func() { in.stop.Close() })
-	in.startOnce.Do(func() { in.join = func() {} }) // never started: nothing to wait for
+	in.stop.Close()
+	if in.join == nil {
+		in.join = func() {} // never started: nothing to wait for
+	}
 	in.join()
 	in.restoreAll()
 }
@@ -94,8 +94,6 @@ func (in *Injector) run(start time.Time) {
 // synchronously). It returns the driver error, if any; state-machine
 // no-ops return nil.
 func (in *Injector) Apply(ev Event) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var err error
 	switch ev.Kind {
 	case CrashNode:
@@ -166,7 +164,6 @@ func (in *Injector) Apply(ev Event) error {
 // degrade applies Extra/Loss to the affected directed links: every link
 // when the group is empty, otherwise each link touching a group node's
 // endpoints. It reports whether the driver had a fabric to degrade.
-// Callers hold in.mu.
 func (in *Injector) degrade(ev Event) bool {
 	tr := in.drv.FaultTransport()
 	if tr == nil {
@@ -195,7 +192,7 @@ func (in *Injector) degrade(ev Event) bool {
 
 // corruptLog applies a TornWrite or CorruptRecord to the target node's WAL.
 // It reports whether anything was damaged: a node without a log or a log
-// too short to corrupt decays to a no-op. Callers hold in.mu.
+// too short to corrupt decays to a no-op.
 func (in *Injector) corruptLog(ev Event) bool {
 	log := in.drv.NodeWAL(ev.Node)
 	if log == nil {
@@ -209,8 +206,6 @@ func (in *Injector) corruptLog(ev Event) bool {
 
 // restoreAll returns the system to full health.
 func (in *Injector) restoreAll() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, node := range in.partitioned {
 		_ = in.drv.RestartNode(node)
 	}
@@ -227,8 +222,6 @@ func (in *Injector) restoreAll() {
 
 // Applied returns the events applied so far, in application order.
 func (in *Injector) Applied() []Applied {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	out := make([]Applied, len(in.applied))
 	copy(out, in.applied)
 	return out

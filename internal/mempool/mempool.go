@@ -12,10 +12,7 @@
 //     quorum system package models on top of this pool.
 package mempool
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // ErrQueueFull is returned by bounded pools on rejection. Clients are
 // expected to re-send (Sawtooth semantics); COCONUT counts these as lost.
@@ -23,7 +20,6 @@ var ErrQueueFull = errors.New("mempool: queue full, transaction rejected")
 
 // Pool is a FIFO admission queue of opaque items (transactions or batches).
 type Pool[T any] struct {
-	mu       sync.Mutex
 	items    []T
 	capacity int // 0 = unbounded
 
@@ -43,8 +39,6 @@ func NewUnbounded[T any]() *Pool[T] {
 
 // Add admits one item or rejects it.
 func (p *Pool[T]) Add(item T) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.capacity > 0 && len(p.items) >= p.capacity {
 		p.rejected++
 		return ErrQueueFull
@@ -57,8 +51,6 @@ func (p *Pool[T]) Add(item T) error {
 // Take removes and returns up to max items in FIFO order. max <= 0 drains
 // everything.
 func (p *Pool[T]) Take(max int) []T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := len(p.items)
 	if max > 0 && max < n {
 		n = max
@@ -79,10 +71,8 @@ func (p *Pool[T]) Take(max int) []T {
 
 // Remove drops every queued item drop reports true for, in one pass: the
 // rest keep their FIFO order and the admission counters do not move. drop
-// runs under the pool's lock and must not call back into the pool.
+// runs inside the pass and must not call back into the pool.
 func (p *Pool[T]) Remove(drop func(T) bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	kept := p.items[:0]
 	for _, it := range p.items {
 		if !drop(it) {
@@ -95,14 +85,10 @@ func (p *Pool[T]) Remove(drop func(T) bool) {
 
 // Len returns the queue occupancy.
 func (p *Pool[T]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.items)
 }
 
 // Stats reports lifetime admission counters.
 func (p *Pool[T]) Stats() (admitted, rejected uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.admitted, p.rejected
 }

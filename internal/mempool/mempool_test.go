@@ -3,9 +3,12 @@ package mempool
 import (
 	"errors"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
 func TestBoundedRejectsAtCapacity(t *testing.T) {
@@ -123,54 +126,38 @@ func TestRemoveFiltersInPlace(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddTake: four producer actors and a slower consumer actor
+// share a bounded pool on one clock, interleaved wherever they park, so the
+// pool fills and rejects; every admitted item is taken exactly once.
 func TestConcurrentAddTake(t *testing.T) {
+	const producers, perProducer = 4, 1000
+	clk := clocktest.New(t)
 	p := NewBounded[int](128)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	taken := 0
-	added := 0
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if err := p.Add(i); err == nil {
-					mu.Lock()
+	added, taken, producing := 0, 0, producers
+	names := []string{"producer-0", "producer-1", "producer-2", "producer-3", "consumer"}
+	clock.Go(clk, names, func(a int) {
+		if a < producers {
+			for i := 0; i < perProducer; i++ {
+				if p.Add(i) == nil {
 					added++
-					mu.Unlock()
 				}
+				clk.Sleep(time.Duration(1+a) * time.Microsecond)
 			}
-		}()
-	}
-	done := make(chan struct{})
-	var consumer sync.WaitGroup
-	consumer.Add(1)
-	go func() {
-		defer consumer.Done()
-		for {
-			n := len(p.Take(16))
-			mu.Lock()
-			taken += n
-			mu.Unlock()
-			select {
-			case <-done:
-				mu.Lock()
-				taken += len(p.Take(0))
-				mu.Unlock()
-				return
-			default:
-			}
+			producing--
+			return
 		}
-	}()
-	wg.Wait()
-	close(done)
-	consumer.Wait()
+		for producing > 0 {
+			taken += len(p.Take(16))
+			clk.Sleep(10 * time.Microsecond)
+		}
+		taken += len(p.Take(0))
+	})()
 
-	mu.Lock()
-	defer mu.Unlock()
 	if taken != added {
 		t.Fatalf("taken = %d, added = %d (items lost or duplicated)", taken, added)
+	}
+	if _, rejected := p.Stats(); rejected == 0 || added+int(rejected) != producers*perProducer {
+		t.Fatalf("added %d + rejected %d, want %d with some rejected", added, rejected, producers*perProducer)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 // The delivery scheduler is one heap of messages not yet due, a "ready"
 // list for messages due at enqueue time (the only path a zero-latency
 // fabric takes), and exactly one delivery event (Transport.drain), whose
-// runs the clock serialises. All of it is guarded by Transport.mu.
+// runs the clock serialises.
 //
 // Invariants the scheduler maintains:
 //
 //   - The event delivers each collected due batch sorted by (readyNanos,
 //     seq), where seq is the order of the sends. Together with the per-link
-//     ready-time clamp in sendLocked this preserves the per-directed-link
+//     ready-time clamp in schedule this preserves the per-directed-link
 //     FIFO contract.
 //   - wakeAt is the event's next run time: math.MinInt64 while a run is
 //     draining or on its way (no trigger needed), math.MaxInt64 while it is
@@ -47,8 +47,7 @@ type queue struct {
 }
 
 // enqueue schedules one item and reports whether the delivery event must be
-// triggered (after unlocking), because it would otherwise run only after the
-// item's due time.
+// triggered, because it would otherwise run only after the item's due time.
 func (q *queue) enqueue(it *item, nowN int64) (needWake bool) {
 	q.seq++
 	it.seq = q.seq
@@ -66,8 +65,8 @@ func (q *queue) enqueue(it *item, nowN int64) (needWake bool) {
 
 // collect appends every item due at nowN to batch and returns it together
 // with the earliest pending due time (math.MaxInt64 when nothing is
-// scheduled). It updates wakeAt in the same lock section, so enqueue's
-// trigger decision can never race the event's decision to go idle.
+// scheduled). It updates wakeAt in the same step, so enqueue's trigger
+// decision always sees the event's decision to go idle.
 func (q *queue) collect(nowN int64, batch []*item) ([]*item, int64) {
 	batch = append(batch, q.ready...)
 	clear(q.ready)
@@ -92,15 +91,12 @@ func (q *queue) collect(nowN int64, batch []*item) ([]*item, int64) {
 // (readyNanos, seq) order until none is due, then arm the next due time (an
 // earlier enqueue triggers a run before it). The deadline is absolute, so it
 // cannot drift when the clock moves between collecting and arming, and one
-// already passed runs the event again at once. The lock is held throughout
-// except while a handler runs: handlers re-enter Send.
+// already passed runs the event again at once. Handlers re-enter Send.
 func (t *Transport) drain() {
-	t.mu.Lock()
 	for {
 		var next int64
 		t.batch, next = t.queue.collect(t.nowNanos(), t.batch[:0])
 		if len(t.batch) == 0 {
-			t.mu.Unlock()
 			if next != math.MaxInt64 {
 				t.deliver.At(t.t0.Add(time.Duration(next)))
 			}
@@ -117,9 +113,7 @@ func (t *Transport) drain() {
 			// An endpoint unregistered since the send, even by a handler
 			// earlier in this batch, has no handler: its messages are dropped.
 			if h := it.ep.handler; h != nil {
-				t.mu.Unlock()
 				h(it.msg)
-				t.mu.Lock()
 				t.delivered++
 			}
 			*it = item{}

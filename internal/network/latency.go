@@ -7,10 +7,10 @@
 //
 // Delivery is scheduled by one queue — a ready list for messages due at once
 // and a heap by ready time for the rest — with one delivery event
-// (delivery.go), all of it under the Transport's one lock. Messages on the
-// same directed link are delivered in send order after their latency delay
-// (the per-connection FIFO property of the TCP links the real deployments
-// rely on); messages on different links order by ready timestamp. Under
+// (delivery.go). Messages on the same directed link are delivered in send
+// order after their latency delay (the per-connection FIFO property of the
+// TCP links the real deployments rely on); messages on different links
+// order by ready timestamp. Under
 // clock.AutoVirtual the whole fabric is deterministic: latency and loss
 // draws come from seeded per-link sources and delivery order is exactly
 // (ready time, send order).
@@ -18,7 +18,6 @@ package network
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -43,7 +42,6 @@ func (ZeroLatency) Delay(_, _ string) time.Duration { return 0 }
 // servers). Draws are truncated at zero. A deterministic seed makes
 // experiment runs reproducible.
 type NormalLatency struct {
-	mu    sync.Mutex
 	rng   *rand.Rand
 	Mu    time.Duration
 	Sigma time.Duration
@@ -62,10 +60,7 @@ func NewNormalLatency(mu, sigma time.Duration, seed int64) *NormalLatency {
 
 // Delay implements LatencyModel.
 func (n *NormalLatency) Delay(_, _ string) time.Duration {
-	n.mu.Lock()
-	z := n.rng.NormFloat64()
-	n.mu.Unlock()
-	d := time.Duration(float64(n.Mu) + z*float64(n.Sigma))
+	d := time.Duration(float64(n.Mu) + n.rng.NormFloat64()*float64(n.Sigma))
 	if d < 0 {
 		return 0
 	}

@@ -433,8 +433,6 @@ func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
 	defer tr.Stop()
 	tr.Register("dst", func(Message) {})
 	waiting := func() (n, capacity int) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
 		return len(tr.queue.later), cap(tr.queue.later)
 	}
 	for i := 0; i < 100; i++ {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -39,18 +38,17 @@ var (
 // due at once, in a heap by ready time otherwise. One clock event drains due
 // messages in timestamp order.
 //
-// One mutex guards everything that changes: topology and fault state, the
-// per-link state (the FIFO clamp, a seeded loss RNG), the queue and the
-// counters. A send is one lock section, a broadcast one for the whole
-// fan-out; handlers run with the lock released, because they send. What
-// orders messages is therefore the same on every host.
+// Only the actor holding the clock's token touches the transport, so it
+// takes no lock: topology and fault state, the per-link state (the FIFO
+// clamp, a seeded loss RNG), the queue and the counters change one send at
+// a time, and handlers may send. What orders messages is therefore the
+// same on every host.
 type Transport struct {
 	clk     *clock.AutoVirtual
 	latency LatencyModel
 	t0      time.Time // queue epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
 
-	mu        sync.Mutex
 	stopped   bool
 	endpoints map[string]*endpoint
 	list      []*endpoint // sorted by name: deterministic broadcast fan-out
@@ -84,7 +82,7 @@ type Degradation struct {
 	Loss  float64
 }
 
-// endpoint is one registered delivery target, guarded by Transport.mu.
+// endpoint is one registered delivery target.
 // Unregistering clears the handler, which is how messages still queued for
 // the endpoint come to be dropped; pending is its queue occupancy.
 type endpoint struct {
@@ -129,8 +127,6 @@ func (t *Transport) nowNanos() int64 { return int64(t.clk.Now().Sub(t.t0)) }
 // ordinal mixed with the link hash, so it is deterministic under the
 // virtual clock. A nil tracer detaches.
 func (t *Transport) SetTracer(tr *trace.Tracer, proc string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.tracer, t.traceProc = tr, proc
 }
 
@@ -138,8 +134,6 @@ func (t *Transport) SetTracer(tr *trace.Tracer, proc string) {
 // over every endpoint's queue — the delivery queue's in-flight backlog, and
 // the telemetry plane's netPending gauge.
 func (t *Transport) PendingCount() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var n int64
 	for _, ep := range t.list {
 		n += int64(ep.pending)
@@ -159,8 +153,6 @@ func (t *Transport) find(name string) int {
 // Register attaches a named endpoint with a message handler. Registering
 // the same name twice replaces the handler.
 func (t *Transport) Register(name string, h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.stopped {
 		return
 	}
@@ -175,8 +167,6 @@ func (t *Transport) Register(name string, h Handler) {
 
 // Unregister detaches an endpoint; queued messages for it are dropped.
 func (t *Transport) Unregister(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ep, ok := t.endpoints[name]
 	if !ok {
 		return
@@ -189,8 +179,6 @@ func (t *Transport) Unregister(name string) {
 
 // Endpoints returns the names of all registered endpoints, sorted.
 func (t *Transport) Endpoints() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	names := make([]string, 0, len(t.list))
 	for _, ep := range t.list {
 		names = append(names, ep.name)
@@ -201,30 +189,23 @@ func (t *Transport) Endpoints() []string {
 // Send schedules delivery of a message. It returns an error when the
 // destination is unknown or the transport is stopped.
 func (t *Transport) Send(from, to, kind string, payload any) error {
-	now := t.clk.Now()
-	t.mu.Lock()
-	var (
-		wake bool
-		err  error
-	)
-	switch ep, ok := t.endpoints[to]; {
+	ep, ok := t.endpoints[to]
+	switch {
 	case t.stopped:
-		err = ErrStopped
+		return ErrStopped
 	case !ok:
-		err = fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
-	default:
-		wake, err = t.sendLocked(from, ep, kind, payload, now)
+		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
 	}
-	t.mu.Unlock()
+	wake, err := t.schedule(from, ep, kind, payload, t.clk.Now())
 	if wake {
 		t.deliver.Trigger()
 	}
 	return err
 }
 
-// sendLocked schedules one message and reports whether the delivery event
-// must be triggered once t.mu is released.
-func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
+// schedule enqueues one message and reports whether the delivery event
+// must be triggered.
+func (t *Transport) schedule(from string, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
 	to := ep.name
 	lk := linkKey{from, to}
 	deg, isDegraded := t.degraded[lk]
@@ -295,23 +276,21 @@ func (t *Transport) sendLocked(from string, ep *endpoint, kind string, payload a
 }
 
 // Broadcast sends to every registered endpoint except the sender, in
-// sorted-name order and in one lock section, returning the number of
-// successful sends.
+// sorted-name order, returning the number of successful sends. The
+// delivery event is triggered once, after the whole fan-out.
 func (t *Transport) Broadcast(from, kind string, payload any) int {
 	now := t.clk.Now()
 	n, wake := 0, false
-	t.mu.Lock()
 	for _, ep := range t.list {
 		if ep.name == from {
 			continue
 		}
-		w, err := t.sendLocked(from, ep, kind, payload, now)
+		w, err := t.schedule(from, ep, kind, payload, now)
 		wake = wake || w
 		if err == nil {
 			n++
 		}
 	}
-	t.mu.Unlock()
 	if wake {
 		t.deliver.Trigger()
 	}
@@ -321,8 +300,6 @@ func (t *Transport) Broadcast(from, kind string, payload any) int {
 // HealAll clears every link degradation in one step, restoring the
 // pristine fabric.
 func (t *Transport) HealAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	clear(t.degraded)
 }
 
@@ -332,8 +309,6 @@ func (t *Transport) HealAll() {
 // every degradation.
 func (t *Transport) DegradeLink(src, dst string, extra time.Duration, loss float64) {
 	loss = min(max(loss, 0), 1)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if extra <= 0 && loss == 0 {
 		delete(t.degraded, linkKey{src, dst})
 	} else if !t.stopped {
@@ -343,23 +318,17 @@ func (t *Transport) DegradeLink(src, dst string, extra time.Duration, loss float
 
 // DegradedCount reports how many directed links carry a degradation.
 func (t *Transport) DegradedCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.degraded)
 }
 
 // LostCount reports messages lost to link degradation (a subset of the
 // dropped counter in Stats).
 func (t *Transport) LostCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.lost
 }
 
 // Stats reports the send/delivery counters.
 func (t *Transport) Stats() (sent, delivered, dropped uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.sent, t.delivered, t.dropped
 }
 
@@ -367,9 +336,7 @@ func (t *Transport) Stats() (sent, delivered, dropped uint64) {
 // Queued messages are dropped (uncounted), matching a fabric torn down
 // mid-flight; topology and fault state are cleared and stay empty.
 func (t *Transport) Stop() {
-	t.mu.Lock()
 	if t.stopped {
-		t.mu.Unlock()
 		return
 	}
 	t.stopped = true
@@ -379,6 +346,5 @@ func (t *Transport) Stop() {
 	clear(t.endpoints)
 	t.list = nil
 	clear(t.degraded)
-	t.mu.Unlock()
-	t.deliver.Stop() // not under mu: it waits for a handler, which may be in Send
+	t.deliver.Stop()
 }

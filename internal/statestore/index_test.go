@@ -110,7 +110,7 @@ func TestStoreAccessAllocatesNothing(t *testing.T) {
 
 // TestSharedIndexAcrossActors: the replicas of a network are actors on one
 // clock, each writing its own store on the network's one index, interleaved
-// wherever they park. Run under -race, this holds that the index's lock is
+// wherever they park. Run under -race, this holds that the clock's token is
 // all the sharing needs; each store ends with the keys it wrote, at its own
 // versions.
 func TestSharedIndexAcrossActors(t *testing.T) {

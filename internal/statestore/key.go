@@ -1,7 +1,5 @@
 package statestore
 
-import "sync"
-
 // Key names one cell of the world state. A KeyValue key is {key, KeyValue};
 // an account's two balances are {id, Checking} and {id, Savings}, and no
 // other Part exists. The parts keep the namespaces apart, so a KeyValue key
@@ -39,9 +37,9 @@ type slot uint32
 // The replicas of a network share one Index, so each key is hashed and held
 // once per network rather than once per replica; which slot a key gets is
 // never observable. The index keeps one map per part, keyed by the name
-// alone, so a lookup hashes one string. It has its own lock.
+// alone, so a lookup hashes one string. Only the actor holding the clock's
+// token touches it, so it takes no lock.
 type Index struct {
-	mu    sync.Mutex
 	parts [Savings + 1]map[string]slot
 	n     int
 }
@@ -62,16 +60,12 @@ func (x *Index) NewKVStore() *KVStore {
 
 // lookup returns key's slot, if any store on x has written it.
 func (x *Index) lookup(k Key) (slot, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	s, ok := x.parts[k.Part][k.Name]
 	return s, ok
 }
 
 // assign returns key's slot, giving it the next free one the first time.
 func (x *Index) assign(k Key) slot {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	m := x.parts[k.Part]
 	s, ok := m[k.Name]
 	if !ok {

@@ -9,7 +9,6 @@ package statestore
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Version identifies the commit that last wrote a key, in Fabric style:
@@ -47,13 +46,12 @@ type cell struct {
 // the column grows.
 type page [pageSize]cell
 
-// KVStore is a thread-safe versioned key-value world state: a column of
-// cells indexed by the slots of its Index, allocated a page at a time where
-// the store writes. Stores on one Index share its keys but not their
-// values: a key one store holds is absent from another until that one
-// writes it.
+// KVStore is a versioned key-value world state: a column of cells indexed
+// by the slots of its Index, allocated a page at a time where the store
+// writes. Stores on one Index share its keys but not their values: a key
+// one store holds is absent from another until that one writes it. Only
+// the actor holding the clock's token touches a store, so it takes no lock.
 type KVStore struct {
-	mu    sync.RWMutex
 	index *Index
 	pages []*page
 	n     int
@@ -72,8 +70,6 @@ func (s *KVStore) cell(i slot) *cell {
 
 // Get returns the value and version for key.
 func (s *KVStore) Get(key Key) (VersionedValue, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if i, ok := s.index.lookup(key); ok {
 		if c := s.cell(i); c != nil && c.present {
 			return VersionedValue{Value: c.value, Version: c.ver}, true
@@ -84,12 +80,6 @@ func (s *KVStore) Get(key Key) (VersionedValue, bool) {
 
 // Set writes key at the given version.
 func (s *KVStore) Set(key Key, value string, ver Version) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.set(key, value, ver)
-}
-
-func (s *KVStore) set(key Key, value string, ver Version) {
 	i := s.index.assign(key)
 	p := int(i / pageSize)
 	for len(s.pages) <= p {
@@ -108,8 +98,6 @@ func (s *KVStore) set(key Key, value string, ver Version) {
 
 // Len returns the number of keys.
 func (s *KVStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.n
 }
 
@@ -219,9 +207,7 @@ func (rw *RWSet) Validate(s *KVStore) error {
 // Commit applies the write set at the given version. Callers must have
 // validated first.
 func (rw *RWSet) Commit(s *KVStore, ver Version) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, w := range rw.writes {
-		s.set(w.key, w.value, ver)
+		s.Set(w.key, w.value, ver)
 	}
 }

@@ -20,7 +20,6 @@ package bitshares
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -80,7 +79,6 @@ type Network struct {
 
 	nodes []*node
 
-	mu            sync.Mutex
 	excluded      uint64 // transactions dropped by conflict exclusion
 	excludedOps   uint64 // payload operations those transactions carried
 	execFailedOps uint64 // payload operations discarded by atomic execution failure
@@ -183,8 +181,6 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 // recently included transaction (same forming block, or within the sliding
 // conflictWindow window) is dropped.
 func (n *Network) conflictFilter(items []any) (included, excluded []any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 
 	packedAt := n.env.Clock.Now()
 	clear(n.blockTouched)
@@ -290,9 +286,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 			// Atomic discard ("if an operation fails, the whole transaction
 			// is discarded", §5.3) is identical on every node; count the
 			// lost payloads once for the conflict breakdown.
-			n.mu.Lock()
 			n.execFailedOps += uint64(tx.OpCount())
-			n.mu.Unlock()
 		}
 	}
 	ts := time.Unix(0, int64(blk.Slot)) // deterministic per-slot stamp
@@ -334,8 +328,6 @@ func (n *Network) pendingBacklog() int {
 
 // ExcludedCount reports transactions dropped by conflict exclusion.
 func (n *Network) ExcludedCount() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.excluded
 }
 
@@ -343,8 +335,6 @@ func (n *Network) ExcludedCount() uint64 {
 // shed by the interacting-operation exclusion and by atomic execution
 // discard, neither of which produces a client event.
 func (n *Network) ConflictCounts() map[string]uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make(map[string]uint64, 2)
 	if n.excludedOps > 0 {
 		out[systems.AbortConflictExcluded] = n.excludedOps

@@ -3,7 +3,6 @@ package systems
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/consensus"
@@ -51,7 +50,7 @@ type Cluster struct {
 	durable bool
 	depth   func() int
 	net     *network.Transport // nil for a system without a message fabric
-	running atomic.Bool
+	running bool
 }
 
 // NewCluster assembles the chassis of a network called name whose nodes are
@@ -96,18 +95,26 @@ func (c *Cluster) Subscribe(client string, fn EventFunc) { c.Hub.Subscribe(clien
 
 // MarkStarted opens the network for submissions and reports whether it was
 // stopped: a driver's Start returns at once when it was not.
-func (c *Cluster) MarkStarted() bool { return c.running.CompareAndSwap(false, true) }
+func (c *Cluster) MarkStarted() bool {
+	was := c.running
+	c.running = true
+	return !was
+}
 
 // MarkStopped closes the network to submissions and reports whether it was
 // running: a driver's Stop returns at once when it was not.
-func (c *Cluster) MarkStopped() bool { return c.running.CompareAndSwap(true, false) }
+func (c *Cluster) MarkStopped() bool {
+	was := c.running
+	c.running = false
+	return was
+}
 
 // Entry resolves the node a submission enters through. Clients spread over
 // the servers (§4.3), so entryNode wraps around the network size. It fails
 // with consensus.ErrNotRunning outside Start…Stop and with ErrNodeDown when
 // the entry node is crashed (the client's RPC endpoint is unreachable).
 func (c *Cluster) Entry(entryNode int) (int, error) {
-	if !c.running.Load() {
+	if !c.running {
 		return 0, consensus.ErrNotRunning
 	}
 	i := entryNode % len(c.nodes)
@@ -208,9 +215,9 @@ func (c *Cluster) QueueSnapshot() QueueStats {
 // the chain and of the world state, and the execution adapters ExecuteTx,
 // ApplyTx and DryRun reuse from call to call. Those three are the replica's
 // commit work and belong inside its gate (systems.CommitTo), which runs one
-// unit of a node's commit work at a time — under the gate lock while the
-// node is up, on the one draining goroutine while it restarts — so the
-// adapters need no lock of their own.
+// unit of a node's commit work at a time — on the committing actor while
+// the node is up, on the one draining actor while it restarts — so the
+// adapters are reused without a lock.
 type Replica struct {
 	*Node
 	Ledger *chain.Ledger

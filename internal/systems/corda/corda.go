@@ -23,8 +23,6 @@ package corda
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -131,7 +129,6 @@ type Network struct {
 	nodes  []*node
 	notary *notary.Service
 
-	mu        sync.Mutex
 	dropped   uint64            // flows lost to queue overflow
 	timeout   uint64            // flows lost to deadline
 	failed    uint64            // flows lost to execution/notary failure
@@ -218,9 +215,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 		tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
 		return nil
 	}
-	n.mu.Lock()
 	n.dropped++
-	n.mu.Unlock()
 	return nil // silent: the RPC accepted the flow, the node shed it
 }
 
@@ -326,9 +321,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		return
 	}
 	// One flow counts as one failure no matter how many vaults reject its
-	// states; the flag is atomic because a crashed node's deferred apply
-	// replays on the restart goroutine.
-	var failed atomic.Bool
+	// states, including a crashed node's deferred apply replayed at restart.
+	var failed bool
 	for _, nd := range n.nodes {
 		nd := nd
 		if nd != entry {
@@ -341,7 +335,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		// block.
 		nd.Gate.Commit(1, func() {
 			if err := nd.vault.Apply(utx); err != nil {
-				if !failed.Swap(true) {
+				if !failed {
+					failed = true
 					n.recordFailure(err)
 				}
 				return
@@ -663,18 +658,14 @@ func (n *Network) recordFailure(err error) {
 	if code == "" || code == systems.AbortExecFailed {
 		code = systems.AbortFlowFailed
 	}
-	n.mu.Lock()
 	n.failed++
 	n.conflicts[code]++
-	n.mu.Unlock()
 }
 
 // ConflictCounts overrides the chassis default: failed flows by abort
 // code. Corda flows are single-operation, so flow counts equal payload
 // counts.
 func (n *Network) ConflictCounts() map[string]uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if len(n.conflicts) == 0 {
 		return nil
 	}
@@ -685,16 +676,10 @@ func (n *Network) ConflictCounts() map[string]uint64 {
 	return out
 }
 
-func (n *Network) recordTimeout() {
-	n.mu.Lock()
-	n.timeout++
-	n.mu.Unlock()
-}
+func (n *Network) recordTimeout() { n.timeout++ }
 
 // LossStats reports flows lost to queue overflow, deadline, and failure.
 func (n *Network) LossStats() (dropped, timedOut, failed uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.dropped, n.timeout, n.failed
 }
 

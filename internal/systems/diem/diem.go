@@ -16,7 +16,6 @@ package diem
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -78,7 +77,6 @@ type validator struct {
 	engine *diembft.Engine
 	pool   *mempool.Pool[*chain.Transaction]
 
-	mu         sync.Mutex
 	spikeUntil time.Time
 	lastSpike  time.Time
 }
@@ -188,8 +186,6 @@ func (n *Network) spiking(v *validator) bool {
 		return false
 	}
 	now := n.env.Clock.Now()
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if now.Before(v.spikeUntil) {
 		return true
 	}

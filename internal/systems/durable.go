@@ -1,8 +1,6 @@
 package systems
 
 import (
-	"sync"
-
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -34,21 +32,20 @@ import (
 // persisting the catch-up batch before reopening. Recovery time therefore
 // scales with log length and crash point.
 //
-// Clock-safety: the gate never parks while holding its mutex. Modeled
-// latencies are charged between the WAL append and the apply, so
-// virtual-time actors contending on the gate are never blocked behind a
-// sleeping holder.
+// Only the actor holding the clock's token touches the gate, so it takes
+// no lock: an actor parked in the gate (a durability wait, a replay) lets
+// others commit, crash or restart it, and each sees the state the last one
+// left.
 type DurableGate struct {
-	mu      sync.Mutex
 	down    bool
 	backlog []gateTask
 	// replaying marks an in-progress Restart drain. The gate stays down
-	// while the backlog is replayed outside the lock, so concurrent Commit
-	// calls keep appending (preserving arrival order behind the replayed
-	// prefix) and a concurrent Restart is a no-op instead of a double
-	// replay. recrash records a Crash that landed mid-replay: the drain
-	// stops before applying the next item, pushes the unapplied suffix
-	// back, and the node stays down until the next Restart.
+	// while the backlog is replayed, so Commit calls made meanwhile keep
+	// appending (preserving arrival order behind the replayed prefix) and
+	// a second Restart is a no-op instead of a double replay. recrash
+	// records a Crash that landed mid-replay: the drain stops before
+	// applying the next item, pushes the unapplied suffix back, and the
+	// node stays down until the next Restart.
 	replaying bool
 	recrash   bool
 	// inflight counts the not-yet-applied remainder of a swapped-out drain
@@ -86,8 +83,6 @@ type gateTask struct {
 // Enable mounts a write-ahead log on the gate. Call before traffic starts;
 // a gate never Enabled only buffers and replays, at no modeled cost.
 func (g *DurableGate) Enable(clk *clock.AutoVirtual, log *wal.Log) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.clk = clk
 	g.log = log
 }
@@ -96,8 +91,6 @@ func (g *DurableGate) Enable(clk *clock.AutoVirtual, log *wal.Log) {
 // name the Chrome-trace process/thread rows (system name and node name). A
 // nil tracer detaches. Call before traffic starts, like Enable.
 func (g *DurableGate) Trace(tr *trace.Tracer, proc, lane string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.tr = tr
 	g.traceProc = proc
 	g.traceLane = lane
@@ -110,11 +103,7 @@ func (g *DurableGate) Trace(tr *trace.Tracer, proc, lane string) {
 }
 
 // WAL returns the mounted log, or nil when durability is disabled.
-func (g *DurableGate) WAL() *wal.Log {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.log
-}
+func (g *DurableGate) WAL() *wal.Log { return g.log }
 
 // Do runs one unit of commit work covering a single entry; see CommitTo.
 func (g *DurableGate) Do(f func()) { g.Commit(1, f) }
@@ -130,8 +119,7 @@ func runTask(f func()) { f() }
 // mounted, the record is appended before the work runs and the modeled
 // append+fsync latency is charged on the node's clock; when the node is
 // down, the work is buffered for replay in arrival order. Without a log the
-// work runs holding the gate lock, so one node's commit work is serialized
-// against Crash/Restart.
+// work runs at once.
 //
 // The work is data rather than a closure so the fan-out of one decided
 // block to every replica allocates nothing: drivers build apply once per
@@ -139,43 +127,33 @@ func runTask(f func()) { f() }
 // that must keep the work for later — the gate is down, or the node crashed
 // during the durability wait.
 func CommitTo[T any](g *DurableGate, entries int, arg T, apply func(T)) {
-	g.mu.Lock()
 	if g.down {
 		g.backlog = append(g.backlog, gateTask{entries, bind(apply, arg)})
-		g.mu.Unlock()
 		return
 	}
 	if g.log == nil {
-		defer g.mu.Unlock()
 		apply(arg)
 		return
 	}
 	res := g.log.Append(entries)
-	tr := g.tr
-	emit := false
-	var proc, lane string
-	if tr.Enabled() {
-		proc, lane = g.traceProc, g.traceLane
+	if tr := g.tr; tr.Enabled() {
 		// Every fsync barrier is recorded (sampling could miss all of a
 		// batch policy's rare syncs); plain appends go through the rate.
-		emit = res.Synced || tr.Sampled(g.appendSeq^g.traceKey)
+		emit := res.Synced || tr.Sampled(g.appendSeq^g.traceKey)
 		g.appendSeq++
-	}
-	g.mu.Unlock()
-	if emit {
-		name := "wal:append"
-		if res.Synced {
-			name = "wal:fsync"
+		if emit {
+			name := "wal:append"
+			if res.Synced {
+				name = "wal:fsync"
+			}
+			startN := g.clk.Now().UnixNano()
+			tr.Add(trace.Span{Name: name, Cat: "wal", Proc: g.traceProc, Lane: g.traceLane,
+				Start: startN, End: startN + int64(res.Latency)})
 		}
-		startN := g.clk.Now().UnixNano()
-		tr.Add(trace.Span{Name: name, Cat: "wal", Proc: proc, Lane: lane,
-			Start: startN, End: startN + int64(res.Latency)})
 	}
 	if res.Latency > 0 {
 		g.clk.Sleep(res.Latency)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.down {
 		// The node crashed during the durability wait: the apply is
 		// deferred to replay (its record was already appended, so the
@@ -196,8 +174,6 @@ func bind[T any](apply func(T), arg T) func() { return func() { apply(arg) } }
 // reports true; a second crash on an already-down, non-replaying node is a
 // no-op returning false, never a panic.
 func (g *DurableGate) Crash() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.down {
 		if g.replaying && !g.recrash {
 			g.recrash = true
@@ -218,23 +194,20 @@ func (g *DurableGate) Crash() bool {
 // the number of applied backlog items. Restarting a node that is up or
 // already mid-replay is a no-op.
 //
-// Each drain round swaps the backlog out under the lock and replays it
-// outside: a buffered callback may itself call Commit on the same gate
-// (drivers nest commit work), and replaying under the mutex would
-// self-deadlock. The gate stays down meanwhile, so work arriving
-// concurrently is buffered behind the replayed prefix and drained by the
-// next round — replay order still exactly matches arrival order.
+// Each drain round swaps the backlog out before replaying it: a buffered
+// callback may itself call Commit on the same gate (drivers nest commit
+// work), and other actors may commit while the replay parks. The gate stays
+// down meanwhile, so that work is buffered behind the replayed prefix and
+// drained by the next round — replay order still exactly matches arrival
+// order.
 func (g *DurableGate) Restart() int {
-	g.mu.Lock()
 	if !g.down || g.replaying {
-		g.mu.Unlock()
 		return 0
 	}
 	g.replaying = true
 	g.recrash = false
 	log, refetch := g.log, g.pendingRefetch
 	g.pendingRefetch = 0
-	g.mu.Unlock()
 
 	if log != nil {
 		rep := log.Replay()
@@ -242,22 +215,18 @@ func (g *DurableGate) Restart() int {
 		if rep.Latency > 0 {
 			g.clk.Sleep(rep.Latency)
 		}
-		g.mu.Lock()
 		g.replayedRecords += uint64(rep.Records)
 		g.replaySec += rep.Latency.Seconds()
-		g.mu.Unlock()
 		if refetch > 0 {
 			g.chargeRefetch(log, make([]int, refetch))
 		}
 	}
 
 	n := 0
-	g.mu.Lock()
 	for len(g.backlog) > 0 && !g.recrash {
 		batch := g.backlog
 		g.backlog = nil
 		g.inflight = len(batch)
-		g.mu.Unlock()
 
 		if log != nil {
 			counts := make([]int, len(batch))
@@ -267,39 +236,25 @@ func (g *DurableGate) Restart() int {
 			g.chargeRefetch(log, counts)
 		}
 
-		aborted := false
 		for i, t := range batch {
-			g.mu.Lock()
 			if g.recrash {
 				// Push the unapplied suffix back to the front so a later
 				// Restart resumes exactly where this one was interrupted.
 				g.backlog = append(batch[i:], g.backlog...)
 				g.inflight = 0
-				g.mu.Unlock()
-				aborted = true
 				break
 			}
-			g.mu.Unlock()
 			t.f()
 			n++
-			g.mu.Lock()
 			g.inflight = len(batch) - i - 1
-			g.mu.Unlock()
-		}
-		g.mu.Lock()
-		if aborted {
-			break
 		}
 	}
+	g.replaying = false
 	if g.recrash {
 		g.recrash = false
-		g.replaying = false
-		g.mu.Unlock()
 		return n
 	}
 	g.down = false
-	g.replaying = false
-	g.mu.Unlock()
 	return n
 }
 
@@ -311,41 +266,28 @@ func (g *DurableGate) chargeRefetch(log *wal.Log, counts []int) {
 	if cost > 0 {
 		g.clk.Sleep(cost)
 	}
-	g.mu.Lock()
 	g.refetchedRecords += uint64(len(counts))
 	g.refetchSec += cost.Seconds()
-	g.mu.Unlock()
 }
 
 // Down reports whether the node is currently crashed.
-func (g *DurableGate) Down() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.down
-}
+func (g *DurableGate) Down() bool { return g.down }
 
 // Backlog reports how much commit work is still pending: buffered items
 // plus the in-flight remainder of an in-progress Restart drain.
-func (g *DurableGate) Backlog() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.backlog) + g.inflight
-}
+func (g *DurableGate) Backlog() int { return len(g.backlog) + g.inflight }
 
 // Stats snapshots the node's recovery-plane counters (zero value when no
 // log is mounted).
 func (g *DurableGate) Stats() RecoveryStats {
-	g.mu.Lock()
-	log := g.log
 	rs := RecoveryStats{
 		ReplayedRecords:  g.replayedRecords,
 		RefetchedRecords: g.refetchedRecords,
 		ReplaySec:        g.replaySec,
 		RefetchSec:       g.refetchSec,
 	}
-	g.mu.Unlock()
-	if log != nil {
-		ls := log.Stats()
+	if g.log != nil {
+		ls := g.log.Stats()
 		rs.LogRecords = ls.AppendedRecords
 		rs.LogBytes = ls.AppendedBytes
 		rs.Fsyncs = ls.Fsyncs

@@ -1,7 +1,6 @@
 package systems
 
 import (
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
@@ -18,15 +17,14 @@ const DefaultEmittedRetention = 1 << 19
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// One lock guards all of it: a run executes one goroutine at a time, so
-// there is nothing for more lock domains to separate. Node identities are interned once into dense
-// indices so per-transaction tracking is a bitset rather than a map of
-// node-ID strings.
+// Only the actor holding the clock's token touches it, so it takes no
+// lock. Node identities are interned once into dense indices so
+// per-transaction tracking is a bitset rather than a map of node-ID
+// strings.
 type Hub struct {
 	nodes     int
 	retention int
 
-	mu      sync.Mutex
 	subs    map[string]EventFunc
 	nodeIdx map[string]*HubNode
 	// txs holds every transaction the hub knows, by a pointer-free value the
@@ -108,8 +106,6 @@ func NewHub(nodes int, opts ...HubOption) *Hub {
 
 // Subscribe registers fn as the listener for events whose Client matches.
 func (h *Hub) Subscribe(client string, fn EventFunc) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.subs[client] = fn
 }
 
@@ -117,8 +113,6 @@ func (h *Hub) Subscribe(client string, fn EventFunc) {
 // resolve the handle once at provisioning time so the per-commit hot path
 // never touches the node-ID string map.
 func (h *Hub) Node(id string) *HubNode {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	n, ok := h.nodeIdx[id]
 	if !ok {
 		n = &HubNode{hub: h, idx: len(h.nodeIdx), id: id}
@@ -143,38 +137,32 @@ func (n *HubNode) ID() string { return n.id }
 // Duplicate reports from the same node are ignored.
 func (n *HubNode) Committed(ev Event, at time.Time) {
 	h := n.hub
-	h.mu.Lock()
 	slot, ok := h.txs[ev.TxID]
 	if !ok {
 		slot = h.open(ev)
 		h.txs[ev.TxID] = slot
 	}
 	if slot == tombstone {
-		h.mu.Unlock()
 		return
 	}
 	p := &h.slab[slot]
 	if !p.mark(n.idx) || p.count < h.nodes {
-		h.mu.Unlock()
 		return
 	}
-	// Final node: emit exactly once. The transition happens under the lock,
-	// the callback runs outside every lock.
+	// Final node: emit exactly once. The transition completes before the
+	// callback runs, so a report the callback causes sees the tombstone.
 	out := p.event
 	h.release(slot)
 	h.retain(ev.TxID)
 	h.emitted++
-	fn := h.subs[out.Client]
-	h.mu.Unlock()
-
-	if fn != nil {
+	if fn := h.subs[out.Client]; fn != nil {
 		out.FinalizedAt = at
 		fn(out)
 	}
 }
 
 // open gives a newly reported transaction a slab slot, reusing a freed one
-// when there is one. Caller holds h.mu.
+// when there is one.
 func (h *Hub) open(ev Event) int32 {
 	if k := len(h.free); k > 0 {
 		slot := h.free[k-1]
@@ -187,8 +175,7 @@ func (h *Hub) open(ev Event) int32 {
 }
 
 // release clears a finalized transaction's slot, keeping its spill words'
-// capacity, and frees it: the slot pins nothing of the event. Caller holds
-// h.mu.
+// capacity, and frees it: the slot pins nothing of the event.
 func (h *Hub) release(slot int32) {
 	p := &h.slab[slot]
 	clear(p.more)
@@ -197,7 +184,7 @@ func (h *Hub) release(slot int32) {
 }
 
 // retain tombstones a finalized transaction, retiring the oldest tombstone
-// once the ring is at its bound. Caller holds h.mu.
+// once the ring is at its bound.
 func (h *Hub) retain(id crypto.Hash) {
 	h.txs[id] = tombstone
 	if len(h.ring) < h.retention {
@@ -214,10 +201,7 @@ func (h *Hub) retain(id crypto.Hash) {
 // EmitDirect fires an event immediately, bypassing per-node tracking. Used
 // for client-visible rejections that never reach the chain.
 func (h *Hub) EmitDirect(ev Event, at time.Time) {
-	h.mu.Lock()
-	fn := h.subs[ev.Client]
-	h.mu.Unlock()
-	if fn != nil {
+	if fn := h.subs[ev.Client]; fn != nil {
 		ev.FinalizedAt = at
 		fn(ev)
 	}
@@ -225,16 +209,12 @@ func (h *Hub) EmitDirect(ev Event, at time.Time) {
 
 // PendingCount reports transactions persisted on some but not all nodes.
 func (h *Hub) PendingCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return len(h.txs) - len(h.ring)
 }
 
 // EmittedCount reports fully finalized transactions over the hub's
 // lifetime. Unlike the tombstone set, the counter is never pruned.
 func (h *Hub) EmittedCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.emitted
 }
 
@@ -242,7 +222,5 @@ func (h *Hub) EmittedCount() int {
 // currently retained; it is bounded by the retention regardless of run
 // length.
 func (h *Hub) TombstoneCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return len(h.ring)
 }

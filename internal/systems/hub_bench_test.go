@@ -3,15 +3,16 @@ package systems
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
 // BenchmarkHubCommit drives a full commit cycle (every node reports every
-// transaction) through a hub from GOMAXPROCS goroutines, one per node,
+// transaction) through a hub from GOMAXPROCS node actors on one clock,
 // mimicking the per-validator commit loops of the system drivers.
 func BenchmarkHubCommit(b *testing.B) {
 	nodes := runtime.GOMAXPROCS(0)
@@ -30,20 +31,18 @@ func BenchmarkHubCommit(b *testing.B) {
 		handles[n] = h.Node(fmt.Sprintf("node-%d", n))
 	}
 
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		node := handles[n]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			at := time.Unix(0, 0)
-			for _, id := range ids {
-				node.Committed(Event{TxID: id, Client: "c"}, at)
-			}
-		}()
+	names := make([]string, nodes)
+	for n := range names {
+		names[n] = fmt.Sprintf("node-%d", n)
 	}
-	wg.Wait()
+	clk := clocktest.New(b)
+	b.ResetTimer()
+	clock.Go(clk, names, func(n int) {
+		at := time.Unix(0, 0)
+		for _, id := range ids {
+			handles[n].Committed(Event{TxID: id, Client: "c"}, at)
+		}
+	})()
 	b.StopTimer()
 	if got := h.EmittedCount(); got != b.N {
 		b.Fatalf("emitted %d, want %d", got, b.N)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
@@ -101,40 +103,38 @@ func TestHubEmitDirect(t *testing.T) {
 	}
 }
 
-// TestHubManyTransactionsConcurrentExactlyOnce hammers the hub with interleaved commits for many transactions from many goroutines and
-// checks every transaction emits exactly once (run under -race).
+// TestHubManyTransactionsConcurrentExactlyOnce: node actors on one clock
+// interleave their commits for many transactions wherever they park, each
+// reporting every transaction twice; every transaction emits exactly once
+// (run under -race).
 func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 	const (
 		nodes = 5
 		txs   = 400
 	)
+	clk := clocktest.New(t)
 	h := NewHub(nodes)
-	var mu sync.Mutex
 	fired := make(map[crypto.Hash]int, txs)
-	h.Subscribe("c", func(e Event) {
-		mu.Lock()
-		fired[e.TxID]++
-		mu.Unlock()
-	})
+	h.Subscribe("c", func(e Event) { fired[e.TxID]++ })
 
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		node := h.Node(string(rune('a' + n)))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < txs; i++ {
-				ev := Event{TxID: crypto.SumString("tx-" + string(rune(i))), Client: "c"}
-				node.Committed(ev, time.Unix(int64(i), 0))
-				// Duplicate report from the same node must be idempotent.
-				node.Committed(ev, time.Unix(int64(i), 1))
-			}
-		}()
+	names := make([]string, nodes)
+	for n := range names {
+		names[n] = string(rune('a' + n))
 	}
-	wg.Wait()
+	clock.Go(clk, names, func(n int) {
+		node := h.Node(names[n])
+		for i := 0; i < txs; i++ {
+			ev := Event{TxID: crypto.SumString("tx-" + string(rune(i))), Client: "c"}
+			node.Committed(ev, clk.Now())
+			clk.Sleep(time.Duration(1+n) * time.Microsecond)
+			// Duplicate report from the same node must be idempotent.
+			node.Committed(ev, clk.Now())
+		}
+	})()
 
-	mu.Lock()
-	defer mu.Unlock()
+	if len(fired) != txs {
+		t.Fatalf("%d transactions fired, want %d", len(fired), txs)
+	}
 	for id, n := range fired {
 		if n != 1 {
 			t.Fatalf("tx %s fired %d times, want exactly 1", id.Short(), n)
@@ -295,28 +295,22 @@ func TestHubNodeHandleInterning(t *testing.T) {
 	}
 }
 
+// TestHubConcurrentCommitsFireExactlyOnce: eight node actors report one
+// transaction, each in its own turn on the clock; it fires exactly once.
 func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
+	clk := clocktest.New(t)
 	h := NewHub(8)
-	var mu sync.Mutex
 	fired := 0
-	h.Subscribe("c", func(Event) {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-	})
+	h.Subscribe("c", func(Event) { fired++ })
 	ev := Event{TxID: crypto.SumString("tx"), Client: "c"}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		node := string(rune('a' + i))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.Node(node).Committed(ev, time.Now())
-		}()
+	names := make([]string, 8)
+	for i := range names {
+		names[i] = string(rune('a' + i))
 	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
+	clock.Go(clk, names, func(i int) {
+		clk.Sleep(time.Duration(8-i) * time.Microsecond)
+		h.Node(names[i]).Committed(ev, clk.Now())
+	})()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want exactly 1", fired)
 	}

@@ -17,7 +17,6 @@ package quorum
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -91,7 +90,6 @@ type validator struct {
 	// and refilled per block.
 	included map[crypto.Hash]struct{}
 
-	mu      sync.Mutex
 	stalled bool
 }
 
@@ -249,14 +247,12 @@ func (n *Network) produce(v *validator) {
 	// Livelock latch: at a low block period under a deep backlog, the tx
 	// queue permanently stops being processed (paper §5.5). The node still
 	// participates in consensus and produces empty blocks.
-	v.mu.Lock()
 	if !v.stalled &&
 		n.cfg.blockPeriod <= n.env.Paper(stallPeriodSec) &&
 		v.pool.Len() > n.cfg.stallQueueLimit {
 		v.stalled = true
 	}
 	stalled := v.stalled
-	v.mu.Unlock()
 
 	var txs []*chain.Transaction
 	if !stalled {
@@ -351,10 +347,7 @@ func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
 // Stalled reports whether any validator has latched the livelock.
 func (n *Network) Stalled() bool {
 	for _, v := range n.validators {
-		v.mu.Lock()
-		s := v.stalled
-		v.mu.Unlock()
-		if s {
+		if v.stalled {
 			return true
 		}
 	}

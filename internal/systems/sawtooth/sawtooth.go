@@ -19,7 +19,6 @@ package sawtooth
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
@@ -102,7 +101,7 @@ type Network struct {
 
 	// discardedOps counts payload operations lost to atomic batch discard
 	// (counted once per decision, on validator 0's identical replay).
-	discardedOps atomic.Uint64
+	discardedOps uint64
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -319,7 +318,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			// Every validator discards the same batches; count the lost
 			// payloads once for the conflict breakdown.
 			for _, tx := range b.Txs {
-				n.discardedOps.Add(uint64(tx.OpCount()))
+				n.discardedOps += uint64(tx.OpCount())
 			}
 		}
 	}
@@ -389,8 +388,8 @@ func (n *Network) QueueStats() (admitted, rejected uint64) {
 // the entire batch ... is completely discarded", §5.6). These never produce
 // client events, so the runner folds them in system-side.
 func (n *Network) ConflictCounts() map[string]uint64 {
-	if d := n.discardedOps.Load(); d > 0 {
-		return map[string]uint64{systems.AbortBatchDiscarded: d}
+	if n.discardedOps > 0 {
+		return map[string]uint64{systems.AbortBatchDiscarded: n.discardedOps}
 	}
 	return nil
 }

@@ -104,15 +104,15 @@ type Event struct {
 	BlockNum uint64
 	// FinalizedAt is when the last node persisted the transaction.
 	FinalizedAt time.Time
-	// Stages points at the transaction's pipeline stage trace (a pointer:
-	// the trace holds atomics and cannot be copied). Clients resolve it into
+	// Stages points at the transaction's pipeline stage trace, which every
+	// node's report of the transaction shares. Clients resolve it into
 	// per-stage latency histograms; nil when the driver did not instrument
 	// the transaction.
 	Stages *chain.StageTrace
 }
 
-// EventFunc receives finalization events. Callbacks run on system
-// goroutines and must return promptly.
+// EventFunc receives finalization events. Callbacks run on the system's
+// actors, under the clock's token, and must return promptly.
 type EventFunc func(Event)
 
 // Driver is the Blockchain Access Layer's view of a system under test. One

@@ -6,7 +6,6 @@
 package systemstest
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -58,7 +57,6 @@ const Settle = 5 * time.Second
 // Collector gathers the events a driver delivers to one client.
 type Collector struct {
 	clk    *clock.AutoVirtual
-	mu     sync.Mutex
 	events []systems.Event
 }
 
@@ -70,23 +68,13 @@ func Collect(env systems.Env, d systems.Driver, client string) *Collector {
 	return c
 }
 
-func (c *Collector) add(e systems.Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
+func (c *Collector) add(e systems.Event) { c.events = append(c.events, e) }
 
 // Len reports how many events have arrived.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
+func (c *Collector) Len() int { return len(c.events) }
 
 // Events returns a copy of the events so far, in arrival order.
 func (c *Collector) Events() []systems.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]systems.Event(nil), c.events...)
 }
 

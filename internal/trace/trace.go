@@ -3,8 +3,10 @@
 // rounds, and WAL append/fsync costs. The span store is a single shared
 // sink handed to every instrumented component; recording is gated by
 // deterministic sampling so virtual-time runs stay bit-identical at a
-// fixed seed, and the unsampled path is allocation- and lock-free (one
-// arithmetic test), so tracing can stay wired into the hot paths.
+// fixed seed, and the unsampled path is allocation-free (one arithmetic
+// test), so tracing can stay wired into the hot paths. Spans are added by
+// whichever actor holds the clock's token, one at a time, so the sink takes
+// no lock.
 //
 // Sampling is a pure function of stable identities — the transaction ID's
 // first eight bytes, a block number, a per-link message ordinal — never of
@@ -13,10 +15,7 @@
 // byte-identical across runs; CI asserts exactly that.
 package trace
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // Span is one recorded interval. Times are UnixNano stamps from the run's
 // injected clock (never the wall clock), so virtual-time spans are exact.
@@ -60,7 +59,6 @@ type Tracer struct {
 	every uint64
 	cap   int
 
-	mu      sync.Mutex
 	spans   []Span
 	dropped uint64
 }
@@ -97,7 +95,7 @@ func mix(x uint64) uint64 {
 // Sampled reports whether the transaction (or block, or ordinal) keyed by
 // key is in the sampled set: a pure function of the key and the sampling
 // rate, identical across runs and across call sites. Nil-safe; the false
-// path takes no locks and allocates nothing.
+// path allocates nothing.
 func (t *Tracer) Sampled(key uint64) bool {
 	if t == nil {
 		return false
@@ -118,13 +116,11 @@ func (t *Tracer) Add(s Span) {
 	if s.End < s.Start {
 		s.End = s.Start
 	}
-	t.mu.Lock()
 	if len(t.spans) >= t.cap {
 		t.dropped++
 	} else {
 		t.spans = append(t.spans, s)
 	}
-	t.mu.Unlock()
 }
 
 // Len reports the retained span count.
@@ -132,8 +128,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.spans)
 }
 
@@ -142,15 +136,11 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
 // snapshot copies the retained spans.
 func (t *Tracer) snapshot() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out

@@ -146,7 +146,7 @@ func TestExemplars(t *testing.T) {
 
 // BenchmarkUnsampledPath proves the acceptance criterion: the guard an
 // instrumented hot path runs for an unsampled transaction costs zero
-// allocations (and no locks).
+// allocations.
 func BenchmarkUnsampledPath(b *testing.B) {
 	tr := New(Options{SampleEvery: 1 << 62})
 	key := Key([32]byte{1, 2, 3, 4, 5, 6, 7, 8})

@@ -41,15 +41,9 @@ func TestMapOrder(t *testing.T) {
 
 func TestActorSpawn(t *testing.T) {
 	res := vettest.Run(t, vet.ActorSpawn, "actorspawn")
-	if len(res.Findings) != 5 {
-		t.Errorf("want exactly 5 actorspawn findings (every go statement, announced or not; none for clock.Go), got %d", len(res.Findings))
-	}
-}
-
-func TestParkLock(t *testing.T) {
-	res := vettest.Run(t, vet.ParkLock, "parklock")
-	if len(res.Findings) < 8 {
-		t.Errorf("want >= 8 parklock findings, got %d", len(res.Findings))
+	if len(res.Findings) != 10 {
+		t.Errorf("want exactly 10 actorspawn findings (every go statement, announced or not, none for clock.Go; "+
+			"four mutex types, one atomic import, none for sync.Pool), got %d", len(res.Findings))
 	}
 }
 

@@ -21,24 +21,19 @@ type Policy struct {
 }
 
 // DefaultPolicy mirrors the retired shell lints' exemption lists, plus
-// the package gates for the four new analyzers.
+// the package gates for the three new analyzers.
 func DefaultPolicy() *Policy {
 	return &Policy{
 		Include: map[string][]string{
-			// The packages converted to clock-actor scheduling in PR 6:
-			// consensus engines, system drivers, transport, runner, and
-			// the fault injector.
-			ActorSpawn.Name: {
-				"internal/consensus", "internal/systems", "internal/network",
-				"internal/coconut", "internal/faults",
-			},
+			// Everything a run executes runs as clock actors.
+			ActorSpawn.Name: {"internal"},
 		},
 		Exclude: map[string][]string{
 			// internal/clock is the one sanctioned wall-clock boundary
-			// and owns its own goroutine/lock discipline.
+			// and owns its own goroutine/lock discipline; the analyzers
+			// themselves run outside any clock.
 			Walltime.Name:   {"internal/clock"},
-			ActorSpawn.Name: {"internal/clock"},
-			ParkLock.Name:   {"internal/clock"},
+			ActorSpawn.Name: {"internal/clock", "internal/vet"},
 			// CLIs write their own output files.
 			DirectIO.Name: {"cmd"},
 			// The registry/tracer packages own telemetry construction;

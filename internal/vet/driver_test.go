@@ -168,8 +168,8 @@ func TestDefaultPolicyExemptions(t *testing.T) {
 		{"actorspawn", "internal/consensus/bftcore", true},
 		{"actorspawn", "internal/clock", false},
 		{"actorspawn", "examples/quickstart", false},
-		{"parklock", "internal/clock", false},
-		{"parklock", "internal/systems/fabric", true},
+		{"actorspawn", "internal/statestore", true},
+		{"actorspawn", "internal/vet", false},
 		{"globalrand", "internal/workload", false},
 		{"globalrand", "internal/network", true},
 		{"maporder", "internal/experiments", true},

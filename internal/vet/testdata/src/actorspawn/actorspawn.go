@@ -2,10 +2,14 @@
 // goroutine is an actor started by clock.Go, which announces and registers
 // it so the AutoVirtual quiescence detector can see it. Any go statement —
 // bare, or hand-announced with clock.Fork and clock.RegisterForked — is a
-// finding.
+// finding, and so is every sync.Mutex, sync.RWMutex and sync/atomic.
 package fixture
 
 import (
+	"sync"
+	syn "sync"
+	"sync/atomic" // want `sync/atomic in a clock-actor package`
+
 	"github.com/coconut-bench/coconut/internal/clock"
 )
 
@@ -47,3 +51,25 @@ func selfRegistering(c *clock.AutoVirtual) {
 func started(c *clock.AutoVirtual) {
 	clock.Go(c, []string{"w0", "w1"}, func(int) { worker(c) })()
 }
+
+// Under the token a lock is never contended, so naming its type is a
+// finding wherever it happens: a field, a variable, a type alias, an
+// allocation, through an aliased import too.
+type guarded struct {
+	mu sync.Mutex // want `sync.Mutex in a clock-actor package`
+	n  int
+}
+
+var table sync.RWMutex // want `sync.RWMutex in a clock-actor package`
+
+type alias = syn.Mutex // want `sync.Mutex in a clock-actor package`
+
+func fresh() any {
+	return new(syn.Mutex) // want `sync.Mutex in a clock-actor package`
+}
+
+// So is an atomic counter, through its import.
+func counted(c *atomic.Int64) int64 { return c.Add(1) }
+
+// A pool is no lock: a free list the actors share.
+var pool = sync.Pool{New: func() any { return new(guarded) }}

@@ -5,8 +5,8 @@
 // wrapper cannot slip a wall-clock read past the determinism contract —
 // and adds analyzers for hazards grep cannot express at all: unsorted
 // map iteration feeding the report/export paths, bare goroutine spawns
-// invisible to the AutoVirtual quiescence detector, parking on a clock
-// primitive while a sync mutex is held, and math/rand use outside the
+// invisible to the AutoVirtual quiescence detector and locks or atomics in
+// the packages its token already serialises, and math/rand use outside the
 // seeded per-thread RNG-stream contract.
 //
 // The Analyzer/Pass/Diagnostic types deliberately mirror
@@ -66,7 +66,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // Analyzers is the full coconut-vet suite in the order the driver runs
-// it: the three shell-lint ports first, then the four hazards grep could
+// it: the three shell-lint ports first, then the three hazards grep could
 // not express.
 var Analyzers = []*Analyzer{
 	Walltime,
@@ -74,7 +74,6 @@ var Analyzers = []*Analyzer{
 	Telemetry,
 	MapOrder,
 	ActorSpawn,
-	ParkLock,
 	GlobalRand,
 }
 

@@ -23,8 +23,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"sync"
-
 	"github.com/coconut-bench/coconut/internal/clock"
 )
 
@@ -147,14 +145,14 @@ type segment struct {
 	buf  []byte
 }
 
-// Log is one node's write-ahead log. All methods are safe for concurrent
-// use; none of them sleeps — modeled latencies are returned to the caller.
+// Log is one node's write-ahead log, touched only by the actor holding the
+// clock's token. None of its methods sleeps: modeled latencies are returned
+// to the caller.
 type Log struct {
 	name string
 	opts Options
 	clk  *clock.AutoVirtual
 
-	mu   sync.Mutex
 	segs []*segment
 	// seq is the next record's sequence number; snapSeq the checkpointed
 	// height (records below it are compacted away); durableSeq the height
@@ -206,36 +204,30 @@ type AppendResult struct {
 // (transactions); zero entries still writes a record (an empty block's
 // header). The payload is synthesized deterministically from the sequence
 // number, so CRC verification during replay is genuine.
-func (l *Log) Append(entries int) AppendResult {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(entries, true)
-}
+func (l *Log) Append(entries int) AppendResult { return l.appendFrame(entries, true) }
 
 // AppendBatch writes one record per entry count and forces a single sync at
 // the end regardless of policy — the restart catch-up path: re-fetched work
 // is persisted as a unit before the node reopens.
 func (l *Log) AppendBatch(entryCounts []int) AppendResult {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out AppendResult
 	for _, n := range entryCounts {
-		r := l.appendLocked(n, false)
+		r := l.appendFrame(n, false)
 		out.Bytes += r.Bytes
 		out.Latency += r.Latency
 		out.Snapshotted = out.Snapshotted || r.Snapshotted
 	}
 	if l.pendingRecords > 0 {
-		l.syncLocked()
+		l.sync()
 		out.Synced = true
 		out.Latency += l.opts.Latency.Fsync
 	}
 	return out
 }
 
-// appendLocked appends one frame, applying the fsync policy when policySync
-// is set. Callers hold l.mu.
-func (l *Log) appendLocked(entries int, policySync bool) AppendResult {
+// appendFrame appends one frame, applying the fsync policy when policySync
+// is set.
+func (l *Log) appendFrame(entries int, policySync bool) AppendResult {
 	if entries < 0 {
 		entries = 0
 	}
@@ -266,21 +258,20 @@ func (l *Log) appendLocked(entries int, policySync bool) AppendResult {
 		Bytes:   n,
 		Latency: m.AppendPerRecord + perKB(m.AppendPerKB, n),
 	}
-	if policySync && l.shouldSyncLocked() {
-		l.syncLocked()
+	if policySync && l.shouldSync() {
+		l.sync()
 		res.Synced = true
 		res.Latency += m.Fsync
 	}
 	if l.opts.SnapshotEvery > 0 && l.seq-l.snapSeq >= uint64(l.opts.SnapshotEvery) {
-		l.snapshotLocked()
 		res.Snapshotted = true
-		res.Latency += m.Snapshot
+		res.Latency += l.Snapshot()
 	}
 	return res
 }
 
-// shouldSyncLocked evaluates the fsync policy for the current append.
-func (l *Log) shouldSyncLocked() bool {
+// shouldSync evaluates the fsync policy for the current append.
+func (l *Log) shouldSync() bool {
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		return true
@@ -294,9 +285,8 @@ func (l *Log) shouldSyncLocked() bool {
 	}
 }
 
-// syncLocked advances the durable watermark to the end of the log.
-// Callers hold l.mu.
-func (l *Log) syncLocked() {
+// sync advances the durable watermark to the end of the log.
+func (l *Log) sync() {
 	l.durSeg = len(l.segs) - 1
 	l.durOff = len(l.segs[l.durSeg].buf)
 	l.durableSeq = l.seq
@@ -308,13 +298,6 @@ func (l *Log) syncLocked() {
 // it, returning the modeled checkpoint latency. The checkpoint itself is
 // durable, so the watermark advances with it.
 func (l *Log) Snapshot() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.snapshotLocked()
-	return l.opts.Latency.Snapshot
-}
-
-func (l *Log) snapshotLocked() {
 	l.snapSeq = l.seq
 	l.durableSeq = l.seq
 	// The first segment and its buffer carry on from the checkpoint; the
@@ -326,14 +309,13 @@ func (l *Log) snapshotLocked() {
 	l.durSeg, l.durOff = 0, 0
 	l.pendingRecords = 0
 	l.snapshots++
+	return l.opts.Latency.Snapshot
 }
 
 // Crash drops the un-synced tail (everything past the durable watermark),
 // returning how many records were lost. It models the in-memory page cache
 // vanishing with the process.
 func (l *Log) Crash() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	lost := int(l.seq - l.durableSeq)
 	if lost == 0 {
 		return 0
@@ -364,10 +346,8 @@ type ReplayResult struct {
 // by truncating the invalid suffix so subsequent appends extend the valid
 // prefix.
 func (l *Log) Replay() ReplayResult {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	inLog := int(l.seq - l.snapSeq)
-	valid, bytes, stopSeg, stopOff := l.scanLocked()
+	valid, bytes, stopSeg, stopOff := l.scan()
 	res := ReplayResult{
 		Records: valid,
 		Bytes:   bytes,
@@ -388,9 +368,9 @@ func (l *Log) Replay() ReplayResult {
 	return res
 }
 
-// scanLocked walks every frame, verifying lengths and CRCs, and returns the
+// scan walks every frame, verifying lengths and CRCs, and returns the
 // valid prefix's record count, byte size, and end position.
-func (l *Log) scanLocked() (valid, bytes, stopSeg, stopOff int) {
+func (l *Log) scan() (valid, bytes, stopSeg, stopOff int) {
 	seq := l.snapSeq
 	for si, s := range l.segs {
 		off := 0
@@ -426,8 +406,6 @@ func (l *Log) RefetchCost(records int) time.Duration {
 	if records <= 0 {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.opts.Latency.RefetchPerRecord * time.Duration(records)
 }
 
@@ -435,8 +413,6 @@ func (l *Log) RefetchCost(records int) time.Duration {
 // power cut between write and sync. It reports whether there was a record
 // to tear (an empty log is left alone).
 func (l *Log) InjectTornWrite() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.seq == l.snapSeq {
 		return false
 	}
@@ -472,8 +448,6 @@ func (l *Log) InjectTornWrite() bool {
 // stop at the prefix before it. It reports whether there was a record to
 // corrupt.
 func (l *Log) InjectCorruptRecord() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	live := int(l.seq - l.snapSeq)
 	if live == 0 {
 		return false
@@ -516,8 +490,6 @@ type Stats struct {
 
 // Stats returns the log's cumulative counters.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var liveBytes uint64
 	for _, s := range l.segs {
 		liveBytes += uint64(len(s.buf))
@@ -537,8 +509,6 @@ func (l *Log) Stats() Stats {
 // records a crash at this instant would lose. It is the gauge the
 // telemetry plane samples per window.
 func (l *Log) UnsyncedRecords() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return int(l.seq - l.durableSeq)
 }
 

@@ -17,7 +17,7 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/coconut-vet" ./cmd/coconut-vet
 
 fail=0
-for a in walltime directio telemetry maporder actorspawn parklock globalrand; do
+for a in walltime directio telemetry maporder actorspawn globalrand; do
     dir="internal/vet/testdata/src/$a"
     if [ ! -d "$dir" ]; then
         echo "vet-selftest: missing fixture $dir" >&2
@@ -67,4 +67,4 @@ if "$tmp/coconut-vet" -dir "$tmp/stale" > /dev/null 2>&1; then
 fi
 
 [ "$fail" -eq 0 ] || exit 1
-echo "vet-selftest: ok (7 analyzers caught their fixtures; clean tree passes; stale allow fails)"
+echo "vet-selftest: ok (6 analyzers caught their fixtures; clean tree passes; stale allow fails)"
