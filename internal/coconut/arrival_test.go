@@ -120,7 +120,7 @@ func TestClientPoissonArrivalStaysRateLimited(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	sent := runSummary(c).ExpectedNoT
+	sent := runPhase(c).expectedOps
 	if sent > 90 {
 		t.Fatalf("sent %d transactions in 300ms at RL=100 (Poisson pacer unbounded)", sent)
 	}
@@ -140,16 +140,16 @@ func TestClientBurstArrivalDelivers(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	s := runSummary(c)
-	if s.ExpectedNoT == 0 {
+	s := runPhase(c)
+	if s.expectedOps == 0 {
 		t.Fatal("burst schedule sent nothing")
 	}
 	// 200/s over 300ms ≈ 60 mean sends; allow burst-quantized headroom (one
 	// extra full burst plus warm start).
-	if s.ExpectedNoT > 95 {
-		t.Fatalf("sent %d transactions (burst schedule ignores mean rate)", s.ExpectedNoT)
+	if s.expectedOps > 95 {
+		t.Fatalf("sent %d transactions (burst schedule ignores mean rate)", s.expectedOps)
 	}
-	if s.ReceivedNoT != s.ExpectedNoT {
-		t.Fatalf("%d of %d burst sends confirmed by the fake driver, want all", s.ReceivedNoT, s.ExpectedNoT)
+	if s.receivedOps != s.expectedOps {
+		t.Fatalf("%d of %d burst sends confirmed by the fake driver, want all", s.receivedOps, s.expectedOps)
 	}
 }

@@ -2,7 +2,6 @@ package coconut
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -23,8 +22,8 @@ type BatchSubmitter interface {
 
 // clientThread is one workload thread: a lane of the pacer with its own
 // generator and key-space cursor. Everything but received belongs to whoever
-// sends (the pacer event; the main actor at t=0) and is only read by others
-// after the pacer has stopped; received is counted by onEvent.
+// sends (the runner at t=0, the pacer event after) and is only read by others
+// after the send window has ended; received is counted by onEvent.
 type clientThread struct {
 	sent     uint64
 	received uint64
@@ -36,9 +35,10 @@ type clientThread struct {
 
 // Client is one COCONUT client application: it paces sends according to the
 // arrival schedule, deals them to the workload threads in turn, and streams
-// finalization notifications into online counters and a latency histogram,
-// so its memory is bounded by the in-flight window, not the run length. The
-// paper runs four client applications, each with four client threads of four
+// finalization notifications into its phase's tally, so its memory is
+// bounded by the in-flight window, not the run length. It is no actor: the
+// runner makes its first send and its pacer event makes the rest. The paper
+// runs four client applications, each with four client threads of four
 // workload threads (16 senders per application), each application targeting
 // a different server (§4.3).
 type Client struct {
@@ -56,29 +56,19 @@ type Client struct {
 	readMax     []uint64 // per thread: non-zero wraps read indices into the written key space
 	gen         func(thread int) OpGen
 	arrivalSeed int64
-	timeline    *Timeline
 	clk         *clock.AutoVirtual
 	driver      systems.Driver
 
 	seq     uint64
 	threads []clientThread
-	hist    *LatencyHist
-	stages  StageMetrics
 
-	// The in-flight index and the online repetition summary are streamed as
-	// sends and events happen, so phase-end aggregation never walks the full
-	// record set. Sends update them on the sending actor, confirmations on
+	// The in-flight index and the phase's tally are streamed as sends and
+	// events happen, so phase-end aggregation never walks the full record
+	// set. Sends update them on the sending actor or event, confirmations on
 	// whichever actor the driver commits on: one at a time, under the
 	// clock's token.
-	inflight    map[crypto.Hash]inflightTx
-	expectedOps int
-	receivedOps int
-	validOps    int
-	latencySum  time.Duration
-	latencyN    int
-	firstSendNs int64          // math.MaxInt64 until the first send
-	lastRecvNs  int64          // math.MinInt64 until the first receipt
-	aborts      map[string]int // per-reason abort payload counts
+	inflight map[crypto.Hash]inflightTx
+	tally    *tally
 }
 
 // inflightTx is what the client keeps of a sent transaction until its
@@ -92,13 +82,13 @@ type inflightTx struct {
 
 // newClient builds client i of a bench phase in repetition rep of the run
 // cfg, which Run has filled and checked. The client sends to node i, wraps
-// each workload thread's indices by readMax, and feeds timeline when it is
-// set. gen, when set, is called once per workload thread for that thread's
+// each workload thread's indices by readMax, and streams into the phase's
+// tally. gen, when set, is called once per workload thread for that thread's
 // operation generator; nil draws from cfg.Workload when the run has one,
 // and otherwise from the paper's per-thread partitioned benchmark
 // generators. Subscribe must happen before the system starts delivering
 // events, so construction registers the event listener.
-func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, timeline *Timeline, i, rep int, bench BenchmarkName, readMax []uint64, gen func(thread int) OpGen) *Client {
+func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, tl *tally, i, rep int, bench BenchmarkName, readMax []uint64, gen func(thread int) OpGen) *Client {
 	if gen == nil && cfg.Workload != nil {
 		gen = func(thread int) OpGen {
 			return OpGen(cfg.Workload.Generator(workload.Placement{
@@ -117,23 +107,20 @@ func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, ti
 		// Decorrelate randomized arrival streams across clients and
 		// repetitions while keeping runs reproducible.
 		arrivalSeed: cfg.ArrivalSeed + int64(i)*7919 + int64(rep)*104729,
-		timeline:    timeline,
 		clk:         clk,
 		driver:      driver,
 		threads:     make([]clientThread, cfg.WorkloadThreads),
-		hist:        NewLatencyHist(),
 		inflight:    make(map[crypto.Hash]inflightTx),
-		firstSendNs: math.MaxInt64,
-		lastRecvNs:  math.MinInt64,
+		tally:       tl,
 	}
 	driver.Subscribe(c.id, c.onEvent)
 	return c
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
-// it out of the in-flight index: the transaction's summary contribution is
-// folded in immediately and the index entry is dropped, so the index size
-// tracks outstanding transactions, not run length.
+// it out of the in-flight index: the transaction is folded into the tally
+// immediately and the index entry is dropped, so the index size tracks
+// outstanding transactions, not run length.
 func (c *Client) onEvent(ev systems.Event) {
 	now := c.clk.Now()
 	tx, ok := c.inflight[ev.TxID]
@@ -143,23 +130,7 @@ func (c *Client) onEvent(ev systems.Event) {
 	}
 	delete(c.inflight, ev.TxID)
 	ops, start := tx.ops, tx.start
-	fls := now.Sub(start)
-	c.receivedOps += ops
-	if ev.ValidOK {
-		c.validOps += ops
-	} else {
-		if c.aborts == nil {
-			c.aborts = make(map[string]int)
-		}
-		c.aborts[abortCode(ev.Code)] += ops
-	}
-	// Ops-weighted: §4.5 counts every payload as one transaction, so a
-	// multi-op transaction's latency weighs once per operation — matching
-	// ReceivedNoT and the timeline's accounting.
-	c.latencySum += fls * time.Duration(ops)
-	c.latencyN += ops
-	c.lastRecvNs = max(c.lastRecvNs, now.UnixNano())
-	c.hist.ObserveN(fls, uint64(ops))
+	c.tally.received(now, start, ops, ev.ValidOK, ev.Code)
 	if tx.thread >= 0 && tx.thread < len(c.threads) {
 		c.threads[tx.thread].received += uint64(ops)
 	}
@@ -168,7 +139,7 @@ func (c *Client) onEvent(ev systems.Event) {
 		var buf [chain.NumStages]chain.StageSpan
 		spans := ev.Stages.Durations(start, now, buf[:0])
 		for _, sp := range spans {
-			c.stages.Observe(sp.Stage, sp.Dur, ops)
+			c.tally.stages.Observe(sp.Stage, sp.Dur, ops)
 		}
 		// Sampled transactions additionally resolve into a contiguous span
 		// chain on their own trace lane, end to end from send to confirm.
@@ -184,48 +155,43 @@ func (c *Client) onEvent(ev systems.Event) {
 			}
 		}
 	}
-	if c.timeline != nil {
-		c.timeline.RecordRecv(now, ops, fls, ev.ValidOK)
-	}
 }
 
-// Run executes the send and listen phases, blocking until both complete;
-// read the phase's metrics from Summary, SentCounts and ReceivedCounts.
-//
-// One clock event paces every send: each run of it sends one transaction or
-// batch, which accounts for OpsPerTx*BatchSize payloads against the rate
-// limit, on the next workload thread in turn, and re-arms itself with the
-// arrival schedule's next gap (uniform gaps reproduce the paper's rate
-// limiter; a zero gap sends again as soon as what this send woke has run).
-// Sends never wait for finalization confirmations (§4.3).
-func (c *Client) Run() {
-	clk := c.clk
+// start begins the client's send window, which ends at sendEnd: the first
+// sending thread sends at once (the paper's threads start sending at t=0),
+// and one clock event paces the rest. Each run of the event sends one
+// transaction or batch, which accounts for OpsPerTx*BatchSize payloads
+// against the rate limit, on the next workload thread in turn, and re-arms
+// itself with the arrival schedule's next gap (uniform gaps reproduce the
+// paper's rate limiter; a zero gap sends again as soon as what this send
+// woke has run) while that falls strictly before sendEnd. The first thread
+// also takes the first paced slot. Sends never wait for finalization
+// confirmations (§4.3).
+func (c *Client) start(sendEnd time.Time) {
+	lanes := c.lanes()
+	if len(lanes) == 0 {
+		return
+	}
 	payloadsPerSend := c.cfg.OpsPerTx * c.cfg.BatchSize
 	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.cfg.RateLimit))
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
 	gaps := c.cfg.Arrival.Gaps(interval, c.arrivalSeed)
-
-	lanes := c.lanes()
 	next := 0
 	var pacer *clock.Event
-	pacer = clock.NewEvent(clk, c.id+"/pacer", func() {
+	arm := func() {
+		if at := c.clk.Now().Add(gaps()); at.Before(sendEnd) {
+			pacer.At(at)
+		}
+	}
+	pacer = clock.NewEvent(c.clk, c.id+"/pacer", func() {
 		c.send(lanes[next])
 		next = (next + 1) % len(lanes)
-		pacer.After(gaps())
+		arm()
 	})
-	if len(lanes) > 0 {
-		// Warm start: the first send happens immediately (the paper's threads
-		// start sending at t=0), then the pacer enforces the schedule. The
-		// first lane also takes the first paced slot.
-		c.send(lanes[0])
-		pacer.After(gaps())
-	}
-	clk.Sleep(c.cfg.SendDuration)
-	pacer.Stop()
-	clk.Sleep(c.cfg.ListenGrace)
-	c.detach()
+	c.send(lanes[0])
+	arm()
 }
 
 // lanes prepares every workload thread's generator and returns the threads
@@ -267,35 +233,9 @@ func (c *Client) send(thread int) {
 	}
 }
 
-// detach ends the listening phase: it clears the in-flight index, so an
+// detach ends the listening phase: it drops the in-flight index, so an
 // event that arrives later finds nothing and leaves the counters alone.
-func (c *Client) detach() { c.inflight = make(map[crypto.Hash]inflightTx) }
-
-// Summary returns the client's online phase aggregation; call after Run.
-func (c *Client) Summary() ClientSummary {
-	s := ClientSummary{
-		ExpectedNoT: c.expectedOps,
-		ReceivedNoT: c.receivedOps,
-		ValidNoT:    c.validOps,
-		LatencySum:  c.latencySum,
-		LatencyN:    c.latencyN,
-		Hist:        c.hist,
-		Stages:      &c.stages,
-	}
-	if len(c.aborts) > 0 {
-		s.Aborts = make(map[string]int, len(c.aborts))
-		for code, n := range c.aborts {
-			s.Aborts[code] = n
-		}
-	}
-	if c.firstSendNs != math.MaxInt64 {
-		s.FirstSend = time.Unix(0, c.firstSendNs)
-	}
-	if c.lastRecvNs != math.MinInt64 {
-		s.LastRecv = time.Unix(0, c.lastRecvNs)
-	}
-	return s
-}
+func (c *Client) detach() { c.inflight = nil }
 
 // nextOp generates the thread's next operation, wrapping its index into the
 // written key space for read benchmarks.
@@ -361,15 +301,11 @@ func (c *Client) sendBatch(thread int) {
 // so its finalization event can never outrun it.
 func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
 	c.inflight[id] = inflightTx{start: start, ops: ops, thread: thread}
-	c.expectedOps += ops
-	c.firstSendNs = min(c.firstSendNs, start.UnixNano())
-	if c.timeline != nil {
-		c.timeline.RecordSend(start, ops)
-	}
+	c.tally.sent(start, ops)
 }
 
 // SentCounts returns the per-thread payload counts the driver accepted;
-// call after Run.
+// call after the phase.
 func (c *Client) SentCounts() []uint64 {
 	out := make([]uint64, len(c.threads))
 	for i := range c.threads {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -130,22 +131,24 @@ func (f *fakeDriver) submittedCount() int {
 }
 
 // testClient builds client 0 of the phase of cfg's first unit member, with
-// cfg filled with Run's defaults, on d and clk; a nil clk is a fresh
-// auto-advancing clock with the test registered as its actor.
+// cfg filled with Run's defaults and a tally of its own, on d and clk; a nil
+// clk is a fresh auto-advancing clock with the test registered as its actor.
 func testClient(t *testing.T, d systems.Driver, clk *clock.AutoVirtual, cfg RunConfig) *Client {
 	t.Helper()
 	if clk == nil {
 		clk = systemstest.Env(t).Clock
 	}
 	cfg.fill()
-	return newClient(&cfg, clk, d, nil, 0, 0, cfg.Unit[0], nil, nil)
+	return newClient(&cfg, clk, d, newTally(nil), 0, 0, cfg.Unit[0], nil, nil)
 }
 
-// runSummary runs the client and returns its summary: with one operation per
-// transaction, ExpectedNoT is the number of transactions it sent.
-func runSummary(c *Client) ClientSummary {
-	c.Run()
-	return c.Summary()
+// runPhase drives the client through the runner's phase — start, send
+// window, listening grace, detach — and returns the phase's tally: with one
+// operation per transaction, expectedOps is the number of transactions it
+// sent.
+func runPhase(c *Client) *tally {
+	drive(c.clk, c.cfg, []*Client{c})
+	return c.tally
 }
 
 func TestClientSendsAndCollects(t *testing.T) {
@@ -156,17 +159,17 @@ func TestClientSendsAndCollects(t *testing.T) {
 		SendDuration:    200 * time.Millisecond,
 		ListenGrace:     50 * time.Millisecond,
 	})
-	s := runSummary(c)
-	if s.ExpectedNoT == 0 {
+	s := runPhase(c)
+	if s.expectedOps == 0 {
 		t.Fatal("no transactions sent")
 	}
-	if s.ReceivedNoT != s.ExpectedNoT || s.LatencyN != s.ReceivedNoT {
+	if s.receivedOps != s.expectedOps || s.latencyN != s.receivedOps {
 		t.Fatalf("received %d of %d (%d latencies), want every immediately-confirmed tx",
-			s.ReceivedNoT, s.ExpectedNoT, s.LatencyN)
+			s.receivedOps, s.expectedOps, s.latencyN)
 	}
-	if s.LatencySum < 0 || s.LastRecv.Before(s.FirstSend) {
+	if s.latencySum < 0 || s.lastRecvNs < s.firstSendNs {
 		t.Fatalf("endtime before starttime: latency sum %v, first send %v, last receipt %v",
-			s.LatencySum, s.FirstSend, s.LastRecv)
+			s.latencySum, s.firstSendNs, s.lastRecvNs)
 	}
 }
 
@@ -178,7 +181,7 @@ func TestClientRateLimit(t *testing.T) {
 		SendDuration:    300 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	sent := runSummary(c).ExpectedNoT
+	sent := runPhase(c).expectedOps
 	// Warm-start token plus pacing: allow generous headroom but catch a
 	// broken limiter (which would send thousands).
 	if sent > 60 {
@@ -201,7 +204,7 @@ func TestClientLostTransactionsStayUnreceived(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	res := CombineSummaries([]ClientSummary{runSummary(c)})
+	res := runPhase(c).result()
 	if res.ReceivedNoT == 0 || res.ReceivedNoT >= res.ExpectedNoT {
 		t.Fatalf("NoT = %d/%d: lost transactions not reflected in the accounting",
 			res.ReceivedNoT, res.ExpectedNoT)
@@ -220,16 +223,16 @@ func TestClientOpsPerTx(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	s := runSummary(c)
+	s := runPhase(c)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.submitted) == 0 {
 		t.Fatal("nothing sent")
 	}
 	// §4.5: each operation counts as one transaction.
-	if s.ExpectedNoT != 50*len(d.submitted) || s.ReceivedNoT != s.ExpectedNoT {
+	if s.expectedOps != 50*len(d.submitted) || s.receivedOps != s.expectedOps {
 		t.Fatalf("NoT = %d/%d for %d transactions, want 50 per transaction",
-			s.ReceivedNoT, s.ExpectedNoT, len(d.submitted))
+			s.receivedOps, s.expectedOps, len(d.submitted))
 	}
 	for _, tx := range d.submitted {
 		if tx.OpCount() != 50 {
@@ -247,7 +250,7 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 		SendDuration:    100 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	sent := runSummary(c).ExpectedNoT
+	sent := runPhase(c).expectedOps
 	d.mu.Lock()
 	batches := len(d.batches)
 	d.mu.Unlock()
@@ -273,7 +276,7 @@ func TestClientPacksOperationsWithTheirIDs(t *testing.T) {
 		cfg.Unit = []BenchmarkName{BenchSendPayment}
 		cfg.RateLimit, cfg.WorkloadThreads = 1000, 2
 		cfg.SendDuration, cfg.ListenGrace = 50*time.Millisecond, 10*time.Millisecond
-		testClient(t, d, nil, cfg).Run()
+		runPhase(testClient(t, d, nil, cfg))
 		d.mu.Lock()
 		if len(d.submitted) == 0 {
 			t.Fatalf("%s: nothing sent", name)
@@ -302,8 +305,8 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 	}
 	cfg.fill()
 	// Only keys 0..2 were "written".
-	c := newClient(&cfg, systemstest.Env(t).Clock, d, nil, 0, 0, BenchKeyValueGet, []uint64{3}, nil)
-	c.Run()
+	c := newClient(&cfg, systemstest.Env(t).Clock, d, newTally(nil), 0, 0, BenchKeyValueGet, []uint64{3}, nil)
+	runPhase(c)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.submitted) < 4 {
@@ -327,7 +330,7 @@ func TestClientSentCountsMatchSubmitted(t *testing.T) {
 		SendDuration:    150 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	s := runSummary(c)
+	s := runPhase(c)
 	counts := c.SentCounts()
 	if len(counts) != 3 {
 		t.Fatalf("SentCounts len = %d, want 3", len(counts))
@@ -336,13 +339,13 @@ func TestClientSentCountsMatchSubmitted(t *testing.T) {
 	for _, n := range counts {
 		total += n
 	}
-	if int(total) != d.submittedCount() || int(total) != s.ExpectedNoT {
-		t.Fatalf("SentCounts total = %d, submitted = %d, summary = %d", total, d.submittedCount(), s.ExpectedNoT)
+	if int(total) != d.submittedCount() || int(total) != s.expectedOps {
+		t.Fatalf("SentCounts total = %d, submitted = %d, tally = %d", total, d.submittedCount(), s.expectedOps)
 	}
 }
 
 // TestClientStreamsOnlineMetrics checks the bounded-memory accounting: the
-// streamed summary and per-thread counters carry the full phase, and the
+// streamed tally and per-thread counters carry the full phase, and the
 // in-flight index is empty once it ends.
 func TestClientStreamsOnlineMetrics(t *testing.T) {
 	d := newFakeDriver()
@@ -352,23 +355,23 @@ func TestClientStreamsOnlineMetrics(t *testing.T) {
 		SendDuration:    150 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	sum := runSummary(c)
-	if sum.ExpectedNoT == 0 || sum.ReceivedNoT == 0 {
-		t.Fatalf("summary empty: %+v", sum)
+	sum := runPhase(c)
+	if sum.expectedOps == 0 || sum.receivedOps == 0 {
+		t.Fatalf("tally empty: %d sent, %d received", sum.expectedOps, sum.receivedOps)
 	}
-	if sum.ReceivedNoT != sum.ExpectedNoT {
+	if sum.receivedOps != sum.expectedOps {
 		t.Fatalf("fake driver confirms everything, yet %d/%d received",
-			sum.ReceivedNoT, sum.ExpectedNoT)
+			sum.receivedOps, sum.expectedOps)
 	}
-	if sum.Hist == nil || sum.Hist.Count() == 0 {
+	if sum.hist.Count() == 0 {
 		t.Fatal("latency histogram not streamed")
 	}
 	var received uint64
 	for _, n := range c.ReceivedCounts() {
 		received += n
 	}
-	if int(received) != sum.ReceivedNoT {
-		t.Fatalf("per-thread received = %d, summary = %d", received, sum.ReceivedNoT)
+	if int(received) != sum.receivedOps {
+		t.Fatalf("per-thread received = %d, tally = %d", received, sum.receivedOps)
 	}
 	// The in-flight index must be empty after the phase: memory is bounded
 	// by outstanding transactions, not run length.
@@ -391,8 +394,17 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 	fn := d.subs["coconut-client-0"]
 	d.mu.Unlock()
 	fn(systems.Event{TxID: ghost.ID, Client: "coconut-client-0", Committed: true})
-	s := runSummary(c)
-	if s.ReceivedNoT != s.ExpectedNoT || s.ExpectedNoT != d.submittedCount() {
-		t.Fatalf("NoT = %d/%d for %d sent: the stray event was counted", s.ReceivedNoT, s.ExpectedNoT, d.submittedCount())
+	s := runPhase(c)
+	if s.receivedOps != s.expectedOps || s.expectedOps != d.submittedCount() {
+		t.Fatalf("NoT = %d/%d for %d sent: the stray event was counted", s.receivedOps, s.expectedOps, d.submittedCount())
+	}
+}
+
+// TestClientCarriesNoHistogram pins where a phase's histograms live: in its
+// one shared tally, not in every client, so a client costs a few words
+// however many stages it times.
+func TestClientCarriesNoHistogram(t *testing.T) {
+	if c, h := unsafe.Sizeof(Client{}), unsafe.Sizeof(LatencyHist{}); c >= h {
+		t.Fatalf("a Client is %d bytes, a LatencyHist %d: the client carries a histogram", c, h)
 	}
 }

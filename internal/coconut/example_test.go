@@ -55,26 +55,3 @@ func ExampleSummarize() {
 	// mean = 12.84
 	// CI95/SEM = 4.303 (t-critical for dof=2)
 }
-
-// ExampleCombineSummaries demonstrates the paper's metric formulas on two
-// clients' streamed summaries: MTPS (formula 2) uses the first send and last
-// receipt across all clients, MFLS (formula 1) averages per-transaction
-// latency.
-func ExampleCombineSummaries() {
-	base := time.Unix(1000, 0)
-	res := coconut.CombineSummaries([]coconut.ClientSummary{
-		// Sent at +0s (confirmed at +2s) and at +2s (lost).
-		{FirstSend: base, LastRecv: base.Add(2 * time.Second), ExpectedNoT: 2, ReceivedNoT: 1,
-			ValidNoT: 1, LatencySum: 2 * time.Second, LatencyN: 1},
-		// Sent at +1s, confirmed at +5s.
-		{FirstSend: base.Add(time.Second), LastRecv: base.Add(5 * time.Second), ExpectedNoT: 1, ReceivedNoT: 1,
-			ValidNoT: 1, LatencySum: 4 * time.Second, LatencyN: 1},
-	})
-	fmt.Printf("TPS = %.2f\n", res.TPS)
-	fmt.Printf("FLS = %.1fs\n", res.FLS)
-	fmt.Printf("NoT = %d/%d\n", res.ReceivedNoT, res.ExpectedNoT)
-	// Output:
-	// TPS = 0.40
-	// FLS = 3.0s
-	// NoT = 2/3
-}

@@ -9,6 +9,7 @@ package coconut
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"time"
@@ -80,17 +81,6 @@ func (h *LatencyHist) ObserveN(d time.Duration, n uint64) {
 // Count reports the number of observations.
 func (h *LatencyHist) Count() uint64 { return h.total }
 
-// Merge folds other's observations into h.
-func (h *LatencyHist) Merge(other *LatencyHist) {
-	if other == nil {
-		return
-	}
-	for i, n := range other.counts {
-		h.counts[i] += n
-	}
-	h.total += other.total
-}
-
 // Quantile returns the latency at quantile q in [0, 1], accurate to the
 // bucket's relative width. Zero observations yield zero.
 func (h *LatencyHist) Quantile(q float64) time.Duration {
@@ -136,18 +126,6 @@ func (m *StageMetrics) Observe(s chain.Stage, d time.Duration, ops int) {
 	m.sum[s] += int64(d) * int64(ops)
 	m.n[s] += int64(ops)
 	m.hist[s].ObserveN(d, uint64(ops))
-}
-
-// Merge folds other's per-stage observations into m.
-func (m *StageMetrics) Merge(other *StageMetrics) {
-	if other == nil {
-		return
-	}
-	for i := 0; i < chain.NumStages; i++ {
-		m.sum[i] += other.sum[i]
-		m.n[i] += other.n[i]
-		m.hist[i].Merge(&other.hist[i])
-	}
 }
 
 // Empty reports whether no stage observation has been recorded.
@@ -278,97 +256,97 @@ type RepetitionResult struct {
 	LogBytes   int
 }
 
-// ClientSummary is one client's online aggregation of a benchmark phase:
-// counters and a latency histogram streamed while events arrive. A
-// repetition's metrics come from its clients' summaries alone.
-type ClientSummary struct {
-	// FirstSend is the client's t_fstx candidate (zero if nothing sent).
-	FirstSend time.Time
-	// LastRecv is the client's t_lrtx candidate (zero if nothing received).
-	LastRecv time.Time
-	// ExpectedNoT and ReceivedNoT count sent and confirmed payloads.
-	ExpectedNoT int
-	ReceivedNoT int
-	// ValidNoT counts confirmed payloads whose validation succeeded.
-	ValidNoT int
-	// Aborts counts invalid-committed payloads by abort code.
-	Aborts map[string]int
-	// LatencySum and LatencyN accumulate ops-weighted finalization latency
-	// for the MFLS mean (§4.5 counts every payload once, so a multi-op
-	// transaction contributes its latency once per operation).
-	LatencySum time.Duration
-	LatencyN   int
-	// Hist is the client's streamed latency histogram.
-	Hist *LatencyHist
-	// Stages is the client's streamed per-stage pipeline latency (nil when
-	// the driver did not instrument).
-	Stages *StageMetrics
+// tally is one benchmark phase's online aggregation, shared by every client
+// of the phase: payload counters, the first send and the last receipt, the
+// abort breakdown, one latency histogram and one per-stage breakdown, and
+// the phase's windowed timeline when one is collected. Sends and
+// confirmations stream into it as they happen, from whichever actor or event
+// holds the clock's token, one at a time, so it takes no lock; a
+// repetition's metrics come from it alone.
+type tally struct {
+	timeline    *Timeline // nil unless the run collects one
+	expectedOps int
+	receivedOps int
+	validOps    int
+	latencySum  time.Duration // ops-weighted, for the MFLS mean
+	latencyN    int
+	firstSendNs int64          // math.MaxInt64 until the first send
+	lastRecvNs  int64          // math.MinInt64 until the first receipt
+	aborts      map[string]int // invalid-committed payloads by abort code
+	hist        LatencyHist
+	stages      StageMetrics
 }
 
-// CombineSummaries folds per-client online summaries into one repetition's
-// metrics, following §4.5: t_fstx is the first send across all clients,
-// t_lrtx the last confirmation across all clients.
-func CombineSummaries(sums []ClientSummary) RepetitionResult {
-	var (
-		first      time.Time
-		last       time.Time
-		received   int
-		expected   int
-		valid      int
-		latencySum time.Duration
-		latencyN   int
-		conflicts  map[string]int
-	)
-	hist := NewLatencyHist()
-	stages := &StageMetrics{}
-	for _, s := range sums {
-		expected += s.ExpectedNoT
-		received += s.ReceivedNoT
-		valid += s.ValidNoT
-		stages.Merge(s.Stages)
-		for code, n := range s.Aborts {
-			if conflicts == nil {
-				conflicts = make(map[string]int)
-			}
-			conflicts[code] += n
-		}
-		if !s.FirstSend.IsZero() && (first.IsZero() || s.FirstSend.Before(first)) {
-			first = s.FirstSend
-		}
-		if s.LastRecv.After(last) {
-			last = s.LastRecv
-		}
-		latencySum += s.LatencySum
-		latencyN += s.LatencyN
-		hist.Merge(s.Hist)
+// newTally returns an empty tally feeding timeline, which may be nil.
+func newTally(timeline *Timeline) *tally {
+	return &tally{timeline: timeline, firstSendNs: math.MaxInt64, lastRecvNs: math.MinInt64}
+}
+
+// sent counts one submission of ops payloads made at start.
+func (t *tally) sent(start time.Time, ops int) {
+	t.expectedOps += ops
+	t.firstSendNs = min(t.firstSendNs, start.UnixNano())
+	if t.timeline != nil {
+		t.timeline.RecordSend(start, ops)
 	}
+}
+
+// received counts the confirmation, at now, of ops payloads sent at start,
+// and whether they committed valid or aborted with code.
+func (t *tally) received(now, start time.Time, ops int, valid bool, code string) {
+	fls := now.Sub(start)
+	t.receivedOps += ops
+	if valid {
+		t.validOps += ops
+	} else {
+		if t.aborts == nil {
+			t.aborts = make(map[string]int)
+		}
+		t.aborts[abortCode(code)] += ops
+	}
+	// Ops-weighted: §4.5 counts every payload as one transaction, so a
+	// multi-op transaction's latency weighs once per operation — matching
+	// ReceivedNoT and the timeline's accounting.
+	t.latencySum += fls * time.Duration(ops)
+	t.latencyN += ops
+	t.lastRecvNs = max(t.lastRecvNs, now.UnixNano())
+	t.hist.ObserveN(fls, uint64(ops))
+	if t.timeline != nil {
+		t.timeline.RecordRecv(now, ops, fls, valid)
+	}
+}
+
+// result computes the phase's repetition metrics following §4.5: t_fstx is
+// the first send across all clients, t_lrtx the last confirmation across all
+// clients.
+func (t *tally) result() RepetitionResult {
 	res := RepetitionResult{
-		ReceivedNoT: received,
-		ExpectedNoT: expected,
-		ValidNoT:    valid,
-		Conflicts:   conflicts,
-		Stages:      stages.Summarize(),
+		ReceivedNoT: t.receivedOps,
+		ExpectedNoT: t.expectedOps,
+		ValidNoT:    t.validOps,
+		Conflicts:   maps.Clone(t.aborts),
+		Stages:      t.stages.Summarize(),
 	}
-	if received > 0 {
+	if received := t.receivedOps; received > 0 {
 		// AbortRate is a pure count ratio: it must not vanish when the run
 		// has zero duration (under AutoVirtual every confirmation can land
-		// at one virtual instant, leaving last == first). Rates that divide
-		// by the duration stay explicitly 0 with DurationSec = 0 rather
-		// than reporting an inflated or NaN throughput.
-		res.AbortRate = float64(received-valid) / float64(received)
-		if last.After(first) {
-			res.DurationSec = last.Sub(first).Seconds()
+		// at one virtual instant, leaving t_lrtx == t_fstx). Rates that
+		// divide by the duration stay explicitly 0 with DurationSec = 0
+		// rather than reporting an inflated or NaN throughput.
+		res.AbortRate = float64(received-t.validOps) / float64(received)
+		if t.lastRecvNs > t.firstSendNs {
+			res.DurationSec = time.Duration(t.lastRecvNs - t.firstSendNs).Seconds()
 			res.TPS = float64(received) / res.DurationSec
-			res.Goodput = float64(valid) / res.DurationSec
+			res.Goodput = float64(t.validOps) / res.DurationSec
 		}
 	}
-	if latencyN > 0 {
-		res.FLS = (latencySum / time.Duration(latencyN)).Seconds()
+	if t.latencyN > 0 {
+		res.FLS = (t.latencySum / time.Duration(t.latencyN)).Seconds()
 	}
-	if hist.Count() > 0 {
-		res.P50 = hist.Quantile(0.50).Seconds()
-		res.P95 = hist.Quantile(0.95).Seconds()
-		res.P99 = hist.Quantile(0.99).Seconds()
+	if t.hist.Count() > 0 {
+		res.P50 = t.hist.Quantile(0.50).Seconds()
+		res.P95 = t.hist.Quantile(0.95).Seconds()
+		res.P99 = t.hist.Quantile(0.99).Seconds()
 	}
 	return res
 }

@@ -14,28 +14,19 @@ import (
 
 func at(sec int64) time.Time { return time.Unix(sec, 0) }
 
-// hist streams the given latencies, one payload each, into a histogram.
-func hist(ds ...time.Duration) *LatencyHist {
-	h := NewLatencyHist()
-	for _, d := range ds {
-		h.Observe(d)
-	}
-	return h
-}
-
-// TestCombineSummariesBasic: two clients, three sends, one lost. t_fstx and
-// t_lrtx span the clients (formula 3), MTPS divides the received payloads
-// by that window (formula 2), MFLS averages the received latencies
-// (formula 1).
-func TestCombineSummariesBasic(t *testing.T) {
-	res := CombineSummaries([]ClientSummary{
-		// Sent at 0 (confirmed at 2, FLS 2s) and at 2 (lost).
-		{FirstSend: at(0), LastRecv: at(2), ExpectedNoT: 2, ReceivedNoT: 1, ValidNoT: 1,
-			LatencySum: 2 * time.Second, LatencyN: 1, Hist: hist(2 * time.Second)},
-		// Sent at 1, confirmed at 5: FLS 4s.
-		{FirstSend: at(1), LastRecv: at(5), ExpectedNoT: 1, ReceivedNoT: 1, ValidNoT: 1,
-			LatencySum: 4 * time.Second, LatencyN: 1, Hist: hist(4 * time.Second)},
-	})
+// TestTallyBasic: two clients, three sends, one lost. t_fstx and t_lrtx
+// span the clients (formula 3), MTPS divides the received payloads by that
+// window (formula 2), MFLS averages the received latencies (formula 1).
+func TestTallyBasic(t *testing.T) {
+	tl := newTally(nil)
+	// One client sends at 0 (confirmed at 2, FLS 2s) and at 2 (lost); the
+	// other sends at 1, confirmed at 5: FLS 4s.
+	tl.sent(at(0), 1)
+	tl.sent(at(1), 1)
+	tl.sent(at(2), 1)
+	tl.received(at(2), at(0), 1, true, "")
+	tl.received(at(5), at(1), 1, true, "")
+	res := tl.result()
 	if res.ExpectedNoT != 3 || res.ReceivedNoT != 2 {
 		t.Fatalf("NoT = %d/%d, want 2/3", res.ReceivedNoT, res.ExpectedNoT)
 	}
@@ -52,8 +43,10 @@ func TestCombineSummariesBasic(t *testing.T) {
 	}
 }
 
-func TestCombineSummariesAllLost(t *testing.T) {
-	res := CombineSummaries([]ClientSummary{{FirstSend: at(0), ExpectedNoT: 2, Hist: hist()}})
+func TestTallyAllLost(t *testing.T) {
+	tl := newTally(nil)
+	tl.sent(at(0), 2)
+	res := tl.result()
 	if res.TPS != 0 || res.FLS != 0 || res.ReceivedNoT != 0 {
 		t.Fatalf("res = %+v, want zeros (paper's failed cells)", res)
 	}
@@ -62,8 +55,8 @@ func TestCombineSummariesAllLost(t *testing.T) {
 	}
 }
 
-func TestCombineSummariesEmpty(t *testing.T) {
-	res := CombineSummaries(nil)
+func TestTallyEmpty(t *testing.T) {
+	res := newTally(nil).result()
 	if res.TPS != 0 || res.ExpectedNoT != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -77,7 +70,7 @@ func TestClientOpsCounting(t *testing.T) {
 	c.track(crypto.Hash{1}, clk.Now(), 100, 0)
 	clk.Sleep(time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
-	res := CombineSummaries([]ClientSummary{c.Summary()})
+	res := c.tally.result()
 	if res.ReceivedNoT != 100 {
 		t.Fatalf("received = %d, want 100", res.ReceivedNoT)
 	}
@@ -182,25 +175,6 @@ func TestLatencyHistEdgeCases(t *testing.T) {
 	}
 }
 
-func TestLatencyHistMerge(t *testing.T) {
-	a, b := NewLatencyHist(), NewLatencyHist()
-	for i := 0; i < 100; i++ {
-		a.Observe(10 * time.Millisecond)
-		b.Observe(1000 * time.Millisecond)
-	}
-	a.Merge(b)
-	a.Merge(nil) // no-op
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if p := a.Quantile(0.25).Seconds(); math.Abs(p-0.010) > 0.001 {
-		t.Fatalf("P25 = %v, want ~10ms", p)
-	}
-	if p := a.Quantile(0.75).Seconds(); math.Abs(p-1.0) > 0.05 {
-		t.Fatalf("P75 = %v, want ~1s", p)
-	}
-}
-
 // Property: histogram buckets are monotone and bounded-error — for any
 // duration, the bucket's representative value is within 1/32 of the input.
 func TestPropertyHistBucketRelativeError(t *testing.T) {
@@ -215,15 +189,15 @@ func TestPropertyHistBucketRelativeError(t *testing.T) {
 	}
 }
 
-func TestCombineSummariesPercentiles(t *testing.T) {
+func TestTallyPercentiles(t *testing.T) {
 	// Three confirmations at 1s, 2s and 10s; the lost fourth send is
 	// excluded from the percentiles.
-	res := CombineSummaries([]ClientSummary{
-		{FirstSend: at(0), LastRecv: at(2), ExpectedNoT: 2, ReceivedNoT: 2,
-			LatencySum: 3 * time.Second, LatencyN: 2, Hist: hist(time.Second, 2*time.Second)},
-		{FirstSend: at(0), LastRecv: at(10), ExpectedNoT: 2, ReceivedNoT: 1,
-			LatencySum: 10 * time.Second, LatencyN: 1, Hist: hist(10 * time.Second)},
-	})
+	tl := newTally(nil)
+	tl.sent(at(0), 4)
+	tl.received(at(1), at(0), 1, true, "")
+	tl.received(at(2), at(0), 1, true, "")
+	tl.received(at(10), at(0), 1, true, "")
+	res := tl.result()
 	if math.Abs(res.P50-2) > 0.1 {
 		t.Fatalf("P50 = %v, want ~2s", res.P50)
 	}
@@ -247,7 +221,7 @@ func TestMFLSIsOpsWeighted(t *testing.T) {
 	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
 	clk.Sleep(3 * time.Second)
 	c.onEvent(systems.Event{TxID: crypto.Hash{2}, ValidOK: true})
-	res := CombineSummaries([]ClientSummary{c.Summary()})
+	res := c.tally.result()
 	if got, want := res.FLS, 2.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("MFLS = %v, want %v (ops-weighted)", got, want)
 	}
@@ -264,9 +238,11 @@ func TestMFLSIsOpsWeighted(t *testing.T) {
 // and AbortRate; only the duration-derived rates stay 0.
 func TestZeroDurationRepetitionKeepsCounts(t *testing.T) {
 	// Two sends at 5s, both confirmed at 5s, one of them invalid.
-	res := CombineSummaries([]ClientSummary{{FirstSend: at(5), LastRecv: at(5),
-		ExpectedNoT: 2, ReceivedNoT: 2, ValidNoT: 1, Aborts: map[string]int{systems.AbortExecFailed: 1},
-		LatencyN: 2, Hist: hist(0, 0)}})
+	tl := newTally(nil)
+	tl.sent(at(5), 2)
+	tl.received(at(5), at(5), 1, true, "")
+	tl.received(at(5), at(5), 1, false, systems.AbortExecFailed)
+	res := tl.result()
 	if res.ReceivedNoT != 2 || res.ValidNoT != 1 {
 		t.Fatalf("counts = %d received / %d valid, want 2/1", res.ReceivedNoT, res.ValidNoT)
 	}
@@ -318,7 +294,7 @@ func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 				c.onEvent(systems.Event{TxID: id, ValidOK: true}) // duplicate: dropped
 			}
 		}
-		res := CombineSummaries([]ClientSummary{c.Summary()})
+		res := c.tally.result()
 		return res.ReceivedNoT <= res.ExpectedNoT && res.ReceivedNoT == confirmed && res.ExpectedNoT == len(flags)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -326,61 +302,18 @@ func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 	}
 }
 
-// TestStageMetricsMergeMatchesDirect pins per-stage histogram merge
-// correctness: observing a stream split across two StageMetrics and merging
-// must yield the same summary as observing it all into one.
-func TestStageMetricsMergeMatchesDirect(t *testing.T) {
-	var a, b, direct StageMetrics
-	obs := []struct {
-		s   chain.Stage
-		d   time.Duration
-		ops int
-	}{
-		{chain.StageSubmit, 2 * time.Millisecond, 1},
-		{chain.StageQueue, 40 * time.Millisecond, 3},
-		{chain.StageQueue, 90 * time.Millisecond, 1},
-		{chain.StageConsensus, 15 * time.Millisecond, 2},
-		{chain.StageCommit, 25 * time.Millisecond, 5},
+// TestStageMetricsOpsWeighted: a stage's mean weighs each transaction's
+// time in it by the payloads it carried (§4.5 per-payload accounting).
+func TestStageMetricsOpsWeighted(t *testing.T) {
+	var m StageMetrics
+	m.Observe(chain.StageQueue, 40*time.Millisecond, 3)
+	m.Observe(chain.StageQueue, 90*time.Millisecond, 1)
+	// Queue mean = (3*40 + 1*90)/4 = 52.5ms.
+	ss := m.Summarize()
+	if len(ss) != 1 || ss[0].Stage != "queue" || ss[0].Ops != 4 {
+		t.Fatalf("Summarize = %+v, want one queue row of 4 ops", ss)
 	}
-	for i, o := range obs {
-		if i%2 == 0 {
-			a.Observe(o.s, o.d, o.ops)
-		} else {
-			b.Observe(o.s, o.d, o.ops)
-		}
-		direct.Observe(o.s, o.d, o.ops)
-	}
-	var merged StageMetrics
-	merged.Merge(&a)
-	merged.Merge(&b)
-
-	got, want := merged.Summarize(), direct.Summarize()
-	if len(got) != len(want) {
-		t.Fatalf("stage counts differ: %v vs %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("stage %d: merged %+v != direct %+v", i, got[i], want[i])
-		}
-	}
-	// Ops weighting: queue mean = (3*40 + 1*90)/4 = 52.5ms.
-	for _, ss := range got {
-		if ss.Stage == "queue" {
-			if wantMean := 0.0525; math.Abs(ss.MeanSec-wantMean) > 1e-9 {
-				t.Fatalf("queue mean = %v, want %v (ops-weighted)", ss.MeanSec, wantMean)
-			}
-			if ss.Ops != 4 {
-				t.Fatalf("queue ops = %d, want 4", ss.Ops)
-			}
-		}
-	}
-	if !(&StageMetrics{}).Empty() {
-		t.Fatal("fresh StageMetrics must be Empty")
-	}
-	if merged.Empty() {
-		t.Fatal("merged StageMetrics must not be Empty")
-	}
-	if (&StageMetrics{}).Summarize() != nil {
-		t.Fatal("empty StageMetrics must summarize to nil")
+	if want := 0.0525; math.Abs(ss[0].MeanSec-want) > 1e-9 {
+		t.Fatalf("queue mean = %v, want %v (ops-weighted)", ss[0].MeanSec, want)
 	}
 }

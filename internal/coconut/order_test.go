@@ -46,13 +46,13 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 			drv := newFakeDriver()
 			cfg := RunConfig{RateLimit: 100, WorkloadThreads: tc.threads, SendDuration: window, ListenGrace: 10 * time.Millisecond}
 			cfg.fill()
-			cl := newClient(&cfg, av, drv, nil, 0, 0, tc.bench, tc.readMax, func(thread int) OpGen {
+			cl := newClient(&cfg, av, drv, newTally(nil), 0, 0, tc.bench, tc.readMax, func(thread int) OpGen {
 				return func(i uint64) chain.Operation {
 					return chain.Operation{IEL: "order", Function: "f", Args: []string{fmt.Sprintf("w%d#%d", thread, i)}}
 				}
 			})
-			h := clock.Register(av, "coconut-client-0") // the runner names a client's actor after the client
-			cl.Run()
+			h := clock.Register(av, "coconut-runner") // the runner drives the phase
+			drive(av, &cfg, []*Client{cl})
 			h.Close()
 
 			var got []string
@@ -70,7 +70,7 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 				t.Fatalf("first 12 sends:\n got %s\nwant %s", s, tc.want)
 			}
 			if n := av.PendingWaiters(); n != 0 {
-				t.Fatalf("PendingWaiters = %d after Run, want 0", n)
+				t.Fatalf("PendingWaiters = %d after the phase, want 0", n)
 			}
 		})
 	}

@@ -224,10 +224,9 @@ func quiesce(clk *clock.AutoVirtual, driver systems.Driver) {
 	}
 }
 
-// runBenchmark provisions fresh clients and executes one benchmark. Each
-// client streams its own online summary (its memory is bounded by the
-// in-flight window); the summaries merge lock-free at phase end into the
-// repetition's metrics.
+// runBenchmark provisions fresh clients and executes one benchmark. The
+// clients stream into one tally for the phase (their memory is bounded by
+// the in-flight window), which yields the repetition's metrics.
 func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
@@ -239,29 +238,15 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 		timeline = NewTimeline(clk.Now(), window, cfg.SendDuration+cfg.ListenGrace+window)
 	}
 
+	tl := newTally(timeline)
 	clients := make([]*Client, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		var rm []uint64
 		if i < len(readMax) {
 			rm = readMax[i]
 		}
-		clients[i] = newClient(cfg, clk, driver, timeline, i, rep, bench, rm, nil)
+		clients[i] = newClient(cfg, clk, driver, tl, i, rep, bench, rm, nil)
 	}
-
-	// All clients wait on a shared barrier so load starts uniformly (§4.3).
-	// Each client writes only its own summary slot; the join orders the
-	// writes before the merge, so no lock is needed.
-	sums := make([]ClientSummary, len(clients))
-	start := clock.NewGate(clk)
-	ids := make([]string, len(clients))
-	for i, cl := range clients {
-		ids[i] = cl.id
-	}
-	joinClients := clock.Go(clk, ids, func(i int) {
-		clock.Await(clk, start)
-		clients[i].Run()
-		sums[i] = clients[i].Summary()
-	})
 
 	// Driver-side conflict counters are cumulative over the driver's
 	// lifetime; snapshot around the phase so each unit member reports only
@@ -297,8 +282,7 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 		})
 	}
 
-	start.Close()
-	joinClients()
+	drive(clk, cfg, clients)
 	if injector != nil {
 		injector.Stop()
 	}
@@ -311,7 +295,7 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 	for i, cl := range clients {
 		written[i] = cl.ReceivedCounts()
 	}
-	rr := CombineSummaries(sums)
+	rr := tl.result()
 	for code, after := range driver.ConflictCounts() {
 		if delta := after - conflictsBefore[code]; delta > 0 {
 			if rr.Conflicts == nil {
@@ -362,6 +346,21 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 		rr.LogBytes = int(after.LogBytes)
 	}
 	return rr, written
+}
+
+// drive runs one phase's clients from the calling actor: load starts
+// uniformly (§4.3), every client sending at this instant, the send window
+// and then the listening grace pass, and the clients detach.
+func drive(clk *clock.AutoVirtual, cfg *RunConfig, clients []*Client) {
+	sendEnd := clk.Now().Add(cfg.SendDuration)
+	for _, c := range clients {
+		c.start(sendEnd)
+	}
+	clk.Sleep(cfg.SendDuration)
+	clk.Sleep(cfg.ListenGrace)
+	for _, c := range clients {
+		c.detach()
+	}
 }
 
 func decrementCounts(in [][]uint64) [][]uint64 {

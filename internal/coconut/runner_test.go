@@ -74,7 +74,7 @@ func TestClientArrivalSeeds(t *testing.T) {
 	cfg.fill()
 	clk := clock.NewAutoVirtual()
 	seed := func(i, rep int) int64 {
-		return newClient(&cfg, clk, newFakeDriver(), nil, i, rep, BenchDoNothing, nil, nil).arrivalSeed
+		return newClient(&cfg, clk, newFakeDriver(), newTally(nil), i, rep, BenchDoNothing, nil, nil).arrivalSeed
 	}
 	seen := make(map[int64]string)
 	for i := range 4 {

@@ -104,88 +104,3 @@ func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
 		t.Fatalf("contested state consumed by %v (%v), want the first racer", by.Short(), ok)
 	}
 }
-
-func TestCollectSignaturesSerial(t *testing.T) {
-	parties := []string{"node-0", "node-1", "node-2", "node-3"}
-	var order []string
-	sigs, err := CollectSignatures(clocktest.New(t), Serial, parties, crypto.SumString("tx"),
-		func(p string, txID crypto.Hash) (crypto.Signature, error) {
-			order = append(order, p)
-			return crypto.Signature{Signer: p}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sigs) != 4 {
-		t.Fatalf("got %d signatures", len(sigs))
-	}
-	for i, p := range parties {
-		if order[i] != p {
-			t.Fatalf("serial order[%d] = %s, want %s", i, order[i], p)
-		}
-		if sigs[i].Signer != p {
-			t.Fatalf("sig[%d] = %s", i, sigs[i].Signer)
-		}
-	}
-}
-
-func TestCollectSignaturesSerialLatencyIsSum(t *testing.T) {
-	parties := []string{"a", "b", "c", "d"}
-	perParty := 20 * time.Millisecond
-	clk := clocktest.New(t)
-	start := clk.Now()
-	_, err := CollectSignatures(clk, Serial, parties, crypto.SumString("tx"),
-		func(p string, _ crypto.Hash) (crypto.Signature, error) {
-			clk.Sleep(perParty)
-			return crypto.Signature{Signer: p}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := clk.Since(start); elapsed != 4*perParty {
-		t.Fatalf("serial collection took %v, want the sum %v", elapsed, 4*perParty)
-	}
-}
-
-func TestCollectSignaturesParallelLatencyIsMax(t *testing.T) {
-	parties := []string{"a", "b", "c", "d"}
-	perParty := 30 * time.Millisecond
-	clk := clocktest.New(t)
-	start := clk.Now()
-	sigs, err := CollectSignatures(clk, Parallel, parties, crypto.SumString("tx"),
-		func(p string, _ crypto.Hash) (crypto.Signature, error) {
-			clk.Sleep(perParty)
-			return crypto.Signature{Signer: p}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := clk.Since(start); elapsed != perParty {
-		t.Fatalf("parallel collection took %v, want the slowest party's %v", elapsed, perParty)
-	}
-	if len(sigs) != 4 {
-		t.Fatalf("got %d signatures", len(sigs))
-	}
-	for i, p := range parties {
-		if sigs[i].Signer != p {
-			t.Fatalf("sig[%d].Signer = %s, want %s (order must be stable)", i, sigs[i].Signer, p)
-		}
-	}
-}
-
-func TestCollectSignaturesPropagatesError(t *testing.T) {
-	wantErr := errors.New("party refused")
-	clk := clocktest.New(t)
-	for _, mode := range []SigningMode{Serial, Parallel} {
-		_, err := CollectSignatures(clk, mode, []string{"a", "b"}, crypto.SumString("tx"),
-			func(p string, _ crypto.Hash) (crypto.Signature, error) {
-				if p == "b" {
-					return crypto.Signature{}, wantErr
-				}
-				return crypto.Signature{Signer: p}, nil
-			})
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("mode %d: err = %v, want %v", mode, err, wantErr)
-		}
-	}
-}

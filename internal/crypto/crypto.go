@@ -100,13 +100,6 @@ func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) 
 // Verify checks a signature produced by Sign against this identity's key.
 func (id *Identity) Verify(msg, sig []byte) bool { return ed25519.Verify(id.pub, msg, sig) }
 
-// Signature couples a signer name with signature bytes; the Corda notary's
-// signing coordinator gathers one per counterparty.
-type Signature struct {
-	Signer string
-	Bytes  []byte
-}
-
 // Uint64Bytes encodes a uint64 big-endian, a helper for hashing integers.
 func Uint64Bytes(v uint64) []byte {
 	var b [8]byte

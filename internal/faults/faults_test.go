@@ -349,6 +349,27 @@ func TestInjectorStopRestoresHealth(t *testing.T) {
 	}
 }
 
+// TestInjectorStopRestartsInNodeOrder: Stop restarts the nodes the
+// schedule left crashed in ascending node order, whatever order they went
+// down in, every time.
+func TestInjectorStopRestartsInNodeOrder(t *testing.T) {
+	clk := clocktest.New(t)
+	want := "[restart:0 restart:1 restart:2 restart:3]"
+	for run := 0; run < 20; run++ {
+		d := newStubDriver(4)
+		in := NewInjector(d, Schedule{}, clk)
+		for _, node := range []int{3, 1, 2, 0} {
+			if err := in.Apply(Event{Kind: CrashNode, Node: node}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in.Stop()
+		if got := fmt.Sprint(d.callLog()[4:]); got != want {
+			t.Fatalf("run %d: Stop made %s, want %s", run, got, want)
+		}
+	}
+}
+
 // TestInjectorDegradeAllLinks: a group-less DegradeLink touches every
 // directed link.
 func TestInjectorDegradeAllLinks(t *testing.T) {

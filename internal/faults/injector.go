@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
@@ -204,16 +205,23 @@ func (in *Injector) corruptLog(ev Event) bool {
 	return log.InjectCorruptRecord()
 }
 
-// restoreAll returns the system to full health.
+// restoreAll returns the system to full health. Crashed nodes restart in
+// ascending node order: each restart replays that node's missed commits,
+// so the order is part of the run and must not follow the map's.
 func (in *Injector) restoreAll() {
 	for _, node := range in.partitioned {
 		_ = in.drv.RestartNode(node)
 	}
 	in.partitioned = nil
+	crashed := make([]int, 0, len(in.crashed))
 	for node := range in.crashed {
-		_ = in.drv.RestartNode(node)
-		delete(in.crashed, node)
+		crashed = append(crashed, node)
 	}
+	slices.Sort(crashed)
+	for _, node := range crashed {
+		_ = in.drv.RestartNode(node)
+	}
+	clear(in.crashed)
 	if in.degraded {
 		in.drv.FaultTransport().HealAll()
 		in.degraded = false

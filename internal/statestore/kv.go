@@ -192,13 +192,31 @@ func (rw *RWSet) staged(key Key) *writeEntry {
 // appended to the chain (paper §5.4).
 var ErrMVCCConflict = errors.New("statestore: mvcc read conflict")
 
-// Validate checks the read set against the current world state. A key read
-// while absent stays valid while it is absent, since its version then is
-// still the zero Version it was read at.
+// MVCCConflictError is Validate's report of a stale read: the key, the
+// version it was read at and the version it holds now. It is
+// ErrMVCCConflict under errors.Is, and its message is built only when
+// something prints it.
+type MVCCConflictError struct {
+	Key  Key
+	Read Version
+	Now  Version
+}
+
+func (e *MVCCConflictError) Error() string {
+	return fmt.Sprintf("%v: key %q read at %+v, now %+v", ErrMVCCConflict, e.Key.String(), e.Read, e.Now)
+}
+
+// Unwrap makes the report ErrMVCCConflict under errors.Is.
+func (e *MVCCConflictError) Unwrap() error { return ErrMVCCConflict }
+
+// Validate checks the read set against the current world state and reports
+// the first stale read as an *MVCCConflictError. A key read while absent
+// stays valid while it is absent, since its version then is still the zero
+// Version it was read at.
 func (rw *RWSet) Validate(s *KVStore) error {
 	for _, r := range rw.reads {
 		if cur, _ := s.Get(r.key); cur.Version != r.ver {
-			return fmt.Errorf("%w: key %q read at %+v, now %+v", ErrMVCCConflict, r.key.String(), r.ver, cur.Version)
+			return &MVCCConflictError{Key: r.key, Read: r.ver, Now: cur.Version}
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package statestore
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,8 +103,9 @@ func TestRWSetFirstTouchOrder(t *testing.T) {
 			stale.Set(k, "v1", Version{BlockNum: 1000}) // every read is stale
 		}
 		err := rw.Validate(stale)
-		if !errors.Is(err, ErrMVCCConflict) || !strings.Contains(err.Error(), `"`+keys[0].String()+`"`) {
-			t.Fatalf("run %d: Validate = %v, want a conflict naming the first-read key %s", run, err, keys[0])
+		want := fmt.Sprintf(`statestore: mvcc read conflict: key "k12" read at {BlockNum:%d TxNum:0}, now {BlockNum:1000 TxNum:0}`, run+1)
+		if !errors.Is(err, ErrMVCCConflict) || err.Error() != want {
+			t.Fatalf("run %d: Validate = %v, want a conflict naming the first-read key %s:\n%s", run, err, keys[0], want)
 		}
 
 		rw.Commit(s, Version{BlockNum: uint64(run + 2)})
@@ -118,6 +118,24 @@ func TestRWSetFirstTouchOrder(t *testing.T) {
 				t.Fatalf("after commit %s = %+v, want %q", k, got, want)
 			}
 		}
+	}
+}
+
+// TestRWSetConflictAllocatesOnce: a conflicting Validate returns its report
+// as a value and leaves the message to whoever prints it: one allocation.
+func TestRWSetConflictAllocatesOnce(t *testing.T) {
+	s := NewKVStore()
+	s.Set(kv("k"), "v0", Version{BlockNum: 1})
+	rw := NewRWSet()
+	rw.Read(kv("k"), s)
+	s.Set(kv("k"), "v1", Version{BlockNum: 2})
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = rw.Validate(s) }); n > 1 {
+		t.Fatalf("a conflicting Validate allocates %v times, want at most 1", n)
+	}
+	var conflict *MVCCConflictError
+	if !errors.As(err, &conflict) || conflict.Key != kv("k") || conflict.Read.BlockNum != 1 || conflict.Now.BlockNum != 2 {
+		t.Fatalf("Validate = %#v, want the stale read of k at block 1, now 2", err)
 	}
 }
 

@@ -242,34 +242,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	}
 
 	// Phase 2: collect signatures from every other node, as the benchmarked
-	// deployments require. Serial for OS, parallel for Enterprise.
-	parties := make([]string, 0, len(n.nodes)-1)
-	for _, other := range n.nodes {
-		if other != entry {
-			parties = append(parties, other.ID)
-		}
-	}
-	mode := notary.Serial
-	if n.cfg.edition == Enterprise {
-		mode = notary.Parallel
-	}
-	txID := flowTxID(tx, utx)
-	_, err = notary.CollectSignatures(n.env.Clock, mode, parties, txID, func(party string, id crypto.Hash) (crypto.Signature, error) {
-		// Corda requires every counterparty's signature: a crashed signer
-		// fails the whole flow, so one node outage halts all write flows —
-		// the flip side of the paper's §6 observation that requiring fewer
-		// signers is where Corda's scalability lies.
-		if p := n.nodeByID(party); p != nil && p.Gate.Down() {
-			return crypto.Signature{}, fmt.Errorf("corda: counterparty %s unreachable", party)
-		}
-		// One round trip to the counterparty plus its flow processing: the
-		// sleep is the modeled cost of a signature. Nothing verifies one, so
-		// none is computed.
-		rtt := n.env.Latency.Delay(entry.ID, party) + n.env.Latency.Delay(party, entry.ID)
-		n.env.Clock.Sleep(rtt + n.cfg.signProcessing)
-		return crypto.Signature{Signer: party}, nil
-	})
-	if err != nil {
+	// deployments require.
+	if err := n.collectSignatures(entry); err != nil {
 		n.recordFailure(err)
 		return
 	}
@@ -306,8 +280,7 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	// Phase 4: finality — distribute to every vault; reads complete on the
 	// entry node alone.
 	now := n.env.Clock.Now()
-	// One event per flow, shared by every node's commit work below: the
-	// closures capture the pointer, not a copy of the event each.
+	// One event per flow, shared by every node's commit work below.
 	ev := &systems.Event{
 		TxID:      tx.ID,
 		Client:    tx.Client,
@@ -322,9 +295,8 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 	}
 	// One flow counts as one failure no matter how many vaults reject its
 	// states, including a crashed node's deferred apply replayed at restart.
-	var failed bool
+	failed := new(bool)
 	for _, nd := range n.nodes {
-		nd := nd
 		if nd != entry {
 			// State distribution crosses the network once per node.
 			n.env.Clock.Sleep(n.env.Latency.Delay(entry.ID, nd.ID))
@@ -333,30 +305,78 @@ func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
 		// states when it restarts (Corda's message-queue redelivery). Each
 		// flow is one WAL record: Corda persists per transaction, not per
 		// block.
-		nd.Gate.Commit(1, func() {
-			if err := nd.vault.Apply(utx); err != nil {
-				if !failed {
-					failed = true
-					n.recordFailure(err)
-				}
-				return
-			}
-			// Vault apply is Corda's commit-time validation (the vault
-			// rejects already-consumed inputs); first node wins the mark.
-			tx.Stages.Mark(chain.StageValidate, n.env.Clock.Now())
-			nd.Hub.Committed(*ev, n.env.Clock.Now())
-		})
+		systems.CommitTo(&nd.Gate, 1, finality{n, nd, utx, ev, failed}, applyFinality)
 	}
 }
 
-// nodeByID resolves a node by its identity.
-func (n *Network) nodeByID(id string) *node {
-	for _, nd := range n.nodes {
-		if nd.ID == id {
-			return nd
+// collectSignatures charges the flow the wait for every counterparty's
+// signature: one round trip plus the counterparty's flow processing each.
+// Nothing verifies a signature, so none is computed; the wait is its
+// modeled cost. Corda requires every counterparty's signature, so a crashed
+// signer fails the whole flow and one node outage halts all write flows —
+// the flip side of the paper's §6 observation that requiring fewer signers
+// is where Corda's scalability lies.
+//
+// Open Source asks the counterparties one after another in node order
+// ("Corda OS does this serially", §5.1): the wait is the sum of their costs,
+// and the first crashed one fails the flow once those before it have
+// signed. Enterprise asks them all at once (§5.2): the wait is the largest
+// cost among those that are up, after which the first crashed one in node
+// order fails the flow. That sum against a max is the editions' 10x gap.
+func (n *Network) collectSignatures(entry *node) error {
+	var wait time.Duration
+	var down *node
+	for _, p := range n.nodes {
+		if p == entry {
+			continue
+		}
+		if p.Gate.Down() {
+			if down == nil {
+				down = p
+			}
+			if n.cfg.edition == OpenSource {
+				break
+			}
+			continue
+		}
+		cost := n.env.Latency.Delay(entry.ID, p.ID) + n.env.Latency.Delay(p.ID, entry.ID) + n.cfg.signProcessing
+		if n.cfg.edition == OpenSource {
+			n.env.Clock.Sleep(cost)
+		} else {
+			wait = max(wait, cost)
 		}
 	}
+	n.env.Clock.Sleep(wait)
+	if down != nil {
+		return fmt.Errorf("corda: counterparty %s unreachable", down.ID)
+	}
 	return nil
+}
+
+// finality is one node's share of a flow's finality, the commit work its
+// gate runs: apply the flow's states to the node's vault and confirm the
+// flow's event. failed is shared by every node's share of one flow.
+type finality struct {
+	n      *Network
+	nd     *node
+	utx    *chain.UTXOTransaction
+	ev     *systems.Event
+	failed *bool
+}
+
+func applyFinality(f finality) {
+	if err := f.nd.vault.Apply(f.utx); err != nil {
+		if !*f.failed {
+			*f.failed = true
+			f.n.recordFailure(err)
+		}
+		return
+	}
+	// Vault apply is Corda's commit-time validation (the vault rejects
+	// already-consumed inputs); first node wins the mark.
+	now := f.n.env.Clock.Now()
+	f.ev.Stages.Mark(chain.StageValidate, now)
+	f.nd.Hub.Committed(*f.ev, now)
 }
 
 // buildTransaction translates an IEL operation into a UTXO transaction,
@@ -637,13 +657,6 @@ func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chai
 	}
 	ref, st, found := n.findStateOpt(entry, kind, key)
 	return ref, st, found, nil
-}
-
-func flowTxID(tx *chain.Transaction, utx *chain.UTXOTransaction) crypto.Hash {
-	if utx != nil {
-		return utx.ID
-	}
-	return tx.ID
 }
 
 func (n *Network) deadlineExceeded(started time.Time) bool {
