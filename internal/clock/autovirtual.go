@@ -38,9 +38,9 @@ func Walltime() time.Time { return time.Now() }
 //
 //   - Only a registered actor may call a parking primitive, and only from
 //     the goroutine that registered. Outside this package actors are
-//     started by Go, which announces, registers and closes them, and the
-//     long-lived ones loop in Serve (stop, inbox, tick); the actorspawn
-//     analyzer rejects any other go statement in actor packages.
+//     started by Go, which announces, registers and closes them; the
+//     actorspawn analyzer rejects any other go statement in actor packages.
+//     Only work that parks in the middle of its work is an actor.
 //   - Every potentially blocking operation goes through the clock-aware
 //     primitives. An actor that blocks on a bare channel while holding the
 //     token freezes the whole clock (undetectably), which is exactly the bug
@@ -78,15 +78,17 @@ func Walltime() time.Time { return time.Now() }
 //     released. No goroutine is woken for it and none is switched to.
 //   - It holds the execution token while it runs, as a pseudo-actor carrying
 //     its name: Now, Mailbox.Send with room, TrySend, Gate.Close, Await with
-//     a source ready, arming timers (keyed under the event's name) and other
-//     events' After/At/Trigger all work, and nothing else runs meanwhile.
+//     a source ready, arming timers (keyed under the event's name), other
+//     events' After/At/Every/Trigger and a Loop's Post all work, and nothing
+//     else runs meanwhile.
 //   - It may not park. Sleep, Await with nothing ready and Send to a full
 //     Mailbox panic naming the event: it has no goroutine to block, and
 //     blocking the scheduler's would freeze the clock.
 //   - Its armed deadline ties with same-instant waiters by (name, per-event
-//     sequence), as the timers of an actor of that name do. A reached
-//     deadline and a Trigger both queue it at the tail of the run queue, once,
-//     however many arrive before its turn.
+//     sequence), as the timers of an actor of that name do; a deadline armed
+//     by Every re-arms as it fires, under the clock-global sequence. A
+//     reached deadline, a Trigger and a Loop's Post all queue it at the tail
+//     of the run queue, once, however many arrive before its turn.
 //   - Stop removes the deadline and the queued turn; it is called by the
 //     token holder or with no token out, so the function is not running when
 //     it returns, and does not run again.
@@ -94,9 +96,9 @@ func Walltime() time.Time { return time.Now() }
 // Events are not registered actors: a clock with armed events and no actors
 // stays idle, and the deadlock report lists actors only.
 //
-// Timers, tickers, sleeping actors and armed events are waiters in one heap
-// ordered by (deadline, tie name, tie sequence); all fields are guarded by
-// mu except elapsed, which Now reads without it.
+// Timers, sleeping actors and armed events are waiters in one heap ordered
+// by (deadline, tie name, tie sequence); all fields are guarded by mu except
+// elapsed, which Now reads without it.
 type AutoVirtual struct {
 	mu  sync.Mutex
 	now time.Time
@@ -285,35 +287,6 @@ func (w *wave) join() {
 	Await(w.v, &w.done)
 }
 
-// Serve is an actor's receive loop, called from inside the actor: until
-// stop closes it hands each inbox message to onMsg and each tick of a
-// period ticker to onTick, preferring stop, then the inbox, then the tick
-// when several are ready. The ticker is armed here, by the actor, so its
-// ties key under the actor's name. A nil inbox or a zero period drops that
-// source.
-func Serve[T any](v *AutoVirtual, stop *Gate, inbox *Mailbox[T], period time.Duration, onMsg func(T), onTick func()) {
-	srcs := append(make([]Waitable, 0, 3), stop)
-	var m T
-	if inbox != nil {
-		srcs = append(srcs, inbox.Receiver(&m))
-	}
-	if period > 0 {
-		tick := v.NewTicker(period)
-		defer tick.Stop()
-		srcs = append(srcs, tick)
-	}
-	for {
-		switch i, _, _ := Await(v, srcs...); {
-		case i == 0:
-			return
-		case inbox != nil && i == 1:
-			onMsg(m)
-		default:
-			onTick()
-		}
-	}
-}
-
 // Fork announces that the current actor is about to spawn n goroutines that
 // will each call RegisterForked. Go is the one way to do so; Fork and
 // RegisterForked stay exported for the scheduler probes that time a bare
@@ -466,9 +439,9 @@ func (v *AutoVirtual) scheduleLocked() {
 }
 
 // advanceLocked jumps the clock to the earliest deadline and fires it: a
-// timer or ticker marks a fire for Await to consume (a ticker re-arms), and
-// the waiter's parked watchers, sleeper or event get their turn. Returns
-// false when no waiter remains.
+// timer marks a fire for Await to consume, and the waiter's parked
+// watchers, sleeper or event get their turn (an event's repeating deadline
+// re-arms). Returns false when no waiter remains.
 func (v *AutoVirtual) advanceLocked() bool {
 	if len(v.waiters) == 0 {
 		return false
@@ -484,7 +457,7 @@ func (v *AutoVirtual) advanceLocked() bool {
 		v.queueEventLocked(w.event)
 	}
 	if t := w.tick; t != nil {
-		t.fired = true // an unconsumed fire absorbs this one, as time.Ticker drops ticks
+		t.fired = true
 		t.watch.wakeLocked(v)
 	}
 	if w.sleeper != nil {
@@ -574,9 +547,9 @@ func (w *watchers) wakeLocked(v *AutoVirtual) {
 	}
 }
 
-// Waitable is a blocking source Await can select over: the clock's timers
-// and tickers, Gate, Mailbox, and a Mailbox's Receiver. Implementations are
-// provided by this package only.
+// Waitable is a blocking source Await can select over: the clock's timers,
+// Gate, Mailbox, and a Mailbox's Receiver. Implementations are provided by
+// this package only.
 type Waitable interface {
 	// attach/detach subscribe a parked actor to the source's wake list;
 	// tryConsumeLocked reports readiness and consumes the ready value.
@@ -591,8 +564,8 @@ type Waitable interface {
 // a closed Gate or a closed, drained Mailbox). The value is the element
 // received from a Mailbox awaited directly, boxed; a loop that receives per
 // message awaits the mailbox's Receiver instead, which stores the element
-// typed and leaves the value nil. Gates, timers and tickers carry no value
-// worth boxing (the fire instant is Now). The caller is the token holder,
+// typed and leaves the value nil. Gates and timers carry no value worth
+// boxing (the fire instant is Now). The caller is the token holder,
 // and readiness is checked in argument order — lowest index wins — making
 // multi-ready races deterministic; put the stop gate first so shutdown beats
 // pending work. With no token out, i.e. from outside the run, the caller is

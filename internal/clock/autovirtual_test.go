@@ -61,36 +61,22 @@ func TestAutoVirtualDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestAutoVirtualSameInstantTickersDeterministic starts actors in a
-// deliberately scrambled order; their tickers all fire at the same simulated
-// instants, and the tie-break must order fires by actor name, not by the OS
-// scheduling accident of who registered first.
-func TestAutoVirtualSameInstantTickersDeterministic(t *testing.T) {
+// TestAutoVirtualSameInstantPeriodsDeterministic arms periodic events in a
+// scrambled order; their deadlines all fall at the same simulated instants,
+// and the tie-break must order the first runs by name, not by arming order,
+// and keep that order for the repeats the clock re-arms.
+func TestAutoVirtualSameInstantPeriodsDeterministic(t *testing.T) {
 	const rounds = 5
 	names := []string{"node-3", "node-1", "node-4", "node-2"}
 	run := func() []string {
 		av := NewAutoVirtual()
-		var mu sync.Mutex // guards log across Append-time reallocation
 		var log []string
-		var wg sync.WaitGroup
-		Fork(av, len(names))
 		for _, name := range names {
-			wg.Add(1)
-			go func(name string) {
-				defer wg.Done()
-				h := RegisterForked(av, name)
-				defer h.Close()
-				tick := av.NewTicker(10 * time.Millisecond)
-				defer tick.Stop()
-				for i := 0; i < rounds; i++ {
-					Await(av, tick)
-					mu.Lock()
-					log = append(log, name)
-					mu.Unlock()
-				}
-			}(name)
+			ev := NewEvent(av, name, func() { log = append(log, name) })
+			ev.Every(10 * time.Millisecond)
+			defer ev.Stop()
 		}
-		wg.Wait()
+		av.Sleep(rounds*10*time.Millisecond + time.Millisecond)
 		return log
 	}
 	got := run()
@@ -99,7 +85,7 @@ func TestAutoVirtualSameInstantTickersDeterministic(t *testing.T) {
 		want = append(want, "node-1", "node-2", "node-3", "node-4")
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("tick order not name-deterministic:\n got %v\nwant %v", got, want)
+		t.Fatalf("run order not name-deterministic:\n got %v\nwant %v", got, want)
 	}
 	if again := run(); fmt.Sprint(again) != fmt.Sprint(got) {
 		t.Fatalf("two identical runs diverged:\n run1 %v\n run2 %v", got, again)

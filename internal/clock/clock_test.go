@@ -82,49 +82,24 @@ func TestVirtualTimerDoesNotFireEarly(t *testing.T) {
 	}
 }
 
-func TestVirtualTickerRepeats(t *testing.T) {
+// TestVirtualEveryRepeats: an event armed by Every runs once per period,
+// on the period, until it is stopped, and leaves the heap then.
+func TestVirtualEveryRepeats(t *testing.T) {
 	v := NewAutoVirtual()
-	tk := v.NewTicker(time.Second)
-	defer tk.Stop()
-
-	for i := 0; i < 5; i++ {
-		v.Sleep(time.Second)
-		if !hasFired(v, tk) {
-			t.Fatalf("tick %d missing", i)
-		}
+	var at []time.Duration
+	ev := NewEvent(v, "tick", func() { at = append(at, v.Now().Sub(SimEpoch)) })
+	ev.Every(time.Second)
+	v.Sleep(5*time.Second + time.Millisecond)
+	if fmt.Sprint(at) != "[1s 2s 3s 4s 5s]" {
+		t.Fatalf("ran at %v, want once a second", at)
 	}
-	if hasFired(v, tk) {
-		t.Fatal("a consumed tick fired again")
+	ev.Stop()
+	if n := v.PendingWaiters(); n != 0 {
+		t.Fatalf("PendingWaiters = %d after Stop, want 0", n)
 	}
-}
-
-// TestVirtualTickerCoalescesUnconsumedFires: fires that arrive while one is
-// still unconsumed are dropped, as time.Ticker drops ticks for a slow
-// receiver, and the ticker keeps its period.
-func TestVirtualTickerCoalescesUnconsumedFires(t *testing.T) {
-	v := NewAutoVirtual()
-	tk := v.NewTicker(time.Second)
-	defer tk.Stop()
-	v.Sleep(5*time.Second + time.Millisecond) // five fires, none consumed
-	if !hasFired(v, tk) {
-		t.Fatal("no fire pending after five periods")
-	}
-	if hasFired(v, tk) {
-		t.Fatal("five unconsumed fires left more than one pending")
-	}
-	Await(v, tk)
-	if got := v.Now().Sub(SimEpoch); got != 6*time.Second {
-		t.Fatalf("next fire at +%v, want +6s", got)
-	}
-}
-
-func TestVirtualTickerStop(t *testing.T) {
-	v := NewAutoVirtual()
-	tk := v.NewTicker(time.Second)
-	tk.Stop()
 	v.Sleep(5 * time.Second)
-	if hasFired(v, tk) {
-		t.Fatal("stopped ticker fired")
+	if len(at) != 5 {
+		t.Fatalf("stopped event ran again at %v", at[5:])
 	}
 }
 
@@ -209,8 +184,8 @@ func lockedNow(v *AutoVirtual) time.Time {
 // TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
 // == to the instant the timer heap runs on — same wall encoding, same
 // location, no monotonic reading — whether the clock is stepped by sleeps
-// from outside the run or jumps for its own actors: after timer, ticker and
-// sleep jumps, inside an event at its deadline, and after an absolute
+// from outside the run or jumps for its own actors: after timer and sleep
+// jumps, inside an event at its deadline or period, and after an absolute
 // deadline handed in from another location.
 func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 	check := func(t *testing.T, av *AutoVirtual, when string) {
@@ -228,7 +203,8 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 	t.Run("stepped", func(t *testing.T) {
 		av := NewAutoVirtual()
 		check(t, av, "at start")
-		tick := av.NewTicker(30 * time.Millisecond)
+		tick := NewEvent(av, "tick", func() { check(t, av, "inside a periodic event") })
+		tick.Every(30 * time.Millisecond)
 		defer tick.Stop()
 		timer := av.NewTimerAt(av.Now().Add(45 * time.Millisecond))
 		abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
@@ -260,13 +236,11 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 			defer close(done)
 			h := Register(av, "jumper")
 			defer h.Close()
-			tick := av.NewTicker(7 * time.Second)
-			defer tick.Stop()
 			for i := 0; i < 5; i++ {
 				av.Sleep(time.Duration(i+1) * time.Hour)
 				check(t, av, "after a sleep jump")
-				Await(av, tick)
-				check(t, av, "after a ticker jump")
+				Await(av, av.NewTimerAt(av.Now().Add(7*time.Second)))
+				check(t, av, "after a timer jump")
 			}
 			ev.After(50 * time.Millisecond)
 			abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))

@@ -5,9 +5,10 @@ import "time"
 // Event is a named callback that the clock runs to completion: a timer with
 // a function where a Timer has a waiting actor, for the loops that never
 // park in the middle of their work (the client's pacer, the transport's
-// delivery). After and At arm its one deadline, replacing the previous one;
-// Trigger asks for a run now and leaves the deadline alone. Runs of one
-// event never overlap, and requests made while a run is already owed
+// delivery, a producer's period; Loop adds an inbox). After and At arm its
+// one deadline, replacing the previous one, and Every arms a deadline that
+// repeats; Trigger asks for a run now and leaves the deadline alone. Runs of
+// one event never overlap, and requests made while a run is already owed
 // coalesce into it. fn may re-arm and re-trigger its own event; it must not
 // Stop it.
 //
@@ -46,24 +47,34 @@ func NewEvent(v *AutoVirtual, name string, fn func()) *Event {
 // at once.
 func (e *Event) After(d time.Duration) {
 	e.v.mu.Lock()
-	e.armLocked(e.v.now.Add(d))
+	e.armLocked(e.v.now.Add(d), 0)
 }
 
 // At arms the event to run once when the clock reaches t; with t at or
 // before Now the run is owed at once.
 func (e *Event) At(t time.Time) {
 	e.v.mu.Lock()
-	e.armLocked(t)
+	e.armLocked(t, 0)
+}
+
+// Every arms the event to run every d, which must be positive, first d from
+// now. The first deadline ties under the event's name like any arm; the
+// clock re-arms each repeat as it fires it, under the clock-global
+// sequence.
+func (e *Event) Every(d time.Duration) {
+	e.v.mu.Lock()
+	e.armLocked(e.v.now.Add(d), d)
 }
 
 // armLocked replaces the deadline in the heap; v.mu is held on entry and
 // released.
-func (e *Event) armLocked(at time.Time) {
+func (e *Event) armLocked(at time.Time, repeat time.Duration) {
 	v := e.v
 	v.cancelLocked(&e.w)
 	late := !at.After(v.now)
 	if !late && !e.stopped {
 		e.w.at = at
+		e.w.repeat = repeat
 		v.addWaiterAsLocked(&e.w, e.actor)
 	}
 	v.mu.Unlock()
@@ -81,10 +92,47 @@ func (e *Event) Trigger() {
 }
 
 // Stop disarms the event, drops a run that is owed and makes every later
-// After, At and Trigger a no-op; it returns only when fn is not running.
+// After, At, Every and Trigger a no-op; it returns only when fn is not
+// running.
 func (e *Event) Stop() {
 	e.v.mu.Lock()
 	e.stopped = true
 	e.v.cancelLocked(&e.w)
 	e.v.mu.Unlock()
+}
+
+// Loop is the receive loop of a component that never parks — a consensus
+// engine, which handles messages and keeps a period — as two events of one
+// name: Post queues a message in an unbounded typed inbox and owes the loop
+// a run that hands every queued message, oldest first, to onMsg; Every
+// gives it a period whose runs call onTick. A message never waits behind a
+// fired period: the clock fires a deadline only with nothing queued to run.
+// Stop stops both, dropping what is queued.
+type Loop[T any] struct {
+	*Event // the period
+	serve  *Event
+	inbox  ring[T] // touched by the token holder only
+}
+
+// NewLoop builds an unarmed loop, named like an Event.
+func NewLoop[T any](v *AutoVirtual, name string, onMsg func(T), onTick func()) *Loop[T] {
+	l := &Loop[T]{Event: NewEvent(v, name, onTick)}
+	l.serve = NewEvent(v, name, func() {
+		for l.inbox.len() > 0 {
+			onMsg(l.inbox.pop())
+		}
+	})
+	return l
+}
+
+// Post queues m and owes the loop a run.
+func (l *Loop[T]) Post(m T) {
+	l.inbox.push(m)
+	l.serve.Trigger()
+}
+
+// Stop stops the period and the inbox's runs.
+func (l *Loop[T]) Stop() {
+	l.Event.Stop()
+	l.serve.Stop()
 }

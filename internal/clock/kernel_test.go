@@ -151,13 +151,6 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		t.Errorf("Sleep allocates %v times per call, want 0", n)
 	}
 
-	ticker := av.NewTicker(time.Millisecond)
-	Await(av, ticker)
-	if n := testing.AllocsPerRun(200, func() { Await(av, ticker) }); n != 0 {
-		t.Errorf("Await on a ticker allocates %v times per tick, want 0", n)
-	}
-	ticker.Stop()
-
 	// Two hand-offs per round: meter → echo → meter. The payload is large
 	// enough that boxing it cannot use the runtime's small-integer table.
 	ping, pong := NewMailbox[int](av, 1), NewMailbox[int](av, 1)
@@ -195,12 +188,11 @@ func TestKernelAllocationCeilings(t *testing.T) {
 	}
 }
 
-// TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep,
-// NewTimerAt and NewTicker all enter the heap keyed by
-// (deadline, actor name, per-actor sequence). Three actors whose waits
-// collide at every instant, each mixing the three kinds, must therefore wake
-// in name order at each instant — the order the one-waiter-per-arm kernel
-// produced.
+// TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep
+// and NewTimerAt both enter the heap keyed by (deadline, actor name,
+// per-actor sequence). Three actors whose waits collide at every instant,
+// each alternating the two kinds, must therefore wake in name order at each
+// instant — the order the one-waiter-per-arm kernel produced.
 func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 	const rounds = 6
 	run := func() []string {
@@ -208,20 +200,11 @@ func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
 		var log []string // appended under the execution token
 		body := func(name string, phase int) func() {
 			return func() {
-				var ticker *Timer
 				for r := 0; r < rounds; r++ {
-					switch (r + phase) % 3 {
-					case 0:
+					if (r+phase)%2 == 0 {
 						av.Sleep(10 * time.Millisecond)
-					case 1:
+					} else {
 						Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
-					case 2:
-						if ticker == nil {
-							ticker = av.NewTicker(10 * time.Millisecond)
-						}
-						Await(av, ticker)
-						ticker.Stop()
-						ticker = nil
 					}
 					log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
 				}
@@ -275,13 +258,16 @@ func TestRearmTakesAFreshTieKey(t *testing.T) {
 }
 
 // TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, so a
-// stopped timer or ticker never fires, and stopping twice is harmless.
+// stopped timer or periodic event never fires, and stopping twice is
+// harmless.
 func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
 	av := NewAutoVirtual()
 	h := Register(av, "solo")
 	defer h.Close()
 	timer := av.NewTimerAt(av.Now().Add(time.Hour))
-	ticker := av.NewTicker(time.Hour)
+	runs := 0
+	ticker := NewEvent(av, "ticker", func() { runs++ })
+	ticker.Every(time.Hour)
 	if got := av.PendingWaiters(); got != 2 {
 		t.Fatalf("PendingWaiters = %d, want 2", got)
 	}
@@ -292,8 +278,8 @@ func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
 		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
 	}
 	av.Sleep(3 * time.Hour)
-	if hasFired(av, timer) || hasFired(av, ticker) {
-		t.Fatal("stopped timer or ticker fired")
+	if hasFired(av, timer) || runs != 0 {
+		t.Fatal("stopped timer or periodic event fired")
 	}
 }
 
@@ -646,8 +632,8 @@ func TestEventStop(t *testing.T) {
 	}
 }
 
-// TestEventAllocations: arming, firing, triggering and running an event
-// allocate nothing.
+// TestEventAllocations: arming, firing, triggering and running an event,
+// repeating a period and posting to a loop allocate nothing.
 func TestEventAllocations(t *testing.T) {
 	av := NewAutoVirtual()
 	h := Register(av, "meter")
@@ -670,6 +656,26 @@ func TestEventAllocations(t *testing.T) {
 		t.Fatalf("event ran %d times, want %d", runs, 2*201)
 	}
 	ev.Stop()
+	ev = NewEvent(av, "period", func() { runs++ })
+	ev.Every(time.Millisecond)
+	if n := testing.AllocsPerRun(200, func() { av.Sleep(time.Millisecond) }); n != 0 {
+		t.Errorf("a period's fire and re-arm allocate %v times, want 0", n)
+	}
+	ev.Stop()
+	got := 0
+	loop := NewLoop(av, "loop", func(m int) { got += m }, func() {})
+	loop.Post(1)
+	av.Sleep(time.Microsecond) // the inbox grows once
+	if n := testing.AllocsPerRun(200, func() {
+		loop.Post(1000)
+		av.Sleep(time.Microsecond)
+	}); n != 0 {
+		t.Errorf("Post + run allocates %v times per message, want 0", n)
+	}
+	if got != 1+201*1000 {
+		t.Fatalf("loop handled %d, want every message once", got)
+	}
+	loop.Stop()
 }
 
 // TestEventDeadlinesFromOutsideTheRun: events armed and triggered with no

@@ -22,16 +22,6 @@ func (v *AutoVirtual) setNowLocked(t time.Time) {
 // Since returns the virtual time elapsed since t.
 func (v *AutoVirtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// NewTicker returns a timer that fires every d.
-func (v *AutoVirtual) NewTicker(d time.Duration) *Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	t := &Timer{clk: v}
-	t.w = waiter{at: v.now.Add(d), repeat: d, tick: t}
-	v.addWaiterLocked(&t.w)
-	return t
-}
-
 // NewTimerAt returns a timer that fires once when the clock reaches the
 // absolute instant at. A deadline at or before the current virtual instant
 // fires immediately, so callers arming an absolute deadline cannot lose a
@@ -49,8 +39,8 @@ func (v *AutoVirtual) NewTimerAt(at time.Time) *Timer {
 	return t
 }
 
-// PendingWaiters reports the number of live timers/tickers, useful for
-// asserting that components cleaned up after themselves.
+// PendingWaiters reports the number of armed deadlines (timers, events,
+// sleeps), useful for asserting that components cleaned up after themselves.
 func (v *AutoVirtual) PendingWaiters() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -90,15 +80,15 @@ func (v *AutoVirtual) cancelLocked(w *waiter) {
 	}
 }
 
-// waiter is one pending deadline. It lives inside its owner — a timer, a
-// ticker, an Event, or the Actor sleeping on it — and is in the heap exactly
-// while armed.
+// waiter is one pending deadline. It lives inside its owner — a timer, an
+// Event, or the Actor sleeping on it — and is in the heap exactly while
+// armed; a nonzero repeat (an Event's period) re-arms it as it fires.
 type waiter struct {
 	at      time.Time
 	repeat  time.Duration
 	tieName string
 	tieSeq  int64
-	tick    *Timer // the timer or ticker whose deadline this is
+	tick    *Timer // the timer whose deadline this is
 	sleeper *Actor // the actor parked on this waiter in Sleep
 	event   *Event // the event whose deadline this is
 	index   int    // heap position, -1 while out of the heap
@@ -136,13 +126,10 @@ func (h *waiterHeap) Pop() any {
 	return w
 }
 
-// Timer is a virtual timer (NewTimerAt), which fires once, or ticker
-// (NewTicker), which fires every period: the waiter it arms (a ticker's
-// re-arms itself on every fire), whether a fire awaits consumption, and the
-// actors awaiting it. A fire is consumed by awaiting the timer (Await);
-// fires that arrive while one is still unconsumed are dropped, as
-// time.Ticker drops ticks for a slow receiver. fired and watch are guarded
-// by clk.mu.
+// Timer is a virtual timer (NewTimerAt), which fires once: the waiter it
+// arms, whether its fire awaits consumption, and the actors awaiting it. The
+// fire is consumed by awaiting the timer (Await). fired and watch are
+// guarded by clk.mu.
 type Timer struct {
 	clk   *AutoVirtual
 	w     waiter

@@ -197,12 +197,12 @@ func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult,
 		writtenCounts[bench] = sent
 		out[bench] = rr
 	}
-	// Teardown leak check: after the driver stops, every timer and ticker
-	// armed during the repetition must have fired or been stopped —
+	// Teardown leak check: after the driver stops, every timer and event
+	// deadline armed during the repetition must have fired or been stopped —
 	// otherwise long soaks accumulate dead waiters in the virtual heap.
 	stopDriver()
 	if n := clk.PendingWaiters(); n != 0 {
-		return nil, fmt.Errorf("coconut: %d timer/ticker waiter(s) leaked at repetition teardown", n)
+		return nil, fmt.Errorf("coconut: %d timer/event waiter(s) leaked at repetition teardown", n)
 	}
 	return out, nil
 }
@@ -265,30 +265,26 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 		injector.Start()
 	}
 
-	// The gauge sampler is a clock actor snapshotting the driver's
+	// The gauge sampler is a clock event snapshotting the driver's
 	// queue depths once per timeline window, so the windowed throughput
 	// timeline gains a matching queue/resource telemetry series. It runs
 	// only when a timeline is collected — the paper-grid hot path stays
 	// untouched.
 	var gaugeSamples GaugeSeries
-	var gaugeStop *clock.Gate
-	var joinGauge func()
+	var sampler *clock.Event
 	if timeline != nil && window > 0 {
-		gaugeStop = clock.NewGate(clk)
-		joinGauge = clock.Go(clk, []string{"gauge-sampler"}, func(int) {
-			clock.Serve[struct{}](clk, gaugeStop, nil, window, nil, func() {
-				gaugeSamples = append(gaugeSamples, sampleGauges(driver.QueueSnapshot()))
-			})
+		sampler = clock.NewEvent(clk, "gauge-sampler", func() {
+			gaugeSamples = append(gaugeSamples, sampleGauges(driver.QueueSnapshot()))
 		})
+		sampler.Every(window)
 	}
 
 	drive(clk, cfg, clients)
 	if injector != nil {
 		injector.Stop()
 	}
-	if gaugeStop != nil {
-		gaugeStop.Close()
-		joinGauge()
+	if sampler != nil {
+		sampler.Stop()
 	}
 
 	written := make([][]uint64, len(clients))

@@ -118,14 +118,14 @@ func TestRunRejectsBatchesWithoutBatchSubmitter(t *testing.T) {
 	}
 }
 
-// leakyDriver arms a ticker when it starts and never stops it.
+// leakyDriver arms a timer when it starts and never stops it.
 type leakyDriver struct {
 	*fakeDriver
 	clk *clock.AutoVirtual
 }
 
 func (d leakyDriver) Start() error {
-	d.clk.NewTicker(time.Second)
+	d.clk.NewTimerAt(d.clk.Now().Add(time.Hour))
 	return nil
 }
 
@@ -144,8 +144,8 @@ func TestRunReportsLeakedWaiters(t *testing.T) {
 		ListenGrace:     50 * time.Millisecond,
 		Repetitions:     1,
 	})
-	if err == nil || !strings.Contains(err.Error(), "1 timer/ticker waiter(s) leaked") {
-		t.Fatalf("err = %v, want the leaked ticker reported", err)
+	if err == nil || !strings.Contains(err.Error(), "1 timer/event waiter(s) leaked") {
+		t.Fatalf("err = %v, want the leaked timer reported", err)
 	}
 }
 

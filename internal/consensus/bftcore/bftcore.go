@@ -144,9 +144,9 @@ type kinds struct {
 	forward, prePrepare, prepare, commit, roundChange string
 }
 
-// Core is one validator's three-phase agreement engine. Only the actor
-// holding the clock's token touches it — its own loop, or a client calling
-// Submit — so it takes no lock.
+// Core is one validator's three-phase agreement engine. Only the clock's
+// token holder touches it — its own loop event, or a client calling Submit —
+// so it takes no lock.
 type Core struct {
 	cfg   Config
 	peers consensus.PeerIndex
@@ -159,16 +159,9 @@ type Core struct {
 	future      map[uint64][]network.Message  // messages for heights not yet reached
 	futureRound map[uint64][]network.Message  // same-height messages from rounds ahead of ours
 	roundAhead  map[uint64]*consensus.VoteSet // round -> peers seen ahead of us
-	decideQ     []consensus.Decision          // decided but not yet delivered
-	// delivering is set while flushDecisions runs OnDecide callbacks, so a
-	// decision reached while one of them is parked waits in decideQ for the
-	// loop in hand: decisions go out in height order, one at a time.
-	delivering bool
-	running    bool
+	running     bool
 
-	events *clock.Mailbox[network.Message]
-	stop   *clock.Gate
-	join   func() // waits for the loop Start began
+	loop *clock.Loop[network.Message]
 }
 
 // New constructs a core; call Start to join the validator set.
@@ -176,7 +169,7 @@ func New(cfg Config) *Core {
 	cfg.fill()
 	n := len(cfg.Peers)
 	peers := consensus.NewPeerIndex(cfg.Peers)
-	return &Core{
+	c := &Core{
 		cfg:   cfg,
 		peers: peers,
 		self:  peers.Of(cfg.ID),
@@ -196,9 +189,12 @@ func New(cfg Config) *Core {
 		future:      make(map[uint64][]network.Message),
 		futureRound: make(map[uint64][]network.Message),
 		roundAhead:  make(map[uint64]*consensus.VoteSet),
-		events:      clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:        clock.NewGate(cfg.Clock),
 	}
+	c.loop = clock.NewLoop(cfg.Clock, "bftcore/"+cfg.ID, c.handle, func() {
+		c.tryPropose()
+		c.checkRoundTimeout()
+	})
+	return c
 }
 
 // Start joins the validator set and launches the core's loop.
@@ -208,26 +204,18 @@ func (c *Core) Start() error {
 	}
 	c.running = true
 	c.newInstance()
-	c.cfg.Transport.Register(c.cfg.ID, func(m network.Message) {
-		c.events.Send(m, c.stop)
-	})
-	c.join = clock.Go(c.cfg.Clock, []string{"bftcore/" + c.cfg.ID}, func(int) {
-		clock.Serve(c.cfg.Clock, c.stop, c.events, c.cfg.RoundTimeout/4, c.handle, func() {
-			c.tryPropose()
-			c.checkRoundTimeout()
-		})
-	})
+	c.cfg.Transport.Register(c.cfg.ID, c.loop.Post)
+	c.loop.Every(c.cfg.RoundTimeout / 4)
 	return nil
 }
 
-// Stop terminates the core and waits for its loop to exit.
+// Stop terminates the core; its loop never runs again.
 func (c *Core) Stop() {
 	if !c.running {
 		return
 	}
 	c.running = false
-	c.stop.Close()
-	c.join()
+	c.loop.Stop()
 	c.cfg.Transport.Unregister(c.cfg.ID)
 }
 
@@ -453,37 +441,19 @@ func (c *Core) advance() {
 		}
 	}
 	c.pending = kept
-	c.decideQ = append(c.decideQ, consensus.Decision{
+	d := consensus.Decision{
 		Seq:       c.height,
 		Payload:   c.inst.proposal,
 		Proposer:  c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round),
 		DecidedAt: c.cfg.Clock.Now(),
-	})
+	}
 	c.height++
 	c.newInstance()
-	c.flushDecisions()
+	if cb := c.cfg.OnDecide; cb != nil {
+		cb(d)
+	}
 	c.replayFuture()
 	c.tryPropose()
-}
-
-// flushDecisions delivers queued decisions to OnDecide in height order, one
-// at a time. OnDecide may park (a commit gate's durability wait) and let
-// another actor decide meanwhile; its call returns at once, and this loop
-// delivers that decision after the one in hand. The drained queue keeps its
-// capacity for the next decision.
-func (c *Core) flushDecisions() {
-	if c.delivering {
-		return
-	}
-	c.delivering = true
-	for i := 0; i < len(c.decideQ); i++ {
-		if cb := c.cfg.OnDecide; cb != nil {
-			cb(c.decideQ[i])
-		}
-	}
-	clear(c.decideQ)
-	c.decideQ = c.decideQ[:0]
-	c.delivering = false
 }
 
 // checkRoundTimeout fires a round change when the current height has been

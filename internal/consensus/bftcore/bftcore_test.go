@@ -351,39 +351,28 @@ func BenchmarkBFTCoreDecideN32(b *testing.B) {
 	tr.Stop()
 }
 
-// TestOnDecideParksWhileTheNextDecides: a decision callback that parks (a
-// commit gate's durability wait) lets another actor drive the next height to
-// a decision; that decision is delivered once, after the parked one returns,
-// never beside it. A lone validator decides inside Submit, so each of two
-// client actors decides one height.
-func TestOnDecideParksWhileTheNextDecides(t *testing.T) {
-	clk := clocktest.New(t)
-	tr := network.NewTransport(clk, nil)
-	defer tr.Stop()
-	var got []uint64
-	inFlight := 0
-	core := New(Config{Clock: clk, ID: "solo", Peers: []string{"solo"}, Transport: tr,
-		OnDecide: func(d consensus.Decision) {
-			if inFlight++; inFlight > 1 {
-				t.Errorf("height %d delivered while another decision is in flight", d.Seq)
-			}
-			if d.Seq == 1 {
-				clk.Sleep(10 * time.Millisecond)
-			}
-			got = append(got, d.Seq)
-			inFlight--
-		}})
-	if err := core.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer core.Stop()
-	clock.Go(clk, []string{"client-a", "client-b"}, func(i int) {
-		clk.Sleep(time.Duration(i) * time.Millisecond) // b submits while a's decision is parked
+// TestLoneNodeDeliversSubmitsInOrder: a lone validator decides inside
+// Submit, so several Submits made at one instant decide one height after
+// another, each delivered once, in height order, with its payload.
+func TestLoneNodeDeliversSubmitsInOrder(t *testing.T) {
+	c := newCluster(t, 1, RoundRobinByHeight)
+	core := c.cores[0]
+	at := c.clk.Now()
+	for i := 1; i <= 5; i++ {
 		if err := core.Submit(fmt.Sprintf("tx-%d", i)); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-	})()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("delivered heights %v, want [1 2]", got)
+	}
+	got := c.decided[core.cfg.ID]
+	if len(got) != 5 {
+		t.Fatalf("delivered %d heights at the Submits' instant, want 5", len(got))
+	}
+	for i, d := range got {
+		if d.Seq != uint64(i+1) || d.Payload != fmt.Sprintf("tx-%d", i+1) || !d.DecidedAt.Equal(at) {
+			t.Fatalf("delivery %d = %+v, want height %d, tx-%d, decided at %v", i, d, i+1, i+1, at)
+		}
+	}
+	if core.PendingCount() != 0 || core.Height() != 6 {
+		t.Fatalf("pending %d at height %d, want none pending at 6", core.PendingCount(), core.Height())
 	}
 }

@@ -25,9 +25,8 @@ type Decision struct {
 }
 
 // DecideFunc is invoked on each node, in sequence order, once a slot is
-// decided. Callbacks run on engine actors and may park (a commit gate's
-// durability wait); an engine delivers its next decision only after the
-// callback returns.
+// decided. It runs inside the engine's clock event, to completion: it must
+// not park (a commit gate's durability wait is a deadline, not a sleep).
 type DecideFunc func(Decision)
 
 // Engine lifecycle errors.

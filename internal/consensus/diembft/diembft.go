@@ -90,8 +90,8 @@ type (
 	}
 )
 
-// Engine is one DiemBFT validator. Only the actor holding the clock's
-// token touches it, so it takes no lock.
+// Engine is one DiemBFT validator. Only the clock's token holder touches
+// it, so it takes no lock.
 type Engine struct {
 	cfg        Config
 	validators consensus.PeerIndex
@@ -106,10 +106,11 @@ type Engine struct {
 	voted     map[uint64]bool // rounds this node voted in
 	proposed  uint64          // the round of this node's last proposal; 0 before the first
 	running   bool
+	// lastProgress is when the pacemaker last saw progress or fired a
+	// timeout; timeoutRounds round intervals without either fire the next.
+	lastProgress time.Time
 
-	events *clock.Mailbox[network.Message]
-	stop   *clock.Gate
-	join   func() // waits for the loop Start began
+	loop *clock.Loop[network.Message]
 }
 
 // New constructs a validator; call Start to join.
@@ -126,9 +127,12 @@ func New(cfg Config) *Engine {
 		timeouts:   make(map[uint64]*consensus.VoteSet),
 		committed:  make(map[crypto.Hash]bool),
 		voted:      make(map[uint64]bool),
-		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:       clock.NewGate(cfg.Clock),
 	}
+	e.loop = clock.NewLoop(cfg.Clock, "diembft/"+cfg.ID, func(m network.Message) {
+		if e.handle(m) { // progress holds off the pacemaker's timeout
+			e.lastProgress = e.cfg.Clock.Now()
+		}
+	}, e.tick)
 	return e
 }
 
@@ -138,21 +142,19 @@ func (e *Engine) Start() error {
 		return nil
 	}
 	e.running = true
-	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
-		e.events.Send(m, e.stop)
-	})
-	e.join = clock.Go(e.cfg.Clock, []string{"diembft/" + e.cfg.ID}, func(int) { e.run() })
+	e.cfg.Transport.Register(e.cfg.ID, e.loop.Post)
+	e.lastProgress = e.cfg.Clock.Now()
+	e.loop.Every(e.cfg.RoundInterval)
 	return nil
 }
 
-// Stop terminates the validator and waits for its loop to exit.
+// Stop terminates the validator; its loop never runs again.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
 	}
 	e.running = false
-	e.stop.Close()
-	e.join()
+	e.loop.Stop()
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
@@ -180,23 +182,14 @@ func blockID(parent crypto.Hash, round uint64, proposer string, payload any) cry
 	return id
 }
 
-// run is the validator's loop: messages, and a propose tick that also
-// fires the round timeout once timeoutRounds round intervals pass without
-// progress.
-func (e *Engine) run() {
-	roundTimeout := timeoutRounds * e.cfg.RoundInterval
-	lastProgress := e.cfg.Clock.Now()
-	clock.Serve(e.cfg.Clock, e.stop, e.events, e.cfg.RoundInterval, func(m network.Message) {
-		if e.handle(m) {
-			lastProgress = e.cfg.Clock.Now()
-		}
-	}, func() {
-		e.tryPropose()
-		if e.cfg.Clock.Since(lastProgress) > roundTimeout {
-			e.fireTimeout()
-			lastProgress = e.cfg.Clock.Now()
-		}
-	})
+// tick is the validator's propose tick, which also fires the round timeout
+// once timeoutRounds round intervals pass without progress.
+func (e *Engine) tick() {
+	e.tryPropose()
+	if e.cfg.Clock.Since(e.lastProgress) > timeoutRounds*e.cfg.RoundInterval {
+		e.fireTimeout()
+		e.lastProgress = e.cfg.Clock.Now()
+	}
 }
 
 // tryPropose makes the round leader propose one block per round: the
@@ -253,9 +246,6 @@ func (e *Engine) handle(m network.Message) bool {
 }
 
 func (e *Engine) onProposal(p proposalMsg) bool {
-	if !e.running {
-		return false
-	}
 	e.updateQC(p.JustifyQC)
 	if p.Block.Round < e.round || e.voted[p.Block.Round] || e.leaderOf(p.Block.Round) != p.Block.Proposer {
 		return false
@@ -287,9 +277,6 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 func (e *Engine) onVote(from string, v voteMsg) bool {
 	voter := e.validators.Of(v.Voter)
 	if v.Voter != from || voter < 0 {
-		return false
-	}
-	if !e.running {
 		return false
 	}
 	set := consensus.VoteSetAt(e.votes, v.BlockID, len(e.cfg.Validators))

@@ -77,8 +77,8 @@ type gossipMsg struct {
 	Payload any
 }
 
-// Engine is one DPoS witness. Only the actor holding the clock's token
-// touches it, so it takes no lock.
+// Engine is one DPoS witness. Only the clock's token holder touches it, so
+// it takes no lock.
 type Engine struct {
 	cfg Config
 
@@ -94,9 +94,7 @@ type Engine struct {
 	node     int                    // this engine's node in seen
 	included map[any]struct{}       // scratch of dropIncluded, empty between calls
 
-	events *clock.Mailbox[network.Message]
-	stop   *clock.Gate
-	join   func() // waits for the loop Start began
+	loop *clock.Loop[network.Message]
 }
 
 // NewNetwork constructs the engines of one network, one per config; call
@@ -125,15 +123,15 @@ func NewNetwork(cfgs []Config) []*Engine {
 
 func newEngine(cfg Config, sched *schedule, seen *consensus.GossipIndex, node int) *Engine {
 	cfg.fill()
-	return &Engine{
+	e := &Engine{
 		cfg:      cfg,
 		sched:    sched,
 		seen:     seen,
 		node:     node,
 		included: make(map[any]struct{}),
-		events:   clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:     clock.NewGate(cfg.Clock),
 	}
+	e.loop = clock.NewLoop(cfg.Clock, "dpos/"+cfg.ID, e.handle, e.maybeProduce)
+	return e
 }
 
 // schedule is the shuffled witness order of a network, one round at a time:
@@ -173,23 +171,18 @@ func (e *Engine) Start() error {
 		return nil
 	}
 	e.running = true
-	e.cfg.Transport.Register(e.cfg.ID, func(m network.Message) {
-		e.events.Send(m, e.stop)
-	})
-	e.join = clock.Go(e.cfg.Clock, []string{"dpos/" + e.cfg.ID}, func(int) {
-		clock.Serve(e.cfg.Clock, e.stop, e.events, e.cfg.BlockInterval, e.handle, e.maybeProduce)
-	})
+	e.cfg.Transport.Register(e.cfg.ID, e.loop.Post)
+	e.loop.Every(e.cfg.BlockInterval)
 	return nil
 }
 
-// Stop terminates the witness and waits for its loop to exit.
+// Stop terminates the witness; its loop never runs again.
 func (e *Engine) Stop() {
 	if !e.running {
 		return
 	}
 	e.running = false
-	e.stop.Close()
-	e.join()
+	e.loop.Stop()
 	e.cfg.Transport.Unregister(e.cfg.ID)
 }
 
@@ -312,9 +305,6 @@ func (e *Engine) dropIncluded(items []any) {
 // acceptBlock applies a block produced by another witness; boxed is blk
 // as its witness boxed it, the decision's payload.
 func (e *Engine) acceptBlock(blk ProducedBlock, boxed any) {
-	if !e.running {
-		return
-	}
 	e.dropIncluded(blk.Items)
 	if blk.Slot >= e.slot {
 		e.slot = blk.Slot + 1

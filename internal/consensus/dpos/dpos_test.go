@@ -359,3 +359,25 @@ func TestNetworkSharesOneGossipIndex(t *testing.T) {
 		t.Fatal("a second one-engine network saw the first one's admission")
 	}
 }
+
+// TestLoneWitnessDeliversSubmitsInOrder: a lone witness packs several
+// Submits made at one instant into its next block, in admission order, and
+// delivers that block once.
+func TestLoneWitnessDeliversSubmitsInOrder(t *testing.T) {
+	c := newCluster(t, 1, 10*time.Millisecond, 0)
+	e := c.engines[0]
+	for i := 1; i <= 5; i++ {
+		if err := e.Submit(fmt.Sprintf("tx-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitItems("witness-0", 5)
+	c.clk.Sleep(50 * time.Millisecond)
+	var items []any
+	for _, blk := range c.decided["witness-0"] {
+		items = append(items, blk.Items...)
+	}
+	if fmt.Sprint(items) != "[tx-1 tx-2 tx-3 tx-4 tx-5]" {
+		t.Fatalf("delivered items %v, want tx-1..tx-5 once each, in order", items)
+	}
+}

@@ -110,9 +110,8 @@ type (
 	}
 )
 
-// Node is one Raft participant. Only the actor holding the clock's token
-// touches it — its own loop, or a client calling Submit — so it takes no
-// lock.
+// Node is one Raft participant. Only the clock's token holder touches it —
+// its own loop event, or a client calling Submit — so it takes no lock.
 type Node struct {
 	cfg   Config
 	rng   *rand.Rand
@@ -130,22 +129,19 @@ type Node struct {
 	nextIndex   []int
 	matchIndex  []int
 	lastHeard   time.Time
-	running     bool
-	// delivering is set while applyCommitted runs OnDecide callbacks, so a
-	// call made while one of them is parked leaves its entries to the loop
-	// in hand: decisions go out in log order, one at a time.
-	delivering bool
+	// electionDeadline is how long a follower waits to hear from a leader
+	// before it stands, drawn afresh from rng at Start and per election.
+	electionDeadline time.Duration
+	running          bool
 
-	events *clock.Mailbox[network.Message]
-	stop   *clock.Gate
-	join   func() // waits for the loop Start began
+	loop *clock.Loop[network.Message]
 }
 
 // New creates a Raft node; call Start to join the cluster.
 func New(cfg Config) *Node {
 	cfg.fill()
 	peers := consensus.NewPeerIndex(cfg.Peers)
-	return &Node{
+	n := &Node{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(len(cfg.ID))*7919)),
 		peers:      peers,
@@ -155,9 +151,9 @@ func New(cfg Config) *Node {
 		votes:      consensus.NewVoteSet(len(cfg.Peers)),
 		nextIndex:  make([]int, len(cfg.Peers)),
 		matchIndex: make([]int, len(cfg.Peers)),
-		events:     clock.NewMailbox[network.Message](cfg.Clock, 8192),
-		stop:       clock.NewGate(cfg.Clock),
 	}
+	n.loop = clock.NewLoop(cfg.Clock, "raft/"+cfg.ID, n.handle, n.tick)
+	return n
 }
 
 // Start joins the cluster and launches the node's loop.
@@ -167,21 +163,19 @@ func (n *Node) Start() error {
 	}
 	n.running = true
 	n.lastHeard = n.cfg.Clock.Now()
-	n.cfg.Transport.Register(n.cfg.ID, func(m network.Message) {
-		n.events.Send(m, n.stop)
-	})
-	n.join = clock.Go(n.cfg.Clock, []string{"raft/" + n.cfg.ID}, func(int) { n.run() })
+	n.cfg.Transport.Register(n.cfg.ID, n.loop.Post)
+	n.electionDeadline = n.randomElectionTimeout()
+	n.loop.Every(heartbeatInterval)
 	return nil
 }
 
-// Stop terminates the node and waits for its loop to exit.
+// Stop terminates the node; its loop never runs again.
 func (n *Node) Stop() {
 	if !n.running {
 		return
 	}
 	n.running = false
-	n.stop.Close()
-	n.join()
+	n.loop.Stop()
 	n.cfg.Transport.Unregister(n.cfg.ID)
 }
 
@@ -222,19 +216,16 @@ func (n *Node) Term() uint64 { return n.term }
 // CommitIndex returns the highest committed log index.
 func (n *Node) CommitIndex() int { return n.commitIndex }
 
-// run is the node's loop: messages, and a heartbeat tick on which the
-// leader replicates and a follower idle past its election deadline stands.
-func (n *Node) run() {
-	electionDeadline := n.randomElectionTimeout()
-	clock.Serve(n.cfg.Clock, n.stop, n.events, heartbeatInterval, n.handle, func() {
-		switch {
-		case n.role == Leader:
-			n.broadcastAppend()
-		case n.cfg.Clock.Since(n.lastHeard) >= electionDeadline:
-			n.startElection()
-			electionDeadline = n.randomElectionTimeout()
-		}
-	})
+// tick is the node's heartbeat: the leader replicates, and a follower idle
+// past its election deadline stands.
+func (n *Node) tick() {
+	switch {
+	case n.role == Leader:
+		n.broadcastAppend()
+	case n.cfg.Clock.Since(n.lastHeard) >= n.electionDeadline:
+		n.startElection()
+		n.electionDeadline = n.randomElectionTimeout()
+	}
 }
 
 func (n *Node) randomElectionTimeout() time.Duration {
@@ -447,15 +438,8 @@ func (n *Node) advanceCommit() {
 }
 
 // applyCommitted delivers the committed entries not yet applied, in log
-// order and one at a time. OnDecide may park (a commit gate's durability
-// wait) and let another actor commit more entries meanwhile; its call
-// returns at once, and this loop delivers those entries after the one in
-// hand.
+// order.
 func (n *Node) applyCommitted() {
-	if n.delivering {
-		return
-	}
-	n.delivering = true
 	for n.lastApplied < n.commitIndex {
 		n.lastApplied++
 		if cb := n.cfg.OnDecide; cb != nil {
@@ -463,5 +447,4 @@ func (n *Node) applyCommitted() {
 				Proposer: n.leaderID, DecidedAt: n.cfg.Clock.Now()})
 		}
 	}
-	n.delivering = false
 }

@@ -385,40 +385,27 @@ func TestNonMemberVotesAndAcksAreIgnored(t *testing.T) {
 	}
 }
 
-// TestOnDecideParksWhileTheNextCommits: a decision callback that parks (a
-// commit gate's durability wait) lets another actor commit the next entry;
-// that entry is delivered once, after the parked one returns, never beside
-// it. A lone leader commits inside Submit, so each of two client actors
-// commits one entry.
-func TestOnDecideParksWhileTheNextCommits(t *testing.T) {
-	clk := clocktest.New(t)
-	tr := network.NewTransport(clk, nil)
-	defer tr.Stop()
-	var got []uint64
-	inFlight := 0
-	node := New(Config{Clock: clk, ID: "solo", Peers: []string{"solo"}, Transport: tr, Seed: 1,
-		OnDecide: func(d consensus.Decision) {
-			if inFlight++; inFlight > 1 {
-				t.Errorf("entry %d delivered while another decision is in flight", d.Seq)
-			}
-			if d.Seq == 1 {
-				clk.Sleep(10 * time.Millisecond)
-			}
-			got = append(got, d.Seq)
-			inFlight--
-		}})
-	if err := node.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer node.Stop()
-	clocktest.Until(t, clk, 2*time.Second, "the lone node leads", func() bool { return node.Role() == Leader })
-	clock.Go(clk, []string{"client-a", "client-b"}, func(i int) {
-		clk.Sleep(time.Duration(i) * time.Millisecond) // b submits while a's decision is parked
+// TestLoneNodeDeliversSubmitsInOrder: a lone leader commits inside
+// Submit, so several Submits made at one instant decide one after another,
+// each delivered once, in log order, with its payload, and each callback
+// runs to completion before the next starts.
+func TestLoneNodeDeliversSubmitsInOrder(t *testing.T) {
+	c := newCluster(t, 1)
+	node := c.nodes[0]
+	clocktest.Until(t, c.clk, 2*time.Second, "the lone node leads", func() bool { return node.Role() == Leader })
+	at := c.clk.Now()
+	for i := 1; i <= 5; i++ {
 		if err := node.Submit(fmt.Sprintf("tx-%d", i)); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-	})()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("delivered entries %v, want [1 2]", got)
+	}
+	got := c.decided[node.cfg.ID]
+	if len(got) != 5 {
+		t.Fatalf("delivered %d entries at the Submits' instant, want 5", len(got))
+	}
+	for i, d := range got {
+		if d.Seq != uint64(i+1) || d.Payload != fmt.Sprintf("tx-%d", i+1) || !d.DecidedAt.Equal(at) {
+			t.Fatalf("delivery %d = %+v, want entry %d, tx-%d, decided at %v", i, d, i+1, i+1, at)
+		}
 	}
 }

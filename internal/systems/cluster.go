@@ -101,11 +101,17 @@ func (c *Cluster) MarkStarted() bool {
 	return !was
 }
 
-// MarkStopped closes the network to submissions and reports whether it was
-// running: a driver's Stop returns at once when it was not.
+// MarkStopped closes the network to submissions, disarms every node's gate
+// deadline, and reports whether it was running: a driver's Stop returns at
+// once when it was not.
 func (c *Cluster) MarkStopped() bool {
 	was := c.running
 	c.running = false
+	for i := range c.nodes {
+		if due := c.nodes[i].Gate.due; due != nil {
+			due.Stop() // the work still waiting on a log drops with the process
+		}
+	}
 	return was
 }
 

@@ -186,10 +186,17 @@ func (n *Network) Start() error {
 		}
 	}
 	// Worker i serves node i/flowWorkers's queue, sharing it with its
-	// siblings; each binds its own receiver.
+	// siblings; each binds its own receiver. Stop beats a queued job.
 	n.join = clock.Go(n.env.Clock, names, func(i int) {
 		nd := n.nodes[i/n.flowWorkers]
-		clock.Serve(n.env.Clock, n.stop, nd.queue, 0, func(job flowJob) { n.runFlow(nd, job.tx) }, nil)
+		var job flowJob
+		srcs := []clock.Waitable{n.stop, nd.queue.Receiver(&job)}
+		for {
+			if got, _, _ := clock.Await(n.env.Clock, srcs...); got == 0 {
+				return
+			}
+			n.runFlow(nd, job.tx)
+		}
 	})
 	return nil
 }

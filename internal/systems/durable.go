@@ -1,6 +1,8 @@
 package systems
 
 import (
+	"time"
+
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
@@ -14,28 +16,32 @@ import (
 // keep running (they stand in for the rest of the network, which in a real
 // deployment would elect around the failed replica and later state-transfer
 // it back), while the gate suspends the node's local ledger and world-state
-// application. While down, the node's commit work is buffered in arrival
-// order; Restart replays the backlog in that order before reopening, which
-// models the catch-up real systems perform on rejoin (Raft log repair,
-// Fabric's deliver service, Sawtooth catch-up, Diem state sync) and
-// guarantees the restarted node converges to the same committed prefix as
-// the nodes that stayed up. Without Enable that is all the gate does: work
-// runs at once while it is open, and the no-fault hot path pays nothing.
+// application. Nor do they wait for a replica's log: a ledger write never
+// holds up the engine that ordered it. While down, the node's commit work is
+// buffered in arrival order; Restart replays the backlog in that order
+// before reopening, which models the catch-up real systems perform on rejoin
+// (Raft log repair, Fabric's deliver service, Sawtooth catch-up, Diem state
+// sync) and guarantees the restarted node converges to the same committed
+// prefix as the nodes that stayed up. Without Enable that is all the gate
+// does: work runs at once while it is open, and the no-fault hot path pays
+// nothing.
 //
-// With a log enabled, Commit appends a WAL record *before* applying the
-// node's commit work and charges the modeled append/fsync latency on the
-// node's clock; Crash drops the log's un-synced tail (in-memory page cache
-// lost with the process) instead of recovery being free; Restart replays
-// the log from the last snapshot — paying per-record read+CRC-verify cost —
-// and then re-fetches from the surviving nodes whatever the log could not
-// provide (lost tail, work missed while down, a torn or corrupt suffix),
-// persisting the catch-up batch before reopening. Recovery time therefore
-// scales with log length and crash point.
+// With a log enabled, CommitTo appends a WAL record *before* the node's
+// commit work, which waits out the modeled append/fsync latency as a
+// deadline on the node's clock while its caller runs on; Crash moves the
+// work still waiting to the backlog and drops the log's un-synced tail
+// (in-memory page cache lost with the process) instead of recovery being
+// free; the chassis' MarkStopped disarms the deadline, and the work still
+// waiting drops with the process; Restart replays the log from the last
+// snapshot — paying per-record read+CRC-verify cost — and then re-fetches
+// from the surviving nodes whatever the log could not provide (lost tail,
+// work missed while down, a torn or corrupt suffix), persisting the
+// catch-up batch before reopening. Recovery time therefore scales with log
+// length and crash point.
 //
-// Only the actor holding the clock's token touches the gate, so it takes
-// no lock: an actor parked in the gate (a durability wait, a replay) lets
-// others commit, crash or restart it, and each sees the state the last one
-// left.
+// Only the token holder touches the gate, so it takes no lock: an actor
+// parked in the gate (Restart's replay, Commit's wait) lets others commit,
+// crash or restart it, and each sees the state the last one left.
 type DurableGate struct {
 	down    bool
 	backlog []gateTask
@@ -54,6 +60,12 @@ type DurableGate struct {
 
 	clk *clock.AutoVirtual
 	log *wal.Log
+	// waiting holds the work whose record is appended and whose modeled
+	// latency has not passed; due applies it at its deadline, and lastDue
+	// is the newest deadline, which work queued behind never precedes.
+	waiting gateQueue
+	due     *clock.Event
+	lastDue time.Time
 	// pendingRefetch counts records the log lost at crash time, to be
 	// re-fetched from peers on the next Restart.
 	pendingRefetch int
@@ -85,6 +97,7 @@ type gateTask struct {
 func (g *DurableGate) Enable(clk *clock.AutoVirtual, log *wal.Log) {
 	g.clk = clk
 	g.log = log
+	g.due = clock.NewEvent(clk, "gate/"+log.Name(), g.applyDue)
 }
 
 // Trace attaches a span sink to the gate's durability path. proc and lane
@@ -105,27 +118,35 @@ func (g *DurableGate) Trace(tr *trace.Tracer, proc, lane string) {
 // WAL returns the mounted log, or nil when durability is disabled.
 func (g *DurableGate) WAL() *wal.Log { return g.log }
 
-// Do runs one unit of commit work covering a single entry; see CommitTo.
-func (g *DurableGate) Do(f func()) { g.Commit(1, f) }
-
-// Commit is CommitTo for work already held in a closure.
-func (g *DurableGate) Commit(entries int, f func()) { CommitTo(g, entries, f, runTask) }
+// Commit is CommitTo for work already held in a closure, made by an actor
+// that waits for it: with a log mounted it returns once f has applied, or a
+// crash during the wait has buffered it for replay.
+func (g *DurableGate) Commit(entries int, f func()) {
+	CommitTo(g, entries, f, runTask)
+	if g.waiting != nil && g.waiting.len() > 0 { // f waits, last in line
+		g.clk.Sleep(g.lastDue.Sub(g.clk.Now()))
+		g.applyDue()
+	}
+}
 
 func runTask(f func()) { f() }
 
 // CommitTo durably records and then runs apply(arg), one unit of commit
 // work covering `entries` transactions (zero entries — an empty block —
-// still writes a header-only record). When the gate is open and a log is
-// mounted, the record is appended before the work runs and the modeled
-// append+fsync latency is charged on the node's clock; when the node is
-// down, the work is buffered for replay in arrival order. Without a log the
-// work runs at once.
+// still writes a header-only record). It never parks. When the gate is open
+// and a log is mounted, the record is appended now and the work waits out
+// the modeled append+fsync latency: it applies at the append instant plus
+// that latency, or at the previous waiting work's deadline if that is
+// later, so work applies in append order. Work with no latency to wait and
+// nothing ahead of it applies at once, as does all work without a log; when
+// the node is down, the work is buffered for replay in arrival order.
 //
 // The work is data rather than a closure so the fan-out of one decided
 // block to every replica allocates nothing: drivers build apply once per
-// replica, and the closure binding it to arg is made only on the two paths
-// that must keep the work for later — the gate is down, or the node crashed
-// during the durability wait.
+// replica, and waiting work is kept typed. The closure binding apply to arg
+// is made only when the work must outlive a crash — the gate is down, or
+// the node crashed during the durability wait — or waits behind work of
+// another type.
 func CommitTo[T any](g *DurableGate, entries int, arg T, apply func(T)) {
 	if g.down {
 		g.backlog = append(g.backlog, gateTask{entries, bind(apply, arg)})
@@ -151,17 +172,86 @@ func CommitTo[T any](g *DurableGate, entries int, arg T, apply func(T)) {
 				Start: startN, End: startN + int64(res.Latency)})
 		}
 	}
-	if res.Latency > 0 {
-		g.clk.Sleep(res.Latency)
+	if g.waiting == nil {
+		g.waiting = &waitQueue[T]{}
 	}
-	if g.down {
-		// The node crashed during the durability wait: the apply is
-		// deferred to replay (its record was already appended, so the
-		// buffered task carries no entries of its own).
-		g.backlog = append(g.backlog, gateTask{0, bind(apply, arg)})
-		return
+	at := g.clk.Now().Add(res.Latency)
+	if g.waiting.len() == 0 {
+		if res.Latency <= 0 {
+			apply(arg)
+			return
+		}
+		g.due.At(at)
+	} else if at.Before(g.lastDue) {
+		at = g.lastDue // behind the work already waiting
 	}
-	apply(arg)
+	g.lastDue = at
+	if q, ok := g.waiting.(*waitQueue[T]); ok {
+		*q = append(*q, waitingWork[T]{at, arg, apply})
+	} else {
+		g.waiting.pushBound(at, bind(apply, arg))
+	}
+}
+
+// applyDue is the gate's deadline: it applies the waiting work that is due
+// and re-arms for the next.
+func (g *DurableGate) applyDue() {
+	if next, waits := g.waiting.applyDue(g.clk.Now()); waits {
+		g.due.At(next)
+	}
+}
+
+// gateQueue is a gate's waiting work, oldest first: a waitQueue typed by
+// the first work that waited, behind an interface so the gate stays untyped.
+type gateQueue interface {
+	len() int
+	// pushBound queues work of another type than the queue's, bound.
+	pushBound(at time.Time, f func())
+	// applyDue applies the work due at now and reports the next deadline,
+	// if work still waits.
+	applyDue(now time.Time) (next time.Time, waits bool)
+	// toBacklog moves the waiting work to the backlog, in order, as tasks
+	// of no entries: their records are already appended.
+	toBacklog(backlog []gateTask) []gateTask
+}
+
+type waitQueue[T any] []waitingWork[T]
+
+// waitingWork is one apply(arg) and its deadline.
+type waitingWork[T any] struct {
+	at    time.Time
+	arg   T
+	apply func(T)
+}
+
+func (q *waitQueue[T]) len() int { return len(*q) }
+
+func (q *waitQueue[T]) pushBound(at time.Time, f func()) {
+	*q = append(*q, waitingWork[T]{at: at, apply: func(T) { f() }})
+}
+
+// applyDue applies the due prefix and then drops it. The work it applies
+// may queue more on the same gate, behind what is there.
+func (q *waitQueue[T]) applyDue(now time.Time) (time.Time, bool) {
+	n := 0
+	for ; n < len(*q) && !(*q)[n].at.After(now); n++ {
+		(*q)[n].apply((*q)[n].arg)
+	}
+	rest := copy(*q, (*q)[n:])
+	clear((*q)[rest:])
+	if *q = (*q)[:rest]; rest == 0 {
+		return time.Time{}, false
+	}
+	return (*q)[0].at, true
+}
+
+func (q *waitQueue[T]) toBacklog(backlog []gateTask) []gateTask {
+	for _, w := range *q {
+		backlog = append(backlog, gateTask{0, bind(w.apply, w.arg)})
+	}
+	clear(*q)
+	*q = (*q)[:0]
+	return backlog
 }
 
 // bind closes apply over arg for the backlog. It is a function of its own
@@ -182,6 +272,9 @@ func (g *DurableGate) Crash() bool {
 		return false
 	}
 	g.down = true
+	if g.waiting != nil {
+		g.backlog = g.waiting.toBacklog(g.backlog)
+	}
 	if g.log != nil {
 		g.pendingRefetch += g.log.Crash()
 	}
@@ -196,7 +289,7 @@ func (g *DurableGate) Crash() bool {
 //
 // Each drain round swaps the backlog out before replaying it: a buffered
 // callback may itself call Commit on the same gate (drivers nest commit
-// work), and other actors may commit while the replay parks. The gate stays
+// work), and others may commit while the replay parks. The gate stays
 // down meanwhile, so that work is buffered behind the replayed prefix and
 // drained by the next round — replay order still exactly matches arrival
 // order.

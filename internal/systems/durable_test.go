@@ -17,7 +17,7 @@ func TestGateBacklogVisibleDuringReplay(t *testing.T) {
 	entered := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		i := i
-		g.Do(func() {
+		g.Commit(1, func() {
 			if i == 0 {
 				close(entered)
 				<-release
@@ -104,7 +104,7 @@ func TestGateDurableCrashDuringReplayStaysDown(t *testing.T) {
 	release := make(chan struct{})
 	for i := 1; i <= 4; i++ {
 		i := i
-		g.Do(func() {
+		g.Commit(1, func() {
 			if i == 1 {
 				close(entered)
 				<-release

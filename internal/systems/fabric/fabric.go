@@ -100,8 +100,8 @@ type Network struct {
 
 	orderers []*orderer
 
-	stop *clock.Gate
-	join func() // waits for the loop Start began
+	cutter  *clock.Event // cutTick, at a fraction of the batch timeout
+	lastCut time.Time    // when the cutter last cut or timed out
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -111,10 +111,10 @@ func New(env systems.Env, p systems.Params) *Network { return build(env, calibra
 
 func build(env systems.Env, cfg config) *Network {
 	n := &Network{
-		env:  env,
-		cfg:  cfg,
-		stop: clock.NewGate(env.Clock),
+		env: env,
+		cfg: cfg,
 	}
+	n.cutter = clock.NewEvent(env.Clock, "fabric/cutter", n.cutTick)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameFabric, systems.NodeIDs("fabric-peer", env.Nodes),
 		env, n.ingressBacklog)
 	ordererIDs := systems.NodeIDs("fabric-orderer", orderers)
@@ -155,7 +155,15 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start orderer %s: %w", o.id, err)
 		}
 	}
-	n.join = clock.Go(n.env.Clock, []string{"fabric/cutter"}, func(int) { n.cutLoop() })
+	// Poll at a fraction of the batch timeout for responsive cutting, but
+	// never slower than 10ms so MaxMessageCount cuts stay prompt even with
+	// a long batch timeout.
+	interval := n.cfg.batchTimeout / 8
+	if interval <= 0 || interval > 10*time.Millisecond {
+		interval = 10 * time.Millisecond
+	}
+	n.lastCut = n.env.Clock.Now()
+	n.cutter.Every(interval)
 	return nil
 }
 
@@ -164,8 +172,7 @@ func (n *Network) Stop() {
 	if !n.MarkStopped() {
 		return
 	}
-	n.stop.Close()
-	n.join()
+	n.cutter.Stop()
 	for _, o := range n.orderers {
 		o.node.Stop()
 	}
@@ -244,41 +251,31 @@ func (r *rwRecorder) Get(key statestore.Key) (string, bool) {
 
 func (r *rwRecorder) Put(key statestore.Key, value string) { r.rw.Write(key, value) }
 
-// cutLoop drains orderer ingress queues into blocks, honouring
+// cutTick drains orderer ingress queues into blocks, honouring
 // MaxMessageCount and BatchTimeout, and submits each cut batch to Raft.
-func (n *Network) cutLoop() {
-	// Poll at a fraction of the batch timeout for responsive cutting, but
-	// never slower than 10ms so MaxMessageCount cuts stay prompt even with
-	// a long batch timeout.
-	interval := n.cfg.batchTimeout / 8
-	if interval <= 0 || interval > 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	lastCut := n.env.Clock.Now()
-	clock.Serve[struct{}](n.env.Clock, n.stop, nil, interval, nil, func() {
-		timedOut := n.env.Clock.Since(lastCut) >= n.cfg.batchTimeout
-		for _, o := range n.orderers {
-			for o.ingress.Len() >= n.cfg.maxMessageCount {
-				// A failed cut (no Raft leader yet) puts the envelopes
-				// back; retrying before the next tick would spin without
-				// ever yielding, which under the virtual clock starves
-				// the very election the retry is waiting on.
-				if !n.cut(o, o.ingress.Take(n.cfg.maxMessageCount)) {
-					break
-				}
-				lastCut = n.env.Clock.Now()
+func (n *Network) cutTick() {
+	timedOut := n.env.Clock.Since(n.lastCut) >= n.cfg.batchTimeout
+	for _, o := range n.orderers {
+		for o.ingress.Len() >= n.cfg.maxMessageCount {
+			// A failed cut (no Raft leader yet) puts the envelopes back;
+			// retrying before the next tick would spin without ever
+			// yielding, which under the virtual clock starves the very
+			// election the retry is waiting on.
+			if !n.cut(o, o.ingress.Take(n.cfg.maxMessageCount)) {
+				break
 			}
-			if timedOut {
-				if envs := o.ingress.Take(n.cfg.maxMessageCount); len(envs) > 0 {
-					n.cut(o, envs)
-					lastCut = n.env.Clock.Now()
-				}
-			}
+			n.lastCut = n.env.Clock.Now()
 		}
 		if timedOut {
-			lastCut = n.env.Clock.Now()
+			if envs := o.ingress.Take(n.cfg.maxMessageCount); len(envs) > 0 {
+				n.cut(o, envs)
+				n.lastCut = n.env.Clock.Now()
+			}
 		}
-	})
+	}
+	if timedOut {
+		n.lastCut = n.env.Clock.Now()
+	}
 }
 
 // cut submits one batch to the ordering service, reporting whether it was

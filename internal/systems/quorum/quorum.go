@@ -102,8 +102,7 @@ type Network struct {
 	validators []*validator
 	seen       *consensus.GossipIndex // the transactions each validator admitted
 
-	stop *clock.Gate
-	join func() // waits for the loop Start began
+	producer *clock.Event // produceOnProposer, once per block period
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -116,8 +115,8 @@ func build(env systems.Env, cfg config) *Network {
 		env:  env,
 		cfg:  cfg,
 		seen: consensus.NewGossipIndex(),
-		stop: clock.NewGate(env.Clock),
 	}
+	n.producer = clock.NewEvent(env.Clock, "quorum/producer", n.produceOnProposer)
 	names := systems.NodeIDs("quorum", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
 	for i, r := range n.Replicas() {
@@ -181,9 +180,7 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start validator %d: %w", i, err)
 		}
 	}
-	n.join = clock.Go(n.env.Clock, []string{"quorum/producer"}, func(int) {
-		clock.Serve[struct{}](n.env.Clock, n.stop, nil, n.cfg.blockPeriod, nil, n.produceOnProposer)
-	})
+	n.producer.Every(n.cfg.blockPeriod)
 	return nil
 }
 
@@ -192,8 +189,7 @@ func (n *Network) Stop() {
 	if !n.MarkStopped() {
 		return
 	}
-	n.stop.Close()
-	n.join()
+	n.producer.Stop()
 	for _, v := range n.validators {
 		v.engine.Stop()
 		n.Transport.Unregister(v.gossip)

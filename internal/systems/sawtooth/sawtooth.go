@@ -96,8 +96,7 @@ type Network struct {
 	validators []*validator
 	seen       *consensus.GossipIndex // the batches each validator admitted
 
-	stop *clock.Gate
-	join func() // waits for the loop Start began
+	publisher *clock.Event // publish, once per publishing delay
 
 	// discardedOps counts payload operations lost to atomic batch discard
 	// (counted once per decision, on validator 0's identical replay).
@@ -114,8 +113,8 @@ func build(env systems.Env, cfg config) *Network {
 		env:  env,
 		cfg:  cfg,
 		seen: consensus.NewGossipIndex(),
-		stop: clock.NewGate(env.Clock),
 	}
+	n.publisher = clock.NewEvent(env.Clock, "sawtooth/publisher", n.publish)
 	names := systems.NodeIDs("sawtooth", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameSawtooth, names, env, n.queueBacklog)
 	for i, r := range n.Replicas() {
@@ -176,9 +175,7 @@ func (n *Network) Start() error {
 			return fmt.Errorf("start validator %d: %w", i, err)
 		}
 	}
-	n.join = clock.Go(n.env.Clock, []string{"sawtooth/publisher"}, func(int) {
-		clock.Serve[struct{}](n.env.Clock, n.stop, nil, n.cfg.publishingDelay, nil, n.publish)
-	})
+	n.publisher.Every(n.cfg.publishingDelay)
 	return nil
 }
 
@@ -187,8 +184,7 @@ func (n *Network) Stop() {
 	if !n.MarkStopped() {
 		return
 	}
-	n.stop.Close()
-	n.join()
+	n.publisher.Stop()
 	for _, v := range n.validators {
 		v.engine.Stop()
 		n.Transport.Unregister(v.gossip)
