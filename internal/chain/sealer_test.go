@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
@@ -154,7 +153,7 @@ func TestSealerLaggingReplica(t *testing.T) {
 }
 
 // TestSealerConcurrentReplicas appends through one Sealer from n replica
-// actors on one clock, each at its own pace, so they seal the same heights
+// events on one clock, each at its own pace, so they seal the same heights
 // interleaved and apart (run under -race).
 func TestSealerConcurrentReplicas(t *testing.T) {
 	const n, heights = 8, 200
@@ -170,16 +169,19 @@ func TestSealerConcurrentReplicas(t *testing.T) {
 		ledgers[i] = NewLedger("net")
 		names[i] = fmt.Sprintf("replica-%d", i)
 	}
-	clock.Go(clk, names, func(i int) {
-		l := ledgers[i]
-		for h, txs := range decided {
-			if err := l.Append(s.Seal(l.Head(), "p", time.Unix(int64(h), 0), txs)); err != nil {
-				t.Error(err)
-				return
-			}
-			clk.Sleep(time.Duration(1+i) * time.Microsecond)
+	next := make([]int, n) // each replica's next height
+	clocktest.Steps(t, clk, time.Minute, "replicas sealing", names, func(i int) (time.Duration, bool) {
+		l, h := ledgers[i], next[i]
+		if h == heights {
+			return 0, true
 		}
-	})()
+		if err := l.Append(s.Seal(l.Head(), "p", time.Unix(int64(h), 0), decided[h])); err != nil {
+			t.Error(err)
+			return 0, true
+		}
+		next[i]++
+		return time.Duration(1+i) * time.Microsecond, false
+	})
 	for i, l := range ledgers {
 		if err := l.Verify(); err != nil {
 			t.Fatalf("replica %d: %v", i, err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
@@ -103,7 +102,7 @@ func TestStageDurationsHandleExecuteFirstPipelines(t *testing.T) {
 	}
 }
 
-// TestStageMarksMonotonic drives marks from validator actors sharing one
+// TestStageMarksMonotonic drives marks from validator events sharing one
 // transaction (the gossip-shared-pointer case), each stamping every stage a
 // little after the one before it, and checks the resolved durations are
 // non-negative and sum exactly to the end-to-end window — the invariant the
@@ -115,12 +114,19 @@ func TestStageMarksMonotonic(t *testing.T) {
 	stamp := func(s, g int) time.Time {
 		return base.Add(time.Duration(s+1)*time.Second + time.Duration(g)*time.Millisecond)
 	}
-	clock.Go(clk, []string{"v0", "v1", "v2", "v3"}, func(g int) {
-		for s := 0; s < NumStages-1; s++ {
-			clk.Sleep(stamp(s, g).Sub(clk.Now()))
-			tr.Mark(Stage(s), clk.Now())
+	next := make([]int, 4) // each validator's next stage
+	clocktest.Steps(t, clk, time.Minute, "validators marking", []string{"v0", "v1", "v2", "v3"}, func(g int) (time.Duration, bool) {
+		s := next[g]
+		if s == NumStages-1 {
+			return 0, true
 		}
-	})()
+		if at := stamp(s, g); clk.Now().Before(at) {
+			return at.Sub(clk.Now()), false
+		}
+		tr.Mark(Stage(s), clk.Now())
+		next[g]++
+		return 0, false
+	})
 	end := base.Add(10 * time.Second)
 	var buf [NumStages]StageSpan
 	spans := tr.Durations(base, end, buf[:0])

@@ -7,6 +7,7 @@ package clock
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,18 +30,19 @@ func Walltime() time.Time { return time.Now() }
 // Goroutines participating in a run register as actors; the clock hands an
 // execution token to exactly one actor at a time, so the whole simulation
 // executes as one deterministic serial order. When every actor is parked
-// in a blocking primitive (Await, Sleep, Mailbox.Send) the clock jumps
-// atomically to the earliest pending deadline — no polling, no wall-clock
-// sleeps. If every actor is parked and no deadline remains, the run cannot
-// ever make progress and the clock fails loudly with the parked-actor list.
+// in a blocking primitive (Sleep, Await) the clock jumps atomically to the
+// earliest pending deadline — no polling, no wall-clock sleeps. If every
+// actor is parked and no deadline remains, the run cannot ever make
+// progress and the clock fails loudly with the parked-actor list.
 //
-// The contract actors must keep:
+// The model itself has no actors: everything it runs is an Event. What is
+// left on the actor kernel is the runner of a repetition, which registers
+// itself and sleeps out each phase, the test goroutine of clocktest, and the
+// scheduler probes of the benchmark ledger. The contract they keep:
 //
 //   - Only a registered actor may call a parking primitive, and only from
-//     the goroutine that registered. Outside this package actors are
-//     started by Go, which announces, registers and closes them; the
-//     actorspawn analyzer rejects any other go statement in actor packages.
-//     Only work that parks in the middle of its work is an actor.
+//     the goroutine that registered. The actorspawn analyzer rejects any go
+//     statement in the model's packages, so no other goroutine exists there.
 //   - Every potentially blocking operation goes through the clock-aware
 //     primitives. An actor that blocks on a bare channel while holding the
 //     token freezes the whole clock (undetectably), which is exactly the bug
@@ -52,40 +54,25 @@ func Walltime() time.Time { return time.Now() }
 // that can be executing is its holder; the primitives read the holder under
 // the clock mutex and never ask the runtime who is calling. With no token
 // out the caller cannot be an actor, and that much stays decidable: Sleep
-// and Await register a transient actor for their duration, Mailbox.Send
-// panics, and Handle.Close checks its handle against the holder. What
-// cannot be seen at run time is an unregistered goroutine entering a
-// parking primitive while some other actor holds the token: it would park
-// that actor's identity.
-// That was always a violation of the first rule; it is kept out statically
-// (actorspawn: no go statement but Go's), not detected dynamically.
+// and Await register a transient actor for their duration, and Handle.Close
+// checks its handle against the holder.
 //
-// A loop that receives from a Mailbox per message binds a Receiver to a
-// variable of its own before the loop and awaits that instead of the
-// Mailbox. The element is stored there typed — by the awaiting actor when it
-// finds one buffered, by the scheduler when it consumes one for the parked
-// actor it is about to grant — so a message crosses an inbox without the heap
-// object that boxing it into Await's value costs. Only that actor reads the
-// variable, between the Await that filled it and its next park; consumers
-// sharing a mailbox bind one Receiver each.
-//
-// Work that never parks need not be an actor. An Event (NewEvent) is a named
-// function the scheduler runs itself:
+// Work that never parks is an Event (NewEvent), a named function the
+// scheduler runs itself:
 //
 //   - It runs on whichever goroutine is scheduling — the actor that just
-//     parked, or closed its handle, or the outsider whose TrySend found the
+//     parked, or closed its handle, or the outsider whose call found the
 //     clock idle — in its turn in the run queue, with the clock mutex
 //     released. No goroutine is woken for it and none is switched to.
 //   - It holds the execution token while it runs, as a pseudo-actor carrying
-//     its name: Now, Mailbox.Send with room, TrySend, Gate.Close, Await with
-//     a source ready, arming timers (keyed under the event's name), other
-//     events' After/At/Every/Trigger and a Loop's Post all work, and nothing
-//     else runs meanwhile.
-//   - It may not park. Sleep, Await with nothing ready and Send to a full
-//     Mailbox panic naming the event: it has no goroutine to block, and
-//     blocking the scheduler's would freeze the clock.
+//     its name: Now, Mailbox.Send, Await on a mailbox holding a value,
+//     other events' After/At/Every/Trigger and a Loop's Post all work, and
+//     nothing else runs meanwhile.
+//   - It may not park. Sleep and Await with nothing ready panic naming the
+//     event: it has no goroutine to block, and blocking the scheduler's
+//     would freeze the clock.
 //   - Its armed deadline ties with same-instant waiters by (name, per-event
-//     sequence), as the timers of an actor of that name do; a deadline armed
+//     sequence), as the sleeps of an actor of that name do; a deadline armed
 //     by Every re-arms as it fires, under the clock-global sequence. A
 //     reached deadline, a Trigger and a Loop's Post all queue it at the tail
 //     of the run queue, once, however many arrive before its turn.
@@ -96,8 +83,8 @@ func Walltime() time.Time { return time.Now() }
 // Events are not registered actors: a clock with armed events and no actors
 // stays idle, and the deadlock report lists actors only.
 //
-// Timers, sleeping actors and armed events are waiters in one heap ordered
-// by (deadline, tie name, tie sequence); all fields are guarded by mu except
+// Sleeping actors and armed events are waiters in one heap ordered by
+// (deadline, tie name, tie sequence); all fields are guarded by mu except
 // elapsed, which Now reads without it.
 type AutoVirtual struct {
 	mu  sync.Mutex
@@ -172,18 +159,11 @@ type Actor struct {
 	name      string
 	state     actorState
 	grant     chan struct{}
-	waiterSeq int64       // per-actor timer creation counter (tie-break identity)
-	sleep     waiter      // armed while the actor is parked in Sleep
-	ev        *Event      // set on an Event's pseudo-actor: no goroutine, may not park
-	awaiting  []Waitable  // sources of the Await the actor is parked in
-	got       awaitResult // what the scheduler consumed for that Await
-}
-
-// awaitResult is one Await's return triple.
-type awaitResult struct {
-	idx int
-	val any
-	ok  bool
+	waiterSeq int64  // per-actor deadline counter (tie-break identity)
+	sleep     waiter // armed while the actor is parked in Sleep
+	ev        *Event // set on an Event's pseudo-actor: no goroutine, may not park
+	awaiting  inbox  // the mailbox the actor is parked in Await on
+	got       any    // the value the scheduler took for that Await
 }
 
 // KernelStats counts what the scheduler did, the currency a run's wall time
@@ -212,84 +192,15 @@ func (h Handle) Close() { h.a.close() }
 
 // Register joins the calling goroutine to the clock's schedule under the
 // given name, blocking until it is granted the execution token. Names feed
-// the deterministic timer tie-break and the deadlock diagnostics, so they
+// the deterministic deadline tie-break and the deadlock diagnostics, so they
 // must be derived from stable identities (node IDs, shard indices), never
 // from creation order.
 func Register(v *AutoVirtual, name string) Handle {
 	return Handle{a: v.register(name, false)}
 }
 
-// Go starts one actor per name, the way every actor outside this package
-// is started. The whole wave is announced at once, so the clock cannot
-// advance past the spawn gap however the OS schedules the goroutines, and
-// its members are released in name order: names must be unique within a
-// wave and derived from stable identities. Actor i runs fn(i), registered
-// under names[i], and closes its handle when fn returns. The returned join
-// blocks until every fn of the wave has returned. An actor that calls it
-// parks like Await and resumes only after the last of them has closed its
-// handle. A wave started from outside the run, with no token out, is joined
-// from outside it: its join waits on a channel of its own and never joins
-// the run, so it cannot be mistaken for the actor that holds the token by
-// then.
-func Go(v *AutoVirtual, names []string, fn func(i int)) (join func()) {
-	w := &wave{v: v}
-	w.done.v = v
-	w.left.Store(int64(len(names)))
-	v.mu.Lock()
-	if v.current == nil {
-		w.outside = make(chan struct{})
-	}
-	v.mu.Unlock()
-	if len(names) == 0 {
-		w.finished()
-	}
-	Fork(v, len(names))
-	for i, name := range names {
-		go func() {
-			h := RegisterForked(v, name)
-			defer h.Close()
-			defer w.finish()
-			fn(i)
-		}()
-	}
-	return w.join
-}
-
-// wave is one Go call's join state, a single allocation for a wave an actor
-// started: done closes when the last of left actors finishes, while it
-// still holds the token, and so does outside, the channel of a wave started
-// from outside the run.
-type wave struct {
-	v       *AutoVirtual
-	done    Gate
-	left    atomic.Int64
-	outside chan struct{}
-}
-
-func (w *wave) finish() {
-	if w.left.Add(-1) == 0 {
-		w.finished()
-	}
-}
-
-func (w *wave) finished() {
-	w.done.Close()
-	if w.outside != nil {
-		close(w.outside)
-	}
-}
-
-func (w *wave) join() {
-	if w.outside != nil {
-		<-w.outside
-		return
-	}
-	Await(w.v, &w.done)
-}
-
 // Fork announces that the current actor is about to spawn n goroutines that
-// will each call RegisterForked. Go is the one way to do so; Fork and
-// RegisterForked stay exported for the scheduler probes that time a bare
+// will each call RegisterForked, for the scheduler probes that time a bare
 // hand-off.
 func Fork(v *AutoVirtual, n int) {
 	v.mu.Lock()
@@ -379,7 +290,7 @@ func (v *AutoVirtual) kickLocked() {
 //
 // With no ready actor, every registered actor is parked, so the clock
 // advances to the earliest deadline and fires it; deadlines fire one at a
-// time so execution stays a single serial order even for timers sharing an
+// time so execution stays a single serial order even for deadlines sharing an
 // instant. An empty heap with parked actors is a deadlock.
 func (v *AutoVirtual) scheduleLocked() {
 	if v.current != nil || v.dead {
@@ -407,20 +318,18 @@ func (v *AutoVirtual) scheduleLocked() {
 				v.current = nil
 				continue
 			}
-			if len(a.awaiting) > 0 {
-				// Do the woken Await's first step here, under the same
-				// lock: take its first ready source. An actor woken for a
-				// source another actor drained first would find nothing
-				// and park again, so it stays parked without the switch to
-				// its goroutine and back.
-				r, ready := a.consumeLocked(a.awaiting)
-				if !ready {
+			if in := a.awaiting; in != nil {
+				// Do the woken Await's step here, under the same lock: take
+				// the value. An actor woken for a value another actor took
+				// first would find nothing and park again, so it stays
+				// parked without the switch to its goroutine and back.
+				val, ok := in.takeLocked()
+				if !ok {
 					a.state = actorParked
 					continue
 				}
-				a.got = r
-				clear(a.awaiting)
-				a.awaiting = a.awaiting[:0]
+				in.detach(a)
+				a.got, a.awaiting = val, nil
 			}
 			v.current = a
 			a.state = actorRunning
@@ -438,9 +347,8 @@ func (v *AutoVirtual) scheduleLocked() {
 	}
 }
 
-// advanceLocked jumps the clock to the earliest deadline and fires it: a
-// timer marks a fire for Await to consume, and the waiter's parked
-// watchers, sleeper or event get their turn (an event's repeating deadline
+// advanceLocked jumps the clock to the earliest deadline and fires it: the
+// waiter's sleeper or event gets its turn (an event's repeating deadline
 // re-arms). Returns false when no waiter remains.
 func (v *AutoVirtual) advanceLocked() bool {
 	if len(v.waiters) == 0 {
@@ -455,10 +363,6 @@ func (v *AutoVirtual) advanceLocked() bool {
 	v.stats.TimerFires++
 	if w.event != nil {
 		v.queueEventLocked(w.event)
-	}
-	if t := w.tick; t != nil {
-		t.fired = true
-		t.watch.wakeLocked(v)
 	}
 	if w.sleeper != nil {
 		v.wakeLocked(w.sleeper)
@@ -519,58 +423,18 @@ func (v *AutoVirtual) deadlockLocked() {
 	go h(msg)
 }
 
-// watchers is the parked-actor list attached to a waitable resource; wakes
-// preserve attach order so scheduling stays deterministic.
-type watchers struct{ list []*Actor }
-
-func (w *watchers) add(a *Actor) {
-	for _, x := range w.list {
-		if x == a {
-			return
-		}
-	}
-	w.list = append(w.list, a)
-}
-
-func (w *watchers) remove(a *Actor) {
-	for i, x := range w.list {
-		if x == a {
-			w.list = append(w.list[:i], w.list[i+1:]...)
-			return
-		}
-	}
-}
-
-func (w *watchers) wakeLocked(v *AutoVirtual) {
-	for _, a := range w.list {
-		v.wakeLocked(a)
-	}
-}
-
-// Waitable is a blocking source Await can select over: the clock's timers,
-// Gate, Mailbox, and a Mailbox's Receiver. Implementations are provided by
-// this package only.
-type Waitable interface {
-	// attach/detach subscribe a parked actor to the source's wake list;
-	// tryConsumeLocked reports readiness and consumes the ready value.
-	// All three run under the owning clock's mutex.
-	attach(a *Actor)
+// inbox is what the scheduler needs of the mailbox an actor awaits: to take
+// its oldest value, and to detach the actor once it has one.
+type inbox interface {
+	takeLocked() (val any, ok bool)
 	detach(a *Actor)
-	tryConsumeLocked() (val any, ok bool, ready bool)
 }
 
-// Await blocks until one of the sources is ready and consumes it, returning
-// the ready source's index, its value, and the receive's ok flag (false for
-// a closed Gate or a closed, drained Mailbox). The value is the element
-// received from a Mailbox awaited directly, boxed; a loop that receives per
-// message awaits the mailbox's Receiver instead, which stores the element
-// typed and leaves the value nil. Gates and timers carry no value worth
-// boxing (the fire instant is Now). The caller is the token holder,
-// and readiness is checked in argument order — lowest index wins — making
-// multi-ready races deterministic; put the stop gate first so shutdown beats
-// pending work. With no token out, i.e. from outside the run, the caller is
-// registered as a transient actor for the duration of the wait, as in Sleep.
-func Await(v *AutoVirtual, srcs ...Waitable) (idx int, val any, ok bool) {
+// Await blocks until m holds a value and takes the oldest, returned boxed;
+// idx is always 0 and ok always true. The caller is the token holder. With
+// no token out, i.e. from outside the run, the caller is registered as a
+// transient actor for the duration of the wait, as in Sleep.
+func Await[T any](v *AutoVirtual, m *Mailbox[T]) (idx int, val any, ok bool) {
 	v.mu.Lock()
 	a := v.current
 	if a == nil {
@@ -580,92 +444,29 @@ func Await(v *AutoVirtual, srcs ...Waitable) (idx int, val any, ok bool) {
 		a = h.a
 		v.mu.Lock()
 	}
-	return v.await(a, srcs)
-}
-
-// await is Await for the token holder a; v.mu is held on entry and released
-// before returning. With nothing ready the actor parks attached to
-// every source; the scheduler re-grants it only once it has consumed one of
-// them into a.got.
-func (v *AutoVirtual) await(a *Actor, srcs []Waitable) (int, any, bool) {
-	r, ready := a.consumeLocked(srcs)
-	if !ready {
-		a.awaiting = append(a.awaiting[:0], srcs...)
-		for _, s := range srcs {
-			s.attach(a)
-		}
+	if val, ok = m.takeLocked(); !ok {
+		// Park on m's wake list; the scheduler re-grants the token only
+		// once it has taken a value into a.got.
+		a.awaiting = m
+		m.recvW = append(m.recvW, a)
 		v.parkLocked(a)
-		r, a.got = a.got, awaitResult{}
+		val, a.got = a.got, nil
 	}
 	v.mu.Unlock()
-	return r.idx, r.val, r.ok
+	return 0, val, true
 }
 
-// consumeLocked consumes the first ready source in argument order on a's
-// behalf and detaches a from all of them.
-func (a *Actor) consumeLocked(srcs []Waitable) (r awaitResult, ready bool) {
-	for i, s := range srcs {
-		if val, ok, ready := s.tryConsumeLocked(); ready {
-			for _, s2 := range srcs {
-				s2.detach(a)
-			}
-			return awaitResult{i, val, ok}, true
-		}
-	}
-	return awaitResult{}, false
-}
-
-// Gate is a broadcast close signal (the stop/done channel idiom) that parks
-// actors instead of blocking them. The zero value is not usable; construct
-// with NewGate. closed and w are guarded by v.mu.
-type Gate struct {
-	v      *AutoVirtual
-	closed bool
-	w      watchers
-}
-
-// NewGate builds an open gate on the clock.
-func NewGate(v *AutoVirtual) *Gate { return &Gate{v: v} }
-
-// Close opens the gate exactly once, waking every waiter; further Closes
-// are no-ops.
-func (g *Gate) Close() {
-	g.v.mu.Lock()
-	if !g.closed {
-		g.closed = true
-		g.w.wakeLocked(g.v)
-		g.v.kickLocked()
-	}
-	g.v.mu.Unlock()
-}
-
-// Closed reports whether the gate has been closed.
-func (g *Gate) Closed() bool {
-	g.v.mu.Lock()
-	defer g.v.mu.Unlock()
-	return g.closed
-}
-
-func (g *Gate) attach(a *Actor) { g.w.add(a) }
-func (g *Gate) detach(a *Actor) { g.w.remove(a) }
-func (g *Gate) tryConsumeLocked() (any, bool, bool) {
-	if g.closed {
-		return nil, false, true
-	}
-	return nil, false, false
-}
-
-// Mailbox is a bounded FIFO channel whose blocking operations park actors.
-// Capacity must be at least 1. Every operation runs under the clock mutex,
-// so the buffer is a ring that grows on demand up to the capacity: an inbox
-// sized for the worst case costs only what it actually held.
+// Mailbox is a bounded FIFO whose receive parks an actor until a value is
+// there: Await takes from it. It exists for the hand-off probe of the
+// benchmark ledger, which ping-pongs a value between two actors through a
+// pair of mailboxes; the model uses none. Every operation runs under the
+// clock mutex, and the buffer is a ring that grows on demand up to the
+// capacity.
 type Mailbox[T any] struct {
 	v        *AutoVirtual
-	q        ring[T] // guarded by v.mu, as are closed and the watchers
+	q        ring[T] // guarded by v.mu, as is recvW
 	capacity int
-	closed   bool
-	recvW    watchers // actors parked in Await
-	sendW    watchers // actors parked in Send
+	recvW    []*Actor // actors parked in Await, in the order they parked
 }
 
 // NewMailbox builds a mailbox with the given capacity (floored at 1).
@@ -676,127 +477,38 @@ func NewMailbox[T any](v *AutoVirtual, capacity int) *Mailbox[T] {
 	return &Mailbox[T]{v: v, capacity: capacity}
 }
 
-// Send enqueues val, blocking while the mailbox is full. It returns false
-// without enqueueing when the mailbox is closed or abort (which may be nil)
-// closes first. The caller must be a registered actor.
-func (m *Mailbox[T]) Send(val T, abort *Gate) bool {
+// Send enqueues val and wakes the actors awaiting the mailbox, in the order
+// they parked: the first to run takes it, and the others stay parked.
+// Nothing waits for room: a full mailbox panics. The second argument is
+// unused.
+func (m *Mailbox[T]) Send(val T, _ any) {
 	v := m.v
 	v.mu.Lock()
-	a := v.current
-	if a == nil {
+	if m.q.len() >= m.capacity {
 		v.mu.Unlock()
-		panic("clock: Mailbox.Send from a goroutine not registered with the AutoVirtual clock")
-	}
-	for {
-		if m.closed || (abort != nil && abort.closed) {
-			m.sendW.remove(a)
-			if abort != nil {
-				abort.w.remove(a)
-			}
-			v.mu.Unlock()
-			return false
-		}
-		if m.q.len() < m.capacity {
-			m.q.push(val)
-			m.recvW.wakeLocked(v)
-			m.sendW.remove(a)
-			if abort != nil {
-				abort.w.remove(a)
-			}
-			v.mu.Unlock()
-			return true
-		}
-		m.sendW.add(a)
-		if abort != nil {
-			abort.w.add(a)
-		}
-		v.parkLocked(a)
-	}
-}
-
-// TrySend enqueues val without blocking, reporting whether it fit.
-func (m *Mailbox[T]) TrySend(val T) bool {
-	v := m.v
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if m.closed || m.q.len() >= m.capacity {
-		return false
+		panic(fmt.Sprintf("clock: Mailbox.Send to a full mailbox of %d", m.capacity))
 	}
 	m.q.push(val)
-	m.recvW.wakeLocked(v)
+	for _, a := range m.recvW {
+		v.wakeLocked(a)
+	}
 	v.kickLocked()
-	return true
+	v.mu.Unlock()
 }
 
-// Close marks the mailbox closed: receivers drain the buffer then observe
-// ok=false, senders fail. Any actor may close it, more than once.
-func (m *Mailbox[T]) Close() {
-	m.v.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		m.recvW.wakeLocked(m.v)
-		m.sendW.wakeLocked(m.v)
-		m.v.kickLocked()
+func (m *Mailbox[T]) detach(a *Actor) {
+	m.recvW = slices.DeleteFunc(m.recvW, func(x *Actor) bool { return x == a })
+}
+
+func (m *Mailbox[T]) takeLocked() (any, bool) {
+	if m.q.len() == 0 {
+		return nil, false
 	}
-	m.v.mu.Unlock()
-}
-
-// Len reports the number of buffered values.
-func (m *Mailbox[T]) Len() int {
-	m.v.mu.Lock()
-	defer m.v.mu.Unlock()
-	return m.q.len()
-}
-
-func (m *Mailbox[T]) attach(a *Actor) { m.recvW.add(a) }
-func (m *Mailbox[T]) detach(a *Actor) { m.recvW.remove(a) }
-func (m *Mailbox[T]) tryConsumeLocked() (any, bool, bool) {
-	val, ok, ready := m.popLocked()
-	if !ready {
-		return nil, false, false
-	}
-	return val, ok, true
-}
-
-// popLocked takes the oldest buffered element; a closed, drained mailbox is
-// ready with the zero element and ok false.
-func (m *Mailbox[T]) popLocked() (val T, ok, ready bool) {
-	if m.q.len() > 0 {
-		val = m.q.pop()
-		m.sendW.wakeLocked(m.v)
-		return val, true, true
-	}
-	return val, false, m.closed
-}
-
-// Receiver is one consumer's typed end of a Mailbox: an Await source that
-// stores the received element in the consumer's own variable where the
-// Mailbox itself would return it boxed in Await's value, an allocation per
-// message. Bind it once, before the receive loop; Await's value is nil for
-// it, and a closed, drained mailbox stores the zero element with ok false.
-// The variable is written by whoever consumes on the consumer's behalf — the
-// scheduler, before it grants the token — so it belongs to that one
-// consumer: several consumers of one mailbox each bind their own.
-type Receiver[T any] struct {
-	*Mailbox[T]
-	dst *T
-}
-
-// Receiver returns an Await source that receives from m into *dst.
-func (m *Mailbox[T]) Receiver(dst *T) *Receiver[T] {
-	return &Receiver[T]{Mailbox: m, dst: dst}
-}
-
-func (r *Receiver[T]) tryConsumeLocked() (any, bool, bool) {
-	val, ok, ready := r.popLocked()
-	if ready {
-		*r.dst = val
-	}
-	return nil, ok, ready
+	return m.q.pop(), true
 }
 
 // ring is a FIFO that grows by doubling and never shrinks; the scheduler's
-// run queue and the Mailbox buffer are both one.
+// run queue, a Loop's inbox and the Mailbox buffer are each one.
 type ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int

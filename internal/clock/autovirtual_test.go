@@ -40,14 +40,14 @@ func TestAutoVirtualDeadlockDetection(t *testing.T) {
 	av := NewAutoVirtual()
 	msgs := make(chan string, 1)
 	av.SetDeadlockHandler(func(m string) { msgs <- m })
-	never := NewGate(av)
+	never := NewMailbox[int](av, 1) // nothing is ever sent: guaranteed deadlock
 	names := []string{"idle-beta", "idle-alpha"}
 	Fork(av, len(names))
 	for _, name := range names {
 		go func(name string) {
 			h := RegisterForked(av, name)
 			defer h.Close()
-			Await(av, never) // never closes: guaranteed deadlock
+			Await(av, never)
 		}(name)
 	}
 	select {
@@ -94,12 +94,12 @@ func TestAutoVirtualSameInstantPeriodsDeterministic(t *testing.T) {
 
 // TestAutoVirtualRegisterChurn hammers register/park/close from many
 // goroutines at once; run under -race this validates the scheduler's locking
-// around actor lifetime and the mailbox/gate wake paths.
+// around actor lifetime and the mailbox wake path. The producer ends each
+// consumer with a -1.
 func TestAutoVirtualRegisterChurn(t *testing.T) {
 	av := NewAutoVirtual()
 	const workers = 12
-	mbox := NewMailbox[int](av, 4)
-	stop := NewGate(av)
+	mbox := NewMailbox[int](av, 5*workers) // never full
 	var wg sync.WaitGroup
 
 	Fork(av, workers+1)
@@ -110,11 +110,11 @@ func TestAutoVirtualRegisterChurn(t *testing.T) {
 		defer h.Close()
 		for i := 0; i < 4*workers; i++ {
 			av.Sleep(time.Millisecond)
-			if !mbox.Send(i, stop) {
-				return
-			}
+			mbox.Send(i, nil)
 		}
-		mbox.Close()
+		for i := 0; i < workers; i++ {
+			mbox.Send(-1, nil)
+		}
 	}()
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -124,7 +124,7 @@ func TestAutoVirtualRegisterChurn(t *testing.T) {
 			defer h.Close()
 			for {
 				av.Sleep(time.Duration(i+1) * time.Millisecond)
-				if _, _, ok := Await(av, mbox); !ok {
+				if _, v, _ := Await(av, mbox); v.(int) < 0 {
 					return
 				}
 			}

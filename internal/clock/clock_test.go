@@ -6,13 +6,6 @@ import (
 	"time"
 )
 
-// hasFired reports whether w has a fire pending, consuming it, without moving
-// the clock: Await prefers w to a timer already due.
-func hasFired(v *AutoVirtual, w Waitable) bool {
-	i, _, _ := Await(v, w, v.NewTimerAt(v.Now()))
-	return i == 0
-}
-
 // The stepping below is a Sleep from outside the run: the caller becomes a
 // transient actor, and the clock jumps through every deadline up to its own.
 
@@ -51,37 +44,6 @@ func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
 	}
 }
 
-// TestVirtualTimersFireInOrder awaits from outside the run: the caller is a
-// transient actor, and the clock jumps to the earlier deadline first.
-func TestVirtualTimersFireInOrder(t *testing.T) {
-	v := NewAutoVirtual()
-	tm1 := v.NewTimerAt(v.Now().Add(time.Second))
-	tm2 := v.NewTimerAt(v.Now().Add(2 * time.Second))
-	if i, _, ok := Await(v, tm2, tm1); i != 1 || !ok {
-		t.Fatalf("Await = (%d, %v), want tm1 (1, true) first", i, ok)
-	}
-	if got := v.Now().Sub(SimEpoch); got != time.Second {
-		t.Fatalf("tm1 fired at %v, want 1s", got)
-	}
-	Await(v, tm2)
-	if got := v.Now().Sub(SimEpoch); got != 2*time.Second {
-		t.Fatalf("tm2 fired at %v, want 2s", got)
-	}
-}
-
-func TestVirtualTimerDoesNotFireEarly(t *testing.T) {
-	v := NewAutoVirtual()
-	tm := v.NewTimerAt(v.Now().Add(10 * time.Second))
-	v.Sleep(9 * time.Second)
-	if hasFired(v, tm) {
-		t.Fatal("timer fired before its deadline")
-	}
-	v.Sleep(time.Second)
-	if !hasFired(v, tm) {
-		t.Fatal("timer did not fire at its deadline")
-	}
-}
-
 // TestVirtualEveryRepeats: an event armed by Every runs once per period,
 // on the period, until it is stopped, and leaves the heap then.
 func TestVirtualEveryRepeats(t *testing.T) {
@@ -103,73 +65,24 @@ func TestVirtualEveryRepeats(t *testing.T) {
 	}
 }
 
-func TestVirtualTimerStopPreventsFire(t *testing.T) {
-	v := NewAutoVirtual()
-	tm := v.NewTimerAt(v.Now().Add(time.Second))
-	tm.Stop()
-	v.Sleep(2 * time.Second)
-	if hasFired(v, tm) {
-		t.Fatal("stopped timer fired")
-	}
-}
-
-// TestVirtualDeterministicOrderAtSameInstant: waiters armed from outside the
-// run tie by creation order, whoever awaits them. Actor "a" awaits the timer
-// armed second, "b" the one armed first, so b must wake first.
-func TestVirtualDeterministicOrderAtSameInstant(t *testing.T) {
-	v := NewAutoVirtual()
-	first := v.NewTimerAt(v.Now().Add(time.Second))
-	second := v.NewTimerAt(v.Now().Add(time.Second))
-	var order []string // appended under the execution token
-	runActors(v, map[string]func(){
-		"a": func() { Await(v, second); order = append(order, "a") },
-		"b": func() { Await(v, first); order = append(order, "b") },
-	})
-	if fmt.Sprint(order) != "[b a]" {
-		t.Fatalf("woke in order %v, want [b a]: creation order breaks the tie", order)
-	}
-}
-
 func TestVirtualPendingWaiters(t *testing.T) {
 	v := NewAutoVirtual()
-	tm := v.NewTimerAt(v.Now().Add(time.Second))
+	ev := NewEvent(v, "ev", func() {})
+	ev.After(time.Second)
 	if got := v.PendingWaiters(); got != 1 {
 		t.Fatalf("PendingWaiters = %d, want 1", got)
 	}
-	tm.Stop()
+	ev.Stop()
 	if got := v.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters after Stop = %d, want 0", got)
 	}
-}
-
-func TestVirtualNewTimerAtFiresAtAbsoluteDeadline(t *testing.T) {
-	v := NewAutoVirtual()
-	want := SimEpoch.Add(10 * time.Millisecond)
-	tm := v.NewTimerAt(want)
-	if hasFired(v, tm) {
-		t.Fatal("timer fired before its deadline")
-	}
-	v.Sleep(9 * time.Millisecond)
-	if hasFired(v, tm) {
-		t.Fatal("timer fired 1ms early")
-	}
-	Await(v, tm)
-	if got := v.Now(); !got.Equal(want) {
-		t.Fatalf("fired at %v, want %v", got, want)
-	}
-}
-
-func TestVirtualNewTimerAtPastDeadlineFiresImmediately(t *testing.T) {
-	v := NewAutoVirtual()
-	// The race NewTimerAt exists to close: the clock advanced past the
-	// intended deadline before the caller could arm the timer. It must
-	// fire without the clock moving.
-	tm := v.NewTimerAt(SimEpoch.Add(-time.Second))
-	if !hasFired(v, tm) {
-		t.Fatal("past-deadline timer must fire immediately")
-	}
-	if got := v.PendingWaiters(); got != 0 {
-		t.Fatalf("immediate-fire timer left %d pending waiters", got)
+	// A deadline already passed never enters the heap: the run is owed at
+	// once, without the clock moving.
+	ran := false
+	past := NewEvent(v, "past", func() { ran = true })
+	past.At(SimEpoch.Add(-time.Second))
+	if !ran || v.PendingWaiters() != 0 || !v.Now().Equal(SimEpoch) {
+		t.Fatalf("past deadline: ran=%v, %d pending, clock at %v", ran, v.PendingWaiters(), v.Now())
 	}
 }
 
@@ -182,11 +95,11 @@ func lockedNow(v *AutoVirtual) time.Time {
 }
 
 // TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
-// == to the instant the timer heap runs on — same wall encoding, same
-// location, no monotonic reading — whether the clock is stepped by sleeps
-// from outside the run or jumps for its own actors: after timer and sleep
-// jumps, inside an event at its deadline or period, and after an absolute
-// deadline handed in from another location.
+// == to the instant the heap runs on — same wall encoding, same location, no
+// monotonic reading — whether the clock is stepped by sleeps from outside
+// the run or jumps for its own actors: after sleep jumps, inside an event at
+// its deadline or period, and at and after an absolute deadline handed in
+// from another location.
 func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 	check := func(t *testing.T, av *AutoVirtual, when string) {
 		t.Helper()
@@ -206,22 +119,22 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 		tick := NewEvent(av, "tick", func() { check(t, av, "inside a periodic event") })
 		tick.Every(30 * time.Millisecond)
 		defer tick.Stop()
-		timer := av.NewTimerAt(av.Now().Add(45 * time.Millisecond))
-		abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
-		var fired time.Time
+		var fired, abroadAt time.Time
 		ev := NewEvent(av, "probe", func() { fired = av.Now(); check(t, av, "inside an event") })
 		defer ev.Stop()
 		ev.After(50 * time.Millisecond)
+		abroad := NewEvent(av, "abroad", func() { abroadAt = av.Now(); check(t, av, "at a deadline from abroad") })
+		defer abroad.Stop()
+		abroad.At(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
 		for i := 0; i < 10; i++ {
 			av.Sleep(11 * time.Millisecond)
 			check(t, av, "after a sleep from outside")
 		}
-		if !hasFired(av, timer) || !hasFired(av, abroad) {
-			t.Fatal("timers due 45ms and 70ms in did not fire within 110ms")
-		}
-		check(t, av, "after awaiting fired timers")
 		if want := lockedNow(av).Add(-60 * time.Millisecond); fired != want {
 			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
+		}
+		if want := lockedNow(av).Add(-40 * time.Millisecond); abroadAt != want {
+			t.Fatalf("event saw Now() = %v at a deadline from abroad, want %v", abroadAt, want)
 		}
 		wellFormed(t, av)
 	})
@@ -239,12 +152,11 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				av.Sleep(time.Duration(i+1) * time.Hour)
 				check(t, av, "after a sleep jump")
-				Await(av, av.NewTimerAt(av.Now().Add(7*time.Second)))
-				check(t, av, "after a timer jump")
 			}
 			ev.After(50 * time.Millisecond)
-			abroad := av.NewTimerAt(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
-			Await(av, abroad)
+			abroad := NewEvent(av, "abroad", func() { check(t, av, "at a deadline from another location") })
+			abroad.At(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
+			av.Sleep(70 * time.Millisecond)
 			check(t, av, "after a deadline from another location")
 			if want := lockedNow(av).Add(-20 * time.Millisecond); fired != want {
 				t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)

@@ -37,3 +37,33 @@ func Until(t testing.TB, clk *clock.AutoVirtual, timeout time.Duration, what str
 		clk.Sleep(pollInterval)
 	}
 }
+
+// Steps runs one clock event per name, each working in steps: event i calls
+// step(i), which does one step of its work and returns how long to wait
+// before the next, or that the work is done. A zero wait goes on at once; a
+// positive one arms the event's deadline, keyed under its name. The events
+// get their first turn in the order of names once the caller parks, and
+// Steps sleeps on clk until every one is done, failing t with what once
+// timeout has passed on the clock.
+func Steps(t testing.TB, clk *clock.AutoVirtual, timeout time.Duration, what string, names []string, step func(i int) (wait time.Duration, done bool)) {
+	t.Helper()
+	left := len(names)
+	for i, name := range names {
+		var ev *clock.Event
+		ev = clock.NewEvent(clk, name, func() {
+			for {
+				wait, done := step(i)
+				if done {
+					left--
+					return
+				}
+				if wait > 0 {
+					ev.After(wait)
+					return
+				}
+			}
+		})
+		ev.Trigger()
+	}
+	Until(t, clk, timeout, what, func() bool { return left == 0 })
+}

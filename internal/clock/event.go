@@ -2,10 +2,11 @@ package clock
 
 import "time"
 
-// Event is a named callback that the clock runs to completion: a timer with
-// a function where a Timer has a waiting actor, for the loops that never
-// park in the middle of their work (the client's pacer, the transport's
-// delivery, a producer's period; Loop adds an inbox). After and At arm its
+// Event is a named callback that the clock runs to completion: a deadline
+// with a function where a Sleep has a waiting actor, for work that never
+// parks in the middle of a step (the client's pacer, the transport's
+// delivery, a producer's period, a Corda flow worker, the fault injector's
+// timeline; Loop adds an inbox). After and At arm its
 // one deadline, replacing the previous one, and Every arms a deadline that
 // repeats; Trigger asks for a run now and leaves the deadline alone. Runs of
 // one event never overlap, and requests made while a run is already owed

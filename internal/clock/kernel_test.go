@@ -25,6 +25,27 @@ func runActors(av *AutoVirtual, bodies map[string]func()) {
 	wg.Wait()
 }
 
+// wave forks one actor per name from the calling actor, released in name
+// order, and returns a join that parks the caller until each has finished:
+// every actor reports its end through a mailbox the join awaits.
+func wave(av *AutoVirtual, names []string, fn func(i int)) (join func()) {
+	done := NewMailbox[int](av, len(names))
+	Fork(av, len(names))
+	for i, name := range names {
+		go func() {
+			h := RegisterForked(av, name)
+			defer h.Close()
+			fn(i)
+			done.Send(i, nil)
+		}()
+	}
+	return func() {
+		for range names {
+			Await(av, done)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {
@@ -83,25 +104,17 @@ func TestNoTokenOut(t *testing.T) {
 	})
 	t.Run("Await registers a transient actor", func(t *testing.T) {
 		av := NewAutoVirtual()
-		never := NewGate(av)
-		timer := av.NewTimerAt(av.Now().Add(time.Second))
-		if idx, _, ok := Await(av, never, timer); idx != 1 || !ok {
-			t.Fatalf("Await = (%d, ok=%v), want the timer at index 1", idx, ok)
+		m := NewMailbox[int](av, 1)
+		NewEvent(av, "sender", func() { m.Send(7, nil) }).After(time.Second)
+		if idx, v, ok := Await(av, m); idx != 0 || !ok || v != 7 {
+			t.Fatalf("Await = (%d, %v, ok=%v), want the 7 sent at +1s", idx, v, ok)
 		}
 		if got := av.Now().Sub(SimEpoch); got != time.Second {
-			t.Fatalf("Await returned at +%v, want the timer's +1s", got)
+			t.Fatalf("Await returned at +%v, want the send's +1s", got)
 		}
-		never.Close()
-		if idx, _, ok := Await(av, never); idx != 0 || ok {
-			t.Fatalf("Await = (%d, ok=%v), want the closed gate", idx, ok)
-		}
-		m := NewMailbox[int](av, 1)
-		m.TrySend(7)
-		if idx, v, ok := Await(av, never, m); idx != 0 || ok || v != nil {
-			t.Fatalf("Await = (%d, %v, ok=%v), want the closed gate ahead of the mailbox", idx, v, ok)
-		}
-		if idx, v, ok := Await(av, m); idx != 0 || !ok || v != 7 {
-			t.Fatalf("Await = (%d, %v, ok=%v), want the buffered 7", idx, v, ok)
+		m.Send(8, nil)
+		if idx, v, ok := Await(av, m); idx != 0 || !ok || v != 8 {
+			t.Fatalf("Await = (%d, %v, ok=%v), want the buffered 8", idx, v, ok)
 		}
 		av.mu.Lock()
 		left := len(av.actors)
@@ -110,16 +123,17 @@ func TestNoTokenOut(t *testing.T) {
 			t.Fatalf("%d actors still registered after the awaits", left)
 		}
 	})
-	t.Run("Send panics", func(t *testing.T) {
+	t.Run("Send to a full mailbox panics", func(t *testing.T) {
 		av := NewAutoVirtual()
 		m := NewMailbox[int](av, 1)
-		mustPanic(t, "Mailbox.Send from a goroutine not registered", func() { m.Send(1, nil) })
+		m.Send(1, nil)
+		mustPanic(t, "Mailbox.Send to a full mailbox", func() { m.Send(2, nil) })
 	})
 	t.Run("Close checks the handle against the holder", func(t *testing.T) {
 		av := NewAutoVirtual()
 		av.SetDeadlockHandler(func(string) {})
 		parked := make(chan Handle, 1)
-		never := NewGate(av)
+		never := NewMailbox[int](av, 1)
 		go func() {
 			h := Register(av, "parked")
 			parked <- h
@@ -153,8 +167,8 @@ func TestKernelAllocationCeilings(t *testing.T) {
 
 	// Two hand-offs per round: meter → echo → meter. The payload is large
 	// enough that boxing it cannot use the runtime's small-integer table.
+	// A negative payload ends the echo.
 	ping, pong := NewMailbox[int](av, 1), NewMailbox[int](av, 1)
-	stop := NewGate(av)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	Fork(av, 1)
@@ -163,11 +177,11 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		h := RegisterForked(av, "echo")
 		defer h.Close()
 		for {
-			idx, v, _ := Await(av, stop, ping)
-			if idx == 0 {
+			_, v, _ := Await(av, ping)
+			if v.(int) < 0 {
 				return
 			}
-			pong.Send(v.(int)+1, stop)
+			pong.Send(v.(int)+1, nil)
 		}
 	}()
 	round := func() {
@@ -180,112 +194,43 @@ func TestKernelAllocationCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(200, round); n > 2 {
 		t.Errorf("mailbox round trip allocates %v times, want at most 2 (one box per hand-off)", n)
 	}
-	stop.Close()
-	av.Sleep(time.Millisecond) // park so echo can observe the stop and leave
+	ping.Send(-1, nil)
+	av.Sleep(time.Millisecond) // park so echo can take the end and leave
 	wg.Wait()
 	if got := av.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters = %d, want 0", got)
 	}
 }
 
-// TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep
-// and NewTimerAt both enter the heap keyed by (deadline, actor name,
-// per-actor sequence). Three actors whose waits collide at every instant,
-// each alternating the two kinds, must therefore wake in name order at each
-// instant — the order the one-waiter-per-arm kernel produced.
-func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
-	const rounds = 6
-	run := func() []string {
-		av := NewAutoVirtual()
-		var log []string // appended under the execution token
-		body := func(name string, phase int) func() {
-			return func() {
-				for r := 0; r < rounds; r++ {
-					if (r+phase)%2 == 0 {
-						av.Sleep(10 * time.Millisecond)
-					} else {
-						Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
-					}
-					log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
-				}
-			}
-		}
-		runActors(av, map[string]func(){
-			"node-c": body("node-c", 0),
-			"node-a": body("node-a", 1),
-			"node-b": body("node-b", 2),
-		})
-		if got := av.PendingWaiters(); got != 0 {
-			t.Fatalf("PendingWaiters = %d, want 0", got)
-		}
-		return log
-	}
-	var want []string
-	for r := 1; r <= rounds; r++ {
-		for _, name := range []string{"node-a", "node-b", "node-c"} {
-			want = append(want, fmt.Sprintf("%s@%dms", name, 10*r))
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if got := run(); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("run %d woke in the wrong order:\n got %v\nwant %v", i, got, want)
-		}
-	}
-}
-
-// TestRearmTakesAFreshTieKey: every arm takes the actor's next sequence
-// number, so between two of one actor's timers due at the same instant the
-// one armed last fires last — also when its deadline was first armed before
-// the other's, then stopped and armed anew.
-func TestRearmTakesAFreshTieKey(t *testing.T) {
-	av := NewAutoVirtual()
-	h := Register(av, "solo")
-	defer h.Close()
-	at := av.Now().Add(time.Second)
-	first := av.NewTimerAt(at)
-	second := av.NewTimerAt(at)
-	first.Stop()
-	first = av.NewTimerAt(at) // same deadline, armed after second
-	if idx, _, _ := Await(av, first, second); idx != 1 {
-		t.Fatalf("the re-armed timer fired before the one armed earlier (index %d)", idx)
-	}
-	if idx, _, _ := Await(av, first, second); idx != 0 {
-		t.Fatalf("the re-armed timer did not fire second (index %d)", idx)
-	}
-	if got := av.PendingWaiters(); got != 0 {
-		t.Fatalf("PendingWaiters = %d, want 0", got)
-	}
-}
-
 // TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, so a
-// stopped timer or periodic event never fires, and stopping twice is
+// stopped event, one-shot or periodic, never fires, and stopping twice is
 // harmless.
 func TestStoppedWaitersLeaveTheHeap(t *testing.T) {
 	av := NewAutoVirtual()
 	h := Register(av, "solo")
 	defer h.Close()
-	timer := av.NewTimerAt(av.Now().Add(time.Hour))
 	runs := 0
+	once := NewEvent(av, "once", func() { runs++ })
+	once.After(time.Hour)
 	ticker := NewEvent(av, "ticker", func() { runs++ })
 	ticker.Every(time.Hour)
 	if got := av.PendingWaiters(); got != 2 {
 		t.Fatalf("PendingWaiters = %d, want 2", got)
 	}
-	timer.Stop()
+	once.Stop()
 	ticker.Stop()
-	timer.Stop()
+	once.Stop()
 	if got := av.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters = %d after Stop, want 0", got)
 	}
 	av.Sleep(3 * time.Hour)
-	if hasFired(av, timer) || runs != 0 {
-		t.Fatal("stopped timer or periodic event fired")
+	if runs != 0 {
+		t.Fatal("stopped one-shot or periodic event fired")
 	}
 }
 
 // TestMailboxRing covers the auto-virtual buffer: FIFO across growth and
-// wrap-around, TrySend refusing at capacity, Send parking at capacity until
-// a receive makes room, and abort and Close releasing a parked sender.
+// wrap-around, and a Send at capacity panicking.
 func TestMailboxRing(t *testing.T) {
 	t.Run("FIFO across growth and wrap", func(t *testing.T) {
 		av := NewAutoVirtual()
@@ -295,9 +240,7 @@ func TestMailboxRing(t *testing.T) {
 		next, want := 0, 0
 		for _, burst := range []int{3, 1, 7, 20, 63, 2} { // grows 4 → 64 slots, head mid-buffer
 			for i := 0; i < burst; i++ {
-				if !m.TrySend(next) {
-					t.Fatalf("TrySend(%d) refused below capacity (len %d)", next, m.Len())
-				}
+				m.Send(next, nil)
 				next++
 			}
 			drain := burst
@@ -312,158 +255,72 @@ func TestMailboxRing(t *testing.T) {
 				want++
 			}
 		}
-		if m.Len() != 1 {
-			t.Fatalf("Len = %d, want the one value left behind", m.Len())
+		if _, v, _ := Await(av, m); v.(int) != want || want != next-1 {
+			t.Fatalf("last value = %v, want the one left behind, %d", v, next-1)
 		}
 	})
 	t.Run("the ring never outgrows the capacity", func(t *testing.T) {
 		av := NewAutoVirtual()
 		m := NewMailbox[int](av, 5)
 		for i := 0; i < 5; i++ {
-			if !m.TrySend(i) {
-				t.Fatalf("TrySend(%d) refused below capacity", i)
-			}
+			m.Send(i, nil)
 		}
-		if m.TrySend(5) {
-			t.Fatal("TrySend accepted a sixth value into a mailbox of five")
-		}
-		if m.Len() != 5 {
-			t.Fatalf("Len = %d, want 5", m.Len())
+		mustPanic(t, "full mailbox of 5", func() { m.Send(5, nil) })
+		if m.q.len() != 5 {
+			t.Fatalf("the ring holds %d, want 5", m.q.len())
 		}
 	})
-	t.Run("Send parks at capacity", func(t *testing.T) {
-		av := NewAutoVirtual()
-		m := NewMailbox[int](av, 2)
-		var log []string // appended under the execution token
-		runActors(av, map[string]func(){
-			"producer": func() {
-				for i := 0; i < 4; i++ {
-					m.Send(i, nil)
-					log = append(log, fmt.Sprintf("sent %d@%v", i, av.Now().Sub(SimEpoch)))
-				}
-				m.Close()
-			},
-			"consumer": func() {
-				for {
-					av.Sleep(time.Second)
-					_, v, ok := Await(av, m)
-					if !ok {
-						return
-					}
-					log = append(log, fmt.Sprintf("got %d", v))
-				}
-			},
-		})
-		want := "[sent 0@0s sent 1@0s got 0 sent 2@1s got 1 sent 3@2s got 2 got 3]"
-		if fmt.Sprint(log) != want {
-			t.Fatalf("hand-off order:\n got %v\nwant %s", log, want)
-		}
-	})
-	for _, release := range []string{"abort", "Close"} {
-		t.Run(release+" releases a parked Send", func(t *testing.T) {
-			av := NewAutoVirtual()
-			m := NewMailbox[int](av, 1)
-			abort := NewGate(av)
-			var sent []bool
-			runActors(av, map[string]func(){
-				"producer": func() {
-					sent = append(sent, m.Send(1, abort), m.Send(2, abort), m.Send(3, abort))
-				},
-				"releaser": func() {
-					av.Sleep(time.Second)
-					if release == "abort" {
-						abort.Close()
-					} else {
-						m.Close()
-					}
-				},
-			})
-			if fmt.Sprint(sent) != "[true false false]" {
-				t.Fatalf("Send results = %v, want [true false false]", sent)
-			}
-			h := Register(av, "drain")
-			defer h.Close()
-			if _, v, ok := Await(av, m); !ok || v.(int) != 1 {
-				t.Fatalf("buffered value = %v (ok=%v), want 1", v, ok)
-			}
-			if release == "Close" {
-				if _, _, ok := Await(av, m); ok {
-					t.Fatal("a closed, drained mailbox still reports ok")
-				}
-			}
-		})
-	}
 }
 
 // TestSharedMailboxWakesInAttachOrder: several actors parked on one mailbox
 // are all woken by a send and the first in attach order takes the value;
 // the rest find nothing and stay parked (the scheduler settles that without
-// running them). The hand-out order must be the plain wake-all order, for
-// workers that await the mailbox and take the boxed value and for workers
-// that each bind a Receiver: there the scheduler stores the element in the
-// variable of the parked worker it consumed for, and in no sibling's.
+// running them). The hand-out order must be the plain wake-all order.
 func TestSharedMailboxWakesInAttachOrder(t *testing.T) {
-	for _, typed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("typed=%v", typed), func(t *testing.T) {
-			av := NewAutoVirtual()
-			m := NewMailbox[int](av, 1)
-			stop := NewGate(av)
-			var log []string // appended under the execution token
-			worker := func(name string, work time.Duration) func() {
-				return func() {
-					got := -1
-					var src Waitable = m
-					if typed {
-						src = m.Receiver(&got)
-					}
-					for {
-						idx, v, _ := Await(av, stop, src)
-						if idx == 0 {
-							log = append(log, name+" stopped")
-							return
-						}
-						if !typed {
-							got = v.(int)
-						} else if v != nil {
-							t.Errorf("%s: Await returned %v beside the typed element", name, v)
-						}
-						log = append(log, fmt.Sprintf("%s got %d", name, got))
-						av.Sleep(work)
-					}
+	av := NewAutoVirtual()
+	m := NewMailbox[int](av, 1)
+	var log []string // appended under the execution token
+	worker := func(name string, work time.Duration) func() {
+		return func() {
+			for {
+				_, v, _ := Await(av, m)
+				if v.(int) < 0 {
+					log = append(log, name+" stopped")
+					return
 				}
+				log = append(log, fmt.Sprintf("%s got %d", name, v))
+				av.Sleep(work)
 			}
-			runActors(av, map[string]func(){
-				"w1": worker("w1", 5*time.Millisecond), // busy across two sends
-				"w2": worker("w2", time.Millisecond),
-				"w3": worker("w3", time.Millisecond),
-				"producer": func() {
-					for i := 0; i < 6; i++ {
-						av.Sleep(2 * time.Millisecond)
-						m.Send(i, nil)
-					}
-					av.Sleep(10 * time.Millisecond)
-					m.TrySend(99) // still buffered when stop closes: stop has priority
-					stop.Close()
-				},
-			})
-			// The order the wake-everyone-and-run kernel of PR 12 gives.
-			want := "[w1 got 0 w2 got 1 w3 got 2 w2 got 3 w1 got 4 w3 got 5 w2 stopped w3 stopped w1 stopped]"
-			if fmt.Sprint(log) != want {
-				t.Fatalf("hand-out order:\n got %v\nwant %s", log, want)
+		}
+	}
+	runActors(av, map[string]func(){
+		"w1": worker("w1", 5*time.Millisecond), // busy across two sends
+		"w2": worker("w2", time.Millisecond),
+		"w3": worker("w3", time.Millisecond),
+		"producer": func() {
+			for i := 0; i < 6; i++ {
+				av.Sleep(2 * time.Millisecond)
+				m.Send(i, nil)
 			}
-			if m.Len() != 1 {
-				t.Fatalf("Len = %d, want the value no stopped worker took", m.Len())
+			av.Sleep(10 * time.Millisecond)
+			for range 3 { // one end per worker, to whoever waits longest
+				m.Send(-1, nil)
+				av.Sleep(time.Millisecond)
 			}
-		})
+		},
+	})
+	// The order the wake-everyone-and-run kernel of PR 12 gives.
+	want := "[w1 got 0 w2 got 1 w3 got 2 w2 got 3 w1 got 4 w3 got 5 w2 stopped w3 stopped w1 stopped]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("hand-out order:\n got %v\nwant %s", log, want)
 	}
 }
 
 // TestEventFiresWhereItsActorsTimerWould: an event's deadline is keyed like
-// a timer of an actor with the event's name. "node-b" keeps one deadline 10ms
-// ahead, once as an actor arming a timer per round and once as an event
-// re-arming itself, between two actors whose Sleep and NewTimerAt deadlines
-// collide with it at every instant; both runs must log the same order, a, b,
-// c.
+// a sleep of an actor with the event's name. "node-b" keeps one deadline
+// 10ms ahead, once as an actor sleeping each round and once as an event
+// re-arming itself, between two actors whose sleeps collide with it at every
+// instant; both runs must log the same order, a, b, c.
 func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 	const rounds = 5
 	run := func(asEvent bool) []string {
@@ -472,20 +329,15 @@ func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 		note := func(name string) {
 			log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
 		}
-		bodies := map[string]func(){
-			"node-a": func() {
+		sleeper := func(name string) func() {
+			return func() {
 				for r := 0; r < rounds; r++ {
 					av.Sleep(10 * time.Millisecond)
-					note("node-a")
+					note(name)
 				}
-			},
-			"node-c": func() {
-				for r := 0; r < rounds; r++ {
-					Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
-					note("node-c")
-				}
-			},
+			}
 		}
+		bodies := map[string]func(){"node-a": sleeper("node-a"), "node-c": sleeper("node-c")}
 		var ev *Event
 		if asEvent {
 			fired := 0
@@ -497,12 +349,7 @@ func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 			})
 			ev.After(10 * time.Millisecond)
 		} else {
-			bodies["node-b"] = func() {
-				for r := 0; r < rounds; r++ {
-					Await(av, av.NewTimerAt(av.Now().Add(10*time.Millisecond)))
-					note("node-b")
-				}
-			}
+			bodies["node-b"] = sleeper("node-b")
 		}
 		runActors(av, bodies)
 		if got := av.PendingWaiters(); got != 0 {
@@ -530,30 +377,31 @@ func TestEventFiresWhereItsActorsTimerWould(t *testing.T) {
 func TestEventTriggerQueuesOnceBehindReadyActors(t *testing.T) {
 	av := NewAutoVirtual()
 	var log []string // appended under the execution token
-	gate, late := NewGate(av), NewGate(av)
+	ma, mb, late := NewMailbox[int](av, 1), NewMailbox[int](av, 1), NewMailbox[int](av, 1)
 	runs := 0
 	var ev *Event
 	ev = NewEvent(av, "ev", func() {
 		runs++
 		log = append(log, fmt.Sprintf("ev run %d", runs))
 		if runs == 1 {
-			late.Close() // wakes "late" before the re-trigger queues
+			late.Send(1, nil) // wakes "late" before the re-trigger queues
 			ev.Trigger()
 		}
 	})
-	waiter := func(name string, g *Gate) func() {
+	waiter := func(name string, m *Mailbox[int]) func() {
 		return func() {
-			Await(av, g)
+			Await(av, m)
 			log = append(log, name)
 		}
 	}
 	runActors(av, map[string]func(){
-		"a":    waiter("a", gate),
-		"b":    waiter("b", gate),
+		"a":    waiter("a", ma),
+		"b":    waiter("b", mb),
 		"late": waiter("late", late),
 		"z-main": func() {
-			av.Sleep(time.Millisecond) // a, b and late are parked on their gates now
-			gate.Close()
+			av.Sleep(time.Millisecond) // a, b and late are parked on their mailboxes now
+			ma.Send(1, nil)
+			mb.Send(1, nil)
 			ev.Trigger()
 			ev.Trigger()
 			ev.Trigger()
@@ -570,20 +418,18 @@ func TestEventTriggerQueuesOnceBehindReadyActors(t *testing.T) {
 }
 
 // TestEventMayNotPark: fn holds the token but has no goroutine to block, so
-// every primitive that would park it panics naming the event; the same
-// primitives work when they need not park.
+// every primitive that would park it panics naming the event; Await works
+// when it need not park.
 func TestEventMayNotPark(t *testing.T) {
 	for name, park := range map[string]func(av *AutoVirtual){
-		"Sleep":       func(av *AutoVirtual) { av.Sleep(time.Millisecond) },
-		"Await empty": func(av *AutoVirtual) { Await(av, NewMailbox[int](av, 1)) },
-		"Send full": func(av *AutoVirtual) {
+		"Sleep": func(av *AutoVirtual) { av.Sleep(time.Millisecond) },
+		"Await empty": func(av *AutoVirtual) {
 			m := NewMailbox[int](av, 1)
-			m.Send(1, nil) // has room: fine
-			if _, v, _ := Await(av, m); v.(int) != 1 {
+			m.Send(1, nil)
+			if _, v, _ := Await(av, m); v.(int) != 1 { // ready: fine
 				panic("ready Await did not consume")
 			}
-			m.Send(2, nil)
-			m.Send(3, nil) // full: would park
+			Await(av, m) // empty: would park
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -48,67 +47,6 @@ func TestLoopStopBeatsReadyInboxAndTick(t *testing.T) {
 	}
 }
 
-// TestGoJoinWaitsForEveryActor: the join returns once every actor of the
-// wave has finished and closed its handle, whether an actor joins it or a
-// goroutine outside the run does; an empty wave joins at once.
-func TestGoJoinWaitsForEveryActor(t *testing.T) {
-	t.Run("AutoVirtual", func(t *testing.T) {
-		av := NewAutoVirtual()
-		h := Register(av, "main")
-		defer h.Close()
-		var finished atomic.Int64
-		Go(av, []string{"w0", "w1", "w2"}, func(i int) {
-			av.Sleep(time.Duration(i+1) * time.Second)
-			finished.Add(1)
-		})()
-		if n := finished.Load(); n != 3 {
-			t.Fatalf("join returned after %d of 3 actors finished", n)
-		}
-		if got := av.Now().Sub(SimEpoch); got != 3*time.Second {
-			t.Fatalf("join returned at +%v, want +3s (the slowest actor)", got)
-		}
-		av.mu.Lock()
-		left := len(av.actors)
-		av.mu.Unlock()
-		if left != 1 {
-			t.Fatalf("%d actors registered after the join, want only the joiner", left)
-		}
-	})
-	t.Run("Outside", func(t *testing.T) {
-		av := NewAutoVirtual()
-		var finished atomic.Int64
-		Go(av, []string{"w0", "w1", "w2"}, func(i int) {
-			av.Sleep(time.Duration(i) * time.Second)
-			finished.Add(1)
-		})()
-		if n := finished.Load(); n != 3 {
-			t.Fatalf("join returned after %d of 3 actors finished", n)
-		}
-		if got := av.Now().Sub(SimEpoch); got != 2*time.Second {
-			t.Fatalf("join returned at +%v, want +2s (the slowest actor)", got)
-		}
-	})
-	t.Run("Empty", func(t *testing.T) {
-		Go(NewAutoVirtual(), nil, func(int) { t.Error("an empty wave ran fn") })()
-	})
-}
-
-// TestGoReleasesWaveInNameOrder: however the names are listed, and however
-// the OS schedules the goroutines, a wave runs in name order — string
-// order, so n10 before n2.
-func TestGoReleasesWaveInNameOrder(t *testing.T) {
-	names := []string{"n3", "n2", "n10", "n1"}
-	want := []string{"n1", "n10", "n2", "n3"}
-	for trial := 0; trial < 20; trial++ {
-		av := NewAutoVirtual()
-		var ran []string
-		Go(av, names, func(i int) { ran = append(ran, names[i]) })()
-		if !reflect.DeepEqual(ran, want) {
-			t.Fatalf("trial %d: wave ran %v, want %v", trial, ran, want)
-		}
-	}
-}
-
 // TestLoopPeriodTiesKeyUnderItsName: a loop's first deadline ties by the
 // loop's name, not by arming order or by who armed it, and the clock
 // re-arms each repeat as it fires, under its own sequence. "b" arms first,
@@ -148,17 +86,18 @@ func TestForkWaveHoldsTheToken(t *testing.T) {
 		av := NewAutoVirtual()
 		var log []string // appended under the execution token
 		child := func(names ...string) func() {
-			return Go(av, names, func(i int) { log = append(log, names[i]) })
+			return wave(av, names, func(i int) { log = append(log, names[i]) })
 		}
-		Go(av, []string{"a", "b"}, func(i int) {
-			if i == 0 {
+		runActors(av, map[string]func(){
+			"a": func() {
 				log = append(log, "a")
 				child("x2", "x4")() // parks a in the join with b ready
-				return
-			}
-			log = append(log, "b")
-			child("x1", "x3")()
-		})()
+			},
+			"b": func() {
+				log = append(log, "b")
+				child("x1", "x3")()
+			},
+		})
 		return log
 	}
 	want := []string{"a", "b", "x2", "x4", "x1", "x3"}
@@ -183,9 +122,9 @@ func TestWavesOfOneTurnReleaseTogether(t *testing.T) {
 		av := NewAutoVirtual()
 		var log []string // appended under the execution token
 		child := func(names ...string) func() {
-			return Go(av, names, func(i int) { log = append(log, names[i]) })
+			return wave(av, names, func(i int) { log = append(log, names[i]) })
 		}
-		Go(av, []string{"forker"}, func(int) {
+		runActors(av, map[string]func(){"forker": func() {
 			first := child("y2", "y4")
 			for registering := 2; registering > 0; runtime.Gosched() {
 				av.mu.Lock()
@@ -195,7 +134,7 @@ func TestWavesOfOneTurnReleaseTogether(t *testing.T) {
 			second := child("y1", "y3")
 			first()
 			second()
-		})()
+		}})
 		if want := []string{"y1", "y2", "y3", "y4"}; !reflect.DeepEqual(log, want) {
 			t.Fatalf("run %d granted %v, want %v", i, log, want)
 		}

@@ -22,25 +22,8 @@ func (v *AutoVirtual) setNowLocked(t time.Time) {
 // Since returns the virtual time elapsed since t.
 func (v *AutoVirtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// NewTimerAt returns a timer that fires once when the clock reaches the
-// absolute instant at. A deadline at or before the current virtual instant
-// fires immediately, so callers arming an absolute deadline cannot lose a
-// wake-up to a jump of the clock.
-func (v *AutoVirtual) NewTimerAt(at time.Time) *Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	t := &Timer{clk: v}
-	t.w = waiter{at: at, tick: t, index: -1}
-	if !at.After(v.now) {
-		t.fired = true // never enters the heap
-		return t
-	}
-	v.addWaiterLocked(&t.w)
-	return t
-}
-
-// PendingWaiters reports the number of armed deadlines (timers, events,
-// sleeps), useful for asserting that components cleaned up after themselves.
+// PendingWaiters reports the number of armed deadlines (events, sleeps),
+// useful for asserting that components cleaned up after themselves.
 func (v *AutoVirtual) PendingWaiters() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -80,15 +63,14 @@ func (v *AutoVirtual) cancelLocked(w *waiter) {
 	}
 }
 
-// waiter is one pending deadline. It lives inside its owner — a timer, an
-// Event, or the Actor sleeping on it — and is in the heap exactly while
-// armed; a nonzero repeat (an Event's period) re-arms it as it fires.
+// waiter is one pending deadline. It lives inside its owner — an Event, or
+// the Actor sleeping on it — and is in the heap exactly while armed; a
+// nonzero repeat (an Event's period) re-arms it as it fires.
 type waiter struct {
 	at      time.Time
 	repeat  time.Duration
 	tieName string
 	tieSeq  int64
-	tick    *Timer // the timer whose deadline this is
 	sleeper *Actor // the actor parked on this waiter in Sleep
 	event   *Event // the event whose deadline this is
 	index   int    // heap position, -1 while out of the heap
@@ -124,36 +106,4 @@ func (h *waiterHeap) Pop() any {
 	*h = old[:n-1]
 	w.index = -1
 	return w
-}
-
-// Timer is a virtual timer (NewTimerAt), which fires once: the waiter it
-// arms, whether its fire awaits consumption, and the actors awaiting it. The
-// fire is consumed by awaiting the timer (Await). fired and watch are
-// guarded by clk.mu.
-type Timer struct {
-	clk   *AutoVirtual
-	w     waiter
-	fired bool
-	watch watchers
-}
-
-// Stop disarms the timer; a fire not yet consumed stays pending.
-func (t *Timer) Stop() {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	t.clk.cancelLocked(&t.w)
-}
-
-func (t *Timer) attach(a *Actor) { t.watch.add(a) }
-func (t *Timer) detach(a *Actor) { t.watch.remove(a) }
-
-// tryConsumeLocked consumes a pending fire. Await reports the fire by index
-// alone: boxing the instant into the any would cost one allocation per fire
-// for a value Now already answers.
-func (t *Timer) tryConsumeLocked() (any, bool, bool) {
-	if !t.fired {
-		return nil, false, false
-	}
-	t.fired = false
-	return nil, true, true
 }

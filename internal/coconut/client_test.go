@@ -94,7 +94,7 @@ func (f *fakeDriver) CrashNode(node int) error {
 	return nil
 }
 
-func (f *fakeDriver) RestartNode(node int) error {
+func (f *fakeDriver) RestartNode(node int) (time.Duration, error) {
 	f.mu.Lock()
 	delete(f.down, node%f.NodeCount())
 	var flush []systems.Event
@@ -109,7 +109,7 @@ func (f *fakeDriver) RestartNode(node int) error {
 			fn(ev)
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 func (f *fakeDriver) SubmitBatch(entry int, b *chain.Batch) error {

@@ -118,19 +118,19 @@ func TestRunRejectsBatchesWithoutBatchSubmitter(t *testing.T) {
 	}
 }
 
-// leakyDriver arms a timer when it starts and never stops it.
+// leakyDriver arms an event when it starts and never stops it.
 type leakyDriver struct {
 	*fakeDriver
 	clk *clock.AutoVirtual
 }
 
 func (d leakyDriver) Start() error {
-	d.clk.NewTimerAt(d.clk.Now().Add(time.Hour))
+	clock.NewEvent(d.clk, "leak", func() {}).After(time.Hour)
 	return nil
 }
 
 // TestRunReportsLeakedWaiters: every repetition ends with the teardown leak
-// check, so a timer a driver leaves armed fails the run.
+// check, so a deadline a driver leaves armed fails the run.
 func TestRunReportsLeakedWaiters(t *testing.T) {
 	_, err := Run(RunConfig{
 		SystemName:      "fake",

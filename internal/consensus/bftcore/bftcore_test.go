@@ -149,14 +149,19 @@ func TestDecidesSingleValue(t *testing.T) {
 func TestDecidesManyInOrder(t *testing.T) {
 	c := newCluster(t, 4, RoundRobinByHeight)
 	const total = 30
-	// The submitter starts now; the test joins it when it returns.
-	defer clock.Go(c.clk, []string{"submitter"}, func(int) {
-		for i := 0; i < total; i++ {
-			// Submit via any node; non-proposers forward.
-			_ = c.cores[i%4].Submit(fmt.Sprintf("block-%d", i))
-			c.clk.Sleep(time.Millisecond)
+	// The submitter is an event submitting one block a millisecond from
+	// now on, while the test waits for the decisions.
+	i := 0
+	var submitter *clock.Event
+	submitter = clock.NewEvent(c.clk, "submitter", func() {
+		// Submit via any node; non-proposers forward.
+		_ = c.cores[i%4].Submit(fmt.Sprintf("block-%d", i))
+		if i++; i < total {
+			submitter.After(time.Millisecond)
 		}
-	})()
+	})
+	submitter.Trigger()
+	defer submitter.Stop()
 	var reference []consensus.Decision
 	for i, core := range c.cores {
 		ds := c.waitDecisions(core.cfg.ID, total, 10*time.Second)[:total]

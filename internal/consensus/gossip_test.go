@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -39,8 +38,8 @@ func TestGossipIndexAdmitsEachNodeOnce(t *testing.T) {
 	}
 }
 
-// TestGossipIndexConcurrentAdmits: node actors on one clock share one
-// index, interleaved wherever they park; two actors race for each node,
+// TestGossipIndexConcurrentAdmits: node events on one clock share one
+// index, interleaved between their waits; two events race for each node,
 // spilled ones included, and each node still admits each ID exactly once.
 func TestGossipIndexConcurrentAdmits(t *testing.T) {
 	const ids = 200
@@ -52,14 +51,18 @@ func TestGossipIndexConcurrentAdmits(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("admitter-%d", i)
 	}
-	clock.Go(clk, names, func(i int) {
-		for id := range ids {
-			if g.Admit(crypto.SumString(fmt.Sprint(id)), nodes[i%len(nodes)]) {
-				admitted[i%len(nodes)]++
-			}
-			clk.Sleep(time.Duration(1+i) * time.Microsecond)
+	next := make([]int, len(names)) // each admitter's next ID
+	clocktest.Steps(t, clk, time.Minute, "admitters", names, func(i int) (time.Duration, bool) {
+		id := next[i]
+		if id == ids {
+			return 0, true
 		}
-	})()
+		if g.Admit(crypto.SumString(fmt.Sprint(id)), nodes[i%len(nodes)]) {
+			admitted[i%len(nodes)]++
+		}
+		next[i]++
+		return time.Duration(1+i) * time.Microsecond, false
+	})
 	for i, node := range nodes {
 		if got := admitted[i]; got != ids {
 			t.Errorf("node %d admitted %d of %d IDs", node, got, ids)

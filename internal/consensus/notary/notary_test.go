@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -71,7 +70,7 @@ func TestNotariseEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestNotariseConcurrentOnlyOneWins: flow actors on one clock race to
+// TestNotariseConcurrentOnlyOneWins: flow events on one clock race to
 // notarise the same input, each in its own turn; the first to arrive
 // consumes it, and every later one is told which transaction did.
 func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
@@ -86,8 +85,12 @@ func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
 	}
 	winner := txIDs[contenders-1] // sleeps least, so arrives first
 	wins := 0
-	clock.Go(clk, names, func(i int) {
-		clk.Sleep(time.Duration(contenders-i) * time.Microsecond)
+	slept := make([]bool, contenders)
+	clocktest.Steps(t, clk, time.Second, "racers", names, func(i int) (time.Duration, bool) {
+		if !slept[i] {
+			slept[i] = true
+			return time.Duration(contenders-i) * time.Microsecond, false
+		}
 		err := s.Notarise(txIDs[i], []chain.StateRef{ref("contested", 0)})
 		var ds *chain.DoubleSpendError
 		switch {
@@ -96,7 +99,8 @@ func TestNotariseConcurrentOnlyOneWins(t *testing.T) {
 		case !errors.As(err, &ds) || ds.ConsumedBy != winner:
 			t.Errorf("racer %d: err = %v, want a double spend naming the first racer", i, err)
 		}
-	})()
+		return 0, true
+	})
 	if wins != 1 {
 		t.Fatalf("%d racers consumed the same state, want exactly 1", wins)
 	}

@@ -22,6 +22,10 @@ type stubDriver struct {
 	crashes  int
 	restarts int
 	tr       *network.Transport
+	// recovery scripts the waits of every restart; left is what the
+	// current one has still to wait.
+	recovery []time.Duration
+	left     []time.Duration
 }
 
 var _ systems.Driver = (*stubDriver)(nil)
@@ -49,15 +53,26 @@ func (s *stubDriver) CrashNode(node int) error {
 	return nil
 }
 
-func (s *stubDriver) RestartNode(node int) error {
+func (s *stubDriver) RestartNode(node int) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if node < 0 || node >= s.NodeCount() {
-		return systems.ErrNodeDown
+		return 0, systems.ErrNodeDown
 	}
 	s.restarts++
 	s.calls = append(s.calls, fmt.Sprintf("restart:%d", node))
-	return nil
+	s.left = s.recovery
+	return s.ResumeNode(node), nil
+}
+
+// ResumeNode hands out the scripted recovery waits one by one.
+func (s *stubDriver) ResumeNode(int) time.Duration {
+	if len(s.left) == 0 {
+		return 0
+	}
+	wait := s.left[0]
+	s.left = s.left[1:]
+	return wait
 }
 
 func (s *stubDriver) callLog() []string {
@@ -386,5 +401,41 @@ func TestInjectorDegradeAllLinks(t *testing.T) {
 	}
 	if got, want := d.tr.DegradedCount(), 6; got != want { // 3 endpoints × 2 directions each pair
 		t.Fatalf("degraded links = %d, want %d", got, want)
+	}
+}
+
+// TestInjectorWaitsOutRecoveries: a restart's recovery waits run on the
+// injector's own timeline — entries that fall due meanwhile apply once it
+// is over, at their offsets or later, and the restart is recorded when its
+// node is up — and Stop, called mid-recovery, sleeps out the rest of it and
+// the recoveries of its own restarts before it returns.
+func TestInjectorWaitsOutRecoveries(t *testing.T) {
+	ms := time.Millisecond
+	d := newStubDriver(4)
+	d.recovery = []time.Duration{30 * ms, 20 * ms}
+	clk := clocktest.New(t)
+	start := clk.Now()
+	in := NewInjector(d, Schedule{Events: []Event{
+		{At: 10 * ms, Kind: CrashNode, Node: 1},
+		{At: 20 * ms, Kind: CrashNode, Node: 2},
+		{At: 30 * ms, Kind: RestartNode, Node: 1},
+		{At: 40 * ms, Kind: CrashNode, Node: 3}, // due mid-recovery
+		{At: 90 * ms, Kind: RestartNode, Node: 2},
+	}}, clk)
+	in.Start()
+	clk.Sleep(100 * ms) // node 2's recovery runs until 140ms
+	in.Stop()
+	var at []string
+	for _, a := range in.Applied() {
+		at = append(at, fmt.Sprintf("%v@%v", a.Event.Kind, a.At.Sub(start)))
+	}
+	if want := "[crash@10ms crash@20ms restart@80ms crash@80ms restart@140ms]"; fmt.Sprint(at) != want {
+		t.Fatalf("applied %v, want %s", at, want)
+	}
+	if got := clk.Since(start); got != 190*ms {
+		t.Fatalf("Stop returned at +%v, want +190ms: after node 2's recovery and node 3's", got)
+	}
+	if want := "[crash:1 crash:2 restart:1 crash:3 restart:2 restart:3]"; fmt.Sprint(d.callLog()) != want {
+		t.Fatalf("calls = %v, want %s", d.callLog(), want)
 	}
 }

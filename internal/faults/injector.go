@@ -19,8 +19,14 @@ type Applied struct {
 // injected clock, so schedules replay deterministically under
 // clock.AutoVirtual. Every Apply transition is idempotent: crashing a crashed
 // node, healing without a partition, or restarting a running node are
-// no-ops, never panics — chaos schedules are allowed to be sloppy. Only the
-// actor holding the clock's token touches it, so it takes no lock.
+// no-ops, never panics — chaos schedules are allowed to be sloppy.
+//
+// The timeline is one clock event, "fault-injector": it runs at each
+// entry's offset and applies the entries due, in order. An entry that
+// restarts nodes (RestartNode, Heal) waits out each node's recovery steps
+// on the same event, node by node, and the timeline goes on from the last
+// of them; entries that fell due meanwhile apply at once. Only the token
+// holder touches the injector, so it takes no lock.
 type Injector struct {
 	drv   systems.Driver
 	clk   *clock.AutoVirtual
@@ -31,8 +37,21 @@ type Injector struct {
 	degraded    bool
 	applied     []Applied
 
-	stop *clock.Gate
-	join func() // set by Start, or by a Stop without Start: waits for the timeline actor
+	// ev runs the timeline from start (zero until Start); next is the first
+	// entry not yet begun, and until is the end of the recovery wait ev is
+	// armed for.
+	ev    *clock.Event
+	start time.Time
+	next  int
+	until time.Time
+
+	// The entry being applied (Kind 0 when none) while its nodes recover:
+	// the nodes it has still to restart, in order (the first one
+	// mid-recovery when recovering), and its error, if any.
+	cur        Event
+	restarts   []int
+	recovering bool
+	err        error
 }
 
 // NewInjector builds an injector for the schedule (applied in time order)
@@ -41,79 +60,108 @@ func NewInjector(drv systems.Driver, sched Schedule, clk *clock.AutoVirtual) *In
 	if clk == nil {
 		panic("faults: NewInjector needs a clock")
 	}
-	return &Injector{
+	in := &Injector{
 		drv:     drv,
 		clk:     clk,
 		sched:   sched.sorted(),
 		crashed: make(map[int]bool),
-		stop:    clock.NewGate(clk),
 	}
+	in.ev = clock.NewEvent(clk, "fault-injector", in.run)
+	return in
 }
 
 // Start launches the injection timeline; offsets are measured from this
 // call. Start is idempotent.
 func (in *Injector) Start() {
-	if in.join != nil {
+	if !in.start.IsZero() {
 		return
 	}
-	start := in.clk.Now()
-	in.join = clock.Go(in.clk, []string{"fault-injector"}, func(int) { in.run(start) })
+	in.start = in.clk.Now()
+	if len(in.sched) > 0 {
+		in.ev.At(in.start.Add(in.sched[0].At))
+	}
 }
 
 // Stop halts the timeline and restores the system to health: crashed and
 // partitioned nodes restart (replaying their missed commits) and link
 // degradations clear, so a benchmark phase always hands a healthy system
-// to the next one. Stop is idempotent and safe without Start.
+// to the next one. The caller is an actor: it sleeps out the rest of a
+// recovery the timeline was waiting on, then the recoveries of the restarts
+// Stop makes, so Stop returns with every node up. Stop is idempotent and
+// safe without Start.
 func (in *Injector) Stop() {
-	in.stop.Close()
-	if in.join == nil {
-		in.join = func() {} // never started: nothing to wait for
+	in.ev.Stop()
+	if in.recovering {
+		in.clk.Sleep(in.until.Sub(in.clk.Now()))
+		in.sleepOut()
 	}
-	in.join()
 	in.restoreAll()
 }
 
-func (in *Injector) run(start time.Time) {
-	for _, ev := range in.sched {
-		// An absolute deadline: time passing between reading the clock and
-		// arming the timer must not push the event later.
-		if due := start.Add(ev.At); in.clk.Now().Before(due) {
-			t := in.clk.NewTimerAt(due)
-			if i, _, _ := clock.Await(in.clk, in.stop, t); i == 0 {
-				t.Stop()
-				return
-			}
-		}
-		if in.stop.Closed() {
+// run is the timeline event: it goes on with the current entry's
+// recoveries, then applies the entries that are due, and arms itself for
+// the next wait.
+func (in *Injector) run() {
+	for {
+		if wait := in.advance(); wait > 0 {
+			in.until = in.clk.Now().Add(wait)
+			in.ev.After(wait)
 			return
 		}
-		in.Apply(ev)
+		if in.next == len(in.sched) {
+			return
+		}
+		// An absolute deadline: the entry fires at its offset from Start
+		// however long the entries before it took.
+		ev := in.sched[in.next]
+		if due := in.start.Add(ev.At); in.clk.Now().Before(due) {
+			in.ev.At(due)
+			return
+		}
+		in.next++
+		in.begin(ev)
 	}
 }
 
 // Apply executes one event immediately (also used by tests to drive faults
-// synchronously). It returns the driver error, if any; state-machine
-// no-ops return nil.
+// synchronously), sleeping out the recovery of the nodes it restarts. It
+// returns the driver error, if any; state-machine no-ops return nil.
 func (in *Injector) Apply(ev Event) error {
-	var err error
+	if !in.begin(ev) {
+		return nil
+	}
+	in.sleepOut()
+	return in.err
+}
+
+// sleepOut runs the current entry to its end on the calling actor.
+func (in *Injector) sleepOut() {
+	for wait := in.advance(); wait > 0; wait = in.advance() {
+		in.clk.Sleep(wait)
+	}
+}
+
+// begin applies what ev does at once and lists the nodes it restarts,
+// which advance then recovers. It reports false for a no-op, which is not
+// recorded.
+func (in *Injector) begin(ev Event) bool {
+	in.err, in.restarts = nil, in.restarts[:0]
 	switch ev.Kind {
 	case CrashNode:
 		if in.crashed[ev.Node] {
-			return nil // double-crash: no-op
+			return false // double-crash: no-op
 		}
-		if err = in.drv.CrashNode(ev.Node); err == nil {
+		if in.err = in.drv.CrashNode(ev.Node); in.err == nil {
 			in.crashed[ev.Node] = true
 		}
 	case RestartNode:
 		if !in.crashed[ev.Node] {
-			return nil // restart of a running node: no-op
+			return false // restart of a running node: no-op
 		}
-		if err = in.drv.RestartNode(ev.Node); err == nil {
-			delete(in.crashed, ev.Node)
-		}
+		in.restarts = append(in.restarts, ev.Node)
 	case Partition:
 		if in.partitioned != nil {
-			return nil // overlapping partition: no-op
+			return false // overlapping partition: no-op
 		}
 		group := make([]int, 0, len(ev.Group))
 		for _, node := range ev.Group {
@@ -121,7 +169,7 @@ func (in *Injector) Apply(ev Event) error {
 				continue // already down via an explicit crash
 			}
 			if e := in.drv.CrashNode(node); e != nil {
-				err = e
+				in.err = e
 				continue
 			}
 			group = append(group, node)
@@ -129,37 +177,70 @@ func (in *Injector) Apply(ev Event) error {
 		in.partitioned = group
 	case Heal:
 		for _, node := range in.partitioned {
-			if in.crashed[node] {
-				// The node was also explicitly crashed mid-partition: its
-				// own RestartNode event owns the recovery.
-				continue
-			}
-			if e := in.drv.RestartNode(node); e != nil {
-				err = e
+			// A node that was also explicitly crashed mid-partition: its
+			// own RestartNode event owns the recovery.
+			if !in.crashed[node] {
+				in.restarts = append(in.restarts, node)
 			}
 		}
+	case DegradeLink:
+		if !in.degrade(ev) {
+			return false // no message fabric: nothing was applied
+		}
+	case SlowNode:
+		if !in.degrade(Event{Kind: SlowNode, Group: []int{ev.Node}, Extra: ev.Extra, Loss: ev.Loss}) {
+			return false
+		}
+	case TornWrite, CorruptRecord:
+		if !in.corruptLog(ev) {
+			return false // no WAL to corrupt: nothing was applied
+		}
+	}
+	in.cur = ev
+	return true
+}
+
+// advance runs the current entry's restarts, node by node, up to the next
+// recovery wait and returns it. Once every node is up it settles the entry
+// — the restarted node is no longer crashed, a heal ends the partition and
+// the link degradation — records it unless it failed, and returns zero.
+func (in *Injector) advance() time.Duration {
+	if in.cur.Kind == 0 {
+		return 0
+	}
+	for len(in.restarts) > 0 {
+		node := in.restarts[0]
+		var wait time.Duration
+		if in.recovering {
+			wait = in.drv.ResumeNode(node)
+		} else {
+			var err error
+			if wait, err = in.drv.RestartNode(node); err != nil {
+				in.err = err
+			}
+		}
+		if in.recovering = wait > 0; in.recovering {
+			return wait
+		}
+		in.restarts = in.restarts[1:]
+	}
+	switch in.cur.Kind {
+	case RestartNode:
+		if in.err == nil {
+			delete(in.crashed, in.cur.Node)
+		}
+	case Heal:
 		in.partitioned = nil
 		if in.degraded {
 			in.drv.FaultTransport().HealAll()
 			in.degraded = false
 		}
-	case DegradeLink:
-		if !in.degrade(ev) {
-			return nil // no message fabric: nothing was applied
-		}
-	case SlowNode:
-		if !in.degrade(Event{Kind: SlowNode, Group: []int{ev.Node}, Extra: ev.Extra, Loss: ev.Loss}) {
-			return nil
-		}
-	case TornWrite, CorruptRecord:
-		if !in.corruptLog(ev) {
-			return nil // no WAL to corrupt: nothing was applied
-		}
 	}
-	if err == nil {
-		in.applied = append(in.applied, Applied{Event: ev, At: in.clk.Now()})
+	if in.err == nil {
+		in.applied = append(in.applied, Applied{Event: in.cur, At: in.clk.Now()})
 	}
-	return err
+	in.cur = Event{}
+	return 0
 }
 
 // degrade applies Extra/Loss to the affected directed links: every link
@@ -210,7 +291,7 @@ func (in *Injector) corruptLog(ev Event) bool {
 // so the order is part of the run and must not follow the map's.
 func (in *Injector) restoreAll() {
 	for _, node := range in.partitioned {
-		_ = in.drv.RestartNode(node)
+		in.restart(node)
 	}
 	in.partitioned = nil
 	crashed := make([]int, 0, len(in.crashed))
@@ -219,12 +300,20 @@ func (in *Injector) restoreAll() {
 	}
 	slices.Sort(crashed)
 	for _, node := range crashed {
-		_ = in.drv.RestartNode(node)
+		in.restart(node)
 	}
 	clear(in.crashed)
 	if in.degraded {
 		in.drv.FaultTransport().HealAll()
 		in.degraded = false
+	}
+}
+
+// restart restarts node and sleeps out its recovery on the calling actor.
+func (in *Injector) restart(node int) {
+	wait, _ := in.drv.RestartNode(node)
+	for ; wait > 0; wait = in.drv.ResumeNode(node) {
+		in.clk.Sleep(wait)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
@@ -126,8 +125,8 @@ func TestRemoveFiltersInPlace(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddTake: four producer actors and a slower consumer actor
-// share a bounded pool on one clock, interleaved wherever they park, so the
+// TestConcurrentAddTake: four producer events and a slower consumer event
+// share a bounded pool on one clock, interleaved between their waits, so the
 // pool fills and rejects; every admitted item is taken exactly once.
 func TestConcurrentAddTake(t *testing.T) {
 	const producers, perProducer = 4, 1000
@@ -135,23 +134,26 @@ func TestConcurrentAddTake(t *testing.T) {
 	p := NewBounded[int](128)
 	added, taken, producing := 0, 0, producers
 	names := []string{"producer-0", "producer-1", "producer-2", "producer-3", "consumer"}
-	clock.Go(clk, names, func(a int) {
+	next := make([]int, producers) // each producer's next item
+	clocktest.Steps(t, clk, time.Minute, "producers and consumer", names, func(a int) (time.Duration, bool) {
 		if a < producers {
-			for i := 0; i < perProducer; i++ {
-				if p.Add(i) == nil {
-					added++
-				}
-				clk.Sleep(time.Duration(1+a) * time.Microsecond)
+			if next[a] == perProducer {
+				producing--
+				return 0, true
 			}
-			producing--
-			return
+			if p.Add(next[a]) == nil {
+				added++
+			}
+			next[a]++
+			return time.Duration(1+a) * time.Microsecond, false
 		}
-		for producing > 0 {
+		if producing > 0 {
 			taken += len(p.Take(16))
-			clk.Sleep(10 * time.Microsecond)
+			return 10 * time.Microsecond, false
 		}
 		taken += len(p.Take(0))
-	})()
+		return 0, true
+	})
 
 	if taken != added {
 		t.Fatalf("taken = %d, added = %d (items lost or duplicated)", taken, added)

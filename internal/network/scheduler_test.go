@@ -160,15 +160,19 @@ func TestPerLinkFIFOUnderMixedLatencies(t *testing.T) {
 	}
 	// The senders interleave: each sleeps a different step between sends,
 	// so deliveries of earlier sends land among later ones.
-	clock.Go(clk, names, func(s int) {
-		for i := 0; i < perSender; i++ {
-			if err := tr.Send(names[s], "dst", "seq", i); err != nil {
-				t.Error(err)
-				return
-			}
-			clk.Sleep(time.Duration(50*(s+1)) * time.Microsecond)
+	next := make([]int, senders) // each sender's next send
+	clocktest.Steps(t, clk, 10*time.Second, "all sends", names, func(s int) (time.Duration, bool) {
+		i := next[s]
+		if i == perSender {
+			return 0, true
 		}
-	})()
+		if err := tr.Send(names[s], "dst", "seq", i); err != nil {
+			t.Error(err)
+			return 0, true
+		}
+		next[s]++
+		return time.Duration(50*(s+1)) * time.Microsecond, false
+	})
 	clocktest.Until(t, clk, 10*time.Second, "all deliveries", func() bool { return total == senders*perSender })
 	if len(violations) > 0 {
 		t.Fatalf("per-link FIFO violated %d times, e.g. %s", len(violations), violations[0])
@@ -295,14 +299,13 @@ func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 }
 
 // TestSchedulerStressRace mixes Send/Broadcast with link faults (cuts are
-// full-loss degradations), churn of
-// idle and of busy endpoints, handlers that send, readers of every counter,
-// and a Stop while all of them are still running — each an actor of its own,
-// interleaved by their sleeps, with deliveries run by whichever of them is
-// scheduling. Run under -race it checks that the transport's state is only
-// touched under its lock or the token, and that nothing deadlocks on them;
-// the counter inequality holds because every accepted send is eventually
-// delivered, dropped, or torn down.
+// full-loss degradations), churn of idle and of busy endpoints, handlers
+// that send, readers of every counter, and a Stop while all of them are
+// still running — each an event of its own, interleaved by their waits,
+// with deliveries run in between. Run under -race it checks that the
+// transport's state is only touched under the token, and that nothing
+// deadlocks; the counter inequality holds because every accepted send is
+// eventually delivered, dropped, or torn down.
 func TestSchedulerStressRace(t *testing.T) {
 	clk := clocktest.New(t)
 	tr := NewTransport(clk, NewNormalLatency(200*time.Microsecond, 100*time.Microsecond, 3))
@@ -318,13 +321,16 @@ func TestSchedulerStressRace(t *testing.T) {
 			}
 		})
 	}
-	stop := clock.NewGate(clk)
-
+	// Each role is an event doing one step of its loop per run and arming
+	// itself for the step's wait; stopped ends every loop at its next step.
+	stopped := false
 	roles := []string{"chaos", "churn", "reader", "sender-0", "sender-1", "sender-2", "sender-3"}
-	join := clock.Go(clk, roles, func(r int) {
+	running := len(roles)
+	for r, role := range roles {
 		rng := rand.New(rand.NewSource(int64(r)))
-		for i := 0; !stop.Closed(); i++ {
-			switch roles[r] {
+		i, flapping := 0, false
+		step := func() (wait time.Duration, done bool) {
+			switch role {
 			case "chaos":
 				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
 				switch rng.Intn(5) {
@@ -339,13 +345,15 @@ func TestSchedulerStressRace(t *testing.T) {
 				case 4:
 					tr.HealAll()
 				}
-				clk.Sleep(100 * time.Microsecond)
+				return 100 * time.Microsecond, false
 			case "churn":
 				// One endpoint nobody addresses, and one of the busy ones,
 				// whose queued messages are dropped each time it goes.
-				tr.Register("flappy", func(Message) {})
-				tr.Unregister(names[7])
-				clk.Sleep(200 * time.Microsecond)
+				if flapping = !flapping; flapping {
+					tr.Register("flappy", func(Message) {})
+					tr.Unregister(names[7])
+					return 200 * time.Microsecond, false
+				}
 				tr.Unregister("flappy")
 				tr.Register(names[7], func(Message) { received++ })
 				if i%8 == 0 {
@@ -354,14 +362,15 @@ func TestSchedulerStressRace(t *testing.T) {
 						tr.DegradeLink(other, names[6], 0, 1)
 					}
 				}
+				return 0, false
 			case "reader":
 				sent, delivered, dropped := tr.Stats()
 				if delivered+dropped > sent {
 					t.Errorf("impossible counters mid-run: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
-					return
+					return 0, true
 				}
 				_ = tr.PendingCount() + int64(tr.LostCount()) + int64(tr.DegradedCount()+len(tr.Endpoints()))
-				clk.Sleep(200 * time.Microsecond)
+				return 200 * time.Microsecond, false
 			default:
 				src := names[rng.Intn(len(names))]
 				if i%16 == 0 {
@@ -369,10 +378,32 @@ func TestSchedulerStressRace(t *testing.T) {
 				} else {
 					_ = tr.Send(src, names[rng.Intn(len(names))], "msg", i) // ErrUnknownEndpoint etc. expected
 				}
-				clk.Sleep(time.Duration(50+rng.Intn(100)) * time.Microsecond)
+				return time.Duration(50+rng.Intn(100)) * time.Microsecond, false
 			}
 		}
-	})
+		var ev *clock.Event
+		ev = clock.NewEvent(clk, role, func() {
+			for {
+				if stopped && !flapping {
+					running--
+					return
+				}
+				wait, done := step()
+				if done {
+					running--
+					return
+				}
+				if !flapping {
+					i++
+				}
+				if wait > 0 {
+					ev.After(wait)
+					return
+				}
+			}
+		})
+		ev.Trigger()
+	}
 
 	clk.Sleep(300 * time.Millisecond)
 	tr.Stop() // against running senders, chaos and churn: all of them become no-ops
@@ -381,8 +412,8 @@ func TestSchedulerStressRace(t *testing.T) {
 		t.Errorf("%d endpoints and degradations survive Stop", n)
 	}
 	clk.Sleep(10 * time.Millisecond)
-	stop.Close()
-	join()
+	stopped = true
+	clocktest.Until(t, clk, time.Second, "every role to stop", func() bool { return running == 0 })
 	if before == 0 || received != before {
 		t.Fatalf("handlers ran %d times before Stop returned and %d more after it", before, received-before)
 	}
@@ -524,16 +555,15 @@ func TestQueueCollectPopsDueItems(t *testing.T) {
 }
 
 // TestDeliveryIntoFullInbox pins what a handler that would block does.
-// Handlers forward into an engine's inbox (clock.Mailbox.Send), and delivery
-// runs to completion on the scheduler and cannot park, so a full inbox is a
-// loud failure naming the delivery event. No inbox in the tree fills (8192
-// slots against batches of tens); this is the contract for the day one does.
+// Delivery runs to completion on the scheduler and cannot park, so a
+// handler that waits (here a Sleep; an engine's inbox is an unbounded
+// clock.Loop, which never does) is a loud failure naming the delivery
+// event.
 func TestDeliveryIntoFullInbox(t *testing.T) {
 	av := clock.NewAutoVirtual()
 	clock.Register(av, "main") // never closed: the panic leaves the clock unusable
 	tr := NewTransport(av, nil)
-	inbox := clock.NewMailbox[Message](av, 1)
-	tr.Register("dst", func(m Message) { inbox.Send(m, nil) })
+	tr.Register("dst", func(Message) { av.Sleep(time.Millisecond) })
 	for i := 0; i < 2; i++ {
 		if err := tr.Send("src", "dst", "k", i); err != nil {
 			t.Fatal(err)
@@ -546,5 +576,5 @@ func TestDeliveryIntoFullInbox(t *testing.T) {
 		}
 	}()
 	av.Sleep(time.Millisecond) // main parks and schedules the delivery on its own goroutine
-	t.Fatal("delivery into a full inbox did not panic")
+	t.Fatal("a delivery that waits did not panic")
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 )
 
@@ -108,11 +107,11 @@ func TestStoreAccessAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSharedIndexAcrossActors: the replicas of a network are actors on one
-// clock, each writing its own store on the network's one index, interleaved
-// wherever they park. Run under -race, this holds that the clock's token is
-// all the sharing needs; each store ends with the keys it wrote, at its own
-// versions.
+// TestSharedIndexAcrossActors: the replicas of a network are events on
+// one clock, each writing its own store on the network's one index,
+// interleaved between their waits. Run under -race, this holds that the
+// clock's token is all the sharing needs; each store ends with the keys it
+// wrote, at its own versions.
 func TestSharedIndexAcrossActors(t *testing.T) {
 	const actors, writes, names = 4, 300, 40
 	clk := clocktest.New(t)
@@ -126,16 +125,28 @@ func TestSharedIndexAcrossActors(t *testing.T) {
 	for a := range actorNames {
 		actorNames[a] = fmt.Sprintf("replica-%d", a)
 	}
-	clock.Go(clk, actorNames, func(a int) {
-		s := stores[a]
-		for i := a; i < writes; i += 1 + a {
-			s.Set(key(i), fmt.Sprint(i), Version{BlockNum: uint64(i), TxNum: a})
-			clk.Sleep(time.Duration(1+a) * time.Microsecond)
+	next := make([]int, actors)     // each replica's next write
+	written := make([]bool, actors) // the write at next waits for its check
+	for a := range next {
+		next[a] = a
+	}
+	clocktest.Steps(t, clk, time.Minute, "replicas writing", actorNames, func(a int) (time.Duration, bool) {
+		s, i := stores[a], next[a]
+		if written[a] {
 			if got, ok := s.Get(key(i)); !ok || got.Version.TxNum != a {
-				t.Errorf("actor %d: Get(%v) = (%+v, %v) right after its own write", a, key(i), got, ok)
+				t.Errorf("replica %d: Get(%v) = (%+v, %v) right after its own write", a, key(i), got, ok)
 			}
+			written[a] = false
+			i += 1 + a
+			next[a] = i
 		}
-	})()
+		if i >= writes {
+			return 0, true
+		}
+		s.Set(key(i), fmt.Sprint(i), Version{BlockNum: uint64(i), TxNum: a})
+		written[a] = true
+		return time.Duration(1+a) * time.Microsecond, false
+	})
 	for a, s := range stores {
 		want := map[Key]VersionedValue{}
 		for i := a; i < writes; i += 1 + a {

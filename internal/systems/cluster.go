@@ -3,6 +3,7 @@ package systems
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/consensus"
@@ -150,12 +151,19 @@ func (c *Cluster) CrashNode(node int) error {
 
 // RestartNode implements Driver: the node replays its log, catches up on
 // the commits it missed in the order the others applied them, and resumes.
-func (c *Cluster) RestartNode(node int) error {
+func (c *Cluster) RestartNode(node int) (time.Duration, error) {
 	if err := c.checkIndex(node); err != nil {
-		return err
+		return 0, err
 	}
-	c.nodes[node].Gate.Restart()
-	return nil
+	return c.nodes[node].Gate.Restart(), nil
+}
+
+// ResumeNode implements Driver.
+func (c *Cluster) ResumeNode(node int) time.Duration {
+	if c.checkIndex(node) != nil {
+		return 0
+	}
+	return c.nodes[node].Gate.Resume()
 }
 
 // NodeWAL implements Driver: node i's write-ahead log, or nil when
@@ -221,8 +229,8 @@ func (c *Cluster) QueueSnapshot() QueueStats {
 // the chain and of the world state, and the execution adapters ExecuteTx,
 // ApplyTx and DryRun reuse from call to call. Those three are the replica's
 // commit work and belong inside its gate (systems.CommitTo), which runs one
-// unit of a node's commit work at a time — on the committing actor while
-// the node is up, on the one draining actor while it restarts — so the
+// unit of a node's commit work at a time — on whatever commits while the
+// node is up, on whatever runs the drain while it restarts — so the
 // adapters are reused without a lock.
 type Replica struct {
 	*Node

@@ -47,7 +47,7 @@ func TestClusterBadIndices(t *testing.T) {
 		if err := p.CrashNode(bad); !errors.Is(err, ErrNodeDown) {
 			t.Errorf("CrashNode(%d) = %v, want an ErrNodeDown-wrapped error", bad, err)
 		}
-		if err := p.RestartNode(bad); !errors.Is(err, ErrNodeDown) {
+		if _, err := p.RestartNode(bad); !errors.Is(err, ErrNodeDown) {
 			t.Errorf("RestartNode(%d) = %v, want an ErrNodeDown-wrapped error", bad, err)
 		}
 		if log := p.NodeWAL(bad); log != nil {
@@ -84,8 +84,8 @@ func TestClusterSubmitGuard(t *testing.T) {
 			t.Errorf("Submit(%d) = %v, want %v", entry, err, want)
 		}
 	}
-	if err := p.RestartNode(1); err != nil {
-		t.Fatal(err)
+	if wait, err := p.RestartNode(1); err != nil || wait != 0 {
+		t.Fatalf("RestartNode(1) = (%v, %v), want recovery without a log to need no wait", wait, err)
 	}
 	if err := p.Submit(4, nil); err != nil {
 		t.Fatalf("Submit through the restarted node = %v", err)

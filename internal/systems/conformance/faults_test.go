@@ -171,11 +171,7 @@ func TestFaultMatrixCrashOneNode(t *testing.T) {
 						t.Fatal(err)
 					}
 				},
-				func() {
-					if err := d.RestartNode(faultNode); err != nil {
-						t.Fatal(err)
-					}
-				},
+				func() { systemstest.Restart(t, env.Clock, d, faultNode) },
 			)
 		})
 	}
@@ -215,7 +211,8 @@ func TestFaultHooksContract(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			d := c.make(t, systemstest.Env(t))
+			env := systemstest.Env(t)
+			d := c.make(t, env)
 			systemstest.Start(t, d)
 			if err := d.CrashNode(99); err == nil {
 				t.Fatal("CrashNode(99) did not error")
@@ -229,11 +226,9 @@ func TestFaultHooksContract(t *testing.T) {
 			if err := d.CrashNode(0); err != nil {
 				t.Fatalf("double crash errored: %v", err)
 			}
-			if err := d.RestartNode(0); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.RestartNode(0); err != nil {
-				t.Fatalf("restart of a running node errored: %v", err)
+			systemstest.Restart(t, env.Clock, d, 0)
+			if wait, err := d.RestartNode(0); err != nil || wait != 0 {
+				t.Fatalf("restart of a running node = (%v, %v), want a no-op", wait, err)
 			}
 		})
 	}

@@ -56,11 +56,7 @@ func TestFaultMatrixCrashWithWAL(t *testing.T) {
 						t.Fatal(err)
 					}
 				},
-				func() {
-					if err := d.RestartNode(faultNode); err != nil {
-						t.Fatal(err)
-					}
-				},
+				func() { systemstest.Restart(t, env.Clock, d, faultNode) },
 			)
 			stats, enabled := d.RecoveryStats()
 			if !enabled {
@@ -169,22 +165,18 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			}
 			clk.Sleep(300 * time.Millisecond)
 
-			// The restart runs as a second actor; the crash lands 150ms into
-			// its replay.
-			var restartedAt time.Time // written before the restarter finishes
-			joinRestarter := clock.Go(clk, []string{"restarter"}, func(int) {
-				if err := d.RestartNode(faultNode); err != nil {
+			// The crash lands 150ms into the restart's replay, while the test
+			// sleeps out its recovery steps.
+			var crashedAt time.Time
+			crash := clock.NewEvent(clk, "crasher", func() {
+				crashedAt = clk.Now()
+				if err := d.CrashNode(faultNode); err != nil {
 					t.Error(err)
 				}
-				restartedAt = clk.Now()
 			})
-			clk.Sleep(150 * time.Millisecond)
-			crashedAt := clk.Now()
-			if err := d.CrashNode(faultNode); err != nil {
-				t.Fatal(err)
-			}
-			joinRestarter()
-			if !restartedAt.After(crashedAt) {
+			crash.After(150 * time.Millisecond)
+			systemstest.Restart(t, clk, d, faultNode)
+			if restartedAt := clk.Now(); crashedAt.IsZero() || !restartedAt.After(crashedAt) {
 				t.Fatalf("the restart returned at %v, before the crash at %v: the crash missed the replay",
 					restartedAt, crashedAt)
 			}
@@ -197,9 +189,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			}
 
 			// The second restart completes recovery.
-			if err := d.RestartNode(faultNode); err != nil {
-				t.Fatal(err)
-			}
+			systemstest.Restart(t, clk, d, faultNode)
 			for i := 0; i < batch; i++ {
 				keys = append(keys, submitSet(t, d, &seq, "post", i))
 			}

@@ -6,12 +6,15 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/coconut"
 	"github.com/coconut-bench/coconut/internal/experiments"
+	"github.com/coconut-bench/coconut/internal/faults"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/corda"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
+	"github.com/coconut-bench/coconut/internal/wal"
 )
 
 // build builds the edition named system on a test env at its Figure 3
@@ -182,5 +185,87 @@ func TestSubmitAfterStop(t *testing.T) {
 	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")
+	}
+}
+
+// recoveryWaits counts the recovery waits a driver hands out for one node:
+// the sleeps an actor restarting that node makes.
+type recoveryWaits struct {
+	*corda.Network
+	node  int
+	waits int64
+}
+
+func (r *recoveryWaits) count(node int, wait time.Duration) time.Duration {
+	if node == r.node && wait > 0 {
+		r.waits++
+	}
+	return wait
+}
+
+func (r *recoveryWaits) RestartNode(node int) (time.Duration, error) {
+	wait, err := r.Network.RestartNode(node)
+	return r.count(node, wait), err
+}
+
+func (r *recoveryWaits) ResumeNode(node int) time.Duration {
+	return r.count(node, r.Network.ResumeNode(node))
+}
+
+// TestCordaFlowsMakeNoHandoffs: Corda's flow workers and the fault injector
+// are clock events, so a Corda repetition run through the runner — faults
+// and write-ahead logs included — hands the execution token to the runner
+// alone, once per park: each phase's send window and listening grace, and
+// each wait of the recoveries its Injector.Stop makes. Node 2 crashes and
+// recovers on the injector's timeline; node 3 stays down until Stop
+// restarts it. Corda holds no work across phases, so the runner makes no
+// quiesce polls. With one actor, each of its parks is a grant back to
+// itself, with no goroutine switch.
+func TestCordaFlowsMakeNoHandoffs(t *testing.T) {
+	for _, sys := range []struct {
+		name string
+		ctor func(systems.Env, systems.Params) *corda.Network
+	}{{systems.NameCordaOS, corda.NewOS}, {systems.NameCordaEnt, corda.NewEnterprise}} {
+		t.Run(sys.name, func(t *testing.T) {
+			const send = 3 * time.Second
+			unit := []coconut.BenchmarkName{coconut.BenchKeyValueSet, coconut.BenchDoNothing}
+			sched := faults.Schedule{Events: []faults.Event{
+				{At: send / 5, Kind: faults.CrashNode, Node: 2},
+				{At: send / 3, Kind: faults.CrashNode, Node: 3},
+				{At: send / 2, Kind: faults.RestartNode, Node: 2},
+			}}
+			var clk *clock.AutoVirtual
+			var drv *recoveryWaits
+			res, err := coconut.Run(coconut.RunConfig{
+				SystemName: sys.name,
+				NewDriver: func(c *clock.AutoVirtual) systems.Driver {
+					env := systems.Env{Nodes: 4, Scale: 0.01, Clock: c, WAL: &wal.Options{Fsync: wal.FsyncBatch}}
+					drv = &recoveryWaits{Network: sys.ctor(env, systems.Params{}), node: 3}
+					return drv
+				},
+				Unit:         unit,
+				RateLimit:    1,
+				SendDuration: send,
+				ListenGrace:  time.Second,
+				Repetitions:  1,
+				Faults:       &sched,
+				NewClock:     func() *clock.AutoVirtual { clk = clock.NewAutoVirtual(); return clk },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				if r.Received.Mean == 0 {
+					t.Fatalf("%s confirmed nothing", r.Benchmark)
+				}
+			}
+			if drv.waits == 0 {
+				t.Fatal("Stop's restarts of node 3 waited for nothing: the check below misses them")
+			}
+			if got, want := clk.KernelStats().Handoffs, int64(2*len(unit))+drv.waits; got != want {
+				t.Fatalf("hand-offs = %d, want the runner's %d parks (2 per phase, %d recovery waits)",
+					got, want, drv.waits)
+			}
+		})
 	}
 }

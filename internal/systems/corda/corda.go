@@ -22,6 +22,7 @@ package corda
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -102,16 +103,33 @@ func entConfig() config {
 		queueDepth: flowQueueDepth}
 }
 
-// flowJob is one queued flow invocation.
-type flowJob struct {
-	tx *chain.Transaction
-}
-
-// node is one Corda node.
+// node is one Corda node: its vault, its flow queue and its idle workers.
 type node struct {
 	*systems.Node
 	vault *chain.Vault
-	queue *clock.Mailbox[flowJob]
+	// jobs[head:] is the flow queue, oldest first, bounded by the
+	// network's queueDepth; the slice is reused from the start whenever the
+	// queue empties. idle lists the workers with no flow to run, in the
+	// order they went idle.
+	jobs []*chain.Transaction
+	head int
+	idle []*worker
+}
+
+// queued reports how many flows wait in the node's queue.
+func (nd *node) queued() int { return len(nd.jobs) - nd.head }
+
+// take pops the oldest queued flow, nil when there is none.
+func (nd *node) take() *chain.Transaction {
+	if nd.queued() == 0 {
+		return nil
+	}
+	tx := nd.jobs[nd.head]
+	nd.jobs[nd.head] = nil
+	if nd.head++; nd.head == len(nd.jobs) {
+		nd.jobs, nd.head = nd.jobs[:0], 0
+	}
+	return tx
 }
 
 // Network is a full Corda deployment (either edition).
@@ -126,16 +144,14 @@ type Network struct {
 	// run single-threaded, and 8 for Enterprise.
 	flowWorkers int
 
-	nodes  []*node
-	notary *notary.Service
+	nodes   []*node
+	workers []*worker
+	notary  *notary.Service
 
 	dropped   uint64            // flows lost to queue overflow
 	timeout   uint64            // flows lost to deadline
 	failed    uint64            // flows lost to execution/notary failure
 	conflicts map[string]uint64 // failed flows by canonical abort code
-
-	stop *clock.Gate
-	join func() // waits for the flow workers Start began
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -161,179 +177,290 @@ func build(env systems.Env, cfg config) *Network {
 		flowWorkers: workers,
 		notary:      notary.NewService("corda-notary"),
 		conflicts:   make(map[string]uint64),
-		stop:        clock.NewGate(env.Clock),
 	}
 	n.Cluster = systems.NewCluster(cfg.edition.String(), systems.NodeIDs("corda-node", env.Nodes), env, n.flowBacklog)
 	for i := 0; i < env.Nodes; i++ {
-		n.nodes = append(n.nodes, &node{
-			Node:  n.Node(i),
-			vault: chain.NewVault(),
-			queue: clock.NewMailbox[flowJob](env.Clock, cfg.queueDepth),
-		})
+		nd := &node{Node: n.Node(i), vault: chain.NewVault()}
+		n.nodes = append(n.nodes, nd)
+		for j := 0; j < workers; j++ {
+			w := &worker{n: n, nd: nd}
+			w.ev = clock.NewEvent(env.Clock, "corda/"+nd.ID+"/w"+strconv.Itoa(j), w.run)
+			n.workers = append(n.workers, w)
+		}
 	}
 	return n
 }
 
-// Start implements systems.Driver.
+// Start implements systems.Driver: every flow worker goes idle on its
+// node's queue.
 func (n *Network) Start() error {
 	if !n.MarkStarted() {
 		return nil
 	}
-	var names []string
-	for _, nd := range n.nodes {
-		for w := 0; w < n.flowWorkers; w++ {
-			names = append(names, "corda/"+nd.ID+"/w"+strconv.Itoa(w))
-		}
+	for _, w := range n.workers {
+		w.goIdle()
 	}
-	// Worker i serves node i/flowWorkers's queue, sharing it with its
-	// siblings; each binds its own receiver. Stop beats a queued job.
-	n.join = clock.Go(n.env.Clock, names, func(i int) {
-		nd := n.nodes[i/n.flowWorkers]
-		var job flowJob
-		srcs := []clock.Waitable{n.stop, nd.queue.Receiver(&job)}
-		for {
-			if got, _, _ := clock.Await(n.env.Clock, srcs...); got == 0 {
-				return
-			}
-			n.runFlow(nd, job.tx)
-		}
-	})
 	return nil
 }
 
-// Stop implements systems.Driver.
+// Stop implements systems.Driver: the workers stop, and the flows they were
+// running are lost with the process.
 func (n *Network) Stop() {
 	if !n.MarkStopped() {
 		return
 	}
-	n.stop.Close()
-	n.join()
+	for _, w := range n.workers {
+		w.ev.Stop()
+	}
 }
 
 // Submit implements systems.Driver: the flow enqueues on the entry node's
-// flow workers. Overflow drops the flow silently (lost end to end).
+// flow workers, and the idle ones are woken in the order they went idle;
+// the first to run takes it. Overflow drops the flow silently (lost end to
+// end).
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 	i, err := n.Entry(entryNode)
 	if err != nil {
 		return err // ErrNodeDown: the RPC connection is refused
 	}
 	nd := n.nodes[i]
-	if nd.queue.TrySend(flowJob{tx: tx}) {
-		tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
-		return nil
+	if nd.queued() >= max(n.cfg.queueDepth, 1) {
+		n.dropped++
+		return nil // silent: the RPC accepted the flow, the node shed it
 	}
-	n.dropped++
-	return nil // silent: the RPC accepted the flow, the node shed it
+	nd.jobs = append(nd.jobs, tx)
+	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
+	for _, w := range nd.idle {
+		w.ev.Trigger()
+	}
+	return nil
 }
 
-// runFlow executes one flow end to end on the entry node.
-func (n *Network) runFlow(entry *node, tx *chain.Transaction) {
-	started := n.env.Clock.Now()
-	// A flow worker picked the job up: the queue wait ends here.
-	tx.Stages.Mark(chain.StageQueue, started)
-	op := tx.Ops[0]
+// worker is one flow worker of a node, a clock event: it runs its flow up
+// to the flow's next wait and arms itself for the end of it, a wait of zero
+// going on at once. A worker whose flow ends takes the next queued job in
+// the same run, and with none queued goes idle until a Submit wakes it.
+type worker struct {
+	n    *Network
+	nd   *node
+	ev   *clock.Event
+	f    flow // f.tx is nil while the worker has no flow
+	idle bool
+}
 
-	// Phase 1: build the UTXO transaction, paying vault-scan costs for
-	// reads and input resolution.
-	utx, readOnly, err := n.buildTransaction(entry, tx, op)
-	if err != nil {
-		n.recordFailure(err)
-		return
-	}
-	// Flow build is Corda's execution phase (vault scans, contract logic).
-	built := n.env.Clock.Now()
-	tx.Stages.Mark(chain.StageExecute, built)
-	if n.deadlineExceeded(started) {
-		n.recordTimeout()
-		return
-	}
-
-	// Phase 2: collect signatures from every other node, as the benchmarked
-	// deployments require.
-	if err := n.collectSignatures(entry); err != nil {
-		n.recordFailure(err)
-		return
-	}
-	if n.deadlineExceeded(started) {
-		n.recordTimeout()
-		return
-	}
-
-	// Phase 3: notarise when the flow consumes states (§5.8.1: only
-	// state-consuming flows need the notary).
-	if utx != nil && len(utx.Inputs) > 0 {
-		rtt := n.env.Latency.Delay(entry.ID, n.notary.Name) + n.env.Latency.Delay(n.notary.Name, entry.ID)
-		n.env.Clock.Sleep(rtt)
-		if err := n.notary.Notarise(utx.ID, utx.Inputs); err != nil {
-			n.recordFailure(err) // double spend: flow fails, tx lost
+func (w *worker) run() {
+	for {
+		if w.f.tx != nil {
+			if wait := w.step(); wait > 0 {
+				w.ev.After(wait)
+				return
+			}
+			w.f = flow{}
+		}
+		tx := w.nd.take()
+		if tx == nil {
+			w.goIdle()
 			return
 		}
-	}
-	if n.deadlineExceeded(started) {
-		n.recordTimeout()
-		return
-	}
-	// Signature collection plus notarisation is Corda's ordering/consensus
-	// analogue: after this instant the flow's outcome is decided.
-	decided := n.env.Clock.Now()
-	tx.Stages.Mark(chain.StageConsensus, decided)
-	// Blockless Corda has no rounds; the consensus-analogue span covers one
-	// sampled flow's signing plus notarisation, keyed to its transaction.
-	if tr := n.env.Trace; tr.Sampled(trace.Key(tx.ID)) {
-		tr.Add(trace.Span{Key: trace.Key(tx.ID), Name: "flow:sign+notarise", Cat: "consensus",
-			Proc: n.Name(), Lane: "consensus", Start: built.UnixNano(), End: decided.UnixNano()})
-	}
-
-	// Phase 4: finality — distribute to every vault; reads complete on the
-	// entry node alone.
-	now := n.env.Clock.Now()
-	// One event per flow, shared by every node's commit work below.
-	ev := &systems.Event{
-		TxID:      tx.ID,
-		Client:    tx.Client,
-		Committed: true,
-		ValidOK:   true,
-		OpCount:   tx.OpCount(),
-		Stages:    &tx.Stages,
-	}
-	if readOnly || utx == nil {
-		n.Hub.EmitDirect(*ev, now)
-		return
-	}
-	// One flow counts as one failure no matter how many vaults reject its
-	// states, including a crashed node's deferred apply replayed at restart.
-	failed := new(bool)
-	for _, nd := range n.nodes {
-		if nd != entry {
-			// State distribution crosses the network once per node.
-			n.env.Clock.Sleep(n.env.Latency.Delay(entry.ID, nd.ID))
+		if w.idle {
+			w.idle = false
+			w.nd.idle = slices.DeleteFunc(w.nd.idle, func(x *worker) bool { return x == w })
 		}
-		// A node that crashed between signing and finality receives the
-		// states when it restarts (Corda's message-queue redelivery). Each
-		// flow is one WAL record: Corda persists per transaction, not per
-		// block.
-		systems.CommitTo(&nd.Gate, 1, finality{n, nd, utx, ev, failed}, applyFinality)
+		w.begin(tx)
 	}
 }
 
-// collectSignatures charges the flow the wait for every counterparty's
-// signature: one round trip plus the counterparty's flow processing each.
-// Nothing verifies a signature, so none is computed; the wait is its
-// modeled cost. Corda requires every counterparty's signature, so a crashed
-// signer fails the whole flow and one node outage halts all write flows —
-// the flip side of the paper's §6 observation that requiring fewer signers
-// is where Corda's scalability lies.
+// goIdle puts the worker at the end of its node's idle list, unless it is
+// there already.
+func (w *worker) goIdle() {
+	if !w.idle {
+		w.idle = true
+		w.nd.idle = append(w.nd.idle, w)
+	}
+}
+
+// flow is one flow in progress, between its waits.
+type flow struct {
+	tx      *chain.Transaction
+	stage   flowStage
+	started time.Time
+	built   time.Time
+	// lookups[:nlookups] are the vault lookups the build makes, in order;
+	// looked of them are made.
+	lookups  [3]lookup
+	nlookups int
+	looked   int
+	utx      *chain.UTXOTransaction
+	readOnly bool
+	next     int   // the counterparty or the vault the flow is at
+	err      error // the flow's failure, recorded once its current wait has passed
+	ev       *systems.Event
+	failed   *bool
+}
+
+// flowStage is what a flow does next.
+type flowStage uint8
+
+const (
+	flowBuild    flowStage = iota // vault lookups, then the UTXO transaction
+	flowSign                      // collect the counterparties' signatures
+	flowSigned                    // the signatures are in
+	flowNotarise                  // the notary round trip has passed
+	flowDecide                    // the outcome is decided
+	flowHop                       // finality: the hop to nodes[next]
+	flowCommit                    // finality: commit to nodes[next]
+)
+
+// begin starts a flow on the worker's node: a flow worker picked the job
+// up, so the queue wait ends here.
+func (w *worker) begin(tx *chain.Transaction) {
+	w.f.tx = tx
+	w.f.started = w.n.env.Clock.Now()
+	tx.Stages.Mark(chain.StageQueue, w.f.started)
+	w.f.err = w.f.plan(tx.Ops[0])
+}
+
+// step runs the flow up to its next wait and returns it, zero once the
+// flow is over. Phase 1 builds the UTXO transaction, paying vault-scan costs
+// for reads and input resolution; phase 2 collects signatures from every
+// other node, as the benchmarked deployments require; phase 3 notarises
+// when the flow consumes states (§5.8.1: only state-consuming flows need
+// the notary); phase 4 is finality, distributing the states to every vault.
+func (w *worker) step() time.Duration {
+	n, f := w.n, &w.f
+	for {
+		if f.err != nil {
+			n.recordFailure(f.err)
+			return 0
+		}
+		switch f.stage {
+		case flowBuild:
+			if f.looked < f.nlookups {
+				l := &f.lookups[f.looked]
+				f.looked++
+				var wait time.Duration
+				if wait, f.err = n.lookup(w.nd, l); wait > 0 {
+					return wait
+				}
+				continue
+			}
+			if f.utx, f.readOnly, f.err = f.build(); f.err != nil {
+				continue
+			}
+			// Flow build is Corda's execution phase (vault scans, contract
+			// logic).
+			f.built = n.env.Clock.Now()
+			f.tx.Stages.Mark(chain.StageExecute, f.built)
+			if n.deadlineExceeded(f.started) {
+				n.recordTimeout()
+				return 0
+			}
+			f.stage, f.next = flowSign, 0
+		case flowSign:
+			wait, done, err := n.signStep(w.nd, &f.next)
+			if f.err = err; done {
+				f.stage = flowSigned
+			}
+			if wait > 0 {
+				return wait
+			}
+		case flowSigned:
+			if n.deadlineExceeded(f.started) {
+				n.recordTimeout()
+				return 0
+			}
+			f.stage = flowDecide
+			if f.utx != nil && len(f.utx.Inputs) > 0 {
+				f.stage = flowNotarise
+				rtt := n.env.Latency.Delay(w.nd.ID, n.notary.Name) + n.env.Latency.Delay(n.notary.Name, w.nd.ID)
+				if rtt > 0 {
+					return rtt
+				}
+			}
+		case flowNotarise:
+			f.err = n.notary.Notarise(f.utx.ID, f.utx.Inputs) // a double spend fails the flow
+			f.stage = flowDecide
+		case flowDecide:
+			if n.deadlineExceeded(f.started) {
+				n.recordTimeout()
+				return 0
+			}
+			// Signature collection plus notarisation is Corda's
+			// ordering/consensus analogue: after this instant the flow's
+			// outcome is decided.
+			decided := n.env.Clock.Now()
+			f.tx.Stages.Mark(chain.StageConsensus, decided)
+			// Blockless Corda has no rounds; the consensus-analogue span
+			// covers one sampled flow's signing plus notarisation, keyed to
+			// its transaction.
+			if tr := n.env.Trace; tr.Sampled(trace.Key(f.tx.ID)) {
+				tr.Add(trace.Span{Key: trace.Key(f.tx.ID), Name: "flow:sign+notarise", Cat: "consensus",
+					Proc: n.Name(), Lane: "consensus", Start: f.built.UnixNano(), End: decided.UnixNano()})
+			}
+			// One event per flow, shared by every node's commit work.
+			f.ev = &systems.Event{
+				TxID:      f.tx.ID,
+				Client:    f.tx.Client,
+				Committed: true,
+				ValidOK:   true,
+				OpCount:   f.tx.OpCount(),
+				Stages:    &f.tx.Stages,
+			}
+			// Reads complete on the entry node alone.
+			if f.readOnly || f.utx == nil {
+				n.Hub.EmitDirect(*f.ev, decided)
+				return 0
+			}
+			// One flow counts as one failure no matter how many vaults
+			// reject its states, including a crashed node's deferred apply
+			// replayed at restart.
+			f.failed = new(bool)
+			f.stage, f.next = flowHop, 0
+		case flowHop:
+			if f.next == len(n.nodes) {
+				return 0
+			}
+			f.stage = flowCommit
+			if nd := n.nodes[f.next]; nd != w.nd {
+				// State distribution crosses the network once per node.
+				if d := n.env.Latency.Delay(w.nd.ID, nd.ID); d > 0 {
+					return d
+				}
+			}
+		case flowCommit:
+			// A node that crashed between signing and finality receives
+			// the states when it restarts (Corda's message-queue
+			// redelivery). Each flow is one WAL record: Corda persists per
+			// transaction, not per block.
+			nd := n.nodes[f.next]
+			systems.CommitTo(&nd.Gate, 1, finality{n, nd, f.utx, f.ev, f.failed}, applyFinality)
+			f.stage, f.next = flowHop, f.next+1
+		}
+	}
+}
+
+// signStep is one step of a flow's signature collection, starting at
+// counterparty *next: it returns the wait for the counterparties' signatures
+// that step covers, whether the collection is done after it, and the error
+// that fails the flow once the wait has passed. Each counterparty's
+// signature costs one round trip plus its flow processing. Nothing verifies
+// a signature, so none is computed; the wait is its modeled cost. Corda
+// requires every counterparty's signature, so a crashed signer fails the
+// whole flow and one node outage halts all write flows — the flip side of
+// the paper's §6 observation that requiring fewer signers is where Corda's
+// scalability lies.
 //
 // Open Source asks the counterparties one after another in node order
-// ("Corda OS does this serially", §5.1): the wait is the sum of their costs,
-// and the first crashed one fails the flow once those before it have
-// signed. Enterprise asks them all at once (§5.2): the wait is the largest
-// cost among those that are up, after which the first crashed one in node
-// order fails the flow. That sum against a max is the editions' 10x gap.
-func (n *Network) collectSignatures(entry *node) error {
-	var wait time.Duration
+// ("Corda OS does this serially", §5.1), a step each: the wait is the sum of
+// their costs, and the first crashed one fails the flow once those before
+// it have signed. Enterprise asks them all at once (§5.2), in one step: the
+// wait is the largest cost among those that are up, after which the first
+// crashed one in node order fails the flow. That sum against a max is the
+// editions' 10x gap.
+func (n *Network) signStep(entry *node, next *int) (wait time.Duration, done bool, err error) {
 	var down *node
-	for _, p := range n.nodes {
+	for ; *next < len(n.nodes); *next++ {
+		p := n.nodes[*next]
 		if p == entry {
 			continue
 		}
@@ -348,16 +475,15 @@ func (n *Network) collectSignatures(entry *node) error {
 		}
 		cost := n.env.Latency.Delay(entry.ID, p.ID) + n.env.Latency.Delay(p.ID, entry.ID) + n.cfg.signProcessing
 		if n.cfg.edition == OpenSource {
-			n.env.Clock.Sleep(cost)
-		} else {
-			wait = max(wait, cost)
+			*next++
+			return cost, false, nil
 		}
+		wait = max(wait, cost)
 	}
-	n.env.Clock.Sleep(wait)
 	if down != nil {
-		return fmt.Errorf("corda: counterparty %s unreachable", down.ID)
+		err = fmt.Errorf("corda: counterparty %s unreachable", down.ID)
 	}
-	return nil
+	return wait, true, err
 }
 
 // finality is one node's share of a flow's finality, the commit work its
@@ -386,100 +512,134 @@ func applyFinality(f finality) {
 	f.nd.Hub.Committed(*f.ev, now)
 }
 
-// buildTransaction translates an IEL operation into a UTXO transaction,
-// charging vault scan costs. It returns utx == nil with readOnly == true
-// for pure reads.
-func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.Operation) (*chain.UTXOTransaction, bool, error) {
+// lookup is one vault query of a flow's build and its result: the state of
+// kind with key, the flow's argument arg.
+type lookup struct {
+	kind, key string
+	arg       int
+	mode      lookupMode
+	ref       chain.StateRef
+	st        chain.ContractState
+	found     bool
+}
+
+// lookupMode says what a lookup's flow makes of a missing state.
+type lookupMode uint8
+
+const (
+	// lookupOptional is a write's duplicate check: absence is fine.
+	lookupOptional lookupMode = iota
+	// lookupInput resolves an input the flow consumes, which must exist.
+	lookupInput
+	// lookupRead is a read flow's scan, bounded by the read budget; the
+	// flow's build reports absence.
+	lookupRead
+)
+
+// flowShape is what the flow of one operation needs: its argument count
+// and the vault lookups its build makes, in order.
+type flowShape struct {
+	args  int
+	looks []lookup
+}
+
+// flowShapes lists every operation a Corda flow runs but DoNothing, by IEL
+// and function. The paper's KeyValue-Set "iteratively check[s] whether a
+// KeyValue pair exists" just like Get (§5.1), so the write pays the
+// duplicate-check scan; unlike a read's, it is not budget-bounded.
+var flowShapes = map[[2]string]flowShape{
+	{iel.KeyValueName, iel.FnSet}:               {2, []lookup{{kind: "kv", mode: lookupOptional}}},
+	{iel.KeyValueName, iel.FnGet}:               {1, []lookup{{kind: "kv", mode: lookupRead}}},
+	{iel.BankingAppName, iel.FnCreateAccount}:   {3, nil},
+	{iel.BankingAppName, iel.FnSendPayment}:     {3, []lookup{{kind: "account", mode: lookupRead}}},
+	{iel.BankingAppName, iel.FnBalance}:         {1, []lookup{{kind: "account", mode: lookupRead}}},
+	{iel.BankingAppName, iel.FnTransactSavings}: {2, []lookup{{kind: "savings", mode: lookupInput}}},
+	{iel.BankingAppName, iel.FnDepositChecking}: {2, []lookup{{kind: "account", mode: lookupInput}}},
+	{iel.BankingAppName, iel.FnWriteCheck}:      {2, []lookup{{kind: "account", mode: lookupInput}, {kind: "savings", mode: lookupInput}}},
+	{iel.BankingAppName, iel.FnAmalgamate}: {2, []lookup{{kind: "account", mode: lookupInput},
+		{kind: "savings", mode: lookupInput}, {kind: "account", arg: 1, mode: lookupInput}}},
+}
+
+// plan checks op's arguments and lists the vault lookups its flow makes
+// before it builds, in the order it makes them.
+func (f *flow) plan(op chain.Operation) error {
+	if op.IEL == iel.DoNothingName {
+		return nil
+	}
+	shape, ok := flowShapes[[2]string{op.IEL, op.Function}]
+	if !ok {
+		return fmt.Errorf("corda: unsupported operation %s", op)
+	}
+	if len(op.Args) != shape.args {
+		return fmt.Errorf("corda: %s wants %d args", op.Function, shape.args)
+	}
+	for _, l := range shape.looks {
+		l.key = op.Args[l.arg]
+		f.lookups[f.nlookups] = l
+		f.nlookups++
+	}
+	return nil
+}
+
+// build translates the flow's IEL operation, planned and its lookups made,
+// into a UTXO transaction. It returns utx == nil with readOnly == true for
+// pure reads.
+func (f *flow) build() (*chain.UTXOTransaction, bool, error) {
+	tx, l := f.tx, f.lookups[:f.nlookups]
+	op := tx.Ops[0]
 	switch {
 	case op.IEL == iel.DoNothingName:
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op, nil,
 			[]chain.ContractState{{Kind: "noop", Key: crypto.FormatID("noop", tx.ID)}})
 		return utx, false, nil
 
-	case op.IEL == iel.KeyValueName && op.Function == iel.FnSet:
-		if len(op.Args) != 2 {
-			return nil, false, fmt.Errorf("corda: Set wants 2 args")
-		}
-		// The paper's KeyValue-Set "iteratively check[s] whether a KeyValue
-		// pair exists" just like Get (§5.1), so the write pays the
-		// duplicate-check scan. Unlike pure reads it is not budget-bounded:
-		// the flow proceeds once the key is (for the paper's partitioned
+	case op.Function == iel.FnSet:
+		// The flow proceeds once the key is (for the paper's partitioned
 		// scheme, always) found absent. When the key does exist — the
 		// contention plane's shared key spaces — the flow consumes the old
 		// state and reissues it, so concurrent writers of one hot key race
 		// at the notary instead of silently accumulating duplicates.
 		var inputs []chain.StateRef
-		if ref, _, found := n.findStateOpt(entry, "kv", op.Args[0]); found {
-			inputs = []chain.StateRef{ref}
+		if l[0].found {
+			inputs = []chain.StateRef{l[0].ref}
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op, inputs,
 			[]chain.ContractState{{Kind: "kv", Key: op.Args[0], Value: op.Args[1], Owner: tx.Client}})
 		return utx, false, nil
 
-	case op.IEL == iel.KeyValueName && op.Function == iel.FnGet:
-		if len(op.Args) != 1 {
-			return nil, false, fmt.Errorf("corda: Get wants 1 arg")
-		}
-		_, _, found, err := n.scanVault(entry, "kv", op.Args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		if !found {
+	case op.Function == iel.FnGet:
+		if !l[0].found {
 			return nil, true, fmt.Errorf("corda: key %q not found", op.Args[0])
 		}
 		return nil, true, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnCreateAccount:
-		if len(op.Args) != 3 {
-			return nil, false, fmt.Errorf("corda: CreateAccount wants 3 args")
-		}
+	case op.Function == iel.FnCreateAccount:
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op, nil, []chain.ContractState{
 			{Kind: "account", Key: op.Args[0], Value: op.Args[1], Owner: tx.Client},
 			{Kind: "savings", Key: op.Args[0], Value: op.Args[2], Owner: tx.Client},
 		})
 		return utx, false, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnSendPayment:
-		if len(op.Args) != 3 {
-			return nil, false, fmt.Errorf("corda: SendPayment wants 3 args")
-		}
-		ref, st, found, err := n.scanVault(entry, "account", op.Args[0])
-		if err != nil {
-			return nil, false, err
-		}
-		if !found {
+	case op.Function == iel.FnSendPayment:
+		if !l[0].found {
 			return nil, false, fmt.Errorf("corda: account %q not found", op.Args[0])
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op,
-			[]chain.StateRef{ref},
-			[]chain.ContractState{{Kind: "account", Key: op.Args[1], Value: st.Value, Owner: tx.Client}})
+			[]chain.StateRef{l[0].ref},
+			[]chain.ContractState{{Kind: "account", Key: op.Args[1], Value: l[0].st.Value, Owner: tx.Client}})
 		return utx, false, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnBalance:
-		if len(op.Args) != 1 {
-			return nil, false, fmt.Errorf("corda: Balance wants 1 arg")
-		}
-		_, _, found, err := n.scanVault(entry, "account", op.Args[0])
-		if err != nil {
-			return nil, true, err
-		}
-		if !found {
+	case op.Function == iel.FnBalance:
+		if !l[0].found {
 			return nil, true, fmt.Errorf("corda: account %q not found", op.Args[0])
 		}
 		return nil, true, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnTransactSavings:
+	case op.Function == iel.FnTransactSavings:
 		// The flow consumes the savings state and reissues it with the new
 		// balance; concurrent flows on the same account race at the notary.
-		if len(op.Args) != 2 {
-			return nil, false, fmt.Errorf("corda: TransactSavings wants 2 args")
-		}
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "savings", id)
-		if err != nil {
-			return nil, false, err
-		}
-		bal, amt, err := parseBalanceDelta(st.Value, op.Args[1])
+		bal, amt, err := parseBalanceDelta(l[0].st.Value, op.Args[1])
 		if err != nil {
 			return nil, false, err
 		}
@@ -487,122 +647,81 @@ func (n *Network) buildTransaction(entry *node, tx *chain.Transaction, op chain.
 			return nil, false, fmt.Errorf("%w: %q savings %d, delta %d", iel.ErrInsufficientFunds, id, bal, amt)
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op,
-			[]chain.StateRef{ref},
+			[]chain.StateRef{l[0].ref},
 			[]chain.ContractState{{Kind: "savings", Key: id, Value: formatBalance(bal + amt), Owner: tx.Client}})
 		return utx, false, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnDepositChecking:
-		if len(op.Args) != 2 {
-			return nil, false, fmt.Errorf("corda: DepositChecking wants 2 args")
-		}
+	case op.Function == iel.FnDepositChecking:
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "account", id)
-		if err != nil {
-			return nil, false, err
-		}
-		bal, amt, err := parseBalanceDelta(st.Value, op.Args[1])
+		bal, amt, err := parseBalanceDelta(l[0].st.Value, op.Args[1])
 		if err != nil || amt < 0 {
 			return nil, false, fmt.Errorf("corda: bad deposit amount %q", op.Args[1])
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op,
-			[]chain.StateRef{ref},
+			[]chain.StateRef{l[0].ref},
 			[]chain.ContractState{{Kind: "account", Key: id, Value: formatBalance(bal + amt), Owner: tx.Client}})
 		return utx, false, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnWriteCheck:
+	case op.Function == iel.FnWriteCheck:
 		// The check clears against checking + savings but only the checking
 		// state is consumed and reissued.
-		if len(op.Args) != 2 {
-			return nil, false, fmt.Errorf("corda: WriteCheck wants 2 args")
-		}
 		id := op.Args[0]
-		ref, st, err := n.findState(entry, "account", id)
-		if err != nil {
-			return nil, false, err
-		}
-		_, sav, err := n.findState(entry, "savings", id)
-		if err != nil {
-			return nil, false, err
-		}
-		checking, amt, err := parseBalanceDelta(st.Value, op.Args[1])
+		checking, amt, err := parseBalanceDelta(l[0].st.Value, op.Args[1])
 		if err != nil || amt < 0 {
 			return nil, false, fmt.Errorf("corda: bad check amount %q", op.Args[1])
 		}
-		savings, _ := strconv.ParseInt(sav.Value, 10, 64)
+		savings, _ := strconv.ParseInt(l[1].st.Value, 10, 64)
 		if checking+savings < amt {
 			return nil, false, fmt.Errorf("%w: %q has %d, check for %d", iel.ErrInsufficientFunds, id, checking+savings, amt)
 		}
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op,
-			[]chain.StateRef{ref},
+			[]chain.StateRef{l[0].ref},
 			[]chain.ContractState{{Kind: "account", Key: id, Value: formatBalance(checking - amt), Owner: tx.Client}})
 		return utx, false, nil
 
-	case op.IEL == iel.BankingAppName && op.Function == iel.FnAmalgamate:
+	default: // Amalgamate, the one operation plan leaves
 		// Consumes three states across two accounts — the family's widest
 		// notary conflict footprint.
-		if len(op.Args) != 2 {
-			return nil, false, fmt.Errorf("corda: Amalgamate wants 2 args")
-		}
 		src, dst := op.Args[0], op.Args[1]
-		srcChkRef, srcChk, err := n.findState(entry, "account", src)
-		if err != nil {
-			return nil, false, err
-		}
-		srcSavRef, srcSav, err := n.findState(entry, "savings", src)
-		if err != nil {
-			return nil, false, err
-		}
-		dstRef, dstChk, err := n.findState(entry, "account", dst)
-		if err != nil {
-			return nil, false, err
-		}
-		sc, _ := strconv.ParseInt(srcChk.Value, 10, 64)
-		ss, _ := strconv.ParseInt(srcSav.Value, 10, 64)
-		dc, _ := strconv.ParseInt(dstChk.Value, 10, 64)
+		sc, _ := strconv.ParseInt(l[0].st.Value, 10, 64)
+		ss, _ := strconv.ParseInt(l[1].st.Value, 10, 64)
+		dc, _ := strconv.ParseInt(l[2].st.Value, 10, 64)
 		utx := chain.NewUTXOTransaction(tx.Client, tx.Seq, op,
-			[]chain.StateRef{srcChkRef, srcSavRef, dstRef},
+			[]chain.StateRef{l[0].ref, l[1].ref, l[2].ref},
 			[]chain.ContractState{
 				{Kind: "account", Key: src, Value: "0", Owner: tx.Client},
 				{Kind: "savings", Key: src, Value: "0", Owner: tx.Client},
 				{Kind: "account", Key: dst, Value: formatBalance(dc + sc + ss), Owner: tx.Client},
 			})
 		return utx, false, nil
-
-	default:
-		return nil, false, fmt.Errorf("corda: unsupported operation %s", op)
 	}
 }
 
-// findStateOpt resolves one vault state: it linear-scans the entry node's
-// vault and charges scanCost per visited state. Write flows call it
-// directly, paying the full scan cost without a read budget; reads go
-// through scanVault.
-func (n *Network) findStateOpt(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool) {
-	var (
-		outRef chain.StateRef
-		outSt  chain.ContractState
-		found  bool
-	)
+// errScanBudget marks a vault scan abandoned for exceeding the read budget.
+var errScanBudget = fmt.Errorf("corda: vault scan exceeds read budget")
+
+// lookup makes l on the entry node's vault: it linear-scans the vault and
+// returns the scan's cost, scanCost per visited state — the paper's Corda
+// read pathology — and the error that fails the flow once the scan's time
+// has passed: a missing input, or a read over budget. When a read budget is
+// set and the vault holds more states than a read flow can visit within its
+// deadline, the scan is abandoned, after burning the whole budget.
+func (n *Network) lookup(entry *node, l *lookup) (time.Duration, error) {
+	if b := n.cfg.readScanBudget; l.mode == lookupRead && b > 0 && entry.vault.UnspentCount() > b {
+		return time.Duration(b) * n.cfg.scanCost, errScanBudget
+	}
 	visited := entry.vault.LinearScan(func(ref chain.StateRef, st chain.ContractState) bool {
-		if st.Kind == kind && st.Key == key {
-			outRef, outSt, found = ref, st, true
+		if st.Kind == l.kind && st.Key == l.key {
+			l.ref, l.st, l.found = ref, st, true
 			return true
 		}
 		return false
 	})
-	if cost := time.Duration(visited) * n.cfg.scanCost; cost > 0 {
-		n.env.Clock.Sleep(cost)
+	var err error
+	if !l.found && l.mode == lookupInput {
+		err = fmt.Errorf("%w: %q (%s)", iel.ErrAccountNotFound, l.key, l.kind)
 	}
-	return outRef, outSt, found
-}
-
-// findState is findStateOpt for flows whose input must exist.
-func (n *Network) findState(entry *node, kind, key string) (chain.StateRef, chain.ContractState, error) {
-	ref, st, found := n.findStateOpt(entry, kind, key)
-	if !found {
-		return chain.StateRef{}, chain.ContractState{}, fmt.Errorf("%w: %q (%s)", iel.ErrAccountNotFound, key, kind)
-	}
-	return ref, st, nil
+	return time.Duration(visited) * n.cfg.scanCost, err
 }
 
 // parseBalanceDelta parses a stored balance and a delta argument.
@@ -649,23 +768,6 @@ func (n *Network) Preload(ops []chain.Operation) error {
 	return nil
 }
 
-// errScanBudget marks a vault scan abandoned for exceeding the read budget.
-var errScanBudget = fmt.Errorf("corda: vault scan exceeds read budget")
-
-// scanVault linear-scans the entry node's vault and charges scanCost per
-// visited state — the paper's Corda read pathology. When a read budget is
-// set and the vault holds more states than the flow can visit within its
-// deadline, the scan is abandoned.
-func (n *Network) scanVault(entry *node, kind, key string) (chain.StateRef, chain.ContractState, bool, error) {
-	if b := n.cfg.readScanBudget; b > 0 && entry.vault.UnspentCount() > b {
-		// The flow burns its whole budget before giving up.
-		n.env.Clock.Sleep(time.Duration(b) * n.cfg.scanCost)
-		return chain.StateRef{}, chain.ContractState{}, false, errScanBudget
-	}
-	ref, st, found := n.findStateOpt(entry, kind, key)
-	return ref, st, found, nil
-}
-
 func (n *Network) deadlineExceeded(started time.Time) bool {
 	return n.env.Clock.Since(started) > flowTimeout
 }
@@ -703,12 +805,12 @@ func (n *Network) LossStats() (dropped, timedOut, failed uint64) {
 	return n.dropped, n.timeout, n.failed
 }
 
-// flowBacklog is the chassis' admission-depth hook: the flow mailboxes'
+// flowBacklog is the chassis' admission-depth hook: the flow queues'
 // backlog summed across nodes.
 func (n *Network) flowBacklog() int {
 	depth := 0
 	for _, nd := range n.nodes {
-		depth += nd.queue.Len()
+		depth += nd.queued()
 	}
 	return depth
 }

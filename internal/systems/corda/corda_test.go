@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -58,48 +57,37 @@ func TestSendPaymentConsumesStateViaNotary(t *testing.T) {
 }
 
 // flowLatency runs one do-nothing flow from cfg on a network of nodes and
-// returns the virtual time from Submit to its client event, and how often
-// the clock handed its token to a goroutine meanwhile.
-func flowLatency(t *testing.T, cfg config, nodes int) (time.Duration, int64) {
+// returns the virtual time from Submit to its client event.
+func flowLatency(t *testing.T, cfg config, nodes int) time.Duration {
 	t.Helper()
 	env := systemstest.Env(t)
 	env.Nodes = nodes
 	n := build(env, cfg)
 	var confirmed time.Time // written under the execution token
-	done := clock.NewGate(env.Clock)
-	n.Subscribe("client-1", func(systems.Event) {
-		confirmed = env.Clock.Now()
-		done.Close()
-	})
+	n.Subscribe("client-1", func(systems.Event) { confirmed = env.Clock.Now() })
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	// Let the flow workers reach their queues, so the counts below are the
-	// flow's alone.
-	env.Clock.Sleep(time.Millisecond)
 	start := env.Clock.Now()
-	before := env.Clock.KernelStats()
 	tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}
-	deadline := env.Clock.NewTimerAt(start.Add(flowTimeout))
-	defer deadline.Stop()
-	clock.Await(env.Clock, done, deadline)
+	env.Clock.Sleep(flowTimeout)
 	if confirmed.IsZero() {
 		t.Fatalf("%v flow not confirmed within %v", cfg.edition, flowTimeout)
 	}
-	return confirmed.Sub(start), env.Clock.KernelStats().Handoffs - before.Handoffs
+	return confirmed.Sub(start)
 }
 
 // TestSerialSigningSlowerThanParallel: OS collects its 3 counterparties'
 // signatures one after another, Enterprise all at once.
 func TestSerialSigningSlowerThanParallel(t *testing.T) {
-	if serial, _ := flowLatency(t, osConfig(), 4); serial < 3*osSignProcessing {
+	if serial := flowLatency(t, osConfig(), 4); serial < 3*osSignProcessing {
 		t.Fatalf("serial flow took %v, want >= %v (3 signers one after another)", serial, 3*osSignProcessing)
 	}
-	if parallel, _ := flowLatency(t, entConfig(), 4); parallel >= 2*entSignProcessing {
+	if parallel := flowLatency(t, entConfig(), 4); parallel >= 2*entSignProcessing {
 		t.Fatalf("parallel flow took %v, want < %v (3 signers at once)", parallel, 2*entSignProcessing)
 	}
 }
@@ -110,7 +98,7 @@ func TestEveryOtherNodeSignsEachFlow(t *testing.T) {
 	const sign = osSignProcessing
 	for _, nodes := range []int{2, 4, 7} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			got, _ := flowLatency(t, osConfig(), nodes)
+			got := flowLatency(t, osConfig(), nodes)
 			signers := time.Duration(nodes - 1)
 			if got < signers*sign || got >= (signers+1)*sign {
 				t.Fatalf("flow took %v, want [%v, %v) for %d signers",
@@ -142,12 +130,17 @@ func signingNet(t *testing.T, cfg config) (*Network, [4]time.Duration) {
 	return build(env, cfg), cost
 }
 
-// signingWait runs node 0's signature collection and returns how long it
-// waited and how it ended.
+// signingWait runs node 0's signature collection step by step, sleeping out
+// each step's wait, and returns how long it waited and how it ended.
 func signingWait(n *Network) (time.Duration, error) {
 	start := n.env.Clock.Now()
-	err := n.collectSignatures(n.nodes[0])
-	return n.env.Clock.Since(start), err
+	for next := 0; ; {
+		wait, done, err := n.signStep(n.nodes[0], &next)
+		n.env.Clock.Sleep(wait)
+		if done || err != nil {
+			return n.env.Clock.Since(start), err
+		}
+	}
 }
 
 // TestSigningWaitIsSumOrMax: Open Source waits for its counterparties one
@@ -190,18 +183,6 @@ func TestCrashedCounterpartyFailsSigning(t *testing.T) {
 				t.Fatalf("failed after %v, want %v", got, want)
 			}
 		})
-	}
-}
-
-// TestEnterpriseSigningHandoffsDoNotGrowWithNodes: an Enterprise flow waits
-// for its counterparties on its own worker, so the scheduler hands the
-// token over as often for a flow on 16 nodes as on 4.
-func TestEnterpriseSigningHandoffsDoNotGrowWithNodes(t *testing.T) {
-	_, small := flowLatency(t, entConfig(), 4)
-	_, large := flowLatency(t, entConfig(), 16)
-	if large > small {
-		t.Fatalf("one Enterprise flow took %d hand-offs on 16 nodes, %d on 4: signing costs a hand-off per counterparty",
-			large, small)
 	}
 }
 

@@ -39,24 +39,25 @@ import (
 // catch-up batch before reopening. Recovery time therefore scales with log
 // length and crash point.
 //
-// Only the token holder touches the gate, so it takes no lock: an actor
-// parked in the gate (Restart's replay, Commit's wait) lets others commit,
-// crash or restart it, and each sees the state the last one left.
+// Only the token holder touches the gate, so it takes no lock: during a
+// wait of its own (a Restart step's, Commit's) others may commit, crash or
+// restart it, and each sees the state the last one left.
 type DurableGate struct {
 	down    bool
 	backlog []gateTask
-	// replaying marks an in-progress Restart drain. The gate stays down
-	// while the backlog is replayed, so Commit calls made meanwhile keep
-	// appending (preserving arrival order behind the replayed prefix) and
-	// a second Restart is a no-op instead of a double replay. recrash
-	// records a Crash that landed mid-replay: the drain stops before
-	// applying the next item, pushes the unapplied suffix back, and the
-	// node stays down until the next Restart.
+	// replaying marks an in-progress Restart. The gate stays down while
+	// the backlog is replayed, so Commit calls made meanwhile keep appending
+	// (preserving arrival order behind the replayed prefix) and a second
+	// Restart is a no-op instead of a double replay. recrash records a Crash
+	// that landed during one of the restart's waits: recovery stops before
+	// applying anything more, the unapplied work stays buffered in order,
+	// and the node stays down until the next Restart. resume is the step
+	// that runs once the current wait has passed; draining is the drain
+	// round's batch while it waits, so Backlog never under-reports.
 	replaying bool
 	recrash   bool
-	// inflight counts the not-yet-applied remainder of a swapped-out drain
-	// batch, so Backlog never under-reports during replay.
-	inflight int
+	resume    func() time.Duration
+	draining  []gateTask
 
 	clk *clock.AutoVirtual
 	log *wal.Log
@@ -281,19 +282,23 @@ func (g *DurableGate) Crash() bool {
 	return true
 }
 
-// Restart recovers the node: replay the log's valid prefix (charging
-// per-record read+CRC cost), re-fetch and re-persist whatever the log lost,
-// then drain the buffered commit work in arrival order and reopen. Returns
-// the number of applied backlog items. Restarting a node that is up or
-// already mid-replay is a no-op.
+// Restart begins recovering the node: replay the log's valid prefix
+// (charging per-record read+CRC cost), re-fetch and re-persist whatever the
+// log lost, then drain the buffered commit work in arrival order and
+// reopen. The replay, the re-fetch and each drain round's re-fetch cost
+// modeled time, which the caller waits out on the clock (an actor sleeps
+// it, an event arms After): Restart runs recovery up to its first wait and
+// returns it, and Resume, called once that much time has passed, runs it to
+// the next. Zero means recovery is over. Restarting a node that is up or
+// already recovering is a no-op returning zero.
 //
 // Each drain round swaps the backlog out before replaying it: a buffered
-// callback may itself call Commit on the same gate (drivers nest commit
-// work), and others may commit while the replay parks. The gate stays
-// down meanwhile, so that work is buffered behind the replayed prefix and
+// callback may itself commit on the same gate (drivers nest commit work),
+// and others may commit during the round's wait. The gate stays down
+// meanwhile, so that work is buffered behind the replayed prefix and
 // drained by the next round — replay order still exactly matches arrival
 // order.
-func (g *DurableGate) Restart() int {
+func (g *DurableGate) Restart() time.Duration {
 	if !g.down || g.replaying {
 		return 0
 	}
@@ -301,74 +306,97 @@ func (g *DurableGate) Restart() int {
 	g.recrash = false
 	log, refetch := g.log, g.pendingRefetch
 	g.pendingRefetch = 0
-
-	if log != nil {
-		rep := log.Replay()
-		refetch += rep.Lost // a torn/corrupt suffix is re-fetched too
-		if rep.Latency > 0 {
-			g.clk.Sleep(rep.Latency)
-		}
+	if log == nil {
+		return g.drain()
+	}
+	rep := log.Replay()
+	refetch += rep.Lost // a torn/corrupt suffix is re-fetched too
+	return g.after(rep.Latency, func() time.Duration {
 		g.replayedRecords += uint64(rep.Records)
 		g.replaySec += rep.Latency.Seconds()
-		if refetch > 0 {
-			g.chargeRefetch(log, make([]int, refetch))
+		if refetch == 0 {
+			return g.drain()
 		}
+		return g.chargeRefetch(make([]int, refetch), g.drain)
+	})
+}
+
+// Resume runs a recovery whose wait has passed up to its next wait and
+// returns it, zero once recovery is over.
+func (g *DurableGate) Resume() time.Duration {
+	next := g.resume
+	if next == nil {
+		return 0
 	}
+	g.resume = nil
+	return next()
+}
 
-	n := 0
-	for len(g.backlog) > 0 && !g.recrash {
-		batch := g.backlog
-		g.backlog = nil
-		g.inflight = len(batch)
-
-		if log != nil {
-			counts := make([]int, len(batch))
-			for i, t := range batch {
-				counts[i] = t.entries
-			}
-			g.chargeRefetch(log, counts)
-		}
-
-		for i, t := range batch {
-			if g.recrash {
-				// Push the unapplied suffix back to the front so a later
-				// Restart resumes exactly where this one was interrupted.
-				g.backlog = append(batch[i:], g.backlog...)
-				g.inflight = 0
-				break
-			}
-			t.f()
-			n++
-			g.inflight = len(batch) - i - 1
-		}
+// after returns wait and leaves next for Resume, or runs next at once when
+// there is nothing to wait.
+func (g *DurableGate) after(wait time.Duration, next func() time.Duration) time.Duration {
+	if wait > 0 {
+		g.resume = next
+		return wait
 	}
-	g.replaying = false
-	if g.recrash {
+	return next()
+}
+
+// drain runs one drain round — its re-fetch charge, then the batch — or,
+// with nothing left or a crash during the last wait, ends recovery: the
+// gate reopens unless it crashed.
+func (g *DurableGate) drain() time.Duration {
+	if len(g.backlog) == 0 || g.recrash {
+		g.replaying = false
+		g.down = g.recrash
 		g.recrash = false
-		return n
+		return 0
 	}
-	g.down = false
-	return n
+	batch := g.backlog
+	g.backlog = nil
+	g.draining = batch
+	apply := func() time.Duration {
+		g.draining = nil
+		if g.recrash {
+			// Push the batch back to the front so a later Restart resumes
+			// exactly where this one was interrupted.
+			g.backlog = append(batch, g.backlog...)
+			return g.drain()
+		}
+		for _, t := range batch {
+			t.f()
+		}
+		return g.drain()
+	}
+	if g.log == nil {
+		return apply()
+	}
+	counts := make([]int, len(batch))
+	for i, t := range batch {
+		counts[i] = t.entries
+	}
+	return g.chargeRefetch(counts, apply)
 }
 
 // chargeRefetch persists one catch-up batch (bulk append, single forced
-// sync) and charges its modeled persist+network-refetch cost.
-func (g *DurableGate) chargeRefetch(log *wal.Log, counts []int) {
-	res := log.AppendBatch(counts)
-	cost := res.Latency + log.RefetchCost(len(counts))
-	if cost > 0 {
-		g.clk.Sleep(cost)
-	}
-	g.refetchedRecords += uint64(len(counts))
-	g.refetchSec += cost.Seconds()
+// sync) and charges its modeled persist+network-refetch cost, after which
+// then runs.
+func (g *DurableGate) chargeRefetch(counts []int, then func() time.Duration) time.Duration {
+	res := g.log.AppendBatch(counts)
+	cost := res.Latency + g.log.RefetchCost(len(counts))
+	return g.after(cost, func() time.Duration {
+		g.refetchedRecords += uint64(len(counts))
+		g.refetchSec += cost.Seconds()
+		return then()
+	})
 }
 
 // Down reports whether the node is currently crashed.
 func (g *DurableGate) Down() bool { return g.down }
 
 // Backlog reports how much commit work is still pending: buffered items
-// plus the in-flight remainder of an in-progress Restart drain.
-func (g *DurableGate) Backlog() int { return len(g.backlog) + g.inflight }
+// plus the batch of an in-progress Restart drain.
+func (g *DurableGate) Backlog() int { return len(g.backlog) + len(g.draining) }
 
 // Stats snapshots the node's recovery-plane counters (zero value when no
 // log is mounted).

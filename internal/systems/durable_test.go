@@ -1,38 +1,39 @@
 package systems
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/coconut-bench/coconut/internal/clock"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
 // TestGateBacklogVisibleDuringReplay is the regression for Backlog
 // undercounting while a Restart drain is in flight: the swapped-out batch
-// used to be invisible, so Backlog reported 0 with work still pending.
+// used to be invisible, so Backlog reported 0 with work still pending. The
+// drain round waits out its re-fetch with the batch swapped out.
 func TestGateBacklogVisibleDuringReplay(t *testing.T) {
+	clk := clocktest.New(t)
 	var g DurableGate
+	g.Enable(clk, wal.New("n0", wal.Options{}, clk))
 	g.Crash()
-	release := make(chan struct{})
-	entered := make(chan struct{})
+	applied := 0
 	for i := 0; i < 3; i++ {
-		i := i
-		g.Commit(1, func() {
-			if i == 0 {
-				close(entered)
-				<-release
-			}
-		})
+		g.Commit(1, func() { applied++ })
 	}
-	done := make(chan int)
-	go func() { done <- g.Restart() }()
-	<-entered // drain is mid-batch: backlog slice was swapped out
+	wait := g.Restart()
+	if wait <= 0 || applied != 0 {
+		t.Fatalf("Restart = %v with %d applied, want the drain round's re-fetch wait first", wait, applied)
+	}
 	if got := g.Backlog(); got != 3 {
 		t.Fatalf("Backlog during replay = %d, want 3 (in-flight batch counted)", got)
 	}
-	close(release)
-	if n := <-done; n != 3 {
-		t.Fatalf("Restart replayed %d, want 3", n)
+	for ; wait > 0; wait = g.Resume() {
+		clk.Sleep(wait)
+	}
+	if applied != 3 {
+		t.Fatalf("Restart replayed %d, want 3", applied)
 	}
 	if got := g.Backlog(); got != 0 {
 		t.Fatalf("Backlog after replay = %d, want 0", got)
@@ -53,7 +54,7 @@ func TestGateDurableReplayCostScalesWithLogLength(t *testing.T) {
 			g.Commit(1, func() {})
 		}
 		g.Crash()
-		g.Restart()
+		restartOut(clk, &g)
 		st := g.Stats()
 		return st.ReplaySec, st
 	}
@@ -80,7 +81,7 @@ func TestGateDurableCrashLosesUnsyncedTail(t *testing.T) {
 		g.Commit(1, func() {})
 	}
 	g.Crash()
-	g.Restart()
+	restartOut(clk, &g)
 	st := g.Stats()
 	if st.LostRecords != 2 {
 		t.Fatalf("lost %d records, want the 2 un-synced", st.LostRecords)
@@ -94,51 +95,52 @@ func TestGateDurableCrashLosesUnsyncedTail(t *testing.T) {
 }
 
 // TestGateDurableCrashDuringReplayStaysDown pins the crash-during-replay
-// contract: the drain stops before the next item, the unapplied suffix is
-// preserved in order, the node stays down, and a second Restart completes.
+// contract, for a crash during each of a restart's waits — the log replay
+// and the drain round's re-fetch: recovery applies nothing more, the
+// buffered work stays in arrival order, the node stays down, and the next
+// Restart completes behind the work that arrived meanwhile.
 func TestGateDurableCrashDuringReplayStaysDown(t *testing.T) {
-	var g DurableGate // plain path: the drain mechanics are log-independent
-	var got []int
-	g.Crash()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	for i := 1; i <= 4; i++ {
-		i := i
-		g.Commit(1, func() {
-			if i == 1 {
-				close(entered)
-				<-release
+	for crashAt, wait := range []string{"replay", "re-fetch"} {
+		t.Run(wait, func(t *testing.T) {
+			clk := clocktest.New(t)
+			var g DurableGate
+			g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncAlways}, clk))
+			var got []int
+			add := func(v int) func() { return func() { got = append(got, v) } }
+			g.Commit(1, add(0)) // a record for the replay to read
+			g.Crash()
+			for i := 1; i <= 4; i++ {
+				g.Commit(1, add(i))
 			}
-			got = append(got, i)
+			w := g.Restart()
+			for step := 0; step < crashAt; step++ {
+				clk.Sleep(w)
+				w = g.Resume()
+			}
+			if w <= 0 {
+				t.Fatalf("recovery has no %s wait", wait)
+			}
+			if !g.Crash() {
+				t.Fatal("crash during replay must report true (it interrupts recovery)")
+			}
+			for ; w > 0; w = g.Resume() {
+				clk.Sleep(w)
+			}
+			if !g.Down() || len(got) != 1 {
+				t.Fatalf("down=%v, applied %v after a crash mid-replay: want down, [0]", g.Down(), got)
+			}
+			g.Commit(1, add(5))
+			if got := g.Backlog(); got != 5 {
+				t.Fatalf("backlog after interrupt = %d, want the 4 unapplied and 1 new", got)
+			}
+			restartOut(clk, &g)
+			if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+				t.Fatalf("order = %v, want 0..5 (suffix preserved in order)", got)
+			}
+			if g.Down() {
+				t.Fatal("node must be up after the completing Restart")
+			}
 		})
-	}
-	done := make(chan int)
-	go func() { done <- g.Restart() }()
-	<-entered
-	if !g.Crash() {
-		t.Fatal("crash during replay must report true (it interrupts recovery)")
-	}
-	close(release)
-	n := <-done
-	if n != 1 {
-		t.Fatalf("interrupted Restart applied %d items, want 1", n)
-	}
-	if !g.Down() {
-		t.Fatal("node must stay down after a crash mid-replay")
-	}
-	if got := g.Backlog(); got != 3 {
-		t.Fatalf("backlog after interrupt = %d, want the 3 unapplied", got)
-	}
-	if n := g.Restart(); n != 3 {
-		t.Fatalf("second Restart applied %d, want 3", n)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("order = %v, want 1..4 (suffix preserved in order)", got)
-		}
-	}
-	if g.Down() {
-		t.Fatal("node must be up after the completing Restart")
 	}
 }
 

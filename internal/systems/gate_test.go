@@ -2,7 +2,6 @@ package systems
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,10 +27,10 @@ func TestGateBuffersWhileDownAndReplaysInOrder(t *testing.T) {
 	if got := g.Backlog(); got != 2 {
 		t.Fatalf("backlog = %d, want 2", got)
 	}
-	if n := g.Restart(); n != 2 {
-		t.Fatalf("Restart replayed %d, want 2", n)
+	if wait := g.Restart(); wait != 0 || len(got) != 3 {
+		t.Fatalf("Restart without a log = %v, applied %v: want no wait, 1..3 applied", wait, got)
 	}
-	if g.Restart() != 0 {
+	if g.Restart() != 0 || len(got) != 3 {
 		t.Fatal("Restart on an up node must be a no-op")
 	}
 	g.Commit(1, add(4))
@@ -64,14 +63,9 @@ func TestGateReplayReentrantDo(t *testing.T) {
 		got = append(got, 1)
 		g.Commit(1, func() { got = append(got, 2) })
 	})
-	done := make(chan int)
-	go func() { done <- g.Restart() }()
-	n := <-done
+	g.Restart()
 	// The nested commit arrives while the gate is still draining, so it is
 	// buffered behind the replayed prefix and drained by the next round.
-	if n != 2 {
-		t.Fatalf("Restart replayed %d, want 2 (outer + nested)", n)
-	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", got)
 	}
@@ -80,36 +74,41 @@ func TestGateReplayReentrantDo(t *testing.T) {
 	}
 }
 
-// TestGateConcurrentRestartIsNoOp pins that a Restart racing an in-progress
-// replay neither double-replays nor reopens the gate early.
+// restartOut restarts g and sleeps out its recovery on clk.
+func restartOut(clk *clock.AutoVirtual, g *DurableGate) {
+	for wait := g.Restart(); wait > 0; wait = g.Resume() {
+		clk.Sleep(wait)
+	}
+}
+
+// TestGateConcurrentRestartIsNoOp pins that a Restart made while another
+// is recovering neither double-replays nor reopens the gate early: the
+// first Restart's drain round waits out its re-fetch, and a second Restart
+// then, and one from inside the replayed work, change nothing.
 func TestGateConcurrentRestartIsNoOp(t *testing.T) {
+	clk := clocktest.New(t)
 	var g DurableGate
-	var mu sync.Mutex
+	g.Enable(clk, wal.New("n0", wal.Options{}, clk))
 	count := 0
 	g.Crash()
-	release := make(chan struct{})
-	entered := make(chan struct{})
 	g.Commit(1, func() {
-		close(entered)
-		<-release
-		mu.Lock()
 		count++
-		mu.Unlock()
+		if g.Restart() != 0 {
+			t.Error("a Restart from the replayed work waits")
+		}
 	})
-	done := make(chan int)
-	go func() { done <- g.Restart() }()
-	<-entered // first Restart is mid-replay, outside the lock
-	if n := g.Restart(); n != 0 {
-		t.Fatalf("concurrent Restart replayed %d, want 0", n)
+	wait := g.Restart()
+	if wait <= 0 || count != 0 {
+		t.Fatalf("Restart = %v with %d applied, want a re-fetch wait before the drain", wait, count)
 	}
-	close(release)
-	if n := <-done; n != 1 {
-		t.Fatalf("Restart replayed %d, want 1", n)
+	if g.Restart() != 0 || count != 0 || !g.Down() {
+		t.Fatal("a second Restart during recovery replayed or reopened")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 1 {
-		t.Fatalf("callback ran %d times, want 1", count)
+	for ; wait > 0; wait = g.Resume() {
+		clk.Sleep(wait)
+	}
+	if count != 1 || g.Down() {
+		t.Fatalf("callback ran %d times, down=%v: want once, and up", count, g.Down())
 	}
 }
 
@@ -186,34 +185,44 @@ func TestGateMixedWorkReplaysInArrivalOrder(t *testing.T) {
 		}
 		CommitTo(&g, 1, gateWork{&got, v}, applyGateWork)
 	}
-	var backlog int
-	clock.Go(clk, []string{"committer", "crasher"}, func(a int) {
-		if a == 1 {
-			// 1 and 2 have applied; 3 is in its durability wait.
-			clk.Sleep(2*wait + wait/4)
+	// The crasher is an event: it crashes the gate, and later restarts it
+	// and runs the recovery step by step.
+	var backlog, replayed int
+	var crasher *clock.Event
+	step := 0
+	crasher = clock.NewEvent(clk, "crasher", func() {
+		var next time.Duration
+		switch step++; step {
+		case 1: // 1 and 2 have applied; 3 is in its durability wait.
 			if !g.Crash() {
 				t.Error("Crash reported the node down already")
 			}
-			clk.Sleep(10 * wait)
-			backlog = g.Backlog()
-			if n := g.Restart(); n != 4 {
-				t.Errorf("Restart replayed %d tasks, want 4", n)
-			}
-			return
+			next = 10 * wait
+		case 2:
+			backlog, replayed = g.Backlog(), len(got)
+			next = g.Restart()
+		default:
+			next = g.Resume()
 		}
-		// 1 applies at +1 wait and 2 at +2; 3, committed at +1.5, is due
-		// at +2.5 and buffered by the crash. Its Commit returns then, and
-		// 4, 5 and 6 arrive at a crashed gate.
-		commit(1)
-		commit(2)
-		clk.Sleep(wait / 2)
-		for v := 3; v <= 6; v++ {
-			commit(v)
+		if next > 0 {
+			crasher.After(next)
+		} else if replayed = len(got) - replayed; replayed != 4 {
+			t.Errorf("Restart replayed %d tasks, want 4", replayed)
 		}
-		clk.Sleep(20 * wait)
-		commit(7)
-		commit(8)
-	})()
+	})
+	crasher.After(2*wait + wait/4)
+	// 1 applies at +1 wait and 2 at +2; 3, committed at +1.5, is due at
+	// +2.5 and buffered by the crash. Its Commit returns then, and 4, 5
+	// and 6 arrive at a crashed gate.
+	commit(1)
+	commit(2)
+	clk.Sleep(wait / 2)
+	for v := 3; v <= 6; v++ {
+		commit(v)
+	}
+	clk.Sleep(20 * wait)
+	commit(7)
+	commit(8)
 	if backlog != 4 {
 		t.Fatalf("backlog before Restart = %d, want 4", backlog)
 	}
@@ -253,9 +262,7 @@ func TestGateCrashBeforeDeadlineBuffersInArrivalOrder(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("applied %v while down", got)
 	}
-	if n := g.Restart(); n != 4 {
-		t.Fatalf("Restart replayed %d tasks, want 4", n)
-	}
+	restartOut(clk, &g)
 	if fmt.Sprint(got) != "[1 2 3 4]" {
 		t.Fatalf("applied %v, want [1 2 3 4]", got)
 	}

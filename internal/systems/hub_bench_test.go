@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -37,12 +36,13 @@ func BenchmarkHubCommit(b *testing.B) {
 	}
 	clk := clocktest.New(b)
 	b.ResetTimer()
-	clock.Go(clk, names, func(n int) {
+	clocktest.Steps(b, clk, time.Second, "nodes committing", names, func(n int) (time.Duration, bool) {
 		at := time.Unix(0, 0)
 		for _, id := range ids {
 			handles[n].Committed(Event{TxID: id, Client: "c"}, at)
 		}
-	})()
+		return 0, true
+	})
 	b.StopTimer()
 	if got := h.EmittedCount(); got != b.N {
 		b.Fatalf("emitted %d, want %d", got, b.N)

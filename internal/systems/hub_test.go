@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -103,8 +102,8 @@ func TestHubEmitDirect(t *testing.T) {
 	}
 }
 
-// TestHubManyTransactionsConcurrentExactlyOnce: node actors on one clock
-// interleave their commits for many transactions wherever they park, each
+// TestHubManyTransactionsConcurrentExactlyOnce: node events on one clock
+// interleave their commits for many transactions between their waits, each
 // reporting every transaction twice; every transaction emits exactly once
 // (run under -race).
 func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
@@ -121,16 +120,23 @@ func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 	for n := range names {
 		names[n] = string(rune('a' + n))
 	}
-	clock.Go(clk, names, func(n int) {
-		node := h.Node(names[n])
-		for i := 0; i < txs; i++ {
-			ev := Event{TxID: crypto.SumString("tx-" + string(rune(i))), Client: "c"}
-			node.Committed(ev, clk.Now())
-			clk.Sleep(time.Duration(1+n) * time.Microsecond)
-			// Duplicate report from the same node must be idempotent.
-			node.Committed(ev, clk.Now())
+	next := make([]int, nodes) // each node's next transaction
+	reported := make([]bool, nodes)
+	clocktest.Steps(t, clk, time.Minute, "nodes committing", names, func(n int) (time.Duration, bool) {
+		node, i := h.Node(names[n]), next[n]
+		if i == txs {
+			return 0, true
 		}
-	})()
+		ev := Event{TxID: crypto.SumString("tx-" + string(rune(i))), Client: "c"}
+		node.Committed(ev, clk.Now())
+		if reported[n] = !reported[n]; reported[n] {
+			return time.Duration(1+n) * time.Microsecond, false
+		}
+		// That was a duplicate report from the same node: it must be
+		// idempotent.
+		next[n]++
+		return 0, false
+	})
 
 	if len(fired) != txs {
 		t.Fatalf("%d transactions fired, want %d", len(fired), txs)
@@ -295,7 +301,7 @@ func TestHubNodeHandleInterning(t *testing.T) {
 	}
 }
 
-// TestHubConcurrentCommitsFireExactlyOnce: eight node actors report one
+// TestHubConcurrentCommitsFireExactlyOnce: eight node events report one
 // transaction, each in its own turn on the clock; it fires exactly once.
 func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
 	clk := clocktest.New(t)
@@ -307,10 +313,15 @@ func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
 	for i := range names {
 		names[i] = string(rune('a' + i))
 	}
-	clock.Go(clk, names, func(i int) {
-		clk.Sleep(time.Duration(8-i) * time.Microsecond)
+	slept := make([]bool, 8)
+	clocktest.Steps(t, clk, time.Second, "nodes committing", names, func(i int) (time.Duration, bool) {
+		if !slept[i] {
+			slept[i] = true
+			return time.Duration(8-i) * time.Microsecond, false
+		}
 		h.Node(names[i]).Committed(ev, clk.Now())
-	})()
+		return 0, true
+	})
 	if fired != 1 {
 		t.Fatalf("fired = %d, want exactly 1", fired)
 	}

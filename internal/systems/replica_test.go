@@ -170,8 +170,8 @@ func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 // the same transactions at once and share only their key index, which has
 // its own lock.
 func TestReplicaGateSerialisesExecution(t *testing.T) {
-	// A log whose appends cost something makes Commit wait between logging
-	// and applying, with the gate lock released: the crash can land there too.
+	// A log whose appends cost something makes the work wait between
+	// logging and applying: the crash can land there too.
 	logged := &wal.Options{Latency: wal.LatencyModel{AppendPerRecord: time.Microsecond}}
 	for name, w := range map[string]*wal.Options{"no log": nil, "log": logged} {
 		t.Run(name, func(t *testing.T) {
@@ -182,34 +182,45 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 				k := strconv.Itoa(i)
 				txs[i] = txOf(uint64(i), bank(iel.FnCreateAccount, k, "5", "5"), bank(iel.FnSendPayment, k, k, "1"), set(k, k))
 			}
-			// Four committers per replica, each an actor; the log's append
-			// latency parks them mid-commit, so they interleave.
-			var names []string
+			// Four committers per replica, each an event committing one
+			// transaction per run, a microsecond apart; the log's append
+			// latency holds their work mid-commit, so it interleaves.
 			for i := range replicas {
 				for g := 0; g < 4; g++ {
-					names = append(names, fmt.Sprintf("r%d/g%d", i, g))
+					r, n, recovering := &replicas[i], 0, false
+					var ev *clock.Event
+					ev = clock.NewEvent(clk, fmt.Sprintf("r%d/g%d", i, g), func() {
+						var wait time.Duration
+						switch {
+						case recovering:
+							wait = r.Gate.Resume()
+						case g == 0 && n == 10:
+							r.Gate.Crash()
+						case g == 0 && n == 30:
+							wait = r.Gate.Restart()
+						}
+						if recovering = wait > 0; recovering {
+							ev.After(wait)
+							return
+						}
+						tx, blk := txs[n], n
+						CommitTo(&r.Gate, 1, func() {
+							if r.DryRun(tx) {
+								r.ApplyTx(tx, uint64(blk), g)
+							}
+							_ = r.ExecuteTx(tx, uint64(blk), g)
+						}, runTask)
+						if n++; n < len(txs) {
+							ev.After(time.Microsecond)
+						}
+					})
+					ev.Trigger()
 				}
 			}
-			clock.Go(clk, names, func(a int) {
-				r, g := &replicas[a/4], a%4
-				for n, tx := range txs {
-					if g == 0 && n == 10 {
-						r.Gate.Crash()
-					}
-					if g == 0 && n == 30 {
-						r.Gate.Restart()
-					}
-					r.Gate.Commit(1, func() {
-						if r.DryRun(tx) {
-							r.ApplyTx(tx, uint64(n), g)
-						}
-						_ = r.ExecuteTx(tx, uint64(n), g)
-					})
-				}
-			})()
+			clk.Sleep(time.Second) // every committer is done, every commit applied
 			for i := range replicas {
 				if replicas[i].Gate.Down() {
-					replicas[i].Gate.Restart()
+					restartOut(clk, &replicas[i].Gate)
 				}
 				if got := replicas[i].State.Len(); got != 3*len(txs) {
 					t.Errorf("replica %d holds %d keys, want %d", i, got, 3*len(txs))

@@ -112,7 +112,7 @@ type Event struct {
 }
 
 // EventFunc receives finalization events. Callbacks run on the system's
-// actors, under the clock's token, and must return promptly.
+// clock events, under the clock's token, and must not park.
 type EventFunc func(Event)
 
 // Driver is the Blockchain Access Layer's view of a system under test. One
@@ -126,7 +126,9 @@ type Driver interface {
 	Name() string
 	// Start boots all nodes and auxiliary components.
 	Start() error
-	// Stop tears the network down and waits for goroutines to exit.
+	// Stop tears the network down: its clock events stop and leave no
+	// deadline armed, and the work they had in flight is lost with the
+	// process.
 	Stop()
 	// Submit sends one transaction into the system through the given entry
 	// node index (clients spread across servers, §4.3). A non-nil error is
@@ -145,8 +147,16 @@ type Driver interface {
 	// RestartNode recovers a crashed node: it catches up on the commits it
 	// missed, in the order the surviving nodes applied them (modeling the
 	// state-transfer real systems perform on rejoin), and resumes normal
-	// participation. Restarting a node that is not crashed is a no-op.
-	RestartNode(node int) error
+	// participation. Restarting a node that is not crashed, or is already
+	// recovering, is a no-op; an out-of-range index is an error. Recovery
+	// runs in steps with modeled time between them (log replay, re-fetch):
+	// RestartNode runs it up to its first wait and returns it, zero once
+	// recovery is over, and the caller waits that long on the clock and
+	// calls ResumeNode for the next, until it returns zero.
+	RestartNode(node int) (time.Duration, error)
+	// ResumeNode runs the recovery of a node whose last wait has passed up
+	// to its next wait, zero once recovery is over.
+	ResumeNode(node int) time.Duration
 
 	// Preload seeds every node's world state directly, bypassing consensus
 	// — the YCSB "load phase" analogue. The contention workload plane uses

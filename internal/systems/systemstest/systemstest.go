@@ -91,3 +91,16 @@ func (c *Collector) Wait(t testing.TB, want int, timeout time.Duration) []system
 	}
 	return c.Events()
 }
+
+// Restart restarts node of d and sleeps out its recovery on clk, step by
+// step, as an actor restarting a node does.
+func Restart(t testing.TB, clk *clock.AutoVirtual, d systems.Driver, node int) {
+	t.Helper()
+	wait, err := d.RestartNode(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ; wait > 0; wait = d.ResumeNode(node) {
+		clk.Sleep(wait)
+	}
+}

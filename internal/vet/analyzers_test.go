@@ -42,7 +42,7 @@ func TestMapOrder(t *testing.T) {
 func TestActorSpawn(t *testing.T) {
 	res := vettest.Run(t, vet.ActorSpawn, "actorspawn")
 	if len(res.Findings) != 10 {
-		t.Errorf("want exactly 10 actorspawn findings (every go statement, announced or not, none for clock.Go; "+
+		t.Errorf("want exactly 10 actorspawn findings (every go statement, announced or not; "+
 			"four mutex types, one atomic import, none for sync.Pool), got %d", len(res.Findings))
 	}
 }

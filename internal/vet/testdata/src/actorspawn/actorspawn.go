@@ -1,8 +1,8 @@
-// Fixture for the actorspawn analyzer: in clock-actor packages every
-// goroutine is an actor started by clock.Go, which announces and registers
-// it so the AutoVirtual quiescence detector can see it. Any go statement —
-// bare, or hand-announced with clock.Fork and clock.RegisterForked — is a
-// finding, and so is every sync.Mutex, sync.RWMutex and sync/atomic.
+// Fixture for the actorspawn analyzer: in clock-actor packages there is no
+// goroutine of their own; work that waits is a clock.Event or Loop the
+// clock runs itself. Any go statement — bare, or hand-announced with
+// clock.Fork and clock.RegisterForked — is a finding, and so is every
+// sync.Mutex, sync.RWMutex and sync/atomic.
 package fixture
 
 import (
@@ -45,11 +45,6 @@ func selfRegistering(c *clock.AutoVirtual) {
 		defer h.Close()
 		worker(c)
 	}()
-}
-
-// The one way to start actors.
-func started(c *clock.AutoVirtual) {
-	clock.Go(c, []string{"w0", "w1"}, func(int) { worker(c) })()
 }
 
 // Under the token a lock is never contended, so naming its type is a
