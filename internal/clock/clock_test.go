@@ -76,13 +76,85 @@ func TestVirtualPendingWaiters(t *testing.T) {
 	if got := v.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters after Stop = %d, want 0", got)
 	}
-	// A deadline already passed never enters the heap: the run is owed at
-	// once, without the clock moving.
+}
+
+// TestVirtualEventsFireInOrder: events armed from outside the run fire in
+// deadline order, not in name or arming order, each with the clock at its
+// own deadline; the outsider's Sleep jumps through both.
+func TestVirtualEventsFireInOrder(t *testing.T) {
+	v := NewAutoVirtual()
+	var log []string
+	note := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(SimEpoch))) }
+	}
+	NewEvent(v, "a", note("a")).After(2 * time.Second)
+	NewEvent(v, "b", note("b")).After(time.Second)
+	v.Sleep(3 * time.Second)
+	if want := "[b@1s a@2s]"; fmt.Sprint(log) != want {
+		t.Fatalf("fired as %v, want %s", log, want)
+	}
+}
+
+func TestVirtualEventDoesNotFireEarly(t *testing.T) {
+	v := NewAutoVirtual()
+	var fired []time.Duration
+	NewEvent(v, "ev", func() { fired = append(fired, v.Now().Sub(SimEpoch)) }).After(10 * time.Second)
+	v.Sleep(9 * time.Second)
+	if len(fired) != 0 {
+		t.Fatalf("event fired at %v, before its deadline", fired)
+	}
+	v.Sleep(2 * time.Second)
+	if fmt.Sprint(fired) != "[10s]" {
+		t.Fatalf("event fired at %v, want once at its deadline, 10s", fired)
+	}
+}
+
+func TestVirtualEventAtFiresAtAbsoluteDeadline(t *testing.T) {
+	v := NewAutoVirtual()
+	want := SimEpoch.Add(10 * time.Millisecond)
+	var fired time.Time
+	NewEvent(v, "ev", func() { fired = v.Now() }).At(want)
+	v.Sleep(9 * time.Millisecond)
+	if !fired.IsZero() {
+		t.Fatal("event fired 1ms early")
+	}
+	v.Sleep(time.Millisecond)
+	if !fired.Equal(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestVirtualEventAtPastDeadlineRunsAtOnce: a deadline the clock has
+// already passed never enters the heap; the run is owed at once, without
+// the clock moving.
+func TestVirtualEventAtPastDeadlineRunsAtOnce(t *testing.T) {
+	v := NewAutoVirtual()
 	ran := false
 	past := NewEvent(v, "past", func() { ran = true })
 	past.At(SimEpoch.Add(-time.Second))
 	if !ran || v.PendingWaiters() != 0 || !v.Now().Equal(SimEpoch) {
 		t.Fatalf("past deadline: ran=%v, %d pending, clock at %v", ran, v.PendingWaiters(), v.Now())
+	}
+}
+
+// TestVirtualDeterministicOrderAtSameInstant: deadlines of events tie by
+// the events' names, whoever armed them and in whatever order. "b" is
+// armed first, from outside the run, and "a" second, by an actor inside
+// it; a must fire first.
+func TestVirtualDeterministicOrderAtSameInstant(t *testing.T) {
+	v := NewAutoVirtual()
+	var order []string // appended under the execution token
+	at := v.Now().Add(time.Second)
+	NewEvent(v, "b", func() { order = append(order, "b") }).At(at)
+	a := NewEvent(v, "a", func() { order = append(order, "a") })
+	runActors(v, map[string]func(){
+		"z": func() {
+			a.At(at)
+			v.Sleep(2 * time.Second)
+		},
+	})
+	if fmt.Sprint(order) != "[a b]" {
+		t.Fatalf("fired in order %v, want [a b]: the names break the tie", order)
 	}
 }
 

@@ -202,6 +202,64 @@ func TestKernelAllocationCeilings(t *testing.T) {
 	}
 }
 
+// TestSameInstantWaitKindsFireInNameOrder: deadlines armed through Sleep,
+// After and At all enter the heap keyed by (deadline, name, per-name
+// sequence). An actor sleeping and two events alternating After and At,
+// armed in the reverse of name order, collide at every instant; they must
+// wake in name order at each one, run after run.
+func TestSameInstantWaitKindsFireInNameOrder(t *testing.T) {
+	const rounds = 6
+	const step = 10 * time.Millisecond
+	run := func() []string {
+		av := NewAutoVirtual()
+		var log []string // appended under the execution token
+		note := func(name string) {
+			log = append(log, fmt.Sprintf("%s@%dms", name, av.Now().Sub(SimEpoch).Milliseconds()))
+		}
+		rearm := func(name string, phase int) {
+			var ev *Event
+			fired := 0
+			ev = NewEvent(av, name, func() {
+				note(name)
+				if fired++; fired == rounds {
+					return
+				}
+				if (fired+phase)%2 == 0 {
+					ev.After(step)
+				} else {
+					ev.At(av.Now().Add(step))
+				}
+			})
+			ev.After(step)
+		}
+		rearm("node-b", 1)
+		rearm("node-a", 0)
+		runActors(av, map[string]func(){
+			"node-c": func() {
+				for r := 0; r < rounds; r++ {
+					av.Sleep(step)
+					note("node-c")
+				}
+			},
+		})
+		if got := av.PendingWaiters(); got != 0 {
+			t.Fatalf("PendingWaiters = %d, want 0", got)
+		}
+		return log
+	}
+	var want []string
+	for r := 1; r <= rounds; r++ {
+		for _, name := range []string{"node-a", "node-b", "node-c"} {
+			want = append(want, fmt.Sprintf("%s@%dms", name, 10*r))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if got := run(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d woke in the wrong order:\n got %v\nwant %v", i, got, want)
+		}
+	}
+}
+
 // TestStoppedWaitersLeaveTheHeap: Stop removes the deadline at once, so a
 // stopped event, one-shot or periodic, never fires, and stopping twice is
 // harmless.

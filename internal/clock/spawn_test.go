@@ -47,6 +47,26 @@ func TestLoopStopBeatsReadyInboxAndTick(t *testing.T) {
 	}
 }
 
+// TestForkReleasesWaveInNameOrder: however the names are listed, and
+// however the OS schedules the goroutines, a fork wave runs in name order —
+// string order, so n10 before n2.
+func TestForkReleasesWaveInNameOrder(t *testing.T) {
+	names := []string{"n3", "n2", "n10", "n1"}
+	want := []string{"n1", "n10", "n2", "n3"}
+	for trial := 0; trial < 20; trial++ {
+		av := NewAutoVirtual()
+		var ran []string // appended under the execution token
+		bodies := map[string]func(){}
+		for _, name := range names {
+			bodies[name] = func() { ran = append(ran, name) }
+		}
+		runActors(av, bodies)
+		if !reflect.DeepEqual(ran, want) {
+			t.Fatalf("trial %d: wave ran %v, want %v", trial, ran, want)
+		}
+	}
+}
+
 // TestLoopPeriodTiesKeyUnderItsName: a loop's first deadline ties by the
 // loop's name, not by arming order or by who armed it, and the clock
 // re-arms each repeat as it fires, under its own sequence. "b" arms first,

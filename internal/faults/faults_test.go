@@ -439,3 +439,122 @@ func TestInjectorWaitsOutRecoveries(t *testing.T) {
 		t.Fatalf("calls = %v, want %s", d.callLog(), want)
 	}
 }
+
+// TestInjectorAppliesDueEntriesInSameRun: entries already due when the
+// timeline runs apply in that one run, in schedule order — at Start, from
+// outside the run, before Start returns — and a later entry waits for its
+// offset.
+func TestInjectorAppliesDueEntriesInSameRun(t *testing.T) {
+	ms := time.Millisecond
+	d := newStubDriver(4)
+	clk := clock.NewAutoVirtual()
+	start := clk.Now()
+	in := NewInjector(d, Schedule{Events: []Event{
+		{At: 0, Kind: CrashNode, Node: 2},
+		{At: 0, Kind: CrashNode, Node: 1},
+		{At: 10 * ms, Kind: CrashNode, Node: 3},
+	}}, clk)
+	in.Start()
+	if got := fmt.Sprint(d.callLog()); got != "[crash:2 crash:1]" {
+		t.Fatalf("calls after Start = %s, want both entries due at 0 applied", got)
+	}
+	if runs := clk.KernelStats().Events; runs != 1 {
+		t.Fatalf("the timeline ran %d times for the entries due at Start, want 1", runs)
+	}
+	clk.Sleep(20 * ms)
+	var at []string
+	for _, a := range in.Applied() {
+		at = append(at, fmt.Sprintf("%v:%d@%v", a.Event.Kind, a.Event.Node, a.At.Sub(start)))
+	}
+	if want := "[crash:2@0s crash:1@0s crash:3@10ms]"; fmt.Sprint(at) != want {
+		t.Fatalf("applied %v, want %s", at, want)
+	}
+	in.Stop()
+}
+
+// TestInjectorHealRecoversNodesOneAfterAnother: a Heal restarts the
+// partitioned nodes one at a time on the timeline, each once the one before
+// it is up; the heal is recorded when the last is up, and an entry that
+// fell due meanwhile applies then.
+func TestInjectorHealRecoversNodesOneAfterAnother(t *testing.T) {
+	ms := time.Millisecond
+	d := newStubDriver(4)
+	d.recovery = []time.Duration{5 * ms, 5 * ms}
+	clk := clocktest.New(t)
+	start := clk.Now()
+	in := NewInjector(d, Schedule{Events: []Event{
+		{At: 10 * ms, Kind: Partition, Group: []int{1, 2}},
+		{At: 20 * ms, Kind: Heal},
+		{At: 25 * ms, Kind: CrashNode, Node: 3}, // due while node 1 recovers
+	}}, clk)
+	in.Start()
+	clk.Sleep(25 * ms)
+	if got := fmt.Sprint(d.callLog()); got != "[crash:1 crash:2 restart:1]" {
+		t.Fatalf("calls at 25ms = %s, want node 2 waiting behind node 1's recovery", got)
+	}
+	clk.Sleep(10 * ms)
+	if got := fmt.Sprint(d.callLog()); got != "[crash:1 crash:2 restart:1 restart:2]" {
+		t.Fatalf("calls at 35ms = %s, want node 2 restarted once node 1 was up", got)
+	}
+	clk.Sleep(10 * ms)
+	var at []string
+	for _, a := range in.Applied() {
+		at = append(at, fmt.Sprintf("%v@%v", a.Event.Kind, a.At.Sub(start)))
+	}
+	if want := "[partition@10ms heal@40ms crash@40ms]"; fmt.Sprint(at) != want {
+		t.Fatalf("applied %v, want %s", at, want)
+	}
+	in.Stop()
+}
+
+// TestInjectorApplySleepsOutRecovery: Apply of a restart returns once the
+// node's recovery waits have passed on the caller's clock, and records the
+// restart at that instant.
+func TestInjectorApplySleepsOutRecovery(t *testing.T) {
+	ms := time.Millisecond
+	d := newStubDriver(4)
+	d.recovery = []time.Duration{30 * ms, 20 * ms}
+	clk := clocktest.New(t)
+	start := clk.Now()
+	in := NewInjector(d, Schedule{}, clk)
+	if err := in.Apply(Event{Kind: CrashNode, Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Apply(Event{Kind: RestartNode, Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Since(start); got != 50*ms {
+		t.Fatalf("Apply returned at +%v, want +50ms, after both recovery waits", got)
+	}
+	applied := in.Applied()
+	if len(applied) != 2 || applied[1].Event.Kind != RestartNode || applied[1].At.Sub(start) != 50*ms {
+		t.Fatalf("applied %+v, want the restart recorded at +50ms", applied)
+	}
+}
+
+// TestInjectorStopFinishesAHealInProgress: Stop, called while a Heal waits
+// on its first node's recovery, sleeps out the heal — the rest of that
+// recovery, then the next node's — and restarts no node twice.
+func TestInjectorStopFinishesAHealInProgress(t *testing.T) {
+	ms := time.Millisecond
+	d := newStubDriver(4)
+	d.recovery = []time.Duration{5 * ms, 5 * ms}
+	clk := clocktest.New(t)
+	start := clk.Now()
+	in := NewInjector(d, Schedule{Events: []Event{
+		{At: 10 * ms, Kind: Partition, Group: []int{1, 2}},
+		{At: 20 * ms, Kind: Heal},
+	}}, clk)
+	in.Start()
+	clk.Sleep(25 * ms)
+	in.Stop()
+	if got := clk.Since(start); got != 40*ms {
+		t.Fatalf("Stop returned at +%v, want +40ms, once node 2 was up", got)
+	}
+	if got := fmt.Sprint(d.callLog()); got != "[crash:1 crash:2 restart:1 restart:2]" {
+		t.Fatalf("calls = %s, want each partitioned node restarted once", got)
+	}
+	if a := in.Applied(); len(a) != 2 || a[1].Event.Kind != Heal || a[1].At.Sub(start) != 40*ms {
+		t.Fatalf("applied %+v, want the heal recorded at +40ms", a)
+	}
+}

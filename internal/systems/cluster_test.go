@@ -50,6 +50,9 @@ func TestClusterBadIndices(t *testing.T) {
 		if _, err := p.RestartNode(bad); !errors.Is(err, ErrNodeDown) {
 			t.Errorf("RestartNode(%d) = %v, want an ErrNodeDown-wrapped error", bad, err)
 		}
+		if wait := p.ResumeNode(bad); wait != 0 {
+			t.Errorf("ResumeNode(%d) = %v, want 0", bad, wait)
+		}
 		if log := p.NodeWAL(bad); log != nil {
 			t.Errorf("NodeWAL(%d) = %v, want nil", bad, log)
 		}

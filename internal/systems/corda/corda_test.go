@@ -2,11 +2,13 @@ package corda
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/systems/systemstest"
@@ -199,5 +201,137 @@ func TestQueueOverflowDropsSilently(t *testing.T) {
 	dropped, _, _ := n.LossStats()
 	if dropped == 0 {
 		t.Fatal("overflow never dropped flows")
+	}
+}
+
+// onNode lists, by their index on node i, those of ws that are node i's
+// workers.
+func onNode(n *Network, i int, ws []*worker) []int {
+	mine := n.workers[i*n.flowWorkers : (i+1)*n.flowWorkers]
+	var out []int
+	for _, w := range ws {
+		if j := slices.Index(mine, w); j >= 0 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// busy lists node i's workers that are running a flow, by index.
+func busy(n *Network, i int) []int {
+	var ws []*worker
+	for _, w := range n.workers {
+		if w.f.tx != nil {
+			ws = append(ws, w)
+		}
+	}
+	return onNode(n, i, ws)
+}
+
+// TestIdleWorkersTakeFlowsInIdleOrder: a Submit wakes the entry node's idle
+// workers in the order they went idle and the first takes the flow; the
+// others stay idle where they are, and a worker whose flow ends goes idle
+// behind them.
+func TestIdleWorkersTakeFlowsInIdleOrder(t *testing.T) {
+	n, col := start(t, entConfig())
+	clk := n.env.Clock
+	check := func(when, wantBusy, wantIdle string) {
+		t.Helper()
+		if got := fmt.Sprint(busy(n, 0)); got != wantBusy {
+			t.Fatalf("%s: busy workers %s, want %s", when, got, wantBusy)
+		}
+		if got := fmt.Sprint(onNode(n, 0, n.nodes[0].idle)); got != wantIdle {
+			t.Fatalf("%s: idle workers %s, want %s", when, got, wantIdle)
+		}
+	}
+	check("after Start", "[]", "[0 1 2 3 4 5 6 7]")
+	submit := func(seq uint64) {
+		t.Helper()
+		if err := n.Submit(0, chain.NewSingleOp("client-1", seq, iel.DoNothingName, iel.FnDoNothing)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Sleep(time.Nanosecond) // the woken workers run
+	}
+	submit(0)
+	check("first flow", "[0]", "[1 2 3 4 5 6 7]")
+	submit(1)
+	check("second flow", "[0 1]", "[2 3 4 5 6 7]")
+	col.Wait(t, 2, flowTimeout)
+	clocktest.Until(t, clk, flowTimeout, "both flows end", func() bool { return len(busy(n, 0)) == 0 })
+	check("both flows over", "[]", "[2 3 4 5 6 7 0 1]")
+	submit(2)
+	check("third flow", "[2]", "[3 4 5 6 7 0 1]")
+}
+
+// TestFinishedWorkerTakesNextQueuedFlow: the one Open Source worker, its
+// flow over, starts the next queued flow in the same run, so each flow's
+// queue wait ends at the instant the flow before it was decided.
+func TestFinishedWorkerTakesNextQueuedFlow(t *testing.T) {
+	n, col := start(t, osConfig())
+	var txs []*chain.Transaction
+	for i := uint64(0); i < 3; i++ {
+		tx := chain.NewSingleOp("client-1", i, iel.DoNothingName, iel.FnDoNothing)
+		if err := n.Submit(0, tx); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	col.Wait(t, 3, 3*flowTimeout)
+	for i := 1; i < len(txs); i++ {
+		began, prev := txs[i].Stages.At(chain.StageQueue), txs[i-1].Stages.At(chain.StageConsensus)
+		if prev == 0 || began != prev {
+			t.Fatalf("flow %d began at %d, want the instant flow %d was decided, %d", i, began, i-1, prev)
+		}
+	}
+}
+
+// TestQueueHoldsQueueDepthFlows: a node's queue holds exactly queueDepth
+// flows its workers have not taken; each Submit beyond that is dropped, and
+// every flow it held runs.
+func TestQueueHoldsQueueDepthFlows(t *testing.T) {
+	cfg := osConfig()
+	cfg.queueDepth = 2
+	n, col := start(t, cfg)
+	// The test holds the clock's token, so the worker takes nothing until
+	// it sleeps: the first two flows fill the queue.
+	for i := uint64(0); i < 5; i++ {
+		if err := n.Submit(0, chain.NewSingleOp("client-1", i, iel.DoNothingName, iel.FnDoNothing)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dropped, _, _ := n.LossStats(); dropped != 3 {
+		t.Fatalf("dropped %d flows, want the 3 beyond a queue of 2", dropped)
+	}
+	n.env.Clock.Sleep(3 * flowTimeout)
+	if got := col.Len(); got != 2 {
+		t.Fatalf("confirmed %d flows, want the 2 the queue held", got)
+	}
+}
+
+// TestStopDisarmsEveryWorker: Stop in the middle of flows leaves no worker
+// deadline armed, and the flows in flight never finish.
+func TestStopDisarmsEveryWorker(t *testing.T) {
+	env := systemstest.Env(t)
+	n := build(env, entConfig())
+	col := systemstest.Collect(env, n, "client-1")
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 4; i++ {
+		if err := n.Submit(int(i), chain.NewSingleOp("client-1", i, iel.DoNothingName, iel.FnDoNothing)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Clock.Sleep(time.Millisecond)
+	if len(busy(n, 0)) == 0 || env.Clock.PendingWaiters() == 0 {
+		t.Fatal("no flow is waiting 1ms in: Stop below disarms nothing")
+	}
+	n.Stop()
+	if got := env.Clock.PendingWaiters(); got != 0 {
+		t.Fatalf("%d deadlines armed after Stop, want 0", got)
+	}
+	env.Clock.Sleep(flowTimeout)
+	if got := col.Len(); got != 0 {
+		t.Fatalf("%d flows confirmed after Stop, want 0", got)
 	}
 }

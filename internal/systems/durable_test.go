@@ -94,6 +94,67 @@ func TestGateDurableCrashLosesUnsyncedTail(t *testing.T) {
 	}
 }
 
+// TestGateRestartStepsThroughReplayRefetchAndDrain: a restart hands its
+// caller one wait per step — the log replay, the re-fetch of the tail the
+// log lost, then the drain round's re-fetch — and each step's effect lands
+// only once its wait has passed. The node stays down, applying none of the
+// buffered work, until the last.
+func TestGateRestartStepsThroughReplayRefetchAndDrain(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	var g DurableGate
+	g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncBatch, BatchRecords: 4}, clk))
+	for i := 0; i < 6; i++ { // 4 synced, 2 pending
+		g.Commit(1, func() {})
+	}
+	g.Crash()
+	applied := 0
+	for i := 0; i < 3; i++ {
+		g.Commit(1, func() { applied++ })
+	}
+	var steps []string
+	for wait := g.Restart(); wait > 0; wait = g.Resume() {
+		st := g.Stats()
+		steps = append(steps, fmt.Sprintf("replayed=%d refetched=%d", st.ReplayedRecords, st.RefetchedRecords))
+		if !g.Down() || applied != 0 {
+			t.Fatalf("step %d: down=%v with %d applied, want down with nothing applied", len(steps), g.Down(), applied)
+		}
+		clk.Sleep(wait)
+	}
+	want := "[replayed=0 refetched=0 replayed=4 refetched=0 replayed=4 refetched=2]"
+	if fmt.Sprint(steps) != want {
+		t.Fatalf("waits began at %v, want %s", steps, want)
+	}
+	if st := g.Stats(); st.ReplayedRecords != 4 || st.RefetchedRecords != 5 {
+		t.Fatalf("after recovery replayed %d, re-fetched %d: want 4, and 2 lost + 3 drained", st.ReplayedRecords, st.RefetchedRecords)
+	}
+	if applied != 3 || g.Down() {
+		t.Fatalf("applied %d, down=%v: want 3, and up", applied, g.Down())
+	}
+}
+
+// TestGateResumeOutsideRecoveryIsNoOp: Resume with no recovery wait behind
+// it — on a gate that never crashed, and once a recovery is over — returns
+// zero and applies nothing.
+func TestGateResumeOutsideRecoveryIsNoOp(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	var g DurableGate
+	g.Enable(clk, wal.New("n0", wal.Options{Fsync: wal.FsyncAlways}, clk))
+	if g.Resume() != 0 {
+		t.Fatal("Resume on a gate that never crashed waits")
+	}
+	g.Crash()
+	applied := 0
+	g.Commit(1, func() { applied++ })
+	restartOut(clk, &g)
+	st := g.Stats()
+	if g.Resume() != 0 || applied != 1 || g.Down() {
+		t.Fatalf("Resume after recovery: applied %d, down=%v, want 1 and up", applied, g.Down())
+	}
+	if g.Stats() != st {
+		t.Fatalf("Resume after recovery moved the stats: %+v, want %+v", g.Stats(), st)
+	}
+}
+
 // TestGateDurableCrashDuringReplayStaysDown pins the crash-during-replay
 // contract, for a crash during each of a restart's waits — the log replay
 // and the drain round's re-fetch: recovery applies nothing more, the
