@@ -189,31 +189,15 @@ func run() error {
 }
 
 // printTimings renders one [virtual] line per cell. A cell whose row came
-// from another cell's run names that cell; a cell that ran a unit divides
-// the run's hand-offs by the payloads of every row the run produced.
+// from another cell's run names that cell.
 func printTimings(oc *experiments.Outcome) {
-	// Rows and timings are both one per cell, in expansion order.
-	sent := make([]int, len(oc.Timings))
-	for i, t := range oc.Timings {
-		run := i
-		if t.RunBy > 0 {
-			run = t.RunBy - 1
-		}
-		for _, rep := range oc.Rows[i].Result.Repetitions {
-			sent[run] += rep.ExpectedNoT
-		}
-	}
-	for i, t := range oc.Timings {
+	for _, t := range oc.Timings {
 		if t.RunBy > 0 {
 			fmt.Printf("  [virtual] %-40s row from cell %d's run (%s)\n", t.Cell, t.RunBy, oc.Timings[t.RunBy-1].Cell)
 			continue
 		}
-		perTx := 0.0
-		if sent[i] > 0 {
-			perTx = float64(t.Handoffs) / float64(sent[i])
-		}
-		fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx  %5.2f hand-offs/tx\n",
-			t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup, perTx)
+		fmt.Printf("  [virtual] %-40s %8.1f sim-s / %6.2f wall-s = %7.1fx\n",
+			t.Cell, t.SimSeconds, t.WallSeconds, t.Speedup)
 	}
 }
 

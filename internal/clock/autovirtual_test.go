@@ -2,62 +2,28 @@ package clock
 
 import (
 	"fmt"
-	"strings"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// TestAutoVirtualAdvancesOnQuiescence checks the core contract: a lone actor
-// sleeping on the clock never blocks on wall time — the clock jumps straight
-// to the deadline.
+// TestAutoVirtualAdvancesOnQuiescence checks the core contract: a lone
+// caller sleeping on the clock never blocks on wall time — the clock jumps
+// straight to the deadline.
 func TestAutoVirtualAdvancesOnQuiescence(t *testing.T) {
 	av := NewAutoVirtual()
-	done := make(chan time.Duration, 1)
-	go func() {
-		h := Register(av, "sleeper")
-		defer h.Close()
-		start := av.Now()
-		av.Sleep(10 * time.Hour)
-		done <- av.Now().Sub(start)
-	}()
-	select {
-	case d := <-done:
-		if d != 10*time.Hour {
-			t.Fatalf("slept %v of simulated time, want 10h", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("virtual 10h sleep did not complete within 5s of wall time")
+	h := Register(av, "sleeper")
+	defer h.Close()
+	start, wall := av.Now(), Walltime()
+	av.Sleep(10 * time.Hour)
+	if d := av.Now().Sub(start); d != 10*time.Hour {
+		t.Fatalf("slept %v of simulated time, want 10h", d)
+	}
+	if w := Walltime().Sub(wall); w > 5*time.Second {
+		t.Fatalf("virtual 10h sleep took %v of wall time", w)
 	}
 	if got := av.PendingWaiters(); got != 0 {
 		t.Fatalf("PendingWaiters = %d after sleep, want 0", got)
-	}
-}
-
-// TestAutoVirtualDeadlockDetection parks two actors with nothing on the
-// heap and checks the diagnostic names every parked actor.
-func TestAutoVirtualDeadlockDetection(t *testing.T) {
-	av := NewAutoVirtual()
-	msgs := make(chan string, 1)
-	av.SetDeadlockHandler(func(m string) { msgs <- m })
-	never := NewMailbox[int](av, 1) // nothing is ever sent: guaranteed deadlock
-	names := []string{"idle-beta", "idle-alpha"}
-	Fork(av, len(names))
-	for _, name := range names {
-		go func(name string) {
-			h := RegisterForked(av, name)
-			defer h.Close()
-			Await(av, never)
-		}(name)
-	}
-	select {
-	case m := <-msgs:
-		if !strings.Contains(m, "deadlock") ||
-			!strings.Contains(m, "idle-alpha, idle-beta") {
-			t.Fatalf("deadlock message missing sorted actor list: %q", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadlock was not detected within 5s")
 	}
 }
 
@@ -92,52 +58,51 @@ func TestAutoVirtualSameInstantPeriodsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutoVirtualRegisterChurn hammers register/park/close from many
-// goroutines at once; run under -race this validates the scheduler's locking
-// around actor lifetime and the mailbox wake path. The producer ends each
-// consumer with a -1.
-func TestAutoVirtualRegisterChurn(t *testing.T) {
+// TestSleepRunsOnItsCaller: the loop is the caller's Sleep and nothing
+// else. A Sleep that drives a thousand Loop posts and a thousand pre-armed
+// deadlines starts no goroutine, during it or left after it, and allocates
+// nothing for any of them. (A goroutine of an earlier test may still be
+// exiting, so the count may fall, never rise.)
+func TestSleepRunsOnItsCaller(t *testing.T) {
+	const n = 1000
 	av := NewAutoVirtual()
-	const workers = 12
-	mbox := NewMailbox[int](av, 5*workers) // never full
-	var wg sync.WaitGroup
-
-	Fork(av, workers+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h := RegisterForked(av, "producer")
-		defer h.Close()
-		for i := 0; i < 4*workers; i++ {
-			av.Sleep(time.Millisecond)
-			mbox.Send(i, nil)
+	h := Register(av, "driver")
+	defer h.Close()
+	goroutines := runtime.NumGoroutine()
+	most := goroutines
+	count := func() { most = max(most, runtime.NumGoroutine()) }
+	handled, fired := 0, 0
+	var loop *Loop[int]
+	loop = NewLoop(av, "loop", func(m int) {
+		handled++
+		count()
+		if m > 1 {
+			loop.Post(m - 1)
 		}
-		for i := 0; i < workers; i++ {
-			mbox.Send(-1, nil)
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := RegisterForked(av, fmt.Sprintf("consumer-%d", i))
-			defer h.Close()
-			for {
-				av.Sleep(time.Duration(i+1) * time.Millisecond)
-				if _, v, _ := Await(av, mbox); v.(int) < 0 {
-					return
-				}
-			}
-		}(i)
+	}, func() {})
+	defer loop.Stop()
+	loop.Post(1)
+	av.Sleep(time.Microsecond) // the inbox and the run queue grow once
+	events := make([]*Event, n)
+	for i := range events {
+		events[i] = NewEvent(av, fmt.Sprintf("ev-%04d", i), func() { fired++; count() })
+		events[i].After(time.Duration(i+1) * time.Microsecond)
 	}
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("churn run did not drain within 10s of wall time")
+	loop.Post(n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	av.Sleep(time.Duration(n+1) * time.Microsecond)
+	runtime.ReadMemStats(&m1)
+	if handled != 1+n || fired != n {
+		t.Fatalf("handled %d posts and fired %d deadlines, want %d and %d", handled, fired, 1+n, n)
+	}
+	if after := runtime.NumGoroutine(); most > goroutines || after > goroutines {
+		t.Fatalf("goroutines: %d before, up to %d during the Sleep, %d after", goroutines, most, after)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs != 0 {
+		t.Fatalf("the Sleep allocated %d times for %d events, want 0", allocs, 2*n)
 	}
 	if got := av.PendingWaiters(); got != 0 {
-		t.Fatalf("PendingWaiters = %d after churn, want 0", got)
+		t.Fatalf("PendingWaiters = %d, want 0", got)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// The stepping below is a Sleep from outside the run: the caller becomes a
-// transient actor, and the clock jumps through every deadline up to its own.
+// The stepping below is a Sleep of an unregistered caller: the clock runs
+// every event and deadline up to its own.
 
 func TestVirtualSleepMovesNow(t *testing.T) {
 	v := NewAutoVirtual()
@@ -17,24 +17,27 @@ func TestVirtualSleepMovesNow(t *testing.T) {
 	}
 }
 
-// TestVirtualSleepUnblocksOnAdvance: an actor parked in Sleep stays parked
-// while the clock advances to earlier deadlines, and wakes exactly at its own
-// — between the other actor's wake-ups before and after it.
+// TestVirtualSleepUnblocksOnAdvance: a Sleep runs the events whose
+// deadlines fall before its own and returns exactly at its own — between a
+// stepping event's runs before and after it.
 func TestVirtualSleepUnblocksOnAdvance(t *testing.T) {
 	v := NewAutoVirtual()
-	var log []string // appended under the execution token
+	var log []string
 	note := func(name string) {
 		log = append(log, fmt.Sprintf("%s@%v", name, v.Now().Sub(SimEpoch)))
 	}
-	runActors(v, map[string]func(){
-		"sleeper": func() { v.Sleep(time.Second); note("sleeper") },
-		"stepper": func() {
-			for i := 0; i < 4; i++ {
-				v.Sleep(300 * time.Millisecond)
-				note("stepper")
-			}
-		},
+	steps := 0
+	var stepper *Event
+	stepper = NewEvent(v, "stepper", func() {
+		note("stepper")
+		if steps++; steps < 4 {
+			stepper.After(300 * time.Millisecond)
+		}
 	})
+	stepper.After(300 * time.Millisecond)
+	v.Sleep(time.Second)
+	note("sleeper")
+	v.Sleep(time.Second)
 	want := "[stepper@300ms stepper@600ms stepper@900ms sleeper@1s stepper@1.2s]"
 	if fmt.Sprint(log) != want {
 		t.Fatalf("woke as\n got %v\nwant %s", log, want)
@@ -124,59 +127,53 @@ func TestVirtualEventAtFiresAtAbsoluteDeadline(t *testing.T) {
 	}
 }
 
-// TestVirtualEventAtPastDeadlineRunsAtOnce: a deadline the clock has
-// already passed never enters the heap; the run is owed at once, without
-// the clock moving.
-func TestVirtualEventAtPastDeadlineRunsAtOnce(t *testing.T) {
+// TestVirtualEventAtPastDeadlineIsOwedAtOnce: a deadline the clock has
+// already passed never enters the heap; the run is owed at once and is the
+// first thing the next Sleep does, without the clock moving.
+func TestVirtualEventAtPastDeadlineIsOwedAtOnce(t *testing.T) {
 	v := NewAutoVirtual()
-	ran := false
-	past := NewEvent(v, "past", func() { ran = true })
+	var ranAt time.Time
+	past := NewEvent(v, "past", func() { ranAt = v.Now() })
 	past.At(SimEpoch.Add(-time.Second))
-	if !ran || v.PendingWaiters() != 0 || !v.Now().Equal(SimEpoch) {
-		t.Fatalf("past deadline: ran=%v, %d pending, clock at %v", ran, v.PendingWaiters(), v.Now())
+	if !ranAt.IsZero() || v.PendingWaiters() != 0 || !v.Now().Equal(SimEpoch) {
+		t.Fatalf("past deadline: ran at %v, %d pending, clock at %v", ranAt, v.PendingWaiters(), v.Now())
+	}
+	v.Sleep(time.Second)
+	if !ranAt.Equal(SimEpoch) {
+		t.Fatalf("past deadline ran at %v, want the next Sleep's start, %v", ranAt, SimEpoch)
 	}
 }
 
 // TestVirtualDeterministicOrderAtSameInstant: deadlines of events tie by
 // the events' names, whoever armed them and in whatever order. "b" is
-// armed first, from outside the run, and "a" second, by an actor inside
-// it; a must fire first.
+// armed first, by an unregistered caller, and "a" second, by the caller
+// registered as "z"; a must fire first.
 func TestVirtualDeterministicOrderAtSameInstant(t *testing.T) {
 	v := NewAutoVirtual()
-	var order []string // appended under the execution token
+	var order []string
 	at := v.Now().Add(time.Second)
 	NewEvent(v, "b", func() { order = append(order, "b") }).At(at)
 	a := NewEvent(v, "a", func() { order = append(order, "a") })
-	runActors(v, map[string]func(){
-		"z": func() {
-			a.At(at)
-			v.Sleep(2 * time.Second)
-		},
-	})
+	h := Register(v, "z")
+	a.At(at)
+	v.Sleep(2 * time.Second)
+	h.Close()
 	if fmt.Sprint(order) != "[a b]" {
 		t.Fatalf("fired in order %v, want [a b]: the names break the tie", order)
 	}
 }
 
-// lockedNow reads the clock's instant under its mutex, as every method but
-// Now does.
-func lockedNow(v *AutoVirtual) time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
-
-// TestVirtualNowIsTheLockedInstant: Now takes no lock, and what it returns is
-// == to the instant the heap runs on — same wall encoding, same location, no
-// monotonic reading — whether the clock is stepped by sleeps from outside
-// the run or jumps for its own actors: after sleep jumps, inside an event at
-// its deadline or period, and at and after an absolute deadline handed in
-// from another location.
-func TestVirtualNowIsTheLockedInstant(t *testing.T) {
+// TestVirtualNowIsWellFormed: what Now returns is == to the instant the
+// clock advanced to, in SimEpoch's encoding — same location, no monotonic
+// reading — whether the clock is stepped by an unregistered caller's sleeps
+// or jumps for a registered one: after sleep jumps, inside an event at its
+// deadline or period, and at and after an absolute deadline handed in from
+// another location.
+func TestVirtualNowIsWellFormed(t *testing.T) {
 	check := func(t *testing.T, av *AutoVirtual, when string) {
 		t.Helper()
-		if got, want := av.Now(), lockedNow(av); got != want {
-			t.Errorf("%s: Now() = %#v, the clock is at %#v", when, got, want)
+		if got, want := av.Now(), SimEpoch.Add(av.Now().Sub(SimEpoch)); got != want {
+			t.Errorf("%s: Now() = %#v, want %#v", when, got, want)
 		}
 	}
 	wellFormed := func(t *testing.T, av *AutoVirtual) {
@@ -200,12 +197,12 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 		abroad.At(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
 		for i := 0; i < 10; i++ {
 			av.Sleep(11 * time.Millisecond)
-			check(t, av, "after a sleep from outside")
+			check(t, av, "after an unregistered sleep")
 		}
-		if want := lockedNow(av).Add(-60 * time.Millisecond); fired != want {
+		if want := av.Now().Add(-60 * time.Millisecond); fired != want {
 			t.Fatalf("event saw Now() = %v at its deadline, want %v", fired, want)
 		}
-		if want := lockedNow(av).Add(-40 * time.Millisecond); abroadAt != want {
+		if want := av.Now().Add(-40 * time.Millisecond); abroadAt != want {
 			t.Fatalf("event saw Now() = %v at a deadline from abroad, want %v", abroadAt, want)
 		}
 		wellFormed(t, av)
@@ -216,28 +213,19 @@ func TestVirtualNowIsTheLockedInstant(t *testing.T) {
 		var fired time.Time
 		ev := NewEvent(av, "probe", func() { fired = av.Now(); check(t, av, "inside an event") })
 		defer ev.Stop()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			h := Register(av, "jumper")
-			defer h.Close()
-			for i := 0; i < 5; i++ {
-				av.Sleep(time.Duration(i+1) * time.Hour)
-				check(t, av, "after a sleep jump")
-			}
-			ev.After(50 * time.Millisecond)
-			abroad := NewEvent(av, "abroad", func() { check(t, av, "at a deadline from another location") })
-			abroad.At(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
-			av.Sleep(70 * time.Millisecond)
-			check(t, av, "after a deadline from another location")
-			if want := lockedNow(av).Add(-20 * time.Millisecond); fired != want {
-				t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)
-			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("auto-virtual actor did not finish")
+		h := Register(av, "jumper")
+		defer h.Close()
+		for i := 0; i < 5; i++ {
+			av.Sleep(time.Duration(i+1) * time.Hour)
+			check(t, av, "after a sleep jump")
+		}
+		ev.After(50 * time.Millisecond)
+		abroad := NewEvent(av, "abroad", func() { check(t, av, "at a deadline from another location") })
+		abroad.At(av.Now().Add(70 * time.Millisecond).In(time.FixedZone("abroad", 7200)))
+		av.Sleep(70 * time.Millisecond)
+		check(t, av, "after a deadline from another location")
+		if want := av.Now().Add(-20 * time.Millisecond); fired != want {
+			t.Errorf("event saw Now() = %v at its deadline, want %v", fired, want)
 		}
 		if got := av.Now().Sub(SimEpoch); got < 15*time.Hour {
 			t.Fatalf("clock advanced %v, want at least the 15h slept", got)

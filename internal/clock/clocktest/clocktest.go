@@ -1,6 +1,7 @@
-// Package clocktest puts a test on the virtual clock the way a run puts an
-// actor on it: the test goroutine registers, so its sleeps advance the clock
-// and whatever it started runs while it waits, in one deterministic order.
+// Package clocktest puts a test on the virtual clock the way a run puts its
+// runner on it: the test goroutine registers, so its sleeps advance the
+// clock and whatever it started runs while it waits, in one deterministic
+// order.
 package clocktest
 
 import (
@@ -11,7 +12,7 @@ import (
 )
 
 // New returns a fresh auto-advancing virtual clock with the calling test
-// registered on it as an actor until the test ends. Stop what is built on
+// registered on it as "test" until the test ends. Stop what is built on
 // it before the test returns: a defer, or a t.Cleanup registered after New,
 // runs first.
 func New(t testing.TB) *clock.AutoVirtual {
@@ -42,7 +43,7 @@ func Until(t testing.TB, clk *clock.AutoVirtual, timeout time.Duration, what str
 // step(i), which does one step of its work and returns how long to wait
 // before the next, or that the work is done. A zero wait goes on at once; a
 // positive one arms the event's deadline, keyed under its name. The events
-// get their first turn in the order of names once the caller parks, and
+// get their first turn in the order of names once the caller sleeps, and
 // Steps sleeps on clk until every one is done, failing t with what once
 // timeout has passed on the clock.
 func Steps(t testing.TB, clk *clock.AutoVirtual, timeout time.Duration, what string, names []string, step func(i int) (wait time.Duration, done bool)) {

@@ -14,7 +14,7 @@ func TestStepsTakeTurnsUntilDone(t *testing.T) {
 	start := clk.Now()
 	names := []string{"b", "a"}
 	calls := make([]int, len(names))
-	var log []string // appended under the execution token
+	var log []string // appended on the clock's event loop
 	Steps(t, clk, time.Second, "both done", names, func(i int) (time.Duration, bool) {
 		log = append(log, fmt.Sprintf("%s@%v", names[i], clk.Since(start)))
 		calls[i]++

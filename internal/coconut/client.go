@@ -36,7 +36,7 @@ type clientThread struct {
 // Client is one COCONUT client application: it paces sends according to the
 // arrival schedule, deals them to the workload threads in turn, and streams
 // finalization notifications into its phase's tally, so its memory is
-// bounded by the in-flight window, not the run length. It is no actor: the
+// bounded by the in-flight window, not the run length. It has no goroutine: the
 // runner makes its first send and its pacer event makes the rest. The paper
 // runs four client applications, each with four client threads of four
 // workload threads (16 senders per application), each application targeting
@@ -64,9 +64,9 @@ type Client struct {
 
 	// The in-flight index and the phase's tally are streamed as sends and
 	// events happen, so phase-end aggregation never walks the full record
-	// set. Sends update them on the sending actor or event, confirmations on
-	// whichever actor the driver commits on: one at a time, under the
-	// clock's token.
+	// set. Sends update them on the runner or the pacer event, confirmations
+	// on whichever event the driver commits on: one at a time, on the
+	// clock's event loop.
 	inflight map[crypto.Hash]inflightTx
 	tally    *tally
 }
@@ -197,7 +197,7 @@ func (c *Client) start(sendEnd time.Time) {
 // lanes prepares every workload thread's generator and returns the threads
 // that send, in the order they take turns: by thread name ("w0", "w1",
 // "w10", …, "w2", …), the order the clock's name tie-break gave them when
-// each was an actor, which per-thread sent counts, and through them the key
+// each was a goroutine of its own, which per-thread sent counts, and through them the key
 // space of a dependent read phase, were calibrated against.
 func (c *Client) lanes() []int {
 	readPhase := ReadBenchmarkDependsOnWrite(c.bench) != "" && len(c.readMax) > 0

@@ -260,8 +260,8 @@ type RepetitionResult struct {
 // of the phase: payload counters, the first send and the last receipt, the
 // abort breakdown, one latency histogram and one per-stage breakdown, and
 // the phase's windowed timeline when one is collected. Sends and
-// confirmations stream into it as they happen, from whichever actor or event
-// holds the clock's token, one at a time, so it takes no lock; a
+// confirmations stream into it as they happen, from the runner or whichever event
+// the clock runs, one at a time, so it takes no lock; a
 // repetition's metrics come from it alone.
 type tally struct {
 	timeline    *Timeline // nil unless the run collects one

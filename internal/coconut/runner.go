@@ -142,8 +142,8 @@ func Run(cfg RunConfig) ([]Result, error) {
 // when its phase ends, so the driver stops right after the last one.
 func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
-	// The runner itself is an actor: its waits and quiesce sleeps park it so
-	// the clock can jump.
+	// The runner's waits and quiesce sleeps run the clock: its sleeps tie
+	// under this name.
 	h := clock.Register(clk, "coconut-runner")
 	defer h.Close()
 	driver := cfg.NewDriver(clk)
@@ -344,7 +344,7 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 	return rr, written
 }
 
-// drive runs one phase's clients from the calling actor: load starts
+// drive runs one phase's clients from the caller: load starts
 // uniformly (§4.3), every client sending at this instant, the send window
 // and then the listening grace pass, and the clients detach.
 func drive(clk *clock.AutoVirtual, cfg *RunConfig, clients []*Client) {

@@ -145,7 +145,7 @@ type kinds struct {
 }
 
 // Core is one validator's three-phase agreement engine. Only the clock's
-// token holder touches it — its own loop event, or a client calling Submit —
+// event loop touches it — its own loop event, or a client calling Submit —
 // so it takes no lock.
 type Core struct {
 	cfg   Config

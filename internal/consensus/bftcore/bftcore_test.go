@@ -327,7 +327,7 @@ func BenchmarkBFTCoreDecideN32(b *testing.B) {
 	for i := range peers {
 		peers[i] = fmt.Sprintf("validator-%02d", i)
 	}
-	decided := 0 // the last validator's; written under the execution token
+	decided := 0 // the last validator's; written on the clock's event loop
 	cores := make([]*Core, n)
 	for i, id := range peers {
 		cfg := Config{ID: id, Peers: peers, Transport: tr, Clock: av, Proposer: StickyPrimary}

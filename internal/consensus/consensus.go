@@ -26,7 +26,7 @@ type Decision struct {
 
 // DecideFunc is invoked on each node, in sequence order, once a slot is
 // decided. It runs inside the engine's clock event, to completion: it must
-// not park (a commit gate's durability wait is a deadline, not a sleep).
+// not sleep (a commit gate's durability wait is a deadline, not a sleep).
 type DecideFunc func(Decision)
 
 // Engine lifecycle errors.

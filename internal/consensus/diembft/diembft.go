@@ -90,8 +90,8 @@ type (
 	}
 )
 
-// Engine is one DiemBFT validator. Only the clock's token holder touches
-// it, so it takes no lock.
+// Engine is one DiemBFT validator. Only the clock's event loop touches it,
+// so it takes no lock.
 type Engine struct {
 	cfg        Config
 	validators consensus.PeerIndex

@@ -273,7 +273,7 @@ func TestValidatorsShareTheProposersBlock(t *testing.T) {
 	defer h.Close()
 	tr := network.NewTransport(clk, nil)
 	names := []string{"v0", "v1", "v2", "v3"}
-	var decided []consensus.Decision // v0's; written under the execution token
+	var decided []consensus.Decision // v0's; written on the clock's event loop
 	var engines []*Engine
 	for _, id := range names {
 		q := &payloadQueue{}

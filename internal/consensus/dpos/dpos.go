@@ -77,7 +77,7 @@ type gossipMsg struct {
 	Payload any
 }
 
-// Engine is one DPoS witness. Only the clock's token holder touches it, so
+// Engine is one DPoS witness. Only the clock's event loop touches it, so
 // it takes no lock.
 type Engine struct {
 	cfg Config

@@ -9,8 +9,8 @@ import "github.com/coconut-bench/coconut/internal/crypto"
 //
 // Nodes 0–63 share one inline word per message, so an entry of a network of
 // up to 64 nodes costs nothing beyond map growth; nodes from 64 up spill to
-// a second map that smaller networks never touch. Only the actor holding
-// the clock's token touches the index, so it takes no lock.
+// a second map that smaller networks never touch. Only the clock's
+// event loop touches the index, so it takes no lock.
 type GossipIndex struct {
 	low   map[crypto.Hash]uint64   // bit i: node i < 64 admitted the message
 	spill map[crypto.Hash][]uint64 // word w, bit i: node 64(w+1)+i admitted it

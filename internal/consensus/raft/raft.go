@@ -110,7 +110,7 @@ type (
 	}
 )
 
-// Node is one Raft participant. Only the clock's token holder touches it —
+// Node is one Raft participant. Only the clock's event loop touches it —
 // its own loop event, or a client calling Submit — so it takes no lock.
 type Node struct {
 	cfg   Config

@@ -240,7 +240,7 @@ func TestSubmitWithoutLeaderKnownFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	// The test holds the execution token, so the clock cannot move before
+	// The test has not slept, so the clock cannot have moved before
 	// Submit: no election timeout can have fired, and the node is still a
 	// follower that knows no leader.
 	if waited := clk.Since(start); waited >= electionTimeout {

@@ -86,7 +86,7 @@ type OutcomeRow struct {
 type Outcome struct {
 	Scenario Scenario     `json:"scenario"`
 	Rows     []OutcomeRow `json:"rows"`
-	// Timings reports each cell's simulated-versus-wall time and kernel
+	// Timings reports each cell's simulated-versus-wall time and clock
 	// counters. The entries are wall-clock measurements, so they vary run to run
 	// even when the Rows are bit-identical.
 	Timings []CellTiming `json:"timings,omitempty"`
@@ -108,12 +108,9 @@ type CellTiming struct {
 	// Speedup is SimSeconds/WallSeconds: how much faster than real time
 	// the cell ran.
 	Speedup float64 `json:"speedup"`
-	// Handoffs, Events and TimerFires are the clock kernel's counters
-	// (clock.KernelStats) summed over the cell's clocks: execution-token
-	// grants to a parked goroutine, event functions run inline, deadlines
-	// fired. Unlike the wall-clock fields they repeat exactly at a fixed
-	// seed.
-	Handoffs   int64 `json:"handoffs"`
+	// Events and TimerFires are the clock's counters (clock.KernelStats)
+	// summed over the cell's clocks: event functions run, deadlines fired.
+	// Unlike the wall-clock fields they repeat exactly at a fixed seed.
 	Events     int64 `json:"events"`
 	TimerFires int64 `json:"timerFires"`
 	// RunBy names the cell whose run produced this cell's row, by its

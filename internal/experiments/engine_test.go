@@ -110,7 +110,7 @@ func TestOptionsValidateAcceptsOnlyTheVirtualClock(t *testing.T) {
 
 // TestRunDefaultsToTheVirtualClock: Options with no Time run on the virtual
 // clock, so every cell reports the simulated time it covered and its
-// kernel's counters.
+// clock's counters.
 func TestRunDefaultsToTheVirtualClock(t *testing.T) {
 	sc := Scenario{Systems: []string{systems.NameFabric}, Benchmarks: []string{"DoNothing"}}
 	oc, err := Run(context.Background(), sc, fastOptions())
@@ -120,8 +120,8 @@ func TestRunDefaultsToTheVirtualClock(t *testing.T) {
 	if len(oc.Timings) != 1 {
 		t.Fatalf("timings = %d, want one for the one cell", len(oc.Timings))
 	}
-	if tm := oc.Timings[0]; tm.SimSeconds <= 0 || tm.Handoffs <= 0 || tm.TimerFires <= 0 {
-		t.Fatalf("cell timing %+v: want simulated seconds, hand-offs and timer fires", tm)
+	if tm := oc.Timings[0]; tm.SimSeconds <= 0 || tm.TimerFires <= 0 {
+		t.Fatalf("cell timing %+v: want simulated seconds and timer fires", tm)
 	}
 }
 
@@ -262,15 +262,15 @@ func TestEngineSeedStability(t *testing.T) {
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatalf("same seed, different rows:\n%+v\n%+v", a.Rows, b.Rows)
 	}
-	// So must what the clock kernel did to produce them; only the wall-clock
+	// So must what the clock did to produce them; only the wall-clock
 	// half of a CellTiming may differ between the runs.
 	ta, tb := a.Timings[0], b.Timings[0]
-	if ta.Handoffs == 0 || ta.Events == 0 || ta.TimerFires == 0 {
-		t.Fatalf("kernel counters not collected: %+v", ta)
+	if ta.Events == 0 || ta.TimerFires == 0 {
+		t.Fatalf("clock counters not collected: %+v", ta)
 	}
 	ta.WallSeconds, ta.Speedup, tb.WallSeconds, tb.Speedup = 0, 0, 0, 0
 	if ta != tb {
-		t.Fatalf("same seed, different kernel counters:\n%+v\n%+v", ta, tb)
+		t.Fatalf("same seed, different clock counters:\n%+v\n%+v", ta, tb)
 	}
 }
 

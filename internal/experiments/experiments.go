@@ -102,7 +102,7 @@ func (o Options) newClockFn() func() *clock.AutoVirtual {
 }
 
 // clockMeter accumulates the virtual clocks a cell constructs; summing over
-// them yields the cell's simulated time and what its scheduler did.
+// them yields the cell's simulated time and what its event loop did.
 type clockMeter struct {
 	clks []*clock.AutoVirtual
 }
@@ -110,12 +110,11 @@ type clockMeter struct {
 func (m *clockMeter) add(c *clock.AutoVirtual) { m.clks = append(m.clks, c) }
 
 // fill sums into t the simulated seconds every recorded clock has advanced
-// past the simulation epoch and its kernel counters.
+// past the simulation epoch and its counters.
 func (m *clockMeter) fill(t *CellTiming) {
 	for _, c := range m.clks {
 		t.SimSeconds += c.Now().Sub(clock.SimEpoch).Seconds()
 		ks := c.KernelStats()
-		t.Handoffs += ks.Handoffs
 		t.Events += ks.Events
 		t.TimerFires += ks.TimerFires
 	}

@@ -96,6 +96,6 @@ func TestVirtualRunRepeatsAtAnyGOMAXPROCS(t *testing.T) {
 		t.Fatalf("rows differ between two runs:\n%+v\n%+v", a.Rows[0].Result, b.Rows[0].Result)
 	}
 	if !reflect.DeepEqual(a.Timings, b.Timings) {
-		t.Fatalf("kernel counters differ between two runs:\n%+v\n%+v", a.Timings, b.Timings)
+		t.Fatalf("clock counters differ between two runs:\n%+v\n%+v", a.Timings, b.Timings)
 	}
 }

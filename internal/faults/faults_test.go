@@ -441,9 +441,9 @@ func TestInjectorWaitsOutRecoveries(t *testing.T) {
 }
 
 // TestInjectorAppliesDueEntriesInSameRun: entries already due when the
-// timeline runs apply in that one run, in schedule order — at Start, from
-// outside the run, before Start returns — and a later entry waits for its
-// offset.
+// timeline runs apply in that one run, in schedule order — the run Start
+// queues, which the first Sleep makes at the start instant — and a later
+// entry waits for its offset.
 func TestInjectorAppliesDueEntriesInSameRun(t *testing.T) {
 	ms := time.Millisecond
 	d := newStubDriver(4)
@@ -455,13 +455,17 @@ func TestInjectorAppliesDueEntriesInSameRun(t *testing.T) {
 		{At: 10 * ms, Kind: CrashNode, Node: 3},
 	}}, clk)
 	in.Start()
+	if got := fmt.Sprint(d.callLog()); got != "[]" {
+		t.Fatalf("calls after Start = %s, want none before a Sleep", got)
+	}
+	clk.Sleep(5 * ms)
 	if got := fmt.Sprint(d.callLog()); got != "[crash:2 crash:1]" {
-		t.Fatalf("calls after Start = %s, want both entries due at 0 applied", got)
+		t.Fatalf("calls after the first Sleep = %s, want both entries due at 0 applied", got)
 	}
 	if runs := clk.KernelStats().Events; runs != 1 {
 		t.Fatalf("the timeline ran %d times for the entries due at Start, want 1", runs)
 	}
-	clk.Sleep(20 * ms)
+	clk.Sleep(15 * ms)
 	var at []string
 	for _, a := range in.Applied() {
 		at = append(at, fmt.Sprintf("%v:%d@%v", a.Event.Kind, a.Event.Node, a.At.Sub(start)))

@@ -85,7 +85,7 @@ func (in *Injector) Start() {
 // Stop halts the timeline and restores the system to health: crashed and
 // partitioned nodes restart (replaying their missed commits) and link
 // degradations clear, so a benchmark phase always hands a healthy system
-// to the next one. The caller is an actor: it sleeps out the rest of a
+// to the next one. The caller is the runner: it sleeps out the rest of a
 // recovery the timeline was waiting on, then the recoveries of the restarts
 // Stop makes, so Stop returns with every node up. Stop is idempotent and
 // safe without Start.
@@ -134,7 +134,7 @@ func (in *Injector) Apply(ev Event) error {
 	return in.err
 }
 
-// sleepOut runs the current entry to its end on the calling actor.
+// sleepOut runs the current entry to its end, sleeping on the caller.
 func (in *Injector) sleepOut() {
 	for wait := in.advance(); wait > 0; wait = in.advance() {
 		in.clk.Sleep(wait)
@@ -309,7 +309,7 @@ func (in *Injector) restoreAll() {
 	}
 }
 
-// restart restarts node and sleeps out its recovery on the calling actor.
+// restart restarts node and sleeps out its recovery on the caller.
 func (in *Injector) restart(node int) {
 	wait, _ := in.drv.RestartNode(node)
 	for ; wait > 0; wait = in.drv.ResumeNode(node) {

@@ -11,7 +11,7 @@ import (
 
 // ExampleTransport wires two endpoints and delivers a message.
 func ExampleTransport() {
-	// The caller is an actor on the virtual clock, as every sender is.
+	// The caller registers on the virtual clock, as the runner does.
 	clk := clock.NewAutoVirtual()
 	h := clock.Register(clk, "example")
 	defer h.Close()

@@ -53,7 +53,7 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 		h := clock.Register(clk, "main")
 		defer h.Close()
 
-		var log []delivery // appended under the execution token
+		var log []delivery // appended on the clock's event loop
 		seq := 0
 		kinds := map[int]string{}     // by send order
 		sentAt := map[int]time.Time{} // by send order
@@ -267,18 +267,22 @@ func TestDegradedLossDeterministicPerLink(t *testing.T) {
 
 // TestLinkStateOutlivesTheEndpoint: a link's loss stream belongs to the pair
 // of names, not to the registration — a node that crashes and re-registers
-// mid-run loses exactly the messages it would have lost anyway. (Outside a
-// run the virtual clock delivers inside Send, so nothing is in flight across
-// the gap.)
+// mid-run loses exactly the messages it would have lost anyway. (The test
+// sleeps out the deliveries before the gap, so nothing is in flight across
+// it.)
 func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 	run := func(reregister bool) []int {
-		tr := NewTransport(clock.NewAutoVirtual(), nil)
+		clk := clock.NewAutoVirtual()
+		tr := NewTransport(clk, nil)
 		defer tr.Stop()
 		var got []int
 		h := func(m Message) { got = append(got, m.Payload.(int)) }
 		tr.Register("b", h)
 		tr.DegradeLink("a", "b", 0, 0.4)
 		for i := 0; i < 400; i++ {
+			if i == 200 {
+				clk.Sleep(time.Millisecond)
+			}
 			if reregister && i == 200 {
 				tr.Unregister("b")
 				tr.Register("b", h)
@@ -287,6 +291,7 @@ func TestLinkStateOutlivesTheEndpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		clk.Sleep(time.Millisecond)
 		return got
 	}
 	steady, restarted := run(false), run(true)

@@ -21,7 +21,7 @@ type Message struct {
 }
 
 // Handler receives delivered messages. Handlers run inside the transport's
-// delivery events (clock.Event) and must not park.
+// delivery events (clock.Event) and must not sleep.
 type Handler func(Message)
 
 // Errors returned by Transport operations.
@@ -38,8 +38,8 @@ var (
 // due at once, in a heap by ready time otherwise. One clock event drains due
 // messages in timestamp order.
 //
-// Only the actor holding the clock's token touches the transport, so it
-// takes no lock: topology and fault state, the per-link state (the FIFO
+// Only the clock's event loop touches the transport, so it takes no
+// lock: topology and fault state, the per-link state (the FIFO
 // clamp, a seeded loss RNG), the queue and the counters change one send at
 // a time, and handlers may send. What orders messages is therefore the
 // same on every host.

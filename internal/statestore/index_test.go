@@ -110,7 +110,7 @@ func TestStoreAccessAllocatesNothing(t *testing.T) {
 // TestSharedIndexAcrossActors: the replicas of a network are events on
 // one clock, each writing its own store on the network's one index,
 // interleaved between their waits. Run under -race, this holds that the
-// clock's token is all the sharing needs; each store ends with the keys it
+// clock's one event loop is all the sharing needs; each store ends with the keys it
 // wrote, at its own versions.
 func TestSharedIndexAcrossActors(t *testing.T) {
 	const actors, writes, names = 4, 300, 40

@@ -37,8 +37,8 @@ type slot uint32
 // The replicas of a network share one Index, so each key is hashed and held
 // once per network rather than once per replica; which slot a key gets is
 // never observable. The index keeps one map per part, keyed by the name
-// alone, so a lookup hashes one string. Only the actor holding the clock's
-// token touches it, so it takes no lock.
+// alone, so a lookup hashes one string. Only the clock's event loop
+// touches it, so it takes no lock.
 type Index struct {
 	parts [Savings + 1]map[string]slot
 	n     int

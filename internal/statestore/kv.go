@@ -50,7 +50,7 @@ type page [pageSize]cell
 // by the slots of its Index, allocated a page at a time where the store
 // writes. Stores on one Index share its keys but not their values: a key
 // one store holds is absent from another until that one writes it. Only
-// the actor holding the clock's token touches a store, so it takes no lock.
+// the clock's event loop touches a store, so it takes no lock.
 type KVStore struct {
 	index *Index
 	pages []*page

@@ -121,7 +121,7 @@ func TestWALCorruptionRecoversToCommittedPrefix(t *testing.T) {
 // restart's replay. The node must stay down (no half-replayed zombie
 // serving traffic), and a second restart must finish the job: liveness and
 // converged prefixes as usual. Each system runs on its own auto-advancing
-// virtual clock with the test body as an actor, so the crash lands at the
+// virtual clock with the test body registered on it, so the crash lands at the
 // same virtual instant inside the replay on every run.
 func TestWALCrashDuringReplay(t *testing.T) {
 	// A stretched replay latency makes the replay long. Refetch must stay

@@ -65,7 +65,7 @@ func flowLatency(t *testing.T, cfg config, nodes int) time.Duration {
 	env := systemstest.Env(t)
 	env.Nodes = nodes
 	n := build(env, cfg)
-	var confirmed time.Time // written under the execution token
+	var confirmed time.Time // written on the clock's event loop
 	n.Subscribe("client-1", func(systems.Event) { confirmed = env.Clock.Now() })
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
@@ -292,8 +292,8 @@ func TestQueueHoldsQueueDepthFlows(t *testing.T) {
 	cfg := osConfig()
 	cfg.queueDepth = 2
 	n, col := start(t, cfg)
-	// The test holds the clock's token, so the worker takes nothing until
-	// it sleeps: the first two flows fill the queue.
+	// Nothing runs until the test sleeps, so the worker takes nothing
+	// until then: the first two flows fill the queue.
 	for i := uint64(0); i < 5; i++ {
 		if err := n.Submit(0, chain.NewSingleOp("client-1", i, iel.DoNothingName, iel.FnDoNothing)); err != nil {
 			t.Fatal(err)

@@ -39,7 +39,7 @@ import (
 // catch-up batch before reopening. Recovery time therefore scales with log
 // length and crash point.
 //
-// Only the token holder touches the gate, so it takes no lock: during a
+// Only the clock's event loop touches the gate, so it takes no lock: during a
 // wait of its own (a Restart step's, Commit's) others may commit, crash or
 // restart it, and each sees the state the last one left.
 type DurableGate struct {
@@ -119,7 +119,7 @@ func (g *DurableGate) Trace(tr *trace.Tracer, proc, lane string) {
 // WAL returns the mounted log, or nil when durability is disabled.
 func (g *DurableGate) WAL() *wal.Log { return g.log }
 
-// Commit is CommitTo for work already held in a closure, made by an actor
+// Commit is CommitTo for work already held in a closure, made by a caller
 // that waits for it: with a log mounted it returns once f has applied, or a
 // crash during the wait has buffered it for replay.
 func (g *DurableGate) Commit(entries int, f func()) {
@@ -134,7 +134,7 @@ func runTask(f func()) { f() }
 
 // CommitTo durably records and then runs apply(arg), one unit of commit
 // work covering `entries` transactions (zero entries — an empty block —
-// still writes a header-only record). It never parks. When the gate is open
+// still writes a header-only record). It never sleeps. When the gate is open
 // and a log is mounted, the record is appended now and the work waits out
 // the modeled append+fsync latency: it applies at the append instant plus
 // that latency, or at the previous waiting work's deadline if that is
@@ -286,7 +286,7 @@ func (g *DurableGate) Crash() bool {
 // (charging per-record read+CRC cost), re-fetch and re-persist whatever the
 // log lost, then drain the buffered commit work in arrival order and
 // reopen. The replay, the re-fetch and each drain round's re-fetch cost
-// modeled time, which the caller waits out on the clock (an actor sleeps
+// modeled time, which the caller waits out on the clock (the runner sleeps
 // it, an event arms After): Restart runs recovery up to its first wait and
 // returns it, and Resume, called once that much time has passed, runs it to
 // the next. Zero means recovery is over. Restarting a node that is up or

@@ -17,8 +17,7 @@ const DefaultEmittedRetention = 1 << 19
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// Only the actor holding the clock's token touches it, so it takes no
-// lock. Node identities are interned once into dense indices so
+// Only the clock's event loop touches it, so it takes no lock. Node identities are interned once into dense indices so
 // per-transaction tracking is a bitset rather than a map of node-ID
 // strings.
 type Hub struct {

@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkHubCommit drives a full commit cycle (every node reports every
-// transaction) through a hub from GOMAXPROCS node actors on one clock,
+// transaction) through a hub from GOMAXPROCS node events on one clock,
 // mimicking the per-validator commit loops of the system drivers.
 func BenchmarkHubCommit(b *testing.B) {
 	nodes := runtime.GOMAXPROCS(0)

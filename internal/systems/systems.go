@@ -112,7 +112,7 @@ type Event struct {
 }
 
 // EventFunc receives finalization events. Callbacks run on the system's
-// clock events, under the clock's token, and must not park.
+// clock events, on the clock's event loop, and must not sleep.
 type EventFunc func(Event)
 
 // Driver is the Blockchain Access Layer's view of a system under test. One

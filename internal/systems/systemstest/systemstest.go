@@ -1,6 +1,6 @@
 // Package systemstest builds the test side of a driver the way a run builds
 // it: an Env at the scale the model is calibrated at, on an auto-advancing
-// virtual clock with the test goroutine registered as an actor, and a
+// virtual clock with the test goroutine registered on it, and a
 // collector that waits for events on that clock. A test on it is CPU-bound
 // and repeats exactly, whatever the calibrated service times.
 package systemstest
@@ -24,7 +24,7 @@ func On(clk *clock.AutoVirtual) systems.Env {
 }
 
 // Env returns a test Env on a fresh auto-advancing virtual clock, with the
-// calling test registered on it as an actor until the test ends. Call it
+// calling test registered on it until the test ends. Call it
 // after t.Parallel, and stop what is built on it before the test returns: a
 // Start or t.Cleanup registered after Env runs first.
 func Env(t testing.TB) systems.Env {
@@ -93,7 +93,7 @@ func (c *Collector) Wait(t testing.TB, want int, timeout time.Duration) []system
 }
 
 // Restart restarts node of d and sleeps out its recovery on clk, step by
-// step, as an actor restarting a node does.
+// step, as the runner restarting a node does.
 func Restart(t testing.TB, clk *clock.AutoVirtual, d systems.Driver, node int) {
 	t.Helper()
 	wait, err := d.RestartNode(node)

@@ -4,9 +4,8 @@
 // sink handed to every instrumented component; recording is gated by
 // deterministic sampling so virtual-time runs stay bit-identical at a
 // fixed seed, and the unsampled path is allocation-free (one arithmetic
-// test), so tracing can stay wired into the hot paths. Spans are added by
-// whichever actor holds the clock's token, one at a time, so the sink takes
-// no lock.
+// test), so tracing can stay wired into the hot paths. Spans are added on
+// the clock's event loop, one at a time, so the sink takes no lock.
 //
 // Sampling is a pure function of stable identities — the transaction ID's
 // first eight bytes, a block number, a per-link message ordinal — never of

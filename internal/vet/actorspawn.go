@@ -6,21 +6,22 @@ import (
 	"strconv"
 )
 
-// ActorSpawn keeps the one concurrency regime of the actor packages (all
-// of internal/ but the clock and this suite). The AutoVirtual clock hands
-// its execution token to one holder at a time — the runner, or an event it
-// runs — and advances only when every actor is parked:
+// ActorSpawn keeps the one concurrency regime of the model's packages (all
+// of internal/ but this suite). The AutoVirtual clock is one goroutine's
+// event loop: everything the model runs is an event called from its
+// caller's Sleep, and the clock's own state is plain fields.
 //
-//   - a go statement starts a goroutine the clock was not told about, so
-//     time can jump while that goroutine still has work; work that waits
-//     is a clock.Event (or a Loop) that arms its deadline and returns;
-//   - a sync.Mutex or RWMutex can never be contended under the token, and
-//     an actor that blocks on one held by a parked actor freezes the clock;
-//     sync/atomic guards nothing the token does not already serialise.
+//   - a go statement starts a second goroutine, which races the loop on
+//     that state and whose work the clock never sees, so time can jump
+//     while it is still running; work that waits is a clock.Event (or a
+//     Loop) that arms its deadline and returns;
+//   - a sync.Mutex or RWMutex is never contended on one goroutine, and an
+//     event that blocks on one freezes the loop; sync/atomic guards nothing
+//     the loop does not already serialise.
 var ActorSpawn = &Analyzer{
 	Name: "actorspawn",
-	Doc: "flags go statements, sync.Mutex/RWMutex and sync/atomic in clock-actor packages; " +
-		"make concurrent work a clock.Event or Loop and keep its state in plain fields",
+	Doc: "flags go statements, sync.Mutex/RWMutex and sync/atomic in the model's packages, which run on " +
+		"one goroutine's event loop; make concurrent work a clock.Event or Loop and keep its state in plain fields",
 	Run: runActorSpawn,
 }
 
@@ -29,20 +30,20 @@ func runActorSpawn(pass *Pass) (interface{}, error) {
 		for _, imp := range f.Imports {
 			if path, _ := strconv.Unquote(imp.Path.Value); path == "sync/atomic" {
 				pass.Reportf(imp.Pos(),
-					"sync/atomic in a clock-actor package: actors run one at a time under the clock's token; use plain fields")
+					"sync/atomic in a model package: the model runs on one goroutine's event loop; use plain fields")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement in a clock-actor package: the goroutine is invisible to AutoVirtual quiescence; make it a clock.Event or Loop")
+					"go statement in a model package: the model runs on one goroutine's event loop, which a second goroutine races; make it a clock.Event or Loop")
 			case *ast.Ident:
 				if tn, ok := pass.TypesInfo.Uses[n].(*types.TypeName); ok && tn.Pkg() != nil &&
 					tn.Pkg().Path() == "sync" && (tn.Name() == "Mutex" || tn.Name() == "RWMutex") {
 					pass.Reportf(n.Pos(),
-						"sync.%s in a clock-actor package: actors run one at a time under the clock's token, so it is never contended, "+
-							"and blocking on it freezes the clock; drop the lock", tn.Name())
+						"sync.%s in a model package: the model runs on one goroutine's event loop, so it is never contended, "+
+							"and blocking on it freezes the loop; drop the lock", tn.Name())
 				}
 			}
 			return true

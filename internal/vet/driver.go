@@ -25,15 +25,14 @@ type Policy struct {
 func DefaultPolicy() *Policy {
 	return &Policy{
 		Include: map[string][]string{
-			// Everything a run executes runs as clock actors.
+			// Everything a run executes runs on the clock's event loop.
 			ActorSpawn.Name: {"internal"},
 		},
 		Exclude: map[string][]string{
-			// internal/clock is the one sanctioned wall-clock boundary
-			// and owns its own goroutine/lock discipline; the analyzers
-			// themselves run outside any clock.
+			// internal/clock is the one sanctioned wall-clock boundary;
+			// the analyzers themselves run outside any clock.
 			Walltime.Name:   {"internal/clock"},
-			ActorSpawn.Name: {"internal/clock", "internal/vet"},
+			ActorSpawn.Name: {"internal/vet"},
 			// CLIs write their own output files.
 			DirectIO.Name: {"cmd"},
 			// The registry/tracer packages own telemetry construction;

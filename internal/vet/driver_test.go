@@ -166,7 +166,7 @@ func TestDefaultPolicyExemptions(t *testing.T) {
 		{"telemetry", "internal/coconut", false},
 		{"telemetry", "internal/systems", true},
 		{"actorspawn", "internal/consensus/bftcore", true},
-		{"actorspawn", "internal/clock", false},
+		{"actorspawn", "internal/clock", true},
 		{"actorspawn", "examples/quickstart", false},
 		{"actorspawn", "internal/statestore", true},
 		{"actorspawn", "internal/vet", false},

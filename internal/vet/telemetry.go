@@ -8,7 +8,7 @@ import (
 // Telemetry enforces the observability contract's source-level rule
 // (PR 9): instrumented packages never mint their own telemetry plane.
 // Gauges live in the internal/coconut registry and are sampled by the
-// runner's gauge actor; traces come from the single trace.Tracer wired
+// runner's gauge event; traces come from the single trace.Tracer wired
 // through each driver's Config. A second tracer or a hand-built gauge
 // series would be unsampled by the runner, invisible to the reports and
 // the bench ledger, and a determinism hazard (double-advancing the
@@ -49,7 +49,7 @@ func runTelemetry(pass *Pass) (interface{}, error) {
 					switch named.Obj().Name() {
 					case "GaugeSeries", "GaugeSample":
 						pass.Reportf(n.Pos(),
-							"hand-built coconut.%s bypasses the gauge registry; gauges are sampled by the runner's gauge actor", named.Obj().Name())
+							"hand-built coconut.%s bypasses the gauge registry; gauges are sampled by the runner's gauge event", named.Obj().Name())
 					}
 				}
 			case *ast.SelectorExpr:

@@ -145,8 +145,8 @@ type segment struct {
 	buf  []byte
 }
 
-// Log is one node's write-ahead log, touched only by the actor holding the
-// clock's token. None of its methods sleeps: modeled latencies are returned
+// Log is one node's write-ahead log, touched only on the clock's event
+// loop. None of its methods sleeps: modeled latencies are returned
 // to the caller.
 type Log struct {
 	name string
