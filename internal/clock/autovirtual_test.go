@@ -106,3 +106,172 @@ func TestSleepRunsOnItsCaller(t *testing.T) {
 		t.Fatalf("PendingWaiters = %d, want 0", got)
 	}
 }
+
+// TestNonPositiveSleepRunsNothing: a Sleep of d <= 0 returns at once and
+// runs nothing — not a triggered event, an arm already due or a posted
+// message — and neither moves the clock nor arms or fires a deadline. The
+// next positive Sleep runs them first, in the order they were queued, at
+// the instant it starts.
+func TestNonPositiveSleepRunsNothing(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		t.Run(fmt.Sprint(d), func(t *testing.T) {
+			av := NewAutoVirtual()
+			h := Register(av, "runner")
+			defer h.Close()
+			var log []string
+			note := func(name string) {
+				log = append(log, fmt.Sprintf("%s@%v", name, av.Now().Sub(SimEpoch)))
+			}
+			NewEvent(av, "trig", func() { note("trig") }).Trigger()
+			NewEvent(av, "due", func() { note("due") }).After(0)
+			loop := NewLoop(av, "loop", func(m int) { note(fmt.Sprint("msg", m)) }, func() {})
+			loop.Post(7)
+			before := av.KernelStats()
+			av.Sleep(d)
+			if len(log) != 0 || !av.Now().Equal(SimEpoch) || av.PendingWaiters() != 0 || av.KernelStats() != before {
+				t.Fatalf("Sleep(%v) ran %v, clock at %v, %d waiters, stats %+v (were %+v)",
+					d, log, av.Now().Sub(SimEpoch), av.PendingWaiters(), av.KernelStats(), before)
+			}
+			av.Sleep(time.Millisecond)
+			if want := "[trig@0s due@0s msg7@0s]"; fmt.Sprint(log) != want {
+				t.Fatalf("the next Sleep ran %v, want %s", log, want)
+			}
+		})
+	}
+}
+
+// TestOutsideASleepArmsOnlyQueue: outside a Sleep nothing runs. A Trigger,
+// an After or At at or before Now, and a Loop's Post each only owe a run,
+// without arming a deadline; asked for twice, the run is still one, and it
+// is the first thing the next Sleep does, with the clock where it stood.
+func TestOutsideASleepArmsOnlyQueue(t *testing.T) {
+	for _, tc := range []struct {
+		how  string
+		arm  func(av *AutoVirtual, note func()) func()
+		runs int // fn calls in the one run
+	}{
+		{"Trigger", func(av *AutoVirtual, note func()) func() { return NewEvent(av, "ev", note).Trigger }, 1},
+		{"After zero", func(av *AutoVirtual, note func()) func() {
+			ev := NewEvent(av, "ev", note)
+			return func() { ev.After(0) }
+		}, 1},
+		{"After negative", func(av *AutoVirtual, note func()) func() {
+			ev := NewEvent(av, "ev", note)
+			return func() { ev.After(-time.Second) }
+		}, 1},
+		{"At now", func(av *AutoVirtual, note func()) func() {
+			ev := NewEvent(av, "ev", note)
+			return func() { ev.At(av.Now()) }
+		}, 1},
+		{"At past", func(av *AutoVirtual, note func()) func() {
+			ev := NewEvent(av, "ev", note)
+			return func() { ev.At(SimEpoch) }
+		}, 1},
+		{"Post", func(av *AutoVirtual, note func()) func() {
+			loop := NewLoop(av, "loop", func(int) { note() }, func() {})
+			return func() { loop.Post(1) }
+		}, 2},
+	} {
+		t.Run(tc.how, func(t *testing.T) {
+			av := NewAutoVirtual()
+			h := Register(av, "runner")
+			defer h.Close()
+			av.Sleep(time.Second) // off the epoch, so the epoch is in the past
+			var at []time.Duration
+			arm := tc.arm(av, func() { at = append(at, av.Now().Sub(SimEpoch)) })
+			arm()
+			arm()
+			if len(at) != 0 || av.PendingWaiters() != 0 {
+				t.Fatalf("outside a Sleep: ran at %v with %d waiters, want nothing run or armed", at, av.PendingWaiters())
+			}
+			before := av.KernelStats().Events
+			av.Sleep(time.Second)
+			if len(at) != tc.runs || at[0] != time.Second || at[len(at)-1] != time.Second {
+				t.Fatalf("ran at %v, want %d calls at 1s, where the Sleep started", at, tc.runs)
+			}
+			if got := av.KernelStats().Events - before; got != 1 {
+				t.Fatalf("KernelStats.Events grew by %d, want one run for both requests", got)
+			}
+		})
+	}
+}
+
+// TestSleepLeavesLaterTiesArmed: Sleep returns as soon as its own deadline
+// fires. An event due at the same instant under a name after the caller's
+// stays armed, and the next Sleep runs it first, without the clock moving.
+func TestSleepLeavesLaterTiesArmed(t *testing.T) {
+	av := NewAutoVirtual()
+	h := Register(av, "main")
+	defer h.Close()
+	var ranAt []time.Duration
+	NewEvent(av, "zz", func() { ranAt = append(ranAt, av.Now().Sub(SimEpoch)) }).After(time.Second)
+	av.Sleep(time.Second)
+	if len(ranAt) != 0 || av.PendingWaiters() != 1 || av.Now().Sub(SimEpoch) != time.Second {
+		t.Fatalf("after the Sleep: zz ran at %v, %d waiters, clock at %v; want zz armed at 1s",
+			ranAt, av.PendingWaiters(), av.Now().Sub(SimEpoch))
+	}
+	av.Sleep(time.Second)
+	if fmt.Sprint(ranAt) != "[1s]" || av.PendingWaiters() != 0 {
+		t.Fatalf("zz ran at %v with %d waiters left, want once at 1s and none", ranAt, av.PendingWaiters())
+	}
+}
+
+// TestKernelStatsCount: Events counts the event functions run and
+// TimerFires the deadlines the clock jumped to, the caller's own included.
+func TestKernelStatsCount(t *testing.T) {
+	grew := func(av *AutoVirtual, f func()) KernelStats {
+		before := av.KernelStats()
+		f()
+		after := av.KernelStats()
+		return KernelStats{Events: after.Events - before.Events, TimerFires: after.TimerFires - before.TimerFires}
+	}
+	t.Run("a coalesced trigger is one run", func(t *testing.T) {
+		av := NewAutoVirtual()
+		ev := NewEvent(av, "ev", func() {})
+		got := grew(av, func() {
+			ev.Trigger()
+			ev.Trigger()
+			ev.Trigger()
+			av.Sleep(time.Second)
+		})
+		if want := (KernelStats{Events: 1, TimerFires: 1}); got != want {
+			t.Fatalf("stats grew by %+v, want %+v", got, want)
+		}
+	})
+	t.Run("each deadline fired", func(t *testing.T) {
+		av := NewAutoVirtual()
+		for i, name := range []string{"a", "b", "c"} {
+			NewEvent(av, name, func() {}).After(time.Duration(i+1) * time.Millisecond)
+		}
+		tick := NewEvent(av, "tick", func() {})
+		tick.Every(10 * time.Millisecond)
+		defer tick.Stop()
+		got := grew(av, func() { av.Sleep(45 * time.Millisecond) })
+		if want := (KernelStats{Events: 3 + 4, TimerFires: 3 + 4 + 1}); got != want {
+			t.Fatalf("stats grew by %+v, want %+v: three deadlines, four ticks and the caller's", got, want)
+		}
+	})
+	t.Run("a stopped deadline or turn", func(t *testing.T) {
+		av := NewAutoVirtual()
+		armed, queued := NewEvent(av, "armed", func() {}), NewEvent(av, "queued", func() {})
+		armed.After(time.Millisecond)
+		queued.Trigger()
+		armed.Stop()
+		queued.Stop()
+		got := grew(av, func() { av.Sleep(time.Second) })
+		if want := (KernelStats{TimerFires: 1}); got != want {
+			t.Fatalf("stats grew by %+v, want %+v: only the caller's deadline", got, want)
+		}
+	})
+	t.Run("a non-positive sleep", func(t *testing.T) {
+		av := NewAutoVirtual()
+		NewEvent(av, "ev", func() {}).Trigger()
+		got := grew(av, func() {
+			av.Sleep(0)
+			av.Sleep(-time.Second)
+		})
+		if got != (KernelStats{}) {
+			t.Fatalf("stats grew by %+v, want nothing", got)
+		}
+	})
+}

@@ -254,18 +254,40 @@ func TestEventTriggerQueuesOnceBehindQueuedEvents(t *testing.T) {
 }
 
 // TestEventMayNotSleep: fn runs inside its caller's Sleep and has nothing
-// to wait on, so its Sleep panics naming the event; a zero Sleep returns.
+// to wait on, so its Sleep panics naming the event, however the run came
+// about: a Trigger, a deadline, a period, a Loop's message or its tick. A
+// zero Sleep returns.
 func TestEventMayNotSleep(t *testing.T) {
-	av := NewAutoVirtual()
-	h := Register(av, "main")
-	_ = h // the clock is unusable after the panic; nothing to close
-	ev := NewEvent(av, "net/shard-7", func() {
-		av.Sleep(0)
-		av.Sleep(time.Millisecond)
-	})
-	ev.Trigger()
-	// main's Sleep runs the event, and so receives the panic.
-	mustPanic(t, "event net/shard-7 would park", func() { av.Sleep(time.Second) })
+	const name = "net/shard-7"
+	park := func(av *AutoVirtual) func() {
+		return func() {
+			av.Sleep(0)
+			av.Sleep(time.Millisecond)
+		}
+	}
+	for _, tc := range []struct {
+		how   string
+		start func(av *AutoVirtual)
+	}{
+		{"trigger", func(av *AutoVirtual) { NewEvent(av, name, park(av)).Trigger() }},
+		{"deadline", func(av *AutoVirtual) { NewEvent(av, name, park(av)).After(time.Millisecond) }},
+		{"period", func(av *AutoVirtual) { NewEvent(av, name, park(av)).Every(time.Millisecond) }},
+		{"loop message", func(av *AutoVirtual) {
+			NewLoop(av, name, func(int) { park(av)() }, func() {}).Post(1)
+		}},
+		{"loop tick", func(av *AutoVirtual) {
+			NewLoop(av, name, func(int) {}, park(av)).Every(time.Millisecond)
+		}},
+	} {
+		t.Run(tc.how, func(t *testing.T) {
+			av := NewAutoVirtual()
+			h := Register(av, "main")
+			_ = h // the clock is unusable after the panic; nothing to close
+			tc.start(av)
+			// main's Sleep runs the event, and so receives the panic.
+			mustPanic(t, "event "+name+" would park", func() { av.Sleep(time.Second) })
+		})
+	}
 }
 
 // TestEventStop: Stop of an armed event removes its deadline at once, Stop
@@ -391,4 +413,79 @@ func TestEventDeadlinesOfAnUnregisteredCaller(t *testing.T) {
 	if fmt.Sprint(log) != want {
 		t.Fatalf("a stopped event ran: %v", log)
 	}
+}
+
+// TestStopInsideARun: Stop called from a running event takes effect at
+// once. An event that re-arms and re-triggers itself and then stops runs
+// no more; a peer queued behind the stopper loses its turn (and is not
+// counted as run); a peer due at the stopper's instant loses its deadline;
+// a period stopped from its own tick stops repeating.
+func TestStopInsideARun(t *testing.T) {
+	t.Run("itself", func(t *testing.T) {
+		av := NewAutoVirtual()
+		runs := 0
+		var ev *Event
+		ev = NewEvent(av, "self", func() {
+			runs++
+			ev.After(time.Millisecond)
+			ev.Trigger()
+			ev.Stop()
+		})
+		ev.Trigger()
+		av.Sleep(time.Second)
+		if runs != 1 || av.PendingWaiters() != 0 {
+			t.Fatalf("ran %d times with %d waiters left, want once and none", runs, av.PendingWaiters())
+		}
+	})
+	t.Run("a queued peer", func(t *testing.T) {
+		av := NewAutoVirtual()
+		var log []string
+		b := NewEvent(av, "b", func() { log = append(log, "b") })
+		a := NewEvent(av, "a", func() { log = append(log, "a"); b.Stop() })
+		a.Trigger()
+		b.Trigger()
+		before := av.KernelStats().Events
+		av.Sleep(time.Second)
+		if fmt.Sprint(log) != "[a]" {
+			t.Fatalf("ran %v, want only a", log)
+		}
+		if got := av.KernelStats().Events - before; got != 1 {
+			t.Fatalf("KernelStats.Events grew by %d, want 1: the dropped turn is not a run", got)
+		}
+	})
+	t.Run("a peer due at the same instant", func(t *testing.T) {
+		av := NewAutoVirtual()
+		var log []string
+		at := SimEpoch.Add(time.Second)
+		b := NewEvent(av, "b", func() { log = append(log, "b") })
+		a := NewEvent(av, "a", func() {
+			log = append(log, "a")
+			if got := av.PendingWaiters(); got != 2 {
+				t.Errorf("PendingWaiters = %d inside a, want 2: b's deadline and the caller's", got)
+			}
+			b.Stop()
+		})
+		b.At(at)
+		a.At(at)
+		av.Sleep(2 * time.Second)
+		if fmt.Sprint(log) != "[a]" || av.PendingWaiters() != 0 {
+			t.Fatalf("ran %v with %d waiters left, want only a and none", log, av.PendingWaiters())
+		}
+	})
+	t.Run("a period from its own tick", func(t *testing.T) {
+		av := NewAutoVirtual()
+		var at []time.Duration
+		var tick *Event
+		tick = NewEvent(av, "tick", func() {
+			at = append(at, av.Now().Sub(SimEpoch))
+			if len(at) == 3 {
+				tick.Stop()
+			}
+		})
+		tick.Every(time.Second)
+		av.Sleep(10 * time.Second)
+		if fmt.Sprint(at) != "[1s 2s 3s]" || av.PendingWaiters() != 0 {
+			t.Fatalf("ticked at %v with %d waiters left, want 1s 2s 3s and none", at, av.PendingWaiters())
+		}
+	})
 }
