@@ -152,6 +152,8 @@ type Core struct {
 	peers consensus.PeerIndex
 	self  int // this node's index in cfg.Peers
 	kind  kinds
+	port  *network.Port   // this node's transport port
+	ports []*network.Port // the peers' ports, by index
 
 	height      uint64 // next height to decide
 	inst        instance
@@ -173,6 +175,8 @@ func New(cfg Config) *Core {
 		cfg:   cfg,
 		peers: peers,
 		self:  peers.Of(cfg.ID),
+		port:  cfg.Transport.Port(cfg.ID),
+		ports: cfg.Transport.Ports(cfg.Peers),
 		kind: kinds{
 			forward:     cfg.MsgPrefix + ".forward",
 			prePrepare:  cfg.MsgPrefix + ".preprepare",
@@ -235,7 +239,7 @@ func (c *Core) Submit(payload any) error {
 		return nil
 	}
 	// Best effort: a failed forward is recovered by the round change.
-	_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, forwardMsg{Payload: payload})
+	_ = c.cfg.Transport.SendPort(c.port, c.cfg.Transport.Port(proposer), c.kind.forward, forwardMsg{Payload: payload})
 	return nil
 }
 
@@ -472,7 +476,7 @@ func (c *Core) checkRoundTimeout() {
 	// single node's round-change request can never reach quorum while the
 	// other validators see nothing wrong.
 	if proposer := c.cfg.Proposer(c.cfg.Peers, c.height, c.inst.round); len(c.pending) > 0 && proposer != c.cfg.ID {
-		_ = c.cfg.Transport.Send(c.cfg.ID, proposer, c.kind.forward, forwardMsg{Payload: c.pending[0].payload})
+		_ = c.cfg.Transport.SendPort(c.port, c.cfg.Transport.Port(proposer), c.kind.forward, forwardMsg{Payload: c.pending[0].payload})
 	}
 	c.inst.roundChange.Add(c.self)
 	c.broadcast(c.kind.roundChange, roundChangeMsg{Height: c.height, NewRound: c.inst.round + 1})
@@ -504,10 +508,10 @@ func (c *Core) maybeChangeRound() {
 }
 
 func (c *Core) broadcast(kind string, payload any) {
-	for _, p := range c.cfg.Peers {
-		if p == c.cfg.ID {
+	for _, p := range c.ports {
+		if p == c.port {
 			continue
 		}
-		_ = c.cfg.Transport.Send(c.cfg.ID, p, kind, payload)
+		_ = c.cfg.Transport.SendPort(c.port, p, kind, payload)
 	}
 }

@@ -95,6 +95,8 @@ type (
 type Engine struct {
 	cfg        Config
 	validators consensus.PeerIndex
+	port       *network.Port   // this validator's transport port
+	ports      []*network.Port // the validators' ports, by index
 
 	round     uint64
 	highQC    qc
@@ -120,6 +122,8 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		validators: consensus.NewPeerIndex(cfg.Validators),
+		port:       cfg.Transport.Port(cfg.ID),
+		ports:      cfg.Transport.Ports(cfg.Validators),
 		round:      1,
 		highQC:     qc{BlockID: genesis.ID, Round: 0},
 		blocks:     map[crypto.Hash]*blockNode{genesis.ID: genesis},
@@ -163,6 +167,20 @@ func (e *Engine) Round() uint64 { return e.round }
 
 func (e *Engine) leaderOf(round uint64) string {
 	return e.cfg.Validators[round%uint64(len(e.cfg.Validators))]
+}
+
+// leaderPort is leaderOf's transport port.
+func (e *Engine) leaderPort(round uint64) *network.Port {
+	return e.ports[round%uint64(len(e.ports))]
+}
+
+// sendAll sends one message to every other validator.
+func (e *Engine) sendAll(kind string, msg any) {
+	for _, v := range e.ports {
+		if v != e.port {
+			_ = e.cfg.Transport.SendPort(e.port, v, kind, msg)
+		}
+	}
 }
 
 // blockID derives a proposal's identifier on one pooled hasher. The byte
@@ -215,14 +233,7 @@ func (e *Engine) tryPropose() {
 		Proposer: e.cfg.ID,
 	}
 	e.blocks[blk.ID] = blk
-	var msg any = proposalMsg{Block: blk, JustifyQC: parent} // boxed once for every validator
-
-	for _, v := range e.cfg.Validators {
-		if v == e.cfg.ID {
-			continue
-		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.proposal", msg)
-	}
+	e.sendAll("diembft.proposal", proposalMsg{Block: blk, JustifyQC: parent}) // boxed once for every validator
 	// Vote for our own proposal.
 	e.onVote(e.cfg.ID, voteMsg{BlockID: blk.ID, Round: blk.Round, Voter: e.cfg.ID})
 }
@@ -263,11 +274,11 @@ func (e *Engine) onProposal(p proposalMsg) bool {
 	if nextLeader == e.cfg.ID {
 		e.onVote(e.cfg.ID, vote)
 	} else {
-		_ = e.cfg.Transport.Send(e.cfg.ID, nextLeader, "diembft.vote", msg)
+		_ = e.cfg.Transport.SendPort(e.port, e.leaderPort(b.Round+1), "diembft.vote", msg)
 	}
 	// The current leader also aggregates votes for its own block.
 	if cur := e.leaderOf(b.Round); cur != e.cfg.ID && cur != nextLeader {
-		_ = e.cfg.Transport.Send(e.cfg.ID, cur, "diembft.vote", msg)
+		_ = e.cfg.Transport.SendPort(e.port, e.leaderPort(b.Round), "diembft.vote", msg)
 	}
 	return true
 }
@@ -287,13 +298,7 @@ func (e *Engine) onVote(from string, v voteMsg) bool {
 	newQC := qc{BlockID: v.BlockID, Round: v.Round}
 	if e.updateQC(newQC) {
 		// Share the certificate so every validator observes the commit.
-		var msg any = qcMsg{QC: newQC} // boxed once for every validator
-		for _, val := range e.cfg.Validators {
-			if val == e.cfg.ID {
-				continue
-			}
-			_ = e.cfg.Transport.Send(e.cfg.ID, val, "diembft.qc", msg)
-		}
+		e.sendAll("diembft.qc", qcMsg{QC: newQC}) // boxed once for every validator
 	}
 	return true
 }
@@ -361,13 +366,7 @@ func (e *Engine) commitChain(b *blockNode) {
 func (e *Engine) fireTimeout() {
 	round := e.round
 	consensus.VoteSetAt(e.timeouts, round, len(e.cfg.Validators)).Add(e.validators.Of(e.cfg.ID))
-	var msg any = timeoutMsg{Round: round} // boxed once for every validator
-	for _, v := range e.cfg.Validators {
-		if v == e.cfg.ID {
-			continue
-		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, v, "diembft.timeout", msg)
-	}
+	e.sendAll("diembft.timeout", timeoutMsg{Round: round}) // boxed once for every validator
 	e.maybeAdvanceOnTimeout(round)
 }
 

@@ -89,6 +89,13 @@ type Engine struct {
 	running  bool
 	produced uint64 // blocks produced by this witness
 
+	// port is this node's transport port. fanout holds the ports of the
+	// other witnesses, then of the other observers: gossip goes to its
+	// first `witnesses` entries, blocks to all of it.
+	port      *network.Port
+	fanout    []*network.Port
+	witnesses int
+
 	sched    *schedule
 	seen     *consensus.GossipIndex // the gossip each node of the network admitted
 	node     int                    // this engine's node in seen
@@ -129,6 +136,20 @@ func newEngine(cfg Config, sched *schedule, seen *consensus.GossipIndex, node in
 		seen:     seen,
 		node:     node,
 		included: make(map[any]struct{}),
+	}
+	if tr := cfg.Transport; tr != nil {
+		e.port = tr.Port(cfg.ID)
+		others := func(ports []*network.Port, names []string) []*network.Port {
+			for _, name := range names {
+				if name != cfg.ID {
+					ports = append(ports, tr.Port(name))
+				}
+			}
+			return ports
+		}
+		e.fanout = others(make([]*network.Port, 0, len(cfg.Witnesses)+len(cfg.Observers)), cfg.Witnesses)
+		e.witnesses = len(e.fanout)
+		e.fanout = others(e.fanout, cfg.Observers)
 	}
 	e.loop = clock.NewLoop(cfg.Clock, "dpos/"+cfg.ID, e.handle, e.maybeProduce)
 	return e
@@ -199,11 +220,8 @@ func (e *Engine) Submit(payload any) error {
 	e.pending = append(e.pending, g)
 
 	var msg any = g // boxed once for every witness
-	for _, w := range e.cfg.Witnesses {
-		if w == e.cfg.ID {
-			continue
-		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.gossip", msg)
+	for _, w := range e.fanout[:e.witnesses] {
+		_ = e.cfg.Transport.SendPort(e.port, w, "dpos.gossip", msg)
 	}
 	return nil
 }
@@ -264,17 +282,8 @@ func (e *Engine) maybeProduce() {
 		Proposer:  e.cfg.ID,
 		DecidedAt: e.cfg.Clock.Now(),
 	}
-	for _, w := range e.cfg.Witnesses {
-		if w == e.cfg.ID {
-			continue
-		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, w, "dpos.block", blk)
-	}
-	for _, o := range e.cfg.Observers {
-		if o == e.cfg.ID {
-			continue
-		}
-		_ = e.cfg.Transport.Send(e.cfg.ID, o, "dpos.block", blk)
+	for _, p := range e.fanout {
+		_ = e.cfg.Transport.SendPort(e.port, p, "dpos.block", blk)
 	}
 	if cb := e.cfg.OnDecide; cb != nil {
 		cb(d)

@@ -116,7 +116,9 @@ type Node struct {
 	cfg   Config
 	rng   *rand.Rand
 	peers consensus.PeerIndex
-	self  int // this node's index in cfg.Peers
+	self  int             // this node's index in cfg.Peers
+	port  *network.Port   // this node's transport port
+	ports []*network.Port // the peers' ports, by index
 
 	role        Role
 	term        uint64
@@ -146,6 +148,8 @@ func New(cfg Config) *Node {
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(len(cfg.ID))*7919)),
 		peers:      peers,
 		self:       peers.Of(cfg.ID),
+		port:       cfg.Transport.Port(cfg.ID),
+		ports:      cfg.Transport.Ports(cfg.Peers),
 		role:       Follower,
 		log:        make([]entry, 1), // index 0 sentinel
 		votes:      consensus.NewVoteSet(len(cfg.Peers)),
@@ -265,9 +269,9 @@ func (n *Node) startElection() {
 	if n.maybeWin() {
 		return
 	}
-	for _, p := range n.cfg.Peers {
-		if p != n.cfg.ID {
-			_ = n.cfg.Transport.Send(n.cfg.ID, p, "raft.requestVote", req)
+	for _, p := range n.ports {
+		if p != n.port {
+			_ = n.cfg.Transport.SendPort(n.port, p, "raft.requestVote", req)
 		}
 	}
 }
@@ -332,13 +336,13 @@ func (n *Node) broadcastAppend() {
 	if n.role != Leader {
 		return
 	}
-	for i, p := range n.cfg.Peers {
+	for i, p := range n.ports {
 		if i == n.self {
 			continue
 		}
 		next := max(n.nextIndex[i], 1)
 		prev := next - 1
-		_ = n.cfg.Transport.Send(n.cfg.ID, p, "raft.appendEntries", appendEntries{
+		_ = n.cfg.Transport.SendPort(n.port, p, "raft.appendEntries", appendEntries{
 			Term:         n.term,
 			Leader:       n.cfg.ID,
 			PrevLogIndex: prev,

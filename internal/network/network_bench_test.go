@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -48,6 +49,37 @@ func BenchmarkTransportBroadcast(b *testing.B) {
 		// buffer exhaustion); count only what was actually scheduled.
 		want += tr.Broadcast("src", "bench", payload)
 		if i%1024 == 1023 {
+			clk.Sleep(time.Microsecond) // let the delivery event drain
+		}
+	}
+	clocktest.Until(b, clk, time.Hour, "every scheduled copy delivered", func() bool { return delivered == want })
+}
+
+// BenchmarkTransportFanout32 is one engine's broadcast at the paper's
+// largest network (§5.8.2): 32 registered ports, and per op one SendPort
+// from the first to each of the other 31, over a zero-latency fabric.
+func BenchmarkTransportFanout32(b *testing.B) {
+	clk := clocktest.New(b)
+	tr := NewTransport(clk, nil)
+	defer tr.Stop()
+	delivered := 0
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%02d", i)
+		tr.Register(names[i], func(Message) { delivered++ })
+	}
+	ports := tr.Ports(names)
+	payload := &benchPayload{seq: 1}
+	want := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ports[1:] {
+			if tr.SendPort(ports[0], p, "bench", payload) == nil {
+				want++
+			}
+		}
+		if i%64 == 63 {
 			clk.Sleep(time.Microsecond) // let the delivery event drain
 		}
 	}

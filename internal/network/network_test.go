@@ -14,15 +14,10 @@ type constantLatency struct{ d time.Duration }
 
 func (c constantLatency) Delay(_, _ string) time.Duration { return c.d }
 
-// linkLatency wires a model per directed link, falling back to zero.
-type linkLatency map[linkKey]LatencyModel
+// latencyFunc computes each link's delay from its names.
+type latencyFunc func(src, dst string) time.Duration
 
-func (l linkLatency) Delay(src, dst string) time.Duration {
-	if m, ok := l[linkKey{src, dst}]; ok {
-		return m.Delay(src, dst)
-	}
-	return 0
-}
+func (f latencyFunc) Delay(src, dst string) time.Duration { return f(src, dst) }
 
 // measureLatency samples m n times and returns the mean and standard
 // deviation of the draws.

@@ -36,18 +36,18 @@ func TestSchedulerDeterministicUnderVirtualClock(t *testing.T) {
 	}
 	run := func() []delivery {
 		clk := clock.NewAutoVirtual()
-		lat := linkLatency{
-			{"a", "dst"}: constantLatency{30 * time.Millisecond},
-			{"b", "dst"}: constantLatency{10 * time.Millisecond},
-			{"c", "dst"}: constantLatency{20 * time.Millisecond},
-		}
+		// A link into dst takes its sender's delay, a link out of dst its
+		// receiver's.
 		delay := map[string]time.Duration{"a": 30 * time.Millisecond, "b": 10 * time.Millisecond, "c": 20 * time.Millisecond}
 		for _, d := range delays {
-			src, echo := "s-"+d.String(), "echo-"+d.String()
-			lat[linkKey{src, "dst"}] = constantLatency{d}
-			lat[linkKey{"dst", echo}] = constantLatency{d}
-			delay[src], delay[echo] = d, d
+			delay["s-"+d.String()], delay["echo-"+d.String()] = d, d
 		}
+		lat := latencyFunc(func(src, dst string) time.Duration {
+			if dst == "dst" {
+				return delay[src]
+			}
+			return delay[dst]
+		})
 		tr := NewTransport(clk, lat)
 		defer tr.Stop()
 		h := clock.Register(clk, "main")
@@ -463,7 +463,12 @@ func TestSchedulerExactVirtualAdvanceDelivers(t *testing.T) {
 // everything through the ready list and never grows the heap of messages not
 // yet due; a delayed message waits in the heap until its ready time.
 func TestZeroLatencyTrafficBypassesTheHeap(t *testing.T) {
-	lat := linkLatency{{"slow", "dst"}: constantLatency{time.Millisecond}}
+	lat := latencyFunc(func(src, _ string) time.Duration {
+		if src == "slow" {
+			return time.Millisecond
+		}
+		return 0
+	})
 	clk := clock.NewAutoVirtual()
 	tr := NewTransport(clk, lat)
 	defer tr.Stop()
@@ -516,7 +521,7 @@ func TestQueueWakeDecision(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			q := queue{wakeAt: c.wakeAt}
-			if got := q.enqueue(&item{readyNanos: c.readyNanos}, now); got != c.wantWake {
+			if got := q.enqueue(item{readyNanos: c.readyNanos}, now); got != c.wantWake {
 				t.Errorf("needWake = %v, want %v", got, c.wantWake)
 			}
 			if q.wakeAt != c.wantWakeAt {
@@ -529,33 +534,41 @@ func TestQueueWakeDecision(t *testing.T) {
 	}
 }
 
-// TestQueueCollectPopsDueItems: collect takes the ready list and every heap
-// item due at or before now — one due exactly now included — and leaves the
-// rest; with nothing due it reports the earliest ready time and arms wakeAt
-// at it.
+// TestQueueCollectPopsDueItems: collect moves every heap item due at or
+// before now — one due exactly now included — onto the ready list and
+// leaves the rest; with nothing due it reports the earliest ready time and
+// arms wakeAt at it. Heap items due before what is already on the ready
+// list are sorted ahead of it.
 func TestQueueCollectPopsDueItems(t *testing.T) {
 	q := queue{wakeAt: math.MaxInt64}
 	for _, ready := range []int64{101, 100, 99, 50} {
-		q.enqueue(&item{readyNanos: ready}, 50)
+		q.enqueue(item{readyNanos: ready}, 50)
 	}
-	got := func(batch []*item) (rs []int64) {
-		for _, it := range batch {
+	due := func() (rs []int64) {
+		for _, it := range q.ready {
 			rs = append(rs, it.readyNanos)
 		}
+		q.ready = q.ready[:0] // delivered
 		return rs
 	}
-	batch, next := q.collect(100, nil)
-	if fmt.Sprint(got(batch)) != "[50 99 100]" || next != math.MaxInt64 || q.wakeAt != math.MinInt64 {
-		t.Fatalf("collect(100) = %v, next %d, wakeAt %d; want [50 99 100], MaxInt64, MinInt64",
-			got(batch), next, q.wakeAt)
+	next := q.collect(100)
+	if got := fmt.Sprint(due()); got != "[50 99 100]" || next != math.MaxInt64 || q.wakeAt != math.MinInt64 {
+		t.Fatalf("collect(100) = %v, next %d, wakeAt %d; want [50 99 100], MaxInt64, MinInt64", got, next, q.wakeAt)
 	}
-	batch, next = q.collect(100, batch[:0])
-	if len(batch) != 0 || next != 101 || q.wakeAt != 101 {
-		t.Fatalf("second collect(100) = %v, next %d, wakeAt %d; want [], 101, 101", got(batch), next, q.wakeAt)
+	next = q.collect(100)
+	if got := due(); len(got) != 0 || next != 101 || q.wakeAt != 101 {
+		t.Fatalf("second collect(100) = %v, next %d, wakeAt %d; want [], 101, 101", got, next, q.wakeAt)
 	}
-	batch, next = q.collect(101, batch[:0])
-	if fmt.Sprint(got(batch)) != "[101]" || len(q.later) != 0 {
-		t.Fatalf("collect(101) = %v with %d left in the heap, want [101] and none", got(batch), len(q.later))
+	q.enqueue(item{readyNanos: 101}, 101) // due at once, sent after the heap's 101
+	q.enqueue(item{readyNanos: 200}, 101)
+	q.collect(101)
+	var seqs []uint64
+	for _, it := range q.ready {
+		seqs = append(seqs, it.seq)
+	}
+	if got := fmt.Sprint(due()); got != "[101 101]" || !slices.IsSorted(seqs) || len(q.later) != 1 {
+		t.Fatalf("collect(101) = %v in send order %v with %d left in the heap; want [101 101] sorted and one left",
+			got, seqs, len(q.later))
 	}
 }
 

@@ -30,31 +30,34 @@ var (
 	ErrStopped         = errors.New("network: transport stopped")
 )
 
-// Transport is the in-process message fabric. Delivery is driven by one
-// queue (see delivery.go): Send computes a ready time from the
-// latency model plus any link degradation, clamps it so messages on the same
-// directed link never reorder (TCP's per-connection FIFO property the real
-// deployments rely on), and enqueues the message: on a ready list when it is
-// due at once, in a heap by ready time otherwise. One clock event drains due
-// messages in timestamp order.
+// Transport is the in-process message fabric. Every name it sees, as a
+// sender or as an endpoint, is interned once as a Port: a dense id that
+// lives as long as the transport. A port keeps its outgoing links in a
+// slice indexed by destination id, so a send by port looks up no name.
+// Delivery is driven by one queue (see delivery.go): a send computes a
+// ready time from the latency model plus the link's degradation, clamps it
+// so messages on the same directed link never reorder (TCP's
+// per-connection FIFO property the real deployments rely on), and enqueues
+// the message by value: on a ready list when it is due at once, in a heap
+// by ready time otherwise. One clock event drains due messages in timestamp
+// order.
 //
 // Only the clock's event loop touches the transport, so it takes no
 // lock: topology and fault state, the per-link state (the FIFO
-// clamp, a seeded loss RNG), the queue and the counters change one send at
-// a time, and handlers may send. What orders messages is therefore the
-// same on every host.
+// clamp, a seeded loss RNG, the degradation), the queue and the counters
+// change one send at a time, and handlers may send. What orders messages is
+// therefore the same on every host.
 type Transport struct {
 	clk     *clock.AutoVirtual
 	latency LatencyModel
 	t0      time.Time // queue epoch; ready times are nanoseconds since t0
 	seed    int64     // base seed for the per-link loss RNGs
 
-	stopped   bool
-	endpoints map[string]*endpoint
-	list      []*endpoint // sorted by name: deterministic broadcast fan-out
-	degraded  map[linkKey]Degradation
-	links     map[linkKey]*linkState
-	queue     queue
+	stopped  bool
+	ports    map[string]*Port // every interned name; a port's id is its order of interning
+	list     []*endpoint      // registered endpoints, sorted by name: deterministic broadcast fan-out
+	degraded int              // links carrying a degradation
+	queue    queue
 	// tracer, when set, records sampled network-hop spans (one per scheduled
 	// delivery, per-link ordinal sampling) under the Perfetto process row
 	// traceProc (the owning system's name).
@@ -68,11 +71,18 @@ type Transport struct {
 	// (deadline, name, sequence), so a rename would reorder deliveries against
 	// pacers and timers and move every seeded result.
 	deliver *clock.Event
-	batch   []*item // drain's scratch, reused across runs
 }
 
-// linkKey names one directed link.
-type linkKey struct{ src, dst string }
+// Port is a name interned by a transport: the sender or destination of
+// Transport.SendPort. A port outlives its registrations, and so do its
+// links: a node that re-registers after a crash resumes its links' FIFO
+// clamp and loss stream.
+type Port struct {
+	name  string
+	id    int
+	ep    *endpoint   // the current registration; nil while unregistered
+	links []linkState // outgoing links by destination id, grown on first use
+}
 
 // Degradation models a lossy, slow link: every message gains Extra one-way
 // delay on top of the latency model, and is silently lost with probability
@@ -82,11 +92,12 @@ type Degradation struct {
 	Loss  float64
 }
 
-// endpoint is one registered delivery target.
-// Unregistering clears the handler, which is how messages still queued for
-// the endpoint come to be dropped; pending is its queue occupancy.
+// endpoint is one registration of a port. Messages point at the
+// registration they were sent to, not at the port: unregistering clears the
+// handler, which is how messages still queued for it come to be dropped,
+// even when the name registers again. pending is its queue occupancy.
 type endpoint struct {
-	name    string
+	port    *Port
 	handler Handler
 	pending int
 }
@@ -106,14 +117,12 @@ func NewTransport(clk *clock.AutoVirtual, latency LatencyModel) *Transport {
 		latency = ZeroLatency{}
 	}
 	t := &Transport{
-		clk:       clk,
-		latency:   latency,
-		t0:        clk.Now(),
-		seed:      0x10551, // deterministic loss draws
-		endpoints: make(map[string]*endpoint),
-		degraded:  make(map[linkKey]Degradation),
-		links:     make(map[linkKey]*linkState),
-		queue:     queue{wakeAt: math.MaxInt64},
+		clk:     clk,
+		latency: latency,
+		t0:      clk.Now(),
+		seed:    0x10551, // deterministic loss draws
+		ports:   make(map[string]*Port),
+		queue:   queue{wakeAt: math.MaxInt64},
 	}
 	t.deliver = clock.NewEvent(clk, "net/shard-0", t.drain)
 	return t
@@ -141,11 +150,39 @@ func (t *Transport) PendingCount() int64 {
 	return n
 }
 
+// Port interns name, returning the same port for every call with it.
+func (t *Transport) Port(name string) *Port {
+	if p := t.ports[name]; p != nil {
+		return p
+	}
+	p := &Port{name: name, id: len(t.ports)}
+	t.ports[name] = p
+	return p
+}
+
+// Ports interns each of names, in order.
+func (t *Transport) Ports(names []string) []*Port {
+	ps := make([]*Port, len(names))
+	for i, name := range names {
+		ps[i] = t.Port(name)
+	}
+	return ps
+}
+
+// link returns the state of the directed link from→to, growing from's
+// table to every port interned so far when to is beyond it.
+func (t *Transport) link(from, to *Port) *linkState {
+	if to.id >= len(from.links) {
+		from.links = append(from.links, make([]linkState, len(t.ports)-len(from.links))...)
+	}
+	return &from.links[to.id]
+}
+
 // find returns the position of name in the sorted endpoint list, or where it
 // would be inserted.
 func (t *Transport) find(name string) int {
 	i, _ := slices.BinarySearchFunc(t.list, name, func(ep *endpoint, name string) int {
-		return strings.Compare(ep.name, name)
+		return strings.Compare(ep.port.name, name)
 	})
 	return i
 }
@@ -156,23 +193,23 @@ func (t *Transport) Register(name string, h Handler) {
 	if t.stopped {
 		return
 	}
-	if ep, ok := t.endpoints[name]; ok {
-		ep.handler = h
+	p := t.Port(name)
+	if p.ep != nil {
+		p.ep.handler = h
 		return
 	}
-	ep := &endpoint{name: name, handler: h}
-	t.endpoints[name] = ep
-	t.list = slices.Insert(t.list, t.find(name), ep)
+	p.ep = &endpoint{port: p, handler: h}
+	t.list = slices.Insert(t.list, t.find(name), p.ep)
 }
 
 // Unregister detaches an endpoint; queued messages for it are dropped.
 func (t *Transport) Unregister(name string) {
-	ep, ok := t.endpoints[name]
-	if !ok {
+	p := t.ports[name]
+	if p == nil || p.ep == nil {
 		return
 	}
-	ep.handler = nil
-	delete(t.endpoints, name)
+	p.ep.handler = nil
+	p.ep = nil
 	i := t.find(name)
 	t.list = slices.Delete(t.list, i, i+1)
 }
@@ -181,22 +218,35 @@ func (t *Transport) Unregister(name string) {
 func (t *Transport) Endpoints() []string {
 	names := make([]string, 0, len(t.list))
 	for _, ep := range t.list {
-		names = append(names, ep.name)
+		names = append(names, ep.port.name)
 	}
 	return names
 }
 
-// Send schedules delivery of a message. It returns an error when the
-// destination is unknown or the transport is stopped.
+// Send schedules delivery of a message between two names. It returns an
+// error when the destination is unknown or the transport is stopped.
 func (t *Transport) Send(from, to, kind string, payload any) error {
-	ep, ok := t.endpoints[to]
-	switch {
-	case t.stopped:
+	if t.stopped {
 		return ErrStopped
-	case !ok:
+	}
+	dst := t.ports[to]
+	if dst == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, to)
 	}
-	wake, err := t.schedule(from, ep, kind, payload, t.clk.Now())
+	return t.SendPort(t.Port(from), dst, kind, payload)
+}
+
+// SendPort schedules delivery of a message between two ports. It returns an
+// error when the destination is not registered or the transport is
+// stopped.
+func (t *Transport) SendPort(from, to *Port, kind string, payload any) error {
+	if t.stopped {
+		return ErrStopped
+	}
+	if to.ep == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, to.name)
+	}
+	wake, err := t.schedule(from, to.ep, kind, payload, t.clk.Now())
 	if wake {
 		t.deliver.Trigger()
 	}
@@ -205,15 +255,10 @@ func (t *Transport) Send(from, to, kind string, payload any) error {
 
 // schedule enqueues one message and reports whether the delivery event
 // must be triggered.
-func (t *Transport) schedule(from string, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
-	to := ep.name
-	lk := linkKey{from, to}
-	deg, isDegraded := t.degraded[lk]
-
-	delay := t.latency.Delay(from, to)
-	if isDegraded {
-		delay += deg.Extra
-	}
+func (t *Transport) schedule(from *Port, ep *endpoint, kind string, payload any, now time.Time) (wake bool, err error) {
+	to := ep.port
+	ls := t.link(from, to)
+	delay := t.latency.Delay(from.name, to.name) + ls.deg.Extra
 	nowN := int64(now.Sub(t.t0))
 	readyN := nowN
 	if delay > 0 {
@@ -221,34 +266,29 @@ func (t *Transport) schedule(from string, ep *endpoint, kind string, payload any
 	}
 
 	// Per-link FIFO clamp and loss draw.
-	ls := t.links[lk]
-	if ls == nil {
-		ls = &linkState{}
-		t.links[lk] = ls
-	}
 	if readyN < ls.lastReady {
 		readyN = ls.lastReady
 	}
 	ls.lastReady = readyN
 	lost := false
-	if isDegraded && deg.Loss > 0 {
+	if ls.deg.Loss > 0 {
 		if ls.rng == nil {
-			ls.rng = rand.New(rand.NewSource(linkSeed(t.seed, from, to)))
+			ls.rng = rand.New(rand.NewSource(linkSeed(t.seed, from.name, to.name)))
 		}
-		lost = ls.rng.Float64() < deg.Loss
+		lost = ls.rng.Float64() < ls.deg.Loss
 	}
 	if t.tracer != nil {
 		hopN := ls.hops
 		ls.hops++
 		// The ordinal decides membership; the link hash decorrelates the
 		// sampled ordinals across links.
-		if !lost && t.tracer.Sampled(hopN^fnvAdd(fnvAdd(fnvOffset64, from), to)) {
+		if !lost && t.tracer.Sampled(hopN^fnvAdd(fnvAdd(fnvOffset64, from.name), to.name)) {
 			startN := now.UnixNano()
 			t.tracer.Add(trace.Span{
 				Name:  kind,
 				Cat:   "net",
 				Proc:  t.traceProc,
-				Lane:  from + "→" + to,
+				Lane:  from.name + "→" + to.name,
 				Start: startN,
 				End:   startN + (readyN - nowN),
 			})
@@ -265,27 +305,29 @@ func (t *Transport) schedule(from string, ep *endpoint, kind string, payload any
 	}
 	if ep.pending >= endpointQueueDepth {
 		t.dropped++
-		return false, fmt.Errorf("network: endpoint %q queue full", to)
+		return false, fmt.Errorf("network: endpoint %q queue full", to.name)
 	}
 	ep.pending++
-	it := itemPool.Get().(*item)
-	it.msg = Message{From: from, Payload: payload}
-	it.ep = ep
-	it.readyNanos = readyN
-	return t.queue.enqueue(it, nowN), nil
+	return t.queue.enqueue(item{
+		payload:    payload,
+		from:       from,
+		ep:         ep,
+		readyNanos: readyN,
+	}, nowN), nil
 }
 
 // Broadcast sends to every registered endpoint except the sender, in
 // sorted-name order, returning the number of successful sends. The
 // delivery event is triggered once, after the whole fan-out.
 func (t *Transport) Broadcast(from, kind string, payload any) int {
+	src := t.Port(from)
 	now := t.clk.Now()
 	n, wake := 0, false
 	for _, ep := range t.list {
-		if ep.name == from {
+		if ep.port == src {
 			continue
 		}
-		w, err := t.schedule(from, ep, kind, payload, now)
+		w, err := t.schedule(src, ep, kind, payload, now)
 		wake = wake || w
 		if err == nil {
 			n++
@@ -300,25 +342,43 @@ func (t *Transport) Broadcast(from, kind string, payload any) int {
 // HealAll clears every link degradation in one step, restoring the
 // pristine fabric.
 func (t *Transport) HealAll() {
-	clear(t.degraded)
+	if t.degraded == 0 {
+		return
+	}
+	for _, p := range t.ports { // in any order: every link ends up pristine
+		for i := range p.links {
+			p.links[i].deg = Degradation{}
+		}
+	}
+	t.degraded = 0
 }
 
 // DegradeLink makes the directed link src→dst slow and lossy: subsequent
 // messages gain extra one-way delay and are lost with probability loss
 // (clamped to [0, 1]). A zero Degradation restores the link; HealAll clears
-// every degradation.
+// every degradation. On a stopped transport it does nothing.
 func (t *Transport) DegradeLink(src, dst string, extra time.Duration, loss float64) {
-	loss = min(max(loss, 0), 1)
-	if extra <= 0 && loss == 0 {
-		delete(t.degraded, linkKey{src, dst})
-	} else if !t.stopped {
-		t.degraded[linkKey{src, dst}] = Degradation{Extra: extra, Loss: loss}
+	if t.stopped {
+		return
 	}
+	d := Degradation{Extra: extra, Loss: min(max(loss, 0), 1)}
+	if d.Extra <= 0 && d.Loss == 0 {
+		d = Degradation{} // restores the link
+	}
+	ls := t.link(t.Port(src), t.Port(dst))
+	if was, is := ls.deg != (Degradation{}), d != (Degradation{}); was != is {
+		if is {
+			t.degraded++
+		} else {
+			t.degraded--
+		}
+	}
+	ls.deg = d
 }
 
 // DegradedCount reports how many directed links carry a degradation.
 func (t *Transport) DegradedCount() int {
-	return len(t.degraded)
+	return t.degraded
 }
 
 // LostCount reports messages lost to link degradation (a subset of the
@@ -339,12 +399,12 @@ func (t *Transport) Stop() {
 	if t.stopped {
 		return
 	}
+	t.HealAll()
 	t.stopped = true
 	for _, ep := range t.list {
 		ep.handler = nil
+		ep.port.ep = nil
 	}
-	clear(t.endpoints)
 	t.list = nil
-	clear(t.degraded)
 	t.deliver.Stop()
 }

@@ -82,8 +82,9 @@ type producedBlock struct {
 // validator is one Quorum node.
 type validator struct {
 	systems.Replica
-	index  int    // position in the network: the validator's node in seen
-	gossip string // the tx-gossip endpoint beside the engine's: ID + "-gossip"
+	index  int           // position in the network: the validator's node in seen
+	gossip string        // the tx-gossip endpoint beside the engine's: ID + "-gossip"
+	port   *network.Port // gossip's transport port
 	engine *bftcore.Core
 	pool   *mempool.Pool[*chain.Transaction]
 	// included holds the IDs of the block scrubPool is removing, cleared
@@ -127,6 +128,7 @@ func build(env systems.Env, cfg config) *Network {
 			pool:     mempool.NewUnbounded[*chain.Transaction](),
 			included: make(map[crypto.Hash]struct{}),
 		}
+		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
 		v.engine = bftcore.New(bftcore.Config{
 			ID:        v.ID,
@@ -212,7 +214,7 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 		if other == v {
 			continue
 		}
-		_ = n.Transport.Send(v.gossip, other.gossip, "quorum.tx", tx)
+		_ = n.Transport.SendPort(v.port, other.port, "quorum.tx", tx)
 	}
 	return nil
 }

@@ -81,8 +81,9 @@ type publishedBlock struct {
 // validator is one Sawtooth node.
 type validator struct {
 	systems.Replica
-	index  int    // position in the network: the validator's node in seen
-	gossip string // the batch-gossip endpoint beside the engine's: ID + "-gossip"
+	index  int           // position in the network: the validator's node in seen
+	gossip string        // the batch-gossip endpoint beside the engine's: ID + "-gossip"
+	port   *network.Port // gossip's transport port
 	engine *bftcore.Core
 	queue  *mempool.Pool[*chain.Batch]
 }
@@ -124,6 +125,7 @@ func build(env systems.Env, cfg config) *Network {
 			gossip:  names[i] + "-gossip",
 			queue:   mempool.NewBounded[*chain.Batch](queueDepth),
 		}
+		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // PBFT plus batch gossip
 		v.engine = bftcore.New(bftcore.Config{
 			ID:        v.ID,
@@ -225,7 +227,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 		if other == v {
 			continue
 		}
-		_ = n.Transport.Send(v.gossip, other.gossip, "sawtooth.batch", b)
+		_ = n.Transport.SendPort(v.port, other.port, "sawtooth.batch", b)
 	}
 	return nil
 }

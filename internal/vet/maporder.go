@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // MapOrder flags the nondeterminism class PR 9's trace exporter and the
@@ -12,13 +13,17 @@ import (
 // or collects into a slice that is later JSON-encoded or written without
 // an intervening sort, produces byte-different output between otherwise
 // identical runs — breaking the bit-determinism contract (PR 6) and the
-// CI-gated trace byte-identity check (PR 9). The sanctioned idiom —
-// collect keys, sort.* / slices.Sort*, then iterate the sorted slice —
-// is recognized and not flagged.
+// CI-gated trace byte-identity check. A map range whose body acts on the
+// simulation — sends or registers on the transport, degrades a link,
+// triggers or arms a clock event, posts to a loop, crashes or restarts a
+// node — makes the model itself run in that random order, as the fault
+// injector's restarts of crashed nodes once did. The sanctioned idiom —
+// collect keys, sort.* / slices.Sort*, then iterate the sorted slice — is
+// recognized and not flagged.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flags map iteration feeding writers or JSON encoders without sorted keys " +
-		"(output byte-determinism, PRs 6 and 9)",
+	Doc: "flags map iteration feeding writers or JSON encoders, or acting on the simulation, " +
+		"without sorted keys (byte-identical outputs and runs)",
 	Run: runMapOrder,
 }
 
@@ -73,6 +78,35 @@ func isWriterWrite(info *types.Info, call *ast.CallExpr) bool {
 	}
 	t := tv.Type
 	return types.Implements(t, ioWriter) || types.Implements(types.NewPointer(t), ioWriter)
+}
+
+// simActions lists, by package and receiver type, the methods through which
+// code acts on the simulation: the order of their calls is the order the
+// model runs in.
+var simActions = []struct {
+	pkg, typ string
+	methods  []string
+}{
+	{"internal/network", "Transport", []string{"Send", "SendPort", "Broadcast", "Register", "Unregister", "DegradeLink"}},
+	{"internal/clock", "Event", []string{"Trigger", "At", "After", "Every"}},
+	{"internal/clock", "Loop", []string{"Post"}},
+	{"internal/systems", "Driver", []string{"Submit", "CrashNode", "RestartNode", "ResumeNode"}},
+	{"internal/systems", "Cluster", []string{"CrashNode", "RestartNode", "ResumeNode"}},
+}
+
+// simAction returns "Type.Method" when call acts on the simulation, else "".
+func simAction(info *types.Info, call *ast.CallExpr) string {
+	fn, named := methodCall(info, call)
+	if fn == nil || named == nil || named.Obj().Pkg() == nil {
+		return ""
+	}
+	for _, a := range simActions {
+		if named.Obj().Name() == a.typ && isInternalPkg(named.Obj().Pkg().Path(), a.pkg) &&
+			slices.Contains(a.methods, fn.Name()) {
+			return a.typ + "." + fn.Name()
+		}
+	}
+	return ""
 }
 
 // isJSONEncode reports whether call JSON-encodes one of its arguments.
@@ -173,12 +207,18 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 		}
 
 		var appended []types.Object
+		acted := false // one report per range for simulation actions
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.CallExpr:
 				if isWriterWrite(info, m) {
 					pass.Reportf(rng.For,
 						"map iterated in nondeterministic key order while its body writes to an io.Writer; collect the keys, sort them (sort.* / slices.Sort*), and range the sorted slice")
+				}
+				if action := simAction(info, m); action != "" && !acted {
+					acted = true
+					pass.Reportf(rng.For,
+						"map iterated in nondeterministic key order while its body acts on the simulation (%s); collect the keys, sort them (sort.* / slices.Sort*), and range the sorted slice", action)
 				}
 			case *ast.AssignStmt:
 				if obj := assignedSliceObj(info, m); obj != nil {
