@@ -7,7 +7,6 @@ package chain
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
@@ -74,11 +73,13 @@ type Transaction struct {
 	Client string
 	// Seq is the client-local sequence number.
 	Seq uint64
+	// Num is the transaction's dense number within its repetition, given by
+	// the client before it submits: drivers copy it into their commit events
+	// so the hub and the client index by it. It is not hashed, so ID does not
+	// depend on it; 0 means unnumbered.
+	Num uint64
 	// Ops are the operations; len(Ops) >= 1.
 	Ops []Operation
-	// SubmittedAt is stamped by the client just before sending (the paper's
-	// starttime, T0 in Figure 2).
-	SubmittedAt time.Time
 	// Stages carries the per-stage pipeline completion timestamps stamped by
 	// the driver as the transaction travels submit → queue → consensus →
 	// execute → validate. Embedded by value so marking allocates nothing.

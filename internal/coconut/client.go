@@ -8,7 +8,6 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/workload"
@@ -62,33 +61,73 @@ type Client struct {
 	seq     uint64
 	threads []clientThread
 
-	// The in-flight index and the phase's tally are streamed as sends and
-	// events happen, so phase-end aggregation never walks the full record
-	// set. Sends update them on the runner or the pacer event, confirmations
-	// on whichever event the driver commits on: one at a time, on the
-	// clock's event loop.
-	inflight map[crypto.Hash]inflightTx
+	// The phase's in-flight table and tally, shared by its clients, are
+	// streamed as sends and events happen, so phase-end aggregation never
+	// walks the record set. Sends update them on the runner or the pacer
+	// event, confirmations on whichever event the driver commits on: one at
+	// a time, on the clock's event loop.
+	inflight *inflightTable
 	tally    *tally
 }
 
-// inflightTx is what the client keeps of a sent transaction until its
-// finalization event: the send instant (the paper's T0), the payloads it
-// carried, and the workload thread that sent it.
+// inflightTx is what a phase keeps of a sent transaction until its
+// finalization event: the send instant (the paper's T0) in nanoseconds
+// since clock.SimEpoch, the payloads it carried, and the workload thread
+// that sent it. ops is 0 once the event has been counted.
 type inflightTx struct {
-	start  time.Time
-	ops    int
-	thread int
+	start  int64
+	ops    int32
+	thread int32
+}
+
+// inflightTable is one phase's in-flight table, shared by the phase's
+// clients. It numbers the transactions they send densely from first, where
+// the repetition's previous phase left off, and keeps the record of
+// transaction number n at recs[n-first].
+type inflightTable struct {
+	first uint64
+	recs  []inflightTx
+}
+
+// newInflightTable starts a phase's table at number first, with room for
+// capacity records.
+func newInflightTable(first uint64, capacity int) *inflightTable {
+	return &inflightTable{first: first, recs: make([]inflightTx, 0, capacity)}
+}
+
+// add records a transaction of ops payloads that thread sent at start, and
+// returns its number.
+func (t *inflightTable) add(start time.Time, ops, thread int) uint64 {
+	t.recs = append(t.recs, inflightTx{start: int64(start.Sub(clock.SimEpoch)), ops: int32(ops), thread: int32(thread)})
+	return t.first + uint64(len(t.recs)) - 1
+}
+
+// take returns the record of transaction num and marks it counted. It
+// reports false for a number outside the phase or one already counted.
+func (t *inflightTable) take(num uint64) (inflightTx, bool) {
+	i := num - t.first // a number below first wraps past the end
+	if i >= uint64(len(t.recs)) {
+		return inflightTx{}, false
+	}
+	r := &t.recs[i]
+	if r.ops == 0 {
+		return inflightTx{}, false
+	}
+	tx := *r
+	r.ops = 0
+	return tx, true
 }
 
 // newClient builds client i of a bench phase in repetition rep of the run
 // cfg, which Run has filled and checked. The client sends to node i, wraps
-// each workload thread's indices by readMax, and streams into the phase's
-// tally. gen, when set, is called once per workload thread for that thread's
+// each workload thread's indices by readMax, numbers its transactions in
+// the phase's in-flight table txs, and streams into the phase's tally.
+// gen, when set, is called once per workload thread for that thread's
 // operation generator; nil draws from cfg.Workload when the run has one,
 // and otherwise from the paper's per-thread partitioned benchmark
 // generators. Subscribe must happen before the system starts delivering
 // events, so construction registers the event listener.
-func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, tl *tally, i, rep int, bench BenchmarkName, readMax []uint64, gen func(thread int) OpGen) *Client {
+func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, tl *tally, txs *inflightTable, i, rep int, bench BenchmarkName, readMax []uint64, gen func(thread int) OpGen) *Client {
 	if gen == nil && cfg.Workload != nil {
 		gen = func(thread int) OpGen {
 			return OpGen(cfg.Workload.Generator(workload.Placement{
@@ -110,7 +149,7 @@ func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, tl
 		clk:         clk,
 		driver:      driver,
 		threads:     make([]clientThread, cfg.WorkloadThreads),
-		inflight:    make(map[crypto.Hash]inflightTx),
+		inflight:    txs,
 		tally:       tl,
 	}
 	driver.Subscribe(c.id, c.onEvent)
@@ -118,22 +157,21 @@ func newClient(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, tl
 }
 
 // onEvent records a finalization notification (the paper's T3) and streams
-// it out of the in-flight index: the transaction is folded into the tally
-// immediately and the index entry is dropped, so the index size tracks
-// outstanding transactions, not run length.
+// it out of the in-flight table: the transaction, found by its number, is
+// folded into the tally immediately and its record is marked counted.
 func (c *Client) onEvent(ev systems.Event) {
-	now := c.clk.Now()
-	tx, ok := c.inflight[ev.TxID]
+	if c.inflight == nil {
+		return // the phase is over
+	}
+	tx, ok := c.inflight.take(ev.Num)
 	if !ok {
-		// Unknown or already-finalized transaction, or the phase is over: drop.
+		// Another phase's or an already-finalized transaction: drop.
 		return
 	}
-	delete(c.inflight, ev.TxID)
-	ops, start := tx.ops, tx.start
+	now := c.clk.Now()
+	ops, start := int(tx.ops), clock.SimEpoch.Add(time.Duration(tx.start))
 	c.tally.received(now, start, ops, ev.ValidOK, ev.Code)
-	if tx.thread >= 0 && tx.thread < len(c.threads) {
-		c.threads[tx.thread].received += uint64(ops)
-	}
+	c.threads[tx.thread].received += uint64(ops)
 	// The confirmation instant closes the commit segment.
 	if ev.Stages != nil {
 		var buf [chain.NumStages]chain.StageSpan
@@ -172,12 +210,7 @@ func (c *Client) start(sendEnd time.Time) {
 	if len(lanes) == 0 {
 		return
 	}
-	payloadsPerSend := c.cfg.OpsPerTx * c.cfg.BatchSize
-	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.cfg.RateLimit))
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	gaps := c.cfg.Arrival.Gaps(interval, c.arrivalSeed)
+	gaps := c.cfg.Arrival.Gaps(c.cfg.sendInterval(), c.arrivalSeed)
 	next := 0
 	var pacer *clock.Event
 	arm := func() {
@@ -233,7 +266,7 @@ func (c *Client) send(thread int) {
 	}
 }
 
-// detach ends the listening phase: it drops the in-flight index, so an
+// detach ends the listening phase: it drops the in-flight table, so an
 // event that arrives later finds nothing and leaves the counters alone.
 func (c *Client) detach() { c.inflight = nil }
 
@@ -263,9 +296,7 @@ func (c *Client) sendTx(thread int) {
 	}
 	ops := tx.OpCount()
 
-	start := c.clk.Now()
-	tx.SubmittedAt = start
-	c.track(tx.ID, start, ops, thread)
+	tx.Num = c.track(c.clk.Now(), ops, thread)
 	// A submission error is an admission rejection: the transaction stays
 	// unreceived and counts as lost, matching the paper's accounting. The
 	// consumed indices roll back so the written key space stays
@@ -285,8 +316,7 @@ func (c *Client) sendBatch(thread int) {
 	for i := range txs {
 		c.seq++
 		txs[i] = chain.NewSingleOpTx(c.id, c.seq, th.nextOp())
-		txs[i].SubmittedAt = start
-		c.track(txs[i].ID, start, 1, thread)
+		txs[i].Num = c.track(start, 1, thread)
 	}
 	// On rejection (Sawtooth's full queue) the whole batch is lost and its
 	// key range rolls back for reuse by the next batch.
@@ -297,11 +327,12 @@ func (c *Client) sendBatch(thread int) {
 	th.sent += uint64(len(txs))
 }
 
-// track registers a transaction in the in-flight index before submission,
-// so its finalization event can never outrun it.
-func (c *Client) track(id crypto.Hash, start time.Time, ops, thread int) {
-	c.inflight[id] = inflightTx{start: start, ops: ops, thread: thread}
+// track numbers a transaction of ops payloads that thread sends at start,
+// registering it in the phase's in-flight table before submission so its
+// finalization event can never outrun it, and returns its number.
+func (c *Client) track(start time.Time, ops, thread int) uint64 {
 	c.tally.sent(start, ops)
+	return c.inflight.add(start, ops, thread)
 }
 
 // SentCounts returns the per-thread payload counts the driver accepted;

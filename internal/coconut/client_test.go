@@ -2,7 +2,6 @@ package coconut
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -21,7 +20,6 @@ import (
 // outage and catches up after recovery).
 type fakeDriver struct {
 	*systems.Cluster
-	mu        sync.Mutex
 	subs      map[string]systems.EventFunc
 	submitted []*chain.Transaction
 	batches   []*chain.Batch
@@ -49,15 +47,11 @@ func (f *fakeDriver) Stop()                           {}
 func (f *fakeDriver) Preload([]chain.Operation) error { return nil }
 
 func (f *fakeDriver) Subscribe(client string, fn systems.EventFunc) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.subs[client] = fn
 }
 
 func (f *fakeDriver) Submit(entry int, tx *chain.Transaction) error {
-	f.mu.Lock()
 	if f.down[entry%f.NodeCount()] {
-		f.mu.Unlock()
 		return systems.ErrNodeDown
 	}
 	f.submitted = append(f.submitted, tx)
@@ -65,6 +59,7 @@ func (f *fakeDriver) Submit(entry int, tx *chain.Transaction) error {
 	ok := f.confirm(tx)
 	ev := systems.Event{
 		TxID:      tx.ID,
+		Num:       tx.Num,
 		Client:    tx.Client,
 		Committed: true,
 		ValidOK:   true,
@@ -74,10 +69,8 @@ func (f *fakeDriver) Submit(entry int, tx *chain.Transaction) error {
 		// Some node is down: the tx commits on the survivors but the
 		// end-to-end event waits for the crashed node's restart.
 		f.deferred = append(f.deferred, ev)
-		f.mu.Unlock()
 		return nil
 	}
-	f.mu.Unlock()
 	if ok && fn != nil {
 		fn(ev)
 	}
@@ -85,8 +78,6 @@ func (f *fakeDriver) Submit(entry int, tx *chain.Transaction) error {
 }
 
 func (f *fakeDriver) CrashNode(node int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.down == nil {
 		f.down = make(map[int]bool)
 	}
@@ -95,17 +86,14 @@ func (f *fakeDriver) CrashNode(node int) error {
 }
 
 func (f *fakeDriver) RestartNode(node int) (time.Duration, error) {
-	f.mu.Lock()
 	delete(f.down, node%f.NodeCount())
 	var flush []systems.Event
 	if len(f.down) == 0 {
 		flush = f.deferred
 		f.deferred = nil
 	}
-	subs := f.subs
-	f.mu.Unlock()
 	for _, ev := range flush {
-		if fn := subs[ev.Client]; fn != nil {
+		if fn := f.subs[ev.Client]; fn != nil {
 			fn(ev)
 		}
 	}
@@ -113,9 +101,7 @@ func (f *fakeDriver) RestartNode(node int) (time.Duration, error) {
 }
 
 func (f *fakeDriver) SubmitBatch(entry int, b *chain.Batch) error {
-	f.mu.Lock()
 	f.batches = append(f.batches, b)
-	f.mu.Unlock()
 	for _, tx := range b.Txs {
 		if err := f.Submit(entry, tx); err != nil {
 			return err
@@ -124,23 +110,24 @@ func (f *fakeDriver) SubmitBatch(entry int, b *chain.Batch) error {
 	return nil
 }
 
-func (f *fakeDriver) submittedCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.submitted)
-}
+func (f *fakeDriver) submittedCount() int { return len(f.submitted) }
 
 // testClient builds client 0 of the phase of cfg's first unit member, with
-// cfg filled with Run's defaults and a tally of its own, on d and clk; a nil
-// clk is a fresh auto-advancing clock with the test registered as its actor.
+// cfg filled with Run's defaults and a tally and in-flight table of its own,
+// numbering from 1, on d and clk; a nil clk is a fresh auto-advancing clock
+// with the test registered as its actor.
 func testClient(t *testing.T, d systems.Driver, clk *clock.AutoVirtual, cfg RunConfig) *Client {
 	t.Helper()
 	if clk == nil {
 		clk = systemstest.Env(t).Clock
 	}
 	cfg.fill()
-	return newClient(&cfg, clk, d, newTally(nil), 0, 0, cfg.Unit[0], nil, nil)
+	return newClient(&cfg, clk, d, newTally(nil), testTable(), 0, 0, cfg.Unit[0], nil, nil)
 }
+
+// testTable is the in-flight table of a repetition's first phase, which
+// numbers from 1 as the runner's does.
+func testTable() *inflightTable { return newInflightTable(1, 0) }
 
 // runPhase drives the client through the runner's phase — start, send
 // window, listening grace, detach — and returns the phase's tally: with one
@@ -224,8 +211,6 @@ func TestClientOpsPerTx(t *testing.T) {
 		ListenGrace:     20 * time.Millisecond,
 	})
 	s := runPhase(c)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if len(d.submitted) == 0 {
 		t.Fatal("nothing sent")
 	}
@@ -251,9 +236,7 @@ func TestClientBatchesUseBatchSubmitter(t *testing.T) {
 		ListenGrace:     20 * time.Millisecond,
 	})
 	sent := runPhase(c).expectedOps
-	d.mu.Lock()
 	batches := len(d.batches)
-	d.mu.Unlock()
 	if batches == 0 {
 		t.Fatal("no batches submitted despite BatchSize=10")
 	}
@@ -277,7 +260,6 @@ func TestClientPacksOperationsWithTheirIDs(t *testing.T) {
 		cfg.RateLimit, cfg.WorkloadThreads = 1000, 2
 		cfg.SendDuration, cfg.ListenGrace = 50*time.Millisecond, 10*time.Millisecond
 		runPhase(testClient(t, d, nil, cfg))
-		d.mu.Lock()
 		if len(d.submitted) == 0 {
 			t.Fatalf("%s: nothing sent", name)
 		}
@@ -291,7 +273,6 @@ func TestClientPacksOperationsWithTheirIDs(t *testing.T) {
 				t.Fatalf("%s: tx %d has ID %s, want %s", name, tx.Seq, tx.ID.Short(), want.ID.Short())
 			}
 		}
-		d.mu.Unlock()
 	}
 }
 
@@ -305,10 +286,8 @@ func TestClientReadMaxWrapsIndices(t *testing.T) {
 	}
 	cfg.fill()
 	// Only keys 0..2 were "written".
-	c := newClient(&cfg, systemstest.Env(t).Clock, d, newTally(nil), 0, 0, BenchKeyValueGet, []uint64{3}, nil)
+	c := newClient(&cfg, systemstest.Env(t).Clock, d, newTally(nil), testTable(), 0, 0, BenchKeyValueGet, []uint64{3}, nil)
 	runPhase(c)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if len(d.submitted) < 4 {
 		t.Fatalf("need > 3 sends to observe wrapping, got %d", len(d.submitted))
 	}
@@ -344,9 +323,9 @@ func TestClientSentCountsMatchSubmitted(t *testing.T) {
 	}
 }
 
-// TestClientStreamsOnlineMetrics checks the bounded-memory accounting: the
-// streamed tally and per-thread counters carry the full phase, and the
-// in-flight index is empty once it ends.
+// TestClientStreamsOnlineMetrics checks the streamed accounting: the tally
+// and per-thread counters carry the full phase, every in-flight record is
+// counted, and the client lets go of the table once the phase ends.
 func TestClientStreamsOnlineMetrics(t *testing.T) {
 	d := newFakeDriver()
 	c := testClient(t, d, nil, RunConfig{
@@ -373,10 +352,8 @@ func TestClientStreamsOnlineMetrics(t *testing.T) {
 	if int(received) != sum.receivedOps {
 		t.Fatalf("per-thread received = %d, tally = %d", received, sum.receivedOps)
 	}
-	// The in-flight index must be empty after the phase: memory is bounded
-	// by outstanding transactions, not run length.
-	if n := len(c.inflight); n != 0 {
-		t.Fatalf("in-flight index still holds %d transactions after detach", n)
+	if c.inflight != nil {
+		t.Fatal("the client still holds the phase's in-flight table after detach")
 	}
 }
 
@@ -388,12 +365,9 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 		SendDuration:    50 * time.Millisecond,
 		ListenGrace:     20 * time.Millisecond,
 	})
-	// Fire a stray event for a transaction this client never sent.
+	// Fire a stray event for a number this client never gave out.
 	ghost := chain.NewSingleOp("other", 99, "donothing", "DoNothing")
-	d.mu.Lock()
-	fn := d.subs["coconut-client-0"]
-	d.mu.Unlock()
-	fn(systems.Event{TxID: ghost.ID, Client: "coconut-client-0", Committed: true})
+	d.subs["coconut-client-0"](systems.Event{TxID: ghost.ID, Num: 99, Client: "coconut-client-0", Committed: true})
 	s := runPhase(c)
 	if s.receivedOps != s.expectedOps || s.expectedOps != d.submittedCount() {
 		t.Fatalf("NoT = %d/%d for %d sent: the stray event was counted", s.receivedOps, s.expectedOps, d.submittedCount())
@@ -406,5 +380,107 @@ func TestClientIgnoresUnknownEvents(t *testing.T) {
 func TestClientCarriesNoHistogram(t *testing.T) {
 	if c, h := unsafe.Sizeof(Client{}), unsafe.Sizeof(LatencyHist{}); c >= h {
 		t.Fatalf("a Client is %d bytes, a LatencyHist %d: the client carries a histogram", c, h)
+	}
+}
+
+// TestClientNumbersTransactionsDensely: a repetition numbers its
+// transactions 1, 2, 3, … in the order its clients submit them, across every
+// phase of the repetition and every member of a batch, and the next
+// repetition starts again at 1.
+func TestClientNumbersTransactionsDensely(t *testing.T) {
+	var drivers []*fakeDriver
+	results, err := Run(RunConfig{
+		SystemName: "fake",
+		NewDriver: func(*clock.AutoVirtual) systems.Driver {
+			drivers = append(drivers, newFakeDriver())
+			return drivers[len(drivers)-1]
+		},
+		Unit:            []BenchmarkName{BenchKeyValueSet, BenchKeyValueGet},
+		Clients:         2,
+		RateLimit:       500,
+		WorkloadThreads: 2,
+		BatchSize:       5,
+		SendDuration:    100 * time.Millisecond,
+		ListenGrace:     20 * time.Millisecond,
+		Repetitions:     2,
+		NewClock:        func() *clock.AutoVirtual { return clock.NewAutoVirtual() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Expected.Mean == 0 {
+			t.Fatalf("%s sent nothing", r.Benchmark)
+		}
+	}
+	if len(drivers) != 2 {
+		t.Fatalf("%d drivers provisioned, want one per repetition", len(drivers))
+	}
+	for rep, d := range drivers {
+		for i, tx := range d.submitted {
+			if tx.Num != uint64(i+1) {
+				t.Fatalf("repetition %d: submission %d carries number %d, want %d", rep, i, tx.Num, i+1)
+			}
+		}
+		for _, b := range d.batches {
+			for j, tx := range b.Txs {
+				if tx.Num != b.Txs[0].Num+uint64(j) {
+					t.Fatalf("repetition %d: batch member %d is number %d, want %d", rep, j, tx.Num, b.Txs[0].Num+uint64(j))
+				}
+			}
+		}
+	}
+}
+
+// TestClientDropsEventsOutsideItsPhase: an event counts only for a number
+// its phase gave out and has not yet counted, and only until the client
+// detaches. An earlier phase's number, a number no phase gave out, a second
+// event for one number and an event after detach all leave the tally and the
+// per-thread counts as they were.
+func TestClientDropsEventsOutsideItsPhase(t *testing.T) {
+	clk := clock.NewAutoVirtual()
+	cfg := RunConfig{RateLimit: 100, WorkloadThreads: 2}
+	cfg.fill()
+	phase := func(first uint64) *Client {
+		return newClient(&cfg, clk, newFakeDriver(), newTally(nil), newInflightTable(first, 0), 0, 0, BenchDoNothing, nil, nil)
+	}
+	earlier := phase(1)
+	old := earlier.track(clk.Now(), 1, 0)
+	earlier.detach()
+
+	c := phase(2)
+	num := c.track(clk.Now(), 3, 1)
+	late := c.track(clk.Now(), 1, 0)
+	if old != 1 || num != 2 || late != 3 {
+		t.Fatalf("numbers %d, %d, %d: want 1 in the first phase, then 2 and 3 in the second", old, num, late)
+	}
+	clk.Sleep(time.Second)
+	received := func() (int, uint64) {
+		var perThread uint64
+		for _, n := range c.ReceivedCounts() {
+			perThread += n
+		}
+		return c.tally.receivedOps, perThread
+	}
+	drop := func(what string, n uint64) {
+		t.Helper()
+		ops, perThread := received()
+		c.onEvent(systems.Event{Num: n, ValidOK: true})
+		if o, p := received(); o != ops || p != perThread {
+			t.Fatalf("%s (number %d) was counted: tally %d → %d, per-thread %d → %d", what, n, ops, o, perThread, p)
+		}
+	}
+	drop("an earlier phase's event", old)
+	drop("an unnumbered event", 0)
+	drop("an event numbered in no phase", 99)
+	c.onEvent(systems.Event{Num: num, ValidOK: true})
+	if ops, perThread := received(); ops != 3 || perThread != 3 || c.ReceivedCounts()[1] != 3 {
+		t.Fatalf("the phase's own event counted %d payloads (%d per thread, %v), want 3 on thread 1", ops, perThread, c.ReceivedCounts())
+	}
+	drop("a second event for one number", num)
+	c.detach()
+	drop("an event after detach", late)
+	if res := c.tally.result(); res.ExpectedNoT != 4 || res.ReceivedNoT != 3 || res.ValidNoT != 3 {
+		t.Fatalf("NoT received %d, valid %d of %d expected; want 3, 3 of 4", res.ReceivedNoT, res.ValidNoT, res.ExpectedNoT)
 	}
 }

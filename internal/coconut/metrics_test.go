@@ -8,7 +8,6 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/systems"
 )
 
@@ -67,9 +66,9 @@ func TestClientOpsCounting(t *testing.T) {
 	// 100 transactions (§4.5).
 	clk := clock.NewAutoVirtual()
 	c := testClient(t, newFakeDriver(), clk, RunConfig{})
-	c.track(crypto.Hash{1}, clk.Now(), 100, 0)
+	num := c.track(clk.Now(), 100, 0)
 	clk.Sleep(time.Second)
-	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
+	c.onEvent(systems.Event{Num: num, ValidOK: true})
 	res := c.tally.result()
 	if res.ReceivedNoT != 100 {
 		t.Fatalf("received = %d, want 100", res.ReceivedNoT)
@@ -215,12 +214,12 @@ func TestMFLSIsOpsWeighted(t *testing.T) {
 	// per-payload mean is (2*1 + 1*4) / 3 = 2s, not (1+4)/2 = 2.5s.
 	clk := clock.NewAutoVirtual()
 	c := testClient(t, newFakeDriver(), clk, RunConfig{})
-	c.track(crypto.Hash{1}, clk.Now(), 2, 0)
-	c.track(crypto.Hash{2}, clk.Now(), 1, 0)
+	two := c.track(clk.Now(), 2, 0)
+	one := c.track(clk.Now(), 1, 0)
 	clk.Sleep(time.Second)
-	c.onEvent(systems.Event{TxID: crypto.Hash{1}, ValidOK: true})
+	c.onEvent(systems.Event{Num: two, ValidOK: true})
 	clk.Sleep(3 * time.Second)
-	c.onEvent(systems.Event{TxID: crypto.Hash{2}, ValidOK: true})
+	c.onEvent(systems.Event{Num: one, ValidOK: true})
 	res := c.tally.result()
 	if got, want := res.FLS, 2.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("MFLS = %v, want %v (ops-weighted)", got, want)
@@ -284,14 +283,13 @@ func TestPropertyReceivedNeverExceedsExpected(t *testing.T) {
 		clk := clock.NewAutoVirtual()
 		c := testClient(t, newFakeDriver(), clk, RunConfig{})
 		confirmed := 0
-		for i, ok := range flags {
-			id := crypto.Hash{byte(i), byte(i >> 8), 1}
-			c.track(id, clk.Now(), 1, 0)
+		for _, ok := range flags {
+			num := c.track(clk.Now(), 1, 0)
 			clk.Sleep(time.Second)
 			if ok {
 				confirmed++
-				c.onEvent(systems.Event{TxID: id, ValidOK: true})
-				c.onEvent(systems.Event{TxID: id, ValidOK: true}) // duplicate: dropped
+				c.onEvent(systems.Event{Num: num, ValidOK: true})
+				c.onEvent(systems.Event{Num: num, ValidOK: true}) // duplicate: dropped
 			}
 		}
 		res := c.tally.result()

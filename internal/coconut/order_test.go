@@ -46,7 +46,12 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 			drv := newFakeDriver()
 			cfg := RunConfig{RateLimit: 100, WorkloadThreads: tc.threads, SendDuration: window, ListenGrace: 10 * time.Millisecond}
 			cfg.fill()
-			cl := newClient(&cfg, av, drv, newTally(nil), 0, 0, tc.bench, tc.readMax, func(thread int) OpGen {
+			var sentAt []time.Duration // each submission's instant, in order
+			drv.confirm = func(*chain.Transaction) bool {
+				sentAt = append(sentAt, av.Now().Sub(clock.SimEpoch))
+				return true
+			}
+			cl := newClient(&cfg, av, drv, newTally(nil), testTable(), 0, 0, tc.bench, tc.readMax, func(thread int) OpGen {
 				return func(i uint64) chain.Operation {
 					return chain.Operation{IEL: "order", Function: "f", Args: []string{fmt.Sprintf("w%d#%d", thread, i)}}
 				}
@@ -56,8 +61,8 @@ func TestClientSendOrderUnderVirtualTime(t *testing.T) {
 			h.Close()
 
 			var got []string
-			for _, tx := range drv.submitted {
-				at := tx.SubmittedAt.Sub(clock.SimEpoch)
+			for i, tx := range drv.submitted {
+				at := sentAt[i]
 				if at >= window {
 					t.Fatalf("%s sent at +%v, at or after the end of the %v send window", tx.Ops[0].Args[0], at, window)
 				}

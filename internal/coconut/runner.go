@@ -105,6 +105,28 @@ func (c *RunConfig) fill() {
 	}
 }
 
+// sendInterval is a client's mean gap between sends: each send, one
+// transaction or batch, accounts for OpsPerTx*BatchSize payloads against
+// the rate limit.
+func (c *RunConfig) sendInterval() time.Duration {
+	payloadsPerSend := c.OpsPerTx * c.BatchSize
+	interval := time.Duration(float64(time.Second) * float64(payloadsPerSend) / float64(c.RateLimit))
+	if interval <= 0 {
+		interval = time.Microsecond
+	}
+	return interval
+}
+
+// phaseTxs estimates how many transactions a phase's clients send, to size
+// its in-flight table: one send per interval of the send window and one at
+// its start, per client. It is capped at 2^20 records (16 MiB); a table
+// that outgrows its reserve grows as it fills.
+func (c *RunConfig) phaseTxs() int {
+	const maxReserve = 1 << 20
+	sends := min(max(int(c.SendDuration/c.sendInterval()), 0)+1, maxReserve)
+	return min(c.Clients*sends*c.BatchSize, maxReserve)
+}
+
 // Run executes the configured benchmark unit and returns one aggregated
 // Result per unit member, in unit order.
 func Run(cfg RunConfig) ([]Result, error) {
@@ -139,7 +161,9 @@ func Run(cfg RunConfig) ([]Result, error) {
 
 // runRepetition provisions one fresh system on a fresh clock and runs every
 // unit member, quiescing between members. Each member's result is complete
-// when its phase ends, so the driver stops right after the last one.
+// when its phase ends, so the driver stops right after the last one. The
+// repetition numbers its transactions densely from 1 across its members
+// (Transaction.Num); 0 is left for unnumbered.
 func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult, error) {
 	clk := cfg.NewClock()
 	// The runner's waits and quiesce sleeps run the clock: its sleeps tie
@@ -179,6 +203,7 @@ func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult,
 	// writtenCounts carries the write phase's per-client per-thread send
 	// counts into dependent read phases.
 	writtenCounts := make(map[BenchmarkName][][]uint64)
+	nextNum := uint64(1)
 
 	for i, bench := range cfg.Unit {
 		if i > 0 {
@@ -193,7 +218,7 @@ func runRepetition(cfg *RunConfig, rep int) (map[BenchmarkName]RepetitionResult,
 			}
 		}
 
-		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax)
+		rr, sent := runBenchmark(cfg, clk, driver, bench, rep, readMax, &nextNum)
 		writtenCounts[bench] = sent
 		out[bench] = rr
 	}
@@ -225,9 +250,11 @@ func quiesce(clk *clock.AutoVirtual, driver systems.Driver) {
 }
 
 // runBenchmark provisions fresh clients and executes one benchmark. The
-// clients stream into one tally for the phase (their memory is bounded by
-// the in-flight window), which yields the repetition's metrics.
-func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64) (RepetitionResult, [][]uint64) {
+// clients number their transactions in one in-flight table for the phase,
+// from the repetition's counter nextNum on, which the phase advances past
+// its last number, and stream into one tally for the phase, which yields
+// the repetition's metrics.
+func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver, bench BenchmarkName, rep int, readMax [][]uint64, nextNum *uint64) (RepetitionResult, [][]uint64) {
 	// The windowed measurement plane spans the whole phase (plus one
 	// window of slack for late replay bursts at the horizon edge). It is
 	// collected only under a fault schedule, so the paper-grid hot path
@@ -239,13 +266,14 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 	}
 
 	tl := newTally(timeline)
+	txs := newInflightTable(*nextNum, cfg.phaseTxs())
 	clients := make([]*Client, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		var rm []uint64
 		if i < len(readMax) {
 			rm = readMax[i]
 		}
-		clients[i] = newClient(cfg, clk, driver, tl, i, rep, bench, rm, nil)
+		clients[i] = newClient(cfg, clk, driver, tl, txs, i, rep, bench, rm, nil)
 	}
 
 	// Driver-side conflict counters are cumulative over the driver's
@@ -280,6 +308,7 @@ func runBenchmark(cfg *RunConfig, clk *clock.AutoVirtual, driver systems.Driver,
 	}
 
 	drive(clk, cfg, clients)
+	*nextNum += uint64(len(txs.recs))
 	if injector != nil {
 		injector.Stop()
 	}

@@ -3,7 +3,6 @@ package coconut
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -74,7 +73,7 @@ func TestClientArrivalSeeds(t *testing.T) {
 	cfg.fill()
 	clk := clock.NewAutoVirtual()
 	seed := func(i, rep int) int64 {
-		return newClient(&cfg, clk, newFakeDriver(), newTally(nil), i, rep, BenchDoNothing, nil, nil).arrivalSeed
+		return newClient(&cfg, clk, newFakeDriver(), newTally(nil), testTable(), i, rep, BenchDoNothing, nil, nil).arrivalSeed
 	}
 	seen := make(map[int64]string)
 	for i := range 4 {
@@ -153,14 +152,11 @@ func TestRunReportsLeakedWaiters(t *testing.T) {
 // need polls.
 type drainingDriver struct {
 	*fakeDriver
-	mu    sync.Mutex
 	polls int
 	need  int
 }
 
 func (d *drainingDriver) Drained() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.polls++
 	return d.polls >= d.need
 }
@@ -183,8 +179,6 @@ func TestRunnerQuiescesBetweenUnitMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.polls < 3 {
 		t.Fatalf("Drained polled %d times, want >= 3 (runner must wait)", d.polls)
 	}
@@ -267,6 +261,28 @@ func TestRunnerFoldsConflictDeltasPerPhase(t *testing.T) {
 		shed := r.Conflicts[systems.AbortConflictExcluded].Mean
 		if shed == 0 || shed != r.Expected.Mean {
 			t.Errorf("%s: %v shed, want the phase's own %v sends", r.Benchmark, shed, r.Expected.Mean)
+		}
+	}
+}
+
+// TestRunnerSizesTheInflightTable: under the paper's uniform pacing a
+// phase's in-flight table is reserved for what its clients send, so it never
+// regrows, and the reserve is not much larger than the phase's sends.
+func TestRunnerSizesTheInflightTable(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		cfg := RunConfig{Clients: 3, RateLimit: 400, WorkloadThreads: 2, BatchSize: batch,
+			SendDuration: 500 * time.Millisecond, ListenGrace: 10 * time.Millisecond}
+		cfg.fill()
+		clk := clock.NewAutoVirtual()
+		d := newFakeDriver()
+		txs := newInflightTable(1, cfg.phaseTxs())
+		clients := make([]*Client, cfg.Clients)
+		for i := range clients {
+			clients[i] = newClient(&cfg, clk, d, newTally(nil), txs, i, 0, BenchDoNothing, nil, nil)
+		}
+		drive(clk, &cfg, clients)
+		if sent, reserved := len(txs.recs), cfg.phaseTxs(); cap(txs.recs) != reserved || sent < reserved*9/10 {
+			t.Fatalf("batch %d: %d transactions sent into a table of capacity %d, reserved %d", batch, sent, cap(txs.recs), reserved)
 		}
 	}
 }

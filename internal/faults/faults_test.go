@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 // answers the hooks it does not script (no transport, no WAL).
 type stubDriver struct {
 	*systems.Cluster
-	mu       sync.Mutex
 	calls    []string
 	crashes  int
 	restarts int
@@ -43,8 +41,6 @@ func (s *stubDriver) Preload([]chain.Operation) error          { return nil }
 func (s *stubDriver) Subscribe(_ string, _ systems.EventFunc)  {}
 
 func (s *stubDriver) CrashNode(node int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if node < 0 || node >= s.NodeCount() {
 		return systems.ErrNodeDown
 	}
@@ -54,8 +50,6 @@ func (s *stubDriver) CrashNode(node int) error {
 }
 
 func (s *stubDriver) RestartNode(node int) (time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if node < 0 || node >= s.NodeCount() {
 		return 0, systems.ErrNodeDown
 	}
@@ -76,8 +70,6 @@ func (s *stubDriver) ResumeNode(int) time.Duration {
 }
 
 func (s *stubDriver) callLog() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, len(s.calls))
 	copy(out, s.calls)
 	return out

@@ -306,6 +306,7 @@ func (n *Network) applyDecision(nd *node, d consensus.Decision) {
 		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 		nd.Hub.Committed(systems.Event{
 			TxID:      tx.ID,
+			Num:       tx.Num,
 			Client:    tx.Client,
 			Committed: true,
 			ValidOK:   true,

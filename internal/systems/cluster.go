@@ -43,9 +43,7 @@ func NodeIDs(prefix string, n int) []string {
 // embeds Cluster itself; the five systems that replicate a ledger over a
 // shared transport embed LedgerCluster.
 type Cluster struct {
-	// Hub is the network's commit hub; each Node holds its handle on it.
-	Hub *Hub
-
+	hub     *Hub
 	name    string
 	nodes   []Node
 	durable bool
@@ -66,7 +64,7 @@ func NewCluster(name string, ids []string, env Env, depth func() int) *Cluster {
 }
 
 func (c *Cluster) init(name string, ids []string, env Env, depth func() int) {
-	c.Hub = NewHub(len(ids))
+	c.hub = NewHub(len(ids))
 	c.name = name
 	c.nodes = make([]Node, len(ids))
 	c.durable = env.WAL != nil
@@ -74,13 +72,16 @@ func (c *Cluster) init(name string, ids []string, env Env, depth func() int) {
 	for i, id := range ids {
 		nd := &c.nodes[i]
 		nd.ID = id
-		nd.Hub = c.Hub.Node(id)
+		nd.Hub = c.hub.Node(id)
 		if env.WAL != nil {
 			nd.Gate.Enable(env.Clock, wal.New(id, *env.WAL, env.Clock))
 			nd.Gate.Trace(env.Trace, name, id)
 		}
 	}
 }
+
+// Hub returns the network's commit hub; each Node holds its handle on it.
+func (c *Cluster) Hub() *Hub { return c.hub }
 
 // Node returns node i's chassis.
 func (c *Cluster) Node(i int) *Node { return &c.nodes[i] }
@@ -92,7 +93,7 @@ func (c *Cluster) Name() string { return c.name }
 func (c *Cluster) NodeCount() int { return len(c.nodes) }
 
 // Subscribe implements Driver.
-func (c *Cluster) Subscribe(client string, fn EventFunc) { c.Hub.Subscribe(client, fn) }
+func (c *Cluster) Subscribe(client string, fn EventFunc) { c.hub.Subscribe(client, fn) }
 
 // MarkStarted opens the network for submissions and reports whether it was
 // stopped: a driver's Start returns at once when it was not.
@@ -210,7 +211,7 @@ func (c *Cluster) RecoveryStats() (RecoveryStats, bool) {
 // admission backlog, the transport's undelivered messages, and gate/WAL
 // occupancy summed over the nodes.
 func (c *Cluster) QueueSnapshot() QueueStats {
-	qs := QueueStats{HubInflight: c.Hub.PendingCount(), MempoolDepth: c.depth()}
+	qs := QueueStats{HubInflight: c.hub.PendingCount(), MempoolDepth: c.depth()}
 	if c.net != nil {
 		qs.NetPending = c.net.PendingCount()
 	}

@@ -400,6 +400,7 @@ func (w *worker) step() time.Duration {
 			// One event per flow, shared by every node's commit work.
 			f.ev = &systems.Event{
 				TxID:      f.tx.ID,
+				Num:       f.tx.Num,
 				Client:    f.tx.Client,
 				Committed: true,
 				ValidOK:   true,
@@ -408,7 +409,7 @@ func (w *worker) step() time.Duration {
 			}
 			// Reads complete on the entry node alone.
 			if f.readOnly || f.utx == nil {
-				n.Hub.EmitDirect(*f.ev, decided)
+				n.Hub().EmitDirect(*f.ev, decided)
 				return 0
 			}
 			// One flow counts as one failure no matter how many vaults

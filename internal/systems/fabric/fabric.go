@@ -368,6 +368,7 @@ func commitOnPeer(c peerCommit) {
 		}
 		ev := systems.Event{
 			TxID:      env.Tx.ID,
+			Num:       env.Tx.Num,
 			Client:    env.Tx.Client,
 			Committed: true, // appended to the chain regardless
 			ValidOK:   validErr == nil,

@@ -6,46 +6,42 @@ import (
 	"github.com/coconut-bench/coconut/internal/crypto"
 )
 
-// DefaultEmittedRetention bounds the tombstone set that suppresses late
-// duplicate reports after a transaction has emitted. Older tombstones are
-// retired FIFO, so hub memory stays constant over arbitrarily long runs
-// instead of growing with every transaction.
-const DefaultEmittedRetention = 1 << 19
-
 // Hub aggregates per-node commit notifications and fires the end-to-end
 // finalization event once every node in the network has persisted a
 // transaction. It also routes events to the submitting client's
 // subscription, mirroring COCONUT's event-based collection (§3).
 //
-// Only the clock's event loop touches it, so it takes no lock. Node identities are interned once into dense indices so
-// per-transaction tracking is a bitset rather than a map of node-ID
-// strings.
+// Only the clock's event loop touches it, so it takes no lock. Node
+// identities are interned once into dense indices so per-transaction
+// tracking is a bitset rather than a map of node-ID strings, and
+// transactions are indexed by their dense number in the repetition
+// (Event.Num), so a report is one slice index rather than a hash probe.
 type Hub struct {
-	nodes     int
-	retention int
+	nodes int
 
 	subs    map[string]EventFunc
 	nodeIdx map[string]*HubNode
-	// txs holds every transaction the hub knows, by a pointer-free value the
-	// collector never scans: a transaction still collecting node reports
-	// maps to its slot (≥ 0) in slab, and a recently finalized one to
-	// tombstone, so late duplicate reports do not re-open it. A report is one
-	// probe of this map.
-	txs map[crypto.Hash]int32
+	// state holds every transaction the hub has heard of, indexed by its
+	// number: unseen (0), collecting node reports in slab slot s (s+1), or
+	// emitted (emittedState, -1). An emitted transaction stays emitted for
+	// the hub's lifetime, one repetition, so late duplicate reports never
+	// re-open it.
+	state []int32
 	// slab holds the pending transactions; a finalized one's slot goes on
 	// free for the next transaction to reuse.
-	slab []pendingTx
-	free []int32
-	// ring holds the tombstoned IDs oldest-first from ringHead. It grows to
-	// retention entries; from then on each new tombstone overwrites, and
-	// retires from txs, the oldest.
-	ring     []crypto.Hash
-	ringHead int
-	emitted  int
+	slab    []pendingTx
+	free    []int32
+	emitted int
+
+	// byID and unnumbered are the unnumbered path (hubshim.go): byID
+	// numbers a transaction whose events carry no number by its ID, into
+	// unnumbered, which holds its state as state does.
+	byID       map[crypto.Hash]int32
+	unnumbered []int32
 }
 
-// tombstone is the txs value of a finalized transaction.
-const tombstone int32 = -1
+// emittedState is the state of a finalized transaction.
+const emittedState int32 = -1
 
 // pendingTx tracks which nodes persisted one transaction, as a bitset over
 // interned node indices: the first 64 inline, larger networks spill into
@@ -74,33 +70,13 @@ func (p *pendingTx) mark(idx int) bool {
 	return true
 }
 
-// HubOption customizes hub construction.
-type HubOption func(*Hub)
-
-// WithEmittedRetention sets how many finalized-transaction tombstones the
-// hub retains for duplicate suppression before retiring the oldest.
-func WithEmittedRetention(n int) HubOption {
-	return func(h *Hub) {
-		if n < 1 {
-			n = 1
-		}
-		h.retention = n
-	}
-}
-
 // NewHub creates a hub for a network of the given node count.
-func NewHub(nodes int, opts ...HubOption) *Hub {
-	h := &Hub{
-		nodes:     nodes,
-		retention: DefaultEmittedRetention,
-		txs:       make(map[crypto.Hash]int32),
-		subs:      make(map[string]EventFunc),
-		nodeIdx:   make(map[string]*HubNode),
+func NewHub(nodes int) *Hub {
+	return &Hub{
+		nodes:   nodes,
+		subs:    make(map[string]EventFunc),
+		nodeIdx: make(map[string]*HubNode),
 	}
-	for _, opt := range opts {
-		opt(h)
-	}
-	return h
 }
 
 // Subscribe registers fn as the listener for events whose Client matches.
@@ -136,28 +112,47 @@ func (n *HubNode) ID() string { return n.id }
 // Duplicate reports from the same node are ignored.
 func (n *HubNode) Committed(ev Event, at time.Time) {
 	h := n.hub
-	slot, ok := h.txs[ev.TxID]
-	if !ok {
-		slot = h.open(ev)
-		h.txs[ev.TxID] = slot
-	}
-	if slot == tombstone {
+	st := h.entry(ev)
+	if *st == emittedState {
 		return
 	}
+	if *st == 0 {
+		*st = h.open(ev) + 1
+	}
+	slot := *st - 1
 	p := &h.slab[slot]
 	if !p.mark(n.idx) || p.count < h.nodes {
 		return
 	}
 	// Final node: emit exactly once. The transition completes before the
-	// callback runs, so a report the callback causes sees the tombstone.
+	// callback runs, so a report the callback causes sees it emitted.
 	out := p.event
 	h.release(slot)
-	h.retain(ev.TxID)
+	*st = emittedState
 	h.emitted++
 	if fn := h.subs[out.Client]; fn != nil {
 		out.FinalizedAt = at
 		fn(out)
 	}
+}
+
+// entry returns the state of ev's transaction, growing the index to its
+// number. The pointer is valid until the next entry call.
+func (h *Hub) entry(ev Event) *int32 {
+	if ev.Num == 0 {
+		return h.unnumberedEntry(ev.TxID)
+	}
+	if ev.Num >= uint64(len(h.state)) {
+		h.state = growStates(h.state, ev.Num)
+	}
+	return &h.state[ev.Num]
+}
+
+// growStates extends s, doubling it from at least 1024 entries, until index
+// i is in range; the new states are unseen.
+func growStates(s []int32, i uint64) []int32 {
+	n := max(2*len(s), int(i)+1, 1024)
+	return append(s, make([]int32, n-len(s))...)
 }
 
 // open gives a newly reported transaction a slab slot, reusing a freed one
@@ -182,21 +177,6 @@ func (h *Hub) release(slot int32) {
 	h.free = append(h.free, slot)
 }
 
-// retain tombstones a finalized transaction, retiring the oldest tombstone
-// once the ring is at its bound.
-func (h *Hub) retain(id crypto.Hash) {
-	h.txs[id] = tombstone
-	if len(h.ring) < h.retention {
-		h.ring = append(h.ring, id)
-		return
-	}
-	delete(h.txs, h.ring[h.ringHead])
-	h.ring[h.ringHead] = id
-	if h.ringHead++; h.ringHead == len(h.ring) {
-		h.ringHead = 0
-	}
-}
-
 // EmitDirect fires an event immediately, bypassing per-node tracking. Used
 // for client-visible rejections that never reach the chain.
 func (h *Hub) EmitDirect(ev Event, at time.Time) {
@@ -208,18 +188,11 @@ func (h *Hub) EmitDirect(ev Event, at time.Time) {
 
 // PendingCount reports transactions persisted on some but not all nodes.
 func (h *Hub) PendingCount() int {
-	return len(h.txs) - len(h.ring)
+	return len(h.slab) - len(h.free)
 }
 
 // EmittedCount reports fully finalized transactions over the hub's
-// lifetime. Unlike the tombstone set, the counter is never pruned.
+// lifetime.
 func (h *Hub) EmittedCount() int {
 	return h.emitted
-}
-
-// TombstoneCount reports how many duplicate-suppression tombstones are
-// currently retained; it is bounded by the retention regardless of run
-// length.
-func (h *Hub) TombstoneCount() int {
-	return len(h.ring)
 }

@@ -12,7 +12,8 @@ import (
 
 // BenchmarkHubCommit drives a full commit cycle (every node reports every
 // transaction) through a hub from GOMAXPROCS node events on one clock,
-// mimicking the per-validator commit loops of the system drivers.
+// mimicking the per-validator commit loops of the system drivers. Its events
+// are numbered as the drivers' are, so it times the path they take.
 func BenchmarkHubCommit(b *testing.B) {
 	nodes := runtime.GOMAXPROCS(0)
 	if nodes < 2 {
@@ -38,13 +39,13 @@ func BenchmarkHubCommit(b *testing.B) {
 	b.ResetTimer()
 	clocktest.Steps(b, clk, time.Second, "nodes committing", names, func(n int) (time.Duration, bool) {
 		at := time.Unix(0, 0)
-		for _, id := range ids {
-			handles[n].Committed(Event{TxID: id, Client: "c"}, at)
+		for i, id := range ids {
+			handles[n].Committed(Event{TxID: id, Num: uint64(i + 1), Client: "c"}, at)
 		}
 		return 0, true
 	})
 	b.StopTimer()
-	if got := h.EmittedCount(); got != b.N {
-		b.Fatalf("emitted %d, want %d", got, b.N)
+	if got := h.EmittedCount(); got != b.N || h.UnnumberedCount() != 0 {
+		b.Fatalf("emitted %d, want %d; %d numbered by ID", got, b.N, h.UnnumberedCount())
 	}
 }

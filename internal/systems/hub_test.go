@@ -2,7 +2,6 @@ package systems
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,58 +11,56 @@ import (
 
 func TestHubFiresOnlyWhenAllNodesCommit(t *testing.T) {
 	h := NewHub(3)
-	var mu sync.Mutex
 	var got []Event
-	h.Subscribe("client-1", func(e Event) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-	})
-	ev := Event{TxID: crypto.SumString("tx"), Client: "client-1", Committed: true, ValidOK: true}
+	h.Subscribe("client-1", func(e Event) { got = append(got, e) })
+	ev := Event{TxID: crypto.SumString("tx"), Num: 1, Client: "client-1", Committed: true, ValidOK: true}
 
 	h.Node("n0").Committed(ev, time.Unix(1, 0))
 	h.Node("n1").Committed(ev, time.Unix(2, 0))
-	mu.Lock()
 	if len(got) != 0 {
 		t.Fatal("event fired before all nodes committed")
 	}
-	mu.Unlock()
 	if h.PendingCount() != 1 {
 		t.Fatalf("pending = %d, want 1", h.PendingCount())
 	}
 
 	h.Node("n2").Committed(ev, time.Unix(3, 0))
-	mu.Lock()
-	defer mu.Unlock()
 	if len(got) != 1 {
 		t.Fatalf("events = %d, want 1", len(got))
 	}
 	if !got[0].FinalizedAt.Equal(time.Unix(3, 0)) {
 		t.Fatalf("FinalizedAt = %v, want the last node's time", got[0].FinalizedAt)
 	}
-	if h.PendingCount() != 0 || h.EmittedCount() != 1 {
+	if h.PendingCount() != 0 || h.EmittedCount() != 1 || h.UnnumberedCount() != 0 {
 		t.Fatal("hub bookkeeping wrong after emit")
 	}
 }
 
+// TestHubIgnoresDuplicateNodeReports, for a numbered event and for an
+// unnumbered one, which the hub numbers by its ID.
 func TestHubIgnoresDuplicateNodeReports(t *testing.T) {
-	h := NewHub(2)
-	fired := 0
-	h.Subscribe("c", func(Event) { fired++ })
-	ev := Event{TxID: crypto.SumString("tx"), Client: "c"}
-	h.Node("n0").Committed(ev, time.Now())
-	h.Node("n0").Committed(ev, time.Now()) // duplicate
-	if fired != 0 {
-		t.Fatal("duplicate node report completed the transaction")
-	}
-	h.Node("n1").Committed(ev, time.Now())
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	// Late replays after emission must not re-fire.
-	h.Node("n0").Committed(ev, time.Now())
-	if fired != 1 {
-		t.Fatal("event re-fired after emission")
+	for _, num := range []uint64{7, 0} {
+		h := NewHub(2)
+		fired := 0
+		h.Subscribe("c", func(Event) { fired++ })
+		ev := Event{TxID: crypto.SumString("tx"), Num: num, Client: "c"}
+		h.Node("n0").Committed(ev, time.Now())
+		h.Node("n0").Committed(ev, time.Now()) // duplicate
+		if fired != 0 {
+			t.Fatalf("Num %d: duplicate node report completed the transaction", num)
+		}
+		h.Node("n1").Committed(ev, time.Now())
+		if fired != 1 {
+			t.Fatalf("Num %d: fired = %d, want 1", num, fired)
+		}
+		// Late replays after emission must not re-fire.
+		h.Node("n0").Committed(ev, time.Now())
+		if fired != 1 {
+			t.Fatalf("Num %d: event re-fired after emission", num)
+		}
+		if want := map[uint64]int{7: 0, 0: 1}[num]; h.UnnumberedCount() != want {
+			t.Fatalf("Num %d: %d transactions numbered by ID, want %d", num, h.UnnumberedCount(), want)
+		}
 	}
 }
 
@@ -154,69 +151,69 @@ func TestHubManyTransactionsConcurrentExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestHubTombstoneRetentionBounded checks the fix for the seed's unbounded
-// emitted-map growth: tombstones are retired FIFO, so memory stays constant while the lifetime emitted counter keeps increasing.
-func TestHubTombstoneRetentionBounded(t *testing.T) {
-	const retention = 8
-	h := NewHub(1, WithEmittedRetention(retention))
-	for i := 0; i < 100; i++ {
-		ev := Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c"}
-		h.Node("n0").Committed(ev, time.Unix(int64(i), 0))
-	}
-	if got := h.EmittedCount(); got != 100 {
-		t.Fatalf("EmittedCount = %d, want 100", got)
-	}
-	if got := h.TombstoneCount(); got != retention {
-		t.Fatalf("TombstoneCount = %d, want retention cap %d", got, retention)
-	}
-	// A late replay of a recently emitted transaction must still be
-	// suppressed.
-	last := Event{TxID: crypto.SumString("tx-99"), Client: "c"}
-	before := h.EmittedCount()
-	h.Node("n0").Committed(last, time.Unix(1000, 0))
-	if h.EmittedCount() != before {
-		t.Fatal("tombstoned transaction re-emitted")
+// TestHubSuppressesLateDuplicates: an emitted transaction stays emitted for
+// the hub's lifetime, numbered or not. A node's duplicate report after
+// 100 000 later emissions is still dropped and opens nothing.
+func TestHubSuppressesLateDuplicates(t *testing.T) {
+	const txs = 100_000
+	for _, numbered := range []bool{true, false} {
+		h := NewHub(2)
+		fired := 0
+		h.Subscribe("c", func(Event) { fired++ })
+		a, b := h.Node("a"), h.Node("b")
+		event := func(i int) Event {
+			ev := Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c"}
+			if numbered {
+				ev.Num = uint64(i + 1)
+			}
+			return ev
+		}
+		for i := range txs {
+			ev := event(i)
+			a.Committed(ev, time.Unix(int64(i), 0))
+			b.Committed(ev, time.Unix(int64(i), 0))
+		}
+		a.Committed(event(0), time.Unix(txs, 0))
+		if fired != txs || h.EmittedCount() != txs || h.PendingCount() != 0 {
+			t.Fatalf("numbered %v: fired %d, EmittedCount %d of %d, PendingCount %d after a late duplicate; want none pending",
+				numbered, fired, h.EmittedCount(), txs, h.PendingCount())
+		}
+		b.Committed(event(0), time.Unix(txs, 1))
+		if fired != txs {
+			t.Fatalf("numbered %v: the first transaction re-fired after %d later emissions", numbered, txs-1)
+		}
 	}
 }
 
-// TestHubEntryIsItsOwnTombstone runs forty retention windows of transactions
-// through a multi-node hub whose finalized entries stay in the one
-// transaction map as tombstones: a duplicate report inside the window stays
-// suppressed — right after emission and again when the window (the hub's
-// total, not a per-partition share) is about to retire it — every ID in the
-// retention ring is a tombstone, the map holds exactly the ring once nothing
-// is pending, freed slots are reused and pin nothing, and a transaction the
-// window has retired is unknown again.
+// TestHubEntryIsItsOwnTombstone runs 640 numbered transactions through a
+// multi-node hub whose index word for a transaction is its slab slot while
+// it collects reports and its tombstone once it has emitted: duplicate
+// reports right after emission and late ones for old transactions stay
+// suppressed, every emitted transaction's word is the tombstone, freed slots
+// are reused and pin nothing, and nothing takes the unnumbered path.
 func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	const (
-		nodes     = 3
-		retention = 16
-		txs       = 40 * retention
+		nodes = 3
+		txs   = 640
 	)
-	h := NewHub(nodes, WithEmittedRetention(retention))
-	fired := make(map[crypto.Hash]int, txs)
-	h.Subscribe("c", func(e Event) { fired[e.TxID]++ })
+	h := NewHub(nodes)
+	fired := make(map[uint64]int, txs)
+	h.Subscribe("c", func(e Event) { fired[e.Num]++ })
 	handles := []*HubNode{h.Node("a"), h.Node("b"), h.Node("c")}
 	event := func(i int) Event {
-		return Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Client: "c", Code: AbortExecFailed}
+		return Event{TxID: crypto.SumString(fmt.Sprintf("tx-%d", i)), Num: uint64(i + 1), Client: "c", Code: AbortExecFailed}
 	}
 	for i := 0; i < txs; i++ {
 		ev := event(i)
 		for _, n := range handles {
 			n.Committed(ev, time.Unix(int64(i), 0))
 		}
-		// Every node reports again right after emission: inside the window.
+		// Every node reports again right after emission.
 		for _, n := range handles {
 			n.Committed(ev, time.Unix(int64(i), 1))
 		}
-		// The oldest transaction still inside the window is its last entry:
-		// a late duplicate of it is suppressed whatever its hash.
-		if oldest := i - (retention - 1); oldest >= 0 {
-			handles[0].Committed(event(oldest), time.Unix(int64(i), 2))
-		}
-		if got := h.TombstoneCount(); got > retention {
-			t.Fatalf("after %d transactions: TombstoneCount = %d, above retention = %d", i+1, got, retention)
-		}
+		// A late duplicate of a transaction long emitted.
+		handles[0].Committed(event(i/2), time.Unix(int64(i), 2))
 		if h.PendingCount() != 0 {
 			t.Fatalf("after %d transactions: PendingCount = %d, a duplicate re-opened one", i+1, h.PendingCount())
 		}
@@ -224,21 +221,16 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	if len(fired) != txs || h.EmittedCount() != txs {
 		t.Fatalf("fired %d, EmittedCount %d, want %d", len(fired), h.EmittedCount(), txs)
 	}
-	for id, n := range fired {
+	for num, n := range fired {
 		if n != 1 {
-			t.Fatalf("tx %s fired %d times", id.Short(), n)
+			t.Fatalf("tx %d fired %d times", num, n)
+		}
+		if h.state[num] != emittedState {
+			t.Fatalf("tx %d emitted, but its index word is %d", num, h.state[num])
 		}
 	}
-	for _, id := range h.ring {
-		if h.txs[id] != tombstone {
-			t.Fatalf("ring holds %s, which the transaction map does not tombstone", id.Short())
-		}
-	}
-	if len(h.ring) != h.TombstoneCount() || len(h.txs) != len(h.ring) {
-		t.Fatalf("transaction map holds %d entries, ring %d, TombstoneCount %d: an entry leaked", len(h.txs), len(h.ring), h.TombstoneCount())
-	}
-	if _, ok := h.txs[event(0).TxID]; ok {
-		t.Fatal("a transaction the ring retired is still known")
+	if h.UnnumberedCount() != 0 || len(h.unnumbered) != 0 {
+		t.Fatalf("numbered events took the unnumbered path: %d by ID", h.UnnumberedCount())
 	}
 	// One transaction was pending at a time, so every one reused the slot
 	// the last one freed.
@@ -247,12 +239,6 @@ func TestHubEntryIsItsOwnTombstone(t *testing.T) {
 	}
 	if h.slab[0].event != (Event{}) {
 		t.Fatal("a freed slab slot still holds its event")
-	}
-	// The oldest transaction left the window long ago: one node's late
-	// report opens it afresh and cannot complete it.
-	handles[0].Committed(event(0), time.Unix(txs, 0))
-	if h.PendingCount() != 1 || fired[event(0).TxID] != 1 {
-		t.Fatalf("retired transaction: pending %d, fired %d; want 1 and 1", h.PendingCount(), fired[event(0).TxID])
 	}
 }
 
@@ -327,40 +313,38 @@ func TestHubConcurrentCommitsFireExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestHubCommittedAllocs pins that a warm hub allocates nothing per report:
-// a finalized transaction's slab slot and its tombstone's ring entry are
-// reused by the next ones. Transactions cycle through more IDs than the
-// retention holds, so every round also retires a tombstone and re-opens a
-// retired ID.
+// TestHubCommittedAllocs pins that a warm hub allocates nothing per report
+// of a numbered event: a finalized transaction's slab slot is reused by the
+// next one, and its number indexes a slice the hub grows by doubling, which
+// the measured rounds stay inside. Every round ends with a late duplicate.
 func TestHubCommittedAllocs(t *testing.T) {
 	const nodes = 4
-	h := NewHub(nodes, WithEmittedRetention(16))
+	h := NewHub(nodes)
 	fired := 0
 	h.Subscribe("c", func(Event) { fired++ })
 	handles := make([]*HubNode, nodes)
 	for i := range handles {
 		handles[i] = h.Node(fmt.Sprintf("n%d", i))
 	}
-	ids := make([]crypto.Hash, 64)
-	for i := range ids {
-		ids[i] = crypto.SumString(fmt.Sprintf("tx-%d", i))
-	}
+	id := crypto.SumString("tx")
 	next := 0
 	round := func() {
-		ev := Event{TxID: ids[next%len(ids)], Client: "c", Committed: true, ValidOK: true}
 		next++
+		ev := Event{TxID: id, Num: uint64(next), Client: "c", Committed: true, ValidOK: true}
 		for _, n := range handles {
 			n.Committed(ev, time.Unix(int64(next), 0))
 		}
 		handles[0].Committed(ev, time.Unix(int64(next), 1)) // a late duplicate
 	}
-	for range 4 * len(ids) {
+	for range 256 {
 		round()
 	}
-	if n := testing.AllocsPerRun(1000, round); n != 0 {
+	// The index holds 1024 numbers after the warm-up; the 501 runs below
+	// (one of them AllocsPerRun's own warm-up) stay inside it.
+	if n := testing.AllocsPerRun(500, round); n != 0 {
 		t.Fatalf("a round of %d reports allocates %v times, want 0", nodes+1, n)
 	}
-	if fired != next || h.PendingCount() != 0 || h.TombstoneCount() != 16 {
-		t.Fatalf("fired %d of %d, pending %d, tombstones %d", fired, next, h.PendingCount(), h.TombstoneCount())
+	if fired != next || h.PendingCount() != 0 || len(h.state) != 1024 {
+		t.Fatalf("fired %d of %d, pending %d, index of %d numbers", fired, next, h.PendingCount(), len(h.state))
 	}
 }

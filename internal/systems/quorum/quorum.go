@@ -312,6 +312,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 		ev := systems.Event{
 			TxID:      tx.ID,
+			Num:       tx.Num,
 			Client:    tx.Client,
 			Committed: true, // Ethereum includes failed txs in blocks
 			ValidOK:   execErr == nil,

@@ -337,6 +337,7 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
 			v.Hub.Committed(systems.Event{
 				TxID:      tx.ID,
+				Num:       tx.Num,
 				Client:    tx.Client,
 				Committed: true,
 				ValidOK:   true,

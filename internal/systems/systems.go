@@ -85,6 +85,10 @@ func ClassifyAbort(err error) string {
 type Event struct {
 	// TxID identifies the finalized transaction.
 	TxID crypto.Hash
+	// Num is the transaction's number in its repetition (Transaction.Num),
+	// which the hub and the client index by. Drivers copy it from the
+	// transaction; an event without one takes the hub's unnumbered path.
+	Num uint64
 	// Client is the submitting client's endpoint name.
 	Client string
 	// Committed reports whether the transaction was appended/persisted.
