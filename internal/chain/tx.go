@@ -149,11 +149,15 @@ func (tx *Transaction) Verify() error {
 // commit or fail together (paper §2). A failure of any member discards the
 // whole batch.
 type Batch struct {
-	ID  crypto.Hash
+	ID crypto.Hash
+	// Num is the batch's gossip number: its first member's Num, 0 when that
+	// member is unnumbered. It is not hashed, so ID does not depend on it.
+	Num uint64
 	Txs []*Transaction
 }
 
-// NewBatch groups transactions into an atomic batch.
+// NewBatch groups transactions into an atomic batch, numbered by its first
+// member, so number the members first.
 func NewBatch(txs ...*Transaction) *Batch {
 	h := crypto.AcquireHasher()
 	for _, tx := range txs {
@@ -161,7 +165,11 @@ func NewBatch(txs ...*Transaction) *Batch {
 	}
 	id := h.MerkleRoot()
 	h.Release()
-	return &Batch{ID: id, Txs: txs}
+	b := &Batch{ID: id, Txs: txs}
+	if len(txs) > 0 {
+		b.Num = txs[0].Num
+	}
+	return b
 }
 
 // Size returns the number of member transactions.

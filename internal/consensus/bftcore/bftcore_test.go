@@ -2,7 +2,6 @@ package bftcore
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +18,6 @@ type cluster struct {
 	transport *network.Transport
 	cores     []*Core
 
-	mu      sync.Mutex
 	decided map[string][]consensus.Decision
 }
 
@@ -65,15 +63,11 @@ func newCluster(t *testing.T, n int, policy ProposerPolicy) *cluster {
 
 func (c *cluster) recorder(id string) consensus.DecideFunc {
 	return func(d consensus.Decision) {
-		c.mu.Lock()
 		c.decided[id] = append(c.decided[id], d)
-		c.mu.Unlock()
 	}
 }
 
 func (c *cluster) decidedBy(id string) []consensus.Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]consensus.Decision(nil), c.decided[id]...)
 }
 
@@ -250,8 +244,6 @@ func TestQuorumRequiresEnoughValidators(t *testing.T) {
 	networktest.Disconnect(c.transport, "validator-3")
 	_ = c.cores[0].Submit("unsafe")
 	c.clk.Sleep(300 * time.Millisecond)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.decided["validator-0"]) != 0 {
 		t.Fatal("decided without quorum (safety violation)")
 	}

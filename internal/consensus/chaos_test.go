@@ -2,7 +2,6 @@ package consensus_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 
 // recorder collects decisions per node and checks cross-node agreement.
 type recorder struct {
-	mu      sync.Mutex
 	decided map[string][]consensus.Decision
 }
 
@@ -27,23 +25,17 @@ func newRecorder() *recorder {
 
 func (r *recorder) fn(id string) consensus.DecideFunc {
 	return func(d consensus.Decision) {
-		r.mu.Lock()
 		r.decided[id] = append(r.decided[id], d)
-		r.mu.Unlock()
 	}
 }
 
 func (r *recorder) count(id string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.decided[id])
 }
 
 // checkAgreement verifies that all nodes decided identical prefixes.
 func (r *recorder) checkAgreement(t *testing.T, ids []string, upTo int) {
 	t.Helper()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	ref := r.decided[ids[0]]
 	if len(ref) < upTo {
 		t.Fatalf("%s decided %d < %d", ids[0], len(ref), upTo)

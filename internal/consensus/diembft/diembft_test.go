@@ -2,7 +2,6 @@ package diembft
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,20 +16,15 @@ import (
 // payloadQueue is one leader's backlog in these tests. Its pop is the
 // engine's PayloadSource, as the Diem driver's mempool take is in a run.
 type payloadQueue struct {
-	mu    sync.Mutex
 	items []any
 }
 
 func (q *payloadQueue) push(p any) {
-	q.mu.Lock()
 	q.items = append(q.items, p)
-	q.mu.Unlock()
 }
 
 // pop returns the oldest payload, or nil for an empty block.
 func (q *payloadQueue) pop() any {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.items) == 0 {
 		return nil
 	}
@@ -46,7 +40,6 @@ type cluster struct {
 	engines   []*Engine
 	queues    []*payloadQueue // engines[i] proposes from queues[i]
 
-	mu      sync.Mutex
 	decided map[string][]consensus.Decision
 }
 
@@ -75,9 +68,7 @@ func newCluster(t *testing.T, n int) *cluster {
 			RoundInterval: 5 * time.Millisecond,
 			PayloadSource: q.pop,
 			OnDecide: func(d consensus.Decision) {
-				c.mu.Lock()
 				c.decided[id] = append(c.decided[id], d)
-				c.mu.Unlock()
 			},
 		})
 		c.engines = append(c.engines, e)
@@ -99,8 +90,6 @@ func newCluster(t *testing.T, n int) *cluster {
 func (c *cluster) submit(i int, payload any) { c.queues[i].push(payload) }
 
 func (c *cluster) decidedBy(id string) []consensus.Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]consensus.Decision(nil), c.decided[id]...)
 }
 
@@ -171,8 +160,6 @@ func TestRoundsAdvanceWithoutPayloads(t *testing.T) {
 	if got := c.engines[0].Round(); got <= start {
 		t.Fatalf("round did not advance: %d -> %d", start, got)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.decided["diem-0"]) != 0 {
 		t.Fatal("empty blocks must not be delivered as decisions")
 	}

@@ -15,7 +15,6 @@ import (
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 )
 
@@ -28,6 +27,9 @@ type ProducedBlock struct {
 	Witness string
 	// Items are the payloads (transactions) included, in admission order.
 	Items []any
+	// Nums are the gossip numbers of Items, in the same order: every other
+	// node drops them from its backlog.
+	Nums []uint64
 }
 
 // Config parameterizes a witness node.
@@ -52,8 +54,9 @@ type Config struct {
 	BlockInterval time.Duration
 	// MaxBlockItems bounds the number of items per block; 0 = unbounded.
 	MaxBlockItems int
-	// PackFilter, when set, screens candidate items at production time.
-	// Excluded items are dropped permanently — BitShares uses this to keep
+	// PackFilter, when set, screens candidate items at production time:
+	// included must keep the order of items. Excluded items are dropped
+	// from the producer's backlog permanently — BitShares uses this to keep
 	// interacting operations out of blocks (paper §5.3).
 	PackFilter func(items []any) (included, excluded []any)
 	// ShuffleSeed randomizes the per-round witness order deterministically.
@@ -69,12 +72,20 @@ func (c *Config) fill() {
 	}
 }
 
-// gossipMsg is the wire message that spreads a submitted payload. A block
-// travels as its ProducedBlock, boxed once by the witness that produced it:
-// every replica hands that same value to OnDecide.
+// gossipMsg is the wire message that spreads a submitted payload under its
+// gossip number. A block travels as its ProducedBlock, boxed once by the
+// witness that produced it: every replica hands that same value to
+// OnDecide.
 type gossipMsg struct {
-	Digest  crypto.Hash
+	Num     uint64
 	Payload any
+}
+
+// gossip is what the engines of one network share: their backlogs, kept
+// once as one pool, and the counter that numbers the submitted payloads.
+type gossip struct {
+	pool *consensus.GossipPool[any]
+	last uint64 // the number Submit handed out last
 }
 
 // Engine is one DPoS witness. Only the clock's event loop touches it, so
@@ -84,8 +95,6 @@ type Engine struct {
 
 	slot     uint64 // next slot this node will consider
 	seq      uint64
-	nonce    uint64
-	pending  []gossipMsg
 	running  bool
 	produced uint64 // blocks produced by this witness
 
@@ -96,10 +105,9 @@ type Engine struct {
 	fanout    []*network.Port
 	witnesses int
 
-	sched    *schedule
-	seen     *consensus.GossipIndex // the gossip each node of the network admitted
-	node     int                    // this engine's node in seen
-	included map[any]struct{}       // scratch of dropIncluded, empty between calls
+	sched  *schedule
+	gossip *gossip // the network's backlogs, this engine's among them
+	node   int     // this engine's node in gossip.pool
 
 	loop *clock.Loop[network.Message]
 }
@@ -109,11 +117,11 @@ type Engine struct {
 // the witness count and ShuffleSeed, which the nodes of a network agree on,
 // so they share one: a round's order is shuffled once, not once per engine.
 // A config that disagrees with the first keeps a schedule of its own. All
-// of them share one gossip index, in which an engine's node is its
-// config's position.
+// of them share one gossip pool, in which an engine's node is its config's
+// position.
 func NewNetwork(cfgs []Config) []*Engine {
 	engines := make([]*Engine, len(cfgs))
-	seen := consensus.NewGossipIndex()
+	g := &gossip{pool: consensus.NewGossipPool[any](len(cfgs), 0)}
 	var shared *schedule
 	for i, cfg := range cfgs {
 		if shared == nil {
@@ -123,19 +131,18 @@ func NewNetwork(cfgs []Config) []*Engine {
 		if len(cfg.Witnesses) != shared.n || cfg.ShuffleSeed != shared.seed {
 			sched = newSchedule(len(cfg.Witnesses), cfg.ShuffleSeed)
 		}
-		engines[i] = newEngine(cfg, sched, seen, i)
+		engines[i] = newEngine(cfg, sched, g, i)
 	}
 	return engines
 }
 
-func newEngine(cfg Config, sched *schedule, seen *consensus.GossipIndex, node int) *Engine {
+func newEngine(cfg Config, sched *schedule, g *gossip, node int) *Engine {
 	cfg.fill()
 	e := &Engine{
-		cfg:      cfg,
-		sched:    sched,
-		seen:     seen,
-		node:     node,
-		included: make(map[any]struct{}),
+		cfg:    cfg,
+		sched:  sched,
+		gossip: g,
+		node:   node,
 	}
 	if tr := cfg.Transport; tr != nil {
 		e.port = tr.Port(cfg.ID)
@@ -214,12 +221,11 @@ func (e *Engine) Submit(payload any) error {
 	if !e.running {
 		return consensus.ErrNotRunning
 	}
-	e.nonce++
-	g := gossipMsg{Digest: crypto.TxID(e.cfg.ID, e.nonce, nil), Payload: payload}
-	e.seen.Admit(g.Digest, e.node)
-	e.pending = append(e.pending, g)
+	e.gossip.last++
+	num := e.gossip.last
+	e.gossip.pool.Admit(e.node, num, payload)
 
-	var msg any = g // boxed once for every witness
+	var msg any = gossipMsg{Num: num, Payload: payload} // boxed once for every witness
 	for _, w := range e.fanout[:e.witnesses] {
 		_ = e.cfg.Transport.SendPort(e.port, w, "dpos.gossip", msg)
 	}
@@ -230,7 +236,7 @@ func (e *Engine) Submit(payload any) error {
 func (e *Engine) Produced() uint64 { return e.produced }
 
 // PendingCount returns the local gossip backlog.
-func (e *Engine) PendingCount() int { return len(e.pending) }
+func (e *Engine) PendingCount() int { return e.gossip.pool.Len(e.node) }
 
 // witnessForSlot returns the scheduled witness. The order is shuffled every
 // round (a round = one pass over all witnesses) per Graphene's
@@ -242,9 +248,7 @@ func (e *Engine) witnessForSlot(slot uint64) string {
 func (e *Engine) handle(m network.Message) {
 	switch p := m.Payload.(type) {
 	case gossipMsg:
-		if e.seen.Admit(p.Digest, e.node) {
-			e.pending = append(e.pending, p)
-		}
+		e.gossip.pool.Admit(e.node, p.Num, p.Payload)
 	case ProducedBlock:
 		e.acceptBlock(p, m.Payload)
 	}
@@ -260,19 +264,13 @@ func (e *Engine) maybeProduce() {
 		e.slot++
 		return
 	}
-	n := len(e.pending)
-	if e.cfg.MaxBlockItems > 0 && n > e.cfg.MaxBlockItems {
-		n = e.cfg.MaxBlockItems
-	}
-	items := make([]any, n)
-	for i := 0; i < n; i++ {
-		items[i] = e.pending[i].Payload
-	}
-	e.pending = e.pending[n:]
+	items, nums := e.gossip.pool.TakeNumbered(e.node, e.cfg.MaxBlockItems)
 	if e.cfg.PackFilter != nil {
-		items, _ = e.cfg.PackFilter(items)
+		candidates := items
+		items, _ = e.cfg.PackFilter(candidates)
+		nums = includedNums(candidates, nums, items)
 	}
-	var blk any = ProducedBlock{Slot: slot, Witness: e.cfg.ID, Items: items} // boxed once for every replica
+	var blk any = ProducedBlock{Slot: slot, Witness: e.cfg.ID, Items: items, Nums: nums} // boxed once for every replica
 	e.slot++
 	e.produced++
 	e.seq++
@@ -290,31 +288,29 @@ func (e *Engine) maybeProduce() {
 	}
 }
 
-// dropIncluded removes a block's items from the local backlog. Items travel
-// as the gossiped payload values, so equality of the payload identifies
-// them.
-func (e *Engine) dropIncluded(items []any) {
-	if len(items) == 0 {
-		return
-	}
-	for _, it := range items {
-		e.included[it] = struct{}{}
-	}
-	kept := e.pending[:0]
-	for _, g := range e.pending {
-		if _, drop := e.included[g.Payload]; !drop {
-			kept = append(kept, g)
+// includedNums returns the numbers of included, which PackFilter picked
+// from candidates in order, reusing nums, the numbers of candidates.
+func includedNums(candidates []any, nums []uint64, included []any) []uint64 {
+	kept, j := nums[:0], 0
+	for _, it := range included {
+		for j < len(candidates) && candidates[j] != it {
+			j++
 		}
+		if j == len(candidates) {
+			break // not one of the candidates, or out of order
+		}
+		kept = append(kept, nums[j])
+		j++
 	}
-	clear(e.pending[len(kept):]) // let the dropped payloads go
-	e.pending = kept
-	clear(e.included)
+	return kept
 }
 
 // acceptBlock applies a block produced by another witness; boxed is blk
 // as its witness boxed it, the decision's payload.
 func (e *Engine) acceptBlock(blk ProducedBlock, boxed any) {
-	e.dropIncluded(blk.Items)
+	for _, num := range blk.Nums {
+		e.gossip.pool.Drop(e.node, num)
+	}
 	if blk.Slot >= e.slot {
 		e.slot = blk.Slot + 1
 	}

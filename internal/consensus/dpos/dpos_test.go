@@ -3,14 +3,12 @@ package dpos
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/consensus"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 )
 
@@ -19,9 +17,7 @@ type cluster struct {
 	clk       *clock.AutoVirtual
 	transport *network.Transport
 	engines   []*Engine
-
-	mu      sync.Mutex
-	decided map[string][]ProducedBlock
+	decided   map[string][]ProducedBlock
 }
 
 func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *cluster {
@@ -54,9 +50,7 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 					t.Errorf("payload is %T, want ProducedBlock", d.Payload)
 					return
 				}
-				c.mu.Lock()
 				c.decided[id] = append(c.decided[id], blk)
-				c.mu.Unlock()
 			},
 		}
 	}
@@ -84,8 +78,6 @@ func (c *cluster) waitItems(id string, want int) {
 }
 
 func (c *cluster) collectItems(id string) []any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var items []any
 	for _, b := range c.decided[id] {
 		items = append(items, b.Items...)
@@ -135,8 +127,6 @@ func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
 		}
 	}
 	c.waitItems("witness-0", 10)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, b := range c.decided["witness-0"] {
 		if len(b.Items) > 3 {
 			t.Fatalf("block has %d items, exceeds MaxBlockItems=3", len(b.Items))
@@ -226,72 +216,71 @@ func TestFinalizationLatencyTracksInterval(t *testing.T) {
 	}
 }
 
-// dropIncludedOracle is the backlog removal acceptBlock used to do: every
-// pending payload compared against every item of the block.
-func dropIncludedOracle(pending []gossipMsg, items []any) []gossipMsg {
-	var kept []gossipMsg
-	for _, g := range pending {
-		drop := false
-		for _, it := range items {
-			if g.Payload == it {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			kept = append(kept, g)
-		}
+// TestPackFilterExclusionStaysPendingElsewhere: a block carries the numbers
+// of the items its PackFilter kept, so every other node drops exactly those
+// from its backlog; the items the filter excluded leave the producer's
+// backlog only.
+func TestPackFilterExclusionStaysPendingElsewhere(t *testing.T) {
+	clk := clocktest.New(t)
+	tr := network.NewTransport(clk, nil)
+	t.Cleanup(tr.Stop)
+	var produced []ProducedBlock
+	cfgs := []Config{
+		{Clock: clk, ID: "w", Witnesses: []string{"w"}, Observers: []string{"o"}, Transport: tr,
+			PackFilter: func(items []any) (included, excluded []any) {
+				for _, it := range items {
+					if it == "x2" {
+						excluded = append(excluded, it)
+					} else {
+						included = append(included, it)
+					}
+				}
+				return included, excluded
+			},
+			OnDecide: func(d consensus.Decision) { produced = append(produced, d.Payload.(ProducedBlock)) }},
+		{Clock: clk, ID: "o", Witnesses: []string{"w"}, Observers: []string{"o"}, Transport: tr},
 	}
-	return kept
+	engines := NewNetwork(cfgs)
+	witness, observer := engines[0], engines[1]
+	for num, payload := range []string{"x1", "x2", "x3", "x4"} {
+		g := network.Message{Payload: gossipMsg{Num: uint64(num + 1), Payload: payload}}
+		witness.handle(g)
+		observer.handle(g)
+	}
+	witness.maybeProduce()
+	if len(produced) != 1 {
+		t.Fatalf("the witness produced %d blocks in its slot, want 1", len(produced))
+	}
+	blk := produced[0]
+	if fmt.Sprint(blk.Items) != "[x1 x3 x4]" || fmt.Sprint(blk.Nums) != "[1 3 4]" {
+		t.Fatalf("block holds items %v numbered %v, want [x1 x3 x4] numbered [1 3 4]", blk.Items, blk.Nums)
+	}
+	observer.acceptBlock(blk, blk)
+	if w, o := witness.PendingCount(), observer.PendingCount(); w != 0 || o != 1 {
+		t.Fatalf("pending: witness %d, observer %d; want 0 and the excluded item alone", w, o)
+	}
+	if left := observer.gossip.pool.Take(observer.node, 0); fmt.Sprint(left) != "[x2]" {
+		t.Fatalf("the observer still holds %v, want [x2]", left)
+	}
 }
 
-// TestDropIncludedMatchesNestedLoop checks the set-based backlog removal
-// against the nested loop it replaced, over random backlogs and blocks:
-// prefixes, scattered and repeated payloads, items the backlog never saw,
-// mixed payload types.
-func TestDropIncludedMatchesNestedLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	payloads := make([]any, 40)
-	for i := range payloads {
-		switch i % 3 {
-		case 0:
-			payloads[i] = &struct{ n int }{i} // pointer identity, as transactions have
-		case 1:
-			payloads[i] = i
-		default:
-			payloads[i] = fmt.Sprintf("item-%d", i)
-		}
-	}
-	e := newWitness(Config{Clock: clocktest.New(t), ID: "w", Witnesses: []string{"w"}})
-	for trial := 0; trial < 500; trial++ {
-		pending := make([]gossipMsg, rng.Intn(30))
-		for i := range pending {
-			pending[i] = gossipMsg{Digest: crypto.TxID("w", uint64(i), nil), Payload: payloads[rng.Intn(len(payloads))]}
-		}
-		var items []any
-		switch trial % 3 {
-		case 0: // the common case: a prefix of the backlog
-			for _, g := range pending[:rng.Intn(len(pending)+1)] {
-				items = append(items, g.Payload)
-			}
-		case 1: // anything, known to the backlog or not
-			for i := rng.Intn(20); i > 0; i-- {
-				items = append(items, payloads[rng.Intn(len(payloads))])
-			}
-		} // case 2: an empty block
-		want := dropIncludedOracle(pending, items)
-		e.pending = append([]gossipMsg(nil), pending...)
-		e.dropIncluded(items)
-		if len(e.pending) != len(want) {
-			t.Fatalf("trial %d: kept %d of %d, the nested loop keeps %d", trial, len(e.pending), len(pending), len(want))
-		}
-		for i := range want {
-			if e.pending[i] != want[i] {
-				t.Fatalf("trial %d: kept[%d] differs from the nested loop's", trial, i)
-			}
-		}
-		if len(e.included) != 0 {
-			t.Fatalf("trial %d: the scratch set still pins %d payloads", trial, len(e.included))
+// TestIncludedNumsFollowsThePick: the numbers a block carries are those of
+// the candidates PackFilter kept, in order, whichever it left out.
+func TestIncludedNumsFollowsThePick(t *testing.T) {
+	candidates := []any{"a", "b", "c", "d", "e"}
+	for _, tc := range []struct {
+		included []any
+		want     string
+	}{
+		{nil, "[]"},
+		{[]any{"a", "b", "c", "d", "e"}, "[10 20 30 40 50]"},
+		{[]any{"b", "d"}, "[20 40]"},
+		{[]any{"a", "e"}, "[10 50]"},
+		{[]any{"e"}, "[50]"},
+	} {
+		nums := []uint64{10, 20, 30, 40, 50}
+		if got := fmt.Sprint(includedNums(candidates, nums, tc.included)); got != tc.want {
+			t.Errorf("included %v: numbers %s, want %s", tc.included, got, tc.want)
 		}
 	}
 }
@@ -324,11 +313,11 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 	}
 }
 
-// TestNetworkSharesOneGossipIndex: the engines of one NewNetwork share one
-// index, in which each is its config's position, so one engine's admission
-// hides a digest from no other; the engine of another network keeps its
-// own and is affected by no other engine.
-func TestNetworkSharesOneGossipIndex(t *testing.T) {
+// TestNetworkSharesOneGossipPool: the engines of one NewNetwork share one
+// pool, in which each is its config's position, so one engine's admission
+// hides a gossip number from no other; the engine of another network keeps
+// its own and is affected by no other engine.
+func TestNetworkSharesOneGossipPool(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	clk := clocktest.New(t)
 	cfgs := make([]Config, len(names))
@@ -338,19 +327,19 @@ func TestNetworkSharesOneGossipIndex(t *testing.T) {
 	engines := NewNetwork(cfgs)
 	solo := newWitness(cfgs[0])
 	for i, e := range engines {
-		if e.seen != engines[0].seen || e.node != i {
-			t.Fatalf("engine %d: index %p node %d, want the network's %p and node %d", i, e.seen, e.node, engines[0].seen, i)
+		if e.gossip != engines[0].gossip || e.node != i {
+			t.Fatalf("engine %d: pool %p node %d, want the network's %p and node %d", i, e.gossip, e.node, engines[0].gossip, i)
 		}
 	}
-	if solo.seen == engines[0].seen {
-		t.Fatal("an engine of another network shares the network's index")
+	if solo.gossip == engines[0].gossip {
+		t.Fatal("an engine of another network shares the network's pool")
 	}
-	g := network.Message{Payload: gossipMsg{Digest: crypto.TxID("a", 1, nil), Payload: "tx"}}
+	g := network.Message{Payload: gossipMsg{Num: 1, Payload: "tx"}}
 	for _, e := range append(engines, solo) {
 		e.handle(g)
 		e.handle(g) // a repeat is admitted once
 		if got := e.PendingCount(); got != 1 {
-			t.Fatalf("%s (node %d) holds %d copies of one gossiped digest, want 1", e.cfg.ID, e.node, got)
+			t.Fatalf("%s (node %d) holds %d copies of one gossiped number, want 1", e.cfg.ID, e.node, got)
 		}
 	}
 	other := newWitness(cfgs[1])

@@ -2,7 +2,6 @@ package raft
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ type cluster struct {
 	transport *network.Transport
 	nodes     []*Node
 
-	mu      sync.Mutex
 	decided map[string][]consensus.Decision
 }
 
@@ -65,9 +63,7 @@ func newCluster(t *testing.T, n int) *cluster {
 
 func (c *cluster) recorder(id string) consensus.DecideFunc {
 	return func(d consensus.Decision) {
-		c.mu.Lock()
 		c.decided[id] = append(c.decided[id], d)
-		c.mu.Unlock()
 	}
 }
 
@@ -89,8 +85,6 @@ func (c *cluster) waitLeader(timeout time.Duration) *Node {
 }
 
 func (c *cluster) decidedBy(id string) []consensus.Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]consensus.Decision(nil), c.decided[id]...)
 }
 

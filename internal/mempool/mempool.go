@@ -1,6 +1,5 @@
-// Package mempool implements the transaction admission queues of the
-// simulated systems. Two disciplines matter for reproducing the paper's
-// findings:
+// Package mempool implements the admission queues of the simulated
+// systems. Two disciplines matter for reproducing the paper's findings:
 //
 //   - Bounded with rejection (Sawtooth): "the management of a queue that
 //     rejects new incoming transactions if the occupancy of the queue is too
@@ -9,7 +8,12 @@
 //   - Unbounded accumulate (Quorum): transactions are queued without
 //     backpressure; under a low istanbul.blockperiod with high load "the
 //     queue is no longer processed" (paper §5.5), a liveness violation the
-//     quorum system package models on top of this pool.
+//     quorum system package models on top of its pool.
+//
+// Pool is one node's queue, as Fabric's orderer ingress and Diem's mempool
+// use it. The gossiped pools of Quorum, Sawtooth and BitShares are kept
+// once per network by consensus.GossipPool, with the same FIFO, bound and
+// ErrQueueFull per node.
 package mempool
 
 import "errors"
@@ -67,20 +71,6 @@ func (p *Pool[T]) Take(max int) []T {
 	}
 	p.items = p.items[:remaining]
 	return out
-}
-
-// Remove drops every queued item drop reports true for, in one pass: the
-// rest keep their FIFO order and the admission counters do not move. drop
-// runs inside the pass and must not call back into the pool.
-func (p *Pool[T]) Remove(drop func(T) bool) {
-	kept := p.items[:0]
-	for _, it := range p.items {
-		if !drop(it) {
-			kept = append(kept, it)
-		}
-	}
-	clear(p.items[len(kept):])
-	p.items = kept
 }
 
 // Len returns the queue occupancy.

@@ -2,7 +2,6 @@ package mempool
 
 import (
 	"errors"
-	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,48 +79,6 @@ func TestTakeEmpty(t *testing.T) {
 	p := NewUnbounded[int]()
 	if got := p.Take(5); got != nil {
 		t.Fatalf("Take on empty = %v, want nil", got)
-	}
-}
-
-// TestRemoveFiltersInPlace: Remove keeps the survivors in FIFO order, leaves
-// nothing of the dropped items in the backing array, and is no admission.
-func TestRemoveFiltersInPlace(t *testing.T) {
-	p := NewBounded[*int](8)
-	vals := make([]*int, 8)
-	for i := range vals {
-		v := i
-		vals[i] = &v
-		if err := p.Add(vals[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	backing := p.items[:cap(p.items)]
-	p.Remove(func(v *int) bool { return *v%3 == 0 }) // drops 0, 3, 6
-	if p.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", p.Len())
-	}
-	for i := 5; i < 8; i++ {
-		if backing[i] != nil {
-			t.Fatalf("vacated slot %d still points at a removed item", i)
-		}
-	}
-	if admitted, rejected := p.Stats(); admitted != 8 || rejected != 0 {
-		t.Fatalf("stats = %d/%d after Remove, want 8/0", admitted, rejected)
-	}
-	// The freed room is real room.
-	if err := p.Add(vals[0]); err != nil {
-		t.Fatalf("add after remove: %v", err)
-	}
-	var got []int
-	for _, v := range p.Take(0) {
-		got = append(got, *v)
-	}
-	if want := []int{1, 2, 4, 5, 7, 0}; !slices.Equal(got, want) {
-		t.Fatalf("order after Remove = %v, want %v", got, want)
-	}
-	p.Remove(func(*int) bool { return true }) // an empty pool is fine
-	if p.Len() != 0 {
-		t.Fatal("Remove on an empty pool left items")
 	}
 }
 

@@ -89,6 +89,7 @@ func TestContractCommitsEndToEnd(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			var nums systemstest.Numbers
 			env := systemstest.Env(t)
 			d := c.make(t, env)
 			col := systemstest.Collect(env, d, "client-1")
@@ -96,8 +97,8 @@ func TestContractCommitsEndToEnd(t *testing.T) {
 
 			const txs = 5
 			for i := 0; i < txs; i++ {
-				tx := chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
-					fmt.Sprintf("conf-%d", i), "v")
+				tx := nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
+					fmt.Sprintf("conf-%d", i), "v"))
 				if err := d.Submit(i, tx); err != nil {
 					t.Fatal(err)
 				}
@@ -125,14 +126,15 @@ func TestContractEventsRoutePerClient(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			var nums systemstest.Numbers
 			env := systemstest.Env(t)
 			d := c.make(t, env)
 			colA := systemstest.Collect(env, d, "client-a")
 			colB := systemstest.Collect(env, d, "client-b")
 			systemstest.Start(t, d)
 
-			txA := chain.NewSingleOp("client-a", 1, iel.DoNothingName, iel.FnDoNothing)
-			txB := chain.NewSingleOp("client-b", 1, iel.DoNothingName, iel.FnDoNothing)
+			txA := nums.Next(chain.NewSingleOp("client-a", 1, iel.DoNothingName, iel.FnDoNothing))
+			txB := nums.Next(chain.NewSingleOp("client-b", 1, iel.DoNothingName, iel.FnDoNothing))
 			if err := d.Submit(0, txA); err != nil {
 				t.Fatal(err)
 			}
@@ -159,12 +161,13 @@ func TestContractNoDuplicateEvents(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			var nums systemstest.Numbers
 			env := systemstest.Env(t)
 			d := c.make(t, env)
 			col := systemstest.Collect(env, d, "client-1")
 			systemstest.Start(t, d)
 
-			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
+			tx := nums.Next(chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing))
 			if err := d.Submit(0, tx); err != nil {
 				t.Fatal(err)
 			}
@@ -182,12 +185,13 @@ func TestContractSubmitAfterStopFails(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			var nums systemstest.Numbers
 			d := c.make(t, systemstest.Env(t))
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
 			}
 			d.Stop()
-			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
+			tx := nums.Next(chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing))
 			if err := d.Submit(0, tx); err == nil {
 				t.Fatal("Submit after Stop must fail")
 			}
@@ -230,12 +234,13 @@ func TestContractEntryNodeWrapsAround(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			var nums systemstest.Numbers
 			env := systemstest.Env(t)
 			d := c.make(t, env)
 			col := systemstest.Collect(env, d, "client-1")
 			systemstest.Start(t, d)
 			// Entry node beyond NodeCount must not panic: it wraps.
-			tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
+			tx := nums.Next(chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing))
 			if err := d.Submit(99, tx); err != nil {
 				t.Fatal(err)
 			}
@@ -256,6 +261,7 @@ func TestContractFundsConservation(t *testing.T) {
 	for _, c := range candidates() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			var nums systemstest.Numbers
 			env := systemstest.Env(t)
 			d := c.make(t, env)
 			sr, ok := d.(stateReader)
@@ -270,8 +276,8 @@ func TestContractFundsConservation(t *testing.T) {
 			seq := uint64(0)
 			for i := 0; i < accounts; i++ {
 				seq++
-				tx := chain.NewSingleOp("client-1", seq, iel.BankingAppName, iel.FnCreateAccount,
-					fmt.Sprintf("fc-%d", i), "1000", "0")
+				tx := nums.Next(chain.NewSingleOp("client-1", seq, iel.BankingAppName, iel.FnCreateAccount,
+					fmt.Sprintf("fc-%d", i), "1000", "0"))
 				if err := d.Submit(i, tx); err != nil {
 					t.Fatal(err)
 				}
@@ -282,8 +288,8 @@ func TestContractFundsConservation(t *testing.T) {
 			payments := 0
 			for i := 0; i < accounts-1; i++ {
 				seq++
-				tx := chain.NewSingleOp("client-1", seq, iel.BankingAppName, iel.FnSendPayment,
-					fmt.Sprintf("fc-%d", i), fmt.Sprintf("fc-%d", i+1), "7")
+				tx := nums.Next(chain.NewSingleOp("client-1", seq, iel.BankingAppName, iel.FnSendPayment,
+					fmt.Sprintf("fc-%d", i), fmt.Sprintf("fc-%d", i+1), "7"))
 				if err := d.Submit(i, tx); err == nil {
 					payments++
 				}

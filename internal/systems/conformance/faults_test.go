@@ -35,13 +35,13 @@ import (
 
 const faultNode = 3 // the node taken down by both matrix columns
 
-// submitSet submits one KeyValue.Set through a healthy entry node and
-// returns the written key.
-func submitSet(t *testing.T, d systems.Driver, seq *uint64, phase string, i int) string {
+// submitSet submits one KeyValue.Set, numbered by nums, through a healthy
+// entry node and returns the written key.
+func submitSet(t *testing.T, d systems.Driver, nums *systemstest.Numbers, seq *uint64, phase string, i int) string {
 	t.Helper()
 	*seq++
 	key := fmt.Sprintf("fault-%s-%d", phase, i)
-	tx := chain.NewSingleOp("client-1", *seq, iel.KeyValueName, iel.FnSet, key, phase)
+	tx := nums.Next(chain.NewSingleOp("client-1", *seq, iel.KeyValueName, iel.FnSet, key, phase))
 	if err := d.Submit(i%faultNode, tx); err != nil { // entries 0..2 stay up
 		t.Fatalf("submit %s: %v", key, err)
 	}
@@ -102,6 +102,7 @@ func assertStateConverged(t *testing.T, d systems.Driver, keys []string) {
 // outage, recover via up(), and require liveness, no phantoms, and
 // converged state.
 func runFaultColumn(t *testing.T, env systems.Env, d systems.Driver, down, up func()) {
+	var nums systemstest.Numbers
 	const batch = 4
 	col := systemstest.Collect(env, d, "client-1")
 	systemstest.Start(t, d)
@@ -111,14 +112,14 @@ func runFaultColumn(t *testing.T, env systems.Env, d systems.Driver, down, up fu
 
 	// Healthy baseline: all confirmations arrive.
 	for i := 0; i < batch; i++ {
-		keys = append(keys, submitSet(t, d, &seq, "pre", i))
+		keys = append(keys, submitSet(t, d, &nums, &seq, "pre", i))
 	}
 	col.Wait(t, batch, 15*time.Second)
 
 	down()
 
 	// The down node's admission path must reject.
-	tx := chain.NewSingleOp("client-1", 1<<20, iel.KeyValueName, iel.FnSet, "fault-rejected", "x")
+	tx := nums.Next(chain.NewSingleOp("client-1", 1<<20, iel.KeyValueName, iel.FnSet, "fault-rejected", "x"))
 	if err := d.Submit(faultNode, tx); err == nil {
 		t.Fatal("Submit through the down node succeeded")
 	} else if !errors.Is(err, systems.ErrNodeDown) {
@@ -127,7 +128,7 @@ func runFaultColumn(t *testing.T, env systems.Env, d systems.Driver, down, up fu
 
 	// Offered load during the outage must not confirm end to end.
 	for i := 0; i < batch; i++ {
-		keys = append(keys, submitSet(t, d, &seq, "mid", i))
+		keys = append(keys, submitSet(t, d, &nums, &seq, "mid", i))
 	}
 	assertNoEvents(t, env, col, batch)
 
@@ -136,10 +137,10 @@ func runFaultColumn(t *testing.T, env systems.Env, d systems.Driver, down, up fu
 	// Liveness recovery: a fresh batch (including one through the
 	// recovered node itself) finalizes end to end.
 	for i := 0; i < batch; i++ {
-		keys = append(keys, submitSet(t, d, &seq, "post", i))
+		keys = append(keys, submitSet(t, d, &nums, &seq, "post", i))
 	}
 	seq++
-	viaRecovered := chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "fault-post-via-3", "post")
+	viaRecovered := nums.Next(chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "fault-post-via-3", "post"))
 	if err := d.Submit(faultNode, viaRecovered); err != nil {
 		t.Fatalf("submit through the recovered node: %v", err)
 	}

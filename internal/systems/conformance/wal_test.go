@@ -133,6 +133,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			var nums systemstest.Numbers
 			env := walEnv(t, opts)
 			clk := env.Clock
 			d := c.make(t, env)
@@ -143,7 +144,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			var seq uint64
 			var keys []string
 			for i := 0; i < batch; i++ {
-				keys = append(keys, submitSet(t, d, &seq, "pre", i))
+				keys = append(keys, submitSet(t, d, &nums, &seq, "pre", i))
 			}
 			col.Wait(t, batch, 15*time.Second)
 
@@ -161,7 +162,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			// Load during the outage builds the crashed node's backlog, so
 			// the restart has a long refetch phase to crash into.
 			for i := 0; i < batch; i++ {
-				keys = append(keys, submitSet(t, d, &seq, "mid", i))
+				keys = append(keys, submitSet(t, d, &nums, &seq, "mid", i))
 			}
 			clk.Sleep(300 * time.Millisecond)
 
@@ -183,7 +184,7 @@ func TestWALCrashDuringReplay(t *testing.T) {
 
 			// The interrupted restart must leave the node down.
 			seq++
-			tx := chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "wal-recrash", "x")
+			tx := nums.Next(chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "wal-recrash", "x"))
 			if err := d.Submit(faultNode, tx); !errors.Is(err, systems.ErrNodeDown) {
 				t.Fatalf("Submit after a mid-replay crash: err = %v, want ErrNodeDown", err)
 			}
@@ -191,10 +192,10 @@ func TestWALCrashDuringReplay(t *testing.T) {
 			// The second restart completes recovery.
 			systemstest.Restart(t, clk, d, faultNode)
 			for i := 0; i < batch; i++ {
-				keys = append(keys, submitSet(t, d, &seq, "post", i))
+				keys = append(keys, submitSet(t, d, &nums, &seq, "post", i))
 			}
 			seq++
-			via := chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "wal-post-via-3", "post")
+			via := nums.Next(chain.NewSingleOp("client-1", seq, iel.KeyValueName, iel.FnSet, "wal-post-via-3", "post"))
 			if err := d.Submit(faultNode, via); err != nil {
 				t.Fatalf("submit through the recovered node: %v", err)
 			}

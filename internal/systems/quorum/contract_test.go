@@ -44,9 +44,10 @@ func TestNameAndNodeCount(t *testing.T) {
 }
 
 func TestCommitsEndToEnd(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchDoNothing)
 	for i := 0; i < 5; i++ {
-		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
+		tx := nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
 		if err := n.Submit(i, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +61,9 @@ func TestCommitsEndToEnd(t *testing.T) {
 }
 
 func TestOrderExecuteAppliesState(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchKeyValueSet)
-	tx := chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "k", "v")
+	tx := nums.Next(chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "k", "v"))
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +76,10 @@ func TestOrderExecuteAppliesState(t *testing.T) {
 }
 
 func TestFailedExecutionStillIncluded(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchBalance)
 	// Balance of a nonexistent account fails execution but is included.
-	tx := chain.NewSingleOp("client-1", 0, iel.BankingAppName, iel.FnBalance, "ghost")
+	tx := nums.Next(chain.NewSingleOp("client-1", 0, iel.BankingAppName, iel.FnBalance, "ghost"))
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +92,9 @@ func TestFailedExecutionStillIncluded(t *testing.T) {
 // flood submits txs DoNothing transactions through validator 0 at once.
 func flood(t *testing.T, n *quorum.Network, txs int) {
 	t.Helper()
+	var nums systemstest.Numbers
 	for i := 0; i < txs; i++ {
-		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
+		tx := nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
 		if err := n.Submit(0, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +151,13 @@ func TestNoLivelockAtHighBlockPeriod(t *testing.T) {
 }
 
 func TestLedgersConverge(t *testing.T) {
+	var nums systemstest.Numbers
 	n, env := build(t, coconut.BenchKeyValueSet)
 	col := systemstest.Collect(env, n, "client-1")
 	systemstest.Start(t, n)
 	for i := 0; i < 12; i++ {
-		tx := chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
-			fmt.Sprintf("key-%d", i), "v")
+		tx := nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
+			fmt.Sprintf("key-%d", i), "v"))
 		if err := n.Submit(i, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -182,12 +187,13 @@ func TestLedgersConverge(t *testing.T) {
 }
 
 func TestSubmitAfterStop(t *testing.T) {
+	var nums systemstest.Numbers
 	n, _ := build(t, coconut.BenchDoNothing)
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
 	n.Stop()
-	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
+	tx := nums.Next(chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing))
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")
 	}

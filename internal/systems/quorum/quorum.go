@@ -24,7 +24,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
@@ -82,14 +81,10 @@ type producedBlock struct {
 // validator is one Quorum node.
 type validator struct {
 	systems.Replica
-	index  int           // position in the network: the validator's node in seen
+	index  int           // position in the network: the validator's node in pool
 	gossip string        // the tx-gossip endpoint beside the engine's: ID + "-gossip"
 	port   *network.Port // gossip's transport port
 	engine *bftcore.Core
-	pool   *mempool.Pool[*chain.Transaction]
-	// included holds the IDs of the block scrubPool is removing, cleared
-	// and refilled per block.
-	included map[crypto.Hash]struct{}
 
 	stalled bool
 }
@@ -101,7 +96,9 @@ type Network struct {
 	cfg config
 
 	validators []*validator
-	seen       *consensus.GossipIndex // the transactions each validator admitted
+	// pool holds every validator's transaction pool, numbered by
+	// Transaction.Num: what each validator admitted and still has queued.
+	pool *consensus.GossipPool[*chain.Transaction]
 
 	producer *clock.Event // produceOnProposer, once per block period
 }
@@ -115,18 +112,16 @@ func build(env systems.Env, cfg config) *Network {
 	n := &Network{
 		env:  env,
 		cfg:  cfg,
-		seen: consensus.NewGossipIndex(),
+		pool: consensus.NewGossipPool[*chain.Transaction](env.Nodes, 0),
 	}
 	n.producer = clock.NewEvent(env.Clock, "quorum/producer", n.produceOnProposer)
 	names := systems.NodeIDs("quorum", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
 	for i, r := range n.Replicas() {
 		v := &validator{
-			Replica:  r,
-			index:    i,
-			gossip:   names[i] + "-gossip",
-			pool:     mempool.NewUnbounded[*chain.Transaction](),
-			included: make(map[crypto.Hash]struct{}),
+			Replica: r,
+			index:   i,
+			gossip:  names[i] + "-gossip",
 		}
 		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
@@ -202,8 +197,12 @@ func (n *Network) Stop() {
 // Submit implements systems.Driver: the transaction enters the entry
 // validator's pool and is gossiped to the others. Quorum's pool is
 // unbounded, so Submit never rejects — overload shows up later as the
-// livelock.
+// livelock. The pool knows a transaction by its number, so an unnumbered
+// one (Num 0) is refused with systems.ErrUnnumbered.
 func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
+	if tx.Num == 0 {
+		return systems.ErrUnnumbered
+	}
 	i, err := n.Entry(entryNode)
 	if err != nil {
 		return err
@@ -221,10 +220,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // admit adds a transaction to a validator's pool once.
 func (n *Network) admit(v *validator, tx *chain.Transaction) {
-	if !n.seen.Admit(tx.ID, v.index) {
+	if !n.pool.Admit(v.index, tx.Num, tx) {
 		return
 	}
-	_ = v.pool.Add(tx)
 	// First admission into any pool ends the submit stage (gossip copies
 	// share the pointer; the CAS keeps the earliest).
 	tx.Stages.Mark(chain.StageSubmit, n.env.Clock.Now())
@@ -247,21 +245,21 @@ func (n *Network) produce(v *validator) {
 	// participates in consensus and produces empty blocks.
 	if !v.stalled &&
 		n.cfg.blockPeriod <= n.env.Paper(stallPeriodSec) &&
-		v.pool.Len() > n.cfg.stallQueueLimit {
+		n.pool.Len(v.index) > n.cfg.stallQueueLimit {
 		v.stalled = true
 	}
 	stalled := v.stalled
 
 	var txs []*chain.Transaction
 	if !stalled {
-		txs = v.pool.Take(n.cfg.maxBlockTxs)
+		txs = n.pool.Take(v.index, n.cfg.maxBlockTxs)
 	}
 	blk := producedBlock{Txs: txs, FormedAt: n.env.Clock.Now(), Producer: v.ID}
 	if err := v.engine.Submit(blk); err != nil {
 		if !stalled {
 			// Requeue so the next period retries.
 			for _, tx := range txs {
-				_ = v.pool.Add(tx)
+				_ = n.pool.Requeue(v.index, tx.Num, tx)
 			}
 		}
 	}
@@ -323,24 +321,11 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 		}
 		v.Hub.Committed(ev, now)
 	}
-	// Remove included txs from the local pool (they may still be queued
+	// Drop the included txs from the local pool (they may still be queued
 	// on validators that did not produce the block).
-	n.scrubPool(v, blk.Txs)
-}
-
-// scrubPool removes included transactions from a validator's pending pool.
-func (n *Network) scrubPool(v *validator, included []*chain.Transaction) {
-	if len(included) == 0 {
-		return
+	for _, tx := range blk.Txs {
+		n.pool.Drop(v.index, tx.Num)
 	}
-	clear(v.included)
-	for _, tx := range included {
-		v.included[tx.ID] = struct{}{}
-	}
-	v.pool.Remove(func(tx *chain.Transaction) bool {
-		_, ok := v.included[tx.ID]
-		return ok
-	})
 }
 
 // Stalled reports whether any validator has latched the livelock.
@@ -363,7 +348,7 @@ func (n *Network) Drained() bool { return n.Stalled() || n.poolBacklog() == 0 }
 func (n *Network) poolBacklog() int {
 	depth := 0
 	for _, v := range n.validators {
-		depth += v.pool.Len()
+		depth += n.pool.Len(v.index)
 	}
 	return depth
 }
@@ -372,7 +357,7 @@ func (n *Network) poolBacklog() int {
 func (n *Network) PoolDepth() int {
 	depth := 0
 	for _, v := range n.validators {
-		if l := v.pool.Len(); l > depth {
+		if l := n.pool.Len(v.index); l > depth {
 			depth = l
 		}
 	}

@@ -48,8 +48,9 @@ func TestNameAndNodeCount(t *testing.T) {
 }
 
 func TestSingleTxCommits(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchKeyValueSet)
-	tx := chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "k", "v")
+	tx := nums.Next(chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "k", "v"))
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,12 @@ func TestSingleTxCommits(t *testing.T) {
 }
 
 func TestAtomicBatchCommitsTogether(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchKeyValueSet)
 	txs := make([]*chain.Transaction, 5)
 	for i := range txs {
-		txs[i] = chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
-			fmt.Sprintf("bk%d", i), "v")
+		txs[i] = nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.KeyValueName, iel.FnSet,
+			fmt.Sprintf("bk%d", i), "v"))
 	}
 	if err := n.SubmitBatch(0, chain.NewBatch(txs...)); err != nil {
 		t.Fatal(err)
@@ -84,14 +86,15 @@ func TestAtomicBatchCommitsTogether(t *testing.T) {
 }
 
 func TestFailingBatchDiscardedEntirely(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := startBest(t, coconut.BenchKeyValueSet)
-	good := chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "good", "v")
-	bad := chain.NewSingleOp("client-1", 1, iel.KeyValueName, iel.FnGet, "missing-key")
+	good := nums.Next(chain.NewSingleOp("client-1", 0, iel.KeyValueName, iel.FnSet, "good", "v"))
+	bad := nums.Next(chain.NewSingleOp("client-1", 1, iel.KeyValueName, iel.FnGet, "missing-key"))
 	if err := n.SubmitBatch(0, chain.NewBatch(good, bad)); err != nil {
 		t.Fatal(err)
 	}
 	// A control batch proves the pipeline still works.
-	control := chain.NewSingleOp("client-1", 2, iel.KeyValueName, iel.FnSet, "ctl", "v")
+	control := nums.Next(chain.NewSingleOp("client-1", 2, iel.KeyValueName, iel.FnSet, "ctl", "v"))
 	if err := n.Submit(1, control); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +115,9 @@ func TestFailingBatchDiscardedEntirely(t *testing.T) {
 // count and the rejected batch.
 func fillQueue(t *testing.T, n *sawtooth.Network) (admitted int, rejected *chain.Batch) {
 	t.Helper()
+	var nums systemstest.Numbers
 	for i := 0; i < 100; i++ {
-		b := chain.NewBatch(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
+		b := chain.NewBatch(nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)))
 		err := n.SubmitBatch(0, b)
 		if errors.Is(err, mempool.ErrQueueFull) {
 			return admitted, b
@@ -154,10 +158,11 @@ func TestRejectedBatchCanBeResent(t *testing.T) {
 }
 
 func TestDuplicateBatchIgnored(t *testing.T) {
+	var nums systemstest.Numbers
 	n, env := build(t, coconut.BenchDoNothing)
 	col := systemstest.Collect(env, n, "client-1")
 	systemstest.Start(t, n)
-	b := chain.NewBatch(chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing))
+	b := chain.NewBatch(nums.Next(chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)))
 	if err := n.SubmitBatch(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -172,25 +177,27 @@ func TestDuplicateBatchIgnored(t *testing.T) {
 }
 
 func TestSubmitAfterStop(t *testing.T) {
+	var nums systemstest.Numbers
 	n, _ := build(t, coconut.BenchDoNothing)
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
 	n.Stop()
-	tx := chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing)
+	tx := nums.Next(chain.NewSingleOp("c", 0, iel.DoNothingName, iel.FnDoNothing))
 	if err := n.Submit(0, tx); err == nil {
 		t.Fatal("Submit after Stop must fail")
 	}
 }
 
 func TestDrainedReportsQueueState(t *testing.T) {
+	var nums systemstest.Numbers
 	n, env := build(t, coconut.BenchDoNothing)
 	col := systemstest.Collect(env, n, "client-1")
 	systemstest.Start(t, n)
 	if !n.Drained() {
 		t.Fatal("fresh network must be drained")
 	}
-	tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
+	tx := nums.Next(chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing))
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}

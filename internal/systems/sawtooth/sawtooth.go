@@ -26,7 +26,6 @@ import (
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
 	"github.com/coconut-bench/coconut/internal/crypto"
-	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
 	"github.com/coconut-bench/coconut/internal/trace"
@@ -81,11 +80,10 @@ type publishedBlock struct {
 // validator is one Sawtooth node.
 type validator struct {
 	systems.Replica
-	index  int           // position in the network: the validator's node in seen
+	index  int           // position in the network: the validator's node in queues
 	gossip string        // the batch-gossip endpoint beside the engine's: ID + "-gossip"
 	port   *network.Port // gossip's transport port
 	engine *bftcore.Core
-	queue  *mempool.Pool[*chain.Batch]
 }
 
 // Network is a full Sawtooth deployment.
@@ -95,7 +93,9 @@ type Network struct {
 	cfg config
 
 	validators []*validator
-	seen       *consensus.GossipIndex // the batches each validator admitted
+	// queues holds every validator's bounded batch queue, numbered by
+	// Batch.Num: what each validator admitted and still has queued.
+	queues *consensus.GossipPool[*chain.Batch]
 
 	publisher *clock.Event // publish, once per publishing delay
 
@@ -111,9 +111,9 @@ func New(env systems.Env, p systems.Params) *Network { return build(env, calibra
 
 func build(env systems.Env, cfg config) *Network {
 	n := &Network{
-		env:  env,
-		cfg:  cfg,
-		seen: consensus.NewGossipIndex(),
+		env:    env,
+		cfg:    cfg,
+		queues: consensus.NewGossipPool[*chain.Batch](env.Nodes, queueDepth),
 	}
 	n.publisher = clock.NewEvent(env.Clock, "sawtooth/publisher", n.publish)
 	names := systems.NodeIDs("sawtooth", env.Nodes)
@@ -123,7 +123,6 @@ func build(env systems.Env, cfg config) *Network {
 			Replica: r,
 			index:   i,
 			gossip:  names[i] + "-gossip",
-			queue:   mempool.NewBounded[*chain.Batch](queueDepth),
 		}
 		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // PBFT plus batch gossip
@@ -203,25 +202,26 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 
 // SubmitBatch admits an atomic batch at the entry validator. A full queue
 // rejects with mempool.ErrQueueFull; the caller must re-send (or, as the
-// paper's clients do, count the batch as lost).
+// paper's clients do, count the batch as lost). The queues know a batch by
+// its number, so an unnumbered one (Num 0) is refused with
+// systems.ErrUnnumbered.
 func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
+	if b.Num == 0 {
+		return systems.ErrUnnumbered
+	}
 	i, err := n.Entry(entryNode)
 	if err != nil {
 		return err
 	}
 	v := n.validators[i]
-	if n.seen.Has(b.ID, v.index) {
-		return nil
-	}
-	if err := v.queue.Add(b); err != nil {
-		return err // backpressure: rejected, client must re-send
+	// A rejected batch is left unadmitted, so it can be re-sent.
+	if fresh, err := n.queues.Offer(v.index, b.Num, b); !fresh {
+		return err // nil for a batch already admitted; backpressure otherwise
 	}
 	admitted := n.env.Clock.Now()
 	for _, tx := range b.Txs {
 		tx.Stages.Mark(chain.StageSubmit, admitted)
 	}
-	// Marked only now, so a batch the full queue rejected can be re-sent.
-	n.seen.Admit(b.ID, v.index)
 	// Gossip to the other validators so the PBFT primary can publish it.
 	for _, other := range n.validators {
 		if other == v {
@@ -235,10 +235,7 @@ func (n *Network) SubmitBatch(entryNode int, b *chain.Batch) error {
 // admitGossip adds gossiped batches without backpressure errors (peer
 // validators drop silently on overflow, as the real gossip layer does).
 func (n *Network) admitGossip(v *validator, b *chain.Batch) {
-	if !n.seen.Admit(b.ID, v.index) {
-		return
-	}
-	_ = v.queue.Add(b)
+	n.queues.Admit(v.index, b.Num, b)
 }
 
 // publish publishes a block, once per publishing delay, on the PBFT
@@ -251,7 +248,7 @@ func (n *Network) publish() {
 		if !v.engine.IsProposer() {
 			continue
 		}
-		batches := v.queue.Take(maxBlockBatches)
+		batches := n.queues.Take(v.index, maxBlockBatches)
 		if len(batches) == 0 {
 			return
 		}
@@ -262,7 +259,7 @@ func (n *Network) publish() {
 		}
 		if err := v.engine.Submit(blk); err != nil {
 			for _, b := range batches {
-				_ = v.queue.Add(b)
+				_ = n.queues.Requeue(v.index, b.Num, b)
 			}
 			return
 		}
@@ -347,16 +344,10 @@ func (n *Network) applyDecision(v *validator, d consensus.Decision) {
 			}, now)
 		}
 	}
-	n.scrubQueue(v, blk.Batches)
-}
-
-// scrubQueue removes published batches from a validator's queue.
-func (n *Network) scrubQueue(v *validator, published []*chain.Batch) {
-	ids := make(map[crypto.Hash]bool, len(published))
-	for _, b := range published {
-		ids[b.ID] = true
+	// Drop the published batches from the local queue.
+	for _, b := range blk.Batches {
+		n.queues.Drop(v.index, b.Num)
 	}
-	v.queue.Remove(func(b *chain.Batch) bool { return ids[b.ID] })
 }
 
 // Drained overrides the chassis default: all validator queues are empty.
@@ -367,7 +358,7 @@ func (n *Network) Drained() bool { return n.queueBacklog() == 0 }
 func (n *Network) queueBacklog() int {
 	depth := 0
 	for _, v := range n.validators {
-		depth += v.queue.Len()
+		depth += n.queues.Len(v.index)
 	}
 	return depth
 }
@@ -375,7 +366,7 @@ func (n *Network) queueBacklog() int {
 // QueueStats aggregates admission counters across validators.
 func (n *Network) QueueStats() (admitted, rejected uint64) {
 	for _, v := range n.validators {
-		a, r := v.queue.Stats()
+		a, r := n.queues.Stats(v.index)
 		admitted += a
 		rejected += r
 	}

@@ -29,9 +29,10 @@ func start(t *testing.T, override func(*config)) (*Network, *systemstest.Collect
 }
 
 func TestBatchSizeBoundsPerBlock(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := start(t, nil)
 	for i := 0; i < 8; i++ {
-		tx := chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)
+		tx := nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
 		if err := n.Submit(0, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -46,8 +47,9 @@ func TestBatchSizeBoundsPerBlock(t *testing.T) {
 }
 
 func TestPendingStallAtValidators(t *testing.T) {
+	var nums systemstest.Numbers
 	n, col := start(t, func(c *config) { c.pendingStallAt = 4 }) // stall at the current size
-	tx := chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing)
+	tx := nums.Next(chain.NewSingleOp("client-1", 0, iel.DoNothingName, iel.FnDoNothing))
 	if err := n.Submit(0, tx); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,11 @@ func TestPendingStallAtValidators(t *testing.T) {
 // not marked seen, so re-sending it once there is room admits it; a batch
 // that was admitted is not admitted again.
 func TestRejectedBatchIsAdmittedWhenResent(t *testing.T) {
+	var nums systemstest.Numbers
 	n, _ := start(t, func(c *config) { c.pendingStallAt = 4 }) // nothing is published
 	v := n.validators[0]
 	batch := func(i int) *chain.Batch {
-		return chain.NewBatch(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing))
+		return chain.NewBatch(nums.Next(chain.NewSingleOp("client-1", uint64(i), iel.DoNothingName, iel.FnDoNothing)))
 	}
 	for i := 0; i < queueDepth; i++ {
 		if err := n.SubmitBatch(0, batch(i)); err != nil {
@@ -78,16 +81,41 @@ func TestRejectedBatchIsAdmittedWhenResent(t *testing.T) {
 	if err := n.SubmitBatch(0, rejected); !errors.Is(err, mempool.ErrQueueFull) {
 		t.Fatalf("submit to a full queue: err = %v, want ErrQueueFull", err)
 	}
-	v.queue.Take(1)
+	n.queues.Take(v.index, 1)
 	for resend := 0; resend < 2; resend++ {
 		if err := n.SubmitBatch(0, rejected); err != nil {
 			t.Fatalf("re-send %d: %v", resend, err)
 		}
 	}
-	if got := v.queue.Len(); got != queueDepth {
+	if got := n.queues.Len(v.index); got != queueDepth {
 		t.Fatalf("queue holds %d batches after the re-sends, want %d", got, queueDepth)
 	}
-	if admitted, _ := v.queue.Stats(); admitted != queueDepth+1 {
+	if admitted, _ := n.queues.Stats(v.index); admitted != queueDepth+1 {
 		t.Fatalf("%d admissions, want %d: the re-sent batch was admitted %d times", admitted, queueDepth+1, int(admitted)-queueDepth)
+	}
+}
+
+// TestUnnumberedSubmitIsRefused: the queues know a batch by its number, its
+// first member's, so Submit and SubmitBatch refuse an unnumbered one with
+// ErrUnnumbered, and no validator admits or gossips it.
+func TestUnnumberedSubmitIsRefused(t *testing.T) {
+	n, _ := start(t, nil)
+	tx := chain.NewSingleOp("client-1", 1, iel.DoNothingName, iel.FnDoNothing)
+	if err := n.Submit(0, tx); !errors.Is(err, systems.ErrUnnumbered) {
+		t.Fatalf("Submit of an unnumbered transaction: err = %v, want ErrUnnumbered", err)
+	}
+	var nums systemstest.Numbers
+	second := nums.Next(chain.NewSingleOp("client-1", 2, iel.DoNothingName, iel.FnDoNothing))
+	if err := n.SubmitBatch(1, chain.NewBatch(tx, second)); !errors.Is(err, systems.ErrUnnumbered) {
+		t.Fatalf("SubmitBatch led by an unnumbered transaction: err = %v, want ErrUnnumbered", err)
+	}
+	n.env.Clock.Sleep(100 * time.Millisecond)
+	for _, v := range n.validators {
+		if admitted, rejected := n.queues.Stats(v.index); n.queues.Len(v.index) != 0 || admitted != 0 || rejected != 0 {
+			t.Errorf("%s: %d queued, %d admitted, %d rejected; want an untouched queue", v.ID, n.queues.Len(v.index), admitted, rejected)
+		}
+	}
+	if !n.Drained() {
+		t.Fatal("the network is not drained after refused submissions")
 	}
 }

@@ -21,6 +21,11 @@ import (
 // the crash hooks on invalid node indices.
 var ErrNodeDown = errors.New("systems: node is down")
 
+// ErrUnnumbered is returned by Submit of the drivers whose gossiped pool
+// knows a transaction by its number (Quorum and Sawtooth) when the
+// transaction has none (Num 0). A run's clients number every transaction.
+var ErrUnnumbered = errors.New("systems: transaction is unnumbered")
+
 // Canonical abort-reason codes carried in Event.Code when a transaction
 // commits invalid (or, for systems that shed conflicting work without a
 // client event, in Driver.ConflictCounts). The contention workload plane

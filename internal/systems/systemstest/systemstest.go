@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coconut-bench/coconut/internal/chain"
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/clock/clocktest"
 	"github.com/coconut-bench/coconut/internal/network"
@@ -103,4 +104,18 @@ func Restart(t testing.TB, clk *clock.AutoVirtual, d systems.Driver, node int) {
 	for ; wait > 0; wait = d.ResumeNode(node) {
 		clk.Sleep(wait)
 	}
+}
+
+// Numbers numbers hand-built transactions as a run's clients do: densely
+// from 1, each once. Quorum and Sawtooth refuse an unnumbered transaction
+// (systems.ErrUnnumbered), so a test that builds its own numbers them,
+// with one Numbers per network; the zero value is ready to use.
+type Numbers struct{ last uint64 }
+
+// Next gives tx the next number and returns it. Number a batch's members
+// before chain.NewBatch, which numbers the batch by its first member.
+func (n *Numbers) Next(tx *chain.Transaction) *chain.Transaction {
+	n.last++
+	tx.Num = n.last
+	return tx
 }
