@@ -20,20 +20,20 @@ import (
 
 // ProducedBlock is the decision payload delivered by the engine: the items
 // the scheduled witness packed into its slot.
-type ProducedBlock struct {
+type ProducedBlock[T comparable] struct {
 	// Slot is the global slot number of the block.
 	Slot uint64
 	// Witness produced the block.
 	Witness string
 	// Items are the payloads (transactions) included, in admission order.
-	Items []any
+	Items []T
 	// Nums are the gossip numbers of Items, in the same order: every other
 	// node drops them from its backlog.
 	Nums []uint64
 }
 
-// Config parameterizes a witness node.
-type Config struct {
+// Config parameterizes a witness node whose items are Ts.
+type Config[T comparable] struct {
 	// ID is this witness's transport endpoint name.
 	ID string
 	// Witnesses is the full witness schedule. A node whose ID is absent
@@ -58,12 +58,12 @@ type Config struct {
 	// included must keep the order of items. Excluded items are dropped
 	// from the producer's backlog permanently — BitShares uses this to keep
 	// interacting operations out of blocks (paper §5.3).
-	PackFilter func(items []any) (included, excluded []any)
+	PackFilter func(items []T) (included, excluded []T)
 	// ShuffleSeed randomizes the per-round witness order deterministically.
 	ShuffleSeed int64
 }
 
-func (c *Config) fill() {
+func (c *Config[T]) fill() {
 	if c.Clock == nil {
 		panic("dpos: Config.Clock is nil")
 	}
@@ -76,22 +76,23 @@ func (c *Config) fill() {
 // gossip number. A block travels as its ProducedBlock, boxed once by the
 // witness that produced it: every replica hands that same value to
 // OnDecide.
-type gossipMsg struct {
+type gossipMsg[T comparable] struct {
 	Num     uint64
-	Payload any
+	Payload T
 }
 
 // gossip is what the engines of one network share: their backlogs, kept
 // once as one pool, and the counter that numbers the submitted payloads.
-type gossip struct {
-	pool *consensus.GossipPool[any]
+type gossip[T comparable] struct {
+	pool *consensus.GossipPool[T]
 	last uint64 // the number Submit handed out last
 }
 
-// Engine is one DPoS witness. Only the clock's event loop touches it, so
-// it takes no lock.
-type Engine struct {
-	cfg Config
+// Engine is one DPoS witness ordering items of type T (BitShares': its
+// transactions). Only the clock's event loop touches it, so it takes no
+// lock.
+type Engine[T comparable] struct {
+	cfg Config[T]
 
 	slot     uint64 // next slot this node will consider
 	seq      uint64
@@ -106,8 +107,8 @@ type Engine struct {
 	witnesses int
 
 	sched  *schedule
-	gossip *gossip // the network's backlogs, this engine's among them
-	node   int     // this engine's node in gossip.pool
+	gossip *gossip[T] // the network's backlogs, this engine's among them
+	node   int        // this engine's node in gossip.pool
 
 	loop *clock.Loop[network.Message]
 }
@@ -119,9 +120,9 @@ type Engine struct {
 // A config that disagrees with the first keeps a schedule of its own. All
 // of them share one gossip pool, in which an engine's node is its config's
 // position.
-func NewNetwork(cfgs []Config) []*Engine {
-	engines := make([]*Engine, len(cfgs))
-	g := &gossip{pool: consensus.NewGossipPool[any](len(cfgs), 0)}
+func NewNetwork[T comparable](cfgs []Config[T]) []*Engine[T] {
+	engines := make([]*Engine[T], len(cfgs))
+	g := &gossip[T]{pool: consensus.NewGossipPool[T](len(cfgs), 0)}
 	var shared *schedule
 	for i, cfg := range cfgs {
 		if shared == nil {
@@ -136,9 +137,9 @@ func NewNetwork(cfgs []Config) []*Engine {
 	return engines
 }
 
-func newEngine(cfg Config, sched *schedule, g *gossip, node int) *Engine {
+func newEngine[T comparable](cfg Config[T], sched *schedule, g *gossip[T], node int) *Engine[T] {
 	cfg.fill()
-	e := &Engine{
+	e := &Engine[T]{
 		cfg:    cfg,
 		sched:  sched,
 		gossip: g,
@@ -194,7 +195,7 @@ func (s *schedule) witness(slot uint64) int {
 }
 
 // Start joins the witness schedule and launches the witness's loop.
-func (e *Engine) Start() error {
+func (e *Engine[T]) Start() error {
 	if e.running {
 		return nil
 	}
@@ -205,7 +206,7 @@ func (e *Engine) Start() error {
 }
 
 // Stop terminates the witness; its loop never runs again.
-func (e *Engine) Stop() {
+func (e *Engine[T]) Stop() {
 	if !e.running {
 		return
 	}
@@ -217,7 +218,7 @@ func (e *Engine) Stop() {
 // Submit hands a payload to the witnesses for ordering: the payload is
 // gossiped to every witness and included by whichever produces the next
 // block.
-func (e *Engine) Submit(payload any) error {
+func (e *Engine[T]) Submit(payload T) error {
 	if !e.running {
 		return consensus.ErrNotRunning
 	}
@@ -225,7 +226,7 @@ func (e *Engine) Submit(payload any) error {
 	num := e.gossip.last
 	e.gossip.pool.Admit(e.node, num, payload)
 
-	var msg any = gossipMsg{Num: num, Payload: payload} // boxed once for every witness
+	var msg any = gossipMsg[T]{Num: num, Payload: payload} // boxed once for every witness
 	for _, w := range e.fanout[:e.witnesses] {
 		_ = e.cfg.Transport.SendPort(e.port, w, "dpos.gossip", msg)
 	}
@@ -233,30 +234,30 @@ func (e *Engine) Submit(payload any) error {
 }
 
 // Produced reports how many blocks this witness has produced.
-func (e *Engine) Produced() uint64 { return e.produced }
+func (e *Engine[T]) Produced() uint64 { return e.produced }
 
 // PendingCount returns the local gossip backlog.
-func (e *Engine) PendingCount() int { return e.gossip.pool.Len(e.node) }
+func (e *Engine[T]) PendingCount() int { return e.gossip.pool.Len(e.node) }
 
 // witnessForSlot returns the scheduled witness. The order is shuffled every
 // round (a round = one pass over all witnesses) per Graphene's
 // shuffled-witness schedule.
-func (e *Engine) witnessForSlot(slot uint64) string {
+func (e *Engine[T]) witnessForSlot(slot uint64) string {
 	return e.cfg.Witnesses[e.sched.witness(slot)]
 }
 
-func (e *Engine) handle(m network.Message) {
+func (e *Engine[T]) handle(m network.Message) {
 	switch p := m.Payload.(type) {
-	case gossipMsg:
+	case gossipMsg[T]:
 		e.gossip.pool.Admit(e.node, p.Num, p.Payload)
-	case ProducedBlock:
+	case ProducedBlock[T]:
 		e.acceptBlock(p, m.Payload)
 	}
 }
 
 // maybeProduce creates and broadcasts a block when this witness owns the
 // current slot.
-func (e *Engine) maybeProduce() {
+func (e *Engine[T]) maybeProduce() {
 	slot := e.slot
 	if e.witnessForSlot(slot) != e.cfg.ID {
 		// Not our slot. Slot consumption happens on block receipt; if the
@@ -270,7 +271,7 @@ func (e *Engine) maybeProduce() {
 		items, _ = e.cfg.PackFilter(candidates)
 		nums = includedNums(candidates, nums, items)
 	}
-	var blk any = ProducedBlock{Slot: slot, Witness: e.cfg.ID, Items: items, Nums: nums} // boxed once for every replica
+	var blk any = ProducedBlock[T]{Slot: slot, Witness: e.cfg.ID, Items: items, Nums: nums} // boxed once for every replica
 	e.slot++
 	e.produced++
 	e.seq++
@@ -290,7 +291,7 @@ func (e *Engine) maybeProduce() {
 
 // includedNums returns the numbers of included, which PackFilter picked
 // from candidates in order, reusing nums, the numbers of candidates.
-func includedNums(candidates []any, nums []uint64, included []any) []uint64 {
+func includedNums[T comparable](candidates []T, nums []uint64, included []T) []uint64 {
 	kept, j := nums[:0], 0
 	for _, it := range included {
 		for j < len(candidates) && candidates[j] != it {
@@ -307,7 +308,7 @@ func includedNums(candidates []any, nums []uint64, included []any) []uint64 {
 
 // acceptBlock applies a block produced by another witness; boxed is blk
 // as its witness boxed it, the decision's payload.
-func (e *Engine) acceptBlock(blk ProducedBlock, boxed any) {
+func (e *Engine[T]) acceptBlock(blk ProducedBlock[T], boxed any) {
 	for _, num := range blk.Nums {
 		e.gossip.pool.Drop(e.node, num)
 	}

@@ -16,8 +16,8 @@ type cluster struct {
 	t         *testing.T
 	clk       *clock.AutoVirtual
 	transport *network.Transport
-	engines   []*Engine
-	decided   map[string][]ProducedBlock
+	engines   []*Engine[string]
+	decided   map[string][]ProducedBlock[string]
 }
 
 func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *cluster {
@@ -27,16 +27,16 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 		t:         t,
 		clk:       clk,
 		transport: network.NewTransport(clk, nil),
-		decided:   make(map[string][]ProducedBlock),
+		decided:   make(map[string][]ProducedBlock[string]),
 	}
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("witness-%d", i)
 	}
-	cfgs := make([]Config, n)
+	cfgs := make([]Config[string], n)
 	for i, id := range names {
 		id := id
-		cfgs[i] = Config{
+		cfgs[i] = Config[string]{
 			Clock:         clk,
 			ID:            id,
 			Witnesses:     names,
@@ -45,7 +45,7 @@ func newCluster(t *testing.T, n int, interval time.Duration, maxItems int) *clus
 			MaxBlockItems: maxItems,
 			ShuffleSeed:   7,
 			OnDecide: func(d consensus.Decision) {
-				blk, ok := d.Payload.(ProducedBlock)
+				blk, ok := d.Payload.(ProducedBlock[string])
 				if !ok {
 					t.Errorf("payload is %T, want ProducedBlock", d.Payload)
 					return
@@ -77,8 +77,8 @@ func (c *cluster) waitItems(id string, want int) {
 	})
 }
 
-func (c *cluster) collectItems(id string) []any {
-	var items []any
+func (c *cluster) collectItems(id string) []string {
+	var items []string
 	for _, b := range c.decided[id] {
 		items = append(items, b.Items...)
 	}
@@ -86,7 +86,9 @@ func (c *cluster) collectItems(id string) []any {
 }
 
 // newWitness builds one engine as a network of one.
-func newWitness(cfg Config) *Engine { return NewNetwork([]Config{cfg})[0] }
+func newWitness(cfg Config[string]) *Engine[string] {
+	return NewNetwork([]Config[string]{cfg})[0]
+}
 
 func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 	c := newCluster(t, 3, 10*time.Millisecond, 0)
@@ -97,7 +99,7 @@ func TestSubmittedItemsAppearInBlocks(t *testing.T) {
 	}
 	c.waitItems("witness-0", 10)
 	items := c.collectItems("witness-0")
-	got := make(map[any]int)
+	got := make(map[string]int)
 	for _, it := range items {
 		got[it]++
 	}
@@ -122,7 +124,7 @@ func TestAllWitnessesObserveBlocks(t *testing.T) {
 func TestMaxBlockItemsBoundsBlocks(t *testing.T) {
 	c := newCluster(t, 2, 10*time.Millisecond, 3)
 	for i := 0; i < 10; i++ {
-		if err := c.engines[0].Submit(i); err != nil {
+		if err := c.engines[0].Submit(fmt.Sprint(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +152,7 @@ func TestScheduleSharesProduction(t *testing.T) {
 
 func TestWitnessForSlotDeterministic(t *testing.T) {
 	clk := clocktest.New(t)
-	e := newWitness(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+	e := newWitness(Config[string]{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 	for slot := uint64(0); slot < 30; slot++ {
 		if e.witnessForSlot(slot) != e.witnessForSlot(slot) {
 			t.Fatal("schedule must be deterministic")
@@ -159,7 +161,7 @@ func TestWitnessForSlotDeterministic(t *testing.T) {
 	// The order kept for a round must equal a fresh computation, also when
 	// slots are visited out of order.
 	for _, slot := range []uint64{0, 7, 3, 29, 4, 8, 2, 28} {
-		fresh := newWitness(Config{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
+		fresh := newWitness(Config[string]{Clock: clk, ID: "w", Witnesses: []string{"a", "b", "c"}, ShuffleSeed: 3})
 		if got, want := e.witnessForSlot(slot), fresh.witnessForSlot(slot); got != want {
 			t.Fatalf("slot %d: kept order gives %s, fresh shuffle gives %s", slot, got, want)
 		}
@@ -190,8 +192,8 @@ func TestSubmitNotRunning(t *testing.T) {
 	clk := clocktest.New(t)
 	tr := network.NewTransport(clk, nil)
 	defer tr.Stop()
-	e := newWitness(Config{Clock: clk, ID: "x", Witnesses: []string{"x"}, Transport: tr})
-	if err := e.Submit(1); err != consensus.ErrNotRunning {
+	e := newWitness(Config[string]{Clock: clk, ID: "x", Witnesses: []string{"x"}, Transport: tr})
+	if err := e.Submit("1"); err != consensus.ErrNotRunning {
 		t.Fatalf("err = %v, want ErrNotRunning", err)
 	}
 }
@@ -224,10 +226,10 @@ func TestPackFilterExclusionStaysPendingElsewhere(t *testing.T) {
 	clk := clocktest.New(t)
 	tr := network.NewTransport(clk, nil)
 	t.Cleanup(tr.Stop)
-	var produced []ProducedBlock
-	cfgs := []Config{
+	var produced []ProducedBlock[string]
+	cfgs := []Config[string]{
 		{Clock: clk, ID: "w", Witnesses: []string{"w"}, Observers: []string{"o"}, Transport: tr,
-			PackFilter: func(items []any) (included, excluded []any) {
+			PackFilter: func(items []string) (included, excluded []string) {
 				for _, it := range items {
 					if it == "x2" {
 						excluded = append(excluded, it)
@@ -237,13 +239,13 @@ func TestPackFilterExclusionStaysPendingElsewhere(t *testing.T) {
 				}
 				return included, excluded
 			},
-			OnDecide: func(d consensus.Decision) { produced = append(produced, d.Payload.(ProducedBlock)) }},
+			OnDecide: func(d consensus.Decision) { produced = append(produced, d.Payload.(ProducedBlock[string])) }},
 		{Clock: clk, ID: "o", Witnesses: []string{"w"}, Observers: []string{"o"}, Transport: tr},
 	}
 	engines := NewNetwork(cfgs)
 	witness, observer := engines[0], engines[1]
 	for num, payload := range []string{"x1", "x2", "x3", "x4"} {
-		g := network.Message{Payload: gossipMsg{Num: uint64(num + 1), Payload: payload}}
+		g := network.Message{Payload: gossipMsg[string]{Num: uint64(num + 1), Payload: payload}}
 		witness.handle(g)
 		observer.handle(g)
 	}
@@ -267,16 +269,16 @@ func TestPackFilterExclusionStaysPendingElsewhere(t *testing.T) {
 // TestIncludedNumsFollowsThePick: the numbers a block carries are those of
 // the candidates PackFilter kept, in order, whichever it left out.
 func TestIncludedNumsFollowsThePick(t *testing.T) {
-	candidates := []any{"a", "b", "c", "d", "e"}
+	candidates := []string{"a", "b", "c", "d", "e"}
 	for _, tc := range []struct {
-		included []any
+		included []string
 		want     string
 	}{
 		{nil, "[]"},
-		{[]any{"a", "b", "c", "d", "e"}, "[10 20 30 40 50]"},
-		{[]any{"b", "d"}, "[20 40]"},
-		{[]any{"a", "e"}, "[10 50]"},
-		{[]any{"e"}, "[50]"},
+		{[]string{"a", "b", "c", "d", "e"}, "[10 20 30 40 50]"},
+		{[]string{"b", "d"}, "[20 40]"},
+		{[]string{"a", "e"}, "[10 50]"},
+		{[]string{"e"}, "[50]"},
 	} {
 		nums := []uint64{10, 20, 30, 40, 50}
 		if got := fmt.Sprint(includedNums(candidates, nums, tc.included)); got != tc.want {
@@ -291,9 +293,9 @@ func TestIncludedNumsFollowsThePick(t *testing.T) {
 func TestNetworkSharesOneSchedule(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
 	clk := clocktest.New(t)
-	cfgs := make([]Config, 4)
+	cfgs := make([]Config[string], 4)
 	for i := range cfgs {
-		cfgs[i] = Config{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
+		cfgs[i] = Config[string]{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	cfgs[3].ShuffleSeed = 10
 	engines := NewNetwork(cfgs)
@@ -320,9 +322,9 @@ func TestNetworkSharesOneSchedule(t *testing.T) {
 func TestNetworkSharesOneGossipPool(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	clk := clocktest.New(t)
-	cfgs := make([]Config, len(names))
+	cfgs := make([]Config[string], len(names))
 	for i := range cfgs {
-		cfgs[i] = Config{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
+		cfgs[i] = Config[string]{Clock: clk, ID: names[i], Witnesses: names, ShuffleSeed: 9}
 	}
 	engines := NewNetwork(cfgs)
 	solo := newWitness(cfgs[0])
@@ -334,7 +336,7 @@ func TestNetworkSharesOneGossipPool(t *testing.T) {
 	if solo.gossip == engines[0].gossip {
 		t.Fatal("an engine of another network shares the network's pool")
 	}
-	g := network.Message{Payload: gossipMsg{Num: 1, Payload: "tx"}}
+	g := network.Message{Payload: gossipMsg[string]{Num: 1, Payload: "tx"}}
 	for _, e := range append(engines, solo) {
 		e.handle(g)
 		e.handle(g) // a repeat is admitted once
@@ -362,7 +364,7 @@ func TestLoneWitnessDeliversSubmitsInOrder(t *testing.T) {
 	}
 	c.waitItems("witness-0", 5)
 	c.clk.Sleep(50 * time.Millisecond)
-	var items []any
+	var items []string
 	for _, blk := range c.decided["witness-0"] {
 		items = append(items, blk.Items...)
 	}

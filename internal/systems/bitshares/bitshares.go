@@ -23,12 +23,10 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/dpos"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/statestore"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/trace"
 )
 
 // BitShares' calibration.
@@ -67,8 +65,8 @@ func calibrate(env systems.Env, p systems.Params) config {
 
 // node is one BitShares node (witness or observer).
 type node struct {
-	systems.Replica
-	engine *dpos.Engine
+	*systems.Node
+	engine *dpos.Engine[*chain.Transaction]
 }
 
 // Network is a full BitShares deployment.
@@ -79,9 +77,8 @@ type Network struct {
 
 	nodes []*node
 
-	excluded      uint64 // transactions dropped by conflict exclusion
-	excludedOps   uint64 // payload operations those transactions carried
-	execFailedOps uint64 // payload operations discarded by atomic execution failure
+	excluded    uint64 // transactions dropped by conflict exclusion
+	excludedOps uint64 // payload operations those transactions carried
 
 	// Sliding conflict window over the most recent conflictWindow
 	// included transactions: windowKeys[windowHead:] holds each one's
@@ -113,11 +110,11 @@ func build(env systems.Env, cfg config) *Network {
 	witnessCount := max(env.Nodes-1, 1)
 	witnesses, observers := names[:witnessCount], names[witnessCount:]
 
-	cfgs := make([]dpos.Config, env.Nodes)
-	for i, r := range n.Replicas() {
-		nd := &node{Replica: r}
+	cfgs := make([]dpos.Config[*chain.Transaction], env.Nodes)
+	for i := range names {
+		nd := &node{Node: n.Node(i)}
 		nd.Endpoints = []string{nd.ID}
-		cfgs[i] = dpos.Config{
+		cfgs[i] = dpos.Config[*chain.Transaction]{
 			ID:            nd.ID,
 			Witnesses:     witnesses,
 			Observers:     observers,
@@ -127,7 +124,9 @@ func build(env systems.Env, cfg config) *Network {
 			MaxBlockItems: maxBlockTxs,
 			ShuffleSeed:   env.Seed,
 			PackFilter:    n.conflictFilter,
-			OnDecide:      n.makeDecideFunc(nd),
+			// Atomicity: "if an operation fails, the whole transaction is
+			// discarded" (§5.3), on every node alike.
+			OnDecide: n.Decide(i, systems.Atomic, asBlock, nil),
 		}
 		n.nodes = append(n.nodes, nd)
 	}
@@ -180,15 +179,10 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 // transaction whose operations touch a state key already touched by a
 // recently included transaction (same forming block, or within the sliding
 // conflictWindow window) is dropped.
-func (n *Network) conflictFilter(items []any) (included, excluded []any) {
-
+func (n *Network) conflictFilter(items []*chain.Transaction) (included, excluded []*chain.Transaction) {
 	packedAt := n.env.Clock.Now()
 	clear(n.blockTouched)
-	for _, it := range items {
-		tx, ok := it.(*chain.Transaction)
-		if !ok {
-			continue
-		}
+	for _, tx := range items {
 		conflict := false
 		keys := n.spareKeys[:0]
 		for _, op := range tx.Ops {
@@ -202,7 +196,7 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 		}
 		n.spareKeys = keys
 		if conflict {
-			excluded = append(excluded, it)
+			excluded = append(excluded, tx)
 			continue
 		}
 		for _, k := range keys {
@@ -213,13 +207,11 @@ func (n *Network) conflictFilter(items []any) (included, excluded []any) {
 		}
 		// Packed into the forming block: the queue wait ends here.
 		tx.Stages.Mark(chain.StageQueue, packedAt)
-		included = append(included, it)
+		included = append(included, tx)
 	}
 	n.excluded += uint64(len(excluded))
-	for _, it := range excluded {
-		if tx, ok := it.(*chain.Transaction); ok {
-			n.excludedOps += uint64(tx.OpCount())
-		}
+	for _, tx := range excluded {
+		n.excludedOps += uint64(tx.OpCount())
 	}
 	return included, excluded
 }
@@ -251,70 +243,12 @@ func (n *Network) slideWindow(keys []statestore.Key) (spare []statestore.Key) {
 	return spare
 }
 
-// makeDecideFunc builds the per-node commit pipeline: apply each
-// transaction atomically; a failed operation discards the whole
-// transaction without a client event. The pipeline is gated per node: a
-// crashed node buffers produced blocks and replays them on restart
-// (Graphene's chain resync).
-func (n *Network) makeDecideFunc(nd *node) consensus.DecideFunc {
-	apply := func(d consensus.Decision) { n.applyDecision(nd, d) }
-	return func(d consensus.Decision) {
-		txs := 0
-		if blk, ok := d.Payload.(dpos.ProducedBlock); ok {
-			txs = len(blk.Items)
-		}
-		systems.CommitTo(&nd.Gate, txs, d, apply)
-	}
-}
-
-func (n *Network) applyDecision(nd *node, d consensus.Decision) {
-	blk, ok := d.Payload.(dpos.ProducedBlock)
-	if !ok {
-		return
-	}
-	decided := n.env.Clock.Now()
-	var surviving []*chain.Transaction
-	for _, it := range blk.Items {
-		tx, ok := it.(*chain.Transaction)
-		if !ok {
-			continue
-		}
-		tx.Stages.Mark(chain.StageConsensus, decided)
-		if nd.DryRun(tx) {
-			surviving = append(surviving, tx)
-		} else if nd == n.nodes[0] {
-			// Atomic discard ("if an operation fails, the whole transaction
-			// is discarded", §5.3) is identical on every node; count the
-			// lost payloads once for the conflict breakdown.
-			n.execFailedOps += uint64(tx.OpCount())
-		}
-	}
-	ts := time.Unix(0, int64(blk.Slot)) // deterministic per-slot stamp
-	cb := n.Sealer.Seal(nd.Ledger.Head(), blk.Witness, ts, surviving)
-	if err := nd.Ledger.Append(cb); err != nil {
-		return
-	}
-	// One consensus-round span per sampled block, emitted at node 0's apply
-	// site only (every node applies the identical produced block).
-	if tr := n.env.Trace; nd == n.nodes[0] && tr.Sampled(cb.Number) {
-		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameBitShares,
-			Lane: "consensus", Start: ts.UnixNano(), End: decided.UnixNano(), Block: cb.Number})
-	}
-	now := n.env.Clock.Now()
-	for txNum, tx := range surviving {
-		nd.ApplyTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
-		nd.Hub.Committed(systems.Event{
-			TxID:      tx.ID,
-			Num:       tx.Num,
-			Client:    tx.Client,
-			Committed: true,
-			ValidOK:   true,
-			OpCount:   tx.OpCount(),
-			BlockNum:  cb.Number,
-			Stages:    &tx.Stages,
-		}, now)
-	}
+// asBlock adapts the DPoS payload to the chassis, stamped with its slot
+// for a deterministic block time. A crashed node's gate buffers its blocks
+// and replays them on restart (Graphene's chain resync).
+func asBlock(p any) (systems.Block, bool) {
+	blk, ok := p.(dpos.ProducedBlock[*chain.Transaction])
+	return systems.Block{Proposer: blk.Witness, FormedAt: time.Unix(0, int64(blk.Slot)), Txs: blk.Items}, ok
 }
 
 // pendingBacklog is the chassis' admission-depth hook: the DPoS engines'
@@ -340,8 +274,8 @@ func (n *Network) ConflictCounts() map[string]uint64 {
 	if n.excludedOps > 0 {
 		out[systems.AbortConflictExcluded] = n.excludedOps
 	}
-	if n.execFailedOps > 0 {
-		out[systems.AbortExecFailed] = n.execFailedOps
+	if d := n.DiscardedOps(); d > 0 {
+		out[systems.AbortExecFailed] = d
 	}
 	if len(out) == 0 {
 		return nil

@@ -68,13 +68,13 @@ func TestConflictWindowSpansBlocks(t *testing.T) {
 	// experiments package relies on (DESIGN.md §4a).
 	n := testNetwork(t, 64)
 	p1 := chain.NewSingleOp("client-1", 0, iel.BankingAppName, iel.FnSendPayment, "w-a", "w-b", "1")
-	included, excluded := n.conflictFilter([]any{p1})
+	included, excluded := n.conflictFilter([]*chain.Transaction{p1})
 	if len(included) != 1 || len(excluded) != 0 {
 		t.Fatalf("first block: included=%d excluded=%d", len(included), len(excluded))
 	}
 	// A later block: the interacting payment must still be excluded.
 	p2 := chain.NewSingleOp("client-1", 1, iel.BankingAppName, iel.FnSendPayment, "w-b", "w-c", "1")
-	included, excluded = n.conflictFilter([]any{p2})
+	included, excluded = n.conflictFilter([]*chain.Transaction{p2})
 	if len(included) != 0 || len(excluded) != 1 {
 		t.Fatalf("cross-block conflict not excluded: included=%d excluded=%d", len(included), len(excluded))
 	}
@@ -83,10 +83,10 @@ func TestConflictWindowSpansBlocks(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		tx := chain.NewSingleOp("client-1", uint64(100+i), iel.KeyValueName, iel.FnSet,
 			fmt.Sprintf("filler-%d", i), "v")
-		n.conflictFilter([]any{tx})
+		n.conflictFilter([]*chain.Transaction{tx})
 	}
 	p3 := chain.NewSingleOp("client-1", 2, iel.BankingAppName, iel.FnSendPayment, "w-a", "w-d", "1")
-	included, excluded = n.conflictFilter([]any{p3})
+	included, excluded = n.conflictFilter([]*chain.Transaction{p3})
 	if len(included) != 1 || len(excluded) != 0 {
 		t.Fatalf("expired window entry still excludes: included=%d excluded=%d", len(included), len(excluded))
 	}
@@ -100,7 +100,7 @@ type referenceConflictFilter struct {
 	windowKeys []map[statestore.Key]bool
 }
 
-func (r *referenceConflictFilter) filter(items []any) (included, excluded []any) {
+func (r *referenceConflictFilter) filter(items []*chain.Transaction) (included, excluded []*chain.Transaction) {
 	inWindow := func(key statestore.Key) bool {
 		for _, set := range r.windowKeys {
 			if set[key] {
@@ -110,8 +110,7 @@ func (r *referenceConflictFilter) filter(items []any) (included, excluded []any)
 		return false
 	}
 	blockTouched := make(map[statestore.Key]bool)
-	for _, it := range items {
-		tx := it.(*chain.Transaction)
+	for _, tx := range items {
 		conflict := false
 		keys := make(map[statestore.Key]bool)
 		for _, op := range tx.Ops {
@@ -124,7 +123,7 @@ func (r *referenceConflictFilter) filter(items []any) (included, excluded []any)
 			}
 		}
 		if conflict {
-			excluded = append(excluded, it)
+			excluded = append(excluded, tx)
 			continue
 		}
 		for k := range keys {
@@ -136,7 +135,7 @@ func (r *referenceConflictFilter) filter(items []any) (included, excluded []any)
 				r.windowKeys = r.windowKeys[1:]
 			}
 		}
-		included = append(included, it)
+		included = append(included, tx)
 	}
 	return included, excluded
 }
@@ -154,7 +153,7 @@ func TestConflictFilterMatchesReference(t *testing.T) {
 		var wantExcluded, wantExcludedOps uint64
 		var seq uint64
 		for block := 0; block < 120; block++ {
-			items := make([]any, rng.Intn(12))
+			items := make([]*chain.Transaction, rng.Intn(12))
 			for i := range items {
 				ops := make([]chain.Operation, 1+rng.Intn(3))
 				for j := range ops {
@@ -172,16 +171,16 @@ func TestConflictFilterMatchesReference(t *testing.T) {
 					window, block, len(gotIn), len(wantIn), len(gotEx), len(wantEx))
 			}
 			wantExcluded += uint64(len(wantEx))
-			for _, it := range wantEx {
-				wantExcludedOps += uint64(it.(*chain.Transaction).OpCount())
+			for _, tx := range wantEx {
+				wantExcludedOps += uint64(tx.OpCount())
 			}
-			for _, it := range gotIn {
-				if it.(*chain.Transaction).Stages.At(chain.StageQueue) == 0 {
+			for _, tx := range gotIn {
+				if tx.Stages.At(chain.StageQueue) == 0 {
 					t.Fatalf("window %d block %d: included transaction lacks its queue mark", window, block)
 				}
 			}
-			for _, it := range gotEx {
-				if it.(*chain.Transaction).Stages.At(chain.StageQueue) != 0 {
+			for _, tx := range gotEx {
+				if tx.Stages.At(chain.StageQueue) != 0 {
 					t.Fatalf("window %d block %d: excluded transaction carries a queue mark", window, block)
 				}
 			}

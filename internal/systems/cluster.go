@@ -6,10 +6,13 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
+	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
+	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/iel"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/statestore"
+	"github.com/coconut-bench/coconut/internal/trace"
 	"github.com/coconut-bench/coconut/internal/wal"
 )
 
@@ -227,26 +230,27 @@ func (c *Cluster) QueueSnapshot() QueueStats {
 }
 
 // Replica is one node of a LedgerCluster: the node chassis plus its copy of
-// the chain and of the world state, and the execution adapters ExecuteTx,
-// ApplyTx and DryRun reuse from call to call. Those three are the replica's
-// commit work and belong inside its gate (systems.CommitTo), which runs one
-// unit of a node's commit work at a time — on whatever commits while the
-// node is up, on whatever runs the drain while it restarts — so the
-// adapters are reused without a lock.
+// the chain and of the world state, and the execution adapters its commits
+// reuse from block to block. A replica commits inside its gate (CommitTo),
+// which runs one unit of a node's commit work at a time — on whatever
+// commits while the node is up, on whatever runs the drain while it
+// restarts — so the adapters are reused without a lock.
 type Replica struct {
 	*Node
 	Ledger *chain.Ledger
 	State  *statestore.KVStore
 
-	exec kvState
-	dry  overlay
+	exec     kvState
+	dry      overlay
+	unitNums []int // survivors' scratch: each kept transaction's TxNum
 }
 
 // LedgerCluster is the chassis of a system whose nodes each replicate one
 // ledger and one key-value world state and talk over a shared transport
-// (Fabric, Quorum, Sawtooth, Diem, BitShares). Corda has neither a message
-// fabric nor a KV world state, so it embeds Cluster alone and its
-// FaultTransport is nil.
+// (Fabric, Quorum, Sawtooth, Diem, BitShares), and the one path on which
+// their replicas commit a decided block (Decide, Deliver). Corda has
+// neither a message fabric nor a KV world state, so it embeds Cluster alone
+// and its FaultTransport is nil.
 type LedgerCluster struct {
 	Cluster
 	// Transport carries the system's consensus and gossip messages.
@@ -255,6 +259,11 @@ type LedgerCluster struct {
 	Sealer chain.Sealer
 
 	replicas []Replica
+	clk      *clock.AutoVirtual
+	tr       *trace.Tracer
+	// discardedOps counts the operations of the atomic units the replicas
+	// discard, once per block: every replica discards the same.
+	discardedOps uint64
 }
 
 // NewLedgerCluster assembles a Cluster plus the private transport (traced
@@ -262,7 +271,7 @@ type LedgerCluster struct {
 // ledger and world state, the states on one key index. The ledgers' genesis
 // network ID is the lower-cased system name.
 func NewLedgerCluster(name string, ids []string, env Env, depth func() int) *LedgerCluster {
-	c := &LedgerCluster{}
+	c := &LedgerCluster{clk: env.Clock, tr: env.Trace}
 	c.init(name, ids, env, depth)
 	c.Transport = network.NewTransport(env.Clock, env.Latency)
 	if env.Trace != nil {
@@ -292,6 +301,10 @@ func (c *LedgerCluster) WorldState(i int) *statestore.KVStore {
 	return c.replicas[i%len(c.replicas)].State
 }
 
+// DiscardedOps reports the operations of the atomic units discarded so far
+// (Sawtooth's batches, BitShares' transactions), counted once per block.
+func (c *LedgerCluster) DiscardedOps() uint64 { return c.discardedOps }
+
 // Preload implements Driver: the operations are applied directly to every
 // replica's world state at version {0, i} (the YCSB load-phase analogue), so
 // contention workloads start from a materialized shared key space. The
@@ -305,6 +318,202 @@ func (c *LedgerCluster) Preload(ops []chain.Operation) error {
 		}
 	}
 	return nil
+}
+
+// ExecRule is how a replica turns a decided block into state: the paper's
+// three kinds of system (§5). Each driver fixes its own.
+type ExecRule uint8
+
+const (
+	// OrderExecute runs each transaction in order and commits it whatever
+	// happens: one that fails commits invalid with its abort code, and what
+	// it wrote before failing stays (Quorum, Diem).
+	OrderExecute ExecRule = iota
+	// Atomic dry-runs each unit against the state before the block and
+	// discards, unreported, a unit of which anything fails. The block seals
+	// the survivors, which apply in order at their unit's index among the
+	// survivors, skipping an operation that fails after all (BitShares per
+	// transaction, Sawtooth per batch).
+	Atomic
+	// Validate checks each transaction's endorsed read-write set against the
+	// state and writes it if it is current; a stale one commits invalid
+	// (Fabric).
+	Validate
+)
+
+// Block is a decided block as the chassis commits it; each driver adapts its
+// consensus payload to one.
+type Block struct {
+	Proposer string
+	// FormedAt is when the block formed, which ends its transactions' queue
+	// wait and stamps the sealed block.
+	FormedAt time.Time
+	Txs      []*chain.Transaction
+	// Batches are the atomic units of Txs, which they hold in order
+	// (Sawtooth); nil makes each transaction a unit of its own.
+	Batches []*chain.Batch
+	// Envelopes are Txs with their endorsed read-write sets (Validate).
+	Envelopes []Envelope
+}
+
+// Envelope is an endorsed transaction: the read-write set its endorsement
+// recorded travels with it to the commit.
+type Envelope struct {
+	Tx    *chain.Transaction
+	RWSet *statestore.RWSet
+}
+
+// Digest returns the consensus digest of the blocks adapt makes of payloads:
+// the Merkle root of the block's units' IDs, then its proposer and when it
+// formed. Any other payload hashes as its formatted value.
+func Digest(adapt func(payload any) (Block, bool)) func(any) crypto.Hash {
+	return func(p any) crypto.Hash {
+		b, ok := adapt(p)
+		if !ok {
+			return crypto.SumString(fmt.Sprintf("%v", p))
+		}
+		h := crypto.AcquireHasher()
+		if b.Batches != nil {
+			for _, bt := range b.Batches {
+				h.AppendLeaf(bt.ID)
+			}
+		} else {
+			for _, tx := range b.Txs {
+				h.AppendLeaf(tx.ID)
+			}
+		}
+		root := h.MerkleRoot()
+		h.Reset()
+		h.WriteHash(root)
+		h.WriteString(b.Proposer)
+		h.WriteUint64(uint64(b.FormedAt.UnixNano()))
+		d := h.Sum()
+		h.Release()
+		return d
+	}
+}
+
+// commit is one replica's share of a decided block: the gate work apply
+// runs, passed by value so that handing a block to every replica allocates
+// nothing.
+type commit struct {
+	c       *LedgerCluster
+	r       int
+	rule    ExecRule
+	isBlock bool // false: the decision carried no block, and only its record is logged
+	report  bool // false: commit without a word to the hub
+	after   func(r int, b Block)
+	b       Block
+}
+
+// Decide returns replica r's consensus.DecideFunc: each decision goes
+// through r's gate, and the block adapt makes of its payload commits under
+// rule. after, when set, runs on each replica once the block has committed
+// there. A decision whose payload adapt does not take still logs a record.
+func (c *LedgerCluster) Decide(r int, rule ExecRule, adapt func(payload any) (Block, bool), after func(r int, b Block)) consensus.DecideFunc {
+	return func(d consensus.Decision) {
+		b, ok := adapt(d.Payload)
+		CommitTo(&c.replicas[r].Gate, len(b.Txs), commit{c, r, rule, ok, true, after, b}, apply)
+	}
+}
+
+// Deliver commits b on every replica under Validate. Fabric's peers take
+// their blocks from the ordering service, which spans the round and marks
+// it decided where it decides; report false commits without telling the
+// hub.
+func (c *LedgerCluster) Deliver(b Block, report bool) {
+	for r := range c.replicas {
+		CommitTo(&c.replicas[r].Gate, len(b.Txs), commit{c, r, Validate, true, report, nil, b}, apply)
+	}
+}
+
+// ruleStage is the stage a transaction's execution under each rule ends.
+var ruleStage = [...]chain.Stage{OrderExecute: chain.StageExecute, Atomic: chain.StageExecute, Validate: chain.StageValidate}
+
+// apply commits one replica's share of a block: it seals the transactions
+// the rule keeps onto the replica's head and appends the block, spans the
+// round at replica 0, marks each transaction's stages, runs it under the
+// rule and reports it to the hub.
+func apply(w commit) {
+	if !w.isBlock {
+		return
+	}
+	c, b, rep := w.c, &w.b, &w.c.replicas[w.r]
+	txs := b.Txs
+	if w.rule == Atomic {
+		txs = c.survivors(w.r, b)
+	}
+	cb := c.Sealer.Seal(rep.Ledger.Head(), b.Proposer, b.FormedAt, txs)
+	if rep.Ledger.Append(cb) != nil {
+		return
+	}
+	now := c.clk.Now()
+	if w.r == 0 && w.rule != Validate && c.tr.Sampled(cb.Number) {
+		c.tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: c.name, Lane: "consensus",
+			Start: b.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
+	}
+	for _, tx := range b.Txs {
+		// The queue wait ended when the block formed. Quorum's producer
+		// leaves this mark to the commit: a block that consensus drops
+		// leaves its transactions to a later one, whose forming ends their
+		// wait. The others marked it no later (marks are first-write-wins).
+		tx.Stages.Mark(chain.StageQueue, b.FormedAt)
+		tx.Stages.Mark(chain.StageConsensus, now)
+	}
+	for i, tx := range txs {
+		var err error
+		switch w.rule {
+		case OrderExecute:
+			err = rep.executeTx(tx, cb.Number, i)
+		case Atomic:
+			rep.applyTx(tx, cb.Number, rep.unitNums[i])
+		case Validate:
+			rw := b.Envelopes[i].RWSet
+			if err = rw.Validate(rep.State); err == nil {
+				rw.Commit(rep.State, statestore.Version{BlockNum: cb.Number, TxNum: i})
+			}
+		}
+		tx.Stages.Mark(ruleStage[w.rule], now)
+		if w.report {
+			rep.Hub.Committed(Event{TxID: tx.ID, Num: tx.Num, Client: tx.Client, Committed: true,
+				ValidOK: err == nil, Code: ClassifyAbort(err), OpCount: tx.OpCount(),
+				BlockNum: cb.Number, Stages: &tx.Stages}, now)
+		}
+	}
+	if w.after != nil {
+		w.after(w.r, *b)
+	}
+}
+
+// survivors dry-runs each unit of b against replica r's state before the
+// block and returns the transactions of the units that pass. It notes in
+// the replica's unitNums each one's unit index among the survivors, which
+// is its TxNum. Replica 0 counts for all the operations of the units that
+// fail.
+func (c *LedgerCluster) survivors(r int, b *Block) []*chain.Transaction {
+	rep := &c.replicas[r]
+	kept, nums, n := make([]*chain.Transaction, 0, len(b.Txs)), rep.unitNums[:0], 0
+	for u, at := 0, 0; at < len(b.Txs); u++ {
+		unit := b.Txs[at : at+1]
+		if b.Batches != nil {
+			unit = b.Batches[u].Txs
+		}
+		at += len(unit)
+		switch {
+		case rep.dryRun(unit):
+			kept = append(kept, unit...)
+			for range unit {
+				nums = append(nums, n)
+			}
+			n++
+		case r == 0:
+			for _, tx := range unit {
+				c.discardedOps += uint64(tx.OpCount())
+			}
+		}
+	}
+	rep.unitNums = nums
+	return kept
 }
 
 // kvState adapts a KVStore to iel.StateOps, writing at one version.
@@ -328,11 +537,11 @@ func (r *Replica) at(blockNum uint64, txNum int) *kvState {
 	return &r.exec
 }
 
-// ExecuteTx runs tx's operations in order against the replica's state at
+// executeTx runs tx's operations in order against the replica's state at
 // version {blockNum, txNum} and stops at the first that fails; what ran
 // before it stays written (order-execute systems include the failed
 // transaction).
-func (r *Replica) ExecuteTx(tx *chain.Transaction, blockNum uint64, txNum int) error {
+func (r *Replica) executeTx(tx *chain.Transaction, blockNum uint64, txNum int) error {
 	a := r.at(blockNum, txNum)
 	for _, op := range tx.Ops {
 		if err := iel.Execute(op, a); err != nil {
@@ -342,21 +551,20 @@ func (r *Replica) ExecuteTx(tx *chain.Transaction, blockNum uint64, txNum int) e
 	return nil
 }
 
-// ApplyTx commits a transaction that passed its DryRun: every operation
+// applyTx commits a transaction that passed its dryRun: every operation
 // runs at version {blockNum, txNum}, and one that fails after all (another
 // transaction of the same block got there first) is skipped.
-func (r *Replica) ApplyTx(tx *chain.Transaction, blockNum uint64, txNum int) {
+func (r *Replica) applyTx(tx *chain.Transaction, blockNum uint64, txNum int) {
 	a := r.at(blockNum, txNum)
 	for _, op := range tx.Ops {
 		_ = iel.Execute(op, a)
 	}
 }
 
-// DryRun reports whether every operation of txs, run in order against a
+// dryRun reports whether every operation of txs, run in order against a
 // read-through overlay of the replica's state that keeps the writes to
-// itself, succeeds — the all-or-nothing check of an atomic transaction
-// (BitShares) or batch (Sawtooth).
-func (r *Replica) DryRun(txs ...*chain.Transaction) bool {
+// itself, succeeds — the all-or-nothing check of an atomic unit.
+func (r *Replica) dryRun(txs []*chain.Transaction) bool {
 	o := &r.dry
 	o.reset(r.State)
 	for _, tx := range txs {

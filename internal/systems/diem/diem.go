@@ -19,11 +19,9 @@ import (
 	"time"
 
 	"github.com/coconut-bench/coconut/internal/chain"
-	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/diembft"
 	"github.com/coconut-bench/coconut/internal/mempool"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/trace"
 )
 
 // Diem's calibration. Diem is validation-limited: rounds run at a
@@ -73,7 +71,7 @@ type proposedBlock struct {
 
 // validator is one Diem node.
 type validator struct {
-	systems.Replica
+	*systems.Node
 	engine *diembft.Engine
 	pool   *mempool.Pool[*chain.Transaction]
 
@@ -99,9 +97,9 @@ func build(env systems.Env, cfg config) *Network {
 	n := &Network{env: env, cfg: cfg}
 	names := systems.NodeIDs("diem", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameDiem, names, env, n.poolBacklog)
-	for _, r := range n.Replicas() {
+	for i := range names {
 		v := &validator{
-			Replica:   r,
+			Node:      n.Node(i),
 			pool:      mempool.NewBounded[*chain.Transaction](cfg.mempoolDepth),
 			lastSpike: env.Clock.Now(),
 		}
@@ -112,7 +110,7 @@ func build(env systems.Env, cfg config) *Network {
 			Transport:     n.Transport,
 			Clock:         env.Clock,
 			RoundInterval: cfg.roundInterval,
-			OnDecide:      n.makeDecideFunc(v),
+			OnDecide:      n.Decide(i, systems.OrderExecute, asBlock, nil),
 			PayloadSource: n.makePayloadSource(v),
 		})
 		n.validators = append(n.validators, v)
@@ -197,54 +195,12 @@ func (n *Network) spiking(v *validator) bool {
 	return false
 }
 
-// makeDecideFunc builds the commit pipeline: execute in order, append to the
-// ledger, report per-transaction commits. The pipeline is gated per
-// validator: a crashed validator buffers decided blocks and replays them on
-// restart (Diem's state sync).
-func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
-	return func(d consensus.Decision) {
-		txs := 0
-		if blk, ok := d.Payload.(proposedBlock); ok {
-			txs = len(blk.Txs)
-		}
-		systems.CommitTo(&v.Gate, txs, d, apply)
-	}
-}
-
-func (n *Network) applyDecision(v *validator, d consensus.Decision) {
-	blk, ok := d.Payload.(proposedBlock)
-	if !ok {
-		return
-	}
-	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Proposer, blk.FormedAt, blk.Txs)
-	if err := v.Ledger.Append(cb); err != nil {
-		return
-	}
-	now := n.env.Clock.Now()
-	// One consensus-round span per sampled block, emitted at validator 0's
-	// apply site only (every validator applies the identical decision).
-	if tr := n.env.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
-		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameDiem,
-			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
-	}
-	for txNum, tx := range blk.Txs {
-		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := v.ExecuteTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
-		ev := systems.Event{
-			TxID:      tx.ID,
-			Num:       tx.Num,
-			Client:    tx.Client,
-			Committed: true,
-			ValidOK:   execErr == nil,
-			Code:      systems.ClassifyAbort(execErr),
-			OpCount:   tx.OpCount(),
-			BlockNum:  cb.Number,
-			Stages:    &tx.Stages,
-		}
-		v.Hub.Committed(ev, now)
-	}
+// asBlock adapts the DiemBFT payload to the chassis. Each validator
+// executes the decided block in order; a crashed one's gate buffers its
+// blocks and replays them on restart (Diem's state sync).
+func asBlock(p any) (systems.Block, bool) {
+	blk, ok := p.(proposedBlock)
+	return systems.Block{Proposer: blk.Proposer, FormedAt: blk.FormedAt, Txs: blk.Txs}, ok
 }
 
 // Drained overrides the chassis default: every validator mempool is empty.

@@ -143,8 +143,9 @@ func runTask(f func()) { f() }
 // the node is down, the work is buffered for replay in arrival order.
 //
 // The work is data rather than a closure so the fan-out of one decided
-// block to every replica allocates nothing: drivers build apply once per
-// replica, and waiting work is kept typed. The closure binding apply to arg
+// block to every replica allocates nothing: the commit path passes each
+// replica's share by value to one apply function, and waiting work is kept
+// typed. The closure binding apply to arg
 // is made only when the work must outlive a crash — the gate is down, or
 // the node crashed during the durability wait — or waits behind work of
 // another type.

@@ -67,17 +67,11 @@ func calibrate(env systems.Env, p systems.Params) config {
 	}
 }
 
-// envelope is an endorsed transaction travelling to the ordering service.
-type envelope struct {
-	Tx    *chain.Transaction
-	RWSet *statestore.RWSet
-}
-
 // cutBatch is the Raft payload: a deterministic block precursor. It travels
 // by pointer and is not written after the cut, so the ordering service and
 // every peer's commit work share the one value.
 type cutBatch struct {
-	Envelopes []envelope
+	Envelopes []systems.Envelope
 	// Txs are the envelopes' transactions in order: the block body every
 	// peer seals.
 	Txs    []*chain.Transaction
@@ -89,7 +83,7 @@ type cutBatch struct {
 type orderer struct {
 	id      string
 	node    *raft.Node
-	ingress *mempool.Pool[envelope]
+	ingress *mempool.Pool[systems.Envelope]
 }
 
 // Network is a full Fabric deployment.
@@ -130,7 +124,7 @@ func build(env systems.Env, cfg config) *Network {
 	for i := 0; i < orderers; i++ {
 		o := &orderer{
 			id:      ordererIDs[i],
-			ingress: mempool.NewBounded[envelope](cfg.ordererQueue),
+			ingress: mempool.NewBounded[systems.Envelope](cfg.ordererQueue),
 		}
 		o.node = raft.New(raft.Config{
 			ID:        o.id,
@@ -204,9 +198,9 @@ func (n *Network) Submit(entryNode int, tx *chain.Transaction) error {
 // endorse simulates the chaincode execution phase on the entry peer,
 // producing a read-write set against its current world state. A
 // transaction none of whose operations touches state shares noRWSet.
-func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) envelope {
+func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) systems.Envelope {
 	if !touchesState(tx) {
-		return envelope{Tx: tx, RWSet: &noRWSet}
+		return systems.Envelope{Tx: tx, RWSet: &noRWSet}
 	}
 	recorder := &rwRecorder{state: state}
 	for _, op := range tx.Ops {
@@ -214,7 +208,7 @@ func (n *Network) endorse(state *statestore.KVStore, tx *chain.Transaction) enve
 		// whatever was endorsed and settles validity at commit.
 		_ = iel.Execute(op, recorder)
 	}
-	return envelope{Tx: tx, RWSet: &recorder.rw}
+	return systems.Envelope{Tx: tx, RWSet: &recorder.rw}
 }
 
 // noRWSet is the read-write set of every transaction that reads and writes
@@ -280,7 +274,7 @@ func (n *Network) cutTick() {
 
 // cut submits one batch to the ordering service, reporting whether it was
 // accepted.
-func (n *Network) cut(o *orderer, envs []envelope) bool {
+func (n *Network) cut(o *orderer, envs []systems.Envelope) bool {
 	batch := &cutBatch{Envelopes: envs, Txs: make([]*chain.Transaction, len(envs)), CutAt: n.env.Clock.Now(), Cutter: o.id}
 	for i, env := range envs {
 		batch.Txs[i] = env.Tx
@@ -302,82 +296,30 @@ func (n *Network) cut(o *orderer, envs []envelope) bool {
 
 // makeDecideFunc returns the commit pipeline for orderer i. Only orderer 0's
 // decisions drive peer commits — decisions are identical on every orderer,
-// so one distribution stream suffices and avoids triple delivery.
+// so one distribution stream suffices and avoids triple delivery. Every
+// peer validates the block (execute-order-validate, §5.4); a crashed peer's
+// gate buffers its share until RestartNode replays it.
 func (n *Network) makeDecideFunc(i int) consensus.DecideFunc {
 	if i != 0 {
 		return nil
 	}
 	return func(d consensus.Decision) {
-		batch, ok := d.Payload.(*cutBatch)
-		if !ok {
-			return
+		if batch, ok := d.Payload.(*cutBatch); ok {
+			decided := n.env.Clock.Now()
+			// Consensus rounds are sampled on the block number: one span per
+			// sampled round, emitted at the single global commit site.
+			if tr := n.env.Trace; tr.Sampled(d.Seq) {
+				tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
+					Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: d.Seq})
+			}
+			for _, tx := range batch.Txs {
+				tx.Stages.Mark(chain.StageConsensus, decided)
+			}
+			// At eventLossAtPeers the block commits on every peer, but the
+			// client never hears.
+			n.Deliver(systems.Block{Proposer: batch.Cutter, FormedAt: batch.CutAt, Txs: batch.Txs, Envelopes: batch.Envelopes},
+				n.env.Nodes < n.cfg.eventLossAtPeers)
 		}
-		n.commitBlock(d.Seq, batch)
-	}
-}
-
-// commitBlock validates and applies one decided batch on every peer,
-// reporting per-transaction commits to the hub. A crashed peer's gate
-// buffers its share of the work until RestartNode replays it.
-func (n *Network) commitBlock(seq uint64, batch *cutBatch) {
-	decided := n.env.Clock.Now()
-	// Consensus rounds are sampled on the block number: one span per
-	// sampled round, emitted at the single global commit site.
-	if tr := n.env.Trace; tr.Sampled(seq) {
-		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameFabric,
-			Lane: "consensus", Start: batch.CutAt.UnixNano(), End: decided.UnixNano(), Block: seq})
-	}
-	for _, tx := range batch.Txs {
-		tx.Stages.Mark(chain.StageConsensus, decided)
-	}
-	peers := n.Replicas()
-	for i := range peers {
-		p := &peers[i]
-		systems.CommitTo(&p.Gate, len(batch.Txs), peerCommit{n, p, batch}, commitOnPeer)
-	}
-}
-
-// peerCommit is one peer's share of a decided batch: the gate work
-// commitOnPeer applies, passed as a value so the fan-out allocates nothing.
-type peerCommit struct {
-	n     *Network
-	p     *systems.Replica
-	batch *cutBatch
-}
-
-// commitOnPeer applies one decided batch on a single peer; the batch's
-// transactions are shared read-only by every peer's block.
-func commitOnPeer(c peerCommit) {
-	n, p, batch := c.n, c.p, c.batch
-	blk := n.Sealer.Seal(p.Ledger.Head(), batch.Cutter, batch.CutAt, batch.Txs)
-	if err := p.Ledger.Append(blk); err != nil {
-		return // stale duplicate
-	}
-	eventsLost := n.env.Nodes >= n.cfg.eventLossAtPeers
-	now := n.env.Clock.Now()
-	for txNum, env := range batch.Envelopes {
-		validErr := env.RWSet.Validate(p.State)
-		if validErr == nil {
-			env.RWSet.Commit(p.State, statestore.Version{BlockNum: blk.Number, TxNum: txNum})
-		}
-		// First-write-wins: the fastest peer's validation instant counts,
-		// and a crashed peer's gate-buffered replay cannot overwrite it.
-		env.Tx.Stages.Mark(chain.StageValidate, now)
-		if eventsLost {
-			continue // committed on-chain, but the client never hears
-		}
-		ev := systems.Event{
-			TxID:      env.Tx.ID,
-			Num:       env.Tx.Num,
-			Client:    env.Tx.Client,
-			Committed: true, // appended to the chain regardless
-			ValidOK:   validErr == nil,
-			Code:      systems.ClassifyAbort(validErr),
-			OpCount:   env.Tx.OpCount(),
-			BlockNum:  blk.Number,
-			Stages:    &env.Tx.Stages,
-		}
-		p.Hub.Committed(ev, now)
 	}
 }
 

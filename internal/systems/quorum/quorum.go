@@ -23,10 +23,8 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/trace"
 )
 
 // Quorum's calibration.
@@ -80,7 +78,7 @@ type producedBlock struct {
 
 // validator is one Quorum node.
 type validator struct {
-	systems.Replica
+	*systems.Node
 	index  int           // position in the network: the validator's node in pool
 	gossip string        // the tx-gossip endpoint beside the engine's: ID + "-gossip"
 	port   *network.Port // gossip's transport port
@@ -117,11 +115,11 @@ func build(env systems.Env, cfg config) *Network {
 	n.producer = clock.NewEvent(env.Clock, "quorum/producer", n.produceOnProposer)
 	names := systems.NodeIDs("quorum", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameQuorum, names, env, n.poolBacklog)
-	for i, r := range n.Replicas() {
+	for i := range names {
 		v := &validator{
-			Replica: r,
-			index:   i,
-			gossip:  names[i] + "-gossip",
+			Node:   n.Node(i),
+			index:  i,
+			gossip: names[i] + "-gossip",
 		}
 		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // IBFT plus tx gossip
@@ -130,27 +128,11 @@ func build(env systems.Env, cfg config) *Network {
 			Peers:     names,
 			Transport: n.Transport,
 			Clock:     env.Clock,
-			OnDecide:  n.makeDecideFunc(v),
+			// Order-execute: a failed execution is still included (§5.5).
+			OnDecide:  n.Decide(i, systems.OrderExecute, asBlock, n.dropIncluded),
 			Proposer:  bftcore.RoundRobinByHeight, // Istanbul rotates per height
 			MsgPrefix: "ibft",
-			Digest: func(p any) crypto.Hash {
-				blk, ok := p.(producedBlock)
-				if !ok {
-					return crypto.SumString(fmt.Sprintf("%v", p))
-				}
-				h := crypto.AcquireHasher()
-				for _, tx := range blk.Txs {
-					h.AppendLeaf(tx.ID)
-				}
-				root := h.MerkleRoot()
-				h.Reset()
-				h.WriteHash(root)
-				h.WriteString(blk.Producer)
-				h.WriteUint64(uint64(blk.FormedAt.UnixNano()))
-				d := h.Sum()
-				h.Release()
-				return d
-			},
+			Digest:    systems.Digest(asBlock),
 		})
 		n.validators = append(n.validators, v)
 	}
@@ -265,66 +247,17 @@ func (n *Network) produce(v *validator) {
 	}
 }
 
-// makeDecideFunc builds the order-execute commit pipeline for validator v.
-// The commit plane is gated per validator: while v is crashed its decided
-// blocks buffer, and RestartNode replays them in decision order. With a
-// WAL mounted, the block's record is appended before it applies (an empty
-// block still writes a header-only record).
-func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
-	return func(d consensus.Decision) {
-		txs := 0
-		if blk, ok := d.Payload.(producedBlock); ok {
-			txs = len(blk.Txs)
-		}
-		systems.CommitTo(&v.Gate, txs, d, apply)
-	}
+// asBlock adapts the IBFT payload to the chassis.
+func asBlock(p any) (systems.Block, bool) {
+	blk, ok := p.(producedBlock)
+	return systems.Block{Proposer: blk.Producer, FormedAt: blk.FormedAt, Txs: blk.Txs}, ok
 }
 
-func (n *Network) applyDecision(v *validator, d consensus.Decision) {
-	blk, ok := d.Payload.(producedBlock)
-	if !ok {
-		return
-	}
-	// Execute after ordering against this validator's own state; all
-	// validators execute identically in block order.
-	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Producer, blk.FormedAt, blk.Txs)
-	if err := v.Ledger.Append(cb); err != nil {
-		return
-	}
-	now := n.env.Clock.Now()
-	// One consensus-round span per sampled block, emitted at validator 0's
-	// apply site only (every validator applies the identical decision).
-	if tr := n.env.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
-		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameQuorum,
-			Lane: "consensus", Start: blk.FormedAt.UnixNano(), End: now.UnixNano(), Block: cb.Number})
-	}
-	for txNum, tx := range blk.Txs {
-		// The queue stage ended when the block formed. It is stamped here, by
-		// whoever applies the block first, not by the producer after Submit:
-		// on a real clock the decision can outrun the producer's return, and a
-		// confirmation would reach the client with the mark still unset.
-		tx.Stages.Mark(chain.StageQueue, blk.FormedAt)
-		tx.Stages.Mark(chain.StageConsensus, now)
-		execErr := v.ExecuteTx(tx, cb.Number, txNum)
-		tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
-		ev := systems.Event{
-			TxID:      tx.ID,
-			Num:       tx.Num,
-			Client:    tx.Client,
-			Committed: true, // Ethereum includes failed txs in blocks
-			ValidOK:   execErr == nil,
-			Code:      systems.ClassifyAbort(execErr),
-			OpCount:   tx.OpCount(),
-			BlockNum:  cb.Number,
-			Stages:    &tx.Stages,
-		}
-		v.Hub.Committed(ev, now)
-	}
-	// Drop the included txs from the local pool (they may still be queued
-	// on validators that did not produce the block).
-	for _, tx := range blk.Txs {
-		n.pool.Drop(v.index, tx.Num)
+// dropIncluded drops a committed block's transactions from validator r's
+// pool: they may still be queued on validators that did not produce it.
+func (n *Network) dropIncluded(r int, b systems.Block) {
+	for _, tx := range b.Txs {
+		n.pool.Drop(r, tx.Num)
 	}
 }
 

@@ -43,7 +43,7 @@ func bank(fn string, args ...string) chain.Operation {
 
 func TestReplicaExecuteTxStopsAtFirstFailure(t *testing.T) {
 	r := &testReplicas(1)[0]
-	err := r.ExecuteTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
+	err := r.executeTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
 	if !errors.Is(err, iel.ErrKeyNotFound) {
 		t.Fatalf("err = %v, want ErrKeyNotFound", err)
 	}
@@ -55,17 +55,17 @@ func TestReplicaExecuteTxStopsAtFirstFailure(t *testing.T) {
 		t.Error("k2 was written after the failing operation")
 	}
 	// The adapter is reused: the next call writes at its own version.
-	if err := r.ExecuteTx(txOf(2, set("k1", "v1'")), 6, 0); err != nil {
+	if err := r.executeTx(txOf(2, set("k1", "v1'")), 6, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := r.State.Get(kv("k1")); got.Value != "v1'" || got.Version != (statestore.Version{BlockNum: 6}) {
-		t.Errorf("k1 = %+v after a second ExecuteTx at {6 0}", got)
+		t.Errorf("k1 = %+v after a second executeTx at {6 0}", got)
 	}
 }
 
 func TestReplicaApplyTxSkipsFailure(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
+	r.applyTx(txOf(1, set("k1", "v1"), get("missing"), set("k2", "v2")), 5, 3)
 	for _, k := range []string{"k1", "k2"} {
 		if got, ok := r.State.Get(kv(k)); !ok || got.Version != (statestore.Version{BlockNum: 5, TxNum: 3}) {
 			t.Errorf("%s = %+v, %v; want it written at {5 3}", k, got, ok)
@@ -75,21 +75,21 @@ func TestReplicaApplyTxSkipsFailure(t *testing.T) {
 
 func TestReplicaDryRun(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(txOf(1, bank(iel.FnCreateAccount, "rich", "10", "0")), 1, 0)
+	r.applyTx(txOf(1, bank(iel.FnCreateAccount, "rich", "10", "0")), 1, 0)
 	before := r.State.Len()
 
 	// Create-then-pay in one batch: the payment reads the overlay's accounts.
 	create := txOf(2, bank(iel.FnCreateAccount, "new", "0", "0"))
 	pay := txOf(3, bank(iel.FnSendPayment, "rich", "new", "10"))
-	if !r.DryRun(create, pay) {
+	if !r.dryRun([]*chain.Transaction{create, pay}) {
 		t.Error("create-then-pay in one batch failed: the overlay did not show its own writes")
 	}
 	// The payment moved everything, in the overlay: paying again overdraws.
-	if r.DryRun(create, pay, txOf(4, bank(iel.FnSendPayment, "rich", "new", "1"))) {
+	if r.dryRun([]*chain.Transaction{create, pay, txOf(4, bank(iel.FnSendPayment, "rich", "new", "1"))}) {
 		t.Error("a batch overdrawing the overlay's balance passed")
 	}
 	// Nothing of either run reached the store, or the next run's overlay.
-	if r.DryRun(pay) {
+	if r.dryRun([]*chain.Transaction{pay}) {
 		t.Error("a payment to an account only an earlier dry-run created passed")
 	}
 	if got, _ := r.State.Get(statestore.Key{Name: "rich", Part: statestore.Checking}); r.State.Len() != before || got.Value != "10" {
@@ -97,7 +97,7 @@ func TestReplicaDryRun(t *testing.T) {
 	}
 }
 
-// mapOverlay is the overlay DryRun used to build per call, kept as the
+// mapOverlay is the overlay dryRun used to build per call, kept as the
 // reference the inline one is compared against.
 type mapOverlay struct {
 	base   *statestore.KVStore
@@ -121,7 +121,7 @@ func (o *mapOverlay) Put(key statestore.Key, value string) { o.writes[key] = val
 func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 	for _, writes := range []int{1, overlayInline, overlayInline + 1, 200} {
 		r := &testReplicas(1)[0]
-		r.ApplyTx(txOf(1, set("base", "b"), set("k0", "old")), 1, 0)
+		r.applyTx(txOf(1, set("base", "b"), set("k0", "old")), 1, 0)
 
 		var ops []chain.Operation
 		for i := 0; i < writes; i++ {
@@ -144,8 +144,8 @@ func TestReplicaDryRunMatchesMapOverlay(t *testing.T) {
 					break
 				}
 			}
-			if got := r.DryRun(tx); got != want {
-				t.Fatalf("%d writes: DryRun = %v, a map overlay says %v", writes, got, want)
+			if got := r.dryRun([]*chain.Transaction{tx}); got != want {
+				t.Fatalf("%d writes: dryRun = %v, a map overlay says %v", writes, got, want)
 			}
 			if len(ref.writes) != writes {
 				t.Fatalf("the batch wrote %d keys, the case wants %d", len(ref.writes), writes)
@@ -205,10 +205,10 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 						}
 						tx, blk := txs[n], n
 						CommitTo(&r.Gate, 1, func() {
-							if r.DryRun(tx) {
-								r.ApplyTx(tx, uint64(blk), g)
+							if r.dryRun([]*chain.Transaction{tx}) {
+								r.applyTx(tx, uint64(blk), g)
 							}
-							_ = r.ExecuteTx(tx, uint64(blk), g)
+							_ = r.executeTx(tx, uint64(blk), g)
 						}, runTask)
 						if n++; n < len(txs) {
 							ev.After(time.Microsecond)
@@ -234,7 +234,7 @@ func TestReplicaGateSerialisesExecution(t *testing.T) {
 // nothing, except the two balances a payment formats.
 func TestReplicaAllocs(t *testing.T) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000", "0"), bank(iel.FnCreateAccount, "b", "1000000", "0"), set("k", "v")), 1, 0)
+	r.applyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000", "0"), bank(iel.FnCreateAccount, "b", "1000000", "0"), set("k", "v")), 1, 0)
 	for _, c := range []struct {
 		name string
 		op   chain.Operation
@@ -247,31 +247,32 @@ func TestReplicaAllocs(t *testing.T) {
 		{"SendPayment", bank(iel.FnSendPayment, "a", "b", "1"), 2},
 	} {
 		tx := txOf(1, c.op)
+		one := []*chain.Transaction{tx}
 		if n := testing.AllocsPerRun(100, func() {
-			if err := r.ExecuteTx(tx, 2, 0); err != nil {
+			if err := r.executeTx(tx, 2, 0); err != nil {
 				t.Fatal(err)
 			}
 		}); n > c.max {
-			t.Errorf("ExecuteTx(%s) allocates %v times, want at most %v", c.name, n, c.max)
+			t.Errorf("executeTx(%s) allocates %v times, want at most %v", c.name, n, c.max)
 		}
 		if n := testing.AllocsPerRun(100, func() {
-			if !r.DryRun(tx) {
+			if !r.dryRun(one) {
 				t.Fatal("dry-run failed")
 			}
 		}); n > c.max {
-			t.Errorf("DryRun(%s) allocates %v times, want at most %v", c.name, n, c.max)
+			t.Errorf("dryRun(%s) allocates %v times, want at most %v", c.name, n, c.max)
 		}
 	}
 }
 
 func BenchmarkReplicaExecuteTx(b *testing.B) {
 	r := &testReplicas(1)[0]
-	r.ApplyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000000000", "0"), bank(iel.FnCreateAccount, "b", "0", "0")), 1, 0)
+	r.applyTx(txOf(0, bank(iel.FnCreateAccount, "a", "1000000000000", "0"), bank(iel.FnCreateAccount, "b", "0", "0")), 1, 0)
 	tx := txOf(1, bank(iel.FnSendPayment, "a", "b", "1"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.ExecuteTx(tx, 2, i); err != nil {
+		if err := r.executeTx(tx, 2, i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +287,7 @@ func benchmarkDryRun(b *testing.B, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.DryRun(txs...) {
+		if !r.dryRun(txs) {
 			b.Fatal("dry-run failed")
 		}
 	}

@@ -25,10 +25,8 @@ import (
 	"github.com/coconut-bench/coconut/internal/clock"
 	"github.com/coconut-bench/coconut/internal/consensus"
 	"github.com/coconut-bench/coconut/internal/consensus/bftcore"
-	"github.com/coconut-bench/coconut/internal/crypto"
 	"github.com/coconut-bench/coconut/internal/network"
 	"github.com/coconut-bench/coconut/internal/systems"
-	"github.com/coconut-bench/coconut/internal/trace"
 )
 
 // Sawtooth's calibration. Its measured capacity is dominated by batch
@@ -73,13 +71,14 @@ func calibrate(env systems.Env, p systems.Params) config {
 // publishedBlock is the PBFT payload.
 type publishedBlock struct {
 	Batches     []*chain.Batch
+	Txs         []*chain.Transaction // the batches' members, in order
 	PublishedAt time.Time
 	Publisher   string
 }
 
 // validator is one Sawtooth node.
 type validator struct {
-	systems.Replica
+	*systems.Node
 	index  int           // position in the network: the validator's node in queues
 	gossip string        // the batch-gossip endpoint beside the engine's: ID + "-gossip"
 	port   *network.Port // gossip's transport port
@@ -98,10 +97,6 @@ type Network struct {
 	queues *consensus.GossipPool[*chain.Batch]
 
 	publisher *clock.Event // publish, once per publishing delay
-
-	// discardedOps counts payload operations lost to atomic batch discard
-	// (counted once per decision, on validator 0's identical replay).
-	discardedOps uint64
 }
 
 var _ systems.Driver = (*Network)(nil)
@@ -118,11 +113,11 @@ func build(env systems.Env, cfg config) *Network {
 	n.publisher = clock.NewEvent(env.Clock, "sawtooth/publisher", n.publish)
 	names := systems.NodeIDs("sawtooth", env.Nodes)
 	n.LedgerCluster = systems.NewLedgerCluster(systems.NameSawtooth, names, env, n.queueBacklog)
-	for i, r := range n.Replicas() {
+	for i := range names {
 		v := &validator{
-			Replica: r,
-			index:   i,
-			gossip:  names[i] + "-gossip",
+			Node:   n.Node(i),
+			index:  i,
+			gossip: names[i] + "-gossip",
 		}
 		v.port = n.Transport.Port(v.gossip)
 		v.Endpoints = []string{v.ID, v.gossip} // PBFT plus batch gossip
@@ -131,27 +126,12 @@ func build(env systems.Env, cfg config) *Network {
 			Peers:     names,
 			Transport: n.Transport,
 			Clock:     env.Clock,
-			OnDecide:  n.makeDecideFunc(v),
+			// Atomic batches: a failing batch is discarded entirely and its
+			// transactions produce no events (§5.6).
+			OnDecide:  n.Decide(i, systems.Atomic, asBlock, n.dropPublished),
 			Proposer:  bftcore.StickyPrimary, // the primary rotates on view change only
 			MsgPrefix: "pbft",
-			Digest: func(p any) crypto.Hash {
-				blk, ok := p.(publishedBlock)
-				if !ok {
-					return crypto.SumString(fmt.Sprintf("%v", p))
-				}
-				h := crypto.AcquireHasher()
-				for _, b := range blk.Batches {
-					h.AppendLeaf(b.ID)
-				}
-				root := h.MerkleRoot()
-				h.Reset()
-				h.WriteHash(root)
-				h.WriteString(blk.Publisher)
-				h.WriteUint64(uint64(blk.PublishedAt.UnixNano()))
-				d := h.Sum()
-				h.Release()
-				return d
-			},
+			Digest:    systems.Digest(asBlock),
 		})
 		n.validators = append(n.validators, v)
 	}
@@ -252,8 +232,16 @@ func (n *Network) publish() {
 		if len(batches) == 0 {
 			return
 		}
+		txs := batches[0].Txs // a block of one batch shares its members
+		if len(batches) > 1 {
+			txs = nil
+			for _, b := range batches {
+				txs = append(txs, b.Txs...)
+			}
+		}
 		blk := publishedBlock{
 			Batches:     batches,
+			Txs:         txs,
 			PublishedAt: n.env.Clock.Now(),
 			Publisher:   v.ID,
 		}
@@ -263,90 +251,26 @@ func (n *Network) publish() {
 			}
 			return
 		}
-		for _, b := range batches {
-			for _, tx := range b.Txs {
-				tx.Stages.Mark(chain.StageQueue, blk.PublishedAt)
-			}
+		for _, tx := range txs {
+			tx.Stages.Mark(chain.StageQueue, blk.PublishedAt)
 		}
 		return
 	}
 }
 
-// makeDecideFunc builds the commit pipeline for one validator: batches
-// execute atomically; a failing batch is discarded entirely and its
-// transactions produce no events (lost end to end). The pipeline is gated
-// per validator: a crashed validator buffers decided blocks and replays
-// them on restart (Sawtooth's catch-up).
-func (n *Network) makeDecideFunc(v *validator) consensus.DecideFunc {
-	apply := func(d consensus.Decision) { n.applyDecision(v, d) }
-	return func(d consensus.Decision) {
-		txs := 0
-		if blk, ok := d.Payload.(publishedBlock); ok {
-			for _, b := range blk.Batches {
-				txs += len(b.Txs)
-			}
-		}
-		systems.CommitTo(&v.Gate, txs, d, apply)
-	}
+// asBlock adapts the PBFT payload to the chassis. A crashed validator's
+// gate buffers its blocks and replays them on restart (Sawtooth's
+// catch-up).
+func asBlock(p any) (systems.Block, bool) {
+	blk, ok := p.(publishedBlock)
+	return systems.Block{Proposer: blk.Publisher, FormedAt: blk.PublishedAt, Txs: blk.Txs, Batches: blk.Batches}, ok
 }
 
-func (n *Network) applyDecision(v *validator, d consensus.Decision) {
-	blk, ok := d.Payload.(publishedBlock)
-	if !ok {
-		return
-	}
-	decided := n.env.Clock.Now()
-	for _, b := range blk.Batches {
-		for _, tx := range b.Txs {
-			tx.Stages.Mark(chain.StageConsensus, decided)
-		}
-	}
-	// Dry-run each batch against a shadow to enforce atomicity, then
-	// apply the survivors.
-	var surviving []*chain.Transaction
-	var survivingBatches []*chain.Batch
-	for _, b := range blk.Batches {
-		if v.DryRun(b.Txs...) {
-			surviving = append(surviving, b.Txs...)
-			survivingBatches = append(survivingBatches, b)
-		} else if v == n.validators[0] {
-			// Every validator discards the same batches; count the lost
-			// payloads once for the conflict breakdown.
-			for _, tx := range b.Txs {
-				n.discardedOps += uint64(tx.OpCount())
-			}
-		}
-	}
-	cb := n.Sealer.Seal(v.Ledger.Head(), blk.Publisher, blk.PublishedAt, surviving)
-	if err := v.Ledger.Append(cb); err != nil {
-		return
-	}
-	// One consensus-round span per sampled block, emitted at validator 0's
-	// apply site only (every validator applies the identical decision).
-	if tr := n.env.Trace; v == n.validators[0] && tr.Sampled(cb.Number) {
-		tr.Add(trace.Span{Name: "round", Cat: "consensus", Proc: systems.NameSawtooth,
-			Lane: "consensus", Start: blk.PublishedAt.UnixNano(), End: decided.UnixNano(), Block: cb.Number})
-	}
-	now := n.env.Clock.Now()
-	for txNum, batch := range survivingBatches {
-		for _, tx := range batch.Txs {
-			v.ApplyTx(tx, cb.Number, txNum)
-			tx.Stages.Mark(chain.StageExecute, n.env.Clock.Now())
-			v.Hub.Committed(systems.Event{
-				TxID:      tx.ID,
-				Num:       tx.Num,
-				Client:    tx.Client,
-				Committed: true,
-				ValidOK:   true,
-				OpCount:   tx.OpCount(),
-				BlockNum:  cb.Number,
-				Stages:    &tx.Stages,
-			}, now)
-		}
-	}
-	// Drop the published batches from the local queue.
-	for _, b := range blk.Batches {
-		n.queues.Drop(v.index, b.Num)
+// dropPublished drops a committed block's batches, discarded ones
+// included, from validator r's queue.
+func (n *Network) dropPublished(r int, b systems.Block) {
+	for _, bt := range b.Batches {
+		n.queues.Drop(r, bt.Num)
 	}
 }
 
@@ -378,8 +302,8 @@ func (n *Network) QueueStats() (admitted, rejected uint64) {
 // the entire batch ... is completely discarded", §5.6). These never produce
 // client events, so the runner folds them in system-side.
 func (n *Network) ConflictCounts() map[string]uint64 {
-	if n.discardedOps > 0 {
-		return map[string]uint64{systems.AbortBatchDiscarded: n.discardedOps}
+	if d := n.DiscardedOps(); d > 0 {
+		return map[string]uint64{systems.AbortBatchDiscarded: d}
 	}
 	return nil
 }
